@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet lint lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-smoke scenario-smoke scenario-full
+.PHONY: all build vet lint lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-smoke bench-build scenario-smoke scenario-full
 
 all: tier1
 
@@ -75,9 +75,12 @@ trace-demo:
 
 # Crash-injection matrix under the race detector: every failure mode
 # (cut/torn/garbled write) x every fsync policy must recover to a
-# verified prefix of the pre-crash chain (see docs/PERSISTENCE.md).
+# verified prefix of the pre-crash chain, and the same failpoint armed
+# mid-batch on the node store must leave every checkpointed root
+# walkable (see docs/PERSISTENCE.md).
 crash-matrix:
 	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
+	$(GO) test -race -count=1 ./internal/nodestore -run TestCrashMatrixNodeStore -v
 
 # Native fuzzing smoke: 30s per target over every decoder that reads
 # attacker- or crash-controlled bytes — the WAL frame, the block codec,
@@ -103,6 +106,13 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) run ./cmd/dcsbench -exec -exec-txs 96 -exec-workers 1,4 -exec-rates 0,0.25
 
+# Compile-only check of the nested benchmark module (benchmark/, its
+# own go.mod, not part of `go build ./...`): it calls internal packages
+# directly, so an internal-API change that breaks it should fail CI
+# rather than the next benchmark run.
+bench-build:
+	cd benchmark && $(GO) vet ./...
+
 # Adversarial scenario smoke: the 64-node preset for every consensus
 # family under the race detector — churn, a healing partition, one
 # Byzantine actor each, WAL crash-recovery for pow — every cell run
@@ -118,4 +128,4 @@ scenario-full:
 
 tier1: build vet lint fmt-check doc-check test
 
-ci: tier1 race scenario-smoke
+ci: tier1 bench-build race scenario-smoke

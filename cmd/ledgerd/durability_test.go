@@ -19,7 +19,7 @@ import (
 // directory holds.
 func durableTestNode(t *testing.T, dir string) (*node.Node, *wal.DurableStore) {
 	t.Helper()
-	ds, rec, err := openDurable(dir, "always", 8)
+	ds, rec, err := openDurable(dir, wal.FsyncAlways, 8)
 	if err != nil {
 		t.Fatalf("openDurable: %v", err)
 	}
@@ -73,7 +73,11 @@ func TestDataDirRecovery(t *testing.T) {
 }
 
 func TestOpenDurableRejectsBadPolicy(t *testing.T) {
-	if _, _, err := openDurable(t.TempDir(), "sometimes", 8); err == nil {
-		t.Fatal("openDurable accepted an unknown fsync policy")
+	f := fsyncFlag{wal.FsyncInterval}
+	if err := f.Set("sometimes"); err == nil {
+		t.Fatal("-fsync accepted an unknown fsync policy")
+	}
+	if err := f.Set("Always"); err != nil || f.policy != wal.FsyncAlways {
+		t.Fatalf("-fsync Always: policy %v, err %v", f.policy, err)
 	}
 }

@@ -57,6 +57,17 @@ func (p peerList) Set(v string) error {
 	return nil
 }
 
+// fsyncFlag is the -fsync flag, parsed once: the WAL and the disk state
+// store run under the same policy.
+type fsyncFlag struct{ policy wal.FsyncPolicy }
+
+func (f *fsyncFlag) String() string { return f.policy.String() }
+
+func (f *fsyncFlag) Set(v string) (err error) {
+	f.policy, err = wal.ParseFsyncPolicy(v)
+	return err
+}
+
 type allocList map[cryptoutil.Address]uint64
 
 func (a allocList) String() string { return fmt.Sprintf("%d accounts", len(a)) }
@@ -102,7 +113,6 @@ func run() error {
 		maxOrph = flag.Int("max-orphans", node.DefaultMaxOrphans, "max buffered unknown-parent blocks")
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the http api")
 		dataDir = flag.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
-		fsyncS  = flag.String("fsync", "interval", "wal fsync policy: always|interval|never")
 		ckptN   = flag.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
 		backend = flag.String("state-backend", "memory",
 			"authenticated state backend: memory|disk (disk mirrors the account trie into <data-dir>/state and serves GET /proof)")
@@ -115,7 +125,9 @@ func run() error {
 			"re-run every parallel block serially and fail on any divergence (debug; forfeits the speedup)")
 		peers = peerList{}
 		alloc = allocList{}
+		fsync = fsyncFlag{wal.FsyncInterval}
 	)
+	flag.Var(&fsync, "fsync", "wal fsync policy: always|interval|never")
 	flag.Var(peers, "peer", "peer as id=host:port (repeatable)")
 	flag.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
 	flag.Parse()
@@ -159,13 +171,13 @@ func run() error {
 	)
 	if *dataDir != "" {
 		var err error
-		ds, rec, err = openDurable(*dataDir, *fsyncS, *ckptN)
+		ds, rec, err = openDurable(*dataDir, fsync.policy, *ckptN)
 		if err != nil {
 			return err
 		}
 		defer ds.Close()
 		log.Printf("durable store at %s (fsync=%s, checkpoint-every=%d): %d block(s) journaled, tip height %d",
-			*dataDir, *fsyncS, *ckptN, len(rec.Blocks), rec.TipHeight())
+			*dataDir, fsync.policy, *ckptN, len(rec.Blocks), rec.TipHeight())
 	}
 
 	// Disk-backed authenticated state: the account trie mirrored into a
@@ -178,12 +190,9 @@ func run() error {
 		if *dataDir == "" {
 			return errors.New("-state-backend=disk requires -data-dir")
 		}
-		pol, err := nodestore.ParseSyncPolicy(*fsyncS)
-		if err != nil {
-			return err
-		}
+		var err error
 		ns, err = nodestore.Open(filepath.Join(*dataDir, "state"), nodestore.Options{
-			Sync:       pol,
+			Sync:       fsync.policy,
 			CacheBytes: *cacheB,
 			Metrics:    reg,
 		})
@@ -272,15 +281,10 @@ func run() error {
 	}
 }
 
-// openDurable opens (or creates) the WAL-backed block store under dir,
-// translating the -fsync flag into a wal.FsyncPolicy. The returned
-// Recovery holds everything journaled by a previous run of the same
-// directory; feed it to node.Recover before starting the node.
-func openDurable(dir, fsyncStr string, ckptEvery uint64) (*wal.DurableStore, *wal.Recovery, error) {
-	pol, err := wal.ParseFsyncPolicy(fsyncStr)
-	if err != nil {
-		return nil, nil, err
-	}
+// openDurable opens (or creates) the WAL-backed block store under dir.
+// The returned Recovery holds everything journaled by a previous run of
+// the same directory; feed it to node.Recover before starting the node.
+func openDurable(dir string, pol wal.FsyncPolicy, ckptEvery uint64) (*wal.DurableStore, *wal.Recovery, error) {
 	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{
 		Fsync:           pol,
 		CheckpointEvery: ckptEvery,

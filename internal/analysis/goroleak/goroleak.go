@@ -21,7 +21,7 @@
 // policed package calling util.StartTicker() is flagged at the call
 // site) and "this loops forever with no stop token" (so `go
 // util.Forever()` is flagged at the spawn). Only long-lived component
-// packages — p2p (incl. gossip), node, wal, nodestore — report;
+// packages — p2p (incl. gossip), node, wal, nodestore, seglog — report;
 // everything else just exports facts.
 //
 // One-shot goroutines (no unbounded loop) are exempt: they terminate
@@ -39,7 +39,7 @@ import (
 // Analyzer is the goroutine-lifecycle checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc: "flags goroutines in long-lived components (p2p, node, wal, nodestore) " +
+	Doc: "flags goroutines in long-lived components (p2p, node, wal, nodestore, seglog) " +
 		"that loop with no provable stop path (context, closed done-channel, or " +
 		"Waited WaitGroup), including spawns laundered through helper calls",
 	Run:       run,
@@ -73,6 +73,7 @@ var policedMarkers = []string{
 	"internal/node",
 	"internal/wal",
 	"internal/nodestore",
+	"internal/seglog",
 }
 
 // Policed reports whether an import path belongs to the long-lived

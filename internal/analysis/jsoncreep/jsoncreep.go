@@ -10,7 +10,7 @@
 // whatever the input claims. A single convenient `json.Marshal` in a
 // hot path silently reintroduces both failure modes, so the guard is
 // mechanical: the converted packages (p2p, consensus, state/snapshot,
-// WAL, nodestore, and the wire substrate itself) must not import
+// WAL, nodestore, seglog, and the wire substrate itself) must not import
 // encoding/json at all. CLI and HTTP tooling keep JSON; this analyzer
 // never fires there.
 package jsoncreep
@@ -26,7 +26,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "jsoncreep",
 	Doc: "forbids importing encoding/json in packages converted to canonical " +
-		"binary codecs (p2p, consensus, state, wal, nodestore, wire): JSON is " +
+		"binary codecs (p2p, consensus, state, wal, nodestore, seglog, wire): JSON is " +
 		"non-canonical and unbounded, which forks hashes and invites oversized " +
 		"allocations on hot paths",
 	Run: run,
@@ -39,6 +39,7 @@ var forbiddenMarkers = []string{
 	"internal/state",
 	"internal/wal",
 	"internal/nodestore",
+	"internal/seglog",
 	"internal/wire",
 }
 

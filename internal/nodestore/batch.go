@@ -72,7 +72,7 @@ func (b *Batch) Commit() error {
 }
 
 func (s *Store) commitBatchLocked(b *Batch) error {
-	if s.closed {
+	if s.log.Closed() {
 		return ErrClosed
 	}
 	refs := make(map[cryptoutil.Hash]ref, len(b.order))
@@ -81,25 +81,18 @@ func (s *Store) commitBatchLocked(b *Batch) error {
 		if _, dup := s.index[h]; dup {
 			continue // already on disk — idempotent by content address
 		}
-		enc := b.nodes[h]
-		if s.activeSize >= s.opts.SegmentSize {
-			if err := s.createSegmentLocked(s.activeIdx + 1); err != nil {
-				return err
-			}
+		frame = encodeFrame(frame[:0], b.height, h, b.nodes[h])
+		r, err := s.appendLocked(frame, b.height)
+		if err != nil {
+			return err
 		}
-		frame = encodeFrame(frame[:0], b.height, h, enc)
-		if _, err := s.active.Write(frame); err != nil {
-			return fmt.Errorf("nodestore: append: %w", err)
-		}
-		refs[h] = ref{seg: s.activeIdx, off: s.activeSize, n: int32(len(frame)), height: b.height}
-		s.activeSize += int64(len(frame))
-		s.stats.bytes += uint64(len(frame))
+		refs[h] = r
 	}
 	if len(refs) == 0 {
 		b.order, b.nodes = nil, map[cryptoutil.Hash][]byte{}
 		return nil
 	}
-	if err := s.maybeSyncLocked(); err != nil {
+	if err := s.log.MaybeSync(); err != nil {
 		return err
 	}
 	// Publish only after the records (and, under SyncAlways, their
@@ -109,23 +102,6 @@ func (s *Store) commitBatchLocked(b *Batch) error {
 		s.index[h] = r
 	}
 	s.stats.appends += uint64(len(refs))
-	if s.mAppends != nil {
-		s.mAppends.Add(uint64(len(refs)))
-	}
-	s.publishGaugesLocked()
 	b.order, b.nodes = nil, map[cryptoutil.Hash][]byte{}
-	return nil
-}
-
-// maybeSyncLocked applies the configured sync policy after an append.
-func (s *Store) maybeSyncLocked() error {
-	switch s.opts.Sync {
-	case SyncAlways:
-		return s.syncLocked()
-	case SyncInterval:
-		if now := s.opts.Clock(); now.Sub(s.lastSync) >= s.opts.SyncEvery {
-			return s.syncLocked()
-		}
-	}
 	return nil
 }

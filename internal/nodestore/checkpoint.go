@@ -4,13 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/wire"
 )
 
@@ -19,10 +17,10 @@ import (
 // for the node store that ckpt-<seq>.ck files play for the WAL's
 // DurableStore — after a crash, recovery loads the newest valid meta,
 // re-opens the store, and resumes from the recorded roots; pruning
-// uses the checkpoint height as its floor. The file format follows
-// the DurableStore checkpoint discipline: magic, CRC over the body,
-// tmp + fsync + rename, newest two retained, damaged files skipped
-// but never trusted.
+// uses the checkpoint height as its floor. Like those files it is a
+// magic and a CRC-covered body published through seglog.SideFiles
+// (atomic replace, newest two retained); damaged files are skipped but
+// never trusted.
 
 const (
 	ckptMagic = "DCSNSCK1"
@@ -40,7 +38,7 @@ type Checkpoint struct {
 }
 
 // encode renders the canonical checkpoint body (names sorted).
-func (c *Checkpoint) encode() ([]byte, error) {
+func (c *Checkpoint) encode() []byte {
 	names := make([]string, 0, len(c.Roots))
 	for name := range c.Roots {
 		names = append(names, name)
@@ -54,7 +52,7 @@ func (c *Checkpoint) encode() ([]byte, error) {
 		h := c.Roots[name]
 		b.Raw(h[:])
 	}
-	return b.Bytes(), nil
+	return b.Bytes()
 }
 
 // decodeCheckpoint parses a checkpoint body, enforcing sorted unique
@@ -84,53 +82,22 @@ func decodeCheckpoint(body []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-func ckptName(height uint64) string { return fmt.Sprintf("nsck-%016d.ck", height) }
-
-func parseCkptName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "nsck-") || !strings.HasSuffix(name, ".ck") {
-		return 0, false
-	}
-	var h uint64
-	if _, err := fmt.Sscanf(name, "nsck-%d.ck", &h); err != nil {
-		return 0, false
-	}
-	if ckptName(h) != name {
-		return 0, false
-	}
-	return h, true
-}
-
 // WriteCheckpoint atomically persists checkpoint meta in the store
-// directory and prunes all but the newest ckptKeep metas. The store's
-// segments are fsynced first so the checkpoint never names roots whose
-// nodes could still be lost to a crash.
+// directory, retaining the newest ckptKeep metas. The store's segments
+// are fsynced first so the checkpoint never names roots whose nodes
+// could still be lost to a crash.
 func (s *Store) WriteCheckpoint(c Checkpoint) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	body, err := c.encode()
-	if err != nil {
-		return err
-	}
+	body := c.encode()
 	// File layout: magic | u32 len | u32 crc32c(body) | body.
 	buf := make([]byte, 0, len(ckptMagic)+8+len(body))
 	buf = append(buf, ckptMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	buf = binary.BigEndian.AppendUint32(buf, seglog.Checksum(body))
 	buf = append(buf, body...)
-
-	path := filepath.Join(s.dir, ckptName(c.Height))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("nodestore: rename checkpoint: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-	return s.pruneCheckpoints()
+	return s.ckpts.Write(c.Height, buf)
 }
 
 // LoadCheckpoint returns the newest valid checkpoint meta, skipping
@@ -141,7 +108,7 @@ func (s *Store) LoadCheckpoint() (*Checkpoint, error) {
 		return nil, err
 	}
 	for i := len(heights) - 1; i >= 0; i-- {
-		c, err := readCheckpointFile(filepath.Join(s.dir, ckptName(heights[i])))
+		c, err := readCheckpointFile(s.ckpts.Path(heights[i]))
 		if err == nil {
 			return c, nil
 		}
@@ -149,34 +116,8 @@ func (s *Store) LoadCheckpoint() (*Checkpoint, error) {
 	return nil, ErrNoCheckpoint
 }
 
-func (s *Store) checkpointHeights() ([]uint64, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("nodestore: readdir: %w", err)
-	}
-	var heights []uint64
-	for _, e := range entries {
-		if h, ok := parseCkptName(e.Name()); ok {
-			heights = append(heights, h)
-		}
-	}
-	sort.Slice(heights, func(i, j int) bool { return heights[i] < heights[j] })
-	return heights, nil
-}
-
-func (s *Store) pruneCheckpoints() error {
-	heights, err := s.checkpointHeights()
-	if err != nil {
-		return err
-	}
-	for len(heights) > ckptKeep {
-		if err := os.Remove(filepath.Join(s.dir, ckptName(heights[0]))); err != nil {
-			return fmt.Errorf("nodestore: prune checkpoint: %w", err)
-		}
-		heights = heights[1:]
-	}
-	return nil
-}
+// checkpointHeights lists the heights of the metas on disk, ascending.
+func (s *Store) checkpointHeights() ([]uint64, error) { return s.ckpts.List() }
 
 func readCheckpointFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
@@ -193,41 +134,8 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 	if int(n) != len(body) {
 		return nil, fmt.Errorf("nodestore: checkpoint length mismatch")
 	}
-	if crc32.Checksum(body, castagnoli) != crc {
+	if seglog.Checksum(body) != crc {
 		return nil, fmt.Errorf("nodestore: checkpoint crc mismatch")
 	}
 	return decodeCheckpoint(body)
-}
-
-// writeFileSync writes data to path and fsyncs it (same helper shape
-// as the WAL's checkpoint writer).
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("nodestore: create %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("nodestore: write %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("nodestore: sync %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("nodestore: open dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("nodestore: sync dir: %w", err)
-	}
-	return nil
 }

@@ -1,11 +1,11 @@
 package nodestore
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/seglog"
 )
 
 // Marker accumulates the set of node hashes reachable from the
@@ -49,14 +49,16 @@ func (m *Marker) Len() int { return len(m.keep) }
 func (s *Store) Compact(m *Marker, floor uint64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.log.Closed() {
 		return 0, ErrClosed
 	}
 	// A sealed segment is a victim if it holds at least one dead
 	// record; the active segment is never rewritten in place.
+	segs := s.log.Segments()
+	active := segs[len(segs)-1]
 	dead := make(map[uint64]int)
 	for h, r := range s.index {
-		if r.seg != s.activeIdx && r.height < floor && (m == nil || !m.Marked(h)) {
+		if r.seg != active && r.height < floor && (m == nil || !m.Marked(h)) {
 			dead[r.seg]++
 		}
 	}
@@ -65,7 +67,7 @@ func (s *Store) Compact(m *Marker, floor uint64) (int, error) {
 	}
 
 	dropped := 0
-	for _, seg := range append([]uint64(nil), s.segments...) {
+	for _, seg := range segs {
 		if dead[seg] == 0 {
 			continue
 		}
@@ -77,10 +79,6 @@ func (s *Store) Compact(m *Marker, floor uint64) (int, error) {
 	}
 	s.stats.compactions++
 	s.stats.dropped += uint64(dropped)
-	if s.mCompactions != nil {
-		s.mCompactions.Inc()
-	}
-	s.publishGaugesLocked()
 	return dropped, nil
 }
 
@@ -88,64 +86,43 @@ func (s *Store) Compact(m *Marker, floor uint64) (int, error) {
 // segment, fsyncs, republishes their index entries, and deletes seg.
 // Dead records are dropped from the index and the decoded cache.
 func (s *Store) compactSegmentLocked(seg uint64, m *Marker, floor uint64) (int, error) {
-	path := filepath.Join(s.dir, segName(seg))
 	dropped := 0
 	var frame []byte
-	var scanErr error
-	_, err := scanSegment(path, func(h cryptoutil.Hash, height uint64, _ int64, _ int32, payload []byte) {
-		if scanErr != nil {
-			return
-		}
-		r, ok := s.index[h]
-		if !ok || r.seg != seg {
-			return // superseded by a newer copy elsewhere
-		}
-		if height < floor && (m == nil || !m.Marked(h)) {
-			delete(s.index, h)
-			s.cache.drop(h)
-			dropped++
-			return
-		}
-		if s.activeSize >= s.opts.SegmentSize {
-			if err := s.createSegmentLocked(s.activeIdx + 1); err != nil {
-				scanErr = err
-				return
+	_, err := s.log.ScanSegment(seg, nil,
+		func(_ int64, body []byte) error {
+			height, h, payload, ok := decodeRecord(body)
+			if !ok {
+				return seglog.ErrDamaged
 			}
-		}
-		frame = encodeFrame(frame[:0], height, h, payload)
-		if _, err := s.active.Write(frame); err != nil {
-			scanErr = fmt.Errorf("nodestore: compact copy: %w", err)
-			return
-		}
-		s.index[h] = ref{seg: s.activeIdx, off: s.activeSize, n: int32(len(frame)), height: height}
-		s.activeSize += int64(len(frame))
-		s.stats.bytes += uint64(len(frame))
-	})
+			r, ok := s.index[h]
+			if !ok || r.seg != seg {
+				return nil // superseded by a newer copy elsewhere
+			}
+			if height < floor && (m == nil || !m.Marked(h)) {
+				delete(s.index, h)
+				s.cache.drop(h)
+				dropped++
+				return nil
+			}
+			frame = encodeFrame(frame[:0], height, h, payload)
+			r, err := s.appendLocked(frame, height)
+			if err != nil {
+				return fmt.Errorf("nodestore: compact copy: %w", err)
+			}
+			s.index[h] = r
+			return nil
+		})
+	if errors.Is(err, seglog.ErrDamaged) {
+		// A sealed segment that scanned clean at Open no longer does.
+		return dropped, fmt.Errorf("%w: %s: %v", ErrCorrupt, format.SegmentName(seg), err)
+	}
 	if err != nil {
 		return dropped, err
 	}
-	if scanErr != nil {
-		return dropped, scanErr
-	}
 	// Durability point: the copies must be on stable storage before
 	// the originals can go away.
-	if err := s.syncLocked(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return dropped, err
 	}
-	if f, ok := s.readers[seg]; ok {
-		if err := f.Close(); err != nil {
-			return dropped, fmt.Errorf("nodestore: close victim reader: %w", err)
-		}
-		delete(s.readers, seg)
-	}
-	if err := os.Remove(path); err != nil {
-		return dropped, fmt.Errorf("nodestore: remove victim segment: %w", err)
-	}
-	for i, idx := range s.segments {
-		if idx == seg {
-			s.segments = append(s.segments[:i], s.segments[i+1:]...)
-			break
-		}
-	}
-	return dropped, nil
+	return dropped, s.log.Remove(seg)
 }

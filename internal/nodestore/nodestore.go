@@ -6,10 +6,10 @@
 // nodes in a flat store with an in-RAM cache — built on this repo's own
 // durability substrate instead of an external KV dependency.
 //
-// Layout. A store is a directory of append-only segment files
-// (ns-XXXXXXXX.seg), each opened by an 8-byte magic and carrying
-// u32-length/CRC32C-framed records (the WAL's framing discipline, see
-// docs/PERSISTENCE.md). A record body is:
+// Layout. A store is an internal/seglog segment log (ns-XXXXXXXX.seg,
+// no header extension; see docs/PERSISTENCE.md for segments, frames,
+// rotation, repair and sync policies, none of which are restated here).
+// A record body is:
 //
 //	u64 height | 32B node hash | payload (the encoded trie node)
 //
@@ -17,8 +17,9 @@
 // duplicate appends are idempotent and crash-duplicated records (e.g.
 // from an interrupted compaction) are harmless. The in-memory
 // hash→(segment, offset) index is rebuilt by scanning the segments at
-// Open; a torn tail on the newest segment is truncated exactly like a
-// WAL tail.
+// Open. Segments are sealed by an fsync before rotation, so only the
+// newest can carry crash damage: a torn tail there is repaired, damage
+// in a sealed segment is ErrCorrupt and Open refuses.
 //
 // Commits are batched and atomic-by-construction: a Batch stages
 // encoded nodes, Commit appends them children-before-root (the trie
@@ -45,33 +46,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
+	"dcsledger/internal/seglog"
 )
 
 // Format constants.
 const (
 	// segMagic opens every segment file (8 bytes, versioned).
 	segMagic = "DCSNS001"
-	// segHeaderLen is the length of the segment header.
-	segHeaderLen = len(segMagic)
-	// frameHeaderLen is u32 body length + u32 crc32c(body).
-	frameHeaderLen = 8
 	// recordHeaderLen is u64 height + 32B node hash inside the body.
 	recordHeaderLen = 8 + cryptoutil.HashSize
 	// MaxNodeLen bounds one encoded node so a garbled length field can
 	// never force a huge allocation during an index rebuild.
 	MaxNodeLen = 4 << 20
 )
+
+// format is the node store's segment file format.
+var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: MaxNodeLen + recordHeaderLen}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 8 << 20
@@ -80,15 +75,12 @@ const DefaultSegmentSize = 8 << 20
 const DefaultCacheBytes = 64 << 20
 
 // DefaultSyncEvery is the flush cadence of the interval sync policy.
-const DefaultSyncEvery = 100 * time.Millisecond
-
-// castagnoli is the CRC32C table (same checksum as the WAL).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+const DefaultSyncEvery = seglog.DefaultSyncEvery
 
 // Store errors, matchable with errors.Is.
 var (
 	// ErrClosed is returned by operations after Close.
-	ErrClosed = errors.New("nodestore: closed")
+	ErrClosed = seglog.ErrClosed
 	// ErrNotFound reports a node hash absent from the store.
 	ErrNotFound = errors.New("nodestore: node not found")
 	// ErrCorrupt reports an invalid frame in the interior of the store
@@ -96,50 +88,23 @@ var (
 	ErrCorrupt = errors.New("nodestore: corrupt segment")
 	// ErrTooLarge rejects nodes over MaxNodeLen.
 	ErrTooLarge = errors.New("nodestore: node too large")
-	// errBadFrame marks an invalid frame during a scan.
-	errBadFrame = errors.New("nodestore: bad frame")
 )
 
 // SyncPolicy selects when appended batches are forced to stable
-// storage. It mirrors the WAL's fsync policies (wal.FsyncPolicy); the
-// two types are distinct only to keep this package free of the WAL's
-// state-layer dependencies.
-type SyncPolicy int
+// storage: at every batch commit, at most once per SyncEvery, or never.
+// It is the WAL's policy type (wal.FsyncPolicy), so one parsed -fsync
+// value configures both stores.
+type SyncPolicy = seglog.SyncPolicy
 
+// The sync policies.
 const (
-	// SyncAlways fsyncs at every batch commit.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per SyncEvery.
-	SyncInterval
-	// SyncNever leaves flushing to the OS.
-	SyncNever
+	SyncAlways   = seglog.SyncAlways
+	SyncInterval = seglog.SyncInterval
+	SyncNever    = seglog.SyncNever
 )
 
-// String returns the flag-style name of the policy.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("SyncPolicy(%d)", int(p))
-}
-
 // ParseSyncPolicy parses "always", "interval", or "never".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	}
-	return 0, fmt.Errorf("nodestore: unknown sync policy %q (want always|interval|never)", s)
-}
+func ParseSyncPolicy(s string) (SyncPolicy, error) { return seglog.ParseSyncPolicy(s) }
 
 // Options configures a Store.
 type Options struct {
@@ -159,21 +124,6 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-func (o *Options) fill() {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = DefaultSegmentSize
-	}
-	if o.CacheBytes == 0 {
-		o.CacheBytes = DefaultCacheBytes
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-}
-
 // ref locates one record on disk: the frame starts at off within
 // segment seg and spans n bytes including the frame header.
 type ref struct {
@@ -188,9 +138,10 @@ type Stats struct {
 	Records     int    // live index entries
 	Segments    int    // live segment files
 	Bytes       uint64 // frame bytes appended this session
-	Appends     uint64 // records appended this session
+	Appends     uint64 // records published by batch commits this session
 	Reads       uint64 // raw record reads (cache misses + Get calls)
-	Syncs       uint64 // explicit fsyncs issued
+	Syncs       uint64 // explicit fsyncs issued on segment files
+	Rotations   uint64 // segment rotations this session
 	Compactions uint64 // Compact calls that removed at least one segment
 	Dropped     uint64 // records dropped by compaction this session
 	TornBytes   uint64 // bytes discarded repairing the tail at Open
@@ -206,27 +157,15 @@ type Stats struct {
 // store mutex (batch commit is the single-writer path, matching the
 // WAL's concurrency contract).
 type Store struct {
-	mu   sync.Mutex
-	dir  string
-	opts Options
-
-	index      map[cryptoutil.Hash]ref
-	segments   []uint64
-	readers    map[uint64]*os.File // open read handles, keyed by segment
-	active     *os.File
-	activeIdx  uint64
-	activeSize int64
-	lastSync   time.Time
-	closed     bool
-
+	mu    sync.Mutex
+	log   *seglog.Log
+	ckpts seglog.SideFiles // <store dir>/nsck-<height>.ck
+	index map[cryptoutil.Hash]ref
 	cache *nodeCache
 
 	stats struct {
-		bytes, appends, reads, syncs, compactions, dropped, torn uint64
+		appends, reads, compactions, dropped uint64
 	}
-
-	mReads, mAppends, mCompactions *metrics.Counter
-	mRecords, mSegments            *metrics.Gauge
 }
 
 // Open opens (or creates) a node store in dir, rebuilding the
@@ -234,161 +173,69 @@ type Store struct {
 // on the newest segment is truncated; damage in an older segment is
 // reported as ErrCorrupt (compaction never leaves one behind).
 func Open(dir string, opts Options) (*Store, error) {
-	opts.fill()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("nodestore: mkdir: %w", err)
+	if opts.SegmentSize <= 0 {
+		opts.SegmentSize = DefaultSegmentSize
+	}
+	if opts.CacheBytes == 0 {
+		opts.CacheBytes = DefaultCacheBytes
+	}
+	l, err := seglog.Open(dir, format, seglog.Options{
+		SegmentSize:  opts.SegmentSize,
+		SealWhenFull: true,
+		Sync:         opts.Sync,
+		SyncEvery:    opts.SyncEvery,
+		Clock:        opts.Clock,
+	})
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		index:   make(map[cryptoutil.Hash]ref),
-		readers: make(map[uint64]*os.File),
-		cache:   newNodeCache(opts.CacheBytes),
+		log:   l,
+		ckpts: seglog.SideFiles{Dir: dir, Prefix: "nsck-", Suffix: ".ck", Keep: ckptKeep},
+		index: make(map[cryptoutil.Hash]ref),
+		cache: newNodeCache(opts.CacheBytes),
+	}
+	damage, err := l.Scan(nil,
+		func(seg uint64, off int64, body []byte) error {
+			height, h, _, ok := decodeRecord(body)
+			if !ok {
+				return seglog.ErrDamaged
+			}
+			s.index[h] = ref{seg: seg, off: off, n: int32(seglog.FrameHeaderLen + len(body)), height: height}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if damage != nil {
+		if segs := l.Segments(); damage.Seg != segs[len(segs)-1] {
+			return nil, fmt.Errorf("%w: %s", ErrCorrupt, format.SegmentName(damage.Seg))
+		}
+		if err := l.Repair(*damage); err != nil {
+			return nil, err
+		}
+	}
+	if err := l.Activate(nil); err != nil {
+		return nil, err
 	}
 	if reg := opts.Metrics; reg != nil {
-		s.mReads = reg.Counter("nodestore_reads_total")
-		s.mAppends = reg.Counter("nodestore_appends_total")
-		s.mCompactions = reg.Counter("nodestore_compactions_total")
-		s.mRecords = reg.Gauge("nodestore_records")
-		s.mSegments = reg.Gauge("nodestore_segments")
-		reg.RegisterFunc("nodestore_cache_hits_total", func() int64 { return int64(s.cache.Hits()) })
-		reg.RegisterFunc("nodestore_cache_misses_total", func() int64 { return int64(s.cache.Misses()) })
-		reg.RegisterFunc("nodestore_cache_evictions_total", func() int64 { return int64(s.cache.Evictions()) })
-		reg.RegisterFunc("nodestore_cache_bytes", func() int64 { return s.cache.Bytes() })
+		// One counter set, read at scrape time: the store's own counts
+		// and the segment log's, the latter under the names the WAL's have.
+		reg.RegisterFunc("nodestore_reads_total", func() int64 { return int64(s.Stats().Reads) })
+		reg.RegisterFunc("nodestore_appends_total", func() int64 { return int64(s.Stats().Appends) })
+		reg.RegisterFunc("nodestore_compactions_total", func() int64 { return int64(s.Stats().Compactions) })
+		reg.RegisterFunc("nodestore_records", func() int64 { return int64(s.Stats().Records) })
+		reg.RegisterFunc("nodestore_segments", func() int64 { return int64(s.Stats().Segments) })
+		reg.RegisterFunc("nodestore_cache_hits_total", func() int64 { return int64(s.Stats().CacheHits) })
+		reg.RegisterFunc("nodestore_cache_misses_total", func() int64 { return int64(s.Stats().CacheMisses) })
+		reg.RegisterFunc("nodestore_cache_evictions_total", func() int64 { return int64(s.Stats().CacheEvicts) })
+		reg.RegisterFunc("nodestore_cache_bytes", func() int64 { return s.Stats().CacheBytes })
+		reg.RegisterFunc("nodestore_fsyncs_total", func() int64 { return int64(s.Stats().Syncs) })
+		reg.RegisterFunc("nodestore_bytes_written_total", func() int64 { return int64(s.Stats().Bytes) })
+		reg.RegisterFunc("nodestore_rotations_total", func() int64 { return int64(s.Stats().Rotations) })
+		reg.RegisterFunc("nodestore_torn_truncated_bytes_total", func() int64 { return int64(s.Stats().TornBytes) })
 	}
-	if err := s.scanLocked(); err != nil {
-		return nil, err
-	}
-	if err := s.openActiveLocked(); err != nil {
-		return nil, err
-	}
-	s.lastSync = opts.Clock()
-	s.publishGaugesLocked()
 	return s, nil
-}
-
-// segName returns the file name of segment idx.
-func segName(idx uint64) string { return fmt.Sprintf("ns-%08d.seg", idx) }
-
-// parseSegName extracts the index from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	var idx uint64
-	if _, err := fmt.Sscanf(name, "ns-%d.seg", &idx); err != nil {
-		return 0, false
-	}
-	if segName(idx) != name {
-		return 0, false
-	}
-	return idx, true
-}
-
-// scanLocked rebuilds the index from the segment files. Only the
-// newest segment may carry crash damage (older ones were sealed by an
-// fsync before rotation), so a bad frame there truncates; a bad frame
-// anywhere else is ErrCorrupt.
-func (s *Store) scanLocked() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("nodestore: readdir: %w", err)
-	}
-	var idxs []uint64
-	for _, e := range entries {
-		if idx, ok := parseSegName(e.Name()); ok {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for i, idx := range idxs {
-		path := filepath.Join(s.dir, segName(idx))
-		valid, scanErr := scanSegment(path, func(h cryptoutil.Hash, height uint64, off int64, n int32, _ []byte) {
-			s.index[h] = ref{seg: idx, off: off, n: n, height: height}
-		})
-		if scanErr == nil {
-			continue
-		}
-		if !errors.Is(scanErr, errBadFrame) {
-			return scanErr
-		}
-		if i != len(idxs)-1 {
-			return fmt.Errorf("%w: %s", ErrCorrupt, segName(idx))
-		}
-		// Torn tail on the newest segment: truncate at the last valid
-		// frame, exactly like the WAL's tail repair.
-		if st, err := os.Stat(path); err == nil && st.Size() > valid {
-			s.stats.torn += uint64(st.Size() - valid)
-		}
-		if valid < int64(segHeaderLen) {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("nodestore: drop damaged segment: %w", err)
-			}
-			idxs = idxs[:i]
-			break
-		}
-		if err := truncateFile(path, valid); err != nil {
-			return err
-		}
-	}
-	s.segments = idxs
-	return nil
-}
-
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("nodestore: open for truncate: %w", err)
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("nodestore: truncate: %w", err)
-	}
-	return f.Sync()
-}
-
-// openActiveLocked opens the newest segment for appending, creating
-// the first segment in an empty store.
-func (s *Store) openActiveLocked() error {
-	if len(s.segments) == 0 {
-		return s.createSegmentLocked(1)
-	}
-	idx := s.segments[len(s.segments)-1]
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(idx)), os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("nodestore: open active segment: %w", err)
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("nodestore: seek: %w", err)
-	}
-	s.active, s.activeIdx, s.activeSize = f, idx, size
-	return nil
-}
-
-// createSegmentLocked creates and activates segment idx, sealing the
-// previous active segment with an fsync (so only the newest segment
-// can ever carry a torn tail).
-func (s *Store) createSegmentLocked(idx uint64) error {
-	path := filepath.Join(s.dir, segName(idx))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("nodestore: create segment: %w", err)
-	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return fmt.Errorf("nodestore: write segment header: %w", err)
-	}
-	if s.active != nil {
-		if err := s.active.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("nodestore: sync on rotate: %w", err)
-		}
-		s.stats.syncs++
-		// Keep the sealed segment readable: it becomes a read handle.
-		s.readers[s.activeIdx] = s.active
-	}
-	s.active, s.activeIdx, s.activeSize = f, idx, int64(segHeaderLen)
-	s.segments = append(s.segments, idx)
-	return nil
 }
 
 // Has reports whether the store holds a record for h.
@@ -429,7 +276,7 @@ func (s *Store) Get(h cryptoutil.Hash) ([]byte, error) {
 func (s *Store) read(h cryptoutil.Hash) (uint64, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
-		if s.closed {
+		if s.log.Closed() {
 			s.mu.Unlock()
 			return 0, nil, ErrClosed
 		}
@@ -438,65 +285,27 @@ func (s *Store) read(h cryptoutil.Hash) (uint64, []byte, error) {
 			s.mu.Unlock()
 			return 0, nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 		}
-		f := s.readerLocked(r.seg)
+		f, err := s.log.Reader(r.seg)
 		s.stats.reads++
 		s.mu.Unlock()
-		if f == nil {
-			return 0, nil, fmt.Errorf("%w: segment %d missing", ErrCorrupt, r.seg)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, r.seg, err)
 		}
-		if s.mReads != nil {
-			s.mReads.Inc()
-		}
-		height, payload, err := readRecordAt(f, r.off, r.n, h)
+		body, err := seglog.ReadFrameAt(f, r.off, int(r.n))
 		if err == nil {
+			height, got, payload, ok := decodeRecord(body)
+			if !ok || got != h {
+				return 0, nil, fmt.Errorf("%w: hash mismatch (index %s, record %s)", ErrCorrupt, h.Short(), got.Short())
+			}
 			return height, payload, nil
+		}
+		if errors.Is(err, seglog.ErrDamaged) {
+			return 0, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
 		}
 		if attempt > 0 {
 			return 0, nil, err
 		}
 	}
-}
-
-// readerLocked returns an open handle for segment seg (the active
-// handle doubles as its own reader).
-func (s *Store) readerLocked(seg uint64) *os.File {
-	if seg == s.activeIdx {
-		return s.active
-	}
-	if f, ok := s.readers[seg]; ok {
-		return f
-	}
-	f, err := os.Open(filepath.Join(s.dir, segName(seg)))
-	if err != nil {
-		return nil
-	}
-	s.readers[seg] = f
-	return f
-}
-
-// readRecordAt reads and verifies one frame at off; h must match the
-// record's embedded hash.
-func readRecordAt(f *os.File, off int64, n int32, h cryptoutil.Hash) (uint64, []byte, error) {
-	frame := make([]byte, n)
-	if _, err := f.ReadAt(frame, off); err != nil {
-		return 0, nil, fmt.Errorf("nodestore: read: %w", err)
-	}
-	bodyLen := binary.BigEndian.Uint32(frame)
-	if int(bodyLen) != len(frame)-frameHeaderLen {
-		return 0, nil, fmt.Errorf("%w: frame length mismatch", ErrCorrupt)
-	}
-	wantCRC := binary.BigEndian.Uint32(frame[4:])
-	body := frame[frameHeaderLen:]
-	if crc32.Checksum(body, castagnoli) != wantCRC {
-		return 0, nil, fmt.Errorf("%w: crc mismatch at %s", ErrCorrupt, h.Short())
-	}
-	height := binary.BigEndian.Uint64(body)
-	var got cryptoutil.Hash
-	copy(got[:], body[8:])
-	if got != h {
-		return 0, nil, fmt.Errorf("%w: hash mismatch (index %s, record %s)", ErrCorrupt, h.Short(), got.Short())
-	}
-	return height, body[recordHeaderLen:], nil
 }
 
 // DecodeFunc turns one raw encoded node into its decoded in-memory
@@ -527,119 +336,71 @@ func (s *Store) Node(h cryptoutil.Hash, decode DecodeFunc) (any, error) {
 
 // encodeFrame appends the frame for (height, h, payload) to dst.
 func encodeFrame(dst []byte, height uint64, h cryptoutil.Hash, payload []byte) []byte {
-	bodyLen := recordHeaderLen + len(payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(bodyLen))
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
-	bodyAt := len(dst)
-	dst = binary.BigEndian.AppendUint64(dst, height)
-	dst = append(dst, h[:]...)
-	dst = append(dst, payload...)
-	binary.BigEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
-	return dst
+	var hdr [recordHeaderLen]byte
+	binary.BigEndian.PutUint64(hdr[:8], height)
+	copy(hdr[8:], h[:])
+	return seglog.AppendFrame(dst, hdr[:], payload)
 }
 
-// scanSegment walks one segment file, invoking fn for every valid
-// frame with the record's hash, height, frame offset, and frame
-// length. It returns the byte length of the valid prefix; errBadFrame
-// reports damage at that offset.
-func scanSegment(path string, fn func(h cryptoutil.Hash, height uint64, off int64, n int32, payload []byte)) (valid int64, err error) {
-	data, err := os.ReadFile(path)
+// decodeRecord parses a frame body; false if it is too short to hold a
+// record header. payload aliases body.
+func decodeRecord(body []byte) (height uint64, h cryptoutil.Hash, payload []byte, ok bool) {
+	if len(body) < recordHeaderLen {
+		return 0, h, nil, false
+	}
+	copy(h[:], body[8:])
+	return binary.BigEndian.Uint64(body), h, body[recordHeaderLen:], true
+}
+
+// appendLocked writes one record through the segment log and returns
+// its index entry; the caller publishes it once the data is synced.
+func (s *Store) appendLocked(frame []byte, height uint64) (ref, error) {
+	seg, off, err := s.log.Append(frame, nil)
 	if err != nil {
-		return 0, fmt.Errorf("nodestore: read segment: %w", err)
+		return ref{}, err
 	}
-	if len(data) < segHeaderLen || string(data[:segHeaderLen]) != segMagic {
-		return 0, errBadFrame
-	}
-	off := int64(segHeaderLen)
-	for int(off) < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHeaderLen {
-			return off, errBadFrame
-		}
-		bodyLen := binary.BigEndian.Uint32(rest)
-		if bodyLen < recordHeaderLen || bodyLen > MaxNodeLen+recordHeaderLen {
-			return off, errBadFrame
-		}
-		frameLen := int(frameHeaderLen + bodyLen)
-		if len(rest) < frameLen {
-			return off, errBadFrame
-		}
-		body := rest[frameHeaderLen:frameLen]
-		if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(rest[4:]) {
-			return off, errBadFrame
-		}
-		height := binary.BigEndian.Uint64(body)
-		var h cryptoutil.Hash
-		copy(h[:], body[8:])
-		if fn != nil {
-			fn(h, height, off, int32(frameLen), body[recordHeaderLen:])
-		}
-		off += int64(frameLen)
-	}
-	return off, nil
+	return ref{seg: seg, off: off, n: int32(len(frame)), height: height}, nil
 }
 
 // Sync forces the active segment to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.syncLocked()
-}
-
-func (s *Store) syncLocked() error {
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("nodestore: fsync: %w", err)
-	}
-	s.stats.syncs++
-	s.lastSync = s.opts.Clock()
-	return nil
+	return s.log.Sync()
 }
 
 // Close flushes and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closeLocked()
+	return s.log.Close()
 }
 
-func (s *Store) closeLocked() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	var err error
-	if s.active != nil {
-		err = s.active.Sync()
-		if cerr := s.active.Close(); err == nil {
-			err = cerr
-		}
-		s.active = nil
-	}
-	for _, f := range s.readers {
-		_ = f.Close()
-	}
-	s.readers = map[uint64]*os.File{}
-	return err
+// SetFailpoint arms a deterministic crash on the nth record appended
+// after this call (see seglog.Log.SetFailpoint); tests reopen the
+// directory to exercise recovery.
+func (s *Store) SetFailpoint(mode seglog.FailMode, nthAppend uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.log.SetFailpoint(mode, nthAppend)
 }
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ls := s.log.Stats()
 	return Stats{
 		Records:     len(s.index),
-		Segments:    len(s.segments),
-		Bytes:       s.stats.bytes,
+		Segments:    ls.Segments,
+		Bytes:       ls.Bytes,
 		Appends:     s.stats.appends,
 		Reads:       s.stats.reads,
-		Syncs:       s.stats.syncs,
+		Syncs:       ls.Syncs,
+		Rotations:   ls.Rotations,
 		Compactions: s.stats.compactions,
 		Dropped:     s.stats.dropped,
-		TornBytes:   s.stats.torn,
+		TornBytes:   ls.TornBytes,
 		CacheHits:   s.cache.Hits(),
 		CacheMisses: s.cache.Misses(),
 		CacheEvicts: s.cache.Evictions(),
@@ -648,14 +409,5 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-func (s *Store) publishGaugesLocked() {
-	if s.mRecords != nil {
-		s.mRecords.Set(int64(len(s.index)))
-	}
-	if s.mSegments != nil {
-		s.mSegments.Set(int64(len(s.segments)))
-	}
-}
-
 // Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.ckpts.Dir }

@@ -1,0 +1,182 @@
+package wal
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/state"
+)
+
+// goldenStoreOpts is the fixed configuration of the scripted run: a
+// frozen clock (so the interval policy never decides differently) and a
+// segment size small enough that twelve block records rotate the log
+// several times.
+func goldenStoreOpts() StoreOptions {
+	frozen := time.Unix(1_700_000_000, 0)
+	return StoreOptions{
+		Fsync:           FsyncInterval,
+		FsyncEvery:      time.Second,
+		SegmentSize:     512,
+		CheckpointEvery: 1 << 30,
+		Clock:           func() time.Time { return frozen },
+	}
+}
+
+// writeGoldenStore is the scripted run: twelve journaled blocks with
+// their head switches, one checkpoint after the eighth.
+func writeGoldenStore(t *testing.T, dir string) {
+	t.Helper()
+	s, _, err := OpenStore(dir, goldenStoreOpts())
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	st := state.New()
+	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("alice"))), 1000)
+	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("bob"))), 7)
+	root := st.Commit()
+	for i, b := range testBlocks(12) {
+		if err := s.LogBlock(b); err != nil {
+			t.Fatalf("LogBlock %d: %v", i, err)
+		}
+		if err := s.LogHead(b.Hash()); err != nil {
+			t.Fatalf("LogHead %d: %v", i, err)
+		}
+		if i == 7 {
+			if err := s.Checkpoint(b, root, st); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// hashTree returns the SHA-256 of every regular file under dir, keyed
+// by slash-separated relative path.
+func hashTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		sum := sha256.Sum256(data)
+		out[filepath.ToSlash(rel)] = hex.EncodeToString(sum[:])
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("hash %s: %v", dir, err)
+	}
+	return out
+}
+
+// copyTree copies every file under src to the same relative path under
+// dst.
+func copyTree(t *testing.T, dst, src string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copy %s: %v", src, err)
+	}
+}
+
+// goldenStoreFiles pins every byte the DurableStore puts on disk —
+// file names, segment headers, frames, the checkpoint. The hashes were
+// recorded at commit 56ba322, before internal/seglog existed; a data
+// directory written by that commit and by this one are the same bytes.
+var goldenStoreFiles = map[string]string{
+	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
+	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
+	"wal/wal-00000002.seg":     "985ed4403647e6eb7fe102f76b0e0ab3a1258947a0ad63d801edc3045ac67dfd",
+	"wal/wal-00000003.seg":     "b169cb021be8ad7c73a83eb6b18e887e7e430c9c5d39c4b6cda31a143041448d",
+	"wal/wal-00000004.seg":     "125ffa39a6aaa85af235d51657ed3329e2eb641321d68c15374ffbc13805190a",
+	"wal/wal-00000005.seg":     "7d98b7e399c7968b97ef52d9232cbc394b64df39b041c0a23e124385426be351",
+	"wal/wal-00000006.seg":     "9dbda327d22c602b351c106b4e3a87a6d4fe53778c9a1848d5208ae021f6385a",
+}
+
+func TestOnDiskGolden(t *testing.T) {
+	dir := t.TempDir()
+	writeGoldenStore(t, dir)
+	got := hashTree(t, dir)
+	if len(got) != len(goldenStoreFiles) {
+		t.Errorf("run produced %d files, golden has %d: %v", len(got), len(goldenStoreFiles), got)
+	}
+	for name, want := range goldenStoreFiles {
+		if got[name] != want {
+			t.Errorf("%s: sha256 %s, want %s", name, got[name], want)
+		}
+	}
+}
+
+// TestOpensParentDirectory opens testdata/parent-datadir — the scripted
+// run's output as written by the binary of commit 56ba322 — recovers
+// it, extends it and reopens it.
+func TestOpensParentDirectory(t *testing.T) {
+	const fixture = "testdata/parent-datadir"
+	for name, want := range goldenStoreFiles {
+		if got := hashTree(t, fixture)[name]; got != want {
+			t.Fatalf("fixture %s is not the golden run's file: %s", name, got)
+		}
+	}
+	dir := t.TempDir()
+	copyTree(t, dir, fixture)
+	blocks := testBlocks(15)
+	s, rec := openStoreT(t, dir, goldenStoreOpts())
+	if len(rec.Blocks) != 12 || rec.Head != blocks[11].Hash() {
+		t.Fatalf("recovered %d blocks, head %s; want 12, %s", len(rec.Blocks), rec.Head.Short(), blocks[11].Hash().Short())
+	}
+	for i, rb := range rec.Blocks {
+		if rb.Block.Hash() != blocks[i].Hash() || rb.Seq != uint64(2*i+1) {
+			t.Fatalf("block %d: hash %s seq %d", i, rb.Block.Hash().Short(), rb.Seq)
+		}
+	}
+	if ck := rec.Checkpoint; ck == nil || ck.Height != 8 || ck.Seq != 16 || ck.Head != blocks[7].Hash() {
+		t.Fatalf("checkpoint %+v, want height 8 seq 16", ck)
+	}
+	if got := s.WAL().Stats().TornTruncated; got != 0 {
+		t.Fatalf("repair discarded %d bytes of an intact directory", got)
+	}
+	for _, b := range blocks[12:] {
+		if err := s.LogBlock(b); err != nil {
+			t.Fatalf("extend: %v", err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec = openStoreT(t, dir, goldenStoreOpts())
+	if len(rec.Blocks) != 15 || rec.Blocks[14].Seq != 27 {
+		t.Fatalf("after extending: %d blocks, last seq %d; want 15, 27", len(rec.Blocks), rec.Blocks[len(rec.Blocks)-1].Seq)
+	}
+}

@@ -1,67 +1,34 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
-	"hash/crc32"
-	"io"
+
+	"dcsledger/internal/seglog"
 )
 
-// Frame layout (everything big-endian):
+// Record body layout inside a seglog frame (big-endian):
 //
-//	u32  length   — byte length of body (seq + type + payload)
-//	u32  crc32c   — Castagnoli checksum of body
-//	u64  seq      ┐
-//	u8   type     │ body
-//	[]   payload  ┘
-//
-// A frame is self-checking: a torn write leaves a short frame (length
-// runs past EOF) and a garbled write fails the CRC. Either way the scan
-// stops at the previous frame boundary, which is exactly the valid
-// prefix of the log.
+//	u64  seq
+//	u8   type
+//	[]   payload
 
 // encodeFrame renders one record into its on-disk frame.
 func encodeFrame(rec Record) []byte {
-	bodyLen := recordHeaderLen + len(rec.Payload)
-	frame := make([]byte, frameHeaderLen+bodyLen)
-	binary.BigEndian.PutUint32(frame[0:4], uint32(bodyLen))
-	body := frame[frameHeaderLen:]
-	binary.BigEndian.PutUint64(body[0:8], rec.Seq)
-	body[8] = rec.Type
-	copy(body[recordHeaderLen:], rec.Payload)
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
-	return frame
+	var hdr [recordHeaderLen]byte
+	binary.BigEndian.PutUint64(hdr[:8], rec.Seq)
+	hdr[8] = rec.Type
+	return seglog.AppendFrame(make([]byte, 0, seglog.FrameHeaderLen+recordHeaderLen+len(rec.Payload)), hdr[:], rec.Payload)
 }
 
-// decodeFrame reads one frame from r, returning the record and the
-// total frame length consumed. io.EOF at a frame boundary means a clean
-// end of segment; any other failure (short read, oversized length, CRC
-// mismatch) is errBadFrame — the caller truncates there.
-func decodeFrame(r *bufio.Reader) (Record, int, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Record{}, 0, io.EOF // clean boundary
+// decodeRecord parses a frame body; false if it is too short to hold a
+// record header. Payload aliases body.
+func decodeRecord(body []byte) (Record, bool) {
+	if len(body) < recordHeaderLen {
+		return Record{}, false
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Record{}, 0, errBadFrame // torn inside the frame header
-	}
-	bodyLen := binary.BigEndian.Uint32(hdr[0:4])
-	if bodyLen < recordHeaderLen || bodyLen > MaxRecordLen {
-		return Record{}, 0, errBadFrame
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Record{}, 0, errBadFrame // torn body
-	}
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return Record{}, 0, errBadFrame // garbled
-	}
-	rec := Record{
-		Seq:  binary.BigEndian.Uint64(body[0:8]),
-		Type: body[8],
-	}
-	if bodyLen > recordHeaderLen {
+	rec := Record{Seq: binary.BigEndian.Uint64(body[:8]), Type: body[8]}
+	if len(body) > recordHeaderLen {
 		rec.Payload = body[recordHeaderLen:]
 	}
-	return rec, frameHeaderLen + int(bodyLen), nil
+	return rec, true
 }

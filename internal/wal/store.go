@@ -5,15 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 )
@@ -122,7 +120,7 @@ func (r *Recovery) TipHeight() uint64 {
 // concurrent use.
 type DurableStore struct {
 	mu             sync.Mutex
-	dir            string
+	ckpts          seglog.SideFiles // <data dir>/ckpt-<seq>.ck
 	wal            *WAL
 	opts           StoreOptions
 	failed         error // latched first write failure
@@ -150,7 +148,11 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &DurableStore{dir: dir, wal: w, opts: opts}
+	s := &DurableStore{
+		ckpts: seglog.SideFiles{Dir: dir, Prefix: "ckpt-", Suffix: ".ck", Keep: keepCheckpoints},
+		wal:   w,
+		opts:  opts,
+	}
 
 	rec := &Recovery{Checkpoint: s.loadNewestCheckpoint()}
 	stop := false
@@ -196,7 +198,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 func (s *DurableStore) WAL() *WAL { return s.wal }
 
 // Dir returns the store's data directory.
-func (s *DurableStore) Dir() string { return s.dir }
+func (s *DurableStore) Dir() string { return s.ckpts.Dir }
 
 // Failed returns the latched first write error, nil while healthy.
 func (s *DurableStore) Failed() error {
@@ -222,27 +224,18 @@ func (s *DurableStore) Stats() StoreStats {
 // LogBlock journals one connected block. The write is the block's
 // commit point: an error means durability was NOT achieved and latches
 // the store into the failed state.
-func (s *DurableStore) LogBlock(b *types.Block) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	if _, err := s.wal.Append(RecBlock, b.Encode()); err != nil {
-		s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, err)
-		return s.failed
-	}
-	return nil
-}
+func (s *DurableStore) LogBlock(b *types.Block) error { return s.log(RecBlock, b.Encode()) }
 
 // LogHead journals one head switch.
-func (s *DurableStore) LogHead(h cryptoutil.Hash) error {
+func (s *DurableStore) LogHead(h cryptoutil.Hash) error { return s.log(RecHead, h.Bytes()) }
+
+func (s *DurableStore) log(typ byte, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
 		return s.failed
 	}
-	if _, err := s.wal.Append(RecHead, h.Bytes()); err != nil {
+	if _, err := s.wal.Append(typ, payload); err != nil {
 		s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, err)
 		return s.failed
 	}
@@ -264,9 +257,9 @@ func (s *DurableStore) MaybeCheckpoint(b *types.Block, root cryptoutil.Hash, st 
 
 // Checkpoint unconditionally writes a state checkpoint of head block b
 // covering the WAL as of now, then retires all but the newest
-// keepCheckpoints files. The file is written to a temp name, fsynced,
-// and renamed, so a crash mid-checkpoint leaves the previous checkpoint
-// intact.
+// keepCheckpoints files. The file is published atomically
+// (seglog.SideFiles), so a crash mid-checkpoint leaves the previous
+// checkpoint intact.
 func (s *DurableStore) Checkpoint(b *types.Block, root cryptoutil.Hash, st *state.State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,24 +304,17 @@ func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st
 	buf.Write(b4[:])
 	buf.Write(blk)
 	body := buf.Bytes()[len(ckptMagic):]
-	binary.BigEndian.PutUint32(b4[:], crc32.Checksum(body, castagnoli))
+	binary.BigEndian.PutUint32(b4[:], seglog.Checksum(body))
 	buf.Write(b4[:])
 
-	final := filepath.Join(s.dir, ckptName(seq))
-	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, buf.Bytes()); err != nil {
+	if err := s.ckpts.Write(seq, buf.Bytes()); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: publish checkpoint: %w", err)
-	}
-	syncDir(s.dir)
 	// The checkpoint now covers everything up to seq, so pruning may
 	// advance to it (and no further).
 	s.wal.SetPruneFloor(seq)
 	s.lastCkptHeight = height
 	s.checkpoints++
-	s.gcCheckpointsLocked()
 	return nil
 }
 
@@ -337,37 +323,17 @@ func (s *DurableStore) Close() error {
 	return s.wal.Close()
 }
 
-func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%016d.ck", seq) }
-
-func parseCkptName(name string) (uint64, bool) {
-	var seq uint64
-	if _, err := fmt.Sscanf(name, "ckpt-%d.ck", &seq); err != nil {
-		return 0, false
-	}
-	if ckptName(seq) != name {
-		return 0, false
-	}
-	return seq, true
-}
-
 // loadNewestCheckpoint scans dir for checkpoint files, newest first,
 // and returns the first that passes CRC, decode, and state-root
 // verification. Invalid files are skipped (and reported by recovery as
 // simply absent), never trusted.
 func (s *DurableStore) loadNewestCheckpoint() *Checkpoint {
-	entries, err := os.ReadDir(s.dir)
+	seqs, err := s.ckpts.List()
 	if err != nil {
 		return nil
 	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseCkptName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs {
-		if ck := loadCheckpoint(filepath.Join(s.dir, ckptName(seq))); ck != nil {
+	for i := len(seqs) - 1; i >= 0; i-- {
+		if ck := loadCheckpoint(s.ckpts.Path(seqs[i])); ck != nil {
 			return ck
 		}
 	}
@@ -390,7 +356,7 @@ func loadCheckpoint(path string) *Checkpoint {
 	}
 	body := data[8 : len(data)-4]
 	gotCRC := binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != gotCRC {
+	if seglog.Checksum(body) != gotCRC {
 		return nil
 	}
 	ck := &Checkpoint{}
@@ -435,59 +401,4 @@ func loadCheckpoint(path string) *Checkpoint {
 	ck.State = st
 	ck.Block = blk
 	return ck
-}
-
-// gcCheckpointsLocked removes all but the newest keepCheckpoints
-// checkpoint files (and any stale temp files).
-func (s *DurableStore) gcCheckpointsLocked() {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, "ckpt-") {
-			_ = os.Remove(filepath.Join(s.dir, name))
-			continue
-		}
-		if seq, ok := parseCkptName(name); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	if len(seqs) <= keepCheckpoints {
-		return
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs[keepCheckpoints:] {
-		_ = os.Remove(filepath.Join(s.dir, ckptName(seq)))
-	}
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint create: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: checkpoint sync: %w", err)
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so renames within it are durable. Errors
-// are ignored: not all filesystems support directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

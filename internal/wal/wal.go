@@ -1,5 +1,5 @@
-// Package wal implements the durability layer of a peer: a segmented,
-// CRC32C-framed append-only write-ahead log plus a persistent
+// Package wal implements the durability layer of a peer: an append-only
+// write-ahead log of sequence-numbered records plus a persistent
 // block-store backend (DurableStore) that journals connected blocks and
 // head switches and periodically checkpoints the head state.
 //
@@ -8,8 +8,14 @@
 // crash recovery replays the log — accelerated by the newest valid
 // checkpoint — to reconstruct the exact pre-crash chain, or a verified
 // prefix of it when the tail of the log was torn or garbled by the
-// crash. See docs/PERSISTENCE.md for the record format, the fsync
-// policies, the recovery algorithm, and the failure model.
+// crash.
+//
+// Segments, frames, rotation, repair, the fsync policies, atomic
+// checkpoint files and the crash failpoint are internal/seglog's. This
+// package owns what is the WAL's alone: the record body (u64 seq + u8
+// type + payload), sequence continuity as the test a scanned frame must
+// pass, the rule that damage anywhere truncates the log there and drops
+// everything after it, and the prune floor. See docs/PERSISTENCE.md.
 //
 // Concurrency: a WAL serializes all appends on one mutex by design —
 // the log IS the ordering of commits, so writers must queue. All file
@@ -19,34 +25,29 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"dcsledger/internal/seglog"
 )
 
-// Framing constants.
+// Format constants.
 const (
 	// segMagic opens every segment file (8 bytes, versioned).
 	segMagic = "DCSWAL01"
-	// segHeaderLen is magic + first-seq.
-	segHeaderLen = len(segMagic) + 8
-	// frameHeaderLen is u32 length + u32 crc32c.
-	frameHeaderLen = 8
 	// recordHeaderLen is u64 seq + u8 type inside the framed body.
 	recordHeaderLen = 9
 	// MaxRecordLen bounds one record body so a garbled length field
 	// cannot force a huge allocation during recovery.
 	MaxRecordLen = 32 << 20
 )
+
+// format is the WAL's segment file format: wal-XXXXXXXX.seg, the header
+// extended by the sequence number of the segment's first record.
+var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 4 << 20
@@ -57,69 +58,44 @@ const DefaultSegmentSize = 4 << 20
 const noPruneFloor = ^uint64(0)
 
 // DefaultFsyncEvery is the flush cadence of the interval fsync policy.
-const DefaultFsyncEvery = 100 * time.Millisecond
-
-// castagnoli is the CRC32C polynomial table (the checksum used by
-// ext4, iSCSI, and most production WALs; hardware-accelerated on
-// amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+const DefaultFsyncEvery = seglog.DefaultSyncEvery
 
 // WAL errors, matchable with errors.Is.
 var (
 	// ErrCrashed is returned by every write after an injected failpoint
 	// has fired: the log behaves as if the process died mid-write.
-	ErrCrashed = errors.New("wal: crashed (failpoint fired)")
+	ErrCrashed = seglog.ErrCrashed
 	// ErrClosed is returned by writes after Close.
-	ErrClosed = errors.New("wal: closed")
+	ErrClosed = seglog.ErrClosed
 	// ErrTooLarge rejects records over MaxRecordLen.
 	ErrTooLarge = errors.New("wal: record too large")
-	// errBadFrame marks an invalid frame during a scan (torn tail,
-	// garbled CRC, bad length, or a sequence discontinuity). It is
-	// internal: scans convert it into truncation, never surface it.
-	errBadFrame = errors.New("wal: bad frame")
 )
 
-// FsyncPolicy selects when appends are forced to stable storage.
-type FsyncPolicy int
+// FsyncPolicy selects when appends are forced to stable storage: after
+// every record, at most once per FsyncEvery, or never.
+type FsyncPolicy = seglog.SyncPolicy
 
+// The fsync policies.
 const (
-	// FsyncAlways syncs after every append: no acknowledged record is
-	// ever lost, at the cost of one fsync per record.
-	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs at most once per FsyncEvery: a crash loses at
-	// most the last interval's records (still a clean log prefix).
-	FsyncInterval
-	// FsyncNever leaves flushing to the OS: fastest, loses up to the
-	// whole page cache on power failure (still a clean prefix on
-	// process crash).
-	FsyncNever
+	FsyncAlways   = seglog.SyncAlways
+	FsyncInterval = seglog.SyncInterval
+	FsyncNever    = seglog.SyncNever
 )
-
-// String returns the flag-style name of the policy.
-func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncInterval:
-		return "interval"
-	case FsyncNever:
-		return "never"
-	}
-	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
-}
 
 // ParseFsyncPolicy parses "always", "interval", or "never".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "always":
-		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always|interval|never)", s)
-}
+func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return seglog.ParseSyncPolicy(s) }
+
+// FailMode selects how an injected crash corrupts the log.
+type FailMode = seglog.FailMode
+
+// The failure modes: disarmed, a clean cut before the record, a torn
+// half-written record, a fully written record with a flipped byte.
+const (
+	FailNone   = seglog.FailNone
+	FailCut    = seglog.FailCut
+	FailTorn   = seglog.FailTorn
+	FailGarble = seglog.FailGarble
+)
 
 // Options configures a WAL.
 type Options struct {
@@ -135,18 +111,6 @@ type Options struct {
 	Clock func() time.Time
 }
 
-func (o *Options) fill() {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = DefaultSegmentSize
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = DefaultFsyncEvery
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-}
-
 // Record is one entry of the log. Seq numbers are assigned by Append,
 // strictly increasing and contiguous; recovery uses them to detect
 // mid-log corruption and to anchor checkpoints.
@@ -159,7 +123,7 @@ type Record struct {
 // Stats is a snapshot of the WAL's activity counters.
 type Stats struct {
 	Appends       uint64 // records successfully appended this session
-	Fsyncs        uint64 // explicit fsyncs issued
+	Fsyncs        uint64 // explicit fsyncs issued on segment files
 	Rotations     uint64 // segment rotations this session
 	Segments      int    // live segment files
 	Bytes         uint64 // payload+frame bytes written this session
@@ -171,23 +135,10 @@ type Stats struct {
 type WAL struct {
 	// The mutex serializes appends: the WAL is the ledger's commit
 	// ordering, so there is exactly one writer at a time by design.
-	mu   sync.Mutex
-	dir  string
-	opts Options
-
-	active     *os.File
-	activeIdx  uint64
-	activeSize int64
-	segments   []uint64 // live segment indexes, ascending
+	mu         sync.Mutex
+	log        *seglog.Log
 	nextSeq    uint64
 	pruneFloor uint64 // newest seq pruning may reach (noPruneFloor = unclamped)
-	lastSync   time.Time
-	closed     bool
-	crashed    bool
-
-	fp fpState
-
-	stats Stats
 }
 
 // Open opens (or creates) the log in dir, scanning existing segments
@@ -195,260 +146,89 @@ type WAL struct {
 // onward — including any later segments — is truncated, so the surviving
 // log is always a valid, contiguous prefix of what was written.
 func Open(dir string, opts Options) (*WAL, error) {
-	opts.fill()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: mkdir: %w", err)
+	if opts.SegmentSize <= 0 {
+		opts.SegmentSize = DefaultSegmentSize
 	}
-	w := &WAL{dir: dir, opts: opts, nextSeq: 1, pruneFloor: noPruneFloor}
-	if err := w.scanAndRepair(); err != nil {
+	l, err := seglog.Open(dir, format, seglog.Options{
+		SegmentSize: opts.SegmentSize,
+		Sync:        opts.Fsync,
+		SyncEvery:   opts.FsyncEvery,
+		Clock:       opts.Clock,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := w.openActive(); err != nil {
+	w := &WAL{log: l, pruneFloor: noPruneFloor}
+	// Appends resume at the seq the scan expected next (for a pruned log
+	// whose one segment holds no record yet, its header's first seq).
+	next, damage, err := w.scanLocked(nil)
+	if err != nil {
 		return nil, err
 	}
-	w.lastSync = opts.Clock()
+	if damage != nil {
+		if err := l.Repair(*damage); err != nil {
+			return nil, err
+		}
+	}
+	w.nextSeq = max(next, 1)
+	if err := l.Activate(seqExt(w.nextSeq)); err != nil {
+		return nil, err
+	}
 	return w, nil
 }
 
-// segName returns the file name of segment idx.
-func segName(idx uint64) string { return fmt.Sprintf("wal-%08d.seg", idx) }
+// seqExt renders a segment's header extension: the seq of its first
+// record.
+func seqExt(seq uint64) []byte { return binary.BigEndian.AppendUint64(nil, seq) }
 
-// parseSegName extracts the index from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	var idx uint64
-	if _, err := fmt.Sscanf(name, "wal-%d.seg", &idx); err != nil {
-		return 0, false
-	}
-	if segName(idx) != name {
-		return 0, false
-	}
-	return idx, true
-}
-
-// scanAndRepair walks every segment in order, validating frames and
-// sequence continuity. The first invalid frame truncates its segment at
-// that offset and deletes every later segment.
-func (w *WAL) scanAndRepair() error {
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		return fmt.Errorf("wal: readdir: %w", err)
-	}
-	var idxs []uint64
-	for _, e := range entries {
-		if idx, ok := parseSegName(e.Name()); ok {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-
-	var (
-		wantSeq  uint64 // 0 = take the first segment's header seq
-		badFrom  = -1   // index into idxs of the first bad segment
-		badAt    int64  // valid prefix length within that segment
-		lastSeen uint64
-	)
-	for i, idx := range idxs {
-		path := filepath.Join(w.dir, segName(idx))
-		valid, firstSeq, last, scanErr := scanSegment(path, wantSeq, func(Record) error { return nil })
-		if scanErr != nil && !errors.Is(scanErr, errBadFrame) {
-			return scanErr
-		}
-		if wantSeq == 0 && firstSeq != 0 {
-			wantSeq = firstSeq
-		}
-		if last != 0 {
-			lastSeen = last
-			wantSeq = last + 1
-		} else if firstSeq != 0 {
-			wantSeq = firstSeq
-		}
-		if errors.Is(scanErr, errBadFrame) {
-			badFrom, badAt = i, valid
-			break
-		}
-	}
-	if badFrom >= 0 {
-		// Truncate the damaged segment at its last valid frame and drop
-		// everything after it: the crash tore the log here.
-		path := filepath.Join(w.dir, segName(idxs[badFrom]))
-		if st, err := os.Stat(path); err == nil && st.Size() > badAt {
-			w.stats.TornTruncated += uint64(st.Size() - badAt)
-		}
-		if badAt < int64(segHeaderLen) {
-			// Even the header is unusable: remove the file entirely.
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: drop damaged segment: %w", err)
+// scanLocked walks the log enforcing sequence continuity — within a
+// segment, and from each segment's header to the record before it. A
+// record or header out of sequence is damage at that point, like a
+// failed CRC. fn, when non-nil, receives every accepted record. next is
+// the seq the scan expected when it stopped (0 for a log without
+// segments).
+func (w *WAL) scanLocked(fn func(Record) error) (next uint64, damage *seglog.Damage, err error) {
+	damage, err = w.log.Scan(
+		func(ext []byte) error {
+			first := binary.BigEndian.Uint64(ext)
+			if next != 0 && first != next {
+				return seglog.ErrDamaged
 			}
-			idxs = idxs[:badFrom]
-		} else {
-			if err := truncateFile(path, badAt); err != nil {
-				return err
+			next = first
+			return nil
+		},
+		func(_ uint64, _ int64, body []byte) error {
+			rec, ok := decodeRecord(body)
+			if !ok || rec.Seq != next {
+				return seglog.ErrDamaged
 			}
-			idxs = idxs[:badFrom+1]
-		}
-		// Remove all segments after the damage point.
-		entries, err := os.ReadDir(w.dir)
-		if err != nil {
-			return fmt.Errorf("wal: readdir: %w", err)
-		}
-		keep := make(map[uint64]bool, len(idxs))
-		for _, idx := range idxs {
-			keep[idx] = true
-		}
-		for _, e := range entries {
-			if idx, ok := parseSegName(e.Name()); ok && !keep[idx] {
-				w.stats.TornTruncated += fileSize(filepath.Join(w.dir, e.Name()))
-				if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
-					return fmt.Errorf("wal: drop trailing segment: %w", err)
-				}
+			next++
+			if fn == nil {
+				return nil
 			}
-		}
-	}
-	w.segments = idxs
-	if lastSeen > 0 {
-		w.nextSeq = lastSeen + 1
-	} else if len(idxs) > 0 {
-		// Segments exist but hold no records (e.g. a pruned log with one
-		// fresh segment): continue from the active header's first seq.
-		_, firstSeq, _, _ := scanSegment(filepath.Join(w.dir, segName(idxs[len(idxs)-1])), 0, func(Record) error { return nil })
-		if firstSeq > 0 {
-			w.nextSeq = firstSeq
-		}
-	}
-	w.stats.LastSeq = w.nextSeq - 1
-	return nil
-}
-
-func fileSize(path string) uint64 {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return uint64(st.Size())
-}
-
-func truncateFile(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("wal: open for truncate: %w", err)
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	return f.Sync()
-}
-
-// openActive opens the newest segment for appending, creating the first
-// segment if the log is empty.
-func (w *WAL) openActive() error {
-	if len(w.segments) == 0 {
-		return w.createSegmentLocked(1, w.nextSeq)
-	}
-	idx := w.segments[len(w.segments)-1]
-	path := filepath.Join(w.dir, segName(idx))
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("wal: open active segment: %w", err)
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("wal: seek: %w", err)
-	}
-	w.active, w.activeIdx, w.activeSize = f, idx, size
-	return nil
-}
-
-// createSegmentLocked creates and activates segment idx whose first
-// record will carry firstSeq.
-func (w *WAL) createSegmentLocked(idx, firstSeq uint64) error {
-	path := filepath.Join(w.dir, segName(idx))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create segment: %w", err)
-	}
-	hdr := make([]byte, segHeaderLen)
-	copy(hdr, segMagic)
-	binary.BigEndian.PutUint64(hdr[len(segMagic):], firstSeq)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: write segment header: %w", err)
-	}
-	if w.active != nil {
-		// Rotation: make the finished segment durable before moving on.
-		if err := w.active.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: sync on rotate: %w", err)
-		}
-		w.stats.Fsyncs++
-		w.active.Close()
-		w.stats.Rotations++
-	}
-	w.active, w.activeIdx, w.activeSize = f, idx, int64(segHeaderLen)
-	w.segments = append(w.segments, idx)
-	return nil
+			rec.Payload = append([]byte(nil), rec.Payload...) // the scanner reuses body
+			return fn(rec)
+		})
+	return next, damage, err
 }
 
 // Append writes one record and returns its sequence number. Durability
 // depends on the fsync policy; ordering is total regardless.
 func (w *WAL) Append(typ byte, payload []byte) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(typ, payload)
-}
-
-func (w *WAL) appendLocked(typ byte, payload []byte) (uint64, error) {
-	if w.crashed {
-		return 0, ErrCrashed
-	}
-	if w.closed {
-		return 0, ErrClosed
-	}
 	if len(payload) > MaxRecordLen-recordHeaderLen {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	seq := w.nextSeq
-	frame := encodeFrame(Record{Seq: seq, Type: typ, Payload: payload})
-
-	// Rotate before the write so a record never spans segments.
-	if w.activeSize > int64(segHeaderLen) && w.activeSize+int64(len(frame)) > w.opts.SegmentSize {
-		if err := w.createSegmentLocked(w.activeIdx+1, seq); err != nil {
-			return 0, err
-		}
+	// Should this record open a new segment, seq is that segment's
+	// first: a record never spans segments.
+	if _, _, err := w.log.Append(encodeFrame(Record{Seq: seq, Type: typ, Payload: payload}), seqExt(seq)); err != nil {
+		return 0, err
 	}
-
-	if w.fp.armed() {
-		if crashed, err := w.fireFailpointLocked(frame); crashed {
-			return 0, err
-		}
-	}
-
-	if _, err := w.active.Write(frame); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	w.activeSize += int64(len(frame))
 	w.nextSeq = seq + 1
-	w.stats.Appends++
-	w.stats.Bytes += uint64(len(frame))
-	w.stats.LastSeq = seq
-
-	switch w.opts.Fsync {
-	case FsyncAlways:
-		if err := w.active.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		w.stats.Fsyncs++
-	case FsyncInterval:
-		now := w.opts.Clock()
-		if now.Sub(w.lastSync) >= w.opts.FsyncEvery {
-			if err := w.active.Sync(); err != nil {
-				return 0, fmt.Errorf("wal: fsync: %w", err)
-			}
-			w.stats.Fsyncs++
-			w.lastSync = now
-		}
-	case FsyncNever:
+	if err := w.log.MaybeSync(); err != nil {
+		return 0, err
 	}
 	return seq, nil
 }
@@ -457,79 +237,26 @@ func (w *WAL) appendLocked(typ byte, payload []byte) (uint64, error) {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	if w.crashed {
-		return ErrCrashed
-	}
-	if w.closed {
-		return ErrClosed
-	}
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	w.stats.Fsyncs++
-	w.lastSync = w.opts.Clock()
-	return nil
+	return w.log.Sync()
 }
 
 // Close flushes (unless crashed) and closes the log.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.closeLocked()
+	return w.log.Close()
 }
 
-func (w *WAL) closeLocked() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if w.active == nil {
-		return nil
-	}
-	var err error
-	if !w.crashed {
-		err = w.active.Sync()
-		if err == nil {
-			w.stats.Fsyncs++
-		}
-	}
-	if cerr := w.active.Close(); err == nil {
-		err = cerr
-	}
-	w.active = nil
-	return err
-}
-
-// Replay streams every record of the log in order. Call before
-// concurrent appends begin (typically right after Open); the scan reads
-// the segment files directly.
+// Replay streams every record of the log in order; each Payload is the
+// callback's to keep. Call before concurrent appends begin (typically
+// right after Open); the scan reads the segment files directly.
 func (w *WAL) Replay(fn func(Record) error) error {
 	w.mu.Lock()
-	segs := append([]uint64(nil), w.segments...)
-	dir := w.dir
-	w.mu.Unlock()
-	var wantSeq uint64
-	for _, idx := range segs {
-		_, firstSeq, last, err := scanSegment(filepath.Join(dir, segName(idx)), wantSeq, fn)
-		if err != nil && !errors.Is(err, errBadFrame) {
-			return err
-		}
-		if errors.Is(err, errBadFrame) {
-			// Open already repaired the log; hitting this means the file
-			// changed underneath us — stop at the valid prefix.
-			return nil
-		}
-		if last != 0 {
-			wantSeq = last + 1
-		} else if firstSeq != 0 {
-			wantSeq = firstSeq
-		}
-	}
-	return nil
+	defer w.mu.Unlock()
+	// Open already repaired the log; damage here means a file changed
+	// underneath us, and replay stops at the valid prefix.
+	_, _, err := w.scanLocked(fn)
+	return err
 }
 
 // LastSeq returns the sequence number of the newest appended record
@@ -544,9 +271,16 @@ func (w *WAL) LastSeq() uint64 {
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := w.stats
-	s.Segments = len(w.segments)
-	return s
+	ls := w.log.Stats()
+	return Stats{
+		Appends:       ls.Appends,
+		Fsyncs:        ls.Syncs,
+		Rotations:     ls.Rotations,
+		Segments:      ls.Segments,
+		Bytes:         ls.Bytes,
+		TornTruncated: ls.TornBytes,
+		LastSeq:       w.nextSeq - 1,
+	}
 }
 
 // SetPruneFloor arms (or raises) the prune floor: from now on,
@@ -583,76 +317,40 @@ func (w *WAL) PruneFloor() (uint64, bool) {
 func (w *WAL) PruneBefore(seq uint64) (removed int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.pruneBeforeLocked(seq)
-}
-
-func (w *WAL) pruneBeforeLocked(seq uint64) (removed int, err error) {
 	if seq > w.pruneFloor {
 		seq = w.pruneFloor
 	}
-	for len(w.segments) > 1 {
+	for segs := w.log.Segments(); len(segs) > 1; segs = segs[1:] {
 		// A segment is removable when the NEXT segment starts at or
-		// before seq+1: every record in it is then <= seq.
-		next := filepath.Join(w.dir, segName(w.segments[1]))
-		_, nextFirst, _, serr := scanSegment(next, 0, func(Record) error { return nil })
-		if serr != nil && !errors.Is(serr, errBadFrame) {
-			return removed, serr
+		// before seq+1: every record in it is then <= seq. The next
+		// segment's header says where it starts.
+		ext, err := w.log.ReadHeader(segs[1])
+		if err != nil {
+			return removed, err
 		}
-		if nextFirst == 0 || nextFirst > seq+1 {
+		if binary.BigEndian.Uint64(ext) > seq+1 {
 			break
 		}
-		victim := filepath.Join(w.dir, segName(w.segments[0]))
-		if err := os.Remove(victim); err != nil {
-			return removed, fmt.Errorf("wal: prune: %w", err)
+		if err := w.log.Remove(segs[0]); err != nil {
+			return removed, err
 		}
-		w.segments = w.segments[1:]
 		removed++
 	}
 	return removed, nil
 }
 
-// scanSegment reads one segment file, calling fn for every valid
-// record. It returns the byte length of the valid prefix, the header's
-// first sequence number, and the last record seq seen (0 if none).
-// wantSeq, when nonzero, enforces continuity with the previous segment;
-// a mismatch is reported as errBadFrame at the offending record.
-func scanSegment(path string, wantSeq uint64, fn func(Record) error) (valid int64, firstSeq, lastSeq uint64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+// SetFailpoint arms a deterministic crash on the nth Append after this
+// call (see seglog.Log.SetFailpoint); tests reopen the directory to
+// exercise recovery.
+func (w *WAL) SetFailpoint(mode FailMode, nthAppend uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.log.SetFailpoint(mode, nthAppend)
+}
 
-	hdr := make([]byte, segHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, 0, 0, errBadFrame
-	}
-	if string(hdr[:len(segMagic)]) != segMagic {
-		return 0, 0, 0, errBadFrame
-	}
-	firstSeq = binary.BigEndian.Uint64(hdr[len(segMagic):])
-	valid = int64(segHeaderLen)
-	if wantSeq != 0 && firstSeq != wantSeq {
-		return valid, firstSeq, 0, errBadFrame
-	}
-	want := firstSeq
-	for {
-		rec, n, derr := decodeFrame(br)
-		if derr == io.EOF {
-			return valid, firstSeq, lastSeq, nil
-		}
-		if derr != nil {
-			return valid, firstSeq, lastSeq, errBadFrame
-		}
-		if rec.Seq != want {
-			return valid, firstSeq, lastSeq, errBadFrame
-		}
-		if err := fn(rec); err != nil {
-			return valid, firstSeq, lastSeq, err
-		}
-		valid += int64(n)
-		lastSeq = rec.Seq
-		want = rec.Seq + 1
-	}
+// Crashed reports whether the failpoint has fired.
+func (w *WAL) Crashed() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.log.Crashed()
 }
