@@ -75,9 +75,13 @@ trace-demo:
 
 # Crash-injection matrix under the race detector: every failure mode
 # (cut/torn/garbled write) x every fsync policy must recover to a
-# verified prefix of the pre-crash chain, and the same failpoint armed
-# mid-batch on the node store must leave every checkpointed root
-# walkable (see docs/PERSISTENCE.md).
+# verified prefix of the pre-crash chain; a disk-state flush torn
+# mid-batch, a kill between the flush and the checkpoint that names it,
+# and a state/ directory that lacks the checkpoint's root must each
+# recover to the exact head (TestCrashMatrixTornFlush,
+# TestCrashMatrixFlushBeforeCheckpoint, TestCrashMatrixLostStateDir);
+# and the same failpoint armed mid-batch on the node store must leave
+# every checkpointed root walkable (see docs/PERSISTENCE.md).
 crash-matrix:
 	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
 	$(GO) test -race -count=1 ./internal/nodestore -run TestCrashMatrixNodeStore -v

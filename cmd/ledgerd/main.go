@@ -40,6 +40,7 @@ import (
 	"dcsledger/internal/obs"
 	"dcsledger/internal/p2p"
 	"dcsledger/internal/simclock"
+	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
 )
@@ -115,7 +116,7 @@ func run() error {
 		dataDir = flag.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
 		ckptN   = flag.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
 		backend = flag.String("state-backend", "memory",
-			"authenticated state backend: memory|disk (disk mirrors the account trie into <data-dir>/state and serves GET /proof)")
+			"authenticated state backend: memory|disk (disk keeps the account trie in <data-dir>/state, written at -checkpoint-every cadence, RAM bounded by -state-cache, and serves GET /proof)")
 		cacheB  = flag.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
 		traceFn = flag.String("trace-file", "", "append pipeline trace spans to this JSONL file")
 		traceN  = flag.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
@@ -180,9 +181,9 @@ func run() error {
 			*dataDir, fsync.policy, *ckptN, len(rec.Blocks), rec.TipHeight())
 	}
 
-	// Disk-backed authenticated state: the account trie mirrored into a
-	// node store under <data-dir>/state, bounded-RAM via the decoded-node
-	// cache, serving GET /proof.
+	// Disk-backed authenticated state: the account trie lives in a node
+	// store under <data-dir>/state (flushed when the WAL checkpoints),
+	// bounded-RAM via the decoded-node cache, serving GET /proof.
 	var ns *nodestore.Store
 	switch *backend {
 	case "memory":
@@ -335,7 +336,11 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, map[string]any{"addr": addr.Hex(), "balance": n.Balance(addr)})
+		st, ok := headStateOr503(w, n.HeadState)
+		if !ok {
+			return
+		}
+		writeJSON(w, map[string]any{"addr": addr.Hex(), "balance": st.Balance(addr)})
 	})
 	mux.HandleFunc("GET /nonce", func(w http.ResponseWriter, r *http.Request) {
 		addr, err := cryptoutil.AddressFromHex(r.URL.Query().Get("addr"))
@@ -343,7 +348,11 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, map[string]any{"addr": addr.Hex(), "nonce": n.State().Nonce(addr)})
+		st, ok := headStateOr503(w, n.HeadState)
+		if !ok {
+			return
+		}
+		writeJSON(w, map[string]any{"addr": addr.Hex(), "nonce": st.Nonce(addr)})
 	})
 	mux.HandleFunc("GET /block", func(w http.ResponseWriter, r *http.Request) {
 		height, err := strconv.ParseUint(r.URL.Query().Get("height"), 10, 64)
@@ -377,8 +386,8 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		writeJSON(w, map[string]any{"txId": tx.ID().Hex()})
 	})
 	mux.HandleFunc("GET /proof", func(w http.ResponseWriter, r *http.Request) {
-		// Merkle proof of one account against the head state root,
-		// served from the disk-backed trie (-state-backend=disk).
+		// Merkle proof of one account against the head state root, from
+		// the head state's trie (-state-backend=disk).
 		addr, err := cryptoutil.AddressFromHex(r.URL.Query().Get("addr"))
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
@@ -412,7 +421,11 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		out, err := executor.Query(n.State(), addr, cryptoutil.ZeroAddress,
+		st, ok := headStateOr503(w, n.HeadState)
+		if !ok {
+			return
+		}
+		out, err := executor.Query(st, addr, cryptoutil.ZeroAddress,
 			r.URL.Query().Get("fn"), r.URL.Query()["arg"]...)
 		if err != nil {
 			fail(w, http.StatusUnprocessableEntity, err)
@@ -421,6 +434,18 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		writeJSON(w, map[string]any{"result": string(out)})
 	})
 	return mux
+}
+
+// headStateOr503 returns the head state for a read handler, or answers
+// 503 with the node's reason when the head state cannot be produced, so
+// a read never dereferences a state the node does not have.
+func headStateOr503(w http.ResponseWriter, head func() (*state.State, error)) (*state.State, bool) {
+	st, err := head()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return nil, false
+	}
+	return st, true
 }
 
 func hexBody(r *http.Request) ([]byte, error) {

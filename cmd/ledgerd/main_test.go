@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -23,6 +24,7 @@ import (
 	"dcsledger/internal/nodestore"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/simclock"
+	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wallet"
 )
@@ -159,7 +161,7 @@ func TestProofEndpoint(t *testing.T) {
 		t.Fatalf("/proof without disk backend: code %d, want 501", code)
 	}
 
-	// Disk backend: proofs served from the mirrored trie at genesis.
+	// Disk backend: proofs served from the genesis trie.
 	ns, err := nodestore.Open(t.TempDir(), nodestore.Options{Sync: nodestore.SyncNever})
 	if err != nil {
 		t.Fatalf("nodestore.Open: %v", err)
@@ -280,6 +282,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"node_block_verify_seconds",
 		"node_block_connect_seconds",
 		"node_state_apply_seconds",
+		"node_state_commit_seconds",
 		"node_state_rebuild_seconds",
 		"node_block_propose_seconds",
 		"txpool_inclusion_age_seconds",
@@ -352,7 +355,7 @@ func TestTraceAndPprofEndpoints(t *testing.T) {
 		}
 		seen[span.Stage] = true
 	}
-	for _, stage := range []string{"block_verify", "state_apply", "block_connect"} {
+	for _, stage := range []string{"block_verify", "state_apply", "state_commit", "block_connect"} {
 		if !seen[stage] {
 			t.Fatalf("trace missing stage %q (saw %v)", stage, seen)
 		}
@@ -428,5 +431,26 @@ func TestFlagParsers(t *testing.T) {
 		if err := a.Set(bad); err == nil {
 			t.Fatalf("alloc %q must error", bad)
 		}
+	}
+}
+
+// TestReadHandlersAnswer503WithoutHeadState: /balance, /nonce and
+// /query get their state through headStateOr503, which answers 503 with
+// the node's reason — not a nil dereference — when the head state
+// cannot be produced.
+func TestReadHandlersAnswer503WithoutHeadState(t *testing.T) {
+	rec := httptest.NewRecorder()
+	st, ok := headStateOr503(rec, func() (*state.State, error) {
+		return nil, errors.New("node: replay deadbeef: state root mismatch")
+	})
+	if ok || st != nil {
+		t.Fatalf("headStateOr503 = %v, %v on a failing head", st, ok)
+	}
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "state root mismatch") {
+		t.Fatalf("answer %d %q, want 503 with the reason", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	if st, ok := headStateOr503(rec, func() (*state.State, error) { return state.New(), nil }); !ok || st == nil || rec.Body.Len() != 0 {
+		t.Fatal("headStateOr503 refused a head state, or wrote before the handler")
 	}
 }

@@ -26,7 +26,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	cluster.Stop()
 	cluster.Sim.RunFor(30 * time.Second)
 
-	if got := cluster.Nodes[0].Balance(bob.Address()); got != 500 {
+	if got, err := cluster.Nodes[0].Balance(bob.Address()); err != nil || got != 500 {
 		t.Fatalf("bob = %d, want 500", got)
 	}
 

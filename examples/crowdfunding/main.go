@@ -109,7 +109,10 @@ func run() error {
 
 	// 4. Wait out the deadline, then the founder claims.
 	cluster.Sim.RunFor(10 * time.Minute)
-	before := n0.Balance(founder.Address())
+	before, err := n0.Balance(founder.Address())
+	if err != nil {
+		return err
+	}
 	claim, err := founder.Invoke(contractAddr, contract.EncodeCall("claim"), 0, 20, 100_000)
 	if err != nil {
 		return err
@@ -119,9 +122,13 @@ func run() error {
 	}
 	cluster.Stop()
 	cluster.Sim.RunFor(time.Minute)
+	after, err := n0.Balance(founder.Address())
+	if err != nil {
+		return err
+	}
 	fmt.Printf("goal %s reached with %s raised; founder claimed %+d\n",
 		query(n0, contractAddr, "goal"), query(n0, contractAddr, "raised"),
-		int64(n0.Balance(founder.Address()))-int64(before))
+		int64(after)-int64(before))
 	fmt.Printf("constant queries cost no gas — the paper's free say() call (§2.5)\n")
 	return nil
 }

@@ -74,7 +74,11 @@ func run() error {
 	fmt.Printf("chain: height %d, %d blocks total, fork rate %.3f\n",
 		n0.Chain().Height(), n0.Tree().Len()-1, cluster.ForkRate())
 	fmt.Printf("consistency: common prefix %d across all peers\n", cluster.ConsistentPrefix())
-	fmt.Printf("balances: alice=%d bob=%d\n", n0.Balance(alice.Address()), n0.Balance(bob.Address()))
+	head, err := n0.HeadState()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("balances: alice=%d bob=%d\n", head.Balance(alice.Address()), head.Balance(bob.Address()))
 
 	// 4. SPV: a light client verifies bob's last payment from headers
 	// alone (Section 2.2 of the paper).

@@ -64,7 +64,7 @@ func TestTraceDemo(t *testing.T) {
 
 	wantStages := map[string][]string{
 		"pow": {
-			obs.StageBlockVerify, obs.StageStateApply, obs.StageBlockConnect,
+			obs.StageBlockVerify, obs.StageStateApply, obs.StageStateCommit, obs.StageBlockConnect,
 			obs.StageBlockPropose, obs.StagePowSeal, obs.StageForkChoice,
 			obs.StageTxInclusion,
 		},

@@ -1,14 +1,17 @@
-// Disk-backed authenticated state: an opt-in mirror of the account
-// trie (the structure every block header's StateRoot commits to) into
-// a nodestore.Store, so a node can serve state roots and Merkle proofs
-// for the whole retained window with RAM bounded by the store's
-// decoded-node cache instead of by account count.
+// Disk-backed authenticated state. With Config.DiskState set, the
+// account trie every state commits (state.State.Trie) is a trie over a
+// nodestore.Store: clean nodes resolve from the store through its
+// bounded cache, and only the nodes written since the last flush are
+// held in memory. There is no second copy to keep in step: the root the
+// block header carries is the root of this trie.
 //
-// The mirror is strictly an addition to the validation pipeline: block
-// acceptance is still decided by the in-memory state commit, and a
-// disagreement between the mirrored root and the header root is
-// surfaced as a metric (node_disk_root_mismatches_total), never as a
-// rejection of a block the in-memory path already proved valid.
+// Nodes reach the store at checkpoint cadence, not per block: the head's
+// unflushed nodes are written in one batch just before the WAL publishes
+// a checkpoint naming that head, so a checkpoint never names a root the
+// store lacks, and nodes superseded inside a checkpoint interval are
+// never written at all. Recovery restarts from a checkpoint and rebuilds
+// the later tries by connecting the journaled blocks, so nothing newer
+// than a checkpoint needs to be on disk.
 package node
 
 import (
@@ -18,202 +21,129 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/mpt"
 	"dcsledger/internal/nodestore"
+	"dcsledger/internal/obs"
 	"dcsledger/internal/state"
-	"dcsledger/internal/types"
+	"dcsledger/internal/wal"
 )
 
-// DefaultDiskPruneEvery is how many mirrored blocks pass between
-// mark-and-compact sweeps of the disk state store.
-const DefaultDiskPruneEvery = 64
+// diskPruneEvery is how many blocks pass between mark-and-compact sweeps
+// of the disk state store (a sweep runs after a flush, and reads every
+// marked trie through the store).
+const diskPruneEvery = 64
 
-// ErrNoDiskState reports a proof/root query against a node that was
-// not configured with a disk state backend.
+// ErrNoDiskState reports a proof query against a node that was not
+// configured with a disk state backend.
 var ErrNoDiskState = errors.New("node: disk state backend not enabled")
 
-// diskMirror is the node's handle on the persistent account trie.
-type diskMirror struct {
-	store      *nodestore.Store
-	pruneEvery uint64
-	// genesisRoot caches the genesis state's account-trie root once it
-	// has been committed to the store (ZeroHash until then), so height-1
-	// blocks extend the genesis trie incrementally like any other.
-	genesisRoot cryptoutil.Hash
-	sincePrune  uint64
+// diskState is the node's handle on the persistent account trie.
+type diskState struct {
+	store *nodestore.Store
+	// flushedRoot at flushedHeight is the newest trie written to the
+	// store; prunedHeight is the head height of the last sweep.
+	flushedRoot   cryptoutil.Hash
+	flushedHeight uint64
+	prunedHeight  uint64
 }
 
-// mirrorBlockLocked extends the persistent account trie with one
-// freshly connected block: the parent's trie is loaded by root and only
-// the leaves the block dirtied are rewritten, so the write set is
-// O(changes × path), not O(accounts). If the parent root is not on disk
-// (store enabled mid-chain, pruned too deep, damaged directory) the
-// full post-state trie is rebuilt and committed instead — mirroring
-// self-heals rather than staying broken. Caller holds n.mu.
-func (n *Node) mirrorBlockLocked(b *types.Block, st *state.State) {
+// persistTrieLocked writes the nodes of st's account trie that the store
+// does not hold yet (all of them when the store is empty or lost, none
+// when the root is already there), makes them durable, and swaps the
+// state's trie for one loaded back over the store, so the written nodes
+// leave memory. It is a no-op on the memory backend. Caller holds n.mu.
+func (n *Node) persistTrieLocked(height uint64, st *state.State) error {
 	d := n.disk
 	if d == nil {
-		return
+		return nil
 	}
-	if d.store.Has(b.Header.StateRoot) {
-		// Already mirrored (recovery replay, reorg re-connect).
-		n.maybePruneDiskLocked(b)
-		return
-	}
-	root, err := n.mirrorCommitLocked(b, st)
-	if err != nil {
-		n.metrics.DiskErrors++
-		return
-	}
-	if root != b.Header.StateRoot {
-		// The incremental update disagrees with the in-memory commit the
-		// block was validated against. The header root is authoritative;
-		// count it loudly and leave the stray nodes for compaction.
-		n.metrics.DiskRootMismatches++
-		return
-	}
-	n.metrics.DiskBlocksMirrored++
-	n.maybePruneDiskLocked(b)
-}
-
-// mirrorCommitLocked produces block b's post-state trie on disk and
-// returns the committed root. Caller holds n.mu.
-func (n *Node) mirrorCommitLocked(b *types.Block, st *state.State) (cryptoutil.Hash, error) {
-	d := n.disk
-	parentRoot := n.diskParentRootLocked(b)
-	tr, err := n.incrementalTrieLocked(parentRoot, st)
-	if err != nil {
-		// Parent trie unavailable or partially pruned (Has on the root
-		// alone cannot prove the subtree survived compaction): rebuild
-		// the whole post-state once and resume incrementally from here.
-		tr = st.AccountTrie()
-		n.metrics.DiskFullRebuilds++
-	}
-	batch := d.store.NewBatch(b.Header.Height)
+	sw := obs.StartTimer()
+	tr := st.Trie()
+	batch := d.store.NewBatch(height)
 	root, err := tr.Commit(batch)
-	if err != nil {
-		return cryptoutil.ZeroHash, err
-	}
-	if err := batch.Commit(); err != nil {
-		return cryptoutil.ZeroHash, err
-	}
-	return root, nil
-}
-
-// incrementalTrieLocked applies st's top-layer changes onto the
-// persisted parent trie, failing (rather than silently rebuilding) if
-// any node on a touched path is missing. Caller holds n.mu.
-func (n *Node) incrementalTrieLocked(parentRoot cryptoutil.Hash, st *state.State) (*mpt.Trie, error) {
-	if parentRoot != mpt.EmptyRoot && !n.disk.store.Has(parentRoot) {
-		return nil, mpt.ErrMissingNode
-	}
-	tr := mpt.Load(parentRoot, 0, n.disk.store)
-	var err error
-	for _, addr := range st.DirtyAddresses() {
-		if leaf, ok := st.AccountLeaf(addr); ok {
-			tr, err = tr.TrySet(addr[:], leaf)
-		} else {
-			// Dirty address with no account record contributes no leaf
-			// (storage writes on a never-credited account).
-			tr, _, err = tr.TryDelete(addr[:])
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
-}
-
-// diskParentRootLocked returns the account-trie root of b's parent: the
-// parent header's StateRoot, or for height-1 blocks the genesis trie
-// root (committed on first use — genesis headers carry no state root).
-// Caller holds n.mu.
-func (n *Node) diskParentRootLocked(b *types.Block) cryptoutil.Hash {
-	if b.Header.ParentHash == n.tree.Genesis() {
-		return n.diskGenesisRootLocked()
-	}
-	pb, ok := n.tree.Get(b.Header.ParentHash)
-	if !ok {
-		return cryptoutil.ZeroHash // connect already verified the parent; defensive
-	}
-	return pb.Header.StateRoot
-}
-
-// diskGenesisRootLocked commits the genesis account trie on first use
-// and caches its root. Caller holds n.mu.
-func (n *Node) diskGenesisRootLocked() cryptoutil.Hash {
-	d := n.disk
-	if d.genesisRoot != cryptoutil.ZeroHash {
-		return d.genesisRoot
-	}
-	tr := n.baseState.AccountTrie()
-	batch := d.store.NewBatch(0)
-	root, err := tr.Commit(batch)
+	written := batch.Len()
 	if err == nil {
 		err = batch.Commit()
 	}
+	if err == nil {
+		// Whatever the batch sync policy: the caller is about to publish
+		// a checkpoint that names this root.
+		err = d.store.Sync()
+	}
 	if err != nil {
 		n.metrics.DiskErrors++
-		return cryptoutil.ZeroHash
+		return fmt.Errorf("node: flush state trie at height %d: %w", height, err)
 	}
-	d.genesisRoot = root
-	return root
+	st.AdoptTrie(mpt.Load(root, tr.Len(), d.store))
+	d.flushedRoot, d.flushedHeight = root, height
+	n.metrics.DiskFlushes++
+	dur := n.hDiskFlush.ObserveSince(sw.Start())
+	n.tracer.Record(obs.Span{
+		Stage:  obs.StageDiskFlush,
+		Start:  sw.StartUnixNano(),
+		Dur:    int64(dur),
+		Peer:   string(n.cfg.ID),
+		Height: height,
+		N:      uint64(written),
+	})
+	return nil
 }
 
-// syncDiskHeadLocked makes sure the given head's post-state trie is on
-// disk, rebuilding it in full if it is not (used after crash recovery,
-// where checkpoint-covered blocks reconnect without state application).
-// Caller holds n.mu.
-func (n *Node) syncDiskHeadLocked(head cryptoutil.Hash) {
-	d := n.disk
-	if d == nil {
+// checkpointLocked runs the durability cadence for the new head tip:
+// when a checkpoint is due, the head's trie is flushed to the disk
+// backend first and the WAL checkpoint is published only if that
+// succeeded. A disk backend without a WAL flushes on the WAL's default
+// cadence. Caller holds n.mu.
+func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
+	ds := n.cfg.Durable
+	if n.recovering || (ds == nil && n.disk == nil) {
 		return
 	}
-	if head == n.tree.Genesis() {
-		n.diskGenesisRootLocked()
+	hb, ok := n.tree.Get(tip)
+	if !ok {
 		return
 	}
-	hb, ok := n.tree.Get(head)
-	if !ok || hb.Header.StateRoot == mpt.EmptyRoot || d.store.Has(hb.Header.StateRoot) {
+	height := hb.Header.Height
+	if ds != nil {
+		if ds.Failed() != nil || !ds.CheckpointDue(height) {
+			return
+		}
+	} else if height < n.disk.flushedHeight+wal.DefaultCheckpointEvery {
 		return
 	}
-	st, err := n.stateOfLocked(head)
+	st, err := n.stateOfLocked(tip)
 	if err != nil {
-		n.metrics.DiskErrors++
 		return
 	}
-	n.mirrorBlockLocked(hb, st)
+	if err := n.persistTrieLocked(height, st); err != nil {
+		return
+	}
+	if ds != nil {
+		if err := ds.Checkpoint(hb, hb.Header.StateRoot, st); err != nil {
+			n.metrics.WALAppendErrors++
+		}
+	}
+	n.pruneDiskLocked()
 }
 
-// maybePruneDiskLocked runs the mark-and-compact sweep once every
-// pruneEvery mirrored blocks: every canonical root in the retention
-// window — plus the just-connected block b's root, which may sit on a
-// not-yet-canonical branch below the floor — is marked live (walks
-// share subtrees, so consecutive roots cost only their deltas), then
-// Compact drops records that are both below the height floor and
-// unreachable from any marked root, and a store checkpoint records the
-// oldest retained root for reopeners. Caller holds n.mu.
-func (n *Node) maybePruneDiskLocked(b *types.Block) {
+// pruneDiskLocked runs the mark-and-compact sweep once the head has
+// moved diskPruneEvery blocks since the last one: every canonical root of
+// the retention window that was flushed is marked live (walks share
+// subtrees, so consecutive roots cost only their deltas), Compact drops
+// records that are both below the height floor and unreachable from a
+// marked root, and a store checkpoint names the oldest root kept.
+// Unflushed roots have no records to keep. Caller holds n.mu.
+func (n *Node) pruneDiskLocked() {
 	d := n.disk
-	d.sincePrune++
-	if d.sincePrune < d.pruneEvery {
-		return
-	}
 	w := n.retention()
-	if w < 0 {
-		return // archive node: never prune the disk trie either
-	}
 	head := n.chain.Height()
-	if head <= uint64(w) {
-		return
+	if d == nil || w < 0 || head <= uint64(w) || head < d.prunedHeight+diskPruneEvery {
+		return // w < 0: an archive node never prunes the disk trie either
 	}
-	d.sincePrune = 0
+	d.prunedHeight = head
 	floor := head - uint64(w)
 	marker := nodestore.NewMarker()
-	var floorRoot cryptoutil.Hash
+	var oldest *nodestore.Checkpoint
 	for h := floor; h <= head; h++ {
-		bh, ok := n.chain.AtHeight(h)
-		if !ok {
-			continue
-		}
+		bh, _ := n.chain.AtHeight(h)
 		blk, ok := n.tree.Get(bh)
 		if !ok {
 			continue
@@ -222,20 +152,12 @@ func (n *Node) maybePruneDiskLocked(b *types.Block) {
 		if root == mpt.EmptyRoot || !d.store.Has(root) {
 			continue
 		}
-		if h == floor {
-			floorRoot = root
-		}
 		if err := mpt.WalkNodes(d.store, root, marker.Keep); err != nil {
 			n.metrics.DiskErrors++
 			return // a failed mark walk must veto compaction
 		}
-	}
-	// Keep the branch being extended right now alive even if fork
-	// choice has not adopted it yet (reorgs connect below the floor).
-	if root := b.Header.StateRoot; root != mpt.EmptyRoot && d.store.Has(root) {
-		if err := mpt.WalkNodes(d.store, root, marker.Keep); err != nil {
-			n.metrics.DiskErrors++
-			return
+		if oldest == nil {
+			oldest = &nodestore.Checkpoint{Height: h, Roots: map[string]cryptoutil.Hash{"state": root}}
 		}
 	}
 	if _, err := d.store.Compact(marker, floor); err != nil {
@@ -243,46 +165,28 @@ func (n *Node) maybePruneDiskLocked(b *types.Block) {
 		return
 	}
 	n.metrics.DiskPrunes++
-	if floorRoot != cryptoutil.ZeroHash {
-		if err := d.store.WriteCheckpoint(nodestore.Checkpoint{
-			Height: floor,
-			Roots:  map[string]cryptoutil.Hash{"state": floorRoot},
-		}); err != nil {
+	if oldest != nil {
+		if err := d.store.WriteCheckpoint(*oldest); err != nil {
 			n.metrics.DiskErrors++
 		}
 	}
 }
 
-// DiskStateRoot returns the canonical head's account-trie root and
-// whether the disk backend holds it (serving Gets and proofs for it).
-func (n *Node) DiskStateRoot() (cryptoutil.Hash, bool) {
+// DiskFlushed returns the root and height of the newest state trie
+// written to the disk backend, and whether there is a disk backend.
+// Everything above that height lives in memory and in the WAL.
+func (n *Node) DiskFlushed() (root cryptoutil.Hash, height uint64, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.diskStateRootLocked()
-}
-
-func (n *Node) diskStateRootLocked() (cryptoutil.Hash, bool) {
-	d := n.disk
-	if d == nil {
-		return cryptoutil.ZeroHash, false
+	if n.disk == nil {
+		return cryptoutil.ZeroHash, 0, false
 	}
-	head := n.chain.Head()
-	if head == n.tree.Genesis() {
-		root := d.genesisRoot
-		return root, root != cryptoutil.ZeroHash
-	}
-	hb, ok := n.tree.Get(head)
-	if !ok {
-		return cryptoutil.ZeroHash, false
-	}
-	root := hb.Header.StateRoot
-	return root, root == mpt.EmptyRoot || d.store.Has(root)
+	return n.disk.flushedRoot, n.disk.flushedHeight, true
 }
 
 // AccountProof is a Merkle proof of one account leaf against the
-// canonical head's state root, served from the disk-backed trie.
-// Leaf is nil for an absent account (the proof then shows absence);
-// both cases verify with mpt.VerifyProof.
+// canonical head's state root. Leaf is nil for an absent account (the
+// proof then shows absence); both cases verify with mpt.VerifyProof.
 type AccountProof struct {
 	Root  cryptoutil.Hash
 	Addr  cryptoutil.Address
@@ -291,23 +195,21 @@ type AccountProof struct {
 }
 
 // AccountProof builds a Merkle proof for addr's account leaf against
-// the current head state root, reading only the O(path) nodes the
-// proof touches. Requires the disk state backend.
+// the current head's state root from the head state's own trie:
+// unflushed nodes from memory, clean ones from the store, O(path) of
+// them. Requires the disk state backend.
 func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.accountProofLocked(addr)
-}
-
-func (n *Node) accountProofLocked(addr cryptoutil.Address) (*AccountProof, error) {
 	if n.disk == nil {
 		return nil, ErrNoDiskState
 	}
-	root, ok := n.diskStateRootLocked()
-	if !ok {
-		return nil, fmt.Errorf("node: head state root %s not in disk store", root.Short())
+	st, err := n.stateOfLocked(n.chain.Head())
+	if err != nil {
+		return nil, fmt.Errorf("node: head state: %w", err)
 	}
-	tr := mpt.Load(root, 0, n.disk.store)
+	tr := st.Trie()
+	root := tr.RootHash()
 	proof, err := tr.Prove(addr[:])
 	if err != nil {
 		return nil, err

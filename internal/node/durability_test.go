@@ -170,7 +170,7 @@ func TestCleanShutdownRecoversExactHead(t *testing.T) {
 		}
 	}
 	wantHead, wantHeight := n1.Chain().Head(), n1.Chain().Height()
-	wantBal := n1.Balance(miner)
+	wantBal := n1.State().Balance(miner)
 	if err := ds1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestCleanShutdownRecoversExactHead(t *testing.T) {
 		t.Fatalf("recovered head %s@%d, want %s@%d",
 			n2.Chain().Head().Short(), n2.Chain().Height(), wantHead.Short(), wantHeight)
 	}
-	if got := n2.Balance(miner); got != wantBal {
+	if got, err := n2.Balance(miner); err != nil || got != wantBal {
 		t.Fatalf("recovered miner balance %d, want %d", got, wantBal)
 	}
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -146,7 +147,7 @@ func TestStateRetentionAndRebuild(t *testing.T) {
 		t.Fatalf("StatesRetained after rebuild = %d, want %d", got, W+1)
 	}
 	// Head queries keep working off the retained window.
-	if got := n.Balance(miner); got != 40*50 {
+	if got, err := n.Balance(miner); err != nil || got != 40*50 {
 		t.Fatalf("head balance = %d, want 2000", got)
 	}
 }
@@ -184,10 +185,10 @@ func TestReorgAcrossRetentionBoundary(t *testing.T) {
 		t.Fatal("reorg across the retention boundary must rebuild the fork-point state")
 	}
 	// Post-reorg accounting is consistent with the new branch.
-	if got := n.Balance(minerB); got != 19*50 {
+	if got, err := n.Balance(minerB); err != nil || got != 19*50 {
 		t.Fatalf("minerB balance = %d, want 950", got)
 	}
-	if got := n.Balance(minerA); got != 2*50 {
+	if got, err := n.Balance(minerA); err != nil || got != 2*50 {
 		t.Fatalf("minerA balance = %d, want 100 (heights 1-2 only)", got)
 	}
 }
@@ -338,5 +339,107 @@ func TestRequestedMapExpiryAndClearOnConnect(t *testing.T) {
 	}
 	if requestedLen() != 0 {
 		t.Fatalf("requested len = %d, want 0 after chain completes", requestedLen())
+	}
+}
+
+// TestTrieRetentionBounded: a node retains every state of its window but
+// the tries of only the few nearest the head; the others keep their
+// memoized root, and extending one of them still works (it walks every
+// account once).
+func TestTrieRetentionBounded(t *testing.T) {
+	n, genesis := lifecycleNode(t, 0, 0) // DefaultStateRetention: all 60 states stay
+	bd := newChainBuilder(t, genesis)
+	miner := cryptoutil.KeyFromSeed([]byte("trie-miner")).Address()
+	blocks := bd.chain(genesis, 60, miner)
+	for _, b := range blocks {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
+		}
+	}
+	if got := n.StatesRetained(); got != 61 {
+		t.Fatalf("StatesRetained = %d, want 61", got)
+	}
+	holding := 0
+	for _, b := range blocks {
+		st, _ := n.StateAt(b.Hash())
+		if st.HoldsTrie() {
+			holding++
+			if b.Header.Height+trieRetention < 60 {
+				t.Fatalf("state at height %d still holds its trie", b.Header.Height)
+			}
+		}
+		if st.Commit() != b.Header.StateRoot {
+			t.Fatalf("height %d: memoized root differs from the header", b.Header.Height)
+		}
+	}
+	if holding != trieRetention+1 || n.baseState.HoldsTrie() {
+		t.Fatalf("%d states hold a trie (genesis: %v), want the %d nearest the head", holding, n.baseState.HoldsTrie(), trieRetention+1)
+	}
+	// A branch off a state whose trie was released.
+	for _, b := range bd.chain(blocks[19], 3, cryptoutil.KeyFromSeed([]byte("fork-miner")).Address()) {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("fork HandleBlock h=%d: %v", b.Header.Height, err)
+		}
+	}
+}
+
+// TestHeadStateErrorInsteadOfPanic: when the head state is gone and its
+// replay fails, HeadState and Balance say why and State returns nil —
+// the conditions under which the read handlers used to dereference nil.
+func TestHeadStateErrorInsteadOfPanic(t *testing.T) {
+	n, genesis := lifecycleNode(t, 0, 0)
+	bd := newChainBuilder(t, genesis)
+	miner := cryptoutil.KeyFromSeed([]byte("gone-miner")).Address()
+	for _, b := range bd.chain(genesis, 3, miner) {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock: %v", err)
+		}
+	}
+	// Lose every retained state and replay from a base that is not the
+	// genesis state: the replayed root cannot match the header.
+	n.mu.Lock()
+	n.states = map[cryptoutil.Hash]*state.State{}
+	n.baseState = state.New()
+	n.baseState.Credit(miner, 1)
+	n.mu.Unlock()
+
+	if _, err := n.HeadState(); !errors.Is(err, ErrBadStateRoot) {
+		t.Fatalf("HeadState error = %v, want ErrBadStateRoot", err)
+	}
+	if _, err := n.Balance(miner); err == nil {
+		t.Fatal("Balance succeeded without a head state")
+	}
+	if n.State() != nil {
+		t.Fatal("State() returned a state it could not produce")
+	}
+}
+
+// TestSubmitTxVerifiesOutsideNodeLock: admission (an ECDSA verify under
+// the pool's own lock) completes while another goroutine holds the node
+// lock, as a block connect does; only the counter waits for it.
+func TestSubmitTxVerifiesOutsideNodeLock(t *testing.T) {
+	n, _ := lifecycleNode(t, 0, 0)
+	alice := cryptoutil.KeyFromSeed([]byte("alice"))
+	tx := types.NewTransfer(alice.Address(), cryptoutil.KeyFromSeed([]byte("bob")).Address(), 1, 1, 0)
+	if err := tx.Sign(alice); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	n.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- n.SubmitTx(tx) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for n.Pool().Len() == 0 {
+		if time.Now().After(deadline) {
+			n.mu.Unlock()
+			t.Fatal("SubmitTx did not admit the transaction while the node lock was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("SubmitTx: %v", err)
+	}
+	if got := n.Metrics().TxsSubmitted; got != 1 {
+		t.Fatalf("TxsSubmitted = %d, want 1", got)
 	}
 }

@@ -100,14 +100,11 @@ type Config struct {
 	// wal.OpenStore and feed the returned Recovery to Recover before
 	// Attach/Start. Nil keeps the node memory-only.
 	Durable *wal.DurableStore
-	// DiskState, when non-nil, mirrors the account trie into a
-	// persistent node store so state roots and Merkle proofs are served
-	// from disk with RAM bounded by the store's cache budget. Purely
-	// additive: validation still runs on the in-memory state.
+	// DiskState, when non-nil, backs the account trie with a persistent
+	// node store: clean trie nodes resolve from disk through the store's
+	// bounded cache, unflushed ones are written at checkpoint cadence,
+	// and Merkle proofs are served for the head (see diskstate.go).
 	DiskState *nodestore.Store
-	// DiskPruneEvery is how many mirrored blocks pass between
-	// mark-and-compact sweeps of DiskState (0 = DefaultDiskPruneEvery).
-	DiskPruneEvery uint64
 	// ExecWorkers is the optimistic parallel-execution width for block
 	// connect and proposal (see internal/exec). 0 keeps the serial
 	// ApplyBlock path; the daemon defaults to GOMAXPROCS.
@@ -133,12 +130,10 @@ type Metrics struct {
 	RecoveredBlocks uint64
 	RecoveryReroots uint64 // recoveries that re-rooted the tree at a checkpoint
 
-	// Disk state mirror (zero unless Config.DiskState is set).
-	DiskBlocksMirrored uint64
-	DiskFullRebuilds   uint64
-	DiskRootMismatches uint64
-	DiskPrunes         uint64
-	DiskErrors         uint64
+	// Disk state backend (zero unless Config.DiskState is set).
+	DiskFlushes uint64 // trie flushes: genesis, recovery seed, one per checkpoint
+	DiskPrunes  uint64
+	DiskErrors  uint64
 
 	// Optimistic parallel execution (zero unless Config.ExecWorkers > 0).
 	ExecParallelBlocks uint64
@@ -171,6 +166,9 @@ type Node struct {
 	baseState    *state.State
 	anchorHeight uint64
 	lastFlatten  uint64
+	// tries lists the states that still hold their account trie; only
+	// those within trieRetention of the head keep it (releaseTriesLocked).
+	tries []trieHolder
 
 	// Orphan buffer: blocks whose parent has not arrived yet, deduped
 	// by hash, capped, evicted oldest-first.
@@ -199,9 +197,9 @@ type Node struct {
 	publishIntercept func(*types.Block) bool
 	withheld         []*types.Block
 
-	// disk is the persistent account-trie mirror (nil unless
+	// disk is the persistent backing of the account trie (nil unless
 	// Config.DiskState is set). See diskstate.go.
-	disk *diskMirror
+	disk *diskState
 
 	// exec applies blocks — optimistically in parallel when
 	// Config.ExecWorkers > 0, serially otherwise. Both connect and
@@ -218,6 +216,8 @@ type Node struct {
 	hVerify    *metrics.Histogram // block_verify: txroot + sig batch + seal
 	hConnect   *metrics.Histogram // block_connect: full validate-and-store
 	hApply     *metrics.Histogram // state_apply: ApplyBlock + root commit
+	hCommit    *metrics.Histogram // state_commit: the root commit inside state_apply
+	hDiskFlush *metrics.Histogram // disk_flush: unflushed trie nodes → node store
 	hRebuild   *metrics.Histogram // state_rebuild: pruned-state replay
 	hPropose   *metrics.Histogram // block_propose: assembly + seal + adopt
 	hInclusion *metrics.Histogram // tx admit→inclusion age (virtual time)
@@ -266,20 +266,11 @@ func New(cfg Config) (*Node, error) {
 		requested:  make(map[cryptoutil.Hash]time.Time),
 		exec:       &exec.Executor{Workers: cfg.ExecWorkers, Paranoid: cfg.ExecParanoid},
 	}
-	if cfg.DiskState != nil {
-		every := cfg.DiskPruneEvery
-		if every == 0 {
-			every = DefaultDiskPruneEvery
-		}
-		n.disk = &diskMirror{store: cfg.DiskState, pruneEvery: every}
-		// Seed the genesis trie eagerly (no lock needed: the node is not
-		// shared yet) so proofs are servable from boot and height-1
-		// blocks mirror incrementally.
-		n.diskGenesisRootLocked()
-	}
 	n.hVerify = metrics.NewHistogram("node_block_verify_seconds")
 	n.hConnect = metrics.NewHistogram("node_block_connect_seconds")
 	n.hApply = metrics.NewHistogram("node_state_apply_seconds")
+	n.hCommit = metrics.NewHistogram("node_state_commit_seconds")
+	n.hDiskFlush = metrics.NewHistogram("node_disk_flush_seconds")
 	n.hRebuild = metrics.NewHistogram("node_state_rebuild_seconds")
 	n.hPropose = metrics.NewHistogram("node_block_propose_seconds")
 	n.hInclusion = metrics.NewHistogram("txpool_inclusion_age_seconds", metrics.WideBuckets...)
@@ -301,6 +292,15 @@ func New(cfg Config) (*Node, error) {
 	// Difficulty retargeting needs a chain view.
 	if e, ok := cfg.Engine.(interface{ SetHeaderReader(pow.HeaderReader) }); ok {
 		e.SetHeaderReader(headerReader{tree: tree})
+	}
+	if cfg.DiskState != nil {
+		n.disk = &diskState{store: cfg.DiskState}
+	}
+	// The genesis trie is the one every later trie is derived from; on
+	// the disk backend it is in the store from boot (no lock needed: the
+	// node is not shared yet).
+	if err := n.seedTrieLocked(0, gst); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -457,9 +457,6 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 		}
 	}
 	n.pruneStatesLocked()
-	// Checkpoint-covered blocks reconnected without state application,
-	// so the disk mirror may lack the recovered head; rebuild it once.
-	n.syncDiskHeadLocked(head)
 
 	recoverDur := n.hRecover.ObserveSince(sw.Start())
 	n.tracer.Record(obs.Span{
@@ -528,6 +525,23 @@ func (n *Node) seedCheckpointLocked(ck *wal.Checkpoint, seeded *bool) {
 	st := ck.State
 	st.SetExecutor(n.cfg.Executor)
 	n.states[ck.Head] = st
+	// A failed write is counted (DiskErrors); the in-memory trie serves.
+	_ = n.seedTrieLocked(ck.Height, st)
+}
+
+// seedTrieLocked makes st — the genesis state, or a checkpoint's state
+// whose trie was built in memory when the checkpoint was verified — the
+// base that later tries derive from. On the disk backend the trie goes
+// through the store: the flush that preceded a checkpoint left its root
+// there, so normally nothing is written and the in-memory copy is
+// dropped for one loaded over the store; a state directory that lacks
+// the root (lost, or older than the checkpoint) is refilled from the
+// verified state, once. Caller holds n.mu.
+func (n *Node) seedTrieLocked(height uint64, st *state.State) error {
+	st.Commit() // the memory backend builds its base trie here
+	err := n.persistTrieLocked(height, st)
+	n.tries = append(n.tries, trieHolder{st: st, height: height})
+	return err
 }
 
 // connectStructuralLocked inserts a checkpoint-covered block during
@@ -614,11 +628,14 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc("node_recovered_blocks_total", snap(func(m Metrics) uint64 { return m.RecoveredBlocks }))
 	reg.RegisterFunc("node_recovery_reroots_total", snap(func(m Metrics) uint64 { return m.RecoveryReroots }))
 	if n.disk != nil {
-		reg.RegisterFunc("node_disk_blocks_mirrored_total", snap(func(m Metrics) uint64 { return m.DiskBlocksMirrored }))
-		reg.RegisterFunc("node_disk_full_rebuilds_total", snap(func(m Metrics) uint64 { return m.DiskFullRebuilds }))
-		reg.RegisterFunc("node_disk_root_mismatches_total", snap(func(m Metrics) uint64 { return m.DiskRootMismatches }))
+		reg.RegisterFunc("node_disk_flushes_total", snap(func(m Metrics) uint64 { return m.DiskFlushes }))
 		reg.RegisterFunc("node_disk_prunes_total", snap(func(m Metrics) uint64 { return m.DiskPrunes }))
 		reg.RegisterFunc("node_disk_errors_total", snap(func(m Metrics) uint64 { return m.DiskErrors }))
+		reg.RegisterFunc("node_disk_flushed_height", func() int64 {
+			_, h, _ := n.DiskFlushed()
+			return int64(h)
+		})
+		reg.RegisterHistogram(n.hDiskFlush)
 	}
 	if ds := n.cfg.Durable; ds != nil {
 		reg.RegisterFunc("wal_appends_total", func() int64 { return int64(ds.Stats().WAL.Appends) })
@@ -633,6 +650,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterHistogram(n.hVerify)
 	reg.RegisterHistogram(n.hConnect)
 	reg.RegisterHistogram(n.hApply)
+	reg.RegisterHistogram(n.hCommit)
 	reg.RegisterHistogram(n.hRebuild)
 	reg.RegisterHistogram(n.hPropose)
 	reg.RegisterHistogram(n.hInclusion)
@@ -640,14 +658,10 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterHistogram(n.hRecover)
 }
 
-// State returns the state at the current main-chain head.
+// State returns the state at the current main-chain head, nil when it
+// cannot be produced; callers that cannot rule that out use HeadState.
 func (n *Node) State() *state.State {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, err := n.stateOfLocked(n.chain.Head())
-	if err != nil {
-		return nil
-	}
+	st, _ := n.HeadState()
 	return st
 }
 
@@ -738,6 +752,7 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 		// window, so deep historical queries don't regrow the map.
 		if target.Header.Height >= n.anchorHeight {
 			n.states[h] = st
+			n.tries = append(n.tries, trieHolder{st: st, height: target.Header.Height})
 		}
 	}
 	return st, nil
@@ -751,6 +766,7 @@ func (n *Node) retention() int { return n.cfg.StateRetention }
 // state so pruned ancestor layers become garbage-collectable. Caller
 // holds n.mu.
 func (n *Node) pruneStatesLocked() {
+	n.releaseTriesLocked()
 	w := n.retention()
 	if w < 0 {
 		return // archive node
@@ -788,9 +804,52 @@ func (n *Node) pruneStatesLocked() {
 	}
 }
 
+// trieRetention is how far below the head a retained state keeps its
+// account and storage tries. A block that extends a state deeper than
+// this (a deep reorg) commits by walking every account instead of
+// deriving from its parent's trie; in exchange a node holds a handful of
+// tries, not one per retained state.
+const trieRetention = 8
+
+// trieHolder is a state that may still hold its tries, and its height.
+type trieHolder struct {
+	st     *state.State
+	height uint64
+}
+
+// releaseTriesLocked drops the tries of every state that has fallen more
+// than trieRetention below the head; the states keep their memoized
+// roots. Caller holds n.mu.
+func (n *Node) releaseTriesLocked() {
+	head := n.chain.Height()
+	k := 0
+	for _, t := range n.tries {
+		if t.height+trieRetention < head {
+			t.st.ReleaseTrie()
+			continue
+		}
+		n.tries[k] = t
+		k++
+	}
+	clear(n.tries[k:]) // no state stays reachable from the slack
+	n.tries = n.tries[:k]
+}
+
+// HeadState returns the state at the current main-chain head, or the
+// reason it cannot be produced (a pruned head state whose replay fails).
+func (n *Node) HeadState() (*state.State, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.stateOfLocked(n.chain.Head())
+}
+
 // Balance is a convenience query against the head state.
-func (n *Node) Balance(a cryptoutil.Address) uint64 {
-	return n.State().Balance(a)
+func (n *Node) Balance(a cryptoutil.Address) (uint64, error) {
+	st, err := n.HeadState()
+	if err != nil {
+		return 0, err
+	}
+	return st.Balance(a), nil
 }
 
 // OnBlock registers an event-notification callback fired for every
@@ -810,11 +869,12 @@ func (n *Node) OnBlock(fn func(*types.Block)) {
 // transport must never run under n.mu (lockhold invariant), and the
 // transaction is immutable once encoded, so nothing is raced.
 func (n *Node) SubmitTx(tx *types.Transaction) error {
-	n.mu.Lock()
+	// The pool has its own lock; its signature check must not hold up
+	// block connects and reads behind n.mu.
 	if err := n.pool.Add(tx); err != nil {
-		n.mu.Unlock()
 		return err
 	}
+	n.mu.Lock()
 	n.metrics.TxsSubmitted++
 	g := n.gossiper
 	n.mu.Unlock()
@@ -1086,7 +1146,10 @@ func (n *Node) connect(b *types.Block) error {
 	if err != nil {
 		return fmt.Errorf("node: %w", err)
 	}
-	if root := st.Commit(); root != b.Header.StateRoot {
+	swCommit := obs.StartTimer()
+	root := st.Commit()
+	n.observeCommit(b, st, swCommit)
+	if root != b.Header.StateRoot {
 		return fmt.Errorf("%w: computed %s, header %s", ErrBadStateRoot, root.Short(), b.Header.StateRoot.Short())
 	}
 	applyDur := swApply.Elapsed()
@@ -1095,12 +1158,12 @@ func (n *Node) connect(b *types.Block) error {
 	}
 	h := b.Hash()
 	n.states[h] = st
+	n.tries = append(n.tries, trieHolder{st: st, height: b.Header.Height})
 	// The block arrived, however it got here: any in-flight fetch for
 	// it is satisfied (msgBlock replies and gossip arrivals alike).
 	delete(n.requested, h)
 	n.metrics.BlocksAccepted++
 	n.logBlockLocked(b)
-	n.mirrorBlockLocked(b, st)
 	n.observeConnect(b, swConnect.Start(), verifyDur, applyDur)
 	return nil
 }
@@ -1132,9 +1195,7 @@ func (n *Node) logBlockLocked(b *types.Block) {
 	})
 }
 
-// logHeadLocked journals one head switch and, on the configured
-// cadence, checkpoints the head state so recovery replays only the
-// post-checkpoint suffix.
+// logHeadLocked journals one head switch.
 func (n *Node) logHeadLocked(tip cryptoutil.Hash) {
 	if n.cfg.Durable == nil || n.recovering {
 		return
@@ -1151,17 +1212,6 @@ func (n *Node) logHeadLocked(tip cryptoutil.Hash) {
 		Dur:   int64(d),
 		Peer:  string(n.cfg.ID),
 	})
-	hb, ok := n.tree.Get(tip)
-	if !ok {
-		return
-	}
-	st, err := n.stateOfLocked(tip)
-	if err != nil {
-		return
-	}
-	if _, err := n.cfg.Durable.MaybeCheckpoint(hb, hb.Header.StateRoot, st); err != nil {
-		n.metrics.WALAppendErrors++
-	}
 }
 
 // applyBlockLocked runs b's state transition on a fresh child layer of
@@ -1205,6 +1255,20 @@ func (n *Node) observeExec(b *types.Block, stats *exec.Stats) {
 	}
 }
 
+// observeCommit records one state_commit: the root commit of block b's
+// post-state, N = the account leaves the block wrote.
+func (n *Node) observeCommit(b *types.Block, st *state.State, sw obs.Stopwatch) {
+	dur := n.hCommit.ObserveSince(sw.Start())
+	if n.tracer == nil {
+		return
+	}
+	n.tracer.Record(obs.Span{
+		Stage: obs.StageStateCommit, Start: sw.StartUnixNano(),
+		Dur: int64(dur), Peer: string(n.cfg.ID), Height: b.Header.Height,
+		N: uint64(len(st.DirtyAddresses())),
+	})
+}
+
 // observeConnect records the per-stage latencies of one successful
 // block connect: verification, state apply, and the full path.
 func (n *Node) observeConnect(b *types.Block, start time.Time, verifyDur, applyDur time.Duration) {
@@ -1242,6 +1306,7 @@ func (n *Node) afterTreeChange() {
 		return
 	}
 	n.logHeadLocked(tip)
+	n.checkpointLocked(tip)
 	if len(removed) > 0 {
 		n.metrics.Reorgs++
 		// Give reorged-out transactions another chance.
@@ -1340,7 +1405,9 @@ func (n *Node) produceBlock() error {
 	if err != nil {
 		return fmt.Errorf("node: self-apply: %w", err)
 	}
+	swCommit := obs.StartTimer()
 	b.Header.StateRoot = st.Commit()
+	n.observeCommit(b, st, swCommit)
 	if err := n.cfg.Engine.Prepare(&b.Header, parent); err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func TestPoWClusterConverges(t *testing.T) {
 	// Rewards were minted to miners.
 	var minted uint64
 	for _, n := range c.Nodes {
-		minted += c.Nodes[0].Balance(n.Address())
+		minted += c.Nodes[0].State().Balance(n.Address())
 	}
 	if minted == 0 {
 		t.Fatal("block rewards missing")
@@ -89,10 +89,10 @@ func TestTransfersReachEveryPeer(t *testing.T) {
 	c.Sim.RunFor(time.Minute)
 
 	for i, n := range c.Nodes {
-		if got := n.Balance(bob.Address()); got != 500 {
+		if got, err := n.Balance(bob.Address()); err != nil || got != 500 {
 			t.Fatalf("node %d sees bob = %d, want 500", i, got)
 		}
-		if got := n.Balance(alice.Address()); got != 10_000-5*102 {
+		if got, err := n.Balance(alice.Address()); err != nil || got != 10_000-5*102 {
 			t.Fatalf("node %d sees alice = %d", i, got)
 		}
 	}

@@ -113,7 +113,7 @@ func TestByzantinePeerCannotCorruptHonestNodes(t *testing.T) {
 		t.Fatal("honest chain stalled after attack")
 	}
 	// And the attacker minted nothing.
-	if honest.Balance(evil.Address()) != 0 {
+	if got, err := honest.Balance(evil.Address()); err != nil || got != 0 {
 		t.Fatal("attacker gained balance")
 	}
 }

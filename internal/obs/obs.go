@@ -36,6 +36,13 @@ const (
 	// StageStateApply is the sequential state transition (ApplyBlock +
 	// root commit) of one block.
 	StageStateApply = "state_apply"
+	// StageStateCommit is the state-root commit of one block's post-state
+	// — the part of state_apply (and of block_propose) that derives the
+	// account trie; N is the number of account leaves the block wrote.
+	StageStateCommit = "state_commit"
+	// StageDiskFlush is one write of unflushed account-trie nodes to the
+	// disk state store, at checkpoint cadence; N is the nodes written.
+	StageDiskFlush = "disk_flush"
 	// StageBlockConnect is the full validate-and-store path (verify +
 	// state apply + tree insert).
 	StageBlockConnect = "block_connect"

@@ -14,13 +14,11 @@ package state
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 
 	"dcsledger/internal/cryptoutil"
-	"dcsledger/internal/mpt"
 	"dcsledger/internal/types"
 )
 
@@ -140,6 +138,7 @@ type State struct {
 	executor   Executor
 	track      *Access // non-nil only on speculation lanes (see Track)
 	depth      int     // number of parent layers below this one
+	memo       *memo   // commitment of the current contents; nil after any write (see commit.go)
 }
 
 // New returns an empty base state.
@@ -179,6 +178,12 @@ func (s *State) lookupAccount(addr cryptoutil.Address) (Account, bool) {
 	if s.track != nil {
 		s.track.ReadAccounts[addr] = struct{}{}
 	}
+	return s.account(addr)
+}
+
+// account is lookupAccount without the footprint: Commit reads through
+// it, and a commitment is not part of any transaction's read set.
+func (s *State) account(addr cryptoutil.Address) (Account, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
 		if acc, ok := cur.accounts[addr]; ok {
 			return acc, true
@@ -193,6 +198,7 @@ func (s *State) setAccount(addr cryptoutil.Address, acc Account) {
 	if s.track != nil {
 		s.track.WriteAccounts[addr] = struct{}{}
 	}
+	s.memo = nil
 	s.accounts[addr] = acc
 }
 
@@ -265,6 +271,7 @@ func (s *State) SetStorage(addr cryptoutil.Address, key, value []byte) {
 	if s.track != nil {
 		s.track.WriteSlots[SlotKey{Addr: addr, Key: string(key)}] = struct{}{}
 	}
+	s.memo = nil
 	m := s.storage[addr]
 	if m == nil {
 		m = make(map[string][]byte)
@@ -282,19 +289,22 @@ func (s *State) Storage(addr cryptoutil.Address, key []byte) []byte {
 	if s.track != nil {
 		s.track.ReadSlots[SlotKey{Addr: addr, Key: k}] = struct{}{}
 	}
+	v, _ := s.slot(addr, k)
+	return v
+}
+
+// slot returns the live value of one storage slot and whether the slot
+// exists (a slot may hold an empty value), without recording a read.
+func (s *State) slot(addr cryptoutil.Address, k string) ([]byte, bool) {
 	for cur := s; cur != nil; cur = cur.parent {
-		if m := cur.storage[addr]; m != nil {
-			if v, ok := m[k]; ok {
-				return v
-			}
+		if v, ok := cur.storage[addr][k]; ok {
+			return v, true
 		}
-		if d := cur.storageDel[addr]; d != nil {
-			if _, ok := d[k]; ok {
-				return nil
-			}
+		if _, ok := cur.storageDel[addr][k]; ok {
+			return nil, false
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // DeleteStorage clears one slot.
@@ -303,6 +313,7 @@ func (s *State) DeleteStorage(addr cryptoutil.Address, key []byte) {
 	if s.track != nil {
 		s.track.WriteSlots[SlotKey{Addr: addr, Key: k}] = struct{}{}
 	}
+	s.memo = nil
 	if m := s.storage[addr]; m != nil {
 		delete(m, k)
 	}
@@ -339,10 +350,14 @@ func (s *State) Copy() *State {
 // Flatten merges the whole layer chain into a fresh, parentless base
 // state whose Commit equals the receiver's. The node flattens the
 // oldest retained per-block state on prune so dropped ancestors become
-// garbage-collectable.
+// garbage-collectable. A memoized root carries over (the contents are
+// the same); the tries do not, so the copy pins nothing of the chain.
 func (s *State) Flatten() *State {
 	ns := New()
 	ns.executor = s.executor
+	if s.memo != nil {
+		ns.memo = &memo{root: s.memo.root}
+	}
 	s.forEachAccount(func(a cryptoutil.Address, acc Account) {
 		ns.accounts[a] = acc
 	})
@@ -381,6 +396,7 @@ func (s *State) Absorb(child *State) { s.absorb(child) }
 // It is the success path of speculative contract execution: effects are
 // staged on the child and only merged when the contract completes.
 func (s *State) absorb(child *State) {
+	s.memo = nil
 	for a, acc := range child.accounts {
 		s.accounts[a] = acc
 	}
@@ -621,37 +637,6 @@ func CheckCoinbase(b *types.Block, expectedReward uint64) (uint64, error) {
 	return fees, nil
 }
 
-// Commit returns the authenticated root of the entire state: a Merkle
-// Patricia trie over accounts, each account's entry committing its
-// balance, nonce, code hash, and a nested storage-trie root.
-func (s *State) Commit() cryptoutil.Hash {
-	return s.AccountTrie().RootHash()
-}
-
-// AccountTrie builds the full account trie Commit hashes. The disk
-// state mirror uses it to seed (or rebuild) a persistent copy of the
-// trie whose root every block header carries.
-func (s *State) AccountTrie() *mpt.Trie {
-	tr := mpt.New()
-	s.forEachAccount(func(addr cryptoutil.Address, acc Account) {
-		tr = tr.Set(addr[:], s.encodeAccount(addr, acc))
-	})
-	return tr
-}
-
-// AccountLeaf returns the account-trie leaf value for addr — the exact
-// bytes Commit stores under addr[:] — and whether addr has an account
-// record (addresses with storage but no account record contribute no
-// leaf, matching Commit).
-func (s *State) AccountLeaf(addr cryptoutil.Address) ([]byte, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if acc, ok := cur.accounts[addr]; ok {
-			return s.encodeAccount(addr, acc), true
-		}
-	}
-	return nil, false
-}
-
 // DirtyAddresses returns every address written through THIS diff layer
 // (account record, storage slot, or storage delete), sorted. On a
 // per-block state layer that is exactly the set of account-trie leaves
@@ -691,30 +676,4 @@ func (s *State) Addresses() []cryptoutil.Address {
 		out = append(out, a)
 	})
 	return out
-}
-
-func (s *State) encodeAccount(addr cryptoutil.Address, acc Account) []byte {
-	var buf bytes.Buffer
-	var b8 [8]byte
-	binary.BigEndian.PutUint64(b8[:], acc.Balance)
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], acc.Nonce)
-	buf.Write(b8[:])
-	buf.Write(acc.Code[:])
-	sr := s.storageRoot(addr)
-	buf.Write(sr[:])
-	return buf.Bytes()
-}
-
-func (s *State) storageRoot(addr cryptoutil.Address) cryptoutil.Hash {
-	tr := mpt.New()
-	n := 0
-	s.forEachStorage(addr, func(k string, v []byte) {
-		tr = tr.Set([]byte(k), v)
-		n++
-	})
-	if n == 0 {
-		return mpt.EmptyRoot
-	}
-	return tr.RootHash()
 }

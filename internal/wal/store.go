@@ -242,14 +242,21 @@ func (s *DurableStore) log(typ byte, payload []byte) error {
 	return nil
 }
 
-// MaybeCheckpoint writes a checkpoint when the head has advanced at
-// least CheckpointEvery blocks past the previous one. Returns whether a
-// checkpoint was written.
-func (s *DurableStore) MaybeCheckpoint(b *types.Block, root cryptoutil.Hash, st *state.State) (bool, error) {
+// CheckpointDue reports whether a head at height has advanced at least
+// CheckpointEvery blocks past the previous checkpoint. A caller with
+// work to finish before the checkpoint file may name this head (the
+// node flushes its disk state first) asks here, does it, then calls
+// Checkpoint.
+func (s *DurableStore) CheckpointDue(height uint64) bool {
 	s.mu.Lock()
-	due := b.Header.Height >= s.lastCkptHeight+s.opts.CheckpointEvery
-	s.mu.Unlock()
-	if !due {
+	defer s.mu.Unlock()
+	return height >= s.lastCkptHeight+s.opts.CheckpointEvery
+}
+
+// MaybeCheckpoint writes a checkpoint when one is due (CheckpointDue).
+// Returns whether a checkpoint was written.
+func (s *DurableStore) MaybeCheckpoint(b *types.Block, root cryptoutil.Hash, st *state.State) (bool, error) {
+	if !s.CheckpointDue(b.Header.Height) {
 		return false, nil
 	}
 	return true, s.Checkpoint(b, root, st)

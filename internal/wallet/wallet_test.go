@@ -83,7 +83,7 @@ func minedChain(t *testing.T) (*node.Cluster, cryptoutil.Hash) {
 	c.Start()
 	c.Sim.RunFor(3 * time.Minute)
 	c.Stop()
-	if c.Nodes[0].Balance(bob.Address()) != 100 {
+	if got, err := c.Nodes[0].Balance(bob.Address()); err != nil || got != 100 {
 		t.Fatal("setup: transfer not mined")
 	}
 	return c, tx.ID()
