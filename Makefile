@@ -75,7 +75,9 @@ trace-demo:
 
 # Crash-injection matrix under the race detector: every failure mode
 # (cut/torn/garbled write) x every fsync policy must recover to a
-# verified prefix of the pre-crash chain; a disk-state flush torn
+# verified prefix of the pre-crash chain; the same modes at every append
+# of a scripted run must never leave the block tree naming a block whose
+# body cannot be read back (TestCrashMatrixBodies); a disk-state flush torn
 # mid-batch, a kill between the flush and the checkpoint that names it,
 # and a state/ directory that lacks the checkpoint's root must each
 # recover to the exact head (TestCrashMatrixTornFlush,

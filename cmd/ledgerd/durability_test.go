@@ -1,16 +1,24 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"dcsledger/internal/consensus/forkchoice"
 	"dcsledger/internal/consensus/pow"
+	"dcsledger/internal/contract"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
+	"dcsledger/internal/metrics"
 	"dcsledger/internal/node"
 	"dcsledger/internal/simclock"
+	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
 )
 
@@ -79,5 +87,110 @@ func TestOpenDurableRejectsBadPolicy(t *testing.T) {
 	}
 	if err := f.Set("Always"); err != nil || f.policy != wal.FsyncAlways {
 		t.Fatalf("-fsync Always: policy %v, err %v", f.policy, err)
+	}
+}
+
+// mineNext seals one coinbase-only block on the node's head, whatever
+// its height.
+func mineNext(t *testing.T, n *node.Node) *types.Block {
+	t.Helper()
+	parent := n.Chain().HeadBlock()
+	key := cryptoutil.KeyFromSeed([]byte("api-test"))
+	height := parent.Header.Height + 1
+	b := types.NewBlock(parent.Hash(), height, parent.Header.Time+int64(time.Second), key.Address(),
+		[]*types.Transaction{types.NewCoinbase(key.Address(), 50, height)})
+	st, ok := n.StateAt(parent.Hash())
+	if !ok {
+		t.Fatal("no tip state")
+	}
+	st = st.Copy()
+	if _, err := st.ApplyBlock(b, 50); err != nil {
+		t.Fatalf("self-apply: %v", err)
+	}
+	b.Header.StateRoot = st.Commit()
+	eng := pow.New(pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64},
+		rand.New(rand.NewSource(2)))
+	if err := eng.Prepare(&b.Header, parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Seal(b, parent); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestBlockEndpointReadsOldBodiesBack: GET /block of heights whose
+// bodies left memory long ago, from several clients at once, while the
+// node connects blocks (run under -race). Every answer is the block
+// that was connected. Once the journal cannot be read any more the
+// endpoint says 503, and a height the chain does not have stays 404:
+// never 200 with null.
+func TestBlockEndpointReadsOldBodiesBack(t *testing.T) {
+	n, ds := durableTestNode(t, t.TempDir())
+	srv := httptest.NewServer(apiHandler(n, contract.NewExecutor(contract.NewRegistry()), metrics.NewRegistry(), nil, false))
+	defer srv.Close()
+
+	const old, total = 40, 120
+	hashes := make([]cryptoutil.Hash, total+1)
+	connect := func() {
+		b := mineNext(t, n)
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
+		}
+		hashes[b.Header.Height] = b.Hash()
+	}
+	for n.Chain().Height() < 2*old {
+		connect()
+	}
+
+	var clients sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < 3; c++ {
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				height := uint64(1 + (i*3+c)%old)
+				resp, err := http.Get(fmt.Sprintf("%s/block?height=%d", srv.URL, height))
+				if err != nil {
+					t.Errorf("GET /block?height=%d: %v", height, err)
+					return
+				}
+				var b types.Block
+				err = json.NewDecoder(resp.Body).Decode(&b)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil || b.Hash() != hashes[height] {
+					t.Errorf("GET /block?height=%d: status %d, decode %v, hash %s", height, resp.StatusCode, err, b.Hash().Short())
+					return
+				}
+			}
+		}(c)
+	}
+	for n.Chain().Height() < total {
+		connect()
+	}
+	close(stop)
+	clients.Wait()
+	if m := n.Metrics(); m.BodyReads == 0 || m.BodyReadErrors != 0 {
+		t.Fatalf("%d read-backs, %d errors: the old heights were not served from the journal", m.BodyReads, m.BodyReadErrors)
+	}
+
+	if code := getJSON(t, fmt.Sprintf("%s/block?height=%d", srv.URL, total+1), nil); code != http.StatusNotFound {
+		t.Fatalf("GET /block above the head: status %d, want 404", code)
+	}
+	ds.Close()
+	if code := getJSON(t, srv.URL+"/block?height=1", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("GET /block with the journal closed: status %d, want 503", code)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/block?height=%d", srv.URL, total), nil); code != http.StatusOK {
+		t.Fatalf("GET /block of the resident head with the journal closed: status %d, want 200", code)
+	}
+	if n.Metrics().BodyReadErrors == 0 {
+		t.Fatal("the failed read-back was not counted")
 	}
 }

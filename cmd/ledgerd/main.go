@@ -41,6 +41,7 @@ import (
 	"dcsledger/internal/p2p"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
+	"dcsledger/internal/store"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
 )
@@ -178,7 +179,7 @@ func run() error {
 		}
 		defer ds.Close()
 		log.Printf("durable store at %s (fsync=%s, checkpoint-every=%d): %d block(s) journaled, tip height %d",
-			*dataDir, fsync.policy, *ckptN, len(rec.Blocks), rec.TipHeight())
+			*dataDir, fsync.policy, *ckptN, rec.Blocks, rec.TipHeight())
 	}
 
 	// Disk-backed authenticated state: the account trie lives in a node
@@ -326,7 +327,7 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			"height":  n.Chain().Height(),
 			"head":    n.Chain().Head().Hex(),
 			"mempool": n.Pool().Len(),
-			"blocks":  n.Tree().Len(),
+			"blocks":  n.Tree().Len(), // headers known; bodies may be in the WAL only
 			"metrics": n.Metrics(),
 		})
 	})
@@ -365,7 +366,17 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			fail(w, http.StatusNotFound, fmt.Errorf("no block at height %d", height))
 			return
 		}
-		b, _ := n.Tree().Get(h)
+		// Old bodies are read back from the journal; one that cannot be
+		// is the node's failure, not a missing block.
+		b, err := n.Tree().Block(h)
+		if err != nil {
+			code := http.StatusServiceUnavailable
+			if errors.Is(err, store.ErrUnknownBlock) {
+				code = http.StatusNotFound
+			}
+			fail(w, code, err)
+			return
+		}
 		writeJSON(w, b)
 	})
 	mux.HandleFunc("POST /tx", func(w http.ResponseWriter, r *http.Request) {

@@ -113,8 +113,8 @@ func committedTxs(c *node.Cluster) int {
 	total := 0
 	for h := uint64(1); h <= n.Chain().Height(); h++ {
 		bh, _ := n.Chain().AtHeight(h)
-		b, _ := n.Tree().Get(bh)
-		total += len(b.Txs) - 1 // exclude coinbase
+		txs, _ := n.Tree().TxCount(bh)
+		total += txs - 1 // exclude coinbase
 	}
 	return total
 }
@@ -128,9 +128,9 @@ func meanBlockInterval(c *node.Cluster) time.Duration {
 	}
 	firstHash, _ := n.Chain().AtHeight(1)
 	lastHash, _ := n.Chain().AtHeight(h)
-	first, _ := n.Tree().Get(firstHash)
-	last, _ := n.Tree().Get(lastHash)
-	return time.Duration(last.Header.Time-first.Header.Time) / time.Duration(h-1)
+	first, _ := n.Tree().Header(firstHash)
+	last, _ := n.Tree().Header(lastHash)
+	return time.Duration(last.Time-first.Time) / time.Duration(h-1)
 }
 
 // proposerCounts tallies main-chain blocks per proposer.
@@ -139,8 +139,8 @@ func proposerCounts(c *node.Cluster) map[cryptoutil.Address]int {
 	counts := make(map[cryptoutil.Address]int)
 	for h := uint64(1); h <= n.Chain().Height(); h++ {
 		bh, _ := n.Chain().AtHeight(h)
-		b, _ := n.Tree().Get(bh)
-		counts[b.Header.Proposer]++
+		hdr, _ := n.Tree().Header(bh)
+		counts[hdr.Proposer]++
 	}
 	return counts
 }

@@ -133,9 +133,9 @@ func mainChainBlock(src *node.Node, h uint64) (*types.Block, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: missing height %d", ErrBadChain, h)
 	}
-	b, ok := src.Tree().Get(bh)
-	if !ok {
-		return nil, fmt.Errorf("%w: missing block %s", ErrBadChain, bh.Short())
+	b, err := src.Tree().Block(bh)
+	if err != nil {
+		return nil, fmt.Errorf("%w: height %d: %w", ErrBadChain, h, err)
 	}
 	return b, nil
 }

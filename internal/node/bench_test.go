@@ -22,6 +22,11 @@ import (
 // block's work is what it touches, not what exists. The chain is built
 // and sealed before the timer starts; EXPERIMENTS.md records the numbers
 // before and after the incremental commit.
+//
+// The chain-* cases are the other axis: a durable node that already
+// holds 1 K or 20 K blocks connects one more (connectOnChain). They are
+// meant to cost the same too, in time and in heap: a block's work is not
+// what came before it either.
 func BenchmarkConnectBlock(b *testing.B) {
 	for _, accounts := range []int{1_000, 100_000} {
 		for _, backend := range []string{"memory", "disk"} {
@@ -29,6 +34,9 @@ func BenchmarkConnectBlock(b *testing.B) {
 				benchConnectBlock(b, accounts, backend == "disk")
 			})
 		}
+	}
+	for _, chain := range []int{1_000, 20_000} {
+		b.Run(fmt.Sprintf("chain-%d/durable", chain), func(b *testing.B) { benchConnectOnChain(b, chain) })
 	}
 }
 

@@ -1,0 +1,452 @@
+package node
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+	"time"
+
+	"dcsledger/internal/consensus"
+	"dcsledger/internal/consensus/forkchoice"
+	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/incentive"
+	"dcsledger/internal/metrics"
+	"dcsledger/internal/obs"
+	"dcsledger/internal/simclock"
+	"dcsledger/internal/state"
+	"dcsledger/internal/types"
+	"dcsledger/internal/wal"
+)
+
+// fatChain seals successive coinbase-only blocks whose coinbase carries
+// a payload, so a block body weighs what a block of transfers does
+// without the signatures. Unlike chainBuilder it keeps one state, the
+// tip's: it can run for tens of thousands of blocks, and nothing of a
+// block it has handed out stays reachable from it.
+type fatChain struct {
+	tb      testing.TB
+	eng     consensus.Engine
+	rewards incentive.Schedule
+	st      *state.State
+	tip     *types.Block
+	miner   cryptoutil.Address
+	payload int
+}
+
+func newFatChain(tb testing.TB, genesis *types.Block, alloc map[cryptoutil.Address]uint64, payload int) *fatChain {
+	st := state.New()
+	for a, v := range alloc {
+		st.Credit(a, v)
+	}
+	return &fatChain{
+		tb:      tb,
+		eng:     liteEngine(1),
+		rewards: incentive.Schedule{InitialReward: 50},
+		st:      st,
+		tip:     genesis,
+		miner:   cryptoutil.KeyFromSeed([]byte("fat-miner")).Address(),
+		payload: payload,
+	}
+}
+
+func (c *fatChain) next() *types.Block {
+	c.tb.Helper()
+	height := c.tip.Header.Height + 1
+	reward := c.rewards.RewardAt(height)
+	cb := types.NewCoinbase(c.miner, reward, height)
+	cb.Data = bytes.Repeat([]byte{byte(height)}, c.payload)
+	b := types.NewBlock(c.tip.Hash(), height, c.tip.Header.Time+int64(10*time.Second), c.miner, []*types.Transaction{cb})
+	st := c.st.Copy()
+	if _, err := st.ApplyBlock(b, reward); err != nil {
+		c.tb.Fatalf("fatChain ApplyBlock: %v", err)
+	}
+	b.Header.StateRoot = st.Commit()
+	if err := c.eng.Prepare(&b.Header, c.tip); err != nil {
+		c.tb.Fatalf("Prepare: %v", err)
+	}
+	if err := c.eng.Seal(b, c.tip); err != nil {
+		c.tb.Fatalf("Seal: %v", err)
+	}
+	if st.Depth() >= 64 {
+		st = st.Flatten() // or the state drags a layer per block behind it
+	}
+	c.st, c.tip = st, b
+	return b
+}
+
+// fatNode is a durable node over dir for fatChain blocks, recovered from
+// whatever dir holds.
+func fatNode(tb testing.TB, dir string, alloc map[cryptoutil.Address]uint64) (*Node, *wal.DurableStore, *types.Block) {
+	tb.Helper()
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever})
+	if err != nil {
+		tb.Fatalf("OpenStore: %v", err)
+	}
+	genesis := NewGenesis("fat-chain")
+	n, err := New(Config{
+		ID:         "fat",
+		Key:        cryptoutil.KeyFromSeed([]byte("fat-node")),
+		Engine:     liteEngine(2),
+		ForkChoice: forkchoice.LongestChain{},
+		Genesis:    genesis,
+		Alloc:      alloc,
+		Rewards:    incentive.Schedule{InitialReward: 50},
+		Clock:      simclock.NewSimulator(),
+		Durable:    ds,
+	})
+	if err == nil {
+		err = n.Recover(rec)
+	}
+	if err != nil {
+		ds.Close()
+		tb.Fatalf("node over %s: %v", dir, err)
+	}
+	return n, ds, genesis
+}
+
+// heapAfterGC returns HeapInuse, and HeapAlloc: the live bytes alone,
+// without what the spans holding them waste, which varies from run to
+// run by more than the effects measured here.
+func heapAfterGC() (inuse, live uint64) {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapInuse, m.HeapAlloc
+}
+
+// TestDeepReorgAndRebuildFromJournal: a reorg and a state rebuild that
+// both reach far below the body window succeed from the journal, and the
+// roots are the builder's serial ones.
+func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
+	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	genesis := NewGenesis("durability-test")
+	n, err := New(Config{
+		ID:             "d0",
+		Key:            cryptoutil.KeyFromSeed([]byte("durability-node")),
+		Engine:         liteEngine(2),
+		ForkChoice:     forkchoice.LongestChain{},
+		Genesis:        genesis,
+		Rewards:        incentive.Schedule{InitialReward: 50},
+		Clock:          simclock.NewSimulator(),
+		Durable:        ds,
+		StateRetention: 16,
+	})
+	if err == nil {
+		err = n.Recover(rec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	n.RegisterMetrics(reg)
+	tracer := obs.NewTracer(1 << 12)
+	n.SetTracer(tracer)
+	bd := newChainBuilder(t, genesis)
+	minerA := cryptoutil.KeyFromSeed([]byte("deep-a")).Address()
+	minerB := cryptoutil.KeyFromSeed([]byte("deep-b")).Address()
+	const forkAt = 10
+	main := bd.chain(genesis, forkAt+3*bodyRetention, minerA)
+	for _, b := range main {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
+		}
+	}
+	if got := n.Tree().BodiesResident(); got > bodyRetention+2 {
+		t.Fatalf("%d bodies resident on a %d-block chain, window is %d", got, len(main), bodyRetention)
+	}
+	if m := n.Metrics(); m.BodyReads != 0 {
+		t.Fatalf("%d read-backs while extending a linear chain", m.BodyReads)
+	}
+
+	// A pruned state below the window: replayed from journaled bodies.
+	old := main[forkAt+2]
+	st, ok := n.StateAt(old.Hash())
+	if !ok {
+		t.Fatal("no state for a block below the body window")
+	}
+	if root := st.Commit(); root != bd.states[old.Hash()].Commit() || root != old.Header.StateRoot {
+		t.Fatalf("rebuilt root %s, serial %s", root.Short(), old.Header.StateRoot.Short())
+	}
+	reads := n.Metrics().BodyReads
+	if reads == 0 {
+		t.Fatal("the rebuild read nothing back")
+	}
+
+	// A heavier branch from height forkAt: the reorg takes 3*bodyRetention
+	// blocks off the main chain, nearly all of them evicted.
+	side := bd.chain(main[forkAt-1], len(main)-forkAt+1, minerB)
+	for _, b := range side {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock side h=%d: %v", b.Header.Height, err)
+		}
+		if got := n.Tree().BodiesResident(); got > 2*(bodyRetention+1)+1 {
+			t.Fatalf("%d bodies resident while the side branch grows, window is %d", got, bodyRetention)
+		}
+	}
+	tip := side[len(side)-1]
+	if n.Chain().Head() != tip.Hash() {
+		t.Fatalf("head %s, want the side branch's tip", n.Chain().Head().Short())
+	}
+	m := n.Metrics()
+	if m.Reorgs != 1 || m.BodyReads <= reads || m.BodyReadErrors != 0 {
+		t.Fatalf("reorgs %d, read-backs %d (before the reorg %d), errors %d", m.Reorgs, m.BodyReads, reads, m.BodyReadErrors)
+	}
+	if root := n.State().Commit(); root != bd.states[tip.Hash()].Commit() {
+		t.Fatalf("head root %s, serial %s", root.Short(), bd.states[tip.Hash()].Commit().Short())
+	}
+	// The index follows the reorg: reorged-out transactions are gone.
+	if _, _, ok := n.Chain().FindTx(main[forkAt+1].Txs[0].ID()); ok {
+		t.Fatal("transaction of a reorged-out block still indexed")
+	}
+	if bh, i, ok := n.Chain().FindTx(side[0].Txs[0].ID()); !ok || bh != side[0].Hash() || i != 0 {
+		t.Fatal("transaction of the new main chain not indexed")
+	}
+	for _, b := range append(main, side...) {
+		got, err := n.Tree().Block(b.Hash())
+		if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
+			t.Fatalf("block h=%d does not come back as it went in: %v", b.Header.Height, err)
+		}
+	}
+
+	// The read-backs are visible: gauges on /metrics, spans in the trace.
+	snap, m := reg.Snapshot(), n.Metrics()
+	if snap["node_block_body_reads_total"] != int64(m.BodyReads) || snap["node_block_body_read_errors_total"] != 0 {
+		t.Fatalf("read-back counters %d/%d, Metrics says %d/0",
+			snap["node_block_body_reads_total"], snap["node_block_body_read_errors_total"], m.BodyReads)
+	}
+	// Two branches reach into the window of heights, and genesis.
+	if got := snap["node_block_bodies_resident"]; got < 1 || got > 2*(bodyRetention+1)+1 {
+		t.Fatalf("node_block_bodies_resident = %d, window is %d", got, bodyRetention)
+	}
+	if got := snap["node_block_tree_size"]; got != int64(len(main)+len(side)+1) {
+		t.Fatalf("node_block_tree_size = %d, want every header: %d", got, len(main)+len(side)+1)
+	}
+	if tracer.Summary()[obs.StageBodyRead].Count == 0 {
+		t.Fatal("no body_read span recorded")
+	}
+}
+
+// TestCrashMatrixBodies arms cut, torn and garble at every append of a
+// scripted run (a chain longer than the body window, with a fork). In
+// the crashed process the blocks the latched store refused stay in
+// memory; after the restart every block the tree names is readable: a
+// header never outlives its body.
+func TestCrashMatrixBodies(t *testing.T) {
+	opts := wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8}
+	script := func(bd *chainBuilder, genesis *types.Block) []*types.Block {
+		a := cryptoutil.KeyFromSeed([]byte("body-a")).Address()
+		b := cryptoutil.KeyFromSeed([]byte("body-b")).Address()
+		main := bd.chain(genesis, bodyRetention+12, a)
+		fork := bd.chain(main[19], 3, b)
+		return append(append(main[:30:30], fork...), main[30:]...)
+	}
+	readable := func(t *testing.T, n *Node, blocks []*types.Block) (named int) {
+		t.Helper()
+		for _, b := range blocks {
+			if !n.Tree().Has(b.Hash()) {
+				continue
+			}
+			named++
+			got, err := n.Tree().Block(b.Hash())
+			if err != nil {
+				t.Fatalf("tree names block h=%d but cannot produce it: %v", b.Header.Height, err)
+			}
+			if !bytes.Equal(got.Encode(), b.Encode()) {
+				t.Fatalf("block h=%d came back different", b.Header.Height)
+			}
+		}
+		if errs := n.Metrics().BodyReadErrors; errs != 0 {
+			t.Fatalf("%d read-back errors", errs)
+		}
+		return named
+	}
+
+	// A dry run counts the appends to arm the failpoint at.
+	n0, ds0, _, genesis := durableNodeOpts(t, t.TempDir(), opts)
+	blocks := script(newChainBuilder(t, genesis), genesis)
+	for _, b := range blocks {
+		if err := n0.HandleBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appends := ds0.Stats().WAL.Appends
+	if readable(t, n0, blocks) != len(blocks) || n0.Metrics().BodyReads == 0 {
+		t.Fatal("dry run: not every block named, or nothing read back")
+	}
+
+	for _, mode := range []wal.FailMode{wal.FailCut, wal.FailTorn, wal.FailGarble} {
+		t.Run(mode.String(), func(t *testing.T) {
+			for k := uint64(1); k <= appends; k++ {
+				dir := t.TempDir()
+				n1, ds1, _, _ := durableNodeOpts(t, dir, opts)
+				ds1.WAL().SetFailpoint(mode, k)
+				for _, b := range blocks {
+					if err := n1.HandleBlock(b); err != nil {
+						t.Fatalf("append %d: HandleBlock h=%d: %v", k, b.Header.Height, err)
+					}
+				}
+				if ds1.Failed() == nil {
+					t.Fatalf("append %d: failpoint never fired", k)
+				}
+				if readable(t, n1, blocks) != len(blocks) {
+					t.Fatalf("append %d: the crashed process lost blocks it had connected", k)
+				}
+				ds1.Close()
+
+				n2, ds2, _, _ := durableNodeOpts(t, dir, opts)
+				readable(t, n2, blocks)
+				for h := uint64(0); h <= n2.Chain().Height(); h++ {
+					bh, _ := n2.Chain().AtHeight(h)
+					if _, err := n2.Tree().Block(bh); err != nil {
+						t.Fatalf("append %d: main-chain height %d unreadable after restart: %v", k, h, err)
+					}
+				}
+				ds2.Close()
+			}
+		})
+	}
+}
+
+// TestReadBackFromUnsyncedActiveSegment: under -fsync interval a block
+// is written but not yet fsynced when its body leaves the window, and
+// its segment is the active one. It reads back all the same.
+func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
+	frozen := time.Unix(1_700_000_000, 0)
+	n, ds, _, genesis := durableNodeOpts(t, t.TempDir(), wal.StoreOptions{
+		Fsync:      wal.FsyncInterval,
+		FsyncEvery: time.Hour,
+		Clock:      func() time.Time { return frozen }, // the interval never elapses
+	})
+	bd := newChainBuilder(t, genesis)
+	blocks := bd.chain(genesis, bodyRetention+8, cryptoutil.KeyFromSeed([]byte("unsynced")).Address())
+	for _, b := range blocks {
+		if err := n.HandleBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checkpoints sync what they cover: look above the last one.
+	b := blocks[len(blocks)-bodyRetention-2]
+	if st := ds.Stats().WAL; st.Rotations != 0 {
+		t.Fatalf("%d rotations: the block is not in the active segment", st.Rotations)
+	}
+	got, err := n.Tree().Block(b.Hash())
+	if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
+		t.Fatalf("read-back from the active segment: %v", err)
+	}
+	if n.Metrics().BodyReads == 0 {
+		t.Fatal("the block was still resident: nothing was read back")
+	}
+}
+
+// TestRecoveryHeapIndependentOfChainLength: what a restart keeps in
+// memory is the state, the body window and, per block, a header and
+// index entries — a fraction of a body. With the state of a modest
+// deployment (10 000 funded accounts) a data directory ten times as long
+// costs well under 1.5 times the heap.
+func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 5000-block data directory")
+	}
+	const payload = 2 << 10 // a block of eight transfers is about this large
+	alloc := make(map[cryptoutil.Address]uint64)
+	for i := uint64(0); i < 10_000; i++ {
+		alloc[cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("heap-test"), binary.BigEndian.AppendUint64(nil, i)))] = 1
+	}
+	heapAfterRecover := func(blocks int) (inuse, live uint64) {
+		dir := t.TempDir()
+		n, ds, genesis := fatNode(t, dir, alloc)
+		chain := newFatChain(t, genesis, alloc, payload)
+		for i := 0; i < blocks; i++ {
+			if err := n.HandleBlock(chain.next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		head := n.Chain().Head()
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n, chain = nil, nil
+
+		n, ds, _ = fatNode(t, dir, alloc)
+		defer ds.Close()
+		inuse, live = heapAfterGC()
+		if n.Chain().Head() != head || n.Chain().Height() != uint64(blocks) {
+			t.Fatalf("recovered %s@%d, want %s@%d", n.Chain().Head().Short(), n.Chain().Height(), head.Short(), blocks)
+		}
+		if got := n.Tree().BodiesResident(); got > bodyRetention+2 {
+			t.Fatalf("%d bodies resident after recovering %d blocks", got, blocks)
+		}
+		return inuse, live
+	}
+	shortInuse, shortLive := heapAfterRecover(500)
+	longInuse, longLive := heapAfterRecover(5000)
+	perBlock := (float64(longLive) - float64(shortLive)) / 4500
+	t.Logf("after Recover: HeapInuse %d KiB at 500 blocks, %d KiB at 5000; live heap %d KiB, %d KiB: %.0f B per further block (a body is %d B)",
+		shortInuse>>10, longInuse>>10, shortLive>>10, longLive>>10, perBlock, payload)
+	if perBlock > payload/2 {
+		t.Fatalf("each further block costs %.0f B of live heap after recovery: bodies of %d B are being kept", perBlock, payload)
+	}
+	if longInuse > shortInuse*3/2 {
+		t.Fatalf("HeapInuse after recovering 5000 blocks is %d KiB, over 1.5x the %d KiB of 500 blocks", longInuse>>10, shortInuse>>10)
+	}
+}
+
+// connectOnChain is the chain-length axis of BenchmarkConnectBlock: a
+// durable node that already holds chain blocks connects count more, and
+// the time and heap of those are what a block costs at that length.
+func connectOnChain(tb testing.TB, chain, count int) (perBlock time.Duration, heap uint64, resident int) {
+	n, ds, genesis := fatNode(tb, tb.TempDir(), nil)
+	defer ds.Close()
+	fc := newFatChain(tb, genesis, nil, 2<<10)
+	for i := 0; i < chain; i++ {
+		if err := n.HandleBlock(fc.next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	blocks := make([]*types.Block, count)
+	for i := range blocks {
+		blocks[i] = fc.next()
+	}
+	if b, ok := tb.(*testing.B); ok {
+		b.ResetTimer()
+	}
+	start := time.Now()
+	for _, blk := range blocks {
+		if err := n.HandleBlock(blk); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	perBlock = time.Since(start) / time.Duration(count)
+	if b, ok := tb.(*testing.B); ok {
+		b.StopTimer()
+	}
+	blocks, fc = nil, nil
+	heap, _ = heapAfterGC()
+	if n.Chain().Height() != uint64(chain+count) {
+		tb.Fatalf("height %d after %d+%d blocks", n.Chain().Height(), chain, count)
+	}
+	return perBlock, heap, n.Tree().BodiesResident()
+}
+
+// TestResidentBodiesBounded is the short variant of the chain-length
+// benchmark that runs with the tests: however long the chain, a durable
+// node holds the bodies of the window and no more.
+func TestResidentBodiesBounded(t *testing.T) {
+	for _, chain := range []int{100, 400} {
+		if _, _, resident := connectOnChain(t, chain, 50); resident > bodyRetention+2 {
+			t.Fatalf("%d bodies resident on a chain of %d blocks, window is %d", resident, chain+50, bodyRetention)
+		}
+	}
+}
+
+func benchConnectOnChain(b *testing.B, chain int) {
+	perBlock, heap, _ := connectOnChain(b, chain, b.N)
+	b.ReportMetric(float64(perBlock.Nanoseconds()), "ns/block")
+	b.ReportMetric(float64(heap)/(1<<20), "heap-MB")
+	b.ReportMetric(float64(heap)/float64(chain+b.N), "heap-B/block")
+}

@@ -144,11 +144,11 @@ func (n *Node) pruneDiskLocked() {
 	var oldest *nodestore.Checkpoint
 	for h := floor; h <= head; h++ {
 		bh, _ := n.chain.AtHeight(h)
-		blk, ok := n.tree.Get(bh)
+		hdr, ok := n.tree.Header(bh)
 		if !ok {
 			continue
 		}
-		root := blk.Header.StateRoot
+		root := hdr.StateRoot
 		if root == mpt.EmptyRoot || !d.store.Has(root) {
 			continue
 		}

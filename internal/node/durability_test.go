@@ -289,7 +289,7 @@ func TestCrashMatrixAggressivePrune(t *testing.T) {
 	if floor >= last {
 		t.Fatalf("floor %d >= last seq %d: no replay suffix to protect", floor, last)
 	}
-	removed, err := ds1.WAL().PruneBefore(last)
+	removed, err := ds1.PruneBefore(last)
 	if err != nil {
 		t.Fatalf("PruneBefore: %v", err)
 	}

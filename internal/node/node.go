@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsledger/internal/consensus"
@@ -130,6 +131,11 @@ type Metrics struct {
 	RecoveredBlocks uint64
 	RecoveryReroots uint64 // recoveries that re-rooted the tree at a checkpoint
 
+	// Block bodies read back from the journal (zero unless Config.Durable
+	// is set): old bodies are not kept in memory, see bodyRetention.
+	BodyReads      uint64
+	BodyReadErrors uint64
+
 	// Disk state backend (zero unless Config.DiskState is set).
 	DiskFlushes uint64 // trie flushes: genesis, recovery seed, one per checkpoint
 	DiskPrunes  uint64
@@ -160,8 +166,8 @@ type Node struct {
 	// blocks within StateRetention of the head; baseState (the genesis
 	// post-state) is pinned forever as the replay root for rebuilding
 	// pruned states. anchorHeight is the monotonic lower edge of the
-	// retention window; lastFlatten is where the window base was last
-	// flattened into a parentless layer.
+	// retention window; lastFlatten is the head height at which the head
+	// state was last flattened into a parentless layer.
 	states       map[cryptoutil.Hash]*state.State
 	baseState    *state.State
 	anchorHeight uint64
@@ -207,6 +213,9 @@ type Node struct {
 	exec *exec.Executor
 
 	metrics Metrics
+	// Read-backs happen on whatever goroutine asked the tree for an old
+	// block, with or without n.mu: counted atomically.
+	bodyReads, bodyReadErrors atomic.Uint64
 
 	// Pipeline observability: latency histograms for each hot-path
 	// stage (created at New, exported via RegisterMetrics) and an
@@ -251,12 +260,9 @@ func New(cfg Config) (*Node, error) {
 	for a, v := range cfg.Alloc {
 		gst.Credit(a, v)
 	}
-	tree := store.NewBlockTree(cfg.Genesis)
 	n := &Node{
 		cfg:        cfg,
 		self:       cfg.Key.Address(),
-		tree:       tree,
-		chain:      store.NewChain(tree),
 		pool:       txpool.New(cfg.PoolCapacity),
 		states:     map[cryptoutil.Hash]*state.State{cfg.Genesis.Hash(): gst},
 		baseState:  gst,
@@ -289,10 +295,7 @@ func New(cfg Config) (*Node, error) {
 			})
 		})
 	}
-	// Difficulty retargeting needs a chain view.
-	if e, ok := cfg.Engine.(interface{ SetHeaderReader(pow.HeaderReader) }); ok {
-		e.SetHeaderReader(headerReader{tree: tree})
-	}
+	n.rootTreeLocked(cfg.Genesis)
 	if cfg.DiskState != nil {
 		n.disk = &diskState{store: cfg.DiskState}
 	}
@@ -317,17 +320,54 @@ func (n *Node) SetTracer(tr *obs.Tracer) {
 	}
 }
 
+// rootTreeLocked starts a block tree and main chain at root: genesis, or
+// the checkpoint block recovery re-roots at. With a durable store the
+// tree reads old bodies back from the journal instead of keeping them.
+func (n *Node) rootTreeLocked(root *types.Block) {
+	n.tree = store.NewBlockTree(root)
+	if n.cfg.Durable != nil {
+		n.tree.SetBodySource(journalBodies{n})
+	}
+	n.chain = store.NewChain(n.tree)
+	// Difficulty retargeting needs a chain view.
+	if e, ok := n.cfg.Engine.(interface{ SetHeaderReader(pow.HeaderReader) }); ok {
+		e.SetHeaderReader(headerReader{tree: n.tree})
+	}
+}
+
 // headerReader adapts the block tree to pow.HeaderReader.
 type headerReader struct {
 	tree *store.BlockTree
 }
 
 func (r headerReader) HeaderByHash(h cryptoutil.Hash) (*types.BlockHeader, bool) {
-	b, ok := r.tree.Get(h)
-	if !ok {
-		return nil, false
+	return r.tree.Header(h)
+}
+
+// journalBodies is the block tree's body source: the durable store's
+// journal, with every read-back counted and recorded as a body_read
+// span, so one that happens inside a connect is attributed to it.
+type journalBodies struct{ n *Node }
+
+func (s journalBodies) HasBlock(h cryptoutil.Hash) bool { return s.n.cfg.Durable.HasBlock(h) }
+
+func (s journalBodies) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
+	sw := obs.StartTimer()
+	b, err := s.n.cfg.Durable.ReadBlock(h)
+	s.n.bodyReads.Add(1)
+	if err != nil {
+		s.n.bodyReadErrors.Add(1)
+		return nil, err
 	}
-	return &b.Header, true
+	s.n.tracer.Record(obs.Span{
+		Stage:  obs.StageBodyRead,
+		Start:  sw.StartUnixNano(),
+		Dur:    int64(sw.Elapsed()),
+		Peer:   string(s.n.cfg.ID),
+		Height: b.Header.Height,
+		N:      uint64(len(b.Txs)),
+	})
+	return b, nil
 }
 
 // Mux is the node's message dispatcher; point the transport handler at
@@ -371,21 +411,26 @@ func (n *Node) Stop() {
 // durable store's Recovery. Call once, after New and before
 // Attach/Start.
 //
-// Blocks at or below the newest valid checkpoint reconnect
-// structurally (tx root, height/parent linkage, and seal are
+// The journal is streamed, one record at a time in log order, and the
+// bodies of blocks that fall out of the body window are let go as the
+// replay advances: peak memory is that of the headers plus the window,
+// not of the chain. Blocks at or below the newest valid checkpoint
+// reconnect structurally (tx root, height/parent linkage, and seal are
 // re-checked; their per-block state transitions were verified before
 // the crash and are covered by the checkpoint's verified state root).
 // Blocks past the checkpoint re-run the full connect path including
-// state application. The recovered head is the last durable head
-// switch when present (falling back to fork choice), and its state
-// root is always re-verified against the head block header — recovery
-// fails loudly rather than resurrect a corrupt ledger.
+// state application. Journaled head switches are replayed as they come,
+// which indexes each block's transactions while its body is still in
+// memory. The recovered head is the last durable head switch when
+// present (falling back to fork choice), and its state root is always
+// re-verified against the head block header — recovery fails loudly
+// rather than resurrect a corrupt ledger.
 //
 // If the journal no longer reaches the checkpoint head — its covered
-// prefix was pruned (WAL.PruneBefore) or lost — the block tree is
-// re-rooted at the checkpoint's embedded block and replay continues
-// from there; history below the checkpoint is gone, but the durable
-// head is still recovered exactly.
+// prefix was pruned (PruneBefore) or lost — the block tree is re-rooted
+// at the checkpoint's embedded block and replay continues from there;
+// history below the checkpoint is gone, but the durable head is still
+// recovered exactly.
 func (n *Node) Recover(rec *wal.Recovery) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -396,40 +441,48 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	defer func() { n.recovering = false }()
 	sw := obs.StartTimer()
 
-	var ckptSeq uint64
-	if rec.Checkpoint != nil {
-		ckptSeq = rec.Checkpoint.Seq
-	}
-	rerooted := n.rerootAtCheckpointLocked(rec)
-	seeded := false
-	for _, rb := range rec.Blocks {
-		b := rb.Block
-		if n.tree.Has(b.Hash()) {
-			continue
+	ck := rec.Checkpoint
+	// covered is true while the replay is still at or below the
+	// checkpoint. What it connects there is counted apart: a re-root
+	// discards it.
+	covered := ck != nil
+	var recovered, rejected uint64
+	err := rec.Replay(func(j wal.Journaled) error {
+		if covered && j.Seq > ck.Seq {
+			covered = false
+			n.crossCheckpointLocked(ck, recovered, rejected)
 		}
-		if rb.Seq > ckptSeq {
-			// Crossing the checkpoint boundary: seed its state so the
-			// first post-checkpoint connect finds its parent state
-			// without replaying history.
-			n.seedCheckpointLocked(rec.Checkpoint, &seeded)
+		b := j.Block
+		switch {
+		case b == nil:
+			if n.tree.Has(j.Head) {
+				if _, _, err := n.chain.SetHead(j.Head); err == nil {
+					n.pruneStatesLocked()
+					n.evictBodiesLocked()
+				}
+			}
+		case n.tree.Has(b.Hash()):
+		case covered:
+			if err := n.connectStructuralLocked(b); err != nil {
+				rejected++
+			} else {
+				recovered++
+			}
+		default:
 			if err := n.connect(b); err != nil {
 				n.metrics.BlocksRejected++
-				continue
-			}
-		} else {
-			if rerooted && !n.tree.Has(b.Header.ParentHash) {
-				// History below the re-rooted checkpoint surviving in a
-				// partially-pruned segment: expected, not a bad block.
-				continue
-			}
-			if err := n.connectStructuralLocked(b); err != nil {
-				n.metrics.BlocksRejected++
-				continue
+			} else {
+				n.metrics.RecoveredBlocks++
 			}
 		}
-		n.metrics.RecoveredBlocks++
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("node: recover: %w", err)
 	}
-	n.seedCheckpointLocked(rec.Checkpoint, &seeded)
+	if covered {
+		n.crossCheckpointLocked(ck, recovered, rejected)
+	}
 
 	// Re-point the main chain: prefer the last durable head switch;
 	// fall back to fork choice when it did not survive.
@@ -451,9 +504,9 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 		if err != nil {
 			return fmt.Errorf("node: recover head state: %w", err)
 		}
-		hb, _ := n.tree.Get(head)
-		if root := st.Commit(); root != hb.Header.StateRoot {
-			return fmt.Errorf("%w: recovered %s, header %s", ErrBadStateRoot, root.Short(), hb.Header.StateRoot.Short())
+		hdr, _ := n.tree.Header(head)
+		if root := st.Commit(); root != hdr.StateRoot {
+			return fmt.Errorf("%w: recovered %s, header %s", ErrBadStateRoot, root.Short(), hdr.StateRoot.Short())
 		}
 	}
 	n.pruneStatesLocked()
@@ -470,61 +523,36 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	return nil
 }
 
-// rerootAtCheckpointLocked handles recovery from a journal that no
-// longer reaches back to genesis (WAL.PruneBefore dropped the covered
-// prefix, or the log was damaged below the checkpoint): the
-// checkpoint's own block — embedded in the checkpoint file and verified
-// against its recorded head hash and state root at load — becomes the
-// root of a fresh block tree, and its state becomes the replay base.
-// Everything the checkpoint does not cover is then replayed on top
-// exactly as in a full-history recovery. Reports whether it re-rooted.
-func (n *Node) rerootAtCheckpointLocked(rec *wal.Recovery) bool {
-	ck := rec.Checkpoint
-	if ck == nil || ck.Block == nil || n.tree.Has(ck.Head) {
-		return false
-	}
-	// The journal is usable as-is only if the checkpoint head is
-	// structurally reachable from genesis through journaled blocks
-	// (records replay in seq order, so parents precede children). A
-	// surviving head record alone is not enough: a partially-pruned
-	// boundary segment can keep the record while its ancestry is gone.
-	reach := map[cryptoutil.Hash]bool{n.tree.Genesis(): true}
-	for _, rb := range rec.Blocks {
-		if reach[rb.Block.Header.ParentHash] {
-			reach[rb.Block.Hash()] = true
-		}
-	}
-	if reach[ck.Head] {
-		return false
-	}
+// crossCheckpointLocked ends the structural part of a recovery, once the
+// replay has passed the last record checkpoint ck covers. Normally the
+// checkpoint head is in the tree by now, and its verified state is
+// seeded there so the first post-checkpoint connect finds its parent
+// state without replaying history; recovered and rejected, the counts of
+// the structural part, then stand.
+//
+// If the head is not there, the journal no longer reaches back to
+// genesis (PruneBefore dropped the covered prefix, or the log was
+// damaged below the checkpoint; a head record alone surviving in a
+// partially-pruned boundary segment does not help). The checkpoint's own
+// block — embedded in the checkpoint file and verified against its
+// recorded head hash and state root at load — then becomes the root of
+// a fresh block tree and its state the replay base, and whatever the
+// structural part connected is dropped with the old tree. Everything the
+// checkpoint does not cover is replayed on top exactly as in a
+// full-history recovery.
+func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint, recovered, rejected uint64) {
 	st := ck.State
 	st.SetExecutor(n.cfg.Executor)
-	n.tree = store.NewBlockTree(ck.Block)
-	n.chain = store.NewChain(n.tree)
-	n.baseState = st
-	n.states = map[cryptoutil.Hash]*state.State{ck.Head: st}
-	// The consensus engine's chain view still points at the old tree.
-	if e, ok := n.cfg.Engine.(interface{ SetHeaderReader(pow.HeaderReader) }); ok {
-		e.SetHeaderReader(headerReader{tree: n.tree})
+	if n.tree.Has(ck.Head) {
+		n.metrics.RecoveredBlocks += recovered
+		n.metrics.BlocksRejected += rejected
+		n.states[ck.Head] = st
+	} else {
+		n.rootTreeLocked(ck.Block)
+		n.baseState = st
+		n.states = map[cryptoutil.Hash]*state.State{ck.Head: st}
+		n.metrics.RecoveryReroots++
 	}
-	n.metrics.RecoveryReroots++
-	return true
-}
-
-// seedCheckpointLocked installs the checkpoint's verified state as the
-// materialized state of its head block (once), so post-checkpoint
-// connects find a parent state without replaying history.
-func (n *Node) seedCheckpointLocked(ck *wal.Checkpoint, seeded *bool) {
-	if *seeded || ck == nil {
-		return
-	}
-	*seeded = true
-	if !n.tree.Has(ck.Head) {
-		return // damaged log no longer contains the ckpt head: fall back to full replay
-	}
-	st := ck.State
-	st.SetExecutor(n.cfg.Executor)
-	n.states[ck.Head] = st
 	// A failed write is counted (DiskErrors); the in-memory trie serves.
 	_ = n.seedTrieLocked(ck.Height, st)
 }
@@ -579,7 +607,9 @@ func (n *Node) Pool() *txpool.Pool { return n.pool }
 func (n *Node) Metrics() Metrics {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.metrics
+	m := n.metrics
+	m.BodyReads, m.BodyReadErrors = n.bodyReads.Load(), n.bodyReadErrors.Load()
+	return m
 }
 
 // RegisterMetrics exports the node's activity counters plus live
@@ -615,6 +645,13 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		defer n.mu.Unlock()
 		return int64(n.tree.Len())
 	})
+	reg.RegisterFunc("node_block_bodies_resident", func() int64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return int64(n.tree.BodiesResident())
+	})
+	reg.RegisterFunc("node_block_body_reads_total", func() int64 { return int64(n.bodyReads.Load()) })
+	reg.RegisterFunc("node_block_body_read_errors_total", func() int64 { return int64(n.bodyReadErrors.Load()) })
 	reg.RegisterFunc("node_mempool_size", func() int64 { return int64(n.pool.Len()) })
 	if n.cfg.ExecWorkers > 0 {
 		reg.RegisterFunc("exec_parallel_blocks_total", snap(func(m Metrics) uint64 { return m.ExecParallelBlocks }))
@@ -709,34 +746,39 @@ func (n *Node) stateOfLocked(h cryptoutil.Hash) (*state.State, error) {
 // The blocks being replayed were all fully validated when they first
 // connected, so only the final state root is re-checked.
 func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
-	var pending []*types.Block // h first, then successively deeper ancestors
+	var pending []cryptoutil.Hash // h first, then successively deeper ancestors
 	base := n.baseState
 	genesis := n.tree.Genesis()
+	target, _ := n.tree.Header(h)
 	for cur := h; cur != genesis; {
 		if st, ok := n.states[cur]; ok {
 			base = st
 			break
 		}
-		b, ok := n.tree.Get(cur)
+		hdr, ok := n.tree.Header(cur)
 		if !ok {
 			return nil, fmt.Errorf("node: unknown block %s", cur.Short())
 		}
-		pending = append(pending, b)
-		cur = b.Header.ParentHash
+		pending = append(pending, cur)
+		cur = hdr.ParentHash
 	}
 	sw := obs.StartTimer()
 	st := base.Copy()
+	// One body at a time: a replay deeper than the body window reads its
+	// blocks back from the journal and need not hold them all.
 	for i := len(pending) - 1; i >= 0; i-- {
-		b := pending[i]
+		b, err := n.tree.Block(pending[i])
+		if err != nil {
+			return nil, fmt.Errorf("node: replay %s: %w", pending[i].Short(), err)
+		}
 		n.setExecutorTime(b.Header.Time)
 		if _, err := st.ApplyBlock(b, n.cfg.Rewards.RewardAt(b.Header.Height)); err != nil {
-			return nil, fmt.Errorf("node: replay %s: %w", b.Hash().Short(), err)
+			return nil, fmt.Errorf("node: replay %s: %w", pending[i].Short(), err)
 		}
 	}
 	if len(pending) > 0 {
-		target := pending[0]
-		if root := st.Commit(); root != target.Header.StateRoot {
-			return nil, fmt.Errorf("%w: replayed %s, header %s", ErrBadStateRoot, root.Short(), target.Header.StateRoot.Short())
+		if root := st.Commit(); root != target.StateRoot {
+			return nil, fmt.Errorf("%w: replayed %s, header %s", ErrBadStateRoot, root.Short(), target.StateRoot.Short())
 		}
 		n.metrics.StateRebuilds++
 		rebuildDur := n.hRebuild.ObserveSince(sw.Start())
@@ -745,14 +787,14 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 			Start:  sw.StartUnixNano(),
 			Dur:    int64(rebuildDur),
 			Peer:   string(n.cfg.ID),
-			Height: target.Header.Height,
+			Height: target.Height,
 			N:      uint64(len(pending)),
 		})
 		// Cache the rebuild only when it falls inside the retention
 		// window, so deep historical queries don't regrow the map.
-		if target.Header.Height >= n.anchorHeight {
+		if target.Height >= n.anchorHeight {
 			n.states[h] = st
-			n.tries = append(n.tries, trieHolder{st: st, height: target.Header.Height})
+			n.tries = append(n.tries, trieHolder{st: st, height: target.Height})
 		}
 	}
 	return st, nil
@@ -762,8 +804,8 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 func (n *Node) retention() int { return n.cfg.StateRetention }
 
 // pruneStatesLocked drops materialized states deeper than the retention
-// window below the head and periodically flattens the window's base
-// state so pruned ancestor layers become garbage-collectable. Caller
+// window below the head and periodically flattens the head's state so
+// the diff layers of pruned ancestors become garbage-collectable. Caller
 // holds n.mu.
 func (n *Node) pruneStatesLocked() {
 	n.releaseTriesLocked()
@@ -781,26 +823,30 @@ func (n *Node) pruneStatesLocked() {
 	}
 	n.anchorHeight = anchorH
 	for h := range n.states {
-		b, ok := n.tree.Get(h)
-		if !ok || b.Header.Height < anchorH {
+		if height, err := n.tree.Height(h); err != nil || height < anchorH {
 			delete(n.states, h)
 			n.metrics.StatesPruned++
 		}
 	}
-	// Flatten the canonical block at the window edge every ~W/2 blocks:
-	// amortized O(accounts/stride) per block, and it cuts the diff-layer
-	// chains so everything below the anchor can be collected.
+	// Flatten the head's state every ~W/2 blocks, amortized
+	// O(accounts/stride) per block. The next block's layer then sits on a
+	// parentless copy, so the diff layers below it are reachable only
+	// from the states of the window and go as those are pruned: a lookup
+	// walks fewer than W+stride layers however long the chain. (Flattening
+	// the state at the window's edge, as this used to, freed nothing: the
+	// layers above it kept pointing at the unflattened original.)
 	stride := uint64(w) / 2
 	if stride == 0 {
 		stride = 1
 	}
-	if anchorH-n.lastFlatten >= stride {
-		if ah, ok := n.chain.AtHeight(anchorH); ok {
-			if st, ok := n.states[ah]; ok && st.Depth() > 0 {
-				n.states[ah] = st.Flatten()
-			}
-			n.lastFlatten = anchorH
+	if head-n.lastFlatten >= stride {
+		hh := n.chain.Head()
+		if st, ok := n.states[hh]; ok && st.Depth() > 0 {
+			flat := st.Flatten()
+			n.states[hh] = flat
+			n.tries = append(n.tries, trieHolder{st: flat, height: head}) // it shares st's tries
 		}
+		n.lastFlatten = head
 	}
 }
 
@@ -810,6 +856,24 @@ func (n *Node) pruneStatesLocked() {
 // deriving from its parent's trie; in exchange a node holds a handful of
 // tries, not one per retained state.
 const trieRetention = 8
+
+// bodyRetention is how far below the head the block tree of a durable
+// node keeps decoded block bodies in memory. Deeper blocks keep their
+// header there; a reorg, a state rebuild or a peer that needs such a
+// body has it read back from the journal (journalBodies). A block the
+// journal does not hold — a store that latched failed — stays in memory
+// whatever its depth, and a memory-only node evicts nothing.
+const bodyRetention = 32
+
+// evictBodiesLocked lets go of the journaled bodies more than
+// bodyRetention below the head, on whatever branch. It runs after every
+// connect, not only when the head moves: a long side branch must not
+// pile up in memory while it waits to win. Caller holds n.mu.
+func (n *Node) evictBodiesLocked() {
+	if head := n.chain.Height(); head > bodyRetention {
+		n.tree.EvictBodies(head - bodyRetention)
+	}
+}
 
 // trieHolder is a state that may still hold its tries, and its height.
 type trieHolder struct {
@@ -908,10 +972,10 @@ func (n *Node) onBlockGossip(from p2p.NodeID, payload []byte) {
 	_ = n.handleBlockFrom(b, from)
 }
 
-// onDirect serves the block-fetch protocol. For msgGetBlock the reply
-// is snapshotted under the lock and sent after it is released, so the
-// transport call never runs inside the critical section (lockhold
-// invariant).
+// onDirect serves the block-fetch protocol. For msgGetBlock the block
+// is fetched and sent after the lock is released, so neither the
+// transport call nor a read-back runs inside the critical section
+// (lockhold invariant).
 func (n *Node) onDirect(m p2p.Message) {
 	switch m.Type {
 	case msgGetBlock:
@@ -920,14 +984,12 @@ func (n *Node) onDirect(m p2p.Message) {
 			return
 		}
 		n.mu.Lock()
-		tr := n.tr
-		var reply []byte
-		if b, ok := n.tree.Get(h); ok {
-			reply = b.Encode()
-		}
+		tr, tree := n.tr, n.tree
 		n.mu.Unlock()
-		if reply != nil && tr != nil {
-			_ = tr.Send(m.From, p2p.Message{Type: msgBlock, Data: reply})
+		// An old body is read back from the journal: not under n.mu. A
+		// block the tree does not name or cannot produce gets no reply.
+		if b, err := tree.Block(h); err == nil && tr != nil {
+			_ = tr.Send(m.From, p2p.Message{Type: msgBlock, Data: b.Encode()})
 		}
 	case msgBlock:
 		b, err := types.DecodeBlock(m.Data)
@@ -1297,6 +1359,7 @@ func (n *Node) observeConnect(b *types.Block, start time.Time, verifyDur, applyD
 // afterTreeChange re-runs the fork choice, updates the main chain, and
 // reschedules mining if the tip moved.
 func (n *Node) afterTreeChange() {
+	defer n.evictBodiesLocked() // once the head is where it will be
 	tip, err := n.cfg.ForkChoice.Choose(n.tree)
 	if err != nil || tip == n.chain.Head() {
 		return

@@ -73,6 +73,9 @@ const (
 	// StageRecover is one crash-recovery replay: WAL scan, checkpoint
 	// load, block reconnection, and head state-root verification.
 	StageRecover = "recover"
+	// StageBodyRead is one block body read back from the journal because
+	// the block tree no longer holds it in memory.
+	StageBodyRead = "body_read"
 	// StageExecParallel is the optimistic parallel apply of one block:
 	// speculation lanes plus the in-order merge (internal/exec).
 	StageExecParallel = "exec_parallel"

@@ -287,13 +287,13 @@ func (f *powFamily) sweep(e *Engine) {
 			if !ok {
 				break
 			}
-			b, ok := ref.Tree().Get(hash)
+			hdr, ok := ref.Tree().Header(hash)
 			if !ok {
 				break
 			}
 			f.finalized[h] = hash
-			f.latencySum += e.Sim.Now().Sub(time.Unix(0, b.Header.Time))
-			if txs := len(b.Txs); txs > 1 {
+			f.latencySum += e.Sim.Now().Sub(time.Unix(0, hdr.Time))
+			if txs, _ := ref.Tree().TxCount(hash); txs > 1 {
 				f.committedTxs += uint64(txs - 1) // exclude coinbase
 			}
 		}

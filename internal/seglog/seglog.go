@@ -179,7 +179,14 @@ func (l *Log) ScanSegment(seg uint64, header func(ext []byte) error, frame func(
 // error is a failed read or a callback's own error: the state of the
 // log is then unknown and nothing may be repaired.
 func (l *Log) Scan(header func(ext []byte) error, frame func(seg uint64, off int64, body []byte) error) (*Damage, error) {
-	for _, seg := range l.segments {
+	return l.ScanSegments(l.segments, header, frame)
+}
+
+// ScanSegments is Scan over the listed segments. It opens them by name
+// and reads no state of the log, so a store that listed them (Segments)
+// under its lock may scan without it.
+func (l *Log) ScanSegments(segs []uint64, header func(ext []byte) error, frame func(seg uint64, off int64, body []byte) error) (*Damage, error) {
+	for _, seg := range segs {
 		valid, err := l.ScanSegment(seg, header, func(off int64, body []byte) error { return frame(seg, off, body) })
 		if errors.Is(err, ErrDamaged) {
 			return &Damage{Seg: seg, Off: valid}, nil

@@ -348,16 +348,16 @@ func (s *State) Copy() *State {
 }
 
 // Flatten merges the whole layer chain into a fresh, parentless base
-// state whose Commit equals the receiver's. The node flattens the
-// oldest retained per-block state on prune so dropped ancestors become
-// garbage-collectable. A memoized root carries over (the contents are
-// the same); the tries do not, so the copy pins nothing of the chain.
+// state whose Commit equals the receiver's. The node flattens the head
+// state every so often so that the layers of pruned ancestors become
+// garbage-collectable. The memo carries over (the contents are the
+// same, and a memo is never modified): the tries are persistent
+// structures of their own, so the copy still pins no layer of the chain,
+// and the next block's commit derives from them.
 func (s *State) Flatten() *State {
 	ns := New()
 	ns.executor = s.executor
-	if s.memo != nil {
-		ns.memo = &memo{root: s.memo.root}
-	}
+	ns.memo = s.memo
 	s.forEachAccount(func(a cryptoutil.Address, acc Account) {
 		ns.accounts[a] = acc
 	})

@@ -25,31 +25,71 @@ var (
 	ErrHasGenesis    = errors.New("store: genesis already set")
 )
 
+// BodySource reads back the bodies of blocks the tree has let go of:
+// the write-ahead log every connected block was journaled into.
+// HasBlock says whether ReadBlock can serve a block; only such blocks
+// are ever evicted.
+type BodySource interface {
+	HasBlock(h cryptoutil.Hash) bool
+	ReadBlock(h cryptoutil.Hash) (*types.Block, error)
+}
+
+// entry is what the tree keeps for every block for as long as it names
+// it: the header, how many transactions the body has, the cumulative
+// difficulty from the tree's root, and the children. The body is there
+// until EvictBodies drops it; from then on it is read from the source.
+type entry struct {
+	header   *types.BlockHeader // the body's own header while the body is resident
+	body     *types.Block       // nil once evicted
+	total    uint64             // sum of Header.Difficulty from the root to here
+	txs      int
+	children []cryptoutil.Hash
+}
+
 // BlockTree stores every received block, indexed by hash, with a
-// child index so branch-selection algorithms can walk the tree. It is
-// safe for concurrent use.
+// child index so branch-selection algorithms can walk the tree. Headers
+// stay in memory for every block; with a body source (SetBodySource) the
+// transactions of old blocks do not, and Get reads them back. Without
+// one the tree is memory-only and nothing is ever evicted. It is safe
+// for concurrent use.
 type BlockTree struct {
-	mu       sync.RWMutex
-	blocks   map[cryptoutil.Hash]*types.Block
-	children map[cryptoutil.Hash][]cryptoutil.Hash
-	genesis  cryptoutil.Hash
+	mu      sync.RWMutex
+	blocks  map[cryptoutil.Hash]*entry
+	tips    map[cryptoutil.Hash]struct{} // blocks without children
+	genesis cryptoutil.Hash
+	src     BodySource
+	// resident lists the non-root blocks whose body is in memory, kept
+	// only with a source: the candidates of the next EvictBodies.
+	resident []cryptoutil.Hash
 }
 
 // NewBlockTree creates a block tree rooted at the given genesis block.
 func NewBlockTree(genesis *types.Block) *BlockTree {
-	t := &BlockTree{
-		blocks:   make(map[cryptoutil.Hash]*types.Block),
-		children: make(map[cryptoutil.Hash][]cryptoutil.Hash),
-	}
 	h := genesis.Hash()
-	t.blocks[h] = genesis
-	t.genesis = h
-	return t
+	return &BlockTree{
+		blocks: map[cryptoutil.Hash]*entry{h: {
+			header: &genesis.Header,
+			body:   genesis,
+			total:  genesis.Header.Difficulty,
+			txs:    len(genesis.Txs),
+		}},
+		tips:    map[cryptoutil.Hash]struct{}{h: {}},
+		genesis: h,
+	}
 }
 
 // Genesis returns the genesis block hash.
 func (t *BlockTree) Genesis() cryptoutil.Hash {
 	return t.genesis
+}
+
+// SetBodySource makes src the place evicted bodies are read back from.
+// Call before the first Add. The root's body always stays resident: a
+// tree re-rooted at a checkpoint has it from nowhere else.
+func (t *BlockTree) SetBodySource(src BodySource) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.src = src
 }
 
 // Add inserts a block whose parent must already be present.
@@ -64,20 +104,103 @@ func (t *BlockTree) Add(b *types.Block) error {
 	if !ok {
 		return fmt.Errorf("%w: %s (parent of %s)", ErrUnknownParent, b.Header.ParentHash.Short(), h.Short())
 	}
-	if b.Header.Height != parent.Header.Height+1 {
-		return fmt.Errorf("%w: got %d, parent at %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
+	if b.Header.Height != parent.header.Height+1 {
+		return fmt.Errorf("%w: got %d, parent at %d", ErrBadHeight, b.Header.Height, parent.header.Height)
 	}
-	t.blocks[h] = b
-	t.children[b.Header.ParentHash] = append(t.children[b.Header.ParentHash], h)
+	t.blocks[h] = &entry{
+		header: &b.Header,
+		body:   b,
+		total:  parent.total + b.Header.Difficulty,
+		txs:    len(b.Txs),
+	}
+	parent.children = append(parent.children, h)
+	delete(t.tips, b.Header.ParentHash)
+	t.tips[h] = struct{}{}
+	if t.src != nil {
+		t.resident = append(t.resident, h)
+	}
 	return nil
 }
 
-// Get returns the block with the given hash.
-func (t *BlockTree) Get(h cryptoutil.Hash) (*types.Block, bool) {
+// EvictBodies drops the body of every block lower than height below
+// that the source can serve again, keeping its header. Without a source
+// there is nothing it may drop.
+func (t *BlockTree) EvictBodies(below uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k := 0
+	for _, h := range t.resident {
+		e := t.blocks[h]
+		if e.header.Height < below && t.src.HasBlock(h) {
+			hdr := *e.header // the header must not keep the body reachable
+			e.header, e.body = &hdr, nil
+			continue
+		}
+		t.resident[k] = h
+		k++
+	}
+	t.resident = t.resident[:k]
+}
+
+// BodiesResident returns how many blocks have their body in memory.
+func (t *BlockTree) BodiesResident() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	b, ok := t.blocks[h]
-	return b, ok
+	if t.src == nil {
+		return len(t.blocks)
+	}
+	return len(t.resident) + 1
+}
+
+// Block returns the block with the given hash: from memory, or read
+// back from the body source outside the tree's lock. The error is
+// ErrUnknownBlock for a hash the tree does not name, otherwise the
+// source's reason for failing to produce a body the tree does name.
+func (t *BlockTree) Block(h cryptoutil.Hash) (*types.Block, error) {
+	t.mu.RLock()
+	e, ok := t.blocks[h]
+	var body *types.Block
+	if ok {
+		body = e.body
+	}
+	src := t.src
+	t.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
+	}
+	if body != nil {
+		return body, nil
+	}
+	return src.ReadBlock(h)
+}
+
+// Get returns the block with the given hash; false if the tree does not
+// name it or its body could not be read back (Block tells which).
+func (t *BlockTree) Get(h cryptoutil.Hash) (*types.Block, bool) {
+	b, err := t.Block(h)
+	return b, err == nil
+}
+
+// Header returns the header of block h without touching its body.
+func (t *BlockTree) Header(h cryptoutil.Hash) (*types.BlockHeader, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.blocks[h]
+	if !ok {
+		return nil, false
+	}
+	return e.header, true
+}
+
+// TxCount returns how many transactions block h holds.
+func (t *BlockTree) TxCount(h cryptoutil.Hash) (int, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.blocks[h]
+	if !ok {
+		return 0, false
+	}
+	return e.txs, true
 }
 
 // Has reports whether the block is in the tree.
@@ -99,21 +222,23 @@ func (t *BlockTree) Len() int {
 func (t *BlockTree) Children(h cryptoutil.Hash) []cryptoutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]cryptoutil.Hash, len(t.children[h]))
-	copy(out, t.children[h])
+	e, ok := t.blocks[h]
+	if !ok {
+		return []cryptoutil.Hash{}
+	}
+	out := make([]cryptoutil.Hash, len(e.children))
+	copy(out, e.children)
 	return out
 }
 
 // Tips returns the hashes of all leaf blocks (chain tips of every
-// branch).
+// branch). The tip set is maintained by Add, so this costs O(tips).
 func (t *BlockTree) Tips() []cryptoutil.Hash {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []cryptoutil.Hash
-	for h := range t.blocks {
-		if len(t.children[h]) == 0 {
-			out = append(out, h)
-		}
+	out := make([]cryptoutil.Hash, 0, len(t.tips))
+	for h := range t.tips {
+		out = append(out, h)
 	}
 	// Sorted so callers see one canonical order: fork-choice folds over
 	// tips, and map-iteration order must not leak into anything a
@@ -131,7 +256,7 @@ func (t *BlockTree) PathFromGenesis(h cryptoutil.Hash) ([]cryptoutil.Hash, error
 	var rev []cryptoutil.Hash
 	cur := h
 	for {
-		b, ok := t.blocks[cur]
+		e, ok := t.blocks[cur]
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, cur.Short())
 		}
@@ -139,7 +264,7 @@ func (t *BlockTree) PathFromGenesis(h cryptoutil.Hash) ([]cryptoutil.Hash, error
 		if cur == t.genesis {
 			break
 		}
-		cur = b.Header.ParentHash
+		cur = e.header.ParentHash
 	}
 	// Reverse in place.
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -157,14 +282,14 @@ func (t *BlockTree) Ancestor(a, b cryptoutil.Hash) (bool, error) {
 		if cur == a {
 			return true, nil
 		}
-		blk, ok := t.blocks[cur]
+		e, ok := t.blocks[cur]
 		if !ok {
 			return false, fmt.Errorf("%w: %s", ErrUnknownBlock, cur.Short())
 		}
 		if cur == t.genesis {
 			return false, nil
 		}
-		cur = blk.Header.ParentHash
+		cur = e.header.ParentHash
 	}
 }
 
@@ -202,7 +327,7 @@ func (t *BlockTree) SubtreeSize(h cryptoutil.Hash) (int, error) {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		stack = append(stack, t.children[cur]...)
+		stack = append(stack, t.blocks[cur].children...)
 	}
 	return count, nil
 }
@@ -211,25 +336,22 @@ func (t *BlockTree) SubtreeSize(h cryptoutil.Hash) (int, error) {
 func (t *BlockTree) Height(h cryptoutil.Hash) (uint64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	b, ok := t.blocks[h]
+	e, ok := t.blocks[h]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
 	}
-	return b.Header.Height, nil
+	return e.header.Height, nil
 }
 
 // TotalDifficulty sums header difficulty from genesis to h: the
 // heaviest-chain weight used by difficulty-aware longest-chain selection.
+// Add accumulates it, so this is a lookup.
 func (t *BlockTree) TotalDifficulty(h cryptoutil.Hash) (uint64, error) {
-	path, err := t.PathFromGenesis(h)
-	if err != nil {
-		return 0, err
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var sum uint64
-	for _, hh := range path {
-		sum += t.blocks[hh].Header.Difficulty
+	e, ok := t.blocks[h]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
 	}
-	return sum, nil
+	return e.total, nil
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"dcsledger/internal/cryptoutil"
@@ -21,21 +23,24 @@ type Chain struct {
 	tree     *BlockTree
 	base     uint64 // header height of the tree root (byHeight[0])
 	byHeight []cryptoutil.Hash
-	txIndex  map[cryptoutil.Hash]txLocation
+	// txIndex locates every main-chain transaction. With byHeight and
+	// the tree's headers it is the memory that grows with the chain.
+	txIndex map[cryptoutil.Hash]txLocation
 }
 
+// txLocation is a main-chain position: the block's height (resolved
+// through byHeight) and the transaction's index in it.
 type txLocation struct {
-	block cryptoutil.Hash
-	index int
+	height, index uint32
 }
 
 // NewChain creates a main-chain view with the tree's root block as head.
 func NewChain(tree *BlockTree) *Chain {
 	c := &Chain{tree: tree, txIndex: make(map[cryptoutil.Hash]txLocation)}
-	if gb, ok := tree.Get(tree.Genesis()); ok {
-		c.base = gb.Header.Height
-	}
-	c.setHeadLocked(tree.Genesis())
+	root, _ := tree.Get(tree.Genesis()) // the root's body is always resident
+	c.base = root.Header.Height
+	c.byHeight = []cryptoutil.Hash{tree.Genesis()}
+	c.indexLocked(root)
 	return c
 }
 
@@ -43,53 +48,67 @@ func NewChain(tree *BlockTree) *Chain {
 func (c *Chain) Tree() *BlockTree { return c.tree }
 
 // SetHead re-points the main chain at the branch ending in tip,
-// rebuilding the height and transaction indexes. It returns the hashes
+// updating the height and transaction indexes. It returns the hashes
 // that left the main chain (the reorged-out blocks) and those that
 // joined it, which callers use to return transactions to the mempool and
-// replay state.
+// replay state. The cost is that of the blocks that move, not of the
+// chain: the walk back from tip stops at the first main-chain block. On
+// an error (an unknown block, a body that cannot be read back) the chain
+// is left as it was.
 func (c *Chain) SetHead(tip cryptoutil.Hash) (removed, added []cryptoutil.Hash, err error) {
-	path, err := c.tree.PathFromGenesis(tip)
-	if err != nil {
-		return nil, nil, err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.byHeight
-	// Find divergence point.
-	n := min(len(old), len(path))
-	div := 0
-	for div < n && old[div] == path[div] {
-		div++
+	// Walk back to the fork point: the root is always on the main chain.
+	var forkHeight uint64
+	for cur := tip; ; {
+		hdr, ok := c.tree.Header(cur)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: %s", ErrUnknownBlock, cur.Short())
+		}
+		if c.onMainLocked(hdr.Height, cur) {
+			forkHeight = hdr.Height
+			break
+		}
+		added = append(added, cur)
+		cur = hdr.ParentHash
 	}
-	removed = append(removed, old[div:]...)
-	added = append(added, path[div:]...)
-	c.byHeight = path
-	for _, h := range removed {
-		b, _ := c.tree.Get(h)
+	slices.Reverse(added)
+	keep := int(forkHeight-c.base) + 1
+	removed = append(removed, c.byHeight[keep:]...)
+
+	// Every body the index update needs is fetched before anything
+	// changes, so a failed read-back leaves the chain untouched.
+	moved := make([]*types.Block, 0, len(removed)+len(added))
+	for _, hs := range [][]cryptoutil.Hash{removed, added} {
+		for _, h := range hs {
+			b, err := c.tree.Block(h)
+			if err != nil {
+				return nil, nil, err
+			}
+			moved = append(moved, b)
+		}
+	}
+	for _, b := range moved[:len(removed)] {
 		for _, tx := range b.Txs {
 			delete(c.txIndex, tx.ID())
 		}
 	}
-	for _, h := range added {
-		b, _ := c.tree.Get(h)
-		for i, tx := range b.Txs {
-			c.txIndex[tx.ID()] = txLocation{block: h, index: i}
-		}
+	c.byHeight = append(c.byHeight[:keep], added...)
+	for _, b := range moved[len(removed):] {
+		c.indexLocked(b)
 	}
 	return removed, added, nil
 }
 
-func (c *Chain) setHeadLocked(tip cryptoutil.Hash) {
-	path, err := c.tree.PathFromGenesis(tip)
-	if err != nil {
-		return
-	}
-	c.byHeight = path
-	for _, h := range path {
-		b, _ := c.tree.Get(h)
-		for i, tx := range b.Txs {
-			c.txIndex[tx.ID()] = txLocation{block: h, index: i}
-		}
+// onMainLocked reports whether h is the main-chain block at height.
+func (c *Chain) onMainLocked(height uint64, h cryptoutil.Hash) bool {
+	return height >= c.base && height-c.base < uint64(len(c.byHeight)) && c.byHeight[height-c.base] == h
+}
+
+// indexLocked enters b's transactions into the transaction index.
+func (c *Chain) indexLocked(b *types.Block) {
+	for i, tx := range b.Txs {
+		c.txIndex[tx.ID()] = txLocation{height: uint32(b.Header.Height), index: uint32(i)}
 	}
 }
 
@@ -129,12 +148,8 @@ func (c *Chain) AtHeight(h uint64) (cryptoutil.Hash, bool) {
 func (c *Chain) Contains(h cryptoutil.Hash) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	b, ok := c.tree.Get(h)
-	if !ok {
-		return false
-	}
-	ht := b.Header.Height
-	return ht >= c.base && ht-c.base < uint64(len(c.byHeight)) && c.byHeight[ht-c.base] == h
+	ht, err := c.tree.Height(h)
+	return err == nil && c.onMainLocked(ht, h)
 }
 
 // Confirmations returns how many blocks follow h on the main chain,
@@ -143,12 +158,8 @@ func (c *Chain) Contains(h cryptoutil.Hash) bool {
 func (c *Chain) Confirmations(h cryptoutil.Hash) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	b, ok := c.tree.Get(h)
-	if !ok {
-		return 0
-	}
-	ht := b.Header.Height
-	if ht < c.base || ht-c.base >= uint64(len(c.byHeight)) || c.byHeight[ht-c.base] != h {
+	ht, err := c.tree.Height(h)
+	if err != nil || !c.onMainLocked(ht, h) {
 		return 0
 	}
 	return uint64(len(c.byHeight)) - (ht - c.base)
@@ -163,7 +174,7 @@ func (c *Chain) FindTx(txID cryptoutil.Hash) (blockHash cryptoutil.Hash, index i
 	if !ok {
 		return cryptoutil.ZeroHash, 0, false
 	}
-	return loc.block, loc.index, true
+	return c.byHeight[uint64(loc.height)-c.base], int(loc.index), true
 }
 
 // Headers returns the main-chain headers from height `from` (inclusive),
@@ -176,8 +187,8 @@ func (c *Chain) Headers(from uint64, limit int) []types.BlockHeader {
 		from = c.base
 	}
 	for h := from; h-c.base < uint64(len(c.byHeight)) && len(out) < limit; h++ {
-		b, _ := c.tree.Get(c.byHeight[h-c.base])
-		out = append(out, b.Header)
+		hdr, _ := c.tree.Header(c.byHeight[h-c.base])
+		out = append(out, *hdr)
 	}
 	return out
 }

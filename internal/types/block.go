@@ -159,6 +159,17 @@ func (b *Block) Encode() []byte {
 // Size returns the encoded size of the block in bytes.
 func (b *Block) Size() int { return len(b.Encode()) }
 
+// PeekBlockHeader decodes only the header of an encoded block: enough to
+// know the block's hash and height without paying for its transactions.
+// It says nothing about whether the rest decodes.
+func PeekBlockHeader(data []byte) (*BlockHeader, error) {
+	hb, err := readBytes(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return DecodeBlockHeader(hb)
+}
+
 // DecodeBlock parses a block from its canonical encoding.
 func DecodeBlock(data []byte) (*Block, error) {
 	r := bytes.NewReader(data)

@@ -153,10 +153,10 @@ func TestOpensParentDirectory(t *testing.T) {
 	copyTree(t, dir, fixture)
 	blocks := testBlocks(15)
 	s, rec := openStoreT(t, dir, goldenStoreOpts())
-	if len(rec.Blocks) != 12 || rec.Head != blocks[11].Hash() {
-		t.Fatalf("recovered %d blocks, head %s; want 12, %s", len(rec.Blocks), rec.Head.Short(), blocks[11].Hash().Short())
+	if rec.Blocks != 12 || rec.Head != blocks[11].Hash() {
+		t.Fatalf("recovered %d blocks, head %s; want 12, %s", rec.Blocks, rec.Head.Short(), blocks[11].Hash().Short())
 	}
-	for i, rb := range rec.Blocks {
+	for i, rb := range journaledBlocks(t, rec) {
 		if rb.Block.Hash() != blocks[i].Hash() || rb.Seq != uint64(2*i+1) {
 			t.Fatalf("block %d: hash %s seq %d", i, rb.Block.Hash().Short(), rb.Seq)
 		}
@@ -176,7 +176,7 @@ func TestOpensParentDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rec = openStoreT(t, dir, goldenStoreOpts())
-	if len(rec.Blocks) != 15 || rec.Blocks[14].Seq != 27 {
-		t.Fatalf("after extending: %d blocks, last seq %d; want 15, 27", len(rec.Blocks), rec.Blocks[len(rec.Blocks)-1].Seq)
+	if got := journaledBlocks(t, rec); len(got) != 15 || got[14].Seq != 27 {
+		t.Fatalf("after extending: %d blocks, last seq %d; want 15, 27", len(got), got[len(got)-1].Seq)
 	}
 }

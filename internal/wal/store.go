@@ -45,6 +45,9 @@ var (
 	// refuses further writes so the in-memory chain cannot silently run
 	// ahead of a broken log.
 	ErrStoreFailed = errors.New("wal: durable store failed")
+	// ErrNoBlock is ReadBlock's answer for a hash the journal does not
+	// hold (never journaled, or its segment was pruned).
+	ErrNoBlock = errors.New("wal: block not in the journal")
 )
 
 // StoreOptions configures a DurableStore.
@@ -62,11 +65,13 @@ type StoreOptions struct {
 	Clock func() time.Time
 }
 
-// RecoveredBlock is one journaled block with its WAL sequence number,
-// used by recovery to split the replay at the newest checkpoint.
-type RecoveredBlock struct {
+// Journaled is one record of the journal as Recovery.Replay delivers
+// it: a connected block (Block non-nil) or a head switch (Block nil,
+// Head the new head).
+type Journaled struct {
 	Seq   uint64
 	Block *types.Block
+	Head  cryptoutil.Hash
 }
 
 // Checkpoint is one decoded, validated state checkpoint.
@@ -88,50 +93,87 @@ type Checkpoint struct {
 	Block *types.Block
 }
 
-// Recovery is everything OpenStore reconstructs from disk: the journal
-// of blocks in log order, the last durable head switch, and the newest
-// valid checkpoint (nil if none usable).
+// Recovery is what OpenStore found on disk: how many blocks the journal
+// holds, the last durable head switch, and the newest valid checkpoint
+// (nil if none usable). The blocks themselves are not held: Replay
+// streams them from the log.
 type Recovery struct {
-	Blocks     []RecoveredBlock
+	Blocks     int             // block records in the journal (counted by their headers)
 	Head       cryptoutil.Hash // zero if no head record survived
 	Checkpoint *Checkpoint
 	// Truncated counts journal records dropped because a payload failed
 	// to decode (CRC-valid but semantically unusable — a version skew
 	// or software bug); everything after the first such record is
-	// discarded to preserve prefix semantics.
+	// discarded to preserve prefix semantics. A block whose header
+	// decodes and whose transactions do not is found, and counted, by
+	// Replay.
 	Truncated int
+
+	store     *DurableStore
+	lastSeq   uint64 // Replay delivers records up to here
+	tipHeight uint64
 }
 
-// Height of the recovery's newest block (0 when empty).
-func (r *Recovery) TipHeight() uint64 {
-	var h uint64
-	for _, rb := range r.Blocks {
-		if rb.Block.Header.Height > h {
-			h = rb.Block.Header.Height
+// TipHeight is the height of the journal's highest block (0 when empty).
+func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
+
+// Replay streams the journal in log order, one decoded record at a
+// time, so a caller rebuilding a chain from it holds no more blocks
+// than it chooses to keep. Records the open-time scan discarded
+// (Truncated) and records appended since are not delivered. The
+// callback may read blocks back from the store. Call before the store
+// takes new appends.
+func (r *Recovery) Replay(fn func(Journaled) error) error {
+	return r.store.wal.replay(func(rec Record, _ Loc) error {
+		if rec.Seq > r.lastSeq {
+			return nil
 		}
-	}
-	return h
+		switch rec.Type {
+		case RecBlock:
+			b, err := types.DecodeBlock(rec.Payload)
+			if err != nil {
+				// The header decoded when the store opened, the rest does
+				// not: the journal ends here, as for any undecodable
+				// record (prefix semantics), for this replay and the next.
+				r.Truncated += int(r.lastSeq - rec.Seq + 1)
+				r.lastSeq = rec.Seq - 1
+				return nil
+			}
+			return fn(Journaled{Seq: rec.Seq, Block: b})
+		case RecHead:
+			if len(rec.Payload) == cryptoutil.HashSize {
+				j := Journaled{Seq: rec.Seq}
+				copy(j.Head[:], rec.Payload)
+				return fn(j)
+			}
+		}
+		return nil
+	})
 }
 
 // DurableStore is the persistent block-store backend: it journals
 // connected blocks and head switches into a segmented WAL under
 // dir/wal/ and writes periodic state checkpoints as dir/ckpt-*.ck
-// files. One DurableStore belongs to one node; it is safe for
-// concurrent use.
+// files. The journal is also where block bodies are read back from
+// (ReadBlock): the store remembers where each block's record lies. One
+// DurableStore belongs to one node; it is safe for concurrent use.
 type DurableStore struct {
-	mu             sync.Mutex
-	ckpts          seglog.SideFiles // <data dir>/ckpt-<seq>.ck
-	wal            *WAL
-	opts           StoreOptions
+	mu    sync.Mutex
+	ckpts seglog.SideFiles // <data dir>/ckpt-<seq>.ck
+	wal   *WAL
+	opts  StoreOptions
+	// blocks locates every journaled block's record. It is memory only,
+	// rebuilt by the scan at open: the log is the one copy on disk.
+	blocks         map[cryptoutil.Hash]Loc
 	failed         error // latched first write failure
 	lastCkptHeight uint64
 	checkpoints    uint64 // written this session
 }
 
 // OpenStore opens (or initializes) the data directory, repairs the WAL
-// tail, loads the newest valid checkpoint, and replays the journal. The
-// returned Recovery feeds node recovery; the returned store is ready
-// for new appends.
+// tail, loads the newest valid checkpoint, and scans the journal once to
+// learn where each block lies. The returned Recovery feeds node
+// recovery; the returned store is ready for new appends.
 func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
@@ -139,49 +181,49 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: data dir: %w", err)
 	}
-	w, err := Open(filepath.Join(dir, "wal"), Options{
+	s := &DurableStore{
+		ckpts:  seglog.SideFiles{Dir: dir, Prefix: "ckpt-", Suffix: ".ck", Keep: keepCheckpoints},
+		opts:   opts,
+		blocks: make(map[cryptoutil.Hash]Loc),
+	}
+	rec := &Recovery{store: s}
+	w, err := open(filepath.Join(dir, "wal"), Options{
 		SegmentSize: opts.SegmentSize,
 		Fsync:       opts.Fsync,
 		FsyncEvery:  opts.FsyncEvery,
 		Clock:       opts.Clock,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	s := &DurableStore{
-		ckpts: seglog.SideFiles{Dir: dir, Prefix: "ckpt-", Suffix: ".ck", Keep: keepCheckpoints},
-		wal:   w,
-		opts:  opts,
-	}
-
-	rec := &Recovery{Checkpoint: s.loadNewestCheckpoint()}
-	stop := false
-	if err := w.Replay(func(r Record) error {
-		if stop {
+	}, func(r Record, at Loc) error {
+		if rec.Truncated > 0 {
 			rec.Truncated++
 			return nil
 		}
 		switch r.Type {
 		case RecBlock:
-			b, derr := types.DecodeBlock(r.Payload)
+			// The header is all this pass needs; Replay decodes the
+			// transactions, once, when the block is actually wanted.
+			hdr, derr := types.PeekBlockHeader(r.Payload)
 			if derr != nil {
 				// CRC-valid but undecodable: stop collecting here so the
 				// recovered chain stays a clean prefix.
-				stop = true
 				rec.Truncated++
 				return nil
 			}
-			rec.Blocks = append(rec.Blocks, RecoveredBlock{Seq: r.Seq, Block: b})
+			s.blocks[hdr.Hash()] = at
+			rec.Blocks++
+			rec.tipHeight = max(rec.tipHeight, hdr.Height)
 		case RecHead:
 			if len(r.Payload) == cryptoutil.HashSize {
 				copy(rec.Head[:], r.Payload)
 			}
 		}
+		rec.lastSeq = r.Seq
 		return nil
-	}); err != nil {
-		w.Close()
+	})
+	if err != nil {
 		return nil, nil, err
 	}
+	s.wal = w
+	rec.Checkpoint = s.loadNewestCheckpoint()
 	// Arm the prune floor: segments above the newest checkpoint's seq
 	// are the replay suffix and must never be pruned. With no usable
 	// checkpoint the floor is zero — nothing may be pruned at all.
@@ -223,23 +265,89 @@ func (s *DurableStore) Stats() StoreStats {
 
 // LogBlock journals one connected block. The write is the block's
 // commit point: an error means durability was NOT achieved and latches
-// the store into the failed state.
-func (s *DurableStore) LogBlock(b *types.Block) error { return s.log(RecBlock, b.Encode()) }
-
-// LogHead journals one head switch.
-func (s *DurableStore) LogHead(h cryptoutil.Hash) error { return s.log(RecHead, h.Bytes()) }
-
-func (s *DurableStore) log(typ byte, payload []byte) error {
+// the store into the failed state. On success the block can be read
+// back (ReadBlock).
+func (s *DurableStore) LogBlock(b *types.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	at, err := s.logLocked(RecBlock, b.Encode())
+	if err == nil {
+		s.blocks[b.Hash()] = at
+	}
+	return err
+}
+
+// LogHead journals one head switch.
+func (s *DurableStore) LogHead(h cryptoutil.Hash) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.logLocked(RecHead, h.Bytes())
+	return err
+}
+
+func (s *DurableStore) logLocked(typ byte, payload []byte) (Loc, error) {
 	if s.failed != nil {
-		return s.failed
+		return Loc{}, s.failed
 	}
-	if _, err := s.wal.Append(typ, payload); err != nil {
+	_, at, err := s.wal.AppendAt(typ, payload)
+	if err != nil {
 		s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, err)
-		return s.failed
+		return Loc{}, s.failed
 	}
-	return nil
+	return at, nil
+}
+
+// HasBlock reports whether ReadBlock can find block h in the journal.
+func (s *DurableStore) HasBlock(h cryptoutil.Hash) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.blocks[h]
+	return ok
+}
+
+// ReadBlock reads block h back from its journal record, CRC-checked and
+// decoded: ErrNoBlock if the journal does not hold it, otherwise the
+// block or the reason the record could not be read. A block is readable
+// from the moment LogBlock returned, fsynced or not.
+func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
+	s.mu.Lock()
+	at, ok := s.blocks[h]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoBlock, h.Short())
+	}
+	rec, err := s.wal.ReadAt(at)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
+	}
+	if rec.Type != RecBlock {
+		return nil, fmt.Errorf("wal: read block %s: %w: not a block record", h.Short(), seglog.ErrDamaged)
+	}
+	b, err := types.DecodeBlock(rec.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
+	}
+	if b.Hash() != h {
+		return nil, fmt.Errorf("wal: read block %s: %w: the record holds block %s", h.Short(), seglog.ErrDamaged, b.Hash().Short())
+	}
+	return b, nil
+}
+
+// PruneBefore is WAL.PruneBefore that also forgets the blocks of the
+// removed segments: they can no longer be read back.
+func (s *DurableStore) PruneBefore(seq uint64) (removed int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	removed, err = s.wal.PruneBefore(seq)
+	if removed > 0 {
+		oldest := uint32(s.wal.firstSegment())
+		for h, at := range s.blocks {
+			if at.Seg < oldest {
+				delete(s.blocks, h)
+			}
+		}
+	}
+	return removed, err
 }
 
 // CheckpointDue reports whether a head at height has advanced at least

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 )
@@ -35,10 +37,29 @@ func openStoreT(t *testing.T, dir string, opts StoreOptions) (*DurableStore, *Re
 	return s, rec
 }
 
+// journaledBlocks streams rec and returns its block records in log
+// order; the count must be the one the open-time scan reported.
+func journaledBlocks(t *testing.T, rec *Recovery) []Journaled {
+	t.Helper()
+	var out []Journaled
+	if err := rec.Replay(func(j Journaled) error {
+		if j.Block != nil {
+			out = append(out, j)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if len(out) != rec.Blocks {
+		t.Fatalf("Replay delivered %d blocks, the open-time scan counted %d", len(out), rec.Blocks)
+	}
+	return out
+}
+
 func TestStoreJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
-	if len(rec.Blocks) != 0 || !rec.Head.IsZero() || rec.Checkpoint != nil {
+	if rec.Blocks != 0 || !rec.Head.IsZero() || rec.Checkpoint != nil {
 		t.Fatalf("fresh store recovery not empty: %+v", rec)
 	}
 	blocks := testBlocks(5)
@@ -53,10 +74,10 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	s.Close()
 
 	_, rec2 := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
-	if len(rec2.Blocks) != 5 {
-		t.Fatalf("recovered %d blocks, want 5", len(rec2.Blocks))
+	if rec2.Blocks != 5 {
+		t.Fatalf("recovered %d blocks, want 5", rec2.Blocks)
 	}
-	for i, rb := range rec2.Blocks {
+	for i, rb := range journaledBlocks(t, rec2) {
 		if rb.Block.Hash() != blocks[i].Hash() {
 			t.Fatalf("block %d hash mismatch after journal round trip", i)
 		}
@@ -229,8 +250,8 @@ func TestStoreFailureLatches(t *testing.T) {
 
 	// The journal survives as the pre-crash prefix.
 	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
-	if len(rec.Blocks) != 1 || rec.Blocks[0].Block.Hash() != blocks[0].Hash() {
-		t.Fatalf("recovered %d blocks, want the 1 pre-crash block", len(rec.Blocks))
+	if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+		t.Fatalf("recovered %d blocks, want the 1 pre-crash block", len(got))
 	}
 }
 
@@ -253,11 +274,49 @@ func TestUndecodablePayloadStopsCollection(t *testing.T) {
 	s.Close()
 
 	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
-	if len(rec.Blocks) != 1 {
-		t.Fatalf("recovered %d blocks, want 1 (prefix before bad payload)", len(rec.Blocks))
+	if got := journaledBlocks(t, rec); len(got) != 1 {
+		t.Fatalf("recovered %d blocks, want 1 (prefix before bad payload)", len(got))
 	}
 	if rec.Truncated != 2 {
 		t.Fatalf("Truncated = %d, want 2 (bad record + dropped successor)", rec.Truncated)
+	}
+}
+
+// TestUndecodableBodyStopsReplay: a record whose block header decodes
+// but whose transactions do not passes the open-time scan, which reads
+// headers only; Replay stops in front of it, with the same prefix
+// semantics, and says so in Truncated.
+func TestUndecodableBodyStopsReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	blocks := testBlocks(3)
+	if err := s.LogBlock(blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	bad := append(blocks[1].Encode(), 0xff) // trailing byte: the header is fine, the block is not
+	if _, err := s.WAL().Append(RecBlock, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LogBlock(blocks[2]); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	if rec.Truncated != 0 || rec.Blocks != 3 {
+		t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (headers all decode)", rec.Truncated, rec.Blocks)
+	}
+	for pass := 0; pass < 2; pass++ {
+		var got []Journaled
+		if err := rec.Replay(func(j Journaled) error { got = append(got, j); return nil }); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+			t.Fatalf("pass %d: replayed %d records, want the 1 block before the bad one", pass, len(got))
+		}
+		if rec.Truncated != 2 {
+			t.Fatalf("pass %d: Truncated = %d, want 2 (bad record + dropped successor)", pass, rec.Truncated)
+		}
 	}
 }
 
@@ -278,7 +337,7 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 	}
 	// No checkpoint: the floor is zero and nothing may be pruned,
 	// however large the request.
-	if removed, err := s.WAL().PruneBefore(s.WAL().LastSeq()); err != nil || removed != 0 {
+	if removed, err := s.PruneBefore(s.WAL().LastSeq()); err != nil || removed != 0 {
 		t.Fatalf("prune with no checkpoint removed %d (err %v), want 0", removed, err)
 	}
 
@@ -296,12 +355,22 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	removed, err := s.WAL().PruneBefore(s.WAL().LastSeq())
+	removed, err := s.PruneBefore(s.WAL().LastSeq())
 	if err != nil {
 		t.Fatalf("PruneBefore: %v", err)
 	}
 	if removed == 0 {
 		t.Fatal("clamped prune removed no pre-checkpoint segments")
+	}
+	// The journal is the block store: what was pruned cannot be read
+	// back and is no longer claimed, the replay suffix still can.
+	if _, err := s.ReadBlock(blocks[0].Hash()); !errors.Is(err, ErrNoBlock) || s.HasBlock(blocks[0].Hash()) {
+		t.Fatalf("ReadBlock of a pruned block: err = %v, HasBlock %v", err, s.HasBlock(blocks[0].Hash()))
+	}
+	for _, b := range blocks[5:] {
+		if got, err := s.ReadBlock(b.Hash()); err != nil || got.Hash() != b.Hash() {
+			t.Fatalf("ReadBlock of replay-suffix block h=%d: %v", b.Header.Height, err)
+		}
 	}
 	s.Close()
 
@@ -312,7 +381,7 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 		t.Fatalf("recovered checkpoint %+v, want head %s", rec.Checkpoint, blocks[4].Hash().Short())
 	}
 	var suffix []*types.Block
-	for _, rb := range rec.Blocks {
+	for _, rb := range journaledBlocks(t, rec) {
 		if rb.Seq > rec.Checkpoint.Seq {
 			suffix = append(suffix, rb.Block)
 		}
@@ -324,5 +393,80 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 		if b.Hash() != blocks[5+i].Hash() {
 			t.Fatalf("suffix block %d mismatch", i)
 		}
+	}
+}
+
+// TestReadBlock: every journaled block reads back byte-identical — from
+// sealed segments and from the active one, in the session that wrote it
+// and after a reopen rebuilt the index — and a record damaged after it
+// was indexed is an error, never a block.
+func TestReadBlock(t *testing.T) {
+	dir := t.TempDir()
+	opts := StoreOptions{Fsync: FsyncNever, SegmentSize: 512}
+	s, _ := openStoreT(t, dir, opts)
+	blocks := testBlocks(12)
+	check := func(s *DurableStore, blocks []*types.Block) {
+		t.Helper()
+		for _, b := range blocks {
+			got, err := s.ReadBlock(b.Hash())
+			if err != nil {
+				t.Fatalf("ReadBlock h=%d: %v", b.Header.Height, err)
+			}
+			if !bytes.Equal(got.Encode(), b.Encode()) {
+				t.Fatalf("ReadBlock h=%d returned a different block", b.Header.Height)
+			}
+		}
+	}
+	for i, b := range blocks {
+		if s.HasBlock(b.Hash()) {
+			t.Fatalf("HasBlock before LogBlock h=%d", b.Header.Height)
+		}
+		if err := s.LogBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogHead(b.Hash()); err != nil {
+			t.Fatal(err)
+		}
+		check(s, blocks[:i+1]) // the newest is in the active segment, unsynced
+	}
+	if s.Stats().WAL.Rotations == 0 {
+		t.Fatal("no rotation: sealed segments were not exercised")
+	}
+	if _, err := s.ReadBlock(cryptoutil.HashBytes([]byte("never journaled"))); !errors.Is(err, ErrNoBlock) {
+		t.Fatalf("ReadBlock of an unknown hash: err = %v, want ErrNoBlock", err)
+	}
+	s.Close()
+	if _, err := s.ReadBlock(blocks[0].Hash()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadBlock on a closed store: err = %v, want ErrClosed", err)
+	}
+
+	s2, rec := openStoreT(t, dir, opts)
+	if rec.Blocks != len(blocks) {
+		t.Fatalf("reopen counted %d blocks, want %d", rec.Blocks, len(blocks))
+	}
+	check(s2, blocks)
+
+	// Flip a payload byte of the log's first record, blocks[0], underneath
+	// the open store.
+	seg := filepath.Join(dir, "wal", segName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[segHeaderLen+frameHeaderLen+recordHeaderLen+4] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, b := range blocks {
+		if _, err := s2.ReadBlock(b.Hash()); err != nil {
+			if !errors.Is(err, seglog.ErrDamaged) {
+				t.Fatalf("ReadBlock of a garbled record: err = %v, want ErrDamaged", err)
+			}
+			damaged++
+		}
+	}
+	if damaged != 1 {
+		t.Fatalf("%d blocks unreadable after garbling one record, want 1", damaged)
 	}
 }

@@ -120,6 +120,15 @@ type Record struct {
 	Payload []byte
 }
 
+// Loc is where one record's frame lies in the log: what ReadAt needs
+// to read it back. It is 16 bytes because the block store keeps one for
+// every block of the chain.
+type Loc struct {
+	Seg uint32 // segment index
+	Len uint32 // frame length, header included (a record is at most MaxRecordLen)
+	Off int64  // offset of the frame in the segment
+}
+
 // Stats is a snapshot of the WAL's activity counters.
 type Stats struct {
 	Appends       uint64 // records successfully appended this session
@@ -145,7 +154,12 @@ type WAL struct {
 // for a torn or garbled tail. Everything from the first invalid frame
 // onward — including any later segments — is truncated, so the surviving
 // log is always a valid, contiguous prefix of what was written.
-func Open(dir string, opts Options) (*WAL, error) {
+func Open(dir string, opts Options) (*WAL, error) { return open(dir, opts, nil) }
+
+// open is Open with a callback that receives every record of the
+// surviving prefix during the one scan opening needs anyway (see scan
+// for what it may do with a Payload).
+func open(dir string, opts Options, fn func(Record, Loc) error) (*WAL, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -161,7 +175,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	w := &WAL{log: l, pruneFloor: noPruneFloor}
 	// Appends resume at the seq the scan expected next (for a pruned log
 	// whose one segment holds no record yet, its header's first seq).
-	next, damage, err := w.scanLocked(nil)
+	next, damage, err := w.scan(l.Segments(), fn)
 	if err != nil {
 		return nil, err
 	}
@@ -181,14 +195,15 @@ func Open(dir string, opts Options) (*WAL, error) {
 // record.
 func seqExt(seq uint64) []byte { return binary.BigEndian.AppendUint64(nil, seq) }
 
-// scanLocked walks the log enforcing sequence continuity — within a
+// scan walks segments segs enforcing sequence continuity — within a
 // segment, and from each segment's header to the record before it. A
 // record or header out of sequence is damage at that point, like a
-// failed CRC. fn, when non-nil, receives every accepted record. next is
-// the seq the scan expected when it stopped (0 for a log without
-// segments).
-func (w *WAL) scanLocked(fn func(Record) error) (next uint64, damage *seglog.Damage, err error) {
-	damage, err = w.log.Scan(
+// failed CRC. fn, when non-nil, receives every accepted record and where
+// it lies; the Payload is the scanner's buffer, valid only during the
+// call. next is the seq the scan expected when it stopped (0 for a log
+// without segments). Nothing here reads the log's state: no lock needed.
+func (w *WAL) scan(segs []uint64, fn func(Record, Loc) error) (next uint64, damage *seglog.Damage, err error) {
+	damage, err = w.log.ScanSegments(segs,
 		func(ext []byte) error {
 			first := binary.BigEndian.Uint64(ext)
 			if next != 0 && first != next {
@@ -197,7 +212,7 @@ func (w *WAL) scanLocked(fn func(Record) error) (next uint64, damage *seglog.Dam
 			next = first
 			return nil
 		},
-		func(_ uint64, _ int64, body []byte) error {
+		func(seg uint64, off int64, body []byte) error {
 			rec, ok := decodeRecord(body)
 			if !ok || rec.Seq != next {
 				return seglog.ErrDamaged
@@ -206,8 +221,7 @@ func (w *WAL) scanLocked(fn func(Record) error) (next uint64, damage *seglog.Dam
 			if fn == nil {
 				return nil
 			}
-			rec.Payload = append([]byte(nil), rec.Payload...) // the scanner reuses body
-			return fn(rec)
+			return fn(rec, Loc{Seg: uint32(seg), Len: uint32(seglog.FrameHeaderLen + len(body)), Off: off})
 		})
 	return next, damage, err
 }
@@ -215,22 +229,62 @@ func (w *WAL) scanLocked(fn func(Record) error) (next uint64, damage *seglog.Dam
 // Append writes one record and returns its sequence number. Durability
 // depends on the fsync policy; ordering is total regardless.
 func (w *WAL) Append(typ byte, payload []byte) (uint64, error) {
+	seq, _, err := w.AppendAt(typ, payload)
+	return seq, err
+}
+
+// AppendAt is Append that also reports where the record landed, for a
+// later ReadAt.
+func (w *WAL) AppendAt(typ byte, payload []byte) (uint64, Loc, error) {
 	if len(payload) > MaxRecordLen-recordHeaderLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+		return 0, Loc{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	seq := w.nextSeq
+	frame := encodeFrame(Record{Seq: seq, Type: typ, Payload: payload})
 	// Should this record open a new segment, seq is that segment's
 	// first: a record never spans segments.
-	if _, _, err := w.log.Append(encodeFrame(Record{Seq: seq, Type: typ, Payload: payload}), seqExt(seq)); err != nil {
-		return 0, err
+	seg, off, err := w.log.Append(frame, seqExt(seq))
+	if err != nil {
+		return 0, Loc{}, err
 	}
 	w.nextSeq = seq + 1
 	if err := w.log.MaybeSync(); err != nil {
-		return 0, err
+		return 0, Loc{}, err
 	}
-	return seq, nil
+	return seq, Loc{Seg: uint32(seg), Len: uint32(len(frame)), Off: off}, nil
+}
+
+// ReadAt reads back the record at a location AppendAt or a scan
+// reported, CRC-checked. It works for the active segment too: a record
+// is readable as soon as it is written, synced or not. The read itself
+// runs outside the lock; a handle closed under it by a rotation is
+// reopened once.
+func (w *WAL) ReadAt(at Loc) (Record, error) {
+	for attempt := 0; ; attempt++ {
+		w.mu.Lock()
+		if w.log.Closed() {
+			w.mu.Unlock()
+			return Record{}, ErrClosed
+		}
+		f, err := w.log.Reader(uint64(at.Seg))
+		w.mu.Unlock()
+		if err != nil {
+			return Record{}, err
+		}
+		body, err := seglog.ReadFrameAt(f, at.Off, int(at.Len))
+		if err == nil {
+			rec, ok := decodeRecord(body)
+			if !ok {
+				return Record{}, fmt.Errorf("%w: short record body", seglog.ErrDamaged)
+			}
+			return rec, nil
+		}
+		if errors.Is(err, seglog.ErrDamaged) || attempt > 0 {
+			return Record{}, err
+		}
+	}
 }
 
 // Sync forces the active segment to stable storage.
@@ -251,11 +305,22 @@ func (w *WAL) Close() error {
 // callback's to keep. Call before concurrent appends begin (typically
 // right after Open); the scan reads the segment files directly.
 func (w *WAL) Replay(fn func(Record) error) error {
+	return w.replay(func(r Record, _ Loc) error {
+		r.Payload = append([]byte(nil), r.Payload...) // the scanner reuses its buffer
+		return fn(r)
+	})
+}
+
+// replay is Replay with locations and without the copy: a Payload is
+// valid only during the callback. The lock is held only to list the
+// segments, so the callback may read the log back (ReadAt).
+func (w *WAL) replay(fn func(Record, Loc) error) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	segs := w.log.Segments()
+	w.mu.Unlock()
 	// Open already repaired the log; damage here means a file changed
 	// underneath us, and replay stops at the valid prefix.
-	_, _, err := w.scanLocked(fn)
+	_, _, err := w.scan(segs, fn)
 	return err
 }
 
@@ -337,6 +402,13 @@ func (w *WAL) PruneBefore(seq uint64) (removed int, err error) {
 		removed++
 	}
 	return removed, nil
+}
+
+// firstSegment returns the index of the oldest live segment.
+func (w *WAL) firstSegment() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.log.Segments()[0]
 }
 
 // SetFailpoint arms a deterministic crash on the nth Append after this
