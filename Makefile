@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet lint lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-smoke bench-build scenario-smoke scenario-full
+.PHONY: all build vet lint lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-smoke bench-build bench-test scenario-smoke scenario-full
 
 all: tier1
 
@@ -78,14 +78,22 @@ trace-demo:
 # verified prefix of the pre-crash chain; the same modes at every append
 # of a scripted run must never leave the block tree naming a block whose
 # body cannot be read back (TestCrashMatrixBodies); a disk-state flush torn
-# mid-batch, a kill between the flush and the checkpoint that names it,
-# and a state/ directory that lacks the checkpoint's root must each
-# recover to the exact head (TestCrashMatrixTornFlush,
-# TestCrashMatrixFlushBeforeCheckpoint, TestCrashMatrixLostStateDir);
-# and the same failpoint armed mid-batch on the node store must leave
-# every checkpointed root walkable (see docs/PERSISTENCE.md).
+# mid-batch and a kill between the flush and the checkpoint that names it
+# must each recover to the exact head (TestCrashMatrixTornFlush,
+# TestCrashMatrixFlushBeforeCheckpoint); a state/ directory that lacks the
+# root a snapshot-less checkpoint names must recover through the older
+# checkpoint or the whole journal, or refuse to start and name the root
+# (TestCrashMatrixLostStateDir); a sweep with a retention window shorter
+# than the checkpoint cadence must keep what the checkpoints name, contract
+# storage and code included (TestCrashMatrixSweepKeepsCheckpointRoots); a
+# checkpoint that carries a snapshot must open on the disk backend
+# (TestCrashMatrixSnapshotCheckpointOnDisk); a block refused because the
+# state store could not be read must connect once it can
+# (TestStateReadErrorIsNotARejection); and the same failpoint armed
+# mid-batch on the node store must leave every checkpointed root walkable
+# (see docs/PERSISTENCE.md).
 crash-matrix:
-	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
+	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestStateReadErrorIsNotARejection|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
 	$(GO) test -race -count=1 ./internal/nodestore -run TestCrashMatrixNodeStore -v
 
 # Native fuzzing smoke: 30s per target over every decoder that reads
@@ -119,6 +127,12 @@ bench-smoke:
 bench-build:
 	cd benchmark && $(GO) vet ./...
 
+# The nested module's own tests, against the tree: its replay drives
+# state, exec, wal, nodestore and node through their public functions, so
+# a change of meaning there fails here, not in the next benchmark run.
+bench-test:
+	cd benchmark && $(GO) test ./...
+
 # Adversarial scenario smoke: the 64-node preset for every consensus
 # family under the race detector — churn, a healing partition, one
 # Byzantine actor each, WAL crash-recovery for pow — every cell run
@@ -132,6 +146,6 @@ scenario-full:
 	$(GO) run ./cmd/dcsbench -scenario pow,raft -scenario-nodes 1000
 	$(GO) run ./cmd/dcsbench -scenario pbft -scenario-nodes 256
 
-tier1: build vet lint fmt-check doc-check test
+tier1: build vet lint fmt-check doc-check test bench-build bench-test
 
-ci: tier1 bench-build race scenario-smoke
+ci: tier1 race scenario-smoke

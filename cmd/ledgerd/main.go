@@ -111,13 +111,13 @@ func run() error {
 		maxFrame = flag.Uint("max-frame", p2p.DefaultMaxFrame, "p2p max inbound frame size in bytes (oversize frames drop the connection)")
 		readIdle = flag.Duration("read-idle", p2p.DefaultReadIdleTimeout, "p2p idle read deadline; silent inbound connections are dropped after this")
 		retain   = flag.Int("state-retention", node.DefaultStateRetention,
-			"blocks below the head that keep a materialized state (-1 = archive, keep all)")
+			"blocks below the head that keep their post-state (-1 = archive, keep all)")
 		maxOrph = flag.Int("max-orphans", node.DefaultMaxOrphans, "max buffered unknown-parent blocks")
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the http api")
 		dataDir = flag.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
 		ckptN   = flag.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
 		backend = flag.String("state-backend", "memory",
-			"authenticated state backend: memory|disk (disk keeps the account trie in <data-dir>/state, written at -checkpoint-every cadence, RAM bounded by -state-cache, and serves GET /proof)")
+			"authenticated state backend: memory|disk (disk keeps the state — account trie, contract storage, code — in <data-dir>/state and reads it from there: written at -checkpoint-every cadence, checkpoints carry its root and no snapshot, RAM bounded by -state-cache and the store's index, and serves GET /proof)")
 		cacheB  = flag.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
 		traceFn = flag.String("trace-file", "", "append pipeline trace spans to this JSONL file")
 		traceN  = flag.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
@@ -182,9 +182,9 @@ func run() error {
 			*dataDir, fsync.policy, *ckptN, rec.Blocks, rec.TipHeight())
 	}
 
-	// Disk-backed authenticated state: the account trie lives in a node
-	// store under <data-dir>/state (flushed when the WAL checkpoints),
-	// bounded-RAM via the decoded-node cache, serving GET /proof.
+	// Disk-backed authenticated state: the state lives in a node store
+	// under <data-dir>/state (flushed when the WAL checkpoints) and is read
+	// from there, bounded-RAM via the decoded-node cache, serving GET /proof.
 	var ns *nodestore.Store
 	switch *backend {
 	case "memory":
@@ -341,7 +341,9 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		if !ok {
 			return
 		}
-		writeJSON(w, map[string]any{"addr": addr.Hex(), "balance": st.Balance(addr)})
+		if bal := st.Balance(addr); readOr503(w, st) {
+			writeJSON(w, map[string]any{"addr": addr.Hex(), "balance": bal})
+		}
 	})
 	mux.HandleFunc("GET /nonce", func(w http.ResponseWriter, r *http.Request) {
 		addr, err := cryptoutil.AddressFromHex(r.URL.Query().Get("addr"))
@@ -353,7 +355,9 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		if !ok {
 			return
 		}
-		writeJSON(w, map[string]any{"addr": addr.Hex(), "nonce": st.Nonce(addr)})
+		if nonce := st.Nonce(addr); readOr503(w, st) {
+			writeJSON(w, map[string]any{"addr": addr.Hex(), "nonce": nonce})
+		}
 	})
 	mux.HandleFunc("GET /block", func(w http.ResponseWriter, r *http.Request) {
 		height, err := strconv.ParseUint(r.URL.Query().Get("height"), 10, 64)
@@ -438,8 +442,15 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		}
 		out, err := executor.Query(st, addr, cryptoutil.ZeroAddress,
 			r.URL.Query().Get("fn"), r.URL.Query()["arg"]...)
+		if !readOr503(w, st) {
+			return
+		}
 		if err != nil {
-			fail(w, http.StatusUnprocessableEntity, err)
+			code := http.StatusUnprocessableEntity
+			if errors.Is(err, state.ErrRead) {
+				code = http.StatusServiceUnavailable
+			}
+			fail(w, code, err)
 			return
 		}
 		writeJSON(w, map[string]any{"result": string(out)})
@@ -447,16 +458,29 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 	return mux
 }
 
-// headStateOr503 returns the head state for a read handler, or answers
-// 503 with the node's reason when the head state cannot be produced, so
-// a read never dereferences a state the node does not have.
+// headStateOr503 returns a private view of the head state for a read
+// handler, or answers 503 with the node's reason when the head state
+// cannot be produced, so a read never dereferences a state the node does
+// not have. The handler reads, then asks readOr503 whether every read
+// was answered.
 func headStateOr503(w http.ResponseWriter, head func() (*state.State, error)) (*state.State, bool) {
 	st, err := head()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return nil, false
 	}
-	return st, true
+	return st.Copy(), true
+}
+
+// readOr503 answers 503 if a read through view (from headStateOr503)
+// failed under it — the state store's fault, which must not be served as
+// an absent account — and reports whether the handler may answer.
+func readOr503(w http.ResponseWriter, view *state.State) bool {
+	if err := view.Err(); err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return false
+	}
+	return true
 }
 
 func hexBody(r *http.Request) ([]byte, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -452,5 +453,72 @@ func TestReadHandlersAnswer503WithoutHeadState(t *testing.T) {
 	rec = httptest.NewRecorder()
 	if st, ok := headStateOr503(rec, func() (*state.State, error) { return state.New(), nil }); !ok || st == nil || rec.Body.Len() != 0 {
 		t.Fatal("headStateOr503 refused a head state, or wrote before the handler")
+	}
+}
+
+// TestReadHandlersAnswer503OnStateReadError: when the state store cannot
+// produce a node, /balance, /nonce, /query and /proof answer 503 with the
+// reason — never 200 with the zero balance of an account that looks
+// absent — and the failures are counted.
+func TestReadHandlersAnswer503OnStateReadError(t *testing.T) {
+	ns, err := nodestore.Open(t.TempDir(), nodestore.Options{Sync: nodestore.SyncNever, CacheBytes: -1})
+	if err != nil {
+		t.Fatalf("nodestore.Open: %v", err)
+	}
+	alice := wallet.FromSeed("alice").Address()
+	executor := contract.NewExecutor(contract.NewRegistry())
+	n, err := node.New(node.Config{
+		ID:         "read-error-test",
+		Key:        cryptoutil.KeyFromSeed([]byte("read-error-test")),
+		Engine:     pow.New(pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64}, rand.New(rand.NewSource(1))),
+		ForkChoice: forkchoice.LongestChain{},
+		Genesis:    node.NewGenesis("read-error-test"),
+		Alloc:      map[cryptoutil.Address]uint64{alice: 1000, wallet.FromSeed("bob").Address(): 5},
+		Executor:   executor,
+		Rewards:    incentive.Schedule{InitialReward: 50},
+		Clock:      simclock.Wall{},
+		DiskState:  ns,
+	})
+	if err != nil {
+		t.Fatalf("node.New: %v", err)
+	}
+	reg := metrics.NewRegistry()
+	n.RegisterMetrics(reg)
+	srv := httptest.NewServer(apiHandler(n, executor, reg, nil, false))
+	defer srv.Close()
+
+	var bal struct {
+		Balance uint64 `json:"balance"`
+	}
+	if code := getJSON(t, srv.URL+"/balance?addr="+alice.Hex(), &bal); code != http.StatusOK || bal.Balance != 1000 {
+		t.Fatalf("/balance with a healthy store: %d, %d", code, bal.Balance)
+	}
+	ns.Close() // every read of the store fails from here on
+	for _, path := range []string{
+		"/balance?addr=" + alice.Hex(),
+		"/nonce?addr=" + alice.Hex(),
+		"/query?contract=" + alice.Hex() + "&fn=owner&arg=x",
+		"/proof?addr=" + alice.Hex(),
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s: %d %q, want 503", path, resp.StatusCode, body)
+		}
+	}
+	if got := n.Metrics().StateReadErrors; got < 3 {
+		t.Fatalf("StateReadErrors = %d after three failed reads", got)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, _ := io.ReadAll(resp.Body); !strings.Contains(string(body), "node_state_read_errors_total") {
+		t.Fatal("/metrics lacks node_state_read_errors_total")
 	}
 }

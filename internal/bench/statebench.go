@@ -56,6 +56,7 @@ func StateStoreTable(keyCounts []int, cacheBytes int64) (*Table, error) {
 	}
 	t.Note("cache MB is live decoded-node accounting after the build; the budget is enforced, not advisory")
 	t.Note("get/prove are mean latencies over 2000 random keys against the committed root (cache in front of disk)")
+	t.Note("what a block costs a node over such a state: go test ./internal/node -bench BenchmarkConnectBlock (accounts-*/disk rows; DCS_STATE_KEYS=1000000 adds the 1 M row)")
 	return t, nil
 }
 

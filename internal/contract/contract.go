@@ -250,7 +250,11 @@ func (e *Executor) Query(st *state.State, self cryptoutil.Address, caller crypto
 		return nil, err
 	}
 	ctx := &Context{State: st.Copy(), Self: self, Caller: caller, Time: e.vm.Now}
-	return impl.Invoke(ctx, fn, args)
+	out, err := impl.Invoke(ctx, fn, args)
+	if rerr := ctx.State.Err(); rerr != nil {
+		return nil, rerr // whatever it answered was computed over a failed read
+	}
+	return out, err
 }
 
 func nativeName(code []byte) (string, bool) {

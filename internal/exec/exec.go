@@ -179,6 +179,11 @@ func (e *Executor) ApplyBlock(parent *state.State, b *types.Block, reward uint64
 		stats.ReplayDur = rsw.Elapsed()
 	}
 	stats.ParallelDur = sw.Elapsed()
+	// The block layer's own reads (coinbase and fee credits) are not
+	// inside any ApplyTx: a failed one must not pass for an absent account.
+	if err := st.Err(); err != nil {
+		return nil, nil, stats, err
+	}
 
 	if e.Paranoid {
 		if err := e.paranoidCheck(parent, b, reward, st, receipts, mainExec, forkable); err != nil {

@@ -52,8 +52,9 @@ func blockWith(t *testing.T, proposer cryptoutil.Address, reward uint64, txs ...
 }
 
 // assertMatchesSerial applies b at several widths and requires every
-// outcome — root, receipts, error — to match serial execution.
-func assertMatchesSerial(t *testing.T, parent *state.State, b *types.Block, reward uint64, widths ...int) {
+// outcome — root, receipts, error — to match serial execution. It
+// returns the serial root (zero if the block is invalid).
+func assertMatchesSerial(t *testing.T, parent *state.State, b *types.Block, reward uint64, widths ...int) cryptoutil.Hash {
 	t.Helper()
 	serial := parent.Copy()
 	wantRecs, wantErr := serial.ApplyBlock(b, reward)
@@ -77,6 +78,7 @@ func assertMatchesSerial(t *testing.T, parent *state.State, b *types.Block, rewa
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 	}
+	return wantRoot
 }
 
 func TestParallelMatchesSerialLowConflict(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/mpt"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 	"dcsledger/internal/vm"
@@ -15,8 +16,11 @@ import (
 // 256-transaction blocks — interleaved senders, shared hot recipients,
 // direct payments to the proposer, contract invocations on overlapping
 // storage slots — must produce bit-identical roots and receipts at
-// every speculation width, paranoid checks on. Run under -race it also
-// proves the speculation lanes share nothing they shouldn't.
+// every speculation width, paranoid checks on — and the same ones
+// whether the parent is a layer of writes, a committed trie in memory, or
+// a trie loaded from a node store, the three things lanes read through.
+// Run under -race it also proves the speculation lanes share nothing
+// they shouldn't while they read one committed parent concurrently.
 func TestRandomBlocksMatchSerial(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
@@ -67,7 +71,40 @@ func TestRandomBlocksMatchSerial(t *testing.T) {
 				txs = append(txs, tx)
 			}
 			b := blockWith(t, proposer, 50, txs...)
-			assertMatchesSerial(t, parent, b, 50, 1, 2, 8)
+			want := assertMatchesSerial(t, parent, b, 50, 1, 2, 8)
+
+			store := make(mapStore)
+			root, err := parent.AccountTrie().Commit(store)
+			if err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			loaded := state.Load(root, store)
+			loaded.SetExecutor(vm.NewExecutor())
+			for name, p := range map[string]*state.State{"detached": parent.Detach(), "loaded": loaded} {
+				if got := assertMatchesSerial(t, p, b, 50, 1, 2, 8); got != want {
+					t.Fatalf("%s parent: root %s, layer parent %s", name, got.Short(), want.Short())
+				}
+			}
 		})
 	}
+}
+
+// mapStore is a node store in a map: what a trie is flushed to and
+// loaded back over.
+type mapStore map[cryptoutil.Hash][]byte
+
+func (m mapStore) Put(h cryptoutil.Hash, enc []byte) error {
+	m[h] = append([]byte(nil), enc...)
+	return nil
+}
+
+func (m mapStore) Has(h cryptoutil.Hash) bool { _, ok := m[h]; return ok }
+
+func (m mapStore) Node(h cryptoutil.Hash, decode func(cryptoutil.Hash, []byte) (any, int, error)) (any, error) {
+	enc, ok := m[h]
+	if !ok {
+		return nil, mpt.ErrMissingNode
+	}
+	v, _, err := decode(h, enc)
+	return v, err
 }

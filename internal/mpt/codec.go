@@ -147,8 +147,8 @@ func decodeForSource(h cryptoutil.Hash, enc []byte) (any, int, error) {
 }
 
 // Commit writes every node reachable from the root that the sink does
-// not already hold, children before parents, and returns the root
-// hash. Committing an empty trie writes nothing and returns EmptyRoot.
+// not already hold, children before parents and a leaf's Aux before the
+// leaf, and returns the root hash. Committing an empty trie writes nothing and returns EmptyRoot.
 // The trie itself is unchanged and stays fully usable; pair Commit
 // with Load to drop the in-memory node graph after persisting.
 func (t *Trie) Commit(sink NodeSink) (cryptoutil.Hash, error) {
@@ -167,6 +167,12 @@ func commitNode(n node, sink NodeSink) (cryptoutil.Hash, error) {
 		return h, nil
 	}
 	switch v := n.(type) {
+	case *leafNode:
+		if v.aux != nil {
+			if err := v.aux.Commit(sink); err != nil {
+				return h, err
+			}
+		}
 	case *extNode:
 		if _, err := commitNode(v.child, sink); err != nil {
 			return h, err
@@ -190,9 +196,10 @@ func commitNode(n node, sink NodeSink) (cryptoutil.Hash, error) {
 // WalkNodes visits every node hash reachable from root, parents before
 // children, resolving through src. visit returning false prunes the
 // subtree below that hash — the pruning mark phase uses this to stop
-// at subtrees already marked via another root. An EmptyRoot walk
-// visits nothing.
-func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash) bool) error {
+// at subtrees already marked via another root. leaf, when non-nil, is
+// handed every value under a visited node, so the caller can follow
+// what the values name. An EmptyRoot walk visits nothing.
+func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash) bool, leaf func(value []byte) error) error {
 	if root == EmptyRoot || root == cryptoutil.ZeroHash {
 		return nil
 	}
@@ -204,19 +211,73 @@ func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash)
 		return err
 	}
 	switch v := n.(type) {
+	case *leafNode:
+		if leaf != nil {
+			return leaf(v.value)
+		}
 	case *extNode:
-		return WalkNodes(src, v.child.hash(), visit)
+		return WalkNodes(src, v.child.hash(), visit, leaf)
 	case *branchNode:
+		if v.value != nil && leaf != nil {
+			if err := leaf(v.value); err != nil {
+				return err
+			}
+		}
 		for _, c := range v.children {
 			if c == nil {
 				continue
 			}
-			if err := WalkNodes(src, c.hash(), visit); err != nil {
+			if err := WalkNodes(src, c.hash(), visit, leaf); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// Leaves calls fn for every key in the trie in ascending key order,
+// with its value and companion (see Aux), resolving persisted nodes
+// through the trie's source. fn must not retain or modify the slices.
+// An error from fn or from a resolution stops the iteration.
+func (t *Trie) Leaves(fn func(key, value []byte, aux Aux) error) error {
+	return leaves(t.src, t.root, nil, fn)
+}
+
+func leaves(src NodeSource, n node, prefix []byte, fn func(key, value []byte, aux Aux) error) error {
+	rn, err := resolveNode(src, n)
+	if err != nil {
+		return err
+	}
+	switch v := rn.(type) {
+	case *leafNode:
+		return fn(fromNibbles(concat(prefix, v.keyEnd)), v.value, v.aux)
+	case *extNode:
+		return leaves(src, v.child, concat(prefix, v.path), fn)
+	case *branchNode:
+		if v.value != nil {
+			if err := fn(fromNibbles(prefix), v.value, nil); err != nil {
+				return err
+			}
+		}
+		for i, c := range v.children {
+			if c == nil {
+				continue
+			}
+			if err := leaves(src, c, append(prefix[:len(prefix):len(prefix)], byte(i)), fn); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fromNibbles packs a whole-byte nibble path back into the key.
+func fromNibbles(path []byte) []byte {
+	out := make([]byte, len(path)/2)
+	for i := range out {
+		out[i] = path[2*i]<<4 | path[2*i+1]
+	}
+	return out
 }
 
 // Prove returns a Merkle proof for key: the storage-form nodes along

@@ -166,7 +166,7 @@ func TestWalkNodesCoversEverything(t *testing.T) {
 		}
 		seen[h] = true
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatalf("WalkNodes: %v", err)
 	}
 	// The walk from the only root must touch every record the commit
@@ -177,7 +177,7 @@ func TestWalkNodesCoversEverything(t *testing.T) {
 	if err := WalkNodes(s, EmptyRoot, func(cryptoutil.Hash) bool {
 		t.Fatal("empty root must visit nothing")
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +205,7 @@ func TestPruneKeepsRetainedRoots(t *testing.T) {
 	// every commit so survival depends purely on the mark set.
 	m := nodestore.NewMarker()
 	for _, root := range roots[len(roots)-2:] {
-		if err := WalkNodes(s, root, m.Keep); err != nil {
+		if err := WalkNodes(s, root, m.Keep, nil); err != nil {
 			t.Fatalf("mark: %v", err)
 		}
 	}

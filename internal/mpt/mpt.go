@@ -31,6 +31,9 @@ type Trie struct {
 	root node
 	size int
 	src  NodeSource
+	// loaded is the root this trie, or the one it was derived from, was
+	// loaded under (see LoadedFrom).
+	loaded cryptoutil.Hash
 }
 
 // EmptyRoot is the root hash of an empty trie.
@@ -57,6 +60,16 @@ type NodeSink interface {
 	Has(h cryptoutil.Hash) bool
 }
 
+// Aux is an in-memory companion a caller may attach to a leaf: data the
+// value commits to by hash (the account trie hangs a contract's storage
+// trie and code here). It is not part of the node's hash or encoding, a
+// leaf decoded from a source has none, and it follows its value through
+// every restructuring of the trie. Commit persists it before the leaf
+// that names it.
+type Aux interface {
+	Commit(sink NodeSink) error
+}
+
 type node interface {
 	// hash returns the node's commitment, caching it in the node.
 	hash() cryptoutil.Hash
@@ -66,6 +79,7 @@ type (
 	leafNode struct {
 		keyEnd []byte // nibbles
 		value  []byte
+		aux    Aux // in-memory companion of value, nil on decoded leaves
 		cached *cryptoutil.Hash
 	}
 	extNode struct {
@@ -94,11 +108,28 @@ func Load(root cryptoutil.Hash, size int, src NodeSource) *Trie {
 	if root == EmptyRoot {
 		return &Trie{src: src}
 	}
-	return &Trie{root: hashNode(root), size: size, src: src}
+	return &Trie{root: hashNode(root), size: size, src: src, loaded: root}
 }
+
+// LoadedFrom returns the root the trie was loaded under, or the trie it
+// was derived from was (zero for none): every persisted node the trie
+// refers to is reachable from that root, so whoever prunes the source
+// keeps a live trie readable by keeping that root.
+func (t *Trie) LoadedFrom() cryptoutil.Hash { return t.loaded }
 
 // Len returns the number of keys in the trie.
 func (t *Trie) Len() int { return t.size }
+
+// Source returns the node source persisted nodes resolve through (nil
+// for an in-memory trie).
+func (t *Trie) Source() NodeSource { return t.src }
+
+// Stored reports whether the whole trie lies in its source: nothing of
+// it is held here but the root's hash.
+func (t *Trie) Stored() bool {
+	_, ok := t.root.(hashNode)
+	return ok && t.src != nil
+}
 
 // Get returns the value stored under key. It panics on a node
 // resolution failure, which cannot happen on an in-memory trie;
@@ -114,38 +145,46 @@ func (t *Trie) Get(key []byte) ([]byte, bool) {
 // TryGet returns the value stored under key, resolving persisted
 // nodes through the trie's source. The returned slice is a copy.
 func (t *Trie) TryGet(key []byte) ([]byte, bool, error) {
+	v, _, ok, err := t.TryGetAux(key)
+	return copyBytes(v), ok, err
+}
+
+// TryGetAux is TryGet that also returns the leaf's companion (nil when
+// none was attached or the leaf came from the source), and returns the
+// trie's own value bytes, not a copy: the caller must not modify them.
+func (t *Trie) TryGetAux(key []byte) ([]byte, Aux, bool, error) {
 	n := t.root
 	path := toNibbles(key)
 	for {
 		rn, err := resolveNode(t.src, n)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
 		switch v := rn.(type) {
 		case nil:
-			return nil, false, nil
+			return nil, nil, false, nil
 		case *leafNode:
 			if bytes.Equal(v.keyEnd, path) {
-				return copyBytes(v.value), true, nil
+				return v.value, v.aux, true, nil
 			}
-			return nil, false, nil
+			return nil, nil, false, nil
 		case *extNode:
 			if len(path) < len(v.path) || !bytes.Equal(path[:len(v.path)], v.path) {
-				return nil, false, nil
+				return nil, nil, false, nil
 			}
 			path = path[len(v.path):]
 			n = v.child
 		case *branchNode:
 			if len(path) == 0 {
 				if v.value == nil {
-					return nil, false, nil
+					return nil, nil, false, nil
 				}
-				return copyBytes(v.value), true, nil
+				return v.value, nil, true, nil
 			}
 			n = v.children[path[0]]
 			path = path[1:]
 		default:
-			return nil, false, fmt.Errorf("mpt: unknown node %T", rn)
+			return nil, nil, false, fmt.Errorf("mpt: unknown node %T", rn)
 		}
 	}
 }
@@ -166,25 +205,28 @@ func (t *Trie) Set(key, value []byte) *Trie {
 // TrySet is Set with node-resolution errors reported instead of
 // panicking.
 func (t *Trie) TrySet(key, value []byte) (*Trie, error) {
+	return t.TrySetAux(key, value, nil)
+}
+
+// TrySetAux is TrySet that attaches aux to the stored value (see Aux).
+// An aux lives on a leaf: a key that is a strict prefix of another key
+// cannot carry one.
+func (t *Trie) TrySetAux(key, value []byte, aux Aux) (*Trie, error) {
 	// Copy: the trie retains the value across versions, so a caller
 	// reusing its buffer must never be able to mutate history.
 	val := copyBytes(value)
 	if val == nil {
 		val = []byte{}
 	}
-	_, existed, err := t.TryGet(key)
-	if err != nil {
-		return nil, err
-	}
-	root, err := insert(t.src, t.root, toNibbles(key), val)
+	root, replaced, err := insert(t.src, t.root, toNibbles(key), val, aux)
 	if err != nil {
 		return nil, err
 	}
 	size := t.size
-	if !existed {
+	if !replaced {
 		size++
 	}
-	return &Trie{root: root, size: size, src: t.src}, nil
+	return &Trie{root: root, size: size, src: t.src, loaded: t.loaded}, nil
 }
 
 // Delete removes key and returns the updated trie; the boolean reports
@@ -208,7 +250,7 @@ func (t *Trie) TryDelete(key []byte) (*Trie, bool, error) {
 	if !deleted {
 		return t, false, nil
 	}
-	return &Trie{root: root, size: t.size - 1, src: t.src}, true, nil
+	return &Trie{root: root, size: t.size - 1, src: t.src, loaded: t.loaded}, true, nil
 }
 
 // RootHash returns the trie's commitment. Equal content always yields
@@ -241,31 +283,33 @@ func resolveNode(src NodeSource, n node) (node, error) {
 	return nd, nil
 }
 
-func insert(src NodeSource, n node, path []byte, value []byte) (node, error) {
+// insert returns the subtree with value stored under path, and whether
+// it replaced a value already there.
+func insert(src NodeSource, n node, path []byte, value []byte, aux Aux) (node, bool, error) {
 	rn, err := resolveNode(src, n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	switch v := rn.(type) {
 	case nil:
-		return &leafNode{keyEnd: path, value: value}, nil
+		return &leafNode{keyEnd: path, value: value, aux: aux}, false, nil
 	case *leafNode:
 		cp := commonPrefix(v.keyEnd, path)
 		if cp == len(v.keyEnd) && cp == len(path) {
-			return &leafNode{keyEnd: path, value: value}, nil
+			return &leafNode{keyEnd: path, value: value, aux: aux}, true, nil
 		}
 		br := &branchNode{}
-		attach(br, v.keyEnd[cp:], v.value)
-		attach(br, path[cp:], value)
-		return wrapExt(path[:cp], br), nil
+		attach(br, v.keyEnd[cp:], v.value, v.aux)
+		attach(br, path[cp:], value, aux)
+		return wrapExt(path[:cp], br), false, nil
 	case *extNode:
 		cp := commonPrefix(v.path, path)
 		if cp == len(v.path) {
-			child, err := insert(src, v.child, path[cp:], value)
+			child, replaced, err := insert(src, v.child, path[cp:], value, aux)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return &extNode{path: v.path, child: child}, nil
+			return &extNode{path: v.path, child: child}, replaced, nil
 		}
 		br := &branchNode{}
 		// Remainder of the extension's own path.
@@ -275,33 +319,33 @@ func insert(src NodeSource, n node, path []byte, value []byte) (node, error) {
 		} else {
 			br.children[rest[0]] = &extNode{path: rest[1:], child: v.child}
 		}
-		attach(br, path[cp:], value)
-		return wrapExt(path[:cp], br), nil
+		attach(br, path[cp:], value, aux)
+		return wrapExt(path[:cp], br), false, nil
 	case *branchNode:
 		nb := v.clone()
 		if len(path) == 0 {
 			nb.value = value
-			return nb, nil
+			return nb, v.value != nil, nil
 		}
-		child, err := insert(src, v.children[path[0]], path[1:], value)
+		child, replaced, err := insert(src, v.children[path[0]], path[1:], value, aux)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		nb.children[path[0]] = child
-		return nb, nil
+		return nb, replaced, nil
 	default:
-		return nil, fmt.Errorf("mpt: unknown node %T", rn)
+		return nil, false, fmt.Errorf("mpt: unknown node %T", rn)
 	}
 }
 
 // attach places a value reachable from br along the (possibly empty)
 // remaining path.
-func attach(br *branchNode, path []byte, value []byte) {
+func attach(br *branchNode, path []byte, value []byte, aux Aux) {
 	if len(path) == 0 {
 		br.value = value
 		return
 	}
-	br.children[path[0]] = &leafNode{keyEnd: path[1:], value: value}
+	br.children[path[0]] = &leafNode{keyEnd: path[1:], value: value, aux: aux}
 }
 
 func wrapExt(prefix []byte, n node) node {
@@ -374,7 +418,7 @@ func collapseExt(src NodeSource, prefix []byte, child node) (node, error) {
 	case nil:
 		return nil, nil
 	case *leafNode:
-		return &leafNode{keyEnd: concat(prefix, c.keyEnd), value: c.value}, nil
+		return &leafNode{keyEnd: concat(prefix, c.keyEnd), value: c.value, aux: c.aux}, nil
 	case *extNode:
 		return &extNode{path: concat(prefix, c.path), child: c.child}, nil
 	default:

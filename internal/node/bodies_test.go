@@ -68,8 +68,8 @@ func (c *fatChain) next() *types.Block {
 	if err := c.eng.Seal(b, c.tip); err != nil {
 		c.tb.Fatalf("Seal: %v", err)
 	}
-	if st.Depth() >= 64 {
-		st = st.Flatten() // or the state drags a layer per block behind it
+	if height%64 == 0 {
+		st = st.Detach() // or the state drags a layer per block behind it
 	}
 	c.st, c.tip = st, b
 	return b

@@ -4,13 +4,21 @@ import (
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/state"
 )
 
-// TestHeadStateDepthBounded: the chain of diff layers under the head
-// state (what an account lookup walks, and what keeps the layers of
-// pruned states alive) is bounded by the retention window, not by the
-// length of the chain.
-func TestHeadStateDepthBounded(t *testing.T) {
+// readDepth is how many layers a read of st that misses them all visits.
+func readDepth(st *state.State) int {
+	_, d := st.Under()
+	return d
+}
+
+// TestHeadReadsOneTrie: a read of the head state is answered by the head
+// layer's own writes or by its trie — the block being executed on top of
+// it adds one layer — and a read of any retained state walks a bounded
+// number of layers to a trie, whatever the length of the chain. Nothing
+// under a state is a flat copy of the accounts.
+func TestHeadReadsOneTrie(t *testing.T) {
 	const W = 8
 	n, genesis := lifecycleNode(t, W, 0)
 	bd := newChainBuilder(t, genesis)
@@ -19,9 +27,23 @@ func TestHeadStateDepthBounded(t *testing.T) {
 		if err := n.HandleBlock(b); err != nil {
 			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
 		}
-		if d := n.State().Depth(); d > W+W/2 {
-			t.Fatalf("head state sits on %d layers at height %d, retention window is %d", d, b.Header.Height, W)
+		head := n.State()
+		if d := readDepth(head); d != 1 {
+			t.Fatalf("a head read visits %d layers at height %d, want 1 (then one trie)", d, b.Header.Height)
 		}
+		if d := readDepth(head.Copy()); d != 2 {
+			t.Fatalf("a read of a block layer over the head visits %d layers, want 2", d)
+		}
+		n.mu.Lock()
+		for h, st := range n.states {
+			// A state whose trie was released reads through the layers down
+			// to the state last detached under it: at most W/2 of them.
+			if d := readDepth(st); d > W/2+1 {
+				n.mu.Unlock()
+				t.Fatalf("a read of retained state %s visits %d layers, retention window is %d", h.Short(), d, W)
+			}
+		}
+		n.mu.Unlock()
 	}
 	if got, want := n.State().Commit(), bd.states[n.Chain().Head()].Commit(); got != want {
 		t.Fatalf("head root %s, builder's %s", got.Short(), want.Short())

@@ -1,22 +1,26 @@
 // Disk-backed authenticated state. With Config.DiskState set, the
-// account trie every state commits (state.State.Trie) is a trie over a
-// nodestore.Store: clean nodes resolve from the store through its
-// bounded cache, and only the nodes written since the last flush are
-// held in memory. There is no second copy to keep in step: the root the
-// block header carries is the root of this trie.
+// account trie every state commits and reads through (state.State.AccountTrie)
+// is a trie over a nodestore.Store, and so are the storage tries and the
+// code its leaves name: clean nodes resolve from the store through its
+// bounded cache, and only what was written since the last flush is held
+// in memory. There is no second copy to keep in step: the root the block
+// header carries is the root of this trie, and the state is this trie.
 //
-// Nodes reach the store at checkpoint cadence, not per block: the head's
-// unflushed nodes are written in one batch just before the WAL publishes
-// a checkpoint naming that head, so a checkpoint never names a root the
-// store lacks, and nodes superseded inside a checkpoint interval are
-// never written at all. Recovery restarts from a checkpoint and rebuilds
-// the later tries by connecting the journaled blocks, so nothing newer
-// than a checkpoint needs to be on disk.
+// Nodes reach the store at checkpoint cadence, not per block: what the
+// head holds unflushed is written in one batch just before the WAL
+// publishes a checkpoint naming that head, so a checkpoint never names a
+// root the store lacks (it records the root and no snapshot), and nodes
+// superseded inside a checkpoint interval are never written at all.
+// Recovery opens the checkpoint's root and rebuilds the later tries by
+// connecting the journaled blocks, so nothing newer than a checkpoint
+// needs to be on disk.
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/mpt"
@@ -45,20 +49,34 @@ type diskState struct {
 	prunedHeight  uint64
 }
 
-// persistTrieLocked writes the nodes of st's account trie that the store
-// does not hold yet (all of them when the store is empty or lost, none
-// when the root is already there), makes them durable, and swaps the
-// state's trie for one loaded back over the store, so the written nodes
-// leave memory. It is a no-op on the memory backend. Caller holds n.mu.
-func (n *Node) persistTrieLocked(height uint64, st *state.State) error {
+// rewriteSink claims to hold nothing, so a trie committed to it is
+// written out whole; the batch under it still skips what the store has.
+type rewriteSink struct{ *nodestore.Batch }
+
+func (rewriteSink) Has(cryptoutil.Hash) bool { return false }
+
+// persistTrieLocked writes what st's account trie holds that the store
+// does not yet — trie nodes, and ahead of each contract's leaf its
+// storage trie and code (none when the root is already there, unless
+// rewrite) — makes it durable, and swaps the state's trie for one loaded
+// back over the store, so what was written leaves memory. It is a no-op
+// on the memory backend. Caller holds n.mu.
+func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) error {
 	d := n.disk
 	if d == nil {
 		return nil
 	}
 	sw := obs.StartTimer()
-	tr := st.Trie()
+	tr := st.AccountTrie()
+	if tr == nil {
+		return fmt.Errorf("node: flush state trie at height %d: %w", height, st.Err())
+	}
 	batch := d.store.NewBatch(height)
-	root, err := tr.Commit(batch)
+	var sink mpt.NodeSink = batch
+	if rewrite {
+		sink = rewriteSink{batch}
+	}
+	root, err := tr.Commit(sink)
 	written := batch.Len()
 	if err == nil {
 		err = batch.Commit()
@@ -113,7 +131,7 @@ func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 	if err != nil {
 		return
 	}
-	if err := n.persistTrieLocked(height, st); err != nil {
+	if err := n.persistTrieLocked(height, st, false); err != nil {
 		return
 	}
 	if ds != nil {
@@ -125,12 +143,18 @@ func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 }
 
 // pruneDiskLocked runs the mark-and-compact sweep once the head has
-// moved diskPruneEvery blocks since the last one: every canonical root of
-// the retention window that was flushed is marked live (walks share
-// subtrees, so consecutive roots cost only their deltas), Compact drops
-// records that are both below the height floor and unreachable from a
-// marked root, and a store checkpoint names the oldest root kept.
-// Unflushed roots have no records to keep. Caller holds n.mu.
+// moved diskPruneEvery blocks since the last one. Marked live: every
+// canonical root of the retention window that was flushed, the flushed
+// root under the trie each retained state reads from (a state whose own
+// trie was released reads the trie of the detached state under it, and
+// that one may hang on a flush below the window), the roots the retained
+// WAL checkpoints name (recovery opens the state by them, however short
+// the window), and the base state rebuilds replay from — each with the
+// storage tries and code its leaves name (walks share subtrees, so
+// consecutive roots cost only their deltas). Compact drops records that
+// are both below the height floor and unreachable from a marked root,
+// and a store checkpoint names the oldest root kept. Unflushed roots
+// have no records to keep. Caller holds n.mu.
 func (n *Node) pruneDiskLocked() {
 	d := n.disk
 	w := n.retention()
@@ -141,24 +165,59 @@ func (n *Node) pruneDiskLocked() {
 	d.prunedHeight = head
 	floor := head - uint64(w)
 	marker := nodestore.NewMarker()
+	// A root the store lacks has nothing to keep: an unflushed block's, or
+	// a storage trie named by a leaf written before storage was kept here.
+	walk := func(root cryptoutil.Hash, leaf func([]byte) error) error {
+		if !d.store.Has(root) {
+			return nil
+		}
+		return mpt.WalkNodes(d.store, root, marker.Keep, leaf)
+	}
+	refs := func(leaf []byte) error {
+		storage, code, err := state.LeafRefs(leaf)
+		if err != nil {
+			return err
+		}
+		if !code.IsZero() {
+			marker.Keep(code)
+		}
+		return walk(storage, nil)
+	}
+	var failed error
+	keep := func(root cryptoutil.Hash) {
+		if failed == nil {
+			failed = walk(root, refs)
+		}
+	}
+	keep(n.baseState.Commit())
+	if n.cfg.Durable != nil {
+		for _, root := range n.cfg.Durable.CheckpointRoots() {
+			keep(root)
+		}
+	}
+	var under []cryptoutil.Hash
+	for _, st := range n.states {
+		if tr, _ := st.Under(); tr != nil {
+			under = append(under, tr.LoadedFrom())
+		}
+	}
+	slices.SortFunc(under, func(a, b cryptoutil.Hash) int { return bytes.Compare(a[:], b[:]) })
+	for _, root := range slices.Compact(under) {
+		keep(root)
+	}
 	var oldest *nodestore.Checkpoint
 	for h := floor; h <= head; h++ {
 		bh, _ := n.chain.AtHeight(h)
-		hdr, ok := n.tree.Header(bh)
-		if !ok {
-			continue
+		if hdr, ok := n.tree.Header(bh); ok && d.store.Has(hdr.StateRoot) {
+			keep(hdr.StateRoot)
+			if oldest == nil {
+				oldest = &nodestore.Checkpoint{Height: h, Roots: map[string]cryptoutil.Hash{"state": hdr.StateRoot}}
+			}
 		}
-		root := hdr.StateRoot
-		if root == mpt.EmptyRoot || !d.store.Has(root) {
-			continue
-		}
-		if err := mpt.WalkNodes(d.store, root, marker.Keep); err != nil {
-			n.metrics.DiskErrors++
-			return // a failed mark walk must veto compaction
-		}
-		if oldest == nil {
-			oldest = &nodestore.Checkpoint{Height: h, Roots: map[string]cryptoutil.Hash{"state": root}}
-		}
+	}
+	if failed != nil {
+		n.metrics.DiskErrors++
+		return // a failed mark walk must veto compaction
 	}
 	if _, err := d.store.Compact(marker, floor); err != nil {
 		n.metrics.DiskErrors++
@@ -208,7 +267,10 @@ func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: head state: %w", err)
 	}
-	tr := st.Trie()
+	tr := st.AccountTrie()
+	if tr == nil {
+		return nil, fmt.Errorf("node: head state trie: %w", st.Err())
+	}
 	root := tr.RootHash()
 	proof, err := tr.Prove(addr[:])
 	if err != nil {

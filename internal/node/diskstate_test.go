@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcsledger/internal/consensus/forkchoice"
@@ -37,22 +38,48 @@ func diskAlloc() (map[cryptoutil.Address]uint64, []cryptoutil.Address) {
 	return alloc, addrs
 }
 
+// diskOpts varies what diskNodeWith opens; the zero value is diskNode's.
+type diskOpts struct {
+	retention int
+	ckptEvery uint64 // 0 = diskCkptEvery
+	executor  state.Executor
+	cache     int64 // node-store cache budget (0 = default, negative = none)
+	memory    bool  // no node store: the memory backend over the same WAL
+}
+
 // diskNode opens dir the way ledgerd does with -state-backend=disk —
 // WAL and checkpoints in dir, node store in dir/state — and recovers a
 // node from whatever is there. Tiny node-store segments, so compaction
 // has sealed segments to drop.
 func diskNode(t *testing.T, dir string, retention int) (*Node, *wal.DurableStore, *nodestore.Store, *types.Block) {
 	t.Helper()
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+	n, ds, ns, genesis, err := diskNodeWith(t, dir, diskOpts{retention: retention})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return n, ds, ns, genesis
+}
+
+// diskNodeWith is diskNode with options; a failed recovery is returned,
+// not fatal.
+func diskNodeWith(t *testing.T, dir string, o diskOpts) (*Node, *wal.DurableStore, *nodestore.Store, *types.Block, error) {
+	t.Helper()
+	if o.ckptEvery == 0 {
+		o.ckptEvery = diskCkptEvery
+	}
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: o.ckptEvery})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	ns, err := nodestore.Open(filepath.Join(dir, "state"), nodestore.Options{Sync: nodestore.SyncNever, SegmentSize: 256})
-	if err != nil {
-		t.Fatalf("nodestore.Open: %v", err)
+	var ns *nodestore.Store
+	if !o.memory {
+		ns, err = nodestore.Open(filepath.Join(dir, "state"), nodestore.Options{Sync: nodestore.SyncNever, SegmentSize: 256, CacheBytes: o.cache})
+		if err != nil {
+			t.Fatalf("nodestore.Open: %v", err)
+		}
+		t.Cleanup(func() { _ = ns.Close() })
 	}
-	t.Cleanup(func() { _ = ns.Close() })
 	genesis := NewGenesis("diskstate-test")
 	alloc, _ := diskAlloc()
 	n, err := New(Config{
@@ -62,19 +89,17 @@ func diskNode(t *testing.T, dir string, retention int) (*Node, *wal.DurableStore
 		ForkChoice:     forkchoice.LongestChain{},
 		Genesis:        genesis,
 		Alloc:          alloc,
+		Executor:       o.executor,
 		Rewards:        incentive.Schedule{InitialReward: 50},
 		Clock:          simclock.NewSimulator(),
-		StateRetention: retention,
+		StateRetention: o.retention,
 		Durable:        ds,
 		DiskState:      ns,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := n.Recover(rec); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	return n, ds, ns, genesis
+	return n, ds, ns, genesis, n.Recover(rec)
 }
 
 // diskChainBuilder is a chain builder whose genesis state holds the
@@ -184,6 +209,19 @@ func TestDiskStateFlushesAtCheckpointCadence(t *testing.T) {
 		t.Fatalf("%d state_commit and %d disk_flush spans, want 30 and 3", commits, flushes)
 	}
 
+	// What the states answer while the store is open is what the store
+	// alone must answer once reopened.
+	want := make(map[uint64][][]byte)
+	for _, h := range []uint64{8, 16, 24} {
+		st, _ := n.StateAt(blocks[h-1].Hash())
+		for _, a := range miners[:32] {
+			leaf, ok := st.AccountLeaf(a)
+			if !ok {
+				t.Fatalf("state at h=%d has no leaf for a funded account: %v", h, st.Err())
+			}
+			want[h] = append(want[h], leaf)
+		}
+	}
 	if err := ns.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -193,13 +231,10 @@ func TestDiskStateFlushesAtCheckpointCadence(t *testing.T) {
 	}
 	defer ns2.Close()
 	for _, h := range []uint64{8, 16, 24} {
-		b := blocks[h-1]
-		st, _ := n.StateAt(b.Hash())
-		tr := mpt.Load(b.Header.StateRoot, 0, ns2)
-		for _, a := range miners[:32] {
-			want, _ := st.AccountLeaf(a)
-			if got, ok, err := tr.TryGet(a[:]); err != nil || !ok || !bytes.Equal(got, want) {
-				t.Fatalf("checkpointed root h=%d: TryGet = %x,%v,%v want %x", h, got, ok, err, want)
+		tr := mpt.Load(blocks[h-1].Header.StateRoot, 0, ns2)
+		for i, a := range miners[:32] {
+			if got, ok, err := tr.TryGet(a[:]); err != nil || !ok || !bytes.Equal(got, want[h][i]) {
+				t.Fatalf("checkpointed root h=%d: TryGet = %x,%v,%v want %x", h, got, ok, err, want[h][i])
 			}
 		}
 	}
@@ -246,10 +281,11 @@ func TestDiskStateReorgAcrossFlushBoundary(t *testing.T) {
 }
 
 // TestDiskStatePrunesFlushedRoots: the sweep keeps every flushed root of
-// the retention window readable, drops older ones, names the oldest kept
-// root in a store checkpoint — and a reorg from below everything the
-// store still holds succeeds anyway, because a state's flat maps can
-// always rebuild its trie.
+// the retention window readable and the one the window's oldest states
+// still read through, drops older ones, names the window's oldest root in
+// a store checkpoint — and a reorg from below every flushed root
+// the window still holds succeeds anyway, replayed from the base state,
+// whose trie the sweep keeps.
 func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 	const W = 12
 	n, _, ns, genesis := diskNode(t, t.TempDir(), W)
@@ -267,17 +303,19 @@ func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 	if got := n.Metrics().DiskPrunes; got != 1 {
 		t.Fatalf("DiskPrunes = %d, want the one sweep at height 64", got)
 	}
-	for _, h := range []uint64{8, 16, 24, 32, 40, 48} {
+	for _, h := range []uint64{8, 16, 24, 32, 40} {
 		if ns.Has(chainA[h-1].Header.StateRoot) {
 			t.Fatalf("flushed root at height %d survived pruning", h)
 		}
 	}
-	for _, h := range []uint64{56, 64, 72, 80} {
+	// 48 is below the floor, but the states at 52..54 read the trie of the
+	// state detached at 49, which hangs on that flush.
+	for _, h := range []uint64{48, 56, 64, 72, 80} {
 		root := chainA[h-1].Header.StateRoot
 		if v, ok, err := mpt.Load(root, 0, ns).TryGet(miners[5][:]); err != nil || !ok || len(v) == 0 {
 			t.Fatalf("retained flushed root at height %d unreadable: ok=%v err=%v", h, ok, err)
 		}
-		if err := mpt.WalkNodes(ns, root, func(cryptoutil.Hash) bool { return true }); err != nil {
+		if err := mpt.WalkNodes(ns, root, func(cryptoutil.Hash) bool { return true }, nil); err != nil {
 			t.Fatalf("retained flushed root at height %d does not walk: %v", h, err)
 		}
 	}
@@ -304,6 +342,54 @@ func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 	checkHeadProof(t, n, miners[100])
 }
 
+// TestDiskSweepKeepsWhatWindowStatesRead: a retained state whose own trie
+// was released reads through its layers into the trie of the detached
+// state under them, and that trie hangs on a flush that may lie below
+// the sweep's floor. With no cache in front of the store, every state of
+// the window still answers after the second sweep, and a reorg as deep as
+// the window connects from one of them.
+func TestDiskSweepKeepsWhatWindowStatesRead(t *testing.T) {
+	const W = 40
+	n, _, _, genesis, err := diskNodeWith(t, t.TempDir(), diskOpts{retention: W, cache: -1})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	bd := diskChainBuilder(t, genesis)
+	_, miners := diskAlloc()
+
+	chainA := rotate(bd, genesis, 130, miners[:100]) // sweeps at 64 and 128
+	handleAll(t, n, chainA)
+	if got := n.Metrics().DiskPrunes; got != 2 {
+		t.Fatalf("DiskPrunes = %d, want the sweeps at 64 and 128", got)
+	}
+	for h := 130 - W; h <= 130; h++ {
+		b := chainA[h-1]
+		st, ok := n.StateAt(b.Hash())
+		if !ok {
+			t.Fatalf("no state at height %d", h)
+		}
+		view, want := st.Copy(), bd.states[b.Hash()]
+		for _, a := range miners[:100] {
+			if got := view.Balance(a); got != want.Balance(a) || view.Err() != nil {
+				t.Fatalf("height %d, %s: balance %d, want %d (err %v)", h, a.Short(), got, want.Balance(a), view.Err())
+			}
+		}
+	}
+	if got := n.Metrics().StateRebuilds; got != 0 {
+		t.Fatalf("StateRebuilds = %d: the window's states were not retained", got)
+	}
+
+	chainB := rotate(bd, chainA[89], W+1, miners[100:])
+	handleAll(t, n, chainB)
+	if n.Chain().Head() != chainB[W].Hash() {
+		t.Fatal("reorg to branch B did not happen")
+	}
+	if m := n.Metrics(); m.DiskErrors != 0 || m.BlocksRejected != 0 || m.StateReadErrors != 0 {
+		t.Fatalf("DiskErrors %d, BlocksRejected %d, StateReadErrors %d", m.DiskErrors, m.BlocksRejected, m.StateReadErrors)
+	}
+	checkHeadProof(t, n, miners[100])
+}
+
 // TestCrashMatrixFlushBeforeCheckpoint kills the node between the trie
 // flush and the publication of the checkpoint that would have named it:
 // the store is ahead of the newest checkpoint. Recovery starts from that
@@ -322,7 +408,7 @@ func TestCrashMatrixFlushBeforeCheckpoint(t *testing.T) {
 	}
 	// The flush half of a checkpoint, and then nothing: kill -9.
 	n1.mu.Lock()
-	err := n1.persistTrieLocked(15, n1.states[blocks[14].Hash()])
+	err := n1.persistTrieLocked(15, n1.states[blocks[14].Hash()], false)
 	n1.mu.Unlock()
 	if err != nil {
 		t.Fatalf("flush: %v", err)
@@ -358,56 +444,124 @@ func TestCrashMatrixFlushBeforeCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixLostStateDir recovers with a state directory that does
-// not hold the checkpoint's root (deleted here; restored from an older
-// backup is the same case): the verified checkpoint state refills the
-// store once, in full, and flushes are incremental again afterwards.
-func TestCrashMatrixLostStateDir(t *testing.T) {
-	dir := t.TempDir()
-	n1, ds1, ns1, genesis := diskNode(t, dir, -1)
-	bd := diskChainBuilder(t, genesis)
-	_, miners := diskAlloc()
-	blocks := rotate(bd, genesis, 32, miners)
-	for _, b := range blocks[:20] {
-		if err := n1.HandleBlock(b); err != nil {
-			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
-		}
-	}
-	full := ns1.Stats().Records
-	ds1.Close()
-	ns1.Close()
-	if err := os.RemoveAll(filepath.Join(dir, "state")); err != nil {
+// copyFiles copies the regular files of directory src into dst.
+func copyFiles(t *testing.T, dst, src string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	n2, _, ns2, _ := diskNode(t, dir, -1)
-	if n2.Chain().Head() != blocks[19].Hash() {
-		t.Fatalf("recovered head %s@%d, want 20", n2.Chain().Head().Short(), n2.Chain().Height())
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	ckRoot := blocks[15].Header.StateRoot
-	if root, h, _ := n2.DiskFlushed(); h != 16 || root != ckRoot || !ns2.Has(ckRoot) {
-		t.Fatalf("flushed %s@%d, want the checkpoint root at 16 written back", root.Short(), h)
-	}
-	if err := mpt.WalkNodes(ns2, ckRoot, func(cryptoutil.Hash) bool { return true }); err != nil {
-		t.Fatalf("rebuilt checkpoint trie does not walk: %v", err)
-	}
-	rebuilt := ns2.Stats().Appends
-	if rebuilt < 256 || int(rebuilt) > full {
-		t.Fatalf("rebuild wrote %d records; the trie has 256 leaves and the lost store held %d records", rebuilt, full)
-	}
-	checkHeadProof(t, n2, miners[19])
-	for _, b := range blocks[20:] {
-		if err := n2.HandleBlock(b); err != nil {
-			t.Fatalf("HandleBlock h=%d after recovery: %v", b.Header.Height, err)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		checkHeadProof(t, n2, miners[int(b.Header.Height-1)%len(miners)])
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if wrote := ns2.Stats().Appends - rebuilt; wrote == 0 || wrote > 80 {
-		t.Fatalf("two flushes after the rebuild wrote %d records, want a few paths each", wrote)
+}
+
+// TestCrashMatrixLostStateDir recovers with a state directory that does
+// not hold the newest checkpoint's root. A checkpoint of the disk backend
+// carries no snapshot, so what it names must be found some other way, and
+// a root that was not re-derived is never served: the older checkpoint if
+// the store holds that one's root (a state directory restored from a
+// backup), else the whole journal from genesis (a state directory
+// deleted), else — the journal pruned below the checkpoint — the node
+// refuses to start and names the root it misses.
+func TestCrashMatrixLostStateDir(t *testing.T) {
+	// build runs a node to height 20 (checkpoints at 8 and 16) and closes
+	// it; backup, if set, sees the directory at height 12.
+	build := func(t *testing.T, backup func(dir string)) (string, []*types.Block) {
+		dir := t.TempDir()
+		n1, ds1, ns1, genesis := diskNode(t, dir, -1)
+		bd := diskChainBuilder(t, genesis)
+		_, miners := diskAlloc()
+		blocks := rotate(bd, genesis, 32, miners)
+		handleAll(t, n1, blocks[:12])
+		if backup != nil {
+			backup(dir)
+		}
+		handleAll(t, n1, blocks[12:20])
+		ds1.Close()
+		ns1.Close()
+		return dir, blocks
 	}
-	if m := n2.Metrics(); m.DiskErrors != 0 {
-		t.Fatalf("DiskErrors = %d", m.DiskErrors)
+	// carryOn requires the exact head and a chain that goes on from it,
+	// flushing incrementally.
+	carryOn := func(t *testing.T, n *Node, ns *nodestore.Store, blocks []*types.Block) {
+		t.Helper()
+		_, miners := diskAlloc()
+		if n.Chain().Head() != blocks[19].Hash() {
+			t.Fatalf("recovered head %s@%d, want 20", n.Chain().Head().Short(), n.Chain().Height())
+		}
+		checkHeadProof(t, n, miners[19])
+		before := ns.Stats().Appends
+		for _, b := range blocks[20:] {
+			if err := n.HandleBlock(b); err != nil {
+				t.Fatalf("HandleBlock h=%d after recovery: %v", b.Header.Height, err)
+			}
+			checkHeadProof(t, n, miners[int(b.Header.Height-1)%len(miners)])
+		}
+		if root, h, _ := n.DiskFlushed(); h != 32 || !ns.Has(root) {
+			t.Fatalf("flushed height %d (root in store: %v), want 32", h, ns.Has(root))
+		}
+		if wrote := ns.Stats().Appends - before; wrote == 0 || wrote > 200 {
+			t.Fatalf("flushes after the recovery wrote %d records, want the paths of the blocks since", wrote)
+		}
+		if m := n.Metrics(); m.DiskErrors != 0 || m.StateReadErrors != 0 {
+			t.Fatalf("DiskErrors %d, StateReadErrors %d", m.DiskErrors, m.StateReadErrors)
+		}
 	}
+
+	t.Run("older-checkpoint", func(t *testing.T) {
+		saved := t.TempDir()
+		dir, blocks := build(t, func(dir string) {
+			copyFiles(t, saved, filepath.Join(dir, "state"))
+		})
+		if err := os.RemoveAll(filepath.Join(dir, "state")); err != nil {
+			t.Fatal(err)
+		}
+		copyFiles(t, filepath.Join(dir, "state"), saved)
+		n2, _, ns2, _ := diskNode(t, dir, -1)
+		if _, h, _ := n2.DiskFlushed(); h != 8 || ns2.Has(blocks[15].Header.StateRoot) {
+			t.Fatalf("recovered from flushed height %d, want the older checkpoint's 8", h)
+		}
+		carryOn(t, n2, ns2, blocks)
+	})
+	t.Run("journal-from-genesis", func(t *testing.T) {
+		dir, blocks := build(t, nil)
+		if err := os.RemoveAll(filepath.Join(dir, "state")); err != nil {
+			t.Fatal(err)
+		}
+		n2, _, ns2, _ := diskNode(t, dir, -1)
+		if _, h, _ := n2.DiskFlushed(); h != 0 || n2.Metrics().RecoveryReroots != 0 {
+			t.Fatalf("flushed height %d, %d re-roots: want a replay from the genesis trie", h, n2.Metrics().RecoveryReroots)
+		}
+		carryOn(t, n2, ns2, blocks)
+	})
+	t.Run("refuses", func(t *testing.T) {
+		dir, blocks := build(t, nil)
+		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed, err := ds.PruneBefore(ds.WAL().LastSeq()); err != nil || removed == 0 {
+			t.Fatalf("PruneBefore removed %d segments: %v", removed, err)
+		}
+		ds.Close()
+		if err := os.RemoveAll(filepath.Join(dir, "state")); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, _, err = diskNodeWith(t, dir, diskOpts{retention: -1})
+		if want := blocks[15].Header.StateRoot.Hex(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover = %v, want a refusal naming the missing root %s", err, want)
+		}
+	})
 }
 
 // TestCrashMatrixTornFlush crashes the node store in the middle of a

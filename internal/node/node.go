@@ -52,10 +52,11 @@ var (
 )
 
 // DefaultStateRetention is how many blocks below the fork-choice head
-// keep a fully materialized post-state. Deeper states are pruned and
-// rebuilt on demand by replaying blocks from the nearest retained
-// ancestor (or genesis), so memory stays O(window × accounts) instead
-// of O(chain × accounts) while reorgs of any depth still succeed.
+// keep their post-state (what the block wrote, over the committed trie).
+// Deeper states are pruned and rebuilt on demand by replaying blocks
+// from the nearest retained ancestor (or genesis), so memory stays
+// O(window × block writes) instead of O(chain) while reorgs of any depth
+// still succeed.
 const DefaultStateRetention = 128
 
 // DefaultMaxOrphans bounds the unknown-parent block buffer so a spammy
@@ -101,10 +102,11 @@ type Config struct {
 	// wal.OpenStore and feed the returned Recovery to Recover before
 	// Attach/Start. Nil keeps the node memory-only.
 	Durable *wal.DurableStore
-	// DiskState, when non-nil, backs the account trie with a persistent
-	// node store: clean trie nodes resolve from disk through the store's
-	// bounded cache, unflushed ones are written at checkpoint cadence,
-	// and Merkle proofs are served for the head (see diskstate.go).
+	// DiskState, when non-nil, backs the state with a persistent node
+	// store: account and storage tries and contract code resolve from
+	// disk through the store's bounded cache, what was written since the
+	// last flush goes there at checkpoint cadence, and Merkle proofs are
+	// served for the head (see diskstate.go).
 	DiskState *nodestore.Store
 	// ExecWorkers is the optimistic parallel-execution width for block
 	// connect and proposal (see internal/exec). 0 keeps the serial
@@ -141,6 +143,11 @@ type Metrics struct {
 	DiskPrunes  uint64
 	DiskErrors  uint64
 
+	// StateReadErrors counts trie reads under a state that failed (an I/O
+	// error, a node the store no longer holds). A block that hit one is
+	// not rejected: it connects once the store answers again.
+	StateReadErrors uint64
+
 	// Optimistic parallel execution (zero unless Config.ExecWorkers > 0).
 	ExecParallelBlocks uint64
 	ExecConflicts      uint64
@@ -162,16 +169,17 @@ type Node struct {
 	tr       p2p.Transport
 	mux      *p2p.Mux
 
-	// State lifecycle: materialized post-states are kept only for
-	// blocks within StateRetention of the head; baseState (the genesis
-	// post-state) is pinned forever as the replay root for rebuilding
-	// pruned states. anchorHeight is the monotonic lower edge of the
-	// retention window; lastFlatten is the head height at which the head
-	// state was last flattened into a parentless layer.
+	// State lifecycle: post-states are kept only for blocks within
+	// StateRetention of the head; baseState (the trie of the genesis
+	// post-state, or of the checkpoint recovery re-rooted at) is pinned
+	// forever as the replay root for rebuilding pruned states.
+	// anchorHeight is the monotonic lower edge of the retention window;
+	// detachedAt is the head height at which the head state was last cut
+	// loose from the layers under it.
 	states       map[cryptoutil.Hash]*state.State
 	baseState    *state.State
 	anchorHeight uint64
-	lastFlatten  uint64
+	detachedAt   uint64
 	// tries lists the states that still hold their account trie; only
 	// those within trieRetention of the head keep it (releaseTriesLocked).
 	tries []trieHolder
@@ -213,6 +221,9 @@ type Node struct {
 	exec *exec.Executor
 
 	metrics Metrics
+	// States count failed reads wherever they are read, with or without
+	// n.mu (state.State.CountReadErrors).
+	stateReadErrs atomic.Uint64
 	// Read-backs happen on whatever goroutine asked the tree for an old
 	// block, with or without n.mu: counted atomically.
 	bodyReads, bodyReadErrors atomic.Uint64
@@ -255,17 +266,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxOrphans <= 0 {
 		cfg.MaxOrphans = DefaultMaxOrphans
 	}
-	gst := state.New()
-	gst.SetExecutor(cfg.Executor)
-	for a, v := range cfg.Alloc {
-		gst.Credit(a, v)
-	}
 	n := &Node{
 		cfg:        cfg,
 		self:       cfg.Key.Address(),
 		pool:       txpool.New(cfg.PoolCapacity),
-		states:     map[cryptoutil.Hash]*state.State{cfg.Genesis.Hash(): gst},
-		baseState:  gst,
 		mux:        p2p.NewMux(),
 		orphans:    make(map[cryptoutil.Hash][]cryptoutil.Hash),
 		orphanPool: make(map[cryptoutil.Hash]*types.Block),
@@ -291,7 +295,7 @@ func New(cfg Config) (*Node, error) {
 			n.tracer.Record(obs.Span{
 				Stage: obs.StageTxInclusion,
 				Dur:   int64(age),
-				Peer:  string(cfg.ID),
+				Peer:  string(n.cfg.ID), // not cfg: the closure would pin cfg.Alloc
 			})
 		})
 	}
@@ -301,10 +305,20 @@ func New(cfg Config) (*Node, error) {
 	}
 	// The genesis trie is the one every later trie is derived from; on
 	// the disk backend it is in the store from boot (no lock needed: the
-	// node is not shared yet).
-	if err := n.seedTrieLocked(0, gst); err != nil {
+	// node is not shared yet). The allocation is not kept beside it.
+	gst := state.New()
+	gst.SetExecutor(cfg.Executor)
+	gst.CountReadErrors(&n.stateReadErrs)
+	for a, v := range cfg.Alloc {
+		gst.Credit(a, v)
+	}
+	n.cfg.Alloc = nil
+	base, err := n.seedTrieLocked(0, gst, false)
+	if err != nil {
 		return nil, err
 	}
+	n.baseState = base
+	n.states = map[cryptoutil.Hash]*state.State{cfg.Genesis.Hash(): base}
 	return n, nil
 }
 
@@ -441,7 +455,13 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	defer func() { n.recovering = false }()
 	sw := obs.StartTimer()
 
+	// The newest checkpoint whose state can be opened: it carries a
+	// snapshot, or the disk backend holds its root. With none, the whole
+	// journal is replayed from genesis.
 	ck := rec.Checkpoint
+	for ck != nil && ck.State == nil && (n.disk == nil || !n.disk.store.Has(ck.StateRoot)) {
+		ck = ck.Older
+	}
 	// covered is true while the replay is still at or below the
 	// checkpoint. What it connects there is counted apart: a re-root
 	// discards it.
@@ -469,7 +489,9 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 				recovered++
 			}
 		default:
-			if err := n.connect(b); err != nil {
+			if err := n.connect(b); errors.Is(err, state.ErrRead) {
+				return err // the store is failing: no prefix can be trusted to be complete
+			} else if err != nil {
 				n.metrics.BlocksRejected++
 			} else {
 				n.metrics.RecoveredBlocks++
@@ -482,6 +504,12 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	}
 	if covered {
 		n.crossCheckpointLocked(ck, recovered, rejected)
+	}
+	// A checkpoint whose state could not be opened is made up for only by
+	// a journal that reaches its head some other way.
+	if newest := rec.Checkpoint; newest != nil && newest != ck && !n.tree.Has(newest.Head) {
+		return fmt.Errorf("node: recover: checkpoint at height %d names state root %s, which the state store does not hold, and the journal does not reach its head %s without it",
+			newest.Height, newest.StateRoot.Hex(), newest.Head.Short())
 	}
 
 	// Re-point the main chain: prefer the last durable head switch;
@@ -506,7 +534,7 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 		}
 		hdr, _ := n.tree.Header(head)
 		if root := st.Commit(); root != hdr.StateRoot {
-			return fmt.Errorf("%w: recovered %s, header %s", ErrBadStateRoot, root.Short(), hdr.StateRoot.Short())
+			return fmt.Errorf("%w: recovered %s, header %s (%v)", ErrBadStateRoot, root.Short(), hdr.StateRoot.Short(), st.Err())
 		}
 	}
 	n.pruneStatesLocked()
@@ -542,7 +570,18 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 // full-history recovery.
 func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint, recovered, rejected uint64) {
 	st := ck.State
+	if st == nil {
+		// No snapshot: the state is the trie the store holds under the
+		// root (Recover checked that it does).
+		st = state.Load(ck.StateRoot, n.disk.store)
+	}
 	st.SetExecutor(n.cfg.Executor)
+	st.CountReadErrors(&n.stateReadErrs)
+	// A snapshot's state is written to the disk backend whole: a store
+	// that holds its root may predate storage tries and code being kept
+	// there. A failed write is counted (DiskErrors); the in-memory trie
+	// serves.
+	st, _ = n.seedTrieLocked(ck.Height, st, ck.State != nil)
 	if n.tree.Has(ck.Head) {
 		n.metrics.RecoveredBlocks += recovered
 		n.metrics.BlocksRejected += rejected
@@ -553,23 +592,18 @@ func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint, recovered, rejected uin
 		n.states = map[cryptoutil.Hash]*state.State{ck.Head: st}
 		n.metrics.RecoveryReroots++
 	}
-	// A failed write is counted (DiskErrors); the in-memory trie serves.
-	_ = n.seedTrieLocked(ck.Height, st)
 }
 
-// seedTrieLocked makes st — the genesis state, or a checkpoint's state
-// whose trie was built in memory when the checkpoint was verified — the
-// base that later tries derive from. On the disk backend the trie goes
-// through the store: the flush that preceded a checkpoint left its root
-// there, so normally nothing is written and the in-memory copy is
-// dropped for one loaded over the store; a state directory that lacks
-// the root (lost, or older than the checkpoint) is refilled from the
-// verified state, once. Caller holds n.mu.
-func (n *Node) seedTrieLocked(height uint64, st *state.State) error {
+// seedTrieLocked turns st — the genesis state, or a checkpoint's state —
+// into the base that later tries derive from, and returns it: a state
+// that is its trie and nothing else. On the disk backend the trie goes
+// through the store (persistTrieLocked): the flush that preceded a
+// checkpoint left its root there, so normally nothing is written; with
+// rewrite, every node the store lacks is. Caller holds n.mu.
+func (n *Node) seedTrieLocked(height uint64, st *state.State, rewrite bool) (*state.State, error) {
 	st.Commit() // the memory backend builds its base trie here
-	err := n.persistTrieLocked(height, st)
-	n.tries = append(n.tries, trieHolder{st: st, height: height})
-	return err
+	err := n.persistTrieLocked(height, st, rewrite)
+	return st.Detach(), err
 }
 
 // connectStructuralLocked inserts a checkpoint-covered block during
@@ -609,6 +643,7 @@ func (n *Node) Metrics() Metrics {
 	defer n.mu.Unlock()
 	m := n.metrics
 	m.BodyReads, m.BodyReadErrors = n.bodyReads.Load(), n.bodyReadErrors.Load()
+	m.StateReadErrors = n.stateReadErrs.Load()
 	return m
 }
 
@@ -652,6 +687,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	})
 	reg.RegisterFunc("node_block_body_reads_total", func() int64 { return int64(n.bodyReads.Load()) })
 	reg.RegisterFunc("node_block_body_read_errors_total", func() int64 { return int64(n.bodyReadErrors.Load()) })
+	reg.RegisterFunc("node_state_read_errors_total", func() int64 { return int64(n.stateReadErrs.Load()) })
 	reg.RegisterFunc("node_mempool_size", func() int64 { return int64(n.pool.Len()) })
 	if n.cfg.ExecWorkers > 0 {
 		reg.RegisterFunc("exec_parallel_blocks_total", snap(func(m Metrics) uint64 { return m.ExecParallelBlocks }))
@@ -742,7 +778,7 @@ func (n *Node) stateOfLocked(h cryptoutil.Hash) (*state.State, error) {
 }
 
 // rebuildStateLocked replays blocks from the nearest retained ancestor
-// (ultimately the pinned genesis state) up to and including block h.
+// (ultimately the pinned base state) up to and including block h.
 // The blocks being replayed were all fully validated when they first
 // connected, so only the final state root is re-checked.
 func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
@@ -777,7 +813,11 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 		}
 	}
 	if len(pending) > 0 {
-		if root := st.Commit(); root != target.StateRoot {
+		root := st.Commit()
+		if err := st.Err(); err != nil {
+			return nil, fmt.Errorf("node: replay %s: %w", h.Short(), err)
+		}
+		if root != target.StateRoot {
 			return nil, fmt.Errorf("%w: replayed %s, header %s", ErrBadStateRoot, root.Short(), target.StateRoot.Short())
 		}
 		n.metrics.StateRebuilds++
@@ -803,10 +843,10 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 // retention returns the configured window (-1 = unlimited).
 func (n *Node) retention() int { return n.cfg.StateRetention }
 
-// pruneStatesLocked drops materialized states deeper than the retention
-// window below the head and periodically flattens the head's state so
-// the diff layers of pruned ancestors become garbage-collectable. Caller
-// holds n.mu.
+// pruneStatesLocked drops states deeper than the retention window below
+// the head and periodically cuts the head's state loose from the layers
+// under it, so those of pruned ancestors become garbage-collectable.
+// Caller holds n.mu.
 func (n *Node) pruneStatesLocked() {
 	n.releaseTriesLocked()
 	w := n.retention()
@@ -828,33 +868,28 @@ func (n *Node) pruneStatesLocked() {
 			n.metrics.StatesPruned++
 		}
 	}
-	// Flatten the head's state every ~W/2 blocks, amortized
-	// O(accounts/stride) per block. The next block's layer then sits on a
-	// parentless copy, so the diff layers below it are reachable only
-	// from the states of the window and go as those are pruned: a lookup
-	// walks fewer than W+stride layers however long the chain. (Flattening
-	// the state at the window's edge, as this used to, freed nothing: the
-	// layers above it kept pointing at the unflattened original.)
-	stride := uint64(w) / 2
-	if stride == 0 {
-		stride = 1
-	}
-	if head-n.lastFlatten >= stride {
+	// Detach the head's state every ~W/2 blocks: O(1), the detached state
+	// is the head's trie and nothing else. The next block's layer then
+	// sits on it, so the diff layers below are reachable only from the
+	// states of the window and go as those are pruned, and a state whose
+	// own trie was released (trieRetention) reads through fewer than
+	// stride layers to the trie of the detached state under it, which
+	// lives as long as a state above it does.
+	stride := max(uint64(w)/2, 1)
+	if head-n.detachedAt >= stride {
 		hh := n.chain.Head()
-		if st, ok := n.states[hh]; ok && st.Depth() > 0 {
-			flat := st.Flatten()
-			n.states[hh] = flat
-			n.tries = append(n.tries, trieHolder{st: flat, height: head}) // it shares st's tries
+		if st, ok := n.states[hh]; ok {
+			n.states[hh] = st.Detach()
 		}
-		n.lastFlatten = head
+		n.detachedAt = head
 	}
 }
 
 // trieRetention is how far below the head a retained state keeps its
-// account and storage tries. A block that extends a state deeper than
-// this (a deep reorg) commits by walking every account instead of
-// deriving from its parent's trie; in exchange a node holds a handful of
-// tries, not one per retained state.
+// account trie. A block that extends a state deeper than this (a deep
+// reorg) reads and commits through the layers down to the detached state
+// under them; in exchange a node holds a handful of trie versions, not
+// one per retained state.
 const trieRetention = 8
 
 // bodyRetention is how far below the head the block tree of a durable
@@ -901,6 +936,8 @@ func (n *Node) releaseTriesLocked() {
 
 // HeadState returns the state at the current main-chain head, or the
 // reason it cannot be produced (a pruned head state whose replay fails).
+// The state is shared and frozen: read it through a Copy, whose Err then
+// tells whether every read was answered.
 func (n *Node) HeadState() (*state.State, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -913,7 +950,8 @@ func (n *Node) Balance(a cryptoutil.Address) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return st.Balance(a), nil
+	v := st.Copy() // a failed read latches on the view, not on the shared head state
+	return v.Balance(a), v.Err()
 }
 
 // OnBlock registers an event-notification callback fired for every
@@ -1062,7 +1100,7 @@ func (n *Node) handleBlockFrom(b *types.Block, from p2p.NodeID) error {
 		return nil
 	}
 	if err := n.connect(b); err != nil {
-		n.metrics.BlocksRejected++
+		n.countRejectLocked(err)
 		return err
 	}
 	// Connecting may unblock buffered descendants.
@@ -1155,7 +1193,7 @@ func (n *Node) adoptOrphans(parent cryptoutil.Hash) {
 			}
 			delete(n.orphanPool, h)
 			if err := n.connect(b); err != nil {
-				n.metrics.BlocksRejected++
+				n.countRejectLocked(err)
 				continue
 			}
 			adopted++
@@ -1170,6 +1208,16 @@ func (n *Node) adoptOrphans(parent cryptoutil.Hash) {
 			Peer:  string(n.cfg.ID),
 			N:     adopted,
 		})
+	}
+}
+
+// countRejectLocked counts a block connect refused — unless it was the
+// node's own state store that failed (state.ErrRead): that says nothing
+// about the block or the peer it came from, and the same block connects
+// once the store answers again.
+func (n *Node) countRejectLocked(err error) {
+	if !errors.Is(err, state.ErrRead) {
+		n.metrics.BlocksRejected++
 	}
 }
 
@@ -1210,6 +1258,9 @@ func (n *Node) connect(b *types.Block) error {
 	}
 	swCommit := obs.StartTimer()
 	root := st.Commit()
+	if err := st.Err(); err != nil {
+		return fmt.Errorf("node: %w", err)
+	}
 	n.observeCommit(b, st, swCommit)
 	if root != b.Header.StateRoot {
 		return fmt.Errorf("%w: computed %s, header %s", ErrBadStateRoot, root.Short(), b.Header.StateRoot.Short())
@@ -1457,6 +1508,9 @@ func (n *Node) produceBlock() error {
 		included = append(included, tx)
 		fees += tx.Fee
 	}
+	if err := st.Err(); err != nil {
+		return fmt.Errorf("node: select transactions: %w", err) // not a verdict on any of them
+	}
 
 	// Rebuild final state from scratch so coinbase ordering matches
 	// validation (coinbase subsidy first, then txs) — through the same
@@ -1470,6 +1524,9 @@ func (n *Node) produceBlock() error {
 	}
 	swCommit := obs.StartTimer()
 	b.Header.StateRoot = st.Commit()
+	if err := st.Err(); err != nil {
+		return fmt.Errorf("node: self-apply: %w", err)
+	}
 	n.observeCommit(b, st, swCommit)
 	if err := n.cfg.Engine.Prepare(&b.Header, parent); err != nil {
 		return err

@@ -20,8 +20,8 @@ func TestCopyIsDiffLayer(t *testing.T) {
 	base.SetStorage(a, []byte("k"), []byte("v"))
 
 	layer := base.Copy()
-	if layer.Depth() != 1 {
-		t.Fatalf("depth = %d, want 1", layer.Depth())
+	if readDepth(layer) != 2 {
+		t.Fatalf("a read visits %d layers, want 2", readDepth(layer))
 	}
 	// Read-through.
 	if layer.Balance(a) != 100 {
@@ -114,16 +114,16 @@ func TestLayeredCommitMatchesFlat(t *testing.T) {
 			t.Fatalf("seed %d: layered commit diverges from flat commit", seed)
 		}
 
-		// Flatten preserves the root and produces a base layer.
-		fl := layered.Flatten()
-		if fl.Depth() != 0 {
-			t.Fatalf("flattened depth = %d", fl.Depth())
+		// Detach preserves the root and reads from the trie alone.
+		fl := layered.Detach()
+		if readDepth(fl) != 1 {
+			t.Fatalf("a read of the detached state visits %d layers", readDepth(fl))
 		}
-		if fl.Commit() != layered.Commit() {
-			t.Fatalf("seed %d: Flatten changed the commit root", seed)
+		if fl.Commit() != layered.Commit() || fl.AccountTrie().RootHash() != layered.Commit() {
+			t.Fatalf("seed %d: Detach changed the commit root", seed)
 		}
 		if fl.Len() != layered.Len() {
-			t.Fatalf("seed %d: Flatten changed Len: %d != %d", seed, fl.Len(), layered.Len())
+			t.Fatalf("seed %d: Detach changed Len: %d != %d", seed, fl.Len(), layered.Len())
 		}
 
 		// Snapshot round-trip across layers.
@@ -150,8 +150,8 @@ func TestDeepLayerChainReads(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		st = st.Copy()
 	}
-	if st.Depth() != 200 {
-		t.Fatalf("depth = %d", st.Depth())
+	if readDepth(st) != 201 {
+		t.Fatalf("a read visits %d layers", readDepth(st))
 	}
 	if st.Balance(a) != 1 || string(st.Code(a)) != "native:thing" ||
 		string(st.Storage(a, []byte("deep"))) != "value" || !st.IsContract(a) {
@@ -190,4 +190,10 @@ func TestFailedInvokeOnLayerKeepsParentClean(t *testing.T) {
 	if base.Balance(alice) != 100 || base.Balance(miner) != 0 {
 		t.Fatal("ApplyTx on a layer leaked into the parent")
 	}
+}
+
+// readDepth is how many layers a read of s that misses them all visits.
+func readDepth(s *State) int {
+	_, d := s.Under()
+	return d
 }

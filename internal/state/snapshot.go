@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/mpt"
 	"dcsledger/internal/wire"
 )
 
@@ -29,42 +30,56 @@ const (
 	maxSnapshotValLen = 1 << 24
 )
 
-// EncodeSnapshot serializes the complete state (merged across all diff
-// layers). The result is verifiable: DecodeSnapshot(...).Commit()
-// equals this state's Commit(), and equal states encode byte-equal.
+// EncodeSnapshot serializes the complete state, reading its committed
+// trie in key order. The result is verifiable:
+// DecodeSnapshot(...).Commit() equals this state's Commit(), and equal
+// states encode byte-equal. A failed trie read is returned, never
+// encoded as an absence.
 func (s *State) EncodeSnapshot() ([]byte, error) {
+	// One pass over the account leaves fills all three sections: accounts
+	// and storage arrive sorted by address, slots by key.
+	var accounts, storage wire.Buffer
+	var nAccounts, nStorage uint32
+	code := make(map[cryptoutil.Hash][]byte)
+	err := s.leaves(func(a cryptoutil.Address, lf leaf, tr *mpt.Trie) error {
+		nAccounts++
+		accounts.Raw(a[:])
+		accounts.U64(lf.Balance)
+		accounts.U64(lf.Nonce)
+		accounts.Raw(lf.Code[:])
+		if _, ok := code[lf.Code]; !ok && !lf.Code.IsZero() {
+			blob, err := lf.code(tr)
+			if err != nil {
+				return err
+			}
+			code[lf.Code] = blob
+		}
+		st := lf.storage(tr)
+		if st == nil {
+			return nil
+		}
+		var slots wire.Buffer
+		var nSlots uint32
+		err := st.Leaves(func(k, v []byte, _ mpt.Aux) error {
+			nSlots++
+			slots.String(string(k))
+			slots.Blob(v)
+			return nil
+		})
+		nStorage++
+		storage.Raw(a[:])
+		storage.U32(nSlots)
+		storage.Raw(slots.Bytes())
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	var w wire.Buffer
 	w.U8(SnapshotCodecVersion)
-
-	// Accounts, sorted by address.
-	type accEntry struct {
-		addr cryptoutil.Address
-		acc  Account
-	}
-	var accs []accEntry
-	s.forEachAccount(func(a cryptoutil.Address, acc Account) {
-		accs = append(accs, accEntry{a, acc})
-	})
-	sort.Slice(accs, func(i, j int) bool {
-		return bytes.Compare(accs[i].addr[:], accs[j].addr[:]) < 0
-	})
-	w.U32(uint32(len(accs)))
-	for _, e := range accs {
-		w.Raw(e.addr[:])
-		w.U64(e.acc.Balance)
-		w.U64(e.acc.Nonce)
-		w.Raw(e.acc.Code[:])
-	}
-
-	// Code blobs, sorted by hash.
-	code := make(map[cryptoutil.Hash][]byte)
-	for cur := s; cur != nil; cur = cur.parent {
-		for h, blob := range cur.code {
-			if _, ok := code[h]; !ok {
-				code[h] = blob
-			}
-		}
-	}
+	w.U32(nAccounts)
+	w.Raw(accounts.Bytes())
 	hashes := make([]cryptoutil.Hash, 0, len(code))
 	for h := range code {
 		hashes = append(hashes, h)
@@ -77,43 +92,16 @@ func (s *State) EncodeSnapshot() ([]byte, error) {
 		w.Raw(h[:])
 		w.Blob(code[h])
 	}
-
-	// Storage, addresses sorted (storageAddrs sorts), slots sorted by key.
-	type slotEntry struct {
-		k string
-		v []byte
-	}
-	var stAddrs []cryptoutil.Address
-	slotsByAddr := make(map[cryptoutil.Address][]slotEntry)
-	for _, a := range s.storageAddrs() {
-		var slots []slotEntry
-		s.forEachStorage(a, func(k string, v []byte) {
-			slots = append(slots, slotEntry{k, v})
-		})
-		if len(slots) == 0 {
-			continue
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i].k < slots[j].k })
-		stAddrs = append(stAddrs, a)
-		slotsByAddr[a] = slots
-	}
-	w.U32(uint32(len(stAddrs)))
-	for _, a := range stAddrs {
-		w.Raw(a[:])
-		slots := slotsByAddr[a]
-		w.U32(uint32(len(slots)))
-		for _, sl := range slots {
-			w.String(sl.k)
-			w.Blob(sl.v)
-		}
-	}
+	w.U32(nStorage)
+	w.Raw(storage.Bytes())
 	return w.Bytes(), nil
 }
 
 // DecodeSnapshot reconstructs a state from EncodeSnapshot output. It
 // accepts only the canonical form: sections must be strictly sorted
-// with no duplicate keys and no trailing bytes, so a snapshot that
-// decodes successfully re-encodes byte-identically.
+// with no duplicate keys and no trailing bytes, code must hash to its
+// key and be named by an account, storage must belong to an account, so
+// a snapshot that decodes successfully re-encodes byte-identically.
 func DecodeSnapshot(data []byte) (*State, error) {
 	rd := wire.NewReader(data)
 	if v := rd.U8(); rd.Err() == nil && v != SnapshotCodecVersion {
@@ -121,6 +109,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 	}
 	s := New()
 
+	named := make(map[cryptoutil.Hash]struct{}) // code hashes in account records
 	n := rd.Count(maxSnapshotItems)
 	var prevAddr cryptoutil.Address
 	for i := uint32(0); i < n && rd.Err() == nil; i++ {
@@ -138,6 +127,9 @@ func DecodeSnapshot(data []byte) (*State, error) {
 		}
 		prevAddr = a
 		s.accounts[a] = acc
+		if !acc.Code.IsZero() {
+			named[acc.Code] = struct{}{}
+		}
 	}
 
 	n = rd.Count(maxSnapshotItems)
@@ -153,9 +145,13 @@ func DecodeSnapshot(data []byte) (*State, error) {
 			return nil, fmt.Errorf("state: snapshot code not strictly sorted")
 		}
 		prevHash = h
+		// Code is kept for the accounts that name it, and for nothing else.
+		if _, ok := named[h]; !ok || codeHash(blob) != h {
+			return nil, fmt.Errorf("state: snapshot code %s is named by no account or fails hash verification", h.Short())
+		}
+		delete(named, h)
 		s.code[h] = blob
 	}
-
 	n = rd.Count(maxSnapshotItems)
 	var prevStAddr cryptoutil.Address
 	for i := uint32(0); i < n && rd.Err() == nil; i++ {
@@ -168,11 +164,13 @@ func DecodeSnapshot(data []byte) (*State, error) {
 			return nil, fmt.Errorf("state: snapshot storage not strictly sorted")
 		}
 		prevStAddr = a
+		if _, ok := s.accounts[a]; !ok {
+			return nil, fmt.Errorf("state: snapshot storage of %s, which has no account", a.Hex())
+		}
 		cnt := rd.Count(maxSnapshotItems)
 		if cnt == 0 && rd.Err() == nil {
 			return nil, fmt.Errorf("state: snapshot storage section empty for %s", a.Hex())
 		}
-		m := make(map[string][]byte, cnt)
 		prevKey := ""
 		for j := uint32(0); j < cnt && rd.Err() == nil; j++ {
 			k := rd.String(maxSnapshotKeyLen)
@@ -184,15 +182,15 @@ func DecodeSnapshot(data []byte) (*State, error) {
 				return nil, fmt.Errorf("state: snapshot slots not strictly sorted")
 			}
 			prevKey = k
-			m[k] = v
-		}
-		if rd.Err() == nil {
-			s.storage[a] = m
+			s.slots[SlotKey{a, k}] = slotWrite{value: v}
 		}
 	}
 
 	if err := rd.Close(); err != nil {
 		return nil, fmt.Errorf("state: decode snapshot: %w", err)
+	}
+	if len(named) > 0 {
+		return nil, fmt.Errorf("state: snapshot lacks %d code blobs its accounts name", len(named))
 	}
 	return s, nil
 }

@@ -4,12 +4,15 @@
 // header carries a verifiable state root (the Data layer of the paper's
 // stack).
 //
-// States form copy-on-write diff layers: Copy returns an overlay that
-// records only the accounts/slots written through it and reads through
-// to its parent for everything else, so copying a large state is O(1)
-// instead of O(accounts). A layer must be treated as frozen once it has
-// children (the node freezes every per-block post-state after Commit);
-// Flatten collapses a layer chain back into a single materialized base.
+// States form copy-on-write diff layers over the committed trie: Copy
+// returns an overlay that records only the accounts/slots written
+// through it, and a read that misses the overlays is answered by the
+// account trie of the nearest layer that holds one (account leaf, then
+// the storage trie and code the leaf names), so no layer holds a flat
+// copy of the state and copying a large state is O(1). A layer must be
+// treated as frozen once it has children (the node freezes every
+// per-block post-state after Commit); Detach cuts a committed state
+// loose from the layers under it.
 package state
 
 import (
@@ -17,8 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/mpt"
 	"dcsledger/internal/types"
 )
 
@@ -31,6 +36,10 @@ var (
 	ErrNoExecutor          = errors.New("state: no contract executor configured")
 	ErrUnknownKind         = errors.New("state: unknown transaction kind")
 	ErrBadCoinbase         = errors.New("state: invalid coinbase")
+	// ErrRead reports a trie read that failed under the state (see
+	// State.Err): a fault of the node's storage, never of the
+	// transaction or block being applied.
+	ErrRead = errors.New("state: read failed")
 )
 
 // Account is the per-address record.
@@ -123,31 +132,77 @@ func (a *Access) Touches(addr cryptoutil.Address) bool {
 }
 
 // State is the mutable world state. It is not safe for concurrent use;
-// each node owns its state and copies it for speculative execution.
+// each node owns its state and copies it for speculative execution. A
+// frozen state (one that is no longer written) may be read, copied and
+// committed from several goroutines.
 //
-// A State is either a base layer (parent == nil, fully materialized) or
-// a diff layer: its maps hold only entries written through this layer,
-// and reads fall through to the parent chain. Deleted storage slots are
-// recorded as tombstones so the parent's value stays shadowed.
+// A State is a write buffer over a committed trie: its maps hold only
+// what was written through this layer, and a read that misses them goes
+// down the parent chain until a layer that holds its account trie
+// answers it (see commit.go), or the chain ends on base.
 type State struct {
-	parent     *State
-	accounts   map[cryptoutil.Address]Account
-	code       map[cryptoutil.Hash][]byte
-	storage    map[cryptoutil.Address]map[string][]byte
-	storageDel map[cryptoutil.Address]map[string]struct{}
-	executor   Executor
-	track      *Access // non-nil only on speculation lanes (see Track)
-	depth      int     // number of parent layers below this one
-	memo       *memo   // commitment of the current contents; nil after any write (see commit.go)
+	parent *State
+	// base is what lies under a parentless layer's own writes: the trie
+	// of the state it was detached or loaded from, nil for nothing.
+	base     *mpt.Trie
+	accounts map[cryptoutil.Address]Account
+	code     map[cryptoutil.Hash][]byte
+	slots    map[SlotKey]slotWrite
+	executor Executor
+	track    *Access // non-nil only on speculation lanes (see Track)
+	// memo is the commitment of the current contents; nil after any
+	// write (see commit.go). Atomic because the node releases and adopts
+	// tries of frozen states that readers are still walking.
+	memo atomic.Pointer[memo]
+	// err is the first trie read that failed through this layer (atomic:
+	// deriving a released trie of a shared frozen state may latch it), and
+	// readErrs (inherited by copies) counts such failures.
+	err      atomic.Pointer[error]
+	readErrs *atomic.Uint64
 }
 
-// New returns an empty base state.
+// slotWrite is one written slot: its value, or a tombstone that shadows
+// whatever the layers below hold.
+type slotWrite struct {
+	value   []byte
+	deleted bool
+}
+
+// New returns an empty state.
 func New() *State {
 	return &State{
 		accounts: make(map[cryptoutil.Address]Account),
 		code:     make(map[cryptoutil.Hash][]byte),
-		storage:  make(map[cryptoutil.Address]map[string][]byte),
+		slots:    make(map[SlotKey]slotWrite),
 	}
+}
+
+// Load returns the state whose account trie has the given root in src
+// (a node store). Nothing is read until the state is.
+func Load(root cryptoutil.Hash, src mpt.NodeSource) *State {
+	return detached(mpt.Load(root, 0, src))
+}
+
+// detached returns an unwritten parentless state over tr.
+func detached(tr *mpt.Trie) *State {
+	s := New()
+	s.base = tr
+	s.memo.Store(&memo{root: tr.RootHash(), trie: tr})
+	return s
+}
+
+// Detach returns a state with the same contents as s that reads straight
+// from s's account trie and refers to no layer of s's chain, so the
+// layers below s can be collected once nothing else holds them. s itself
+// is unchanged. If the trie cannot be derived (see Err) s is returned.
+func (s *State) Detach() *State {
+	tr := s.AccountTrie()
+	if tr == nil {
+		return s
+	}
+	ns := detached(tr)
+	ns.executor, ns.readErrs = s.executor, s.readErrs
+	return ns
 }
 
 // SetExecutor installs the contract executor used for deploy/invoke
@@ -157,14 +212,67 @@ func (s *State) SetExecutor(e Executor) { s.executor = e }
 // Executor returns the installed contract executor, if any.
 func (s *State) Executor() Executor { return s.executor }
 
-// Depth returns the number of diff layers below this state (0 for a
-// base layer). Exposed for tests and the node's pruning heuristics.
-func (s *State) Depth() int { return s.depth }
+// CountReadErrors makes this state and every state copied or detached
+// from it add one to c for each failed trie read.
+func (s *State) CountReadErrors(c *atomic.Uint64) { s.readErrs = c }
+
+// Err returns the first trie read that failed through this layer: an
+// I/O error, or a node the store no longer holds. What the layer
+// answered after that cannot be trusted (a failed read looks like an
+// absent account), so ApplyTx, ApplyBlock and Commit report it, and a
+// caller that reads directly checks it when done. Errors of child layers
+// reach this one through Absorb only.
+func (s *State) Err() error {
+	if p := s.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail counts a failed trie read and latches it if it is the first.
+func (s *State) fail(err error) {
+	if err == nil {
+		return
+	}
+	if s.readErrs != nil {
+		s.readErrs.Add(1)
+	}
+	s.latch(fmt.Errorf("%w: %w", ErrRead, err))
+}
+
+// latch records err, a read error of this layer or of one folded into
+// it, unless one is recorded already.
+func (s *State) latch(err error) {
+	if err != nil {
+		s.err.CompareAndSwap(nil, &err)
+	}
+}
+
+// Under returns the trie that answers a read missing every layer's own
+// writes (nil for an empty one), and how many layers such a read visits
+// on the way. It derives nothing: whoever prunes the trie's node source
+// asks here what a retained state still reads from.
+func (s *State) Under() (tr *mpt.Trie, layers int) {
+	for cur, d := s, 1; ; cur, d = cur.parent, d+1 {
+		if tr, done := cur.under(); done {
+			return tr, d
+		}
+	}
+}
 
 // Track attaches an access footprint to this layer: every account and
 // storage read or write through it (and through child layers it spawns)
 // is recorded into a. Pass nil to stop tracking.
 func (s *State) Track(a *Access) { s.track = a }
+
+// under tells a read that missed cur's own writes where to go next: to
+// the returned trie (nil = empty) when done, else to cur.parent.
+func (cur *State) under() (tr *mpt.Trie, done bool) {
+	if m := cur.memo.Load(); m != nil && m.trie != nil {
+		return m.trie, true
+	}
+	return cur.base, cur.parent == nil
+}
 
 // Account returns the record for addr (zero value if absent).
 func (s *State) Account(addr cryptoutil.Address) Account {
@@ -172,24 +280,31 @@ func (s *State) Account(addr cryptoutil.Address) Account {
 	return acc
 }
 
-// lookupAccount returns addr's record and whether a record exists
-// anywhere in the layer chain, recording the read on tracked layers.
+// lookupAccount returns addr's record and whether one exists, recording
+// the read on tracked layers. Every account read of execution funnels
+// through here.
 func (s *State) lookupAccount(addr cryptoutil.Address) (Account, bool) {
 	if s.track != nil {
 		s.track.ReadAccounts[addr] = struct{}{}
 	}
-	return s.account(addr)
+	acc, ok, err := s.account(addr)
+	s.fail(err)
+	return acc, ok
 }
 
-// account is lookupAccount without the footprint: Commit reads through
-// it, and a commitment is not part of any transaction's read set.
-func (s *State) account(addr cryptoutil.Address) (Account, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
+// account is lookupAccount without the footprint and without latching
+// the error: Commit reads through it, and a commitment is not part of
+// any transaction's read set.
+func (s *State) account(addr cryptoutil.Address) (Account, bool, error) {
+	for cur := s; ; cur = cur.parent {
 		if acc, ok := cur.accounts[addr]; ok {
-			return acc, true
+			return acc, true, nil
+		}
+		if tr, done := cur.under(); done {
+			lf, ok, err := readLeaf(tr, addr)
+			return lf.Account, ok, err
 		}
 	}
-	return Account{}, false
 }
 
 // setAccount is the single funnel for account-record writes, so tracked
@@ -198,7 +313,7 @@ func (s *State) setAccount(addr cryptoutil.Address, acc Account) {
 	if s.track != nil {
 		s.track.WriteAccounts[addr] = struct{}{}
 	}
-	s.memo = nil
+	s.memo.Store(nil)
 	s.accounts[addr] = acc
 }
 
@@ -238,9 +353,14 @@ func (s *State) Debit(addr cryptoutil.Address, amount uint64) error {
 	return nil
 }
 
+// codeHash is the content address of a contract's code.
+func codeHash(code []byte) cryptoutil.Hash {
+	return cryptoutil.HashBytes([]byte("state/code"), code)
+}
+
 // SetCode stores contract code and binds it to addr.
 func (s *State) SetCode(addr cryptoutil.Address, code []byte) {
-	h := cryptoutil.HashBytes([]byte("state/code"), code)
+	h := codeHash(code)
 	s.code[h] = append([]byte(nil), code...)
 	a := s.Account(addr)
 	a.Code = h
@@ -253,12 +373,28 @@ func (s *State) Code(addr cryptoutil.Address) []byte {
 	if h.IsZero() {
 		return nil
 	}
-	for cur := s; cur != nil; cur = cur.parent {
+	c, tr := s.layerCode(h)
+	if c == nil {
+		lf, _, err := readLeaf(tr, addr)
+		if err == nil {
+			c, err = lf.code(tr)
+		}
+		s.fail(err)
+	}
+	return c
+}
+
+// layerCode returns the code with hash h if a layer from s down to the
+// first one that holds a trie stored it, and that trie.
+func (s *State) layerCode(h cryptoutil.Hash) ([]byte, *mpt.Trie) {
+	for cur := s; ; cur = cur.parent {
 		if c, ok := cur.code[h]; ok {
-			return c
+			return c, nil
+		}
+		if tr, done := cur.under(); done {
+			return nil, tr
 		}
 	}
-	return nil
 }
 
 // IsContract reports whether addr has code.
@@ -266,221 +402,86 @@ func (s *State) IsContract(addr cryptoutil.Address) bool {
 	return !s.Account(addr).Code.IsZero()
 }
 
-// SetStorage writes a contract storage slot.
+// SetStorage writes a contract storage slot. The slots of an address
+// are committed under its account record, so the record must exist by
+// the time the layer is committed (every executor path creates it
+// first); slots of an address that never gets one are not kept.
 func (s *State) SetStorage(addr cryptoutil.Address, key, value []byte) {
-	if s.track != nil {
-		s.track.WriteSlots[SlotKey{Addr: addr, Key: string(key)}] = struct{}{}
-	}
-	s.memo = nil
-	m := s.storage[addr]
-	if m == nil {
-		m = make(map[string][]byte)
-		s.storage[addr] = m
-	}
-	m[string(key)] = append([]byte(nil), value...)
-	if d := s.storageDel[addr]; d != nil {
-		delete(d, string(key))
-	}
-}
-
-// Storage reads a contract storage slot.
-func (s *State) Storage(addr cryptoutil.Address, key []byte) []byte {
-	k := string(key)
-	if s.track != nil {
-		s.track.ReadSlots[SlotKey{Addr: addr, Key: k}] = struct{}{}
-	}
-	v, _ := s.slot(addr, k)
-	return v
-}
-
-// slot returns the live value of one storage slot and whether the slot
-// exists (a slot may hold an empty value), without recording a read.
-func (s *State) slot(addr cryptoutil.Address, k string) ([]byte, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if v, ok := cur.storage[addr][k]; ok {
-			return v, true
-		}
-		if _, ok := cur.storageDel[addr][k]; ok {
-			return nil, false
-		}
-	}
-	return nil, false
+	s.writeSlot(SlotKey{addr, string(key)}, slotWrite{value: append([]byte(nil), value...)})
 }
 
 // DeleteStorage clears one slot.
 func (s *State) DeleteStorage(addr cryptoutil.Address, key []byte) {
-	k := string(key)
+	s.writeSlot(SlotKey{addr, string(key)}, slotWrite{deleted: true})
+}
+
+// writeSlot is the single funnel for slot writes.
+func (s *State) writeSlot(k SlotKey, w slotWrite) {
 	if s.track != nil {
-		s.track.WriteSlots[SlotKey{Addr: addr, Key: k}] = struct{}{}
+		s.track.WriteSlots[k] = struct{}{}
 	}
-	s.memo = nil
-	if m := s.storage[addr]; m != nil {
-		delete(m, k)
+	s.memo.Store(nil)
+	s.slots[k] = w
+}
+
+// Storage reads a contract storage slot. Every slot read of execution
+// funnels through here.
+func (s *State) Storage(addr cryptoutil.Address, key []byte) []byte {
+	k := SlotKey{addr, string(key)}
+	if s.track != nil {
+		s.track.ReadSlots[k] = struct{}{}
 	}
-	if s.parent == nil {
-		return // base layer: nothing below to shadow
-	}
-	d := s.storageDel[addr]
-	if d == nil {
-		d = make(map[string]struct{})
-		if s.storageDel == nil {
-			s.storageDel = make(map[cryptoutil.Address]map[string]struct{})
+	v, _, err := s.slot(k)
+	s.fail(err)
+	return v
+}
+
+// slot returns the live value of one storage slot and whether the slot
+// exists (a slot may hold an empty value), without recording a read or
+// latching an error.
+func (s *State) slot(k SlotKey) ([]byte, bool, error) {
+	for cur := s; ; cur = cur.parent {
+		if w, ok := cur.slots[k]; ok {
+			return w.value, !w.deleted, nil
 		}
-		s.storageDel[addr] = d
+		if tr, done := cur.under(); done {
+			lf, _, err := readLeaf(tr, k.Addr)
+			st := lf.storage(tr)
+			if st == nil {
+				return nil, false, err
+			}
+			return st.TryGet([]byte(k.Key))
+		}
 	}
-	d[k] = struct{}{}
 }
 
 // Copy returns a copy-on-write diff layer over s: writes go to the new
 // layer, reads fall through. The receiver must not be mutated while the
-// returned layer is in use (treat it as frozen); this is O(1) versus
-// the old deep copy's O(accounts).
+// returned layer is in use (treat it as frozen); this is O(1).
 func (s *State) Copy() *State {
-	return &State{
-		parent:   s,
-		accounts: make(map[cryptoutil.Address]Account),
-		code:     make(map[cryptoutil.Hash][]byte),
-		storage:  make(map[cryptoutil.Address]map[string][]byte),
-		executor: s.executor,
-		track:    s.track,
-		depth:    s.depth + 1,
-	}
+	c := New()
+	c.parent, c.executor, c.track, c.readErrs = s, s.executor, s.track, s.readErrs
+	return c
 }
 
-// Flatten merges the whole layer chain into a fresh, parentless base
-// state whose Commit equals the receiver's. The node flattens the head
-// state every so often so that the layers of pruned ancestors become
-// garbage-collectable. The memo carries over (the contents are the
-// same, and a memo is never modified): the tries are persistent
-// structures of their own, so the copy still pins no layer of the chain,
-// and the next block's commit derives from them.
-func (s *State) Flatten() *State {
-	ns := New()
-	ns.executor = s.executor
-	ns.memo = s.memo
-	s.forEachAccount(func(a cryptoutil.Address, acc Account) {
-		ns.accounts[a] = acc
-	})
-	seenCode := make(map[cryptoutil.Hash]struct{})
-	for cur := s; cur != nil; cur = cur.parent {
-		for h, c := range cur.code {
-			if _, ok := seenCode[h]; ok {
-				continue
-			}
-			seenCode[h] = struct{}{}
-			ns.code[h] = c // code is immutable once stored
-		}
-	}
-	for _, addr := range s.storageAddrs() {
-		var m map[string][]byte
-		s.forEachStorage(addr, func(k string, v []byte) {
-			if m == nil {
-				m = make(map[string][]byte)
-			}
-			m[k] = v
-		})
-		if m != nil {
-			ns.storage[addr] = m
-		}
-	}
-	return ns
-}
-
-// Absorb folds a child diff layer (created by Copy of s) back into s.
-// Exported for the optimistic parallel executor (internal/exec), which
-// commits non-conflicting speculation lanes by absorbing them into the
-// block layer in transaction-index order.
-func (s *State) Absorb(child *State) { s.absorb(child) }
-
-// absorb folds a child diff layer (created by Copy of s) back into s.
-// It is the success path of speculative contract execution: effects are
-// staged on the child and only merged when the contract completes.
-func (s *State) absorb(child *State) {
-	s.memo = nil
+// Absorb folds a child diff layer (created by Copy of s) back into s:
+// the success path of speculative contract execution, where effects are
+// staged on the child and only merged when the contract completes, and
+// of the optimistic parallel executor (internal/exec), which absorbs
+// non-conflicting speculation lanes into the block layer in
+// transaction-index order.
+func (s *State) Absorb(child *State) {
+	s.memo.Store(nil)
+	s.latch(child.Err())
 	for a, acc := range child.accounts {
 		s.accounts[a] = acc
 	}
 	for h, c := range child.code {
 		s.code[h] = c
 	}
-	for a, dels := range child.storageDel {
-		for k := range dels {
-			s.DeleteStorage(a, []byte(k))
-		}
+	for k, w := range child.slots {
+		s.slots[k] = w
 	}
-	for a, m := range child.storage {
-		sm := s.storage[a]
-		if sm == nil {
-			sm = make(map[string][]byte, len(m))
-			s.storage[a] = sm
-		}
-		for k, v := range m {
-			sm[k] = v
-			if d := s.storageDel[a]; d != nil {
-				delete(d, k)
-			}
-		}
-	}
-}
-
-// forEachAccount visits every live account exactly once, newest layer
-// first, in UNSPECIFIED order. Every visitor must be order-independent:
-// MPT insertion commutes, and the flatten/count/collect visitors write
-// into maps or sort afterwards.
-func (s *State) forEachAccount(fn func(cryptoutil.Address, Account)) {
-	seen := make(map[cryptoutil.Address]struct{})
-	for cur := s; cur != nil; cur = cur.parent {
-		for a, acc := range cur.accounts {
-			if _, ok := seen[a]; ok {
-				continue
-			}
-			seen[a] = struct{}{}
-			fn(a, acc) //dcslint:ignore determinism visitors are order-independent by contract (MPT insert commutes; others fill maps or sort after)
-		}
-	}
-}
-
-// forEachStorage visits every live slot of addr exactly once, in
-// UNSPECIFIED order; visitors must be order-independent (see
-// forEachAccount).
-func (s *State) forEachStorage(addr cryptoutil.Address, fn func(string, []byte)) {
-	seen := make(map[string]struct{})
-	for cur := s; cur != nil; cur = cur.parent {
-		if m := cur.storage[addr]; m != nil {
-			for k, v := range m {
-				if _, ok := seen[k]; ok {
-					continue
-				}
-				seen[k] = struct{}{}
-				fn(k, v) //dcslint:ignore determinism visitors are order-independent by contract (storage-trie insert commutes; others fill maps or sort after)
-			}
-		}
-		if d := cur.storageDel[addr]; d != nil {
-			for k := range d {
-				seen[k] = struct{}{} // shadow anything below
-			}
-		}
-	}
-}
-
-// storageAddrs returns every address with storage writes anywhere in
-// the layer chain, sorted so downstream iteration runs in the same
-// order on every replica.
-func (s *State) storageAddrs() []cryptoutil.Address {
-	seen := make(map[cryptoutil.Address]struct{})
-	for cur := s; cur != nil; cur = cur.parent {
-		for a := range cur.storage {
-			seen[a] = struct{}{}
-		}
-	}
-	out := make([]cryptoutil.Address, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i][:], out[j][:]) < 0
-	})
-	return out
 }
 
 // ApplyTx applies one transaction, paying fees to proposer. Returns a
@@ -501,8 +502,13 @@ func (s *State) ApplyTxDeferredFee(tx *types.Transaction) (*Receipt, error) {
 	return s.applyTx(tx, cryptoutil.ZeroAddress, true)
 }
 
-func (s *State) applyTx(tx *types.Transaction, proposer cryptoutil.Address, deferFee bool) (*Receipt, error) {
-	rec := &Receipt{TxID: tx.ID()}
+func (s *State) applyTx(tx *types.Transaction, proposer cryptoutil.Address, deferFee bool) (rec *Receipt, err error) {
+	defer func() {
+		if rerr := s.Err(); rerr != nil { // nothing computed over a failed read is valid
+			rec, err = nil, rerr
+		}
+	}()
+	rec = &Receipt{TxID: tx.ID()}
 	switch tx.Kind {
 	case types.TxCoinbase:
 		return nil, fmt.Errorf("%w: coinbase outside block application", ErrBadCoinbase)
@@ -559,6 +565,7 @@ func (s *State) applyTx(tx *types.Transaction, proposer cryptoutil.Address, defe
 			work.Credit(tx.To, tx.Value) // value transferred to the contract
 			rec.GasUsed, err = s.executor.Invoke(work, tx)
 		}
+		s.latch(work.Err()) // the contract's outcome was computed over it
 		if err != nil {
 			// Drop every contract effect, then refund the undelivered value.
 			rec.Err = err.Error()
@@ -566,7 +573,7 @@ func (s *State) applyTx(tx *types.Transaction, proposer cryptoutil.Address, defe
 			s.Credit(tx.From, tx.Value)
 			return rec, nil
 		}
-		s.absorb(work)
+		s.Absorb(work)
 		rec.OK = true
 	}
 	return rec, nil
@@ -586,6 +593,9 @@ func (s *State) ApplyBlock(b *types.Block, expectedReward uint64) ([]*Receipt, e
 	// each user transaction is applied (minting the full coinbase value
 	// would double-count them).
 	s.Credit(cb.To, expectedReward)
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
 	receipts = append(receipts, &Receipt{TxID: cb.ID(), OK: true})
 	for i, tx := range b.Txs[1:] {
 		rec, err := s.ApplyTx(tx, b.Header.Proposer)
@@ -638,19 +648,16 @@ func CheckCoinbase(b *types.Block, expectedReward uint64) (uint64, error) {
 }
 
 // DirtyAddresses returns every address written through THIS diff layer
-// (account record, storage slot, or storage delete), sorted. On a
-// per-block state layer that is exactly the set of account-trie leaves
-// the block may have changed; for a base layer it is every account.
+// (account record or storage slot), sorted. On a per-block state layer
+// that is exactly the set of account-trie leaves the block may have
+// changed.
 func (s *State) DirtyAddresses() []cryptoutil.Address {
 	seen := make(map[cryptoutil.Address]struct{}, len(s.accounts))
 	for a := range s.accounts {
 		seen[a] = struct{}{}
 	}
-	for a := range s.storage {
-		seen[a] = struct{}{}
-	}
-	for a := range s.storageDel {
-		seen[a] = struct{}{}
+	for k := range s.slots {
+		seen[k.Addr] = struct{}{}
 	}
 	out := make([]cryptoutil.Address, 0, len(seen))
 	for a := range seen {
@@ -662,18 +669,16 @@ func (s *State) DirtyAddresses() []cryptoutil.Address {
 	return out
 }
 
-// Len returns the number of accounts with records.
-func (s *State) Len() int {
-	n := 0
-	s.forEachAccount(func(cryptoutil.Address, Account) { n++ })
-	return n
-}
+// Len returns the number of accounts with records. It visits them all.
+func (s *State) Len() int { return len(s.Addresses()) }
 
-// Addresses returns all account addresses (order unspecified).
+// Addresses returns all account addresses, sorted. It commits the state
+// and visits every leaf; a failed read (see Err) cuts the list short.
 func (s *State) Addresses() []cryptoutil.Address {
-	out := make([]cryptoutil.Address, 0, len(s.accounts))
-	s.forEachAccount(func(a cryptoutil.Address, _ Account) {
-		out = append(out, a)
-	})
+	var out []cryptoutil.Address
+	s.fail(s.leaves(func(addr cryptoutil.Address, _ leaf, _ *mpt.Trie) error {
+		out = append(out, addr)
+		return nil
+	}))
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/mpt"
 	"dcsledger/internal/state"
 )
 
@@ -178,5 +179,91 @@ func TestOpensParentDirectory(t *testing.T) {
 	_, rec = openStoreT(t, dir, goldenStoreOpts())
 	if got := journaledBlocks(t, rec); len(got) != 15 || got[14].Seq != 27 {
 		t.Fatalf("after extending: %d blocks, last seq %d; want 15, 27", len(got), got[len(got)-1].Seq)
+	}
+}
+
+// mapStore is a node store in a map: what a state's trie is flushed to
+// and loaded back over.
+type mapStore map[cryptoutil.Hash][]byte
+
+func (m mapStore) Put(h cryptoutil.Hash, enc []byte) error {
+	m[h] = append([]byte(nil), enc...)
+	return nil
+}
+
+func (m mapStore) Has(h cryptoutil.Hash) bool { _, ok := m[h]; return ok }
+
+func (m mapStore) Node(h cryptoutil.Hash, decode func(cryptoutil.Hash, []byte) (any, int, error)) (any, error) {
+	enc, ok := m[h]
+	if !ok {
+		return nil, mpt.ErrMissingNode
+	}
+	v, _, err := decode(h, enc)
+	return v, err
+}
+
+// TestSnapshotlessCheckpointGolden pins the checkpoint of a state that
+// lies wholly in a node store: the DCSCKPT2 layout with an empty
+// snapshot section — seq, height, head, state root, the head block — and
+// nothing per account. It loads back as a checkpoint without a state; a
+// block that does not carry the recorded root is refused.
+func TestSnapshotlessCheckpointGolden(t *testing.T) {
+	st := state.New()
+	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("alice"))), 1000)
+	c := cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("contract")))
+	st.SetCode(c, []byte("native:notary"))
+	st.SetStorage(c, []byte("k"), []byte("v"))
+	store := make(mapStore)
+	root, err := st.AccountTrie().Commit(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.AdoptTrie(mpt.Load(root, 2, store)) || !st.Stored() {
+		t.Fatal("the flushed state does not count as stored")
+	}
+	b := testBlocks(1)[0]
+	b.Header.StateRoot = root
+
+	dir := t.TempDir()
+	s, _ := openStoreT(t, dir, goldenStoreOpts())
+	if err := s.LogBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(b, root, st); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if got := s.CheckpointRoots(); len(got) != 1 || got[0] != root {
+		t.Fatalf("CheckpointRoots = %v", got)
+	}
+	s.Close()
+	const name, want = "ckpt-0000000000000001.ck", "0da70070a275aee92dea04a54907cefec9c86fbad07ebd4cd76ef5f21f82fddb"
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashTree(t, dir)[name]; got != want || len(data) != 8+8+8+32+32+4+4+len(b.Encode())+4 {
+		t.Fatalf("%s: %d bytes, sha256 %s, want %s", name, len(data), got, want)
+	}
+
+	s, rec := openStoreT(t, dir, goldenStoreOpts())
+	ck := rec.Checkpoint
+	if ck == nil || ck.State != nil || ck.StateRoot != root || ck.Head != b.Hash() || ck.Block.Hash() != b.Hash() {
+		t.Fatalf("loaded checkpoint %+v", ck)
+	}
+	if got := s.CheckpointRoots(); len(got) != 1 || got[0] != root {
+		t.Fatalf("CheckpointRoots after reopen = %v", got)
+	}
+	// The same file naming a root its block does not carry: worthless.
+	other := testBlocks(2)[1]
+	if err := s.LogBlock(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(other, root, st); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	_, rec = openStoreT(t, dir, goldenStoreOpts())
+	if ck := rec.Checkpoint; ck == nil || ck.Head != b.Hash() || ck.Older != nil {
+		t.Fatalf("a checkpoint whose block lacks the recorded root was loaded: %+v", ck)
 	}
 }

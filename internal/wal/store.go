@@ -31,7 +31,10 @@ const DefaultCheckpointEvery = 64
 
 // ckptMagic versions the checkpoint file format. Version 2 embeds the
 // head block itself, so recovery can re-root the block tree at the
-// checkpoint after the pre-checkpoint journal has been pruned.
+// checkpoint after the pre-checkpoint journal has been pruned. The
+// snapshot section is empty (length 0; an encoded snapshot never is) when
+// the state lay wholly in a node store at checkpoint time: the state
+// root is then all recovery needs to open it.
 const ckptMagic = "DCSCKPT2"
 
 // keepCheckpoints is how many newest checkpoint files are retained; the
@@ -85,12 +88,18 @@ type Checkpoint struct {
 	// StateRoot is Head's state root; State.Commit() was verified to
 	// equal it when the checkpoint was loaded.
 	StateRoot cryptoutil.Hash
-	// State is the materialized head state (no executor installed).
+	// State is the head state decoded from the checkpoint's snapshot (no
+	// executor installed), nil for a checkpoint without one: the state
+	// is then whatever the node store holds under StateRoot.
 	State *state.State
 	// Block is the checkpointed head block itself (hash verified to
 	// equal Head at load). It lets recovery adopt the checkpoint as the
 	// block tree's root when pruning dropped the journal below it.
 	Block *types.Block
+	// Older is the next valid retained checkpoint, loaded only when this
+	// one has no snapshot: a node that cannot open this one's state, its
+	// root missing from the node store, falls back to it.
+	Older *Checkpoint
 }
 
 // Recovery is what OpenStore found on disk: how many blocks the journal
@@ -168,6 +177,9 @@ type DurableStore struct {
 	failed         error // latched first write failure
 	lastCkptHeight uint64
 	checkpoints    uint64 // written this session
+	// ckptRoots are the state roots the retained checkpoint files name,
+	// oldest first.
+	ckptRoots []cryptoutil.Hash
 }
 
 // OpenStore opens (or initializes) the data directory, repairs the WAL
@@ -223,7 +235,10 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		return nil, nil, err
 	}
 	s.wal = w
-	rec.Checkpoint = s.loadNewestCheckpoint()
+	rec.Checkpoint = s.loadCheckpoints()
+	for ck := rec.Checkpoint; ck != nil; ck = ck.Older {
+		s.ckptRoots = append([]cryptoutil.Hash{ck.StateRoot}, s.ckptRoots...)
+	}
 	// Arm the prune floor: segments above the newest checkpoint's seq
 	// are the replay suffix and must never be pruned. With no usable
 	// checkpoint the floor is zero — nothing may be pruned at all.
@@ -361,6 +376,15 @@ func (s *DurableStore) CheckpointDue(height uint64) bool {
 	return height >= s.lastCkptHeight+s.opts.CheckpointEvery
 }
 
+// CheckpointRoots returns the state roots named by the checkpoint files
+// the store retains. A checkpoint without a snapshot is only as good as
+// the node store's copy of its root, so a node store sweep keeps them.
+func (s *DurableStore) CheckpointRoots() []cryptoutil.Hash {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]cryptoutil.Hash(nil), s.ckptRoots...)
+}
+
 // MaybeCheckpoint writes a checkpoint when one is due (CheckpointDue).
 // Returns whether a checkpoint was written.
 func (s *DurableStore) MaybeCheckpoint(b *types.Block, root cryptoutil.Hash, st *state.State) (bool, error) {
@@ -372,7 +396,9 @@ func (s *DurableStore) MaybeCheckpoint(b *types.Block, root cryptoutil.Hash, st 
 
 // Checkpoint unconditionally writes a state checkpoint of head block b
 // covering the WAL as of now, then retires all but the newest
-// keepCheckpoints files. The file is published atomically
+// keepCheckpoints files. A state that lies wholly in a node store
+// (state.State.Stored) is recorded by its root alone; any other is
+// snapshotted into the file. The file is published atomically
 // (seglog.SideFiles), so a crash mid-checkpoint leaves the previous
 // checkpoint intact.
 func (s *DurableStore) Checkpoint(b *types.Block, root cryptoutil.Hash, st *state.State) error {
@@ -390,9 +416,12 @@ func (s *DurableStore) Checkpoint(b *types.Block, root cryptoutil.Hash, st *stat
 
 func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st *state.State) error {
 	head, height := b.Hash(), b.Header.Height
-	snap, err := st.EncodeSnapshot()
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
+	var snap []byte
+	if !st.Stored() {
+		var err error
+		if snap, err = st.EncodeSnapshot(); err != nil {
+			return fmt.Errorf("wal: checkpoint snapshot: %w", err)
+		}
 	}
 	// The checkpoint covers every record appended so far; flush them
 	// first so the covered prefix really is durable.
@@ -430,6 +459,8 @@ func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st
 	s.wal.SetPruneFloor(seq)
 	s.lastCkptHeight = height
 	s.checkpoints++
+	s.ckptRoots = append(s.ckptRoots, root)
+	s.ckptRoots = s.ckptRoots[max(0, len(s.ckptRoots)-keepCheckpoints):]
 	return nil
 }
 
@@ -438,21 +469,28 @@ func (s *DurableStore) Close() error {
 	return s.wal.Close()
 }
 
-// loadNewestCheckpoint scans dir for checkpoint files, newest first,
-// and returns the first that passes CRC, decode, and state-root
-// verification. Invalid files are skipped (and reported by recovery as
-// simply absent), never trusted.
-func (s *DurableStore) loadNewestCheckpoint() *Checkpoint {
+// loadCheckpoints scans dir for checkpoint files and returns the newest
+// that passes CRC, decode, and state-root verification, with the valid
+// older ones chained behind it (Checkpoint.Older) down to the first that
+// carries a snapshot: that one can always be used, so nothing older is
+// decoded. Invalid files are skipped (and reported by recovery as simply
+// absent), never trusted.
+func (s *DurableStore) loadCheckpoints() *Checkpoint {
 	seqs, err := s.ckpts.List()
 	if err != nil {
 		return nil
 	}
+	var newest *Checkpoint
+	link := &newest
 	for i := len(seqs) - 1; i >= 0; i-- {
 		if ck := loadCheckpoint(s.ckpts.Path(seqs[i])); ck != nil {
-			return ck
+			*link, link = ck, &ck.Older
+			if ck.State != nil {
+				break
+			}
 		}
 	}
-	return nil
+	return newest
 }
 
 // loadCheckpoint parses and verifies one checkpoint file; nil if it is
@@ -489,9 +527,14 @@ func loadCheckpoint(path string) *Checkpoint {
 	if off+int(snapLen)+4 > len(data)-4 {
 		return nil
 	}
-	st, err := state.DecodeSnapshot(data[off : off+int(snapLen)])
-	if err != nil {
-		return nil
+	if snapLen > 0 {
+		// Re-verify the snapshot against the recorded root: a checkpoint
+		// whose state does not commit to its claimed root is worthless.
+		st, err := state.DecodeSnapshot(data[off : off+int(snapLen)])
+		if err != nil || st.Commit() != ck.StateRoot {
+			return nil
+		}
+		ck.State = st
 	}
 	off += int(snapLen)
 	blkLen := binary.BigEndian.Uint32(data[off:])
@@ -503,17 +546,14 @@ func loadCheckpoint(path string) *Checkpoint {
 	if err != nil {
 		return nil
 	}
-	// Re-verify the snapshot against the recorded root and the block
-	// against the recorded head: a checkpoint whose state does not
-	// commit to its claimed root (or whose block is not its head) is
-	// worthless.
-	if st.Commit() != ck.StateRoot {
-		return nil
-	}
+	// The block must be the recorded head and, if no snapshot vouches
+	// for the recorded root, carry that root in its header.
 	if blk.Hash() != ck.Head || blk.Header.Height != ck.Height {
 		return nil
 	}
-	ck.State = st
+	if ck.State == nil && blk.Header.StateRoot != ck.StateRoot {
+		return nil
+	}
 	ck.Block = blk
 	return ck
 }

@@ -152,6 +152,12 @@ func TestCheckpointGC(t *testing.T) {
 	if len(files) != keepCheckpoints {
 		t.Fatalf("%d checkpoint files survive, want %d", len(files), keepCheckpoints)
 	}
+	// The newest carries a snapshot, so the older file is not decoded.
+	s.Close()
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	if ck := rec.Checkpoint; ck == nil || ck.Height != 5 || ck.State == nil || ck.Older != nil {
+		t.Fatalf("recovered %+v, want the height-5 snapshot and nothing behind it", ck)
+	}
 }
 
 // TestCorruptCheckpointFallsBack garbles the newest checkpoint and
