@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet lint lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-smoke bench-build bench-test scenario-smoke scenario-full
+.PHONY: all build vet lint loc lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix fuzz-smoke bench-build bench-test scenario-smoke scenario-full
 
 all: tier1
 
@@ -32,6 +32,15 @@ lint-baseline:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside benchmark/ and testdata/, per top-level
+# directory and in total: the number ROADMAP item 6 is measured in.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' \
+		-not -path './.git/*' -not -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l \
+		| awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[2] : "."; by[d] += $$1; sum += $$1 } \
+			END { for (d in by) printf "%7d %s\n", by[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", sum }'
 
 # Formatting gate: fails listing any file gofmt would rewrite.
 # Analyzer golden files under testdata/ are exempt — they are inputs to
@@ -113,12 +122,6 @@ fuzz-smoke:
 	$(GO) test ./internal/consensus/poet -run '^$$' -fuzz FuzzCertificateDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/state -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nodestore -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
-
-# Parallel-execution smoke: a short width x conflict-rate sweep whose
-# every cell is gated on the parallel root being bit-identical to the
-# serial root (the sweep errors on any divergence).
-bench-smoke:
-	$(GO) run ./cmd/dcsbench -exec -exec-txs 96 -exec-workers 1,4 -exec-rates 0,0.25
 
 # Compile-only check of the nested benchmark module (benchmark/, its
 # own go.mod, not part of `go build ./...`): it calls internal packages

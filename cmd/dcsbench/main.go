@@ -19,6 +19,10 @@
 // for the named consensus families and prints the FRONTIER table; each
 // cell is run twice and the determinism contract (bit-identical
 // reports) is enforced, not sampled.
+//
+// Everything here is deterministic or runs on the virtual clock.
+// Wall-clock measurement of the node (state store, execution, codecs)
+// is the fleet benchmark's: bash benchmark/run.sh, docs/BENCHMARKS.md.
 package main
 
 import (
@@ -47,12 +51,6 @@ func run(args []string) error {
 		list       = fs.Bool("list", false, "list experiments and exit")
 		stages     = fs.Bool("stages", false, "run the per-stage pipeline latency comparison (PoW vs ordering)")
 		traceFn    = fs.String("trace-file", "", "with -stages: write raw trace spans to this JSONL file")
-		stateKeys  = fs.String("state", "", "run the disk-backed state-store benchmark over comma-separated key counts (e.g. 100000,1000000)")
-		stateCache = fs.Int64("state-cache", 0, "with -state: decoded-node cache budget in bytes (0 = 64 MiB default)")
-		execSweep  = fs.Bool("exec", false, "run the parallel-execution sweep (workers x conflict-rate, root-equality gated)")
-		execWork   = fs.String("exec-workers", "1,2,4,8", "with -exec: comma-separated speculation widths")
-		execRates  = fs.String("exec-rates", "0,0.05,0.25", "with -exec: comma-separated conflict rates in [0,1]")
-		execTxs    = fs.Int("exec-txs", 256, "with -exec: transactions per synthetic block")
 		scen       = fs.String("scenario", "", "run the adversarial scenario sweep for comma-separated families (pow,pbft,raft or 'all')")
 		scenNodes  = fs.String("scenario-nodes", "64", "with -scenario: comma-separated node counts")
 		scenSeed   = fs.Int64("scenario-seed", 1, "with -scenario: simulation seed")
@@ -72,12 +70,6 @@ func run(args []string) error {
 	}
 	if *scen != "" {
 		return runScenario(*scen, *scenNodes, *scenSeed, *scenMem)
-	}
-	if *stateKeys != "" {
-		return runState(*stateKeys, *stateCache)
-	}
-	if *execSweep {
-		return runExec(*execWork, *execRates, *execTxs)
 	}
 	if *stages {
 		return runStages(*scale, *traceFn)
@@ -103,60 +95,6 @@ func run(args []string) error {
 		fmt.Println(table.String())
 		fmt.Printf("(%s completed in %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// runState runs the disk-backed state-store benchmark for each
-// requested key count and prints the STATE table.
-func runState(keysSpec string, cacheBytes int64) error {
-	var counts []int
-	for _, f := range strings.Split(keysSpec, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
-			return fmt.Errorf("bad -state key count %q", f)
-		}
-		counts = append(counts, n)
-	}
-	start := time.Now()
-	table, err := bench.StateStoreTable(counts, cacheBytes)
-	if err != nil {
-		return err
-	}
-	fmt.Println(table.String())
-	fmt.Printf("(state completed in %s)\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runExec runs the optimistic-parallel-execution sweep and prints the
-// EXEC table. Root equality against serial execution is checked inside
-// the sweep: any divergence is an error, not a number.
-func runExec(workersSpec, ratesSpec string, txs int) error {
-	var widths []int
-	for _, f := range strings.Split(workersSpec, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n <= 0 {
-			return fmt.Errorf("bad -exec-workers width %q", f)
-		}
-		widths = append(widths, n)
-	}
-	var rates []float64
-	for _, f := range strings.Split(ratesSpec, ",") {
-		var r float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%g", &r); err != nil || r < 0 || r > 1 {
-			return fmt.Errorf("bad -exec-rates rate %q", f)
-		}
-		rates = append(rates, r)
-	}
-	if txs <= 0 {
-		return fmt.Errorf("-exec-txs must be positive")
-	}
-	start := time.Now()
-	table, err := bench.ExecSweepTable(widths, rates, txs)
-	if err != nil {
-		return err
-	}
-	fmt.Println(table.String())
-	fmt.Printf("(exec completed in %s)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -23,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -121,8 +120,8 @@ func run() error {
 		cacheB  = flag.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
 		traceFn = flag.String("trace-file", "", "append pipeline trace spans to this JSONL file")
 		traceN  = flag.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
-		execW   = flag.Int("exec-workers", runtime.GOMAXPROCS(0),
-			"optimistic parallel block execution width (0 = serial; see docs/EXECUTION.md)")
+		execW   = flag.Int("exec-workers", 0,
+			"optimistic parallel block execution width (0 = serial, the default; see docs/EXECUTION.md)")
 		execP = flag.Bool("exec-paranoid", false,
 			"re-run every parallel block serially and fail on any divergence (debug; forfeits the speedup)")
 		peers = peerList{}

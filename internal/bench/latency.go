@@ -55,11 +55,7 @@ func StageLatency(scale float64, traceOut io.Writer) ([]*Table, error) {
 			return nil, fmt.Errorf("bench: write ordering trace: %w", err)
 		}
 	}
-	codecTables, err := CodecTables()
-	if err != nil {
-		return nil, err
-	}
-	return append([]*Table{powTable, ordTable}, codecTables...), nil
+	return []*Table{powTable, ordTable}, nil
 }
 
 // powStageRun drives a 4-miner PoW gossip network under transaction

@@ -21,17 +21,14 @@ func TestTraceDemo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StageLatency: %v", err)
 	}
-	if len(tables) != 3 {
-		t.Fatalf("tables = %d, want 3 (pow, ordering, codec)", len(tables))
+	if len(tables) != 2 {
+		t.Fatalf("tables = %d, want 2 (pow, ordering)", len(tables))
 	}
-	for _, tbl := range tables[:2] {
+	for _, tbl := range tables {
 		out := tbl.String()
 		if !strings.Contains(out, "stage") || !strings.Contains(out, "p95") {
 			t.Errorf("table missing stage/p95 columns:\n%s", out)
 		}
-	}
-	if out := tables[2].String(); !strings.Contains(out, "json B") || !strings.Contains(out, "bin B") {
-		t.Errorf("codec table missing json/bin size columns:\n%s", out)
 	}
 
 	// Every JSONL line must parse as a span with a stage and run label.

@@ -170,21 +170,17 @@ func NewExecutor(registry *Registry) *Executor {
 }
 
 // Fork implements state.ForkableExecutor: the fork shares the immutable
-// registry and gas schedule but drives a forked VM executor with its own
-// event buffer, so speculation lanes never share mutable state.
+// registry and gas schedule but drives its own copy of the VM executor,
+// so speculation lanes share nothing mutable.
 func (e *Executor) Fork() state.Executor {
 	f := *e
 	f.vm = e.vm.Fork().(*vm.Executor)
 	return &f
 }
 
-// Absorb implements state.ForkableExecutor: merges a fork's VM events
-// back, in the caller's (transaction-index) order.
-func (e *Executor) Absorb(fork state.Executor) {
-	if f, ok := fork.(*Executor); ok {
-		e.vm.Absorb(f.vm)
-	}
-}
+// Absorb implements state.ForkableExecutor: a fork accumulates nothing
+// to merge back.
+func (e *Executor) Absorb(state.Executor) {}
 
 var _ state.ForkableExecutor = (*Executor)(nil)
 
@@ -193,9 +189,6 @@ func (e *Executor) SetNow(now int64) { e.vm.Now = now }
 
 // Now returns the configured block time.
 func (e *Executor) Now() int64 { return e.vm.Now }
-
-// VM exposes the underlying bytecode executor (for constant calls).
-func (e *Executor) VM() *vm.Executor { return e.vm }
 
 // Deploy implements state.Executor.
 func (e *Executor) Deploy(st *state.State, tx *types.Transaction) (cryptoutil.Address, uint64, error) {

@@ -44,12 +44,6 @@ func HashBytes(parts ...[]byte) Hash {
 	return out
 }
 
-// HashPair hashes the concatenation of two hashes. It is the interior-node
-// combiner for Merkle structures.
-func HashPair(a, b Hash) Hash {
-	return HashBytes(a[:], b[:])
-}
-
 // HashUint64 hashes an 8-byte big-endian encoding of v together with a
 // domain tag, producing a deterministic derived hash.
 func HashUint64(tag string, v uint64) Hash {

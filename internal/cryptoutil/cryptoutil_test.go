@@ -19,14 +19,6 @@ func TestHashBytesDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashPairOrderMatters(t *testing.T) {
-	x := HashBytes([]byte("x"))
-	y := HashBytes([]byte("y"))
-	if HashPair(x, y) == HashPair(y, x) {
-		t.Fatal("HashPair must not be commutative")
-	}
-}
-
 func TestHashHexRoundTrip(t *testing.T) {
 	h := HashBytes([]byte("round trip"))
 	got, err := HashFromHex(h.Hex())

@@ -194,15 +194,6 @@ SSTORE
 STOP
 `
 
-// logSrc emits one event with topic arg0.
-const logSrc = `
-PUSH 0
-ARG
-PUSH 7
-LOG
-STOP
-`
-
 func deployContract(t *testing.T, st *state.State, ownerSeed string, src string) cryptoutil.Address {
 	t.Helper()
 	k, owner := keyAddr(ownerSeed)
@@ -274,48 +265,6 @@ func TestContractStorageConflicts(t *testing.T) {
 		}
 		assertMatchesSerial(t, parent, b, 50, 1, 2, 8)
 	})
-}
-
-func TestEventOrderMatchesSerial(t *testing.T) {
-	parent := state.New()
-	parent.SetExecutor(vm.NewExecutor())
-	_, proposer := keyAddr("proposer")
-	logger := deployContract(t, parent, "log-owner", logSrc)
-
-	var txs []*types.Transaction
-	for i := 0; i < 6; i++ {
-		seed := fmt.Sprintf("log-sender-%d", i)
-		_, from := keyAddr(seed)
-		parent.Credit(from, 1_000)
-		txs = append(txs, signedInvoke(t, seed, logger, 0, vm.WordFromUint64(uint64(i))))
-	}
-	b := blockWith(t, proposer, 50, txs...)
-
-	run := func(workers int) []vm.Event {
-		px := parent.Copy()
-		ve := vm.NewExecutor()
-		px.SetExecutor(ve)
-		ex := &Executor{Workers: workers}
-		if _, _, _, err := ex.ApplyBlock(px, b, 50); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return ve.DrainEvents()
-	}
-	want := run(0)
-	if len(want) != 6 {
-		t.Fatalf("serial produced %d events, want 6", len(want))
-	}
-	for _, w := range []int{1, 2, 8} {
-		got := run(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d events, want %d", w, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: event %d = %+v, want %+v", w, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // rigidExecutor implements state.Executor without Fork/Absorb.

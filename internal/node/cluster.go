@@ -292,9 +292,6 @@ func (c *Cluster) Restart(i int) error {
 	return nil
 }
 
-// Away reports whether peer i is currently off the network.
-func (c *Cluster) Away(i int) bool { return c.away[i] }
-
 // Start begins mining on every configured peer.
 func (c *Cluster) Start() {
 	for _, n := range c.Nodes {

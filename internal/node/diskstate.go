@@ -152,9 +152,8 @@ func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 // the window), and the base state rebuilds replay from — each with the
 // storage tries and code its leaves name (walks share subtrees, so
 // consecutive roots cost only their deltas). Compact drops records that
-// are both below the height floor and unreachable from a marked root,
-// and a store checkpoint names the oldest root kept. Unflushed roots
-// have no records to keep. Caller holds n.mu.
+// are both below the height floor and unreachable from a marked root.
+// Unflushed roots have no records to keep. Caller holds n.mu.
 func (n *Node) pruneDiskLocked() {
 	d := n.disk
 	w := n.retention()
@@ -205,14 +204,10 @@ func (n *Node) pruneDiskLocked() {
 	for _, root := range slices.Compact(under) {
 		keep(root)
 	}
-	var oldest *nodestore.Checkpoint
 	for h := floor; h <= head; h++ {
 		bh, _ := n.chain.AtHeight(h)
-		if hdr, ok := n.tree.Header(bh); ok && d.store.Has(hdr.StateRoot) {
+		if hdr, ok := n.tree.Header(bh); ok {
 			keep(hdr.StateRoot)
-			if oldest == nil {
-				oldest = &nodestore.Checkpoint{Height: h, Roots: map[string]cryptoutil.Hash{"state": hdr.StateRoot}}
-			}
 		}
 	}
 	if failed != nil {
@@ -224,11 +219,6 @@ func (n *Node) pruneDiskLocked() {
 		return
 	}
 	n.metrics.DiskPrunes++
-	if oldest != nil {
-		if err := d.store.WriteCheckpoint(*oldest); err != nil {
-			n.metrics.DiskErrors++
-		}
-	}
 }
 
 // DiskFlushed returns the root and height of the newest state trie
@@ -281,13 +271,4 @@ func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
 		return nil, fmt.Errorf("node: generated proof fails verification: %w", err)
 	}
 	return &AccountProof{Root: root, Addr: addr, Leaf: leaf, Proof: proof}, nil
-}
-
-// DiskStore exposes the underlying node store (nil when the disk
-// backend is disabled) for stats and tests.
-func (n *Node) DiskStore() *nodestore.Store {
-	if n.disk == nil {
-		return nil
-	}
-	return n.disk.store
 }

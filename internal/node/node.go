@@ -109,8 +109,7 @@ type Config struct {
 	// served for the head (see diskstate.go).
 	DiskState *nodestore.Store
 	// ExecWorkers is the optimistic parallel-execution width for block
-	// connect and proposal (see internal/exec). 0 keeps the serial
-	// ApplyBlock path; the daemon defaults to GOMAXPROCS.
+	// connect (see internal/exec). 0 keeps the serial ApplyBlock path.
 	ExecWorkers int
 	// ExecParanoid re-runs every parallel block serially and rejects it
 	// on any root or receipt divergence — a debug assertion that costs
@@ -216,8 +215,9 @@ type Node struct {
 	disk *diskState
 
 	// exec applies blocks — optimistically in parallel when
-	// Config.ExecWorkers > 0, serially otherwise. Both connect and
-	// produceBlock funnel through it.
+	// Config.ExecWorkers > 0, serially otherwise. connect funnels
+	// through it; produceBlock builds its block serially and hands it
+	// to connect.
 	exec *exec.Executor
 
 	metrics Metrics
@@ -1476,8 +1476,8 @@ func (n *Node) scheduleMine() {
 }
 
 // produceBlock assembles, seals, adopts, and gossips a new block on the
-// current tip. The whole path — selection, trial apply, seal, adopt —
-// is timed as the block_propose stage.
+// current tip. The whole path — selection, build, seal, adopt — is timed
+// as the block_propose stage.
 func (n *Node) produceBlock() error {
 	swPropose := obs.StartTimer()
 	parent := n.chain.HeadBlock()
@@ -1495,8 +1495,11 @@ func (n *Node) produceBlock() error {
 	st := parentState.Copy()
 	n.setExecutorTime(now)
 
-	// Filter to transactions that actually apply on this state (wrong
-	// nonces or insufficient balances are left pooled).
+	// Build the block's state the way validation will (state.ApplyBlock:
+	// coinbase subsidy first, then the transactions in order), keeping
+	// only the transactions that apply on it (wrong nonces or
+	// insufficient balances are left pooled).
+	st.Credit(n.self, reward)
 	var (
 		included []*types.Transaction
 		fees     uint64
@@ -1512,20 +1515,13 @@ func (n *Node) produceBlock() error {
 		return fmt.Errorf("node: select transactions: %w", err) // not a verdict on any of them
 	}
 
-	// Rebuild final state from scratch so coinbase ordering matches
-	// validation (coinbase subsidy first, then txs) — through the same
-	// executor peers will validate with, parallel or serial.
 	coinbase := types.NewCoinbase(n.self, reward+fees, height)
 	txs := append([]*types.Transaction{coinbase}, included...)
 	b := types.NewBlock(parentHash, height, now, n.self, txs)
-	st, err = n.applyBlockLocked(parentState, b)
-	if err != nil {
-		return fmt.Errorf("node: self-apply: %w", err)
-	}
 	swCommit := obs.StartTimer()
 	b.Header.StateRoot = st.Commit()
 	if err := st.Err(); err != nil {
-		return fmt.Errorf("node: self-apply: %w", err)
+		return fmt.Errorf("node: build block: %w", err)
 	}
 	n.observeCommit(b, st, swCommit)
 	if err := n.cfg.Engine.Prepare(&b.Header, parent); err != nil {

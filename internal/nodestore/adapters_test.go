@@ -3,7 +3,6 @@ package nodestore
 import (
 	"errors"
 	"os"
-	"path/filepath"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/seglog"
@@ -16,10 +15,6 @@ import (
 var segHeaderLen = format.HeaderLen()
 
 func segName(idx uint64) string { return format.SegmentName(idx) }
-
-func ckptName(height uint64) string {
-	return filepath.Base(seglog.SideFiles{Prefix: "nsck-", Suffix: ".ck"}.Path(height))
-}
 
 // errBadFrame is what the old scanner called damage.
 var errBadFrame = errors.New("nodestore: bad frame")

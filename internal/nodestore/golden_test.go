@@ -33,9 +33,8 @@ func goldenPayload(h, i int) []byte {
 }
 
 // writeGoldenNodeStore is the scripted run: eight five-node batches, a
-// checkpoint after the fourth, a compaction that drops the odd nodes
-// below height 6 (rewriting sealed segments into the active one), one
-// more batch and a second checkpoint.
+// compaction that drops the odd nodes below height 6 (rewriting sealed
+// segments into the active one) and one more batch.
 func writeGoldenNodeStore(t *testing.T, dir string) {
 	t.Helper()
 	s, err := Open(dir, goldenOpts())
@@ -43,7 +42,6 @@ func writeGoldenNodeStore(t *testing.T, dir string) {
 		t.Fatalf("Open: %v", err)
 	}
 	marker := NewMarker()
-	var last cryptoutil.Hash
 	for h := 1; h <= 8; h++ {
 		var payloads [][]byte
 		for i := 0; i < 5; i++ {
@@ -53,21 +51,12 @@ func writeGoldenNodeStore(t *testing.T, dir string) {
 				marker.Keep(cryptoutil.HashBytes(p))
 			}
 		}
-		hashes := putNodes(t, s, uint64(h), payloads...)
-		last = hashes[len(hashes)-1]
-		if h == 4 {
-			if err := s.WriteCheckpoint(Checkpoint{Height: 4, Roots: map[string]cryptoutil.Hash{"state": last}}); err != nil {
-				t.Fatalf("WriteCheckpoint: %v", err)
-			}
-		}
+		putNodes(t, s, uint64(h), payloads...)
 	}
 	if _, err := s.Compact(marker, 6); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	last = putNodes(t, s, 9, goldenPayload(9, 0), goldenPayload(9, 1))[1]
-	if err := s.WriteCheckpoint(Checkpoint{Height: 9, Roots: map[string]cryptoutil.Hash{"state": last, "aux": {}}}); err != nil {
-		t.Fatalf("WriteCheckpoint: %v", err)
-	}
+	putNodes(t, s, 9, goldenPayload(9, 0), goldenPayload(9, 1))
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -94,15 +83,22 @@ func hashDir(t *testing.T, dir string) map[string]string {
 
 // goldenFiles pins every byte the node store puts on disk — file
 // names, segment headers, frames (including the ones compaction
-// copies forward), checkpoint metas. The hashes were recorded at commit
-// 56ba322, before internal/seglog existed; a store directory written by
-// that commit and by this one are the same bytes.
+// copies forward). The hashes were recorded at commit 56ba322, before
+// internal/seglog existed; the segments written by that commit and by
+// this one are the same bytes.
 var goldenFiles = map[string]string{
-	"ns-00000005.seg":          "e3149717ce8d1508ad2362900de258dcf6d7adafba00ee863d260a7b56ffcd5d",
-	"ns-00000006.seg":          "57e5f7a956129d829cc4021c4a463b2df70ace6023892d6b47563b7519c37138",
-	"ns-00000007.seg":          "c5bde99683877be2669aefa9ef7ea4a2c95ad7bfd99e6aecf36885441561a7f0",
-	"ns-00000008.seg":          "2dcae8f5d61df485df000289afa9824bde7ea8d773287e2cc569cb3a8d4f1c23",
-	"ns-00000009.seg":          "94a12c42801e2a249a08444608fbf08ed1c9f45e58b52a7e2b409469cd40cbaf",
+	"ns-00000005.seg": "e3149717ce8d1508ad2362900de258dcf6d7adafba00ee863d260a7b56ffcd5d",
+	"ns-00000006.seg": "57e5f7a956129d829cc4021c4a463b2df70ace6023892d6b47563b7519c37138",
+	"ns-00000007.seg": "c5bde99683877be2669aefa9ef7ea4a2c95ad7bfd99e6aecf36885441561a7f0",
+	"ns-00000008.seg": "2dcae8f5d61df485df000289afa9824bde7ea8d773287e2cc569cb3a8d4f1c23",
+	"ns-00000009.seg": "94a12c42801e2a249a08444608fbf08ed1c9f45e58b52a7e2b409469cd40cbaf",
+}
+
+// parentSideFiles are the nsck-<height>.ck metas the parent binary also
+// wrote (the scripted run then checkpointed after the fourth batch and at
+// the end). Nothing writes or reads them any more; a directory that still
+// holds them must open, and keep them, all the same.
+var parentSideFiles = map[string]string{
 	"nsck-0000000000000004.ck": "d2bbbc6ce1ecf7ddb1bd6c1f18b66173357b402874246edc0ab96575a4456c77",
 	"nsck-0000000000000009.ck": "7b8642ea1e16ec3bf305d432092f9f59804754d79fae848f752aae450da1e5bf",
 }
@@ -122,12 +118,17 @@ func TestOnDiskGolden(t *testing.T) {
 }
 
 // TestOpensParentDirectory opens testdata/parent-store — the scripted
-// run's output as written by the binary of commit 56ba322 — serves
-// every surviving node from it, extends it and reopens it.
+// run's output as written by the binary of commit 56ba322, nsck metas
+// included — serves every surviving node from it, extends it and reopens
+// it; the metas are ignored and left where they were.
 func TestOpensParentDirectory(t *testing.T) {
 	const fixture = "testdata/parent-store"
+	fixtureFiles := hashDir(t, fixture)
+	if len(fixtureFiles) != len(goldenFiles)+len(parentSideFiles) {
+		t.Fatalf("fixture holds %d files, want the segments and the parent's metas", len(fixtureFiles))
+	}
 	for name, want := range goldenFiles {
-		if got := hashDir(t, fixture)[name]; got != want {
+		if got := fixtureFiles[name]; got != want {
 			t.Fatalf("fixture %s is not the golden run's file: %s", name, got)
 		}
 	}
@@ -169,9 +170,9 @@ func TestOpensParentDirectory(t *testing.T) {
 	if s.Len() != live {
 		t.Fatalf("index holds %d records, want %d", s.Len(), live)
 	}
-	ck, err := s.LoadCheckpoint()
-	if err != nil || ck.Height != 9 || ck.Roots["state"] != cryptoutil.HashBytes(goldenPayload(9, 1)) {
-		t.Fatalf("checkpoint %+v, %v", ck, err)
+	// The root the parent's newest meta named is the run's last node.
+	if last := cryptoutil.HashBytes(goldenPayload(9, 1)); !s.Has(last) {
+		t.Fatalf("the run's last root %s is not in the store", last.Short())
 	}
 	added := putNodes(t, s, 10, goldenPayload(10, 0), goldenPayload(10, 1))
 	if err := s.Close(); err != nil {
@@ -180,5 +181,11 @@ func TestOpensParentDirectory(t *testing.T) {
 	s = testOpen(t, dir, goldenOpts())
 	if s.Len() != live+2 || !s.Has(added[1]) {
 		t.Fatalf("after extending: %d records, want %d", s.Len(), live+2)
+	}
+	after := hashDir(t, dir)
+	for name, want := range parentSideFiles {
+		if after[name] != want {
+			t.Fatalf("parent-written %s: sha256 %q after open, extend and reopen, want it untouched", name, after[name])
+		}
 	}
 }

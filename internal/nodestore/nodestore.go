@@ -158,8 +158,8 @@ type Stats struct {
 // WAL's concurrency contract).
 type Store struct {
 	mu    sync.Mutex
+	dir   string
 	log   *seglog.Log
-	ckpts seglog.SideFiles // <store dir>/nsck-<height>.ck
 	index map[cryptoutil.Hash]ref
 	cache *nodeCache
 
@@ -190,8 +190,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
+		dir:   dir,
 		log:   l,
-		ckpts: seglog.SideFiles{Dir: dir, Prefix: "nsck-", Suffix: ".ck", Keep: ckptKeep},
 		index: make(map[cryptoutil.Hash]ref),
 		cache: newNodeCache(opts.CacheBytes),
 	}
@@ -410,4 +410,4 @@ func (s *Store) Stats() Stats {
 }
 
 // Dir returns the store's directory.
-func (s *Store) Dir() string { return s.ckpts.Dir }
+func (s *Store) Dir() string { return s.dir }

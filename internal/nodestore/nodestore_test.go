@@ -329,51 +329,6 @@ func TestCompactThenReadRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCheckpointRoundTripAndPrune(t *testing.T) {
-	dir := t.TempDir()
-	s := testOpen(t, dir, Options{})
-	if _, err := s.LoadCheckpoint(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("empty store: got %v, want ErrNoCheckpoint", err)
-	}
-	root := cryptoutil.HashBytes([]byte("state-root"))
-	for h := uint64(1); h <= 3; h++ {
-		ck := Checkpoint{Height: h * 10, Roots: map[string]cryptoutil.Hash{"state": root, "aux": cryptoutil.HashBytes([]byte{byte(h)})}}
-		if err := s.WriteCheckpoint(ck); err != nil {
-			t.Fatalf("WriteCheckpoint: %v", err)
-		}
-	}
-	got, err := s.LoadCheckpoint()
-	if err != nil {
-		t.Fatalf("LoadCheckpoint: %v", err)
-	}
-	if got.Height != 30 || got.Roots["state"] != root {
-		t.Fatalf("loaded %+v", got)
-	}
-	// Only the newest two metas survive.
-	heights, err := s.checkpointHeights()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(heights) != 2 || heights[0] != 20 || heights[1] != 30 {
-		t.Fatalf("retained checkpoints = %v, want [20 30]", heights)
-	}
-
-	// A damaged newest meta is skipped, never trusted.
-	path := filepath.Join(dir, ckptName(30))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s.LoadCheckpoint()
-	if err != nil || got.Height != 20 {
-		t.Fatalf("fallback checkpoint = %+v, %v", got, err)
-	}
-}
-
 func TestSyncPolicies(t *testing.T) {
 	if _, err := ParseSyncPolicy("bogus"); err == nil {
 		t.Fatal("bogus policy must fail")

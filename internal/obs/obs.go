@@ -53,8 +53,9 @@ const (
 	StageOrphanAdopt = "orphan_adopt"
 	// StageForkChoice is one branch-selection evaluation.
 	StageForkChoice = "fork_choice"
-	// StageBlockPropose is block assembly at the proposer (tx selection,
-	// self-apply, seal, local adoption).
+	// StageBlockPropose is block assembly at the proposer (tx selection
+	// and the one pass that builds the block's state, seal, local
+	// adoption through connect).
 	StageBlockPropose = "block_propose"
 	// StagePowSeal is the real preimage search inside block proposal.
 	StagePowSeal = "pow_seal"
@@ -122,7 +123,7 @@ type Stopwatch struct {
 func StartTimer() Stopwatch { return Stopwatch{t0: time.Now()} }
 
 // Start returns the stopwatch's start instant, for interop with
-// Histogram.ObserveSince and Tracer.RecordSince.
+// Histogram.ObserveSince.
 func (s Stopwatch) Start() time.Time { return s.t0 }
 
 // StartUnixNano returns the start instant in Unix nanoseconds — the
@@ -231,21 +232,6 @@ func (t *Tracer) Record(s Span) {
 		}
 	}
 	t.mu.Unlock()
-}
-
-// RecordSince is a convenience Record for wall-clock spans: duration is
-// time.Since(start).
-func (t *Tracer) RecordSince(stage string, start time.Time, height uint64, peer string) {
-	if t == nil {
-		return
-	}
-	t.Record(Span{
-		Stage:  stage,
-		Start:  start.UnixNano(),
-		Dur:    int64(time.Since(start)),
-		Height: height,
-		Peer:   peer,
-	})
 }
 
 // Len returns how many spans the ring currently holds.

@@ -181,7 +181,6 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.SetRun("x")
 	tr.SetSink(&bytes.Buffer{})
 	tr.Record(Span{Stage: "a"})
-	tr.RecordSince("a", time.Now(), 1, "p")
 	if tr.Len() != 0 || tr.Total() != 0 || tr.Evicted() != 0 {
 		t.Fatal("nil tracer reported non-zero counts")
 	}

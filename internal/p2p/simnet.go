@@ -159,15 +159,10 @@ func (n *SimNetwork) ClearLinkLatency(from, to NodeID) {
 }
 
 // BlockLink drops all messages on the directed link from → to until
-// UnblockLink or Heal. Unlike Partition's symmetric groups, this models
+// Heal. Unlike Partition's symmetric groups, this models
 // asymmetric faults: from can be deaf to to while to still hears from.
 func (n *SimNetwork) BlockLink(from, to NodeID) {
 	n.blocked[[2]NodeID{from, to}] = true
-}
-
-// UnblockLink removes a directed link block.
-func (n *SimNetwork) UnblockLink(from, to NodeID) {
-	delete(n.blocked, [2]NodeID{from, to})
 }
 
 // Partition splits the network into groups; messages across group

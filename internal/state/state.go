@@ -62,9 +62,9 @@ type Executor interface {
 	Invoke(st *State, tx *types.Transaction) (uint64, error)
 }
 
-// ForkableExecutor is implemented by executors whose per-execution side
-// state (an event log, say) can be forked for speculative execution and
-// merged back in commit order. The optimistic parallel executor
+// ForkableExecutor is implemented by executors that can be forked for
+// speculative execution, any per-execution side state of a fork being
+// merged back in commit order (the executors in this tree keep none). The optimistic parallel executor
 // (internal/exec) gives every speculation lane its own fork so lanes
 // never share mutable executor state; executors that do not implement it
 // are serial-only, and transactions that need them are replayed instead

@@ -257,15 +257,3 @@ func (p *Pool) Readd(txs []*types.Transaction) {
 		_ = p.Add(tx) // best effort: duplicates and full pool are fine
 	}
 }
-
-// MinFee returns the lowest fee currently pooled (0 if empty): the fee
-// floor a new transaction must beat when the pool is full.
-func (p *Pool) MinFee() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.txs) == 0 {
-		return 0
-	}
-	_, fee := p.cheapestLocked()
-	return fee
-}

@@ -81,9 +81,6 @@ func TestCapacityEviction(t *testing.T) {
 	if !p.Has(rich.ID()) || p.Len() != 3 {
 		t.Fatal("rich tx should be pooled at capacity")
 	}
-	if p.MinFee() != 5 {
-		t.Fatalf("MinFee = %d, want 5", p.MinFee())
-	}
 }
 
 func TestSelectFeePriority(t *testing.T) {

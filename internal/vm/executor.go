@@ -18,9 +18,6 @@ type Executor struct {
 	DeployGasPerByte uint64
 	// Now supplies block time to TIMESTAMP; set by the node per block.
 	Now int64
-	// Events accumulates events from executed transactions; the node
-	// drains it per block.
-	Events []Event
 	// StrictDeploy rejects contracts that fail static analysis — the
 	// pre-commitment validation the paper's Section 5.3 calls for.
 	StrictDeploy bool
@@ -73,9 +70,6 @@ func (e *Executor) Invoke(st *state.State, tx *types.Transaction) (uint64, error
 		GasLimit: tx.GasLimit,
 	}
 	res, err := Execute(code, env)
-	if res != nil {
-		e.Events = append(e.Events, res.Events...)
-	}
 	if err != nil {
 		return gasUsed(res, tx.GasLimit), err
 	}
@@ -105,36 +99,19 @@ func (e *Executor) ConstantCall(st *state.State, self cryptoutil.Address, caller
 	return res.Return, nil
 }
 
-// Fork implements state.ForkableExecutor: the fork shares the gas
-// schedule, block time, and analysis policy but accumulates events in a
-// private buffer, so speculation lanes can run concurrently without
-// racing on Events.
+// Fork implements state.ForkableExecutor: an executor holds only its
+// configuration (gas schedule, block time, analysis policy), so the fork
+// is a copy and speculation lanes share nothing mutable.
 func (e *Executor) Fork() state.Executor {
-	return &Executor{
-		DeployGasPerByte: e.DeployGasPerByte,
-		Now:              e.Now,
-		StrictDeploy:     e.StrictDeploy,
-	}
+	f := *e
+	return &f
 }
 
-// Absorb implements state.ForkableExecutor: appends a fork's events to
-// the receiver's log. The parallel executor calls it in
-// transaction-index order, so the merged log matches serial execution.
-func (e *Executor) Absorb(fork state.Executor) {
-	if f, ok := fork.(*Executor); ok && len(f.Events) > 0 {
-		e.Events = append(e.Events, f.Events...)
-		f.Events = nil
-	}
-}
+// Absorb implements state.ForkableExecutor: a fork accumulates nothing
+// to merge back.
+func (e *Executor) Absorb(state.Executor) {}
 
 var _ state.ForkableExecutor = (*Executor)(nil)
-
-// DrainEvents returns and clears accumulated events.
-func (e *Executor) DrainEvents() []Event {
-	out := e.Events
-	e.Events = nil
-	return out
-}
 
 func gasUsed(res *Result, limit uint64) uint64 {
 	if res == nil {

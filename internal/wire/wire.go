@@ -57,15 +57,6 @@ func (w *Buffer) Len() int { return len(w.b) }
 // Reset truncates the buffer for reuse, keeping its capacity.
 func (w *Buffer) Reset() { w.b = w.b[:0] }
 
-// Grow ensures capacity for at least n more bytes.
-func (w *Buffer) Grow(n int) {
-	if cap(w.b)-len(w.b) < n {
-		nb := make([]byte, len(w.b), len(w.b)+n)
-		copy(nb, w.b)
-		w.b = nb
-	}
-}
-
 // U8 appends one byte.
 func (w *Buffer) U8(v uint8) { w.b = append(w.b, v) }
 
@@ -121,9 +112,6 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // Err returns the latched decode error, nil while healthy.
 func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of undecoded bytes.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
 // Close returns the latched error, or ErrTrailing if undecoded bytes
 // remain. Decoders call it last to enforce canonical encodings.
