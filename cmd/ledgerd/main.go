@@ -91,47 +91,48 @@ func (a allocList) Set(v string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
 		log.Fatal("ledgerd: ", err)
 	}
 }
 
-func run() error {
+// run is the daemon: it parses args, wires the peer and serves until a
+// signal arrives on stop or the HTTP server fails.
+func run(args []string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		id       = flag.String("id", "node-0", "node identity")
-		listen   = flag.String("listen", ":7001", "p2p listen address")
-		httpAddr = flag.String("http", ":8001", "http api listen address")
-		mine     = flag.Bool("mine", true, "produce blocks")
-		interval = flag.Duration("interval", 10*time.Second, "target block interval")
-		network  = flag.String("network", "dcsledger-devnet", "network name (genesis tag)")
-		keySeed  = flag.String("keyseed", "", "deterministic key seed (default: derive from -id)")
-		dialTO   = flag.Duration("dial-timeout", p2p.DefaultDialTimeout, "p2p dial timeout per connection attempt")
-		sendQ    = flag.Int("send-queue", p2p.DefaultQueueSize, "p2p per-peer outbound queue size")
-		maxFrame = flag.Uint("max-frame", p2p.DefaultMaxFrame, "p2p max inbound frame size in bytes (oversize frames drop the connection)")
-		readIdle = flag.Duration("read-idle", p2p.DefaultReadIdleTimeout, "p2p idle read deadline; silent inbound connections are dropped after this")
-		retain   = flag.Int("state-retention", node.DefaultStateRetention,
+		id       = fs.String("id", "node-0", "node identity")
+		listen   = fs.String("listen", ":7001", "p2p listen address")
+		httpAddr = fs.String("http", ":8001", "http api listen address")
+		mine     = fs.Bool("mine", true, "produce blocks")
+		interval = fs.Duration("interval", 10*time.Second, "target block interval")
+		network  = fs.String("network", "dcsledger-devnet", "network name (genesis tag)")
+		keySeed  = fs.String("keyseed", "", "deterministic key seed (default: derive from -id)")
+		dialTO   = fs.Duration("dial-timeout", p2p.DefaultDialTimeout, "p2p dial timeout per connection attempt")
+		sendQ    = fs.Int("send-queue", p2p.DefaultQueueSize, "p2p per-peer outbound queue size")
+		maxFrame = fs.Uint("max-frame", p2p.DefaultMaxFrame, "p2p max inbound frame size in bytes (oversize frames drop the connection)")
+		readIdle = fs.Duration("read-idle", p2p.DefaultReadIdleTimeout, "p2p idle read deadline; silent inbound connections are dropped after this")
+		retain   = fs.Int("state-retention", node.DefaultStateRetention,
 			"blocks below the head that keep their post-state (-1 = archive, keep all)")
-		maxOrph = flag.Int("max-orphans", node.DefaultMaxOrphans, "max buffered unknown-parent blocks")
-		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the http api")
-		dataDir = flag.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
-		ckptN   = flag.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
-		backend = flag.String("state-backend", "memory",
-			"authenticated state backend: memory|disk (disk keeps the state — account trie, contract storage, code — in <data-dir>/state and reads it from there: written at -checkpoint-every cadence, checkpoints carry its root and no snapshot, RAM bounded by -state-cache and the store's index, and serves GET /proof)")
-		cacheB  = flag.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
-		traceFn = flag.String("trace-file", "", "append pipeline trace spans to this JSONL file")
-		traceN  = flag.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
-		execW   = flag.Int("exec-workers", 0,
-			"optimistic parallel block execution width (0 = serial, the default; see docs/EXECUTION.md)")
-		execP = flag.Bool("exec-paranoid", false,
-			"re-run every parallel block serially and fail on any divergence (debug; forfeits the speedup)")
-		peers = peerList{}
-		alloc = allocList{}
-		fsync = fsyncFlag{wal.FsyncInterval}
+		maxOrph = fs.Int("max-orphans", node.DefaultMaxOrphans, "max buffered unknown-parent blocks")
+		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the http api")
+		dataDir = fs.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
+		ckptN   = fs.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
+		backend = fs.String("state-backend", "memory",
+			"authenticated state backend: memory|disk (disk keeps the state — account trie, contract storage, code — in <data-dir>/state and reads it from there: written at -checkpoint-every cadence, checkpoints carry its root and no snapshot, RAM bounded by -state-cache and the store's index)")
+		cacheB  = fs.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
+		traceFn = fs.String("trace-file", "", "append pipeline trace spans to this JSONL file")
+		traceN  = fs.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
+		peers   = peerList{}
+		alloc   = allocList{}
+		fsync   = fsyncFlag{wal.FsyncInterval}
 	)
-	flag.Var(&fsync, "fsync", "wal fsync policy: always|interval|never")
-	flag.Var(peers, "peer", "peer as id=host:port (repeatable)")
-	flag.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
-	flag.Parse()
+	fs.Var(&fsync, "fsync", "wal fsync policy: always|interval|never")
+	fs.Var(peers, "peer", "peer as id=host:port (repeatable)")
+	fs.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited with 2
 
 	seed := *keySeed
 	if seed == "" {
@@ -156,12 +157,11 @@ func run() error {
 		log.Printf("tracing pipeline spans to %s", *traceFn)
 	}
 	fc := &forkchoice.Instrumented{
-		Inner:  forkchoice.LongestChain{},
-		Tracer: tracer,
-		Hist:   reg.Histogram("forkchoice_choose_seconds"),
-		Peer:   *id,
+		Inner: forkchoice.LongestChain{},
+		Obs:   obs.NewObserver(*id, tracer, obs.StageForkChoice),
 	}
-	reg.RegisterFunc("forkchoice_switches_total", func() int64 { return int64(fc.Switches()) })
+	fc.Obs.Register(reg)
+	reg.Collect(func(emit func(string, int64)) { emit("forkchoice_switches_total", int64(fc.Switches())) })
 
 	// Durable ledger: a segmented WAL plus periodic state checkpoints
 	// under -data-dir. Opening the store replays the journal so a node
@@ -183,7 +183,7 @@ func run() error {
 
 	// Disk-backed authenticated state: the state lives in a node store
 	// under <data-dir>/state (flushed when the WAL checkpoints) and is read
-	// from there, bounded-RAM via the decoded-node cache, serving GET /proof.
+	// from there, bounded-RAM via the decoded-node cache.
 	var ns *nodestore.Store
 	switch *backend {
 	case "memory":
@@ -226,8 +226,6 @@ func run() error {
 		MaxOrphans:     *maxOrph,
 		Durable:        ds,
 		DiskState:      ns,
-		ExecWorkers:    *execW,
-		ExecParanoid:   *execP,
 	})
 	if err != nil {
 		return err
@@ -271,10 +269,8 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
-	case s := <-sig:
+	case s := <-stop:
 		log.Printf("signal %v: shutting down", s)
 		return srv.Close()
 	case err := <-errCh:
@@ -321,10 +317,13 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 	}
 
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
+		// Height and hash from one read of the head: a poller must never
+		// see height h beside the hash of h+1.
+		head := n.Chain().HeadBlock()
 		writeJSON(w, map[string]any{
 			"address": n.Address().Hex(),
-			"height":  n.Chain().Height(),
-			"head":    n.Chain().Head().Hex(),
+			"height":  head.Header.Height,
+			"head":    head.Hash().Hex(),
 			"mempool": n.Pool().Len(),
 			"blocks":  n.Tree().Len(), // headers known; bodies may be in the WAL only
 			"metrics": n.Metrics(),
@@ -401,7 +400,7 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 	})
 	mux.HandleFunc("GET /proof", func(w http.ResponseWriter, r *http.Request) {
 		// Merkle proof of one account against the head state root, from
-		// the head state's trie (-state-backend=disk).
+		// the head state's trie (either backend).
 		addr, err := cryptoutil.AddressFromHex(r.URL.Query().Get("addr"))
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
@@ -409,11 +408,7 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		}
 		p, err := n.AccountProof(addr)
 		if err != nil {
-			code := http.StatusServiceUnavailable
-			if errors.Is(err, node.ErrNoDiskState) {
-				code = http.StatusNotImplemented
-			}
-			fail(w, code, err)
+			fail(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		proofHex := make([]string, len(p.Proof))

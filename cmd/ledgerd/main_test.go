@@ -7,8 +7,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +34,12 @@ import (
 
 func testServer(t *testing.T, alloc map[cryptoutil.Address]uint64) (*httptest.Server, *node.Node) {
 	t.Helper()
+	return testServerOn(t, alloc, nil)
+}
+
+// testServerOn is testServer over the disk state backend when ns is set.
+func testServerOn(t *testing.T, alloc map[cryptoutil.Address]uint64, ns *nodestore.Store) (*httptest.Server, *node.Node) {
+	t.Helper()
 	executor := contract.NewExecutor(contract.NewRegistry())
 	n, err := node.New(node.Config{
 		ID:  "api-test",
@@ -47,6 +55,7 @@ func testServer(t *testing.T, alloc map[cryptoutil.Address]uint64) (*httptest.Se
 		Executor:   executor,
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.Wall{},
+		DiskState:  ns,
 	})
 	if err != nil {
 		t.Fatalf("node.New: %v", err)
@@ -82,6 +91,7 @@ func TestHTTPAPI(t *testing.T) {
 	// /status
 	var status struct {
 		Height  uint64 `json:"height"`
+		Head    string `json:"head"`
 		Mempool int    `json:"mempool"`
 	}
 	if code := getJSON(t, srv.URL+"/status", &status); code != http.StatusOK {
@@ -89,6 +99,45 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if status.Height != 0 {
 		t.Fatalf("fresh chain height %d", status.Height)
+	}
+	// height and head name the same block, whatever connects meanwhile:
+	// polled while the chain grows, every answer's head is the main-chain
+	// block at that answer's height.
+	consistent := func() {
+		resp, err := http.Get(srv.URL + "/status")
+		if err != nil {
+			t.Errorf("GET /status: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+			t.Errorf("decode /status: %v", err)
+		} else if at, ok := n.Chain().AtHeight(status.Height); !ok || at.Hex() != status.Head {
+			t.Errorf("/status height %d with head %s; the chain has %s there", status.Height, status.Head, at.Short())
+		}
+	}
+	grown, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-grown:
+				return
+			default:
+				consistent()
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		if err := n.HandleBlock(mineNext(t, n)); err != nil {
+			t.Fatalf("HandleBlock: %v", err)
+		}
+	}
+	close(grown)
+	<-polled
+	consistent()
+	if status.Height != 8 {
+		t.Fatalf("height %d after 8 blocks", status.Height)
 	}
 
 	// /balance
@@ -150,90 +199,63 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestProofEndpoint covers GET /proof in both backend modes: without
-// the disk backend it reports 501, with it the returned Merkle proof
-// verifies against the head state root for present and absent accounts.
+// TestProofEndpoint covers GET /proof on both backends: the returned
+// Merkle proof verifies against the head header's state root, for present
+// and absent accounts, from the head state's own trie either way.
 func TestProofEndpoint(t *testing.T) {
 	alice := wallet.FromSeed("alice")
+	for _, backend := range []string{"memory", "disk"} {
+		t.Run(backend, func(t *testing.T) {
+			var ns *nodestore.Store
+			if backend == "disk" {
+				var err error
+				if ns, err = nodestore.Open(t.TempDir(), nodestore.Options{Sync: nodestore.SyncNever}); err != nil {
+					t.Fatalf("nodestore.Open: %v", err)
+				}
+				defer ns.Close()
+			}
+			srv, n := testServerOn(t, map[cryptoutil.Address]uint64{alice.Address(): 1000}, ns)
+			if err := n.HandleBlock(mineNext(t, n)); err != nil {
+				t.Fatalf("HandleBlock: %v", err)
+			}
+			headRoot := n.Chain().HeadBlock().Header.StateRoot
 
-	// Memory backend: not implemented.
-	srvMem, _ := testServer(t, map[cryptoutil.Address]uint64{alice.Address(): 1000})
-	if code := getJSON(t, srvMem.URL+"/proof?addr="+alice.Address().Hex(), nil); code != http.StatusNotImplemented {
-		t.Fatalf("/proof without disk backend: code %d, want 501", code)
-	}
-
-	// Disk backend: proofs served from the genesis trie.
-	ns, err := nodestore.Open(t.TempDir(), nodestore.Options{Sync: nodestore.SyncNever})
-	if err != nil {
-		t.Fatalf("nodestore.Open: %v", err)
-	}
-	defer ns.Close()
-	executor := contract.NewExecutor(contract.NewRegistry())
-	n, err := node.New(node.Config{
-		ID:  "proof-test",
-		Key: cryptoutil.KeyFromSeed([]byte("proof-test")),
-		Engine: pow.New(pow.Config{
-			TargetInterval:    time.Second,
-			InitialDifficulty: 64,
-			HashRate:          64,
-		}, rand.New(rand.NewSource(1))),
-		ForkChoice: forkchoice.LongestChain{},
-		Genesis:    node.NewGenesis("proof-test"),
-		Alloc:      map[cryptoutil.Address]uint64{alice.Address(): 1000},
-		Executor:   executor,
-		Rewards:    incentive.Schedule{InitialReward: 50},
-		Clock:      simclock.Wall{},
-		DiskState:  ns,
-	})
-	if err != nil {
-		t.Fatalf("node.New: %v", err)
-	}
-	reg := metrics.NewRegistry()
-	tracer := obs.NewTracer(64)
-	srv := httptest.NewServer(apiHandler(n, executor, reg, tracer, false))
-	defer srv.Close()
-
-	var proof struct {
-		Root   string   `json:"root"`
-		Exists bool     `json:"exists"`
-		Leaf   string   `json:"leaf"`
-		Proof  []string `json:"proof"`
-	}
-	if code := getJSON(t, srv.URL+"/proof?addr="+alice.Address().Hex(), &proof); code != http.StatusOK {
-		t.Fatalf("/proof code %d", code)
-	}
-	if !proof.Exists || len(proof.Proof) == 0 {
-		t.Fatalf("alice proof = %+v", proof)
-	}
-	root, err := cryptoutil.HashFromHex(proof.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([][]byte, len(proof.Proof))
-	for i, p := range proof.Proof {
-		if nodes[i], err = hex.DecodeString(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr := alice.Address()
-	leaf, exists, err := mpt.VerifyProof(root, addr[:], nodes)
-	if err != nil || !exists {
-		t.Fatalf("VerifyProof = exists=%v err=%v", exists, err)
-	}
-	if hex.EncodeToString(leaf) != proof.Leaf {
-		t.Fatalf("leaf mismatch: %x vs %s", leaf, proof.Leaf)
-	}
-
-	// Absent account: exists=false, proof still verifies (of absence).
-	ghost := wallet.FromSeed("ghost").Address()
-	if code := getJSON(t, srv.URL+"/proof?addr="+ghost.Hex(), &proof); code != http.StatusOK {
-		t.Fatalf("/proof absent code %d", code)
-	}
-	if proof.Exists {
-		t.Fatal("ghost account reported present")
-	}
-	if code := getJSON(t, srv.URL+"/proof?addr=zz", nil); code != http.StatusBadRequest {
-		t.Fatal("bad addr not rejected")
+			var proof struct {
+				Root   string   `json:"root"`
+				Exists bool     `json:"exists"`
+				Leaf   string   `json:"leaf"`
+				Proof  []string `json:"proof"`
+			}
+			// Present, then absent (exists=false, a proof of absence).
+			for _, c := range []struct {
+				addr   cryptoutil.Address
+				exists bool
+			}{{alice.Address(), true}, {wallet.FromSeed("ghost").Address(), false}} {
+				if code := getJSON(t, srv.URL+"/proof?addr="+c.addr.Hex(), &proof); code != http.StatusOK {
+					t.Fatalf("/proof code %d", code)
+				}
+				if proof.Exists != c.exists || len(proof.Proof) == 0 || proof.Root != headRoot.Hex() {
+					t.Fatalf("proof = %+v, want exists=%v under the head's root %s", proof, c.exists, headRoot.Hex())
+				}
+				nodes := make([][]byte, len(proof.Proof))
+				for i, p := range proof.Proof {
+					var err error
+					if nodes[i], err = hex.DecodeString(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				leaf, exists, err := mpt.VerifyProof(headRoot, c.addr[:], nodes)
+				if err != nil || exists != c.exists {
+					t.Fatalf("VerifyProof = exists=%v err=%v, want exists=%v", exists, err, c.exists)
+				}
+				if hex.EncodeToString(leaf) != proof.Leaf {
+					t.Fatalf("leaf mismatch: %x vs %s", leaf, proof.Leaf)
+				}
+			}
+			if code := getJSON(t, srv.URL+"/proof?addr=zz", nil); code != http.StatusBadRequest {
+				t.Fatal("bad addr not rejected")
+			}
+		})
 	}
 }
 
@@ -317,6 +339,90 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !sort.StringsAreSorted(fams) {
 		t.Fatalf("/metrics families not sorted: %v", fams)
 	}
+
+	// The daemon's own wiring (run: flags, stores, transport, gossip, fork
+	// choice, node) exports, on either backend, exactly the series recorded
+	// from PR 17's ledgerd: same names in the same order, same bucket
+	// bounds, each rendered as `name value`.
+	for _, backend := range []string{"memory", "disk"} {
+		want, err := os.ReadFile("testdata/metrics_" + backend + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := daemonSeries(t, "-state-backend", backend, "-data-dir", t.TempDir())
+		if got != string(want) {
+			t.Errorf("-state-backend=%s: /metrics series differ from testdata/metrics_%s.golden:\n%s", backend, backend, got)
+		}
+		// What benchmark/report.go scrapes. (exec_* are exported only with
+		// node.Config.ExecWorkers > 0, which ledgerd never set by default
+		// and cannot set now: internal/node's exec equivalence test pins them.)
+		scraped := []string{
+			"node_blocks_accepted_total", "node_block_propose_seconds_sum", "node_block_connect_seconds_sum",
+			"node_block_verify_seconds_sum", "node_state_apply_seconds_sum", "wal_append_seconds_sum",
+			"wal_fsyncs_total", "wal_bytes_written_total", "p2p_sent_total", "p2p_dropped_total",
+			"gossip_duplicate_total", "gossip_delivered_total", "node_reorgs_total",
+			"node_blocks_rejected_total", "node_wal_append_errors_total",
+		}
+		if backend == "disk" {
+			scraped = append(scraped, "nodestore_appends_total", "nodestore_cache_hits_total", "nodestore_cache_misses_total")
+		}
+		for _, name := range scraped {
+			if !strings.Contains("\n"+got, "\n"+name+"\n") {
+				t.Errorf("-state-backend=%s: /metrics lacks %s, which the benchmark scrapes", backend, name)
+			}
+		}
+	}
+}
+
+// daemonSeries runs the daemon itself — run, with the given flags added
+// to loopback addresses and -mine=false — scrapes GET /metrics once it
+// answers, stops it, and returns the series of the scrape in order, one a
+// line, values stripped.
+func daemonSeries(t *testing.T, args ...string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpAddr := ln.Addr().String()
+	ln.Close()
+	stop, done := make(chan os.Signal, 1), make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-listen", "127.0.0.1:0", "-http", httpAddr, "-mine=false"}, args...), stop)
+	}()
+	var body []byte
+	for deadline := time.Now().Add(10 * time.Second); body == nil; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before it was stopped: %v", err)
+		default:
+		}
+		resp, err := http.Get("http://" + httpAddr + "/metrics")
+		if err != nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("daemon never answered: %v", err)
+			}
+			continue
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop <- os.Interrupt
+	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		t.Errorf("run: %v", err)
+	}
+	var series strings.Builder
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.Contains(value, " ") {
+			t.Errorf("series %q is not rendered as `name value`", line)
+		}
+		series.WriteString(name + "\n")
+	}
+	return series.String()
 }
 
 func TestTraceAndPprofEndpoints(t *testing.T) {

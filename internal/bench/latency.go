@@ -74,7 +74,7 @@ func powStageRun(scale float64) (*Table, *obs.Tracer, error) {
 			}, rand.New(rand.NewSource(9100+int64(i))))
 		},
 		ForkChoice: func() consensus.ForkChoice {
-			return &forkchoice.Instrumented{Inner: forkchoice.LongestChain{}, Tracer: tracer}
+			return &forkchoice.Instrumented{Inner: forkchoice.LongestChain{}, Obs: obs.Observer{Tracer: tracer}}
 		},
 		Alloc:       alloc,
 		Rewards:     incentive.Schedule{InitialReward: 50},

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,8 +16,9 @@ import (
 // TestTraceDemo is the `make trace-demo` target: it runs the reduced
 // -stages pipeline comparison (a 4-node PoW simulation plus the
 // ordering+PBFT pipeline, both in-process on virtual clocks), asserts
-// the JSONL trace parses line-by-line, and checks every pipeline stage
-// each run is expected to emit actually appears with its run label.
+// the JSONL trace parses line-by-line, that the stages each run emits are
+// exactly the set recorded at PR 17 (testdata/trace_stages.golden), and
+// that a block's spans carry its hash from proposer to followers.
 func TestTraceDemo(t *testing.T) {
 	var trace bytes.Buffer
 	tables, err := StageLatency(0.05, &trace)
@@ -32,7 +36,8 @@ func TestTraceDemo(t *testing.T) {
 	}
 
 	// Every JSONL line must parse as a span with a stage and run label.
-	seen := make(map[string]map[string]int) // run → stage → count
+	seen := make(map[string]int) // "run stage" → count
+	var spans []obs.Span
 	sc := bufio.NewScanner(&trace)
 	lines := 0
 	for sc.Scan() {
@@ -47,10 +52,8 @@ func TestTraceDemo(t *testing.T) {
 		if s.Run != "pow" && s.Run != "ordering" {
 			t.Fatalf("trace line %d has run %q, want pow|ordering", lines, s.Run)
 		}
-		if seen[s.Run] == nil {
-			seen[s.Run] = make(map[string]int)
-		}
-		seen[s.Run][s.Stage]++
+		seen[s.Run+" "+s.Stage]++
+		spans = append(spans, s)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("scan trace: %v", err)
@@ -59,21 +62,70 @@ func TestTraceDemo(t *testing.T) {
 		t.Fatal("trace is empty")
 	}
 
-	wantStages := map[string][]string{
-		"pow": {
-			obs.StageBlockVerify, obs.StageStateApply, obs.StageStateCommit, obs.StageBlockConnect,
-			obs.StageBlockPropose, obs.StagePowSeal, obs.StageForkChoice,
-			obs.StageTxInclusion,
-		},
-		"ordering": {obs.StageOrderingCut, obs.StagePBFTRound},
+	golden, err := os.ReadFile("testdata/trace_stages.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for run, stages := range wantStages {
-		for _, stage := range stages {
-			if seen[run][stage] == 0 {
-				t.Errorf("run %q missing stage %q (got %v)", run, stage, seen[run])
+	got := make([]string, 0, len(seen))
+	for runStage := range seen {
+		got = append(got, runStage)
+	}
+	sort.Strings(got)
+	if want := strings.Split(strings.TrimSpace(string(golden)), "\n"); !slices.Equal(got, want) {
+		t.Errorf("stages seen %q, want %q (testdata/trace_stages.golden)", got, want)
+	}
+
+	// Every block-scoped span names its block, and one block is the same
+	// block wherever it is seen: what its proposer sealed is what the
+	// other three miners verified and connected, at the same height.
+	type sighting struct{ stage, peer string }
+	heightOf := make(map[string]uint64)
+	sightings := make(map[string]map[sighting]bool) // block → where it was seen
+	for _, s := range spans {
+		switch s.Stage {
+		case obs.StageBlockVerify, obs.StageStateApply, obs.StageStateCommit, obs.StageBlockConnect, obs.StageBlockPropose:
+		default:
+			if s.Block != "" {
+				t.Fatalf("%s span carries block %q", s.Stage, s.Block)
+			}
+			continue
+		}
+		if s.Block == "" {
+			t.Fatalf("%s span at height %d names no block", s.Stage, s.Height)
+		}
+		if h, ok := heightOf[s.Block]; ok && h != s.Height {
+			t.Fatalf("block %s seen at heights %d and %d", s.Block, h, s.Height)
+		}
+		heightOf[s.Block] = s.Height
+		if sightings[s.Block] == nil {
+			sightings[s.Block] = make(map[sighting]bool)
+		}
+		sightings[s.Block][sighting{s.Stage, s.Peer}] = true
+	}
+	followed := 0
+	for block, at := range sightings {
+		var proposer string
+		connects := 0
+		for sg := range at {
+			switch sg.stage {
+			case obs.StageBlockPropose:
+				proposer = sg.peer
+			case obs.StageBlockConnect:
+				connects++
 			}
 		}
+		if proposer == "" {
+			t.Fatalf("block %s was connected but no block_propose span names it", block)
+		}
+		if !at[sighting{obs.StageBlockConnect, proposer}] || !at[sighting{obs.StageStateCommit, proposer}] {
+			t.Fatalf("block %s: its proposer %s has no block_connect/state_commit span for it", block, proposer)
+		}
+		if connects == 4 {
+			followed++ // proposer and all three followers
+		}
 	}
-	t.Logf("trace: %d spans, pow stages %d, ordering stages %d",
-		lines, len(seen["pow"]), len(seen["ordering"]))
+	if followed == 0 {
+		t.Fatal("no block can be followed from its proposer to every follower by its Block")
+	}
+	t.Logf("trace: %d spans, %d blocks, %d followed across all 4 nodes", lines, len(sightings), followed)
 }

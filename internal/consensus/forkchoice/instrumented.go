@@ -5,28 +5,22 @@ import (
 
 	"dcsledger/internal/consensus"
 	"dcsledger/internal/cryptoutil"
-	"dcsledger/internal/metrics"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/store"
 )
 
 // Instrumented decorates any ForkChoice with pipeline observability:
-// every Choose is timed into an optional latency histogram, recorded as
-// a fork_choice span on an optional tracer, and tip switches (the
-// decision changing from the previous call's answer) are counted. The
-// zero-value extras are all optional — a bare
+// every Choose is observed as a fork_choice stage (latency histogram and
+// span, whichever Obs carries), and tip switches (the decision changing
+// from the previous call's answer) are counted. A bare
 // &Instrumented{Inner: GHOST{}} is a transparent pass-through — so the
 // same wrapper serves the daemon (histogram + /metrics), the benchmark
 // harness (tracer), and tests.
 type Instrumented struct {
 	// Inner is the wrapped branch-selection rule.
 	Inner consensus.ForkChoice
-	// Tracer receives one fork_choice span per Choose (nil = off).
-	Tracer *obs.Tracer
-	// Hist receives each Choose latency (nil = off).
-	Hist *metrics.Histogram
-	// Peer labels the spans (the observing node's ID).
-	Peer string
+	// Obs observes one fork_choice per Choose (zero value = off).
+	Obs obs.Observer
 
 	last     atomic.Value // cryptoutil.Hash: previous Choose answer
 	switches atomic.Uint64
@@ -48,22 +42,13 @@ func (i *Instrumented) Choose(tree *store.BlockTree) (cryptoutil.Hash, error) {
 		return tip, err
 	}
 	dur := sw.Elapsed()
-	if i.Hist != nil {
-		i.Hist.ObserveDuration(dur)
-	}
 	switched := uint64(0)
 	if prev, ok := i.last.Load().(cryptoutil.Hash); ok && prev != tip {
 		i.switches.Add(1)
 		switched = 1
 	}
 	i.last.Store(tip)
-	i.Tracer.Record(obs.Span{
-		Stage: obs.StageForkChoice,
-		Start: sw.StartUnixNano(),
-		Dur:   int64(dur),
-		Peer:  i.Peer,
-		N:     switched,
-	})
+	i.Obs.Observe(obs.StageForkChoice, sw.Start(), dur, obs.At{N: switched})
 	return tip, nil
 }
 

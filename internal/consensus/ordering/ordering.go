@@ -70,7 +70,7 @@ type Solo struct {
 	timer   *simclock.Timer
 	stopped bool
 
-	tracer  *obs.Tracer
+	obs     obs.Observer
 	firstAt time.Time // clock time the current batch's first tx arrived
 }
 
@@ -95,7 +95,7 @@ func (s *Solo) Subscribe(fn DeliverFunc) {
 func (s *Solo) SetTracer(tr *obs.Tracer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tracer = tr
+	s.obs = obs.Observer{Peer: "solo", Tracer: tr}
 }
 
 // Submit implements the orderer interface.
@@ -148,14 +148,8 @@ func (s *Solo) cutLocked() {
 	s.seq++
 	b := Batch{Seq: s.seq, Txs: s.buf}
 	s.buf = nil
-	s.tracer.Record(obs.Span{
-		Stage:  obs.StageOrderingCut,
-		Start:  s.firstAt.UnixNano(),
-		Dur:    int64(s.clock.Now().Sub(s.firstAt)),
-		Peer:   "solo",
-		Height: b.Seq,
-		N:      uint64(len(b.Txs)),
-	})
+	s.obs.Observe(obs.StageOrderingCut, s.firstAt, s.clock.Now().Sub(s.firstAt),
+		obs.At{Height: b.Seq, N: uint64(len(b.Txs))})
 	for _, fn := range s.subs {
 		fn(b)
 	}
@@ -176,7 +170,7 @@ type Raft struct {
 	seq     uint64
 	stopped bool
 
-	tracer  *obs.Tracer
+	obs     obs.Observer
 	firstAt time.Time // clock time the current batch's first tx arrived
 }
 
@@ -223,7 +217,7 @@ func (r *Raft) Subscribe(fn DeliverFunc) {
 func (r *Raft) SetTracer(tr *obs.Tracer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracer = tr
+	r.obs = obs.Observer{Peer: "raft", Tracer: tr}
 }
 
 // IsLeader reports whether this orderer currently leads the cluster.
@@ -283,14 +277,8 @@ func (r *Raft) cutLocked() error {
 	if _, err := r.node.Propose(b.Encode()); err != nil {
 		return fmt.Errorf("ordering: %w", err)
 	}
-	r.tracer.Record(obs.Span{
-		Stage:  obs.StageOrderingCut,
-		Start:  r.firstAt.UnixNano(),
-		Dur:    int64(r.clock.Now().Sub(r.firstAt)),
-		Peer:   "raft",
-		Height: b.Seq,
-		N:      uint64(len(b.Txs)),
-	})
+	r.obs.Observe(obs.StageOrderingCut, r.firstAt, r.clock.Now().Sub(r.firstAt),
+		obs.At{Height: b.Seq, N: uint64(len(b.Txs))})
 	r.buf = nil
 	return nil
 }

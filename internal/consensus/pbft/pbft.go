@@ -120,7 +120,7 @@ type Node struct {
 	stopped         bool
 
 	executedOps uint64
-	tracer      *obs.Tracer
+	obs         obs.Observer
 }
 
 // NewNode creates a PBFT replica. replicas must list the full cluster in
@@ -167,7 +167,7 @@ func (n *Node) F() int { return n.f }
 func (n *Node) SetTracer(tr *obs.Tracer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.tracer = tr
+	n.obs = obs.Observer{Peer: string(n.id), Tracer: tr}
 }
 
 // View returns the current view number.
@@ -435,15 +435,9 @@ func (n *Node) executeReadyLocked() {
 			n.executedDigests[inst.digest] = true
 			n.recordExecutedLocked(inst.digest)
 			n.executedOps++
-			if n.tracer != nil && !inst.startedAt.IsZero() {
-				n.tracer.Record(obs.Span{
-					Stage:  obs.StagePBFTRound,
-					Start:  inst.startedAt.UnixNano(),
-					Dur:    int64(n.clock.Now().Sub(inst.startedAt)),
-					Peer:   string(n.id),
-					Height: n.lastExec,
-					N:      uint64(len(inst.op)),
-				})
+			if !inst.startedAt.IsZero() {
+				n.obs.Observe(obs.StagePBFTRound, inst.startedAt, n.clock.Now().Sub(inst.startedAt),
+					obs.At{Height: n.lastExec, N: uint64(len(inst.op))})
 			}
 			if n.apply != nil {
 				n.apply(n.lastExec, inst.op)

@@ -125,7 +125,7 @@ type Engine struct {
 	cfg    Config
 	rng    *rand.Rand
 	reader HeaderReader
-	tracer *obs.Tracer
+	obs    obs.Observer
 }
 
 var _ consensus.Engine = (*Engine)(nil)
@@ -159,7 +159,7 @@ func (e *Engine) SetHeaderReader(r HeaderReader) { e.reader = r }
 // search and whose N is the number of hash attempts. The node
 // propagates its tracer here via Node.SetTracer; call before mining
 // starts.
-func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
+func (e *Engine) SetTracer(tr *obs.Tracer) { e.obs.Tracer = tr }
 
 // Prepare implements consensus.Engine: difficulty is constant within a
 // retarget window and adjusts at window boundaries from the average
@@ -226,13 +226,7 @@ func (e *Engine) Seal(b *types.Block, parent *types.Block) error {
 	if err != nil {
 		return err
 	}
-	e.tracer.Record(obs.Span{
-		Stage:  obs.StagePowSeal,
-		Start:  sw.StartUnixNano(),
-		Dur:    int64(sw.Elapsed()),
-		Height: b.Header.Height,
-		N:      attempts,
-	})
+	e.obs.Observe(obs.StagePowSeal, sw.Start(), sw.Elapsed(), obs.At{Height: b.Header.Height, N: attempts})
 	return nil
 }
 

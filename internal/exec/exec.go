@@ -58,8 +58,7 @@ type Stats struct {
 	ParallelDur time.Duration // wall time of speculate + merge + replay
 
 	// Span anchors for the exec_parallel / exec_replay trace stages.
-	StartUnixNano       int64
-	ReplayStartUnixNano int64
+	Start, ReplayStart time.Time
 }
 
 // SpeedupMilli estimates the parallel speedup as the ratio of speculated
@@ -106,7 +105,7 @@ func (e *Executor) ApplyBlock(parent *state.State, b *types.Block, reward uint64
 	}
 
 	sw := obs.StartTimer()
-	stats.StartUnixNano = sw.StartUnixNano()
+	stats.Start = sw.Start()
 	if _, err := state.CheckCoinbase(b, reward); err != nil {
 		return nil, nil, stats, err
 	}
@@ -165,7 +164,7 @@ func (e *Executor) ApplyBlock(parent *state.State, b *types.Block, reward uint64
 
 	if replayFrom >= 0 {
 		rsw := obs.StartTimer()
-		stats.ReplayStartUnixNano = rsw.StartUnixNano()
+		stats.ReplayStart = rsw.Start()
 		for _, l := range lanes[replayFrom:] {
 			for _, tx := range l.txs {
 				rec, err := st.ApplyTx(tx, proposer)

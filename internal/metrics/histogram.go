@@ -85,13 +85,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the wall time elapsed since start and returns it.
-func (h *Histogram) ObserveSince(start time.Time) time.Duration {
-	d := time.Since(start)
-	h.ObserveDuration(d)
-	return d
-}
-
 // HistogramSnapshot is a point-in-time view of a histogram.
 type HistogramSnapshot struct {
 	// Bounds are the finite bucket upper bounds.

@@ -111,15 +111,15 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 // TestRegistryGoldenRendering is the golden test for the text
-// exposition: a registry holding a counter, a gauge, a callback gauge,
+// exposition: a registry holding a counter, a gauge, a collected series,
 // and a histogram must render byte-for-byte in sorted family order with
 // the histogram's bucket/sum/count series grouped.
 func TestRegistryGoldenRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total").Add(7)
 	r.Gauge("aa_gauge").Set(-3)
-	r.RegisterFunc("mm_func", func() int64 { return 11 })
-	h := r.Histogram("bb_lat_seconds", 0.5, 2)
+	r.Collect(func(emit func(string, int64)) { emit("mm_func", 11) })
+	h := r.RegisterHistogram(NewHistogram("bb_lat_seconds", 0.5, 2))
 	h.Observe(0.25)
 	h.Observe(0.5) // boundary: lands in the 0.5 bucket
 	h.Observe(3)   // overflow
@@ -145,7 +145,7 @@ func TestRegistryGoldenRendering(t *testing.T) {
 // under a name that already exists keeps the first-registered family.
 func TestRegisterHistogramFirstWins(t *testing.T) {
 	r := NewRegistry()
-	first := r.Histogram("dup_seconds", 1)
+	first := r.RegisterHistogram(NewHistogram("dup_seconds", 1))
 	second := NewHistogram("dup_seconds", 2)
 	got := r.RegisterHistogram(second)
 	if got != first {

@@ -1,8 +1,14 @@
 // Package metrics is a dependency-free, allocation-light metrics
 // registry for the daemon and the network layer: atomic counters and
-// gauges plus callback gauges, exposed in the Prometheus text format
-// over HTTP (untyped samples — `name value` lines — which every
+// gauges, latency histograms, and one collector per component that owns
+// its numbers elsewhere, exposed in the Prometheus text format over HTTP
+// (untyped samples — `name value` lines — which every
 // Prometheus-compatible scraper accepts).
+//
+// A collector is called once per scrape and reports all of its
+// component's series from one snapshot, so the series of a scrape that
+// come from the same component are mutually consistent and the component's
+// lock is taken once, however many series it exports.
 //
 // The paper's DCS trade-offs (Section 4) are only observable if the
 // running system exports its network and consensus activity; this
@@ -13,6 +19,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -51,11 +58,11 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // use; Counter/Gauge lookups are get-or-create, so hot paths can cache
 // the returned pointer and update it lock-free.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() int64
-	hists    map[string]*Histogram
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	collectors []func(emit func(name string, value int64))
+	hists      map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -63,7 +70,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		funcs:    make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -71,66 +77,34 @@ func NewRegistry() *Registry {
 // Counter returns the counter registered under name, creating it on
 // first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{}
+		r.counters[name] = c
 	}
-	c = &Counter{}
-	r.counters[name] = c
 	return c
 }
 
 // Gauge returns the gauge registered under name, creating it on first
 // use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
+	g, ok := r.gauges[name]
+	if !ok {
+		g = &Gauge{}
+		r.gauges[name] = g
 	}
-	g = &Gauge{}
-	r.gauges[name] = g
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it
-// with the given bucket bounds (DefBuckets when none) on first use.
-// Hot paths should cache the returned pointer; Observe is lock-free.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h = NewHistogram(name, bounds...)
-	r.hists[name] = h
-	return h
-}
-
-// RegisterHistogram adds an externally constructed histogram to the
-// registry (so a component can create its histograms standalone and
-// attach them to the daemon registry later). An existing histogram with
-// the same name is kept — the caller's pointer still records, but the
-// first-registered family is what renders, preventing duplicate series.
+// RegisterHistogram adds a histogram to the registry (a component creates
+// its histograms standalone, through its obs.Observer, and attaches them
+// to the daemon registry later). An existing histogram with the same name
+// is kept — the caller's pointer still records, but the first-registered
+// family is what renders, preventing duplicate series.
 func (r *Registry) RegisterHistogram(h *Histogram) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -141,51 +115,46 @@ func (r *Registry) RegisterHistogram(h *Histogram) *Histogram {
 	return h
 }
 
-// RegisterFunc registers a callback gauge: fn is invoked at snapshot
-// time. Useful for exporting values owned by another subsystem (e.g.
-// node consensus counters) without double bookkeeping. Re-registering
-// a name replaces the callback.
-func (r *Registry) RegisterFunc(name string, fn func() int64) {
+// Collect registers a collector: collect is invoked once per Snapshot
+// (and so once per scrape) and reports each series of its component
+// through emit. Useful for exporting values owned by another subsystem
+// (e.g. node consensus counters) without double bookkeeping, all read
+// from one snapshot of it.
+func (r *Registry) Collect(collect func(emit func(name string, value int64))) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	r.collectors = append(r.collectors, collect)
 }
 
-// Snapshot returns a consistent-enough view of every metric. Callback
-// gauges are evaluated outside the registry lock, so callbacks may
-// themselves take locks (and may even touch this registry).
+// Snapshot returns a consistent-enough view of every metric. Collectors
+// run outside the registry lock, so they may themselves take locks (and
+// may even touch this registry).
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.RLock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+len(r.funcs))
-	fns := make(map[string]func() int64, len(r.funcs))
+	out := make(map[string]int64, len(r.counters)+len(r.gauges))
 	for name, c := range r.counters {
 		out[name] = int64(c.Value())
 	}
 	for name, g := range r.gauges {
 		out[name] = g.Value()
 	}
-	for name, fn := range r.funcs {
-		fns[name] = fn
-	}
+	collectors := r.collectors // appended to, never rewritten: safe to range unlocked
 	r.mu.RUnlock()
-	for name, fn := range fns {
-		out[name] = fn()
+	for _, collect := range collectors {
+		collect(func(name string, value int64) { out[name] = value })
 	}
 	return out
 }
 
 // WriteTo writes the metrics in the Prometheus text exposition format.
-// All families — counters, gauges, callback gauges, and histograms —
+// All families — counters, gauges, collected series, and histograms —
 // are merged and rendered in one pass sorted by family name, so scrapes
 // are byte-stable for a given set of values (golden-testable) and
 // histogram `_bucket/_sum/_count` series stay grouped.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	snap := r.Snapshot()
 	r.mu.RLock()
-	hists := make(map[string]*Histogram, len(r.hists))
-	for name, h := range r.hists {
-		hists[name] = h
-	}
+	hists := maps.Clone(r.hists)
 	r.mu.RUnlock()
 
 	names := make([]string, 0, len(snap)+len(hists))

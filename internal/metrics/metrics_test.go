@@ -29,23 +29,49 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestRegisterFuncAndSnapshot(t *testing.T) {
+// TestCollectOncePerScrape: a collector's series land in the snapshot
+// beside the counters and gauges, and one WriteTo (one scrape) invokes
+// each registered collector exactly once, however many series it emits.
+func TestCollectOncePerScrape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(7)
 	r.Gauge("b").Set(-2)
-	r.RegisterFunc("c", func() int64 { return 42 })
+	var callsC, callsD int
+	r.Collect(func(emit func(string, int64)) {
+		callsC++
+		emit("c", 42)
+		emit("c2", 43)
+	})
+	r.Collect(func(emit func(string, int64)) {
+		callsD++
+		emit("d", 44)
+	})
 	snap := r.Snapshot()
-	if snap["a"] != 7 || snap["b"] != -2 || snap["c"] != 42 {
+	if snap["a"] != 7 || snap["b"] != -2 || snap["c"] != 42 || snap["c2"] != 43 || snap["d"] != 44 {
 		t.Fatalf("snapshot = %v", snap)
+	}
+	callsC, callsD = 0, 0
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if callsC != 1 || callsD != 1 {
+		t.Fatalf("one WriteTo ran the collectors %d and %d times, want once each", callsC, callsD)
+	}
+	if want := "a 7\nb -2\nc 42\nc2 43\nd 44\n"; sb.String() != want {
+		t.Fatalf("rendered %q, want %q", sb.String(), want)
 	}
 }
 
 func TestFuncGaugeMayTouchRegistry(t *testing.T) {
-	// Callback gauges run outside the registry lock, so a callback may
-	// read other metrics without deadlocking.
+	// Collectors run outside the registry lock, so one may read other
+	// metrics — or register more — without deadlocking.
 	r := NewRegistry()
 	r.Counter("base").Add(10)
-	r.RegisterFunc("derived", func() int64 { return int64(r.Counter("base").Value()) * 2 })
+	r.Collect(func(emit func(string, int64)) {
+		emit("derived", int64(r.Counter("base").Value())*2)
+		r.Gauge("made_in_collector").Set(1)
+	})
 	if snap := r.Snapshot(); snap["derived"] != 20 {
 		t.Fatalf("derived = %d", snap["derived"])
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -206,7 +207,7 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 	if bh, i, ok := n.Chain().FindTx(side[0].Txs[0].ID()); !ok || bh != side[0].Hash() || i != 0 {
 		t.Fatal("transaction of the new main chain not indexed")
 	}
-	for _, b := range append(main, side...) {
+	for _, b := range slices.Concat(main, side) {
 		got, err := n.Tree().Block(b.Hash())
 		if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
 			t.Fatalf("block h=%d does not come back as it went in: %v", b.Header.Height, err)
@@ -228,6 +229,26 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 	}
 	if tracer.Summary()[obs.StageBodyRead].Count == 0 {
 		t.Fatal("no body_read span recorded")
+	}
+	// A body read back and a block record journaled name their block; the
+	// head switches journaled beside them name none.
+	names := map[string]bool{}
+	for _, b := range slices.Concat(main, side) {
+		names[b.Hash().Short()] = true
+	}
+	var blockAppends, headAppends int
+	for _, s := range tracer.Snapshot() {
+		switch {
+		case s.Stage == obs.StageBodyRead && !names[s.Block]:
+			t.Fatalf("body_read span at height %d names block %q", s.Height, s.Block)
+		case s.Stage == obs.StageWALAppend && s.Block == "":
+			headAppends++
+		case s.Stage == obs.StageWALAppend && names[s.Block]:
+			blockAppends++
+		}
+	}
+	if blockAppends != len(main)+len(side) || headAppends == 0 {
+		t.Fatalf("wal_append spans: %d naming a block, %d naming none; want %d and some", blockAppends, headAppends, len(main)+len(side))
 	}
 }
 

@@ -18,7 +18,6 @@ package node
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -34,10 +33,6 @@ import (
 // of the disk state store (a sweep runs after a flush, and reads every
 // marked trie through the store).
 const diskPruneEvery = 64
-
-// ErrNoDiskState reports a proof query against a node that was not
-// configured with a disk state backend.
-var ErrNoDiskState = errors.New("node: disk state backend not enabled")
 
 // diskState is the node's handle on the persistent account trie.
 type diskState struct {
@@ -93,15 +88,7 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 	st.AdoptTrie(mpt.Load(root, tr.Len(), d.store))
 	d.flushedRoot, d.flushedHeight = root, height
 	n.metrics.DiskFlushes++
-	dur := n.hDiskFlush.ObserveSince(sw.Start())
-	n.tracer.Record(obs.Span{
-		Stage:  obs.StageDiskFlush,
-		Start:  sw.StartUnixNano(),
-		Dur:    int64(dur),
-		Peer:   string(n.cfg.ID),
-		Height: height,
-		N:      uint64(written),
-	})
+	n.obs.Observe(obs.StageDiskFlush, sw.Start(), sw.Elapsed(), obs.At{Height: height, N: uint64(written)})
 	return nil
 }
 
@@ -221,18 +208,6 @@ func (n *Node) pruneDiskLocked() {
 	n.metrics.DiskPrunes++
 }
 
-// DiskFlushed returns the root and height of the newest state trie
-// written to the disk backend, and whether there is a disk backend.
-// Everything above that height lives in memory and in the WAL.
-func (n *Node) DiskFlushed() (root cryptoutil.Hash, height uint64, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.disk == nil {
-		return cryptoutil.ZeroHash, 0, false
-	}
-	return n.disk.flushedRoot, n.disk.flushedHeight, true
-}
-
 // AccountProof is a Merkle proof of one account leaf against the
 // canonical head's state root. Leaf is nil for an absent account (the
 // proof then shows absence); both cases verify with mpt.VerifyProof.
@@ -245,14 +220,11 @@ type AccountProof struct {
 
 // AccountProof builds a Merkle proof for addr's account leaf against
 // the current head's state root from the head state's own trie:
-// unflushed nodes from memory, clean ones from the store, O(path) of
-// them. Requires the disk state backend.
+// on the disk backend unflushed nodes from memory and clean ones from
+// the store, O(path) of them.
 func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.disk == nil {
-		return nil, ErrNoDiskState
-	}
 	st, err := n.stateOfLocked(n.chain.Head())
 	if err != nil {
 		return nil, fmt.Errorf("node: head state: %w", err)

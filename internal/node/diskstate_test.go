@@ -174,7 +174,7 @@ func TestDiskStateFlushesAtCheckpointCadence(t *testing.T) {
 		if flushDue := h%diskCkptEvery == 0; flushDue != (wrote > 0) {
 			t.Fatalf("h=%d: %d node records written, flush due: %v", h, wrote, flushDue)
 		}
-		if _, flushed, _ := n.DiskFlushed(); flushed != h-h%diskCkptEvery {
+		if flushed := n.disk.flushedHeight; flushed != h-h%diskCkptEvery {
 			t.Fatalf("h=%d: flushed height %d, want %d", h, flushed, h-h%diskCkptEvery)
 		}
 		if (h%diskCkptEvery == 0) != ns.Has(b.Header.StateRoot) {
@@ -264,7 +264,7 @@ func TestDiskStateReorgAcrossFlushBoundary(t *testing.T) {
 	}
 	// B became the head at 13 and its first due checkpoint is at 16.
 	b16 := chainB[16-5-1]
-	if root, h, _ := n.DiskFlushed(); h != 16 || root != b16.Header.StateRoot || !ns.Has(root) {
+	if root, h := n.disk.flushedRoot, n.disk.flushedHeight; h != 16 || root != b16.Header.StateRoot || !ns.Has(root) {
 		t.Fatalf("flushed %s@%d, want B's root at 16 in the store", root.Short(), h)
 	}
 	if n.Metrics().DiskErrors != 0 || n.Metrics().Reorgs == 0 {
@@ -425,7 +425,7 @@ func TestCrashMatrixFlushBeforeCheckpoint(t *testing.T) {
 	if n2.Chain().Head() != blocks[14].Hash() {
 		t.Fatalf("recovered head %s@%d, want the durable head at 15", n2.Chain().Head().Short(), n2.Chain().Height())
 	}
-	if _, h, _ := n2.DiskFlushed(); h != 8 {
+	if h := n2.disk.flushedHeight; h != 8 {
 		t.Fatalf("recovered flushed height %d, want the checkpoint's 8", h)
 	}
 	checkHeadProof(t, n2, miners[14])
@@ -509,7 +509,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 			}
 			checkHeadProof(t, n, miners[int(b.Header.Height-1)%len(miners)])
 		}
-		if root, h, _ := n.DiskFlushed(); h != 32 || !ns.Has(root) {
+		if root, h := n.disk.flushedRoot, n.disk.flushedHeight; h != 32 || !ns.Has(root) {
 			t.Fatalf("flushed height %d (root in store: %v), want 32", h, ns.Has(root))
 		}
 		if wrote := ns.Stats().Appends - before; wrote == 0 || wrote > 200 {
@@ -530,7 +530,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 		}
 		copyFiles(t, filepath.Join(dir, "state"), saved)
 		n2, _, ns2, _ := diskNode(t, dir, -1)
-		if _, h, _ := n2.DiskFlushed(); h != 8 || ns2.Has(blocks[15].Header.StateRoot) {
+		if h := n2.disk.flushedHeight; h != 8 || ns2.Has(blocks[15].Header.StateRoot) {
 			t.Fatalf("recovered from flushed height %d, want the older checkpoint's 8", h)
 		}
 		carryOn(t, n2, ns2, blocks)
@@ -541,7 +541,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		n2, _, ns2, _ := diskNode(t, dir, -1)
-		if _, h, _ := n2.DiskFlushed(); h != 0 || n2.Metrics().RecoveryReroots != 0 {
+		if h := n2.disk.flushedHeight; h != 0 || n2.Metrics().RecoveryReroots != 0 {
 			t.Fatalf("flushed height %d, %d re-roots: want a replay from the genesis trie", h, n2.Metrics().RecoveryReroots)
 		}
 		carryOn(t, n2, ns2, blocks)
@@ -614,7 +614,7 @@ func TestCrashMatrixTornFlush(t *testing.T) {
 				}
 			}
 			// The checkpoint was overdue: the first new head takes it.
-			if root, h, _ := n2.DiskFlushed(); h != 21 || !ns2.Has(root) || ds2.Stats().Checkpoints == 0 {
+			if root, h := n2.disk.flushedRoot, n2.disk.flushedHeight; h != 21 || !ns2.Has(root) || ds2.Stats().Checkpoints == 0 {
 				t.Fatalf("after recovery: flushed height %d (root in store %v), %d checkpoints", h, ns2.Has(root), ds2.Stats().Checkpoints)
 			}
 			if n2.Metrics().DiskErrors != 0 {

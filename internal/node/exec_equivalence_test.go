@@ -25,6 +25,7 @@ import (
 	"dcsledger/internal/consensus/pow"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
+	"dcsledger/internal/metrics"
 	"dcsledger/internal/types"
 )
 
@@ -116,6 +117,18 @@ func runExecCluster(t *testing.T, w *execEqWorkload, seed int64, workers int, pa
 		if parallel == 0 {
 			t.Fatal("ExecWorkers > 0 but no block took the parallel path")
 		}
+	}
+	// Its counters are exported, under the exec_* names, only then.
+	reg := metrics.NewRegistry()
+	c.Nodes[0].RegisterMetrics(reg)
+	snap := reg.Snapshot()
+	for _, name := range []string{"exec_parallel_blocks_total", "exec_conflicts_total", "exec_replayed_txs_total", "exec_speedup"} {
+		if _, ok := snap[name]; ok != (workers > 0) {
+			t.Fatalf("%s exported = %v with ExecWorkers = %d", name, ok, workers)
+		}
+	}
+	if workers > 0 && snap["exec_parallel_blocks_total"] != int64(c.Nodes[0].Metrics().ExecParallelBlocks) {
+		t.Fatalf("exec_parallel_blocks_total %d diverges from Metrics", snap["exec_parallel_blocks_total"])
 	}
 	return fp
 }

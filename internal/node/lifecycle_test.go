@@ -132,8 +132,8 @@ func TestStateRetentionAndRebuild(t *testing.T) {
 	}
 	// N >> W blocks, but only the window (plus its edge) stays
 	// materialized: the node_states_retained gauge value.
-	if got := n.StatesRetained(); got != W+1 {
-		t.Fatalf("StatesRetained = %d, want %d", got, W+1)
+	if got := len(n.states); got != W+1 {
+		t.Fatalf("states retained = %d, want %d", got, W+1)
 	}
 	if n.Metrics().StatesPruned == 0 {
 		t.Fatal("pruning never ran")
@@ -156,8 +156,8 @@ func TestStateRetentionAndRebuild(t *testing.T) {
 		t.Fatal("rebuild metric not incremented")
 	}
 	// Deep historical queries must not regrow the retained map.
-	if got := n.StatesRetained(); got != W+1 {
-		t.Fatalf("StatesRetained after rebuild = %d, want %d", got, W+1)
+	if got := len(n.states); got != W+1 {
+		t.Fatalf("states retained after rebuild = %d, want %d", got, W+1)
 	}
 	// Head queries keep working off the retained window.
 	if got, err := n.Balance(miner); err != nil || got != 40*50 {
@@ -224,7 +224,7 @@ func TestOrphanBufferBoundedAndDeduped(t *testing.T) {
 			t.Fatalf("orphan %d: %v", i, err)
 		}
 	}
-	if got := n.OrphanCount(); got > cap {
+	if got := len(n.orphanPool); got > cap {
 		t.Fatalf("orphan buffer %d exceeds cap %d", got, cap)
 	}
 	m := n.Metrics()
@@ -242,7 +242,7 @@ func TestOrphanBufferBoundedAndDeduped(t *testing.T) {
 	if got := n.Metrics().OrphansBuffered; got != 20 {
 		t.Fatalf("dedup failed: OrphansBuffered = %d, want 20", got)
 	}
-	if got := n.OrphanCount(); got > cap {
+	if got := len(n.orphanPool); got > cap {
 		t.Fatalf("orphan buffer %d exceeds cap %d after redelivery", got, cap)
 	}
 }
@@ -263,12 +263,12 @@ func TestDeepOrphanChainAdoption(t *testing.T) {
 	if h := n.Chain().Height(); h != 300 {
 		t.Fatalf("height = %d, want 300", h)
 	}
-	if got := n.OrphanCount(); got != 0 {
+	if got := len(n.orphanPool); got != 0 {
 		t.Fatalf("%d orphans left after adoption", got)
 	}
 	// Archive mode (-1): every post-state stays materialized.
-	if got := n.StatesRetained(); got != 301 {
-		t.Fatalf("archive StatesRetained = %d, want 301", got)
+	if got := len(n.states); got != 301 {
+		t.Fatalf("archive states retained = %d, want 301", got)
 	}
 }
 
@@ -369,8 +369,8 @@ func TestTrieRetentionBounded(t *testing.T) {
 			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
 		}
 	}
-	if got := n.StatesRetained(); got != 61 {
-		t.Fatalf("StatesRetained = %d, want 61", got)
+	if got := len(n.states); got != 61 {
+		t.Fatalf("states retained = %d, want 61", got)
 	}
 	holding := 0
 	for _, b := range blocks {

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
 )
 
@@ -42,5 +44,44 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	if snap["node_chain_height"] != int64(c.Nodes[0].Chain().Height()) {
 		t.Fatalf("height gauge %d != chain %d", snap["node_chain_height"], c.Nodes[0].Chain().Height())
+	}
+}
+
+// TestScrapeIsOneSnapshot scrapes a node from several goroutines while it
+// connects blocks. A scrape holds the node lock once, so the series in it
+// describe one instant: the tree holds genesis plus exactly the accepted
+// blocks, and the chain is no taller than the tree.
+func TestScrapeIsOneSnapshot(t *testing.T) {
+	n, genesis := lifecycleNode(t, 0, 0)
+	reg := metrics.NewRegistry()
+	n.RegisterMetrics(reg)
+	blocks := newChainBuilder(t, genesis).chain(genesis, 400, cryptoutil.KeyFromSeed([]byte("m")).Address())
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				snap := reg.Snapshot()
+				tree, accepted, height := snap["node_block_tree_size"], snap["node_blocks_accepted_total"], snap["node_chain_height"]
+				if tree != 1+accepted || height > tree-1 {
+					t.Errorf("torn scrape: tree size %d, accepted %d, height %d", tree, accepted, height)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	handleAll(t, n, blocks)
+	close(done)
+	wg.Wait()
+	if got := reg.Snapshot()["node_chain_height"]; got != 400 {
+		t.Fatalf("height %d after 400 blocks", got)
 	}
 }

@@ -228,21 +228,10 @@ type Node struct {
 	// block, with or without n.mu: counted atomically.
 	bodyReads, bodyReadErrors atomic.Uint64
 
-	// Pipeline observability: latency histograms for each hot-path
-	// stage (created at New, exported via RegisterMetrics) and an
-	// optional event tracer (SetTracer). The tracer may be nil; all
-	// obs.Tracer methods are nil-safe.
-	tracer     *obs.Tracer
-	hVerify    *metrics.Histogram // block_verify: txroot + sig batch + seal
-	hConnect   *metrics.Histogram // block_connect: full validate-and-store
-	hApply     *metrics.Histogram // state_apply: ApplyBlock + root commit
-	hCommit    *metrics.Histogram // state_commit: the root commit inside state_apply
-	hDiskFlush *metrics.Histogram // disk_flush: unflushed trie nodes → node store
-	hRebuild   *metrics.Histogram // state_rebuild: pruned-state replay
-	hPropose   *metrics.Histogram // block_propose: assembly + seal + adopt
-	hInclusion *metrics.Histogram // tx admit→inclusion age (virtual time)
-	hWALAppend *metrics.Histogram // wal_append: durable journal write
-	hRecover   *metrics.Histogram // recover: full crash-recovery replay
+	// obs is the seam every stage of the pipeline is observed through:
+	// the latency histograms of the stages New names (exported via
+	// RegisterMetrics) and the optional event tracer (SetTracer).
+	obs obs.Observer
 }
 
 // New creates a peer. Wire the returned node's Mux into a transport and
@@ -276,27 +265,20 @@ func New(cfg Config) (*Node, error) {
 		requested:  make(map[cryptoutil.Hash]time.Time),
 		exec:       &exec.Executor{Workers: cfg.ExecWorkers, Paranoid: cfg.ExecParanoid},
 	}
-	n.hVerify = metrics.NewHistogram("node_block_verify_seconds")
-	n.hConnect = metrics.NewHistogram("node_block_connect_seconds")
-	n.hApply = metrics.NewHistogram("node_state_apply_seconds")
-	n.hCommit = metrics.NewHistogram("node_state_commit_seconds")
-	n.hDiskFlush = metrics.NewHistogram("node_disk_flush_seconds")
-	n.hRebuild = metrics.NewHistogram("node_state_rebuild_seconds")
-	n.hPropose = metrics.NewHistogram("node_block_propose_seconds")
-	n.hInclusion = metrics.NewHistogram("txpool_inclusion_age_seconds", metrics.WideBuckets...)
-	n.hWALAppend = metrics.NewHistogram("wal_append_seconds")
-	n.hRecover = metrics.NewHistogram("node_recover_seconds", metrics.WideBuckets...)
+	stages := []string{
+		obs.StageBlockVerify, obs.StageBlockConnect, obs.StageStateApply, obs.StageStateCommit,
+		obs.StageStateRebuild, obs.StageBlockPropose, obs.StageTxInclusion, obs.StageWALAppend, obs.StageRecover,
+	}
+	if cfg.DiskState != nil {
+		stages = append(stages, obs.StageDiskFlush)
+	}
+	n.obs = obs.NewObserver(string(cfg.ID), nil, stages...)
 	if cfg.Clock != nil {
 		// Admit→inclusion ages run on the node's clock, so simulated
 		// networks report virtual latencies (the quantity the paper's
 		// throughput claims are about) and the daemon reports wall time.
 		n.pool.Instrument(cfg.Clock.Now, func(age time.Duration) {
-			n.hInclusion.ObserveDuration(age)
-			n.tracer.Record(obs.Span{
-				Stage: obs.StageTxInclusion,
-				Dur:   int64(age),
-				Peer:  string(n.cfg.ID), // not cfg: the closure would pin cfg.Alloc
-			})
+			n.obs.Observe(obs.StageTxInclusion, time.Time{}, age, obs.At{})
 		})
 	}
 	n.rootTreeLocked(cfg.Genesis)
@@ -328,7 +310,7 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) SetTracer(tr *obs.Tracer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.tracer = tr
+	n.obs.Tracer = tr
 	if e, ok := n.cfg.Engine.(interface{ SetTracer(*obs.Tracer) }); ok {
 		e.SetTracer(tr)
 	}
@@ -373,14 +355,7 @@ func (s journalBodies) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 		s.n.bodyReadErrors.Add(1)
 		return nil, err
 	}
-	s.n.tracer.Record(obs.Span{
-		Stage:  obs.StageBodyRead,
-		Start:  sw.StartUnixNano(),
-		Dur:    int64(sw.Elapsed()),
-		Peer:   string(s.n.cfg.ID),
-		Height: b.Header.Height,
-		N:      uint64(len(b.Txs)),
-	})
+	s.n.obs.Observe(obs.StageBodyRead, sw.Start(), sw.Elapsed(), blockAt(b, h))
 	return b, nil
 }
 
@@ -539,15 +514,7 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	}
 	n.pruneStatesLocked()
 
-	recoverDur := n.hRecover.ObserveSince(sw.Start())
-	n.tracer.Record(obs.Span{
-		Stage:  obs.StageRecover,
-		Start:  sw.StartUnixNano(),
-		Dur:    int64(recoverDur),
-		Peer:   string(n.cfg.ID),
-		Height: n.chain.Height(),
-		N:      n.metrics.RecoveredBlocks,
-	})
+	n.obs.Observe(obs.StageRecover, sw.Start(), sw.Elapsed(), obs.At{Height: n.chain.Height(), N: n.metrics.RecoveredBlocks})
 	return nil
 }
 
@@ -641,94 +608,83 @@ func (n *Node) Pool() *txpool.Pool { return n.pool }
 func (n *Node) Metrics() Metrics {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.metricsLocked()
+}
+
+func (n *Node) metricsLocked() Metrics {
 	m := n.metrics
 	m.BodyReads, m.BodyReadErrors = n.bodyReads.Load(), n.bodyReadErrors.Load()
 	m.StateReadErrors = n.stateReadErrs.Load()
 	return m
 }
 
-// RegisterMetrics exports the node's activity counters plus live
-// chain/mempool gauges into reg as callback gauges, for the daemon's
-// GET /metrics endpoint. Callbacks take the node lock at snapshot
-// time, so registration is cheap and values are always current.
+// RegisterMetrics exports the node through reg for the daemon's GET
+// /metrics endpoint: the stage histograms, one collector for the node and
+// one for its journal. A scrape takes the node lock once, and every node_*
+// series in it is read under that one hold (the counters from the Metrics
+// snapshot), so they agree with each other.
 func (n *Node) RegisterMetrics(reg *metrics.Registry) {
-	snap := func(field func(Metrics) uint64) func() int64 {
-		return func() int64 { return int64(field(n.Metrics())) }
-	}
-	reg.RegisterFunc("node_blocks_proposed_total", snap(func(m Metrics) uint64 { return m.BlocksProposed }))
-	reg.RegisterFunc("node_blocks_accepted_total", snap(func(m Metrics) uint64 { return m.BlocksAccepted }))
-	reg.RegisterFunc("node_blocks_rejected_total", snap(func(m Metrics) uint64 { return m.BlocksRejected }))
-	reg.RegisterFunc("node_txs_submitted_total", snap(func(m Metrics) uint64 { return m.TxsSubmitted }))
-	reg.RegisterFunc("node_reorgs_total", snap(func(m Metrics) uint64 { return m.Reorgs }))
-	reg.RegisterFunc("node_orphans_buffered_total", snap(func(m Metrics) uint64 { return m.OrphansBuffered }))
-	reg.RegisterFunc("node_orphans_evicted_total", snap(func(m Metrics) uint64 { return m.OrphansEvicted }))
-	reg.RegisterFunc("node_states_pruned_total", snap(func(m Metrics) uint64 { return m.StatesPruned }))
-	reg.RegisterFunc("node_state_rebuilds_total", snap(func(m Metrics) uint64 { return m.StateRebuilds }))
-	reg.RegisterFunc("node_states_retained", func() int64 {
-		return int64(n.StatesRetained())
-	})
-	reg.RegisterFunc("node_orphan_buffer_size", func() int64 {
-		return int64(n.OrphanCount())
-	})
-	reg.RegisterFunc("node_chain_height", func() int64 {
+	n.obs.Register(reg)
+	reg.Collect(func(emit func(string, int64)) {
+		count := func(name string, v uint64) { emit(name, int64(v)) }
 		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.chain.Height())
+		m := n.metricsLocked()
+		height, treeSize, bodies := n.chain.Height(), n.tree.Len(), n.tree.BodiesResident()
+		states, orphans := len(n.states), len(n.orphanPool)
+		var flushedHeight uint64
+		if n.disk != nil {
+			flushedHeight = n.disk.flushedHeight
+		}
+		n.mu.Unlock()
+		count("node_blocks_proposed_total", m.BlocksProposed)
+		count("node_blocks_accepted_total", m.BlocksAccepted)
+		count("node_blocks_rejected_total", m.BlocksRejected)
+		count("node_txs_submitted_total", m.TxsSubmitted)
+		count("node_reorgs_total", m.Reorgs)
+		count("node_orphans_buffered_total", m.OrphansBuffered)
+		count("node_orphans_evicted_total", m.OrphansEvicted)
+		count("node_states_pruned_total", m.StatesPruned)
+		count("node_state_rebuilds_total", m.StateRebuilds)
+		emit("node_states_retained", int64(states))
+		emit("node_orphan_buffer_size", int64(orphans))
+		count("node_chain_height", height)
+		emit("node_block_tree_size", int64(treeSize))
+		emit("node_block_bodies_resident", int64(bodies))
+		count("node_block_body_reads_total", m.BodyReads)
+		count("node_block_body_read_errors_total", m.BodyReadErrors)
+		count("node_state_read_errors_total", m.StateReadErrors)
+		emit("node_mempool_size", int64(n.pool.Len()))
+		if n.cfg.ExecWorkers > 0 {
+			count("exec_parallel_blocks_total", m.ExecParallelBlocks)
+			count("exec_conflicts_total", m.ExecConflicts)
+			count("exec_replayed_txs_total", m.ExecReplayedTxs)
+			// exec_speedup is the last parallel block's estimated speedup in
+			// thousandths (2000 = 2x): speculated work time over wall clock.
+			count("exec_speedup", m.ExecSpeedupMilli)
+		}
+		count("node_wal_append_errors_total", m.WALAppendErrors)
+		count("node_recovered_blocks_total", m.RecoveredBlocks)
+		count("node_recovery_reroots_total", m.RecoveryReroots)
+		if n.disk != nil {
+			count("node_disk_flushes_total", m.DiskFlushes)
+			count("node_disk_prunes_total", m.DiskPrunes)
+			count("node_disk_errors_total", m.DiskErrors)
+			count("node_disk_flushed_height", flushedHeight)
+		}
 	})
-	reg.RegisterFunc("node_block_tree_size", func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.tree.Len())
-	})
-	reg.RegisterFunc("node_block_bodies_resident", func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.tree.BodiesResident())
-	})
-	reg.RegisterFunc("node_block_body_reads_total", func() int64 { return int64(n.bodyReads.Load()) })
-	reg.RegisterFunc("node_block_body_read_errors_total", func() int64 { return int64(n.bodyReadErrors.Load()) })
-	reg.RegisterFunc("node_state_read_errors_total", func() int64 { return int64(n.stateReadErrs.Load()) })
-	reg.RegisterFunc("node_mempool_size", func() int64 { return int64(n.pool.Len()) })
-	if n.cfg.ExecWorkers > 0 {
-		reg.RegisterFunc("exec_parallel_blocks_total", snap(func(m Metrics) uint64 { return m.ExecParallelBlocks }))
-		reg.RegisterFunc("exec_conflicts_total", snap(func(m Metrics) uint64 { return m.ExecConflicts }))
-		reg.RegisterFunc("exec_replayed_txs_total", snap(func(m Metrics) uint64 { return m.ExecReplayedTxs }))
-		// exec_speedup is the last parallel block's estimated speedup in
-		// thousandths (2000 = 2x): speculated work time over wall clock.
-		reg.RegisterFunc("exec_speedup", snap(func(m Metrics) uint64 { return m.ExecSpeedupMilli }))
-	}
-	reg.RegisterFunc("node_wal_append_errors_total", snap(func(m Metrics) uint64 { return m.WALAppendErrors }))
-	reg.RegisterFunc("node_recovered_blocks_total", snap(func(m Metrics) uint64 { return m.RecoveredBlocks }))
-	reg.RegisterFunc("node_recovery_reroots_total", snap(func(m Metrics) uint64 { return m.RecoveryReroots }))
-	if n.disk != nil {
-		reg.RegisterFunc("node_disk_flushes_total", snap(func(m Metrics) uint64 { return m.DiskFlushes }))
-		reg.RegisterFunc("node_disk_prunes_total", snap(func(m Metrics) uint64 { return m.DiskPrunes }))
-		reg.RegisterFunc("node_disk_errors_total", snap(func(m Metrics) uint64 { return m.DiskErrors }))
-		reg.RegisterFunc("node_disk_flushed_height", func() int64 {
-			_, h, _ := n.DiskFlushed()
-			return int64(h)
-		})
-		reg.RegisterHistogram(n.hDiskFlush)
-	}
 	if ds := n.cfg.Durable; ds != nil {
-		reg.RegisterFunc("wal_appends_total", func() int64 { return int64(ds.Stats().WAL.Appends) })
-		reg.RegisterFunc("wal_fsyncs_total", func() int64 { return int64(ds.Stats().WAL.Fsyncs) })
-		reg.RegisterFunc("wal_rotations_total", func() int64 { return int64(ds.Stats().WAL.Rotations) })
-		reg.RegisterFunc("wal_segments", func() int64 { return int64(ds.Stats().WAL.Segments) })
-		reg.RegisterFunc("wal_bytes_written_total", func() int64 { return int64(ds.Stats().WAL.Bytes) })
-		reg.RegisterFunc("wal_last_seq", func() int64 { return int64(ds.Stats().WAL.LastSeq) })
-		reg.RegisterFunc("wal_torn_truncated_bytes_total", func() int64 { return int64(ds.Stats().WAL.TornTruncated) })
-		reg.RegisterFunc("wal_checkpoints_total", func() int64 { return int64(ds.Stats().Checkpoints) })
+		reg.Collect(func(emit func(string, int64)) {
+			st := ds.Stats()
+			emit("wal_appends_total", int64(st.WAL.Appends))
+			emit("wal_fsyncs_total", int64(st.WAL.Fsyncs))
+			emit("wal_rotations_total", int64(st.WAL.Rotations))
+			emit("wal_segments", int64(st.WAL.Segments))
+			emit("wal_bytes_written_total", int64(st.WAL.Bytes))
+			emit("wal_last_seq", int64(st.WAL.LastSeq))
+			emit("wal_torn_truncated_bytes_total", int64(st.WAL.TornTruncated))
+			emit("wal_checkpoints_total", int64(st.Checkpoints))
+		})
 	}
-	reg.RegisterHistogram(n.hVerify)
-	reg.RegisterHistogram(n.hConnect)
-	reg.RegisterHistogram(n.hApply)
-	reg.RegisterHistogram(n.hCommit)
-	reg.RegisterHistogram(n.hRebuild)
-	reg.RegisterHistogram(n.hPropose)
-	reg.RegisterHistogram(n.hInclusion)
-	reg.RegisterHistogram(n.hWALAppend)
-	reg.RegisterHistogram(n.hRecover)
 }
 
 // State returns the state at the current main-chain head, nil when it
@@ -749,22 +705,6 @@ func (n *Node) StateAt(h cryptoutil.Hash) (*state.State, bool) {
 		return nil, false
 	}
 	return st, true
-}
-
-// StatesRetained returns how many materialized per-block states the
-// node currently holds — the node_states_retained gauge. With retention
-// window W and a linear chain this converges to W+1.
-func (n *Node) StatesRetained() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.states)
-}
-
-// OrphanCount returns how many unknown-parent blocks are buffered.
-func (n *Node) OrphanCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.orphanPool)
 }
 
 // stateOfLocked returns the post-state of block h, rebuilding it by
@@ -821,15 +761,7 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 			return nil, fmt.Errorf("%w: replayed %s, header %s", ErrBadStateRoot, root.Short(), target.StateRoot.Short())
 		}
 		n.metrics.StateRebuilds++
-		rebuildDur := n.hRebuild.ObserveSince(sw.Start())
-		n.tracer.Record(obs.Span{
-			Stage:  obs.StageStateRebuild,
-			Start:  sw.StartUnixNano(),
-			Dur:    int64(rebuildDur),
-			Peer:   string(n.cfg.ID),
-			Height: target.Height,
-			N:      uint64(len(pending)),
-		})
+		n.obs.Observe(obs.StageStateRebuild, sw.Start(), sw.Elapsed(), obs.At{Height: target.Height, N: uint64(len(pending))})
 		// Cache the rebuild only when it falls inside the retention
 		// window, so deep historical queries don't regrow the map.
 		if target.Height >= n.anchorHeight {
@@ -1201,13 +1133,7 @@ func (n *Node) adoptOrphans(parent cryptoutil.Hash) {
 		}
 	}
 	if adopted > 0 {
-		n.tracer.Record(obs.Span{
-			Stage: obs.StageOrphanAdopt,
-			Start: sw.StartUnixNano(),
-			Dur:   int64(sw.Elapsed()),
-			Peer:  string(n.cfg.ID),
-			N:     adopted,
-		})
+		n.obs.Observe(obs.StageOrphanAdopt, sw.Start(), sw.Elapsed(), obs.At{N: adopted})
 	}
 }
 
@@ -1250,6 +1176,8 @@ func (n *Node) connect(b *types.Block) error {
 	if err != nil {
 		return fmt.Errorf("node: no state for parent %s: %w", b.Header.ParentHash.Short(), err)
 	}
+	h := b.Hash()
+	at := blockAt(b, h)
 	swApply := obs.StartTimer()
 	n.setExecutorTime(b.Header.Time)
 	st, err := n.applyBlockLocked(parentState, b)
@@ -1258,10 +1186,11 @@ func (n *Node) connect(b *types.Block) error {
 	}
 	swCommit := obs.StartTimer()
 	root := st.Commit()
+	commitDur := swCommit.Elapsed()
 	if err := st.Err(); err != nil {
 		return fmt.Errorf("node: %w", err)
 	}
-	n.observeCommit(b, st, swCommit)
+	n.obs.Observe(obs.StageStateCommit, swCommit.Start(), commitDur, n.commitAt(st, at))
 	if root != b.Header.StateRoot {
 		return fmt.Errorf("%w: computed %s, header %s", ErrBadStateRoot, root.Short(), b.Header.StateRoot.Short())
 	}
@@ -1269,62 +1198,46 @@ func (n *Node) connect(b *types.Block) error {
 	if err := n.tree.Add(b); err != nil {
 		return err
 	}
-	h := b.Hash()
 	n.states[h] = st
 	n.tries = append(n.tries, trieHolder{st: st, height: b.Header.Height})
 	// The block arrived, however it got here: any in-flight fetch for
 	// it is satisfied (msgBlock replies and gossip arrivals alike).
 	delete(n.requested, h)
 	n.metrics.BlocksAccepted++
-	n.logBlockLocked(b)
-	n.observeConnect(b, swConnect.Start(), verifyDur, applyDur)
+	n.journalLocked(at, func() error { return n.cfg.Durable.LogBlock(b) })
+	// The gossip-receipt→connected leg of the pipeline, observed only for
+	// a block that made it.
+	n.obs.Observe(obs.StageBlockVerify, swConnect.Start(), verifyDur, at)
+	n.obs.Observe(obs.StageStateApply, swApply.Start(), applyDur, at)
+	n.obs.Observe(obs.StageBlockConnect, swConnect.Start(), swConnect.Elapsed(), at)
 	return nil
 }
 
-// logBlockLocked journals one freshly connected block into the durable
-// store. The append is the block's commit point, so it is ordered under
+// blockAt identifies block b, whose hash is h, to the observer: what
+// every block-scoped stage is observed at (N = the block's transactions
+// unless the stage counts something else).
+func blockAt(b *types.Block, h cryptoutil.Hash) obs.At {
+	return obs.At{Height: b.Header.Height, N: uint64(len(b.Txs)), Block: h.Short()}
+}
+
+// journalLocked runs one append to the durable store — a freshly
+// connected block, or a head switch — and observes it as wal_append. The
+// append is the commit point of what it records, so it is ordered under
 // the node lock with the tree/state mutation it makes durable. A failed
 // append is counted (the store latches failed and refuses further
 // writes); the node keeps serving from memory — the operator sees
 // node_wal_append_errors_total and restarts to recover the durable
 // prefix, exactly what a crashed process would do.
-func (n *Node) logBlockLocked(b *types.Block) {
+func (n *Node) journalLocked(at obs.At, appendRecord func() error) {
 	if n.cfg.Durable == nil || n.recovering {
 		return
 	}
 	sw := obs.StartTimer()
-	if err := n.cfg.Durable.LogBlock(b); err != nil {
+	if err := appendRecord(); err != nil {
 		n.metrics.WALAppendErrors++
 		return
 	}
-	d := n.hWALAppend.ObserveSince(sw.Start())
-	n.tracer.Record(obs.Span{
-		Stage:  obs.StageWALAppend,
-		Start:  sw.StartUnixNano(),
-		Dur:    int64(d),
-		Peer:   string(n.cfg.ID),
-		Height: b.Header.Height,
-		N:      uint64(len(b.Txs)),
-	})
-}
-
-// logHeadLocked journals one head switch.
-func (n *Node) logHeadLocked(tip cryptoutil.Hash) {
-	if n.cfg.Durable == nil || n.recovering {
-		return
-	}
-	sw := obs.StartTimer()
-	if err := n.cfg.Durable.LogHead(tip); err != nil {
-		n.metrics.WALAppendErrors++
-		return
-	}
-	d := n.hWALAppend.ObserveSince(sw.Start())
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageWALAppend,
-		Start: sw.StartUnixNano(),
-		Dur:   int64(d),
-		Peer:  string(n.cfg.ID),
-	})
+	n.obs.Observe(obs.StageWALAppend, sw.Start(), sw.Elapsed(), at)
 }
 
 // applyBlockLocked runs b's state transition on a fresh child layer of
@@ -1336,75 +1249,33 @@ func (n *Node) applyBlockLocked(parentState *state.State, b *types.Block) (*stat
 	if err != nil {
 		return nil, err
 	}
-	n.observeExec(b, stats)
-	return st, nil
-}
-
-// observeExec records one parallel block application: the exec_parallel
-// span (speculation + merge + replay), the exec_replay span when a
-// conflict forced a serial suffix, and the executor counters.
-func (n *Node) observeExec(b *types.Block, stats *exec.Stats) {
 	if !stats.Parallel {
-		return
+		return st, nil
 	}
+	// One parallel block application: the exec_parallel span (speculation
+	// + merge + replay), the exec_replay span when a conflict forced a
+	// serial suffix, and the executor counters.
 	n.metrics.ExecParallelBlocks++
 	n.metrics.ExecConflicts += uint64(stats.Conflicts)
 	n.metrics.ExecReplayedTxs += uint64(stats.ReplayedTxs)
 	if s := stats.SpeedupMilli(); s > 0 {
 		n.metrics.ExecSpeedupMilli = s
 	}
-	peer := string(n.cfg.ID)
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageExecParallel, Start: stats.StartUnixNano,
-		Dur: int64(stats.ParallelDur), Peer: peer, Height: b.Header.Height,
-		N: uint64(stats.Txs),
-	})
+	n.obs.Observe(obs.StageExecParallel, stats.Start, stats.ParallelDur, obs.At{Height: b.Header.Height, N: uint64(stats.Txs)})
 	if stats.ReplayedTxs > 0 {
-		n.tracer.Record(obs.Span{
-			Stage: obs.StageExecReplay, Start: stats.ReplayStartUnixNano,
-			Dur: int64(stats.ReplayDur), Peer: peer, Height: b.Header.Height,
-			N: uint64(stats.ReplayedTxs),
-		})
+		n.obs.Observe(obs.StageExecReplay, stats.ReplayStart, stats.ReplayDur, obs.At{Height: b.Header.Height, N: uint64(stats.ReplayedTxs)})
 	}
+	return st, nil
 }
 
-// observeCommit records one state_commit: the root commit of block b's
-// post-state, N = the account leaves the block wrote.
-func (n *Node) observeCommit(b *types.Block, st *state.State, sw obs.Stopwatch) {
-	dur := n.hCommit.ObserveSince(sw.Start())
-	if n.tracer == nil {
-		return
+// commitAt is at as a state_commit counts it: N = the account leaves the
+// block wrote into st, worked out only when someone is tracing.
+func (n *Node) commitAt(st *state.State, at obs.At) obs.At {
+	at.N = 0
+	if n.obs.Tracer != nil {
+		at.N = uint64(len(st.DirtyAddresses()))
 	}
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageStateCommit, Start: sw.StartUnixNano(),
-		Dur: int64(dur), Peer: string(n.cfg.ID), Height: b.Header.Height,
-		N: uint64(len(st.DirtyAddresses())),
-	})
-}
-
-// observeConnect records the per-stage latencies of one successful
-// block connect: verification, state apply, and the full path.
-func (n *Node) observeConnect(b *types.Block, start time.Time, verifyDur, applyDur time.Duration) {
-	n.hVerify.ObserveDuration(verifyDur)
-	n.hApply.ObserveDuration(applyDur)
-	connectDur := n.hConnect.ObserveSince(start)
-	if n.tracer == nil {
-		return
-	}
-	peer := string(n.cfg.ID)
-	txs := uint64(len(b.Txs))
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageBlockVerify, Start: start.UnixNano(),
-		Dur: int64(verifyDur), Peer: peer, Height: b.Header.Height, N: txs,
-	})
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageStateApply, Start: start.UnixNano(),
-		Dur: int64(applyDur), Peer: peer, Height: b.Header.Height, N: txs,
-	})
-	n.tracer.Record(obs.Span{
-		Stage: obs.StageBlockConnect, Start: start.UnixNano(),
-		Dur: int64(connectDur), Peer: peer, Height: b.Header.Height, N: txs,
-	})
+	return at
 }
 
 // afterTreeChange re-runs the fork choice, updates the main chain, and
@@ -1419,7 +1290,7 @@ func (n *Node) afterTreeChange() {
 	if err != nil {
 		return
 	}
-	n.logHeadLocked(tip)
+	n.journalLocked(obs.At{}, func() error { return n.cfg.Durable.LogHead(tip) })
 	n.checkpointLocked(tip)
 	if len(removed) > 0 {
 		n.metrics.Reorgs++
@@ -1520,28 +1391,23 @@ func (n *Node) produceBlock() error {
 	b := types.NewBlock(parentHash, height, now, n.self, txs)
 	swCommit := obs.StartTimer()
 	b.Header.StateRoot = st.Commit()
+	commitDur := swCommit.Elapsed()
 	if err := st.Err(); err != nil {
 		return fmt.Errorf("node: build block: %w", err)
 	}
-	n.observeCommit(b, st, swCommit)
 	if err := n.cfg.Engine.Prepare(&b.Header, parent); err != nil {
 		return err
 	}
 	if err := n.cfg.Engine.Seal(b, parent); err != nil {
 		return err
 	}
+	at := blockAt(b, b.Hash()) // the hash is the seal's: known only now
+	n.obs.Observe(obs.StageStateCommit, swCommit.Start(), commitDur, n.commitAt(st, at))
 	if err := n.handleBlockFrom(b, ""); err != nil {
 		return err
 	}
-	proposeDur := n.hPropose.ObserveSince(swPropose.Start())
-	n.tracer.Record(obs.Span{
-		Stage:  obs.StageBlockPropose,
-		Start:  swPropose.StartUnixNano(),
-		Dur:    int64(proposeDur),
-		Peer:   string(n.cfg.ID),
-		Height: height,
-		N:      uint64(len(included)),
-	})
+	at.N = uint64(len(included))
+	n.obs.Observe(obs.StageBlockPropose, swPropose.Start(), swPropose.Elapsed(), at)
 	if n.publishIntercept != nil && !n.publishIntercept(b) {
 		//dcslint:ignore unbounded withheld buffer is drained by ReleaseWithheld; bounded by the actor's release policy in scenarios
 		n.withheld = append(n.withheld, b)

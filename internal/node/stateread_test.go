@@ -205,7 +205,7 @@ func TestCrashMatrixSweepKeepsCheckpointRoots(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	c.check(t, n2)
-	if _, h, _ := n2.DiskFlushed(); h != 64 {
+	if h := n2.disk.flushedHeight; h != 64 {
 		t.Fatalf("recovered from flushed height %d, want the checkpoint at 64", h)
 	}
 	if m := n2.Metrics(); m.RecoveredBlocks != 70 || m.BlocksRejected != 0 || m.StateReadErrors != 0 {
@@ -236,7 +236,7 @@ func TestCrashMatrixSnapshotCheckpointOnDisk(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	c.check(t, n2)
-	if _, h, _ := n2.DiskFlushed(); h != 16 {
+	if h := n2.disk.flushedHeight; h != 16 {
 		t.Fatalf("flushed height %d, want the snapshot checkpoint's 16", h)
 	}
 	handleAll(t, n2, c.grow(24)) // checkpoint at 24: root only

@@ -219,21 +219,24 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if reg := opts.Metrics; reg != nil {
-		// One counter set, read at scrape time: the store's own counts
+		// One counter set, read once per scrape: the store's own counts
 		// and the segment log's, the latter under the names the WAL's have.
-		reg.RegisterFunc("nodestore_reads_total", func() int64 { return int64(s.Stats().Reads) })
-		reg.RegisterFunc("nodestore_appends_total", func() int64 { return int64(s.Stats().Appends) })
-		reg.RegisterFunc("nodestore_compactions_total", func() int64 { return int64(s.Stats().Compactions) })
-		reg.RegisterFunc("nodestore_records", func() int64 { return int64(s.Stats().Records) })
-		reg.RegisterFunc("nodestore_segments", func() int64 { return int64(s.Stats().Segments) })
-		reg.RegisterFunc("nodestore_cache_hits_total", func() int64 { return int64(s.Stats().CacheHits) })
-		reg.RegisterFunc("nodestore_cache_misses_total", func() int64 { return int64(s.Stats().CacheMisses) })
-		reg.RegisterFunc("nodestore_cache_evictions_total", func() int64 { return int64(s.Stats().CacheEvicts) })
-		reg.RegisterFunc("nodestore_cache_bytes", func() int64 { return s.Stats().CacheBytes })
-		reg.RegisterFunc("nodestore_fsyncs_total", func() int64 { return int64(s.Stats().Syncs) })
-		reg.RegisterFunc("nodestore_bytes_written_total", func() int64 { return int64(s.Stats().Bytes) })
-		reg.RegisterFunc("nodestore_rotations_total", func() int64 { return int64(s.Stats().Rotations) })
-		reg.RegisterFunc("nodestore_torn_truncated_bytes_total", func() int64 { return int64(s.Stats().TornBytes) })
+		reg.Collect(func(emit func(string, int64)) {
+			st := s.Stats()
+			emit("nodestore_reads_total", int64(st.Reads))
+			emit("nodestore_appends_total", int64(st.Appends))
+			emit("nodestore_compactions_total", int64(st.Compactions))
+			emit("nodestore_records", int64(st.Records))
+			emit("nodestore_segments", int64(st.Segments))
+			emit("nodestore_cache_hits_total", int64(st.CacheHits))
+			emit("nodestore_cache_misses_total", int64(st.CacheMisses))
+			emit("nodestore_cache_evictions_total", int64(st.CacheEvicts))
+			emit("nodestore_cache_bytes", st.CacheBytes)
+			emit("nodestore_fsyncs_total", int64(st.Syncs))
+			emit("nodestore_bytes_written_total", int64(st.Bytes))
+			emit("nodestore_rotations_total", int64(st.Rotations))
+			emit("nodestore_torn_truncated_bytes_total", int64(st.TornBytes))
+		})
 	}
 	return s, nil
 }

@@ -8,10 +8,11 @@
 // requires a per-stage latency breakdown of a block's life — gossip
 // receipt → verify → connect → state apply → fork choice. Every hot-path
 // component (p2p transport, node, consensus engines, ordering service,
-// PBFT) accepts a *Tracer; all Tracer methods are nil-safe, so
-// instrumentation points cost one predictable branch when tracing is
-// off. cmd/ledgerd serves the ring at GET /trace, and cmd/dcsbench
-// -stages turns traces into the paper's DC-vs-CS latency comparison.
+// PBFT) observes its stages through one call, Observer.Observe, which
+// feeds the stage's latency histogram and the tracer from the same
+// measurement; a nil *Tracer is a no-op. cmd/ledgerd serves the ring at
+// GET /trace, and cmd/dcsbench -stages turns traces into the paper's
+// DC-vs-CS latency comparison.
 package obs
 
 import (
@@ -103,6 +104,10 @@ type Span struct {
 	// N counts the items the span covered (txs in a block, orphans
 	// adopted, solve attempts).
 	N uint64 `json:"n,omitempty"`
+	// Block is the short hash of the block a block-scoped stage worked
+	// on: the same on every node, so one block can be followed across
+	// their traces.
+	Block string `json:"block,omitempty"`
 }
 
 // Duration returns the span duration as a time.Duration.
@@ -122,13 +127,9 @@ type Stopwatch struct {
 // StartTimer begins an observability stopwatch.
 func StartTimer() Stopwatch { return Stopwatch{t0: time.Now()} }
 
-// Start returns the stopwatch's start instant, for interop with
-// Histogram.ObserveSince.
+// Start returns the stopwatch's start instant — with Elapsed, what
+// Observer.Observe takes.
 func (s Stopwatch) Start() time.Time { return s.t0 }
-
-// StartUnixNano returns the start instant in Unix nanoseconds — the
-// Span.Start encoding.
-func (s Stopwatch) StartUnixNano() int64 { return s.t0.UnixNano() }
 
 // Elapsed returns the wall time since the stopwatch started.
 func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.t0) }

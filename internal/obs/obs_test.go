@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dcsledger/internal/metrics"
 )
 
 // TestRingOverflowEviction fills a tiny ring past capacity and checks
@@ -278,4 +280,45 @@ func TestHandler(t *testing.T) {
 	if s, ok := summary.Stages[StageBlockVerify]; !ok || s.Count != 1 {
 		t.Errorf("summary missing %s: %+v", StageBlockVerify, summary.Stages)
 	}
+}
+
+// TestObserverFeedsHistogramAndTracer: one Observe call lands in the
+// stage's histogram (under the tabled series name) and in the tracer with
+// the same duration; either half may be absent; a stage outside the table
+// is traced only.
+func TestObserverFeedsHistogramAndTracer(t *testing.T) {
+	tr := NewTracer(8)
+	o := NewObserver("n0", tr, StageBlockConnect, StagePowSeal)
+	reg := metrics.NewRegistry()
+	o.Register(reg)
+
+	start := time.Unix(100, 0)
+	o.Observe(StageBlockConnect, start, 2*time.Millisecond, At{Height: 7, N: 3, Block: "abcd1234"})
+	o.Observe(StagePowSeal, time.Time{}, time.Millisecond, At{Peer: "remote"}) // no histogram, zero start
+	o.Observe(StageStateApply, start, time.Millisecond, At{})                  // not one of this observer's
+
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, "node_block_connect_seconds_count 1\n") ||
+		!strings.Contains(out, "node_block_connect_seconds_sum 0.002\n") ||
+		strings.Contains(out, "pow_seal") || strings.Contains(out, "node_state_apply_seconds") {
+		t.Fatalf("registry renders:\n%s", out)
+	}
+	spans := tr.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("%d spans, want 3", len(spans))
+	}
+	want := Span{Stage: StageBlockConnect, Start: start.UnixNano(), Dur: int64(2 * time.Millisecond), Peer: "n0", Height: 7, N: 3, Block: "abcd1234"}
+	if spans[0] != want {
+		t.Fatalf("span %+v, want %+v", spans[0], want)
+	}
+	if s := spans[1]; s.Peer != "remote" || s.Start == 0 || s.Start == (time.Time{}).UnixNano() {
+		t.Fatalf("zero-start span with its own peer: %+v", s)
+	}
+
+	// Neither half wired: a no-op, not a panic.
+	var off Observer
+	off.Observe(StageBlockConnect, start, time.Millisecond, At{})
 }

@@ -230,16 +230,19 @@ func (g *Gossiper) Stats() GossipStats {
 	}
 }
 
-// RegisterMetrics exports the gossip counters into reg as callback
-// gauges (gossip_delivered_total, gossip_duplicate_total,
+// RegisterMetrics exports the gossip counters into reg, collected once
+// per scrape (gossip_delivered_total, gossip_duplicate_total,
 // gossip_forwarded_total, gossip_id_mismatch_total,
 // gossip_ttl_expired_total).
 func (g *Gossiper) RegisterMetrics(reg *metrics.Registry) {
-	reg.RegisterFunc("gossip_delivered_total", func() int64 { return int64(g.delivered.Load()) })
-	reg.RegisterFunc("gossip_duplicate_total", func() int64 { return int64(g.duplicates.Load()) })
-	reg.RegisterFunc("gossip_forwarded_total", func() int64 { return int64(g.forwarded.Load()) })
-	reg.RegisterFunc("gossip_id_mismatch_total", func() int64 { return int64(g.idMismatch.Load()) })
-	reg.RegisterFunc("gossip_ttl_expired_total", func() int64 { return int64(g.ttlExpired.Load()) })
+	reg.Collect(func(emit func(string, int64)) {
+		st := g.Stats()
+		emit("gossip_delivered_total", int64(st.Delivered))
+		emit("gossip_duplicate_total", int64(st.Duplicates))
+		emit("gossip_forwarded_total", int64(st.Forwarded))
+		emit("gossip_id_mismatch_total", int64(st.IDMismatch))
+		emit("gossip_ttl_expired_total", int64(st.TTLExpired))
+	})
 }
 
 // Neighbors returns a copy of the overlay neighbor set.

@@ -76,8 +76,8 @@ type TCPConfig struct {
 	// private registry, readable via Stats / Registry.
 	Registry *metrics.Registry
 	// Tracer receives per-message enqueue→flush spans
-	// (obs.StageP2PFlush). Nil disables tracing; the histogram
-	// p2p_enqueue_flush_seconds is recorded either way.
+	// (obs.StageP2PFlush). Nil disables tracing; the stage's histogram
+	// (p2p_enqueue_flush_seconds) is recorded either way.
 	Tracer *obs.Tracer
 }
 
@@ -163,7 +163,7 @@ type TCPTransport struct {
 	cDialFailures, cReconnects              *metrics.Counter
 	cRecv, cRecvErrors, cRecvOversize       *metrics.Counter
 	gOutbound, gInbound, gWriters           *metrics.Gauge
-	hFlush                                  *metrics.Histogram
+	obs                                     obs.Observer
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -206,8 +206,9 @@ func NewTCPTransportConfig(self NodeID, bindAddr string, h Handler, cfg TCPConfi
 		gOutbound:     cfg.Registry.Gauge("p2p_conns_outbound"),
 		gInbound:      cfg.Registry.Gauge("p2p_conns_inbound"),
 		gWriters:      cfg.Registry.Gauge("p2p_peer_writers"),
-		hFlush:        cfg.Registry.Histogram("p2p_enqueue_flush_seconds"),
+		obs:           obs.NewObserver("", cfg.Tracer, obs.StageP2PFlush),
 	}
+	t.obs.Register(cfg.Registry)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -470,14 +471,7 @@ func (w *peerWriter) write(q queuedMsg) {
 			continue
 		}
 		t.cSent.Inc()
-		wait := time.Since(q.enqueued)
-		t.hFlush.ObserveDuration(wait)
-		t.cfg.Tracer.Record(obs.Span{
-			Stage: obs.StageP2PFlush,
-			Start: q.enqueued.UnixNano(),
-			Dur:   int64(wait),
-			Peer:  string(w.id),
-		})
+		t.obs.Observe(obs.StageP2PFlush, q.enqueued, time.Since(q.enqueued), obs.At{Peer: string(w.id)})
 		return
 	}
 	t.cDropped.Inc()
