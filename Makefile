@@ -98,9 +98,13 @@ trace-demo:
 # checkpoint that carries a snapshot must open on the disk backend
 # (TestCrashMatrixSnapshotCheckpointOnDisk); a block refused because the
 # state store could not be read must connect once it can
-# (TestStateReadErrorIsNotARejection); and the same failpoint armed
-# mid-batch on the node store must leave every checkpointed root walkable
-# (see docs/PERSISTENCE.md).
+# (TestStateReadErrorIsNotARejection); a state/ directory in the node
+# store's previous format is refused untouched and, removed as the refusal
+# says, rebuilt from the journal (TestCrashMatrixLostStateDir/v1-format);
+# and the same failpoint armed on the node store — between two frames of a
+# chunked batch, inside one, inside the only one — must publish nothing of
+# the hit frame and leave every checkpointed root walkable (see
+# docs/PERSISTENCE.md).
 crash-matrix:
 	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestStateReadErrorIsNotARejection|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
 	$(GO) test -race -count=1 ./internal/nodestore -run TestCrashMatrixNodeStore -v
@@ -109,7 +113,8 @@ crash-matrix:
 # attacker- or crash-controlled bytes — the WAL frame, the block codec,
 # and the binary wire codecs (p2p frames, gossip envelopes, pbft/raft
 # protocol messages, ordering batches, poet certificates, state
-# snapshots, persisted trie node records; see docs/WIRE.md).
+# snapshots, the node store's batch frames and the trie node records in
+# them; see docs/WIRE.md).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME)
@@ -122,6 +127,7 @@ fuzz-smoke:
 	$(GO) test ./internal/consensus/poet -run '^$$' -fuzz FuzzCertificateDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/state -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nodestore -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mpt -run '^$$' -fuzz FuzzNodeDecode -fuzztime $(FUZZTIME)
 
 # Compile-only check of the nested benchmark module (benchmark/, its
 # own go.mod, not part of `go build ./...`): it calls internal packages

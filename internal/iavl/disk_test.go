@@ -159,8 +159,8 @@ func TestWalkNodesCoversEverything(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("WalkNodes: %v", err)
 	}
-	if len(seen) != s.Len() {
-		t.Fatalf("walk saw %d nodes, store holds %d", len(seen), s.Len())
+	if len(seen) != s.Stats().Records {
+		t.Fatalf("walk saw %d nodes, store holds %d", len(seen), s.Stats().Records)
 	}
 }
 

@@ -8,16 +8,19 @@ import (
 	"dcsledger/internal/wire"
 )
 
-// Storage codec: the byte form a node takes inside a node store. It is
-// distinct from the hash preimage (which predates it and must not
-// change), but commits to exactly the same content, so decode+rehash
-// always reproduces the stored hash — the source decode path verifies
-// that before a node is ever trusted.
+// Storage codec: the byte form a node takes inside a node store and in
+// a proof. It is distinct from the hash preimage (which predates it and
+// must not change), but commits to exactly the same content, so
+// decode+rehash always reproduces the stored hash — the source decode
+// path verifies that before a node is ever trusted. Lengths are
+// canonical uvarints and nibble paths are packed two to a byte:
 //
-//	leaf:   u8 kind=2 | blob keyEnd | blob value
-//	ext:    u8 kind=1 | blob path   | 32B child hash
+//	leaf:   u8 kind=2 | nibbles keyEnd | uvarint len | value
+//	ext:    u8 kind=1 | nibbles path   | 32B child hash
 //	branch: u8 kind=0 | u16 child bitmap | 32B per set child (ascending)
-//	        | bool hasValue | blob value (if hasValue)
+//	        | bool hasValue | uvarint len | value (if hasValue)
+//	nibbles: uvarint count | ceil(count/2) bytes, high nibble first,
+//	        the low nibble of the last byte zero when count is odd
 
 const (
 	kindBranch = 0
@@ -29,17 +32,44 @@ const (
 	maxBlob = 1 << 20
 )
 
+// putNibbles appends a nibble path in packed form.
+func putNibbles(b *wire.Buffer, path []byte) {
+	b.Uvarint(uint64(len(path)))
+	for i := 0; i+1 < len(path); i += 2 {
+		b.U8(path[i]<<4 | path[i+1])
+	}
+	if len(path)%2 == 1 {
+		b.U8(path[len(path)-1] << 4)
+	}
+}
+
+// readNibbles reads a packed nibble path back into one nibble per byte;
+// ok is false when the pad nibble of an odd path is not zero.
+func readNibbles(r *wire.Reader) (path []byte, ok bool) {
+	n := int(r.Uvarint(maxBlob))
+	path = make([]byte, 0, min(n, 64)) // grows only as bytes are really there
+	for len(path) < n && r.Err() == nil {
+		b := r.U8()
+		if path = append(path, b>>4); len(path) < n {
+			path = append(path, b&0x0f)
+		} else if b&0x0f != 0 {
+			return nil, false
+		}
+	}
+	return path, true
+}
+
 // encodeNode renders a resolved node in storage form.
 func encodeNode(n node) []byte {
 	var b wire.Buffer
 	switch v := n.(type) {
 	case *leafNode:
 		b.U8(kindLeaf)
-		b.Blob(v.keyEnd)
-		b.Blob(v.value)
+		putNibbles(&b, v.keyEnd)
+		b.VarBlob(v.value)
 	case *extNode:
 		b.U8(kindExt)
-		b.Blob(v.path)
+		putNibbles(&b, v.path)
 		ch := v.child.hash()
 		b.Raw(ch[:])
 	case *branchNode:
@@ -59,7 +89,7 @@ func encodeNode(n node) []byte {
 		}
 		b.Bool(v.value != nil)
 		if v.value != nil {
-			b.Blob(v.value)
+			b.VarBlob(v.value)
 		}
 	default:
 		panic(fmt.Sprintf("mpt: encode of %T", n))
@@ -70,18 +100,21 @@ func encodeNode(n node) []byte {
 // decodeNode parses a storage-form node, returning it and an estimate
 // of its retained in-memory footprint (for cache accounting). Child
 // references come back as hashNodes; structural canonicality (no empty
-// extension paths, no under-populated branches) is enforced so a
-// corrupted store cannot smuggle in a shape the mutation paths never
-// produce.
+// extension paths, no under-populated branches, no padded lengths or
+// paths) is enforced so a corrupted store cannot smuggle in a shape the
+// mutation paths never produce.
 func decodeNode(enc []byte) (node, int, error) {
 	r := wire.NewReader(enc)
 	kind := r.U8()
 	switch kind {
 	case kindLeaf:
-		keyEnd := r.Blob(maxBlob)
-		value := r.Blob(maxBlob)
+		keyEnd, ok := readNibbles(r)
+		value := r.VarBlob(maxBlob)
 		if err := r.Close(); err != nil {
 			return nil, 0, err
+		}
+		if !ok {
+			return nil, 0, fmt.Errorf("mpt: leaf key with a non-zero pad nibble")
 		}
 		if value == nil {
 			value = []byte{} // present-but-empty, distinct from absent
@@ -89,14 +122,14 @@ func decodeNode(enc []byte) (node, int, error) {
 		return &leafNode{keyEnd: keyEnd, value: value},
 			96 + len(keyEnd) + len(value), nil
 	case kindExt:
-		path := r.Blob(maxBlob)
+		path, ok := readNibbles(r)
 		var ch cryptoutil.Hash
 		r.Raw(ch[:])
 		if err := r.Close(); err != nil {
 			return nil, 0, err
 		}
-		if len(path) == 0 {
-			return nil, 0, fmt.Errorf("mpt: extension with empty path")
+		if !ok || len(path) == 0 {
+			return nil, 0, fmt.Errorf("mpt: extension with an empty or padded path")
 		}
 		return &extNode{path: path, child: hashNode(ch)}, 160 + len(path), nil
 	case kindBranch:
@@ -113,7 +146,7 @@ func decodeNode(enc []byte) (node, int, error) {
 			n++
 		}
 		if r.Bool() {
-			v := r.Blob(maxBlob)
+			v := r.VarBlob(maxBlob)
 			if v == nil {
 				v = []byte{}
 			}

@@ -140,7 +140,10 @@ func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 // storage tries and code its leaves name (walks share subtrees, so
 // consecutive roots cost only their deltas). Compact drops records that
 // are both below the height floor and unreachable from a marked root.
-// Unflushed roots have no records to keep. Caller holds n.mu.
+// Unflushed roots have no records to keep. The mark reads every retained
+// trie through the store, so it is not started unless a sealed segment
+// holds a record old enough to drop: a store of one segment never
+// sweeps. Caller holds n.mu.
 func (n *Node) pruneDiskLocked() {
 	d := n.disk
 	w := n.retention()
@@ -150,6 +153,9 @@ func (n *Node) pruneDiskLocked() {
 	}
 	d.prunedHeight = head
 	floor := head - uint64(w)
+	if !d.store.SealedBelow(floor) {
+		return
+	}
 	marker := nodestore.NewMarker()
 	// A root the store lacks has nothing to keep: an unflushed block's, or
 	// a storage trie named by a leaf written before storage was kept here.

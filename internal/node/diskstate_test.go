@@ -44,6 +44,7 @@ type diskOpts struct {
 	ckptEvery uint64 // 0 = diskCkptEvery
 	executor  state.Executor
 	cache     int64 // node-store cache budget (0 = default, negative = none)
+	segment   int64 // node-store segment size (0 = 256 bytes)
 	memory    bool  // no node store: the memory backend over the same WAL
 }
 
@@ -74,7 +75,10 @@ func diskNodeWith(t *testing.T, dir string, o diskOpts) (*Node, *wal.DurableStor
 	t.Cleanup(func() { ds.Close() })
 	var ns *nodestore.Store
 	if !o.memory {
-		ns, err = nodestore.Open(filepath.Join(dir, "state"), nodestore.Options{Sync: nodestore.SyncNever, SegmentSize: 256, CacheBytes: o.cache})
+		if o.segment == 0 {
+			o.segment = 256
+		}
+		ns, err = nodestore.Open(filepath.Join(dir, "state"), nodestore.Options{Sync: nodestore.SyncNever, SegmentSize: o.segment, CacheBytes: o.cache})
 		if err != nil {
 			t.Fatalf("nodestore.Open: %v", err)
 		}
@@ -278,6 +282,49 @@ func TestDiskStateReorgAcrossFlushBoundary(t *testing.T) {
 		t.Fatalf("recovered head %s, want branch B tip", n2.Chain().Head().Short())
 	}
 	checkHeadProof(t, n2, miners[103])
+}
+
+// TestSweepNeedsASealedSegmentBelowTheFloor: Compact never rewrites the
+// active segment, so over a store of one segment the sweep that falls
+// due has nothing it could drop and does not start — no mark walk (no
+// read of the store), no prune counted. The same chain over tiny
+// segments sweeps at the same height.
+func TestSweepNeedsASealedSegmentBelowTheFloor(t *testing.T) {
+	for name, segment := range map[string]int64{"one segment": nodestore.DefaultSegmentSize, "many": 0} {
+		t.Run(name, func(t *testing.T) {
+			n, _, ns, genesis, err := diskNodeWith(t, t.TempDir(), diskOpts{retention: 12, segment: segment})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd := diskChainBuilder(t, genesis)
+			_, miners := diskAlloc()
+			blocks := rotate(bd, genesis, 64, miners[:100])
+			handleAll(t, n, blocks) // the 64th flushes, checkpoints and is where the sweep falls due
+			if n.disk.prunedHeight != 64 {
+				t.Fatalf("pruned height %d: the sweep was not due at 64", n.disk.prunedHeight)
+			}
+			// Due again, with nothing else going on: what the store is
+			// read for now, the sweep reads it for.
+			before := ns.Stats()
+			n.mu.Lock()
+			n.disk.prunedHeight = 0
+			n.pruneDiskLocked()
+			n.mu.Unlock()
+			after, m := ns.Stats(), n.Metrics()
+			if m.DiskErrors != 0 {
+				t.Fatalf("%d disk errors", m.DiskErrors)
+			}
+			if after.Segments == 1 {
+				if reads := after.Reads - before.Reads; reads != 0 || m.DiskPrunes != 0 || after.Dropped != 0 {
+					t.Fatalf("one segment: %d store reads, %d prunes, %d dropped; want no sweep", reads, m.DiskPrunes, after.Dropped)
+				}
+				return
+			}
+			if m.DiskPrunes != 2 || after.Dropped == 0 || after.Reads == before.Reads {
+				t.Fatalf("%d segments: %d prunes, %d dropped; want the sweep at 64 and the one forced after it", after.Segments, m.DiskPrunes, after.Dropped)
+			}
+		})
+	}
 }
 
 // TestDiskStatePrunesFlushedRoots: the sweep keeps every flushed root of
@@ -546,6 +593,32 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 		}
 		carryOn(t, n2, ns2, blocks)
 	})
+	// A state/ written in the node store's previous format is not read:
+	// the store refuses it untouched and says what to do, and doing that
+	// is the case above.
+	t.Run("v1-format", func(t *testing.T) {
+		dir, blocks := build(t, nil)
+		stateDir := filepath.Join(dir, "state")
+		if err := os.RemoveAll(stateDir); err != nil {
+			t.Fatal(err)
+		}
+		copyFiles(t, stateDir, "../nodestore/testdata/v1-store")
+		_, err := nodestore.Open(stateDir, nodestore.Options{Sync: nodestore.SyncNever})
+		if err == nil || !strings.Contains(err.Error(), "DCSNS001") || !strings.Contains(err.Error(), "remove "+stateDir) {
+			t.Fatalf("Open of a DCSNS001 state directory = %v, want a refusal naming the magic and the remedy", err)
+		}
+		if left, _ := os.ReadDir(stateDir); len(left) != 1 {
+			t.Fatalf("the refused directory holds %d files, want it untouched", len(left))
+		}
+		if err := os.RemoveAll(stateDir); err != nil { // the remedy
+			t.Fatal(err)
+		}
+		n2, _, ns2, _ := diskNode(t, dir, -1)
+		if h := n2.disk.flushedHeight; h != 0 {
+			t.Fatalf("flushed height %d: want a replay of the journal from the genesis trie", h)
+		}
+		carryOn(t, n2, ns2, blocks)
+	})
 	t.Run("refuses", func(t *testing.T) {
 		dir, blocks := build(t, nil)
 		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
@@ -584,7 +657,7 @@ func TestCrashMatrixTornFlush(t *testing.T) {
 					t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
 				}
 			}
-			ns1.SetFailpoint(mode, 3) // third record of the flush at 16
+			ns1.SetFailpoint(mode, 3) // third frame of the flush at 16
 			for _, b := range blocks[15:20] {
 				if err := n1.HandleBlock(b); err != nil {
 					t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)

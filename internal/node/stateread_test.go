@@ -307,15 +307,17 @@ func heapTestNode(t *testing.T, ns *nodestore.Store, accounts int) (*Node, crypt
 // TestHeapIndependentOfAccountCount: a disk-backend node holds nothing
 // per account. Its state is a trie in the node store read through the
 // store's bounded cache, so twenty times the accounts leave the node's
-// live heap — cache at its budget included — where it was. The store's own index (hash → file position,
-// one entry per trie node: docs/ARCHITECTURE.md "What grows") is measured
-// apart, by opening the same directory with no node in front of it.
+// live heap — cache at its budget included — where it was. The store's
+// own index (hash prefix → file position, one entry per trie node:
+// docs/ARCHITECTURE.md "What grows") is measured apart, by opening the
+// same directory with no node in front of it, and held to 32 bytes a
+// record.
 func TestHeapIndependentOfAccountCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200 000-account state directory")
 	}
 	const cache = 4 << 20
-	liveHeap := func(accounts int) (node, index uint64) {
+	liveHeap := func(accounts int) (node, index uint64, records int) {
 		dir := t.TempDir()
 		open := func() *nodestore.Store {
 			ns, err := nodestore.Open(filepath.Join(dir, "state"), nodestore.Options{Sync: nodestore.SyncNever, CacheBytes: cache})
@@ -349,14 +351,19 @@ func TestHeapIndependentOfAccountCount(t *testing.T) {
 		ns = open()
 		_, after = heapAfterGC()
 		index = after - before - empty
+		records = ns.Stats().Records
 		ns.Close()
-		return total - index, index
+		return total - index, index, records
 	}
-	smallNode, smallIndex := liveHeap(10_000)
-	largeNode, largeIndex := liveHeap(200_000)
-	t.Logf("live heap of the node over its store: %d KiB at 10 000 accounts, %d KiB at 200 000 (store index apart: %d KiB, %d KiB = %.0f B per account)",
-		smallNode>>10, largeNode>>10, smallIndex>>10, largeIndex>>10, float64(largeIndex-smallIndex)/190_000)
+	smallNode, smallIndex, _ := liveHeap(10_000)
+	largeNode, largeIndex, records := liveHeap(200_000)
+	perRecord := float64(largeIndex) / float64(records)
+	t.Logf("live heap of the node over its store: %d KiB at 10 000 accounts, %d KiB at 200 000 (store index apart: %d KiB, %d KiB = %.0f B per account, %.1f B for each of %d records)",
+		smallNode>>10, largeNode>>10, smallIndex>>10, largeIndex>>10, float64(largeIndex-smallIndex)/190_000, perRecord, records)
 	if float64(largeNode) > 1.3*float64(smallNode) {
 		t.Fatalf("the node's live heap grew from %d KiB to %d KiB with the account count: something is kept per account", smallNode>>10, largeNode>>10)
+	}
+	if perRecord > 32 {
+		t.Fatalf("the store's index holds %.1f bytes per record, want at most 32", perRecord)
 	}
 }

@@ -1,9 +1,12 @@
 package nodestore
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/seglog"
+	"dcsledger/internal/wire"
 )
 
 // Batch stages encoded nodes for one atomic commit. The trie layers
@@ -58,7 +61,7 @@ func (b *Batch) Len() int { return len(b.order) }
 
 // Commit appends every staged record in staging order, flushes per
 // the store's sync policy, and publishes the index entries. On error
-// nothing is published (any partially appended frames are unreachable
+// nothing is published (any frames already appended are unreachable
 // garbage, reclaimed by the next compaction). The batch is drained
 // and reusable afterwards only via a fresh NewBatch.
 func (b *Batch) Commit() error {
@@ -68,29 +71,22 @@ func (b *Batch) Commit() error {
 	s := b.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.commitBatchLocked(b)
-}
-
-func (s *Store) commitBatchLocked(b *Batch) error {
 	if s.log.Closed() {
 		return ErrClosed
 	}
-	refs := make(map[cryptoutil.Hash]ref, len(b.order))
-	var frame []byte
+	recs := make([]record, 0, len(b.order))
 	for _, h := range b.order {
-		if _, dup := s.index[h]; dup {
-			continue // already on disk — idempotent by content address
+		if _, dup := s.lookupLocked(h); !dup { // else on disk already: idempotent by content address
+			recs = append(recs, record{h, b.nodes[h]})
 		}
-		frame = encodeFrame(frame[:0], b.height, h, b.nodes[h])
-		r, err := s.appendLocked(frame, b.height)
-		if err != nil {
-			return err
-		}
-		refs[h] = r
 	}
-	if len(refs) == 0 {
-		b.order, b.nodes = nil, map[cryptoutil.Hash][]byte{}
+	b.order, b.nodes = nil, map[cryptoutil.Hash][]byte{}
+	if len(recs) == 0 {
 		return nil
+	}
+	locs, err := s.appendLocked(b.height, recs)
+	if err != nil {
+		return err
 	}
 	if err := s.log.MaybeSync(); err != nil {
 		return err
@@ -98,10 +94,126 @@ func (s *Store) commitBatchLocked(b *Batch) error {
 	// Publish only after the records (and, under SyncAlways, their
 	// fsync) succeeded: a reader can never resolve a hash to bytes
 	// that a crash could take away out from under a sealed commit.
-	for h, r := range refs {
-		s.index[h] = r
+	for i, r := range recs {
+		s.ix.add(r.key, locs[i])
 	}
-	s.stats.appends += uint64(len(refs))
-	b.order, b.nodes = nil, map[cryptoutil.Hash][]byte{}
+	s.stats.appends += uint64(len(recs))
 	return nil
+}
+
+// record is one node as a frame carries it.
+type record struct {
+	key     cryptoutil.Hash
+	payload []byte
+}
+
+// A frame body is one batch, or one chunk of a batch too large for a
+// frame, all at one height:
+//
+//	uvarint height | uvarint count | count x { 32B key | uvarint len | payload }
+//
+// with every uvarint in its shortest form and count at least one, so a
+// body has exactly one encoding.
+
+// frameOverhead bounds what a body holds beside its records.
+const frameOverhead = 2 * binary.MaxVarintLen64
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// recordLen is the byte length of a record with such a payload.
+func recordLen(payloadLen int) int {
+	return cryptoutil.HashSize + uvarintLen(uint64(payloadLen)) + payloadLen
+}
+
+// frameTakes returns how many of recs the next frame carries: as many as
+// fit in limit bytes, and at least one.
+func frameTakes(recs []record, limit int) int {
+	n, size := 0, 0
+	for n < len(recs) {
+		if size += recordLen(len(recs[n].payload)); n > 0 && size > limit {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// encodeFrame appends to dst the frame that carries recs at height.
+func encodeFrame(dst []byte, height uint64, recs []record) []byte {
+	var body wire.Buffer
+	body.Uvarint(height)
+	body.Uvarint(uint64(len(recs)))
+	for _, r := range recs {
+		body.Raw(r.key[:])
+		body.VarBlob(r.payload)
+	}
+	return seglog.AppendFrame(dst, body.Bytes())
+}
+
+// appendLocked writes recs at height as frames (see frameTakes), in
+// order, and returns where each record landed. Nothing is synced or
+// indexed.
+func (s *Store) appendLocked(height uint64, recs []record) ([]loc, error) {
+	locs := make([]loc, 0, len(recs))
+	var frame []byte
+	for len(recs) > 0 {
+		n := frameTakes(recs, s.frameBody)
+		frame = encodeFrame(frame[:0], height, recs[:n])
+		seg, off, err := s.log.Append(frame, nil)
+		if err != nil {
+			return nil, err
+		}
+		if seg > maxSegment {
+			return nil, fmt.Errorf("nodestore: segment %d is beyond what an index entry addresses", seg)
+		}
+		if lo, ok := s.minHeight[seg]; !ok || height < lo {
+			s.minHeight[seg] = height
+		}
+		off += int64(seglog.FrameHeaderLen + uvarintLen(height) + uvarintLen(uint64(n)))
+		for _, r := range recs[:n] {
+			locs = append(locs, makeLoc(seg, off, len(r.payload)))
+			off += int64(recordLen(len(r.payload)))
+		}
+		recs = recs[n:]
+	}
+	return locs, nil
+}
+
+// parseFrame decodes a frame body into recs[:0] (keys copied, payloads
+// aliasing body; offsets are of each key from the start of the body). ok
+// is false unless body is the one encoding of its content.
+func parseFrame(body []byte, recs []framed) (height uint64, _ []framed, ok bool) {
+	recs = recs[:0]
+	height, n := wire.Uvarint(body)
+	count, m := wire.Uvarint(body[n:])
+	if n == 0 || m == 0 || count == 0 {
+		return 0, recs, false
+	}
+	for at := n + m; at < len(body); {
+		if len(body)-at < cryptoutil.HashSize {
+			return 0, recs, false
+		}
+		r := framed{off: at}
+		at += copy(r.key[:], body[at:])
+		size, k := wire.Uvarint(body[at:])
+		if k == 0 || size > MaxNodeLen || uint64(len(body)-at-k) < size {
+			return 0, recs, false
+		}
+		r.payload = body[at+k : at+k+int(size)]
+		at += k + int(size)
+		recs = append(recs, r)
+	}
+	return height, recs, uint64(len(recs)) == count
+}
+
+// framed is a record as parseFrame found it.
+type framed struct {
+	record
+	off int
 }

@@ -40,6 +40,21 @@ func (m *Marker) Marked(h cryptoutil.Hash) bool {
 // Len returns the number of marked hashes.
 func (m *Marker) Len() int { return len(m.keep) }
 
+// SealedBelow reports whether a sealed segment holds a record committed
+// below floor: whether Compact(m, floor) could drop anything, whatever m
+// marks. It reads nothing.
+func (s *Store) SealedBelow(floor uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	segs := s.log.Segments()
+	for _, seg := range segs[:len(segs)-1] {
+		if s.minHeight[seg] < floor {
+			return true
+		}
+	}
+	return false
+}
+
 // Compact removes records that are neither marked live nor at/above
 // the height floor. Live records in victim segments are copied
 // forward into the active segment before the victim is deleted, so a
@@ -55,74 +70,91 @@ func (s *Store) Compact(m *Marker, floor uint64) (int, error) {
 	// A sealed segment is a victim if it holds at least one dead
 	// record; the active segment is never rewritten in place.
 	segs := s.log.Segments()
-	active := segs[len(segs)-1]
-	dead := make(map[uint64]int)
-	for h, r := range s.index {
-		if r.seg != active && r.height < floor && (m == nil || !m.Marked(h)) {
-			dead[r.seg]++
-		}
-	}
-	if len(dead) == 0 {
-		return 0, nil
-	}
-
 	dropped := 0
-	for _, seg := range segs {
-		if dead[seg] == 0 {
+	for _, seg := range segs[:len(segs)-1] {
+		if s.minHeight[seg] >= floor {
 			continue
 		}
 		n, err := s.compactSegmentLocked(seg, m, floor)
+		dropped += n
 		if err != nil {
 			return dropped, err
 		}
-		dropped += n
 	}
-	s.stats.compactions++
-	s.stats.dropped += uint64(dropped)
+	if dropped > 0 {
+		s.stats.compactions++
+		s.stats.dropped += uint64(dropped)
+	}
 	return dropped, nil
 }
 
-// compactSegmentLocked copies the live records of seg into the active
-// segment, fsyncs, republishes their index entries, and deletes seg.
-// Dead records are dropped from the index and the decoded cache.
+// compactSegmentLocked rewrites seg if it holds a dead record: its live
+// records are copied into the active segment and fsynced, their index
+// entries republished, the dead ones dropped from the index and the
+// decoded cache, and seg deleted. It returns how many were dropped.
 func (s *Store) compactSegmentLocked(seg uint64, m *Marker, floor uint64) (int, error) {
-	dropped := 0
-	var frame []byte
-	_, err := s.log.ScanSegment(seg, nil,
-		func(_ int64, body []byte) error {
-			height, h, payload, ok := decodeRecord(body)
-			if !ok {
-				return seglog.ErrDamaged
-			}
-			r, ok := s.index[h]
-			if !ok || r.seg != seg {
-				return nil // superseded by a newer copy elsewhere
-			}
-			if height < floor && (m == nil || !m.Marked(h)) {
-				delete(s.index, h)
-				s.cache.drop(h)
-				dropped++
-				return nil
-			}
-			frame = encodeFrame(frame[:0], height, h, payload)
-			r, err := s.appendLocked(frame, height)
-			if err != nil {
-				return fmt.Errorf("nodestore: compact copy: %w", err)
-			}
-			s.index[h] = r
-			return nil
-		})
-	if errors.Is(err, seglog.ErrDamaged) {
-		// A sealed segment that scanned clean at Open no longer does.
-		return dropped, fmt.Errorf("%w: %s: %v", ErrCorrupt, format.SegmentName(seg), err)
+	dead, err := s.sweepSegmentLocked(seg, m, floor, false)
+	if err != nil || dead == 0 {
+		return 0, err
 	}
-	if err != nil {
-		return dropped, err
+	if _, err := s.sweepSegmentLocked(seg, m, floor, true); err != nil {
+		return 0, err
 	}
 	// Durability point: the copies must be on stable storage before
 	// the originals can go away.
 	if err := s.log.Sync(); err != nil {
-		return dropped, err
+		return 0, err
 	}
-	return dropped, s.log.Remove(seg)
+	delete(s.minHeight, seg)
+	return dead, s.log.Remove(seg)
+}
+
+// sweepSegmentLocked scans seg and counts its dead records: below the
+// floor, unmarked, and the copy the index names (one it places elsewhere
+// is superseded, neither live nor dead). With rewrite it also drops them
+// from the index and copies the live ones forward, frame by frame.
+func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite bool) (dead int, err error) {
+	var (
+		recs []framed
+		live []record
+		from []loc
+	)
+	_, err = s.log.ScanSegment(seg, nil,
+		func(off int64, body []byte) error {
+			height, parsed, ok := parseFrame(body, recs)
+			if recs = parsed; !ok {
+				return seglog.ErrDamaged
+			}
+			live, from = live[:0], from[:0]
+			for _, r := range recs {
+				at := makeLoc(seg, off+int64(seglog.FrameHeaderLen+r.off), len(r.payload))
+				switch {
+				case !s.ix.holds(r.key, at):
+				case height < floor && (m == nil || !m.Marked(r.key)):
+					dead++
+					if rewrite {
+						s.ix.remove(r.key, at)
+						s.cache.drop(r.key)
+					}
+				case rewrite:
+					live, from = append(live, r.record), append(from, at)
+				}
+			}
+			if len(live) == 0 {
+				return nil
+			}
+			to, err := s.appendLocked(height, live)
+			if err != nil {
+				return fmt.Errorf("nodestore: compact copy: %w", err)
+			}
+			for i, r := range live {
+				s.ix.move(r.key, from[i], to[i])
+			}
+			return nil
+		})
+	if errors.Is(err, seglog.ErrDamaged) {
+		// A sealed segment that scanned clean at Open no longer does.
+		err = fmt.Errorf("%w: %s: %v", ErrCorrupt, format.SegmentName(seg), err)
+	}
+	return dead, err
 }

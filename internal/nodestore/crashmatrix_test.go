@@ -12,14 +12,15 @@ import (
 )
 
 // recordingSink stages a trie commit into a batch and remembers what
-// was staged, so a test can tell the failed batch's nodes apart.
+// was staged, in order, so a test can tell the failed batch's nodes
+// apart and cut them into the frames the store will.
 type recordingSink struct {
 	*Batch
-	staged map[cryptoutil.Hash][]byte
+	staged []record
 }
 
 func (r *recordingSink) Put(h cryptoutil.Hash, enc []byte) error {
-	r.staged[h] = append([]byte(nil), enc...)
+	r.staged = append(r.staged, record{h, append([]byte(nil), enc...)})
 	return r.Batch.Put(h, enc)
 }
 
@@ -52,15 +53,18 @@ func walkAll(t *testing.T, s *Store, root cryptoutil.Hash) int {
 }
 
 // TestCrashMatrixNodeStore arms the shared segment-log failpoint on the
-// first, a middle and the last frame of a multi-node Batch.Commit, for
-// every failure mode and sync policy. The crashed commit must publish
-// nothing; after reopen the index holds only whole frames, every root
-// committed and synced before it (what a WAL checkpoint would name)
-// still walks completely, and a fresh batch commits on top.
+// first, a middle and the last frame of a Batch.Commit chunked into
+// several, and on the only frame of one that fits a single frame, for
+// every failure mode and sync policy: a cut falls between two frames of
+// the batch, a torn or garbled write inside one. The crashed commit must
+// publish nothing; after reopen the index holds the records of the
+// frames written whole before it and none of the hit frame's or a later
+// one's, every root committed and synced before (what a WAL checkpoint
+// would name) still walks completely, and a fresh batch commits on top.
 func TestCrashMatrixNodeStore(t *testing.T) {
 	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-			for _, where := range []string{"first", "middle", "last"} {
+			for _, where := range []string{"first", "middle", "last", "only"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", mode, policy, where), func(t *testing.T) {
 					crashMatrixCell(t, mode, policy, where)
 				})
@@ -71,9 +75,13 @@ func TestCrashMatrixNodeStore(t *testing.T) {
 
 func crashMatrixCell(t *testing.T, mode seglog.FailMode, policy SyncPolicy, where string) {
 	dir := t.TempDir()
-	// 1 KiB segments: the store rotates several times, so some cells
-	// crash in a segment the failed batch itself opened.
+	// 1 KiB segments, and so frames of at most 1 KiB: the store rotates
+	// several times, some cells crash in a segment the failed batch
+	// itself opened, and the doomed batch is a handful of frames.
 	opts := Options{Sync: policy, SegmentSize: 1 << 10, CacheBytes: -1}
+	if where == "only" {
+		opts.SegmentSize = 1 << 20
+	}
 	s := testOpen(t, dir, opts)
 
 	tr := mpt.New()
@@ -94,46 +102,55 @@ func crashMatrixCell(t *testing.T, mode seglog.FailMode, policy SyncPolicy, wher
 	for i := 0; i < 12; i++ {
 		doomed = doomed.Set([]byte(fmt.Sprintf("key-%03d", i*5)), []byte(fmt.Sprintf("doomed-%d", i)))
 	}
-	sink := &recordingSink{Batch: s.NewBatch(4), staged: map[cryptoutil.Hash][]byte{}}
+	sink := &recordingSink{Batch: s.NewBatch(4)}
 	if _, err := doomed.Commit(sink); err != nil {
 		t.Fatal(err)
 	}
-	n := sink.Len()
-	if n < 3 {
-		t.Fatalf("doomed batch has %d nodes, need a multi-node batch", n)
+	var frames []int // records per frame
+	for rest := sink.staged; len(rest) > 0; rest = rest[frames[len(frames)-1]:] {
+		frames = append(frames, frameTakes(rest, s.frameBody))
 	}
-	nth := map[string]int{"first": 1, "middle": n/2 + 1, "last": n}[where]
-	before := s.Len()
+	if (where == "only") != (len(frames) == 1) || where != "only" && len(frames) < 3 {
+		t.Fatalf("doomed batch of %d nodes is %d frames", len(sink.staged), len(frames))
+	}
+	nth := map[string]int{"first": 1, "middle": len(frames)/2 + 1, "last": len(frames), "only": 1}[where]
+	whole := 0 // records of the frames before the nth
+	for _, n := range frames[:nth-1] {
+		whole += n
+	}
+	before := s.Stats().Records
 	s.SetFailpoint(mode, uint64(nth))
 	if err := sink.Commit(); !errors.Is(err, seglog.ErrCrashed) {
 		t.Fatalf("commit at failpoint: %v, want ErrCrashed", err)
 	}
-	if s.Len() != before {
-		t.Fatalf("crashed commit published %d records", s.Len()-before)
+	if got := s.Stats().Records; got != before {
+		t.Fatalf("crashed commit published %d records", got-before)
 	}
-	for h := range sink.staged {
-		if s.Has(h) {
-			t.Fatalf("crashed commit published %s", h.Short())
+	for _, r := range sink.staged {
+		if s.Has(r.key) {
+			t.Fatalf("crashed commit published %s", r.key.Short())
 		}
 	}
 	s.Close()
 
 	// Reopen: the frames written before the crash are whole and indexed
-	// (unreachable garbage until a later batch names them), the torn or
-	// garbled one is gone, and nothing else was lost.
+	// (unreachable garbage until a later batch names them), the cut, torn
+	// or garbled one contributes nothing, and nothing else was lost.
 	s2 := testOpen(t, dir, opts)
-	if got, want := s2.Len(), before+nth-1; got != want {
+	if got, want := s2.Stats().Records, before+whole; got != want {
 		t.Fatalf("reopened index holds %d records, want %d", got, want)
 	}
 	if torn := s2.Stats().TornBytes; (mode == seglog.FailCut) != (torn == 0) {
 		t.Fatalf("mode %s: %d torn bytes", mode, torn)
 	}
-	for h, enc := range sink.staged {
-		if !s2.Has(h) {
-			continue
-		}
-		if got, err := s2.Get(h); err != nil || !bytes.Equal(got, enc) {
-			t.Fatalf("surviving frame %s: %v", h.Short(), err)
+	for i, r := range sink.staged {
+		got, err := getRaw(s2, r.key)
+		if i >= whole {
+			if !errors.Is(err, ErrNotFound) || s2.Has(r.key) {
+				t.Fatalf("record %d of the hit frame or a later one was published (%v)", i, err)
+			}
+		} else if err != nil || !bytes.Equal(got, r.payload) {
+			t.Fatalf("surviving record %d %s: %v", i, r.key.Short(), err)
 		}
 	}
 	for name, root := range roots {

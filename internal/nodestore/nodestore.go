@@ -9,24 +9,30 @@
 // Layout. A store is an internal/seglog segment log (ns-XXXXXXXX.seg,
 // no header extension; see docs/PERSISTENCE.md for segments, frames,
 // rotation, repair and sync policies, none of which are restated here).
-// A record body is:
+// A frame is a committed batch, or a chunk of one, at one height:
 //
-//	u64 height | 32B node hash | payload (the encoded trie node)
+//	uvarint height | uvarint count | count x { 32B node hash | uvarint len | payload }
 //
 // Records are immutable and content-addressed: the hash IS the key, so
 // duplicate appends are idempotent and crash-duplicated records (e.g.
-// from an interrupted compaction) are harmless. The in-memory
-// hash→(segment, offset) index is rebuilt by scanning the segments at
-// Open. Segments are sealed by an fsync before rotation, so only the
-// newest can carry crash damage: a torn tail there is repaired, damage
-// in a sealed segment is ErrCorrupt and Open refuses.
+// from an interrupted compaction) are harmless. The frame's CRC covers
+// the batch and is checked by every scan; a single record is read back
+// by a positioned read of its own bytes, which the key stored with it
+// and the content hash its reader recomputes vouch for (a node that
+// fails to decode is ErrCorrupt). The in-memory index (index.go) keys
+// on the first 64 bits of the hash and holds a packed location, 20 to 30
+// bytes a record; it is rebuilt by scanning the segments at Open.
+// Segments are sealed by an fsync before rotation, so only the newest
+// can carry crash damage: a torn tail there is repaired, damage in a
+// sealed segment is ErrCorrupt and Open refuses.
 //
 // Commits are batched and atomic-by-construction: a Batch stages
 // encoded nodes, Commit appends them children-before-root (the trie
 // layers guarantee that order), fsyncs per the configured policy, and
-// only then publishes the index entries. A crash mid-batch leaves a
-// prefix of the batch on disk — unreachable garbage, never a dangling
-// reference — because the root is the last record of its batch.
+// only then publishes the index entries. A crash mid-batch leaves whole
+// frames of a prefix of the batch on disk — unreachable garbage, never
+// a dangling reference — because the root is the last record of the
+// batch's last frame, and a torn frame yields no record at all.
 //
 // Reads go through a byte-budgeted LRU cache of decoded nodes, so the
 // RAM footprint of a served trie is bounded by the cache budget rather
@@ -34,39 +40,51 @@
 // internal/metrics.
 //
 // Pruning is mark-and-compact: the trie layers mark every node
-// reachable from the retained roots, then Compact rewrites segments
-// dropping unmarked records older than a height floor (records at or
-// above the floor are kept unconditionally so in-flight commits are
-// never swept). Compaction copies live records into the active segment
-// before deleting a victim segment, so a crash at any point leaves
-// every live record present in at least one segment.
+// reachable from the retained roots, then Compact rewrites the sealed
+// segments that hold a record below a height floor, dropping those of
+// them that are unmarked (records at or above the floor are kept
+// unconditionally so in-flight commits are never swept; the heights are
+// the frames', read by the scan, not kept per record). Compaction copies
+// live records into the active segment before deleting a victim
+// segment, so a crash at any point leaves every live record present in
+// at least one segment.
 package nodestore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/seglog"
+	"dcsledger/internal/wire"
 )
 
 // Format constants.
 const (
 	// segMagic opens every segment file (8 bytes, versioned).
-	segMagic = "DCSNS001"
-	// recordHeaderLen is u64 height + 32B node hash inside the body.
-	recordHeaderLen = 8 + cryptoutil.HashSize
+	segMagic = "DCSNS002"
+	// segMagicV1 opened the segments of the per-record format this one
+	// replaced; Open refuses them rather than repair them away.
+	segMagicV1 = "DCSNS001"
 	// MaxNodeLen bounds one encoded node so a garbled length field can
 	// never force a huge allocation during an index rebuild.
 	MaxNodeLen = 4 << 20
+	// maxFrameBody is where a batch is cut into a further frame.
+	maxFrameBody = 64 << 10
+	// MaxSegmentSize bounds Options.SegmentSize: a segment, with the
+	// frame that carries it past its size, stays addressable by an index
+	// entry's offset field.
+	MaxSegmentSize = 128 << 20
 )
 
 // format is the node store's segment file format.
-var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: MaxNodeLen + recordHeaderLen}
+var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: frameOverhead + recordLen(MaxNodeLen)}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 8 << 20
@@ -124,22 +142,13 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// ref locates one record on disk: the frame starts at off within
-// segment seg and spans n bytes including the frame header.
-type ref struct {
-	seg    uint64
-	off    int64
-	n      int32
-	height uint64
-}
-
 // Stats is a snapshot of the store's counters.
 type Stats struct {
 	Records     int    // live index entries
 	Segments    int    // live segment files
 	Bytes       uint64 // frame bytes appended this session
 	Appends     uint64 // records published by batch commits this session
-	Reads       uint64 // raw record reads (cache misses + Get calls)
+	Reads       uint64 // positioned reads of segment files (cache misses, key checks)
 	Syncs       uint64 // explicit fsyncs issued on segment files
 	Rotations   uint64 // segment rotations this session
 	Compactions uint64 // Compact calls that removed at least one segment
@@ -157,24 +166,30 @@ type Stats struct {
 // store mutex (batch commit is the single-writer path, matching the
 // WAL's concurrency contract).
 type Store struct {
-	mu    sync.Mutex
-	dir   string
-	log   *seglog.Log
-	index map[cryptoutil.Hash]ref
-	cache *nodeCache
+	mu        sync.Mutex
+	dir       string
+	log       *seglog.Log
+	ix        *index
+	minHeight map[uint64]uint64 // per segment, the lowest height of its frames
+	frameBody int               // where a batch is cut into a further frame
+	cache     *nodeCache
 
 	stats struct {
 		appends, reads, compactions, dropped uint64
 	}
 }
 
-// Open opens (or creates) a node store in dir, rebuilding the
-// hash→offset index by scanning every segment. A torn or garbled tail
-// on the newest segment is truncated; damage in an older segment is
-// reported as ErrCorrupt (compaction never leaves one behind).
+// Open opens (or creates) a node store in dir, rebuilding the index by
+// scanning every segment. A torn or garbled tail on the newest segment
+// is truncated; damage in an older segment is reported as ErrCorrupt
+// (compaction never leaves one behind). A directory of DCSNS001
+// segments is refused untouched.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
+	}
+	if opts.SegmentSize > MaxSegmentSize {
+		return nil, fmt.Errorf("nodestore: segment size %d over the limit of %d", opts.SegmentSize, MaxSegmentSize)
 	}
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
@@ -189,33 +204,47 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:   dir,
-		log:   l,
-		index: make(map[cryptoutil.Hash]ref),
-		cache: newNodeCache(opts.CacheBytes),
-	}
-	damage, err := l.Scan(nil,
-		func(seg uint64, off int64, body []byte) error {
-			height, h, _, ok := decodeRecord(body)
-			if !ok {
-				return seglog.ErrDamaged
-			}
-			s.index[h] = ref{seg: seg, off: off, n: int32(seglog.FrameHeaderLen + len(body)), height: height}
-			return nil
-		})
-	if err != nil {
+	if err := refuseV1(dir, l.Segments()); err != nil {
 		return nil, err
 	}
-	if damage != nil {
+	s := &Store{
+		dir:       dir,
+		log:       l,
+		ix:        newIndex(),
+		minHeight: make(map[uint64]uint64),
+		frameBody: int(min(maxFrameBody, opts.SegmentSize)),
+		cache:     newNodeCache(opts.CacheBytes),
+	}
+	var recs []framed
+	damage, err := l.Scan(nil,
+		func(seg uint64, off int64, body []byte) error {
+			height, parsed, ok := parseFrame(body, recs)
+			if recs = parsed; !ok {
+				return seglog.ErrDamaged
+			}
+			if lo, ok := s.minHeight[seg]; !ok || height < lo {
+				s.minHeight[seg] = height
+			}
+			for _, r := range recs {
+				at := makeLoc(seg, off+int64(seglog.FrameHeaderLen+r.off), len(r.payload))
+				if err := s.indexScannedLocked(r.key, at); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	if err == nil && damage != nil {
 		if segs := l.Segments(); damage.Seg != segs[len(segs)-1] {
-			return nil, fmt.Errorf("%w: %s", ErrCorrupt, format.SegmentName(damage.Seg))
-		}
-		if err := l.Repair(*damage); err != nil {
-			return nil, err
+			err = fmt.Errorf("%w: %s", ErrCorrupt, format.SegmentName(damage.Seg))
+		} else {
+			err = l.Repair(*damage)
 		}
 	}
-	if err := l.Activate(nil); err != nil {
+	if err == nil {
+		err = l.Activate(nil)
+	}
+	if err != nil {
+		_ = l.Close() // read handles only: nothing was opened for writing
 		return nil, err
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -241,72 +270,157 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
+// refuseV1 fails when a segment opens with the magic of the format this
+// one replaced: scanning it would find damage at byte 0 and repair the
+// file away.
+func refuseV1(dir string, segs []uint64) error {
+	for _, seg := range segs {
+		f, err := os.Open(filepath.Join(dir, format.SegmentName(seg)))
+		if err != nil {
+			return fmt.Errorf("nodestore: open segment: %w", err)
+		}
+		magic := make([]byte, seglog.MagicLen)
+		_, err = io.ReadFull(f, magic)
+		f.Close()
+		if err == nil && string(magic) == segMagicV1 {
+			return fmt.Errorf("nodestore: %s is a %s segment; this version reads and writes %s only and does not convert: "+
+				"remove %s and restart, and recovery rebuilds the state from the journal", format.SegmentName(seg), segMagicV1, segMagic, dir)
+		}
+	}
+	return nil
+}
+
+// indexScannedLocked indexes a record the open-time scan found. The
+// same hash may come by twice (an interrupted compaction copied it
+// forward): the later copy wins.
+func (s *Store) indexScannedLocked(h cryptoutil.Hash, at loc) error {
+	if under := s.ix.candidates(h)[0]; under != 0 {
+		held, err := s.keyAtLocked(under)
+		if err != nil {
+			return err
+		}
+		if held == h {
+			s.ix.move(h, under, at)
+			return nil
+		}
+	}
+	s.ix.add(h, at) // under its free prefix, else in the overflow (again, if it is there)
+	return nil
+}
+
+// keyAtLocked reads the key of the record at l.
+func (s *Store) keyAtLocked(l loc) (h cryptoutil.Hash, err error) {
+	if s.log.Closed() {
+		return h, ErrClosed
+	}
+	f, err := s.log.Reader(l.seg())
+	if err == nil {
+		s.stats.reads++
+		_, err = f.ReadAt(h[:], l.off())
+	}
+	if err != nil {
+		return h, fmt.Errorf("nodestore: read key in segment %d: %w", l.seg(), err)
+	}
+	return h, nil
+}
+
+// lookupLocked returns where the record of h lies. The table entry under
+// h's prefix is believed only if the key on disk there is h; when that
+// key cannot be read, h counts as held: the read that follows reports
+// the failure, where a miss would let a sweep take the record for dead.
+func (s *Store) lookupLocked(h cryptoutil.Hash) (loc, bool) {
+	c := s.ix.candidates(h)
+	if c[0] != 0 {
+		if held, err := s.keyAtLocked(c[0]); err != nil || held == h {
+			return c[0], true
+		}
+	}
+	return c[1], c[1] != 0
+}
+
 // Has reports whether the store holds a record for h.
 func (s *Store) Has(h cryptoutil.Hash) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.index[h]
+	_, ok := s.lookupLocked(h)
 	return ok
 }
 
-// Len returns the number of records in the store.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
+// errBadRecord marks bytes at an indexed place that are not the record
+// the index entry describes.
+var errBadRecord = errors.New("malformed record")
+
+// readRecord reads the record at l from f: one positioned read of the
+// length the index holds, a second only for a payload longer than that
+// field counts. payload is a fresh slice.
+func readRecord(f io.ReaderAt, l loc) (key cryptoutil.Hash, payload []byte, err error) {
+	buf := make([]byte, recordLen(l.len()))
+	if _, err := f.ReadAt(buf, l.off()); err != nil {
+		return key, nil, err
+	}
+	rest := buf[copy(key[:], buf):]
+	size, k := wire.Uvarint(rest)
+	switch rest = rest[k:]; {
+	case k == 0 || size > MaxNodeLen || size < uint64(l.len()):
+		return key, nil, errBadRecord
+	case size == uint64(len(rest)):
+		return key, rest, nil
+	case l.len() < locMaxLen:
+		return key, nil, errBadRecord
+	}
+	payload = make([]byte, size)
+	if _, err := f.ReadAt(payload[copy(payload, rest):], l.off()+int64(len(buf))); err != nil {
+		return key, nil, err
+	}
+	return key, payload, nil
 }
 
-// Height returns the commit height recorded for h.
-func (s *Store) Height(h cryptoutil.Hash) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.index[h]
-	return r.height, ok
-}
-
-// Get returns the raw encoded node stored under h (a fresh copy). It
-// bypasses the decoded cache; resolution-path readers use Node.
-func (s *Store) Get(h cryptoutil.Hash) ([]byte, error) {
-	_, payload, err := s.read(h)
-	return payload, err
-}
-
-// read fetches and CRC-verifies the record for h. The segment read
-// happens outside the store lock on a handle that stays valid even if
-// a concurrent compaction deletes the file (POSIX keeps open files
-// readable); if the handle was closed under us the read is retried
-// once against the refreshed index.
-func (s *Store) read(h cryptoutil.Hash) (uint64, []byte, error) {
+// read fetches the payload stored under h. The segment reads happen
+// outside the store lock on handles that stay valid even if a
+// concurrent compaction deletes the file (POSIX keeps open files
+// readable); if a handle was closed under us the read is retried once
+// against the refreshed index.
+func (s *Store) read(h cryptoutil.Hash) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		if s.log.Closed() {
 			s.mu.Unlock()
-			return 0, nil, ErrClosed
+			return nil, ErrClosed
 		}
-		r, ok := s.index[h]
-		if !ok {
-			s.mu.Unlock()
-			return 0, nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
+		at := s.ix.candidates(h)
+		var files [len(at)]io.ReaderAt
+		var err error
+		for i, l := range at {
+			if l != 0 && err == nil {
+				files[i], err = s.log.Reader(l.seg())
+				s.stats.reads++
+			}
 		}
-		f, err := s.log.Reader(r.seg)
-		s.stats.reads++
 		s.mu.Unlock()
 		if err != nil {
-			return 0, nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, r.seg, err)
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
 		}
-		body, err := seglog.ReadFrameAt(f, r.off, int(r.n))
-		if err == nil {
-			height, got, payload, ok := decodeRecord(body)
-			if !ok || got != h {
-				return 0, nil, fmt.Errorf("%w: hash mismatch (index %s, record %s)", ErrCorrupt, h.Short(), got.Short())
+		var failed error
+		for i, l := range at {
+			if l == 0 {
+				continue
 			}
-			return height, payload, nil
+			key, payload, err := readRecord(files[i], l)
+			switch {
+			case err == nil && key == h:
+				return payload, nil
+			case err == nil: // another hash's record under h's prefix
+			case errors.Is(err, errBadRecord):
+				return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
+			default:
+				failed = err
+			}
 		}
-		if errors.Is(err, seglog.ErrDamaged) {
-			return 0, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
+		if failed == nil {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 		}
 		if attempt > 0 {
-			return 0, nil, err
+			return nil, fmt.Errorf("nodestore: read %s: %w", h.Short(), failed)
 		}
 	}
 }
@@ -325,44 +439,18 @@ func (s *Store) Node(h cryptoutil.Hash, decode DecodeFunc) (any, error) {
 	if v, ok := s.cache.get(h); ok {
 		return v, nil
 	}
-	_, enc, err := s.read(h)
+	enc, err := s.read(h)
 	if err != nil {
 		return nil, err
 	}
 	v, size, err := decode(h, enc)
 	if err != nil {
-		return nil, fmt.Errorf("nodestore: decode %s: %w", h.Short(), err)
+		// No checksum stands between the disk and this read: the
+		// decoder's verdict is how a rotten record shows.
+		return nil, fmt.Errorf("%w: decode %s: %w", ErrCorrupt, h.Short(), err)
 	}
 	s.cache.add(h, v, int64(size))
 	return v, nil
-}
-
-// encodeFrame appends the frame for (height, h, payload) to dst.
-func encodeFrame(dst []byte, height uint64, h cryptoutil.Hash, payload []byte) []byte {
-	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[:8], height)
-	copy(hdr[8:], h[:])
-	return seglog.AppendFrame(dst, hdr[:], payload)
-}
-
-// decodeRecord parses a frame body; false if it is too short to hold a
-// record header. payload aliases body.
-func decodeRecord(body []byte) (height uint64, h cryptoutil.Hash, payload []byte, ok bool) {
-	if len(body) < recordHeaderLen {
-		return 0, h, nil, false
-	}
-	copy(h[:], body[8:])
-	return binary.BigEndian.Uint64(body), h, body[recordHeaderLen:], true
-}
-
-// appendLocked writes one record through the segment log and returns
-// its index entry; the caller publishes it once the data is synced.
-func (s *Store) appendLocked(frame []byte, height uint64) (ref, error) {
-	seg, off, err := s.log.Append(frame, nil)
-	if err != nil {
-		return ref{}, err
-	}
-	return ref{seg: seg, off: off, n: int32(len(frame)), height: height}, nil
 }
 
 // Sync forces the active segment to stable storage.
@@ -394,7 +482,7 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	ls := s.log.Stats()
 	return Stats{
-		Records:     len(s.index),
+		Records:     s.ix.len(),
 		Segments:    ls.Segments,
 		Bytes:       ls.Bytes,
 		Appends:     s.stats.appends,

@@ -12,6 +12,7 @@ import (
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
+	"dcsledger/internal/mpt"
 )
 
 func testOpen(t *testing.T, dir string, opts Options) *Store {
@@ -22,6 +23,15 @@ func testOpen(t *testing.T, dir string, opts Options) *Store {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
+}
+
+// getRaw reads the payload stored under h, undecoded.
+func getRaw(s *Store, h cryptoutil.Hash) ([]byte, error) {
+	v, err := s.Node(h, func(_ cryptoutil.Hash, enc []byte) (any, int, error) { return enc, len(enc), nil })
+	if err != nil {
+		return nil, err
+	}
+	return v.([]byte), nil
 }
 
 func putNodes(t *testing.T, s *Store, height uint64, payloads ...[]byte) []cryptoutil.Hash {
@@ -42,21 +52,21 @@ func putNodes(t *testing.T, s *Store, height uint64, payloads ...[]byte) []crypt
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := testOpen(t, t.TempDir(), Options{})
-	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, bytes.Repeat([]byte{7}, 1000)}
+	// Beside the ordinary ones: empty, and around and past what an index
+	// entry's length field counts (one read becomes two).
+	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, bytes.Repeat([]byte{7}, 1000),
+		bytes.Repeat([]byte{4}, locMaxLen-1), bytes.Repeat([]byte{5}, locMaxLen), bytes.Repeat([]byte{6}, locMaxLen+1), bytes.Repeat([]byte{8}, 20000)}
 	hashes := putNodes(t, s, 5, payloads...)
 	for i, h := range hashes {
-		got, err := s.Get(h)
+		got, err := getRaw(s, h)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
 		if !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("Get(%d) = %q, want %q", i, got, payloads[i])
 		}
-		if hgt, ok := s.Height(h); !ok || hgt != 5 {
-			t.Fatalf("Height(%d) = %d,%v, want 5,true", i, hgt, ok)
-		}
 	}
-	if _, err := s.Get(cryptoutil.HashBytes([]byte("missing"))); !errors.Is(err, ErrNotFound) {
+	if _, err := getRaw(s, cryptoutil.HashBytes([]byte("missing"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing hash: got %v, want ErrNotFound", err)
 	}
 }
@@ -78,11 +88,11 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 
 	s2 := testOpen(t, dir, Options{SegmentSize: 256})
-	if s2.Len() != len(hashes) {
-		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(hashes))
+	if s2.Stats().Records != len(hashes) {
+		t.Fatalf("reopened Len = %d, want %d", s2.Stats().Records, len(hashes))
 	}
 	for i, h := range hashes {
-		got, err := s2.Get(h)
+		got, err := getRaw(s2, h)
 		if err != nil || !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("reopened Get(%d) = %q,%v", i, got, err)
 		}
@@ -90,7 +100,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 }
 
 func TestDuplicatePutIsIdempotent(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{})
+	s := testOpen(t, t.TempDir(), Options{SegmentSize: 64})
 	p := []byte("same-node")
 	h := cryptoutil.HashBytes(p)
 	putNodes(t, s, 1, p)
@@ -109,9 +119,12 @@ func TestDuplicatePutIsIdempotent(t *testing.T) {
 	if got := s.Stats().Appends; got != before {
 		t.Fatalf("duplicate commit appended %d records", got-before)
 	}
-	// The original height wins (records are immutable).
-	if hgt, _ := s.Height(h); hgt != 1 {
-		t.Fatalf("height rewritten to %d", hgt)
+	// The original height wins (records are immutable): with nothing
+	// marked, a floor between the two commits drops it.
+	putNodes(t, s, 2, bytes.Repeat([]byte{1}, 100))
+	putNodes(t, s, 2, bytes.Repeat([]byte{2}, 100)) // seals the first segment
+	if n, err := s.Compact(NewMarker(), 2); err != nil || n != 1 || s.Has(h) {
+		t.Fatalf("Compact below the second commit dropped %d (%v), record still held: %v", n, err, s.Has(h))
 	}
 }
 
@@ -125,7 +138,7 @@ func TestTornTailRepair(t *testing.T) {
 	}
 
 	// Tear the last record: chop a few bytes off the newest segment.
-	path := filepath.Join(dir, segName(1))
+	path := filepath.Join(dir, format.SegmentName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -135,23 +148,23 @@ func TestTornTailRepair(t *testing.T) {
 	}
 
 	s2 := testOpen(t, dir, Options{})
-	if s2.Len() != 2 {
-		t.Fatalf("after repair Len = %d, want 2", s2.Len())
+	if s2.Stats().Records != 2 {
+		t.Fatalf("after repair Len = %d, want 2", s2.Stats().Records)
 	}
 	if s2.Stats().TornBytes == 0 {
 		t.Fatal("expected TornBytes > 0")
 	}
 	for _, h := range hashes {
-		if _, err := s2.Get(h); err != nil {
+		if _, err := getRaw(s2, h); err != nil {
 			t.Fatalf("intact record lost: %v", err)
 		}
 	}
-	if _, err := s2.Get(lost[0]); !errors.Is(err, ErrNotFound) {
+	if _, err := getRaw(s2, lost[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("torn record: got %v, want ErrNotFound", err)
 	}
 	// The store must append cleanly after the repair.
 	again := putNodes(t, s2, 3, []byte("after-repair"))
-	if _, err := s2.Get(again[0]); err != nil {
+	if _, err := getRaw(s2, again[0]); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 }
@@ -172,7 +185,7 @@ func TestGarbledInteriorSegmentIsCorrupt(t *testing.T) {
 	}
 
 	// Flip a byte inside the FIRST segment: not a tail, must refuse.
-	path := filepath.Join(dir, segName(1))
+	path := filepath.Join(dir, format.SegmentName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +266,44 @@ func TestDecodeErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestRottenRecordIsCorrupt: no checksum is verified when one record is
+// read back, so the reader's own hash check is what catches bit rot —
+// as ErrCorrupt, never as a served node or an absent key; a rotten key
+// makes the hash unknown to the store, which the trie reports as a
+// missing node, not an absent key either.
+func TestRottenRecordIsCorrupt(t *testing.T) {
+	for name, into := range map[string]int64{"payload": cryptoutil.HashSize + 3, "key": 5} {
+		dir := t.TempDir()
+		s := testOpen(t, dir, Options{CacheBytes: -1})
+		tr := mpt.New().Set([]byte("key"), []byte("value"))
+		b := s.NewBatch(1)
+		root, err := tr.Commit(b)
+		if err != nil || b.Commit() != nil {
+			t.Fatal("commit failed")
+		}
+		if v, ok, err := mpt.Load(root, 1, s).TryGet([]byte("key")); err != nil || !ok || string(v) != "value" {
+			t.Fatalf("%s: before the rot: %q, %v, %v", name, v, ok, err)
+		}
+		f, err := os.OpenFile(filepath.Join(dir, format.SegmentName(1)), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := s.ix.candidates(root)[0].off() + into
+		var one [1]byte
+		if _, err := f.ReadAt(one[:], at); err != nil {
+			t.Fatal(err)
+		}
+		one[0] ^= 0x40
+		if _, err := f.WriteAt(one[:], at); err != nil || f.Close() != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := mpt.Load(root, 1, s).TryGet([]byte("key"))
+		if want := map[string]error{"payload": ErrCorrupt, "key": ErrNotFound}[name]; !errors.Is(err, want) || ok {
+			t.Fatalf("%s rotten: found %v, err %v; want %v", name, ok, err, want)
+		}
+	}
+}
+
 func TestCompactDropsUnmarkedBelowFloor(t *testing.T) {
 	dir := t.TempDir()
 	s := testOpen(t, dir, Options{SegmentSize: 128})
@@ -282,7 +333,7 @@ func TestCompactDropsUnmarkedBelowFloor(t *testing.T) {
 		}
 	}
 	for _, h := range append(marked, recent...) {
-		if got, err := s.Get(h); err != nil || len(got) == 0 {
+		if got, err := getRaw(s, h); err != nil || len(got) == 0 {
 			t.Fatalf("live record lost: %v", err)
 		}
 	}
@@ -312,7 +363,7 @@ func TestCompactThenReadRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				h := hashes[(g*53+i)%len(hashes)]
-				if got, err := s.Get(h); err != nil || len(got) == 0 {
+				if got, err := getRaw(s, h); err != nil || len(got) == 0 {
 					t.Errorf("Get during compact: %v", err)
 					return
 				}
@@ -363,7 +414,7 @@ func TestClosedStoreRejectsOps(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(h); !errors.Is(err, ErrClosed) {
+	if _, err := getRaw(s, h); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get after close: %v", err)
 	}
 	b := s.NewBatch(2)
@@ -409,7 +460,7 @@ func TestConcurrentBatchesAndReads(t *testing.T) {
 					t.Errorf("Commit: %v", err)
 					return
 				}
-				if got, err := s.Get(h); err != nil || !bytes.Equal(got, p) {
+				if got, err := getRaw(s, h); err != nil || !bytes.Equal(got, p) {
 					t.Errorf("readback: %q, %v", got, err)
 					return
 				}
@@ -417,7 +468,7 @@ func TestConcurrentBatchesAndReads(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", s.Len())
+	if s.Stats().Records != 200 {
+		t.Fatalf("Len = %d, want 200", s.Stats().Records)
 	}
 }

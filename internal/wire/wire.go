@@ -88,6 +88,15 @@ func (w *Buffer) Blob(b []byte) {
 	w.Raw(b)
 }
 
+// Uvarint appends v as a base-128 varint (encoding/binary's).
+func (w *Buffer) Uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+
+// VarBlob appends a uvarint length prefix followed by b.
+func (w *Buffer) VarBlob(b []byte) {
+	w.Uvarint(uint64(len(b)))
+	w.Raw(b)
+}
+
 // String appends a u16 length prefix followed by the string bytes.
 // Strings longer than 65535 bytes are a caller bug; they are truncated
 // by the prefix width, so callers must bound them first (every format
@@ -222,6 +231,46 @@ func (r *Reader) Blob(max uint32) []byte {
 	out := make([]byte, n)
 	copy(out, b)
 	return out
+}
+
+// Uvarint decodes a base-128 varint from the front of b and returns it
+// with the number of bytes it took; n is 0 when b ends inside the
+// varint, the value overflows 64 bits, or the form is not the shortest
+// one for the value (encodings are canonical: no padding zero byte).
+func Uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
+// Uvarint reads a canonical base-128 varint of at most max.
+func (r *Reader) Uvarint(max uint64) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := Uvarint(r.b[r.off:])
+	if n == 0 {
+		r.fail(errors.New("wire: truncated or non-canonical uvarint"))
+		return 0
+	}
+	if v > max {
+		r.fail(fmt.Errorf("%w: uvarint %d > %d", ErrTooLarge, v, max))
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// VarBlob reads a uvarint-length-prefixed byte field of at most max
+// bytes. Zero-length blobs decode as nil. The result is a copy.
+func (r *Reader) VarBlob(max uint32) []byte {
+	b := r.take(int(r.Uvarint(uint64(max))))
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 // String reads a u16-length-prefixed string of at most max bytes.

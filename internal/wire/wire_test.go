@@ -181,3 +181,46 @@ func TestBufferReuse(t *testing.T) {
 		t.Fatalf("Len = %d", w.Len())
 	}
 }
+
+// TestUvarintIsCanonical: one value, one encoding — a varint padded
+// with a zero byte, cut short or past 64 bits is refused, and a length
+// above the caller's bound is refused before anything is taken.
+func TestUvarintIsCanonical(t *testing.T) {
+	var w Buffer
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<64 - 1} {
+		w.Uvarint(v)
+	}
+	w.VarBlob([]byte("payload"))
+	w.VarBlob(nil)
+	r := NewReader(w.Bytes())
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<64 - 1} {
+		if got := r.Uvarint(1<<64 - 1); got != v {
+			t.Fatalf("Uvarint = %d, want %d", got, v)
+		}
+	}
+	if got := r.VarBlob(16); string(got) != "payload" {
+		t.Fatalf("VarBlob = %q", got)
+	}
+	if got := r.VarBlob(16); got != nil || r.Close() != nil {
+		t.Fatalf("empty VarBlob = %v, Close = %v", got, r.Close())
+	}
+	for name, enc := range map[string][]byte{
+		"padded zero":  {0x80, 0x00},
+		"padded one":   {0x81, 0x80, 0x00},
+		"truncated":    {0x80},
+		"empty":        {},
+		"over 64 bits": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		if v, n := Uvarint(enc); n != 0 || v != 0 {
+			t.Errorf("%s: Uvarint = %d, %d; want refused", name, v, n)
+		}
+		r := NewReader(enc)
+		if r.Uvarint(1<<64 - 1); r.Err() == nil {
+			t.Errorf("%s: Reader accepted it", name)
+		}
+	}
+	r = NewReader([]byte{200, 1, 'x'})
+	if r.VarBlob(100); !errors.Is(r.Err(), ErrTooLarge) {
+		t.Fatalf("VarBlob over its bound: %v", r.Err())
+	}
+}
