@@ -87,7 +87,12 @@ func hashDir(t *testing.T, dir string) map[string]string {
 // goldenFiles pins every byte the node store puts on disk — file
 // names, segment headers, batch frames (including the ones compaction
 // copies forward) — as format DCSNS002 first wrote them.
-var goldenFiles = map[string]string{}
+var goldenFiles = map[string]string{
+	"ns-00000004.seg": "3a11ed725bdb282d840e6286e7751200e5d6aaf41d5acd4e220eae91f4a047f4",
+	"ns-00000005.seg": "d46e831b963318ab59f5f4e07709254837f09fda352a6a4d9f81372aa4e2557f",
+	"ns-00000006.seg": "dce9d208a7a8273c89386c717ea305cbce7a8a82ff8972f401036a6a5d8267fc",
+	"ns-00000007.seg": "a6c4e4bc2a107688fbd8cde51e8cb694e822f5b8745ff3d9de32da8c267d04f1",
+}
 
 func TestOnDiskGolden(t *testing.T) {
 	dir := t.TempDir()

@@ -421,7 +421,7 @@ func TestFlushGolden(t *testing.T) {
 		sum.Write(h[:])
 		sum.Write(store.nodes[h])
 	}
-	const want = "9858105963052568de6583b7ccba347c26314c2ca864fbc9d93a4f02a783c643"
+	const want = "cc0108b104f0c498b43b3a419e16df4551dccf49e43e4830982d4e89a7f51759"
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want || len(hashes) != 13 {
 		t.Fatalf("%d records, sha256 %s; want 13, %s", len(hashes), got, want)
 	}
