@@ -342,8 +342,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// The daemon's own wiring (run: flags, stores, transport, gossip, fork
 	// choice, node) exports, on either backend, exactly the series recorded
-	// from PR 17's ledgerd: same names in the same order, same bucket
-	// bounds, each rendered as `name value`.
+	// from PR 17's ledgerd (and, on disk, node_disk_sweep_seconds since):
+	// same names in the same order, same bucket bounds, each rendered as
+	// `name value`.
 	for _, backend := range []string{"memory", "disk"} {
 		want, err := os.ReadFile("testdata/metrics_" + backend + ".golden")
 		if err != nil {

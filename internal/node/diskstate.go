@@ -156,6 +156,7 @@ func (n *Node) pruneDiskLocked() {
 	if !d.store.SealedBelow(floor) {
 		return
 	}
+	sw := obs.StartTimer()
 	marker := nodestore.NewMarker()
 	// A root the store lacks has nothing to keep: an unflushed block's, or
 	// a storage trie named by a leaf written before storage was kept here.
@@ -207,11 +208,13 @@ func (n *Node) pruneDiskLocked() {
 		n.metrics.DiskErrors++
 		return // a failed mark walk must veto compaction
 	}
-	if _, err := d.store.Compact(marker, floor); err != nil {
+	dropped, err := d.store.Compact(marker, floor)
+	if err != nil {
 		n.metrics.DiskErrors++
 		return
 	}
 	n.metrics.DiskPrunes++
+	n.obs.Observe(obs.StageDiskSweep, sw.Start(), sw.Elapsed(), obs.At{Height: head, N: uint64(dropped), Block: n.chain.Head().Short()})
 }
 
 // AccountProof is a Merkle proof of one account leaf against the

@@ -287,8 +287,9 @@ func TestDiskStateReorgAcrossFlushBoundary(t *testing.T) {
 // TestSweepNeedsASealedSegmentBelowTheFloor: Compact never rewrites the
 // active segment, so over a store of one segment the sweep that falls
 // due has nothing it could drop and does not start — no mark walk (no
-// read of the store), no prune counted. The same chain over tiny
-// segments sweeps at the same height.
+// read of the store), no prune counted, no span. The same chain over
+// tiny segments sweeps at the same height, and the sweep is one
+// disk_sweep span: the head it ran at, the records it dropped.
 func TestSweepNeedsASealedSegmentBelowTheFloor(t *testing.T) {
 	for name, segment := range map[string]int64{"one segment": nodestore.DefaultSegmentSize, "many": 0} {
 		t.Run(name, func(t *testing.T) {
@@ -296,6 +297,8 @@ func TestSweepNeedsASealedSegmentBelowTheFloor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tracer := obs.NewTracer(0)
+			n.SetTracer(tracer)
 			bd := diskChainBuilder(t, genesis)
 			_, miners := diskAlloc()
 			blocks := rotate(bd, genesis, 64, miners[:100])
@@ -311,17 +314,26 @@ func TestSweepNeedsASealedSegmentBelowTheFloor(t *testing.T) {
 			n.pruneDiskLocked()
 			n.mu.Unlock()
 			after, m := ns.Stats(), n.Metrics()
+			var sweeps []obs.Span
+			for _, sp := range tracer.Snapshot() {
+				if sp.Stage == obs.StageDiskSweep {
+					sweeps = append(sweeps, sp)
+				}
+			}
 			if m.DiskErrors != 0 {
 				t.Fatalf("%d disk errors", m.DiskErrors)
 			}
 			if after.Segments == 1 {
-				if reads := after.Reads - before.Reads; reads != 0 || m.DiskPrunes != 0 || after.Dropped != 0 {
-					t.Fatalf("one segment: %d store reads, %d prunes, %d dropped; want no sweep", reads, m.DiskPrunes, after.Dropped)
+				if reads := after.Reads - before.Reads; reads != 0 || m.DiskPrunes != 0 || len(sweeps) != 0 || after.Dropped != 0 {
+					t.Fatalf("one segment: %d store reads, %d prunes, %d spans, %d dropped; want no sweep", reads, m.DiskPrunes, len(sweeps), after.Dropped)
 				}
 				return
 			}
-			if m.DiskPrunes != 2 || after.Dropped == 0 || after.Reads == before.Reads {
-				t.Fatalf("%d segments: %d prunes, %d dropped; want the sweep at 64 and the one forced after it", after.Segments, m.DiskPrunes, after.Dropped)
+			if m.DiskPrunes != 2 || len(sweeps) != 2 || after.Dropped == 0 || after.Reads == before.Reads {
+				t.Fatalf("%d segments: %d prunes, %d spans, %d dropped; want the sweep at 64 and the one forced after it", after.Segments, m.DiskPrunes, len(sweeps), after.Dropped)
+			}
+			if sp := sweeps[0]; sp.Height != 64 || sp.N != after.Dropped || sp.Block != blocks[63].Hash().Short() || sp.Dur <= 0 {
+				t.Fatalf("disk_sweep span %+v; want height 64, N %d, block %s", sp, after.Dropped, blocks[63].Hash().Short())
 			}
 		})
 	}

@@ -270,7 +270,7 @@ func New(cfg Config) (*Node, error) {
 		obs.StageStateRebuild, obs.StageBlockPropose, obs.StageTxInclusion, obs.StageWALAppend, obs.StageRecover,
 	}
 	if cfg.DiskState != nil {
-		stages = append(stages, obs.StageDiskFlush)
+		stages = append(stages, obs.StageDiskFlush, obs.StageDiskSweep)
 	}
 	n.obs = obs.NewObserver(string(cfg.ID), nil, stages...)
 	if cfg.Clock != nil {

@@ -44,6 +44,10 @@ const (
 	// StageDiskFlush is one write of unflushed account-trie nodes to the
 	// disk state store, at checkpoint cadence; N is the nodes written.
 	StageDiskFlush = "disk_flush"
+	// StageDiskSweep is one mark-and-compact sweep of the disk state
+	// store that reached the compaction (the node mutex is held
+	// throughout); N is the records dropped, the block is the head.
+	StageDiskSweep = "disk_sweep"
 	// StageBlockConnect is the full validate-and-store path (verify +
 	// state apply + tree insert).
 	StageBlockConnect = "block_connect"

@@ -19,6 +19,7 @@ var stageSeries = map[string]struct {
 	StageStateApply:   {name: "node_state_apply_seconds"},
 	StageStateCommit:  {name: "node_state_commit_seconds"},
 	StageDiskFlush:    {name: "node_disk_flush_seconds"},
+	StageDiskSweep:    {name: "node_disk_sweep_seconds"},
 	StageBlockConnect: {name: "node_block_connect_seconds"},
 	StageStateRebuild: {name: "node_state_rebuild_seconds"},
 	StageForkChoice:   {name: "forkchoice_choose_seconds"},
