@@ -90,6 +90,9 @@ func benchConnectBlock(b *testing.B, accounts int, disk bool) {
 			b.Fatal(err)
 		}
 		defer ns.Close()
+		// Everything the store was handed, genesis flush and what sweeps
+		// copied forward included.
+		defer func() { b.ReportMetric(float64(ns.Stats().Bytes)/(1<<20), "store-MB") }()
 		cfg.DiskState = ns
 	}
 	n, err := New(cfg)

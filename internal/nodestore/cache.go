@@ -104,14 +104,6 @@ func (c *nodeCache) drop(h cryptoutil.Hash) {
 	c.mu.Unlock()
 }
 
-// purge empties the cache.
-func (c *nodeCache) purge() {
-	c.mu.Lock()
-	c.items = make(map[cryptoutil.Hash]*cacheEntry)
-	c.head, c.tail, c.bytes = nil, nil, 0
-	c.mu.Unlock()
-}
-
 func (c *nodeCache) pushFrontLocked(e *cacheEntry) {
 	e.prev = nil
 	e.next = c.head
@@ -166,13 +158,6 @@ func (c *nodeCache) Bytes() int64 {
 
 // Cap returns the cache budget in bytes.
 func (c *nodeCache) Cap() int64 { return c.cap }
-
-// Len returns the number of cached entries.
-func (c *nodeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
 
 // Hits returns the cumulative hit count.
 func (c *nodeCache) Hits() uint64 { return c.hits.Load() }

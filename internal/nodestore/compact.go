@@ -37,9 +37,6 @@ func (m *Marker) Marked(h cryptoutil.Hash) bool {
 	return ok
 }
 
-// Len returns the number of marked hashes.
-func (m *Marker) Len() int { return len(m.keep) }
-
 // SealedBelow reports whether a sealed segment holds a record committed
 // below floor: whether Compact(m, floor) could drop anything, whatever m
 // marks. It reads nothing.
@@ -133,7 +130,7 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 				case height < floor && (m == nil || !m.Marked(r.key)):
 					dead++
 					if rewrite {
-						s.ix.remove(r.key, at)
+						s.ix.remove(r.key)
 						s.cache.drop(r.key)
 					}
 				case rewrite:
@@ -148,7 +145,7 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 				return fmt.Errorf("nodestore: compact copy: %w", err)
 			}
 			for i, r := range live {
-				s.ix.move(r.key, from[i], to[i])
+				s.ix.move(r.key, to[i])
 			}
 			return nil
 		})

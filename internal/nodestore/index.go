@@ -36,10 +36,11 @@ func prefix(h cryptoutil.Hash) uint64 { return binary.BigEndian.Uint64(h[:8]) }
 // index maps a node hash to the place of its record without holding the
 // hash: an open-addressing table keyed by the hash's first 64 bits, and
 // a map by full hash for the rare record whose prefix another record
-// took first. A table hit therefore names a record that may belong to
-// another hash; the store compares the key on disk before it believes
-// one (see Store.lookupLocked, Store.read). The table grows by half at
-// four fifths full, so it costs between 20 and 30 bytes a record.
+// took first (a hash is in one or the other). A table hit therefore
+// names a record that may belong to another hash; the store compares the
+// key on disk before it believes one (see Store.lookupLocked,
+// Store.read). The table grows by half at four fifths full, so it costs
+// between 20 and 30 bytes a record.
 type index struct {
 	slots []slot // linear probing from home(key); loc 0 marks a free slot
 	used  int
@@ -84,15 +85,17 @@ func (ix *index) find(key uint64) int {
 	return -1
 }
 
-// candidates returns the (at most two) places a record of h can lie: what
-// the table holds under h's prefix and h's overflow entry, zero for none.
-func (ix *index) candidates(h cryptoutil.Hash) [2]loc {
-	var c [2]loc
-	if i := ix.find(prefix(h)); i >= 0 {
-		c[0] = ix.slots[i].loc
+// lookup returns the one place a record of h can lie, zero for none, and
+// whether it is known to be h's: an overflow entry is, a table entry may
+// belong to another hash with h's prefix.
+func (ix *index) lookup(h cryptoutil.Hash) (l loc, exact bool) {
+	if l, ok := ix.over[h]; ok { // an empty map in all but adversarial stores
+		return l, true
 	}
-	c[1] = ix.over[h] // an empty map in all but adversarial stores
-	return c
+	if i := ix.find(prefix(h)); i >= 0 {
+		return ix.slots[i].loc, false
+	}
+	return 0, false
 }
 
 // add indexes a record of h, which must not be indexed yet: under its
@@ -128,30 +131,31 @@ func (ix *index) grow() {
 	}
 }
 
-// holds reports whether h is indexed at exactly l.
+// holds reports whether the index places h's record at l, where a record
+// of h does lie.
 func (ix *index) holds(h cryptoutil.Hash, l loc) bool {
-	c := ix.candidates(h)
-	return c[0] == l || c[1] == l
+	at, _ := ix.lookup(h)
+	return at == l
 }
 
-// move re-points the entry of h that names from (holds(h, from)) at to.
-func (ix *index) move(h cryptoutil.Hash, from, to loc) {
-	if i := ix.find(prefix(h)); i >= 0 && ix.slots[i].loc == from {
-		ix.slots[i].loc = to
+// move re-points the entry of h, which must be indexed, at to.
+func (ix *index) move(h cryptoutil.Hash, to loc) {
+	if _, ok := ix.over[h]; ok {
+		ix.over[h] = to
 		return
 	}
-	ix.over[h] = to
+	ix.slots[ix.find(prefix(h))].loc = to
 }
 
-// remove drops the entry of h that names l (holds(h, l)). A table slot is
+// remove drops the entry of h, which must be indexed. A table slot is
 // freed by shifting the run behind it back, so probing never meets a gap
 // between a key's home and its slot.
-func (ix *index) remove(h cryptoutil.Hash, l loc) {
-	i := ix.find(prefix(h))
-	if i < 0 || ix.slots[i].loc != l {
+func (ix *index) remove(h cryptoutil.Hash) {
+	if _, ok := ix.over[h]; ok {
 		delete(ix.over, h)
 		return
 	}
+	i := ix.find(prefix(h))
 	ix.used--
 	for j := ix.next(i); ix.slots[j].loc != 0; j = ix.next(j) {
 		// slots[j] moves into the hole at i unless its home lies

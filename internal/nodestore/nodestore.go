@@ -294,17 +294,19 @@ func refuseV1(dir string, segs []uint64) error {
 // same hash may come by twice (an interrupted compaction copied it
 // forward): the later copy wins.
 func (s *Store) indexScannedLocked(h cryptoutil.Hash, at loc) error {
-	if under := s.ix.candidates(h)[0]; under != 0 {
-		held, err := s.keyAtLocked(under)
+	held, exact := s.ix.lookup(h)
+	if held != 0 && !exact {
+		key, err := s.keyAtLocked(held)
 		if err != nil {
 			return err
 		}
-		if held == h {
-			s.ix.move(h, under, at)
-			return nil
-		}
+		exact = key == h
 	}
-	s.ix.add(h, at) // under its free prefix, else in the overflow (again, if it is there)
+	if exact {
+		s.ix.move(h, at)
+	} else {
+		s.ix.add(h, at)
+	}
 	return nil
 }
 
@@ -324,18 +326,18 @@ func (s *Store) keyAtLocked(l loc) (h cryptoutil.Hash, err error) {
 	return h, nil
 }
 
-// lookupLocked returns where the record of h lies. The table entry under
+// lookupLocked returns where the record of h lies. A table entry under
 // h's prefix is believed only if the key on disk there is h; when that
 // key cannot be read, h counts as held: the read that follows reports
 // the failure, where a miss would let a sweep take the record for dead.
 func (s *Store) lookupLocked(h cryptoutil.Hash) (loc, bool) {
-	c := s.ix.candidates(h)
-	if c[0] != 0 {
-		if held, err := s.keyAtLocked(c[0]); err != nil || held == h {
-			return c[0], true
+	l, exact := s.ix.lookup(h)
+	if l != 0 && !exact {
+		if key, err := s.keyAtLocked(l); err == nil && key != h {
+			return 0, false
 		}
 	}
-	return c[1], c[1] != 0
+	return l, l != 0
 }
 
 // Has reports whether the store holds a record for h.
@@ -375,10 +377,10 @@ func readRecord(f io.ReaderAt, l loc) (key cryptoutil.Hash, payload []byte, err 
 	return key, payload, nil
 }
 
-// read fetches the payload stored under h. The segment reads happen
-// outside the store lock on handles that stay valid even if a
+// read fetches the payload stored under h. The segment read happens
+// outside the store lock on a handle that stays valid even if a
 // concurrent compaction deletes the file (POSIX keeps open files
-// readable); if a handle was closed under us the read is retried once
+// readable); if the handle was closed under us the read is retried once
 // against the refreshed index.
 func (s *Store) read(h cryptoutil.Hash) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
@@ -387,40 +389,27 @@ func (s *Store) read(h cryptoutil.Hash) ([]byte, error) {
 			s.mu.Unlock()
 			return nil, ErrClosed
 		}
-		at := s.ix.candidates(h)
-		var files [len(at)]io.ReaderAt
-		var err error
-		for i, l := range at {
-			if l != 0 && err == nil {
-				files[i], err = s.log.Reader(l.seg())
-				s.stats.reads++
-			}
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
-		}
-		var failed error
-		for i, l := range at {
-			if l == 0 {
-				continue
-			}
-			key, payload, err := readRecord(files[i], l)
-			switch {
-			case err == nil && key == h:
-				return payload, nil
-			case err == nil: // another hash's record under h's prefix
-			case errors.Is(err, errBadRecord):
-				return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
-			default:
-				failed = err
-			}
-		}
-		if failed == nil {
+		l, _ := s.ix.lookup(h)
+		if l == 0 {
+			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
 		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("nodestore: read %s: %w", h.Short(), failed)
+		f, err := s.log.Reader(l.seg())
+		s.stats.reads++
+		s.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, l.seg(), err)
+		}
+		key, payload, err := readRecord(f, l)
+		switch {
+		case err == nil && key == h:
+			return payload, nil
+		case err == nil: // another hash's record under h's prefix
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, h.Short())
+		case errors.Is(err, errBadRecord):
+			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, h.Short(), err)
+		case attempt > 0:
+			return nil, fmt.Errorf("nodestore: read %s: %w", h.Short(), err)
 		}
 	}
 }

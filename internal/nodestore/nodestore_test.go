@@ -288,7 +288,8 @@ func TestRottenRecordIsCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := s.ix.candidates(root)[0].off() + into
+		held, _ := s.ix.lookup(root)
+		at := held.off() + into
 		var one [1]byte
 		if _, err := f.ReadAt(one[:], at); err != nil {
 			t.Fatal(err)
