@@ -3,6 +3,7 @@ package nodestore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/seglog"
@@ -146,14 +147,25 @@ func frameTakes(recs []record, limit int) int {
 
 // encodeFrame appends to dst the frame that carries recs at height.
 func encodeFrame(dst []byte, height uint64, recs []record) []byte {
-	var body wire.Buffer
+	size := frameOverhead
+	for _, r := range recs {
+		size += recordLen(len(r.payload))
+	}
+	body := wire.NewBuffer(size)
 	body.Uvarint(height)
 	body.Uvarint(uint64(len(recs)))
 	for _, r := range recs {
 		body.Raw(r.key[:])
 		body.VarBlob(r.payload)
 	}
-	return seglog.AppendFrame(dst, body.Bytes())
+	return seglog.AppendFrame(slices.Grow(dst, seglog.FrameHeaderLen+size), body.Bytes())
+}
+
+// noteHeight records that segment seg holds a frame at height.
+func (s *Store) noteHeight(seg, height uint64) {
+	if lo, ok := s.minHeight[seg]; !ok || height < lo {
+		s.minHeight[seg] = height
+	}
 }
 
 // appendLocked writes recs at height as frames (see frameTakes), in
@@ -172,9 +184,7 @@ func (s *Store) appendLocked(height uint64, recs []record) ([]loc, error) {
 		if seg > maxSegment {
 			return nil, fmt.Errorf("nodestore: segment %d is beyond what an index entry addresses", seg)
 		}
-		if lo, ok := s.minHeight[seg]; !ok || height < lo {
-			s.minHeight[seg] = height
-		}
+		s.noteHeight(seg, height)
 		off += int64(seglog.FrameHeaderLen + uvarintLen(height) + uvarintLen(uint64(n)))
 		for _, r := range recs[:n] {
 			locs = append(locs, makeLoc(seg, off, len(r.payload)))
@@ -185,10 +195,10 @@ func (s *Store) appendLocked(height uint64, recs []record) ([]loc, error) {
 	return locs, nil
 }
 
-// parseFrame decodes a frame body into recs[:0] (keys copied, payloads
-// aliasing body; offsets are of each key from the start of the body). ok
-// is false unless body is the one encoding of its content.
-func parseFrame(body []byte, recs []framed) (height uint64, _ []framed, ok bool) {
+// parseFrame decodes the body of the frame at off in segment seg into
+// recs[:0] (keys copied, payloads aliasing body). ok is false unless body
+// is the one encoding of its content.
+func parseFrame(seg uint64, off int64, body []byte, recs []framed) (height uint64, _ []framed, ok bool) {
 	recs = recs[:0]
 	height, n := wire.Uvarint(body)
 	count, m := wire.Uvarint(body[n:])
@@ -199,21 +209,23 @@ func parseFrame(body []byte, recs []framed) (height uint64, _ []framed, ok bool)
 		if len(body)-at < cryptoutil.HashSize {
 			return 0, recs, false
 		}
-		r := framed{off: at}
+		var r framed
+		keyAt := off + int64(seglog.FrameHeaderLen+at)
 		at += copy(r.key[:], body[at:])
 		size, k := wire.Uvarint(body[at:])
 		if k == 0 || size > MaxNodeLen || uint64(len(body)-at-k) < size {
 			return 0, recs, false
 		}
 		r.payload = body[at+k : at+k+int(size)]
+		r.at = makeLoc(seg, keyAt, int(size))
 		at += k + int(size)
 		recs = append(recs, r)
 	}
 	return height, recs, uint64(len(recs)) == count
 }
 
-// framed is a record as parseFrame found it.
+// framed is a record as parseFrame found it, and where.
 type framed struct {
 	record
-	off int
+	at loc
 }

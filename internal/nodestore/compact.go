@@ -114,19 +114,17 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 	var (
 		recs []framed
 		live []record
-		from []loc
 	)
 	_, err = s.log.ScanSegment(seg, nil,
 		func(off int64, body []byte) error {
-			height, parsed, ok := parseFrame(body, recs)
+			height, parsed, ok := parseFrame(seg, off, body, recs)
 			if recs = parsed; !ok {
 				return seglog.ErrDamaged
 			}
-			live, from = live[:0], from[:0]
+			live = live[:0]
 			for _, r := range recs {
-				at := makeLoc(seg, off+int64(seglog.FrameHeaderLen+r.off), len(r.payload))
 				switch {
-				case !s.ix.holds(r.key, at):
+				case !s.ix.holds(r.key, r.at):
 				case height < floor && (m == nil || !m.Marked(r.key)):
 					dead++
 					if rewrite {
@@ -134,7 +132,7 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 						s.cache.drop(r.key)
 					}
 				case rewrite:
-					live, from = append(live, r.record), append(from, at)
+					live = append(live, r.record)
 				}
 			}
 			if len(live) == 0 {

@@ -52,16 +52,8 @@ func FuzzNodeDecode(f *testing.F) {
 	f.Add(append([]byte("XXXXXXXX"), 1, 2)) // bad magic
 	huge := binary.BigEndian.AppendUint32([]byte(segMagic), uint32(format.MaxBody+1))
 	f.Add(append(huge, 0, 0, 0, 0)) // oversize length field
-	// CRC-valid frames that are not the one encoding of their content: a
-	// padded height, a padded record length, a count of two over one
-	// record, a count of zero.
-	one := append(append(make([]byte, 0, 40), nodes[0].key[:]...), 1, 'x')
-	for _, body := range [][]byte{
-		append([]byte{0x87, 0x00, 1}, one...),
-		append(append([]byte{7, 1}, nodes[0].key[:]...), 0x81, 0x00, 'x'),
-		append([]byte{7, 2}, one...),
-		{7, 0},
-	} {
+	// CRC-valid frames that are not the one encoding of their content.
+	for _, body := range malformedBodies() {
 		f.Add(seglog.AppendFrame([]byte(segMagic), body))
 	}
 
@@ -81,7 +73,7 @@ func FuzzNodeDecode(f *testing.F) {
 		out := []byte(segMagic)
 		want := make(map[cryptoutil.Hash][]byte)
 		valid, err := format.Scan(file, nil, func(_ int64, body []byte) error {
-			height, recs, ok := parseFrame(body, nil)
+			height, recs, ok := parseFrame(1, 0, body, nil)
 			if !ok {
 				return seglog.ErrDamaged
 			}
@@ -139,12 +131,12 @@ func FuzzNodeDecode(f *testing.F) {
 	})
 }
 
-// TestFrameSeedsAreRefused pins what the malformed fuzz seeds stand for:
-// a CRC-valid frame that is not canonical is damage, not content.
-func TestFrameSeedsAreRefused(t *testing.T) {
+// malformedBodies are frame bodies that say the same as a canonical one,
+// or nothing, in a form parseFrame must not accept.
+func malformedBodies() map[string][]byte {
 	key := bytes.Repeat([]byte{9}, cryptoutil.HashSize)
 	one := append(append([]byte(nil), key...), 1, 'x')
-	for name, body := range map[string][]byte{
+	return map[string][]byte{
 		"padded height":   append([]byte{0x87, 0x00, 1}, one...),
 		"padded length":   append(append([]byte{7, 1}, key...), 0x81, 0x00, 'x'),
 		"count over":      append([]byte{7, 2}, one...),
@@ -153,12 +145,19 @@ func TestFrameSeedsAreRefused(t *testing.T) {
 		"short key":       append([]byte{7, 1}, key[:31]...),
 		"payload cut":     append(append([]byte{7, 1}, key...), 5, 'x'),
 		"length over max": append(append([]byte{7, 1}, key...), binary.AppendUvarint(nil, MaxNodeLen+1)...),
-	} {
-		if _, recs, ok := parseFrame(body, nil); ok {
+	}
+}
+
+// TestFrameSeedsAreRefused pins what the malformed fuzz seeds stand for:
+// a CRC-valid frame that is not canonical is damage, not content.
+func TestFrameSeedsAreRefused(t *testing.T) {
+	for name, body := range malformedBodies() {
+		if _, recs, ok := parseFrame(1, 0, body, nil); ok {
 			t.Errorf("%s: accepted as %d records", name, len(recs))
 		}
 	}
-	if h, recs, ok := parseFrame(append([]byte{7, 1}, one...), nil); !ok || h != 7 || len(recs) != 1 || string(recs[0].payload) != "x" {
+	canonical := append(append([]byte{7, 1}, bytes.Repeat([]byte{9}, cryptoutil.HashSize)...), 1, 'x')
+	if h, recs, ok := parseFrame(1, 0, canonical, nil); !ok || h != 7 || len(recs) != 1 || string(recs[0].payload) != "x" {
 		t.Fatalf("the canonical frame: height %d, %d records, ok %v", h, len(recs), ok)
 	}
 }

@@ -97,8 +97,8 @@ func TestLocPacking(t *testing.T) {
 			t.Fatalf("makeLoc(%d, %d, %d) unpacks to %d, %d, %d", c.seg, c.off, c.n, l.seg(), l.off(), l.len())
 		}
 	}
-	if end := MaxSegmentSize + seglog.FrameHeaderLen + format.MaxBody; end > maxOffset {
-		t.Fatalf("a segment of MaxSegmentSize and the frame past it reach offset %d, past the field's %d", end, maxOffset)
+	if end := maxSegmentSize + seglog.FrameHeaderLen + format.MaxBody; end > maxOffset {
+		t.Fatalf("a segment of maxSegmentSize and the frame past it reach offset %d, past the field's %d", end, maxOffset)
 	}
 }
 

@@ -77,10 +77,10 @@ const (
 	MaxNodeLen = 4 << 20
 	// maxFrameBody is where a batch is cut into a further frame.
 	maxFrameBody = 64 << 10
-	// MaxSegmentSize bounds Options.SegmentSize: a segment, with the
+	// maxSegmentSize bounds Options.SegmentSize: a segment, with the
 	// frame that carries it past its size, stays addressable by an index
 	// entry's offset field.
-	MaxSegmentSize = 128 << 20
+	maxSegmentSize = 128 << 20
 )
 
 // format is the node store's segment file format.
@@ -127,7 +127,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return seglog.ParseSyncPoli
 // Options configures a Store.
 type Options struct {
 	// SegmentSize rotates the active segment once it exceeds this many
-	// bytes (0 = DefaultSegmentSize).
+	// bytes (0 = DefaultSegmentSize; at most 128 MiB, what an index
+	// entry's offset addresses).
 	SegmentSize int64
 	// Sync is the batch-commit flush policy (default SyncAlways).
 	Sync SyncPolicy
@@ -188,8 +189,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
-	if opts.SegmentSize > MaxSegmentSize {
-		return nil, fmt.Errorf("nodestore: segment size %d over the limit of %d", opts.SegmentSize, MaxSegmentSize)
+	if opts.SegmentSize > maxSegmentSize {
+		return nil, fmt.Errorf("nodestore: segment size %d over the limit of %d", opts.SegmentSize, maxSegmentSize)
 	}
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
@@ -218,16 +219,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	var recs []framed
 	damage, err := l.Scan(nil,
 		func(seg uint64, off int64, body []byte) error {
-			height, parsed, ok := parseFrame(body, recs)
+			height, parsed, ok := parseFrame(seg, off, body, recs)
 			if recs = parsed; !ok {
 				return seglog.ErrDamaged
 			}
-			if lo, ok := s.minHeight[seg]; !ok || height < lo {
-				s.minHeight[seg] = height
-			}
+			s.noteHeight(seg, height)
 			for _, r := range recs {
-				at := makeLoc(seg, off+int64(seglog.FrameHeaderLen+r.off), len(r.payload))
-				if err := s.indexScannedLocked(r.key, at); err != nil {
+				if err := s.indexScannedLocked(r.key, r.at); err != nil {
 					return err
 				}
 			}
@@ -362,13 +360,15 @@ func readRecord(f io.ReaderAt, l loc) (key cryptoutil.Hash, payload []byte, err 
 	}
 	rest := buf[copy(key[:], buf):]
 	size, k := wire.Uvarint(rest)
-	switch rest = rest[k:]; {
-	case k == 0 || size > MaxNodeLen || size < uint64(l.len()):
+	rest = rest[k:]
+	// Only a length that saturated the index's field may leave a rest
+	// to read.
+	more := l.len() == locMaxLen && size > uint64(len(rest))
+	if k == 0 || size > MaxNodeLen || size != uint64(len(rest)) && !more {
 		return key, nil, errBadRecord
-	case size == uint64(len(rest)):
+	}
+	if !more {
 		return key, rest, nil
-	case l.len() < locMaxLen:
-		return key, nil, errBadRecord
 	}
 	payload = make([]byte, size)
 	if _, err := f.ReadAt(payload[copy(payload, rest):], l.off()+int64(len(buf))); err != nil {
