@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"syscall"
@@ -162,6 +163,15 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 	fc.Obs.Register(reg)
 	reg.Collect(func(emit func(string, int64)) { emit("forkchoice_switches_total", int64(fc.Switches())) })
+	// The heap beside the gauges of what fills it: live is what the last
+	// collection found reachable, inuse the spans holding objects, garbage
+	// included. One runtime/metrics read per scrape, which stops nothing.
+	reg.Collect(func(emit func(string, int64)) {
+		heap := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/unused:bytes"}}
+		rtmetrics.Read(heap)
+		emit("process_heap_live_bytes", int64(heap[0].Value.Uint64()))
+		emit("process_heap_inuse_bytes", int64(heap[1].Value.Uint64()+heap[2].Value.Uint64()))
+	})
 
 	// Durable ledger: a segmented WAL plus periodic state checkpoints
 	// under -data-dir. Opening the store replays the journal so a node

@@ -136,7 +136,10 @@ func run() error {
 // contractAddress finds the deploy receipt's contract address by
 // re-deriving it from the transaction (deterministic derivation).
 func contractAddress(n *node.Node, deployID cryptoutil.Hash) cryptoutil.Address {
-	bh, idx, ok := n.Chain().FindTx(deployID)
+	bh, idx, ok, err := n.Chain().FindTx(deployID)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !ok {
 		log.Fatal("deploy tx not committed — mine longer")
 	}

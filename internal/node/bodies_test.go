@@ -20,9 +20,10 @@ import (
 	"dcsledger/internal/wal"
 )
 
-// fatChain seals successive coinbase-only blocks whose coinbase carries
-// a payload, so a block body weighs what a block of transfers does
-// without the signatures. Unlike chainBuilder it keeps one state, the
+// fatChain seals successive blocks of a coinbase that carries a payload,
+// so a body weighs what a block of transfers does without the
+// signatures, and of whatever transactions next is given. Unlike
+// chainBuilder it keeps one state, the
 // tip's: it can run for tens of thousands of blocks, and nothing of a
 // block it has handed out stays reachable from it.
 type fatChain struct {
@@ -51,13 +52,17 @@ func newFatChain(tb testing.TB, genesis *types.Block, alloc map[cryptoutil.Addre
 	}
 }
 
-func (c *fatChain) next() *types.Block {
+func (c *fatChain) next(txs ...*types.Transaction) *types.Block {
 	c.tb.Helper()
 	height := c.tip.Header.Height + 1
 	reward := c.rewards.RewardAt(height)
-	cb := types.NewCoinbase(c.miner, reward, height)
+	fees := uint64(0)
+	for _, tx := range txs {
+		fees += tx.Fee
+	}
+	cb := types.NewCoinbase(c.miner, reward+fees, height)
 	cb.Data = bytes.Repeat([]byte{byte(height)}, c.payload)
-	b := types.NewBlock(c.tip.Hash(), height, c.tip.Header.Time+int64(10*time.Second), c.miner, []*types.Transaction{cb})
+	b := types.NewBlock(c.tip.Hash(), height, c.tip.Header.Time+int64(10*time.Second), c.miner, append([]*types.Transaction{cb}, txs...))
 	st := c.st.Copy()
 	if _, err := st.ApplyBlock(b, reward); err != nil {
 		c.tb.Fatalf("fatChain ApplyBlock: %v", err)
@@ -200,12 +205,13 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 	if root := n.State().Commit(); root != bd.states[tip.Hash()].Commit() {
 		t.Fatalf("head root %s, serial %s", root.Short(), bd.states[tip.Hash()].Commit().Short())
 	}
-	// The index follows the reorg: reorged-out transactions are gone.
-	if _, _, ok := n.Chain().FindTx(main[forkAt+1].Txs[0].ID()); ok {
-		t.Fatal("transaction of a reorged-out block still indexed")
+	// First asked after the reorg, the index is the new main chain's,
+	// built from bodies nearly all read back from the journal.
+	if _, _, ok, err := n.Chain().FindTx(main[forkAt+1].Txs[0].ID()); ok || err != nil {
+		t.Fatalf("transaction of a reorged-out block still indexed (err %v)", err)
 	}
-	if bh, i, ok := n.Chain().FindTx(side[0].Txs[0].ID()); !ok || bh != side[0].Hash() || i != 0 {
-		t.Fatal("transaction of the new main chain not indexed")
+	if bh, i, ok, err := n.Chain().FindTx(side[0].Txs[0].ID()); !ok || bh != side[0].Hash() || i != 0 || err != nil {
+		t.Fatalf("transaction of the new main chain not indexed (err %v)", err)
 	}
 	for _, b := range slices.Concat(main, side) {
 		got, err := n.Tree().Block(b.Hash())
@@ -365,8 +371,8 @@ func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
 }
 
 // TestRecoveryHeapIndependentOfChainLength: what a restart keeps in
-// memory is the state, the body window and, per block, a header and
-// index entries — a fraction of a body. With the state of a modest
+// memory is the state, the body window and, per block, a header and its
+// tree links, nothing per transaction. With the state of a modest
 // deployment (10 000 funded accounts) a data directory ten times as long
 // costs well under 1.5 times the heap.
 func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
@@ -406,14 +412,80 @@ func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
 	}
 	shortInuse, shortLive := heapAfterRecover(500)
 	longInuse, longLive := heapAfterRecover(5000)
+	// One transaction a block: a further block is a further transaction.
 	perBlock := (float64(longLive) - float64(shortLive)) / 4500
-	t.Logf("after Recover: HeapInuse %d KiB at 500 blocks, %d KiB at 5000; live heap %d KiB, %d KiB: %.0f B per further block (a body is %d B)",
+	t.Logf("after Recover: HeapInuse %d KiB at 500 blocks, %d KiB at 5000; live heap %d KiB, %d KiB: %.0f B per further block and transaction (a body is %d B)",
 		shortInuse>>10, longInuse>>10, shortLive>>10, longLive>>10, perBlock, payload)
-	if perBlock > payload/2 {
-		t.Fatalf("each further block costs %.0f B of live heap after recovery: bodies of %d B are being kept", perBlock, payload)
+	if perBlock > 700 {
+		t.Fatalf("each further block costs %.0f B of live heap after recovery, over the 700 B a header and its tree links may: something of the body or its transactions is being kept", perBlock)
 	}
 	if longInuse > shortInuse*3/2 {
 		t.Fatalf("HeapInuse after recovering 5000 blocks is %d KiB, over 1.5x the %d KiB of 500 blocks", longInuse>>10, shortInuse>>10)
+	}
+}
+
+// TestHeapIndependentOfTxsPerBlock: a running durable node keeps nothing
+// per transaction past its windows. Two nodes over the same 10 000
+// funded accounts connect the same number of blocks, far more than any
+// window holds, one at 8 transfers a block and one at 64; the same eight
+// senders and recipients are touched in every block of either, so the
+// retained states weigh the same and the body window is the one thing
+// that may differ. Eight times the transactions cost under 1.15 times
+// the live heap.
+func TestHeapIndependentOfTxsPerBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("signs and connects 144 000 transfers")
+	}
+	const (
+		blocks  = 2000
+		senders = 8
+	)
+	alloc := make(map[cryptoutil.Address]uint64)
+	for i := uint64(0); i < 10_000; i++ {
+		alloc[cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("heap-test"), binary.BigEndian.AppendUint64(nil, i)))] = 1
+	}
+	keys := make([]*cryptoutil.KeyPair, senders)
+	for i := range keys {
+		keys[i] = cryptoutil.KeyFromSeed([]byte{'s', byte(i)})
+		alloc[keys[i].Address()] = 1 << 40
+	}
+	liveAfter := func(perBlock int) uint64 {
+		n, ds, genesis := fatNode(t, t.TempDir(), alloc)
+		defer ds.Close()
+		chain := newFatChain(t, genesis, alloc, 0)
+		for i := 0; i < blocks; i++ {
+			txs := make([]*types.Transaction, perBlock)
+			for j := range txs {
+				from := keys[j%senders]
+				tx := &types.Transaction{
+					Kind: types.TxTransfer, From: from.Address(), To: keys[(j+1)%senders].Address(),
+					Value: 1, Fee: 1, Nonce: uint64(i*perBlock/senders + j/senders),
+				}
+				if err := tx.Sign(from); err != nil {
+					t.Fatal(err)
+				}
+				txs[j] = tx
+			}
+			if err := n.HandleBlock(chain.next(txs...)); err != nil {
+				t.Fatalf("HandleBlock h=%d: %v", i+1, err)
+			}
+		}
+		chain = nil
+		_, live := heapAfterGC()
+		if n.Chain().Height() != blocks || n.Tree().BodiesResident() > bodyRetention+2 {
+			t.Fatalf("height %d, %d bodies resident after %d blocks", n.Chain().Height(), n.Tree().BodiesResident(), blocks)
+		}
+		if got := n.Chain().TxIndexEntries(); got != 0 {
+			t.Fatalf("%d transaction index entries on a node nothing looked a transaction up in", got)
+		}
+		return live
+	}
+	few, many := liveAfter(8), liveAfter(64)
+	perTx := (float64(many) - float64(few)) / (blocks * (64 - 8))
+	t.Logf("live heap after %d blocks: %d KiB at 8 transfers a block (%.0f B a block), %d KiB at 64 (%.0f B a block): %.1f B per further transaction",
+		blocks, few>>10, float64(few)/blocks, many>>10, float64(many)/blocks, perTx)
+	if float64(many) > 1.15*float64(few) {
+		t.Fatalf("live heap %d KiB at 64 transfers a block, over 1.15x the %d KiB at 8: %.1f B is kept per transaction", many>>10, few>>10, perTx)
 	}
 }
 

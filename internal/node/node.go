@@ -630,6 +630,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		n.mu.Lock()
 		m := n.metricsLocked()
 		height, treeSize, bodies := n.chain.Height(), n.tree.Len(), n.tree.BodiesResident()
+		txIndex := n.chain.TxIndexEntries()
 		states, orphans := len(n.states), len(n.orphanPool)
 		var flushedHeight uint64
 		if n.disk != nil {
@@ -652,6 +653,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		emit("node_block_bodies_resident", int64(bodies))
 		count("node_block_body_reads_total", m.BodyReads)
 		count("node_block_body_read_errors_total", m.BodyReadErrors)
+		emit("node_tx_index_entries", int64(txIndex)) // 0 until something looks a transaction up
 		count("node_state_read_errors_total", m.StateReadErrors)
 		emit("node_mempool_size", int64(n.pool.Len()))
 		if n.cfg.ExecWorkers > 0 {

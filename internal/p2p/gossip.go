@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 // GossipMsgType is the Message.Type used by the gossip protocol.
 const GossipMsgType = "gossip"
 
-// DefaultMaxHops is the default forwarding TTL: an envelope that has
+// DefaultMaxHops is the forwarding TTL: an envelope that has
 // already traveled this many hops is delivered (if new) but not
 // forwarded again, so a forged high-hop envelope cannot circulate
 // indefinitely across seen-cache evictions. Gossip on a connected
@@ -27,8 +28,9 @@ const DefaultMaxHops = 16
 // peer can grow it forever by publishing fresh IDs. Eviction is FIFO
 // in arrival order, which is deterministic for one node's observed
 // stream; the hop TTL (DefaultMaxHops) keeps an evicted-then-reseen
-// item from circulating indefinitely. At 32 bytes per ID the default
-// is ~2 MiB of bounded state.
+// item from circulating indefinitely. An entry is a 16-byte key, once in
+// a ring and once in a map: measured at the default cap, 54 B of heap an
+// entry, ~3.4 MiB in all (TestSeenCacheBytesPerEntry), and flat from there.
 const DefaultSeenCap = 65536
 
 // envelope is one gossiped item; its binary wire format is defined in
@@ -65,15 +67,14 @@ type GossipStats struct {
 // outside the lock, so a callback may re-enter the gossiper (or take
 // the node lock) without deadlocking.
 type Gossiper struct {
-	tr      Transport
-	fanout  int
-	maxHops uint8
+	tr     Transport
+	fanout int
 
 	mu        sync.Mutex
 	neighbors []NodeID
 	rng       *rand.Rand
-	seen      map[cryptoutil.Hash]struct{}
-	seenQ     []cryptoutil.Hash // FIFO of live seen-IDs, oldest at seenHead
+	seen      map[seenKey]struct{}
+	seenQ     []seenKey // ring of the live keys, oldest at seenHead; full, or seenHead is 0
 	seenHead  int
 	seenCap   int
 	subs      map[string]DeliverFunc
@@ -95,23 +96,11 @@ func NewGossiper(tr Transport, neighbors []NodeID, fanout int, rng *rand.Rand) *
 		tr:        tr,
 		neighbors: append([]NodeID(nil), neighbors...),
 		fanout:    fanout,
-		maxHops:   DefaultMaxHops,
 		rng:       rng,
-		seen:      make(map[cryptoutil.Hash]struct{}),
+		seen:      make(map[seenKey]struct{}),
 		seenCap:   DefaultSeenCap,
 		subs:      make(map[string]DeliverFunc),
 	}
-}
-
-// SetMaxHops overrides the forwarding TTL (0 restores DefaultMaxHops).
-// Call before traffic starts.
-func (g *Gossiper) SetMaxHops(h uint8) {
-	if h == 0 {
-		h = DefaultMaxHops
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.maxHops = h
 }
 
 // Subscribe registers the delivery callback for a topic.
@@ -122,28 +111,31 @@ func (g *Gossiper) Subscribe(topic string, fn DeliverFunc) {
 	g.subs[topic] = fn
 }
 
-// markSeen atomically records env.ID in the seen-set, reporting
-// whether this call was the first to see it. The check-and-set must be
-// one critical section so two concurrent readers holding the same item
+// seenKey is what the seen-cache keeps of an item's ID: its first 128
+// bits. The ID is the one this node computed from (topic, payload), never
+// one read off the wire, so having an item suppressed as another's
+// duplicate takes a second preimage of those 128 bits.
+type seenKey [16]byte
+
+// markSeen atomically records id in the seen-set, reporting whether
+// this call was the first to see it. The check-and-set must be one
+// critical section so two concurrent readers holding the same item
 // cannot both deliver it.
 func (g *Gossiper) markSeen(id cryptoutil.Hash) bool {
+	key := seenKey(id[:len(seenKey{})])
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.seen[id]; ok {
+	if _, ok := g.seen[key]; ok {
 		return false
 	}
-	g.seen[id] = struct{}{}
-	g.seenQ = append(g.seenQ, id)
-	for len(g.seen) > g.seenCap {
+	if len(g.seenQ) < g.seenCap {
+		g.seenQ = append(g.seenQ, key)
+	} else {
 		delete(g.seen, g.seenQ[g.seenHead])
-		g.seenHead++
+		g.seenQ[g.seenHead] = key
+		g.seenHead = (g.seenHead + 1) % g.seenCap
 	}
-	// Compact the queue once the dead prefix dominates, so the backing
-	// array stays O(seenCap) instead of growing with total traffic.
-	if g.seenHead > g.seenCap {
-		g.seenQ = append(g.seenQ[:0], g.seenQ[g.seenHead:]...)
-		g.seenHead = 0
-	}
+	g.seen[key] = struct{}{}
 	return true
 }
 
@@ -155,11 +147,11 @@ func (g *Gossiper) SetSeenCap(n int) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.seenCap = n
-	for len(g.seen) > g.seenCap {
-		delete(g.seen, g.seenQ[g.seenHead])
-		g.seenHead++
+	live := slices.Concat(g.seenQ[g.seenHead:], g.seenQ[:g.seenHead]) // oldest first
+	for ; len(live) > n; live = live[1:] {
+		delete(g.seen, live[0])
 	}
+	g.seenQ, g.seenHead, g.seenCap = live, 0, n
 }
 
 // Publish floods payload under topic, delivering locally first.
@@ -200,10 +192,7 @@ func (g *Gossiper) HandleMessage(m Message) {
 		return
 	}
 	g.deliver(m.From, env)
-	g.mu.Lock()
-	expired := env.Hops >= g.maxHops
-	g.mu.Unlock()
-	if expired {
+	if env.Hops >= DefaultMaxHops {
 		g.ttlExpired.Add(1)
 		return
 	}
@@ -215,9 +204,6 @@ func (g *Gossiper) HandleMessage(m Message) {
 func envelopeID(topic string, payload []byte) cryptoutil.Hash {
 	return cryptoutil.HashBytes([]byte("gossip/"+topic), payload)
 }
-
-// Delivered returns how many distinct items this node has delivered.
-func (g *Gossiper) Delivered() uint64 { return g.delivered.Load() }
 
 // Stats returns a snapshot of the gossip counters.
 func (g *Gossiper) Stats() GossipStats {
@@ -233,23 +219,20 @@ func (g *Gossiper) Stats() GossipStats {
 // RegisterMetrics exports the gossip counters into reg, collected once
 // per scrape (gossip_delivered_total, gossip_duplicate_total,
 // gossip_forwarded_total, gossip_id_mismatch_total,
-// gossip_ttl_expired_total).
+// gossip_ttl_expired_total, and the seen-cache's gossip_seen_entries).
 func (g *Gossiper) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(emit func(string, int64)) {
 		st := g.Stats()
+		g.mu.Lock()
+		seen := len(g.seen)
+		g.mu.Unlock()
+		emit("gossip_seen_entries", int64(seen))
 		emit("gossip_delivered_total", int64(st.Delivered))
 		emit("gossip_duplicate_total", int64(st.Duplicates))
 		emit("gossip_forwarded_total", int64(st.Forwarded))
 		emit("gossip_id_mismatch_total", int64(st.IDMismatch))
 		emit("gossip_ttl_expired_total", int64(st.TTLExpired))
 	})
-}
-
-// Neighbors returns a copy of the overlay neighbor set.
-func (g *Gossiper) Neighbors() []NodeID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]NodeID(nil), g.neighbors...)
 }
 
 // deliver runs outside g.mu: the subscriber callback may call back

@@ -1,8 +1,10 @@
 package p2p
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,7 +72,7 @@ func TestGossipConcurrentPublishAndHandle(t *testing.T) {
 	// plus `items` distinct injected envelopes (shared by all odd
 	// workers).
 	want := uint64(workers/2*items + items)
-	if got := g.Delivered(); got != want {
+	if got := g.Stats().Delivered; got != want {
 		t.Fatalf("delivered %d, want %d", got, want)
 	}
 	if got := delivered.Load(); got != want {
@@ -100,14 +102,8 @@ func TestPickNeighborsReturnsCopy(t *testing.T) {
 		t.Fatalf("picked %v", picked)
 	}
 	picked[0] = "mutated"
-	if ns := g.Neighbors(); ns[0] != "b" || ns[1] != "c" {
+	if ns := g.neighbors; ns[0] != "b" || ns[1] != "c" {
 		t.Fatalf("internal neighbors mutated: %v", ns)
-	}
-	// Neighbors() must also return a copy.
-	ns := g.Neighbors()
-	ns[0] = "mutated"
-	if again := g.Neighbors(); again[0] != "b" {
-		t.Fatalf("Neighbors leaked internal slice: %v", again)
 	}
 }
 
@@ -175,7 +171,7 @@ func TestGossipOverConcurrentTCPMesh(t *testing.T) {
 		if st := tr.Stats(); st.RecvErrors != 0 {
 			t.Fatalf("node %d: %d decode errors", i, st.RecvErrors)
 		}
-		if d := gs[i].Delivered(); d != want {
+		if d := gs[i].Stats().Delivered; d != want {
 			t.Fatalf("node %d delivered %d, want %d", i, d, want)
 		}
 	}
@@ -244,5 +240,78 @@ func TestSetSeenCapShrinksLive(t *testing.T) {
 	g.mu.Unlock()
 	if live != 4 {
 		t.Fatalf("after SetSeenCap(4): %d live entries", live)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestSeenCacheBytesPerEntry pins what the seen-cache costs: filled to
+// DefaultSeenCap it holds under 64 B of heap an entry, and four caps'
+// worth of further traffic through it adds nothing.
+func TestSeenCacheBytesPerEntry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures the heap")
+	}
+	g := NewGossiper(&nullTransport{self: "n0"}, nil, 1, rand.New(rand.NewSource(1)))
+	fill := func(from, to int) {
+		var buf [8]byte
+		for i := from; i < to; i++ {
+			binary.BigEndian.PutUint64(buf[:], uint64(i))
+			if !g.markSeen(cryptoutil.HashBytes(buf[:])) {
+				t.Fatalf("fresh id %d reported as duplicate", i)
+			}
+		}
+	}
+	empty := liveHeap()
+	fill(0, DefaultSeenCap)
+	atCap := liveHeap()
+	perEntry := (float64(atCap) - float64(empty)) / DefaultSeenCap
+	peak := atCap
+	for k := 1; k <= 4; k++ {
+		fill(k*DefaultSeenCap, (k+1)*DefaultSeenCap)
+		peak = max(peak, liveHeap())
+	}
+	g.mu.Lock()
+	live, ring := len(g.seen), len(g.seenQ)
+	g.mu.Unlock()
+	t.Logf("seen-cache at its cap of %d: %d KiB, %.1f B an entry; after 4 caps more: at most %d KiB",
+		DefaultSeenCap, (atCap-empty)>>10, perEntry, (peak-empty)>>10)
+	if live != DefaultSeenCap || ring != DefaultSeenCap {
+		t.Fatalf("%d live entries, %d ring slots, cap %d", live, ring, DefaultSeenCap)
+	}
+	if perEntry > 64 {
+		t.Fatalf("a seen-cache entry costs %.1f B of heap, want at most 64", perEntry)
+	}
+	if grown := float64(peak) - float64(atCap); grown > 0.05*float64(atCap-empty) {
+		t.Fatalf("the full cache grew by %.0f B over four caps' worth of traffic", grown)
+	}
+	runtime.KeepAlive(g)
+}
+
+// TestSeenKeyIsHalfTheID pins the documented collision case: two IDs
+// that agree in their first 16 bytes are one entry, and nothing shorter
+// than that is.
+func TestSeenKeyIsHalfTheID(t *testing.T) {
+	g := NewGossiper(&nullTransport{self: "n0"}, nil, 1, rand.New(rand.NewSource(1)))
+	id := cryptoutil.HashBytes([]byte("item"))
+	tail, prefix := id, id
+	for i := 16; i < len(tail); i++ {
+		tail[i] ^= 0xff
+	}
+	prefix[15] ^= 0x01
+	if !g.markSeen(id) {
+		t.Fatal("fresh id reported as duplicate")
+	}
+	if g.markSeen(tail) {
+		t.Fatal("an id differing only after byte 16 was taken as fresh: the key is longer than documented")
+	}
+	if !g.markSeen(prefix) {
+		t.Fatal("an id differing in byte 15 was suppressed: the key is shorter than 16 bytes")
 	}
 }

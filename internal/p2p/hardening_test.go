@@ -69,15 +69,14 @@ func TestGossipHopTTL(t *testing.T) {
 
 	tr := &nullTransport{self: "self", peers: []NodeID{"b"}}
 	g := NewGossiper(tr, []NodeID{"b"}, 1, rand.New(rand.NewSource(1)))
-	g.SetMaxHops(4)
 
-	g.HandleMessage(Message{From: "peer", Type: GossipMsgType, Data: mk(3, "under")})
+	g.HandleMessage(Message{From: "peer", Type: GossipMsgType, Data: mk(DefaultMaxHops-1, "under")})
 	if st := g.Stats(); st.Forwarded != 1 || st.TTLExpired != 0 {
-		t.Fatalf("hops=3 under TTL: %+v, want forwarded", st)
+		t.Fatalf("one hop under the TTL: %+v, want forwarded", st)
 	}
-	g.HandleMessage(Message{From: "peer", Type: GossipMsgType, Data: mk(4, "at")})
+	g.HandleMessage(Message{From: "peer", Type: GossipMsgType, Data: mk(DefaultMaxHops, "at")})
 	if st := g.Stats(); st.Forwarded != 1 || st.TTLExpired != 1 || st.Delivered != 2 {
-		t.Fatalf("hops=4 at TTL: %+v, want delivered but not forwarded", st)
+		t.Fatalf("at the TTL: %+v, want delivered but not forwarded", st)
 	}
 	g.HandleMessage(Message{From: "peer", Type: GossipMsgType, Data: mk(255, "over")})
 	if st := g.Stats(); st.Forwarded != 1 || st.TTLExpired != 2 || st.Delivered != 3 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -17,6 +18,7 @@ import (
 type memJournal struct {
 	enc   map[cryptoutil.Hash][]byte
 	fail  map[cryptoutil.Hash]bool
+	down  bool // every read fails
 	reads int
 }
 
@@ -30,7 +32,7 @@ func (j *memJournal) HasBlock(h cryptoutil.Hash) bool { _, ok := j.enc[h]; retur
 
 func (j *memJournal) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	j.reads++
-	if j.fail[h] {
+	if j.down || j.fail[h] {
 		return nil, errors.New("memJournal: injected read failure")
 	}
 	return types.DecodeBlock(j.enc[h])
@@ -50,6 +52,10 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 			journal := newMemJournal()
 			evicting.SetBodySource(journal)
 			ramChain, evChain := NewChain(ram), NewChain(evicting)
+			// Asked once, both chains keep a transaction index, which every
+			// SetHead below maintains from the moved blocks' bodies.
+			findTx(t, ramChain, cryptoutil.ZeroHash)
+			findTx(t, evChain, cryptoutil.ZeroHash)
 
 			blocks := []*types.Block{g}
 			var unjournaled []*types.Block
@@ -128,8 +134,8 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 					t.Fatalf("block %s: main-chain membership differs", h.Short())
 				}
 				for _, tx := range want.Txs {
-					b1, i1, ok1 := ramChain.FindTx(tx.ID())
-					b2, i2, ok2 := evChain.FindTx(tx.ID())
+					b1, i1, ok1 := findTx(t, ramChain, tx.ID())
+					b2, i2, ok2 := findTx(t, evChain, tx.ID())
 					if b1 != b2 || i1 != i2 || ok1 != ok2 || ok1 != ramChain.Contains(h) {
 						t.Fatalf("tx of %s: index differs", h.Short())
 					}
@@ -140,8 +146,12 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 }
 
 // TestFailedReadBackIsAnError: a body the source cannot produce is
-// reported, by Block with the reason and by Get as absent, and a SetHead
-// that needed it leaves the chain where it was.
+// reported, by Block with the reason and by Get as absent. A first FindTx
+// that needs it fails naming the block, builds nothing and succeeds once
+// the body reads again. A SetHead never needs it: with no index it reads
+// nothing, and with one it moves the head and drops the index it could
+// not keep up, so the next FindTx answers from the bodies or with the
+// reason, never with a stale "found" or a wrong "not found".
 func TestFailedReadBackIsAnError(t *testing.T) {
 	g := genesis()
 	tree := NewBlockTree(g)
@@ -156,13 +166,18 @@ func TestFailedReadBackIsAnError(t *testing.T) {
 		}
 		journal.log(b)
 	}
-	c := NewChain(tree)
-	if _, _, err := c.SetHead(a2.Hash()); err != nil {
-		t.Fatal(err)
+	c, unasked := NewChain(tree), NewChain(tree)
+	for _, chain := range []*Chain{c, unasked} {
+		if _, _, err := chain.SetHead(a2.Hash()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tree.EvictBodies(3)
 	if got := tree.BodiesResident(); got != 1 {
 		t.Fatalf("%d bodies resident after evicting everything, want the root's", got)
+	}
+	if journal.reads != 0 {
+		t.Fatalf("%d read-backs before anything asked for a body", journal.reads)
 	}
 	journal.fail[a1.Hash()] = true
 
@@ -178,18 +193,56 @@ func TestFailedReadBackIsAnError(t *testing.T) {
 	if _, ok := tree.Header(a1.Hash()); !ok {
 		t.Fatal("header gone with the body")
 	}
-	// Reorg a1,a2 out: a1's transactions cannot be unindexed.
-	if _, _, err := c.SetHead(b1.Hash()); err == nil {
-		t.Fatal("SetHead succeeded without the body of a removed block")
+
+	// The first lookup reads every main-chain body: a1's failure is the
+	// answer, not "not found", and nothing half-built is left behind.
+	if _, _, ok, err := c.FindTx(a2.Txs[0].ID()); err == nil || ok || !strings.Contains(err.Error(), a1.Hash().Short()) {
+		t.Fatalf("FindTx over an unreadable body: ok %v, err %v; want an error naming %s", ok, err, a1.Hash().Short())
 	}
-	if c.Head() != a2.Hash() || c.Height() != 2 {
-		t.Fatalf("failed SetHead moved the head to %s@%d", c.Head().Short(), c.Height())
-	}
-	if _, _, ok := c.FindTx(a2.Txs[0].ID()); !ok {
-		t.Fatal("failed SetHead dropped index entries")
+	if got := c.TxIndexEntries(); got != 0 {
+		t.Fatalf("%d index entries after a failed build", got)
 	}
 	journal.fail[a1.Hash()] = false
-	if removed, added, err := c.SetHead(b1.Hash()); err != nil || len(removed) != 2 || len(added) != 1 {
-		t.Fatalf("SetHead once the body reads again: removed %d added %d err %v", len(removed), len(added), err)
+	if bh, _, ok := findTx(t, c, a2.Txs[0].ID()); !ok || bh != a2.Hash() {
+		t.Fatal("FindTx did not retry the build once the body read again")
+	}
+	if got := c.TxIndexEntries(); got != 2 {
+		t.Fatalf("%d index entries, want a1's and a2's coinbases", got)
+	}
+
+	// Without an index a head switch moves headers only.
+	journal.fail[a1.Hash()] = true
+	reads := journal.reads
+	if removed, added, err := unasked.SetHead(b1.Hash()); err != nil || len(removed) != 2 || len(added) != 1 {
+		t.Fatalf("SetHead on a chain with no index: removed %d added %d err %v", len(removed), len(added), err)
+	}
+	if journal.reads != reads || unasked.TxIndexEntries() != 0 {
+		t.Fatalf("a chain nobody looked a transaction up in read %d bodies and holds %d entries", journal.reads-reads, unasked.TxIndexEntries())
+	}
+	// With one, reorging a1,a2 out cannot unindex a1's transactions: the
+	// head moves all the same and the index goes.
+	if removed, added, err := c.SetHead(b1.Hash()); err != nil || len(removed) != 2 || len(added) != 1 || c.Head() != b1.Hash() {
+		t.Fatalf("SetHead over an unreadable body: removed %d added %d err %v, head %s", len(removed), len(added), err, c.Head().Short())
+	}
+	if got := c.TxIndexEntries(); got != 0 {
+		t.Fatalf("%d index entries kept after a head switch that could not update them", got)
+	}
+	// Rebuilt from the new main chain, which a1 is no longer on.
+	if _, _, ok := findTx(t, c, a2.Txs[0].ID()); ok {
+		t.Fatal("transaction of a reorged-out block found")
+	}
+	if bh, _, ok := findTx(t, c, b1.Txs[0].ID()); !ok || bh != b1.Hash() {
+		t.Fatal("transaction of the new main chain not found")
+	}
+	// Back onto a1: the index cannot take its transactions in either.
+	if _, _, err := c.SetHead(a2.Hash()); err != nil || c.Head() != a2.Hash() {
+		t.Fatalf("SetHead onto an unreadable body: %v", err)
+	}
+	if _, _, ok, err := c.FindTx(a2.Txs[0].ID()); err == nil || ok {
+		t.Fatalf("FindTx after a head switch onto an unreadable body: ok %v, err %v", ok, err)
+	}
+	journal.fail[a1.Hash()] = false
+	if bh, _, ok := findTx(t, c, a1.Txs[0].ID()); !ok || bh != a1.Hash() {
+		t.Fatal("FindTx once the body reads again")
 	}
 }

@@ -23,8 +23,8 @@ type Chain struct {
 	tree     *BlockTree
 	base     uint64 // header height of the tree root (byHeight[0])
 	byHeight []cryptoutil.Hash
-	// txIndex locates every main-chain transaction. With byHeight and
-	// the tree's headers it is the memory that grows with the chain.
+	// txIndex locates every main-chain transaction once a FindTx has asked
+	// for one; until then it is nil and nothing is kept per transaction.
 	txIndex map[cryptoutil.Hash]txLocation
 }
 
@@ -36,25 +36,20 @@ type txLocation struct {
 
 // NewChain creates a main-chain view with the tree's root block as head.
 func NewChain(tree *BlockTree) *Chain {
-	c := &Chain{tree: tree, txIndex: make(map[cryptoutil.Hash]txLocation)}
-	root, _ := tree.Get(tree.Genesis()) // the root's body is always resident
-	c.base = root.Header.Height
-	c.byHeight = []cryptoutil.Hash{tree.Genesis()}
-	c.indexLocked(root)
-	return c
+	root, _ := tree.Header(tree.Genesis())
+	return &Chain{tree: tree, base: root.Height, byHeight: []cryptoutil.Hash{tree.Genesis()}}
 }
 
 // Tree returns the underlying block tree.
 func (c *Chain) Tree() *BlockTree { return c.tree }
 
-// SetHead re-points the main chain at the branch ending in tip,
-// updating the height and transaction indexes. It returns the hashes
-// that left the main chain (the reorged-out blocks) and those that
-// joined it, which callers use to return transactions to the mempool and
-// replay state. The cost is that of the blocks that move, not of the
-// chain: the walk back from tip stops at the first main-chain block. On
-// an error (an unknown block, a body that cannot be read back) the chain
-// is left as it was.
+// SetHead re-points the main chain at the branch ending in tip. It
+// returns the hashes that left the main chain (the reorged-out blocks)
+// and those that joined it, which callers use to return transactions to
+// the mempool and replay state. The cost is that of the blocks that
+// move, not of the chain: the walk back from tip stops at the first
+// main-chain block, and bodies are read only to keep up a transaction
+// index. On an error (an unknown block) the chain is left as it was.
 func (c *Chain) SetHead(tip cryptoutil.Hash) (removed, added []cryptoutil.Hash, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -75,29 +70,32 @@ func (c *Chain) SetHead(tip cryptoutil.Hash) (removed, added []cryptoutil.Hash, 
 	slices.Reverse(added)
 	keep := int(forkHeight-c.base) + 1
 	removed = append(removed, c.byHeight[keep:]...)
-
-	// Every body the index update needs is fetched before anything
-	// changes, so a failed read-back leaves the chain untouched.
-	moved := make([]*types.Block, 0, len(removed)+len(added))
-	for _, hs := range [][]cryptoutil.Hash{removed, added} {
-		for _, h := range hs {
-			b, err := c.tree.Block(h)
-			if err != nil {
-				return nil, nil, err
-			}
-			moved = append(moved, b)
-		}
-	}
-	for _, b := range moved[:len(removed)] {
-		for _, tx := range b.Txs {
-			delete(c.txIndex, tx.ID())
-		}
-	}
 	c.byHeight = append(c.byHeight[:keep], added...)
-	for _, b := range moved[len(removed):] {
-		c.indexLocked(b)
+	// The index is a cache of the bodies: when one of them cannot be read
+	// back it is dropped, and the next FindTx rebuilds it or says why not.
+	if c.txIndex != nil && c.indexLocked(c.txIndex, removed, added) != nil {
+		c.txIndex = nil
 	}
 	return removed, added, nil
+}
+
+// indexLocked takes the transactions of the blocks removed out of index
+// and enters those of the blocks added.
+func (c *Chain) indexLocked(index map[cryptoutil.Hash]txLocation, removed, added []cryptoutil.Hash) error {
+	for i, h := range slices.Concat(removed, added) {
+		b, err := c.tree.Block(h)
+		if err != nil {
+			return fmt.Errorf("store: index transactions of block %s: %w", h.Short(), err)
+		}
+		for j, tx := range b.Txs {
+			if i < len(removed) {
+				delete(index, tx.ID())
+			} else {
+				index[tx.ID()] = txLocation{height: uint32(b.Header.Height), index: uint32(j)}
+			}
+		}
+	}
+	return nil
 }
 
 // onMainLocked reports whether h is the main-chain block at height.
@@ -105,11 +103,12 @@ func (c *Chain) onMainLocked(height uint64, h cryptoutil.Hash) bool {
 	return height >= c.base && height-c.base < uint64(len(c.byHeight)) && c.byHeight[height-c.base] == h
 }
 
-// indexLocked enters b's transactions into the transaction index.
-func (c *Chain) indexLocked(b *types.Block) {
-	for i, tx := range b.Txs {
-		c.txIndex[tx.ID()] = txLocation{height: uint32(b.Header.Height), index: uint32(i)}
-	}
+// TxIndexEntries returns how many transactions the transaction index
+// holds: 0 until a first FindTx has built it.
+func (c *Chain) TxIndexEntries() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.txIndex)
 }
 
 // Head returns the current main-chain tip hash.
@@ -166,15 +165,25 @@ func (c *Chain) Confirmations(h cryptoutil.Hash) uint64 {
 }
 
 // FindTx locates a transaction on the main chain, returning its block
-// hash and index within the block.
-func (c *Chain) FindTx(txID cryptoutil.Hash) (blockHash cryptoutil.Hash, index int, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+// hash and index within the block. The first call builds the transaction
+// index from every main-chain body, holding the chain's lock while it
+// reads them; SetHead keeps it up from then on. A body that cannot be
+// read back is the error, never "not found", and the next call retries.
+func (c *Chain) FindTx(txID cryptoutil.Hash) (blockHash cryptoutil.Hash, index int, ok bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.txIndex == nil {
+		built := make(map[cryptoutil.Hash]txLocation)
+		if err := c.indexLocked(built, nil, c.byHeight); err != nil {
+			return cryptoutil.ZeroHash, 0, false, err
+		}
+		c.txIndex = built
+	}
 	loc, ok := c.txIndex[txID]
 	if !ok {
-		return cryptoutil.ZeroHash, 0, false
+		return cryptoutil.ZeroHash, 0, false, nil
 	}
-	return c.byHeight[uint64(loc.height)-c.base], int(loc.index), true
+	return c.byHeight[uint64(loc.height)-c.base], int(loc.index), true, nil
 }
 
 // Headers returns the main-chain headers from height `from` (inclusive),

@@ -70,10 +70,10 @@ func TestSetHeadToAncestor(t *testing.T) {
 		t.Fatalf("head after rollback %s@%d", c.Head().Short(), c.Height())
 	}
 	// The rolled-off blocks' txs leave the index; the survivors' stay.
-	if _, _, ok := c.FindTx(as[3].Txs[0].ID()); ok {
+	if _, _, ok := findTx(t, c, as[3].Txs[0].ID()); ok {
 		t.Fatal("rolled-off tx still indexed")
 	}
-	if _, _, ok := c.FindTx(as[1].Txs[0].ID()); !ok {
+	if _, _, ok := findTx(t, c, as[1].Txs[0].ID()); !ok {
 		t.Fatal("surviving tx lost from index")
 	}
 	// Confirmations reflect the shorter chain.
@@ -133,7 +133,7 @@ func TestSetHeadReorgRoundTrip(t *testing.T) {
 	if _, _, err := c.SetHead(cs[1].Hash()); err != nil {
 		t.Fatalf("reorg: %v", err)
 	}
-	if _, _, ok := c.FindTx(txA3); ok {
+	if _, _, ok := findTx(t, c, txA3); ok {
 		t.Fatal("a3 tx indexed while on the c branch")
 	}
 	removed, added, err := c.SetHead(as[3].Hash())
@@ -143,7 +143,7 @@ func TestSetHeadReorgRoundTrip(t *testing.T) {
 	if len(removed) != 2 || len(added) != 2 {
 		t.Fatalf("round trip removed/added = %d/%d, want 2/2", len(removed), len(added))
 	}
-	bh, idx, ok := c.FindTx(txA3)
+	bh, idx, ok := findTx(t, c, txA3)
 	if !ok || bh != as[2].Hash() || idx != 0 {
 		t.Fatalf("a3 tx not restored: %s %d %v", bh.Short(), idx, ok)
 	}
@@ -169,7 +169,7 @@ func TestSetHeadUnknownBlock(t *testing.T) {
 	if c.Head() != as[3].Hash() || c.Height() != 4 {
 		t.Fatalf("failed SetHead disturbed the chain: %s@%d", c.Head().Short(), c.Height())
 	}
-	if _, _, ok := c.FindTx(as[3].Txs[0].ID()); !ok {
+	if _, _, ok := findTx(t, c, as[3].Txs[0].ID()); !ok {
 		t.Fatal("failed SetHead disturbed the tx index")
 	}
 }

@@ -21,6 +21,16 @@ func child(parent *types.Block, marker string) *types.Block {
 	return types.NewBlock(parent.Hash(), parent.Header.Height+1, int64(parent.Header.Height+1), miner, []*types.Transaction{cb})
 }
 
+// findTx is FindTx on a chain whose bodies all read back.
+func findTx(t testing.TB, c *Chain, txID cryptoutil.Hash) (cryptoutil.Hash, int, bool) {
+	t.Helper()
+	bh, idx, ok, err := c.FindTx(txID)
+	if err != nil {
+		t.Fatalf("FindTx: %v", err)
+	}
+	return bh, idx, ok
+}
+
 func TestBlockTreeAddGet(t *testing.T) {
 	g := genesis()
 	tree := NewBlockTree(g)
@@ -232,7 +242,7 @@ func TestChainConfirmationsAndLookup(t *testing.T) {
 
 	// Transaction lookup.
 	txID := as[1].Txs[0].ID()
-	bh, idx, ok := c.FindTx(txID)
+	bh, idx, ok := findTx(t, c, txID)
 	if !ok || bh != as[1].Hash() || idx != 0 {
 		t.Fatalf("FindTx = %s %d %v", bh.Short(), idx, ok)
 	}
@@ -241,7 +251,7 @@ func TestChainConfirmationsAndLookup(t *testing.T) {
 	if _, _, err := c.SetHead(b1.Hash()); err != nil {
 		t.Fatalf("SetHead: %v", err)
 	}
-	if _, _, ok := c.FindTx(txID); ok {
+	if _, _, ok := findTx(t, c, txID); ok {
 		t.Fatal("tx from reorged-out block must vanish from index")
 	}
 }

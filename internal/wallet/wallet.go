@@ -102,15 +102,19 @@ func (p SPVProof) Size() int {
 }
 
 // ProveTx builds an SPV proof for a committed transaction from a full
-// node's chain view.
+// node's chain view. ErrTxNotFound means the main chain does not hold the
+// transaction; a block body the node could not read back is its own error.
 func ProveTx(chain *store.Chain, txID cryptoutil.Hash) (SPVProof, error) {
-	blockHash, idx, ok := chain.FindTx(txID)
+	blockHash, idx, ok, err := chain.FindTx(txID)
+	if err != nil {
+		return SPVProof{}, fmt.Errorf("wallet: locate %s: %w", txID.Short(), err)
+	}
 	if !ok {
 		return SPVProof{}, fmt.Errorf("%w: %s", ErrTxNotFound, txID.Short())
 	}
-	b, ok := chain.Tree().Get(blockHash)
-	if !ok {
-		return SPVProof{}, fmt.Errorf("%w: %s", ErrTxNotFound, txID.Short())
+	b, err := chain.Tree().Block(blockHash)
+	if err != nil {
+		return SPVProof{}, fmt.Errorf("wallet: read block %s of %s: %w", blockHash.Short(), txID.Short(), err)
 	}
 	proof, err := b.TxProof(idx)
 	if err != nil {

@@ -3,6 +3,7 @@ package wallet
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +13,10 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/node"
+	"dcsledger/internal/simclock"
+	"dcsledger/internal/store"
 	"dcsledger/internal/types"
+	"dcsledger/internal/wal"
 )
 
 func TestTransactionBuilders(t *testing.T) {
@@ -204,6 +208,122 @@ func TestProveTxUnknown(t *testing.T) {
 	if _, err := ProveTx(c.Nodes[0].Chain(), cryptoutil.HashBytes([]byte("missing"))); !errors.Is(err, ErrTxNotFound) {
 		t.Fatalf("want ErrTxNotFound, got %v", err)
 	}
+}
+
+// TestProveTxBelowBodyWindow: a durable node has let go of the body of
+// the block a transaction is in; the proof is built from the journal's
+// copy and verifies against the header.
+func TestProveTxBelowBodyWindow(t *testing.T) {
+	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	alice, bob := FromSeed("alice"), FromSeed("bob")
+	sim := simclock.NewSimulator()
+	genesis := node.NewGenesis("spv-durable")
+	n, err := node.New(node.Config{
+		ID:  "full",
+		Key: cryptoutil.KeyFromSeed([]byte("full-node")),
+		Engine: pow.New(pow.Config{
+			TargetInterval:    10 * time.Second,
+			InitialDifficulty: 64,
+			HashRate:          6.4,
+		}, rand.New(rand.NewSource(7))),
+		ForkChoice: forkchoice.LongestChain{},
+		Genesis:    genesis,
+		Alloc:      map[cryptoutil.Address]uint64{alice.Address(): 1000},
+		Rewards:    incentive.Schedule{InitialReward: 50},
+		Clock:      sim,
+		Mine:       true,
+		Durable:    ds,
+	})
+	if err == nil {
+		err = n.Recover(rec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := alice.Transfer(bob.Address(), 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	sim.RunFor(20 * time.Minute)
+	n.Stop()
+
+	reads := n.Metrics().BodyReads
+	proof, err := ProveTx(n.Chain(), tx.ID())
+	if err != nil {
+		t.Fatalf("ProveTx: %v", err)
+	}
+	bh, _ := n.Chain().AtHeight(proof.Height)
+	if got := n.Metrics().BodyReads; got == reads || n.Tree().BodiesResident() == n.Tree().Len() {
+		t.Fatalf("the block at height %d of %d was still resident: nothing was read back", proof.Height, n.Chain().Height())
+	}
+	light := NewSPVClient(genesis.Header)
+	if err := light.AddHeaders(n.Chain().Headers(1, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if conf, err := light.VerifyTx(proof); err != nil || conf != n.Chain().Confirmations(bh) {
+		t.Fatalf("VerifyTx: %d confirmations, err %v; the chain says %d", conf, err, n.Chain().Confirmations(bh))
+	}
+}
+
+// failingBodies is a body source that holds every block and can be made
+// to fail every read.
+type failingBodies struct {
+	blocks map[cryptoutil.Hash]*types.Block
+	fail   bool
+}
+
+func (s *failingBodies) HasBlock(h cryptoutil.Hash) bool { return s.blocks[h] != nil }
+
+func (s *failingBodies) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
+	if s.fail {
+		return nil, errors.New("injected read failure")
+	}
+	return s.blocks[h], nil
+}
+
+// TestProveTxReadFailureIsNotNotFound: a body the journal cannot produce
+// is an error that names the block, whether the read fails while the
+// transaction is being located or when its block is fetched; it is never
+// "not on the main chain".
+func TestProveTxReadFailureIsNotNotFound(t *testing.T) {
+	genesis := types.NewBlock(cryptoutil.ZeroHash, 0, 0, cryptoutil.ZeroAddress, nil)
+	miner := cryptoutil.KeyFromSeed([]byte("miner")).Address()
+	b1 := types.NewBlock(genesis.Hash(), 1, 1, miner, []*types.Transaction{types.NewCoinbase(miner, 50, 1)})
+	src := &failingBodies{blocks: map[cryptoutil.Hash]*types.Block{b1.Hash(): b1}}
+	tree := store.NewBlockTree(genesis)
+	tree.SetBodySource(src)
+	if err := tree.Add(b1); err != nil {
+		t.Fatal(err)
+	}
+	chain := store.NewChain(tree)
+	if _, _, err := chain.SetHead(b1.Hash()); err != nil {
+		t.Fatal(err)
+	}
+	tree.EvictBodies(2)
+	txID := b1.Txs[0].ID()
+
+	unreadable := func(stage string) {
+		t.Helper()
+		src.fail = true
+		defer func() { src.fail = false }()
+		_, err := ProveTx(chain, txID)
+		if err == nil || errors.Is(err, ErrTxNotFound) || !strings.Contains(err.Error(), b1.Hash().Short()) {
+			t.Fatalf("%s: err = %v; want a read error naming block %s", stage, err, b1.Hash().Short())
+		}
+	}
+	unreadable("locating the transaction")
+	if _, err := ProveTx(chain, txID); err != nil {
+		t.Fatalf("ProveTx once the body reads again: %v", err)
+	}
+	unreadable("fetching its block")
 }
 
 func TestAddHeadersIdempotent(t *testing.T) {
