@@ -1,6 +1,7 @@
 package forkchoice
 
 import (
+	"slices"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -88,8 +89,7 @@ func TestGHOSTPrefersHeavySubtree(t *testing.T) {
 	if tip == a3 {
 		t.Fatal("GHOST must not choose the lonely long chain")
 	}
-	ok, err := tree.Ancestor(b1, tip)
-	if err != nil || !ok {
+	if path, err := tree.PathFromGenesis(tip); err != nil || !slices.Contains(path, b1) {
 		t.Fatalf("GHOST tip %s should descend from b1", tip.Short())
 	}
 }

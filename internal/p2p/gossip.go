@@ -122,7 +122,7 @@ type seenKey [16]byte
 // critical section so two concurrent readers holding the same item
 // cannot both deliver it.
 func (g *Gossiper) markSeen(id cryptoutil.Hash) bool {
-	key := seenKey(id[:len(seenKey{})])
+	key := seenKey(id[:16])
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, ok := g.seen[key]; ok {

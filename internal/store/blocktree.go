@@ -273,45 +273,6 @@ func (t *BlockTree) PathFromGenesis(h cryptoutil.Hash) ([]cryptoutil.Hash, error
 	return rev, nil
 }
 
-// Ancestor reports whether a is an ancestor of (or equal to) b.
-func (t *BlockTree) Ancestor(a, b cryptoutil.Hash) (bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cur := b
-	for {
-		if cur == a {
-			return true, nil
-		}
-		e, ok := t.blocks[cur]
-		if !ok {
-			return false, fmt.Errorf("%w: %s", ErrUnknownBlock, cur.Short())
-		}
-		if cur == t.genesis {
-			return false, nil
-		}
-		cur = e.header.ParentHash
-	}
-}
-
-// CommonAncestor returns the deepest block that is an ancestor of both a
-// and b.
-func (t *BlockTree) CommonAncestor(a, b cryptoutil.Hash) (cryptoutil.Hash, error) {
-	pa, err := t.PathFromGenesis(a)
-	if err != nil {
-		return cryptoutil.ZeroHash, err
-	}
-	pb, err := t.PathFromGenesis(b)
-	if err != nil {
-		return cryptoutil.ZeroHash, err
-	}
-	n := min(len(pa), len(pb))
-	last := t.genesis
-	for i := 0; i < n && pa[i] == pb[i]; i++ {
-		last = pa[i]
-	}
-	return last, nil
-}
-
 // SubtreeSize returns the number of blocks in the subtree rooted at h
 // (including h itself). It is the weight function of the GHOST branch
 // selection rule.

@@ -112,33 +112,14 @@ func TestTipsAndChildren(t *testing.T) {
 	}
 }
 
-func TestPathAncestorCommonAncestor(t *testing.T) {
-	tree, g, as, bs := buildFork(t)
+func TestPathFromGenesis(t *testing.T) {
+	tree, g, as, _ := buildFork(t)
 	path, err := tree.PathFromGenesis(as[2].Hash())
 	if err != nil {
 		t.Fatalf("PathFromGenesis: %v", err)
 	}
 	if len(path) != 4 || path[0] != g.Hash() || path[3] != as[2].Hash() {
 		t.Fatalf("path = %v", path)
-	}
-	ok, err := tree.Ancestor(as[0].Hash(), as[2].Hash())
-	if err != nil || !ok {
-		t.Fatalf("a1 should be ancestor of a3: %v %v", ok, err)
-	}
-	ok, err = tree.Ancestor(bs[0].Hash(), as[2].Hash())
-	if err != nil || ok {
-		t.Fatalf("b1 must not be ancestor of a3: %v %v", ok, err)
-	}
-	ca, err := tree.CommonAncestor(as[2].Hash(), bs[1].Hash())
-	if err != nil {
-		t.Fatalf("CommonAncestor: %v", err)
-	}
-	if ca != g.Hash() {
-		t.Fatalf("common ancestor = %s, want genesis", ca.Short())
-	}
-	ca2, err := tree.CommonAncestor(as[2].Hash(), as[1].Hash())
-	if err != nil || ca2 != as[1].Hash() {
-		t.Fatalf("common ancestor on same branch = %s", ca2.Short())
 	}
 }
 
