@@ -370,6 +370,16 @@ func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
 	}
 }
 
+// modestAlloc funds the 10 000 accounts of a modest deployment: the
+// state the heap tests measure a chain's and a block's cost beside.
+func modestAlloc() map[cryptoutil.Address]uint64 {
+	alloc := make(map[cryptoutil.Address]uint64)
+	for i := uint64(0); i < 10_000; i++ {
+		alloc[cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("heap-test"), binary.BigEndian.AppendUint64(nil, i)))] = 1
+	}
+	return alloc
+}
+
 // TestRecoveryHeapIndependentOfChainLength: what a restart keeps in
 // memory is the state, the body window and, per block, a header and its
 // tree links, nothing per transaction. With the state of a modest
@@ -380,10 +390,7 @@ func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
 		t.Skip("builds a 5000-block data directory")
 	}
 	const payload = 2 << 10 // a block of eight transfers is about this large
-	alloc := make(map[cryptoutil.Address]uint64)
-	for i := uint64(0); i < 10_000; i++ {
-		alloc[cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("heap-test"), binary.BigEndian.AppendUint64(nil, i)))] = 1
-	}
+	alloc := modestAlloc()
 	heapAfterRecover := func(blocks int) (inuse, live uint64) {
 		dir := t.TempDir()
 		n, ds, genesis := fatNode(t, dir, alloc)
@@ -440,10 +447,7 @@ func TestHeapIndependentOfTxsPerBlock(t *testing.T) {
 		blocks  = 2000
 		senders = 8
 	)
-	alloc := make(map[cryptoutil.Address]uint64)
-	for i := uint64(0); i < 10_000; i++ {
-		alloc[cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("heap-test"), binary.BigEndian.AppendUint64(nil, i)))] = 1
-	}
+	alloc := modestAlloc()
 	keys := make([]*cryptoutil.KeyPair, senders)
 	for i := range keys {
 		keys[i] = cryptoutil.KeyFromSeed([]byte{'s', byte(i)})

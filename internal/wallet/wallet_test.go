@@ -54,6 +54,16 @@ func TestTransactionBuilders(t *testing.T) {
 	}
 }
 
+// testEngine is a PoW engine that seals a block every ten simulated
+// seconds or so.
+func testEngine() consensus.Engine {
+	return pow.New(pow.Config{
+		TargetInterval:    10 * time.Second,
+		InitialDifficulty: 64,
+		HashRate:          6.4,
+	}, rand.New(rand.NewSource(7)))
+}
+
 // minedChain spins a single-node PoW chain with one committed transfer
 // and returns the cluster plus the tx id.
 func minedChain(t *testing.T) (*node.Cluster, cryptoutil.Hash) {
@@ -61,14 +71,8 @@ func minedChain(t *testing.T) (*node.Cluster, cryptoutil.Hash) {
 	alice := FromSeed("alice")
 	bob := FromSeed("bob")
 	c, err := node.NewCluster(node.ClusterConfig{
-		N: 1,
-		Engine: func(i int, key *cryptoutil.KeyPair) consensus.Engine {
-			return pow.New(pow.Config{
-				TargetInterval:    10 * time.Second,
-				InitialDifficulty: 64,
-				HashRate:          6.4,
-			}, rand.New(rand.NewSource(7)))
-		},
+		N:          1,
+		Engine:     func(int, *cryptoutil.KeyPair) consensus.Engine { return testEngine() },
 		ForkChoice: func() consensus.ForkChoice { return forkchoice.LongestChain{} },
 		Alloc:      map[cryptoutil.Address]uint64{alice.Address(): 1000},
 		Rewards:    incentive.Schedule{InitialReward: 50},
@@ -223,13 +227,9 @@ func TestProveTxBelowBodyWindow(t *testing.T) {
 	sim := simclock.NewSimulator()
 	genesis := node.NewGenesis("spv-durable")
 	n, err := node.New(node.Config{
-		ID:  "full",
-		Key: cryptoutil.KeyFromSeed([]byte("full-node")),
-		Engine: pow.New(pow.Config{
-			TargetInterval:    10 * time.Second,
-			InitialDifficulty: 64,
-			HashRate:          6.4,
-		}, rand.New(rand.NewSource(7))),
+		ID:         "full",
+		Key:        cryptoutil.KeyFromSeed([]byte("full-node")),
+		Engine:     testEngine(),
 		ForkChoice: forkchoice.LongestChain{},
 		Genesis:    genesis,
 		Alloc:      map[cryptoutil.Address]uint64{alice.Address(): 1000},
