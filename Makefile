@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet lint loc lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix heap-gate fuzz-smoke bench-build bench-test scenario-smoke scenario-full
+.PHONY: all build vet lint loc lint-baseline test race fmt-check doc-check tier1 ci trace-demo crash-matrix heap-gate disk-gate fuzz-smoke bench-build bench-test scenario-smoke scenario-full
 
 all: tier1
 
@@ -123,8 +123,16 @@ heap-gate:
 	$(GO) test -count=1 ./internal/node -run 'TestHeapIndependentOfTxsPerBlock|TestRecoveryHeapIndependentOfChainLength' -v
 	$(GO) test -count=1 ./internal/p2p -run TestSeenCacheBytesPerEntry -v
 
+# The disk gates, without -short: a transfer costs the journal under 190
+# bytes (the canonical encoding verbatim: about 247), and a trie node
+# record costs the node store's index at most 32 bytes of heap.
+disk-gate:
+	$(GO) test -count=1 ./internal/wal -run TestJournalBytesPerTransfer -v
+	$(GO) test -count=1 ./internal/nodestore -run TestIndexBytesPerRecord -v
+
 # Native fuzzing smoke: 30s per target over every decoder that reads
-# attacker- or crash-controlled bytes — the WAL frame, the block codec,
+# attacker- or crash-controlled bytes — the WAL frame, the codec its
+# block records are compressed by, the block codec,
 # and the binary wire codecs (p2p frames, gossip envelopes, pbft/raft
 # protocol messages, ordering batches, poet certificates, state
 # snapshots, the node store's batch frames and the trie node records in
@@ -132,6 +140,7 @@ heap-gate:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lz -run '^$$' -fuzz FuzzLZDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzBlockDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzMessageDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/p2p -run '^$$' -fuzz FuzzEnvelopeDecode -fuzztime $(FUZZTIME)
@@ -171,4 +180,4 @@ scenario-full:
 
 tier1: build vet lint fmt-check doc-check test bench-build bench-test
 
-ci: tier1 race heap-gate scenario-smoke
+ci: tier1 race heap-gate disk-gate scenario-smoke

@@ -1,0 +1,218 @@
+package lz
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"testing"
+)
+
+// limit stands in for the WAL's MaxRecordLen.
+const limit = 32 << 20
+
+// inputs are the shapes the codec has to get right: nothing, less than
+// one hashed group, noise, a few symbols, runs (copies that overlap
+// their own output), records of one layout, and self-similar data on
+// both sides of the 64 KiB window.
+func inputs() map[string][]byte {
+	rng := rand.New(rand.NewSource(7))
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	lowEntropy := make([]byte, 70_000)
+	for i := range lowEntropy {
+		lowEntropy[i] = "abc"[rng.Intn(3)]
+	}
+	var records []byte
+	for i := 0; i < 300; i++ {
+		records = binary.BigEndian.AppendUint64(records, 233)
+		records = append(records, noise(20)...)
+		records = binary.BigEndian.AppendUint64(records, uint64(rng.Intn(100)))
+		records = binary.BigEndian.AppendUint64(records, 2)
+		records = append(records, make([]byte, 16)...)
+		records = append(records, noise(64)...)
+	}
+	block := noise(5000)
+	selfSimilar := bytes.Repeat(block, 14) // the window reaches some repeats and not others
+	far := append(append(noise(100), make([]byte, 1<<16)...), block[:100]...)
+	out := map[string][]byte{
+		"empty":        {},
+		"one byte":     {0x42},
+		"three bytes":  {1, 2, 3},
+		"four bytes":   {1, 2, 3, 4},
+		"seven same":   bytes.Repeat([]byte{9}, 7),
+		"noise 1":      noise(1),
+		"noise 63":     noise(63),
+		"noise 64":     noise(64),
+		"noise 65":     noise(65),
+		"noise 64K+":   noise(1<<16 + 77),
+		"zeros 64K+":   make([]byte, 1<<16+5),
+		"pair run":     bytes.Repeat([]byte{0xab, 0xcd}, 3000),
+		"low entropy":  lowEntropy,
+		"records":      records,
+		"self similar": selfSimilar,
+		"far repeat":   far,
+	}
+	for n := 0; n < 12; n++ {
+		out["run "+string(rune('a'+n))] = bytes.Repeat([]byte{7}, n)
+	}
+	return out
+}
+
+func TestRoundTrip(t *testing.T) {
+	var e Encoder
+	for name, in := range inputs() {
+		c := e.Encode(nil, in)
+		got, err := Decode(nil, c, limit, limit)
+		if err != nil || !bytes.Equal(got, in) {
+			t.Errorf("%s: %d bytes came back as %d, err %v", name, len(in), len(got), err)
+		}
+		if worst := len(in) + len(in)/64 + 1 + binary.MaxVarintLen64; len(c) > worst {
+			t.Errorf("%s: %d bytes encode to %d, over the bound %d", name, len(in), len(c), worst)
+		}
+		// Into a buffer with something in it and room to spare, and with
+		// a prefix already in dst.
+		if got, _ = Decode(make([]byte, 3, 1<<17), c, limit, limit); !bytes.Equal(got, in) {
+			t.Errorf("%s: decode into a reused buffer differs", name)
+		}
+		if pre := e.Encode([]byte("head"), in); !bytes.Equal(pre, append([]byte("head"), c...)) {
+			t.Errorf("%s: Encode does not append to dst", name)
+		}
+	}
+}
+
+// TestCompresses: the inputs with something to find get smaller, by
+// about what their shape allows.
+func TestCompresses(t *testing.T) {
+	var e Encoder
+	in := inputs()
+	for name, atMost := range map[string]float64{
+		"zeros 64K+": 0.03, "pair run": 0.03, "records": 0.78, "self similar": 0.11, "low entropy": 0.5,
+	} {
+		if got := float64(len(e.Encode(nil, in[name]))) / float64(len(in[name])); got > atMost {
+			t.Errorf("%s: ratio %.3f, want at most %.2f", name, got, atMost)
+		}
+	}
+	// Past the window there is nothing to copy from.
+	far := in["far repeat"]
+	if c := e.Encode(nil, far); len(c) < 200 {
+		t.Errorf("far repeat: %d bytes encode to %d, as if a copy reached past the window", len(far), len(c))
+	}
+}
+
+func TestDeterministic(t *testing.T) {
+	var a, b Encoder
+	b.Encode(nil, inputs()["low entropy"]) // a used table must not show
+	for name, in := range inputs() {
+		if !bytes.Equal(a.Encode(nil, in), b.Encode(nil, in)) {
+			t.Errorf("%s: two encoders disagree", name)
+		}
+	}
+}
+
+// TestPrefixDecode: Decode(c, n) is the first n bytes of the input, for
+// every n on short inputs and for n around every element boundary's
+// neighbourhood on long ones.
+func TestPrefixDecode(t *testing.T) {
+	var e Encoder
+	rng := rand.New(rand.NewSource(11))
+	for name, in := range inputs() {
+		c := e.Encode(nil, in)
+		ns := []int{0, 1, len(in) - 1, len(in), len(in) + 1, limit}
+		if len(in) <= 4096 {
+			for n := 0; n <= len(in); n++ {
+				ns = append(ns, n)
+			}
+		} else {
+			for k := 0; k < 300; k++ {
+				ns = append(ns, rng.Intn(len(in)))
+			}
+		}
+		for _, n := range ns {
+			if n < 0 {
+				continue
+			}
+			got, err := Decode(nil, c, n, limit)
+			if want := in[:min(n, len(in))]; err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: Decode(n=%d) = %d bytes, err %v; want the first %d", name, n, len(got), err, len(want))
+			}
+		}
+	}
+}
+
+func TestDecodeRefuses(t *testing.T) {
+	var e Encoder
+	good := e.Encode(nil, []byte("abcdabcdabcdabcd-0123456789"))
+	for name, c := range map[string][]byte{
+		"no length":                {},
+		"unterminated length":      {0x80, 0x80},
+		"declared length over max": binary.AppendUvarint(nil, limit+1),
+		"huge declared length":     {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"no elements":              {5},
+		"torn literal":             {5, 0x04, 'a', 'b'},
+		"torn short copy":          {8, 0x03, 'a', 'b', 'c', 'd', 0x40},
+		"torn long copy":           {8, 0x03, 'a', 'b', 'c', 'd', 0x80, 0x04},
+		"offset zero":              {8, 0x03, 'a', 'b', 'c', 'd', 0x40, 0x00},
+		"offset before the start":  {8, 0x03, 'a', 'b', 'c', 'd', 0x80, 0x05, 0x00},
+		"copy first":               {4, 0x40, 0x01},
+		"literal overruns":         {3, 0x03, 'a', 'b', 'c', 'd'},
+		"copy overruns":            {7, 0x03, 'a', 'b', 'c', 'd', 0x40, 0x04},
+		"ends early":               good[:len(good)-3],
+		"trailing input":           append(append([]byte(nil), good...), 0x00, 'x'),
+	} {
+		if got, err := Decode(nil, c, limit, limit); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %q, %v; want ErrCorrupt", name, got, err)
+		}
+	}
+	// The bound is the caller's: what one limit admits another refuses.
+	if _, err := Decode(nil, good, limit, 8); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a declared length of 27 under a limit of 8: err %v", err)
+	}
+}
+
+// FuzzLZDecode: for any input the decoder returns an error or at most
+// the declared length, never more than it was asked for, never panics,
+// and never believes a declared length above the limit — so what it
+// allocates is bounded by the limit whatever the input says. What it does
+// accept round-trips through the encoder to the same bytes.
+func FuzzLZDecode(f *testing.F) {
+	var e Encoder
+	for _, in := range inputs() {
+		if len(in) <= 1<<12 {
+			f.Add(e.Encode(nil, in), uint32(len(in)))
+		}
+	}
+	f.Add([]byte{8, 0x03, 'a', 'b', 'c', 'd', 0x40, 0x04}, uint32(8))
+	f.Add(binary.AppendUvarint(nil, fuzzLimit+1), uint32(1))
+	f.Fuzz(func(t *testing.T, c []byte, n uint32) {
+		want := int(n % (2 * fuzzLimit))
+		got, err := Decode(nil, c, want, fuzzLimit)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		declared, _ := binary.Uvarint(c)
+		if declared > fuzzLimit || len(got) != min(want, int(declared)) || cap(got) > 2*fuzzLimit {
+			t.Fatalf("asked for %d of a declared %d: got %d bytes, cap %d", want, declared, len(got), cap(got))
+		}
+		whole, err := Decode(nil, c, fuzzLimit, fuzzLimit)
+		if err != nil {
+			return // the prefix was fine, something behind it is not
+		}
+		if !bytes.HasPrefix(whole, got) {
+			t.Fatalf("Decode(n=%d) is not a prefix of the whole", want)
+		}
+		var e Encoder
+		if back, err := Decode(nil, e.Encode(nil, whole), fuzzLimit, fuzzLimit); err != nil || !bytes.Equal(back, whole) {
+			t.Fatalf("re-encoding what decoded does not round-trip: %v", err)
+		}
+	})
+}
+
+// fuzzLimit is small so that the fuzzer finds the limit's edge.
+const fuzzLimit = 1 << 16

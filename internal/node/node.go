@@ -682,6 +682,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 			emit("wal_rotations_total", int64(st.WAL.Rotations))
 			emit("wal_segments", int64(st.WAL.Segments))
 			emit("wal_bytes_written_total", int64(st.WAL.Bytes))
+			emit("wal_block_raw_bytes_total", int64(st.BlockRawBytes))
 			emit("wal_last_seq", int64(st.WAL.LastSeq))
 			emit("wal_torn_truncated_bytes_total", int64(st.WAL.TornTruncated))
 			emit("wal_checkpoints_total", int64(st.Checkpoints))

@@ -1,0 +1,260 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/lz"
+	"dcsledger/internal/seglog"
+	"dcsledger/internal/types"
+)
+
+// transferBlocks builds a chain of nBlocks blocks of perBlock signed
+// transfers each, drawn the way benchmark/workload.go draws them: 256
+// senders picked uniformly, the recipient a zipf(1.1) rank past the
+// sender, values 1..100, fee 2, nonces counting up per sender, signed
+// by the deterministic signer. The same arguments give the same bytes.
+func transferBlocks(t testing.TB, nBlocks, perBlock int) []*types.Block {
+	t.Helper()
+	const senders = 256
+	keys := make([]*cryptoutil.KeyPair, senders)
+	for i := range keys {
+		keys[i] = cryptoutil.KeyFromSeed([]byte(fmt.Sprintf("journal-test/sender/%d", i)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	ranks := rand.NewZipf(rng, 1.1, 1, senders-1)
+	nonces := make([]uint64, senders)
+	miner := cryptoutil.KeyFromSeed([]byte("journal-test/miner")).Address()
+	parent := cryptoutil.HashBytes([]byte("genesis"))
+	blocks := make([]*types.Block, nBlocks)
+	for i := range blocks {
+		txs := make([]*types.Transaction, perBlock)
+		for k := range txs {
+			s := rng.Intn(senders)
+			r := (s + 1 + int(ranks.Uint64())) % senders
+			if r == s {
+				r = (r + 1) % senders
+			}
+			tx := types.NewTransfer(keys[s].Address(), keys[r].Address(), uint64(1+rng.Intn(100)), 2, nonces[s])
+			nonces[s]++
+			if err := tx.SignDeterministic(keys[s]); err != nil {
+				t.Fatal(err)
+			}
+			txs[k] = tx
+		}
+		blocks[i] = types.NewBlock(parent, uint64(i+1), int64(1000+i), miner, txs)
+		parent = blocks[i].Hash()
+	}
+	return blocks
+}
+
+// dirBytes is the total size of the regular files under dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	for name := range hashTree(t, dir) {
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
+// TestJournalBytesPerTransfer: what a transfer costs the journal. Forty
+// blocks of 80 transfers (transfer-heavy's block) through a real store,
+// head switches included, must leave the WAL directory under 190 bytes a
+// transaction; the canonical encoding verbatim costs about 247.
+func TestJournalBytesPerTransfer(t *testing.T) {
+	const nBlocks, perBlock, limit = 40, 80, 190
+	dir := t.TempDir()
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncNever})
+	blocks := transferBlocks(t, nBlocks, perBlock)
+	for _, b := range blocks {
+		if err := s.LogBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogHead(b.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	txs := float64(nBlocks * perBlock)
+	stored := dirBytes(t, filepath.Join(dir, "wal"))
+	t.Logf("%d transfers: raw block bytes %d (%.1f B/tx), WAL directory %d (%.1f B/tx), ratio %.3f",
+		nBlocks*perBlock, st.BlockRawBytes, float64(st.BlockRawBytes)/txs, stored, float64(stored)/txs,
+		float64(st.WAL.Bytes)/float64(st.BlockRawBytes))
+	if got := float64(stored) / txs; got >= limit {
+		t.Fatalf("the journal costs %.1f B per transfer, want under %d", got, limit)
+	}
+	// What was saved is still there: every block reads back.
+	s2, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncNever})
+	if rec.Blocks != nBlocks || rec.Head != blocks[nBlocks-1].Hash() || rec.Truncated != 0 {
+		t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
+	}
+	for _, b := range blocks {
+		got, err := s2.ReadBlock(b.Hash())
+		if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
+			t.Fatalf("ReadBlock h=%d: %v", b.Header.Height, err)
+		}
+	}
+}
+
+// TestAppendsCompressedAfterParentDirectory: a directory of type-1
+// records, written by a build that knew no other, takes type-3 records
+// behind them; the reopened store has one chain and reads every block of
+// both kinds back by hash.
+func TestAppendsCompressedAfterParentDirectory(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, dir, "testdata/parent-datadir")
+	blocks := testBlocks(12)
+	blocks = append(blocks, transferBlocks(t, 3, 20)...)
+	s, rec := openStoreT(t, dir, goldenStoreOpts())
+	if rec.Blocks != 12 {
+		t.Fatalf("the parent's directory holds %d blocks, want 12", rec.Blocks)
+	}
+	for _, b := range blocks[12:] {
+		if err := s.LogBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogHead(b.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rec = openStoreT(t, dir, goldenStoreOpts())
+	if rec.Blocks != len(blocks) || rec.Head != blocks[len(blocks)-1].Hash() || rec.Truncated != 0 {
+		t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
+	}
+	kinds := map[byte]int{}
+	if err := s.WAL().Replay(func(r Record) error { kinds[r.Type]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[RecBlock] != 12 || kinds[RecBlockZ] != 3 {
+		t.Fatalf("record types %v, want 12 of type %d and 3 of type %d", kinds, RecBlock, RecBlockZ)
+	}
+	for i, j := range journaledBlocks(t, rec) {
+		if j.Block.Hash() != blocks[i].Hash() {
+			t.Fatalf("replayed block %d is not the one journaled", i)
+		}
+	}
+	for _, b := range blocks {
+		got, err := s.ReadBlock(b.Hash())
+		if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
+			t.Fatalf("ReadBlock h=%d: %v", b.Header.Height, err)
+		}
+	}
+}
+
+// uninflatable are RecBlockZ payloads of a real block that no longer
+// inflate, each damaged in a way only the codec can notice: the frame
+// around it is valid.
+func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
+	t.Helper()
+	var enc lz.Encoder
+	good := enc.Encode(nil, b.Encode())
+	// Walk the elements to the last one: a literal, since a block ends in
+	// a signature. Its tag becomes a long copy of 131 bytes.
+	_, tag := binary.Uvarint(good)
+	for size := 0; ; tag += size {
+		switch t := good[tag]; {
+		case t < 0x40:
+			size = 2 + int(t)
+		case t < 0x80:
+			size = 2
+		default:
+			size = 3
+		}
+		if tag+size == len(good) {
+			break
+		}
+	}
+	if good[tag] >= 0x40 {
+		t.Fatalf("the encoding ends in tag %#x, not in a literal", good[tag])
+	}
+	badElement := append([]byte(nil), good...)
+	badElement[tag] = 0xff
+	return map[string][]byte{
+		"bad element":              badElement,
+		"wrong length":             append(good[:len(good):len(good)], 0x00, 0x00),
+		"declared length over max": append([]byte{0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
+	}
+}
+
+// TestUninflatableRecordStopsCollection: a CRC-valid RecBlockZ whose
+// header prefix does not inflate ends the journal at the open-time scan,
+// counted in Truncated with everything behind it, like a RecBlock that
+// is not a block.
+func TestUninflatableRecordStopsCollection(t *testing.T) {
+	blocks := transferBlocks(t, 3, 4)
+	for name, payload := range map[string][]byte{
+		"declared length over max": uninflatable(t, blocks[1])["declared length over max"],
+		"offset before the start":  {0x20, 0x80, 0x01, 0x00},
+		"no elements":              {0x20},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			if err := s.LogBlock(blocks[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WAL().Append(RecBlockZ, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LogBlock(blocks[2]); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+				t.Fatalf("recovered %d blocks, want the 1 before the bad record", len(got))
+			}
+			if rec.Truncated != 2 {
+				t.Fatalf("Truncated = %d, want 2 (bad record + dropped successor)", rec.Truncated)
+			}
+		})
+	}
+}
+
+// TestReadBlockOfUninflatableRecord: a record that stops inflating after
+// it was indexed is damage that names the block, never a block.
+func TestReadBlockOfUninflatableRecord(t *testing.T) {
+	blocks := transferBlocks(t, 2, 4)
+	for name, payload := range uninflatable(t, blocks[1]) {
+		t.Run(name, func(t *testing.T) {
+			s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: FsyncNever})
+			if err := s.LogBlock(blocks[0]); err != nil {
+				t.Fatal(err)
+			}
+			_, at, err := s.WAL().AppendAt(RecBlockZ, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := blocks[1].Hash()
+			s.blocks[h] = at
+			b, err := s.ReadBlock(h)
+			if b != nil || !errors.Is(err, seglog.ErrDamaged) || !strings.Contains(err.Error(), h.Short()) {
+				t.Fatalf("ReadBlock = %v, %v; want no block and ErrDamaged naming %s", b, err, h.Short())
+			}
+			if _, err := s.ReadBlock(blocks[0].Hash()); err != nil {
+				t.Fatalf("the record before it: %v", err)
+			}
+		})
+	}
+}

@@ -112,10 +112,23 @@ func copyTree(t *testing.T, dst, src string) {
 	}
 }
 
-// goldenStoreFiles pins every byte the DurableStore puts on disk —
-// file names, segment headers, frames, the checkpoint. The hashes were
-// recorded at commit 56ba322, before internal/seglog existed; a data
-// directory written by that commit and by this one are the same bytes.
+// parentStoreFiles are the files of testdata/parent-datadir: the scripted
+// run as the binary of commit 56ba322 wrote it, before internal/seglog
+// existed and with every block a RecBlock record. Builds up to PR 21
+// wrote these same bytes.
+var parentStoreFiles = map[string]string{
+	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
+	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
+	"wal/wal-00000002.seg":     "985ed4403647e6eb7fe102f76b0e0ab3a1258947a0ad63d801edc3045ac67dfd",
+	"wal/wal-00000003.seg":     "b169cb021be8ad7c73a83eb6b18e887e7e430c9c5d39c4b6cda31a143041448d",
+	"wal/wal-00000004.seg":     "125ffa39a6aaa85af235d51657ed3329e2eb641321d68c15374ffbc13805190a",
+	"wal/wal-00000005.seg":     "7d98b7e399c7968b97ef52d9232cbc394b64df39b041c0a23e124385426be351",
+	"wal/wal-00000006.seg":     "9dbda327d22c602b351c106b4e3a87a6d4fe53778c9a1848d5208ae021f6385a",
+}
+
+// goldenStoreFiles pins every byte the DurableStore puts on disk — file
+// names, segment headers, frames with their RecBlockZ payloads (the codec
+// is deterministic), the checkpoint, which is the parent's byte for byte.
 var goldenStoreFiles = map[string]string{
 	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
 	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
@@ -145,9 +158,13 @@ func TestOnDiskGolden(t *testing.T) {
 // it, extends it and reopens it.
 func TestOpensParentDirectory(t *testing.T) {
 	const fixture = "testdata/parent-datadir"
-	for name, want := range goldenStoreFiles {
-		if got := hashTree(t, fixture)[name]; got != want {
-			t.Fatalf("fixture %s is not the golden run's file: %s", name, got)
+	got := hashTree(t, fixture)
+	if len(got) != len(parentStoreFiles) {
+		t.Fatalf("fixture holds %d files, want %d", len(got), len(parentStoreFiles))
+	}
+	for name, want := range parentStoreFiles {
+		if got[name] != want {
+			t.Fatalf("fixture %s is not the parent's file: %s", name, got[name])
 		}
 	}
 	dir := t.TempDir()

@@ -19,7 +19,7 @@ func TestReadErrorAbortsOpen(t *testing.T) {
 		t.Fatalf("need >= 3 segments, got %d", w.Stats().Segments)
 	}
 	w.Close()
-	unreadable := filepath.Join(dir, segName(2))
+	unreadable := filepath.Join(dir, format.SegmentName(2))
 	if err := os.Remove(unreadable); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/lz"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -19,10 +20,14 @@ import (
 // WAL record types written by the DurableStore.
 const (
 	// RecBlock journals one connected block (payload: types.Block
-	// canonical encoding).
+	// canonical encoding). Builds before RecBlockZ wrote it; it is read
+	// and no longer written.
 	RecBlock byte = 1
 	// RecHead journals one head switch (payload: 32-byte block hash).
 	RecHead byte = 2
+	// RecBlockZ journals one connected block (payload: the lz encoding of
+	// what RecBlock carries).
+	RecBlockZ byte = 3
 )
 
 // DefaultCheckpointEvery is the default block cadence between state
@@ -138,12 +143,13 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 			return nil
 		}
 		switch rec.Type {
-		case RecBlock:
-			b, err := types.DecodeBlock(rec.Payload)
+		case RecBlock, RecBlockZ:
+			b, err := decodeBlock(rec)
 			if err != nil {
 				// The header decoded when the store opened, the rest does
-				// not: the journal ends here, as for any undecodable
-				// record (prefix semantics), for this replay and the next.
+				// not inflate or does not decode: the journal ends here, as
+				// for any undecodable record (prefix semantics), for this
+				// replay and the next.
 				r.Truncated += int(r.lastSeq - rec.Seq + 1)
 				r.lastSeq = rec.Seq - 1
 				return nil
@@ -160,6 +166,40 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 	})
 }
 
+// decodeBlock decodes the block a block record carries, inflating a
+// RecBlockZ payload first.
+func decodeBlock(rec Record) (*types.Block, error) {
+	raw := rec.Payload
+	if rec.Type == RecBlockZ {
+		var err error
+		if raw, err = lz.Decode(nil, rec.Payload, MaxRecordLen, MaxRecordLen); err != nil {
+			return nil, err
+		}
+	}
+	return types.DecodeBlock(raw)
+}
+
+// peekHeader decodes the header of the block a block record carries and
+// nothing after it: of a RecBlockZ payload it inflates the header's
+// 8-byte length, then that much. buf is scratch it may reuse.
+func peekHeader(rec Record, buf []byte) (*types.BlockHeader, []byte, error) {
+	if rec.Type == RecBlock {
+		hdr, err := types.PeekBlockHeader(rec.Payload)
+		return hdr, buf, err
+	}
+	const prefix = 8
+	p, err := lz.Decode(buf, rec.Payload, prefix, MaxRecordLen)
+	if err == nil && len(p) == prefix {
+		n := min(binary.BigEndian.Uint64(p), MaxRecordLen)
+		p, err = lz.Decode(p, rec.Payload, prefix+int(n), MaxRecordLen)
+	}
+	if err != nil {
+		return nil, buf, err
+	}
+	hdr, err := types.PeekBlockHeader(p)
+	return hdr, p, err
+}
+
 // DurableStore is the persistent block-store backend: it journals
 // connected blocks and head switches into a segmented WAL under
 // dir/wal/ and writes periodic state checkpoints as dir/ckpt-*.ck
@@ -173,8 +213,13 @@ type DurableStore struct {
 	opts  StoreOptions
 	// blocks locates every journaled block's record. It is memory only,
 	// rebuilt by the scan at open: the log is the one copy on disk.
-	blocks         map[cryptoutil.Hash]Loc
-	failed         error // latched first write failure
+	blocks map[cryptoutil.Hash]Loc
+	// enc and zbuf are what LogBlock compresses through: one table and
+	// one buffer for the store's lifetime, nothing allocated per block.
+	enc            lz.Encoder
+	zbuf           []byte
+	rawBytes       uint64 // canonical-encoding bytes of the blocks journaled this session
+	failed         error  // latched first write failure
 	lastCkptHeight uint64
 	checkpoints    uint64 // written this session
 	// ckptRoots are the state roots the retained checkpoint files name,
@@ -199,6 +244,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		blocks: make(map[cryptoutil.Hash]Loc),
 	}
 	rec := &Recovery{store: s}
+	var peek []byte // the scan's inflate scratch
 	w, err := open(filepath.Join(dir, "wal"), Options{
 		SegmentSize: opts.SegmentSize,
 		Fsync:       opts.Fsync,
@@ -210,13 +256,19 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			return nil
 		}
 		switch r.Type {
-		case RecBlock:
-			// The header is all this pass needs; Replay decodes the
-			// transactions, once, when the block is actually wanted.
-			hdr, derr := types.PeekBlockHeader(r.Payload)
+		case RecBlock, RecBlockZ:
+			// The header is all this pass needs; Replay inflates the body
+			// and decodes the transactions, once, when the block is
+			// actually wanted.
+			var (
+				hdr  *types.BlockHeader
+				derr error
+			)
+			hdr, peek, derr = peekHeader(r, peek)
 			if derr != nil {
-				// CRC-valid but undecodable: stop collecting here so the
-				// recovered chain stays a clean prefix.
+				// CRC-valid but uninflatable or undecodable: stop
+				// collecting here so the recovered chain stays a clean
+				// prefix.
 				rec.Truncated++
 				return nil
 			}
@@ -268,26 +320,32 @@ func (s *DurableStore) Failed() error {
 type StoreStats struct {
 	WAL         Stats
 	Checkpoints uint64 // checkpoints written this session
+	// BlockRawBytes is the canonical-encoding size of the blocks journaled
+	// this session: what WAL.Bytes would have spent on them uncompressed.
+	BlockRawBytes uint64
 }
 
 // Stats returns a snapshot of durability counters.
 func (s *DurableStore) Stats() StoreStats {
 	s.mu.Lock()
-	ck := s.checkpoints
+	ck, raw := s.checkpoints, s.rawBytes
 	s.mu.Unlock()
-	return StoreStats{WAL: s.wal.Stats(), Checkpoints: ck}
+	return StoreStats{WAL: s.wal.Stats(), Checkpoints: ck, BlockRawBytes: raw}
 }
 
-// LogBlock journals one connected block. The write is the block's
-// commit point: an error means durability was NOT achieved and latches
-// the store into the failed state. On success the block can be read
-// back (ReadBlock).
+// LogBlock journals one connected block, compressed (RecBlockZ). The
+// write is the block's commit point: an error means durability was NOT
+// achieved and latches the store into the failed state. On success the
+// block can be read back (ReadBlock).
 func (s *DurableStore) LogBlock(b *types.Block) error {
+	raw := b.Encode()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at, err := s.logLocked(RecBlock, b.Encode())
+	s.zbuf = s.enc.Encode(s.zbuf[:0], raw)
+	at, err := s.logLocked(RecBlockZ, s.zbuf)
 	if err == nil {
 		s.blocks[b.Hash()] = at
+		s.rawBytes += uint64(len(raw))
 	}
 	return err
 }
@@ -320,10 +378,10 @@ func (s *DurableStore) HasBlock(h cryptoutil.Hash) bool {
 	return ok
 }
 
-// ReadBlock reads block h back from its journal record, CRC-checked and
-// decoded: ErrNoBlock if the journal does not hold it, otherwise the
-// block or the reason the record could not be read. A block is readable
-// from the moment LogBlock returned, fsynced or not.
+// ReadBlock reads block h back from its journal record, CRC-checked,
+// inflated and decoded: ErrNoBlock if the journal does not hold it,
+// otherwise the block or the reason the record could not be read. A
+// block is readable from the moment LogBlock returned, fsynced or not.
 func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	s.mu.Lock()
 	at, ok := s.blocks[h]
@@ -335,10 +393,13 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
 	}
-	if rec.Type != RecBlock {
+	if rec.Type != RecBlock && rec.Type != RecBlockZ {
 		return nil, fmt.Errorf("wal: read block %s: %w: not a block record", h.Short(), seglog.ErrDamaged)
 	}
-	b, err := types.DecodeBlock(rec.Payload)
+	b, err := decodeBlock(rec)
+	if errors.Is(err, lz.ErrCorrupt) {
+		return nil, fmt.Errorf("wal: read block %s: %w: %v", h.Short(), seglog.ErrDamaged, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
 	}

@@ -326,6 +326,47 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	}
 }
 
+// TestUninflatableRecordStopsReplay: the same for a compressed record
+// whose header prefix inflates and whose body does not — a bad element or
+// input past the declared length, behind a valid CRC. The open-time scan
+// inflates headers only; Replay ends the journal in front of the record.
+func TestUninflatableRecordStopsReplay(t *testing.T) {
+	blocks := transferBlocks(t, 3, 4)
+	for _, name := range []string{"bad element", "wrong length"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			if err := s.LogBlock(blocks[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.WAL().Append(RecBlockZ, uninflatable(t, blocks[1])[name]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LogBlock(blocks[2]); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			if rec.Truncated != 0 || rec.Blocks != 3 {
+				t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (header prefixes all inflate)", rec.Truncated, rec.Blocks)
+			}
+			for pass := 0; pass < 2; pass++ {
+				var got []Journaled
+				if err := rec.Replay(func(j Journaled) error { got = append(got, j); return nil }); err != nil {
+					t.Fatalf("Replay: %v", err)
+				}
+				if len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+					t.Fatalf("pass %d: replayed %d records, want the 1 block before the bad one", pass, len(got))
+				}
+				if rec.Truncated != 2 {
+					t.Fatalf("pass %d: Truncated = %d, want 2 (bad record + dropped successor)", pass, rec.Truncated)
+				}
+			}
+		})
+	}
+}
+
 // TestPruneFloorProtectsReplaySuffix pins the checkpoint-seq prune
 // floor: a DurableStore WAL with no checkpoint refuses to prune
 // anything, and once a checkpoint exists, an arbitrarily aggressive
@@ -454,12 +495,12 @@ func TestReadBlock(t *testing.T) {
 
 	// Flip a payload byte of the log's first record, blocks[0], underneath
 	// the open store.
-	seg := filepath.Join(dir, "wal", segName(1))
+	seg := filepath.Join(dir, "wal", format.SegmentName(1))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[segHeaderLen+frameHeaderLen+recordHeaderLen+4] ^= 0xff
+	data[format.HeaderLen()+seglog.FrameHeaderLen+recordHeaderLen+4] ^= 0xff
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

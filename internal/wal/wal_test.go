@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dcsledger/internal/seglog"
 )
 
 // openT opens a WAL in a fresh temp dir and registers cleanup.
@@ -206,7 +208,7 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[segHeaderLen+frameHeaderLen+recordHeaderLen+2] ^= 0xFF // payload byte of record 1
+	data[format.HeaderLen()+seglog.FrameHeaderLen+recordHeaderLen+2] ^= 0xFF // payload byte of record 1
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
