@@ -131,12 +131,12 @@ var parentStoreFiles = map[string]string{
 // is deterministic), the checkpoint, which is the parent's byte for byte.
 var goldenStoreFiles = map[string]string{
 	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
-	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
-	"wal/wal-00000002.seg":     "985ed4403647e6eb7fe102f76b0e0ab3a1258947a0ad63d801edc3045ac67dfd",
-	"wal/wal-00000003.seg":     "b169cb021be8ad7c73a83eb6b18e887e7e430c9c5d39c4b6cda31a143041448d",
-	"wal/wal-00000004.seg":     "125ffa39a6aaa85af235d51657ed3329e2eb641321d68c15374ffbc13805190a",
-	"wal/wal-00000005.seg":     "7d98b7e399c7968b97ef52d9232cbc394b64df39b041c0a23e124385426be351",
-	"wal/wal-00000006.seg":     "9dbda327d22c602b351c106b4e3a87a6d4fe53778c9a1848d5208ae021f6385a",
+	"wal/wal-00000001.seg":     "b5e9696d85ba8b2c4dadca3328603bfefaaa59eb87aff6c500f6747535bf58e0",
+	"wal/wal-00000002.seg":     "4275b0f3049c2e9ceba03c55c3c19e7e7f0c01a380830ac019cb560249b8c0ff",
+	"wal/wal-00000003.seg":     "a207cea8112db3bb9fa3ef6c245f77e4fe07d9282d5487fafaa1ac874cd4358f",
+	"wal/wal-00000004.seg":     "faa142bcb0e2b8e637a7d4a0cdee030f7929ef876b1fec598ea10e882c22361c",
+	"wal/wal-00000005.seg":     "e202e85a3e6a147aa4cd1b9170f36c8f2ffbc628b0bc04abbb9fda97d710ccaa",
+	"wal/wal-00000006.seg":     "e316c9577420679c0ad231a2baccd268805838164575cd3e30d229ee260776a8",
 }
 
 func TestOnDiskGolden(t *testing.T) {
