@@ -33,64 +33,65 @@ const (
 	maxLiteral = 64      // one literal element
 	maxShort   = 11      // one short copy
 	maxLong    = 131     // one long copy
-	shortReach = 1 << 11 // offsets below this fit a short copy
-	window     = 1 << 16 // offsets below this fit a long copy
+	shortReach = 1 << 11 // offsets below this fit a short copy; a long one reaches 65535
 	tableBits  = 13      // each of the two tables
 )
 
-// Encoder holds the two hash tables encoding needs, 64 KiB together,
+// Encoder holds the two hash tables encoding needs, 32 KiB together,
 // which every Encode call clears and reuses. The zero value is ready; an
 // Encoder is not safe for concurrent use.
 type Encoder struct {
 	// long and short map the hash of an 8-byte and of a 4-byte group to
-	// one more than the position it was last looked up at.
-	long, short [1 << tableBits]uint32
+	// the position it was last looked up at, modulo the window: all a
+	// copy's offset needs.
+	long, short [1 << tableBits]uint16
 }
 
 func hash4(v uint32) uint32 { return v * 2654435761 >> (32 - tableBits) }
 func hash8(v uint64) uint64 { return v * 0x9E3779B185EBCA87 >> (64 - tableBits) }
 
-// Encode appends the encoding of src, which is shorter than 4 GiB, to
-// dst and returns the extended slice. Incompressible input grows by one
-// byte in 64 and the length.
+// Encode appends the encoding of src to dst and returns the extended
+// slice. Incompressible input grows by one byte in 64 and the length.
 //
 // The parse is greedy and looks at one candidate per table, the 8-byte
 // one first: in a run of records of one layout, eight bytes seen before
 // are mostly the same field of an earlier record, and the match runs on
 // through the fields after it, where four zeros would only find the
 // nearest four zeros. Positions inside a match are not indexed, which
-// keeps the tables pointing at where earlier matches began.
+// keeps the tables pointing at where earlier matches began. A table
+// entry never looked up reads as a position like any other; what it
+// points at is compared before it is believed.
 func (e *Encoder) Encode(dst, src []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	clear(e.long[:])
 	clear(e.short[:])
 	lit := 0 // src[lit:i] waits to go out as literals
 	for i := 0; i+minMatch <= len(src); {
-		cand := -1
+		offset := 0
 		if i+8 <= len(src) {
 			v := binary.LittleEndian.Uint64(src[i:])
 			h := hash8(v)
-			if c := int(e.long[h]) - 1; c >= 0 && i-c < window && binary.LittleEndian.Uint64(src[c:]) == v {
-				cand = c
+			if o := int(uint16(i) - e.long[h]); o != 0 && o <= i && binary.LittleEndian.Uint64(src[i-o:]) == v {
+				offset = o
 			}
-			e.long[h] = uint32(i + 1)
+			e.long[h] = uint16(i)
 		}
 		v := binary.LittleEndian.Uint32(src[i:])
 		h := hash4(v)
-		if c := int(e.short[h]) - 1; cand < 0 && c >= 0 && i-c < window && binary.LittleEndian.Uint32(src[c:]) == v {
-			cand = c
+		if o := int(uint16(i) - e.short[h]); offset == 0 && o != 0 && o <= i && binary.LittleEndian.Uint32(src[i-o:]) == v {
+			offset = o
 		}
-		e.short[h] = uint32(i + 1)
-		if cand < 0 {
+		e.short[h] = uint16(i)
+		if offset == 0 {
 			i++
 			continue
 		}
 		n := minMatch
-		for i+n < len(src) && src[cand+n] == src[i+n] {
+		for i+n < len(src) && src[i+n-offset] == src[i+n] {
 			n++
 		}
 		dst = appendLiterals(dst, src[lit:i])
-		dst = appendCopy(dst, i-cand, n)
+		dst = appendCopy(dst, offset, n)
 		i += n
 		lit = i
 	}

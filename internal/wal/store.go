@@ -138,13 +138,15 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 // callback may read blocks back from the store. Call before the store
 // takes new appends.
 func (r *Recovery) Replay(fn func(Journaled) error) error {
+	var inflated []byte // one buffer for every body of the replay
 	return r.store.wal.replay(func(rec Record, _ Loc) error {
 		if rec.Seq > r.lastSeq {
 			return nil
 		}
 		switch rec.Type {
 		case RecBlock, RecBlockZ:
-			b, err := decodeBlock(rec)
+			b, buf, err := decodeBlock(rec, inflated)
+			inflated = buf
 			if err != nil {
 				// The header decoded when the store opened, the rest does
 				// not inflate or does not decode: the journal ends here, as
@@ -167,16 +169,20 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 }
 
 // decodeBlock decodes the block a block record carries, inflating a
-// RecBlockZ payload first.
-func decodeBlock(rec Record) (*types.Block, error) {
+// RecBlockZ payload first, into buf when it is large enough. It returns
+// the buffer it inflated into, for the next call: a decoded block keeps
+// nothing of the bytes it was decoded from.
+func decodeBlock(rec Record, buf []byte) (*types.Block, []byte, error) {
 	raw := rec.Payload
 	if rec.Type == RecBlockZ {
 		var err error
-		if raw, err = lz.Decode(nil, rec.Payload, MaxRecordLen, MaxRecordLen); err != nil {
-			return nil, err
+		if raw, err = lz.Decode(buf, rec.Payload, MaxRecordLen, MaxRecordLen); err != nil {
+			return nil, buf, err
 		}
+		buf = raw
 	}
-	return types.DecodeBlock(raw)
+	b, err := types.DecodeBlock(raw)
+	return b, buf, err
 }
 
 // peekHeader decodes the header of the block a block record carries and
@@ -396,7 +402,7 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	if rec.Type != RecBlock && rec.Type != RecBlockZ {
 		return nil, fmt.Errorf("wal: read block %s: %w: not a block record", h.Short(), seglog.ErrDamaged)
 	}
-	b, err := decodeBlock(rec)
+	b, _, err := decodeBlock(rec, nil)
 	if errors.Is(err, lz.ErrCorrupt) {
 		return nil, fmt.Errorf("wal: read block %s: %w: %v", h.Short(), seglog.ErrDamaged, err)
 	}
