@@ -138,15 +138,14 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 // callback may read blocks back from the store. Call before the store
 // takes new appends.
 func (r *Recovery) Replay(fn func(Journaled) error) error {
-	var inflated []byte // one buffer for every body of the replay
+	var z inflater // one buffer for every body of the replay
 	return r.store.wal.replay(func(rec Record, _ Loc) error {
 		if rec.Seq > r.lastSeq {
 			return nil
 		}
 		switch rec.Type {
 		case RecBlock, RecBlockZ:
-			b, buf, err := decodeBlock(rec, inflated)
-			inflated = buf
+			b, err := z.block(rec)
 			if err != nil {
 				// The header decoded when the store opened, the rest does
 				// not inflate or does not decode: the journal ends here, as
@@ -168,42 +167,44 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 	})
 }
 
-// decodeBlock decodes the block a block record carries, inflating a
-// RecBlockZ payload first, into buf when it is large enough. It returns
-// the buffer it inflated into, for the next call: a decoded block keeps
-// nothing of the bytes it was decoded from.
-func decodeBlock(rec Record, buf []byte) (*types.Block, []byte, error) {
-	raw := rec.Payload
-	if rec.Type == RecBlockZ {
-		var err error
-		if raw, err = lz.Decode(buf, rec.Payload, MaxRecordLen, MaxRecordLen); err != nil {
-			return nil, buf, err
-		}
-		buf = raw
+// inflater turns block records of either type back into blocks and
+// headers, inflating RecBlockZ payloads into one buffer it keeps between
+// calls: a decoded block keeps nothing of the bytes it was decoded from.
+type inflater struct{ buf []byte }
+
+// bytes returns the canonical block encoding rec carries, the first n
+// bytes of it at least, valid until the next call.
+func (z *inflater) bytes(rec Record, n int) ([]byte, error) {
+	if rec.Type == RecBlock {
+		return rec.Payload, nil
 	}
-	b, err := types.DecodeBlock(raw)
-	return b, buf, err
+	out, err := lz.Decode(z.buf, rec.Payload, n, MaxRecordLen)
+	if err == nil {
+		z.buf = out
+	}
+	return out, err
 }
 
-// peekHeader decodes the header of the block a block record carries and
-// nothing after it: of a RecBlockZ payload it inflates the header's
-// 8-byte length, then that much. buf is scratch it may reuse.
-func peekHeader(rec Record, buf []byte) (*types.BlockHeader, []byte, error) {
-	if rec.Type == RecBlock {
-		hdr, err := types.PeekBlockHeader(rec.Payload)
-		return hdr, buf, err
+func (z *inflater) block(rec Record) (*types.Block, error) {
+	raw, err := z.bytes(rec, MaxRecordLen)
+	if err != nil {
+		return nil, err
 	}
+	return types.DecodeBlock(raw)
+}
+
+// header decodes the block's header and inflates nothing behind it: the
+// header's 8-byte length first, then that much.
+func (z *inflater) header(rec Record) (*types.BlockHeader, error) {
 	const prefix = 8
-	p, err := lz.Decode(buf, rec.Payload, prefix, MaxRecordLen)
-	if err == nil && len(p) == prefix {
-		n := min(binary.BigEndian.Uint64(p), MaxRecordLen)
-		p, err = lz.Decode(p, rec.Payload, prefix+int(n), MaxRecordLen)
+	p, err := z.bytes(rec, prefix)
+	if err == nil && rec.Type == RecBlockZ && len(p) == prefix {
+		p, err = z.bytes(rec, prefix+int(min(binary.BigEndian.Uint64(p), MaxRecordLen)))
 	}
 	if err != nil {
-		return nil, buf, err
+		return nil, err
 	}
-	hdr, err := types.PeekBlockHeader(p)
-	return hdr, p, err
+	return types.PeekBlockHeader(p)
 }
 
 // DurableStore is the persistent block-store backend: it journals
@@ -250,7 +251,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		blocks: make(map[cryptoutil.Hash]Loc),
 	}
 	rec := &Recovery{store: s}
-	var peek []byte // the scan's inflate scratch
+	var z inflater
 	w, err := open(filepath.Join(dir, "wal"), Options{
 		SegmentSize: opts.SegmentSize,
 		Fsync:       opts.Fsync,
@@ -266,11 +267,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			// The header is all this pass needs; Replay inflates the body
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
-			var (
-				hdr  *types.BlockHeader
-				derr error
-			)
-			hdr, peek, derr = peekHeader(r, peek)
+			hdr, derr := z.header(r)
 			if derr != nil {
 				// CRC-valid but uninflatable or undecodable: stop
 				// collecting here so the recovered chain stays a clean
@@ -402,9 +399,9 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	if rec.Type != RecBlock && rec.Type != RecBlockZ {
 		return nil, fmt.Errorf("wal: read block %s: %w: not a block record", h.Short(), seglog.ErrDamaged)
 	}
-	b, _, err := decodeBlock(rec, nil)
+	b, err := new(inflater).block(rec)
 	if errors.Is(err, lz.ErrCorrupt) {
-		return nil, fmt.Errorf("wal: read block %s: %w: %v", h.Short(), seglog.ErrDamaged, err)
+		err = fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
