@@ -15,7 +15,9 @@
 // package owns what is the WAL's alone: the record body (u64 seq + u8
 // type + payload), sequence continuity as the test a scanned frame must
 // pass, the rule that damage anywhere truncates the log there and drops
-// everything after it, and the prune floor. See docs/PERSISTENCE.md.
+// everything after it, and the prune floor. The DurableStore journals
+// blocks compressed (RecBlockZ, through internal/lz) and inflates them
+// wherever a block record is read. See docs/PERSISTENCE.md.
 //
 // Concurrency: a WAL serializes all appends on one mutex by design —
 // the log IS the ordering of commits, so writers must queue. All file
