@@ -17,6 +17,7 @@ import (
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/node"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
@@ -27,7 +28,7 @@ import (
 // directory holds.
 func durableTestNode(t *testing.T, dir string) (*node.Node, *wal.DurableStore) {
 	t.Helper()
-	ds, rec, err := openDurable(dir, wal.FsyncAlways, 8)
+	ds, rec, err := openDurable(dir, seglog.SyncAlways, 8)
 	if err != nil {
 		t.Fatalf("openDurable: %v", err)
 	}
@@ -81,11 +82,11 @@ func TestDataDirRecovery(t *testing.T) {
 }
 
 func TestOpenDurableRejectsBadPolicy(t *testing.T) {
-	f := fsyncFlag{wal.FsyncInterval}
+	f := fsyncFlag{seglog.SyncInterval}
 	if err := f.Set("sometimes"); err == nil {
 		t.Fatal("-fsync accepted an unknown fsync policy")
 	}
-	if err := f.Set("Always"); err != nil || f.policy != wal.FsyncAlways {
+	if err := f.Set("Always"); err != nil || f.policy != seglog.SyncAlways {
 		t.Fatalf("-fsync Always: policy %v, err %v", f.policy, err)
 	}
 }

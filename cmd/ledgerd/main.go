@@ -39,6 +39,7 @@ import (
 	"dcsledger/internal/nodestore"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/p2p"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/store"
@@ -110,14 +111,8 @@ func run(args []string, stop <-chan os.Signal) error {
 		mine     = fs.Bool("mine", true, "produce blocks")
 		interval = fs.Duration("interval", 10*time.Second, "target block interval")
 		network  = fs.String("network", "dcsledger-devnet", "network name (genesis tag)")
-		keySeed  = fs.String("keyseed", "", "deterministic key seed (default: derive from -id)")
-		dialTO   = fs.Duration("dial-timeout", p2p.DefaultDialTimeout, "p2p dial timeout per connection attempt")
-		sendQ    = fs.Int("send-queue", p2p.DefaultQueueSize, "p2p per-peer outbound queue size")
-		maxFrame = fs.Uint("max-frame", p2p.DefaultMaxFrame, "p2p max inbound frame size in bytes (oversize frames drop the connection)")
-		readIdle = fs.Duration("read-idle", p2p.DefaultReadIdleTimeout, "p2p idle read deadline; silent inbound connections are dropped after this")
 		retain   = fs.Int("state-retention", node.DefaultStateRetention,
 			"blocks below the head that keep their post-state (-1 = archive, keep all)")
-		maxOrph = fs.Int("max-orphans", node.DefaultMaxOrphans, "max buffered unknown-parent blocks")
 		pprofOn = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the http api")
 		dataDir = fs.String("data-dir", "", "persist the ledger (WAL + checkpoints) in this directory; empty = memory only")
 		ckptN   = fs.Uint64("checkpoint-every", wal.DefaultCheckpointEvery, "blocks between durable state checkpoints")
@@ -125,28 +120,23 @@ func run(args []string, stop <-chan os.Signal) error {
 			"authenticated state backend: memory|disk (disk keeps the state — account trie, contract storage, code — in <data-dir>/state and reads it from there: written at -checkpoint-every cadence, checkpoints carry its root and no snapshot, RAM bounded by -state-cache and the store's index)")
 		cacheB  = fs.Int64("state-cache", nodestore.DefaultCacheBytes, "decoded-node cache budget in bytes for -state-backend=disk")
 		traceFn = fs.String("trace-file", "", "append pipeline trace spans to this JSONL file")
-		traceN  = fs.Int("trace-buf", obs.DefaultRingCapacity, "pipeline trace ring capacity (spans kept for GET /trace)")
 		peers   = peerList{}
 		alloc   = allocList{}
-		fsync   = fsyncFlag{wal.FsyncInterval}
+		fsync   = fsyncFlag{seglog.SyncInterval}
 	)
 	fs.Var(&fsync, "fsync", "wal fsync policy: always|interval|never")
 	fs.Var(peers, "peer", "peer as id=host:port (repeatable)")
 	fs.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited with 2
 
-	seed := *keySeed
-	if seed == "" {
-		seed = "ledgerd/" + *id
-	}
-	key := cryptoutil.KeyFromSeed([]byte(seed))
+	key := cryptoutil.KeyFromSeed([]byte("ledgerd/" + *id))
 	log.Printf("node %s, address %s", *id, key.Address())
 
 	// Pipeline observability: a bounded span ring served at GET /trace,
 	// optionally streamed to a JSONL file, plus per-stage latency
 	// histograms registered under GET /metrics.
 	reg := metrics.NewRegistry()
-	tracer := obs.NewTracer(*traceN)
+	tracer := obs.NewTracer(obs.DefaultRingCapacity)
 	tracer.SetRun(*id)
 	if *traceFn != "" {
 		f, err := os.OpenFile(*traceFn, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -233,7 +223,6 @@ func run(args []string, stop <-chan os.Signal) error {
 		Clock:          simclock.Wall{},
 		Mine:           *mine,
 		StateRetention: *retain,
-		MaxOrphans:     *maxOrph,
 		Durable:        ds,
 		DiskState:      ns,
 	})
@@ -249,12 +238,8 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 
 	tr, err := p2p.NewTCPTransportConfig(p2p.NodeID(*id), *listen, n.Mux().Dispatch, p2p.TCPConfig{
-		DialTimeout:     *dialTO,
-		QueueSize:       *sendQ,
-		MaxFrameSize:    uint32(*maxFrame),
-		ReadIdleTimeout: *readIdle,
-		Registry:        reg,
-		Tracer:          tracer,
+		Registry: reg,
+		Tracer:   tracer,
 	})
 	if err != nil {
 		return err

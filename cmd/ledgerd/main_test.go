@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -513,6 +515,35 @@ func mustMine(t *testing.T, n *node.Node) *types.Block {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestFlagSet pins what `ledgerd -h` prints — every flag, its default and
+// its help text — the way the /metrics series are pinned: the next knob is
+// a visible diff of testdata/flags.golden. The usage is the daemon's own,
+// printed by run in a child process (a FlagSet that exits on -h).
+func TestFlagSet(t *testing.T) {
+	const child = "print-usage"
+	if flag.Arg(0) == child {
+		_ = run([]string{"-h"}, nil) // prints the usage and exits 0
+		t.Fatal("run -h returned")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFlagSet$", child)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("ledgerd -h: %v\n%s", err, stderr.String())
+	}
+	_, got, _ := strings.Cut(stderr.String(), "\n") // after "Usage of <binary>:"
+	want, err := os.ReadFile("testdata/flags.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("ledgerd -h differs from testdata/flags.golden:\n%s", got)
+	}
+	if n := strings.Count("\n"+got, "\n  -"); n != 16 {
+		t.Errorf("ledgerd -h lists %d flags, want 16", n)
+	}
 }
 
 func TestFlagParsers(t *testing.T) {

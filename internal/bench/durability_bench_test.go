@@ -12,6 +12,7 @@ import (
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/lz"
 	"dcsledger/internal/node"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -29,7 +30,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	for _, pol := range []wal.FsyncPolicy{wal.FsyncAlways, wal.FsyncInterval, wal.FsyncNever} {
+	for _, pol := range []wal.FsyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever} {
 		b.Run(pol.String(), func(b *testing.B) {
 			w, err := wal.Open(b.TempDir(), wal.Options{Fsync: pol})
 			if err != nil {
@@ -47,7 +48,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	b.Run("block-payload", func(b *testing.B) {
 		raw := benchTransferBlock(b, 80).Encode()
-		w, err := wal.Open(b.TempDir(), wal.Options{Fsync: wal.FsyncNever})
+		w, err := wal.Open(b.TempDir(), wal.Options{Fsync: seglog.SyncNever})
 		if err != nil {
 			b.Fatalf("Open: %v", err)
 		}
@@ -176,7 +177,7 @@ func BenchmarkRecover(b *testing.B) {
 	}
 
 	// Seed the directory once: journal all blocks with checkpoints on.
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, CheckpointEvery: 32})
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, CheckpointEvery: 32})
 	if err != nil {
 		b.Fatalf("OpenStore: %v", err)
 	}
@@ -195,7 +196,7 @@ func BenchmarkRecover(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, CheckpointEvery: 32})
+		ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, CheckpointEvery: 32})
 		if err != nil {
 			b.Fatalf("OpenStore: %v", err)
 		}

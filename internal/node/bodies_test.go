@@ -14,6 +14,7 @@ import (
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/obs"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -85,7 +86,7 @@ func (c *fatChain) next(txs ...*types.Transaction) *types.Block {
 // whatever dir holds.
 func fatNode(tb testing.TB, dir string, alloc map[cryptoutil.Address]uint64) (*Node, *wal.DurableStore, *types.Block) {
 	tb.Helper()
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever})
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever})
 	if err != nil {
 		tb.Fatalf("OpenStore: %v", err)
 	}
@@ -125,7 +126,7 @@ func heapAfterGC() (inuse, live uint64) {
 // both reach far below the body window succeed from the journal, and the
 // roots are the builder's serial ones.
 func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
-	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8})
+	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 // memory; after the restart every block the tree names is readable: a
 // header never outlives its body.
 func TestCrashMatrixBodies(t *testing.T) {
-	opts := wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8}
+	opts := wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: 8}
 	script := func(bd *chainBuilder, genesis *types.Block) []*types.Block {
 		a := cryptoutil.KeyFromSeed([]byte("body-a")).Address()
 		b := cryptoutil.KeyFromSeed([]byte("body-b")).Address()
@@ -306,7 +307,7 @@ func TestCrashMatrixBodies(t *testing.T) {
 		t.Fatal("dry run: not every block named, or nothing read back")
 	}
 
-	for _, mode := range []wal.FailMode{wal.FailCut, wal.FailTorn, wal.FailGarble} {
+	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		t.Run(mode.String(), func(t *testing.T) {
 			for k := uint64(1); k <= appends; k++ {
 				dir := t.TempDir()
@@ -345,7 +346,7 @@ func TestCrashMatrixBodies(t *testing.T) {
 func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
 	frozen := time.Unix(1_700_000_000, 0)
 	n, ds, _, genesis := durableNodeOpts(t, t.TempDir(), wal.StoreOptions{
-		Fsync:      wal.FsyncInterval,
+		Fsync:      seglog.SyncInterval,
 		FsyncEvery: time.Hour,
 		Clock:      func() time.Time { return frozen }, // the interval never elapses
 	})

@@ -267,11 +267,9 @@ func (c *Cluster) Restart(i int) error {
 		return fmt.Errorf("node: cluster peer %d is not durable; Restart needs DataDir", i)
 	}
 	if !c.away[i] {
-		c.Nodes[i].Stop()
-		if err := c.Net.Leave(c.ids[i]); err != nil {
+		if err := c.Leave(i); err != nil {
 			return err
 		}
-		c.away[i] = true
 	}
 	if ds := c.Stores[i]; ds != nil {
 		_ = ds.Close() // the crashed incarnation's handle; its error no longer matters
@@ -280,16 +278,8 @@ func (c *Cluster) Restart(i int) error {
 	if err != nil {
 		return err
 	}
-	ep, err := c.Net.Rejoin(c.ids[i], n.Mux().Dispatch)
-	if err != nil {
-		return err
-	}
-	c.attach(i, n, ep)
-	c.Nodes[i] = n
-	c.Stores[i] = ds
-	delete(c.away, i)
-	n.Start()
-	return nil
+	c.Nodes[i], c.Stores[i] = n, ds
+	return c.Rejoin(i)
 }
 
 // Start begins mining on every configured peer.
@@ -319,23 +309,11 @@ func (c *Cluster) Addresses() []cryptoutil.Address {
 // prefix across all peers — the paper's consistency metric: after
 // gossip settles, it should equal every peer's chain height.
 func (c *Cluster) ConsistentPrefix() uint64 {
-	if len(c.Nodes) == 0 {
-		return 0
+	all := make([]int, len(c.Nodes))
+	for i := range all {
+		all[i] = i
 	}
-	depth := uint64(0)
-	for h := uint64(0); ; h++ {
-		first, ok := c.Nodes[0].Chain().AtHeight(h)
-		if !ok {
-			return depth
-		}
-		for _, n := range c.Nodes[1:] {
-			got, ok := n.Chain().AtHeight(h)
-			if !ok || got != first {
-				return depth
-			}
-		}
-		depth = h + 1
-	}
+	return c.ConsistentPrefixOf(all)
 }
 
 // ConsistentPrefixOf is ConsistentPrefix restricted to the given peer

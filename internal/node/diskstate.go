@@ -99,7 +99,7 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 // cadence. Caller holds n.mu.
 func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 	ds := n.cfg.Durable
-	if n.recovering || (ds == nil && n.disk == nil) {
+	if ds == nil && n.disk == nil {
 		return
 	}
 	hb, ok := n.tree.Get(tip)
@@ -146,7 +146,7 @@ func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 // sweeps. Caller holds n.mu.
 func (n *Node) pruneDiskLocked() {
 	d := n.disk
-	w := n.retention()
+	w := n.cfg.StateRetention
 	head := n.chain.Height()
 	if d == nil || w < 0 || head <= uint64(w) || head < d.prunedHeight+diskPruneEvery {
 		return // w < 0: an archive node never prunes the disk trie either

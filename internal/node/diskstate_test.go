@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,7 +69,7 @@ func diskNodeWith(t *testing.T, dir string, o diskOpts) (*Node, *wal.DurableStor
 	if o.ckptEvery == 0 {
 		o.ckptEvery = diskCkptEvery
 	}
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: o.ckptEvery})
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: o.ckptEvery})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -633,7 +634,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 	})
 	t.Run("refuses", func(t *testing.T) {
 		dir, blocks := build(t, nil)
-		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -704,6 +705,69 @@ func TestCrashMatrixTornFlush(t *testing.T) {
 			}
 			if n2.Metrics().DiskErrors != 0 {
 				t.Fatalf("DiskErrors = %d after recovery", n2.Metrics().DiskErrors)
+			}
+		})
+	}
+}
+
+// TestRecoverAppendsNothing: a recovery replays records that are already
+// durable, so it leaves the journal as it found it — the same last
+// sequence number, the same checkpoint files byte for byte — on either
+// backend, whatever it replays: blocks the newest checkpoint covers,
+// blocks past it, and the head switches of a reorg.
+func TestRecoverAppendsNothing(t *testing.T) {
+	for name, memory := range map[string]bool{"memory": true, "disk": false} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			n1, ds1, ns1, genesis, err := diskNodeWith(t, dir, diskOpts{memory: memory})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd := diskChainBuilder(t, genesis)
+			_, miners := diskAlloc()
+			main := rotate(bd, genesis, 20, miners) // checkpoints at 8 and 16
+			handleAll(t, n1, main)
+			handleAll(t, n1, rotate(bd, main[17], 4, miners[100:])) // a branch off height 18 that wins at 21
+			head := n1.Chain().Head()
+			if m := n1.Metrics(); m.Reorgs != 1 || n1.Chain().Height() != 22 {
+				t.Fatalf("reorgs %d, height %d; want one reorg to height 22", m.Reorgs, n1.Chain().Height())
+			}
+			lastSeq := ds1.WAL().LastSeq()
+			ds1.Close()
+			if ns1 != nil {
+				ns1.Close()
+			}
+			checkpoints := func() map[string]string {
+				t.Helper()
+				paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*.ck"))
+				if err != nil || len(paths) == 0 {
+					t.Fatalf("checkpoint files: %v, %v", paths, err)
+				}
+				files := make(map[string]string, len(paths))
+				for _, p := range paths {
+					raw, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[filepath.Base(p)] = string(raw)
+				}
+				return files
+			}
+			before := checkpoints()
+
+			n2, ds2, _, _, err := diskNodeWith(t, dir, diskOpts{memory: memory})
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if m := n2.Metrics(); n2.Chain().Head() != head || m.RecoveredBlocks != 24 || m.BlocksAccepted != 8 {
+				t.Fatalf("recovered head %s (want %s), %d blocks, %d of them executed; want 24 and the 8 past the checkpoint",
+					n2.Chain().Head().Short(), head.Short(), m.RecoveredBlocks, m.BlocksAccepted)
+			}
+			if got := ds2.WAL().LastSeq(); got != lastSeq {
+				t.Fatalf("the journal ends at seq %d after recovery, %d before: recovery appended to it", got, lastSeq)
+			}
+			if after := checkpoints(); !maps.Equal(before, after) {
+				t.Fatalf("checkpoint files changed across a recovery: %d before, %d after", len(before), len(after))
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"dcsledger/internal/consensus/forkchoice"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
@@ -71,8 +72,8 @@ func chainIndex(n *Node) map[uint64]cryptoutil.Hash {
 // fsync policy must recover to a verified prefix of the pre-crash
 // chain, with the head state root re-proven from the recovered state.
 func TestCrashMatrix(t *testing.T) {
-	modes := []wal.FailMode{wal.FailCut, wal.FailTorn, wal.FailGarble}
-	policies := []wal.FsyncPolicy{wal.FsyncAlways, wal.FsyncInterval, wal.FsyncNever}
+	modes := []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble}
+	policies := []wal.FsyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever}
 	for _, mode := range modes {
 		for _, pol := range policies {
 			t.Run(mode.String()+"/"+pol.String(), func(t *testing.T) {
@@ -161,7 +162,7 @@ func TestCrashMatrix(t *testing.T) {
 // head, height, and balances.
 func TestCleanShutdownRecoversExactHead(t *testing.T) {
 	dir := t.TempDir()
-	n1, ds1, genesis := durableNode(t, dir, wal.FsyncInterval)
+	n1, ds1, genesis := durableNode(t, dir, seglog.SyncInterval)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("clean-miner")).Address()
 	for _, b := range bd.chain(genesis, 25, miner) {
@@ -175,7 +176,7 @@ func TestCleanShutdownRecoversExactHead(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	n2, _, _ := durableNode(t, dir, wal.FsyncInterval)
+	n2, _, _ := durableNode(t, dir, seglog.SyncInterval)
 	if n2.Chain().Head() != wantHead || n2.Chain().Height() != wantHeight {
 		t.Fatalf("recovered head %s@%d, want %s@%d",
 			n2.Chain().Head().Short(), n2.Chain().Height(), wantHead.Short(), wantHeight)
@@ -190,7 +191,7 @@ func TestCleanShutdownRecoversExactHead(t *testing.T) {
 // restart.
 func TestRecoverThenContinue(t *testing.T) {
 	dir := t.TempDir()
-	n1, ds1, genesis := durableNode(t, dir, wal.FsyncAlways)
+	n1, ds1, genesis := durableNode(t, dir, seglog.SyncAlways)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("continue-miner")).Address()
 	blocks := bd.chain(genesis, 30, miner)
@@ -201,7 +202,7 @@ func TestRecoverThenContinue(t *testing.T) {
 	}
 	ds1.Close()
 
-	n2, ds2, _ := durableNode(t, dir, wal.FsyncAlways)
+	n2, ds2, _ := durableNode(t, dir, seglog.SyncAlways)
 	if n2.Chain().Height() != 12 {
 		t.Fatalf("recovered height %d, want 12", n2.Chain().Height())
 	}
@@ -219,7 +220,7 @@ func TestRecoverThenContinue(t *testing.T) {
 	}
 	ds2.Close()
 
-	n3, _, _ := durableNode(t, dir, wal.FsyncAlways)
+	n3, _, _ := durableNode(t, dir, seglog.SyncAlways)
 	if n3.Chain().Head() != n2.Chain().Head() || n3.Chain().Height() != 30 {
 		t.Fatalf("second recovery head %s@%d, want %s@30",
 			n3.Chain().Head().Short(), n3.Chain().Height(), n2.Chain().Head().Short())
@@ -231,7 +232,7 @@ func TestRecoverThenContinue(t *testing.T) {
 // post-reorg head, not the abandoned branch.
 func TestRecoverReorgedChain(t *testing.T) {
 	dir := t.TempDir()
-	n1, ds1, genesis := durableNode(t, dir, wal.FsyncAlways)
+	n1, ds1, genesis := durableNode(t, dir, seglog.SyncAlways)
 	bd := newChainBuilder(t, genesis)
 	minerA := cryptoutil.KeyFromSeed([]byte("reorg-a")).Address()
 	minerB := cryptoutil.KeyFromSeed([]byte("reorg-b")).Address()
@@ -247,7 +248,7 @@ func TestRecoverReorgedChain(t *testing.T) {
 	}
 	ds1.Close()
 
-	n2, _, _ := durableNode(t, dir, wal.FsyncAlways)
+	n2, _, _ := durableNode(t, dir, seglog.SyncAlways)
 	if n2.Chain().Head() != long[len(long)-1].Hash() {
 		t.Fatalf("recovered head %s, want post-reorg tip %s",
 			n2.Chain().Head().Short(), long[len(long)-1].Hash().Short())
@@ -270,7 +271,7 @@ func TestCrashMatrixAggressivePrune(t *testing.T) {
 	dir := t.TempDir()
 	// Small segments so the aggressive prune has many whole segments
 	// below the checkpoint floor to actually drop.
-	opts := wal.StoreOptions{Fsync: wal.FsyncAlways, SegmentSize: 1 << 10, CheckpointEvery: 8}
+	opts := wal.StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 1 << 10, CheckpointEvery: 8}
 	n1, ds1, _, genesis := durableNodeOpts(t, dir, opts)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("prune-miner")).Address()

@@ -196,10 +196,6 @@ type Node struct {
 	mineTip   cryptoutil.Hash
 	started   bool
 
-	// recovering suppresses WAL journaling while Recover replays
-	// records that are already durable.
-	recovering bool
-
 	blockSubs []func(*types.Block)
 
 	// publishIntercept, when set, decides per produced block whether to
@@ -214,10 +210,10 @@ type Node struct {
 	// Config.DiskState is set). See diskstate.go.
 	disk *diskState
 
-	// exec applies blocks — optimistically in parallel when
-	// Config.ExecWorkers > 0, serially otherwise. connect funnels
-	// through it; produceBlock builds its block serially and hands it
-	// to connect.
+	// exec applies blocks built elsewhere — optimistically in parallel
+	// when Config.ExecWorkers > 0, serially otherwise. The execute stage
+	// is its one caller; produceBlock builds its block serially and that
+	// pass is the block's execution here.
 	exec *exec.Executor
 
 	metrics Metrics
@@ -396,171 +392,6 @@ func (n *Node) Stop() {
 	n.mineTimer.Stop()
 }
 
-// Recover rebuilds the block tree, main chain, and head state from a
-// durable store's Recovery. Call once, after New and before
-// Attach/Start.
-//
-// The journal is streamed, one record at a time in log order, and the
-// bodies of blocks that fall out of the body window are let go as the
-// replay advances: peak memory is that of the headers plus the window,
-// not of the chain. Blocks at or below the newest valid checkpoint
-// reconnect structurally (tx root, height/parent linkage, and seal are
-// re-checked; their per-block state transitions were verified before
-// the crash and are covered by the checkpoint's verified state root).
-// Blocks past the checkpoint re-run the full connect path including
-// state application. Journaled head switches are replayed as they come,
-// which indexes each block's transactions while its body is still in
-// memory. The recovered head is the last durable head switch when
-// present (falling back to fork choice), and its state root is always
-// re-verified against the head block header — recovery fails loudly
-// rather than resurrect a corrupt ledger.
-//
-// If the journal no longer reaches the checkpoint head — its covered
-// prefix was pruned (PruneBefore) or lost — the block tree is re-rooted
-// at the checkpoint's embedded block and replay continues from there;
-// history below the checkpoint is gone, but the durable head is still
-// recovered exactly.
-func (n *Node) Recover(rec *wal.Recovery) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if rec == nil {
-		return nil
-	}
-	n.recovering = true
-	defer func() { n.recovering = false }()
-	sw := obs.StartTimer()
-
-	// The newest checkpoint whose state can be opened: it carries a
-	// snapshot, or the disk backend holds its root. With none, the whole
-	// journal is replayed from genesis.
-	ck := rec.Checkpoint
-	for ck != nil && ck.State == nil && (n.disk == nil || !n.disk.store.Has(ck.StateRoot)) {
-		ck = ck.Older
-	}
-	// covered is true while the replay is still at or below the
-	// checkpoint. What it connects there is counted apart: a re-root
-	// discards it.
-	covered := ck != nil
-	var recovered, rejected uint64
-	err := rec.Replay(func(j wal.Journaled) error {
-		if covered && j.Seq > ck.Seq {
-			covered = false
-			n.crossCheckpointLocked(ck, recovered, rejected)
-		}
-		b := j.Block
-		switch {
-		case b == nil:
-			if n.tree.Has(j.Head) {
-				if _, _, err := n.chain.SetHead(j.Head); err == nil {
-					n.pruneStatesLocked()
-					n.evictBodiesLocked()
-				}
-			}
-		case n.tree.Has(b.Hash()):
-		case covered:
-			if err := n.connectStructuralLocked(b); err != nil {
-				rejected++
-			} else {
-				recovered++
-			}
-		default:
-			if err := n.connect(b); errors.Is(err, state.ErrRead) {
-				return err // the store is failing: no prefix can be trusted to be complete
-			} else if err != nil {
-				n.metrics.BlocksRejected++
-			} else {
-				n.metrics.RecoveredBlocks++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("node: recover: %w", err)
-	}
-	if covered {
-		n.crossCheckpointLocked(ck, recovered, rejected)
-	}
-	// A checkpoint whose state could not be opened is made up for only by
-	// a journal that reaches its head some other way.
-	if newest := rec.Checkpoint; newest != nil && newest != ck && !n.tree.Has(newest.Head) {
-		return fmt.Errorf("node: recover: checkpoint at height %d names state root %s, which the state store does not hold, and the journal does not reach its head %s without it",
-			newest.Height, newest.StateRoot.Hex(), newest.Head.Short())
-	}
-
-	// Re-point the main chain: prefer the last durable head switch;
-	// fall back to fork choice when it did not survive.
-	head := rec.Head
-	if head.IsZero() || !n.tree.Has(head) {
-		tip, err := n.cfg.ForkChoice.Choose(n.tree)
-		if err != nil {
-			return fmt.Errorf("node: recover fork choice: %w", err)
-		}
-		head = tip
-	}
-	if _, _, err := n.chain.SetHead(head); err != nil {
-		return fmt.Errorf("node: recover set head: %w", err)
-	}
-
-	// Re-verify the recovered head's state root end to end.
-	if head != n.tree.Genesis() {
-		st, err := n.stateOfLocked(head)
-		if err != nil {
-			return fmt.Errorf("node: recover head state: %w", err)
-		}
-		hdr, _ := n.tree.Header(head)
-		if root := st.Commit(); root != hdr.StateRoot {
-			return fmt.Errorf("%w: recovered %s, header %s (%v)", ErrBadStateRoot, root.Short(), hdr.StateRoot.Short(), st.Err())
-		}
-	}
-	n.pruneStatesLocked()
-
-	n.obs.Observe(obs.StageRecover, sw.Start(), sw.Elapsed(), obs.At{Height: n.chain.Height(), N: n.metrics.RecoveredBlocks})
-	return nil
-}
-
-// crossCheckpointLocked ends the structural part of a recovery, once the
-// replay has passed the last record checkpoint ck covers. Normally the
-// checkpoint head is in the tree by now, and its verified state is
-// seeded there so the first post-checkpoint connect finds its parent
-// state without replaying history; recovered and rejected, the counts of
-// the structural part, then stand.
-//
-// If the head is not there, the journal no longer reaches back to
-// genesis (PruneBefore dropped the covered prefix, or the log was
-// damaged below the checkpoint; a head record alone surviving in a
-// partially-pruned boundary segment does not help). The checkpoint's own
-// block — embedded in the checkpoint file and verified against its
-// recorded head hash and state root at load — then becomes the root of
-// a fresh block tree and its state the replay base, and whatever the
-// structural part connected is dropped with the old tree. Everything the
-// checkpoint does not cover is replayed on top exactly as in a
-// full-history recovery.
-func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint, recovered, rejected uint64) {
-	st := ck.State
-	if st == nil {
-		// No snapshot: the state is the trie the store holds under the
-		// root (Recover checked that it does).
-		st = state.Load(ck.StateRoot, n.disk.store)
-	}
-	st.SetExecutor(n.cfg.Executor)
-	st.CountReadErrors(&n.stateReadErrs)
-	// A snapshot's state is written to the disk backend whole: a store
-	// that holds its root may predate storage tries and code being kept
-	// there. A failed write is counted (DiskErrors); the in-memory trie
-	// serves.
-	st, _ = n.seedTrieLocked(ck.Height, st, ck.State != nil)
-	if n.tree.Has(ck.Head) {
-		n.metrics.RecoveredBlocks += recovered
-		n.metrics.BlocksRejected += rejected
-		n.states[ck.Head] = st
-	} else {
-		n.rootTreeLocked(ck.Block)
-		n.baseState = st
-		n.states = map[cryptoutil.Hash]*state.State{ck.Head: st}
-		n.metrics.RecoveryReroots++
-	}
-}
-
 // seedTrieLocked turns st — the genesis state, or a checkpoint's state —
 // into the base that later tries derive from, and returns it: a state
 // that is its trie and nothing else. On the disk backend the trie goes
@@ -571,23 +402,6 @@ func (n *Node) seedTrieLocked(height uint64, st *state.State, rewrite bool) (*st
 	st.Commit() // the memory backend builds its base trie here
 	err := n.persistTrieLocked(height, st, rewrite)
 	return st.Detach(), err
-}
-
-// connectStructuralLocked inserts a checkpoint-covered block during
-// recovery: linkage, tx root, and seal are re-verified, state
-// application is not (the checkpoint's state root vouches for it).
-func (n *Node) connectStructuralLocked(b *types.Block) error {
-	parent, ok := n.tree.Get(b.Header.ParentHash)
-	if !ok {
-		return fmt.Errorf("node: recover: %w", store.ErrUnknownParent)
-	}
-	if !b.VerifyTxRoot() {
-		return ErrBadTxRoot
-	}
-	if err := n.cfg.Engine.VerifySeal(b, parent); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	return n.tree.Add(b)
 }
 
 // Accessors for tests, examples, and the experiment harness.
@@ -704,34 +518,20 @@ func (n *Node) StateAt(h cryptoutil.Hash) (*state.State, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st, err := n.stateOfLocked(h)
-	if err != nil {
-		return nil, false
-	}
-	return st, true
+	return st, err == nil
 }
 
-// stateOfLocked returns the post-state of block h, rebuilding it by
-// forward replay from the nearest materialized ancestor if it was
-// pruned. Caller holds n.mu.
+// stateOfLocked returns the post-state of block h. If it was pruned it is
+// rebuilt by replaying the blocks from the nearest retained ancestor
+// (ultimately the pinned base state) up to and including h: the execute
+// stage, block after block, each root checked. The blocks replayed were
+// all verified when they were first stored. Caller holds n.mu.
 func (n *Node) stateOfLocked(h cryptoutil.Hash) (*state.State, error) {
-	if st, ok := n.states[h]; ok {
-		return st, nil
-	}
-	return n.rebuildStateLocked(h)
-}
-
-// rebuildStateLocked replays blocks from the nearest retained ancestor
-// (ultimately the pinned base state) up to and including block h.
-// The blocks being replayed were all fully validated when they first
-// connected, so only the final state root is re-checked.
-func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 	var pending []cryptoutil.Hash // h first, then successively deeper ancestors
-	base := n.baseState
-	genesis := n.tree.Genesis()
-	target, _ := n.tree.Header(h)
-	for cur := h; cur != genesis; {
-		if st, ok := n.states[cur]; ok {
-			base = st
+	st := n.baseState
+	for cur, genesis := h, n.tree.Genesis(); cur != genesis; {
+		if retained, ok := n.states[cur]; ok {
+			st = retained
 			break
 		}
 		hdr, ok := n.tree.Header(cur)
@@ -741,42 +541,37 @@ func (n *Node) rebuildStateLocked(h cryptoutil.Hash) (*state.State, error) {
 		pending = append(pending, cur)
 		cur = hdr.ParentHash
 	}
+	if len(pending) == 0 {
+		return st, nil
+	}
 	sw := obs.StartTimer()
-	st := base.Copy()
 	// One body at a time: a replay deeper than the body window reads its
 	// blocks back from the journal and need not hold them all.
 	for i := len(pending) - 1; i >= 0; i-- {
 		b, err := n.tree.Block(pending[i])
+		if err == nil {
+			st, err = n.executeLocked(st, b, blockAt(b, pending[i]))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("node: replay %s: %w", pending[i].Short(), err)
 		}
-		n.setExecutorTime(b.Header.Time)
-		if _, err := st.ApplyBlock(b, n.cfg.Rewards.RewardAt(b.Header.Height)); err != nil {
-			return nil, fmt.Errorf("node: replay %s: %w", pending[i].Short(), err)
+		if i > 0 {
+			// The next block's layer sits on this one's trie and nothing
+			// under it: the state returned holds no layer per block replayed.
+			st = st.Detach()
 		}
 	}
-	if len(pending) > 0 {
-		root := st.Commit()
-		if err := st.Err(); err != nil {
-			return nil, fmt.Errorf("node: replay %s: %w", h.Short(), err)
-		}
-		if root != target.StateRoot {
-			return nil, fmt.Errorf("%w: replayed %s, header %s", ErrBadStateRoot, root.Short(), target.StateRoot.Short())
-		}
-		n.metrics.StateRebuilds++
-		n.obs.Observe(obs.StageStateRebuild, sw.Start(), sw.Elapsed(), obs.At{Height: target.Height, N: uint64(len(pending))})
-		// Cache the rebuild only when it falls inside the retention
-		// window, so deep historical queries don't regrow the map.
-		if target.Height >= n.anchorHeight {
-			n.states[h] = st
-			n.tries = append(n.tries, trieHolder{st: st, height: target.Height})
-		}
+	height, _ := n.tree.Height(h) // h is in the tree: the walk above found its header
+	n.metrics.StateRebuilds++
+	n.obs.Observe(obs.StageStateRebuild, sw.Start(), sw.Elapsed(), obs.At{Height: height, N: uint64(len(pending))})
+	// Cache the rebuild only when it falls inside the retention
+	// window, so deep historical queries don't regrow the map.
+	if height >= n.anchorHeight {
+		n.states[h] = st
+		n.tries = append(n.tries, trieHolder{st: st, height: height})
 	}
 	return st, nil
 }
-
-// retention returns the configured window (-1 = unlimited).
-func (n *Node) retention() int { return n.cfg.StateRetention }
 
 // pruneStatesLocked drops states deeper than the retention window below
 // the head and periodically cuts the head's state loose from the layers
@@ -784,7 +579,7 @@ func (n *Node) retention() int { return n.cfg.StateRetention }
 // Caller holds n.mu.
 func (n *Node) pruneStatesLocked() {
 	n.releaseTriesLocked()
-	w := n.retention()
+	w := n.cfg.StateRetention
 	if w < 0 {
 		return // archive node
 	}
@@ -1034,7 +829,7 @@ func (n *Node) handleBlockFrom(b *types.Block, from p2p.NodeID) error {
 		n.requestBlock(from, b.Header.ParentHash)
 		return nil
 	}
-	if err := n.connect(b); err != nil {
+	if err := n.connect(b, h); err != nil {
 		n.countRejectLocked(err)
 		return err
 	}
@@ -1127,7 +922,7 @@ func (n *Node) adoptOrphans(parent cryptoutil.Hash) {
 				continue // evicted since buffering
 			}
 			delete(n.orphanPool, h)
-			if err := n.connect(b); err != nil {
+			if err := n.connect(b, h); err != nil {
 				n.countRejectLocked(err)
 				continue
 			}
@@ -1148,137 +943,6 @@ func (n *Node) countRejectLocked(err error) {
 	if !errors.Is(err, state.ErrRead) {
 		n.metrics.BlocksRejected++
 	}
-}
-
-// connect validates b against its (present) parent and stores it.
-// Transaction signatures are verified fanned out across CPU cores
-// before the sequential state apply; the parent state is rebuilt by
-// replay if it was pruned. On success, per-stage latencies (verify,
-// state apply, whole connect) are recorded into the node's histograms
-// and tracer — the gossip-receipt→connected leg of the pipeline.
-func (n *Node) connect(b *types.Block) error {
-	swConnect := obs.StartTimer()
-	parent, ok := n.tree.Get(b.Header.ParentHash)
-	if !ok {
-		// Reachable from handleBlockFrom only with the parent present
-		// (orphans are buffered), but recovery replays the journal
-		// directly and a damaged or pruned log can orphan a record.
-		return fmt.Errorf("node: %w", store.ErrUnknownParent)
-	}
-	if !b.VerifyTxRoot() {
-		return ErrBadTxRoot
-	}
-	if err := types.VerifyBatch(b.Txs); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	if err := n.cfg.Engine.VerifySeal(b, parent); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	verifyDur := swConnect.Elapsed()
-	parentState, err := n.stateOfLocked(b.Header.ParentHash)
-	if err != nil {
-		return fmt.Errorf("node: no state for parent %s: %w", b.Header.ParentHash.Short(), err)
-	}
-	h := b.Hash()
-	at := blockAt(b, h)
-	swApply := obs.StartTimer()
-	n.setExecutorTime(b.Header.Time)
-	st, err := n.applyBlockLocked(parentState, b)
-	if err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	swCommit := obs.StartTimer()
-	root := st.Commit()
-	commitDur := swCommit.Elapsed()
-	if err := st.Err(); err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	n.obs.Observe(obs.StageStateCommit, swCommit.Start(), commitDur, n.commitAt(st, at))
-	if root != b.Header.StateRoot {
-		return fmt.Errorf("%w: computed %s, header %s", ErrBadStateRoot, root.Short(), b.Header.StateRoot.Short())
-	}
-	applyDur := swApply.Elapsed()
-	if err := n.tree.Add(b); err != nil {
-		return err
-	}
-	n.states[h] = st
-	n.tries = append(n.tries, trieHolder{st: st, height: b.Header.Height})
-	// The block arrived, however it got here: any in-flight fetch for
-	// it is satisfied (msgBlock replies and gossip arrivals alike).
-	delete(n.requested, h)
-	n.metrics.BlocksAccepted++
-	n.journalLocked(at, func() error { return n.cfg.Durable.LogBlock(b) })
-	// The gossip-receipt→connected leg of the pipeline, observed only for
-	// a block that made it.
-	n.obs.Observe(obs.StageBlockVerify, swConnect.Start(), verifyDur, at)
-	n.obs.Observe(obs.StageStateApply, swApply.Start(), applyDur, at)
-	n.obs.Observe(obs.StageBlockConnect, swConnect.Start(), swConnect.Elapsed(), at)
-	return nil
-}
-
-// blockAt identifies block b, whose hash is h, to the observer: what
-// every block-scoped stage is observed at (N = the block's transactions
-// unless the stage counts something else).
-func blockAt(b *types.Block, h cryptoutil.Hash) obs.At {
-	return obs.At{Height: b.Header.Height, N: uint64(len(b.Txs)), Block: h.Short()}
-}
-
-// journalLocked runs one append to the durable store — a freshly
-// connected block, or a head switch — and observes it as wal_append. The
-// append is the commit point of what it records, so it is ordered under
-// the node lock with the tree/state mutation it makes durable. A failed
-// append is counted (the store latches failed and refuses further
-// writes); the node keeps serving from memory — the operator sees
-// node_wal_append_errors_total and restarts to recover the durable
-// prefix, exactly what a crashed process would do.
-func (n *Node) journalLocked(at obs.At, appendRecord func() error) {
-	if n.cfg.Durable == nil || n.recovering {
-		return
-	}
-	sw := obs.StartTimer()
-	if err := appendRecord(); err != nil {
-		n.metrics.WALAppendErrors++
-		return
-	}
-	n.obs.Observe(obs.StageWALAppend, sw.Start(), sw.Elapsed(), at)
-}
-
-// applyBlockLocked runs b's state transition on a fresh child layer of
-// parentState via the node's executor — optimistic parallel when
-// ExecWorkers > 0, serial otherwise — and records the exec stages and
-// counters. The result is bit-identical either way. Caller holds n.mu.
-func (n *Node) applyBlockLocked(parentState *state.State, b *types.Block) (*state.State, error) {
-	st, _, stats, err := n.exec.ApplyBlock(parentState, b, n.cfg.Rewards.RewardAt(b.Header.Height))
-	if err != nil {
-		return nil, err
-	}
-	if !stats.Parallel {
-		return st, nil
-	}
-	// One parallel block application: the exec_parallel span (speculation
-	// + merge + replay), the exec_replay span when a conflict forced a
-	// serial suffix, and the executor counters.
-	n.metrics.ExecParallelBlocks++
-	n.metrics.ExecConflicts += uint64(stats.Conflicts)
-	n.metrics.ExecReplayedTxs += uint64(stats.ReplayedTxs)
-	if s := stats.SpeedupMilli(); s > 0 {
-		n.metrics.ExecSpeedupMilli = s
-	}
-	n.obs.Observe(obs.StageExecParallel, stats.Start, stats.ParallelDur, obs.At{Height: b.Header.Height, N: uint64(stats.Txs)})
-	if stats.ReplayedTxs > 0 {
-		n.obs.Observe(obs.StageExecReplay, stats.ReplayStart, stats.ReplayDur, obs.At{Height: b.Header.Height, N: uint64(stats.ReplayedTxs)})
-	}
-	return st, nil
-}
-
-// commitAt is at as a state_commit counts it: N = the account leaves the
-// block wrote into st, worked out only when someone is tracing.
-func (n *Node) commitAt(st *state.State, at obs.At) obs.At {
-	at.N = 0
-	if n.obs.Tracer != nil {
-		at.N = uint64(len(st.DirtyAddresses()))
-	}
-	return at
 }
 
 // afterTreeChange re-runs the fork choice, updates the main chain, and
@@ -1351,7 +1015,10 @@ func (n *Node) scheduleMine() {
 
 // produceBlock assembles, seals, adopts, and gossips a new block on the
 // current tip. The whole path — selection, build, seal, adopt — is timed
-// as the block_propose stage.
+// as the block_propose stage. The block runs once here, as on every other
+// node: the build pass is its execution, the state that pass committed is
+// what the store stage takes, and nothing verifies or executes the sealed
+// block again on the node that made it.
 func (n *Node) produceBlock() error {
 	swPropose := obs.StartTimer()
 	parent := n.chain.HeadBlock()
@@ -1360,7 +1027,6 @@ func (n *Node) produceBlock() error {
 	height := parent.Header.Height + 1
 	reward := n.cfg.Rewards.RewardAt(height)
 
-	// Select transactions and build the body.
 	candidates := n.pool.Select(n.cfg.MaxBlockTxs, 0)
 	parentState, err := n.stateOfLocked(parentHash)
 	if err != nil {
@@ -1374,23 +1040,25 @@ func (n *Node) produceBlock() error {
 	// only the transactions that apply on it (wrong nonces or
 	// insufficient balances are left pooled).
 	st.Credit(n.self, reward)
-	var (
-		included []*types.Transaction
-		fees     uint64
-	)
+	txs := make([]*types.Transaction, 1, 1+len(candidates)) // the coinbase first, once the fees are known
+	var fees uint64
 	for _, tx := range candidates {
+		// The coinbase names reward + fees: a fee that would wrap it stays
+		// pooled (validation rejects such a block, state.CheckCoinbase).
+		if sum := fees + tx.Fee; sum < fees || reward+sum < reward {
+			continue
+		}
 		if _, err := st.ApplyTx(tx, n.self); err != nil {
 			continue
 		}
-		included = append(included, tx)
+		txs = append(txs, tx)
 		fees += tx.Fee
 	}
 	if err := st.Err(); err != nil {
 		return fmt.Errorf("node: select transactions: %w", err) // not a verdict on any of them
 	}
 
-	coinbase := types.NewCoinbase(n.self, reward+fees, height)
-	txs := append([]*types.Transaction{coinbase}, included...)
+	txs[0] = types.NewCoinbase(n.self, reward+fees, height)
 	b := types.NewBlock(parentHash, height, now, n.self, txs)
 	swCommit := obs.StartTimer()
 	b.Header.StateRoot = st.Commit()
@@ -1404,12 +1072,15 @@ func (n *Node) produceBlock() error {
 	if err := n.cfg.Engine.Seal(b, parent); err != nil {
 		return err
 	}
-	at := blockAt(b, b.Hash()) // the hash is the seal's: known only now
+	h := b.Hash() // the seal's: known only now
+	at := blockAt(b, h)
 	n.obs.Observe(obs.StageStateCommit, swCommit.Start(), commitDur, n.commitAt(st, at))
-	if err := n.handleBlockFrom(b, ""); err != nil {
+	if err := n.storeLocked(b, h, st); err != nil {
 		return err
 	}
-	at.N = uint64(len(included))
+	n.journalBlockLocked(b, at)
+	n.afterTreeChange()
+	at.N = uint64(len(txs) - 1)
 	n.obs.Observe(obs.StageBlockPropose, swPropose.Start(), swPropose.Elapsed(), at)
 	if n.publishIntercept != nil && !n.publishIntercept(b) {
 		//dcslint:ignore unbounded withheld buffer is drained by ReleaseWithheld; bounded by the actor's release policy in scenarios

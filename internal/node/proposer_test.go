@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -90,6 +91,21 @@ func mineTo(t *testing.T, sim *simclock.Simulator, n *Node, height uint64) {
 	}
 }
 
+// mainChain returns n's main chain above genesis, lowest block first.
+func mainChain(t *testing.T, n *Node) []*types.Block {
+	t.Helper()
+	chain := make([]*types.Block, 0, n.Chain().Height())
+	for h := uint64(1); h <= n.Chain().Height(); h++ {
+		bh, _ := n.Chain().AtHeight(h)
+		b, ok := n.Tree().Get(bh)
+		if !ok {
+			t.Fatalf("no block at height %d", h)
+		}
+		chain = append(chain, b)
+	}
+	return chain
+}
+
 // signed signs tx with k.
 func signed(t *testing.T, k *cryptoutil.KeyPair, tx *types.Transaction) *types.Transaction {
 	t.Helper()
@@ -100,12 +116,13 @@ func signed(t *testing.T, k *cryptoutil.KeyPair, tx *types.Transaction) *types.T
 	return tx
 }
 
-// TestProposerBuildsOnce: the proposer executes its candidates once to
-// build the block (subsidy first, as validation will) and once more when
-// the block connects; what cannot apply stays pooled, an invoke that
-// fails is included with its fee kept, a transfer only the block's own
-// subsidy funds is included, and a follower fed the blocks agrees on
-// every root having executed each invoke once.
+// TestProposerBuildsOnce: the proposer executes its candidates once, to
+// build the block (subsidy first, as validation will), and stores the
+// state that pass committed — no second run when the block joins its own
+// tree; what cannot apply stays pooled, an invoke that fails is included
+// with its fee kept, a transfer only the block's own subsidy funds is
+// included, and a follower fed the blocks agrees on every root having
+// executed each invoke once, through the executor at the width configured.
 func TestProposerBuildsOnce(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) { proposerBuildsOnce(t, workers) })
@@ -170,25 +187,23 @@ func proposerBuildsOnce(t *testing.T, workers int) {
 	if m.BlocksProposed != height || m.BlocksRejected != 0 {
 		t.Fatalf("proposed %d, rejected %d at height %d: a produced block did not self-connect", m.BlocksProposed, m.BlocksRejected, height)
 	}
-	if workers > 0 && m.ExecParallelBlocks == 0 {
-		t.Fatal("ExecWorkers > 0 but no block took the parallel path")
+	if m.ExecParallelBlocks != 0 {
+		t.Fatalf("the miner ran %d of its own blocks through the executor", m.ExecParallelBlocks)
 	}
 	included := make(map[cryptoutil.Hash]uint64)
-	for h := uint64(1); h <= height; h++ {
-		bh, _ := miner.Chain().AtHeight(h)
-		b, ok := miner.Tree().Get(bh)
-		if !ok {
-			t.Fatalf("no block at height %d", h)
-		}
+	for _, b := range mainChain(t, miner) {
 		for _, tx := range b.Txs[1:] {
-			included[tx.ID()] = h
+			included[tx.ID()] = b.Header.Height
 		}
 		if err := follower.HandleBlock(b); err != nil {
-			t.Fatalf("follower h=%d: %v", h, err)
+			t.Fatalf("follower h=%d: %v", b.Header.Height, err)
 		}
 	}
 	if follower.Chain().Head() != miner.Chain().Head() {
 		t.Fatalf("follower head %s, miner head %s", follower.Chain().Head().Short(), miner.Chain().Head().Short())
+	}
+	if fm := follower.Metrics(); fm.BlocksRejected != 0 || (workers > 0 && fm.ExecParallelBlocks == 0) {
+		t.Fatalf("follower rejected %d blocks, %d took the parallel path at ExecWorkers = %d", fm.BlocksRejected, fm.ExecParallelBlocks, workers)
 	}
 
 	if included[fromMiner.ID()] != 1 {
@@ -209,8 +224,8 @@ func proposerBuildsOnce(t *testing.T, workers int) {
 		if _, ok := included[tx.ID()]; !ok {
 			t.Fatalf("invoke %s was never included", tx.ID().Short())
 		}
-		if got := minerExec.invokes[tx.ID()]; got != 2 {
-			t.Errorf("miner executed invoke %s %d times, want 2 (build, connect)", tx.ID().Short(), got)
+		if got := minerExec.invokes[tx.ID()]; got != 1 {
+			t.Errorf("miner executed invoke %s %d times, want 1 (the build pass)", tx.ID().Short(), got)
 		}
 		if got := followerExec.invokes[tx.ID()]; got != 1 {
 			t.Errorf("follower executed invoke %s %d times, want 1", tx.ID().Short(), got)
@@ -227,7 +242,9 @@ func proposerBuildsOnce(t *testing.T, workers int) {
 // TestExecutorKeepsNoResidue: executing a block leaves nothing behind on
 // the contract executor, so a long-running node's heap does not grow with
 // the transactions it has executed. A LOG-ing contract invoked once a
-// block for 200 blocks leaves the executor exactly as configured.
+// block for 200 blocks leaves the executor exactly as configured, on the
+// miner that built the blocks and on a follower that ran them through the
+// executor at the width configured.
 func TestExecutorKeepsNoResidue(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -236,9 +253,10 @@ func TestExecutorKeepsNoResidue(t *testing.T) {
 			caller := cryptoutil.KeyFromSeed([]byte("residue-caller"))
 			alloc := map[cryptoutil.Address]uint64{owner.Address(): 100_000, caller.Address(): 100_000}
 			registry := contract.NewRegistry()
-			ex := contract.NewExecutor(registry)
+			ex, followerEx := contract.NewExecutor(registry), contract.NewExecutor(registry)
 			sim := simclock.NewSimulator()
 			n := soloNode(t, sim, "residue-miner", true, ex, workers, 1, alloc)
+			follower := soloNode(t, simclock.NewSimulator(), "residue-follower", false, followerEx, workers, 1, alloc)
 
 			if err := n.SubmitTx(signed(t, owner, &types.Transaction{Kind: types.TxDeploy, Fee: 3, GasLimit: 100_000,
 				Data: vm.MustAssemble(logStoreSrc)})); err != nil {
@@ -258,14 +276,137 @@ func TestExecutorKeepsNoResidue(t *testing.T) {
 			if got := n.State().Nonce(caller.Address()); got != blocks {
 				t.Fatalf("%d invokes executed, want %d", got, blocks)
 			}
-			if workers > 0 && n.Metrics().ExecParallelBlocks == 0 {
+			for _, b := range mainChain(t, n) {
+				if err := follower.HandleBlock(b); err != nil {
+					t.Fatalf("follower h=%d: %v", b.Header.Height, err)
+				}
+			}
+			if workers > 0 && follower.Metrics().ExecParallelBlocks == 0 {
 				t.Fatal("ExecWorkers > 0 but no block took the parallel path")
 			}
 			fresh := contract.NewExecutor(registry)
 			fresh.SetNow(ex.Now())
-			if !reflect.DeepEqual(ex, fresh) {
+			if !reflect.DeepEqual(ex, fresh) || !reflect.DeepEqual(followerEx, fresh) {
 				t.Fatalf("executor after %d blocks is not what a fresh one is: it kept something per execution", blocks)
 			}
 		})
+	}
+}
+
+// TestBuiltBlocksConnectEverywhere is the check a proposer used to run on
+// every block it sealed by executing it a second time, as a property: from
+// random pools — transactions in nonce order and ahead of it, from funded,
+// overdrawn and unfunded senders, invokes that succeed and that run out of
+// gas, and a transfer from the miner that only the block's own subsidy
+// funds — the build pass produces 200 blocks, and a fresh follower that
+// never saw a pool accepts every one, at either execution width.
+func TestBuiltBlocksConnectEverywhere(t *testing.T) {
+	const (
+		blocks    = 200
+		minerSeed = "everywhere-miner"
+	)
+	rng := rand.New(rand.NewSource(23))
+	owner := cryptoutil.KeyFromSeed([]byte("everywhere-owner"))
+	minerKey := cryptoutil.KeyFromSeed([]byte(minerSeed))
+	logger := vm.ContractAddress(owner.Address(), 0)
+	alloc := map[cryptoutil.Address]uint64{owner.Address(): 100_000}
+	funded := make([]*cryptoutil.KeyPair, 6)
+	for i := range funded {
+		funded[i] = cryptoutil.KeyFromSeed([]byte(fmt.Sprintf("everywhere-funded-%d", i)))
+		alloc[funded[i].Address()] = 50_000
+	}
+	// Unfunded until a transfer happens to pick them as its recipient.
+	unfunded := make([]*cryptoutil.KeyPair, 3)
+	recipients := []cryptoutil.Address{minerKey.Address(), cryptoutil.KeyFromSeed([]byte("everywhere-payee")).Address()}
+	for i := range unfunded {
+		unfunded[i] = cryptoutil.KeyFromSeed([]byte(fmt.Sprintf("everywhere-unfunded-%d", i)))
+		recipients = append(recipients, unfunded[i].Address())
+	}
+
+	sim := simclock.NewSimulator()
+	miner := soloNode(t, sim, minerSeed, true, contract.NewExecutor(contract.NewRegistry()), 0, 0, alloc)
+	submit := func(k *cryptoutil.KeyPair, tx *types.Transaction) {
+		t.Helper()
+		if err := miner.SubmitTx(signed(t, k, tx)); err != nil {
+			t.Fatalf("SubmitTx: %v", err)
+		}
+	}
+	submit(owner, &types.Transaction{Kind: types.TxDeploy, Fee: 9, GasLimit: 100_000, Data: vm.MustAssemble(logStoreSrc)})
+	miner.Start()
+	mineTo(t, sim, miner, 1)
+
+	var overdrawn, gapped, outOfGas, fromSubsidy int
+	for round := uint64(0); miner.Chain().Height() < blocks; round++ {
+		st := miner.State()
+		for _, k := range append(funded, unfunded...) {
+			if rng.Intn(10) < 3 {
+				continue
+			}
+			nonce := st.Nonce(k.Address())
+			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+				fee := uint64(2 + rng.Intn(8))
+				switch rng.Intn(4) {
+				case 0: // an invoke that stores
+					submit(k, &types.Transaction{Kind: types.TxInvoke, To: logger, Nonce: nonce, Fee: fee, GasLimit: 10_000,
+						Data: vm.PackArgs(vm.WordFromUint64(1 + round*16 + uint64(i)))})
+				case 1: // an invoke that runs out of gas at its first opcode: included, fee kept
+					submit(k, &types.Transaction{Kind: types.TxInvoke, To: logger, Nonce: nonce, Fee: fee, GasLimit: 1,
+						Data: vm.PackArgs(vm.WordFromUint64(round))})
+					outOfGas++
+				default:
+					submit(k, types.NewTransfer(cryptoutil.ZeroAddress, recipients[rng.Intn(len(recipients))], uint64(1+rng.Intn(100)), fee, nonce))
+				}
+				nonce++
+			}
+			switch rng.Intn(6) {
+			case 0: // ahead of the account's nonce: pooled until the gap closes, if it ever does
+				submit(k, types.NewTransfer(cryptoutil.ZeroAddress, recipients[0], 1, 1, nonce+1+uint64(rng.Intn(3))))
+				gapped++
+			case 1: // costs more than the account will hold: pooled, and the nonces behind it wait
+				submit(k, types.NewTransfer(cryptoutil.ZeroAddress, recipients[1], 10_000_000, 1, nonce))
+				overdrawn++
+			}
+		}
+		if rng.Intn(2) == 0 {
+			// More than the miner holds: only this block's subsidy, credited
+			// ahead of its transactions, covers it.
+			bal := st.Balance(minerKey.Address())
+			submit(minerKey, types.NewTransfer(cryptoutil.ZeroAddress, recipients[1], bal+30, 5, st.Nonce(minerKey.Address())))
+			fromSubsidy++
+		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		mineTo(t, sim, miner, miner.Chain().Height()+1)
+	}
+	miner.Stop()
+
+	height := miner.Chain().Height()
+	if m := miner.Metrics(); m.BlocksProposed != height || m.BlocksRejected != 0 || m.BlocksAccepted != height {
+		t.Fatalf("miner proposed %d, accepted %d, rejected %d at height %d", m.BlocksProposed, m.BlocksAccepted, m.BlocksRejected, height)
+	}
+	chain := mainChain(t, miner)
+	txs := 0
+	for _, b := range chain {
+		txs += len(b.Txs) - 1
+	}
+	if overdrawn == 0 || gapped == 0 || outOfGas == 0 || fromSubsidy == 0 || miner.Pool().Len() == 0 {
+		t.Fatalf("pools held %d overdrawn, %d nonce-gapped, %d out-of-gas, %d subsidy-funded transactions, %d left pooled: the generator covers less than it says",
+			overdrawn, gapped, outOfGas, fromSubsidy, miner.Pool().Len())
+	}
+	t.Logf("%d blocks, %d transactions included, %d left pooled", height, txs, miner.Pool().Len())
+
+	for _, workers := range []int{0, 4} {
+		follower := soloNode(t, simclock.NewSimulator(), fmt.Sprintf("everywhere-follower-%d", workers), false,
+			contract.NewExecutor(contract.NewRegistry()), workers, 0, alloc)
+		for _, b := range chain {
+			if err := follower.HandleBlock(b); err != nil {
+				t.Fatalf("workers=%d: follower refused block %d: %v", workers, b.Header.Height, err)
+			}
+		}
+		if m := follower.Metrics(); m.BlocksRejected != 0 || follower.Chain().Head() != miner.Chain().Head() {
+			t.Fatalf("workers=%d: follower rejected %d blocks, head %s, miner head %s",
+				workers, m.BlocksRejected, follower.Chain().Head().Short(), miner.Chain().Head().Short())
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/nodestore"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -242,7 +243,7 @@ func TestCrashMatrixSnapshotCheckpointOnDisk(t *testing.T) {
 	handleAll(t, n2, c.grow(24)) // checkpoint at 24: root only
 	ds2.Close()
 	ns2.Close()
-	ds3, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: wal.FsyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+	ds3, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/node"
 	"dcsledger/internal/p2p"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
 )
@@ -351,14 +352,14 @@ func (f *powFamily) finish(e *Engine) {
 	}
 }
 
-func parseFailMode(s string) (wal.FailMode, error) {
+func parseFailMode(s string) (seglog.FailMode, error) {
 	switch s {
 	case "cut":
-		return wal.FailCut, nil
+		return seglog.FailCut, nil
 	case "torn", "":
-		return wal.FailTorn, nil
+		return seglog.FailTorn, nil
 	case "garble":
-		return wal.FailGarble, nil
+		return seglog.FailGarble, nil
 	default:
 		return 0, fmt.Errorf("unknown failpoint mode %q", s)
 	}

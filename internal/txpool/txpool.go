@@ -196,12 +196,14 @@ func (p *Pool) Select(maxTxs, maxBytes int) []*types.Transaction {
 		if maxTxs > 0 && len(out) >= maxTxs {
 			break
 		}
-		sz := len(tx.Encode())
-		if maxBytes > 0 && bytes+sz > maxBytes {
-			continue
+		if maxBytes > 0 { // sizes are worked out only against a budget
+			sz := len(tx.Encode())
+			if bytes+sz > maxBytes {
+				continue
+			}
+			bytes += sz
 		}
 		out = append(out, tx)
-		bytes += sz
 	}
 	return out
 }

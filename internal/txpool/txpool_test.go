@@ -140,6 +140,26 @@ func TestSelectByteBudget(t *testing.T) {
 	if len(all) != 5 {
 		t.Fatalf("unlimited budget should admit all, got %d", len(all))
 	}
+
+	// A transaction that does not fit is skipped, not the end of the
+	// selection: the best-paying one here carries a payload the budget
+	// cannot take, and the two after it in fee order still go in.
+	k := cryptoutil.KeyFromSeed([]byte("bulky"))
+	bulky := &types.Transaction{Kind: types.TxInvoke, From: k.Address(), Fee: 99, GasLimit: 1, Data: make([]byte, 4096)}
+	if err := bulky.Sign(k); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	if err := p.Add(bulky); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	small := len(tx(t, "z", 0, 1).Encode())
+	two := p.Select(0, 2*small+10)
+	if len(two) != 2 || two[0].Fee != 5 || two[1].Fee != 4 {
+		t.Fatalf("budget of two transfers behind a transaction over it: got %d txs, want the fee-5 and fee-4 transfers", len(two))
+	}
+	if all := p.Select(0, 0); len(all) != 6 || all[0] != bulky {
+		t.Fatalf("unlimited budget should admit all six, the bulky one first; got %d", len(all))
+	}
 }
 
 func TestRemoveAndBlockRemoval(t *testing.T) {

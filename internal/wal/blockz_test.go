@@ -81,7 +81,7 @@ func dirBytes(t *testing.T, dir string) int64 {
 func TestJournalBytesPerTransfer(t *testing.T) {
 	const nBlocks, perBlock, limit = 40, 80, 190
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncNever})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
 	blocks := transferBlocks(t, nBlocks, perBlock)
 	for _, b := range blocks {
 		if err := s.LogBlock(b); err != nil {
@@ -104,7 +104,7 @@ func TestJournalBytesPerTransfer(t *testing.T) {
 		t.Fatalf("the journal costs %.1f B per transfer, want under %d", got, limit)
 	}
 	// What was saved is still there: every block reads back.
-	s2, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncNever})
+	s2, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
 	if rec.Blocks != nBlocks || rec.Head != blocks[nBlocks-1].Hash() || rec.Truncated != 0 {
 		t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
 	}
@@ -213,7 +213,7 @@ func TestUninflatableRecordStopsCollection(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestUninflatableRecordStopsCollection(t *testing.T) {
 			}
 			s.Close()
 
-			_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 			if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
 				t.Fatalf("recovered %d blocks, want the 1 before the bad record", len(got))
 			}
@@ -242,7 +242,7 @@ func TestReadBlockOfUninflatableRecord(t *testing.T) {
 	blocks := transferBlocks(t, 2, 4)
 	for name, payload := range uninflatable(t, blocks[1]) {
 		t.Run(name, func(t *testing.T) {
-			s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: FsyncNever})
+			s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}

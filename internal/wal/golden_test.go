@@ -11,6 +11,7 @@ import (
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/mpt"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 )
 
@@ -21,7 +22,7 @@ import (
 func goldenStoreOpts() StoreOptions {
 	frozen := time.Unix(1_700_000_000, 0)
 	return StoreOptions{
-		Fsync:           FsyncInterval,
+		Fsync:           seglog.SyncInterval,
 		FsyncEvery:      time.Second,
 		SegmentSize:     512,
 		CheckpointEvery: 1 << 30,

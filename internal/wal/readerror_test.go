@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dcsledger/internal/seglog"
 )
 
 // TestReadErrorAbortsOpen: a segment the disk will not read is not a
@@ -13,7 +15,7 @@ import (
 // used to delete this segment and every later one.)
 func TestReadErrorAbortsOpen(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncNever, SegmentSize: 128})
+	w := openT(t, dir, Options{Fsync: seglog.SyncNever, SegmentSize: 128})
 	appendN(t, w, 40)
 	if w.Stats().Segments < 3 {
 		t.Fatalf("need >= 3 segments, got %d", w.Stats().Segments)

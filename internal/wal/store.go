@@ -60,9 +60,9 @@ var (
 
 // StoreOptions configures a DurableStore.
 type StoreOptions struct {
-	// Fsync is the WAL flush policy (default FsyncAlways).
+	// Fsync is the WAL flush policy (default seglog.SyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the interval policy cadence (0 = DefaultFsyncEvery).
+	// FsyncEvery is the interval policy cadence (0 = seglog.DefaultSyncEvery).
 	FsyncEvery time.Duration
 	// SegmentSize rotates WAL segments (0 = DefaultSegmentSize).
 	SegmentSize int64

@@ -58,7 +58,7 @@ func journaledBlocks(t *testing.T, rec *Recovery) []Journaled {
 
 func TestStoreJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if rec.Blocks != 0 || !rec.Head.IsZero() || rec.Checkpoint != nil {
 		t.Fatalf("fresh store recovery not empty: %+v", rec)
 	}
@@ -73,7 +73,7 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	}
 	s.Close()
 
-	_, rec2 := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec2 := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if rec2.Blocks != 5 {
 		t.Fatalf("recovered %d blocks, want 5", rec2.Blocks)
 	}
@@ -92,7 +92,7 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	blocks := testBlocks(3)
 	for _, b := range blocks {
 		if err := s.LogBlock(b); err != nil {
@@ -114,7 +114,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 	wantSeq := s.WAL().LastSeq()
 	s.Close()
 
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	ck := rec.Checkpoint
 	if ck == nil {
 		t.Fatal("checkpoint not recovered")
@@ -136,7 +136,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointGC(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	st := state.New()
 	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
 	root := st.Commit()
@@ -154,7 +154,7 @@ func TestCheckpointGC(t *testing.T) {
 	}
 	// The newest carries a snapshot, so the older file is not decoded.
 	s.Close()
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if ck := rec.Checkpoint; ck == nil || ck.Height != 5 || ck.State == nil || ck.Older != nil {
 		t.Fatalf("recovered %+v, want the height-5 snapshot and nothing behind it", ck)
 	}
@@ -165,7 +165,7 @@ func TestCheckpointGC(t *testing.T) {
 // damaged file).
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	st := state.New()
 	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
 	root := st.Commit()
@@ -194,7 +194,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if rec.Checkpoint == nil {
 		t.Fatal("no fallback checkpoint recovered")
 	}
@@ -205,7 +205,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestMaybeCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways, CheckpointEvery: 4})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways, CheckpointEvery: 4})
 	st := state.New()
 	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
 	root := st.Commit()
@@ -230,12 +230,12 @@ func TestMaybeCheckpointCadence(t *testing.T) {
 // broken log.
 func TestStoreFailureLatches(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	blocks := testBlocks(3)
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	s.WAL().SetFailpoint(FailTorn, 1)
+	s.WAL().SetFailpoint(seglog.FailTorn, 1)
 	if err := s.LogBlock(blocks[1]); err == nil {
 		t.Fatal("LogBlock at failpoint succeeded")
 	}
@@ -255,7 +255,7 @@ func TestStoreFailureLatches(t *testing.T) {
 	s.Close()
 
 	// The journal survives as the pre-crash prefix.
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
 		t.Fatalf("recovered %d blocks, want the 1 pre-crash block", len(got))
 	}
@@ -266,7 +266,7 @@ func TestStoreFailureLatches(t *testing.T) {
 // there to preserve prefix semantics.
 func TestUndecodablePayloadStopsCollection(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	blocks := testBlocks(3)
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestUndecodablePayloadStopsCollection(t *testing.T) {
 	}
 	s.Close()
 
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if got := journaledBlocks(t, rec); len(got) != 1 {
 		t.Fatalf("recovered %d blocks, want 1 (prefix before bad payload)", len(got))
 	}
@@ -294,7 +294,7 @@ func TestUndecodablePayloadStopsCollection(t *testing.T) {
 // semantics, and says so in Truncated.
 func TestUndecodableBodyStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	blocks := testBlocks(3)
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	}
 	s.Close()
 
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 	if rec.Truncated != 0 || rec.Blocks != 3 {
 		t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (headers all decode)", rec.Truncated, rec.Blocks)
 	}
@@ -335,7 +335,7 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 	for _, name := range []string{"bad element", "wrong length"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, _ := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 			}
 			s.Close()
 
-			_, rec := openStoreT(t, dir, StoreOptions{Fsync: FsyncAlways})
+			_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 			if rec.Truncated != 0 || rec.Blocks != 3 {
 				t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (header prefixes all inflate)", rec.Truncated, rec.Blocks)
 			}
@@ -374,7 +374,7 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 // above the checkpoint seq survives and replays after reopen.
 func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 	dir := t.TempDir()
-	opts := StoreOptions{Fsync: FsyncAlways, SegmentSize: 256}
+	opts := StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 256}
 	s, _ := openStoreT(t, dir, opts)
 	blocks := testBlocks(10)
 	for _, b := range blocks[:5] {
@@ -449,7 +449,7 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 // was indexed is an error, never a block.
 func TestReadBlock(t *testing.T) {
 	dir := t.TempDir()
-	opts := StoreOptions{Fsync: FsyncNever, SegmentSize: 512}
+	opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 512}
 	s, _ := openStoreT(t, dir, opts)
 	blocks := testBlocks(12)
 	check := func(s *DurableStore, blocks []*types.Block) {
@@ -483,8 +483,8 @@ func TestReadBlock(t *testing.T) {
 		t.Fatalf("ReadBlock of an unknown hash: err = %v, want ErrNoBlock", err)
 	}
 	s.Close()
-	if _, err := s.ReadBlock(blocks[0].Hash()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadBlock on a closed store: err = %v, want ErrClosed", err)
+	if _, err := s.ReadBlock(blocks[0].Hash()); !errors.Is(err, seglog.ErrClosed) {
+		t.Fatalf("ReadBlock on a closed store: err = %v, want seglog.ErrClosed", err)
 	}
 
 	s2, rec := openStoreT(t, dir, opts)

@@ -59,54 +59,27 @@ const DefaultSegmentSize = 4 << 20
 // PruneBefore honors the caller's seq unclamped.
 const noPruneFloor = ^uint64(0)
 
-// DefaultFsyncEvery is the flush cadence of the interval fsync policy.
-const DefaultFsyncEvery = seglog.DefaultSyncEvery
+// ErrTooLarge rejects records over MaxRecordLen; matchable with errors.Is.
+var ErrTooLarge = errors.New("wal: record too large")
 
-// WAL errors, matchable with errors.Is.
-var (
-	// ErrCrashed is returned by every write after an injected failpoint
-	// has fired: the log behaves as if the process died mid-write.
-	ErrCrashed = seglog.ErrCrashed
-	// ErrClosed is returned by writes after Close.
-	ErrClosed = seglog.ErrClosed
-	// ErrTooLarge rejects records over MaxRecordLen.
-	ErrTooLarge = errors.New("wal: record too large")
-)
-
-// FsyncPolicy selects when appends are forced to stable storage: after
-// every record, at most once per FsyncEvery, or never.
+// FsyncPolicy and ParseFsyncPolicy are the last of the names this package
+// had before internal/seglog owned the fsync policies, the failpoint modes
+// and their errors. Everything in this module names seglog directly; these
+// two stay because benchmark/replay.go calls them, and go with it
+// (ROADMAP item 1).
 type FsyncPolicy = seglog.SyncPolicy
-
-// The fsync policies.
-const (
-	FsyncAlways   = seglog.SyncAlways
-	FsyncInterval = seglog.SyncInterval
-	FsyncNever    = seglog.SyncNever
-)
 
 // ParseFsyncPolicy parses "always", "interval", or "never".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return seglog.ParseSyncPolicy(s) }
-
-// FailMode selects how an injected crash corrupts the log.
-type FailMode = seglog.FailMode
-
-// The failure modes: disarmed, a clean cut before the record, a torn
-// half-written record, a fully written record with a flipped byte.
-const (
-	FailNone   = seglog.FailNone
-	FailCut    = seglog.FailCut
-	FailTorn   = seglog.FailTorn
-	FailGarble = seglog.FailGarble
-)
 
 // Options configures a WAL.
 type Options struct {
 	// SegmentSize rotates the active segment once it exceeds this many
 	// bytes (0 = DefaultSegmentSize).
 	SegmentSize int64
-	// Fsync is the flush policy (default FsyncAlways).
+	// Fsync is the flush policy (default seglog.SyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the interval policy's cadence (0 = DefaultFsyncEvery).
+	// FsyncEvery is the interval policy's cadence (0 = seglog.DefaultSyncEvery).
 	FsyncEvery time.Duration
 	// Clock supplies the time source for the interval policy (nil =
 	// wall clock). Injected by tests.
@@ -268,7 +241,7 @@ func (w *WAL) ReadAt(at Loc) (Record, error) {
 		w.mu.Lock()
 		if w.log.Closed() {
 			w.mu.Unlock()
-			return Record{}, ErrClosed
+			return Record{}, seglog.ErrClosed
 		}
 		f, err := w.log.Reader(uint64(at.Seg))
 		w.mu.Unlock()
@@ -416,7 +389,7 @@ func (w *WAL) firstSegment() uint64 {
 // SetFailpoint arms a deterministic crash on the nth Append after this
 // call (see seglog.Log.SetFailpoint); tests reopen the directory to
 // exercise recovery.
-func (w *WAL) SetFailpoint(mode FailMode, nthAppend uint64) {
+func (w *WAL) SetFailpoint(mode seglog.FailMode, nthAppend uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.log.SetFailpoint(mode, nthAppend)

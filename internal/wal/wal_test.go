@@ -51,7 +51,7 @@ func replayAll(t *testing.T, w *WAL) []Record {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncAlways})
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
 	appendN(t, w, 25)
 	recs := replayAll(t, w)
 	if len(recs) != 25 {
@@ -75,13 +75,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncAlways})
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
 	appendN(t, w, 10)
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2 := openT(t, dir, Options{Fsync: FsyncAlways})
+	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways})
 	if got := w2.LastSeq(); got != 10 {
 		t.Fatalf("LastSeq after reopen = %d, want 10", got)
 	}
@@ -100,7 +100,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 func TestSegmentRotationAndContinuity(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record (~30 bytes framed) forces rotations.
-	w := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	appendN(t, w, 50)
 	st := w.Stats()
 	if st.Rotations == 0 {
@@ -121,7 +121,7 @@ func TestSegmentRotationAndContinuity(t *testing.T) {
 	}
 	// And survive a reopen.
 	w.Close()
-	w2 := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	if got := len(replayAll(t, w2)); got != 50 {
 		t.Fatalf("after reopen: %d records, want 50", got)
 	}
@@ -131,33 +131,33 @@ func TestSegmentRotationAndContinuity(t *testing.T) {
 // that reopening the directory recovers exactly the records appended
 // before the crash — the log is always a valid prefix.
 func TestCrashModesTruncateToPrefix(t *testing.T) {
-	for _, mode := range []FailMode{FailCut, FailTorn, FailGarble} {
+	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			w := openT(t, dir, Options{Fsync: FsyncAlways})
+			w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
 			appendN(t, w, 7)
 			w.SetFailpoint(mode, 1) // crash on the next append
-			if _, err := w.Append(RecBlock, []byte("doomed")); !errors.Is(err, ErrCrashed) {
-				t.Fatalf("append at failpoint: err = %v, want ErrCrashed", err)
+			if _, err := w.Append(RecBlock, []byte("doomed")); !errors.Is(err, seglog.ErrCrashed) {
+				t.Fatalf("append at failpoint: err = %v, want seglog.ErrCrashed", err)
 			}
 			if !w.Crashed() {
 				t.Fatal("Crashed() = false after failpoint fired")
 			}
 			// The WAL is latched: every later write fails like a dead process.
-			if _, err := w.Append(RecBlock, []byte("more")); !errors.Is(err, ErrCrashed) {
-				t.Fatalf("append after crash: err = %v, want ErrCrashed", err)
+			if _, err := w.Append(RecBlock, []byte("more")); !errors.Is(err, seglog.ErrCrashed) {
+				t.Fatalf("append after crash: err = %v, want seglog.ErrCrashed", err)
 			}
-			if err := w.Sync(); !errors.Is(err, ErrCrashed) {
-				t.Fatalf("sync after crash: err = %v, want ErrCrashed", err)
+			if err := w.Sync(); !errors.Is(err, seglog.ErrCrashed) {
+				t.Fatalf("sync after crash: err = %v, want seglog.ErrCrashed", err)
 			}
 			w.Close()
 
-			w2 := openT(t, dir, Options{Fsync: FsyncAlways})
+			w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways})
 			recs := replayAll(t, w2)
 			if len(recs) != 7 {
 				t.Fatalf("mode %s: recovered %d records, want 7", mode, len(recs))
 			}
-			if mode != FailCut && w2.Stats().TornTruncated == 0 {
+			if mode != seglog.FailCut && w2.Stats().TornTruncated == 0 {
 				t.Fatalf("mode %s: expected TornTruncated > 0", mode)
 			}
 			// The repaired log accepts new appends at the right seq.
@@ -176,15 +176,15 @@ func TestCrashModesTruncateToPrefix(t *testing.T) {
 // arming, 1-based.
 func TestFailpointNthAppend(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncAlways})
-	w.SetFailpoint(FailTorn, 3)
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
+	w.SetFailpoint(seglog.FailTorn, 3)
 	for i := 0; i < 2; i++ {
 		if _, err := w.Append(RecBlock, []byte("ok")); err != nil {
 			t.Fatalf("append %d before trigger: %v", i, err)
 		}
 	}
-	if _, err := w.Append(RecBlock, []byte("boom")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("3rd append: err = %v, want ErrCrashed", err)
+	if _, err := w.Append(RecBlock, []byte("boom")); !errors.Is(err, seglog.ErrCrashed) {
+		t.Fatalf("3rd append: err = %v, want seglog.ErrCrashed", err)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestFailpointNthAppend(t *testing.T) {
 // verifies Open truncates there and deletes every later segment.
 func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	appendN(t, w, 40)
 	if w.Stats().Segments < 3 {
 		t.Fatalf("need >= 3 segments for this test, got %d", w.Stats().Segments)
@@ -213,7 +213,7 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	recs := replayAll(t, w2)
 	if len(recs) != 0 {
 		t.Fatalf("recovered %d records after first-record corruption, want 0", len(recs))
@@ -228,14 +228,14 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 
 func TestFsyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
-		w := openT(t, t.TempDir(), Options{Fsync: FsyncAlways})
+		w := openT(t, t.TempDir(), Options{Fsync: seglog.SyncAlways})
 		appendN(t, w, 5)
 		if got := w.Stats().Fsyncs; got != 5 {
 			t.Fatalf("fsyncs = %d, want 5 (one per append)", got)
 		}
 	})
 	t.Run("never", func(t *testing.T) {
-		w := openT(t, t.TempDir(), Options{Fsync: FsyncNever})
+		w := openT(t, t.TempDir(), Options{Fsync: seglog.SyncNever})
 		appendN(t, w, 5)
 		if got := w.Stats().Fsyncs; got != 0 {
 			t.Fatalf("fsyncs = %d, want 0", got)
@@ -244,7 +244,7 @@ func TestFsyncPolicies(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		now := time.Unix(1000, 0)
 		w := openT(t, t.TempDir(), Options{
-			Fsync:      FsyncInterval,
+			Fsync:      seglog.SyncInterval,
 			FsyncEvery: time.Second,
 			Clock:      func() time.Time { return now },
 		})
@@ -266,7 +266,7 @@ func TestFsyncPolicies(t *testing.T) {
 
 func TestParseFsyncPolicy(t *testing.T) {
 	for s, want := range map[string]FsyncPolicy{
-		"always": FsyncAlways, "Interval": FsyncInterval, " never ": FsyncNever,
+		"always": seglog.SyncAlways, "Interval": seglog.SyncInterval, " never ": seglog.SyncNever,
 	} {
 		got, err := ParseFsyncPolicy(s)
 		if err != nil || got != want {
@@ -287,17 +287,17 @@ func TestAppendErrors(t *testing.T) {
 		t.Fatalf("oversized append: err = %v, want ErrTooLarge", err)
 	}
 	w.Close()
-	if _, err := w.Append(RecBlock, []byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: err = %v, want ErrClosed", err)
+	if _, err := w.Append(RecBlock, []byte("x")); !errors.Is(err, seglog.ErrClosed) {
+		t.Fatalf("append after close: err = %v, want seglog.ErrClosed", err)
 	}
-	if err := w.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sync after close: err = %v, want ErrClosed", err)
+	if err := w.Sync(); !errors.Is(err, seglog.ErrClosed) {
+		t.Fatalf("sync after close: err = %v, want seglog.ErrClosed", err)
 	}
 }
 
 func TestPruneBefore(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	appendN(t, w, 40)
 	before := w.Stats().Segments
 	if before < 3 {
@@ -326,7 +326,7 @@ func TestPruneBefore(t *testing.T) {
 	}
 	// Reopen continues from the same sequence.
 	w.Close()
-	w2 := openT(t, dir, Options{Fsync: FsyncAlways, SegmentSize: 128})
+	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
 	if got := w2.LastSeq(); got != last {
 		t.Fatalf("LastSeq after prune+reopen = %d, want %d", got, last)
 	}

@@ -13,6 +13,7 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/node"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/store"
 	"dcsledger/internal/types"
@@ -218,7 +219,7 @@ func TestProveTxUnknown(t *testing.T) {
 // the block a transaction is in; the proof is built from the journal's
 // copy and verifies against the header.
 func TestProveTxBelowBodyWindow(t *testing.T) {
-	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: wal.FsyncNever})
+	ds, rec, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: seglog.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
