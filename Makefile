@@ -168,9 +168,16 @@ bench-test:
 # Adversarial scenario smoke: the 64-node preset for every consensus
 # family under the race detector — churn, a healing partition, one
 # Byzantine actor each, WAL crash-recovery for pow — every cell run
-# twice and required bit-identical (docs/SCENARIOS.md).
+# twice and required bit-identical (docs/SCENARIOS.md), and the FRONTIER
+# table's family and fingerprint columns required equal to the committed
+# golden: a fingerprint moves only in a commit that re-records that file
+# and touches nothing else.
+FINGERPRINTS64 = internal/scenario/testdata/fingerprints64.golden
 scenario-smoke:
-	$(GO) run -race ./cmd/dcsbench -scenario all -scenario-nodes 64
+	@out=$$($(GO) run -race ./cmd/dcsbench -scenario all -scenario-nodes 64); status=$$?; \
+	echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
+	echo "$$out" | awk '$$2 ~ /^[0-9]+$$/ && NF >= 10 { print $$1, $$9 }' | diff $(FINGERPRINTS64) - \
+		|| { echo "scenario-smoke: fingerprints differ from $(FINGERPRINTS64)"; exit 1; }
 
 # Full-scale sweep behind the frontier table in EXPERIMENTS.md:
 # 1,000-node pow and raft, 256-replica pbft (O(n²) messaging cap).
