@@ -168,8 +168,8 @@ func TestGossipOverConcurrentTCPMesh(t *testing.T) {
 			fmt.Sprintf("node %d delivered %d/%d", i, counts[i].Load(), want))
 	}
 	for i, tr := range trs {
-		if st := tr.Stats(); st.RecvErrors != 0 {
-			t.Fatalf("node %d: %d decode errors", i, st.RecvErrors)
+		if n := series(tr, "p2p_recv_errors_total"); n != 0 {
+			t.Fatalf("node %d: %d decode errors", i, n)
 		}
 		if d := gs[i].Stats().Delivered; d != want {
 			t.Fatalf("node %d delivered %d, want %d", i, d, want)

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -156,9 +155,9 @@ func TestOversizeInboundFrameDropped(t *testing.T) {
 		t.Fatal("connection stayed open after oversize frame")
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return tr.Stats().RecvOversize == 1
-	}, fmt.Sprintf("oversize counter = %d, want 1", tr.Stats().RecvOversize))
-	if recv := tr.Stats().Recv; recv != 0 {
+		return series(tr, "p2p_recv_oversize_total") == 1
+	}, "oversize counter never reached 1")
+	if recv := series(tr, "p2p_recv_total"); recv != 0 {
 		t.Fatalf("oversize frame delivered %d messages", recv)
 	}
 }
@@ -187,7 +186,7 @@ func TestInboundIdleReadDeadline(t *testing.T) {
 		t.Fatal("idle connection was not dropped")
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return tr.Stats().InboundConns == 0
+		return series(tr, "p2p_conns_inbound") == 0
 	}, "inbound conn still tracked after idle drop")
 }
 
@@ -222,6 +221,6 @@ func TestGarbageInboundBytesDropConnection(t *testing.T) {
 		t.Fatal("connection stayed open after garbage frame")
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return tr.Stats().RecvErrors >= 1
+		return series(tr, "p2p_recv_errors_total") >= 1
 	}, "garbage frame not counted as receive error")
 }

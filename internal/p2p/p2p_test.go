@@ -130,22 +130,6 @@ func TestSimNetworkDropRate(t *testing.T) {
 	}
 }
 
-func TestSimNetworkLinkLatencyOverride(t *testing.T) {
-	sim := simclock.NewSimulator()
-	net := NewSimNetwork(sim, 1, WithLatency(10*time.Millisecond))
-	var at time.Time
-	epA, _ := net.Join("a", nil)
-	if _, err := net.Join("b", func(Message) { at = sim.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	net.SetLinkLatency("a", "b", time.Second)
-	_ = epA.Send("b", Message{Type: "x"})
-	sim.Run()
-	if d := at.Sub(time.Unix(0, 0).UTC()); d != time.Second {
-		t.Fatalf("link override ignored: %v", d)
-	}
-}
-
 func TestRandomTopologyConnectedAndDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids := make([]NodeID, 30)

@@ -39,7 +39,6 @@ type SimNetwork struct {
 	departed  map[NodeID]bool
 	latency   time.Duration
 	jitter    time.Duration
-	linkLat   map[[2]NodeID]time.Duration
 	blocked   map[[2]NodeID]bool
 	dropRate  float64
 	partition map[NodeID]int
@@ -79,7 +78,6 @@ func NewSimNetwork(clock *simclock.Simulator, seed int64, opts ...SimOption) *Si
 		endpoints: make(map[NodeID]*SimEndpoint),
 		departed:  make(map[NodeID]bool),
 		latency:   50 * time.Millisecond,
-		linkLat:   make(map[[2]NodeID]time.Duration),
 		blocked:   make(map[[2]NodeID]bool),
 		partition: make(map[NodeID]int),
 	}
@@ -143,19 +141,6 @@ func (n *SimNetwork) SetHandler(id NodeID, h Handler) error {
 	}
 	ep.handler = h
 	return nil
-}
-
-// SetLinkLatency overrides latency for the directed link from → to. The
-// override is exact: it replaces both the base latency and any jitter,
-// so a scenario script can pin a link's timing precisely.
-func (n *SimNetwork) SetLinkLatency(from, to NodeID, d time.Duration) {
-	n.linkLat[[2]NodeID{from, to}] = d
-}
-
-// ClearLinkLatency removes a per-link latency override, restoring the
-// base-plus-jitter model for that directed link.
-func (n *SimNetwork) ClearLinkLatency(from, to NodeID) {
-	delete(n.linkLat, [2]NodeID{from, to})
 }
 
 // BlockLink drops all messages on the directed link from → to until
@@ -229,12 +214,9 @@ func (n *SimNetwork) send(from, to NodeID, m Message) error {
 		n.stats.Dropped++
 		return nil
 	}
-	d, exact := n.linkLat[[2]NodeID{from, to}]
-	if !exact {
-		d = n.latency
-		if n.jitter > 0 {
-			d += time.Duration(n.rng.Int63n(int64(n.jitter)))
-		}
+	d := n.latency
+	if n.jitter > 0 {
+		d += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
 	m.From = from
 	n.clock.After(d, func() {

@@ -73,7 +73,7 @@ type TCPConfig struct {
 	// DefaultReadIdleTimeout; negative disables the deadline).
 	ReadIdleTimeout time.Duration
 	// Registry receives transport counters (p2p_*). Nil creates a
-	// private registry, readable via Stats / Registry.
+	// private registry, readable via Registry.
 	Registry *metrics.Registry
 	// Tracer receives per-message enqueue→flush spans
 	// (obs.StageP2PFlush). Nil disables tracing; the stage's histogram
@@ -110,22 +110,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 		c.Registry = metrics.NewRegistry()
 	}
 	return c
-}
-
-// TCPStats is a snapshot of the transport's activity counters.
-type TCPStats struct {
-	Enqueued      uint64 // messages accepted by Send
-	Sent          uint64 // messages written to a peer connection
-	Dropped       uint64 // messages dropped (queue full or retries exhausted)
-	SendErrors    uint64 // write failures (each triggers a reconnect)
-	DialFailures  uint64 // failed connection attempts
-	Reconnects    uint64 // successful dials after a previous connection
-	Recv          uint64 // messages received on inbound connections
-	RecvErrors    uint64 // inbound decode failures (excluding EOF/close)
-	RecvOversize  uint64 // inbound frames dropped for exceeding MaxFrameSize
-	OutboundConns int64  // currently established outbound connections
-	InboundConns  int64  // currently accepted inbound connections
-	PeerWriters   int64  // live per-peer writer goroutines
 }
 
 // TCPTransport is the real-network transport used by the ledgerd
@@ -222,24 +206,6 @@ func (t *TCPTransport) Self() NodeID { return t.self }
 
 // Registry returns the metrics registry the transport reports into.
 func (t *TCPTransport) Registry() *metrics.Registry { return t.cfg.Registry }
-
-// Stats returns a snapshot of the transport counters.
-func (t *TCPTransport) Stats() TCPStats {
-	return TCPStats{
-		Enqueued:      t.cEnqueued.Value(),
-		Sent:          t.cSent.Value(),
-		Dropped:       t.cDropped.Value(),
-		SendErrors:    t.cSendErrors.Value(),
-		DialFailures:  t.cDialFailures.Value(),
-		Reconnects:    t.cReconnects.Value(),
-		Recv:          t.cRecv.Value(),
-		RecvErrors:    t.cRecvErrors.Value(),
-		RecvOversize:  t.cRecvOversize.Value(),
-		OutboundConns: t.gOutbound.Value(),
-		InboundConns:  t.gInbound.Value(),
-		PeerWriters:   t.gWriters.Value(),
-	}
-}
 
 // AddPeer records a peer's dialable address. Re-adding a peer updates
 // the address; an existing writer picks the new address up on its next

@@ -22,6 +22,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timeout: %s", msg)
 }
 
+// series reads one of the transport's counters the way /metrics and the
+// benchmark scrape it: by series name, from its registry.
+func series(tr *TCPTransport, name string) int64 { return tr.Registry().Snapshot()[name] }
+
 // TestTCPConcurrentSendStress fans messages from many goroutines across
 // a 3-node full TCP mesh. The seed transport shared one json.Encoder
 // per peer with no lock held during Encode, so concurrent senders
@@ -86,15 +90,14 @@ func TestTCPConcurrentSendStress(t *testing.T) {
 			fmt.Sprintf("node %d received %d/%d", i, counts[i].Load(), want))
 	}
 	for i, tr := range trs {
-		st := tr.Stats()
-		if st.RecvErrors != 0 {
-			t.Fatalf("node %d: %d decode errors (stream corrupted)", i, st.RecvErrors)
+		if n := series(tr, "p2p_recv_errors_total"); n != 0 {
+			t.Fatalf("node %d: %d decode errors (stream corrupted)", i, n)
 		}
-		if st.Dropped != 0 {
-			t.Fatalf("node %d: %d drops", i, st.Dropped)
+		if n := series(tr, "p2p_dropped_total"); n != 0 {
+			t.Fatalf("node %d: %d drops", i, n)
 		}
-		if st.Sent != want {
-			t.Fatalf("node %d: sent %d, want %d", i, st.Sent, want)
+		if n := series(tr, "p2p_sent_total"); n != int64(want) {
+			t.Fatalf("node %d: sent %d, want %d", i, n, want)
 		}
 	}
 }
@@ -159,8 +162,8 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		_ = a.Send("b", Message{Type: "ping2"})
 		return got2.Load() > 0
 	}, "delivery after restart")
-	if st := a.Stats(); st.Reconnects == 0 {
-		t.Fatalf("expected reconnects > 0, stats %+v", st)
+	if series(a, "p2p_reconnects_total") == 0 {
+		t.Fatalf("expected reconnects > 0, registry %v", a.Registry().Snapshot())
 	}
 }
 
@@ -197,8 +200,8 @@ func TestTCPSendNonBlockingAndQueueFull(t *testing.T) {
 	if queueFull == 0 {
 		t.Fatal("expected ErrQueueFull with a 1-slot queue and a dead peer")
 	}
-	if st := a.Stats(); st.Dropped == 0 {
-		t.Fatalf("expected dropped > 0, stats %+v", st)
+	if series(a, "p2p_dropped_total") == 0 {
+		t.Fatalf("expected dropped > 0, registry %v", a.Registry().Snapshot())
 	}
 }
 
@@ -220,9 +223,9 @@ func TestTCPRetriesExhaustedDropsMessage(t *testing.T) {
 	if err := a.Send("dead", Message{Type: "x"}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return a.Stats().Dropped >= 1 }, "message dropped after retries")
-	if st := a.Stats(); st.DialFailures < 2 {
-		t.Fatalf("expected >=2 dial failures, stats %+v", st)
+	waitFor(t, 5*time.Second, func() bool { return series(a, "p2p_dropped_total") >= 1 }, "message dropped after retries")
+	if series(a, "p2p_dial_failures_total") < 2 {
+		t.Fatalf("expected >=2 dial failures, registry %v", a.Registry().Snapshot())
 	}
 }
 
