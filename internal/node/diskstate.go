@@ -230,17 +230,14 @@ type AccountProof struct {
 // AccountProof builds a Merkle proof for addr's account leaf against
 // the current head's state root from the head state's own trie:
 // on the disk backend unflushed nodes from memory and clean ones from
-// the store, O(path) of them.
+// the store, O(path) of them. Only taking the trie holds n.mu: a
+// committed trie is persistent and immutable, so the walk through the
+// store and the re-verification run beside submits and block connects,
+// not in front of them.
 func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, err := n.stateOfLocked(n.chain.Head())
+	tr, err := n.headTrie()
 	if err != nil {
-		return nil, fmt.Errorf("node: head state: %w", err)
-	}
-	tr := st.AccountTrie()
-	if tr == nil {
-		return nil, fmt.Errorf("node: head state trie: %w", st.Err())
+		return nil, err
 	}
 	root := tr.RootHash()
 	proof, err := tr.Prove(addr[:])
@@ -252,4 +249,18 @@ func (n *Node) AccountProof(addr cryptoutil.Address) (*AccountProof, error) {
 		return nil, fmt.Errorf("node: generated proof fails verification: %w", err)
 	}
 	return &AccountProof{Root: root, Addr: addr, Leaf: leaf, Proof: proof}, nil
+}
+
+func (n *Node) headTrie() (*mpt.Trie, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st, err := n.stateOfLocked(n.chain.Head())
+	if err != nil {
+		return nil, fmt.Errorf("node: head state: %w", err)
+	}
+	tr := st.AccountTrie()
+	if tr == nil {
+		return nil, fmt.Errorf("node: head state trie: %w", st.Err())
+	}
+	return tr, nil
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dcsledger/internal/consensus/forkchoice"
 	"dcsledger/internal/cryptoutil"
@@ -770,5 +771,78 @@ func TestRecoverAppendsNothing(t *testing.T) {
 				t.Fatalf("checkpoint files changed across a recovery: %d before, %d after", len(before), len(after))
 			}
 		})
+	}
+}
+
+// slowSource is a node store whose first read waits for release: a disk
+// that takes its time under one reader.
+type slowSource struct {
+	mpt.NodeSource
+	entered, release chan struct{}
+}
+
+func (s *slowSource) Node(h cryptoutil.Hash, decode func(cryptoutil.Hash, []byte) (any, int, error)) (any, error) {
+	select {
+	case s.entered <- struct{}{}: // the first reader only: the channel holds one
+		<-s.release
+	default:
+	}
+	return s.NodeSource.Node(h, decode)
+}
+
+// TestAccountProofDoesNotHoldTheNodeMutex: a proof request stuck reading
+// the node store does not stop the node from connecting the next block,
+// and still proves against the head it started from.
+func TestAccountProofDoesNotHoldTheNodeMutex(t *testing.T) {
+	n, _, ns, genesis := diskNode(t, t.TempDir(), -1)
+	bd := diskChainBuilder(t, genesis)
+	_, miners := diskAlloc()
+	blocks := rotate(bd, genesis, diskCkptEvery+1, miners)
+	handleAll(t, n, blocks[:diskCkptEvery]) // the head's trie is flushed: reads go to the store
+	head := blocks[diskCkptEvery-1]
+
+	st, err := n.HeadState()
+	if err != nil {
+		t.Fatalf("HeadState: %v", err)
+	}
+	slow := &slowSource{NodeSource: ns, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	if !st.AdoptTrie(mpt.Load(head.Header.StateRoot, st.AccountTrie().Len(), slow)) {
+		t.Fatal("AdoptTrie refused the head's own root")
+	}
+
+	type result struct {
+		p   *AccountProof
+		err error
+	}
+	proved := make(chan result, 1)
+	go func() {
+		p, err := n.AccountProof(miners[3])
+		proved <- result{p, err}
+	}()
+	for len(slow.entered) == 0 { // the proof is inside the store read
+		time.Sleep(time.Millisecond)
+	}
+	connected := make(chan error, 1)
+	go func() { connected <- n.HandleBlock(blocks[diskCkptEvery]) }()
+	select {
+	case err := <-connected:
+		if err != nil {
+			t.Fatalf("HandleBlock: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(slow.release)
+		t.Fatal("HandleBlock waited for a proof request's store read")
+	}
+	close(slow.release)
+	r := <-proved
+	if r.err != nil {
+		t.Fatalf("AccountProof: %v", r.err)
+	}
+	if r.p.Root != head.Header.StateRoot || n.Chain().Head() != blocks[diskCkptEvery].Hash() {
+		t.Fatalf("proof root %s, want the head's it started from %s; head now at %d",
+			r.p.Root.Short(), head.Header.StateRoot.Short(), n.Chain().Height())
+	}
+	if _, ok, err := mpt.VerifyProof(r.p.Root, miners[3][:], r.p.Proof); err != nil || !ok {
+		t.Fatalf("proof does not verify: present %v, %v", ok, err)
 	}
 }
