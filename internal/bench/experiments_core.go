@@ -11,6 +11,7 @@ import (
 	"dcsledger/internal/consensus/pos"
 	"dcsledger/internal/consensus/raft"
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/obs"
 	"dcsledger/internal/p2p"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/types"
@@ -227,7 +228,7 @@ func raftOrderingRun(txCount, batch int) (tps float64, meanLatency time.Duration
 		lastAt = sim.Now()
 	})
 	// Elect a leader.
-	var leader *ordering.Raft
+	var leader *ordering.Orderer
 	for i := 0; i < 100 && leader == nil; i++ {
 		sim.RunFor(100 * time.Millisecond)
 		for _, o := range cluster {
@@ -260,13 +261,13 @@ func raftOrderingRun(txCount, batch int) (tps float64, meanLatency time.Duration
 }
 
 // newRaftOrderers wires n raft-backed orderers on a simulated network.
-func newRaftOrderers(sim *simclock.Simulator, n int, cfg ordering.BatchConfig) ([]*ordering.Raft, error) {
+func newRaftOrderers(sim *simclock.Simulator, n int, cfg ordering.BatchConfig) ([]*ordering.Orderer, error) {
 	net := p2p.NewSimNetwork(sim, 900, p2p.WithLatency(5*time.Millisecond))
 	ids := make([]p2p.NodeID, n)
 	for i := range ids {
 		ids[i] = p2p.NodeName(i)
 	}
-	out := make([]*ordering.Raft, 0, n)
+	out := make([]*ordering.Orderer, 0, n)
 	for i, id := range ids {
 		var peers []p2p.NodeID
 		for _, other := range ids {
@@ -340,55 +341,60 @@ func E5DCSScorecard(scale float64) (*Table, error) {
 
 	// Fabric-like: solo ordering + PBFT committers. No forks by
 	// construction; throughput from the E4 machinery.
-	fabricTPS, err := fabricThroughput(scaled(20_000, scale, 2000))
+	executed, _, elapsed, err := fabricRun(71, scaled(20_000, scale, 2000), nil)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("fabric-like", "permissioned", "1.00", "0.000", "immediate", fmtF(fabricTPS, 0), "CS")
+	t.AddRow("fabric-like", "permissioned", "1.00", "0.000", "immediate", fmtF(float64(executed)/elapsed.Seconds(), 0), "CS")
 	t.Note("proposer gini 1.00 for fabric-like: a single ordering service proposes every block")
 	return t, nil
 }
 
-// fabricThroughput measures solo-ordering + PBFT-commit wall throughput.
-func fabricThroughput(txCount int) (float64, error) {
+// fabricRun drives txCount transfers through the Hyperledger-style
+// pipeline — a solo orderer cutting batches into a 4-replica PBFT
+// committer group, on a simulated network seeded with seed — with
+// tracer (nil for none) attached to the orderer and every replica. It
+// returns how many transactions peer c0 executed, in how many batches,
+// and the wall time from the first submit to the last commit.
+func fabricRun(seed int64, txCount int, tracer *obs.Tracer) (executed int, batches uint64, elapsed time.Duration, err error) {
 	sim := simclock.NewSimulator()
-	net := p2p.NewSimNetwork(sim, 71, p2p.WithLatency(2*time.Millisecond))
+	net := p2p.NewSimNetwork(sim, seed, p2p.WithLatency(2*time.Millisecond))
 	orderer := ordering.NewSolo(ordering.BatchConfig{MaxTxs: 512, Timeout: 50 * time.Millisecond}, sim)
+	orderer.SetTracer(tracer)
 	ids := []p2p.NodeID{"c0", "c1", "c2", "c3"}
-	executed := 0
 	for _, id := range ids {
 		mux := p2p.NewMux()
 		ep, err := net.Join(id, mux.Dispatch)
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		id := id
 		c := ordering.NewCommitter(func(b ordering.Batch) {
 			if id == "c0" {
 				executed += len(b.Txs)
 			}
 		})
-		nodeImpl, err := pbft.NewNode(id, ids, ep, sim, pbft.Config{ViewTimeout: 5 * time.Second}, c.Apply)
+		replica, err := pbft.NewNode(id, ids, ep, sim, pbft.Config{ViewTimeout: 5 * time.Second}, c.Apply)
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
-		c.Attach(nodeImpl)
-		mux.Handle(pbft.MsgPrefix, nodeImpl.HandleMessage)
+		replica.SetTracer(tracer)
+		c.Attach(replica)
+		mux.Handle(pbft.MsgPrefix, replica.HandleMessage)
 		orderer.Subscribe(c.OnBatch)
 	}
 	start := time.Now()
 	for i := 0; i < txCount; i++ {
 		tx := types.NewTransfer(cryptoutil.ZeroAddress, cryptoutil.ZeroAddress, uint64(i), 1, uint64(i))
 		if err := orderer.Submit(tx); err != nil {
-			return 0, err
+			return 0, 0, 0, err
 		}
 	}
 	sim.Run()
-	elapsed := time.Since(start)
+	elapsed = time.Since(start)
 	if executed == 0 {
-		return 0, fmt.Errorf("bench: fabric pipeline executed nothing")
+		return 0, 0, 0, fmt.Errorf("bench: fabric pipeline executed nothing")
 	}
-	return float64(executed) / elapsed.Seconds(), nil
+	return executed, orderer.Delivered(), elapsed, nil
 }
 
 // E6Proposers compares the work and fairness of the three proposal

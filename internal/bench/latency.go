@@ -8,16 +8,11 @@ import (
 
 	"dcsledger/internal/consensus"
 	"dcsledger/internal/consensus/forkchoice"
-	"dcsledger/internal/consensus/ordering"
-	"dcsledger/internal/consensus/pbft"
 	"dcsledger/internal/consensus/pow"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/node"
 	"dcsledger/internal/obs"
-	"dcsledger/internal/p2p"
-	"dcsledger/internal/simclock"
-	"dcsledger/internal/types"
 )
 
 // stageRingCapacity sizes the trace rings for the latency runs: large
@@ -100,53 +95,17 @@ func powStageRun(scale float64) (*Table, *obs.Tracer, error) {
 	return t, tracer, nil
 }
 
-// orderingStageRun drives the Hyperledger-style pipeline — solo orderer
-// cutting batches into a 4-replica PBFT committer group — with the
-// tracer attached to the orderer and every replica.
+// orderingStageRun is fabricRun — solo orderer, 4 PBFT committers —
+// with the tracer attached to the orderer and every replica.
 func orderingStageRun(scale float64) (*Table, *obs.Tracer, error) {
 	tracer := obs.NewTracer(stageRingCapacity)
 	tracer.SetRun("ordering")
-	sim := simclock.NewSimulator()
-	net := p2p.NewSimNetwork(sim, 9200, p2p.WithLatency(2*time.Millisecond))
-	orderer := ordering.NewSolo(ordering.BatchConfig{MaxTxs: 512, Timeout: 50 * time.Millisecond}, sim)
-	orderer.SetTracer(tracer)
-	ids := []p2p.NodeID{"c0", "c1", "c2", "c3"}
-	executed := 0
-	for _, id := range ids {
-		mux := p2p.NewMux()
-		ep, err := net.Join(id, mux.Dispatch)
-		if err != nil {
-			return nil, nil, err
-		}
-		id := id
-		committer := ordering.NewCommitter(func(b ordering.Batch) {
-			if id == "c0" {
-				executed += len(b.Txs)
-			}
-		})
-		replica, err := pbft.NewNode(id, ids, ep, sim, pbft.Config{ViewTimeout: 5 * time.Second}, committer.Apply)
-		if err != nil {
-			return nil, nil, err
-		}
-		replica.SetTracer(tracer)
-		committer.Attach(replica)
-		mux.Handle(pbft.MsgPrefix, replica.HandleMessage)
-		orderer.Subscribe(committer.OnBatch)
+	executed, batches, _, err := fabricRun(9200, scaled(8000, scale, 800), tracer)
+	if err != nil {
+		return nil, nil, err
 	}
-	txCount := scaled(8000, scale, 800)
-	for i := 0; i < txCount; i++ {
-		tx := types.NewTransfer(cryptoutil.ZeroAddress, cryptoutil.ZeroAddress, uint64(i), 1, uint64(i))
-		if err := orderer.Submit(tx); err != nil {
-			return nil, nil, err
-		}
-	}
-	sim.Run()
-	if executed == 0 {
-		return nil, nil, fmt.Errorf("bench: ordering pipeline executed nothing")
-	}
-
 	t := stageTable("ordering (solo orderer + 4 PBFT committers)", tracer)
-	t.Note("executed %d txs in %d batches", executed, orderer.Delivered())
+	t.Note("executed %d txs in %d batches", executed, batches)
 	return t, tracer, nil
 }
 

@@ -1,10 +1,15 @@
-// Package consensus defines the System-layer interfaces of the stack.
-// Following Section 2.4 of the paper, proof-based consensus decomposes
-// into two pluggable pieces: a block-proposal algorithm (Engine — who may
-// extend the chain, when, with what evidence) and a branch-selection
-// algorithm (ForkChoice — which branch peers converge on). PoW, PoS, and
-// PoET implement Engine; longest-chain and GHOST implement ForkChoice;
-// any Engine composes with any ForkChoice.
+// Package consensus defines the System-layer interfaces of the stack:
+// the consensus seam, which has two halves. Following Section 2.4 of
+// the paper, proof-based consensus decomposes into two pluggable
+// pieces: a block-proposal algorithm (Engine — who may extend the
+// chain, when, with what evidence) and a branch-selection algorithm
+// (ForkChoice — which branch peers converge on). PoW, PoS, and PoET
+// implement Engine; longest-chain and GHOST implement ForkChoice; any
+// Engine composes with any ForkChoice, and together they deliver
+// *candidate* blocks. The permissioned half (Section 2.7's ordering
+// service + PBFT) is log replication: a Replica delivers *final*
+// operations, in one agreed order, to its ApplyFunc. pbft.Node and
+// raft.Node implement Replica.
 package consensus
 
 import (
@@ -12,6 +17,7 @@ import (
 	"time"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/p2p"
 	"dcsledger/internal/store"
 	"dcsledger/internal/types"
 )
@@ -51,3 +57,25 @@ type ForkChoice interface {
 	// adopt.
 	Choose(tree *store.BlockTree) (cryptoutil.Hash, error)
 }
+
+// Replica is one member of a log-replication group, the counterpart of
+// Engine: the group agrees on an order before anything is applied, so
+// what it delivers is final and there is no branch to choose. Views,
+// terms, leaders and how a member starts stay on the concrete type.
+type Replica interface {
+	// Propose submits an operation for ordering. A member that cannot
+	// take it (stopped; for raft, not the leader) says so.
+	Propose(op []byte) error
+	// Applied returns how many operations this replica has handed to
+	// its ApplyFunc. It never decreases.
+	Applied() uint64
+	// HandleMessage processes one protocol message; wire it into the
+	// member's p2p.Mux under the protocol's MsgPrefix.
+	HandleMessage(m p2p.Message)
+	// Stop halts the replica; it ignores all further traffic.
+	Stop()
+}
+
+// ApplyFunc receives the operations a Replica's group agreed on, exactly
+// once each, in seq order (seq starts at 1).
+type ApplyFunc func(seq uint64, op []byte)

@@ -4,8 +4,9 @@
 // no branching and no branch-selection algorithm — the trade the paper
 // describes for permissioned (CS) systems.
 //
-// Two orderers are provided: Solo (a static, centralized leader) and
-// Raft (a replicated orderer cluster with periodic leader election).
+// One Orderer type holds the batch cutter; its two constructors give
+// the two orderers: NewSolo (a static, centralized leader) and NewRaft
+// (a replicated orderer cluster with periodic leader election).
 // Committer funnels delivered batches through PBFT so committing peers
 // agree on the execution order even if some peers are Byzantine —
 // Hyperledger's split between ordering and validation.
@@ -58,235 +59,173 @@ func (c *BatchConfig) defaults() {
 	}
 }
 
-// Solo is the centralized single-process orderer (Hyperledger's "solo"):
-// maximal throughput, no fault tolerance, zero decentralization.
-type Solo struct {
+// Orderer cuts submitted transactions into totally-ordered batches by
+// size or timeout. It comes from one of two constructors, which differ
+// in where a cut batch goes and in who may cut one: NewSolo's hands
+// every batch straight to its subscribers; NewRaft's is one member of a
+// replicated cluster in which only the elected leader cuts, into the
+// Raft log, and every member delivers what the log commits.
+type Orderer struct {
 	mu      sync.Mutex
 	cfg     BatchConfig
 	clock   simclock.Clock
 	buf     []*types.Transaction
-	seq     uint64
+	seq     uint64 // the last batch delivered
 	subs    []DeliverFunc
 	timer   *simclock.Timer
 	stopped bool
 
 	obs     obs.Observer
 	firstAt time.Time // clock time the current batch's first tx arrived
+
+	peer string     // the ordering_cut span's peer label
+	node *raft.Node // the replicated log (NewRaft + Attach); nil for NewSolo
+	// hand numbers a cut batch and sends it on its way, under mu.
+	hand func(txs []*types.Transaction) (seq uint64, err error)
 }
 
-// NewSolo creates a solo orderer.
-func NewSolo(cfg BatchConfig, clock simclock.Clock) *Solo {
+func newOrderer(peer string, cfg BatchConfig, clock simclock.Clock) *Orderer {
 	cfg.defaults()
-	return &Solo{cfg: cfg, clock: clock}
+	return &Orderer{cfg: cfg, clock: clock, peer: peer}
 }
 
-// Subscribe registers a committing peer's delivery callback.
-func (s *Solo) Subscribe(fn DeliverFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//dcslint:ignore unbounded one Subscribe per peer at wiring time; the set is fixed by deployment config, not network input
-	s.subs = append(s.subs, fn)
-}
-
-// SetTracer wires the pipeline event tracer: each batch cut records an
-// ordering_cut span whose duration is the (clock) time the batch's
-// oldest transaction waited before the cut — the batching latency the
-// Timeout knob bounds. Call before Submit traffic starts.
-func (s *Solo) SetTracer(tr *obs.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs = obs.Observer{Peer: "solo", Tracer: tr}
-}
-
-// Submit implements the orderer interface.
-func (s *Solo) Submit(tx *types.Transaction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return ErrStopped
+// NewSolo creates the centralized single-process orderer (Hyperledger's
+// "solo"): maximal throughput, no fault tolerance, zero
+// decentralization. A batch is delivered as it is cut, never encoded.
+func NewSolo(cfg BatchConfig, clock simclock.Clock) *Orderer {
+	o := newOrderer("solo", cfg, clock)
+	o.hand = func(txs []*types.Transaction) (uint64, error) {
+		o.seq++
+		for _, fn := range o.subs {
+			fn(Batch{Seq: o.seq, Txs: txs})
+		}
+		return o.seq, nil
 	}
-	s.buf = append(s.buf, tx)
-	if len(s.buf) == 1 {
-		s.firstAt = s.clock.Now()
-	}
-	if len(s.buf) >= s.cfg.MaxTxs {
-		s.cutLocked()
-		return nil
-	}
-	if s.timer == nil {
-		s.timer = s.clock.After(s.cfg.Timeout, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			s.timer = nil
-			if !s.stopped && len(s.buf) > 0 {
-				s.cutLocked()
-			}
-		})
-	}
-	return nil
+	return o
 }
 
-// Stop halts the orderer, flushing nothing.
-func (s *Solo) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stopped = true
-	s.timer.Stop()
-	s.timer = nil
-}
-
-// Delivered returns the number of batches cut so far.
-func (s *Solo) Delivered() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-func (s *Solo) cutLocked() {
-	s.timer.Stop()
-	s.timer = nil
-	s.seq++
-	b := Batch{Seq: s.seq, Txs: s.buf}
-	s.buf = nil
-	s.obs.Observe(obs.StageOrderingCut, s.firstAt, s.clock.Now().Sub(s.firstAt),
-		obs.At{Height: b.Seq, N: uint64(len(b.Txs))})
-	for _, fn := range s.subs {
-		fn(b)
-	}
-}
-
-// Raft is the replicated orderer: the elected leader cuts batches and
-// replicates them through a Raft log, so ordering survives orderer
+// NewRaft creates a replicated orderer: the elected leader cuts batches
+// and replicates them through a Raft log, so ordering survives orderer
 // crashes (the "distributed ordering service with periodic leader
-// election" of the paper).
-type Raft struct {
-	mu      sync.Mutex
-	cfg     BatchConfig
-	clock   simclock.Clock
-	node    *raft.Node
-	buf     []*types.Transaction
-	subs    []DeliverFunc
-	timer   *simclock.Timer
-	seq     uint64
-	stopped bool
-
-	obs     obs.Observer
-	firstAt time.Time // clock time the current batch's first tx arrived
-}
-
-// NewRaft creates a replicated orderer. Construction is two-phase
-// because the raft node needs the orderer's Apply callback:
+// election" of the paper). Construction is two-phase because the raft
+// node needs the orderer's Apply callback:
 //
 //	o := ordering.NewRaft(cfg, clock)
 //	node := raft.NewNode(..., o.Apply)
 //	o.Attach(node)
-func NewRaft(cfg BatchConfig, clock simclock.Clock) *Raft {
-	cfg.defaults()
-	return &Raft{cfg: cfg, clock: clock}
+func NewRaft(cfg BatchConfig, clock simclock.Clock) *Orderer {
+	o := newOrderer("raft", cfg, clock)
+	o.hand = func(txs []*types.Transaction) (uint64, error) {
+		// The log length is consistent at the leader, so it numbers
+		// the batches still in flight too.
+		b := Batch{Seq: uint64(o.node.LogLen()) + 1, Txs: txs}
+		return b.Seq, o.node.Propose(b.Encode())
+	}
+	return o
 }
 
 // Attach binds the raft node. Must be called before Submit.
-func (r *Raft) Attach(node *raft.Node) { r.node = node }
+func (o *Orderer) Attach(node *raft.Node) { o.node = node }
 
 // Apply is the raft ApplyFunc: decodes committed batches and delivers
 // them.
-func (r *Raft) Apply(index uint64, data []byte) {
+func (o *Orderer) Apply(index uint64, data []byte) {
 	b, err := DecodeBatch(data)
 	if err != nil {
 		return
 	}
-	r.mu.Lock()
-	r.seq = b.Seq
-	subs := append([]DeliverFunc(nil), r.subs...)
-	r.mu.Unlock()
+	o.mu.Lock()
+	o.seq = b.Seq
+	subs := append([]DeliverFunc(nil), o.subs...)
+	o.mu.Unlock()
 	for _, fn := range subs {
 		fn(b)
 	}
 }
 
 // Subscribe registers a committing peer's delivery callback.
-func (r *Raft) Subscribe(fn DeliverFunc) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (o *Orderer) Subscribe(fn DeliverFunc) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	//dcslint:ignore unbounded one Subscribe per peer at wiring time; the set is fixed by deployment config, not network input
-	r.subs = append(r.subs, fn)
+	o.subs = append(o.subs, fn)
 }
 
-// SetTracer wires the pipeline event tracer: each batch cut at the
-// leader records an ordering_cut span (see Solo.SetTracer).
-func (r *Raft) SetTracer(tr *obs.Tracer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.obs = obs.Observer{Peer: "raft", Tracer: tr}
+// SetTracer wires the pipeline event tracer: each batch cut (at the
+// leader, for a replicated orderer) records an ordering_cut span whose
+// duration is the (clock) time the batch's oldest transaction waited
+// before the cut — the batching latency the Timeout knob bounds. Call
+// before Submit traffic starts.
+func (o *Orderer) SetTracer(tr *obs.Tracer) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.obs = obs.Observer{Peer: o.peer, Tracer: tr}
 }
 
-// IsLeader reports whether this orderer currently leads the cluster.
-func (r *Raft) IsLeader() bool { return r.node.IsLeader() }
+// IsLeader reports whether this orderer may cut batches now: always for
+// a solo orderer, while it leads the cluster for a replicated one.
+func (o *Orderer) IsLeader() bool { return o.node == nil || o.node.IsLeader() }
 
-// Submit buffers a transaction at the leader. Followers reject with
-// ErrNotLeader; clients retry against the current leader.
-func (r *Raft) Submit(tx *types.Transaction) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopped {
+// Submit buffers a transaction. A replicated orderer that is not the
+// leader rejects it with ErrNotLeader; clients retry against the
+// current leader.
+func (o *Orderer) Submit(tx *types.Transaction) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.stopped {
 		return ErrStopped
 	}
-	if !r.node.IsLeader() {
-		return fmt.Errorf("%w (leader: %s)", ErrNotLeader, r.node.Leader())
+	if !o.IsLeader() {
+		return fmt.Errorf("%w (leader: %s)", ErrNotLeader, o.node.Leader())
 	}
-	r.buf = append(r.buf, tx)
-	if len(r.buf) == 1 {
-		r.firstAt = r.clock.Now()
+	o.buf = append(o.buf, tx)
+	if len(o.buf) == 1 {
+		o.firstAt = o.clock.Now()
 	}
-	if len(r.buf) >= r.cfg.MaxTxs {
-		return r.cutLocked()
+	if len(o.buf) >= o.cfg.MaxTxs {
+		return o.cutLocked()
 	}
-	if r.timer == nil {
-		r.timer = r.clock.After(r.cfg.Timeout, func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			r.timer = nil
-			if !r.stopped && len(r.buf) > 0 && r.node.IsLeader() {
-				_ = r.cutLocked()
+	if o.timer == nil {
+		o.timer = o.clock.After(o.cfg.Timeout, func() {
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			o.timer = nil
+			if !o.stopped && len(o.buf) > 0 && o.IsLeader() {
+				_ = o.cutLocked()
 			}
 		})
 	}
 	return nil
 }
 
-// Stop halts the orderer (the raft node is stopped separately).
-func (r *Raft) Stop() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stopped = true
-	r.timer.Stop()
-	r.timer = nil
+// Stop halts the orderer, flushing nothing (a raft node is stopped
+// separately).
+func (o *Orderer) Stop() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.stopped = true
+	o.timer.Stop()
+	o.timer = nil
 }
 
-// Delivered returns the latest delivered batch sequence.
-func (r *Raft) Delivered() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
+// Delivered returns the sequence of the latest batch delivered.
+func (o *Orderer) Delivered() uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.seq
 }
 
-func (r *Raft) cutLocked() error {
-	r.timer.Stop()
-	r.timer = nil
-	b := Batch{Seq: r.nextSeqLocked(), Txs: r.buf}
-	if _, err := r.node.Propose(b.Encode()); err != nil {
-		return fmt.Errorf("ordering: %w", err)
+func (o *Orderer) cutLocked() error {
+	o.timer.Stop()
+	o.timer = nil
+	seq, err := o.hand(o.buf)
+	if err != nil {
+		return fmt.Errorf("ordering: %w", err) // the buffer waits for the next cut
 	}
-	r.obs.Observe(obs.StageOrderingCut, r.firstAt, r.clock.Now().Sub(r.firstAt),
-		obs.At{Height: b.Seq, N: uint64(len(b.Txs))})
-	r.buf = nil
+	o.obs.Observe(obs.StageOrderingCut, o.firstAt, o.clock.Now().Sub(o.firstAt),
+		obs.At{Height: seq, N: uint64(len(o.buf))})
+	o.buf = nil
 	return nil
-}
-
-// nextSeqLocked derives the next batch sequence from the raft log
-// length, which is consistent at the leader.
-func (r *Raft) nextSeqLocked() uint64 {
-	return uint64(r.node.LogLen()) + 1
 }
 
 // Committer runs at a committing peer: batches delivered by the orderer

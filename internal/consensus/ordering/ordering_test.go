@@ -18,85 +18,130 @@ func tx(i int) *types.Transaction {
 	return types.NewTransfer(cryptoutil.ZeroAddress, cryptoutil.ZeroAddress, uint64(i), 1, uint64(i))
 }
 
-func TestSoloCutsBySize(t *testing.T) {
+// ordererCase is one thing every orderer must do, whichever constructor
+// made it: submit goes to leader, and every member of all delivers.
+type ordererCase func(t *testing.T, sim *simclock.Simulator, mk func(BatchConfig) (leader *Orderer, all []*Orderer))
+
+// overBothOrderers runs one case against NewSolo's orderer and against
+// a three-member NewRaft cluster with its leader elected.
+func overBothOrderers(t *testing.T, c ordererCase) {
+	t.Run("solo", func(t *testing.T) {
+		sim := simclock.NewSimulator()
+		c(t, sim, func(cfg BatchConfig) (*Orderer, []*Orderer) {
+			o := NewSolo(cfg, sim)
+			return o, []*Orderer{o}
+		})
+	})
+	t.Run("raft", func(t *testing.T) { overRaftOrderers(t, c) })
+}
+
+func overRaftOrderers(t *testing.T, c ordererCase) {
 	sim := simclock.NewSimulator()
-	s := NewSolo(BatchConfig{MaxTxs: 4, Timeout: time.Hour}, sim)
-	var got []Batch
-	s.Subscribe(func(b Batch) { got = append(got, b) })
-	for i := 0; i < 10; i++ {
-		if err := s.Submit(tx(i)); err != nil {
+	c(t, sim, func(cfg BatchConfig) (*Orderer, []*Orderer) {
+		orderers, _ := raftCluster(t, sim, 3, cfg)
+		return leaderOrderer(t, sim, orderers), orderers
+	})
+}
+
+// collect subscribes to every orderer and returns what each delivered.
+func collect(all []*Orderer) [][]Batch {
+	got := make([][]Batch, len(all))
+	for i, o := range all {
+		o.Subscribe(func(b Batch) { got[i] = append(got[i], b) })
+	}
+	return got
+}
+
+func submitAll(t *testing.T, o *Orderer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := o.Submit(tx(i)); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	if len(got) != 2 {
-		t.Fatalf("batches = %d, want 2 (full cuts)", len(got))
-	}
-	if len(got[0].Txs) != 4 || len(got[1].Txs) != 4 {
-		t.Fatal("full batches must have MaxTxs transactions")
-	}
-	if got[0].Seq != 1 || got[1].Seq != 2 {
-		t.Fatal("batch sequence must increment")
-	}
+}
+
+func TestSoloCutsBySize(t *testing.T) {
+	overBothOrderers(t, func(t *testing.T, sim *simclock.Simulator, mk func(BatchConfig) (*Orderer, []*Orderer)) {
+		leader, all := mk(BatchConfig{MaxTxs: 4, Timeout: time.Hour})
+		delivered := collect(all)
+		submitAll(t, leader, 10)
+		sim.RunFor(time.Second) // a replicated orderer's batches travel; no timeout cut is due
+		for i, got := range delivered {
+			if len(got) != 2 {
+				t.Fatalf("orderer %d: batches = %d, want 2 (full cuts)", i, len(got))
+			}
+			if len(got[0].Txs) != 4 || len(got[1].Txs) != 4 {
+				t.Fatal("full batches must have MaxTxs transactions")
+			}
+			if got[0].Seq != 1 || got[1].Seq != 2 {
+				t.Fatal("batch sequence must increment")
+			}
+		}
+	})
 }
 
 func TestSoloCutsByTimeout(t *testing.T) {
-	sim := simclock.NewSimulator()
-	s := NewSolo(BatchConfig{MaxTxs: 100, Timeout: time.Second}, sim)
-	var got []Batch
-	s.Subscribe(func(b Batch) { got = append(got, b) })
-	if err := s.Submit(tx(0)); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatal("batch must not cut before timeout")
-	}
-	sim.RunFor(2 * time.Second)
-	if len(got) != 1 || len(got[0].Txs) != 1 {
-		t.Fatalf("timeout cut missing: %v", got)
+	overBothOrderers(t, func(t *testing.T, sim *simclock.Simulator, mk func(BatchConfig) (*Orderer, []*Orderer)) {
+		leader, all := mk(BatchConfig{MaxTxs: 100, Timeout: time.Second})
+		delivered := collect(all)
+		submitAll(t, leader, 1)
+		sim.RunFor(500 * time.Millisecond)
+		for _, got := range delivered {
+			if len(got) != 0 {
+				t.Fatal("batch must not cut before timeout")
+			}
+		}
+		sim.RunFor(2 * time.Second)
+		for i, got := range delivered {
+			if len(got) != 1 || len(got[0].Txs) != 1 {
+				t.Fatalf("orderer %d: timeout cut missing: %v", i, got)
+			}
+		}
+	})
+}
+
+// orderIsTotal: n transactions cut maxTxs at a time reach two
+// subscribers of every orderer in submission order.
+func orderIsTotal(maxTxs, n int) ordererCase {
+	return func(t *testing.T, sim *simclock.Simulator, mk func(BatchConfig) (*Orderer, []*Orderer)) {
+		leader, all := mk(BatchConfig{MaxTxs: maxTxs, Timeout: time.Second})
+		first, second := collect(all), collect(all)
+		submitAll(t, leader, n)
+		sim.RunFor(5 * time.Second)
+		for i, got := range append(first, second...) {
+			var values []uint64
+			for _, b := range got {
+				for _, tx := range b.Txs {
+					values = append(values, tx.Value)
+				}
+			}
+			if len(values) != n {
+				t.Fatalf("subscriber %d saw %d/%d txs", i, len(values), n)
+			}
+			for j, v := range values {
+				if v != uint64(j) {
+					t.Fatalf("subscriber %d: order broken at %d: %v", i, j, values)
+				}
+			}
+		}
 	}
 }
 
-func TestSoloOrderIsTotal(t *testing.T) {
-	sim := simclock.NewSimulator()
-	s := NewSolo(BatchConfig{MaxTxs: 3, Timeout: time.Second}, sim)
-	var a, b []uint64
-	s.Subscribe(func(batch Batch) {
-		for _, tx := range batch.Txs {
-			a = append(a, tx.Value)
-		}
-	})
-	s.Subscribe(func(batch Batch) {
-		for _, tx := range batch.Txs {
-			b = append(b, tx.Value)
-		}
-	})
-	for i := 0; i < 9; i++ {
-		if err := s.Submit(tx(i)); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	sim.RunFor(2 * time.Second)
-	if len(a) != 9 || len(b) != 9 {
-		t.Fatalf("subscribers saw %d/%d txs", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] || a[i] != uint64(i) {
-			t.Fatalf("order differs at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
+func TestSoloOrderIsTotal(t *testing.T) { overBothOrderers(t, orderIsTotal(3, 9)) }
 
 func TestSoloStop(t *testing.T) {
-	sim := simclock.NewSimulator()
-	s := NewSolo(BatchConfig{}, sim)
-	s.Stop()
-	if err := s.Submit(tx(0)); !errors.Is(err, ErrStopped) {
-		t.Fatalf("want ErrStopped, got %v", err)
-	}
+	overBothOrderers(t, func(t *testing.T, sim *simclock.Simulator, mk func(BatchConfig) (*Orderer, []*Orderer)) {
+		leader, _ := mk(BatchConfig{})
+		leader.Stop()
+		if err := leader.Submit(tx(0)); !errors.Is(err, ErrStopped) {
+			t.Fatalf("want ErrStopped, got %v", err)
+		}
+	})
 }
 
 // raftCluster builds an n-orderer raft cluster and returns the orderers.
-func raftCluster(t *testing.T, sim *simclock.Simulator, n int, cfg BatchConfig) ([]*Raft, []*raft.Node) {
+func raftCluster(t *testing.T, sim *simclock.Simulator, n int, cfg BatchConfig) ([]*Orderer, []*raft.Node) {
 	t.Helper()
 	net := p2p.NewSimNetwork(sim, 21, p2p.WithLatency(5*time.Millisecond))
 	var ids []p2p.NodeID
@@ -104,7 +149,7 @@ func raftCluster(t *testing.T, sim *simclock.Simulator, n int, cfg BatchConfig) 
 		ids = append(ids, p2p.NodeName(i))
 	}
 	var (
-		orderers []*Raft
+		orderers []*Orderer
 		nodes    []*raft.Node
 	)
 	for i, id := range ids {
@@ -133,7 +178,7 @@ func raftCluster(t *testing.T, sim *simclock.Simulator, n int, cfg BatchConfig) 
 	return orderers, nodes
 }
 
-func leaderOrderer(t *testing.T, sim *simclock.Simulator, orderers []*Raft) *Raft {
+func leaderOrderer(t *testing.T, sim *simclock.Simulator, orderers []*Orderer) *Orderer {
 	t.Helper()
 	for round := 0; round < 100; round++ {
 		sim.RunFor(100 * time.Millisecond)
@@ -147,36 +192,9 @@ func leaderOrderer(t *testing.T, sim *simclock.Simulator, orderers []*Raft) *Raf
 	return nil
 }
 
-func TestRaftOrdererReplicatesBatches(t *testing.T) {
-	sim := simclock.NewSimulator()
-	orderers, _ := raftCluster(t, sim, 3, BatchConfig{MaxTxs: 5, Timeout: time.Second})
-	delivered := make([][]uint64, 3)
-	for i, o := range orderers {
-		i := i
-		o.Subscribe(func(b Batch) {
-			for _, tx := range b.Txs {
-				delivered[i] = append(delivered[i], tx.Value)
-			}
-		})
-	}
-	leader := leaderOrderer(t, sim, orderers)
-	for i := 0; i < 20; i++ {
-		if err := leader.Submit(tx(i)); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	sim.RunFor(5 * time.Second)
-	for i, seq := range delivered {
-		if len(seq) != 20 {
-			t.Fatalf("orderer %d delivered %d/20 txs", i, len(seq))
-		}
-		for j, v := range seq {
-			if v != uint64(j) {
-				t.Fatalf("orderer %d order broken at %d", i, j)
-			}
-		}
-	}
-}
+// TestRaftOrdererReplicatesBatches is the total-order case at the size
+// E4 runs the replicated orderer at: every member delivers every batch.
+func TestRaftOrdererReplicatesBatches(t *testing.T) { overRaftOrderers(t, orderIsTotal(5, 20)) }
 
 func TestRaftOrdererFollowerRejects(t *testing.T) {
 	sim := simclock.NewSimulator()
@@ -244,8 +262,8 @@ func TestRaftOrdererSurvivesLeaderCrash(t *testing.T) {
 	}
 }
 
-func orderersWithout(all []*Raft, skip int) []*Raft {
-	var out []*Raft
+func orderersWithout(all []*Orderer, skip int) []*Orderer {
+	var out []*Orderer
 	for i, o := range all {
 		if i != skip {
 			out = append(out, o)

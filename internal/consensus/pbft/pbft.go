@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"dcsledger/internal/consensus"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/p2p"
@@ -37,10 +38,6 @@ var (
 	ErrStopped = errors.New("pbft: node stopped")
 	ErrTooFew  = errors.New("pbft: cluster needs at least 4 replicas to tolerate a fault")
 )
-
-// ApplyFunc receives executed operations exactly once, in sequence
-// order.
-type ApplyFunc func(seq uint64, op []byte)
 
 // Config tunes the protocol.
 type Config struct {
@@ -103,7 +100,7 @@ type Node struct {
 	tr       p2p.Transport
 	clock    simclock.Clock
 	cfg      Config
-	apply    ApplyFunc
+	apply    consensus.ApplyFunc
 
 	f               int
 	view            uint64
@@ -123,9 +120,11 @@ type Node struct {
 	obs         obs.Observer
 }
 
+var _ consensus.Replica = (*Node)(nil)
+
 // NewNode creates a PBFT replica. replicas must list the full cluster in
 // the same order at every member and include id.
-func NewNode(id p2p.NodeID, replicas []p2p.NodeID, tr p2p.Transport, clock simclock.Clock, cfg Config, apply ApplyFunc) (*Node, error) {
+func NewNode(id p2p.NodeID, replicas []p2p.NodeID, tr p2p.Transport, clock simclock.Clock, cfg Config, apply consensus.ApplyFunc) (*Node, error) {
 	if len(replicas) < 4 {
 		return nil, fmt.Errorf("%w: got %d", ErrTooFew, len(replicas))
 	}
@@ -184,11 +183,8 @@ func (n *Node) Primary() p2p.NodeID {
 	return n.primaryLocked(n.view)
 }
 
-// IsPrimary reports whether this replica leads the current view.
-func (n *Node) IsPrimary() bool { return n.Primary() == n.id }
-
-// Executed returns how many operations this replica has executed.
-func (n *Node) Executed() uint64 {
+// Applied returns how many operations this replica has executed.
+func (n *Node) Applied() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.executedOps

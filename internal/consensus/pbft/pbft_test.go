@@ -237,7 +237,7 @@ func TestThroughputManyOps(t *testing.T) {
 		}
 	}
 	c.sim.RunFor(10 * time.Second)
-	if got := c.primary().Executed(); got != ops {
+	if got := c.primary().Applied(); got != ops {
 		t.Fatalf("primary executed %d/%d", got, ops)
 	}
 	for _, id := range c.ids {

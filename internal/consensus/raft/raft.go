@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"dcsledger/internal/consensus"
 	"dcsledger/internal/p2p"
 	"dcsledger/internal/simclock"
 )
@@ -59,10 +60,6 @@ type Entry struct {
 	Term uint64
 	Data []byte
 }
-
-// ApplyFunc receives committed entries exactly once, in log order.
-// Index is 1-based.
-type ApplyFunc func(index uint64, data []byte)
 
 // Config tunes timing.
 type Config struct {
@@ -114,7 +111,7 @@ type Node struct {
 	clock simclock.Clock
 	rng   *rand.Rand
 	cfg   Config
-	apply ApplyFunc
+	apply consensus.ApplyFunc
 
 	role        Role
 	currentTerm uint64
@@ -132,9 +129,11 @@ type Node struct {
 	stopped        bool
 }
 
+var _ consensus.Replica = (*Node)(nil)
+
 // NewNode creates a Raft node. peers lists all cluster members except
 // self. apply may be nil.
-func NewNode(id p2p.NodeID, peers []p2p.NodeID, tr p2p.Transport, clock simclock.Clock, rng *rand.Rand, cfg Config, apply ApplyFunc) *Node {
+func NewNode(id p2p.NodeID, peers []p2p.NodeID, tr p2p.Transport, clock simclock.Clock, rng *rand.Rand, cfg Config, apply consensus.ApplyFunc) *Node {
 	if cfg.ElectionTimeout <= 0 {
 		cfg.ElectionTimeout = 500 * time.Millisecond
 	}
@@ -191,11 +190,12 @@ func (n *Node) Term() uint64 {
 	return n.currentTerm
 }
 
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 {
+// Applied returns the highest log index applied, which is the commit
+// index: every entry point applies up to it before releasing the lock.
+func (n *Node) Applied() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.commitIndex
+	return n.lastApplied
 }
 
 // Role returns the node's current role.
@@ -207,22 +207,21 @@ func (n *Node) Role() Role {
 
 // Propose appends data to the replicated log. Only the leader accepts
 // proposals; followers return ErrNotLeader.
-func (n *Node) Propose(data []byte) (uint64, error) {
+func (n *Node) Propose(data []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.stopped {
-		return 0, ErrStopped
+		return ErrStopped
 	}
 	if n.role != Leader {
-		return 0, fmt.Errorf("%w (leader is %q)", ErrNotLeader, n.leader)
+		return fmt.Errorf("%w (leader is %q)", ErrNotLeader, n.leader)
 	}
 	n.log = append(n.log, Entry{Term: n.currentTerm, Data: data})
-	idx := uint64(len(n.log) - 1)
-	n.matchIndex[n.id] = idx
+	n.matchIndex[n.id] = uint64(len(n.log) - 1)
 	n.broadcastAppendLocked()
 	// Single-node cluster: commit immediately.
 	n.advanceCommitLocked()
-	return idx, nil
+	return nil
 }
 
 // HandleMessage processes one raft message; wire it into the node's Mux

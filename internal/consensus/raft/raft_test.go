@@ -104,7 +104,7 @@ func TestReplicationAndApply(t *testing.T) {
 	c := newCluster(t, 3)
 	leader := c.leader(t)
 	for i := 0; i < 5; i++ {
-		if _, err := leader.Propose([]byte(fmt.Sprintf("cmd-%d", i))); err != nil {
+		if err := leader.Propose([]byte(fmt.Sprintf("cmd-%d", i))); err != nil {
 			t.Fatalf("Propose: %v", err)
 		}
 		c.sim.RunFor(100 * time.Millisecond)
@@ -120,8 +120,8 @@ func TestReplicationAndApply(t *testing.T) {
 			}
 		}
 	}
-	if leader.CommitIndex() != 5 {
-		t.Fatalf("commit index = %d", leader.CommitIndex())
+	if leader.Applied() != 5 {
+		t.Fatalf("commit index = %d", leader.Applied())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestFollowerRejectsPropose(t *testing.T) {
 		if n == leader {
 			continue
 		}
-		if _, err := n.Propose([]byte("x")); !errors.Is(err, ErrNotLeader) {
+		if err := n.Propose([]byte("x")); !errors.Is(err, ErrNotLeader) {
 			t.Fatalf("want ErrNotLeader, got %v", err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestFollowerRejectsPropose(t *testing.T) {
 func TestLeaderFailover(t *testing.T) {
 	c := newCluster(t, 5)
 	leader := c.leader(t)
-	if _, err := leader.Propose([]byte("before-crash")); err != nil {
+	if err := leader.Propose([]byte("before-crash")); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
 	c.sim.RunFor(time.Second)
@@ -165,7 +165,7 @@ func TestLeaderFailover(t *testing.T) {
 		t.Fatal("new leader must have a higher term")
 	}
 	// The committed entry survives and new proposals still commit.
-	if _, err := newLeader.Propose([]byte("after-crash")); err != nil {
+	if err := newLeader.Propose([]byte("after-crash")); err != nil {
 		t.Fatalf("Propose after failover: %v", err)
 	}
 	c.sim.RunFor(2 * time.Second)
@@ -199,12 +199,12 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 	}
 	c.net.Partition(minority, majority)
 
-	before := leader.CommitIndex()
-	if _, err := leader.Propose([]byte("doomed")); err != nil {
+	before := leader.Applied()
+	if err := leader.Propose([]byte("doomed")); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
 	c.sim.RunFor(3 * time.Second)
-	if leader.CommitIndex() != before {
+	if leader.Applied() != before {
 		t.Fatal("minority leader must not commit")
 	}
 
@@ -218,11 +218,11 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 	if majLeader == nil {
 		t.Fatal("majority partition should elect a leader")
 	}
-	if _, err := majLeader.Propose([]byte("survives")); err != nil {
+	if err := majLeader.Propose([]byte("survives")); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
 	c.sim.RunFor(time.Second)
-	if majLeader.CommitIndex() == 0 {
+	if majLeader.Applied() == 0 {
 		t.Fatal("majority must commit")
 	}
 
@@ -249,12 +249,11 @@ func TestPartitionedMinorityCannotCommit(t *testing.T) {
 func TestSingleNodeClusterCommitsInstantly(t *testing.T) {
 	c := newCluster(t, 1)
 	leader := c.leader(t)
-	idx, err := leader.Propose([]byte("solo"))
-	if err != nil {
+	if err := leader.Propose([]byte("solo")); err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
-	if idx != 1 || leader.CommitIndex() != 1 {
-		t.Fatalf("idx=%d commit=%d", idx, leader.CommitIndex())
+	if leader.LogLen() != 1 || leader.Applied() != 1 {
+		t.Fatalf("log length=%d applied=%d", leader.LogLen(), leader.Applied())
 	}
 	c.sim.RunFor(100 * time.Millisecond)
 	if got := c.applied[leader.id]; len(got) != 1 || got[0] != "solo" {
@@ -266,7 +265,7 @@ func TestStoppedNodeRefusesPropose(t *testing.T) {
 	c := newCluster(t, 3)
 	leader := c.leader(t)
 	leader.Stop()
-	if _, err := leader.Propose([]byte("x")); !errors.Is(err, ErrStopped) {
+	if err := leader.Propose([]byte("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}
 }
@@ -310,7 +309,7 @@ func TestLogsConvergeUnderLoss(t *testing.T) {
 		sim.RunFor(100 * time.Millisecond)
 		for _, n := range nodes {
 			if n.IsLeader() {
-				if _, err := n.Propose([]byte(fmt.Sprintf("op-%d", proposed))); err == nil {
+				if err := n.Propose([]byte(fmt.Sprintf("op-%d", proposed))); err == nil {
 					proposed++
 				}
 				break

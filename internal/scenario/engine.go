@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -18,10 +19,9 @@ const maxViolations = 50
 // the simulator, the network, the script schedule, and the report; the
 // family owns its node set and family-specific invariants.
 type family interface {
-	// build constructs the node set on e.Sim/e.Net.
+	// build constructs the node set on e.Sim/e.Net; node i joins as
+	// p2p.NodeName(i).
 	build(e *Engine) error
-	// ids maps node index → network id.
-	ids() []p2p.NodeID
 	// submit injects workload unit k at a live node.
 	submit(e *Engine, k uint64)
 	// apply executes a lifecycle or Byzantine action.
@@ -45,6 +45,7 @@ type Engine struct {
 	fam       family
 	start     time.Time
 	live      []bool
+	spammers  map[int]*spammer
 	submitted uint64
 	overflow  int // violations past maxViolations
 }
@@ -57,6 +58,17 @@ func Run(sc Scenario) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	switch sc.Family {
+	case FamilyPBFT:
+		return run(sc, newPBFTFamily())
+	case FamilyRaft:
+		return run(sc, newRaftFamily())
+	}
+	return run(sc, newPowFamily())
+}
+
+// run drives fam through sc, whose defaults are already applied.
+func run(sc Scenario, fam family) (*Report, error) {
 	e := &Engine{
 		Scenario: sc,
 		Sim:      simclock.NewSimulator(),
@@ -66,7 +78,9 @@ func Run(sc Scenario) (*Report, error) {
 			N:        sc.N,
 			Seed:     sc.Seed,
 		},
-		live: make([]bool, sc.N),
+		fam:      fam,
+		live:     make([]bool, sc.N),
+		spammers: make(map[int]*spammer),
 	}
 	for i := range e.live {
 		e.live[i] = true
@@ -81,14 +95,6 @@ func Run(sc Scenario) (*Report, error) {
 	e.Net = p2p.NewSimNetwork(e.Sim, sc.Seed, opts...)
 	e.start = e.Sim.Now()
 
-	switch sc.Family {
-	case FamilyPoW:
-		e.fam = newPowFamily()
-	case FamilyPBFT:
-		e.fam = newPBFTFamily()
-	case FamilyRaft:
-		e.fam = newRaftFamily()
-	}
 	if err := e.fam.build(e); err != nil {
 		return nil, err
 	}
@@ -127,6 +133,9 @@ func Run(sc Scenario) (*Report, error) {
 	e.Sim.RunFor(sc.Duration)
 	if stepErr != nil {
 		return nil, stepErr
+	}
+	for _, s := range e.spammers {
+		s.active = false
 	}
 	e.fam.quiesce(e)
 	e.Sim.RunFor(sc.Drain)
@@ -187,13 +196,46 @@ func (e *Engine) every(period time.Duration, stop func() bool, fn func()) {
 	e.Sim.After(period, tick)
 }
 
-func (e *Engine) applyStep(a Action) error {
-	ids := e.fam.ids()
-	idOf := func(i int) (p2p.NodeID, error) {
-		if i < 0 || i >= len(ids) {
-			return "", fmt.Errorf("node index %d out of range [0,%d)", i, len(ids))
+// spammer is one node's junk source: its own rng stream and payload
+// size, switched off by a later Spam step or at the end of the script.
+type spammer struct {
+	active bool
+	size   int
+	rng    *rand.Rand
+}
+
+// spam services a Spam action for any family: while the spammer is on
+// and its node on the network, fire runs every Interval.
+func (e *Engine) spam(act Spam, fire func(s *spammer)) {
+	if !act.On {
+		if s := e.spammers[act.Node]; s != nil {
+			s.active = false
 		}
-		return ids[i], nil
+		return
+	}
+	if act.Interval <= 0 {
+		act.Interval = time.Second
+	}
+	if act.Size <= 0 {
+		act.Size = 512
+	}
+	s := &spammer{active: true, size: act.Size, rng: e.Net.RNGStream(fmt.Sprintf("spam/%d", act.Node))}
+	e.spammers[act.Node] = s
+	e.every(act.Interval,
+		func() bool { return !s.active || e.Elapsed() >= e.Scenario.Duration },
+		func() {
+			if e.live[act.Node] {
+				fire(s)
+			}
+		})
+}
+
+func (e *Engine) applyStep(a Action) error {
+	idOf := func(i int) (p2p.NodeID, error) {
+		if i < 0 || i >= e.Scenario.N {
+			return "", fmt.Errorf("node index %d out of range [0,%d)", i, e.Scenario.N)
+		}
+		return p2p.NodeName(i), nil
 	}
 	switch act := a.(type) {
 	case Partition:

@@ -13,7 +13,6 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/node"
-	"dcsledger/internal/p2p"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
@@ -37,7 +36,6 @@ type powFamily struct {
 	nonces  []uint64
 
 	selfish map[int]bool
-	spam    map[int]*spammer
 
 	// Finality ledger: once a block is FinalityDepth deep in the common
 	// prefix of every live node it is recorded here, append-only; any
@@ -48,17 +46,9 @@ type powFamily struct {
 	lastPrefix   uint64
 }
 
-type spammer struct {
-	active   bool
-	interval time.Duration
-	size     int
-	rng      *rand.Rand
-}
-
 func newPowFamily() *powFamily {
 	return &powFamily{
 		selfish:   make(map[int]bool),
-		spam:      make(map[int]*spammer),
 		finalized: make(map[uint64]cryptoutil.Hash),
 	}
 }
@@ -110,14 +100,6 @@ func (f *powFamily) build(e *Engine) error {
 	f.c = c
 	c.Start()
 	return nil
-}
-
-func (f *powFamily) ids() []p2p.NodeID {
-	out := make([]p2p.NodeID, len(f.c.Nodes))
-	for i := range out {
-		out[i] = p2p.NodeName(i)
-	}
-	return out
 }
 
 func (f *powFamily) submit(e *Engine, k uint64) {
@@ -191,7 +173,18 @@ func (f *powFamily) apply(e *Engine, a Action) error {
 		}
 		return nil
 	case Spam:
-		return f.applySpam(e, act)
+		e.spam(act, func(s *spammer) {
+			g := f.c.Nodes[act.Node].Gossiper()
+			if g == nil {
+				return
+			}
+			payload := make([]byte, s.size)
+			s.rng.Read(payload)
+			// The gossip layer floods unknown topics too, so junk rides
+			// the same overlay as real traffic.
+			g.Publish("junk", payload)
+		})
+		return nil
 	default:
 		return fmt.Errorf("pow family does not support %T", a)
 	}
@@ -225,45 +218,6 @@ func (f *powFamily) pollSelfish(e *Engine, i int) {
 				f.c.Nodes[i].ReleaseWithheld()
 			}
 		})
-}
-
-func (f *powFamily) applySpam(e *Engine, act Spam) error {
-	if !act.On {
-		if s := f.spam[act.Node]; s != nil {
-			s.active = false
-		}
-		return nil
-	}
-	if act.Interval <= 0 {
-		act.Interval = time.Second
-	}
-	if act.Size <= 0 {
-		act.Size = 512
-	}
-	s := &spammer{
-		active:   true,
-		interval: act.Interval,
-		size:     act.Size,
-		rng:      e.Net.RNGStream(fmt.Sprintf("spam/%d", act.Node)),
-	}
-	f.spam[act.Node] = s
-	e.every(s.interval,
-		func() bool { return !s.active || e.Elapsed() >= e.Scenario.Duration },
-		func() {
-			if !e.live[act.Node] {
-				return
-			}
-			g := f.c.Nodes[act.Node].Gossiper()
-			if g == nil {
-				return
-			}
-			payload := make([]byte, s.size)
-			s.rng.Read(payload)
-			// The gossip layer floods unknown topics too, so junk rides
-			// the same overlay as real traffic.
-			g.Publish("junk", payload)
-		})
-	return nil
 }
 
 func (f *powFamily) sweep(e *Engine) {
@@ -329,9 +283,6 @@ func (f *powFamily) quiesce(e *Engine) {
 		f.c.Nodes[i].ReleaseWithheld()
 	}
 	f.selfish = make(map[int]bool)
-	for _, s := range f.spam {
-		s.active = false
-	}
 }
 
 func (f *powFamily) finish(e *Engine) {

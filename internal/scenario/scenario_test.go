@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dcsledger/internal/consensus"
+	"dcsledger/internal/p2p"
 )
 
 // runTwice enforces the determinism hard contract: the same scenario
@@ -113,6 +116,50 @@ func TestRaftScenarioDeterministic(t *testing.T) {
 	r := runTwice(t, sc)
 	if r.Committed == 0 {
 		t.Fatal("no entries applied")
+	}
+}
+
+// TestReplicaFamilyReportsDivergentApply: the honest runs above never
+// take the violation branch of the shared apply-time check, so a replica
+// that applies a different operation at a sequence number the group
+// agreed on is injected under each constructor, and the check must say
+// so — about that sequence number and nothing else.
+func TestReplicaFamilyReportsDivergentApply(t *testing.T) {
+	for _, mk := range []func() *replicaFamily{newPBFTFamily, newRaftFamily} {
+		fam := mk()
+		t.Run(fam.name, func(t *testing.T) {
+			honest := fam.newNode
+			fam.newNode = func(e *Engine, i int, ids []p2p.NodeID, tr p2p.Transport, apply consensus.ApplyFunc) (consensus.Replica, error) {
+				if i == 2 {
+					deliver := apply
+					apply = func(seq uint64, op []byte) {
+						if seq == 3 {
+							op = []byte("forged")
+						}
+						deliver(seq, op)
+					}
+				}
+				return honest(e, i, ids, tr, apply)
+			}
+			sc := Scenario{Name: "divergent-" + fam.name, Family: fam.name, N: 5, Seed: 3,
+				Duration: time.Minute, Drain: 30 * time.Second, Latency: 10 * time.Millisecond, SubmitEvery: 2 * time.Second}
+			sc, err := sc.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := run(sc, fam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Passed() || rep.Height < 3 {
+				t.Fatalf("a forged apply at seq 3 went unreported:\n%s", rep)
+			}
+			for _, v := range rep.Violations {
+				if !strings.Contains(v, fam.name+" divergent apply") || !strings.Contains(v, " seq 3 ") {
+					t.Fatalf("unexpected violation %q:\n%s", v, rep)
+				}
+			}
+		})
 	}
 }
 
