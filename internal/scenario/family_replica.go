@@ -30,7 +30,6 @@ func (s *swapTransport) Send(to p2p.NodeID, m p2p.Message) error { return s.ep.S
 // operations at the same sequence number. What is pbft's or raft's
 // alone is in the fields its constructor sets.
 type replicaFamily struct {
-	name   string // FamilyPBFT or FamilyRaft
 	prefix string // the protocol's MsgPrefix
 	// newNode builds replica i of ids on tr, delivering to apply.
 	newNode func(e *Engine, i int, ids []p2p.NodeID, tr p2p.Transport, apply consensus.ApplyFunc) (consensus.Replica, error)
@@ -57,9 +56,8 @@ type replicaFamily struct {
 	lastApplied []uint64 // per-replica Applied(), monotonicity check
 }
 
-func newReplicaFamily(name, prefix string) *replicaFamily {
+func newReplicaFamily(prefix string) *replicaFamily {
 	return &replicaFamily{
-		name:     name,
 		prefix:   prefix,
 		agreed:   make(map[uint64]cryptoutil.Hash),
 		seen:     make(map[cryptoutil.Hash]bool),
@@ -71,16 +69,15 @@ func newReplicaFamily(name, prefix string) *replicaFamily {
 // over the live ones. Replicas the script will ever equivocate get the
 // tampering transport from the start, disarmed until their step fires.
 func newPBFTFamily() *replicaFamily {
-	f := newReplicaFamily(FamilyPBFT, pbft.MsgPrefix)
+	f := newReplicaFamily(pbft.MsgPrefix)
 	evil := make(map[int]*pbft.EquivocatingTransport)
 	f.newNode = func(e *Engine, i int, ids []p2p.NodeID, tr p2p.Transport, apply consensus.ApplyFunc) (consensus.Replica, error) {
 		for _, st := range e.Scenario.Steps {
-			if eq, ok := st.Action.(Equivocate); ok && eq.Node == i && evil[i] == nil {
+			if eq, ok := st.Action.(Equivocate); ok && eq.Node == i {
 				evil[i] = pbft.NewEquivocatingTransport(tr, ids)
+				tr = evil[i]
+				break
 			}
-		}
-		if evil[i] != nil {
-			tr = evil[i]
 		}
 		return pbft.NewNode(ids[i], ids, tr, e.Sim, pbft.Config{ViewTimeout: 2 * time.Second}, apply)
 	}
@@ -112,7 +109,7 @@ func newPBFTFamily() *replicaFamily {
 // live one exists; during elections the unit is simply lost, as a real
 // client's would be without retry.
 func newRaftFamily() *replicaFamily {
-	f := newReplicaFamily(FamilyRaft, raft.MsgPrefix)
+	f := newReplicaFamily(raft.MsgPrefix)
 	var nodes []*raft.Node
 	f.newNode = func(e *Engine, i int, ids []p2p.NodeID, tr p2p.Transport, apply consensus.ApplyFunc) (consensus.Replica, error) {
 		peers := make([]p2p.NodeID, 0, len(ids)-1)
@@ -179,7 +176,7 @@ func (f *replicaFamily) onApply(e *Engine, i int, seq uint64, op []byte) {
 	if prev, ok := f.agreed[seq]; ok {
 		if prev != d {
 			e.violate("%s divergent apply: replica %d seq %d digest %s, cluster agreed %s",
-				f.name, i, seq, d.Short(), prev.Short())
+				e.Scenario.Family, i, seq, d.Short(), prev.Short())
 		}
 	} else {
 		f.agreed[seq] = d
@@ -235,7 +232,7 @@ func (f *replicaFamily) apply(e *Engine, a Action) error {
 			return f.equivocate(act)
 		}
 	}
-	return fmt.Errorf("%s family does not support %T", f.name, a)
+	return fmt.Errorf("%s family does not support %T", e.Scenario.Family, a)
 }
 
 func (f *replicaFamily) sweep(e *Engine) {
@@ -245,7 +242,7 @@ func (f *replicaFamily) sweep(e *Engine) {
 	for _, j := range e.Live() {
 		cnt := f.nodes[j].Applied()
 		if cnt < f.lastApplied[j] {
-			e.violate("%s replica %d applied count shrank %d -> %d", f.name, j, f.lastApplied[j], cnt)
+			e.violate("%s replica %d applied count shrank %d -> %d", e.Scenario.Family, j, f.lastApplied[j], cnt)
 		}
 		f.lastApplied[j] = cnt
 	}

@@ -125,9 +125,9 @@ func TestRaftScenarioDeterministic(t *testing.T) {
 // agreed on is injected under each constructor, and the check must say
 // so — about that sequence number and nothing else.
 func TestReplicaFamilyReportsDivergentApply(t *testing.T) {
-	for _, mk := range []func() *replicaFamily{newPBFTFamily, newRaftFamily} {
-		fam := mk()
-		t.Run(fam.name, func(t *testing.T) {
+	for family, mk := range map[string]func() *replicaFamily{FamilyPBFT: newPBFTFamily, FamilyRaft: newRaftFamily} {
+		t.Run(family, func(t *testing.T) {
+			fam := mk()
 			honest := fam.newNode
 			fam.newNode = func(e *Engine, i int, ids []p2p.NodeID, tr p2p.Transport, apply consensus.ApplyFunc) (consensus.Replica, error) {
 				if i == 2 {
@@ -141,7 +141,7 @@ func TestReplicaFamilyReportsDivergentApply(t *testing.T) {
 				}
 				return honest(e, i, ids, tr, apply)
 			}
-			sc := Scenario{Name: "divergent-" + fam.name, Family: fam.name, N: 5, Seed: 3,
+			sc := Scenario{Name: "divergent-" + family, Family: family, N: 5, Seed: 3,
 				Duration: time.Minute, Drain: 30 * time.Second, Latency: 10 * time.Millisecond, SubmitEvery: 2 * time.Second}
 			sc, err := sc.withDefaults()
 			if err != nil {
@@ -155,7 +155,7 @@ func TestReplicaFamilyReportsDivergentApply(t *testing.T) {
 				t.Fatalf("a forged apply at seq 3 went unreported:\n%s", rep)
 			}
 			for _, v := range rep.Violations {
-				if !strings.Contains(v, fam.name+" divergent apply") || !strings.Contains(v, " seq 3 ") {
+				if !strings.Contains(v, family+" divergent apply") || !strings.Contains(v, " seq 3 ") {
 					t.Fatalf("unexpected violation %q:\n%s", v, rep)
 				}
 			}
