@@ -28,6 +28,16 @@ type BlockHeader struct {
 	Extra []byte `json:"extra,omitempty"`
 }
 
+// BlockHashTag is the domain tag a header's encoding is hashed behind:
+// the block hash, and the proof-of-work preimage, are the SHA-256 of the
+// tag followed by Encode.
+const BlockHashTag = "dcsledger/block"
+
+// NonceOffset is where Encode puts the nonce: after the parent hash,
+// height, time and difficulty, 8 big-endian bytes. A miner patches it
+// in place instead of encoding the header once per attempt.
+const NonceOffset = cryptoutil.HashSize + 3*8
+
 // Encode returns the canonical encoding of the header. The proof-of-work
 // puzzle and the header hash are both computed over this encoding.
 func (h *BlockHeader) Encode() []byte {
@@ -47,7 +57,7 @@ func (h *BlockHeader) Encode() []byte {
 // Hash returns the block identifier: the hash of the canonical header
 // encoding.
 func (h *BlockHeader) Hash() cryptoutil.Hash {
-	return cryptoutil.HashBytes([]byte("dcsledger/block"), h.Encode())
+	return cryptoutil.HashBytes([]byte(BlockHashTag), h.Encode())
 }
 
 // DecodeBlockHeader parses a header from its canonical encoding.

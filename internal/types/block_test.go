@@ -1,6 +1,8 @@
 package types
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -55,6 +57,26 @@ func TestHeaderHashChangesWithFields(t *testing.T) {
 		if hdr.Hash() == base {
 			t.Errorf("mutation %d did not change header hash", i)
 		}
+	}
+}
+
+// TestNonceOffset: the nonce is the 8 big-endian bytes at NonceOffset of
+// the encoding, and nothing else there moves with it; the hash is over
+// the tag and the encoding.
+func TestNonceOffset(t *testing.T) {
+	b := testBlock(t, 1)
+	b.Header.Extra = []byte("consensus evidence")
+	b.Header.Nonce = 0x0102030405060708
+	enc := b.Header.Encode()
+	if got := binary.BigEndian.Uint64(enc[NonceOffset:]); got != b.Header.Nonce {
+		t.Fatalf("bytes at NonceOffset read %#x, nonce %#x", got, b.Header.Nonce)
+	}
+	hdr := b.Header
+	hdr.Nonce++
+	patched := bytes.Clone(enc)
+	binary.BigEndian.PutUint64(patched[NonceOffset:], hdr.Nonce)
+	if !bytes.Equal(patched, hdr.Encode()) || hdr.Hash() != cryptoutil.HashBytes([]byte(BlockHashTag), patched) {
+		t.Fatal("patching the nonce in place is not encoding the header with that nonce")
 	}
 }
 
