@@ -153,6 +153,13 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 	fc.Obs.Register(reg)
 	reg.Collect(func(emit func(string, int64)) { emit("forkchoice_switches_total", int64(fc.Switches())) })
+	engine := pow.New(pow.Config{
+		TargetInterval:    *interval,
+		InitialDifficulty: 4096,
+		HashRate:          4096 / interval.Seconds(),
+	}, rand.New(rand.NewSource(time.Now().UnixNano())))
+	engine.Obs = obs.NewObserver(*id, tracer, obs.StagePowSeal)
+	engine.Obs.Register(reg)
 	// The heap beside the gauges of what fills it: live is what the last
 	// collection found reachable, inuse the spans holding objects, garbage
 	// included. One runtime/metrics read per scrape, which stops nothing.
@@ -208,13 +215,9 @@ func run(args []string, stop <-chan os.Signal) error {
 
 	executor := contract.NewExecutor(contract.NewRegistry())
 	n, err := node.New(node.Config{
-		ID:  p2p.NodeID(*id),
-		Key: key,
-		Engine: pow.New(pow.Config{
-			TargetInterval:    *interval,
-			InitialDifficulty: 4096,
-			HashRate:          4096 / interval.Seconds(),
-		}, rand.New(rand.NewSource(time.Now().UnixNano()))),
+		ID:             p2p.NodeID(*id),
+		Key:            key,
+		Engine:         engine,
 		ForkChoice:     fc,
 		Genesis:        node.NewGenesis(*network),
 		Alloc:          alloc,

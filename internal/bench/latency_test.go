@@ -78,14 +78,14 @@ func TestTraceDemo(t *testing.T) {
 	// Every block-scoped span names its block, and one block is the same
 	// block wherever it is seen: what its proposer sealed is what the
 	// other three miners verified and connected, at the same height. The
-	// proposer itself only proposes and commits it: the block runs once
-	// there, in the build pass, and is not verified or connected again.
+	// proposer itself only seals, proposes and commits it: the block runs
+	// once there, in the build pass, and is not verified or connected again.
 	type sighting struct{ stage, peer string }
 	heightOf := make(map[string]uint64)
 	sightings := make(map[string]map[sighting]bool) // block → where it was seen
 	for _, s := range spans {
 		switch s.Stage {
-		case obs.StageBlockVerify, obs.StageStateApply, obs.StageStateCommit, obs.StageBlockConnect, obs.StageBlockPropose:
+		case obs.StageBlockVerify, obs.StageStateApply, obs.StageStateCommit, obs.StageBlockConnect, obs.StageBlockPropose, obs.StagePowSeal:
 		default:
 			if s.Block != "" {
 				t.Fatalf("%s span carries block %q", s.Stage, s.Block)
@@ -119,8 +119,15 @@ func TestTraceDemo(t *testing.T) {
 		if proposer == "" {
 			t.Fatalf("block %s was connected but no block_propose span names it", block)
 		}
-		if !at[sighting{obs.StageStateCommit, proposer}] {
-			t.Fatalf("block %s: its proposer %s has no state_commit span for it", block, proposer)
+		for _, stage := range []string{obs.StageStateCommit, obs.StagePowSeal} {
+			if !at[sighting{stage, proposer}] {
+				t.Fatalf("block %s: its proposer %s has no %s span for it", block, proposer, stage)
+			}
+		}
+		for sg := range at {
+			if sg.stage == obs.StagePowSeal && sg.peer != proposer {
+				t.Fatalf("block %s, proposed by %s, sealed by %s", block, proposer, sg.peer)
+			}
 		}
 		for _, stage := range []string{obs.StageBlockVerify, obs.StageStateApply, obs.StageBlockConnect} {
 			if at[sighting{stage, proposer}] {

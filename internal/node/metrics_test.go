@@ -7,6 +7,7 @@ import (
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
+	"dcsledger/internal/obs"
 )
 
 // TestRegisterMetrics exports a mining node's counters through the
@@ -83,5 +84,41 @@ func TestScrapeIsOneSnapshot(t *testing.T) {
 	wg.Wait()
 	if got := reg.Snapshot()["node_chain_height"]; got != 400 {
 		t.Fatalf("height %d after 400 blocks", got)
+	}
+}
+
+// TestSealSpanNamesNodeAndBlock: a pow_seal span is labelled with the
+// node that sealed and names the block it sealed, the same block that
+// node's block_propose span names, so the seal can be told apart from
+// the build inside a proposal and followed across nodes.
+func TestSealSpanNamesNodeAndBlock(t *testing.T) {
+	c := powCluster(t, 3, 7, nil)
+	tracer := obs.NewTracer(1 << 12)
+	for _, n := range c.Nodes {
+		n.SetTracer(tracer)
+	}
+	c.Start()
+	c.Sim.RunFor(3 * time.Minute)
+	c.Stop()
+	c.Sim.RunFor(30 * time.Second)
+
+	proposed := map[string]string{} // peer/block of every block_propose
+	for _, s := range tracer.Snapshot() {
+		if s.Stage == obs.StageBlockPropose {
+			proposed[s.Peer+"/"+s.Block] = s.Block
+		}
+	}
+	seals := 0
+	for _, s := range tracer.Snapshot() {
+		if s.Stage != obs.StagePowSeal {
+			continue
+		}
+		seals++
+		if _, ok := proposed[s.Peer+"/"+s.Block]; !ok || s.Block == "" || s.N == 0 {
+			t.Fatalf("pow_seal span %+v names no block its peer proposed", s)
+		}
+	}
+	if seals == 0 || seals != len(proposed) {
+		t.Fatalf("%d pow_seal spans, %d proposals", seals, len(proposed))
 	}
 }

@@ -288,14 +288,14 @@ func TestHandler(t *testing.T) {
 // is traced only.
 func TestObserverFeedsHistogramAndTracer(t *testing.T) {
 	tr := NewTracer(8)
-	o := NewObserver("n0", tr, StageBlockConnect, StagePowSeal)
+	o := NewObserver("n0", tr, StageBlockConnect, StageOrphanAdopt)
 	reg := metrics.NewRegistry()
 	o.Register(reg)
 
 	start := time.Unix(100, 0)
 	o.Observe(StageBlockConnect, start, 2*time.Millisecond, At{Height: 7, N: 3, Block: "abcd1234"})
-	o.Observe(StagePowSeal, time.Time{}, time.Millisecond, At{Peer: "remote"}) // no histogram, zero start
-	o.Observe(StageStateApply, start, time.Millisecond, At{})                  // not one of this observer's
+	o.Observe(StageOrphanAdopt, time.Time{}, time.Millisecond, At{Peer: "remote"}) // no histogram, zero start
+	o.Observe(StageStateApply, start, time.Millisecond, At{})                      // not one of this observer's
 
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
@@ -303,7 +303,7 @@ func TestObserverFeedsHistogramAndTracer(t *testing.T) {
 	}
 	if out := sb.String(); !strings.Contains(out, "node_block_connect_seconds_count 1\n") ||
 		!strings.Contains(out, "node_block_connect_seconds_sum 0.002\n") ||
-		strings.Contains(out, "pow_seal") || strings.Contains(out, "node_state_apply_seconds") {
+		strings.Contains(out, "orphan_adopt") || strings.Contains(out, "node_state_apply_seconds") {
 		t.Fatalf("registry renders:\n%s", out)
 	}
 	spans := tr.Snapshot()

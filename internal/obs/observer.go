@@ -24,6 +24,7 @@ var stageSeries = map[string]struct {
 	StageStateRebuild: {name: "node_state_rebuild_seconds"},
 	StageForkChoice:   {name: "forkchoice_choose_seconds"},
 	StageBlockPropose: {name: "node_block_propose_seconds"},
+	StagePowSeal:      {name: "pow_seal_seconds"},
 	// Admit→inclusion ages and recoveries run at block-interval scale.
 	StageTxInclusion: {name: "txpool_inclusion_age_seconds", buckets: metrics.WideBuckets},
 	StageWALAppend:   {name: "wal_append_seconds"},
