@@ -83,8 +83,9 @@ func (c *fatChain) next(txs ...*types.Transaction) *types.Block {
 }
 
 // fatNode is a durable node over dir for fatChain blocks, recovered from
-// whatever dir holds.
-func fatNode(tb testing.TB, dir string, alloc map[cryptoutil.Address]uint64) (*Node, *wal.DurableStore, *types.Block) {
+// whatever dir holds, retaining the post-states of retention blocks
+// below its head (0 = DefaultStateRetention).
+func fatNode(tb testing.TB, dir string, alloc map[cryptoutil.Address]uint64, retention int) (*Node, *wal.DurableStore, *types.Block) {
 	tb.Helper()
 	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever})
 	if err != nil {
@@ -92,15 +93,16 @@ func fatNode(tb testing.TB, dir string, alloc map[cryptoutil.Address]uint64) (*N
 	}
 	genesis := NewGenesis("fat-chain")
 	n, err := New(Config{
-		ID:         "fat",
-		Key:        cryptoutil.KeyFromSeed([]byte("fat-node")),
-		Engine:     liteEngine(2),
-		ForkChoice: forkchoice.LongestChain{},
-		Genesis:    genesis,
-		Alloc:      alloc,
-		Rewards:    incentive.Schedule{InitialReward: 50},
-		Clock:      simclock.NewSimulator(),
-		Durable:    ds,
+		ID:             "fat",
+		Key:            cryptoutil.KeyFromSeed([]byte("fat-node")),
+		Engine:         liteEngine(2),
+		ForkChoice:     forkchoice.LongestChain{},
+		Genesis:        genesis,
+		Alloc:          alloc,
+		Rewards:        incentive.Schedule{InitialReward: 50},
+		Clock:          simclock.NewSimulator(),
+		Durable:        ds,
+		StateRetention: retention,
 	})
 	if err == nil {
 		err = n.Recover(rec)
@@ -394,7 +396,7 @@ func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
 	alloc := modestAlloc()
 	heapAfterRecover := func(blocks int) (inuse, live uint64) {
 		dir := t.TempDir()
-		n, ds, genesis := fatNode(t, dir, alloc)
+		n, ds, genesis := fatNode(t, dir, alloc, 0)
 		chain := newFatChain(t, genesis, alloc, payload)
 		for i := 0; i < blocks; i++ {
 			if err := n.HandleBlock(chain.next()); err != nil {
@@ -407,7 +409,7 @@ func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
 		}
 		n, chain = nil, nil
 
-		n, ds, _ = fatNode(t, dir, alloc)
+		n, ds, _ = fatNode(t, dir, alloc, 0)
 		defer ds.Close()
 		inuse, live = heapAfterGC()
 		if n.Chain().Head() != head || n.Chain().Height() != uint64(blocks) {
@@ -455,7 +457,7 @@ func TestHeapIndependentOfTxsPerBlock(t *testing.T) {
 		alloc[keys[i].Address()] = 1 << 40
 	}
 	liveAfter := func(perBlock int) uint64 {
-		n, ds, genesis := fatNode(t, t.TempDir(), alloc)
+		n, ds, genesis := fatNode(t, t.TempDir(), alloc, 0)
 		defer ds.Close()
 		chain := newFatChain(t, genesis, alloc, 0)
 		for i := 0; i < blocks; i++ {
@@ -494,11 +496,97 @@ func TestHeapIndependentOfTxsPerBlock(t *testing.T) {
 	}
 }
 
+// TestRetainedStateHeapPerAccountWritten: what a retained post-state below
+// the trie window costs, per account its block wrote. Two durable nodes
+// over the same 10 000 funded accounts connect the same 321 blocks of 32
+// transfers — the same 32 senders and 32 recipients in every block, 65
+// accounts written with the miner; each node decodes its own copy — one
+// retaining 128 states below its head, one trieRetention. A node detaches
+// its head state one block past its window and every half window after,
+// so at 321 the oldest retained state of each is a detached one, a trie
+// and no layer: the first holds 118 cold layers (the written states from
+// 194 to 312, less the detached 257), the second 3 (310–312, under the
+// hot 313); both hold the same 9 hot states, tries and maps, and the same
+// body window. The first holds 115 cold layers, 7,475 written accounts,
+// 120 retained states and one trie version (a detached state's) more.
+//
+// A cold account is a 40-byte entry. A layer's own structures — the
+// state, its writes, the entries' slice, its memo, its retained-state
+// entry — are about 400 B, 6 B an account at 65 a block; the extra trie
+// version is the paths to the 65 leaves, about 60 kB, 8 B an account.
+// That is 54 B; the bound, 72 B, leaves room for the allocator's size
+// classes. Kept in maps, the same accounts measure 164 B each: a Go map
+// of 65 such entries is 147 B an entry, its table grown to 128 slots.
+func TestRetainedStateHeapPerAccountWritten(t *testing.T) {
+	if testing.Short() {
+		t.Skip("signs 10 272 transfers and connects them on two nodes")
+	}
+	const (
+		blocks  = 321 // both nodes' oldest retained state is a detached one
+		senders = 32
+		written = 2*senders + 1
+		cold    = 118 - 3
+	)
+	alloc := modestAlloc()
+	keys := make([]*cryptoutil.KeyPair, senders)
+	for i := range keys {
+		keys[i] = cryptoutil.KeyFromSeed([]byte{'r', byte(i)})
+		alloc[keys[i].Address()] = 1 << 40
+	}
+	recipient := func(i int) cryptoutil.Address {
+		return cryptoutil.AddressFromHash(cryptoutil.HashUint64("retained-heap", uint64(i)))
+	}
+	wide, wds, genesis := fatNode(t, t.TempDir(), alloc, 128)
+	defer wds.Close()
+	narrow, nds, _ := fatNode(t, t.TempDir(), alloc, trieRetention)
+	defer nds.Close()
+	chain := newFatChain(t, genesis, alloc, 0)
+	for h := 0; h < blocks; h++ {
+		txs := make([]*types.Transaction, senders)
+		for j, from := range keys {
+			tx := &types.Transaction{Kind: types.TxTransfer, From: from.Address(), To: recipient(j), Value: 1, Fee: 1, Nonce: uint64(h)}
+			if err := tx.Sign(from); err != nil {
+				t.Fatal(err)
+			}
+			txs[j] = tx
+		}
+		b := chain.next(txs...)
+		copied, err := types.DecodeBlock(b.Encode())
+		if err == nil {
+			err = wide.HandleBlock(b)
+		}
+		if err == nil {
+			err = narrow.HandleBlock(copied)
+		}
+		if err != nil {
+			t.Fatalf("h=%d: %v", h+1, err)
+		}
+	}
+	for n, retained := range map[*Node]int{wide: 129, narrow: trieRetention + 1} {
+		oldest, _ := n.Chain().AtHeight(blocks - uint64(retained) + 1)
+		if _, d := n.states[oldest].Under(); len(n.states) != retained || d != 1 {
+			t.Fatalf("%d states retained, the oldest reads through %d layers: want %d and a detached one", len(n.states), d, retained)
+		}
+	}
+	_, both := heapAfterGC()
+	runtime.KeepAlive(wide)
+	_, narrowOnly := heapAfterGC()
+	runtime.KeepAlive(narrow)
+	_, none := heapAfterGC()
+	wideCost, narrowCost := float64(both)-float64(narrowOnly), float64(narrowOnly)-float64(none)
+	perAccount := (wideCost - narrowCost) / (cold * written)
+	t.Logf("live heap of a node retaining 129 states %.0f KiB, %d states %.0f KiB: %.1f B per account written by a cold state",
+		wideCost/1024, trieRetention+1, narrowCost/1024, perAccount)
+	if perAccount > 72 {
+		t.Fatalf("a retained state below the trie window costs %.1f B per account its block wrote, over 72: its writes are not compacted", perAccount)
+	}
+}
+
 // connectOnChain is the chain-length axis of BenchmarkConnectBlock: a
 // durable node that already holds chain blocks connects count more, and
 // the time and heap of those are what a block costs at that length.
 func connectOnChain(tb testing.TB, chain, count int) (perBlock time.Duration, heap uint64, resident int) {
-	n, ds, genesis := fatNode(tb, tb.TempDir(), nil)
+	n, ds, genesis := fatNode(tb, tb.TempDir(), nil, 0)
 	defer ds.Close()
 	fc := newFatChain(tb, genesis, nil, 2<<10)
 	for i := 0; i < chain; i++ {

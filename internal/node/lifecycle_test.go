@@ -3,6 +3,8 @@ package node
 import (
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,6 +396,77 @@ func TestTrieRetentionBounded(t *testing.T) {
 			t.Fatalf("fork HandleBlock h=%d: %v", b.Header.Height, err)
 		}
 	}
+}
+
+// TestReadersWalkColdStatesWhileBlocksConnect: goroutines read retained
+// post-states deep in the window — states whose tries the node released
+// and whose layers it compacts as the head moves on — while blocks
+// connect (run under -race). Every state answers what the builder's did
+// and commits to its block's root.
+func TestReadersWalkColdStatesWhileBlocksConnect(t *testing.T) {
+	const window = 64
+	n, genesis := lifecycleNode(t, window, 0)
+	bd := newChainBuilder(t, genesis)
+	miners := make([]cryptoutil.Address, 5)
+	for i := range miners {
+		miners[i] = cryptoutil.KeyFromSeed([]byte{byte(i), 'w'}).Address()
+	}
+	var blocks []*types.Block
+	want := map[cryptoutil.Hash][]uint64{} // each miner's balance after each block
+	for parent, i := genesis, 0; i < 160; i++ {
+		parent = bd.extend(parent, miners[i%len(miners)])
+		blocks = append(blocks, parent)
+		for _, m := range miners {
+			want[parent.Hash()] = append(want[parent.Hash()], bd.states[parent.Hash()].Balance(m))
+		}
+	}
+	handleAll(t, n, blocks[:20])
+	var connected atomic.Int64
+	connected.Store(20)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := int(connected.Load())
+				lo := max(0, c-window+8) // well inside the window: retained, mostly cold
+				b := blocks[lo+rng.Intn(c-lo)]
+				st, ok := n.StateAt(b.Hash())
+				if !ok {
+					t.Errorf("no state for height %d", b.Header.Height)
+					return
+				}
+				v := st.Copy()
+				for i, m := range miners {
+					if got := v.Balance(m); got != want[b.Hash()][i] {
+						t.Errorf("height %d: miner %d has %d, want %d", b.Header.Height, i, got, want[b.Hash()][i])
+						return
+					}
+				}
+				if root := v.Commit(); root != b.Header.StateRoot || v.Err() != nil {
+					t.Errorf("height %d: a copy commits to %s, header %s (%v)", b.Header.Height, root.Short(), b.Header.StateRoot.Short(), v.Err())
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(g))))
+	}
+	for _, b := range blocks[20:] {
+		if err := n.HandleBlock(b); err != nil {
+			t.Errorf("HandleBlock h=%d: %v", b.Header.Height, err)
+			break
+		}
+		connected.Add(1)
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestHeadStateErrorInsteadOfPanic: when the head state is gone and its

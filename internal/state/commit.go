@@ -188,14 +188,13 @@ func (s *State) commit() (*mpt.Trie, error) {
 			base = m.trie
 			break
 		}
-		for a := range cur.accounts {
+		w := cur.w.Load()
+		w.eachAccount(func(a cryptoutil.Address, _ Account) {
 			if _, ok := dirty[a]; !ok {
 				dirty[a] = nil
 			}
-		}
-		for k := range cur.slots {
-			dirty[k.Addr] = append(dirty[k.Addr], k.Key)
-		}
+		})
+		w.eachSlot(func(k SlotKey, _ slotWrite) { dirty[k.Addr] = append(dirty[k.Addr], k.Key) })
 		if cur.parent == nil {
 			base = cur.base
 			break

@@ -89,25 +89,31 @@ func (m *model) clone() *model {
 
 // layerPool is the set of live layers of one property run, each with the
 // model of what it must contain. A layer with children is frozen (the
-// package contract), so writes go to leaves.
+// package contract), so writes go to leaves, and never to a compacted one.
 type layerPool struct {
-	t        *testing.T
-	rng      *rand.Rand
-	layers   []*State
-	models   map[*State]*model
-	children map[*State]int
-	addrs    []cryptoutil.Address
-	store    *mapStore
+	t         *testing.T
+	rng       *rand.Rand
+	layers    []*State
+	models    map[*State]*model
+	children  map[*State]int
+	compacted map[*State]bool
+	addrs     []cryptoutil.Address
+	store     *mapStore
 }
 
 func (p *layerPool) pick() *State { return p.layers[p.rng.Intn(len(p.layers))] }
 
-func (p *layerPool) leaf() *State {
+// leaf returns a random layer without children; a writable one — not
+// compacted — if writable is set, nil if there is none.
+func (p *layerPool) leaf(writable bool) *State {
 	var leaves []*State
 	for _, l := range p.layers {
-		if p.children[l] == 0 {
+		if p.children[l] == 0 && !(writable && p.compacted[l]) {
 			leaves = append(leaves, l)
 		}
+	}
+	if len(leaves) == 0 {
+		return nil
 	}
 	return leaves[p.rng.Intn(len(leaves))]
 }
@@ -239,20 +245,24 @@ func (p *layerPool) write(l *State, m *model) string {
 // TestPropertyCommitEqualsFullWalk drives random layer histories —
 // writes, Copy off any layer (so forks off older ones), Absorb, Detach,
 // writes after Commit, released tries, tries flushed to a store and
-// loaded back, a store that stops answering — and requires, at every
+// loaded back, a store that stops answering, layers compacted (their trie
+// released or not) with a child written on top — and requires, at every
 // step, every read of the layer to equal a plain-map model and the
 // incremental Commit to equal the model's trie. While the store is lost a
-// read may fail, but only loudly: never a wrong answer without Err.
+// read may fail, but only loudly: never a wrong answer without Err. The
+// writes include slot tombstones and contract code, so a compacted layer
+// is read, walked by a child's commit and absorbed with all three.
 func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
 			t.Parallel()
 			p := &layerPool{
-				t:        t,
-				rng:      rand.New(rand.NewSource(seed)),
-				models:   make(map[*State]*model),
-				children: make(map[*State]int),
-				store:    &mapStore{nodes: make(map[cryptoutil.Hash][]byte)},
+				t:         t,
+				rng:       rand.New(rand.NewSource(seed)),
+				models:    make(map[*State]*model),
+				children:  make(map[*State]int),
+				compacted: make(map[*State]bool),
+				store:     &mapStore{nodes: make(map[cryptoutil.Hash][]byte)},
 			}
 			for i := 0; i < 12; i++ {
 				p.addrs = append(p.addrs, cryptoutil.KeyFromSeed([]byte{byte(i), 'c'}).Address())
@@ -269,9 +279,11 @@ func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 					l  *State
 					op string
 				)
-				switch r := p.rng.Intn(20); {
+				switch r := p.rng.Intn(22); {
 				case r < 9:
-					l = p.leaf()
+					if l = p.leaf(true); l == nil {
+						continue
+					}
 					op = p.write(l, p.models[l])
 				case r < 13:
 					parent := p.pick()
@@ -281,8 +293,8 @@ func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 				case r < 14:
 					// Fold an only child back into its parent, which then
 					// has no children and is written to directly.
-					c := p.leaf()
-					if c.parent == nil || p.children[c.parent] != 1 {
+					c := p.leaf(false)
+					if c.parent == nil || p.children[c.parent] != 1 || p.compacted[c.parent] {
 						continue
 					}
 					l = c.parent
@@ -316,7 +328,7 @@ func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 						t.Fatalf("step %d: AdoptTrie refused the flushed trie", step)
 					}
 					op = "flush+adopt"
-				default:
+				case r < 20:
 					// The store stops answering. A block applied now works
 					// on a throwaway layer: it fails loudly or is right.
 					l = p.pick()
@@ -335,11 +347,27 @@ func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 					}
 					p.store.lost = false
 					op = "lost+healed"
+				default:
+					// Compact a layer, as the node does once it releases the
+					// trie (here: half the time), and check it; then write a
+					// child over it, whose commit walks the cold writes when
+					// the trie is gone.
+					from := p.pick()
+					from.Commit()
+					if p.rng.Intn(2) == 0 {
+						from.ReleaseTrie()
+					}
+					from.Compact()
+					p.compacted[from] = true
+					p.check(step, "compact", from)
+					l = from.Copy()
+					p.add(l, p.models[from].clone())
+					op = "compact+copy+" + p.write(l, p.models[l])
 				}
 				p.check(step, op, l)
 				if len(p.layers) > 24 {
 					// Retire a leaf so the pool stays small and chains deep.
-					if old := p.leaf(); old != l {
+					if old := p.leaf(false); old != l {
 						p.drop(old)
 					}
 				}

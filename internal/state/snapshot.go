@@ -108,6 +108,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 		return nil, fmt.Errorf("state: unknown snapshot version %d", v)
 	}
 	s := New()
+	w := s.hot()
 
 	named := make(map[cryptoutil.Hash]struct{}) // code hashes in account records
 	n := rd.Count(maxSnapshotItems)
@@ -126,7 +127,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 			return nil, fmt.Errorf("state: snapshot accounts not strictly sorted")
 		}
 		prevAddr = a
-		s.accounts[a] = acc
+		w.accounts[a] = acc
 		if !acc.Code.IsZero() {
 			named[acc.Code] = struct{}{}
 		}
@@ -150,7 +151,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 			return nil, fmt.Errorf("state: snapshot code %s is named by no account or fails hash verification", h.Short())
 		}
 		delete(named, h)
-		s.code[h] = blob
+		w.code[h] = blob
 	}
 	n = rd.Count(maxSnapshotItems)
 	var prevStAddr cryptoutil.Address
@@ -164,7 +165,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 			return nil, fmt.Errorf("state: snapshot storage not strictly sorted")
 		}
 		prevStAddr = a
-		if _, ok := s.accounts[a]; !ok {
+		if _, ok := w.accounts[a]; !ok {
 			return nil, fmt.Errorf("state: snapshot storage of %s, which has no account", a.Hex())
 		}
 		cnt := rd.Count(maxSnapshotItems)
@@ -182,7 +183,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 				return nil, fmt.Errorf("state: snapshot slots not strictly sorted")
 			}
 			prevKey = k
-			s.slots[SlotKey{a, k}] = slotWrite{value: v}
+			w.slots[SlotKey{a, k}] = slotWrite{value: v}
 		}
 	}
 
