@@ -119,12 +119,14 @@ crash-matrix:
 # not follow its transactions per block, a recovered one's follows its
 # chain length by a header a block, a retained post-state below the trie
 # window costs under 72 B per account its block wrote, the gossip
-# seen-cache costs what its comment says and stops at its cap, and a PoW
-# seal allocates as much at difficulty 4096 as at 64.
+# seen-cache costs what its comment says and stops at its cap, a PoW
+# seal allocates as much at difficulty 4096 as at 64, and a transaction's
+# id is a memo and its encoding, like a block's, one allocation.
 heap-gate:
 	$(GO) test -count=1 ./internal/node -run 'TestHeapIndependentOfTxsPerBlock|TestRecoveryHeapIndependentOfChainLength|TestRetainedStateHeapPerAccountWritten' -v
 	$(GO) test -count=1 ./internal/p2p -run TestSeenCacheBytesPerEntry -v
 	$(GO) test -count=1 ./internal/consensus/pow -run TestSolveAllocs -v
+	$(GO) test -count=1 ./internal/types -run TestTxCodecAllocs -v
 
 # The disk gates, without -short: a transfer costs the journal under 190
 # bytes (the canonical encoding verbatim: about 247), and a trie node

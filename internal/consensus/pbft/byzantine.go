@@ -1,10 +1,10 @@
 package pbft
 
-// Byzantine behavior injection for the scenario harness (ISSUE 10 /
-// ROADMAP item 5): an equivocating transport that splits a primary's
-// pre-prepares into two conflicting proposals. It lives in this package
-// because equivocation must re-encode protocol messages with the
-// package-internal codec and digest.
+// Byzantine behavior injection for the scenario harness: an equivocating
+// transport that splits a primary's pre-prepares into two conflicting
+// proposals. It lives in this package because equivocation must
+// re-encode protocol messages with the package-internal codec and
+// digest.
 
 import (
 	"sync"

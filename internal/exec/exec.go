@@ -1,6 +1,7 @@
 // Package exec implements optimistic parallel transaction execution for
-// block application — the throughput lever ROADMAP item 3 names once
-// codecs and signature checks are off the critical path.
+// block application. Serial execution is the default, and ROADMAP item
+// 8 deletes this package once the benchmark stops importing it
+// (docs/EXECUTION.md).
 //
 // The executor speculates a block's transactions concurrently, each lane
 // on its own copy-on-write child layer of the block state with an

@@ -24,7 +24,7 @@ import (
 // DCS_STATE_KEYS=1000000, the opt-in internal/mpt's large-state test
 // uses — on each state backend, and reports the live heap the node is
 // left with (heap-MB: everything the benchmark itself built is dropped
-// first). ROADMAP item 1 asks for the sizes to cost the same: a block's
+// first). ROADMAP item 4 asks for the sizes to cost the same: a block's
 // work is what it touches, not what exists. The chain is built and
 // sealed before the timer starts; EXPERIMENTS.md records the numbers
 // before and after reads went through the trie.

@@ -159,14 +159,14 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 	minerA := cryptoutil.KeyFromSeed([]byte("deep-a")).Address()
 	minerB := cryptoutil.KeyFromSeed([]byte("deep-b")).Address()
 	const forkAt = 10
-	main := bd.chain(genesis, forkAt+3*bodyRetention, minerA)
+	main := bd.chain(genesis, forkAt+3*trieRetention, minerA)
 	for _, b := range main {
 		if err := n.HandleBlock(b); err != nil {
 			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
 		}
 	}
-	if got := n.Tree().BodiesResident(); got > bodyRetention+2 {
-		t.Fatalf("%d bodies resident on a %d-block chain, window is %d", got, len(main), bodyRetention)
+	if got := n.Tree().BodiesResident(); got > trieRetention+2 {
+		t.Fatalf("%d bodies resident on a %d-block chain, window is %d", got, len(main), trieRetention)
 	}
 	if m := n.Metrics(); m.BodyReads != 0 {
 		t.Fatalf("%d read-backs while extending a linear chain", m.BodyReads)
@@ -186,15 +186,15 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 		t.Fatal("the rebuild read nothing back")
 	}
 
-	// A heavier branch from height forkAt: the reorg takes 3*bodyRetention
+	// A heavier branch from height forkAt: the reorg takes 3*trieRetention
 	// blocks off the main chain, nearly all of them evicted.
 	side := bd.chain(main[forkAt-1], len(main)-forkAt+1, minerB)
 	for _, b := range side {
 		if err := n.HandleBlock(b); err != nil {
 			t.Fatalf("HandleBlock side h=%d: %v", b.Header.Height, err)
 		}
-		if got := n.Tree().BodiesResident(); got > 2*(bodyRetention+1)+1 {
-			t.Fatalf("%d bodies resident while the side branch grows, window is %d", got, bodyRetention)
+		if got := n.Tree().BodiesResident(); got > 2*(trieRetention+1)+1 {
+			t.Fatalf("%d bodies resident while the side branch grows, window is %d", got, trieRetention)
 		}
 	}
 	tip := side[len(side)-1]
@@ -230,8 +230,8 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 			snap["node_block_body_reads_total"], snap["node_block_body_read_errors_total"], m.BodyReads)
 	}
 	// Two branches reach into the window of heights, and genesis.
-	if got := snap["node_block_bodies_resident"]; got < 1 || got > 2*(bodyRetention+1)+1 {
-		t.Fatalf("node_block_bodies_resident = %d, window is %d", got, bodyRetention)
+	if got := snap["node_block_bodies_resident"]; got < 1 || got > 2*(trieRetention+1)+1 {
+		t.Fatalf("node_block_bodies_resident = %d, window is %d", got, trieRetention)
 	}
 	if got := snap["node_block_tree_size"]; got != int64(len(main)+len(side)+1) {
 		t.Fatalf("node_block_tree_size = %d, want every header: %d", got, len(main)+len(side)+1)
@@ -271,7 +271,10 @@ func TestCrashMatrixBodies(t *testing.T) {
 	script := func(bd *chainBuilder, genesis *types.Block) []*types.Block {
 		a := cryptoutil.KeyFromSeed([]byte("body-a")).Address()
 		b := cryptoutil.KeyFromSeed([]byte("body-b")).Address()
-		main := bd.chain(genesis, bodyRetention+12, a)
+		// 44 blocks, five windows and more, and a fork of three from
+		// height 20 that arrives with the head at 30: its base block is
+		// below the window by then.
+		main := bd.chain(genesis, 44, a)
 		fork := bd.chain(main[19], 3, b)
 		return append(append(main[:30:30], fork...), main[30:]...)
 	}
@@ -353,14 +356,14 @@ func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
 		Clock:      func() time.Time { return frozen }, // the interval never elapses
 	})
 	bd := newChainBuilder(t, genesis)
-	blocks := bd.chain(genesis, bodyRetention+8, cryptoutil.KeyFromSeed([]byte("unsynced")).Address())
+	blocks := bd.chain(genesis, trieRetention+8, cryptoutil.KeyFromSeed([]byte("unsynced")).Address())
 	for _, b := range blocks {
 		if err := n.HandleBlock(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Checkpoints sync what they cover: look above the last one.
-	b := blocks[len(blocks)-bodyRetention-2]
+	b := blocks[len(blocks)-trieRetention-2]
 	if st := ds.Stats().WAL; st.Rotations != 0 {
 		t.Fatalf("%d rotations: the block is not in the active segment", st.Rotations)
 	}
@@ -415,7 +418,7 @@ func TestRecoveryHeapIndependentOfChainLength(t *testing.T) {
 		if n.Chain().Head() != head || n.Chain().Height() != uint64(blocks) {
 			t.Fatalf("recovered %s@%d, want %s@%d", n.Chain().Head().Short(), n.Chain().Height(), head.Short(), blocks)
 		}
-		if got := n.Tree().BodiesResident(); got > bodyRetention+2 {
+		if got := n.Tree().BodiesResident(); got > trieRetention+2 {
 			t.Fatalf("%d bodies resident after recovering %d blocks", got, blocks)
 		}
 		return inuse, live
@@ -479,7 +482,7 @@ func TestHeapIndependentOfTxsPerBlock(t *testing.T) {
 		}
 		chain = nil
 		_, live := heapAfterGC()
-		if n.Chain().Height() != blocks || n.Tree().BodiesResident() > bodyRetention+2 {
+		if n.Chain().Height() != blocks || n.Tree().BodiesResident() > trieRetention+2 {
 			t.Fatalf("height %d, %d bodies resident after %d blocks", n.Chain().Height(), n.Tree().BodiesResident(), blocks)
 		}
 		if got := n.Chain().TxIndexEntries(); got != 0 {
@@ -624,8 +627,8 @@ func connectOnChain(tb testing.TB, chain, count int) (perBlock time.Duration, he
 // node holds the bodies of the window and no more.
 func TestResidentBodiesBounded(t *testing.T) {
 	for _, chain := range []int{100, 400} {
-		if _, _, resident := connectOnChain(t, chain, 50); resident > bodyRetention+2 {
-			t.Fatalf("%d bodies resident on a chain of %d blocks, window is %d", resident, chain+50, bodyRetention)
+		if _, _, resident := connectOnChain(t, chain, 50); resident > trieRetention+2 {
+			t.Fatalf("%d bodies resident on a chain of %d blocks, window is %d", resident, chain+50, trieRetention)
 		}
 	}
 }

@@ -133,7 +133,7 @@ type Metrics struct {
 	RecoveryReroots uint64 // recoveries that re-rooted the tree at a checkpoint
 
 	// Block bodies read back from the journal (zero unless Config.Durable
-	// is set): old bodies are not kept in memory, see bodyRetention.
+	// is set): old bodies are not kept in memory, see trieRetention.
 	BodyReads      uint64
 	BodyReadErrors uint64
 
@@ -224,6 +224,9 @@ type Node struct {
 	// Read-backs happen on whatever goroutine asked the tree for an old
 	// block, with or without n.mu: counted atomically.
 	bodyReads, bodyReadErrors atomic.Uint64
+	// Submissions are counted without n.mu, so a submit never waits on a
+	// connect.
+	txsSubmitted atomic.Uint64
 
 	// obs is the seam every stage of the pipeline is observed through:
 	// the latency histograms of the stages New names (exported via
@@ -430,6 +433,7 @@ func (n *Node) Metrics() Metrics {
 func (n *Node) metricsLocked() Metrics {
 	m := n.metrics
 	m.BodyReads, m.BodyReadErrors = n.bodyReads.Load(), n.bodyReadErrors.Load()
+	m.TxsSubmitted = n.txsSubmitted.Load()
 	m.StateReadErrors = n.stateReadErrs.Load()
 	return m
 }
@@ -617,28 +621,26 @@ func (n *Node) pruneStatesLocked() {
 	}
 }
 
-// trieRetention is how far below the head a retained state keeps its
-// account trie. A block that extends a state deeper than this (a deep
-// reorg) reads and commits through the layers down to the detached state
-// under them; in exchange a node holds a handful of trie versions, not
-// one per retained state.
+// trieRetention is the hot window: how far below the head a retained
+// state keeps its account trie, and the block tree of a durable node the
+// decoded bodies of its blocks. A fork within it costs no journal read
+// and no trie rebuild. A block that extends a state deeper than this (a
+// deep reorg) reads and commits through the layers down to the detached
+// state under them, and the bodies it needs — as a state rebuild or a
+// peer that asks for an old block does — are read back from the journal
+// (journalBodies). In exchange a node holds a handful of trie versions
+// and of bodies, not one per retained state. A block the journal does
+// not hold — a store that latched failed — stays in memory whatever its
+// depth, and a memory-only node evicts no body.
 const trieRetention = 8
 
-// bodyRetention is how far below the head the block tree of a durable
-// node keeps decoded block bodies in memory. Deeper blocks keep their
-// header there; a reorg, a state rebuild or a peer that needs such a
-// body has it read back from the journal (journalBodies). A block the
-// journal does not hold — a store that latched failed — stays in memory
-// whatever its depth, and a memory-only node evicts nothing.
-const bodyRetention = 32
-
 // evictBodiesLocked lets go of the journaled bodies more than
-// bodyRetention below the head, on whatever branch. It runs after every
+// trieRetention below the head, on whatever branch. It runs after every
 // connect, not only when the head moves: a long side branch must not
 // pile up in memory while it waits to win. Caller holds n.mu.
 func (n *Node) evictBodiesLocked() {
-	if head := n.chain.Height(); head > bodyRetention {
-		n.tree.EvictBodies(head - bodyRetention)
+	if head := n.chain.Height(); head > trieRetention {
+		n.tree.EvictBodies(head - trieRetention)
 	}
 }
 
@@ -701,22 +703,18 @@ func (n *Node) OnBlock(fn func(*types.Block)) {
 	n.blockSubs = append(n.blockSubs, fn)
 }
 
-// SubmitTx validates a transaction into the mempool and gossips it.
-// The publish happens after the pool mutation's lock is released: the
-// transport must never run under n.mu (lockhold invariant), and the
-// transaction is immutable once encoded, so nothing is raced.
+// SubmitTx validates a transaction into the mempool and gossips it,
+// without taking n.mu: the pool has its own lock, the count is atomic
+// and the gossiper is set once by Attach, before Start. So a submit
+// never waits behind a block connect, and the transport never runs
+// under n.mu (lockhold invariant).
 func (n *Node) SubmitTx(tx *types.Transaction) error {
-	// The pool has its own lock; its signature check must not hold up
-	// block connects and reads behind n.mu.
 	if err := n.pool.Add(tx); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.metrics.TxsSubmitted++
-	g := n.gossiper
-	n.mu.Unlock()
-	if g != nil {
-		g.Publish(TopicTx, tx.Encode())
+	n.txsSubmitted.Add(1)
+	if n.gossiper != nil {
+		n.gossiper.Publish(TopicTx, tx.Encode())
 	}
 	return nil
 }
@@ -740,6 +738,7 @@ func (n *Node) onBlockGossip(from p2p.NodeID, payload []byte) {
 	if err != nil {
 		return
 	}
+	n.pool.Adopt(b.Txs) // before n.mu: the pool's lock only
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	_ = n.handleBlockFrom(b, from)
@@ -769,6 +768,7 @@ func (n *Node) onDirect(m p2p.Message) {
 		if err != nil {
 			return
 		}
+		n.pool.Adopt(b.Txs)
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		delete(n.requested, b.Hash())

@@ -24,8 +24,10 @@ func blockAt(b *types.Block, h cryptoutil.Hash) obs.At {
 
 // verifyLocked is the verify stage: what can be checked of b without a
 // state — the transaction root, the signatures (fanned out across CPU
-// cores) and the seal against the parent block. A caller for whom a
-// verified state root vouches for the signatures waives them (sigs false).
+// cores; a transaction the block adopted from the pool was verified on
+// admission and costs nothing here) and the seal against the parent
+// block. A caller for whom a verified state root vouches for the
+// signatures waives them (sigs false).
 func (n *Node) verifyLocked(b *types.Block, at obs.At, sigs bool) error {
 	sw := obs.StartTimer()
 	parent, ok := n.tree.Get(b.Header.ParentHash)

@@ -1,5 +1,5 @@
-// Package scenario is the adversarial scenario harness (ROADMAP item
-// 5): a discrete-event engine that runs large simulated deployments —
+// Package scenario is the adversarial scenario harness: a
+// discrete-event engine that runs large simulated deployments —
 // 1,000+ nodes — from a declarative script of timed steps (churn,
 // asymmetric and healing partitions, crash-recovery via WAL failpoints,
 // Byzantine actors) across the pow, pbft, and raft consensus families,

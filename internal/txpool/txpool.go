@@ -128,6 +128,21 @@ func (p *Pool) Has(id cryptoutil.Hash) bool {
 	return ok
 }
 
+// Adopt replaces, in place, each of txs that the pool holds by the
+// pool's instance of it, matched by id, under one hold of the pool's
+// lock. A pooled instance passed Verify on admission, which memoizes the
+// result, so a block decoded from the wire pays no signature check for
+// the transactions it adopts, and the node keeps one copy of each.
+func (p *Pool) Adopt(txs []*types.Transaction) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, tx := range txs {
+		if pooled, ok := p.txs[tx.ID()]; ok {
+			txs[i] = pooled
+		}
+	}
+}
+
 // Len returns the number of pooled transactions.
 func (p *Pool) Len() int {
 	p.mu.Lock()

@@ -290,3 +290,24 @@ func TestSelectGroupsSendersOnFeeTies(t *testing.T) {
 		}
 	}
 }
+
+// TestAdopt: a decoded copy of a pooled transaction is replaced by the
+// pooled instance, verified on admission; anything else is left alone.
+func TestAdopt(t *testing.T) {
+	p := New(0)
+	pooled := tx(t, "a", 0, 1)
+	if err := p.Add(pooled); err != nil {
+		t.Fatal(err)
+	}
+	stranger := tx(t, "b", 0, 1)
+	txs := []*types.Transaction{types.NewCoinbase(cryptoutil.ZeroAddress, 50, 1), nil, stranger}
+	var err error
+	if txs[1], err = types.DecodeTransaction(pooled.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	cb := txs[0]
+	p.Adopt(txs)
+	if txs[0] != cb || txs[1] != pooled || txs[2] != stranger {
+		t.Fatal("Adopt must swap in exactly the pooled instance")
+	}
+}

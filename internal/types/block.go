@@ -2,6 +2,8 @@ package types
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -41,23 +43,32 @@ const NonceOffset = cryptoutil.HashSize + 3*8
 // Encode returns the canonical encoding of the header. The proof-of-work
 // puzzle and the header hash are both computed over this encoding.
 func (h *BlockHeader) Encode() []byte {
-	var buf bytes.Buffer
-	buf.Write(h.ParentHash[:])
-	writeUint64(&buf, h.Height)
-	writeUint64(&buf, uint64(h.Time))
-	writeUint64(&buf, h.Difficulty)
-	writeUint64(&buf, h.Nonce)
-	buf.Write(h.TxRoot[:])
-	buf.Write(h.StateRoot[:])
-	buf.Write(h.Proposer[:])
-	writeBytes(&buf, h.Extra)
-	return buf.Bytes()
+	return h.appendTo(make([]byte, 0, h.encodedLen()))
+}
+
+// encodedLen is the length of the canonical encoding.
+func (h *BlockHeader) encodedLen() int {
+	return 3*cryptoutil.HashSize + cryptoutil.AddressSize + 5*8 + len(h.Extra)
+}
+
+// appendTo appends the canonical encoding to dst.
+func (h *BlockHeader) appendTo(dst []byte) []byte {
+	dst = append(dst, h.ParentHash[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, h.Height)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(h.Time))
+	dst = binary.BigEndian.AppendUint64(dst, h.Difficulty)
+	dst = binary.BigEndian.AppendUint64(dst, h.Nonce)
+	dst = append(dst, h.TxRoot[:]...)
+	dst = append(dst, h.StateRoot[:]...)
+	dst = append(dst, h.Proposer[:]...)
+	return appendBytes(dst, h.Extra)
 }
 
 // Hash returns the block identifier: the hash of the canonical header
-// encoding.
+// encoding, encoded into a buffer on the stack.
 func (h *BlockHeader) Hash() cryptoutil.Hash {
-	return cryptoutil.HashBytes([]byte(BlockHashTag), h.Encode())
+	var buf [stackEncoding]byte
+	return sha256.Sum256(h.appendTo(append(buf[:0], BlockHashTag...)))
 }
 
 // DecodeBlockHeader parses a header from its canonical encoding.
@@ -157,17 +168,25 @@ func (b *Block) TxProof(i int) (merkle.Proof, error) {
 
 // Encode returns the canonical encoding of the whole block.
 func (b *Block) Encode() []byte {
-	var buf bytes.Buffer
-	writeBytes(&buf, b.Header.Encode())
-	writeUint64(&buf, uint64(len(b.Txs)))
+	dst := make([]byte, 0, b.Size())
+	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Header.encodedLen()))
+	dst = b.Header.appendTo(dst)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Txs)))
 	for _, tx := range b.Txs {
-		writeBytes(&buf, tx.Encode())
+		dst = binary.BigEndian.AppendUint64(dst, uint64(tx.encodedLen()))
+		dst = tx.appendTo(dst, true)
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // Size returns the encoded size of the block in bytes.
-func (b *Block) Size() int { return len(b.Encode()) }
+func (b *Block) Size() int {
+	n := 8 + b.Header.encodedLen() + 8
+	for _, tx := range b.Txs {
+		n += 8 + tx.encodedLen()
+	}
+	return n
+}
 
 // PeekBlockHeader decodes only the header of an encoded block: enough to
 // know the block's hash and height without paying for its transactions.
@@ -203,7 +222,7 @@ func DecodeBlock(data []byte) (*Block, error) {
 		b.Txs = make([]*Transaction, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		tb, err := readBytes(r)
+		tb, err := viewBytes(r, data)
 		if err != nil {
 			return nil, err
 		}
@@ -217,4 +236,16 @@ func DecodeBlock(data []byte) (*Block, error) {
 		return nil, fmt.Errorf("types: %d trailing bytes after block", r.Len())
 	}
 	return b, nil
+}
+
+// viewBytes is readBytes without the copy: the field r reads next, as a
+// slice of data, the bytes r reads from.
+func viewBytes(r *bytes.Reader, data []byte) ([]byte, error) {
+	n, err := readLen(r)
+	if err != nil {
+		return nil, err
+	}
+	off := len(data) - r.Len()
+	_, _ = r.Seek(int64(n), io.SeekCurrent) // cannot fail: readLen checked r holds n bytes
+	return data[off : off+n], nil
 }

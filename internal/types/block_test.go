@@ -29,10 +29,21 @@ func TestNewBlockSetsTxRoot(t *testing.T) {
 	}
 }
 
+// TestTxRootDetectsTampering tampers the encoding, the bytes an attacker
+// controls, and decodes it: a transaction is immutable once signed.
 func TestTxRootDetectsTampering(t *testing.T) {
 	b := testBlock(t, 4)
-	b.Txs[2].Value += 1_000_000
-	if b.VerifyTxRoot() {
+	enc := b.Encode()
+	// The low byte of tx 2's value: the 8th after its kind, from and to.
+	enc[bytes.Index(enc, b.Txs[2].Encode())+1+2*cryptoutil.AddressSize+7] ^= 0x40
+	tampered, err := DecodeBlock(enc)
+	if err != nil {
+		t.Fatalf("DecodeBlock: %v", err)
+	}
+	if tampered.Txs[2].Value == b.Txs[2].Value {
+		t.Fatal("the tamper missed the value")
+	}
+	if tampered.VerifyTxRoot() {
 		t.Fatal("tampered body must fail tx-root verification")
 	}
 }

@@ -17,7 +17,9 @@ import (
 //     codec is canonical, so a journaled block replays to the same
 //     identity it was committed under;
 //  3. hash, tx-root verification, and Size stay total on decoded
-//     blocks.
+//     blocks;
+//  4. decode then encode is the identity, and the id DecodeTransaction
+//     memoizes is the hash of the re-encoding of an unmemoized copy.
 func FuzzBlockDecode(f *testing.F) {
 	miner := cryptoutil.KeyFromSeed([]byte("fuzz-miner")).Address()
 	empty := NewBlock(cryptoutil.HashBytes([]byte("parent")), 1, 1000, miner, nil)
@@ -38,6 +40,12 @@ func FuzzBlockDecode(f *testing.F) {
 			return
 		}
 		re := b.Encode()
+		if !bytes.Equal(re, data) {
+			t.Fatal("an accepted encoding does not encode back to itself")
+		}
+		if b.Size() != len(re) {
+			t.Fatalf("Size %d, encoding %d bytes", b.Size(), len(re))
+		}
 		b2, err := DecodeBlock(re)
 		if err != nil {
 			t.Fatalf("re-encoded block does not decode: %v", err)
@@ -57,6 +65,11 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 			if tx2.ID() != b.Txs[i].ID() {
 				t.Fatalf("tx %d: id changed across round trip", i)
+			}
+			fresh := *b.Txs[i]
+			fresh.id = cryptoutil.Hash{}
+			if want := cryptoutil.HashBytes([]byte(txIDTag), fresh.Encode()); b.Txs[i].ID() != want || fresh.ID() != want {
+				t.Fatalf("tx %d: memoized id %s, the re-encoding hashes to %s", i, b.Txs[i].ID().Short(), want.Short())
 			}
 		}
 	})

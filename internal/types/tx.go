@@ -6,6 +6,7 @@ package types
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,6 +63,12 @@ const maxFieldLen = 1 << 24
 
 // Transaction is an account-model transaction. Fee is the total fee the
 // sender offers; the block producer collects it (Section 2.4 incentives).
+//
+// An instance is immutable once signed or decoded: its id and a
+// successful verification are memoized on it, and a node shares one
+// instance per transaction between its pool, its blocks and the
+// goroutines that read them. To change a field, build a new transaction
+// and sign it.
 type Transaction struct {
 	Kind     TxKind             `json:"kind"`
 	From     cryptoutil.Address `json:"from"`
@@ -76,10 +83,29 @@ type Transaction struct {
 
 	// sigOK memoizes a successful signature verification (1 = verified),
 	// accessed atomically so VerifyBatch workers and the sequential
-	// apply path can share it. Transactions are treated as immutable
-	// once signed/decoded; Sign resets the memo.
+	// apply path can share it. Sign resets the memo.
 	sigOK uint32
+	// id memoizes ID. Sign, SignDeterministic and DecodeTransaction set it
+	// before the instance is shared, and nothing writes it after, so
+	// readers need no synchronization. It stays zero on an instance that
+	// was neither signed nor decoded (the coinbase a proposer builds),
+	// whose ID is computed on every call.
+	id cryptoutil.Hash
 }
+
+// Domain tags: a transaction's signing digest and its id are the SHA-256
+// of the tag followed by its canonical encoding, without and with PubKey
+// and Sig.
+const (
+	signingTag = "dcsledger/tx"
+	txIDTag    = "dcsledger/txid"
+)
+
+// stackEncoding bounds the tag and encoding that digest and
+// DecodeTransaction hash from a buffer on the stack: a signed transfer
+// is about 250 bytes with its tag. A longer one (a deploy's code) is
+// hashed all the same, from the heap.
+const stackEncoding = 512
 
 // NewTransfer builds an unsigned value transfer.
 func NewTransfer(from, to cryptoutil.Address, value, fee, nonce uint64) *Transaction {
@@ -106,17 +132,24 @@ func NewCoinbase(to cryptoutil.Address, reward uint64, height uint64) *Transacti
 // SigningDigest returns the hash a sender signs: the canonical encoding of
 // everything except PubKey and Sig.
 func (tx *Transaction) SigningDigest() cryptoutil.Hash {
-	var buf bytes.Buffer
-	tx.encodeTo(&buf, false)
-	return cryptoutil.HashBytes([]byte("dcsledger/tx"), buf.Bytes())
+	return tx.digest(signingTag, false)
 }
 
 // ID returns the transaction identifier: the hash of the full canonical
 // encoding, including the signature.
 func (tx *Transaction) ID() cryptoutil.Hash {
-	var buf bytes.Buffer
-	tx.encodeTo(&buf, true)
-	return cryptoutil.HashBytes([]byte("dcsledger/txid"), buf.Bytes())
+	if tx.id != (cryptoutil.Hash{}) {
+		return tx.id
+	}
+	return tx.digest(txIDTag, true)
+}
+
+// digest hashes tag followed by the canonical encoding, with or without
+// PubKey and Sig (cryptoutil.HashBytes of the two), encoded into a
+// buffer on the stack.
+func (tx *Transaction) digest(tag string, includeSig bool) cryptoutil.Hash {
+	var buf [stackEncoding]byte
+	return sha256.Sum256(tx.appendTo(append(buf[:0], tag...), includeSig))
 }
 
 // Sign attaches the key's signature and public key to the transaction.
@@ -132,6 +165,7 @@ func (tx *Transaction) Sign(k *cryptoutil.KeyPair) error {
 	tx.PubKey = k.PublicKey()
 	tx.Sig = sig
 	atomic.StoreUint32(&tx.sigOK, 0) // new signature: drop any stale memo
+	tx.id = tx.digest(txIDTag, true)
 	return nil
 }
 
@@ -150,6 +184,7 @@ func (tx *Transaction) SignDeterministic(k *cryptoutil.KeyPair) error {
 	tx.PubKey = k.PublicKey()
 	tx.Sig = sig
 	atomic.StoreUint32(&tx.sigOK, 0)
+	tx.id = tx.digest(txIDTag, true)
 	return nil
 }
 
@@ -200,14 +235,14 @@ func (tx *Transaction) Cost() (uint64, error) {
 	return c, nil
 }
 
-// Encode writes the full canonical encoding of the transaction.
+// Encode returns the full canonical encoding of the transaction.
 func (tx *Transaction) Encode() []byte {
-	var buf bytes.Buffer
-	tx.encodeTo(&buf, true)
-	return buf.Bytes()
+	return tx.appendTo(make([]byte, 0, tx.encodedLen()), true)
 }
 
-// DecodeTransaction parses a transaction from its canonical encoding.
+// DecodeTransaction parses a transaction from its canonical encoding and
+// memoizes its id. The codec is canonical — a decoded transaction
+// encodes back to b — so the id is the hash of b itself.
 func DecodeTransaction(b []byte) (*Transaction, error) {
 	r := bytes.NewReader(b)
 	tx, err := readTransaction(r)
@@ -217,22 +252,32 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("types: %d trailing bytes after transaction", r.Len())
 	}
+	var buf [stackEncoding]byte
+	tx.id = sha256.Sum256(append(append(buf[:0], txIDTag...), b...))
 	return tx, nil
 }
 
-func (tx *Transaction) encodeTo(w *bytes.Buffer, includeSig bool) {
-	w.WriteByte(byte(tx.Kind))
-	w.Write(tx.From[:])
-	w.Write(tx.To[:])
-	writeUint64(w, tx.Value)
-	writeUint64(w, tx.Fee)
-	writeUint64(w, tx.Nonce)
-	writeUint64(w, tx.GasLimit)
-	writeBytes(w, tx.Data)
+// encodedLen is the length of the full canonical encoding.
+func (tx *Transaction) encodedLen() int {
+	return 1 + 2*cryptoutil.AddressSize + 4*8 + 3*8 + len(tx.Data) + len(tx.PubKey) + len(tx.Sig)
+}
+
+// appendTo appends the canonical encoding to dst, with or without PubKey
+// and Sig.
+func (tx *Transaction) appendTo(dst []byte, includeSig bool) []byte {
+	dst = append(dst, byte(tx.Kind))
+	dst = append(dst, tx.From[:]...)
+	dst = append(dst, tx.To[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, tx.Value)
+	dst = binary.BigEndian.AppendUint64(dst, tx.Fee)
+	dst = binary.BigEndian.AppendUint64(dst, tx.Nonce)
+	dst = binary.BigEndian.AppendUint64(dst, tx.GasLimit)
+	dst = appendBytes(dst, tx.Data)
 	if includeSig {
-		writeBytes(w, tx.PubKey)
-		writeBytes(w, tx.Sig)
+		dst = appendBytes(dst, tx.PubKey)
+		dst = appendBytes(dst, tx.Sig)
 	}
+	return dst
 }
 
 func readTransaction(r *bytes.Reader) (*Transaction, error) {
@@ -275,12 +320,6 @@ func TxHashes(txs []*Transaction) []cryptoutil.Hash {
 	return out
 }
 
-func writeUint64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
 func readUint64(r *bytes.Reader) (uint64, error) {
 	var b [8]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -289,25 +328,33 @@ func readUint64(r *bytes.Reader) (uint64, error) {
 	return binary.BigEndian.Uint64(b[:]), nil
 }
 
-func writeBytes(w *bytes.Buffer, b []byte) {
-	writeUint64(w, uint64(len(b)))
-	w.Write(b)
+// appendBytes appends b behind its length, 8 big-endian bytes.
+func appendBytes(dst, b []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, uint64(len(b))), b...)
+}
+
+// readLen reads the length of a field: no more than maxFieldLen, nor
+// than r holds.
+func readLen(r *bytes.Reader) (int, error) {
+	n, err := readUint64(r)
+	if err != nil {
+		return 0, err
+	}
+	if n > maxFieldLen {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	if n > uint64(r.Len()) {
+		return 0, fmt.Errorf("types: read bytes: %w", io.ErrUnexpectedEOF)
+	}
+	return int(n), nil
 }
 
 func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := readUint64(r)
-	if err != nil {
+	n, err := readLen(r)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n > maxFieldLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
 	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("types: read bytes: %w", err)
-	}
+	_, _ = r.Read(out) // reads all n: readLen checked r holds them
 	return out, nil
 }

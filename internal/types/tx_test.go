@@ -217,3 +217,33 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTxCodecAllocs: the id of a signed or decoded transaction is a
+// memo, and the digests of any other are hashed from the stack; an
+// encoding is one exact-size allocation, a transaction's and a block's.
+func TestTxCodecAllocs(t *testing.T) {
+	signed, _ := signedTransfer(t, "allocs", 1)
+	decoded, err := DecodeTransaction(signed.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := testBlock(t, 8)
+	cb := b.Txs[0]
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"signed.ID", 0, func() { _ = signed.ID() }},
+		{"decoded.ID", 0, func() { _ = decoded.ID() }},
+		{"coinbase.ID", 0, func() { _ = cb.ID() }},
+		{"SigningDigest", 0, func() { _ = decoded.SigningDigest() }},
+		{"Header.Hash", 0, func() { _ = b.Hash() }},
+		{"Transaction.Encode", 1, func() { _ = decoded.Encode() }},
+		{"Block.Encode", 1, func() { _ = b.Encode() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
