@@ -502,7 +502,8 @@ func TestHeadStateErrorInsteadOfPanic(t *testing.T) {
 
 // TestSubmitTxVerifiesOutsideNodeLock: admission (an ECDSA verify under
 // the pool's own lock) completes while another goroutine holds the node
-// lock, as a block connect does; only the counter waits for it.
+// lock, as a block connect does (TestSubmitTxReturnsWhileNodeLockHeld
+// requires the whole submit to).
 func TestSubmitTxVerifiesOutsideNodeLock(t *testing.T) {
 	n, _ := lifecycleNode(t, 0, 0)
 	alice := cryptoutil.KeyFromSeed([]byte("alice"))
