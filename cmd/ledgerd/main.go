@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
@@ -92,6 +93,18 @@ func (a allocList) Set(v string) error {
 	return nil
 }
 
+// sampleHeap turns the runtime's heap allocation sampling off unless on:
+// only a heap profile reads the samples, and only -pprof serves one. Off,
+// a process saves the sampling and the profile's bucket table. It returns
+// what puts the rate back.
+func sampleHeap(on bool) (restore func()) {
+	rate := runtime.MemProfileRate
+	if !on {
+		runtime.MemProfileRate = 0
+	}
+	return func() { runtime.MemProfileRate = rate }
+}
+
 func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -128,6 +141,7 @@ func run(args []string, stop <-chan os.Signal) error {
 	fs.Var(peers, "peer", "peer as id=host:port (repeatable)")
 	fs.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited with 2
+	defer sampleHeap(*pprofOn)()
 
 	key := cryptoutil.KeyFromSeed([]byte("ledgerd/" + *id))
 	log.Printf("node %s, address %s", *id, key.Address())
@@ -380,9 +394,14 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 		writeJSON(w, b)
 	})
 	mux.HandleFunc("POST /tx", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := hexBody(r)
+		raw, err := hexBody(w, r)
 		if err != nil {
-			fail(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			fail(w, code, err)
 			return
 		}
 		tx, err := types.DecodeTransaction(raw)
@@ -475,11 +494,17 @@ func readOr503(w http.ResponseWriter, view *state.State) bool {
 	return true
 }
 
-func hexBody(r *http.Request) ([]byte, error) {
+// maxTxBody is the largest POST /tx body read: a transaction as large as
+// a gossip frame can carry, hex-encoded, and room for the JSON around it.
+const maxTxBody = 2*p2p.DefaultMaxFrame + 1<<10
+
+// hexBody reads a POST /tx body, {"txHex": ...}, of at most maxTxBody
+// bytes: past that the error is an *http.MaxBytesError.
+func hexBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var body struct {
 		TxHex string `json:"txHex"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTxBody)).Decode(&body); err != nil {
 		return nil, err
 	}
 	return hex.DecodeString(body.TxHex)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -389,6 +390,7 @@ func daemonSeries(t *testing.T, args ...string) string {
 	}
 	httpAddr := ln.Addr().String()
 	ln.Close()
+	rate := runtime.MemProfileRate
 	stop, done := make(chan os.Signal, 1), make(chan error, 1)
 	go func() {
 		done <- run(append([]string{"-listen", "127.0.0.1:0", "-http", httpAddr, "-mine=false"}, args...), stop)
@@ -417,6 +419,9 @@ func daemonSeries(t *testing.T, args ...string) string {
 	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		t.Errorf("run: %v", err)
 	}
+	if runtime.MemProfileRate != rate {
+		t.Errorf("run left MemProfileRate at %d, it was %d", runtime.MemProfileRate, rate)
+	}
 	var series strings.Builder
 	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
 		name, value, ok := strings.Cut(line, " ")
@@ -426,6 +431,70 @@ func daemonSeries(t *testing.T, args ...string) string {
 		series.WriteString(name + "\n")
 	}
 	return series.String()
+}
+
+// TestPostTxBodyLimit: POST /tx reads at most maxTxBody bytes — a body
+// past it is 413 and the pool does not change — while a transfer is
+// still admitted.
+func TestPostTxBodyLimit(t *testing.T) {
+	alice := wallet.FromSeed("alice")
+	srv, n := testServer(t, map[cryptoutil.Address]uint64{alice.Address(): 1000})
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/tx", "application/json", body)
+		if err != nil {
+			t.Fatalf("POST /tx: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// The hex digits come from a reader, not from memory: only the server
+	// holds what it reads, and only up to the limit.
+	digits := io.LimitReader(zeros{}, maxTxBody)
+	huge := io.MultiReader(strings.NewReader(`{"txHex":"`), digits, strings.NewReader(`"}`))
+	if code := post(huge); code != http.StatusRequestEntityTooLarge || n.Pool().Len() != 0 {
+		t.Fatalf("a %d-byte body: code %d, mempool %d; want 413 and nothing admitted", maxTxBody+12, code, n.Pool().Len())
+	}
+	tx, err := alice.Transfer(wallet.FromSeed("bob").Address(), 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]string{"txHex": hex.EncodeToString(tx.Encode())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(bytes.NewReader(body)); code != http.StatusOK || n.Pool().Len() != 1 {
+		t.Fatalf("a transfer: code %d, mempool %d; want 200 and it admitted", code, n.Pool().Len())
+	}
+}
+
+// zeros reads as an endless run of the hex digit '0'.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestSampleHeap: heap sampling is off without -pprof, untouched with
+// it, and put back as it was either way.
+func TestSampleHeap(t *testing.T) {
+	before := runtime.MemProfileRate
+	restore := sampleHeap(false)
+	if runtime.MemProfileRate != 0 {
+		t.Fatalf("without -pprof MemProfileRate = %d, want 0", runtime.MemProfileRate)
+	}
+	restore()
+	restore = sampleHeap(true)
+	if runtime.MemProfileRate != before {
+		t.Fatalf("with -pprof MemProfileRate = %d, want %d", runtime.MemProfileRate, before)
+	}
+	restore()
+	if runtime.MemProfileRate != before {
+		t.Fatalf("restored MemProfileRate = %d, want %d", runtime.MemProfileRate, before)
+	}
 }
 
 func TestTraceAndPprofEndpoints(t *testing.T) {

@@ -16,6 +16,14 @@
 //
 // A copy may overlap its own output (offset 1 repeats the last byte).
 // The encoder is deterministic: the same input gives the same bytes.
+//
+// An encoding may also be one input of a stream (Encoder.Next): its
+// copies then reach back past its own start into the window, the inputs
+// encoded before it since the stream's Reset, and the decoder is handed
+// that window (AppendDecode). The element format is the same; only where
+// a copy may reach changes. Next can keep a prefix of its input, a
+// block's header, from copying out of the window, so that prefix
+// inflates without one.
 package lz
 
 import (
@@ -33,25 +41,87 @@ const (
 	maxLiteral = 64      // one literal element
 	maxShort   = 11      // one short copy
 	maxLong    = 131     // one long copy
-	shortReach = 1 << 11 // offsets below this fit a short copy; a long one reaches 65535
+	shortReach = 1 << 11 // offsets below this fit a short copy; a long one reaches Window
 	tableBits  = 13      // each of the two tables
 )
 
-// Encoder holds the two hash tables encoding needs, 32 KiB together,
-// which every Encode call clears and reuses. The zero value is ready; an
-// Encoder is not safe for concurrent use.
+// Window is how far back a copy reaches: 65535 bytes, the largest offset
+// a long copy holds.
+const Window = 1<<16 - 1
+
+// MaxEncodedLen is the longest encoding of n bytes: the length, and one
+// literal tag for every 64 bytes.
+func MaxEncodedLen(n int) int {
+	return binary.MaxVarintLen64 + n + (n+maxLiteral-1)/maxLiteral
+}
+
+// Trim drops from the front of win what no copy can reach any longer,
+// once that is more than Window bytes, and returns the rest moved to the
+// front of the same array. A window that is extended input after input
+// and trimmed after each stays under twice Window and one input.
+func Trim(win []byte) []byte {
+	if len(win) <= 2*Window {
+		return win
+	}
+	return append(win[:0], win[len(win)-Window:]...)
+}
+
+// Encoder holds the two hash tables encoding needs, 32 KiB together, and
+// the window of a stream (Next). The zero value is ready; an Encoder is
+// not safe for concurrent use.
 type Encoder struct {
 	// long and short map the hash of an 8-byte and of a 4-byte group to
-	// the position it was last looked up at, modulo the window: all a
+	// the stream position it was last looked up at, modulo 2^16: all a
 	// copy's offset needs.
 	long, short [1 << tableBits]uint16
+	// win is the stream's inputs since Reset, the last Window bytes of
+	// them at least, and pos the stream position of win[0].
+	win []byte
+	pos int
 }
 
 func hash4(v uint32) uint32 { return v * 2654435761 >> (32 - tableBits) }
 func hash8(v uint64) uint64 { return v * 0x9E3779B185EBCA87 >> (64 - tableBits) }
 
-// Encode appends the encoding of src to dst and returns the extended
-// slice. Incompressible input grows by one byte in 64 and the length.
+// Encode appends the encoding of src to dst, with no window, and returns
+// the extended slice. Incompressible input grows by one byte in 64 and
+// the length. It resets the stream.
+func (e *Encoder) Encode(dst, src []byte) []byte {
+	e.Reset()
+	return e.encode(binary.AppendUvarint(dst, uint64(len(src))), src, 0, 0)
+}
+
+// Reset starts a new stream: the next input has an empty window, and
+// nothing encoded before shows in what the encoder produces after.
+func (e *Encoder) Reset() {
+	clear(e.long[:])
+	clear(e.short[:])
+	e.win, e.pos = e.win[:0], 0
+}
+
+// Window returns what the stream's next input may copy from. Append the
+// input to it and pass the result to Next: the input then lies in the
+// encoder's own buffer, and needs no copy of its own.
+func (e *Encoder) Window() []byte { return e.win }
+
+// Next appends to dst the encoding of the stream's next input,
+// in[len(Window()):], whose copies may reach back into the window, and
+// returns the extended slice. The elements that produce the input's first
+// guard bytes copy from the input alone, so Decode inflates that prefix
+// without the window. in, less what no copy can reach any longer, is the
+// next input's window; the hash tables carry over, so nothing of the
+// window is hashed twice.
+func (e *Encoder) Next(dst, in []byte, guard int) []byte {
+	start := len(e.win)
+	dst = e.encode(binary.AppendUvarint(dst, uint64(len(in)-start)), in, start, guard)
+	e.win = Trim(in)
+	e.pos += len(in) - len(e.win)
+	return dst
+}
+
+// encode appends the elements of buf[start:] to dst. A copy may start as
+// far back as buf[0], except that one at fewer than guard bytes into the
+// input starts inside it.
 //
 // The parse is greedy and looks at one candidate per table, the 8-byte
 // one first: in a run of records of one layout, eight bytes seen before
@@ -59,43 +129,45 @@ func hash8(v uint64) uint64 { return v * 0x9E3779B185EBCA87 >> (64 - tableBits) 
 // through the fields after it, where four zeros would only find the
 // nearest four zeros. Positions inside a match are not indexed, which
 // keeps the tables pointing at where earlier matches began. A table
-// entry never looked up reads as a position like any other; what it
-// points at is compared before it is believed.
-func (e *Encoder) Encode(dst, src []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	clear(e.long[:])
-	clear(e.short[:])
-	lit := 0 // src[lit:i] waits to go out as literals
-	for i := 0; i+minMatch <= len(src); {
+// entry never looked up, or left from an input the window has dropped,
+// reads as a position like any other; what it points at is compared
+// before it is believed.
+func (e *Encoder) encode(dst, buf []byte, start, guard int) []byte {
+	lit := start // buf[lit:i] waits to go out as literals
+	for i := start; i+minMatch <= len(buf); {
+		p, reach := uint16(e.pos+i), i
+		if i-start < guard {
+			reach = i - start
+		}
 		offset := 0
-		if i+8 <= len(src) {
-			v := binary.LittleEndian.Uint64(src[i:])
+		if i+8 <= len(buf) {
+			v := binary.LittleEndian.Uint64(buf[i:])
 			h := hash8(v)
-			if o := int(uint16(i) - e.long[h]); o != 0 && o <= i && binary.LittleEndian.Uint64(src[i-o:]) == v {
+			if o := int(p - e.long[h]); o != 0 && o <= reach && binary.LittleEndian.Uint64(buf[i-o:]) == v {
 				offset = o
 			}
-			e.long[h] = uint16(i)
+			e.long[h] = p
 		}
-		v := binary.LittleEndian.Uint32(src[i:])
+		v := binary.LittleEndian.Uint32(buf[i:])
 		h := hash4(v)
-		if o := int(uint16(i) - e.short[h]); offset == 0 && o != 0 && o <= i && binary.LittleEndian.Uint32(src[i-o:]) == v {
+		if o := int(p - e.short[h]); offset == 0 && o != 0 && o <= reach && binary.LittleEndian.Uint32(buf[i-o:]) == v {
 			offset = o
 		}
-		e.short[h] = uint16(i)
+		e.short[h] = p
 		if offset == 0 {
 			i++
 			continue
 		}
 		n := minMatch
-		for i+n < len(src) && src[i+n-offset] == src[i+n] {
+		for i+n < len(buf) && buf[i+n-offset] == buf[i+n] {
 			n++
 		}
-		dst = appendLiterals(dst, src[lit:i])
+		dst = appendLiterals(dst, buf[lit:i])
 		dst = appendCopy(dst, offset, n)
 		i += n
 		lit = i
 	}
-	return appendLiterals(dst, src[lit:])
+	return appendLiterals(dst, buf[lit:])
 }
 
 func appendLiterals(dst, p []byte) []byte {
@@ -126,13 +198,20 @@ func appendCopy(dst []byte, offset, n int) []byte {
 }
 
 // Decode inflates the first n bytes of what c encodes — all of it when
-// it encodes fewer — into dst[:0], growing it as needed. It refuses,
-// before allocating, a declared length above limit; an offset of zero or
-// beyond what has been produced; an element that overruns the declared
-// length; input that ends early; and, once everything is inflated, input
-// that goes on. A prefix (n below the declared length) vouches for the
-// elements it read and no others.
+// it encodes fewer — into dst[:0], growing it as needed, with no window.
+// It refuses, before allocating, a declared length above limit; an offset
+// of zero or beyond what has been produced; an element that overruns the
+// declared length; input that ends early; and, once everything is
+// inflated, input that goes on. A prefix (n below the declared length)
+// vouches for the elements it read and no others.
 func Decode(dst, c []byte, n, limit int) ([]byte, error) {
+	return AppendDecode(dst[:0], c, n, limit)
+}
+
+// AppendDecode is Decode into the end of win, whose bytes are the
+// window: a copy may reach back into them as well as into what it has
+// produced. It returns win extended by the inflated bytes.
+func AppendDecode(win, c []byte, n, limit int) ([]byte, error) {
 	declared, k := binary.Uvarint(c)
 	if k <= 0 || declared > uint64(limit) {
 		return nil, fmt.Errorf("%w: declared length", ErrCorrupt)
@@ -140,14 +219,15 @@ func Decode(dst, c []byte, n, limit int) ([]byte, error) {
 	total := int(declared)
 	n = min(n, total)
 	c = c[k:]
-	out := slices.Grow(dst[:0], n)
-	for len(out) < n {
+	w := len(win)
+	out := slices.Grow(win, n)
+	for len(out)-w < n {
 		if len(c) == 0 {
-			return nil, fmt.Errorf("%w: ends at %d of %d bytes", ErrCorrupt, len(out), total)
+			return nil, fmt.Errorf("%w: ends at %d of %d bytes", ErrCorrupt, len(out)-w, total)
 		}
-		// Nothing has been clipped to n yet, so len(out) is also how far
-		// into the whole the elements read so far reach.
-		tag, at := c[0], len(out)
+		// Nothing has been clipped to n yet, so at is also how far into
+		// the whole the elements read so far reach.
+		tag, at := c[0], len(out)-w
 		var size, length, offset int
 		switch {
 		case tag < 0x40:
@@ -175,15 +255,16 @@ func Decode(dst, c []byte, n, limit int) ([]byte, error) {
 		} else {
 			offset = int(c[1]) | int(c[2])<<8
 		}
-		if offset == 0 || offset > at {
+		from := len(out) - offset
+		if offset == 0 || from < 0 {
 			return nil, fmt.Errorf("%w: offset %d at %d", ErrCorrupt, offset, at)
 		}
 		if offset >= length {
-			out = append(out, out[at-offset:at-offset+length]...)
+			out = append(out, out[from:from+length]...)
 		} else {
 			// The copy reads what it has just written: byte by byte.
-			for i := at - offset; length > 0; i, length = i+1, length-1 {
-				out = append(out, out[i])
+			for ; length > 0; from, length = from+1, length-1 {
+				out = append(out, out[from])
 			}
 		}
 		c = c[size:]

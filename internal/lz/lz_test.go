@@ -143,6 +143,121 @@ func TestPrefixDecode(t *testing.T) {
 	}
 }
 
+// stream is a run of inputs of the journal's shape: records of one
+// layout whose 85-byte "keys" come from a pool of 64 and recur across
+// inputs more often than within one, with an 8-byte length and a header
+// in front of each input, and every few inputs one far larger than the
+// window.
+func stream(seed int64, inputs int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = make([]byte, 85)
+		rng.Read(keys[i])
+	}
+	out := make([][]byte, inputs)
+	for k := range out {
+		header := make([]byte, 40+rng.Intn(40))
+		rng.Read(header)
+		in := binary.BigEndian.AppendUint64(nil, uint64(len(header)))
+		in = append(in, header...)
+		records := rng.Intn(60)
+		if k%7 == 6 {
+			records = 700 // over 100 KiB: the window drops part of the input before it
+		}
+		for r := 0; r < records; r++ {
+			in = binary.BigEndian.AppendUint64(in, uint64(rng.Intn(100)))
+			in = append(in, keys[rng.Intn(len(keys))]...)
+			sig := make([]byte, 64)
+			rng.Read(sig)
+			in = append(in, sig...)
+		}
+		out[k] = in
+	}
+	return out
+}
+
+// guardOf is the header an input of stream carries: its length field
+// and what it counts.
+func guardOf(in []byte) int { return 8 + int(binary.BigEndian.Uint64(in)) }
+
+// TestStreamRoundTrip: each input of a stream inflates against the
+// inputs before it, and its guarded header against nothing; the window
+// saves what one-shot encoding cannot see; two encoders of one stream
+// agree byte for byte, whatever either encoded before its Reset.
+func TestStreamRoundTrip(t *testing.T) {
+	ins := stream(3, 40)
+	var e, other Encoder
+	other.Encode(nil, inputs()["low entropy"])
+	other.Next(nil, append(other.Window(), ins[5]...), 0) // a stale stream, reset below
+	e.Reset()
+	other.Reset()
+	var win []byte // the decoder's window: every input so far, trimmed as it grows
+	streamed, oneShot, refusedAlone := 0, 0, 0
+	for k, in := range ins {
+		guard := guardOf(in)
+		c := e.Next(nil, append(e.Window(), in...), guard)
+		if c2 := other.Next(nil, append(other.Window(), in...), guard); !bytes.Equal(c, c2) {
+			t.Fatalf("input %d: two encoders of one stream disagree", k)
+		}
+		if worst := MaxEncodedLen(len(in)); len(c) > worst {
+			t.Fatalf("input %d: %d bytes encode to %d, over MaxEncodedLen %d", k, len(in), len(c), worst)
+		}
+		got, err := AppendDecode(win, c, limit, limit)
+		if err != nil || !bytes.Equal(got[len(win):], in) {
+			t.Fatalf("input %d: %d bytes came back as %d, err %v", k, len(in), len(got)-len(win), err)
+		}
+		if head, err := Decode(nil, c, guard, limit); err != nil || !bytes.Equal(head, in[:guard]) {
+			t.Fatalf("input %d: the guarded %d-byte prefix does not inflate without the window: %v", k, guard, err)
+		}
+		if _, err := Decode(nil, c, limit, limit); err != nil {
+			refusedAlone++
+		}
+		win = Trim(got)
+		if len(win) < min(len(got), Window) {
+			t.Fatalf("input %d: Trim kept %d bytes of %d, under the window", k, len(win), len(got))
+		}
+		streamed += len(c)
+		oneShot += len(new(Encoder).Encode(nil, in))
+	}
+	t.Logf("%d inputs: streamed %d bytes, one shot each %d (%.3f); %d need their window", len(ins), streamed, oneShot, float64(streamed)/float64(oneShot), refusedAlone)
+	if refusedAlone == 0 || float64(streamed) > 0.9*float64(oneShot) {
+		t.Fatalf("the window went unused: %d of %d bytes, %d inputs need it", streamed, oneShot, refusedAlone)
+	}
+}
+
+// TestStreamProperty: for random streams, random guards and inputs that
+// repeat, run through and past the window, every input round-trips
+// against its window and its guarded prefix inflates without one.
+func TestStreamProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		var e Encoder
+		var win []byte
+		pool := stream(int64(trial), 12)
+		for k := 0; k < 16; k++ {
+			in := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 { // a slice of one, or a run
+				in = in[rng.Intn(len(in)):]
+			}
+			guard := rng.Intn(len(in) + 2)
+			if rng.Intn(4) == 0 {
+				e.Reset()
+				win = win[:0]
+			}
+			c := e.Next(nil, append(e.Window(), in...), guard)
+			got, err := AppendDecode(win, c, limit, limit)
+			if err != nil || !bytes.Equal(got[len(win):], in) {
+				t.Fatalf("trial %d input %d: round trip through a %d-byte window: %v", trial, k, len(win), err)
+			}
+			if head, err := Decode(nil, c, guard, limit); err != nil || !bytes.Equal(head, in[:min(guard, len(in))]) {
+				t.Fatalf("trial %d input %d: guarded prefix of %d: %v", trial, k, guard, err)
+			}
+			win = Trim(got)
+		}
+	}
+}
+
 func TestDecodeRefuses(t *testing.T) {
 	var e Encoder
 	good := e.Encode(nil, []byte("abcdabcdabcdabcd-0123456789"))
@@ -173,23 +288,34 @@ func TestDecodeRefuses(t *testing.T) {
 	}
 }
 
-// FuzzLZDecode: for any input the decoder returns an error or at most
-// the declared length, never more than it was asked for, never panics,
-// and never believes a declared length above the limit — so what it
-// allocates is bounded by the limit whatever the input says. What it does
-// accept round-trips through the encoder to the same bytes.
+// FuzzLZDecode: for any input and any window the decoder returns an
+// error or the window followed by at most the declared length, never
+// more than it was asked for, never panics, never touches the window, and
+// never believes a declared length above the limit — so what it allocates
+// is bounded by the limit and the window whatever the input says. What it
+// does accept round-trips through a stream encoder given the same window
+// to the same bytes.
 func FuzzLZDecode(f *testing.F) {
 	var e Encoder
 	for _, in := range inputs() {
 		if len(in) <= 1<<12 {
-			f.Add(e.Encode(nil, in), uint32(len(in)))
+			f.Add(e.Encode(nil, in), uint32(len(in)), []byte(nil))
 		}
 	}
-	f.Add([]byte{8, 0x03, 'a', 'b', 'c', 'd', 0x40, 0x04}, uint32(8))
-	f.Add(binary.AppendUvarint(nil, fuzzLimit+1), uint32(1))
-	f.Fuzz(func(t *testing.T, c []byte, n uint32) {
+	ins := stream(9, 3)
+	e.Reset()
+	e.Next(nil, append(e.Window(), ins[0]...), 0)
+	f.Add(e.Next(nil, append(e.Window(), ins[1]...), guardOf(ins[1])), uint32(len(ins[1])), ins[0])
+	f.Add([]byte{8, 0x03, 'a', 'b', 'c', 'd', 0x40, 0x04}, uint32(8), []byte(nil))
+	f.Add([]byte{8, 0x80, 0x06, 0x00, 0x03, 'a', 'b', 'c', 'd'}, uint32(8), []byte("window"))
+	f.Add(binary.AppendUvarint(nil, fuzzLimit+1), uint32(1), []byte(nil))
+	f.Fuzz(func(t *testing.T, c []byte, n uint32, win []byte) {
 		want := int(n % (2 * fuzzLimit))
-		got, err := Decode(nil, c, want, fuzzLimit)
+		before := append([]byte(nil), win...)
+		got, err := AppendDecode(win[:len(win):len(win)], c, want, fuzzLimit)
+		if !bytes.Equal(win, before) {
+			t.Fatal("the decoder wrote into the window")
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
@@ -197,10 +323,10 @@ func FuzzLZDecode(f *testing.F) {
 			return
 		}
 		declared, _ := binary.Uvarint(c)
-		if declared > fuzzLimit || len(got) != min(want, int(declared)) || cap(got) > 2*fuzzLimit {
-			t.Fatalf("asked for %d of a declared %d: got %d bytes, cap %d", want, declared, len(got), cap(got))
+		if !bytes.HasPrefix(got, win) || declared > fuzzLimit || len(got)-len(win) != min(want, int(declared)) || cap(got) > 2*(fuzzLimit+len(win)) {
+			t.Fatalf("asked for %d of a declared %d behind a %d-byte window: got %d bytes, cap %d", want, declared, len(win), len(got), cap(got))
 		}
-		whole, err := Decode(nil, c, fuzzLimit, fuzzLimit)
+		whole, err := AppendDecode(win[:len(win):len(win)], c, fuzzLimit, fuzzLimit)
 		if err != nil {
 			return // the prefix was fine, something behind it is not
 		}
@@ -208,7 +334,10 @@ func FuzzLZDecode(f *testing.F) {
 			t.Fatalf("Decode(n=%d) is not a prefix of the whole", want)
 		}
 		var e Encoder
-		if back, err := Decode(nil, e.Encode(nil, whole), fuzzLimit, fuzzLimit); err != nil || !bytes.Equal(back, whole) {
+		e.Next(nil, append(e.Window(), win...), 0)
+		re := e.Next(nil, append(e.Window(), whole[len(win):]...), 0)
+		w := Trim(append([]byte(nil), win...))
+		if back, err := AppendDecode(w, re, fuzzLimit, fuzzLimit); err != nil || !bytes.Equal(back[len(w):], whole[len(win):]) {
 			t.Fatalf("re-encoding what decoded does not round-trip: %v", err)
 		}
 	})

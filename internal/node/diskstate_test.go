@@ -26,6 +26,11 @@ import (
 // disk-state tests.
 const diskCkptEvery = 8
 
+// diskWALSegment is the WAL segment size of the disk-state tests: about
+// eight of their journaled blocks a segment, so a checkpoint covers whole
+// segments that pruning can drop.
+const diskWALSegment = 2 << 10
+
 // diskAlloc funds enough accounts that the account trie has a few
 // hundred nodes: a full write of it and an incremental flush differ by
 // two orders of magnitude.
@@ -70,7 +75,7 @@ func diskNodeWith(t *testing.T, dir string, o diskOpts) (*Node, *wal.DurableStor
 	if o.ckptEvery == 0 {
 		o.ckptEvery = diskCkptEvery
 	}
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: o.ckptEvery})
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: diskWALSegment, CheckpointEvery: o.ckptEvery})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -635,7 +640,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 	})
 	t.Run("refuses", func(t *testing.T) {
 		dir, blocks := build(t, nil)
-		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+		ds, _, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: diskWALSegment, CheckpointEvery: diskCkptEvery})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,7 +243,7 @@ func TestCrashMatrixSnapshotCheckpointOnDisk(t *testing.T) {
 	handleAll(t, n2, c.grow(24)) // checkpoint at 24: root only
 	ds2.Close()
 	ns2.Close()
-	ds3, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 4 << 10, CheckpointEvery: diskCkptEvery})
+	ds3, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever, SegmentSize: diskWALSegment, CheckpointEvery: diskCkptEvery})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -320,11 +320,7 @@ func (l *Log) Append(frame, ext []byte) (seg uint64, off int64, err error) {
 	if l.closed {
 		return 0, 0, ErrClosed
 	}
-	full := l.size+int64(len(frame)) > l.opts.SegmentSize
-	if l.opts.SealWhenFull {
-		full = l.size >= l.opts.SegmentSize
-	}
-	if full && l.size > int64(l.f.HeaderLen()) {
+	if l.Lands(len(frame)) != l.activeIdx {
 		if err := l.createSegment(l.activeIdx+1, ext); err != nil {
 			return 0, 0, err
 		}
@@ -340,6 +336,19 @@ func (l *Log) Append(frame, ext []byte) (seg uint64, off int64, err error) {
 	l.stats.Appends++
 	l.stats.Bytes += uint64(len(frame))
 	return seg, off, nil
+}
+
+// Lands returns the segment a frame of n bytes appended now would land
+// in: the active one, or the next when the frame opens it.
+func (l *Log) Lands(n int) uint64 {
+	full := l.size+int64(n) > l.opts.SegmentSize
+	if l.opts.SealWhenFull {
+		full = l.size >= l.opts.SegmentSize
+	}
+	if full && l.size > int64(l.f.HeaderLen()) {
+		return l.activeIdx + 1
+	}
+	return l.activeIdx
 }
 
 // MaybeSync applies the configured sync policy after a commit unit.

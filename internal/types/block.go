@@ -168,7 +168,12 @@ func (b *Block) TxProof(i int) (merkle.Proof, error) {
 
 // Encode returns the canonical encoding of the whole block.
 func (b *Block) Encode() []byte {
-	dst := make([]byte, 0, b.Size())
+	return b.AppendEncode(make([]byte, 0, b.Size()))
+}
+
+// AppendEncode appends the canonical encoding of the whole block to dst
+// and returns the extended slice.
+func (b *Block) AppendEncode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Header.encodedLen()))
 	dst = b.Header.appendTo(dst)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Txs)))

@@ -76,10 +76,11 @@ func dirBytes(t *testing.T, dir string) int64 {
 
 // TestJournalBytesPerTransfer: what a transfer costs the journal. Forty
 // blocks of 80 transfers (transfer-heavy's block) through a real store,
-// head switches included, must leave the WAL directory under 190 bytes a
-// transaction; the canonical encoding verbatim costs about 247.
+// head switches included, must leave the WAL directory under 155 bytes a
+// transaction; the canonical encoding verbatim costs about 247, each
+// block compressed on its own about 175.
 func TestJournalBytesPerTransfer(t *testing.T) {
-	const nBlocks, perBlock, limit = 40, 80, 190
+	const nBlocks, perBlock, limit = 40, 80, 155
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
 	blocks := transferBlocks(t, nBlocks, perBlock)
@@ -117,19 +118,23 @@ func TestJournalBytesPerTransfer(t *testing.T) {
 }
 
 // TestAppendsCompressedAfterParentDirectory: a directory of type-1
-// records, written by a build that knew no other, takes type-3 records
-// behind them; the reopened store has one chain and reads every block of
-// both kinds back by hash.
+// records, written by a build that knew no other, then extended with
+// type-3 records by the build that wrote those, takes type-4 records
+// behind them, chained in one window; the reopened store has one chain
+// and reads every block of the three kinds back by hash.
 func TestAppendsCompressedAfterParentDirectory(t *testing.T) {
+	const fixture = "testdata/blockz-datadir"
+	checkFixture(t, fixture, blockzStoreFiles)
 	dir := t.TempDir()
-	copyTree(t, dir, "testdata/parent-datadir")
-	blocks := testBlocks(12)
-	blocks = append(blocks, transferBlocks(t, 3, 20)...)
-	s, rec := openStoreT(t, dir, goldenStoreOpts())
-	if rec.Blocks != 12 {
-		t.Fatalf("the parent's directory holds %d blocks, want 12", rec.Blocks)
+	copyTree(t, dir, fixture)
+	blocks := append(testBlocks(12), transferBlocks(t, 6, 20)...)
+	opts := goldenStoreOpts()
+	opts.SegmentSize = DefaultSegmentSize // the new records share the last segment
+	s, rec := openStoreT(t, dir, opts)
+	if rec.Blocks != 15 {
+		t.Fatalf("the parent's directory holds %d blocks, want 15", rec.Blocks)
 	}
-	for _, b := range blocks[12:] {
+	for _, b := range blocks[15:] {
 		if err := s.LogBlock(b); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +146,7 @@ func TestAppendsCompressedAfterParentDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, rec = openStoreT(t, dir, goldenStoreOpts())
+	s, rec = openStoreT(t, dir, opts)
 	if rec.Blocks != len(blocks) || rec.Head != blocks[len(blocks)-1].Hash() || rec.Truncated != 0 {
 		t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
 	}
@@ -149,8 +154,13 @@ func TestAppendsCompressedAfterParentDirectory(t *testing.T) {
 	if err := s.WAL().Replay(func(r Record) error { kinds[r.Type]++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if kinds[RecBlock] != 12 || kinds[RecBlockZ] != 3 {
-		t.Fatalf("record types %v, want 12 of type %d and 3 of type %d", kinds, RecBlock, RecBlockZ)
+	if kinds[RecBlock] != 12 || kinds[RecBlockZ] != 3 || kinds[RecBlockW] != 3 {
+		t.Fatalf("record types %v, want 12 of type %d, 3 of type %d and 3 of type %d", kinds, RecBlock, RecBlockZ, RecBlockW)
+	}
+	for i, b := range blocks[15:] {
+		if got := backOf(t, s, b.Hash()); got != i {
+			t.Fatalf("appended record %d has back %d, want %d", i, got, i)
+		}
 	}
 	for i, j := range journaledBlocks(t, rec) {
 		if j.Block.Hash() != blocks[i].Hash() {
@@ -172,11 +182,24 @@ func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
 	t.Helper()
 	var enc lz.Encoder
 	good := enc.Encode(nil, b.Encode())
-	// Walk the elements to the last one: a literal, since a block ends in
-	// a signature. Its tag becomes a long copy of 131 bytes.
-	_, tag := binary.Uvarint(good)
+	badElement := append([]byte(nil), good...)
+	badElement[lastLiteral(t, good)] = 0xff
+	return map[string][]byte{
+		"bad element":              badElement,
+		"wrong length":             append(good[:len(good):len(good)], 0x00, 0x00),
+		"declared length over max": append([]byte{0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
+	}
+}
+
+// lastLiteral walks the elements of an lz encoding to the last one and
+// returns where its tag is: a literal's, since a block ends in a
+// signature. That tag turned into 0xff, a long copy of 131 bytes, makes
+// the encoding overrun its declared length.
+func lastLiteral(t *testing.T, enc []byte) int {
+	t.Helper()
+	_, tag := binary.Uvarint(enc)
 	for size := 0; ; tag += size {
-		switch t := good[tag]; {
+		switch t := enc[tag]; {
 		case t < 0x40:
 			size = 2 + int(t)
 		case t < 0x80:
@@ -184,20 +207,14 @@ func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
 		default:
 			size = 3
 		}
-		if tag+size == len(good) {
+		if tag+size == len(enc) {
 			break
 		}
 	}
-	if good[tag] >= 0x40 {
-		t.Fatalf("the encoding ends in tag %#x, not in a literal", good[tag])
+	if enc[tag] >= 0x40 {
+		t.Fatalf("the encoding ends in tag %#x, not in a literal", enc[tag])
 	}
-	badElement := append([]byte(nil), good...)
-	badElement[tag] = 0xff
-	return map[string][]byte{
-		"bad element":              badElement,
-		"wrong length":             append(good[:len(good):len(good)], 0x00, 0x00),
-		"declared length over max": append([]byte{0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
-	}
+	return tag
 }
 
 // TestUninflatableRecordStopsCollection: a CRC-valid RecBlockZ whose

@@ -29,6 +29,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(valid)
 	var enc lz.Encoder
 	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlockZ, Payload: enc.Encode(nil, testBlocks(1)[0].Encode())}))
+	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlockW, Payload: enc.Encode([]byte{0}, testBlocks(1)[0].Encode())}))
 	f.Add(valid[:len(valid)/2]) // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF

@@ -446,7 +446,8 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 // TestReadBlock: every journaled block reads back byte-identical — from
 // sealed segments and from the active one, in the session that wrote it
 // and after a reopen rebuilt the index — and a record damaged after it
-// was indexed is an error, never a block.
+// was indexed is an error, never a block, for it and for the records of
+// its window after it.
 func TestReadBlock(t *testing.T) {
 	dir := t.TempDir()
 	opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 512}
@@ -493,6 +494,12 @@ func TestReadBlock(t *testing.T) {
 	}
 	check(s2, blocks)
 
+	// The records of blocks[0]'s window: it, and those after it whose back
+	// is not 0.
+	window := 1
+	for window < len(blocks) && backOf(t, s2, blocks[window].Hash()) != 0 {
+		window++
+	}
 	// Flip a payload byte of the log's first record, blocks[0], underneath
 	// the open store.
 	seg := filepath.Join(dir, "wal", format.SegmentName(1))
@@ -504,16 +511,13 @@ func TestReadBlock(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	damaged := 0
-	for _, b := range blocks {
-		if _, err := s2.ReadBlock(b.Hash()); err != nil {
-			if !errors.Is(err, seglog.ErrDamaged) {
-				t.Fatalf("ReadBlock of a garbled record: err = %v, want ErrDamaged", err)
-			}
-			damaged++
-		}
+	if window < 2 || window > windowRecords {
+		t.Fatalf("the first window holds %d records", window)
 	}
-	if damaged != 1 {
-		t.Fatalf("%d blocks unreadable after garbling one record, want 1", damaged)
+	for i, b := range blocks {
+		_, err := s2.ReadBlock(b.Hash())
+		if damaged := i < window; damaged != (err != nil) || damaged && !errors.Is(err, seglog.ErrDamaged) {
+			t.Fatalf("ReadBlock h=%d after garbling the first record of a %d-record window: err = %v", b.Header.Height, window, err)
+		}
 	}
 }

@@ -16,8 +16,9 @@
 // type + payload), sequence continuity as the test a scanned frame must
 // pass, the rule that damage anywhere truncates the log there and drops
 // everything after it, and the prune floor. The DurableStore journals
-// blocks compressed (RecBlockZ, through internal/lz) and inflates them
-// wherever a block record is read. See docs/PERSISTENCE.md.
+// blocks compressed (RecBlockW, through internal/lz), each against the
+// block records before it in the same window, and inflates them wherever
+// a block record is read. See docs/PERSISTENCE.md.
 //
 // Concurrency: a WAL serializes all appends on one mutex by design —
 // the log IS the ordering of commits, so writers must queue. All file
@@ -229,6 +230,14 @@ func (w *WAL) AppendAt(typ byte, payload []byte) (uint64, Loc, error) {
 		return 0, Loc{}, err
 	}
 	return seq, Loc{Seg: uint32(seg), Len: uint32(len(frame)), Off: off}, nil
+}
+
+// lands returns the segment a record of payloadLen bytes appended now
+// would land in.
+func (w *WAL) lands(payloadLen int) uint32 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return uint32(w.log.Lands(seglog.FrameHeaderLen + recordHeaderLen + payloadLen))
 }
 
 // ReadAt reads back the record at a location AppendAt or a scan
