@@ -108,8 +108,9 @@ trace-demo:
 # store's previous format is refused untouched and, removed as the refusal
 # says, rebuilt from the journal (TestCrashMatrixLostStateDir/v1-format);
 # and the same failpoint armed on the node store — between two frames of a
-# chunked batch, inside one, inside the only one — must publish nothing of
-# the hit frame and leave every checkpointed root walkable (see
+# chunked batch, inside one (the second, whose windowed predecessor must
+# read back whole), inside the only one — must publish nothing of the hit
+# frame and leave every checkpointed root walkable (see
 # docs/PERSISTENCE.md).
 crash-matrix:
 	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestStateReadErrorIsNotARejection|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
@@ -130,20 +131,24 @@ heap-gate:
 
 # The disk gates, without -short: a transfer costs the journal under 155
 # bytes (the canonical encoding verbatim: about 247; each block compressed
-# on its own, not against the blocks before it: about 175), and a trie
-# node record costs the node store's index at most 32 bytes of heap.
+# on its own, not against the blocks before it: about 175), a trie node
+# record costs the node store under 130 bytes on disk on the shape of the
+# disk-state workload — a genesis of 2 256 accounts, then sixteen flushes
+# of sixteen ~19-transfer blocks over 256 senders (each record stored
+# verbatim: about 170) — and a record costs the node store's index at most
+# 32 bytes of heap.
 disk-gate:
 	$(GO) test -count=1 ./internal/wal -run TestJournalBytesPerTransfer -v
-	$(GO) test -count=1 ./internal/nodestore -run TestIndexBytesPerRecord -v
+	$(GO) test -count=1 ./internal/nodestore -run 'TestNodeStoreBytesPerRecord|TestIndexBytesPerRecord' -v
 
 # Native fuzzing smoke: 30s per target over every decoder that reads
 # attacker- or crash-controlled bytes — the WAL frame, the codec its
-# block records are compressed by (behind an arbitrary window), the block
-# codec,
+# and node records are compressed by (behind an arbitrary window), the
+# block codec,
 # and the binary wire codecs (p2p frames, gossip envelopes, pbft/raft
 # protocol messages, ordering batches, poet certificates, state
-# snapshots, the node store's batch frames and the trie node records in
-# them; see docs/WIRE.md).
+# snapshots, the node store's batch frames, legacy and windowed, and the
+# trie node records in them; see docs/WIRE.md).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME)

@@ -1,10 +1,14 @@
-// Package lz is the byte codec the WAL stores block records through: a
-// greedy LZ77 with no entropy stage, small enough to own and cheap
-// enough to run on every journaled block. It exists for what the
-// canonical block encoding spells at length — fixed-width integers that
-// are nearly all zeros, a sender's address and key again whenever the
-// sender recurs — and leaves signatures and hashes, which nothing
-// compresses, as literals. See docs/PERSISTENCE.md for the layout.
+// Package lz is the byte codec the WAL stores block records through, and
+// the node store its trie node records: a greedy LZ77 with no entropy
+// stage, small enough to own and cheap enough to run on every journaled
+// block and every flushed node. It exists for what the canonical block
+// encoding spells at length — fixed-width integers that are nearly all
+// zeros, a sender's address and key again whenever the sender recurs —
+// and for what trie nodes repeat — an empty account's constant code hash
+// and storage root, a branch's child hashes that are the keys of the
+// records just before it — and leaves signatures and fresh hashes, which
+// nothing compresses, as literals. See docs/PERSISTENCE.md for the
+// layouts.
 //
 // An encoding is the input's length, then elements until that many bytes
 // have been produced:
@@ -23,7 +27,8 @@
 // that window (AppendDecode). The element format is the same; only where
 // a copy may reach changes. Next can keep a prefix of its input, a
 // block's header, from copying out of the window, so that prefix
-// inflates without one.
+// inflates without one. Extend puts bytes in the window that are not
+// encoded at all, a record's key the reader has anyway.
 package lz
 
 import (
@@ -103,6 +108,23 @@ func (e *Encoder) Reset() {
 // input to it and pass the result to Next: the input then lies in the
 // encoder's own buffer, and needs no copy of its own.
 func (e *Encoder) Window() []byte { return e.win }
+
+// Extend adds in[len(Window()):] to the window without encoding it: the
+// stream's next input may copy from those bytes, so the decoder must be
+// handed them in its window too. It emits nothing. Like Next, it takes in,
+// less what no copy can reach any longer, as the window, and hashes the
+// new bytes into the tables as the encoder would have.
+func (e *Encoder) Extend(in []byte) {
+	for i := len(e.win); i+minMatch <= len(in); i++ {
+		p := uint16(e.pos + i)
+		if i+8 <= len(in) {
+			e.long[hash8(binary.LittleEndian.Uint64(in[i:]))] = p
+		}
+		e.short[hash4(binary.LittleEndian.Uint32(in[i:]))] = p
+	}
+	e.win = Trim(in)
+	e.pos += len(in) - len(e.win)
+}
 
 // Next appends to dst the encoding of the stream's next input,
 // in[len(Window()):], whose copies may reach back into the window, and

@@ -109,10 +109,12 @@ func (s *Store) compactSegmentLocked(seg uint64, m *Marker, floor uint64) (int, 
 // sweepSegmentLocked scans seg and counts its dead records: below the
 // floor, unmarked, and the copy the index names (one it places elsewhere
 // is superseded, neither live nor dead). With rewrite it also drops them
-// from the index and copies the live ones forward, frame by frame.
+// from the index and copies the live ones forward, frame by frame, each
+// frame inflated and its live nodes written in windows of their own.
 func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite bool) (dead int, err error) {
 	var (
 		recs []framed
+		keep []int // of recs
 		live []record
 	)
 	_, err = s.log.ScanSegment(seg, nil,
@@ -121,8 +123,8 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 			if recs = parsed; !ok {
 				return seglog.ErrDamaged
 			}
-			live = live[:0]
-			for _, r := range recs {
+			keep = keep[:0]
+			for i, r := range recs {
 				switch {
 				case !s.ix.holds(r.key, r.at):
 				case height < floor && (m == nil || !m.Marked(r.key)):
@@ -132,11 +134,19 @@ func (s *Store) sweepSegmentLocked(seg uint64, m *Marker, floor uint64, rewrite 
 						s.cache.drop(r.key)
 					}
 				case rewrite:
-					live = append(live, r.record)
+					keep = append(keep, i)
 				}
 			}
-			if len(live) == 0 {
+			if len(keep) == 0 {
 				return nil
+			}
+			nodes := inflateFrame(recs)
+			live = live[:0]
+			for _, i := range keep {
+				if nodes[i] == nil {
+					return fmt.Errorf("%w: record %s does not inflate", seglog.ErrDamaged, recs[i].key.Short())
+				}
+				live = append(live, record{recs[i].key, nodes[i]})
 			}
 			to, err := s.appendLocked(height, live)
 			if err != nil {

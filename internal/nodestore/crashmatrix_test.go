@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -53,18 +54,20 @@ func walkAll(t *testing.T, s *Store, root cryptoutil.Hash) int {
 }
 
 // TestCrashMatrixNodeStore arms the shared segment-log failpoint on the
-// first, a middle and the last frame of a Batch.Commit chunked into
-// several, and on the only frame of one that fits a single frame, for
-// every failure mode and sync policy: a cut falls between two frames of
-// the batch, a torn or garbled write inside one. The crashed commit must
-// publish nothing; after reopen the index holds the records of the
-// frames written whole before it and none of the hit frame's or a later
-// one's, every root committed and synced before (what a WAL checkpoint
-// would name) still walks completely, and a fresh batch commits on top.
+// first, the second, a middle and the last frame of a Batch.Commit
+// chunked into several, and on the only frame of one that fits a single
+// frame, for every failure mode and sync policy: a cut falls between two
+// frames of the batch, a torn or garbled write inside one. The crashed
+// commit must publish nothing; after reopen the index holds the records
+// of the frames written whole before it and none of the hit frame's or a
+// later one's — a window never reaches across frames, so the first
+// frame's windowed records read back whole when the second is torn —
+// every root committed and synced before (what a WAL checkpoint would
+// name) still walks completely, and a fresh batch commits on top.
 func TestCrashMatrixNodeStore(t *testing.T) {
 	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
-			for _, where := range []string{"first", "middle", "last", "only"} {
+			for _, where := range []string{"first", "second", "middle", "last", "only"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", mode, policy, where), func(t *testing.T) {
 					crashMatrixCell(t, mode, policy, where)
 				})
@@ -113,7 +116,7 @@ func crashMatrixCell(t *testing.T, mode seglog.FailMode, policy SyncPolicy, wher
 	if (where == "only") != (len(frames) == 1) || where != "only" && len(frames) < 3 {
 		t.Fatalf("doomed batch of %d nodes is %d frames", len(sink.staged), len(frames))
 	}
-	nth := map[string]int{"first": 1, "middle": len(frames)/2 + 1, "last": len(frames), "only": 1}[where]
+	nth := map[string]int{"first": 1, "second": 2, "middle": len(frames)/2 + 1, "last": len(frames), "only": 1}[where]
 	whole := 0 // records of the frames before the nth
 	for _, n := range frames[:nth-1] {
 		whole += n
@@ -152,6 +155,11 @@ func crashMatrixCell(t *testing.T, mode seglog.FailMode, policy SyncPolicy, wher
 		} else if err != nil || !bytes.Equal(got, r.payload) {
 			t.Fatalf("surviving record %d %s: %v", i, r.key.Short(), err)
 		}
+	}
+	// The frame before the hit one keeps its windows whole: its records
+	// read back above, some of them inflated behind the others.
+	if where == "second" && !slices.ContainsFunc(sink.staged[:whole], func(r record) bool { return backOf(t, s2, r.key) > 0 }) {
+		t.Fatal("no record of the surviving frame lies behind another in its window")
 	}
 	for name, root := range roots {
 		if got := walkAll(t, s2, root); got != reach[name] {

@@ -8,27 +8,31 @@ import (
 )
 
 // loc says where a record lies, packed into one word so that an index
-// entry is 16 bytes: segment (24 bits) | offset of the record's key in
-// the segment file (28 bits) | payload length (12 bits, saturating: a
-// longer payload's length is read from the record itself). A valid loc
-// is never zero, since segments count from 1.
+// entry is 16 bytes: legacy (1 bit: the record is in a frame of the
+// unwindowed form, its payload the node itself) | segment (23 bits) |
+// offset of the record's key in the segment file (28 bits) | payload
+// length (12 bits, saturating: a longer payload's length is read from the
+// record itself). A valid loc is never zero, since segments count from 1.
 type loc uint64
 
 const (
 	locLenBits = 12
 	locOffBits = 28
+	locSegBits = 23
 	locMaxLen  = 1<<locLenBits - 1
 	maxOffset  = 1<<locOffBits - 1
-	maxSegment = 1<<(64-locOffBits-locLenBits) - 1
+	maxSegment = 1<<locSegBits - 1
+	locLegacy  = loc(1) << (locSegBits + locOffBits + locLenBits)
 )
 
 func makeLoc(seg uint64, off int64, payloadLen int) loc {
 	return loc(seg<<(locOffBits+locLenBits) | uint64(off)<<locLenBits | uint64(min(payloadLen, locMaxLen)))
 }
 
-func (l loc) seg() uint64 { return uint64(l) >> (locOffBits + locLenBits) }
-func (l loc) off() int64  { return int64(l >> locLenBits & maxOffset) }
-func (l loc) len() int    { return int(l & locMaxLen) }
+func (l loc) seg() uint64  { return uint64(l) >> (locOffBits + locLenBits) & maxSegment }
+func (l loc) off() int64   { return int64(l >> locLenBits & maxOffset) }
+func (l loc) len() int     { return int(l & locMaxLen) }
+func (l loc) legacy() bool { return l&locLegacy != 0 }
 
 // prefix is the part of a hash the index keys on.
 func prefix(h cryptoutil.Hash) uint64 { return binary.BigEndian.Uint64(h[:8]) }

@@ -92,9 +92,11 @@ func TestLocPacking(t *testing.T) {
 		{1, 8, 0, 0}, {1, 8, 1, 1}, {7, 123456, 4094, 4094}, {7, 123456, 4095, locMaxLen},
 		{maxSegment, maxOffset, MaxNodeLen, locMaxLen},
 	} {
-		l := makeLoc(c.seg, c.off, c.n)
-		if l == 0 || l.seg() != c.seg || l.off() != c.off || l.len() != c.len {
-			t.Fatalf("makeLoc(%d, %d, %d) unpacks to %d, %d, %d", c.seg, c.off, c.n, l.seg(), l.off(), l.len())
+		for _, flag := range []loc{0, locLegacy} {
+			l := makeLoc(c.seg, c.off, c.n) | flag
+			if l == 0 || l.seg() != c.seg || l.off() != c.off || l.len() != c.len || l.legacy() != (flag != 0) {
+				t.Fatalf("makeLoc(%d, %d, %d) | %x unpacks to %d, %d, %d, legacy %v", c.seg, c.off, c.n, flag, l.seg(), l.off(), l.len(), l.legacy())
+			}
 		}
 	}
 	if end := maxSegmentSize + seglog.FrameHeaderLen + format.MaxBody; end > maxOffset {
@@ -165,7 +167,7 @@ func TestPrefixCollisions(t *testing.T) {
 		opts := Options{SegmentSize: 128, CacheBytes: -1, Sync: SyncNever}
 		s := testOpen(t, dir, opts)
 		hs := collide(4) // three stored, the fourth never
-		payloads := [][]byte{[]byte("first under the prefix"), []byte("second, in the overflow"), bytes.Repeat([]byte{3}, 5000)}
+		payloads := [][]byte{[]byte("first under the prefix"), []byte("second, in the overflow"), noise(5000, 3)}
 		put := func(height uint64, i int) {
 			t.Helper()
 			b := s.NewBatch(height)

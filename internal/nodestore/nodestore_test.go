@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -50,12 +51,20 @@ func putNodes(t *testing.T, s *Store, height uint64, payloads ...[]byte) []crypt
 	return hashes
 }
 
+// noise returns n bytes that do not compress.
+func noise(n int, seed int64) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := testOpen(t, t.TempDir(), Options{})
-	// Beside the ordinary ones: empty, and around and past what an index
-	// entry's length field counts (one read becomes two).
-	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, bytes.Repeat([]byte{7}, 1000),
-		bytes.Repeat([]byte{4}, locMaxLen-1), bytes.Repeat([]byte{5}, locMaxLen), bytes.Repeat([]byte{6}, locMaxLen+1), bytes.Repeat([]byte{8}, 20000)}
+	// Beside the ordinary ones: empty, runs that compress to a few bytes,
+	// and stored payloads around and past what an index entry's length
+	// field counts (one read becomes two).
+	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, bytes.Repeat([]byte{7}, 1000), bytes.Repeat([]byte{8}, 20000),
+		noise(locMaxLen-70, 1), noise(locMaxLen-66, 2), noise(locMaxLen-60, 3), noise(locMaxLen+1, 4), noise(20000, 5)}
 	hashes := putNodes(t, s, 5, payloads...)
 	for i, h := range hashes {
 		got, err := getRaw(s, h)
