@@ -105,6 +105,20 @@ func sampleHeap(on bool) (restore func()) {
 	return func() { runtime.MemProfileRate = rate }
 }
 
+// readHeaderTimeout is how long the HTTP server waits for a request's
+// headers: a client that opens a connection and trickles header bytes
+// holds a goroutine and a descriptor no longer than this.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the daemon's HTTP server on addr. It bounds the
+// time to read a request's headers and nothing else: a read, write or
+// idle timeout would close keep-alive connections under clients that
+// POST /tx on them, and Go's transport does not retry a POST whose
+// connection the server closed, so those submits would fail.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -277,7 +291,7 @@ func run(args []string, stop <-chan os.Signal) error {
 	log.Printf("p2p on %s, %d peers; http on %s; mining=%v interval=%s",
 		tr.Addr(), len(neighbors), *httpAddr, *mine, *interval)
 
-	srv := &http.Server{Addr: *httpAddr, Handler: apiHandler(n, executor, reg, tracer, *pprofOn)}
+	srv := newHTTPServer(*httpAddr, apiHandler(n, executor, reg, tracer, *pprofOn))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"os/exec"
 	"runtime"
@@ -67,9 +69,43 @@ func testServerOn(t *testing.T, alloc map[cryptoutil.Address]uint64, ns *nodesto
 	n.RegisterMetrics(reg)
 	tracer := obs.NewTracer(64)
 	n.SetTracer(tracer)
-	srv := httptest.NewServer(apiHandler(n, executor, reg, tracer, true))
+	// The daemon's own server, on the test's listener.
+	srv := httptest.NewUnstartedServer(nil)
+	srv.Config = newHTTPServer("", apiHandler(n, executor, reg, tracer, true))
+	srv.Start()
 	t.Cleanup(srv.Close)
 	return srv, n
+}
+
+// TestHTTPServerTimeouts: the daemon's server bounds how long a client
+// may take to send a request's headers, and sets no read, write or idle
+// timeout, which would close kept-alive connections under POST /tx; and
+// /status answers twice over one connection.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv, _ := testServer(t, nil)
+	if c := srv.Config; c.ReadHeaderTimeout != readHeaderTimeout || c.ReadTimeout != 0 || c.WriteTimeout != 0 || c.IdleTimeout != 0 {
+		t.Fatalf("timeouts: header %v, read %v, write %v, idle %v; want %v and none", c.ReadHeaderTimeout, c.ReadTimeout, c.WriteTimeout, c.IdleTimeout, readHeaderTimeout)
+	}
+	var reused []bool
+	trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) }}
+	for range 2 {
+		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), http.MethodGet, srv.URL+"/status", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("GET /status: %v", err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /status: %d, %v", resp.StatusCode, err)
+		}
+	}
+	if len(reused) != 2 || !reused[1] {
+		t.Fatalf("connections reused: %v; want the second request on the first's connection", reused)
+	}
 }
 
 func getJSON(t *testing.T, url string, v any) int {
