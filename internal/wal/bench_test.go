@@ -1,0 +1,31 @@
+package wal
+
+import (
+	"testing"
+
+	"dcsledger/internal/seglog"
+)
+
+// BenchmarkReadBlock is a block body read back from the journal: 64
+// blocks of 20 transfers in turn, each record inflated behind the block
+// records of its window before it, then decoded.
+func BenchmarkReadBlock(b *testing.B) {
+	s, _, err := OpenStore(b.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	blocks := transferBlocks(b, 64, 20)
+	for _, blk := range blocks {
+		if err := s.LogBlock(blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ReadBlock(blocks[i%len(blocks)].Hash()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
