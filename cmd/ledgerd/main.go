@@ -155,6 +155,9 @@ func run(args []string, stop <-chan os.Signal) error {
 	fs.Var(peers, "peer", "peer as id=host:port (repeatable)")
 	fs.Var(alloc, "alloc", "genesis allocation addrhex=amount (repeatable)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited with 2
+	if *interval <= 0 {
+		return fmt.Errorf("-interval %s: the target block interval must be above zero", *interval)
+	}
 	defer sampleHeap(*pprofOn)()
 
 	key := cryptoutil.KeyFromSeed([]byte("ledgerd/" + *id))

@@ -15,6 +15,7 @@ import (
 	"net/http/httptrace"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -648,6 +649,22 @@ func TestFlagSet(t *testing.T) {
 	}
 	if n := strings.Count("\n"+got, "\n  -"); n != 16 {
 		t.Errorf("ledgerd -h lists %d flags, want 16", n)
+	}
+}
+
+// TestIntervalMustBePositive: a target block interval of zero would make
+// the miner's hash rate infinite and a negative one meaningless; run
+// refuses both, naming the flag, before it opens anything.
+func TestIntervalMustBePositive(t *testing.T) {
+	for _, v := range []string{"0", "-1s"} {
+		dir := filepath.Join(t.TempDir(), "data")
+		err := run([]string{"-interval", v, "-data-dir", dir, "-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, nil)
+		if err == nil || !strings.Contains(err.Error(), "-interval") {
+			t.Fatalf("-interval %s: %v; want an error naming -interval", v, err)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("-interval %s: the data directory was created (%v)", v, err)
+		}
 	}
 }
 
