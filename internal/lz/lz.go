@@ -29,6 +29,10 @@
 // block's header, from copying out of the window, so that prefix
 // inflates without one. Extend puts bytes in the window that are not
 // encoded at all, a record's key the reader has anyway.
+//
+// A Chain (chain.go) is the one record window both stores keep on such
+// streams, and its rule: the writer's backs, the scan's check of them, and
+// inflation in order, a damaged record failing the rest of its window.
 package lz
 
 import (

@@ -120,11 +120,12 @@ type record struct {
 //	uvarint back | lz encoding of the node
 //
 // back is how many bytes before this record's key the key of its window's
-// first record lies, 0 for that first record. The encoding's copies may
-// reach into the window: key and node of every earlier record in it, then
-// this record's own key. A window restarts at the first record of every
-// frame, after windowRecords records, and before its keys and nodes would
-// pass windowCap bytes.
+// first record lies, 0 for that first record: an lz.Chain whose positions
+// are the bytes of the frame. The encoding's copies may reach into the
+// window: key and node of every earlier record in it, then this record's
+// own key. A window restarts at the first record of every frame, after
+// lz.WindowRecords records, and before its keys and nodes would pass
+// windowCap bytes.
 //
 // The zero in place of a count marks the form: builds before windows
 // wrote legacy frames, uvarint height | uvarint count | records, whose
@@ -139,9 +140,6 @@ const (
 	// kindNodes is the one kind of record a windowed frame carries: trie
 	// nodes, storage trie nodes and code, each under its hash.
 	kindNodes = 1
-	// windowRecords is how many records one window spans at most, and so
-	// how many a read inflates.
-	windowRecords = 16
 	// windowCap bounds the keys and nodes of a window of more than one
 	// record, so that a large code record cannot make reads big.
 	windowCap = 4 << 10
@@ -196,19 +194,17 @@ func (w *frameWriter) frame(dst []byte, height uint64, recs []record) []byte {
 	body := binary.AppendUvarint(w.body[:0], height)
 	body = append(body, 0, kindNodes)
 	body = binary.AppendUvarint(body, uint64(len(recs)))
-	// The window: where its first key lies in body, how many records it
-	// holds, and their keys' and nodes' bytes.
-	var start, n, size int
-	for i, r := range recs {
-		if i == 0 || n == windowRecords || size+cryptoutil.HashSize+len(r.payload) > windowCap {
+	window := lz.Chain{Cap: windowCap}
+	for _, r := range recs {
+		at, size := len(body), cryptoutil.HashSize+len(r.payload)
+		back := window.Back(at, size)
+		if back == 0 {
 			w.enc.Reset()
-			start, n, size = len(body), 0, 0
 		}
-		n, size = n+1, size+cryptoutil.HashSize+len(r.payload)
-		w.z = binary.AppendUvarint(w.z[:0], uint64(len(body)-start))
+		window.Admit(at, back, size)
 		body = append(body, r.key[:]...)
 		w.enc.Extend(append(w.enc.Window(), r.key[:]...))
-		w.z = w.enc.Next(w.z, append(w.enc.Window(), r.payload...), 0)
+		w.z = w.enc.Next(lz.AppendBack(w.z[:0], back), append(w.enc.Window(), r.payload...), 0)
 		body = binary.AppendUvarint(body, uint64(len(w.z)))
 		body = append(body, w.z...)
 	}
@@ -269,7 +265,7 @@ func parseFrame(seg uint64, off int64, body []byte, recs []framed) (height uint6
 	if n == 0 || m == 0 || count == 0 {
 		return 0, recs, false
 	}
-	var w window
+	window := lz.Chain{Cap: windowCap}
 	for at < len(body) {
 		r, n, ok := cutRecord(body[at:])
 		if !ok {
@@ -280,7 +276,8 @@ func parseFrame(seg uint64, off int64, body []byte, recs []framed) (height uint6
 			l |= locLegacy
 			ok = len(r.payload) <= MaxNodeLen
 		} else {
-			ok = w.admit(at, r.payload)
+			back, _, size, split := lz.Split(r.payload, MaxNodeLen)
+			ok = split && back <= maxBack && window.Admit(at, back, cryptoutil.HashSize+size)
 		}
 		if !ok {
 			return 0, recs, false
@@ -313,91 +310,30 @@ type framed struct {
 	at loc
 }
 
-// window is the scan's account of the window it is in: where in the frame
-// its first key lies, how many records it holds, and the bytes of their
-// keys and nodes as their encodings declare them.
-type window struct{ start, n, size int }
-
-// admit takes in the record whose key lies at keyAt in the frame, with
-// stored payload p, if its back and declared length keep the window
-// within its bounds: back 0, a restart, or the distance to the window's
-// first key, at most maxBack, at most windowRecords records and, past
-// one, windowCap bytes.
-func (w *window) admit(keyAt int, p []byte) bool {
-	back, enc, ok := splitPayload(p)
-	declared, d := wire.Uvarint(enc)
-	if !ok || d == 0 || declared > MaxNodeLen {
-		return false
-	}
-	if back == 0 {
-		*w = window{start: keyAt}
-	} else if w.n == 0 || back != keyAt-w.start || w.n == windowRecords ||
-		w.size+cryptoutil.HashSize+int(declared) > windowCap {
-		return false
-	}
-	w.n++
-	w.size += cryptoutil.HashSize + int(declared)
-	return true
-}
-
-// splitPayload splits a stored payload into its back and the encoding of
-// the node.
-func splitPayload(p []byte) (back int, enc []byte, ok bool) {
-	v, k := wire.Uvarint(p)
-	if k == 0 || v > maxBack {
-		return 0, nil, false
-	}
-	return int(v), p[k:], true
-}
-
-// windowLen is what the window that starts at recs[0] inflates to, as its
-// records' encodings declare it, at most windowCap past its first record.
-func windowLen(recs []framed) int {
-	n := 0
-	for i, r := range recs {
-		back, enc, _ := splitPayload(r.payload)
-		if i > 0 && back == 0 || r.at.legacy() {
-			break
-		}
-		declared, _ := binary.Uvarint(enc)
-		if n += cryptoutil.HashSize + int(min(declared, MaxNodeLen)); i > 0 && n > windowCap {
-			return windowCap
-		}
-	}
-	return n
-}
-
 // inflateFrame returns the nodes the records of one parsed frame, or of
-// one window, hold, in order, inflating windowed records window by window:
-// each node behind its key, behind the keys and nodes of the records of
-// its window before it. A window of more than one record holds at most
-// windowCap bytes. A record that does not inflate has no node (nil), and
-// neither have the later records of its window. The nodes alias buffers
-// of their own.
+// one window, hold, in order: a windowed record's inflated behind its key
+// and its window, a legacy one's as stored. A record that does not
+// inflate has no node (nil), and neither have the later records of its
+// window. The nodes share one buffer of their own, allocated once at what
+// the records that keep to their windows' bounds declare.
 func inflateFrame(recs []framed) [][]byte {
 	nodes := make([][]byte, len(recs))
-	var win []byte
-	broken := false
+	size, window := 0, lz.Chain{Cap: windowCap}
+	for _, r := range recs {
+		back, _, n, ok := lz.Split(r.payload, MaxNodeLen)
+		if ok && !r.at.legacy() && window.Admit(int(r.at.off()), back, cryptoutil.HashSize+n) {
+			size += cryptoutil.HashSize + n
+		}
+	}
+	window = lz.Chain{Cap: windowCap, Keep: true}
+	window.Grow(size)
 	for i, r := range recs {
 		if r.at.legacy() {
 			nodes[i] = r.payload
 			continue
 		}
-		back, enc, ok := splitPayload(r.payload)
-		limit := windowCap
-		if back == 0 {
-			win, broken, limit = make([]byte, 0, windowLen(recs[i:])), false, cryptoutil.HashSize+MaxNodeLen
-		}
-		win = append(win, r.key[:]...)
-		if broken = broken || !ok || len(win) > limit; broken {
-			continue
-		}
-		room := limit - len(win)
-		out, err := lz.AppendDecode(win, enc, room, room)
-		if broken = err != nil; broken {
-			continue
-		}
-		nodes[i], win = out[len(win):len(out):len(out)], out
+		back, enc, n, _ := lz.Split(r.payload, MaxNodeLen)
+		nodes[i], _ = window.Inflate(int(r.at.off()), back, cryptoutil.HashSize+n, r.key[:], enc, MaxNodeLen)
 	}
 	return nodes
 }

@@ -232,7 +232,7 @@ func FuzzNodeDecode(f *testing.F) {
 func malformedBodies() map[string][]byte {
 	key := seedKey
 	one := append(append([]byte(nil), key...), 1, 'x')
-	seventeen := make([][]byte, windowRecords+1)
+	seventeen := make([][]byte, lz.WindowRecords+1)
 	for i := range seventeen {
 		seventeen[i] = []byte{byte(i)}
 	}

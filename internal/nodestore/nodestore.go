@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/lz"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/wire"
@@ -399,25 +400,25 @@ func (s *Store) readRecord(f io.ReaderAt, l loc) (key cryptoutil.Hash, payload [
 // readNode reads the record at l from f and returns its key and, if that
 // is h, the node it holds. A windowed record that is not its window's
 // first takes a second read, of the records of its window before it,
-// [off-back, off), and is inflated after them, in order: at most
-// windowRecords inflates.
+// [off-back, off), at most maxBack bytes, and is inflated after them, in
+// order: at most lz.WindowRecords inflates.
 func (s *Store) readNode(f io.ReaderAt, l loc, h cryptoutil.Hash) (key cryptoutil.Hash, node []byte, err error) {
 	key, payload, err := s.readRecord(f, l)
 	if err != nil || key != h || l.legacy() {
 		return key, payload, err
 	}
-	back, _, ok := splitPayload(payload)
-	if !ok || int64(back) > l.off() {
+	back, _, _, ok := lz.Split(payload, MaxNodeLen)
+	if !ok || back > maxBack || int64(back) > l.off() {
 		return key, nil, errBadRecord
 	}
-	var held [windowRecords]framed
+	var held [lz.WindowRecords]framed
 	recs := held[:0]
 	if back > 0 {
 		if recs, err = s.readWindow(recs, f, l.off()-int64(back), back); err != nil {
 			return key, nil, err
 		}
 	}
-	recs = append(recs, framed{record: record{key, payload}})
+	recs = append(recs, framed{record{key, payload}, l})
 	s.inflates.Add(uint64(len(recs)))
 	if node = inflateFrame(recs)[len(recs)-1]; node == nil {
 		return key, nil, fmt.Errorf("%w: it or a record of its window before it does not inflate", errBadRecord)
@@ -426,8 +427,8 @@ func (s *Store) readNode(f io.ReaderAt, l loc, h cryptoutil.Hash) (key cryptouti
 }
 
 // readWindow reads the size bytes at from in f and appends to recs the
-// records of a window before its last that they hold: at most
-// windowRecords-1, each where its back says, the first at back 0.
+// records of a window before its last that they hold, at most
+// lz.WindowRecords-1, each at its place; inflation checks their backs.
 func (s *Store) readWindow(recs []framed, f io.ReaderAt, from int64, size int) ([]framed, error) {
 	buf := make([]byte, size)
 	s.reads.Add(1)
@@ -436,13 +437,10 @@ func (s *Store) readWindow(recs []framed, f io.ReaderAt, from int64, size int) (
 	}
 	for at := 0; at < size; {
 		r, n, ok := cutRecord(buf[at:])
-		if !ok || len(recs) == windowRecords-1 {
+		if !ok || len(recs) == lz.WindowRecords-1 {
 			return nil, errBadRecord
 		}
-		if back, _, ok := splitPayload(r.payload); !ok || back != at {
-			return nil, errBadRecord
-		}
-		recs = append(recs, framed{record: r})
+		recs = append(recs, framed{r, makeLoc(0, from+int64(at), len(r.payload))})
 		at += n
 	}
 	return recs, nil

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/lz"
 	"dcsledger/internal/mpt"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
@@ -47,7 +48,7 @@ func stored(t *testing.T, s *Store, h cryptoutil.Hash) (loc, []byte) {
 func backOf(t *testing.T, s *Store, h cryptoutil.Hash) int {
 	t.Helper()
 	_, p := stored(t, s, h)
-	back, _, ok := splitPayload(p)
+	back, _, _, ok := lz.Split(p, MaxNodeLen)
 	if !ok {
 		t.Fatalf("record %s has no back", h.Short())
 	}
@@ -142,7 +143,7 @@ func TestDamageInsideWindow(t *testing.T) {
 			}
 			for i, h := range hashes {
 				_, err := s.Node(h, verified)
-				if i >= 5 && i < windowRecords {
+				if i >= 5 && i < lz.WindowRecords {
 					if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), h.Short()) {
 						t.Fatalf("record %d, in the damaged window after the damage: %v; want ErrCorrupt naming %s", i, err, h.Short())
 					}
@@ -185,7 +186,7 @@ func TestReadsAreBounded(t *testing.T) {
 	if _, err := tr.Commit(sink); err != nil || sink.Commit() != nil {
 		t.Fatal("commit failed")
 	}
-	inflated := make([]int, windowRecords+1) // reads by records inflated
+	inflated := make([]int, lz.WindowRecords+1) // reads by records inflated
 	for _, r := range sink.staged {
 		before := s.Stats()
 		got, err := getRaw(s, r.key)
@@ -194,7 +195,7 @@ func TestReadsAreBounded(t *testing.T) {
 		}
 		after := s.Stats()
 		reads, inflates := after.Reads-before.Reads, after.Inflates-before.Inflates
-		if reads < 1 || reads > 2 || inflates < 1 || inflates > windowRecords {
+		if reads < 1 || reads > 2 || inflates < 1 || inflates > lz.WindowRecords {
 			t.Fatalf("read %s: %d positioned reads, %d records inflated", r.key.Short(), reads, inflates)
 		}
 		inflated[inflates]++
@@ -204,7 +205,7 @@ func TestReadsAreBounded(t *testing.T) {
 		}
 	}
 	t.Logf("%d nodes: reads by records inflated %v", len(sink.staged), inflated[1:])
-	if inflated[windowRecords] == 0 {
+	if inflated[lz.WindowRecords] == 0 {
 		t.Fatal("no read inflated a whole window")
 	}
 }
@@ -213,14 +214,15 @@ func TestReadsAreBounded(t *testing.T) {
 // reaches are a window's, at most fifteen, each where its own back says,
 // and a window of more than one record inflates to at most windowCap
 // bytes; bytes that claim more, as rot after the open-time scan could,
-// are refused, not inflated.
+// are refused, not inflated: by readWindow when there are too many, by
+// inflation when a back is out of place or the cap is passed.
 func TestReadWindowBound(t *testing.T) {
 	s := testOpen(t, t.TempDir(), Options{})
-	nodes := make([][]byte, windowRecords)
+	nodes := make([][]byte, lz.WindowRecords)
 	for i := range nodes {
 		nodes[i] = []byte{byte(i), 'n'}
 	}
-	for n, want := range map[int]bool{windowRecords - 1: true, windowRecords: false} {
+	for n, want := range map[int]bool{lz.WindowRecords - 1: true, lz.WindowRecords: false} {
 		body := chained(nodes[:n]...)[4:] // the records, from the first key on
 		recs, err := s.readWindow(nil, bytes.NewReader(body), 0, len(body))
 		if want && (err != nil || len(recs) != n) {
@@ -230,22 +232,23 @@ func TestReadWindowBound(t *testing.T) {
 			t.Fatalf("%d records before the read one: %v; want errBadRecord", n, err)
 		}
 	}
-	// A second record that says it starts a window.
+	// A second record that says it starts a window: the read one, whose
+	// back names the first, does not inflate.
 	body := append(chained(nodes[0])[4:], chained(nodes[1])[4:]...)
-	if _, err := s.readWindow(nil, bytes.NewReader(body), 0, len(body)); !errors.Is(err, errBadRecord) {
-		t.Fatalf("a restart inside a window: %v; want errBadRecord", err)
+	recs, err := s.readWindow(nil, bytes.NewReader(body), 0, len(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := framed{record{cryptoutil.Hash(seedKey), payload(binary.AppendUvarint(nil, uint64(len(body))), "x")}, makeLoc(0, int64(len(body)), 0)}
+	if got := inflateFrame(append(recs, read)); got[0] == nil || got[1] == nil || got[2] != nil {
+		t.Fatalf("a restart inside a window: the read record inflates to %q; want nothing", got[2])
 	}
 	// A window over the cap: its first node inflates, the one behind it,
 	// past the cap already, does not.
 	big := noise(windowCap, 7)
 	body = chained(big, []byte("x"))[4:]
-	var recs []framed
-	for at := 0; at < len(body); {
-		r, n, ok := cutRecord(body[at:])
-		if !ok {
-			t.Fatal("the records do not cut")
-		}
-		recs, at = append(recs, framed{record: r}), at+n
+	if recs, err = s.readWindow(nil, bytes.NewReader(body), 0, len(body)); err != nil {
+		t.Fatal(err)
 	}
 	if got := inflateFrame(recs); !bytes.Equal(got[0], big) || got[1] != nil {
 		t.Fatalf("a window over the cap inflates to %d and %d bytes; want %d and none", len(got[0]), len(got[1]), len(big))

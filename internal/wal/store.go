@@ -32,23 +32,13 @@ const (
 	RecBlockZ byte = 3
 	// RecBlockW journals one connected block (payload: uvarint back, then
 	// the lz encoding of what RecBlock carries, whose copies may reach
-	// into the canonical encodings of the back block records before it;
-	// see windowRecords).
+	// into the canonical encodings of the back block records before it:
+	// an lz.Chain whose positions are the block records of one segment,
+	// numbered from 0, head records not counted). The header prefix of a
+	// chained record copies from nothing before it, so the open-time scan
+	// needs no window.
 	RecBlockW byte = 4
 )
-
-// windowRecords is how many block records one window spans. A RecBlockW
-// record's back is 0, a restart, or its predecessor's back plus one, the
-// predecessor being the block record before it in the same segment
-// (head records do not count), and stays under windowRecords: reading one
-// inflates at most windowRecords records. The header prefix of a chained
-// record copies from nothing before it, so the open-time scan needs no
-// window.
-const windowRecords = 16
-
-// errWindow is a block record whose back does not follow the block
-// record before it.
-var errWindow = fmt.Errorf("%w: block record outside its window", seglog.ErrDamaged)
 
 // DefaultCheckpointEvery is the default block cadence between state
 // checkpoints.
@@ -158,14 +148,16 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 // callback may read blocks back from the store. Call before the store
 // takes new appends.
 func (r *Recovery) Replay(fn func(Journaled) error) error {
-	var z inflater // one window for every body of the replay
+	var z lz.Chain // one window buffer for every body of the replay
+	pos := 0       // block records so far: the scan admitted every one replayed
 	return r.store.wal.replay(func(rec Record, at Loc) error {
 		if rec.Seq > r.lastSeq {
 			return nil
 		}
 		switch rec.Type {
 		case RecBlock, RecBlockZ, RecBlockW:
-			raw, err := z.next(rec, at.Seg)
+			raw, err := inflate(&z, rec, pos)
+			pos++
 			var b *types.Block
 			if err == nil {
 				b, err = types.DecodeBlock(raw)
@@ -199,93 +191,48 @@ func blockPayload(rec Record) (back int, body []byte, err error) {
 	case RecBlock, RecBlockZ:
 		return 0, rec.Payload, nil
 	case RecBlockW:
-		v, k := binary.Uvarint(rec.Payload)
-		if k <= 0 || v >= windowRecords {
-			return 0, nil, errWindow
+		if back, enc, _, ok := lz.Split(rec.Payload, MaxRecordLen); ok {
+			return back, enc, nil
 		}
-		return int(v), rec.Payload[k:], nil
 	}
-	return 0, nil, fmt.Errorf("%w: not a block record", seglog.ErrDamaged)
+	return 0, nil, fmt.Errorf("%w: not a block record, or one whose back does not split", seglog.ErrDamaged)
 }
 
-// chain is where a run of block records in log order stands: the
-// segment of the last one and how many records its window holds with it,
-// its back plus one (0 before any record, and after a broken one).
-type chain struct {
-	seg uint32
-	n   int
-}
-
-// follow reports whether a block record in segment seg with this back
-// continues the chain, as a restart always does, and moves the chain on
-// to it or breaks it.
-func (c *chain) follow(seg uint32, back int) bool {
-	if back != 0 && (seg != c.seg || back != c.n) {
-		*c = chain{}
-		return false
-	}
-	*c = chain{seg: seg, n: back + 1}
-	return true
-}
-
-// inflater turns block records back into canonical block encodings,
-// carrying from one to the next, in log order, the window a chained
-// record copies from. A decoded block keeps nothing of the bytes it was
-// decoded from.
-type inflater struct {
-	// win holds the canonical encodings of the chain's records so far, at
-	// least the last lz.Window bytes of them.
-	win   []byte
-	chain chain
-}
-
-// next inflates rec, the block record after the one inflated before it,
-// lying in segment seg, and returns the block's canonical encoding, valid
-// until the next call. A record that does not inflate, or does not
-// follow, breaks the chain: the records of its window after it fail too.
-// Every error wraps seglog.ErrDamaged.
-func (z *inflater) next(rec Record, seg uint32) ([]byte, error) {
+// inflate returns the canonical encoding the block record rec carries,
+// inflated behind the window of c, rec being block record pos of its
+// segment and c having inflated the records of its window before it. The
+// bytes are valid until the next call; a decoded block keeps nothing of
+// them. A RecBlock is its own encoding, and goes into the window as it
+// is. Every error wraps seglog.ErrDamaged.
+func inflate(c *lz.Chain, rec Record, pos int) ([]byte, error) {
 	back, body, err := blockPayload(rec)
-	if err == nil && !z.chain.follow(seg, back) {
-		err = errWindow
-	}
 	if err != nil {
-		z.chain = chain{}
 		return nil, err
 	}
-	if back == 0 {
-		z.win = z.win[:0]
-	}
-	z.win = lz.Trim(z.win)
-	start := len(z.win)
 	if rec.Type == RecBlock {
-		z.win = append(z.win, body...)
-		return z.win[start:], nil
+		_, err = c.Inflate(pos, 0, 0, body, []byte{0}, MaxRecordLen) // an encoding of nothing behind it
+		return body, err
 	}
-	out, err := lz.AppendDecode(z.win, body, MaxRecordLen, MaxRecordLen)
+	raw, err := c.Inflate(pos, back, 0, nil, body, MaxRecordLen)
 	if err != nil {
-		z.chain = chain{}
 		return nil, fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
 	}
-	z.win = out
-	return z.win[start:], nil
+	return raw, nil
 }
 
 // header decodes a block record's header and inflates nothing behind
-// it, with no window: the header's 8-byte length first, then that much. A
-// chained header that copies from the window does not inflate. It uses
-// the window's buffer: an inflater reads headers or blocks, not both.
-func (z *inflater) header(rec Record) (back int, h *types.BlockHeader, err error) {
+// it, with no window: the header's 8-byte length first, then that much,
+// into *buf, which an error leaves empty. A chained header that copies
+// from the window does not inflate.
+func header(rec Record, buf *[]byte) (back int, h *types.BlockHeader, err error) {
 	const prefix = 8
 	back, body, err := blockPayload(rec)
 	p := body
 	if err == nil && rec.Type != RecBlock {
-		if p, err = lz.Decode(z.win, body, prefix, MaxRecordLen); err == nil && len(p) == prefix {
+		if p, err = lz.Decode(*buf, body, prefix, MaxRecordLen); err == nil && len(p) == prefix {
 			p, err = lz.Decode(p, body, prefix+int(min(binary.BigEndian.Uint64(p), MaxRecordLen)), MaxRecordLen)
 		}
-		if err == nil {
-			z.win = p
-		}
+		*buf = p
 	}
 	if err == nil {
 		h, err = types.PeekBlockHeader(p)
@@ -315,7 +262,7 @@ type DurableStore struct {
 	// nothing allocated per block. chain is where the window stands.
 	enc            lz.Encoder
 	zbuf           []byte
-	chain          chain
+	chain          lz.Chain
 	rawBytes       uint64 // canonical-encoding bytes of the blocks journaled this session
 	failed         error  // latched first write failure
 	lastCkptHeight uint64
@@ -344,8 +291,8 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	}
 	rec := &Recovery{store: s}
 	var (
-		z     inflater
-		links chain
+		hdr   []byte // what each header inflates into
+		links lz.Chain
 	)
 	w, err := open(filepath.Join(dir, "wal"), Options{
 		SegmentSize: opts.SegmentSize,
@@ -362,18 +309,18 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			// The header is all this pass needs; Replay inflates the body
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
-			back, hdr, derr := z.header(r)
-			if derr != nil || !links.follow(at.Seg, back) {
+			back, h, derr := header(r, &hdr)
+			if derr != nil || !links.Admit(len(s.segBlocks[at.Seg]), back, 0) {
 				// CRC-valid but uninflatable, undecodable or out of its
 				// window: stop collecting here so the recovered chain
 				// stays a clean prefix.
 				rec.Truncated++
 				return nil
 			}
-			s.blocks[hdr.Hash()] = at
+			s.blocks[h.Hash()] = at
 			s.segBlocks[at.Seg] = append(s.segBlocks[at.Seg], at)
 			rec.Blocks++
-			rec.tipHeight = max(rec.tipHeight, hdr.Height)
+			rec.tipHeight = max(rec.tipHeight, h.Height)
 		case RecHead:
 			if len(r.Payload) == cryptoutil.HashSize {
 				copy(rec.Head[:], r.Payload)
@@ -443,28 +390,25 @@ func (s *DurableStore) LogBlock(b *types.Block) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	// The window restarts after windowRecords records; at the first block
-	// record of a segment, so pruning a segment orphans no record after
-	// it; and at the first record after open, so nothing is reloaded —
-	// which is also the first after a failed append, the store refusing
-	// every write in between. Whether the record opens a segment is asked
-	// of the longest payload it could have.
-	back := s.chain.n
-	if back == windowRecords || s.wal.lands(1+lz.MaxEncodedLen(b.Size())) != s.chain.seg {
-		back = 0
-	}
+	// The window restarts when full; at the first block record of a
+	// segment, so pruning a segment orphans no record after it; and at the
+	// first record after open, so nothing is reloaded — which is also the
+	// first after a failed append. The segment asked is the longest
+	// payload's: a record that lands in the one before restarts there.
+	seg := s.wal.lands(1 + lz.MaxEncodedLen(b.Size()))
+	back := s.chain.Back(len(s.segBlocks[seg]), 0)
 	if back == 0 {
 		s.enc.Reset()
 	}
 	in := b.AppendEncode(s.enc.Window())
 	raw := in[len(s.enc.Window()):]
 	header := 8 + int(binary.BigEndian.Uint64(raw)) // the length field and the header
-	s.zbuf = s.enc.Next(binary.AppendUvarint(s.zbuf[:0], uint64(back)), in, header)
+	s.zbuf = s.enc.Next(lz.AppendBack(s.zbuf[:0], back), in, header)
 	at, err := s.logLocked(RecBlockW, s.zbuf)
 	if err != nil {
 		return err
 	}
-	s.chain.follow(at.Seg, back)
+	s.chain.Admit(len(s.segBlocks[at.Seg]), back, 0)
 	s.blocks[b.Hash()] = at
 	s.segBlocks[at.Seg] = append(s.segBlocks[at.Seg], at)
 	s.rawBytes += uint64(len(raw))
@@ -503,7 +447,7 @@ func (s *DurableStore) HasBlock(h cryptoutil.Hash) bool {
 // inflated and decoded: ErrNoBlock if the journal does not hold it,
 // otherwise the block or the reason the record could not be read. A
 // chained record is inflated after the records of its window before it,
-// at most windowRecords in all, and any of them damaged makes it damaged
+// at most lz.WindowRecords in all, and any of them damaged makes it damaged
 // too. A block is readable from the moment LogBlock returned, fsynced or
 // not.
 func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
@@ -511,7 +455,7 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	at, ok := s.blocks[h]
 	locs := s.segBlocks[at.Seg]
 	k := sort.Search(len(locs), func(i int) bool { return locs[i].Off >= at.Off })
-	var before [windowRecords - 1]Loc
+	var before [lz.WindowRecords - 1]Loc
 	prev := before[:copy(before[:], locs[max(0, k-len(before)):k])]
 	s.mu.Unlock()
 	if !ok {
@@ -543,20 +487,18 @@ func (s *DurableStore) inflateAt(at Loc, prev []Loc) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if back > len(prev) {
-		return nil, errWindow
-	}
-	var z inflater
-	for _, l := range prev[len(prev)-back:] {
+	prev = prev[max(0, len(prev)-back):] // a back past them does not inflate
+	var z lz.Chain
+	for i, l := range prev {
 		r, err := s.wal.ReadAt(l)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := z.next(r, l.Seg); err != nil {
+		if _, err := inflate(&z, r, i); err != nil {
 			return nil, err
 		}
 	}
-	return z.next(rec, at.Seg)
+	return inflate(&z, rec, len(prev))
 }
 
 // PruneBefore is WAL.PruneBefore that also forgets the blocks of the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/lz"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -511,7 +512,7 @@ func TestReadBlock(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if window < 2 || window > windowRecords {
+	if window < 2 || window > lz.WindowRecords {
 		t.Fatalf("the first window holds %d records", window)
 	}
 	for i, b := range blocks {

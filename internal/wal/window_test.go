@@ -62,7 +62,7 @@ func readsBack(t *testing.T, s *DurableStore, blocks []*types.Block) {
 }
 
 // TestWindowRestarts: in one segment the window restarts every
-// windowRecords block records, and at the first record after a reopen,
+// lz.WindowRecords block records, and at the first record after a reopen,
 // which appends into the same segment; every block reads back, in the
 // session that wrote it and after the next reopen, and replays.
 func TestWindowRestarts(t *testing.T) {
@@ -83,7 +83,7 @@ func TestWindowRestarts(t *testing.T) {
 		t.Fatalf("%d segments, want the one", segs)
 	}
 	for i, b := range blocks {
-		want := i % windowRecords
+		want := i % lz.WindowRecords
 		if i >= 20 {
 			want = i - 20
 		}
@@ -257,7 +257,7 @@ func TestDamageInsideWindow(t *testing.T) {
 
 			for i, b := range blocks {
 				_, err := s.ReadBlock(b.Hash())
-				damaged := i >= bad && i < windowRecords
+				damaged := i >= bad && i < lz.WindowRecords
 				if damaged != (err != nil) || damaged && (!errors.Is(err, seglog.ErrDamaged) || !strings.Contains(err.Error(), b.Hash().Short())) {
 					t.Fatalf("ReadBlock of block %d: err = %v; want damaged %v, naming %s", i, err, damaged, b.Hash().Short())
 				}
@@ -318,7 +318,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 		segmentSize int64
 	}{
 		"back does not follow":       {chained(3, headerOf), 0},
-		"back past the window":       {binary.AppendUvarint(nil, windowRecords), 0},
+		"back past the window":       {binary.AppendUvarint(nil, lz.WindowRecords), 0},
 		"chained, first in segment":  {chained(1, headerOf), 4 << 10},
 		"header copies the window":   {twice.Next(binary.AppendUvarint(nil, 1), append(twice.Window(), raw0...), 0), 0},
 		"no back":                    {nil, 0},
