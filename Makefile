@@ -16,11 +16,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# dcslint: determinism + nondeterminism-taint flow, lock hygiene,
-# atomic discipline, hot-path error checking, goroutine lifecycle,
-# unbounded-growth, and JSON-creep analyzers (docs/LINT.md). The run is
-# gated against the committed baseline: fix or suppress new findings,
-# never raise the baseline. Also runnable as
+# dcslint: determinism (written or laundered through helpers), lock
+# hygiene, atomic discipline, hot-path error checking, goroutine
+# lifecycle, unbounded-growth, and JSON-creep analyzers (docs/LINT.md).
+# The run is gated against the committed baseline: fix or suppress new
+# findings, never raise the baseline. Also runnable as
 # `go vet -vettool=$$(which dcslint)`.
 lint:
 	$(GO) run ./cmd/dcslint -baseline .dcslint-baseline.json ./...
@@ -65,7 +65,9 @@ fmt-check:
 # in at least one non-test file, and every intra-repo markdown link
 # must resolve (cmd/doccheck). testdata trees are exempt: they are
 # analyzer fixtures, not part of the build. Every fuzz target of the
-# module must also be one that fuzz-smoke runs, under its package.
+# module must also be one that fuzz-smoke runs, under its package, and
+# the ### sections under "## The analyzers" in docs/LINT.md must name
+# exactly the analyzers in dcslint's `all` list.
 doc-check:
 	@missing=0; \
 	for dir in $$(find internal cmd examples -type d -not -path '*/testdata/*' -not -path '*/testdata'); do \
@@ -81,6 +83,15 @@ doc-check:
 				echo "fuzz target not in fuzz-smoke: $$target ($$(dirname "$$f"))"; missing=1; \
 			fi; \
 		done; \
+	done; \
+	analyzers=$$(for pkg in $$(sed -n '/^var all = /,/^}/s/^\t\([a-z]*\)\.Analyzer,$$/\1/p' cmd/dcslint/main.go); do \
+		sed -n 's/^\tName: *"\([a-z]*\)",$$/\1/p' internal/analysis/$$pkg/$$pkg.go; done); \
+	sections=$$(sed -n '/^## The analyzers$$/,/^## /s/^### //p' docs/LINT.md); \
+	for a in $$analyzers; do \
+		echo "$$sections" | grep -qx "$$a" || { echo "analyzer without a ### section in docs/LINT.md: $$a"; missing=1; }; \
+	done; \
+	for s in $$sections; do \
+		echo "$$analyzers" | grep -qx "$$s" || { echo "docs/LINT.md section names no analyzer of dcslint: $$s"; missing=1; }; \
 	done; \
 	[ $$missing -eq 0 ] || exit $$missing
 	$(GO) run ./cmd/doccheck .

@@ -1,7 +1,7 @@
 // Command dcslint is the ledger-aware static-analysis suite for
-// dcsledger. It bundles eight analyzers — determinism, lockhold,
-// atomicmix, errcheckhot, nondetflow, goroleak, unbounded, jsoncreep —
-// that machine-check the invariants the design docs only prose-check:
+// dcsledger. It bundles seven analyzers — determinism, lockhold,
+// atomicmix, errcheckhot, goroleak, unbounded, jsoncreep — that
+// machine-check the invariants the design docs only prose-check:
 // replicas must compute identical state (even when nondeterminism is
 // laundered through helper functions in other packages), locks must
 // not be held across blocking or re-entrant operations, atomic fields
@@ -54,7 +54,6 @@ import (
 	"dcsledger/internal/analysis/goroleak"
 	"dcsledger/internal/analysis/jsoncreep"
 	"dcsledger/internal/analysis/lockhold"
-	"dcsledger/internal/analysis/nondetflow"
 	"dcsledger/internal/analysis/unbounded"
 )
 
@@ -64,7 +63,6 @@ var all = []*analysis.Analyzer{
 	lockhold.Analyzer,
 	atomicmix.Analyzer,
 	errcheckhot.Analyzer,
-	nondetflow.Analyzer,
 	goroleak.Analyzer,
 	unbounded.Analyzer,
 	jsoncreep.Analyzer,

@@ -164,8 +164,8 @@ func TestVettoolCrossPackageFacts(t *testing.T) {
 	if err == nil {
 		t.Fatalf("go vet -vettool should fail on the laundering module; output:\n%s", out)
 	}
-	if !strings.Contains(string(out), "[nondetflow]") || !strings.Contains(string(out), "Stamp → time.Now") {
-		t.Errorf("missing cross-package nondetflow finding in go vet output:\n%s", out)
+	if !strings.Contains(string(out), "[determinism]") || !strings.Contains(string(out), "Stamp → time.Now") {
+		t.Errorf("missing cross-package determinism finding in go vet output:\n%s", out)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestStandaloneCrossPackageFacts(t *testing.T) {
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = dir
 	out, _ := cmd.CombinedOutput()
-	if !strings.Contains(string(out), "[nondetflow]") || !strings.Contains(string(out), "Stamp → time.Now") {
-		t.Errorf("missing cross-package nondetflow finding in standalone output:\n%s", out)
+	if !strings.Contains(string(out), "[determinism]") || !strings.Contains(string(out), "Stamp → time.Now") {
+		t.Errorf("missing cross-package determinism finding in standalone output:\n%s", out)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Why not x/tools? The build environment is hermetic — the module has
 // no external dependencies and must stay that way — so the framework
-// re-creates exactly the part of the analysis API the four dcslint
+// re-creates exactly the part of the analysis API the dcslint
 // analyzers need, including `go vet -vettool` compatibility (the
 // unitchecker .cfg protocol) in cmd/dcslint.
 //

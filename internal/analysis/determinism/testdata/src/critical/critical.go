@@ -20,6 +20,10 @@ func wallSince(start time.Time) time.Duration {
 	return time.Since(start) // want "call to time.Since in consensus-critical package"
 }
 
+func wallUntil(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "call to time.Until in consensus-critical package"
+}
+
 func globalRand() int {
 	return rand.Intn(10) // want "package-global rand.Intn"
 }
@@ -40,6 +44,20 @@ func hashUnderRange(m map[string][]byte) [32]byte {
 	h := sha256.New()
 	for _, v := range m {
 		h.Write(v) // want "hash state written during map iteration"
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// nestedHash is reported once, by the inner loop, not again by the
+// outer one.
+func nestedHash(m map[string]map[string][]byte) [32]byte {
+	h := sha256.New()
+	for _, inner := range m {
+		for _, v := range inner {
+			h.Write(v) // want "hash state written during map iteration"
+		}
 	}
 	var out [32]byte
 	h.Sum(out[:0])

@@ -19,7 +19,7 @@ func (*tFact) AFact() {}
 func TestFactStoreRoundTrip(t *testing.T) {
 	gob.Register(&tFact{})
 	s := NewFactStore()
-	key := factKey{Analyzer: "nondetflow", Func: "example.com/m/util.Stamp"}
+	key := factKey{Analyzer: "determinism", Func: "example.com/m/util.Stamp"}
 	s.put("example.com/m/util", key, &tFact{Kinds: []string{"wallclock"}, Via: "time.Now"})
 
 	path := filepath.Join(t.TempDir(), "facts.vetx")

@@ -31,7 +31,6 @@ package goroleak
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"dcsledger/internal/analysis"
 )
@@ -78,17 +77,7 @@ var policedMarkers = []string{
 
 // Policed reports whether an import path belongs to the long-lived
 // component set.
-func Policed(path string) bool {
-	for _, m := range policedMarkers {
-		if path == m ||
-			strings.HasSuffix(path, "/"+m) ||
-			strings.HasPrefix(path, m+"/") ||
-			strings.Contains(path, "/"+m+"/") {
-			return true
-		}
-	}
-	return false
-}
+func Policed(path string) bool { return analysis.InPackages(path, policedMarkers) }
 
 // stopTokens is the package-wide set of lifecycle objects a goroutine
 // body may reference to prove it stops.
@@ -98,7 +87,7 @@ type stopTokens struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if strings.Contains(pass.Path, "internal/analysis") {
+	if analysis.InPackages(pass.Path, []string{"internal/analysis"}) {
 		return nil // the suite itself is not a replica component
 	}
 	graph := analysis.BuildCallGraph(pass)

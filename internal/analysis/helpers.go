@@ -3,7 +3,23 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
+
+// InPackages reports whether an import path lies in one of the package
+// subtrees the markers name. A marker is a whole run of path elements
+// ("internal/consensus"): it matches the path itself, a leading or
+// trailing run of its elements, or an inner run, so
+// "dcsledger/internal/consensus/pow" is in "internal/consensus" while
+// "dcsledger/internal/observer" is not in "internal/obs".
+func InPackages(path string, markers []string) bool {
+	for _, m := range markers {
+		if strings.Contains("/"+path+"/", "/"+m+"/") {
+			return true
+		}
+	}
+	return false
+}
 
 // Callee resolves the called function of a CallExpr to its
 // *types.Func (package-level function or method), or nil when the call

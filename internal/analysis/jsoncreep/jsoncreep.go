@@ -17,7 +17,6 @@ package jsoncreep
 
 import (
 	"strconv"
-	"strings"
 
 	"dcsledger/internal/analysis"
 )
@@ -43,21 +42,8 @@ var forbiddenMarkers = []string{
 	"internal/wire",
 }
 
-// Forbidden reports whether an import path is in the JSON-free set.
-func Forbidden(path string) bool {
-	for _, m := range forbiddenMarkers {
-		if path == m ||
-			strings.HasSuffix(path, "/"+m) ||
-			strings.HasPrefix(path, m+"/") ||
-			strings.Contains(path, "/"+m+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) error {
-	if !Forbidden(pass.Path) {
+	if !analysis.InPackages(pass.Path, forbiddenMarkers) {
 		return nil
 	}
 	for _, f := range pass.Files {

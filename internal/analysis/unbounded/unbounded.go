@@ -57,7 +57,7 @@ type growthSite struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if strings.Contains(pass.Path, "internal/analysis") {
+	if analysis.InPackages(pass.Path, []string{"internal/analysis"}) {
 		return nil // analyzer scaffolding is not a replica component
 	}
 

@@ -59,7 +59,7 @@ func Assemble(src string) ([]byte, error) {
 		}
 		fields := strings.Fields(line)
 		mnemonic := strings.ToUpper(fields[0])
-		op, ok := opByName(mnemonic)
+		op, ok := opsByName[mnemonic]
 		if !ok {
 			return nil, fmt.Errorf("%w: line %d: unknown mnemonic %q", ErrAssemble, lineNo+1, fields[0])
 		}
@@ -98,14 +98,14 @@ func Assemble(src string) ([]byte, error) {
 	return code, nil
 }
 
-func opByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name {
-			return op, true
-		}
+// opsByName inverts opNames, whose names are unique, for the assembler.
+var opsByName = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, name := range opNames {
+		m[name] = op
 	}
-	return 0, false
-}
+	return m
+}()
 
 // MustAssemble panics on assembly failure; for package-level program
 // constants in examples and tests.
