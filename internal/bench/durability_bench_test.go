@@ -68,7 +68,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatalf("Decode: %d of %d bytes, %v", len(back), len(raw), err)
 			}
 			compress, inflate = compress+t1.Sub(t0), inflate+time.Since(t1)
-			if _, err := w.Append(wal.RecBlockZ, z); err != nil {
+			if _, err := w.Append(wal.RecBlock, z); err != nil {
 				b.Fatalf("Append: %v", err)
 			}
 		}

@@ -79,8 +79,8 @@ func (m *Microblock) Verify(leader cryptoutil.Address, tip cryptoutil.Hash) erro
 	if cryptoutil.PubKeyToAddress(m.PubKey) != leader {
 		return fmt.Errorf("%w: signed by %s", ErrNotLeader, cryptoutil.PubKeyToAddress(m.PubKey).Short())
 	}
-	if !cryptoutil.Verify(m.PubKey, m.SigningDigest(), m.Sig) {
-		return ErrBadSig
+	if err := cryptoutil.Verify(m.PubKey, m.SigningDigest(), m.Sig); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSig, err)
 	}
 	return nil
 }

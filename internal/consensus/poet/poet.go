@@ -36,8 +36,8 @@ var ErrBadCertificate = errors.New("poet: invalid wait certificate")
 const CertCodecVersion = 1
 
 // maxCertSigLen bounds the signature blob when decoding untrusted
-// Header.Extra bytes.
-const maxCertSigLen = 256
+// Header.Extra bytes: a signature is cryptoutil.SigLen bytes.
+const maxCertSigLen = cryptoutil.SigLen
 
 // Certificate is an enclave-signed statement that a validator was
 // assigned the given wait for blocks extending Parent. It is embedded
@@ -135,8 +135,8 @@ func VerifyCertificate(enclavePub []byte, cert Certificate, mean time.Duration) 
 	if int64(drawWait(cert.Parent, cert.Validator, mean)) != cert.WaitNanos {
 		return fmt.Errorf("%w: wait does not match enclave draw", ErrBadCertificate)
 	}
-	if !cryptoutil.Verify(enclavePub, cert.digest(), cert.Sig) {
-		return fmt.Errorf("%w: bad enclave signature", ErrBadCertificate)
+	if err := cryptoutil.Verify(enclavePub, cert.digest(), cert.Sig); err != nil {
+		return fmt.Errorf("%w: bad enclave signature: %w", ErrBadCertificate, err)
 	}
 	return nil
 }

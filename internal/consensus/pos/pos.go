@@ -187,8 +187,8 @@ func (e *Engine) VerifySeal(b *types.Block, parent *types.Block) error {
 	}
 	hdr := b.Header
 	hdr.Extra = nil
-	if !cryptoutil.Verify(pub, sealDigest(&hdr), sig) {
-		return fmt.Errorf("%w: bad proposer signature", consensus.ErrInvalidSeal)
+	if err := cryptoutil.Verify(pub, sealDigest(&hdr), sig); err != nil {
+		return fmt.Errorf("%w: bad proposer signature: %w", consensus.ErrInvalidSeal, err)
 	}
 	return nil
 }
@@ -197,22 +197,17 @@ func sealDigest(h *types.BlockHeader) cryptoutil.Hash {
 	return cryptoutil.HashBytes([]byte("pos/seal"), h.Encode())
 }
 
+// encodeSeal renders the seal: the proposer's key, then its signature,
+// both fixed-width.
 func encodeSeal(pub, sig []byte) []byte {
-	out := make([]byte, 0, 1+len(pub)+len(sig))
-	out = append(out, byte(len(pub)))
-	out = append(out, pub...)
-	return append(out, sig...)
+	return append(append(make([]byte, 0, len(pub)+len(sig)), pub...), sig...)
 }
 
 func decodeSeal(extra []byte) (pub, sig []byte, err error) {
-	if len(extra) < 2 {
-		return nil, nil, fmt.Errorf("%w: missing seal", consensus.ErrInvalidSeal)
+	if len(extra) != cryptoutil.PubKeyLen+cryptoutil.SigLen {
+		return nil, nil, fmt.Errorf("%w: seal of %d bytes, want %d", consensus.ErrInvalidSeal, len(extra), cryptoutil.PubKeyLen+cryptoutil.SigLen)
 	}
-	n := int(extra[0])
-	if len(extra) < 1+n+1 {
-		return nil, nil, fmt.Errorf("%w: truncated seal", consensus.ErrInvalidSeal)
-	}
-	return extra[1 : 1+n], extra[1+n:], nil
+	return extra[:cryptoutil.PubKeyLen], extra[cryptoutil.PubKeyLen:], nil
 }
 
 func u64bytes(v uint64) []byte {

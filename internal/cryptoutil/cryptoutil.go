@@ -9,7 +9,6 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/asn1"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -156,10 +155,35 @@ func AddressFromHash(h Hash) Address {
 	return a
 }
 
-// PubKeyLen is the length of an encoded public key: 0x04 || X (32) || Y (32).
-const PubKeyLen = 65
+// Key and signature encodings: each is fixed-width, so a transaction
+// carries both without a length.
+const (
+	// PubKeyLen is the length of an encoded public key, the compressed
+	// point: 0x02 or 0x03 (the parity of Y), then X (32 bytes).
+	PubKeyLen = 33
+	// SigLen is the length of a signature: r then s, 32 big-endian bytes
+	// each, s no more than n/2.
+	SigLen = 64
+)
 
-var errBadPubKey = errors.New("cryptoutil: malformed public key")
+// Verification errors, matchable with errors.Is.
+var (
+	ErrBadPubKey = errors.New("cryptoutil: malformed public key")
+	// ErrSigRange rejects a signature whose r or s lies outside [1, n-1].
+	ErrSigRange = errors.New("cryptoutil: signature r or s out of range")
+	// ErrHighS rejects an s above n/2. Only the low s of the two that
+	// verify is a signature: one (key, digest, nonce) signs one way, so
+	// nobody can turn a signed transaction into another id.
+	ErrHighS = errors.New("cryptoutil: signature s above n/2")
+	// ErrBadSignature is a signature of the wrong length, or one that does
+	// not verify.
+	ErrBadSignature = errors.New("cryptoutil: signature does not verify")
+)
+
+var (
+	curveN = elliptic.P256().Params().N
+	halfN  = new(big.Int).Rsh(curveN, 1)
+)
 
 // KeyPair is an ECDSA P-256 key pair bound to its derived address.
 type KeyPair struct {
@@ -188,7 +212,7 @@ func KeyFromSeed(seed []byte) *KeyPair {
 	curve := elliptic.P256()
 	h := HashBytes([]byte("dcsledger/keyseed"), seed)
 	d := new(big.Int).SetBytes(h[:])
-	n := new(big.Int).Sub(curve.Params().N, big.NewInt(1))
+	n := new(big.Int).Sub(curveN, big.NewInt(1))
 	d.Mod(d, n)
 	d.Add(d, big.NewInt(1))
 	priv := &ecdsa.PrivateKey{
@@ -200,7 +224,7 @@ func KeyFromSeed(seed []byte) *KeyPair {
 }
 
 func newKeyPair(priv *ecdsa.PrivateKey) *KeyPair {
-	pub := encodePubKey(&priv.PublicKey)
+	pub := elliptic.MarshalCompressed(priv.Curve, priv.X, priv.Y)
 	return &KeyPair{
 		priv: priv,
 		pub:  pub,
@@ -208,7 +232,7 @@ func newKeyPair(priv *ecdsa.PrivateKey) *KeyPair {
 	}
 }
 
-// PublicKey returns the encoded public key (65 bytes).
+// PublicKey returns the encoded public key (PubKeyLen bytes).
 func (k *KeyPair) PublicKey() []byte {
 	out := make([]byte, len(k.pub))
 	copy(out, k.pub)
@@ -218,35 +242,28 @@ func (k *KeyPair) PublicKey() []byte {
 // Address returns the address derived from the public key.
 func (k *KeyPair) Address() Address { return k.addr }
 
-// Sign signs the given digest and returns an ASN.1 DER signature.
+// Sign signs the given digest with a random nonce and returns the
+// SigLen-byte signature.
 func (k *KeyPair) Sign(digest Hash) ([]byte, error) {
-	sig, err := ecdsa.SignASN1(rand.Reader, k.priv, digest[:])
+	r, s, err := ecdsa.Sign(rand.Reader, k.priv, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("sign: %w", err)
 	}
-	return sig, nil
-}
-
-// ecdsaSig is the ASN.1 shape of an ECDSA signature: SEQUENCE of two
-// INTEGERs, exactly what ecdsa.VerifyASN1 parses.
-type ecdsaSig struct {
-	R, S *big.Int
+	return encodeSig(r, s), nil
 }
 
 // SignDeterministic signs digest with a nonce derived from the private
 // key and the digest (RFC 6979 in spirit: k = H(key ‖ digest ‖ ctr)
 // reduced into [1, n-1]), so the same key and digest always produce the
-// same ASN.1 DER signature — byte-identical across processes and Go
-// versions. The scenario harness's bit-identical determinism contract
-// needs this: stdlib ECDSA hedges its nonce with runtime randomness, so
+// same signature — byte-identical across processes and Go versions. The
+// scenario harness's bit-identical determinism contract needs this:
+// stdlib ECDSA hedges its nonce with runtime randomness, so
 // identically-seeded simulation runs would diverge at the first signed
 // transaction. Signatures verify with Verify like any other. Use for
 // simulation workloads, not for keys that must resist side channels.
 func (k *KeyPair) SignDeterministic(digest Hash) ([]byte, error) {
 	curve := k.priv.Curve
-	params := curve.Params()
-	n := params.N
-	nMinus1 := new(big.Int).Sub(n, big.NewInt(1))
+	nMinus1 := new(big.Int).Sub(curveN, big.NewInt(1))
 	z := new(big.Int).SetBytes(digest[:]) // P-256: hash length == order length, no truncation
 	var keyBytes [32]byte
 	k.priv.D.FillBytes(keyBytes[:])
@@ -256,64 +273,75 @@ func (k *KeyPair) SignDeterministic(digest Hash) ([]byte, error) {
 		kNonce.Mod(kNonce, nMinus1)
 		kNonce.Add(kNonce, big.NewInt(1))
 		rx, _ := curve.ScalarBaseMult(kNonce.Bytes())
-		r := new(big.Int).Mod(rx, n)
+		r := new(big.Int).Mod(rx, curveN)
 		if r.Sign() == 0 {
 			continue
 		}
-		kInv := new(big.Int).ModInverse(kNonce, n)
+		kInv := new(big.Int).ModInverse(kNonce, curveN)
 		if kInv == nil {
 			continue
 		}
 		s := new(big.Int).Mul(r, k.priv.D)
 		s.Add(s, z)
 		s.Mul(s, kInv)
-		s.Mod(s, n)
+		s.Mod(s, curveN)
 		if s.Sign() == 0 {
 			continue
 		}
-		sig, err := asn1.Marshal(ecdsaSig{R: r, S: s})
-		if err != nil {
-			return nil, fmt.Errorf("sign deterministic: %w", err)
-		}
-		return sig, nil
+		return encodeSig(r, s), nil
 	}
 }
 
-// Verify checks an ASN.1 DER signature over digest against an encoded
-// public key.
-func Verify(pubKey []byte, digest Hash, sig []byte) bool {
-	pub, err := decodePubKey(pubKey)
-	if err != nil {
-		return false
+// encodeSig renders r‖s with s replaced by n-s when it is above n/2.
+func encodeSig(r, s *big.Int) []byte {
+	if s.Cmp(halfN) > 0 {
+		s = new(big.Int).Sub(curveN, s)
 	}
-	return ecdsa.VerifyASN1(pub, digest[:], sig)
-}
-
-// PubKeyToAddress derives the account address from an encoded public key.
-func PubKeyToAddress(pubKey []byte) Address {
-	h := HashBytes([]byte("dcsledger/address"), pubKey)
-	var a Address
-	copy(a[:], h[:AddressSize])
-	return a
-}
-
-func encodePubKey(pub *ecdsa.PublicKey) []byte {
-	out := make([]byte, PubKeyLen)
-	out[0] = 4
-	pub.X.FillBytes(out[1:33])
-	pub.Y.FillBytes(out[33:65])
+	out := make([]byte, SigLen)
+	r.FillBytes(out[:SigLen/2])
+	s.FillBytes(out[SigLen/2:])
 	return out
 }
 
-func decodePubKey(b []byte) (*ecdsa.PublicKey, error) {
-	if len(b) != PubKeyLen || b[0] != 4 {
-		return nil, errBadPubKey
+// Verify checks a signature over digest against an encoded public key:
+// nil, or the reason it is refused — ErrSigRange, ErrHighS, ErrBadPubKey
+// or ErrBadSignature.
+func Verify(pubKey []byte, digest Hash, sig []byte) error {
+	if len(sig) != SigLen {
+		return fmt.Errorf("%w: %d bytes, want %d", ErrBadSignature, len(sig), SigLen)
 	}
-	curve := elliptic.P256()
-	x := new(big.Int).SetBytes(b[1:33])
-	y := new(big.Int).SetBytes(b[33:65])
-	if !curve.IsOnCurve(x, y) {
-		return nil, errBadPubKey
+	r := new(big.Int).SetBytes(sig[:SigLen/2])
+	s := new(big.Int).SetBytes(sig[SigLen/2:])
+	if r.Sign() == 0 || s.Sign() == 0 || r.Cmp(curveN) >= 0 || s.Cmp(curveN) >= 0 {
+		return ErrSigRange
 	}
-	return &ecdsa.PublicKey{Curve: curve, X: x, Y: y}, nil
+	if s.Cmp(halfN) > 0 {
+		return ErrHighS
+	}
+	// The square root that recovers Y: the one step a compressed key
+	// adds, and only here, not where a transaction is decoded. A wrong
+	// length or prefix, an X at or above p and an X with no root all
+	// fail it.
+	x, y := elliptic.UnmarshalCompressed(elliptic.P256(), pubKey)
+	if x == nil {
+		return ErrBadPubKey
+	}
+	if !ecdsa.Verify(&ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, digest[:], r, s) {
+		return ErrBadSignature
+	}
+	return nil
+}
+
+// addressTag domain-separates an address from every other hash.
+const addressTag = "dcsledger/address"
+
+// PubKeyToAddress derives the account address from an encoded public
+// key: one SHA-256, hashed from the stack, and no check that the key is
+// a point (Verify's).
+func PubKeyToAddress(pubKey []byte) Address {
+	var buf [len(addressTag) + PubKeyLen]byte
+	h := sha256.Sum256(append(append(buf[:0], addressTag...), pubKey...))
+	var a Address
+	copy(a[:], h[:AddressSize])
+	return a
 }

@@ -2,7 +2,10 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"encoding/json"
+	"errors"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,15 +89,15 @@ func TestSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if !Verify(k.PublicKey(), digest, sig) {
-		t.Fatal("signature should verify")
+	if err := Verify(k.PublicKey(), digest, sig); err != nil {
+		t.Fatalf("signature should verify: %v", err)
 	}
 	other := HashBytes([]byte("other message"))
-	if Verify(k.PublicKey(), other, sig) {
+	if Verify(k.PublicKey(), other, sig) == nil {
 		t.Fatal("signature must not verify for a different digest")
 	}
 	k2 := KeyFromSeed([]byte("impostor"))
-	if Verify(k2.PublicKey(), digest, sig) {
+	if Verify(k2.PublicKey(), digest, sig) == nil {
 		t.Fatal("signature must not verify for a different key")
 	}
 }
@@ -113,8 +116,8 @@ func TestSignDeterministic(t *testing.T) {
 	if !bytes.Equal(sig1, sig2) {
 		t.Fatalf("same key+digest must yield identical signatures: %x vs %x", sig1, sig2)
 	}
-	if !Verify(k.PublicKey(), digest, sig1) {
-		t.Fatal("deterministic signature should verify")
+	if err := Verify(k.PublicKey(), digest, sig1); err != nil {
+		t.Fatalf("deterministic signature should verify: %v", err)
 	}
 	// A fresh KeyPair from the same seed must reproduce the signature
 	// byte-for-byte: this is the cross-process determinism contract.
@@ -133,7 +136,7 @@ func TestSignDeterministic(t *testing.T) {
 	if bytes.Equal(sig1, sigOther) {
 		t.Fatal("different digests must yield different signatures")
 	}
-	if Verify(k.PublicKey(), other, sig1) {
+	if Verify(k.PublicKey(), other, sig1) == nil {
 		t.Fatal("signature must not verify for a different digest")
 	}
 	k2 := KeyFromSeed([]byte("det-other"))
@@ -144,7 +147,7 @@ func TestSignDeterministic(t *testing.T) {
 	if bytes.Equal(sig1, sigK2) {
 		t.Fatal("different keys must yield different signatures")
 	}
-	if Verify(k2.PublicKey(), digest, sig1) {
+	if Verify(k2.PublicKey(), digest, sig1) == nil {
 		t.Fatal("signature must not verify under a different key")
 	}
 }
@@ -161,16 +164,84 @@ func TestVerifyRejectsMalformedKeys(t *testing.T) {
 		pub  []byte
 	}{
 		{name: "nil", pub: nil},
-		{name: "short", pub: []byte{4, 1, 2}},
+		{name: "short", pub: []byte{2, 1, 2}},
 		{name: "bad prefix", pub: append([]byte{5}, k.PublicKey()[1:]...)},
-		{name: "off curve", pub: append([]byte{4}, make([]byte, 64)...)},
+		{name: "uncompressed prefix", pub: append([]byte{4}, k.PublicKey()[1:]...)},
+		{name: "off curve", pub: noRoot(t)},
+		{name: "x at p", pub: append([]byte{2}, elliptic.P256().Params().P.Bytes()...)},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if Verify(tt.pub, digest, sig) {
-				t.Fatal("malformed key must not verify")
+			if err := Verify(tt.pub, digest, sig); !errors.Is(err, ErrBadPubKey) {
+				t.Fatalf("Verify = %v, want ErrBadPubKey", err)
 			}
 		})
+	}
+}
+
+// noRoot is a compressed key whose X has no square root on P-256: no
+// point has it.
+func noRoot(t *testing.T) []byte {
+	t.Helper()
+	for x := byte(1); ; x++ {
+		pub := make([]byte, PubKeyLen)
+		pub[0], pub[PubKeyLen-1] = 2, x
+		if px, _ := elliptic.UnmarshalCompressed(elliptic.P256(), pub); px == nil {
+			return pub
+		}
+	}
+}
+
+// TestSignaturesAreLowS: both signers emit s <= n/2, and Verify refuses
+// the other signature of the same (key, digest, nonce), s replaced by
+// n-s, and an r or s outside [1, n-1], each with its named error.
+func TestSignaturesAreLowS(t *testing.T) {
+	k := KeyFromSeed([]byte("low-s"))
+	n := elliptic.P256().Params().N
+	for i := 0; i < 32; i++ {
+		digest := HashUint64("low-s", uint64(i))
+		random, err := k.Sign(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := k.SignDeterministic(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sig := range [][]byte{random, det} {
+			if len(sig) != SigLen {
+				t.Fatalf("signature of %d bytes, want %d", len(sig), SigLen)
+			}
+			s := new(big.Int).SetBytes(sig[32:])
+			if s.Cmp(new(big.Int).Rsh(n, 1)) > 0 {
+				t.Fatalf("digest %d: s above n/2", i)
+			}
+			high := append([]byte(nil), sig...)
+			new(big.Int).Sub(n, s).FillBytes(high[32:])
+			if err := Verify(k.PublicKey(), digest, high); !errors.Is(err, ErrHighS) {
+				t.Fatalf("digest %d: Verify of n-s = %v, want ErrHighS", i, err)
+			}
+		}
+	}
+	digest := HashBytes([]byte("range"))
+	sig, err := k.Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func([]byte){
+		"r = 0": func(b []byte) { clear(b[:32]) },
+		"s = 0": func(b []byte) { clear(b[32:]) },
+		"r = n": func(b []byte) { n.FillBytes(b[:32]) },
+		"s = n": func(b []byte) { n.FillBytes(b[32:]) },
+	} {
+		bad := append([]byte(nil), sig...)
+		mutate(bad)
+		if err := Verify(k.PublicKey(), digest, bad); !errors.Is(err, ErrSigRange) {
+			t.Errorf("%s: Verify = %v, want ErrSigRange", name, err)
+		}
+	}
+	if err := Verify(k.PublicKey(), digest, sig[:SigLen-1]); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("short signature: Verify = %v, want ErrBadSignature", err)
 	}
 }
 
@@ -184,8 +255,8 @@ func TestGenerateKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if !Verify(k.PublicKey(), digest, sig) {
-		t.Fatal("generated key signature should verify")
+	if err := Verify(k.PublicKey(), digest, sig); err != nil {
+		t.Fatalf("generated key signature should verify: %v", err)
 	}
 }
 

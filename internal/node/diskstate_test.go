@@ -612,7 +612,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 		}
 		carryOn(t, n2, ns2, blocks)
 	})
-	// A state/ written in the node store's previous format is not read:
+	// A state/ written in a format the node store replaced is not read:
 	// the store refuses it untouched and says what to do, and doing that
 	// is the case above.
 	t.Run("v1-format", func(t *testing.T) {
@@ -621,10 +621,15 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 		if err := os.RemoveAll(stateDir); err != nil {
 			t.Fatal(err)
 		}
-		copyFiles(t, stateDir, "../nodestore/testdata/v1-store")
+		if err := os.MkdirAll(stateDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(stateDir, "ns-00000001.seg"), []byte("DCSNS002"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		_, err := nodestore.Open(stateDir, nodestore.Options{Sync: nodestore.SyncNever})
-		if err == nil || !strings.Contains(err.Error(), "DCSNS001") || !strings.Contains(err.Error(), "remove "+stateDir) {
-			t.Fatalf("Open of a DCSNS001 state directory = %v, want a refusal naming the magic and the remedy", err)
+		if err == nil || !strings.Contains(err.Error(), "DCSNS002") || !strings.Contains(err.Error(), "remove "+stateDir) {
+			t.Fatalf("Open of a DCSNS002 state directory = %v, want a refusal naming the magic and the remedy", err)
 		}
 		if left, _ := os.ReadDir(stateDir); len(left) != 1 {
 			t.Fatalf("the refused directory holds %d files, want it untouched", len(left))

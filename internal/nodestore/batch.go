@@ -112,7 +112,7 @@ type record struct {
 // A frame body is one batch, or one chunk of a batch too large for a
 // frame, all at one height:
 //
-//	uvarint height | 0x00 | kindNodes | uvarint count | count x { 32B key | uvarint len | payload }
+//	uvarint height | kindNodes | uvarint count | count x { 32B key | uvarint len | payload }
 //
 // and each payload is a node compressed against the records before it in
 // its window:
@@ -127,18 +127,15 @@ type record struct {
 // lz.WindowRecords records, and before its keys and nodes would pass
 // windowCap bytes.
 //
-// The zero in place of a count marks the form: builds before windows
-// wrote legacy frames, uvarint height | uvarint count | records, whose
-// payloads are the nodes themselves and whose count is at least one.
-// They are read and never written. The byte after the zero names what the
-// records are, so that a frame can one day carry another kind.
+// The kind byte names what the records are, so that a frame can one day
+// carry another kind.
 //
 // Every uvarint is in its shortest form and count at least one, so a body
 // has exactly one framing.
 
 const (
-	// kindNodes is the one kind of record a windowed frame carries: trie
-	// nodes, storage trie nodes and code, each under its hash.
+	// kindNodes is the one kind of record a frame carries: trie nodes,
+	// storage trie nodes and code, each under its hash.
 	kindNodes = 1
 	// windowCap bounds the keys and nodes of a window of more than one
 	// record, so that a large code record cannot make reads big.
@@ -153,7 +150,7 @@ const (
 )
 
 // frameOverhead bounds what a body holds beside its records.
-const frameOverhead = 2*binary.MaxVarintLen64 + 2
+const frameOverhead = 2*binary.MaxVarintLen64 + 1
 
 func uvarintLen(v uint64) int {
 	n := 1
@@ -192,7 +189,7 @@ type frameWriter struct {
 // height.
 func (w *frameWriter) frame(dst []byte, height uint64, recs []record) []byte {
 	body := binary.AppendUvarint(w.body[:0], height)
-	body = append(body, 0, kindNodes)
+	body = append(body, kindNodes)
 	body = binary.AppendUvarint(body, uint64(len(recs)))
 	window := lz.Chain{Cap: windowCap}
 	for _, r := range recs {
@@ -255,35 +252,25 @@ func (s *Store) appendLocked(height uint64, recs []record) ([]loc, error) {
 func parseFrame(seg uint64, off int64, body []byte, recs []framed) (height uint64, _ []framed, ok bool) {
 	recs = recs[:0]
 	height, n := wire.Uvarint(body)
-	count, m := wire.Uvarint(body[n:])
-	at := n + m
-	legacy := count != 0
-	if !legacy && m != 0 && at < len(body) && body[at] == kindNodes {
-		count, m = wire.Uvarint(body[at+1:])
-		at += 1 + m
+	if n == 0 || n == len(body) || body[n] != kindNodes {
+		return 0, recs, false
 	}
-	if n == 0 || m == 0 || count == 0 {
+	count, m := wire.Uvarint(body[n+1:])
+	if m == 0 || count == 0 {
 		return 0, recs, false
 	}
 	window := lz.Chain{Cap: windowCap}
-	for at < len(body) {
-		r, n, ok := cutRecord(body[at:])
+	for at := n + 1 + m; at < len(body); {
+		r, k, ok := cutRecord(body[at:])
 		if !ok {
 			return 0, recs, false
 		}
-		l := makeLoc(seg, off+int64(seglog.FrameHeaderLen+at), len(r.payload))
-		if legacy {
-			l |= locLegacy
-			ok = len(r.payload) <= MaxNodeLen
-		} else {
-			back, _, size, split := lz.Split(r.payload, MaxNodeLen)
-			ok = split && back <= maxBack && window.Admit(at, back, cryptoutil.HashSize+size)
-		}
-		if !ok {
+		back, _, size, split := lz.Split(r.payload, MaxNodeLen)
+		if !split || back > maxBack || !window.Admit(at, back, cryptoutil.HashSize+size) {
 			return 0, recs, false
 		}
-		recs = append(recs, framed{r, l})
-		at += n
+		recs = append(recs, framed{r, makeLoc(seg, off+int64(seglog.FrameHeaderLen+at), len(r.payload))})
+		at += k
 	}
 	return height, recs, uint64(len(recs)) == count
 }
@@ -311,27 +298,22 @@ type framed struct {
 }
 
 // inflateFrame returns the nodes the records of one parsed frame, or of
-// one window, hold, in order: a windowed record's inflated behind its key
-// and its window, a legacy one's as stored. A record that does not
-// inflate has no node (nil), and neither have the later records of its
-// window. The nodes share one buffer of their own, allocated once at what
+// one window, hold, in order, each inflated behind its key and its
+// window. A record that does not inflate has no node (nil), and neither
+// have the later records of its window. The nodes share one buffer of their own, allocated once at what
 // the records that keep to their windows' bounds declare.
 func inflateFrame(recs []framed) [][]byte {
 	nodes := make([][]byte, len(recs))
 	size, window := 0, lz.Chain{Cap: windowCap}
 	for _, r := range recs {
 		back, _, n, ok := lz.Split(r.payload, MaxNodeLen)
-		if ok && !r.at.legacy() && window.Admit(int(r.at.off()), back, cryptoutil.HashSize+n) {
+		if ok && window.Admit(int(r.at.off()), back, cryptoutil.HashSize+n) {
 			size += cryptoutil.HashSize + n
 		}
 	}
 	window = lz.Chain{Cap: windowCap, Keep: true}
 	window.Grow(size)
 	for i, r := range recs {
-		if r.at.legacy() {
-			nodes[i] = r.payload
-			continue
-		}
 		back, enc, n, _ := lz.Split(r.payload, MaxNodeLen)
 		nodes[i], _ = window.Inflate(int(r.at.off()), back, cryptoutil.HashSize+n, r.key[:], enc, MaxNodeLen)
 	}

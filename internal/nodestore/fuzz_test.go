@@ -35,12 +35,9 @@ func trieRecords(f *testing.F) []record {
 }
 
 // reframe appends the frame that carries recs, payloads as stored, at
-// height, in the form their places say: the one framing of its content.
+// height: the one framing of its content.
 func reframe(dst []byte, height uint64, recs []framed) []byte {
-	body := binary.AppendUvarint(nil, height)
-	if !recs[0].at.legacy() {
-		body = append(body, 0, kindNodes)
-	}
+	body := append(binary.AppendUvarint(nil, height), kindNodes)
 	body = binary.AppendUvarint(body, uint64(len(recs)))
 	for _, r := range recs {
 		body = append(body, r.key[:]...)
@@ -48,15 +45,6 @@ func reframe(dst []byte, height uint64, recs []framed) []byte {
 		body = append(body, r.payload...)
 	}
 	return seglog.AppendFrame(dst, body)
-}
-
-// legacyFrame appends the frame a build before windows wrote for recs.
-func legacyFrame(dst []byte, height uint64, recs []record) []byte {
-	stored := make([]framed, len(recs))
-	for i, r := range recs {
-		stored[i] = framed{r, locLegacy}
-	}
-	return reframe(dst, height, stored)
 }
 
 // smallRecords returns n nodes of a few bytes each under their hashes:
@@ -83,11 +71,10 @@ func uninflatable(p []byte) []byte {
 // seedKey is the key of every record of the hand-built bodies below.
 var seedKey = bytes.Repeat([]byte{9}, cryptoutil.HashSize)
 
-// chained is a windowed body at height 7 whose records, under seedKey,
-// hold nodes in one window however long: what the writer would have
-// restarted.
+// chained is a body at height 7 whose records, under seedKey, hold nodes
+// in one window however long: what the writer would have restarted.
 func chained(nodes ...[]byte) []byte {
-	body := []byte{7, 0, kindNodes, byte(len(nodes))}
+	body := []byte{7, kindNodes, byte(len(nodes))}
 	start := len(body)
 	var e lz.Encoder
 	for _, n := range nodes {
@@ -100,10 +87,10 @@ func chained(nodes ...[]byte) []byte {
 	return body
 }
 
-// windowedBody is a body at height 7, marked windowed and of this kind, of
-// one record under seedKey with payload p.
-func windowedBody(kind byte, p []byte) []byte {
-	return append(binary.AppendUvarint(append([]byte{7, 0, kind, 1}, seedKey...), uint64(len(p))), p...)
+// body1 is a body at height 7, of this kind, of one record under seedKey
+// with payload p.
+func body1(kind byte, p []byte) []byte {
+	return append(binary.AppendUvarint(append([]byte{7, kind, 1}, seedKey...), uint64(len(p))), p...)
 }
 
 // payload is back followed by the encoding of node on its own.
@@ -123,23 +110,24 @@ func payload(back []byte, node string) []byte {
 // must give what inflating its frame in order gives, and a record that
 // does not inflate so must be ErrCorrupt.
 func FuzzNodeDecode(f *testing.F) {
-	// Seed: a valid segment of two legacy frames, then mutations of it.
+	// Seed: a valid segment of two frames, then mutations of it.
 	nodes := trieRecords(f)
-	valid := legacyFrame([]byte(segMagic), 7, []record{{cryptoutil.HashBytes([]byte("seed-node-a")), []byte("seed-node-a")}, {payload: bytes.Repeat([]byte{3}, 100)}})
-	valid = legacyFrame(valid, 300, nodes)
+	var w frameWriter
+	valid := w.frame([]byte(segMagic), 7, []record{{cryptoutil.HashBytes([]byte("seed-node-a")), []byte("seed-node-a")}, {payload: bytes.Repeat([]byte{3}, 100)}})
+	valid = w.frame(valid, 300, nodes)
 	f.Add(valid)
 	f.Add([]byte(segMagic))
-	f.Add(valid[:len(valid)-3])             // torn tail
-	f.Add(append([]byte("XXXXXXXX"), 1, 2)) // bad magic
+	f.Add(valid[:len(valid)-3])                                 // torn tail
+	f.Add(append([]byte("XXXXXXXX"), 1, 2))                     // bad magic
+	f.Add(append([]byte("DCSNS002"), valid[len(segMagic):]...)) // a replaced format
 	huge := binary.BigEndian.AppendUint32([]byte(segMagic), uint32(format.MaxBody+1))
 	f.Add(append(huge, 0, 0, 0, 0)) // oversize length field
 	// CRC-valid frames that are not the one framing of their content.
 	for _, body := range malformedBodies() {
 		f.Add(seglog.AppendFrame([]byte(segMagic), body))
 	}
-	// Windowed frames as the writer writes them: a trie behind a legacy
-	// frame, and twenty small nodes, a window of sixteen and one of four.
-	var w frameWriter
+	// Frames as the writer writes them: a trie behind two frames, and
+	// twenty small nodes, a window of sixteen and one of four.
 	f.Add(w.frame(bytes.Clone(valid), 301, nodes))
 	windowed := w.frame([]byte(segMagic), 5, smallRecords(20))
 	f.Add(windowed)
@@ -231,35 +219,36 @@ func FuzzNodeDecode(f *testing.F) {
 // or nothing, in a form parseFrame must not accept.
 func malformedBodies() map[string][]byte {
 	key := seedKey
-	one := append(append([]byte(nil), key...), 1, 'x')
+	x := payload([]byte{0}, "x")
+	one := append(append(append([]byte(nil), key...), byte(len(x))), x...)
 	seventeen := make([][]byte, lz.WindowRecords+1)
 	for i := range seventeen {
 		seventeen[i] = []byte{byte(i)}
 	}
 	big := bytes.Repeat([]byte("0123456789abcdef"), windowCap/32)
 	notToARecord := chained([]byte("x"))
-	notToARecord[3] = 2
-	notToARecord = append(notToARecord, windowedBody(kindNodes, payload([]byte{1}, "y"))[4:]...)
+	notToARecord[2] = 2
+	notToARecord = append(notToARecord, body1(kindNodes, payload([]byte{1}, "y"))[3:]...)
 	return map[string][]byte{
-		"padded height":   append([]byte{0x87, 0x00, 1}, one...),
-		"padded length":   append(append([]byte{7, 1}, key...), 0x81, 0x00, 'x'),
-		"count over":      append([]byte{7, 2}, one...),
-		"count under":     append(append([]byte{7, 1}, one...), one...),
-		"count zero":      {7, 0},
-		"short key":       append([]byte{7, 1}, key[:31]...),
-		"payload cut":     append(append([]byte{7, 1}, key...), 5, 'x'),
-		"length over max": append(append([]byte{7, 1}, key...), binary.AppendUvarint(nil, MaxNodeLen+1)...),
-		// Windowed frames.
-		"unknown kind":             windowedBody(kindNodes+1, payload([]byte{0}, "x")),
-		"windowed count zero":      {7, 0, kindNodes, 0},
-		"back before the frame":    windowedBody(kindNodes, payload([]byte{4}, "x")), // to the body's first byte
-		"padded back":              windowedBody(kindNodes, payload([]byte{0x80, 0x00}, "x")),
-		"no back":                  windowedBody(kindNodes, nil),
-		"no declared length":       windowedBody(kindNodes, []byte{0}),
+		"padded height":            append([]byte{0x87, 0x00, kindNodes, 1}, one...),
+		"padded count":             append([]byte{7, kindNodes, 0x81, 0x00}, one...),
+		"padded length":            append(append(append([]byte{7, kindNodes, 1}, key...), 0x80|byte(len(x)), 0x00), x...),
+		"count over":               append([]byte{7, kindNodes, 2}, one...),
+		"count under":              append(append([]byte{7, kindNodes, 1}, one...), one...),
+		"count zero":               {7, kindNodes, 0},
+		"no kind":                  {7},
+		"short key":                append([]byte{7, kindNodes, 1}, key[:31]...),
+		"payload cut":              append(append([]byte{7, kindNodes, 1}, key...), 5, 'x'),
+		"length over max":          append(append([]byte{7, kindNodes, 1}, key...), binary.AppendUvarint(nil, maxPayloadLen+1)...),
+		"unknown kind":             body1(kindNodes+1, x),
+		"back before the frame":    body1(kindNodes, payload([]byte{3}, "x")), // to the body's first byte
+		"padded back":              body1(kindNodes, payload([]byte{0x80, 0x00}, "x")),
+		"no back":                  body1(kindNodes, nil),
+		"no declared length":       body1(kindNodes, []byte{0}),
 		"back not to a record":     notToARecord,
 		"over sixteen records":     chained(seventeen...),
 		"window over the cap":      chained(big, big),
-		"declared length over max": windowedBody(kindNodes, binary.AppendUvarint([]byte{0}, MaxNodeLen+1)),
+		"declared length over max": body1(kindNodes, binary.AppendUvarint([]byte{0}, MaxNodeLen+1)),
 	}
 }
 
@@ -272,18 +261,18 @@ func TestFrameSeedsAreRefused(t *testing.T) {
 			t.Errorf("%s: accepted as %d records", name, len(recs))
 		}
 	}
-	canonical := append(append([]byte{7, 1}, seedKey...), 1, 'x')
-	if h, recs, ok := parseFrame(1, 0, canonical, nil); !ok || h != 7 || len(recs) != 1 || string(recs[0].payload) != "x" || !recs[0].at.legacy() {
+	canonical := body1(kindNodes, payload([]byte{0}, "x"))
+	if h, recs, ok := parseFrame(1, 0, canonical, nil); !ok || h != 7 || len(recs) != 1 || string(inflateFrame(recs)[0]) != "x" {
 		t.Fatalf("the canonical frame: height %d, %d records, ok %v", h, len(recs), ok)
 	}
 	nodes := [][]byte{[]byte("first node"), []byte("first node, again"), bytes.Repeat([]byte{1}, windowCap/4)}
 	h, recs, ok := parseFrame(1, 0, chained(nodes...), nil)
-	if !ok || h != 7 || len(recs) != len(nodes) || recs[0].at.legacy() {
-		t.Fatalf("a canonical windowed frame: height %d, %d records, ok %v", h, len(recs), ok)
+	if !ok || h != 7 || len(recs) != len(nodes) {
+		t.Fatalf("a canonical chained frame: height %d, %d records, ok %v", h, len(recs), ok)
 	}
 	for i, n := range inflateFrame(recs) {
 		if !bytes.Equal(n, nodes[i]) {
-			t.Fatalf("windowed record %d inflates to %q", i, n)
+			t.Fatalf("chained record %d inflates to %q", i, n)
 		}
 	}
 }

@@ -92,11 +92,9 @@ func TestLocPacking(t *testing.T) {
 		{1, 8, 0, 0}, {1, 8, 1, 1}, {7, 123456, 4094, 4094}, {7, 123456, 4095, locMaxLen},
 		{maxSegment, maxOffset, MaxNodeLen, locMaxLen},
 	} {
-		for _, flag := range []loc{0, locLegacy} {
-			l := makeLoc(c.seg, c.off, c.n) | flag
-			if l == 0 || l.seg() != c.seg || l.off() != c.off || l.len() != c.len || l.legacy() != (flag != 0) {
-				t.Fatalf("makeLoc(%d, %d, %d) | %x unpacks to %d, %d, %d, legacy %v", c.seg, c.off, c.n, flag, l.seg(), l.off(), l.len(), l.legacy())
-			}
+		l := makeLoc(c.seg, c.off, c.n)
+		if l == 0 || l.seg() != c.seg || l.off() != c.off || l.len() != c.len {
+			t.Fatalf("makeLoc(%d, %d, %d) unpacks to %d, %d, %d", c.seg, c.off, c.n, l.seg(), l.off(), l.len())
 		}
 	}
 	if end := maxSegmentSize + seglog.FrameHeaderLen + format.MaxBody; end > maxOffset {

@@ -11,15 +11,13 @@
 // rotation, repair and sync policies, none of which are restated here).
 // A frame is a committed batch, or a chunk of one, at one height:
 //
-//	uvarint height | 0x00 | kind | uvarint count | count x { 32B node hash | uvarint len | payload }
+//	uvarint height | kind | uvarint count | count x { 32B node hash | uvarint len | payload }
 //
 // and a payload is the node compressed (internal/lz) against the records
 // before it in its window, at most 16 of the same frame, keys included:
 // uvarint back (the bytes from the record's key back to its window's
 // first) | lz encoding (batch.go). The key stays raw, so the open-time
-// scan indexes without inflating anything. Frames of the unwindowed form
-// earlier builds wrote, whose payload is the node itself, are read and
-// never written (compaction rewrites their live records windowed).
+// scan indexes without inflating anything.
 //
 // Records are immutable and content-addressed: the hash IS the key, so
 // duplicate appends are idempotent and crash-duplicated records (e.g.
@@ -64,8 +62,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,13 +75,12 @@ import (
 
 // Format constants.
 const (
-	// segMagic opens every segment file (8 bytes, versioned). Its frames
-	// are windowed or, written by earlier builds, legacy: each frame says
-	// which (batch.go).
-	segMagic = "DCSNS002"
-	// segMagicV1 opened the segments of the per-record format this one
-	// replaced; Open refuses them rather than repair them away.
-	segMagicV1 = "DCSNS001"
+	// segMagic opens every segment file (8 bytes, versioned). Open
+	// refuses the segments of the formats it replaced (format.Replaced):
+	// DCSNS001, a record a frame, and DCSNS002, whose frames were
+	// windowed or not and whose accounts were those of the transaction
+	// encoding before compact keys.
+	segMagic = "DCSNS003"
 	// MaxNodeLen bounds one encoded node so a garbled length field can
 	// never force a huge allocation during an index rebuild.
 	MaxNodeLen = 4 << 20
@@ -99,7 +94,7 @@ const (
 )
 
 // format is the node store's segment file format.
-var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: frameOverhead + recordLen(maxPayloadLen)}
+var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: frameOverhead + recordLen(maxPayloadLen), Replaced: []string{"DCSNS001", "DCSNS002"}}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 8 << 20
@@ -201,8 +196,8 @@ type Store struct {
 // Open opens (or creates) a node store in dir, rebuilding the index by
 // scanning every segment. A torn or garbled tail on the newest segment
 // is truncated; damage in an older segment is reported as ErrCorrupt
-// (compaction never leaves one behind). A directory of DCSNS001
-// segments is refused untouched.
+// (compaction never leaves one behind). A directory of segments in a
+// format this one replaced is refused untouched.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
@@ -220,10 +215,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		SyncEvery:    opts.SyncEvery,
 		Clock:        opts.Clock,
 	})
-	if err != nil {
-		return nil, err
+	if errors.Is(err, seglog.ErrReplaced) {
+		return nil, fmt.Errorf("nodestore: %w: remove %s and restart, and recovery rebuilds the state from the journal", err, dir)
 	}
-	if err := refuseV1(dir, l.Segments()); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	s := &Store{
@@ -284,26 +279,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		})
 	}
 	return s, nil
-}
-
-// refuseV1 fails when a segment opens with the magic of the format this
-// one replaced: scanning it would find damage at byte 0 and repair the
-// file away.
-func refuseV1(dir string, segs []uint64) error {
-	for _, seg := range segs {
-		f, err := os.Open(filepath.Join(dir, format.SegmentName(seg)))
-		if err != nil {
-			return fmt.Errorf("nodestore: open segment: %w", err)
-		}
-		magic := make([]byte, seglog.MagicLen)
-		_, err = io.ReadFull(f, magic)
-		f.Close()
-		if err == nil && string(magic) == segMagicV1 {
-			return fmt.Errorf("nodestore: %s is a %s segment; this version reads and writes %s only and does not convert: "+
-				"remove %s and restart, and recovery rebuilds the state from the journal", format.SegmentName(seg), segMagicV1, segMagic, dir)
-		}
-	}
-	return nil
 }
 
 // indexScannedLocked indexes a record the open-time scan found. The
@@ -404,7 +379,7 @@ func (s *Store) readRecord(f io.ReaderAt, l loc) (key cryptoutil.Hash, payload [
 // order: at most lz.WindowRecords inflates.
 func (s *Store) readNode(f io.ReaderAt, l loc, h cryptoutil.Hash) (key cryptoutil.Hash, node []byte, err error) {
 	key, payload, err := s.readRecord(f, l)
-	if err != nil || key != h || l.legacy() {
+	if err != nil || key != h {
 		return key, payload, err
 	}
 	back, _, _, ok := lz.Split(payload, MaxNodeLen)

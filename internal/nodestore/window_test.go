@@ -223,7 +223,7 @@ func TestReadWindowBound(t *testing.T) {
 		nodes[i] = []byte{byte(i), 'n'}
 	}
 	for n, want := range map[int]bool{lz.WindowRecords - 1: true, lz.WindowRecords: false} {
-		body := chained(nodes[:n]...)[4:] // the records, from the first key on
+		body := chained(nodes[:n]...)[3:] // the records, from the first key on
 		recs, err := s.readWindow(nil, bytes.NewReader(body), 0, len(body))
 		if want && (err != nil || len(recs) != n) {
 			t.Fatalf("%d records before the read one: %d read, %v", n, len(recs), err)
@@ -234,7 +234,7 @@ func TestReadWindowBound(t *testing.T) {
 	}
 	// A second record that says it starts a window: the read one, whose
 	// back names the first, does not inflate.
-	body := append(chained(nodes[0])[4:], chained(nodes[1])[4:]...)
+	body := append(chained(nodes[0])[3:], chained(nodes[1])[3:]...)
 	recs, err := s.readWindow(nil, bytes.NewReader(body), 0, len(body))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestReadWindowBound(t *testing.T) {
 	// A window over the cap: its first node inflates, the one behind it,
 	// past the cap already, does not.
 	big := noise(windowCap, 7)
-	body = chained(big, []byte("x"))[4:]
+	body = chained(big, []byte("x"))[3:]
 	if recs, err = s.readWindow(nil, bytes.NewReader(body), 0, len(body)); err != nil {
 		t.Fatal(err)
 	}

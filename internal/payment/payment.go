@@ -167,8 +167,8 @@ func (c *Channel) VerifyUpdate(u Update) error {
 		return fmt.Errorf("%w: balances do not preserve capacity", ErrBadUpdate)
 	}
 	d := u.digest()
-	if !cryptoutil.Verify(c.keyA.PublicKey(), d, u.SigA) ||
-		!cryptoutil.Verify(c.keyB.PublicKey(), d, u.SigB) {
+	if cryptoutil.Verify(c.keyA.PublicKey(), d, u.SigA) != nil ||
+		cryptoutil.Verify(c.keyB.PublicKey(), d, u.SigB) != nil {
 		return fmt.Errorf("%w: bad signatures", ErrBadUpdate)
 	}
 	return nil

@@ -38,6 +38,10 @@ type Format struct {
 	// MaxBody bounds one frame body, so a garbled length field cannot
 	// force a huge allocation during a scan.
 	MaxBody int
+	// Replaced are the magics of the formats this one replaced: Open
+	// refuses a directory holding a segment that opens with one
+	// (ErrReplaced) and touches nothing in it.
+	Replaced []string
 }
 
 // HeaderLen is the byte length of a segment header.

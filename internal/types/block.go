@@ -179,7 +179,7 @@ func (b *Block) AppendEncode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(b.Txs)))
 	for _, tx := range b.Txs {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(tx.encodedLen()))
-		dst = tx.appendTo(dst, true)
+		dst = tx.appendTo(dst)
 	}
 	return dst
 }

@@ -34,8 +34,8 @@ func TestNewBlockSetsTxRoot(t *testing.T) {
 func TestTxRootDetectsTampering(t *testing.T) {
 	b := testBlock(t, 4)
 	enc := b.Encode()
-	// The low byte of tx 2's value: the 8th after its kind, from and to.
-	enc[bytes.Index(enc, b.Txs[2].Encode())+1+2*cryptoutil.AddressSize+7] ^= 0x40
+	// The low byte of tx 2's value: the 8th after its kind and to.
+	enc[bytes.Index(enc, b.Txs[2].Encode())+1+cryptoutil.AddressSize+7] ^= 0x40
 	tampered, err := DecodeBlock(enc)
 	if err != nil {
 		t.Fatalf("DecodeBlock: %v", err)

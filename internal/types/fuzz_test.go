@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"crypto/elliptic"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -71,6 +72,78 @@ func FuzzBlockDecode(f *testing.F) {
 			if want := cryptoutil.HashBytes([]byte(txIDTag), fresh.Encode()); b.Txs[i].ID() != want || fresh.ID() != want {
 				t.Fatalf("tx %d: memoized id %s, the re-encoding hashes to %s", i, b.Txs[i].ID().Short(), want.Short())
 			}
+		}
+	})
+}
+
+// FuzzTxDecode throws arbitrary bytes at the transaction codec, whose
+// key and signature are fixed-width and whose sender is derived, not
+// read. Invariants:
+//
+//  1. DecodeTransaction never panics;
+//  2. a decoded transaction encodes back to its input byte for byte,
+//     and its memoized id is the hash of that input;
+//  3. its sender is the address of its key (zero for a coinbase);
+//  4. Verify never panics, whatever the key and the signature hold,
+//     and a verified transaction verifies again.
+func FuzzTxDecode(f *testing.F) {
+	k := cryptoutil.KeyFromSeed([]byte("fuzz-sender"))
+	tx := NewTransfer(k.Address(), cryptoutil.ZeroAddress, 7, 1, 0)
+	if err := tx.SignDeterministic(k); err != nil {
+		f.Fatal(err)
+	}
+	signed := tx.Encode()
+	f.Add(signed)
+	f.Add(NewCoinbase(k.Address(), 50, 1).Encode())
+	deploy := &Transaction{Kind: TxDeploy, From: k.Address(), GasLimit: 100, Data: []byte{1, 2, 3}}
+	if err := deploy.SignDeterministic(k); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deploy.Encode())
+	key := len(signed) - cryptoutil.SigLen - cryptoutil.PubKeyLen
+	sig := len(signed) - cryptoutil.SigLen
+	with := func(at int, b ...byte) []byte {
+		out := append([]byte(nil), signed...)
+		copy(out[at:], b)
+		return out
+	}
+	for _, prefix := range []byte{0x00, 0x04, 0x05} {
+		f.Add(with(key, prefix))
+	}
+	params := elliptic.P256().Params()
+	f.Add(with(key+1, params.P.Bytes()...)) // x = p
+	for x := byte(1); ; x++ {               // an x with no square root
+		pub := make([]byte, cryptoutil.PubKeyLen)
+		pub[0], pub[len(pub)-1] = 2, x
+		if px, _ := elliptic.UnmarshalCompressed(elliptic.P256(), pub); px == nil {
+			f.Add(with(key, pub...))
+			break
+		}
+	}
+	f.Add(with(sig, make([]byte, cryptoutil.SigLen/2)...)) // r = 0
+	f.Add(with(sig+cryptoutil.SigLen/2, params.N.Bytes()...))
+	f.Add(signed[:len(signed)-1])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tx, err := DecodeTransaction(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(tx.Encode(), data) {
+			t.Fatal("a decoded transaction does not encode back to its input")
+		}
+		if want := cryptoutil.HashBytes([]byte(txIDTag), data); tx.ID() != want {
+			t.Fatalf("memoized id %s, the input hashes to %s", tx.ID().Short(), want.Short())
+		}
+		switch {
+		case tx.Kind == TxCoinbase && (tx.From != cryptoutil.ZeroAddress || tx.PubKey != nil || tx.Sig != nil):
+			t.Fatal("a coinbase decoded with a sender, a key or a signature")
+		case tx.Kind != TxCoinbase && tx.From != cryptoutil.PubKeyToAddress(tx.PubKey):
+			t.Fatal("the sender is not the address of the key")
+		}
+		if tx.Verify() == nil && tx.Verify() != nil {
+			t.Fatal("a verified transaction failed to verify again")
 		}
 	})
 }

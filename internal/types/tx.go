@@ -64,6 +64,11 @@ const maxFieldLen = 1 << 24
 // Transaction is an account-model transaction. Fee is the total fee the
 // sender offers; the block producer collects it (Section 2.4 incentives).
 //
+// From is not encoded: it is the address of PubKey, derived when a
+// transaction is decoded and checked against the key by Sign and
+// Verify when a caller built it. A coinbase has no sender (From is
+// zero), no key and no signature.
+//
 // An instance is immutable once signed or decoded: its id and a
 // successful verification are memoized on it, and a node shares one
 // instance per transaction between its pool, its blocks and the
@@ -93,17 +98,34 @@ type Transaction struct {
 	id cryptoutil.Hash
 }
 
-// Domain tags: a transaction's signing digest and its id are the SHA-256
-// of the tag followed by its canonical encoding, without and with PubKey
-// and Sig.
+// Domain tags: a transaction's id is the SHA-256 of txIDTag followed by
+// its canonical encoding; its signing digest, that of signingTag
+// followed by the kind, From and the body (everything the encoding holds
+// but the kind, the key and the signature).
 const (
 	signingTag = "dcsledger/tx"
 	txIDTag    = "dcsledger/txid"
 )
 
+// Canonical encoding (big-endian):
+//
+//	u8    kind
+//	[20]  to
+//	u64   value, fee, nonce, gasLimit
+//	u64   len(data), then data
+//	[33]  public key, compressed   } every kind but the coinbase
+//	[64]  signature, r‖s           }
+const (
+	// bodyLen is the length of the encoding before Data: the kind, To,
+	// the four amounts and Data's length.
+	bodyLen = 1 + cryptoutil.AddressSize + 5*8
+	// authLen is the key and the signature behind Data.
+	authLen = cryptoutil.PubKeyLen + cryptoutil.SigLen
+)
+
 // stackEncoding bounds the tag and encoding that digest and
 // DecodeTransaction hash from a buffer on the stack: a signed transfer
-// is about 250 bytes with its tag. A longer one (a deploy's code) is
+// is about 170 bytes with its tag. A longer one (a deploy's code) is
 // hashed all the same, from the heap.
 const stackEncoding = 512
 
@@ -129,27 +151,29 @@ func NewCoinbase(to cryptoutil.Address, reward uint64, height uint64) *Transacti
 	}
 }
 
-// SigningDigest returns the hash a sender signs: the canonical encoding of
-// everything except PubKey and Sig.
+// SigningDigest returns the hash a sender signs: the kind, From and the
+// body, not PubKey and Sig. From is in it so that a signature binds the
+// address it debits.
 func (tx *Transaction) SigningDigest() cryptoutil.Hash {
-	return tx.digest(signingTag, false)
+	var buf [stackEncoding]byte
+	dst := append(append(buf[:0], signingTag...), byte(tx.Kind))
+	return sha256.Sum256(tx.appendBody(append(dst, tx.From[:]...)))
 }
 
 // ID returns the transaction identifier: the hash of the full canonical
-// encoding, including the signature.
+// encoding, including the key and the signature.
 func (tx *Transaction) ID() cryptoutil.Hash {
 	if tx.id != (cryptoutil.Hash{}) {
 		return tx.id
 	}
-	return tx.digest(txIDTag, true)
+	return tx.hashID()
 }
 
-// digest hashes tag followed by the canonical encoding, with or without
-// PubKey and Sig (cryptoutil.HashBytes of the two), encoded into a
-// buffer on the stack.
-func (tx *Transaction) digest(tag string, includeSig bool) cryptoutil.Hash {
+// hashID hashes txIDTag followed by the canonical encoding, encoded into
+// a buffer on the stack.
+func (tx *Transaction) hashID() cryptoutil.Hash {
 	var buf [stackEncoding]byte
-	return sha256.Sum256(tx.appendTo(append(buf[:0], tag...), includeSig))
+	return sha256.Sum256(tx.appendTo(append(buf[:0], txIDTag...)))
 }
 
 // Sign attaches the key's signature and public key to the transaction.
@@ -165,7 +189,7 @@ func (tx *Transaction) Sign(k *cryptoutil.KeyPair) error {
 	tx.PubKey = k.PublicKey()
 	tx.Sig = sig
 	atomic.StoreUint32(&tx.sigOK, 0) // new signature: drop any stale memo
-	tx.id = tx.digest(txIDTag, true)
+	tx.id = tx.hashID()
 	return nil
 }
 
@@ -184,7 +208,7 @@ func (tx *Transaction) SignDeterministic(k *cryptoutil.KeyPair) error {
 	tx.PubKey = k.PublicKey()
 	tx.Sig = sig
 	atomic.StoreUint32(&tx.sigOK, 0)
-	tx.id = tx.digest(txIDTag, true)
+	tx.id = tx.hashID()
 	return nil
 }
 
@@ -195,7 +219,9 @@ func (tx *Transaction) SignDeterministic(k *cryptoutil.KeyPair) error {
 //
 // A successful verification is memoized, so re-verifying the same
 // (immutable) transaction — e.g. sequentially applying a block whose
-// signatures VerifyBatch already checked in parallel — is free.
+// signatures VerifyBatch already checked in parallel — is free. A
+// signature that fails wraps ErrBadSignature and cryptoutil's reason
+// (cryptoutil.ErrHighS, ErrSigRange, ErrBadPubKey, ErrBadSignature).
 func (tx *Transaction) Verify() error {
 	switch tx.Kind {
 	case TxTransfer, TxDeploy, TxInvoke:
@@ -216,8 +242,8 @@ func (tx *Transaction) Verify() error {
 	if cryptoutil.PubKeyToAddress(tx.PubKey) != tx.From {
 		return ErrFromMismatch
 	}
-	if !cryptoutil.Verify(tx.PubKey, tx.SigningDigest(), tx.Sig) {
-		return ErrBadSignature
+	if err := cryptoutil.Verify(tx.PubKey, tx.SigningDigest(), tx.Sig); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSignature, err)
 	}
 	atomic.StoreUint32(&tx.sigOK, 1)
 	return nil
@@ -237,20 +263,47 @@ func (tx *Transaction) Cost() (uint64, error) {
 
 // Encode returns the full canonical encoding of the transaction.
 func (tx *Transaction) Encode() []byte {
-	return tx.appendTo(make([]byte, 0, tx.encodedLen()), true)
+	return tx.appendTo(make([]byte, 0, tx.encodedLen()))
 }
 
-// DecodeTransaction parses a transaction from its canonical encoding and
-// memoizes its id. The codec is canonical — a decoded transaction
-// encodes back to b — so the id is the hash of b itself.
+// DecodeTransaction parses a transaction from its canonical encoding,
+// derives From from the key and memoizes the id. The key is not checked
+// to be a point here (Verify does): a decode costs one SHA-256 for the
+// sender and one for the id. The codec is canonical — a decoded
+// transaction encodes back to b — so the id is the hash of b itself.
 func DecodeTransaction(b []byte) (*Transaction, error) {
-	r := bytes.NewReader(b)
-	tx, err := readTransaction(r)
-	if err != nil {
-		return nil, err
+	if len(b) < bodyLen {
+		return nil, fmt.Errorf("types: read transaction: %w", io.ErrUnexpectedEOF)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("types: %d trailing bytes after transaction", r.Len())
+	tx := &Transaction{Kind: TxKind(b[0])}
+	p := b[1+copy(tx.To[:], b[1:]):]
+	tx.Value = binary.BigEndian.Uint64(p)
+	tx.Fee = binary.BigEndian.Uint64(p[8:])
+	tx.Nonce = binary.BigEndian.Uint64(p[16:])
+	tx.GasLimit = binary.BigEndian.Uint64(p[24:])
+	n := binary.BigEndian.Uint64(p[32:])
+	p = p[40:]
+	if n > maxFieldLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	if n > uint64(len(p)) {
+		return nil, fmt.Errorf("types: read data: %w", io.ErrUnexpectedEOF)
+	}
+	if n > 0 {
+		tx.Data = bytes.Clone(p[:n])
+	}
+	p = p[n:]
+	if tx.Kind != TxCoinbase {
+		if len(p) < authLen {
+			return nil, fmt.Errorf("types: read key and signature: %w", io.ErrUnexpectedEOF)
+		}
+		auth := bytes.Clone(p[:authLen])
+		tx.PubKey, tx.Sig = auth[:cryptoutil.PubKeyLen:cryptoutil.PubKeyLen], auth[cryptoutil.PubKeyLen:]
+		tx.From = cryptoutil.PubKeyToAddress(tx.PubKey)
+		p = p[authLen:]
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("types: %d trailing bytes after transaction", len(p))
 	}
 	var buf [stackEncoding]byte
 	tx.id = sha256.Sum256(append(append(buf[:0], txIDTag...), b...))
@@ -259,55 +312,39 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 
 // encodedLen is the length of the full canonical encoding.
 func (tx *Transaction) encodedLen() int {
-	return 1 + 2*cryptoutil.AddressSize + 4*8 + 3*8 + len(tx.Data) + len(tx.PubKey) + len(tx.Sig)
+	if tx.Kind == TxCoinbase {
+		return bodyLen + len(tx.Data)
+	}
+	return bodyLen + len(tx.Data) + authLen
 }
 
-// appendTo appends the canonical encoding to dst, with or without PubKey
-// and Sig.
-func (tx *Transaction) appendTo(dst []byte, includeSig bool) []byte {
-	dst = append(dst, byte(tx.Kind))
-	dst = append(dst, tx.From[:]...)
+// appendTo appends the canonical encoding to dst. The key and the
+// signature take their fixed widths whatever their length: zeros where
+// a transaction is unsigned.
+func (tx *Transaction) appendTo(dst []byte) []byte {
+	dst = tx.appendBody(append(dst, byte(tx.Kind)))
+	if tx.Kind != TxCoinbase {
+		dst = appendFixed(dst, tx.PubKey, cryptoutil.PubKeyLen)
+		dst = appendFixed(dst, tx.Sig, cryptoutil.SigLen)
+	}
+	return dst
+}
+
+// appendBody appends what the encoding and the signing digest both
+// hold: To, the four amounts and Data.
+func (tx *Transaction) appendBody(dst []byte) []byte {
 	dst = append(dst, tx.To[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, tx.Value)
 	dst = binary.BigEndian.AppendUint64(dst, tx.Fee)
 	dst = binary.BigEndian.AppendUint64(dst, tx.Nonce)
 	dst = binary.BigEndian.AppendUint64(dst, tx.GasLimit)
-	dst = appendBytes(dst, tx.Data)
-	if includeSig {
-		dst = appendBytes(dst, tx.PubKey)
-		dst = appendBytes(dst, tx.Sig)
-	}
-	return dst
+	return appendBytes(dst, tx.Data)
 }
 
-func readTransaction(r *bytes.Reader) (*Transaction, error) {
-	var tx Transaction
-	kind, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("types: read kind: %w", err)
-	}
-	tx.Kind = TxKind(kind)
-	if _, err := io.ReadFull(r, tx.From[:]); err != nil {
-		return nil, fmt.Errorf("types: read from: %w", err)
-	}
-	if _, err := io.ReadFull(r, tx.To[:]); err != nil {
-		return nil, fmt.Errorf("types: read to: %w", err)
-	}
-	for _, dst := range []*uint64{&tx.Value, &tx.Fee, &tx.Nonce, &tx.GasLimit} {
-		if *dst, err = readUint64(r); err != nil {
-			return nil, err
-		}
-	}
-	if tx.Data, err = readBytes(r); err != nil {
-		return nil, err
-	}
-	if tx.PubKey, err = readBytes(r); err != nil {
-		return nil, err
-	}
-	if tx.Sig, err = readBytes(r); err != nil {
-		return nil, err
-	}
-	return &tx, nil
+// appendFixed appends b cut or zero-padded to n bytes.
+func appendFixed(dst, b []byte, n int) []byte {
+	b = b[:min(len(b), n)]
+	return append(append(dst, b...), make([]byte, n-len(b))...)
 }
 
 // TxHashes returns the IDs of a transaction slice, in order, for Merkle

@@ -2,15 +2,18 @@ package types
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"encoding/json"
 	"errors"
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
 	"dcsledger/internal/cryptoutil"
 )
 
-func signedTransfer(t *testing.T, seed string, nonce uint64) (*Transaction, *cryptoutil.KeyPair) {
+func signedTransfer(t testing.TB, seed string, nonce uint64) (*Transaction, *cryptoutil.KeyPair) {
 	t.Helper()
 	k := cryptoutil.KeyFromSeed([]byte(seed))
 	to := cryptoutil.KeyFromSeed([]byte(seed + "/to")).Address()
@@ -129,8 +132,8 @@ func TestDecodeRejectsHugeLength(t *testing.T) {
 	// Craft an encoding whose Data length prefix claims 2^40 bytes.
 	tx := NewTransfer(cryptoutil.ZeroAddress, cryptoutil.ZeroAddress, 0, 0, 0)
 	enc := tx.Encode()
-	// Data length field sits after kind(1)+from(20)+to(20)+4*uint64(32).
-	off := 1 + 20 + 20 + 32
+	// Data length field sits after kind(1)+to(20)+4*uint64(32).
+	off := 1 + 20 + 32
 	enc[off] = 0xff
 	enc[off+1] = 0xff
 	if _, err := DecodeTransaction(enc); !errors.Is(err, ErrTooLarge) {
@@ -223,7 +226,8 @@ func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 // encoding is one exact-size allocation, a transaction's and a block's.
 func TestTxCodecAllocs(t *testing.T) {
 	signed, _ := signedTransfer(t, "allocs", 1)
-	decoded, err := DecodeTransaction(signed.Encode())
+	enc := signed.Encode()
+	decoded, err := DecodeTransaction(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +244,96 @@ func TestTxCodecAllocs(t *testing.T) {
 		{"SigningDigest", 0, func() { _ = decoded.SigningDigest() }},
 		{"Header.Hash", 0, func() { _ = b.Hash() }},
 		{"Transaction.Encode", 1, func() { _ = decoded.Encode() }},
+		{"DecodeTransaction", 2, func() { _, _ = DecodeTransaction(enc) }},
 		{"Block.Encode", 1, func() { _ = b.Encode() }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got != c.want {
 			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEncodingCarriesEachFactOnce: a signed transfer encodes as its
+// body, the 33-byte compressed key and the 64-byte signature, with no
+// sender and no lengths for either; decoding derives the sender from
+// the key. A coinbase carries neither key nor signature.
+func TestEncodingCarriesEachFactOnce(t *testing.T) {
+	tx, k := signedTransfer(t, "layout", 4)
+	enc := tx.Encode()
+	if want := bodyLen + cryptoutil.PubKeyLen + cryptoutil.SigLen; len(enc) != want {
+		t.Fatalf("signed transfer encodes to %d bytes, want %d", len(enc), want)
+	}
+	if bytes.Contains(enc, tx.From[:]) {
+		t.Fatal("the encoding carries the sender")
+	}
+	if !bytes.Equal(enc[bodyLen:bodyLen+cryptoutil.PubKeyLen], k.PublicKey()) || !bytes.Equal(enc[bodyLen+cryptoutil.PubKeyLen:], tx.Sig) {
+		t.Fatal("key and signature are not the encoding's last 97 bytes")
+	}
+	got, err := DecodeTransaction(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.From != k.Address() {
+		t.Fatalf("decoded sender %s, want %s", got.From.Short(), k.Address().Short())
+	}
+	cb := NewCoinbase(k.Address(), 50, 3)
+	if n := len(cb.Encode()); n != bodyLen {
+		t.Fatalf("coinbase encodes to %d bytes, want %d", n, bodyLen)
+	}
+	if got, err := DecodeTransaction(cb.Encode()); err != nil || got.From != cryptoutil.ZeroAddress || got.PubKey != nil || got.ID() != cb.ID() {
+		t.Fatalf("coinbase round trip: %+v, %v", got, err)
+	}
+}
+
+// TestHighSFailsVerify: s replaced by n-s still satisfies the ECDSA
+// equation, and would be the same transfer under a new id; Verify
+// refuses it.
+func TestHighSFailsVerify(t *testing.T) {
+	tx, _ := signedTransfer(t, "malleable", 2)
+	sig := append([]byte(nil), tx.Sig...)
+	s := new(big.Int).SetBytes(sig[32:])
+	new(big.Int).Sub(elliptic.P256().Params().N, s).FillBytes(sig[32:])
+	flipped := NewTransfer(tx.From, tx.To, tx.Value, tx.Fee, tx.Nonce)
+	flipped.PubKey, flipped.Sig = tx.PubKey, sig
+	if flipped.ID() == tx.ID() {
+		t.Fatal("the flipped signature kept the id")
+	}
+	err := flipped.Verify()
+	if !errors.Is(err, ErrBadSignature) || !errors.Is(err, cryptoutil.ErrHighS) {
+		t.Fatalf("Verify of a high-s signature = %v, want ErrBadSignature and cryptoutil.ErrHighS", err)
+	}
+}
+
+// TestBlockJSONRoundTrip pins what an HTTP client of /block relies on:
+// a block of a signed transfer, a deploy and a coinbase, through
+// json.Marshal and json.Unmarshal into a Block, keeps its hash, every
+// id and every sender, and its transactions still verify.
+func TestBlockJSONRoundTrip(t *testing.T) {
+	k := cryptoutil.KeyFromSeed([]byte("json"))
+	transfer, _ := signedTransfer(t, "json", 0)
+	deploy := &Transaction{Kind: TxDeploy, From: k.Address(), Fee: 3, Nonce: 1, GasLimit: 5000, Data: []byte{0x60, 0x01}}
+	if err := deploy.SignDeterministic(k); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBlock(cryptoutil.HashBytes([]byte("parent")), 9, 1234, k.Address(),
+		[]*Transaction{NewCoinbase(k.Address(), 50, 9), transfer, deploy})
+	raw, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Block
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Hash() != b.Hash() || !got.VerifyTxRoot() {
+		t.Fatal("block hash or tx root moved through JSON")
+	}
+	for i, tx := range got.Txs {
+		if tx.ID() != b.Txs[i].ID() || tx.From != b.Txs[i].From {
+			t.Fatalf("tx %d: id or sender moved through JSON", i)
+		}
+		if err := tx.Verify(); err != nil {
+			t.Fatalf("tx %d: %v", i, err)
 		}
 	}
 }

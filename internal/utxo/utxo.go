@@ -184,8 +184,8 @@ func (s *Set) Validate(tx *Tx) (uint64, error) {
 		if cryptoutil.PubKeyToAddress(in.PubKey) != prev.Owner {
 			return 0, fmt.Errorf("%w: input %d", ErrWrongOwner, i)
 		}
-		if !cryptoutil.Verify(in.PubKey, digest, in.Sig) {
-			return 0, fmt.Errorf("%w: input %d", ErrBadSignature, i)
+		if err := cryptoutil.Verify(in.PubKey, digest, in.Sig); err != nil {
+			return 0, fmt.Errorf("%w: input %d: %w", ErrBadSignature, i, err)
 		}
 		inTotal += prev.Value
 	}

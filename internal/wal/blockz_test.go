@@ -76,11 +76,12 @@ func dirBytes(t *testing.T, dir string) int64 {
 
 // TestJournalBytesPerTransfer: what a transfer costs the journal. Forty
 // blocks of 80 transfers (transfer-heavy's block) through a real store,
-// head switches included, must leave the WAL directory under 155 bytes a
-// transaction; the canonical encoding verbatim costs about 247, each
-// block compressed on its own about 175.
+// head switches included, must leave the WAL directory under 119 bytes a
+// transaction (about 106 measured); the canonical encoding verbatim costs
+// about 168, each block compressed on its own about 126, and the
+// encoding before compact keys and signatures, windowed, about 138.
 func TestJournalBytesPerTransfer(t *testing.T) {
-	const nBlocks, perBlock, limit = 40, 80, 155
+	const nBlocks, perBlock, limit = 40, 80, 119
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
 	blocks := transferBlocks(t, nBlocks, perBlock)
@@ -117,67 +118,9 @@ func TestJournalBytesPerTransfer(t *testing.T) {
 	}
 }
 
-// TestAppendsCompressedAfterParentDirectory: a directory of type-1
-// records, written by a build that knew no other, then extended with
-// type-3 records by the build that wrote those, takes type-4 records
-// behind them, chained in one window; the reopened store has one chain
-// and reads every block of the three kinds back by hash.
-func TestAppendsCompressedAfterParentDirectory(t *testing.T) {
-	const fixture = "testdata/blockz-datadir"
-	checkFixture(t, fixture, blockzStoreFiles)
-	dir := t.TempDir()
-	copyTree(t, dir, fixture)
-	blocks := append(testBlocks(12), transferBlocks(t, 6, 20)...)
-	opts := goldenStoreOpts()
-	opts.SegmentSize = DefaultSegmentSize // the new records share the last segment
-	s, rec := openStoreT(t, dir, opts)
-	if rec.Blocks != 15 {
-		t.Fatalf("the parent's directory holds %d blocks, want 15", rec.Blocks)
-	}
-	for _, b := range blocks[15:] {
-		if err := s.LogBlock(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.LogHead(b.Hash()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, rec = openStoreT(t, dir, opts)
-	if rec.Blocks != len(blocks) || rec.Head != blocks[len(blocks)-1].Hash() || rec.Truncated != 0 {
-		t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
-	}
-	kinds := map[byte]int{}
-	if err := s.WAL().Replay(func(r Record) error { kinds[r.Type]++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if kinds[RecBlock] != 12 || kinds[RecBlockZ] != 3 || kinds[RecBlockW] != 3 {
-		t.Fatalf("record types %v, want 12 of type %d, 3 of type %d and 3 of type %d", kinds, RecBlock, RecBlockZ, RecBlockW)
-	}
-	for i, b := range blocks[15:] {
-		if got := backOf(t, s, b.Hash()); got != i {
-			t.Fatalf("appended record %d has back %d, want %d", i, got, i)
-		}
-	}
-	for i, j := range journaledBlocks(t, rec) {
-		if j.Block.Hash() != blocks[i].Hash() {
-			t.Fatalf("replayed block %d is not the one journaled", i)
-		}
-	}
-	for _, b := range blocks {
-		got, err := s.ReadBlock(b.Hash())
-		if err != nil || !bytes.Equal(got.Encode(), b.Encode()) {
-			t.Fatalf("ReadBlock h=%d: %v", b.Header.Height, err)
-		}
-	}
-}
-
-// uninflatable are RecBlockZ payloads of a real block that no longer
+// uninflatable are RecBlock payloads of a real block that no longer
 // inflate, each damaged in a way only the codec can notice: the frame
-// around it is valid.
+// around it is valid. Each starts a window (back 0).
 func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
 	t.Helper()
 	var enc lz.Encoder
@@ -185,9 +128,9 @@ func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
 	badElement := append([]byte(nil), good...)
 	badElement[lastLiteral(t, good)] = 0xff
 	return map[string][]byte{
-		"bad element":              badElement,
-		"wrong length":             append(good[:len(good):len(good)], 0x00, 0x00),
-		"declared length over max": append([]byte{0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
+		"bad element":              append([]byte{0}, badElement...),
+		"wrong length":             append(append([]byte{0}, good...), 0x00, 0x00),
+		"declared length over max": append([]byte{0, 0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
 	}
 }
 
@@ -217,16 +160,16 @@ func lastLiteral(t *testing.T, enc []byte) int {
 	return tag
 }
 
-// TestUninflatableRecordStopsCollection: a CRC-valid RecBlockZ whose
+// TestUninflatableRecordStopsCollection: a CRC-valid RecBlock whose
 // header prefix does not inflate ends the journal at the open-time scan,
-// counted in Truncated with everything behind it, like a RecBlock that
-// is not a block.
+// counted in Truncated with everything behind it, like one that is not a
+// block.
 func TestUninflatableRecordStopsCollection(t *testing.T) {
 	blocks := transferBlocks(t, 3, 4)
 	for name, payload := range map[string][]byte{
 		"declared length over max": uninflatable(t, blocks[1])["declared length over max"],
-		"offset before the start":  {0x20, 0x80, 0x01, 0x00},
-		"no elements":              {0x20},
+		"offset before the start":  {0, 0x20, 0x80, 0x01, 0x00},
+		"no elements":              {0, 0x20},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -234,7 +177,7 @@ func TestUninflatableRecordStopsCollection(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlockZ, payload); err != nil {
+			if _, err := s.WAL().Append(RecBlock, payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -263,7 +206,7 @@ func TestReadBlockOfUninflatableRecord(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			_, at, err := s.WAL().AppendAt(RecBlockZ, payload)
+			_, at, err := s.WAL().AppendAt(RecBlock, payload)
 			if err != nil {
 				t.Fatal(err)
 			}

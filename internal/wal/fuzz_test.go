@@ -28,8 +28,8 @@ func FuzzWALRecordDecode(f *testing.F) {
 	valid := encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
 	f.Add(valid)
 	var enc lz.Encoder
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlockZ, Payload: enc.Encode(nil, testBlocks(1)[0].Encode())}))
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlockW, Payload: enc.Encode([]byte{0}, testBlocks(1)[0].Encode())}))
+	f.Add(encodeFrame(Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
+	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: enc.Encode([]byte{0}, testBlocks(1)[0].Encode())}))
 	f.Add(valid[:len(valid)/2]) // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF

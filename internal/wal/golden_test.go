@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,82 +90,8 @@ func hashTree(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// copyTree copies every file under src to the same relative path under
-// dst.
-func copyTree(t *testing.T, dst, src string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-	})
-	if err != nil {
-		t.Fatalf("copy %s: %v", src, err)
-	}
-}
-
-// parentStoreFiles are the files of testdata/parent-datadir: the scripted
-// run as the binary of commit 56ba322 wrote it, before internal/seglog
-// existed and with every block a RecBlock record. Builds up to PR 21
-// wrote these same bytes.
-var parentStoreFiles = map[string]string{
-	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
-	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
-	"wal/wal-00000002.seg":     "985ed4403647e6eb7fe102f76b0e0ab3a1258947a0ad63d801edc3045ac67dfd",
-	"wal/wal-00000003.seg":     "b169cb021be8ad7c73a83eb6b18e887e7e430c9c5d39c4b6cda31a143041448d",
-	"wal/wal-00000004.seg":     "125ffa39a6aaa85af235d51657ed3329e2eb641321d68c15374ffbc13805190a",
-	"wal/wal-00000005.seg":     "7d98b7e399c7968b97ef52d9232cbc394b64df39b041c0a23e124385426be351",
-	"wal/wal-00000006.seg":     "9dbda327d22c602b351c106b4e3a87a6d4fe53778c9a1848d5208ae021f6385a",
-}
-
-// blockzStoreFiles are the files of testdata/blockz-datadir: the
-// directory above extended with three blocks of twenty transfers and
-// their head switches by the binary of commit ae10bb3, the last to
-// journal every block as a RecBlockZ record.
-var blockzStoreFiles = map[string]string{
-	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
-	"wal/wal-00000001.seg":     "7343e52502da5db6c256230983fc66405e07a0bcb93a3282b0276ba81fed5017",
-	"wal/wal-00000002.seg":     "985ed4403647e6eb7fe102f76b0e0ab3a1258947a0ad63d801edc3045ac67dfd",
-	"wal/wal-00000003.seg":     "b169cb021be8ad7c73a83eb6b18e887e7e430c9c5d39c4b6cda31a143041448d",
-	"wal/wal-00000004.seg":     "125ffa39a6aaa85af235d51657ed3329e2eb641321d68c15374ffbc13805190a",
-	"wal/wal-00000005.seg":     "7d98b7e399c7968b97ef52d9232cbc394b64df39b041c0a23e124385426be351",
-	"wal/wal-00000006.seg":     "9dbda327d22c602b351c106b4e3a87a6d4fe53778c9a1848d5208ae021f6385a",
-	"wal/wal-00000007.seg":     "9619befc330394610ed7734912dd2c73e1be1977c5656188703240a27bb57a6d",
-	"wal/wal-00000008.seg":     "02e0f7664f1c9525459e3789784518746921af0af409ccc237f3caa43ba2734a",
-	"wal/wal-00000009.seg":     "fe20b399ac49022a9e6ab4bb0a6cdd146e5ffe27713ac99d6b98adf5514ba7c4",
-	"wal/wal-00000010.seg":     "725011075214310c89e965e871365a67f386712bed37335824c9b49a62d054ff",
-	"wal/wal-00000011.seg":     "a294bebed2ed5a773c779cb4faeb85e537f0596836c2830d03bdf40872051a18",
-	"wal/wal-00000012.seg":     "5eab8006fea0b745503bb10957b28765ba527facdc03ecfdfbaab3c311559e4d",
-}
-
-// checkFixture fails unless dir holds exactly the files want pins.
-func checkFixture(t *testing.T, dir string, want map[string]string) {
-	t.Helper()
-	got := hashTree(t, dir)
-	if len(got) != len(want) {
-		t.Fatalf("fixture %s holds %d files, want %d", dir, len(got), len(want))
-	}
-	for name, sum := range want {
-		if got[name] != sum {
-			t.Fatalf("fixture %s is not the file it was written as: %s", name, got[name])
-		}
-	}
-}
-
 // goldenStoreFiles pins every byte the DurableStore puts on disk — file
-// names, segment headers, frames with their RecBlockW payloads (the codec
+// names, segment headers, frames with their RecBlock payloads (the codec
 // is deterministic), the checkpoint, which is the parent's byte for byte.
 var goldenStoreFiles = map[string]string{
 	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
@@ -188,41 +117,34 @@ func TestOnDiskGolden(t *testing.T) {
 	}
 }
 
-// TestOpensParentDirectory opens testdata/parent-datadir — the scripted
-// run's output as written by the binary of commit 56ba322 — recovers
-// it, extends it and reopens it.
-func TestOpensParentDirectory(t *testing.T) {
-	const fixture = "testdata/parent-datadir"
-	checkFixture(t, fixture, parentStoreFiles)
+// TestRefusesReplacedFormat: a data directory whose journal segments
+// are DCSWAL01, the format before compact transactions, is refused with
+// an error naming the segment, its magic, this format's and the remedy,
+// and nothing in it is touched.
+func TestRefusesReplacedFormat(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, dir, fixture)
-	blocks := testBlocks(15)
-	s, rec := openStoreT(t, dir, goldenStoreOpts())
-	if rec.Blocks != 12 || rec.Head != blocks[11].Hash() {
-		t.Fatalf("recovered %d blocks, head %s; want 12, %s", rec.Blocks, rec.Head.Short(), blocks[11].Hash().Short())
-	}
-	for i, rb := range journaledBlocks(t, rec) {
-		if rb.Block.Hash() != blocks[i].Hash() || rb.Seq != uint64(2*i+1) {
-			t.Fatalf("block %d: hash %s seq %d", i, rb.Block.Hash().Short(), rb.Seq)
-		}
-	}
-	if ck := rec.Checkpoint; ck == nil || ck.Height != 8 || ck.Seq != 16 || ck.Head != blocks[7].Hash() {
-		t.Fatalf("checkpoint %+v, want height 8 seq 16", ck)
-	}
-	if got := s.WAL().Stats().TornTruncated; got != 0 {
-		t.Fatalf("repair discarded %d bytes of an intact directory", got)
-	}
-	for _, b := range blocks[12:] {
-		if err := s.LogBlock(b); err != nil {
-			t.Fatalf("extend: %v", err)
-		}
-	}
-	if err := s.Close(); err != nil {
+	name := format.SegmentName(1)
+	old := append([]byte("DCSWAL01"), seqExt(1)...)
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, rec = openStoreT(t, dir, goldenStoreOpts())
-	if got := journaledBlocks(t, rec); len(got) != 15 || got[14].Seq != 27 {
-		t.Fatalf("after extending: %d blocks, last seq %d; want 15, 27", len(got), got[len(got)-1].Seq)
+	if err := os.WriteFile(filepath.Join(dir, "wal", name), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
+	if !errors.Is(err, seglog.ErrReplaced) {
+		t.Fatalf("OpenStore of a DCSWAL01 directory = %v, want seglog.ErrReplaced", err)
+	}
+	for _, want := range []string{"DCSWAL01", segMagic, name, "remove " + dir} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "wal", name)); err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("the refused segment was modified (%v)", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Join(dir, "wal")); len(entries) != 1 {
+		t.Fatalf("the refused journal holds %d files, want it untouched", len(entries))
 	}
 }
 

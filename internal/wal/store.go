@@ -20,24 +20,16 @@ import (
 
 // WAL record types written by the DurableStore.
 const (
-	// RecBlock journals one connected block (payload: types.Block
-	// canonical encoding). Builds before RecBlockZ wrote it; it is read
-	// and no longer written.
+	// RecBlock journals one connected block (payload: uvarint back, then
+	// the lz encoding of the block's canonical encoding, whose copies may
+	// reach into the canonical encodings of the back block records before
+	// it: an lz.Chain whose positions are the block records of one
+	// segment, numbered from 0, head records not counted). The header
+	// prefix of a chained record copies from nothing before it, so the
+	// open-time scan needs no window.
 	RecBlock byte = 1
 	// RecHead journals one head switch (payload: 32-byte block hash).
 	RecHead byte = 2
-	// RecBlockZ journals one connected block (payload: the lz encoding of
-	// what RecBlock carries). Builds before RecBlockW wrote it; it is read,
-	// as a RecBlockW whose back is 0, and no longer written.
-	RecBlockZ byte = 3
-	// RecBlockW journals one connected block (payload: uvarint back, then
-	// the lz encoding of what RecBlock carries, whose copies may reach
-	// into the canonical encodings of the back block records before it:
-	// an lz.Chain whose positions are the block records of one segment,
-	// numbered from 0, head records not counted). The header prefix of a
-	// chained record copies from nothing before it, so the open-time scan
-	// needs no window.
-	RecBlockW byte = 4
 )
 
 // DefaultCheckpointEvery is the default block cadence between state
@@ -155,7 +147,7 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 			return nil
 		}
 		switch rec.Type {
-		case RecBlock, RecBlockZ, RecBlockW:
+		case RecBlock:
 			raw, err := inflate(&z, rec, pos)
 			pos++
 			var b *types.Block
@@ -183,17 +175,11 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 	})
 }
 
-// blockPayload splits a block record's payload into its back and what
-// follows it: the lz encoding, or a RecBlock's canonical encoding itself.
-// The records before RecBlockW have no back; it is 0.
-func blockPayload(rec Record) (back int, body []byte, err error) {
-	switch rec.Type {
-	case RecBlock, RecBlockZ:
-		return 0, rec.Payload, nil
-	case RecBlockW:
-		if back, enc, _, ok := lz.Split(rec.Payload, MaxRecordLen); ok {
-			return back, enc, nil
-		}
+// blockPayload splits a block record's payload into its back and the lz
+// encoding that follows it.
+func blockPayload(rec Record) (back int, enc []byte, err error) {
+	if back, enc, _, ok := lz.Split(rec.Payload, MaxRecordLen); ok && rec.Type == RecBlock {
+		return back, enc, nil
 	}
 	return 0, nil, fmt.Errorf("%w: not a block record, or one whose back does not split", seglog.ErrDamaged)
 }
@@ -202,16 +188,11 @@ func blockPayload(rec Record) (back int, body []byte, err error) {
 // inflated behind the window of c, rec being block record pos of its
 // segment and c having inflated the records of its window before it. The
 // bytes are valid until the next call; a decoded block keeps nothing of
-// them. A RecBlock is its own encoding, and goes into the window as it
-// is. Every error wraps seglog.ErrDamaged.
+// them. Every error wraps seglog.ErrDamaged.
 func inflate(c *lz.Chain, rec Record, pos int) ([]byte, error) {
 	back, body, err := blockPayload(rec)
 	if err != nil {
 		return nil, err
-	}
-	if rec.Type == RecBlock {
-		_, err = c.Inflate(pos, 0, 0, body, []byte{0}, MaxRecordLen) // an encoding of nothing behind it
-		return body, err
 	}
 	raw, err := c.Inflate(pos, back, 0, nil, body, MaxRecordLen)
 	if err != nil {
@@ -227,8 +208,8 @@ func inflate(c *lz.Chain, rec Record, pos int) ([]byte, error) {
 func header(rec Record, buf *[]byte) (back int, h *types.BlockHeader, err error) {
 	const prefix = 8
 	back, body, err := blockPayload(rec)
-	p := body
-	if err == nil && rec.Type != RecBlock {
+	var p []byte
+	if err == nil {
 		if p, err = lz.Decode(*buf, body, prefix, MaxRecordLen); err == nil && len(p) == prefix {
 			p, err = lz.Decode(p, body, prefix+int(min(binary.BigEndian.Uint64(p), MaxRecordLen)), MaxRecordLen)
 		}
@@ -305,7 +286,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			return nil
 		}
 		switch r.Type {
-		case RecBlock, RecBlockZ, RecBlockW:
+		case RecBlock:
 			// The header is all this pass needs; Replay inflates the body
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
@@ -329,6 +310,9 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		rec.lastSeq = r.Seq
 		return nil
 	})
+	if errors.Is(err, seglog.ErrReplaced) {
+		return nil, nil, fmt.Errorf("wal: %w: a chain journaled in that format cannot be continued; remove %s and restart", err, dir)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -379,7 +363,7 @@ func (s *DurableStore) Stats() StoreStats {
 	return StoreStats{WAL: s.wal.Stats(), Checkpoints: ck, BlockRawBytes: raw}
 }
 
-// LogBlock journals one connected block, compressed (RecBlockW) against
+// LogBlock journals one connected block, compressed (RecBlock) against
 // the block records before it in its window. The write is the block's
 // commit point: an error means durability was NOT achieved and latches
 // the store into the failed state. On success the block can be read back
@@ -404,7 +388,7 @@ func (s *DurableStore) LogBlock(b *types.Block) error {
 	raw := in[len(s.enc.Window()):]
 	header := 8 + int(binary.BigEndian.Uint64(raw)) // the length field and the header
 	s.zbuf = s.enc.Next(lz.AppendBack(s.zbuf[:0], back), in, header)
-	at, err := s.logLocked(RecBlockW, s.zbuf)
+	at, err := s.logLocked(RecBlock, s.zbuf)
 	if err != nil {
 		return err
 	}

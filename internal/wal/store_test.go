@@ -300,7 +300,8 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	bad := append(blocks[1].Encode(), 0xff) // trailing byte: the header is fine, the block is not
+	// A trailing byte: the header is fine, the block is not.
+	bad := new(lz.Encoder).Encode([]byte{0}, append(blocks[1].Encode(), 0xff))
 	if _, err := s.WAL().Append(RecBlock, bad); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlockZ, uninflatable(t, blocks[1])[name]); err != nil {
+			if _, err := s.WAL().Append(RecBlock, uninflatable(t, blocks[1])[name]); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {

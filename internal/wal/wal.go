@@ -16,7 +16,7 @@
 // type + payload), sequence continuity as the test a scanned frame must
 // pass, the rule that damage anywhere truncates the log there and drops
 // everything after it, and the prune floor. The DurableStore journals
-// blocks compressed (RecBlockW, through internal/lz), each against the
+// blocks compressed (RecBlock, through internal/lz), each against the
 // block records before it in the same window, and inflates them wherever
 // a block record is read. See docs/PERSISTENCE.md.
 //
@@ -39,8 +39,10 @@ import (
 
 // Format constants.
 const (
-	// segMagic opens every segment file (8 bytes, versioned).
-	segMagic = "DCSWAL01"
+	// segMagic opens every segment file (8 bytes, versioned). A
+	// directory of DCSWAL01 segments, whose blocks carry transactions in
+	// the encoding before compact keys and signatures, is refused.
+	segMagic = "DCSWAL02"
 	// recordHeaderLen is u64 seq + u8 type inside the framed body.
 	recordHeaderLen = 9
 	// MaxRecordLen bounds one record body so a garbled length field
@@ -50,7 +52,7 @@ const (
 
 // format is the WAL's segment file format: wal-XXXXXXXX.seg, the header
 // extended by the sequence number of the segment's first record.
-var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen}
+var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen, Replaced: []string{"DCSWAL01"}}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 4 << 20

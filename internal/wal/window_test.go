@@ -296,7 +296,7 @@ func journaledPrefix(t *testing.T, rec *Recovery) []Journaled {
 	return out
 }
 
-// TestOutOfWindowRecordStopsCollection: a CRC-valid RecBlockW that no
+// TestOutOfWindowRecordStopsCollection: a CRC-valid RecBlock that no
 // writer produces — a back that does not follow the record before it, a
 // back past the window, a chained record first in its segment, a header
 // that copies from the window — ends the journal at the open-time scan,
@@ -331,7 +331,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlockW, c.payload); err != nil {
+			if _, err := s.WAL().Append(RecBlock, c.payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -355,7 +355,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WAL().Append(RecBlockW, chained(1, headerOf)); err != nil {
+	if _, err := s.WAL().Append(RecBlock, chained(1, headerOf)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
