@@ -88,9 +88,9 @@ func hashDir(t *testing.T, dir string) map[string]string {
 // names, segment headers, batch frames of windowed records (including
 // the ones compaction copies forward).
 var goldenFiles = map[string]string{
-	"ns-00000003.seg": "fdd88325a62970c4580971f9a508fa16530b5f9fa76d7a1721186a7cce6b6b74",
-	"ns-00000004.seg": "fc7c9696bb99bb62b3265d41a48abc7ee50d14a3237eea26855cf3b36b4e7054",
-	"ns-00000005.seg": "6ab509c86fefff0e71b5b3ca592a087c58d346921108250eac6965611ab55d9c",
+	"ns-00000003.seg": "621015e9271ce0444f013783a8f60e1573dfeaa2129286a81f0441663c72eebb",
+	"ns-00000004.seg": "716d908f38084eaacb1db371939800dd5e189164ae3a4bca58313a552a9a40b6",
+	"ns-00000005.seg": "e6766a5057bc2dcd8f9ebb4bffc3ac20496e62f5fccca787c10d203b804d435c",
 }
 
 func TestOnDiskGolden(t *testing.T) {

@@ -449,7 +449,7 @@ func TestFlushGolden(t *testing.T) {
 		sum.Write(h[:])
 		sum.Write(store.nodes[h])
 	}
-	const want = "cc0108b104f0c498b43b3a419e16df4551dccf49e43e4830982d4e89a7f51759"
+	const want = "22e1946529d32d9569ffbcd2292e1f8737c68d343ef65872e9761d9f08f1c5a7"
 	if got := hex.EncodeToString(sum.Sum(nil)); got != want || len(hashes) != 13 {
 		t.Fatalf("%d records, sha256 %s; want 13, %s", len(hashes), got, want)
 	}

@@ -92,15 +92,15 @@ func hashTree(t *testing.T, dir string) map[string]string {
 
 // goldenStoreFiles pins every byte the DurableStore puts on disk — file
 // names, segment headers, frames with their RecBlock payloads (the codec
-// is deterministic), the checkpoint, which is the parent's byte for byte.
+// is deterministic), and the checkpoint.
 var goldenStoreFiles = map[string]string{
-	"ckpt-0000000000000016.ck": "08c325e39b5679724e8981000fb555dcb19e2016377ff31878013b69c7aa9473",
-	"wal/wal-00000001.seg":     "e54a0b643b460dc73265265d416c94a65762d1bcfe905938df44ac330dbfe3c7",
-	"wal/wal-00000002.seg":     "36424a8c3810932b6b54e9c8a835b2c86e136f6f0805d6b64a1302082b71e3cf",
-	"wal/wal-00000003.seg":     "39dc88f6658bff33e55a79b7a8e68a2962142a5fce865bf089eae496af26dc39",
-	"wal/wal-00000004.seg":     "48330ad7e5e6b35f077a9316b2af82f257d3885c1d15d39595a13d927b8a05a7",
-	"wal/wal-00000005.seg":     "55b449faef0db303954ab4080d98d8847aa00646257b108893090977397addcb",
-	"wal/wal-00000006.seg":     "9e3f370e6af73d016d41d422716984509cb36fa12fe2190b5b24333120f52757",
+	"ckpt-0000000000000016.ck": "4e1b23b13d7025076cb23d5e27018b7bc61df8b70ee08d3ebeeb6f8bf3af2dae",
+	"wal/wal-00000001.seg":     "2f669b81a2fbcd80a8e9b174b655f1cee5dff2fbb83a58de386919abccaac12f",
+	"wal/wal-00000002.seg":     "99656ea6d4e5e15c3883536dd4928372e3c2242ac203118d15561c2969fd8651",
+	"wal/wal-00000003.seg":     "46376bb0dd017223c27e1f48062266eba24e45babcff5140dfc71182a077c88b",
+	"wal/wal-00000004.seg":     "574f75bf7565bef7f16ed56f7fc63f4a9589722f31eb356fbbe2f98524c7c20d",
+	"wal/wal-00000005.seg":     "2637d87d04577fddfaaf562bad9100552feef3bdf0997a5300fa9e3a41adde81",
+	"wal/wal-00000006.seg":     "e314340afac7332e17c141f222f57be0949917279090523d9531eaa003e914bd",
 }
 
 func TestOnDiskGolden(t *testing.T) {
@@ -202,7 +202,7 @@ func TestSnapshotlessCheckpointGolden(t *testing.T) {
 		t.Fatalf("CheckpointRoots = %v", got)
 	}
 	s.Close()
-	const name, want = "ckpt-0000000000000001.ck", "0da70070a275aee92dea04a54907cefec9c86fbad07ebd4cd76ef5f21f82fddb"
+	const name, want = "ckpt-0000000000000001.ck", "1309ce475572af93bea0855ab6ad1a11ad42d9411fcc15c2db0187b132456b59"
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
