@@ -155,28 +155,21 @@ func AddressFromHash(h Hash) Address {
 	return a
 }
 
-// Key and signature encodings: each is fixed-width, so a transaction
-// carries both without a length.
+// The one key encoding and the one signature format, both fixed-width:
+// a public key is the compressed point, 0x02 or 0x03 (the parity of Y)
+// then X; a signature is r then s, 32 big-endian bytes each.
 const (
-	// PubKeyLen is the length of an encoded public key, the compressed
-	// point: 0x02 or 0x03 (the parity of Y), then X (32 bytes).
 	PubKeyLen = 33
-	// SigLen is the length of a signature: r then s, 32 big-endian bytes
-	// each, s no more than n/2.
-	SigLen = 64
+	SigLen    = 64
 )
 
-// Verification errors, matchable with errors.Is.
+// Verification errors, matchable with errors.Is. Of the two s that
+// satisfy the ECDSA equation only the one at most n/2 is a signature,
+// so that nobody can turn a signed transaction into another id.
 var (
-	ErrBadPubKey = errors.New("cryptoutil: malformed public key")
-	// ErrSigRange rejects a signature whose r or s lies outside [1, n-1].
-	ErrSigRange = errors.New("cryptoutil: signature r or s out of range")
-	// ErrHighS rejects an s above n/2. Only the low s of the two that
-	// verify is a signature: one (key, digest, nonce) signs one way, so
-	// nobody can turn a signed transaction into another id.
-	ErrHighS = errors.New("cryptoutil: signature s above n/2")
-	// ErrBadSignature is a signature of the wrong length, or one that does
-	// not verify.
+	ErrBadPubKey    = errors.New("cryptoutil: malformed public key")
+	ErrSigRange     = errors.New("cryptoutil: signature r or s outside [1, n-1]")
+	ErrHighS        = errors.New("cryptoutil: signature s above n/2")
 	ErrBadSignature = errors.New("cryptoutil: signature does not verify")
 )
 

@@ -166,7 +166,7 @@ func FuzzNodeDecode(f *testing.F) {
 			out = reframe(out, height, recs)
 			return nil
 		})
-		if err != nil && !errors.Is(err, seglog.ErrDamaged) {
+		if err != nil && !errors.Is(err, seglog.ErrDamaged) && !errors.Is(err, seglog.ErrReplaced) {
 			t.Fatalf("scan: %v", err)
 		}
 		if err == nil && int(valid) != len(data) {

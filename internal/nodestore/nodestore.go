@@ -215,9 +215,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		SyncEvery:    opts.SyncEvery,
 		Clock:        opts.Clock,
 	})
-	if errors.Is(err, seglog.ErrReplaced) {
-		return nil, fmt.Errorf("nodestore: %w: remove %s and restart, and recovery rebuilds the state from the journal", err, dir)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -253,6 +250,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if err == nil {
 		err = l.Activate(nil)
+	}
+	if errors.Is(err, seglog.ErrReplaced) {
+		err = fmt.Errorf("nodestore: %w: remove %s and restart, and recovery rebuilds the state from the journal", err, dir)
 	}
 	if err != nil {
 		_ = l.Close() // read handles only: nothing was opened for writing

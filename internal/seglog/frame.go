@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // A segment file is an 8-byte magic, a fixed-length header extension
@@ -38,9 +39,9 @@ type Format struct {
 	// MaxBody bounds one frame body, so a garbled length field cannot
 	// force a huge allocation during a scan.
 	MaxBody int
-	// Replaced are the magics of the formats this one replaced: Open
-	// refuses a directory holding a segment that opens with one
-	// (ErrReplaced) and touches nothing in it.
+	// Replaced are the magics of the formats this one replaced: a scan
+	// refuses a segment that opens with one (ErrReplaced) rather than
+	// take it for damage at byte 0 and have it repaired away.
 	Replaced []string
 }
 
@@ -70,10 +71,14 @@ func (f Format) readHeader(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, readFailure(err, "segment header")
 	}
-	if string(hdr[:MagicLen]) != f.Magic {
+	switch m := string(hdr[:MagicLen]); {
+	case m == f.Magic:
+		return hdr[MagicLen:], nil
+	case slices.Contains(f.Replaced, m):
+		return nil, fmt.Errorf("%w %s; this version reads and writes %s only and does not convert", ErrReplaced, m, f.Magic)
+	default:
 		return nil, fmt.Errorf("%w: bad segment magic", ErrDamaged)
 	}
-	return hdr[MagicLen:], nil
 }
 
 // readFailure classifies a failed read: running out of file mid-item is

@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -37,10 +36,10 @@ var (
 	// ErrDamaged marks an invalid frame or segment header; a scan
 	// callback returns it to reject a frame the store cannot accept.
 	ErrDamaged = errors.New("seglog: damaged frame")
-	// ErrReplaced is Open's refusal of a segment in a format the store's
-	// replaced (Format.Replaced); the error names the segment and its
-	// magic.
-	ErrReplaced = errors.New("seglog: segment of a replaced format")
+	// ErrReplaced is a scan's refusal of a segment in a format the
+	// store's replaced (Format.Replaced); the error names the segment and
+	// its magic.
+	ErrReplaced = errors.New("seglog: segment of the replaced format")
 )
 
 // DefaultSyncEvery is the flush cadence of the interval sync policy.
@@ -160,30 +159,7 @@ func Open(dir string, f Format, opts Options) (*Log, error) {
 		}
 	}
 	sort.Slice(l.segments, func(i, j int) bool { return l.segments[i] < l.segments[j] })
-	if err := l.refuseReplaced(); err != nil {
-		return nil, err
-	}
 	return l, nil
-}
-
-// refuseReplaced fails when a segment opens with the magic of a format
-// the store's replaced: scanning it would find damage at byte 0 and
-// repair the file away.
-func (l *Log) refuseReplaced() error {
-	for _, seg := range l.segments {
-		f, err := os.Open(l.path(seg))
-		if err != nil {
-			return fmt.Errorf("seglog: open segment: %w", err)
-		}
-		magic := make([]byte, MagicLen)
-		_, err = io.ReadFull(f, magic)
-		f.Close()
-		if err == nil && slices.Contains(l.f.Replaced, string(magic)) {
-			return fmt.Errorf("%w: %s is a %s segment; this version reads and writes %s only and does not convert",
-				ErrReplaced, l.f.SegmentName(seg), magic, l.f.Magic)
-		}
-	}
-	return nil
 }
 
 func (l *Log) path(seg uint64) string { return filepath.Join(l.dir, l.f.SegmentName(seg)) }
@@ -199,7 +175,11 @@ func (l *Log) ScanSegment(seg uint64, header func(ext []byte) error, frame func(
 		return 0, fmt.Errorf("seglog: open segment: %w", err)
 	}
 	defer file.Close()
-	return l.f.Scan(file, header, frame)
+	valid, err = l.f.Scan(file, header, frame)
+	if errors.Is(err, ErrReplaced) {
+		err = fmt.Errorf("%s: %w", l.f.SegmentName(seg), err)
+	}
+	return valid, err
 }
 
 // Scan walks every segment in order and reports the first damage (nil:

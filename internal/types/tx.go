@@ -107,21 +107,11 @@ const (
 	txIDTag    = "dcsledger/txid"
 )
 
-// Canonical encoding (big-endian):
-//
-//	u8    kind
-//	[20]  to
-//	u64   value, fee, nonce, gasLimit
-//	u64   len(data), then data
-//	[33]  public key, compressed   } every kind but the coinbase
-//	[64]  signature, r‖s           }
-const (
-	// bodyLen is the length of the encoding before Data: the kind, To,
-	// the four amounts and Data's length.
-	bodyLen = 1 + cryptoutil.AddressSize + 5*8
-	// authLen is the key and the signature behind Data.
-	authLen = cryptoutil.PubKeyLen + cryptoutil.SigLen
-)
+// bodyLen is the length of the canonical encoding before Data: the kind,
+// To, value, fee, nonce and gas limit, and Data's length (big-endian u64s).
+// Behind Data come the key and the signature, fixed-width, in every kind
+// but the coinbase (docs/WIRE.md).
+const bodyLen = 1 + cryptoutil.AddressSize + 5*8
 
 // stackEncoding bounds the tag and encoding that digest and
 // DecodeTransaction hash from a buffer on the stack: a signed transfer
@@ -178,36 +168,27 @@ func (tx *Transaction) hashID() cryptoutil.Hash {
 
 // Sign attaches the key's signature and public key to the transaction.
 // The From address must already match the key.
-func (tx *Transaction) Sign(k *cryptoutil.KeyPair) error {
-	if tx.From != k.Address() {
-		return ErrFromMismatch
-	}
-	sig, err := k.Sign(tx.SigningDigest())
-	if err != nil {
-		return fmt.Errorf("sign tx: %w", err)
-	}
-	tx.PubKey = k.PublicKey()
-	tx.Sig = sig
-	atomic.StoreUint32(&tx.sigOK, 0) // new signature: drop any stale memo
-	tx.id = tx.hashID()
-	return nil
-}
+func (tx *Transaction) Sign(k *cryptoutil.KeyPair) error { return tx.sign(k, k.Sign) }
 
 // SignDeterministic is Sign with a derived (RFC 6979-style) nonce: the
 // same key and transaction always produce byte-identical signatures,
 // which keeps identically-seeded simulation runs bit-identical (block
 // hashes commit to transaction signatures). Verification is unchanged.
 func (tx *Transaction) SignDeterministic(k *cryptoutil.KeyPair) error {
+	return tx.sign(k, k.SignDeterministic)
+}
+
+func (tx *Transaction) sign(k *cryptoutil.KeyPair, sign func(cryptoutil.Hash) ([]byte, error)) error {
 	if tx.From != k.Address() {
 		return ErrFromMismatch
 	}
-	sig, err := k.SignDeterministic(tx.SigningDigest())
+	sig, err := sign(tx.SigningDigest())
 	if err != nil {
 		return fmt.Errorf("sign tx: %w", err)
 	}
 	tx.PubKey = k.PublicKey()
 	tx.Sig = sig
-	atomic.StoreUint32(&tx.sigOK, 0)
+	atomic.StoreUint32(&tx.sigOK, 0) // new signature: drop any stale memo
 	tx.id = tx.hashID()
 	return nil
 }
@@ -277,33 +258,23 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 	}
 	tx := &Transaction{Kind: TxKind(b[0])}
 	p := b[1+copy(tx.To[:], b[1:]):]
-	tx.Value = binary.BigEndian.Uint64(p)
-	tx.Fee = binary.BigEndian.Uint64(p[8:])
-	tx.Nonce = binary.BigEndian.Uint64(p[16:])
-	tx.GasLimit = binary.BigEndian.Uint64(p[24:])
+	for i, f := range [...]*uint64{&tx.Value, &tx.Fee, &tx.Nonce, &tx.GasLimit} {
+		*f = binary.BigEndian.Uint64(p[8*i:])
+	}
 	n := binary.BigEndian.Uint64(p[32:])
-	p = p[40:]
-	if n > maxFieldLen {
+	if p = p[40:]; n > maxFieldLen {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	if n > uint64(len(p)) {
-		return nil, fmt.Errorf("types: read data: %w", io.ErrUnexpectedEOF)
+	if want := n + uint64(tx.authLen()); uint64(len(p)) != want {
+		return nil, fmt.Errorf("types: %d bytes after a transaction's amounts, its data, key and signature take %d", len(p), want)
 	}
 	if n > 0 {
 		tx.Data = bytes.Clone(p[:n])
 	}
-	p = p[n:]
 	if tx.Kind != TxCoinbase {
-		if len(p) < authLen {
-			return nil, fmt.Errorf("types: read key and signature: %w", io.ErrUnexpectedEOF)
-		}
-		auth := bytes.Clone(p[:authLen])
+		auth := bytes.Clone(p[n:])
 		tx.PubKey, tx.Sig = auth[:cryptoutil.PubKeyLen:cryptoutil.PubKeyLen], auth[cryptoutil.PubKeyLen:]
 		tx.From = cryptoutil.PubKeyToAddress(tx.PubKey)
-		p = p[authLen:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("types: %d trailing bytes after transaction", len(p))
 	}
 	var buf [stackEncoding]byte
 	tx.id = sha256.Sum256(append(append(buf[:0], txIDTag...), b...))
@@ -311,11 +282,14 @@ func DecodeTransaction(b []byte) (*Transaction, error) {
 }
 
 // encodedLen is the length of the full canonical encoding.
-func (tx *Transaction) encodedLen() int {
+func (tx *Transaction) encodedLen() int { return bodyLen + len(tx.Data) + tx.authLen() }
+
+// authLen is the length of the key and the signature in the encoding.
+func (tx *Transaction) authLen() int {
 	if tx.Kind == TxCoinbase {
-		return bodyLen + len(tx.Data)
+		return 0
 	}
-	return bodyLen + len(tx.Data) + authLen
+	return cryptoutil.PubKeyLen + cryptoutil.SigLen
 }
 
 // appendTo appends the canonical encoding to dst. The key and the

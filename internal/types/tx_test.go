@@ -337,3 +337,40 @@ func TestBlockJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSignatureBindsTheSender: an ECDSA signature also verifies, over the
+// same digest, under a second key, recovered from the other point whose
+// x is r. The signing digest holds the sender, so that key's address
+// cannot send the signed transfer as its own.
+func TestSignatureBindsTheSender(t *testing.T) {
+	tx, _ := signedTransfer(t, "bound", 1)
+	c := elliptic.P256()
+	p := c.Params().P
+	r, s := new(big.Int).SetBytes(tx.Sig[:32]), new(big.Int).SetBytes(tx.Sig[32:])
+	z := tx.SigningDigest()
+	rInv := new(big.Int).ModInverse(r, c.Params().N)
+	zx, zy := c.ScalarBaseMult(z[:])
+	for _, parity := range []byte{2, 3} {
+		rx, ry := elliptic.UnmarshalCompressed(c, append([]byte{parity}, tx.Sig[:32]...))
+		if rx == nil {
+			t.Fatal("r is not the x of a point")
+		}
+		sx, sy := c.ScalarMult(rx, ry, s.Bytes())
+		qx, qy := c.Add(sx, sy, zx, new(big.Int).Sub(p, zy)) // s·R − z·G
+		qx, qy = c.ScalarMult(qx, qy, rInv.Bytes())
+		other := elliptic.MarshalCompressed(c, qx, qy)
+		if bytes.Equal(other, tx.PubKey) {
+			continue
+		}
+		if err := cryptoutil.Verify(other, z, tx.Sig); err != nil {
+			t.Fatalf("the signature does not verify under the recovered key: %v", err)
+		}
+		forged := NewTransfer(cryptoutil.PubKeyToAddress(other), tx.To, tx.Value, tx.Fee, tx.Nonce)
+		forged.PubKey, forged.Sig = other, tx.Sig
+		if err := forged.Verify(); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("the transfer sent by the recovered key's address verifies: %v", err)
+		}
+		return
+	}
+	t.Fatal("no second key recovered")
+}
