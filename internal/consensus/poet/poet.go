@@ -33,11 +33,7 @@ var ErrBadCertificate = errors.New("poet: invalid wait certificate")
 
 // CertCodecVersion tags the binary certificate encoding carried in
 // Header.Extra; bump on layout change (this changes poet block hashes).
-const CertCodecVersion = 1
-
-// maxCertSigLen bounds the signature blob when decoding untrusted
-// Header.Extra bytes: a signature is cryptoutil.SigLen bytes.
-const maxCertSigLen = cryptoutil.SigLen
+const CertCodecVersion = 2
 
 // Certificate is an enclave-signed statement that a validator was
 // assigned the given wait for blocks extending Parent. It is embedded
@@ -57,7 +53,11 @@ func (c Certificate) Encode() []byte {
 	w.Raw(c.Validator[:])
 	w.Raw(c.Parent[:])
 	w.U64(uint64(c.WaitNanos))
-	w.Blob(c.Sig)
+	// The signature takes its fixed width whatever its length, as a
+	// transaction's does: cut, or zero-padded where it is short.
+	var sig [cryptoutil.SigLen]byte
+	copy(sig[:], c.Sig)
+	w.Raw(sig[:])
 	return w.Bytes()
 }
 
@@ -71,7 +71,8 @@ func DecodeCertificate(data []byte) (Certificate, error) {
 	rd.Raw(c.Validator[:])
 	rd.Raw(c.Parent[:])
 	c.WaitNanos = int64(rd.U64())
-	c.Sig = rd.Blob(maxCertSigLen)
+	c.Sig = make([]byte, cryptoutil.SigLen)
+	rd.Raw(c.Sig)
 	return c, rd.Close()
 }
 

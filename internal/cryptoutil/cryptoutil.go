@@ -5,6 +5,7 @@
 package cryptoutil
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -176,6 +177,12 @@ var (
 var (
 	curveN = elliptic.P256().Params().N
 	halfN  = new(big.Int).Rsh(curveN, 1)
+
+	// The same two bounds as SigLen/2 big-endian bytes, so that Verify
+	// checks r and s by comparing bytes.
+	curveNBytes = curveN.FillBytes(make([]byte, SigLen/2))
+	halfNBytes  = halfN.FillBytes(make([]byte, SigLen/2))
+	zeroScalar  = make([]byte, SigLen/2)
 )
 
 // KeyPair is an ECDSA P-256 key pair bound to its derived address.
@@ -303,12 +310,11 @@ func Verify(pubKey []byte, digest Hash, sig []byte) error {
 	if len(sig) != SigLen {
 		return fmt.Errorf("%w: %d bytes, want %d", ErrBadSignature, len(sig), SigLen)
 	}
-	r := new(big.Int).SetBytes(sig[:SigLen/2])
-	s := new(big.Int).SetBytes(sig[SigLen/2:])
-	if r.Sign() == 0 || s.Sign() == 0 || r.Cmp(curveN) >= 0 || s.Cmp(curveN) >= 0 {
+	r, s := sig[:SigLen/2], sig[SigLen/2:]
+	if !inRange(r) || !inRange(s) {
 		return ErrSigRange
 	}
-	if s.Cmp(halfN) > 0 {
+	if bytes.Compare(s, halfNBytes) > 0 {
 		return ErrHighS
 	}
 	// The square root that recovers Y: the one step a compressed key
@@ -319,10 +325,39 @@ func Verify(pubKey []byte, digest Hash, sig []byte) error {
 	if x == nil {
 		return ErrBadPubKey
 	}
-	if !ecdsa.Verify(&ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, digest[:], r, s) {
+	var der [derMaxLen]byte
+	if !ecdsa.VerifyASN1(&ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, digest[:], appendDER(der[:0], r, s)) {
 		return ErrBadSignature
 	}
 	return nil
+}
+
+// inRange reports whether a 32-byte big-endian scalar is in [1, n-1].
+func inRange(v []byte) bool {
+	return !bytes.Equal(v, zeroScalar) && bytes.Compare(v, curveNBytes) < 0
+}
+
+// derMaxLen bounds SEQUENCE { INTEGER r, INTEGER s }: two bytes of
+// header, then per integer two of header, a zero and 32 of value.
+const derMaxLen = 2 + 2*(2+1+SigLen/2)
+
+// appendDER appends that sequence, the form ecdsa.VerifyASN1 reads, for
+// nonzero r and s: each integer minimal, with a zero before a set top
+// bit, and every length one byte.
+func appendDER(dst, r, s []byte) []byte {
+	start := len(dst)
+	dst = append(dst, 0x30, 0)
+	for _, v := range [...][]byte{r, s} {
+		v = bytes.TrimLeft(v, "\x00")
+		if v[0] >= 0x80 {
+			dst = append(dst, 0x02, byte(len(v)+1), 0)
+		} else {
+			dst = append(dst, 0x02, byte(len(v)))
+		}
+		dst = append(dst, v...)
+	}
+	dst[start+1] = byte(len(dst) - start - 2)
+	return dst
 }
 
 // addressTag domain-separates an address from every other hash.

@@ -245,6 +245,49 @@ func TestSignaturesAreLowS(t *testing.T) {
 	}
 }
 
+// TestAppendDER pins the ASN.1 form Verify hands the stdlib: leading
+// zero bytes dropped, a zero put back where the top bit is set.
+func TestAppendDER(t *testing.T) {
+	r := make([]byte, 32)
+	r[31] = 1
+	s := make([]byte, 32)
+	s[0] = 0x80
+	want := append([]byte{0x30, 0x26, 0x02, 0x01, 0x01, 0x02, 0x21, 0x00}, s...)
+	if got := appendDER(nil, r, s); !bytes.Equal(got, want) {
+		t.Fatalf("appendDER = %x, want %x", got, want)
+	}
+	n := elliptic.P256().Params().N
+	top := new(big.Int).Sub(n, big.NewInt(1)).FillBytes(make([]byte, 32))
+	if got := appendDER(nil, top, top); len(got) != derMaxLen || got[1] != derMaxLen-2 {
+		t.Fatalf("appendDER(n-1, n-1) = %x, want %d bytes", got, derMaxLen)
+	}
+}
+
+// TestVerifyShortScalars verifies signatures whose r or s starts with a
+// zero byte, the ones whose DER integers are shorter than 32 bytes.
+func TestVerifyShortScalars(t *testing.T) {
+	k := KeyFromSeed([]byte("short"))
+	var short [2]int
+	for i := uint64(0); short[0] == 0 || short[1] == 0; i++ {
+		digest := HashUint64("short", i)
+		sig, err := k.SignDeterministic(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sig[0] != 0 && sig[32] != 0 {
+			continue
+		}
+		if err := Verify(k.PublicKey(), digest, sig); err != nil {
+			t.Fatalf("digest %d, signature %x: %v", i, sig, err)
+		}
+		if sig[0] == 0 {
+			short[0]++
+		} else {
+			short[1]++
+		}
+	}
+}
+
 func TestGenerateKey(t *testing.T) {
 	k, err := GenerateKey(nil)
 	if err != nil {

@@ -3,6 +3,8 @@ package types
 import (
 	"sync/atomic"
 	"testing"
+
+	"dcsledger/internal/cryptoutil"
 )
 
 // BenchmarkVerify is the cost of the first verification of a decoded
@@ -32,6 +34,22 @@ func BenchmarkDecodeTransaction(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeTransaction(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeBlock is the cost of decoding a block of 256 signed
+// transfers, every id memoized and no signature checked.
+func BenchmarkDecodeBlock(b *testing.B) {
+	blk := NewBlock(cryptoutil.ZeroHash, 1, 0, cryptoutil.ZeroAddress, signedTransfers(b, 256))
+	blk.Header.Extra = []byte("seal")
+	enc := blk.Encode()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBlock(enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,48 +73,24 @@ func (h *BlockHeader) Hash() cryptoutil.Hash {
 
 // DecodeBlockHeader parses a header from its canonical encoding.
 func DecodeBlockHeader(b []byte) (*BlockHeader, error) {
-	r := bytes.NewReader(b)
-	h, err := readHeader(r)
-	if err != nil {
-		return nil, err
+	if len(b) < NonceOffset+8+2*cryptoutil.HashSize+cryptoutil.AddressSize {
+		return nil, fmt.Errorf("types: read block header: %w", io.ErrUnexpectedEOF)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("types: %d trailing bytes after header", r.Len())
-	}
-	return h, nil
-}
-
-func readHeader(r *bytes.Reader) (*BlockHeader, error) {
 	var h BlockHeader
-	if _, err := io.ReadFull(r, h.ParentHash[:]); err != nil {
-		return nil, fmt.Errorf("types: read parent hash: %w", err)
-	}
-	var err error
-	if h.Height, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	t, err := readUint64(r)
+	p := b[copy(h.ParentHash[:], b):]
+	h.Height, h.Time = binary.BigEndian.Uint64(p), int64(binary.BigEndian.Uint64(p[8:]))
+	h.Difficulty, h.Nonce = binary.BigEndian.Uint64(p[16:]), binary.BigEndian.Uint64(p[24:])
+	p = p[32+copy(h.TxRoot[:], p[32:]):]
+	p = p[copy(h.StateRoot[:], p):]
+	extra, rest, err := cutField(p[copy(h.Proposer[:], p):])
 	if err != nil {
 		return nil, err
 	}
-	h.Time = int64(t)
-	if h.Difficulty, err = readUint64(r); err != nil {
-		return nil, err
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("types: %d trailing bytes after header", len(rest))
 	}
-	if h.Nonce, err = readUint64(r); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, h.TxRoot[:]); err != nil {
-		return nil, fmt.Errorf("types: read tx root: %w", err)
-	}
-	if _, err := io.ReadFull(r, h.StateRoot[:]); err != nil {
-		return nil, fmt.Errorf("types: read state root: %w", err)
-	}
-	if _, err := io.ReadFull(r, h.Proposer[:]); err != nil {
-		return nil, fmt.Errorf("types: read proposer: %w", err)
-	}
-	if h.Extra, err = readBytes(r); err != nil {
-		return nil, err
+	if len(extra) > 0 {
+		h.Extra = bytes.Clone(extra)
 	}
 	return &h, nil
 }
@@ -197,17 +173,17 @@ func (b *Block) Size() int {
 // know the block's hash and height without paying for its transactions.
 // It says nothing about whether the rest decodes.
 func PeekBlockHeader(data []byte) (*BlockHeader, error) {
-	hb, err := readBytes(bytes.NewReader(data))
+	hb, _, err := cutField(data)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeBlockHeader(hb)
 }
 
-// DecodeBlock parses a block from its canonical encoding.
+// DecodeBlock parses a block from its canonical encoding. Each
+// transaction is decoded from a view of data, not a copy.
 func DecodeBlock(data []byte) (*Block, error) {
-	r := bytes.NewReader(data)
-	hb, err := readBytes(r)
+	hb, p, err := cutField(data)
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +191,11 @@ func DecodeBlock(data []byte) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := readUint64(r)
-	if err != nil {
-		return nil, err
+	if len(p) < 8 {
+		return nil, fmt.Errorf("types: read transaction count: %w", io.ErrUnexpectedEOF)
 	}
-	if n > maxFieldLen {
+	n := binary.BigEndian.Uint64(p)
+	if p = p[8:]; n > maxFieldLen {
 		return nil, fmt.Errorf("%w: %d txs", ErrTooLarge, n)
 	}
 	b := &Block{Header: *h}
@@ -227,8 +203,8 @@ func DecodeBlock(data []byte) (*Block, error) {
 		b.Txs = make([]*Transaction, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		tb, err := viewBytes(r, data)
-		if err != nil {
+		var tb []byte
+		if tb, p, err = cutField(p); err != nil {
 			return nil, err
 		}
 		tx, err := DecodeTransaction(tb)
@@ -237,20 +213,24 @@ func DecodeBlock(data []byte) (*Block, error) {
 		}
 		b.Txs = append(b.Txs, tx)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("types: %d trailing bytes after block", r.Len())
+	if len(p) != 0 {
+		return nil, fmt.Errorf("types: %d trailing bytes after block", len(p))
 	}
 	return b, nil
 }
 
-// viewBytes is readBytes without the copy: the field r reads next, as a
-// slice of data, the bytes r reads from.
-func viewBytes(r *bytes.Reader, data []byte) ([]byte, error) {
-	n, err := readLen(r)
-	if err != nil {
-		return nil, err
+// cutField splits b into the field at its front, behind its length (8
+// big-endian bytes, no more than maxFieldLen), and what follows it.
+func cutField(b []byte) (field, rest []byte, err error) {
+	if len(b) < 8 {
+		return nil, nil, fmt.Errorf("types: read length: %w", io.ErrUnexpectedEOF)
 	}
-	off := len(data) - r.Len()
-	_, _ = r.Seek(int64(n), io.SeekCurrent) // cannot fail: readLen checked r holds n bytes
-	return data[off : off+n], nil
+	n := binary.BigEndian.Uint64(b)
+	if b = b[8:]; n > maxFieldLen {
+		return nil, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+	}
+	if n > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("types: read bytes: %w", io.ErrUnexpectedEOF)
+	}
+	return b[:n], b[n:], nil
 }

@@ -331,41 +331,7 @@ func TxHashes(txs []*Transaction) []cryptoutil.Hash {
 	return out
 }
 
-func readUint64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, fmt.Errorf("types: read uint64: %w", err)
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
-
 // appendBytes appends b behind its length, 8 big-endian bytes.
 func appendBytes(dst, b []byte) []byte {
 	return append(binary.BigEndian.AppendUint64(dst, uint64(len(b))), b...)
-}
-
-// readLen reads the length of a field: no more than maxFieldLen, nor
-// than r holds.
-func readLen(r *bytes.Reader) (int, error) {
-	n, err := readUint64(r)
-	if err != nil {
-		return 0, err
-	}
-	if n > maxFieldLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	if n > uint64(r.Len()) {
-		return 0, fmt.Errorf("types: read bytes: %w", io.ErrUnexpectedEOF)
-	}
-	return int(n), nil
-}
-
-func readBytes(r *bytes.Reader) ([]byte, error) {
-	n, err := readLen(r)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]byte, n)
-	_, _ = r.Read(out) // reads all n: readLen checked r holds them
-	return out, nil
 }
