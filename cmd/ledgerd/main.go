@@ -265,6 +265,9 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 	n.SetTracer(tracer)
 	if rec != nil {
+		for _, sk := range rec.SkippedCheckpoints {
+			log.Printf("skipped checkpoint %s: %v", sk.File, sk.Reason)
+		}
 		if err := n.Recover(rec); err != nil {
 			return fmt.Errorf("recover from %s: %w", *dataDir, err)
 		}

@@ -506,6 +506,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 			emit("wal_last_seq", int64(st.WAL.LastSeq))
 			emit("wal_torn_truncated_bytes_total", int64(st.WAL.TornTruncated))
 			emit("wal_checkpoints_total", int64(st.Checkpoints))
+			emit("wal_checkpoint_bytes", int64(st.CheckpointBytes))
 		})
 	}
 }

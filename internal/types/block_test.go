@@ -187,3 +187,30 @@ func TestBlockSize(t *testing.T) {
 		t.Fatal("block size must grow with tx count")
 	}
 }
+
+// TestStoredForm: a block's storage form and signature tail decode to
+// the block, with its hash and its transactions' ids; a tail one byte
+// short or one signature long, a byte after the last transaction and a
+// count not in its shortest form are refused.
+func TestStoredForm(t *testing.T) {
+	b := testBlock(t, 3)
+	form, sigs := b.AppendStored(nil), b.AppendSigs(nil)
+	if len(sigs) != 3*cryptoutil.SigLen {
+		t.Fatalf("a tail of %d bytes for 3 signed transactions", len(sigs))
+	}
+	got, err := DecodeStoredBlock(form, sigs)
+	if err != nil || got.Hash() != b.Hash() || !bytes.Equal(got.Encode(), b.Encode()) || got.Txs[2].ID() != b.Txs[2].ID() {
+		t.Fatalf("DecodeStoredBlock: %v", err)
+	}
+	count := 8 + int(binary.BigEndian.Uint64(form))
+	for name, c := range map[string][2][]byte{
+		"tail one byte short":            {form, sigs[:len(sigs)-1]},
+		"one signature too many":         {form, append(append([]byte(nil), sigs...), sigs[:cryptoutil.SigLen]...)},
+		"a byte after the last":          {append(append([]byte(nil), form...), 0), sigs},
+		"count not in its shortest form": {append(append(append([]byte(nil), form[:count]...), form[count]|0x80, 0x00), form[count+1:]...), sigs},
+	} {
+		if _, err := DecodeStoredBlock(c[0], c[1]); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"crypto/elliptic"
+	"encoding/binary"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -144,6 +145,58 @@ func FuzzTxDecode(f *testing.F) {
 		}
 		if tx.Verify() == nil && tx.Verify() != nil {
 			t.Fatal("a verified transaction failed to verify again")
+		}
+	})
+}
+
+// FuzzStoredBlock throws arbitrary bytes at the storage form, the block
+// encoding a journal compresses, as a form and a signature tail.
+// Invariants:
+//
+//  1. a canonical encoding (form, when DecodeBlock takes it) goes to
+//     the storage form and back to itself byte for byte;
+//  2. DecodeStoredBlock never panics, and a block it decodes stores to
+//     exactly the form and the tail it came from, and encodes to the
+//     canonical bytes they spell.
+func FuzzStoredBlock(f *testing.F) {
+	k := cryptoutil.KeyFromSeed([]byte("fuzz-stored"))
+	transfer := NewTransfer(k.Address(), cryptoutil.ZeroAddress, 300, 2, 0)
+	deploy := &Transaction{Kind: TxDeploy, From: k.Address(), Nonce: 1, GasLimit: 1 << 20, Data: []byte{1, 2, 3}}
+	for _, tx := range []*Transaction{transfer, deploy} {
+		if err := tx.SignDeterministic(k); err != nil {
+			f.Fatal(err)
+		}
+	}
+	parent := cryptoutil.HashBytes([]byte("parent"))
+	coinbase := NewBlock(parent, 1, 1000, k.Address(), []*Transaction{NewCoinbase(k.Address(), 50, 1)})
+	signed := NewBlock(parent, 2, 2000, k.Address(), []*Transaction{NewCoinbase(k.Address(), 50, 2), transfer, deploy})
+	form, sigs := signed.AppendStored(nil), signed.AppendSigs(nil)
+	f.Add(coinbase.AppendStored(nil), []byte{}) // a coinbase-only block: an empty tail
+	f.Add(form, sigs)
+	f.Add(form, sigs[:len(sigs)-1])                                 // a tail one byte short
+	f.Add(form, append(append([]byte(nil), sigs...), sigs[:64]...)) // one signature too many
+	cb := coinbase.AppendStored(nil)
+	count := 8 + int(binary.BigEndian.Uint64(cb))                                                    // where the transaction count is
+	f.Add(append(append(append([]byte(nil), cb[:count]...), 0x81, 0x00), cb[count+1:]...), []byte{}) // count 1 in two bytes
+	f.Add(signed.Encode(), []byte{})
+	f.Add([]byte{}, []byte{})
+
+	f.Fuzz(func(t *testing.T, form, sigs []byte) {
+		if b, err := DecodeBlock(form); err == nil {
+			raw, err := appendCanonical(nil, b.AppendStored(nil), b.AppendSigs(nil))
+			if err != nil || !bytes.Equal(raw, form) {
+				t.Fatalf("canonical -> storage -> canonical: %v", err)
+			}
+		}
+		b, err := DecodeStoredBlock(form, sigs)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(b.AppendStored(nil), form) || !bytes.Equal(b.AppendSigs(nil), sigs) {
+			t.Fatal("a decoded storage form does not store back to itself")
+		}
+		if raw, err := appendCanonical(nil, form, sigs); err != nil || !bytes.Equal(b.Encode(), raw) {
+			t.Fatalf("the block does not encode to the canonical bytes its storage form spells: %v", err)
 		}
 	})
 }

@@ -76,12 +76,13 @@ func dirBytes(t *testing.T, dir string) int64 {
 
 // TestJournalBytesPerTransfer: what a transfer costs the journal. Forty
 // blocks of 80 transfers (transfer-heavy's block) through a real store,
-// head switches included, must leave the WAL directory under 119 bytes a
-// transaction (about 106 measured); the canonical encoding verbatim costs
-// about 168, each block compressed on its own about 126, and the
-// encoding before compact keys and signatures, windowed, about 138.
+// head switches included, must leave the WAL directory under 98 bytes a
+// transaction (about 88 measured); the canonical encoding verbatim costs
+// about 168, each block compressed on its own about 126, the canonical
+// encoding windowed, signatures and all, about 106, and the encoding
+// before compact keys and signatures, windowed, about 138.
 func TestJournalBytesPerTransfer(t *testing.T) {
-	const nBlocks, perBlock, limit = 40, 80, 119
+	const nBlocks, perBlock, limit = 40, 80, 98
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
 	blocks := transferBlocks(t, nBlocks, perBlock)
@@ -118,27 +119,62 @@ func TestJournalBytesPerTransfer(t *testing.T) {
 	}
 }
 
-// uninflatable are RecBlock payloads of a real block that no longer
-// inflate, each damaged in a way only the codec can notice: the frame
-// around it is valid. Each starts a window (back 0).
-func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
-	t.Helper()
-	var enc lz.Encoder
-	good := enc.Encode(nil, b.Encode())
-	badElement := append([]byte(nil), good...)
-	badElement[lastLiteral(t, good)] = 0xff
-	return map[string][]byte{
-		"bad element":              append([]byte{0}, badElement...),
-		"wrong length":             append(append([]byte{0}, good...), 0x00, 0x00),
-		"declared length over max": append([]byte{0, 0x81, 0x80, 0x80, 0x10}, good[2:]...), // 32 MiB + 1
+// TestSignaturesStayOutOfTheWindow: a journaled transfer block's
+// signatures are its record's raw tail, 64 bytes for each signed
+// transaction, and none of them is in the storage form the window
+// inflates: they cannot crowd earlier records out of a copy's reach.
+func TestSignaturesStayOutOfTheWindow(t *testing.T) {
+	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
+	blocks := transferBlocks(t, 20, 80)
+	logBlocks(t, s, blocks)
+	for _, b := range blocks {
+		s.mu.Lock()
+		at := s.blocks[b.Hash()]
+		locs := s.segBlocks[at.Seg]
+		s.mu.Unlock()
+		k := 0
+		for locs[k] != at {
+			k++
+		}
+		form, sigs, err := s.inflateAt(at, locs[max(0, k-lz.WindowRecords+1):k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sigs) != cryptoutil.SigLen*len(b.Txs) || !bytes.Equal(sigs, b.AppendSigs(nil)) {
+			t.Fatalf("block %d: a tail of %d bytes, want its %d signatures", b.Header.Height, len(sigs), len(b.Txs))
+		}
+		for i, tx := range b.Txs {
+			if bytes.Contains(form, tx.Sig) {
+				t.Fatalf("block %d: tx %d's signature is in the inflated storage form", b.Header.Height, i)
+			}
+		}
 	}
 }
 
-// lastLiteral walks the elements of an lz encoding to the last one and
-// returns where its tag is: a literal's, since a block ends in a
-// signature. That tag turned into 0xff, a long copy of 131 bytes, makes
-// the encoding overrun its declared length.
-func lastLiteral(t *testing.T, enc []byte) int {
+// uninflatable are RecBlock payloads of a real block that no longer
+// inflate, each damaged in a way only the codec or the storage form can
+// notice: the frame around it is valid. Each starts a window (back 0).
+func uninflatable(t *testing.T, b *types.Block) map[string][]byte {
+	t.Helper()
+	var enc lz.Encoder
+	good := enc.Encode(nil, b.AppendStored(nil))
+	badElement := append([]byte(nil), good...)
+	badElement[lastElement(t, good)] = 0xff
+	payload := func(enc []byte, extra ...byte) []byte {
+		return append(b.AppendSigs(append([]byte{0}, enc...)), extra...)
+	}
+	return map[string][]byte{
+		"bad element":              payload(badElement),
+		"wrong length":             payload(good, 0x00, 0x00),
+		"declared length over max": payload(append([]byte{0x81, 0x80, 0x80, 0x10}, good[2:]...)), // 32 MiB + 1
+	}
+}
+
+// lastElement walks the elements of an lz encoding to the last one and
+// returns where its tag is. That tag turned into 0xff, a long copy of 131
+// bytes, makes the encoding overrun its declared length, unless it was
+// 0xff already.
+func lastElement(t *testing.T, enc []byte) int {
 	t.Helper()
 	_, tag := binary.Uvarint(enc)
 	for size := 0; ; tag += size {
@@ -154,8 +190,8 @@ func lastLiteral(t *testing.T, enc []byte) int {
 			break
 		}
 	}
-	if enc[tag] >= 0x40 {
-		t.Fatalf("the encoding ends in tag %#x, not in a literal", enc[tag])
+	if enc[tag] == 0xff {
+		t.Fatal("the encoding ends in a copy of 131 bytes")
 	}
 	return tag
 }

@@ -29,7 +29,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(valid)
 	var enc lz.Encoder
 	f.Add(encodeFrame(Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: enc.Encode([]byte{0}, testBlocks(1)[0].Encode())}))
+	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
 	f.Add(valid[:len(valid)/2]) // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF

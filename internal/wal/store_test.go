@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -204,6 +206,70 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 }
 
+// TestSkippedCheckpointsAreReported: a checkpoint of the replaced
+// DCSCKPT2 layout and a bit-flipped DCSCKPT3 one are neither used nor
+// mistaken for no file: recovery names both, newest first, with the
+// reason, falls back to the valid one behind them, and the newest file's
+// size is what Stats reports.
+func TestSkippedCheckpointsAreReported(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	st := state.New()
+	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
+	root := st.Commit()
+	blocks := testBlocks(2)
+	for _, b := range blocks {
+		if err := s.LogBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(b, root, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	seqs, err := s.ckpts.List()
+	if err != nil || len(seqs) != 2 {
+		t.Fatalf("checkpoint files %v, %v", seqs, err)
+	}
+	flipped := s.ckpts.Path(seqs[1])
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same checkpoint in the replaced layout: its body uncompressed.
+	body, err := lz.Decode(nil, data[len(ckptMagic):len(data)-4], maxCheckpointLen, maxCheckpointLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte("DCSCKPT2"), body...)
+	v2 = binary.BigEndian.AppendUint32(v2, seglog.Checksum(body))
+	replaced := s.ckpts.Path(seqs[1] + 1)
+	if err := os.WriteFile(replaced, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	if ck := rec.Checkpoint; ck == nil || ck.Head != blocks[0].Hash() {
+		t.Fatalf("recovered checkpoint %+v, want the height-1 one", ck)
+	}
+	got := rec.SkippedCheckpoints
+	if len(got) != 2 || got[0].File != replaced || got[1].File != flipped {
+		t.Fatalf("skipped %v, want %s and %s", got, replaced, flipped)
+	}
+	for i, want := range []string{ckptMagic, "checksum"} {
+		if !strings.Contains(got[i].Reason.Error(), want) {
+			t.Errorf("%s skipped for %q, want it to say %q", got[i].File, got[i].Reason, want)
+		}
+	}
+	if n := s.Stats().CheckpointBytes; n != len(v2) {
+		t.Fatalf("CheckpointBytes = %d, want the newest file's %d", n, len(v2))
+	}
+}
+
 func TestMaybeCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways, CheckpointEvery: 4})
@@ -301,7 +367,7 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A trailing byte: the header is fine, the block is not.
-	bad := new(lz.Encoder).Encode([]byte{0}, append(blocks[1].Encode(), 0xff))
+	bad := blocks[1].AppendSigs(new(lz.Encoder).Encode([]byte{0}, append(blocks[1].AppendStored(nil), 0xff)))
 	if _, err := s.WAL().Append(RecBlock, bad); err != nil {
 		t.Fatal(err)
 	}

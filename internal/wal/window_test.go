@@ -235,6 +235,7 @@ func TestDamageInsideWindow(t *testing.T) {
 			if back != bad {
 				t.Fatalf("back %d, want %d", back, bad)
 			}
+			enc, _, _ := lz.Cut(body, MaxRecordLen)
 
 			path := filepath.Join(dir, "wal", format.SegmentName(uint64(at.Seg)))
 			data, err := os.ReadFile(path)
@@ -246,7 +247,7 @@ func TestDamageInsideWindow(t *testing.T) {
 			if crcValid {
 				// The last element overruns the declared length; the CRC
 				// is the new body's.
-				payload[len(payload)-len(body)+lastLiteral(t, body)] = 0xff
+				payload[len(payload)-len(body)+lastElement(t, enc)] = 0xff
 				binary.BigEndian.PutUint32(frame[4:], seglog.Checksum(frame[seglog.FrameHeaderLen:]))
 			} else {
 				payload[len(payload)-1] ^= 0xff
@@ -304,15 +305,15 @@ func journaledPrefix(t *testing.T, rec *Recovery) []Journaled {
 // does not inflate.
 func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	blocks := transferBlocks(t, 3, 20)
-	raw0, raw1 := blocks[0].Encode(), blocks[1].Encode()
+	form0, form1 := blocks[0].AppendStored(nil), blocks[1].AppendStored(nil)
 	chained := func(back uint64, guard int) []byte {
 		var e lz.Encoder
-		e.Next(nil, append(e.Window(), raw0...), 0)
-		return e.Next(binary.AppendUvarint(nil, back), append(e.Window(), raw1...), guard)
+		e.Next(nil, append(e.Window(), form0...), 0)
+		return blocks[1].AppendSigs(e.Next(binary.AppendUvarint(nil, back), append(e.Window(), form1...), guard))
 	}
-	headerOf := 8 + int(binary.BigEndian.Uint64(raw1))
+	headerOf := 8 + int(binary.BigEndian.Uint64(form1))
 	var twice lz.Encoder // block 0 again, its header a copy of the window
-	twice.Next(nil, append(twice.Window(), raw0...), 0)
+	twice.Next(nil, append(twice.Window(), form0...), 0)
 	for name, c := range map[string]struct {
 		payload     []byte
 		segmentSize int64
@@ -320,7 +321,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 		"back does not follow":       {chained(3, headerOf), 0},
 		"back past the window":       {binary.AppendUvarint(nil, lz.WindowRecords), 0},
 		"chained, first in segment":  {chained(1, headerOf), 4 << 10},
-		"header copies the window":   {twice.Next(binary.AppendUvarint(nil, 1), append(twice.Window(), raw0...), 0), 0},
+		"header copies the window":   {blocks[0].AppendSigs(twice.Next(binary.AppendUvarint(nil, 1), append(twice.Window(), form0...), 0)), 0},
 		"no back":                    {nil, 0},
 		"back of ten bytes, garbled": {[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, 0},
 	} {
