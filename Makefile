@@ -156,15 +156,17 @@ heap-gate:
 # 106; the encoding before compact keys and signatures: about 138), a
 # journaled block's signatures are its record's raw tail and never enter
 # the window, a trie node
-# record costs the node store under 130 bytes on disk on the shape of the
+# record costs the node store under 102 bytes on disk on the shape of the
 # disk-state workload — a genesis of 2 256 accounts, then sixteen flushes
 # of sixteen ~19-transfer blocks over 256 senders (each record stored
-# verbatim: about 170) — and a record costs the node store's index at most
-# 32 bytes of heap.
+# verbatim: about 144; every branch written full: about 121) — a flush of
+# it under 54 000 bytes (every branch written full: about 68 300) with no
+# delta chain deeper than three, and a record costs the node store's index
+# at most 32 bytes of heap.
 disk-gate:
 	$(GO) test -count=1 ./internal/types -run TestEncodingCarriesEachFactOnce -v
 	$(GO) test -count=1 ./internal/wal -run 'TestJournalBytesPerTransfer|TestSignaturesStayOutOfTheWindow' -v
-	$(GO) test -count=1 ./internal/nodestore -run 'TestNodeStoreBytesPerRecord|TestIndexBytesPerRecord' -v
+	$(GO) test -count=1 ./internal/nodestore -run 'TestNodeStoreBytesPerRecord|TestNodeStoreBytesPerFlush|TestIndexBytesPerRecord' -v
 
 # Native fuzzing smoke: 30s per target over every decoder that reads
 # attacker- or crash-controlled bytes — the WAL frame, the codec its

@@ -3,6 +3,8 @@ package mpt
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/wire"
@@ -19,13 +21,24 @@ import (
 //	ext:    u8 kind=1 | nibbles path   | 32B child hash
 //	branch: u8 kind=0 | u16 child bitmap | 32B per set child (ascending)
 //	        | bool hasValue | uvarint len | value (if hasValue)
+//	delta:  u8 kind=3 | 32B base hash | u16 present | u16 differ
+//	        | 32B per differ child (ascending) | bool hasValue
+//	        | uvarint len | value (if hasValue)
 //	nibbles: uvarint count | ceil(count/2) bytes, high nibble first,
 //	        the low nibble of the last byte zero when count is odd
+//
+// A delta is a branch against its base, the branch it replaces: differ
+// marks the children whose hash is not the base's. Commit writes one when
+// shorter (two children kept), at most maxDeltaDepth deltas from a full
+// branch. A proof carries full nodes; decodeNode refuses kind 3.
 
 const (
 	kindBranch = 0
 	kindExt    = 1
 	kindLeaf   = 2
+	kindDelta  = 3
+	// maxDeltaDepth bounds a chain of deltas down to a full branch.
+	maxDeltaDepth = 3
 
 	// maxBlob bounds decoded key/value/path fields (far above anything
 	// the ledger stores, far below an allocation-bomb length field).
@@ -81,21 +94,54 @@ func encodeNode(n node) []byte {
 			}
 		}
 		b.U16(bitmap)
-		for _, c := range v.children {
-			if c != nil {
-				ch := c.hash()
-				b.Raw(ch[:])
-			}
-		}
-		b.Bool(v.value != nil)
-		if v.value != nil {
-			b.VarBlob(v.value)
-		}
+		putBranch(&b, v, bitmap)
 	default:
 		panic(fmt.Sprintf("mpt: encode of %T", n))
 	}
 	return b.Bytes()
 }
+
+// putBranch appends the hashes of v's children in mask, ascending, then
+// v's value.
+func putBranch(b *wire.Buffer, v *branchNode, mask uint16) {
+	for i, c := range v.children {
+		if mask&(1<<uint(i)) != 0 {
+			ch := c.hash()
+			b.Raw(ch[:])
+		}
+	}
+	b.Bool(v.value != nil)
+	if v.value != nil {
+		b.VarBlob(v.value)
+	}
+}
+
+// encodeDelta renders v as a delta against base, stored under baseHash,
+// or returns nil when the full form is not longer.
+func encodeDelta(v, base *branchNode, baseHash cryptoutil.Hash) []byte {
+	var present, differ uint16
+	for i, c := range v.children {
+		if c != nil {
+			present |= 1 << uint(i)
+			if base.children[i] == nil || base.children[i].hash() != c.hash() {
+				differ |= 1 << uint(i)
+			}
+		}
+	}
+	if bits.OnesCount16(present)-bits.OnesCount16(differ) < 2 {
+		return nil
+	}
+	var b wire.Buffer
+	b.U8(kindDelta)
+	b.Raw(baseHash[:])
+	b.U16(present)
+	b.U16(differ)
+	putBranch(&b, v, differ)
+	return b.Bytes()
+}
+
+// IsDelta reports whether enc, a node in storage form, is a delta.
+func IsDelta(enc []byte) bool { return len(enc) > 0 && enc[0] == kindDelta }
 
 // decodeNode parses a storage-form node, returning it and an estimate
 // of its retained in-memory footprint (for cache accounting). Child
@@ -146,11 +192,7 @@ func decodeNode(enc []byte) (node, int, error) {
 			n++
 		}
 		if r.Bool() {
-			v := r.VarBlob(maxBlob)
-			if v == nil {
-				v = []byte{}
-			}
-			br.value = v
+			br.value = append([]byte{}, r.VarBlob(maxBlob)...)
 		}
 		if err := r.Close(); err != nil {
 			return nil, 0, err
@@ -164,11 +206,111 @@ func decodeNode(enc []byte) (node, int, error) {
 	}
 }
 
+// deltaNode is a delta record as a source caches it, and once built, its
+// branch and chain depth. Two racing builds build the same branch.
+type deltaNode struct {
+	enc   []byte
+	built atomic.Pointer[branchNode]
+	depth atomic.Int32
+}
+
+// branch builds d's branch against its base, read through src, and
+// returns it with d's chain depth; budget is how many more deltas may lie
+// below. A chain too deep, a base not a branch, and a delta that is not
+// its branch's one spelling against the base are errors.
+func (d *deltaNode) branch(src NodeSource, budget int) (*branchNode, int, error) {
+	r := wire.NewReader(d.enc[1:])
+	var baseHash cryptoutil.Hash
+	r.Raw(baseHash[:])
+	present, differ := r.U16(), r.U16()
+	if budget == 0 {
+		return nil, 0, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
+	}
+	bn, bd, err := resolveStored(src, baseHash, budget-1, decodeOnce)
+	if err != nil {
+		return nil, 0, fmt.Errorf("base %s: %w", baseHash.Short(), err)
+	}
+	base, ok := bn.(*branchNode)
+	depth := 1
+	if bd != nil {
+		depth += int(bd.depth.Load())
+	}
+	switch {
+	case !ok:
+		return nil, 0, fmt.Errorf("base %s is a %T, not a branch", baseHash.Short(), bn)
+	case depth > maxDeltaDepth:
+		return nil, 0, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
+	case differ&^present != 0:
+		return nil, 0, fmt.Errorf("differing children not all present")
+	}
+	br, kept := &branchNode{}, 0
+	for i, bc := range base.children {
+		switch bit := uint16(1) << uint(i); {
+		case differ&bit != 0:
+			var ch cryptoutil.Hash
+			if r.Raw(ch[:]); bc != nil && bc.hash() == ch {
+				return nil, 0, fmt.Errorf("child %d repeats its base's", i)
+			}
+			br.children[i] = hashNode(ch)
+		case present&bit == 0:
+		case bc == nil:
+			return nil, 0, fmt.Errorf("keeps child %d, which its base lacks", i)
+		default:
+			br.children[i] = bc
+			kept++
+		}
+	}
+	if r.Bool() {
+		br.value = append([]byte{}, r.VarBlob(maxBlob)...)
+	}
+	if err := r.Close(); err != nil {
+		return nil, 0, err
+	}
+	if kept < 2 {
+		return nil, 0, fmt.Errorf("keeps %d children of its base, not shorter than its branch", kept)
+	}
+	return br, depth, nil
+}
+
+// resolveStored returns the node src holds under h, decoded by decode,
+// and its record d if a delta, built the first time, checked against h.
+func resolveStored(src NodeSource, h cryptoutil.Hash, budget int, decode func(cryptoutil.Hash, []byte) (any, int, error)) (nd node, d *deltaNode, err error) {
+	if src == nil {
+		return nil, nil, fmt.Errorf("%w: %s (no source)", ErrMissingNode, h.Short())
+	}
+	v, err := src.Node(h, decode)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch v := v.(type) {
+	case node:
+		return v, nil, nil
+	case *deltaNode:
+		if br := v.built.Load(); br != nil {
+			return br, v, nil
+		}
+		br, depth, err := v.branch(src, budget)
+		if err == nil && br.hash() != h {
+			err = fmt.Errorf("fails hash verification")
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("mpt: delta %s: %w", h.Short(), err)
+		}
+		v.depth.Store(int32(depth))
+		v.built.Store(br)
+		return br, v, nil
+	}
+	return nil, nil, fmt.Errorf("mpt: source returned %T for %s", v, h.Short())
+}
+
 // decodeForSource is the DecodeFunc handed to a NodeSource: decode,
 // then verify the node's recomputed commitment against the hash it was
 // stored under, so a corrupted or substituted record can never enter a
-// trie.
+// trie; a delta's is verified when resolveStored builds it.
 func decodeForSource(h cryptoutil.Hash, enc []byte) (any, int, error) {
+	if IsDelta(enc) {
+		return &deltaNode{enc: bytes.Clone(enc)}, 1000 + len(enc), nil
+	}
 	n, size, err := decodeNode(enc)
 	if err != nil {
 		return nil, 0, err
@@ -179,19 +321,33 @@ func decodeForSource(h cryptoutil.Hash, enc []byte) (any, int, error) {
 	return n, size, nil
 }
 
+// decodeOnce is decodeForSource for a base, read only for what is built
+// from it: the source is asked not to cache it.
+func decodeOnce(h cryptoutil.Hash, enc []byte) (any, int, error) {
+	v, _, err := decodeForSource(h, enc)
+	return v, -1, err
+}
+
 // Commit writes every node reachable from the root that the sink does
 // not already hold, children before parents and a leaf's Aux before the
 // leaf, and returns the root hash. Committing an empty trie writes nothing and returns EmptyRoot.
-// The trie itself is unchanged and stays fully usable; pair Commit
+// A branch is a delta against the one at its path in the trie it was
+// loaded under. The trie itself is unchanged and stays fully usable; pair Commit
 // with Load to drop the in-memory node graph after persisting.
 func (t *Trie) Commit(sink NodeSink) (cryptoutil.Hash, error) {
 	if t.root == nil {
 		return EmptyRoot, nil
 	}
-	return commitNode(t.root, sink)
+	var old node
+	if t.src != nil && !t.loaded.IsZero() {
+		old = hashNode(t.loaded)
+	}
+	return commitNode(t.src, t.root, old, sink)
 }
 
-func commitNode(n node, sink NodeSink) (cryptoutil.Hash, error) {
+// commitNode commits n; old is the persisted node at n's path in the
+// trie n's was loaded under, nil for none.
+func commitNode(src NodeSource, n, old node, sink NodeSink) (cryptoutil.Hash, error) {
 	if hn, ok := n.(hashNode); ok {
 		return cryptoutil.Hash(hn), nil // resolved from the store: already persisted
 	}
@@ -199,6 +355,7 @@ func commitNode(n node, sink NodeSink) (cryptoutil.Hash, error) {
 	if sink.Has(h) {
 		return h, nil
 	}
+	var enc []byte
 	switch v := n.(type) {
 	case *leafNode:
 		if v.aux != nil {
@@ -207,39 +364,73 @@ func commitNode(n node, sink NodeSink) (cryptoutil.Hash, error) {
 			}
 		}
 	case *extNode:
-		if _, err := commitNode(v.child, sink); err != nil {
+		var oc node
+		on, _ := stored(src, old)
+		if oe, ok := on.(*extNode); ok && bytes.Equal(oe.path, v.path) {
+			oc = oe.child
+		}
+		if _, err := commitNode(src, v.child, oc, sink); err != nil {
 			return h, err
 		}
 	case *branchNode:
-		for _, c := range v.children {
+		ob, depth := stored(src, old)
+		base, _ := ob.(*branchNode)
+		for i, c := range v.children {
 			if c == nil {
 				continue
 			}
-			if _, err := commitNode(c, sink); err != nil {
+			var oc node
+			if base != nil {
+				oc = base.children[i]
+			}
+			if _, err := commitNode(src, c, oc, sink); err != nil {
 				return h, err
 			}
 		}
+		if base != nil && depth < maxDeltaDepth {
+			enc = encodeDelta(v, base, old.hash())
+		}
 	}
-	if err := sink.Put(h, encodeNode(n)); err != nil {
+	if enc == nil {
+		enc = encodeNode(n)
+	}
+	if err := sink.Put(h, enc); err != nil {
 		return h, err
 	}
 	return h, nil
 }
 
+// stored returns old, a persisted node or nil, resolved (nil when it does
+// not: then no base) and its record's chain depth.
+func stored(src NodeSource, old node) (nd node, depth int) {
+	if hn, ok := old.(hashNode); ok {
+		var d *deltaNode
+		if nd, d, _ = resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, decodeOnce); d != nil {
+			depth = int(d.depth.Load())
+		}
+	}
+	return nd, depth
+}
+
 // WalkNodes visits every node hash reachable from root, parents before
 // children, resolving through src. visit returning false prunes the
 // subtree below that hash — the pruning mark phase uses this to stop
-// at subtrees already marked via another root. leaf, when non-nil, is
+// at subtrees already marked via another root. base, when non-nil, is
+// handed the bases a visited node's delta chain reads through, top down,
+// their subtrees unwalked; false stops the chain. leaf, when non-nil, is
 // handed every value under a visited node, so the caller can follow
 // what the values name. An EmptyRoot walk visits nothing.
-func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash) bool, leaf func(value []byte) error) error {
+func WalkNodes(src NodeSource, root cryptoutil.Hash, visit, base func(cryptoutil.Hash) bool, leaf func(value []byte) error) error {
 	if root == EmptyRoot || root == cryptoutil.ZeroHash {
 		return nil
 	}
 	if !visit(root) {
 		return nil
 	}
-	n, err := resolveNode(src, hashNode(root))
+	n, d, err := resolveStored(src, root, maxDeltaDepth, decodeForSource)
+	for err == nil && d != nil && base != nil && base(cryptoutil.Hash(d.enc[1:33])) {
+		_, d, err = resolveStored(src, cryptoutil.Hash(d.enc[1:33]), maxDeltaDepth, decodeOnce)
+	}
 	if err != nil {
 		return err
 	}
@@ -249,7 +440,7 @@ func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash)
 			return leaf(v.value)
 		}
 	case *extNode:
-		return WalkNodes(src, v.child.hash(), visit, leaf)
+		return WalkNodes(src, v.child.hash(), visit, base, leaf)
 	case *branchNode:
 		if v.value != nil && leaf != nil {
 			if err := leaf(v.value); err != nil {
@@ -260,7 +451,7 @@ func WalkNodes(src NodeSource, root cryptoutil.Hash, visit func(cryptoutil.Hash)
 			if c == nil {
 				continue
 			}
-			if err := WalkNodes(src, c.hash(), visit, leaf); err != nil {
+			if err := WalkNodes(src, c.hash(), visit, base, leaf); err != nil {
 				return err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -166,7 +167,7 @@ func TestWalkNodesCoversEverything(t *testing.T) {
 		}
 		seen[h] = true
 		return true
-	}, nil); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatalf("WalkNodes: %v", err)
 	}
 	// The walk from the only root must touch every record the commit
@@ -177,7 +178,7 @@ func TestWalkNodesCoversEverything(t *testing.T) {
 	if err := WalkNodes(s, EmptyRoot, func(cryptoutil.Hash) bool {
 		t.Fatal("empty root must visit nothing")
 		return false
-	}, nil); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +206,7 @@ func TestPruneKeepsRetainedRoots(t *testing.T) {
 	// every commit so survival depends purely on the mark set.
 	m := nodestore.NewMarker()
 	for _, root := range roots[len(roots)-2:] {
-		if err := WalkNodes(s, root, m.Keep, nil); err != nil {
+		if err := WalkNodes(s, root, m.Keep, m.KeepBase, nil); err != nil {
 			t.Fatalf("mark: %v", err)
 		}
 	}
@@ -543,4 +544,79 @@ func TestCacheBudgetHeldDuringLargeBuild(t *testing.T) {
 	if st := s.Stats(); st.CacheBytes > st.CacheCap {
 		t.Fatalf("after probes: cache %d bytes exceeds budget %d", st.CacheBytes, st.CacheCap)
 	}
+}
+
+// BenchmarkReadBranch is a cold read of a branch: the top branch of a
+// 3,000-key trie, under the root extension, through a store with the
+// cache off, its record full or a delta at the end of a chain of three,
+// whose read reads and builds the chain's three bases too.
+func BenchmarkReadBranch(b *testing.B) {
+	for _, depth := range []int{0, maxDeltaDepth} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			s, err := nodestore.Open(b.TempDir(), nodestore.Options{CacheBytes: -1, Sync: nodestore.SyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			tr := New()
+			for i := range 3000 {
+				tr = tr.Set([]byte(fmt.Sprintf("account-%05d", i)), []byte(fmt.Sprintf("balance %d", i*7)))
+			}
+			for height := range depth + 1 {
+				batch := s.NewBatch(uint64(height))
+				root, err := tr.Commit(batch)
+				if err != nil || batch.Commit() != nil {
+					b.Fatal("commit failed")
+				}
+				tr = Load(root, tr.Len(), s).Set([]byte(fmt.Sprintf("account-%05d", height)), []byte("changed"))
+			}
+			ext, err := resolveNode(s, hashNode(tr.loaded))
+			if err != nil {
+				b.Fatal(err)
+			}
+			root := ext.(*extNode).child.hash()
+			if _, d, err := resolveStored(s, root, maxDeltaDepth, decodeForSource); err != nil || d == nil && depth > 0 || d != nil && int(d.depth.Load()) != depth {
+				b.Fatalf("root at depth %d: %v", depth, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := resolveStored(s, root, maxDeltaDepth, decodeForSource); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentDeltaReads: readers that share a store's cache build its
+// delta records concurrently, each seeing the whole branch, and every
+// key of a trie flushed as deltas over two earlier flushes reads back.
+func TestConcurrentDeltaReads(t *testing.T) {
+	s := openStore(t)
+	tr, want := New(), map[string]string{}
+	for i := range 400 {
+		k := fmt.Sprintf("key-%03d", i)
+		tr, want[k] = tr.Set([]byte(k), []byte(k)), k
+	}
+	for height := range uint64(3) {
+		root := commitTrie(t, tr, s, height)
+		k := fmt.Sprintf("key-%03d", height*7)
+		tr, want[k] = Load(root, tr.Len(), s).Set([]byte(k), []byte("v2")), "v2"
+	}
+	lt := Load(commitTrie(t, tr, s, 3), tr.Len(), s)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, v := range want {
+				if got, ok, err := lt.TryGet([]byte(k)); err != nil || !ok || string(got) != v {
+					t.Errorf("TryGet(%s) = %q, %v, %v", k, got, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

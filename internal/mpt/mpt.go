@@ -46,8 +46,9 @@ var ErrMissingNode = errors.New("mpt: missing node")
 
 // NodeSource resolves a node hash to its decoded node. It is the
 // read half of a node store; *nodestore.Store satisfies it. The
-// decode callback is invoked on cache misses; decoded nodes are
-// shared between callers and must be treated as immutable.
+// decode callback is invoked on cache misses, and a negative size from
+// it asks that the node not be cached; decoded nodes are shared between
+// callers and must be treated as immutable.
 type NodeSource interface {
 	Node(h cryptoutil.Hash, decode func(h cryptoutil.Hash, enc []byte) (v any, size int, err error)) (any, error)
 }
@@ -269,18 +270,8 @@ func resolveNode(src NodeSource, n node) (node, error) {
 	if !ok {
 		return n, nil
 	}
-	if src == nil {
-		return nil, fmt.Errorf("%w: %s (no source)", ErrMissingNode, cryptoutil.Hash(hn).Short())
-	}
-	v, err := src.Node(cryptoutil.Hash(hn), decodeForSource)
-	if err != nil {
-		return nil, err
-	}
-	nd, ok := v.(node)
-	if !ok {
-		return nil, fmt.Errorf("mpt: source returned %T for %s", v, cryptoutil.Hash(hn).Short())
-	}
-	return nd, nil
+	nd, _, err := resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, decodeForSource)
+	return nd, err
 }
 
 // insert returns the subtree with value stored under path, and whether

@@ -44,11 +44,23 @@ type diskState struct {
 	prunedHeight  uint64
 }
 
-// rewriteSink claims to hold nothing, so a trie committed to it is
-// written out whole; the batch under it still skips what the store has.
-type rewriteSink struct{ *nodestore.Batch }
+// flushSink is a flush's batch, counting the deltas staged. With rewrite
+// it claims to hold nothing, so a trie committed to it is written out
+// whole; the batch under it still skips what the store has.
+type flushSink struct {
+	*nodestore.Batch
+	rewrite bool
+	deltas  int
+}
 
-func (rewriteSink) Has(cryptoutil.Hash) bool { return false }
+func (s *flushSink) Has(h cryptoutil.Hash) bool { return !s.rewrite && s.Batch.Has(h) }
+
+func (s *flushSink) Put(h cryptoutil.Hash, enc []byte) error {
+	if mpt.IsDelta(enc) {
+		s.deltas++
+	}
+	return s.Batch.Put(h, enc)
+}
 
 // persistTrieLocked writes what st's account trie holds that the store
 // does not yet — trie nodes, and ahead of each contract's leaf its
@@ -66,15 +78,11 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 	if tr == nil {
 		return fmt.Errorf("node: flush state trie at height %d: %w", height, st.Err())
 	}
-	batch := d.store.NewBatch(height)
-	var sink mpt.NodeSink = batch
-	if rewrite {
-		sink = rewriteSink{batch}
-	}
+	sink := &flushSink{Batch: d.store.NewBatch(height), rewrite: rewrite}
 	root, err := tr.Commit(sink)
-	written := batch.Len()
+	written := sink.Len()
 	if err == nil {
-		err = batch.Commit()
+		err = sink.Commit()
 	}
 	if err == nil {
 		// Whatever the batch sync policy: the caller is about to publish
@@ -88,6 +96,8 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 	st.AdoptTrie(mpt.Load(root, tr.Len(), d.store))
 	d.flushedRoot, d.flushedHeight = root, height
 	n.metrics.DiskFlushes++
+	n.metrics.DiskFlushRecords += uint64(written)
+	n.metrics.DiskFlushDeltas += uint64(sink.deltas)
 	n.obs.Observe(obs.StageDiskFlush, sw.Start(), sw.Elapsed(), obs.At{Height: height, N: uint64(written)})
 	return nil
 }
@@ -164,7 +174,7 @@ func (n *Node) pruneDiskLocked() {
 		if !d.store.Has(root) {
 			return nil
 		}
-		return mpt.WalkNodes(d.store, root, marker.Keep, leaf)
+		return mpt.WalkNodes(d.store, root, marker.Keep, marker.KeepBase, leaf)
 	}
 	refs := func(leaf []byte) error {
 		storage, code, err := state.LeafRefs(leaf)

@@ -368,8 +368,12 @@ func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 	if got := n.Metrics().DiskPrunes; got != 1 {
 		t.Fatalf("DiskPrunes = %d, want the one sweep at height 64", got)
 	}
+	var live []cryptoutil.Hash
+	for _, h := range []uint64{48, 56, 64, 72, 80} {
+		live = append(live, chainA[h-1].Header.StateRoot)
+	}
 	for _, h := range []uint64{8, 16, 24, 32, 40} {
-		if ns.Has(chainA[h-1].Header.StateRoot) {
+		if !trieDropped(t, ns, chainA[h-1].Header.StateRoot, live) {
 			t.Fatalf("flushed root at height %d survived pruning", h)
 		}
 	}
@@ -380,7 +384,7 @@ func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 		if v, ok, err := mpt.Load(root, 0, ns).TryGet(miners[5][:]); err != nil || !ok || len(v) == 0 {
 			t.Fatalf("retained flushed root at height %d unreadable: ok=%v err=%v", h, ok, err)
 		}
-		if err := mpt.WalkNodes(ns, root, func(cryptoutil.Hash) bool { return true }, nil); err != nil {
+		if err := mpt.WalkNodes(ns, root, func(cryptoutil.Hash) bool { return true }, nil, nil); err != nil {
 			t.Fatalf("retained flushed root at height %d does not walk: %v", h, err)
 		}
 	}
@@ -408,6 +412,24 @@ func TestDiskStatePrunesFlushedRoots(t *testing.T) {
 		t.Fatalf("DiskErrors = %d after the reorg", n.Metrics().DiskErrors)
 	}
 	checkHeadProof(t, n, miners[100])
+}
+
+// trieDropped reports whether a sweep dropped root's trie: root's record
+// is gone, or kept only as a base that a delta of the tries of live reads
+// through, and a node of root's own trie is gone.
+func trieDropped(t *testing.T, ns *nodestore.Store, root cryptoutil.Hash, live []cryptoutil.Hash) bool {
+	t.Helper()
+	if !ns.Has(root) {
+		return true
+	}
+	bases := make(map[cryptoutil.Hash]bool)
+	all := func(cryptoutil.Hash) bool { return true }
+	for _, r := range live {
+		if err := mpt.WalkNodes(ns, r, all, func(h cryptoutil.Hash) bool { bases[h] = true; return true }, nil); err != nil {
+			t.Fatalf("live root %s does not walk: %v", r.Short(), err)
+		}
+	}
+	return bases[root] && mpt.WalkNodes(ns, root, all, nil, nil) != nil
 }
 
 // TestDiskSweepKeepsWhatWindowStatesRead: a retained state whose own trie
@@ -456,6 +478,46 @@ func TestDiskSweepKeepsWhatWindowStatesRead(t *testing.T) {
 		t.Fatalf("DiskErrors %d, BlocksRejected %d, StateReadErrors %d", m.DiskErrors, m.BlocksRejected, m.StateReadErrors)
 	}
 	checkHeadProof(t, n, miners[100])
+}
+
+// TestDiskSweepKeepsTheBasesOfLiveDeltas: a flushed branch is a delta
+// against the one it replaced, which may lie in a flush below the sweep's
+// floor and in no retained trie. With no cache in front of the store,
+// the sweep keeps such bases, and every root it retains reads whole.
+func TestDiskSweepKeepsTheBasesOfLiveDeltas(t *testing.T) {
+	const W = 12
+	n, _, ns, genesis, err := diskNodeWith(t, t.TempDir(), diskOpts{retention: W, cache: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := diskChainBuilder(t, genesis)
+	_, miners := diskAlloc()
+	chain := rotate(bd, genesis, 80, miners[:100]) // the sweep at 64, floor 52
+	handleAll(t, n, chain)
+	if m := n.Metrics(); m.DiskPrunes != 1 || m.DiskFlushDeltas == 0 || m.DiskFlushRecords <= m.DiskFlushDeltas || ns.Stats().Dropped == 0 {
+		t.Fatalf("%d sweeps, %d of %d records flushed as deltas, %d records dropped", m.DiskPrunes, m.DiskFlushDeltas, m.DiskFlushRecords, ns.Stats().Dropped)
+	}
+	nodes, bases := make(map[cryptoutil.Hash]bool), make(map[cryptoutil.Hash]bool)
+	for _, h := range []uint64{48, 56, 64, 72, 80} {
+		root := chain[h-1].Header.StateRoot
+		err := mpt.WalkNodes(ns, root, func(h cryptoutil.Hash) bool { nodes[h] = true; return true },
+			func(h cryptoutil.Hash) bool { bases[h] = true; return true }, nil)
+		if err != nil {
+			t.Fatalf("retained root at height %d does not read: %v", h, err)
+		}
+		if _, ok, err := mpt.Load(root, 0, ns).TryGet(miners[h%100][:]); !ok || err != nil {
+			t.Fatalf("retained root at height %d: ok %v, %v", h, ok, err)
+		}
+	}
+	only := 0
+	for h := range bases {
+		if !nodes[h] {
+			only++
+		}
+	}
+	if only == 0 {
+		t.Fatal("every base is a node of a retained trie: nothing here needs the sweep to keep a base")
+	}
 }
 
 // TestCrashMatrixFlushBeforeCheckpoint kills the node between the trie

@@ -138,9 +138,11 @@ type Metrics struct {
 	BodyReadErrors uint64
 
 	// Disk state backend (zero unless Config.DiskState is set).
-	DiskFlushes uint64 // trie flushes: genesis, recovery seed, one per checkpoint
-	DiskPrunes  uint64
-	DiskErrors  uint64
+	DiskFlushes      uint64 // trie flushes: genesis, recovery seed, one per checkpoint
+	DiskFlushRecords uint64 // records the flushes staged
+	DiskFlushDeltas  uint64 // of them, branches written as deltas
+	DiskPrunes       uint64
+	DiskErrors       uint64
 
 	// StateReadErrors counts trie reads under a state that failed (an I/O
 	// error, a node the store no longer holds). A block that hit one is
@@ -489,6 +491,8 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		count("node_recovery_reroots_total", m.RecoveryReroots)
 		if n.disk != nil {
 			count("node_disk_flushes_total", m.DiskFlushes)
+			count("node_disk_flush_records_total", m.DiskFlushRecords)
+			count("node_disk_flush_delta_records_total", m.DiskFlushDeltas)
 			count("node_disk_prunes_total", m.DiskPrunes)
 			count("node_disk_errors_total", m.DiskErrors)
 			count("node_disk_flushed_height", flushedHeight)

@@ -13,21 +13,29 @@ import (
 // through their own node structure; Compact then treats everything
 // unmarked and below the height floor as garbage.
 type Marker struct {
-	keep map[cryptoutil.Hash]struct{}
+	keep map[cryptoutil.Hash]bool // true: kept by Keep, its subtree walked
 }
 
 // NewMarker returns an empty mark set.
 func NewMarker() *Marker {
-	return &Marker{keep: make(map[cryptoutil.Hash]struct{})}
+	return &Marker{keep: make(map[cryptoutil.Hash]bool)}
 }
 
-// Keep marks h live. It returns false if h was already marked, which
-// lets trie walks stop at shared subtrees.
+// Keep marks h live as a node of a walked trie. It returns false if h
+// was already kept so, which lets trie walks stop at shared subtrees.
 func (m *Marker) Keep(h cryptoutil.Hash) bool {
+	walked := m.keep[h]
+	m.keep[h] = true
+	return !walked
+}
+
+// KeepBase marks h live as a record another is built from, not its
+// subtree. It returns false if h was already marked either way.
+func (m *Marker) KeepBase(h cryptoutil.Hash) bool {
 	if _, ok := m.keep[h]; ok {
 		return false
 	}
-	m.keep[h] = struct{}{}
+	m.keep[h] = false
 	return true
 }
 

@@ -47,7 +47,7 @@ func commitKeys(t *testing.T, s *Store, tr *mpt.Trie, height uint64, n int) (*mp
 func walkAll(t *testing.T, s *Store, root cryptoutil.Hash) int {
 	t.Helper()
 	n := 0
-	if err := mpt.WalkNodes(s, root, func(cryptoutil.Hash) bool { n++; return true }, nil); err != nil {
+	if err := mpt.WalkNodes(s, root, func(cryptoutil.Hash) bool { n++; return true }, nil, nil); err != nil {
 		t.Fatalf("walk %s: %v", root.Short(), err)
 	}
 	return n

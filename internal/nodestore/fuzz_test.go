@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,6 +33,83 @@ func trieRecords(f *testing.F) []record {
 		f.Fatal(err)
 	}
 	return sink.staged
+}
+
+// deltaRecords returns trie records as two flushes write them — a trie,
+// then the same loaded back and changed, whose branches are deltas
+// against the first's — and hand-built ones beside them: a full branch
+// of six children, a chain of three deltas on it, and deltas against it
+// that the trie layer refuses (a missing base, a base that is a leaf, a
+// differ bitmap not within present, one child, and one more delta on top
+// of the chain), each under the hash its branch would have.
+func deltaRecords(tb testing.TB) (trie, hand []record) {
+	s, err := Open(tb.TempDir(), Options{Sync: SyncNever})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	tr := mpt.New()
+	for i := range 64 {
+		tr = tr.Set([]byte(fmt.Sprintf("acct-%02d", i)), []byte{byte(i)})
+	}
+	for height := range uint64(2) {
+		sink := &recordingSink{Batch: s.NewBatch(height)}
+		root, err := tr.Commit(sink)
+		if err != nil || sink.Commit() != nil {
+			tb.Fatal("commit failed")
+		}
+		trie = append(trie, sink.staged...)
+		tr = mpt.Load(root, tr.Len(), s).Set([]byte("acct-07"), []byte("changed"))
+	}
+	var kids [16]cryptoutil.Hash
+	for i := range 6 {
+		kids[i] = cryptoutil.HashBytes([]byte{byte(i)})
+	}
+	full := append([]byte{0, 0, 0b111111}, bytes.Join([][]byte{kids[0][:], kids[1][:], kids[2][:], kids[3][:], kids[4][:], kids[5][:]}, nil)...)
+	hand = append(hand, record{branchHash(kids), append(full, 0)})
+	leaf := []byte{2, 1, 0x10, 1, 'v'}
+	leafKey := cryptoutil.HashBytes([]byte{2}, []byte{0, 0, 1}, []byte{1}, []byte{0, 0, 1}, []byte{'v'})
+	hand = append(hand, record{leafKey, leaf})
+	other, full6 := cryptoutil.HashBytes([]byte("other")), kids
+	changed := func(at ...int) cryptoutil.Hash {
+		c := full6
+		for _, i := range at {
+			c[i] = other
+		}
+		return branchHash(c)
+	}
+	for i := range 4 { // the fourth is one too deep
+		base := branchHash(kids)
+		kids[i] = cryptoutil.HashBytes([]byte{byte(i), 'd'})
+		hand = append(hand, record{branchHash(kids), deltaRecord(base, 0b111111, 1<<i, kids[i])})
+	}
+	base := hand[0].key
+	hand = append(hand,
+		record{changed(0), deltaRecord(other, 0b111111, 1, other)},
+		record{changed(1), deltaRecord(leafKey, 0b111111, 0b10, other)},
+		record{changed(0, 6), deltaRecord(base, 0b111111, 0b1000001, other, other)},
+		record{branchHash([16]cryptoutil.Hash{other}), deltaRecord(base, 1, 1, other)})
+	return trie, hand
+}
+
+// deltaRecord is a trie layer's delta record of these fields and no value.
+func deltaRecord(base cryptoutil.Hash, present, differ uint16, hashes ...cryptoutil.Hash) []byte {
+	enc := append([]byte{3}, base[:]...)
+	enc = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(enc, present), differ)
+	for _, h := range hashes {
+		enc = append(enc, h[:]...)
+	}
+	return append(enc, 0)
+}
+
+// branchHash is the hash the trie layer gives a branch of these children
+// (zero for none) and no value.
+func branchHash(kids [16]cryptoutil.Hash) cryptoutil.Hash {
+	parts := [][]byte{{0}}
+	for i := range kids {
+		parts = append(parts, kids[i][:])
+	}
+	return cryptoutil.HashBytes(append(parts, []byte{0})...)
 }
 
 // reframe appends the frame that carries recs, payloads as stored, at
@@ -136,6 +214,9 @@ func FuzzNodeDecode(f *testing.F) {
 	_, recs, _ := parseFrame(1, 0, windowed[len(segMagic)+seglog.FrameHeaderLen:], nil)
 	recs[5].payload = uninflatable(recs[5].payload)
 	f.Add(reframe([]byte(segMagic), 5, recs))
+	// Branches written as deltas, and deltas the trie layer refuses.
+	trie, hand := deltaRecords(f)
+	f.Add(w.frame(w.frame([]byte(segMagic), 1, trie), 2, hand))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -207,8 +288,16 @@ func FuzzNodeDecode(f *testing.F) {
 				t.Fatalf("node mismatch for %s", h.Short())
 			}
 			// A record that is a trie node proves itself: decoded by the
-			// trie layer it re-encodes to the stored bytes.
-			if proof, err := mpt.Load(h, 1, s).Prove(nil); err == nil && !bytes.Equal(proof[0], node) {
+			// trie layer it re-encodes to the stored bytes, or, a delta,
+			// to the full branch that it stands for and that hashes to h.
+			proof, err := mpt.Load(h, 1, s).Prove(nil)
+			switch {
+			case err != nil:
+			case mpt.IsDelta(node):
+				if _, _, err := mpt.VerifyProof(h, nil, proof[:1]); err != nil || mpt.IsDelta(proof[0]) {
+					t.Fatalf("%s: a delta proves as %x: %v", h.Short(), proof[0], err)
+				}
+			case !bytes.Equal(proof[0], node):
 				t.Fatalf("%s: node re-encodes to %x, stored %x", h.Short(), proof[0], node)
 			}
 		}
@@ -249,6 +338,49 @@ func malformedBodies() map[string][]byte {
 		"over sixteen records":     chained(seventeen...),
 		"window over the cap":      chained(big, big),
 		"declared length over max": body1(kindNodes, binary.AppendUvarint([]byte{0}, MaxNodeLen+1)),
+	}
+}
+
+// TestDeltaSeedsAreRefused pins what the delta fuzz seeds stand for: in
+// a store, the branches a second flush wrote as deltas read back, prove
+// in full form, and the hand-built chain reads at depths up to three;
+// the deltas the trie layer refuses, and the one a fourth deep, are
+// refused, and the full branch and the leaf they hang on read.
+func TestDeltaSeedsAreRefused(t *testing.T) {
+	s := testOpen(t, t.TempDir(), Options{Sync: SyncNever, CacheBytes: -1})
+	trie, hand := deltaRecords(t)
+	deltas := 0
+	for i, recs := range [][]record{trie, hand} {
+		b := s.NewBatch(uint64(i))
+		for _, r := range recs {
+			if err := b.Put(r.key, r.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range trie {
+		proof, err := mpt.Load(r.key, 1, s).Prove(nil)
+		if err != nil || mpt.IsDelta(proof[0]) {
+			t.Fatalf("trie record %s: %v", r.key.Short(), err)
+		}
+		if mpt.IsDelta(r.payload) {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("the second flush wrote no delta")
+	}
+	if got := s.Stats().Records; got != len(trie)+len(hand) {
+		t.Fatalf("%d records stored, want %d: two share a key", got, len(trie)+len(hand))
+	}
+	for i, r := range hand {
+		_, err := mpt.Load(r.key, 1, s).Prove(nil)
+		if refused := i >= 5; refused != (err != nil) {
+			t.Errorf("hand-built record %d (%x…): %v", i, r.payload[:1], err)
+		}
 	}
 }
 

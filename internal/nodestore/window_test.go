@@ -255,17 +255,22 @@ func TestReadWindowBound(t *testing.T) {
 	}
 }
 
-// TestNodeStoreBytesPerRecord: what a trie node record costs on disk on
-// the shape of the fleet's disk-state workload — a genesis of 2 256
-// accounts, then sixteen flushes, each of sixteen blocks of about 19
-// transfers among 256 senders — is under 130 bytes. Each record stored
-// verbatim costs about 170.
-func TestNodeStoreBytesPerRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("signs and applies 4 864 transfers")
-	}
-	const senders, idle, flushes, blocks, perBlock, limit = 256, 2000, 16, 16, 19, 130
-	s := testOpen(t, t.TempDir(), Options{Sync: SyncNever, CacheBytes: 256 << 10})
+// flushed is what one flush of flushWorkload wrote: the frame bytes, and
+// the records as staged, nodes in storage form.
+type flushed struct {
+	bytes  uint64
+	staged []record
+}
+
+// flushWorkload runs the shape of the fleet's disk-state workload
+// against s, layered as a node layers it: a genesis of 2 256 accounts,
+// then sixteen flush intervals, each a state on top of the trie the last
+// flush adopted back from the store, written by sixteen blocks of about
+// 19 transfers among 256 senders (about 256 accounts), then committed and
+// adopted back. It returns what each flush wrote, the genesis first.
+func flushWorkload(t *testing.T, s *Store) []flushed {
+	t.Helper()
+	const senders, idle, flushes, blocks, perBlock = 256, 2000, 16, 16, 19
 	keys := make([]*cryptoutil.KeyPair, senders)
 	st := state.New()
 	for i := range keys {
@@ -275,21 +280,21 @@ func TestNodeStoreBytesPerRecord(t *testing.T) {
 	for i := range idle {
 		st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte(fmt.Sprintf("nodestore-gate/idle/%d", i)))), 1_000_000)
 	}
-	var raw int
+	var out []flushed
 	flush := func(height uint64) {
 		t.Helper()
 		tr := st.AccountTrie()
 		sink := &recordingSink{Batch: s.NewBatch(height)}
+		before := s.Stats().Bytes
 		root, err := tr.Commit(sink)
 		if err != nil || sink.Commit() != nil {
 			t.Fatalf("flush at %d failed", height)
 		}
-		for _, r := range sink.staged {
-			raw += recordLen(len(r.payload))
-		}
 		if !st.AdoptTrie(mpt.Load(root, tr.Len(), s)) {
 			t.Fatal("the flushed trie was refused")
 		}
+		out = append(out, flushed{s.Stats().Bytes - before, sink.staged})
+		st = st.Copy()
 	}
 	flush(0)
 	rng := rand.New(rand.NewSource(1))
@@ -314,11 +319,74 @@ func TestNodeStoreBytesPerRecord(t *testing.T) {
 			flush(height)
 		}
 	}
+	return out
+}
+
+// TestNodeStoreBytesPerRecord: what a trie node record costs on disk on
+// the shape of the fleet's disk-state workload (flushWorkload) is under
+// 102 bytes (about 91; 121 with every branch written full). Each record
+// stored verbatim costs about 144.
+func TestNodeStoreBytesPerRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("signs and applies 4 864 transfers")
+	}
+	const limit = 102
+	s := testOpen(t, t.TempDir(), Options{Sync: SyncNever, CacheBytes: 256 << 10})
+	var raw int
+	for _, f := range flushWorkload(t, s) {
+		for _, r := range f.staged {
+			raw += recordLen(len(r.payload))
+		}
+	}
 	stats := s.Stats()
 	per := float64(stats.Bytes) / float64(stats.Appends)
 	t.Logf("%d records: %d B written, %.1f B/record; verbatim %d B, %.1f B/record; ratio %.3f",
 		stats.Appends, stats.Bytes, per, raw, float64(raw)/float64(stats.Appends), float64(stats.Bytes)/float64(raw))
 	if per >= limit {
 		t.Fatalf("a node record costs %.1f B on disk, want under %d", per, limit)
+	}
+}
+
+// TestNodeStoreBytesPerFlush: on the same workload, a flush after the
+// genesis costs the node store under 54 000 bytes (about 48 100; every
+// branch written full, about 68 300), because a branch that replaces one of the trie
+// the state was loaded under is a delta against it; and no delta's
+// chain of bases is deeper than three.
+func TestNodeStoreBytesPerFlush(t *testing.T) {
+	if testing.Short() {
+		t.Skip("signs and applies 4 864 transfers")
+	}
+	const limit = 54_000
+	s := testOpen(t, t.TempDir(), Options{Sync: SyncNever, CacheBytes: 256 << 10})
+	depth := make(map[cryptoutil.Hash]int)
+	var total uint64
+	var records, deltas, deepest int
+	fl := flushWorkload(t, s)
+	for i, f := range fl {
+		for _, r := range f.staged {
+			if !mpt.IsDelta(r.payload) {
+				depth[r.key] = 0
+				continue
+			}
+			base, ok := depth[cryptoutil.Hash(r.payload[1:33])]
+			if !ok {
+				t.Fatalf("flush %d: delta %s against %x, which no flush wrote", i, r.key.Short(), r.payload[1:33])
+			}
+			depth[r.key] = base + 1
+			deepest, deltas = max(deepest, base+1), deltas+1
+		}
+		if i > 0 {
+			total += f.bytes
+			records += len(f.staged)
+		}
+	}
+	per := total / uint64(len(fl)-1)
+	t.Logf("genesis %d B; %d flushes: %d B a flush, %d records (%d deltas), deepest chain %d",
+		fl[0].bytes, len(fl)-1, per, records, deltas, deepest)
+	if deepest > 3 {
+		t.Fatalf("a delta chain is %d deep, want at most 3", deepest)
+	}
+	if per >= limit {
+		t.Fatalf("a flush costs %d B, want under %d", per, limit)
 	}
 }
