@@ -88,9 +88,9 @@ func hashDir(t *testing.T, dir string) map[string]string {
 // names, segment headers, batch frames of windowed records (including
 // the ones compaction copies forward).
 var goldenFiles = map[string]string{
-	"ns-00000003.seg": "621015e9271ce0444f013783a8f60e1573dfeaa2129286a81f0441663c72eebb",
-	"ns-00000004.seg": "716d908f38084eaacb1db371939800dd5e189164ae3a4bca58313a552a9a40b6",
-	"ns-00000005.seg": "e6766a5057bc2dcd8f9ebb4bffc3ac20496e62f5fccca787c10d203b804d435c",
+	"ns-00000003.seg": "a80a31af56e7bcfd6ae8d8aee542dca6a2c2dcaa7a96c62baa3c3bc2ec54bdef",
+	"ns-00000004.seg": "e2a7d196a926f28c7ecf6a17f6c1877e336d2dc31506f64bd87380deb449e9b4",
+	"ns-00000005.seg": "4860c18b31cc3f7496e889a030ac2c64ce6d0fd8c81f9624dfb8496e52a21ad3",
 }
 
 func TestOnDiskGolden(t *testing.T) {
@@ -108,15 +108,16 @@ func TestOnDiskGolden(t *testing.T) {
 }
 
 // TestRefusesV1Directory: a directory of segments in a format this one
-// replaced — DCSNS001, one record a frame, or DCSNS002, whose accounts
-// hashed the transaction encoding before compact keys — is refused
+// replaced — DCSNS001, one record a frame, DCSNS002, whose accounts
+// hashed the transaction encoding before compact keys, or DCSNS003,
+// whose branches were never deltas — is refused
 // with an error that names its magic, the current one, the segment, the
 // directory and the remedy, and is not touched: to the scanner a foreign
 // magic is damage at byte 0 of the newest segment, which repair would
 // truncate away.
 func TestRefusesV1Directory(t *testing.T) {
 	const name = "ns-00000009.seg"
-	for _, magic := range []string{"DCSNS001", "DCSNS002"} {
+	for _, magic := range []string{"DCSNS001", "DCSNS002", "DCSNS003"} {
 		t.Run(magic, func(t *testing.T) {
 			old := seglog.AppendFrame([]byte(magic), []byte("a frame of the old format"))
 			dir := t.TempDir()

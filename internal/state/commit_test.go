@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -428,7 +429,9 @@ func contractState() (*State, cryptoutil.Address) {
 // TestFlushGolden pins what a flush puts in a node store beside the
 // account trie's nodes: the nodes of each contract's storage trie under
 // their hashes, and its code, raw, under the code hash. With the root a
-// snapshot-less checkpoint records, these records are the state.
+// snapshot-less checkpoint records, these records are the state. A
+// second flush, over the state loaded back, is pinned too: its branches
+// are deltas against the first's.
 func TestFlushGolden(t *testing.T) {
 	s, c := contractState()
 	store := &mapStore{nodes: make(map[cryptoutil.Hash][]byte)}
@@ -439,19 +442,9 @@ func TestFlushGolden(t *testing.T) {
 	if got := store.nodes[codeHash([]byte("native:notary"))]; string(got) != "native:notary" {
 		t.Fatalf("code record = %q", got)
 	}
-	hashes := make([]cryptoutil.Hash, 0, len(store.nodes))
-	for h := range store.nodes {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
-	sum := sha256.New()
-	for _, h := range hashes {
-		sum.Write(h[:])
-		sum.Write(store.nodes[h])
-	}
 	const want = "22e1946529d32d9569ffbcd2292e1f8737c68d343ef65872e9761d9f08f1c5a7"
-	if got := hex.EncodeToString(sum.Sum(nil)); got != want || len(hashes) != 13 {
-		t.Fatalf("%d records, sha256 %s; want 13, %s", len(hashes), got, want)
+	if n, got := recordsSum(store.nodes, nil); got != want || n != 13 {
+		t.Fatalf("%d records, sha256 %s; want 13, %s", n, got, want)
 	}
 
 	// The root and the store are enough to open the state again.
@@ -464,6 +457,52 @@ func TestFlushGolden(t *testing.T) {
 	if want, _ := s.EncodeSnapshot(); err != nil || !bytes.Equal(enc, want) {
 		t.Fatalf("snapshot of the loaded state differs from the written one's (%v)", err)
 	}
+
+	// A second flush, of the loaded state changed, writes each branch it
+	// replaces as a delta against the first flush's: the account trie's
+	// root, and the storage trie's branch under its extension.
+	first := maps.Clone(store.nodes)
+	payer := cryptoutil.KeyFromSeed([]byte{0, 'g'}).Address()
+	l.Credit(payer, 1)
+	l.SetStorage(c, []byte("doc/c"), []byte("carol"))
+	root2, err := l.AccountTrie().Commit(store)
+	if err != nil || root2 != l.Commit() {
+		t.Fatalf("second flush: root %s, err %v", root2.Short(), err)
+	}
+	const want2 = "753a97580b1b69e26d9abb88036e6271094374d5a8e9cbdaafbe8888909b2608"
+	if n, got := recordsSum(store.nodes, first); got != want2 || n != 6 {
+		t.Fatalf("second flush: %d records, sha256 %s; want 6, %s", n, got, want2)
+	}
+	deltas := 0
+	for h, enc := range store.nodes {
+		if _, ok := first[h]; !ok && mpt.IsDelta(enc) {
+			deltas++
+		}
+	}
+	l2 := Load(root2, store)
+	if deltas != 2 || l2.Balance(payer) != 101 || string(l2.Storage(c, []byte("doc/a"))) != "alice" ||
+		string(l2.Storage(c, []byte("doc/c"))) != "carol" || l2.Err() != nil {
+		t.Fatalf("%d deltas; reloaded: balance %d, slots %q %q, err %v", deltas, l2.Balance(payer),
+			l2.Storage(c, []byte("doc/a")), l2.Storage(c, []byte("doc/c")), l2.Err())
+	}
+}
+
+// recordsSum returns how many records nodes holds that skip does not,
+// and the SHA-256 of them, each its hash then its bytes, in hash order.
+func recordsSum(nodes, skip map[cryptoutil.Hash][]byte) (int, string) {
+	var hashes []cryptoutil.Hash
+	for h := range nodes {
+		if _, ok := skip[h]; !ok {
+			hashes = append(hashes, h)
+		}
+	}
+	sort.Slice(hashes, func(i, j int) bool { return bytes.Compare(hashes[i][:], hashes[j][:]) < 0 })
+	sum := sha256.New()
+	for _, h := range hashes {
+		sum.Write(h[:])
+		sum.Write(nodes[h])
+	}
+	return len(hashes), hex.EncodeToString(sum.Sum(nil))
 }
 
 // TestFailedReadIsAnErrorNotAnAbsentAccount: a store that forgets one
