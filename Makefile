@@ -20,8 +20,7 @@ vet:
 # hygiene, atomic discipline, hot-path error checking, goroutine
 # lifecycle, unbounded-growth, and JSON-creep analyzers (docs/LINT.md).
 # The run is gated against the committed baseline: fix or suppress new
-# findings, never raise the baseline. Also runnable as
-# `go vet -vettool=$$(which dcslint)`.
+# findings, never raise the baseline.
 lint:
 	$(GO) run ./cmd/dcslint -baseline .dcslint-baseline.json ./...
 

@@ -10,18 +10,15 @@
 // stop path, caches must not grow without bound, and the binary-codec
 // packages must stay JSON-free.
 //
-// It runs in two modes:
+// Usage:
 //
-//	dcslint ./...                          # standalone, like staticcheck
-//	go vet -vettool=$(which dcslint) ./... # as a go vet tool
+//	dcslint [-json] [-baseline file [-write-baseline]] package...
+//	dcslint -suppressions package...
 //
-// The vettool mode speaks cmd/go's unitchecker protocol (-V=full
-// handshake, -flags enumeration, then one *.cfg JSON per package).
-// Interprocedural facts ride the same protocol: each unit's exported
-// facts are gob-serialized into its vetx output and read back from the
-// PackageVetx files of its dependencies — the go vet facts shape. In
-// standalone mode, packages are analyzed concurrently in dependency
-// order over a shared in-process fact store.
+// The packages are loaded with `go list -export` and analyzed
+// concurrently, GOMAXPROCS at a time, in dependency order over one
+// in-process fact store, so a package's analysis sees the facts of
+// every package it imports.
 //
 // Suppress a finding with an inline directive carrying a reason:
 //
@@ -32,15 +29,11 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -69,19 +62,15 @@ var all = []*analysis.Analyzer{
 }
 
 var (
-	versionFlag  = flag.String("V", "", "print version and exit (cmd/go handshake; use -V=full)")
-	flagsFlag    = flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go handshake)")
 	jsonFlag     = flag.Bool("json", false, "emit diagnostics as JSON instead of text")
 	suppressFlag = flag.Bool("suppressions", false, "inventory every //dcslint:ignore directive instead of analyzing")
 	baselineFlag = flag.String("baseline", "", "compare per-analyzer finding counts against this JSON baseline; exit 1 if any rises")
 	writeBase    = flag.Bool("write-baseline", false, "with -baseline, rewrite the baseline file from this run instead of comparing")
-	parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently in standalone mode (1 = serial)")
 )
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcslint [-json] [-suppressions] [-baseline file] package...\n")
-		fmt.Fprintf(os.Stderr, "   or: go vet -vettool=$(which dcslint) package...\n\n")
+		fmt.Fprintf(os.Stderr, "usage: dcslint [-json] [-suppressions] [-baseline file] package...\n\n")
 		fmt.Fprintf(os.Stderr, "analyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -89,82 +78,28 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	analysis.RegisterFactTypes(all)
 	os.Exit(run(flag.Args()))
 }
 
 func run(args []string) int {
 	switch {
-	case *versionFlag != "":
-		return printVersion(*versionFlag)
-	case *flagsFlag:
-		return printFlags()
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		return runVettool(args[0])
 	case len(args) == 0:
 		flag.Usage()
 		return 2
 	case *suppressFlag:
 		return runSuppressions(args)
 	default:
-		return runStandalone(args)
+		return runAnalysis(args)
 	}
 }
 
-// printVersion implements the cmd/go -V=full handshake: the last
-// output field must be buildID=<hex> so the go command can key its vet
-// cache on the tool binary's content.
-func printVersion(mode string) int {
-	if mode != "full" {
-		fmt.Println("dcslint version devel")
-		return 0
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: reading own executable: %v\n", err)
-		return 1
-	}
-	sum := sha256.Sum256(data)
-	fmt.Printf("dcslint version devel comments-go-here buildID=%02x\n", string(sum[:]))
-	return 0
-}
-
-// printFlags implements the -flags handshake: cmd/go asks which flags
-// the tool supports before forwarding any user-specified ones.
-func printFlags() int {
-	type jsonFlagDesc struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	var out []jsonFlagDesc
-	flag.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = b.IsBoolFlag()
-		}
-		out = append(out, jsonFlagDesc{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	data, err := json.Marshal(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-		return 1
-	}
-	fmt.Println(string(data))
-	return 0
-}
-
-// runStandalone loads the listing with `go list -export` and analyzes
+// runAnalysis loads the listing with `go list -export` and analyzes
 // the root packages concurrently in dependency order: a package starts
 // as soon as every root it imports has finished, so its imported facts
 // are already in the shared store. Output is ordered by import path
 // regardless of completion order. Diagnostics go to stdout; exit is 1
 // when any were found (or the baseline is exceeded).
-func runStandalone(patterns []string) int {
+func runAnalysis(patterns []string) int {
 	l, err := analysis.List("", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
@@ -190,10 +125,6 @@ func runStandalone(patterns []string) int {
 	diagsByIdx := make([][]analysis.Diagnostic, n)
 	errsByIdx := make([]error, n)
 
-	workers := *parallelFlag
-	if workers < 1 {
-		workers = 1
-	}
 	ready := make(chan int, n)
 	var mu sync.Mutex
 	done := 0
@@ -206,7 +137,7 @@ func runStandalone(patterns []string) int {
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -247,7 +178,7 @@ func runStandalone(patterns []string) int {
 
 	total := 0
 	perAnalyzer := map[string]int{}
-	byPkg := map[string]map[string][]vetDiag{}
+	byPkg := map[string]map[string][]jsonDiag{}
 	for i := range l.Roots {
 		if err := errsByIdx[i]; err != nil {
 			fmt.Fprintf(os.Stderr, "dcslint: %s: %v\n", l.Roots[i].ImportPath, err)
@@ -277,12 +208,9 @@ func runStandalone(patterns []string) int {
 		}
 	}
 	if *baselineFlag != "" {
-		if code := applyBaseline(*baselineFlag, perAnalyzer); code != 0 {
-			return code
-		}
 		// Baseline mode gates on regressions, not on the (already
 		// baselined) standing findings.
-		return 0
+		return applyBaseline(*baselineFlag, perAnalyzer)
 	}
 	if total > 0 {
 		fmt.Fprintf(os.Stderr, "dcslint: %d finding(s)\n", total)
@@ -397,132 +325,17 @@ func runSuppressions(patterns []string) int {
 	return 0
 }
 
-// vetConfig is the subset of cmd/go's unitchecker *.cfg payload the
-// driver needs. PackageVetx names the fact files of this unit's
-// dependencies; VetxOutput is where this unit's facts (imported +
-// newly exported, so transitive facts flow) are written.
-type vetConfig struct {
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetDiag is one diagnostic in go vet's JSON schema.
-type vetDiag struct {
+// jsonDiag is one diagnostic in go vet's JSON schema.
+type jsonDiag struct {
 	Posn    string `json:"posn"`
 	Message string `json:"message"`
 }
 
-// runVettool handles a single unitchecker invocation: read the cfg,
-// merge dependency facts from PackageVetx, analyze (even for
-// VetxOnly units — they produce the facts dependents need), write the
-// fact store to VetxOutput, and report diagnostics unless VetxOnly.
-func runVettool(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	facts := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		if err := facts.ReadFile(vetx); err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: reading facts %s: %v\n", vetx, err)
-			return 1
-		}
-	}
-	// On every early exit the vetx output must still exist or cmd/go
-	// errors; default to facts-so-far and overwrite after analysis.
-	writeVetx := func() bool {
-		if cfg.VetxOutput == "" {
-			return true
-		}
-		if err := facts.WriteFile(cfg.VetxOutput); err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: writing vetx: %v\n", err)
-			return false
-		}
-		return true
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, fn := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure && writeVetx() {
-				return 0
-			}
-			fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if to, ok := cfg.ImportMap[path]; ok {
-			path = to
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, err := analysis.CheckFiles(fset, imp, cfg.ImportPath, cfg.Dir, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure && writeVetx() {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-		return 1
-	}
-	diags, err := analysis.RunPackageFacts(pkg, all, facts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	if !writeVetx() {
-		return 1
-	}
-	if cfg.VetxOnly || len(diags) == 0 {
-		return 0
-	}
-	if *jsonFlag {
-		out := map[string]map[string][]vetDiag{cfg.ImportPath: groupDiags(diags)}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
-	}
-	return 2
-}
-
 // groupDiags buckets diagnostics by analyzer for JSON output.
-func groupDiags(diags []analysis.Diagnostic) map[string][]vetDiag {
-	m := map[string][]vetDiag{}
+func groupDiags(diags []analysis.Diagnostic) map[string][]jsonDiag {
+	m := map[string][]jsonDiag{}
 	for _, d := range diags {
-		m[d.Analyzer] = append(m[d.Analyzer], vetDiag{Posn: d.Pos.String(), Message: d.Message})
+		m[d.Analyzer] = append(m[d.Analyzer], jsonDiag{Posn: d.Pos.String(), Message: d.Message})
 	}
 	return m
 }

@@ -49,37 +49,6 @@ func mustWrite(t *testing.T, path, content string) {
 	}
 }
 
-func TestVersionHandshake(t *testing.T) {
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	s := string(out)
-	if !strings.HasPrefix(s, "dcslint version ") || !strings.Contains(s, "buildID=") {
-		t.Errorf("-V=full output %q: want 'dcslint version ... buildID=<hex>' (cmd/go parses the last field)", s)
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(out, &flags); err != nil {
-		t.Fatalf("-flags output is not a JSON flag list: %v\n%s", err, out)
-	}
-	if len(flags) == 0 {
-		t.Error("-flags reported no flags; cmd/go needs at least the handshake flags")
-	}
-}
-
 func TestStandaloneFindsViolation(t *testing.T) {
 	bin := buildTool(t)
 	dir := writeViolatingModule(t)
@@ -97,33 +66,26 @@ func TestStandaloneFindsViolation(t *testing.T) {
 	}
 }
 
-func TestVettoolFindsViolation(t *testing.T) {
-	bin := buildTool(t)
-	dir := writeViolatingModule(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool should fail on the violating module; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "time.Now") || !strings.Contains(string(out), "[determinism]") {
-		t.Errorf("missing determinism finding in go vet output:\n%s", out)
-	}
-}
-
-func TestVettoolCleanModule(t *testing.T) {
+// TestStandaloneCleanModule: a module with nothing to flag exits 0
+// and prints nothing on stdout.
+func TestStandaloneCleanModule(t *testing.T) {
 	bin := buildTool(t)
 	dir := t.TempDir()
-	mustWrite(t, filepath.Join(dir, "go.mod"), "module vetclean\n\ngo 1.22\n")
+	mustWrite(t, filepath.Join(dir, "go.mod"), "module lintclean\n\ngo 1.22\n")
 	mustWrite(t, filepath.Join(dir, "internal", "node", "ok.go"), `package node
 
 // Height is deterministic: nothing for dcslint to flag.
 func Height(parent uint64) uint64 { return parent + 1 }
 `)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd := exec.Command(bin, "./...")
 	cmd.Dir = dir
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean module: %v\n%s", err, out)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("dcslint on clean module: %v\nstdout: %s\nstderr: %s", err, &stdout, &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("clean module printed findings:\n%s", &stdout)
 	}
 }
 
@@ -151,26 +113,8 @@ func Deadline() int64 { return util.Stamp() }
 	return dir
 }
 
-// TestVettoolCrossPackageFacts proves taint facts ride the unitchecker
-// vetx protocol: the laundering helper lives in a dependency package,
-// so the finding in the consensus package exists only if PackageVetx
-// facts were written and read back.
-func TestVettoolCrossPackageFacts(t *testing.T) {
-	bin := buildTool(t)
-	dir := writeLaunderingModule(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool should fail on the laundering module; output:\n%s", out)
-	}
-	if !strings.Contains(string(out), "[determinism]") || !strings.Contains(string(out), "Stamp → time.Now") {
-		t.Errorf("missing cross-package determinism finding in go vet output:\n%s", out)
-	}
-}
-
-// TestStandaloneCrossPackageFacts proves the concurrent standalone
-// driver analyzes in dependency order over the shared fact store.
+// TestStandaloneCrossPackageFacts proves the concurrent driver
+// analyzes in dependency order over the shared fact store.
 func TestStandaloneCrossPackageFacts(t *testing.T) {
 	bin := buildTool(t)
 	dir := writeLaunderingModule(t)
@@ -213,39 +157,63 @@ func Stamp() int64 {
 }
 
 // TestBaselineGate writes a baseline, passes while counts hold, and
-// fails when a new finding appears.
+// fails when a new finding appears — with the text report and with the
+// -json report CI keeps, which must still parse when the gate fails.
 func TestBaselineGate(t *testing.T) {
 	bin := buildTool(t)
-	dir := writeViolatingModule(t)
-	base := filepath.Join(dir, ".dcslint-baseline.json")
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"text", nil},
+		{"json", []string{"-json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeViolatingModule(t)
+			base := filepath.Join(dir, ".dcslint-baseline.json")
+			lint := func(extra ...string) *exec.Cmd {
+				args := append([]string{"-baseline", base}, tc.flags...)
+				args = append(args, extra...)
+				cmd := exec.Command(bin, append(args, "./...")...)
+				cmd.Dir = dir
+				return cmd
+			}
 
-	write := exec.Command(bin, "-baseline", base, "-write-baseline", "./...")
-	write.Dir = dir
-	if out, err := write.CombinedOutput(); err != nil {
-		t.Fatalf("-write-baseline: %v\n%s", err, out)
-	}
+			if out, err := lint("-write-baseline").CombinedOutput(); err != nil {
+				t.Fatalf("-write-baseline: %v\n%s", err, out)
+			}
+			if out, err := lint().CombinedOutput(); err != nil {
+				t.Fatalf("baseline check should pass at recorded counts: %v\n%s", err, out)
+			}
 
-	check := exec.Command(bin, "-baseline", base, "./...")
-	check.Dir = dir
-	if out, err := check.CombinedOutput(); err != nil {
-		t.Fatalf("baseline check should pass at recorded counts: %v\n%s", err, out)
-	}
-
-	mustWrite(t, filepath.Join(dir, "internal", "node", "worse.go"), `package node
+			mustWrite(t, filepath.Join(dir, "internal", "node", "worse.go"), `package node
 
 import "time"
 
 // Since adds a second determinism finding above the baseline.
 func Since(s time.Time) time.Duration { return time.Since(s) }
 `)
-	regress := exec.Command(bin, "-baseline", base, "./...")
-	regress.Dir = dir
-	out, err := regress.CombinedOutput()
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-		t.Fatalf("baseline regression should exit 1, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "findings rose") {
-		t.Errorf("missing regression message:\n%s", out)
+			regress := lint()
+			var stdout, stderr bytes.Buffer
+			regress.Stdout, regress.Stderr = &stdout, &stderr
+			err := regress.Run()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+				t.Fatalf("baseline regression should exit 1, got %v\nstdout: %s\nstderr: %s", err, &stdout, &stderr)
+			}
+			if !strings.Contains(stderr.String(), "findings rose") {
+				t.Errorf("missing regression message:\n%s", &stderr)
+			}
+			if tc.name != "json" {
+				return
+			}
+			var report map[string]map[string][]struct{ Posn, Message string }
+			if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
+				t.Fatalf("-json stdout is not the per-package report: %v\n%s", err, &stdout)
+			}
+			if got := report["vetsmoke/internal/node"]["determinism"]; len(got) != 2 {
+				t.Errorf("report has %d determinism findings in vetsmoke/internal/node, want 2:\n%s", len(got), &stdout)
+			}
+		})
 	}
 }

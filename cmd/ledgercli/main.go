@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"net/url"
 	"os"
 	"strings"
+	"time"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/wallet"
@@ -41,7 +43,7 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("usage: ledgercli [-node url] <status|addr|balance|send|query> [flags]")
 	}
-	cli := &client{base: strings.TrimRight(*nodeURL, "/")}
+	cli := &client{base: strings.TrimRight(*nodeURL, "/"), http: &http.Client{Timeout: requestTimeout}}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
 	case "status":
@@ -116,17 +118,16 @@ func cmdSend(cli *client, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(cli.base+"/tx", "application/json", bytes.NewReader(body))
+	out, err := cli.do(http.MethodPost, "/tx", nil, body)
+	var rej *rejected
+	if errors.As(err, &rej) {
+		return fmt.Errorf("node rejected tx: %s", rej.msg)
+	}
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("node rejected tx: %s", strings.TrimSpace(string(out)))
-	}
-	fmt.Fprint(stdout, string(out))
-	return nil
+	_, err = stdout.Write(out)
+	return err
 }
 
 func cmdQuery(cli *client, args []string, stdout io.Writer) error {
@@ -156,12 +157,22 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
+// requestTimeout bounds each request, body included, so a stalled
+// node fails the command instead of hanging it.
+const requestTimeout = 10 * time.Second
+
 type client struct {
 	base string
+	http *http.Client
 }
 
+// rejected is a node's answer other than 200 OK.
+type rejected struct{ status, msg string }
+
+func (e *rejected) Error() string { return e.status + ": " + e.msg }
+
 func (c *client) getJSON(path string, query url.Values, out io.Writer) error {
-	body, err := c.get(path, query)
+	body, err := c.do(http.MethodGet, path, query, nil)
 	if err != nil {
 		return err
 	}
@@ -170,29 +181,38 @@ func (c *client) getJSON(path string, query url.Values, out io.Writer) error {
 }
 
 func (c *client) getInto(path string, query url.Values, v any) error {
-	body, err := c.get(path, query)
+	body, err := c.do(http.MethodGet, path, query, nil)
 	if err != nil {
 		return err
 	}
 	return json.Unmarshal(body, v)
 }
 
-func (c *client) get(path string, query url.Values) ([]byte, error) {
+// do sends one request, a JSON body with it if body is not nil, and
+// returns the whole answer of a 200.
+func (c *client) do(method, path string, query url.Values, body []byte) ([]byte, error) {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
-	resp, err := http.Get(u)
+	req, err := http.NewRequest(method, u, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return nil, &rejected{resp.Status, strings.TrimSpace(string(out))}
 	}
-	return body, nil
+	return out, nil
 }

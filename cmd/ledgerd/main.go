@@ -358,7 +358,6 @@ func apiHandler(n *node.Node, executor *contract.Executor, reg *metrics.Registry
 			"head":    head.Hash().Hex(),
 			"mempool": n.Pool().Len(),
 			"blocks":  n.Tree().Len(), // headers known; bodies may be in the WAL only
-			"metrics": n.Metrics(),
 		})
 	})
 	mux.HandleFunc("GET /balance", func(w http.ResponseWriter, r *http.Request) {

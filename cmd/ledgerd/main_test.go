@@ -128,7 +128,19 @@ func TestHTTPAPI(t *testing.T) {
 	alice := wallet.FromSeed("alice")
 	srv, n := testServer(t, map[cryptoutil.Address]uint64{alice.Address(): 1000})
 
-	// /status
+	// /status: the head and the mempool; the counters are /metrics'.
+	var keys map[string]json.RawMessage
+	if code := getJSON(t, srv.URL+"/status", &keys); code != http.StatusOK {
+		t.Fatalf("/status code %d", code)
+	}
+	got := make([]string, 0, len(keys))
+	for k := range keys {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if want := "address,blocks,head,height,mempool"; strings.Join(got, ",") != want {
+		t.Fatalf("/status keys %v, want %s", got, want)
+	}
 	var status struct {
 		Height  uint64 `json:"height"`
 		Head    string `json:"head"`

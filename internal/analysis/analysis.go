@@ -7,8 +7,7 @@
 // Why not x/tools? The build environment is hermetic — the module has
 // no external dependencies and must stay that way — so the framework
 // re-creates exactly the part of the analysis API the dcslint
-// analyzers need, including `go vet -vettool` compatibility (the
-// unitchecker .cfg protocol) in cmd/dcslint.
+// analyzers need, and cmd/dcslint is its one driver.
 //
 // The suite exists because the paper's DCS conjecture assumes every
 // replica computes identical branch-selection and state-transition
@@ -33,17 +32,11 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //dcslint:ignore directives. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph description shown by `dcslint -list`.
+	// Doc is the one-paragraph description `dcslint -h` prints.
 	Doc string
 	// Run applies the analyzer to one package and reports findings
 	// through pass.Reportf.
 	Run func(*Pass) error
-	// FactTypes lists prototype values of every Fact type the analyzer
-	// exports (each a pointer to a gob-encodable struct). An analyzer
-	// with a non-empty FactTypes participates in the interprocedural
-	// facts protocol: its facts are serialized alongside export data
-	// and imported when dependent packages are analyzed.
-	FactTypes []Fact
 }
 
 // A Pass provides one analyzer with the loaded, type-checked package
@@ -58,7 +51,7 @@ type Pass struct {
 	// Facts is the run's fact store: dependency facts are already
 	// present when Run starts (the driver analyzes packages in
 	// dependency order), and facts the analyzer exports become visible
-	// to dependent packages. Nil when the driver runs without facts.
+	// to dependent packages.
 	Facts *FactStore
 
 	diags *[]Diagnostic
@@ -107,36 +100,24 @@ const FrameworkName = "dcslint"
 // analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Imports lists the package's direct imports (when loaded through
-	// Listing.Load) — the edges the concurrent driver schedules fact
-	// propagation over.
-	Imports []string
 }
 
-// RunPackage applies every analyzer to pkg, enforces the
+// RunPackageFacts applies every analyzer to pkg, enforces the
 // //dcslint:ignore suppression protocol, and returns the surviving
 // diagnostics sorted by position. Malformed directives (no reason, or
 // an unknown analyzer name) are themselves diagnostics, attributed to
-// FrameworkName and never suppressible.
+// FrameworkName and never suppressible. Facts of the package's
+// dependencies must already be in facts (analyze packages in
+// dependency order), and facts this package exports are added to it.
 //
 // _test.go files are exempt: the invariants police code that runs on
 // replicas, and test-local nondeterminism (collecting results into a
 // slice, resetting a memo between sequential benchmark rounds) cannot
-// fork a ledger. This keeps `go vet -vettool` — which analyzes test
-// variants — consistent with the standalone runner.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackageFacts(pkg, analyzers, nil)
-}
-
-// RunPackageFacts is RunPackage with an interprocedural fact store:
-// facts of the package's dependencies must already be in the store
-// (analyze packages in dependency order), and facts this package
-// exports are added to it.
+// fork a ledger.
 func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	files := make([]*ast.File, 0, len(pkg.Files))
 	for _, f := range pkg.Files {

@@ -104,7 +104,7 @@ func RunPackages(t *testing.T, specs []PkgSpec, analyzers ...*analysis.Analyzer)
 	}
 
 	for i, spec := range specs {
-		diags := analyze(t, fset, parsed[i], spec.Dir, spec.ImportPath, local, fallback, facts, analyzers...)
+		diags := analyze(t, fset, parsed[i], spec.ImportPath, local, fallback, facts, analyzers...)
 		match(t, fset, parsed[i], diags)
 	}
 }
@@ -187,9 +187,9 @@ func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 // maps import paths of already-checked fixture packages (consulted
 // before export data, so fixture packages can import one another);
 // the checked package is added to it.
-func analyze(t *testing.T, fset *token.FileSet, files []*ast.File, dir, importPath string, local map[string]*types.Package, fallback types.Importer, facts *analysis.FactStore, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
+func analyze(t *testing.T, fset *token.FileSet, files []*ast.File, importPath string, local map[string]*types.Package, fallback types.Importer, facts *analysis.FactStore, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
-	pkg, err := analysis.CheckFiles(fset, localImporter{local, fallback}, importPath, dir, files)
+	pkg, err := analysis.CheckFiles(fset, localImporter{local, fallback}, importPath, files)
 	if err != nil {
 		t.Fatalf("type-checking testdata: %v", err)
 	}

@@ -32,8 +32,8 @@ type ResolvedCall struct {
 }
 
 // BuildCallGraph constructs the call graph of the files under
-// analysis. Only files passed in (i.e. the non-test files RunPackage
-// selected) contribute.
+// analysis. Only files passed in (i.e. the non-test files
+// RunPackageFacts selected) contribute.
 func BuildCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
 		Decls: make(map[*types.Func]*ast.FuncDecl),

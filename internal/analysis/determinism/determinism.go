@@ -63,8 +63,7 @@ var Analyzer = &analysis.Analyzer{
 		"map iteration in consensus-critical packages, written there or reached " +
 		"through helper functions (same-package and cross-package via facts); " +
 		"inject simclock.Clock, a seeded *rand.Rand, or sort the keys instead",
-	Run:       run,
-	FactTypes: []analysis.Fact{&TaintFact{}},
+	Run: run,
 }
 
 // criticalMarkers are the package subtrees the analyzer reports in.

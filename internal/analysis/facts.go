@@ -1,33 +1,23 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
-	"os"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 )
 
 // A Fact is a per-function deduction one analyzer exports so that the
 // analysis of *dependent* packages can consume it — the interprocedural
-// half of the suite. Facts follow the same shape as go vet's facts
-// protocol: they are computed once per package, serialized alongside
-// the package's export data (the .vetx file under `go vet -vettool`,
-// an in-memory store in standalone mode), and imported when a
-// dependent package is analyzed.
+// half of the suite. Facts are computed once per package and kept in
+// the run's in-process FactStore, where a dependent package's analysis
+// imports them; they are never serialized.
 //
-// A Fact type must be a pointer to a gob-encodable struct and must be
-// listed in its analyzer's FactTypes so the codec can register it.
-// Facts are keyed by (analyzer, function): the suite only needs
-// function-granularity facts ("calls a wall clock", "spawns an
-// unstoppable goroutine"), which keeps the object-addressing problem
-// trivial — a function is addressed by its types.Func.FullName(),
-// which is stable across processes and across separately type-checked
-// package snapshots.
+// A Fact type is a pointer to a struct. Facts are keyed by (analyzer,
+// function): the suite only needs function-granularity facts ("calls a
+// wall clock", "spawns an unstoppable goroutine"), which keeps the
+// object-addressing problem trivial — a function is addressed by its
+// types.Func.FullName(), which is stable across separately
+// type-checked package snapshots.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
@@ -39,130 +29,32 @@ type factKey struct {
 	Func     string // types.Func.FullName(), e.g. "(*pkg.T).Method" or "pkg.Fn"
 }
 
-// factRecord is the serialized form of one exported fact.
-type factRecord struct {
-	Analyzer string
-	Func     string
-	Fact     Fact
-}
-
-// A FactStore holds every fact known to one analysis run: facts
-// imported from dependency packages plus facts exported while
-// analyzing. It is safe for concurrent use — the standalone driver
-// analyzes independent packages in parallel, publishing each package's
-// facts before any dependent package starts.
+// A FactStore holds every fact exported during one analysis run. It is
+// safe for concurrent use — the driver analyzes independent packages in
+// parallel, publishing each package's facts before any dependent
+// package starts.
 type FactStore struct {
 	mu sync.RWMutex
-	m  map[string]map[factKey]Fact // package path → facts on its functions
+	m  map[factKey]Fact
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[string]map[factKey]Fact)}
+	return &FactStore{m: make(map[factKey]Fact)}
 }
 
-// put records one fact for a function of package pkgPath.
-func (s *FactStore) put(pkgPath string, key factKey, fact Fact) {
+// put records one fact.
+func (s *FactStore) put(key factKey, fact Fact) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pkg := s.m[pkgPath]
-	if pkg == nil {
-		pkg = make(map[factKey]Fact)
-		s.m[pkgPath] = pkg
-	}
-	pkg[key] = fact
+	s.m[key] = fact
 }
 
-// get returns the fact stored under (pkgPath, key), or nil.
-func (s *FactStore) get(pkgPath string, key factKey) Fact {
+// get returns the fact stored under key, or nil.
+func (s *FactStore) get(key factKey) Fact {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.m[pkgPath][key]
-}
-
-// records snapshots every fact in the store, sorted for deterministic
-// serialization.
-func (s *FactStore) records() []factRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []factRecord
-	for _, pkg := range s.m {
-		for k, f := range pkg {
-			out = append(out, factRecord{Analyzer: k.Analyzer, Func: k.Func, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Analyzer != out[j].Analyzer {
-			return out[i].Analyzer < out[j].Analyzer
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
-}
-
-// RegisterFactTypes registers every analyzer's FactTypes with gob so
-// stores can be serialized. Call once per process before WriteFile /
-// ReadFile.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// WriteFile serializes the whole store to path — the .vetx payload in
-// vettool mode. cmd/go treats the file as an opaque build artifact
-// keyed on the tool's buildID, so the format only has to agree with
-// ReadFile in the same binary.
-func (s *FactStore) WriteFile(path string) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.records()); err != nil {
-		return fmt.Errorf("encoding facts: %w", err)
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o666)
-}
-
-// ReadFile merges the facts serialized at path into the store under
-// pkgPath's dependency namespace. The funcKey carries the declaring
-// package implicitly via FullName, so records land keyed by the
-// function's own package — pass "" to derive it from each record.
-func (s *FactStore) ReadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return nil // dependency exported no facts
-	}
-	var recs []factRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return fmt.Errorf("decoding facts from %s: %w", path, err)
-	}
-	for _, r := range recs {
-		s.put(pkgOfFuncKey(r.Func), factKey{Analyzer: r.Analyzer, Func: r.Func}, r.Fact)
-	}
-	return nil
-}
-
-// pkgOfFuncKey recovers the declaring package path from a
-// types.Func.FullName key: "path/to/pkg.Fn" or "(*path/to/pkg.T).Fn"
-// or "(path/to/pkg.T).Fn".
-func pkgOfFuncKey(full string) string {
-	s := full
-	if strings.HasPrefix(s, "(") {
-		if i := strings.IndexByte(s, ')'); i >= 0 {
-			s = s[1:i]
-		}
-		s = strings.TrimPrefix(s, "*")
-	}
-	// s is now "path/to/pkg.T" (method) or "path/to/pkg.Fn" (function);
-	// the package path ends at the first '.' after the final '/'.
-	slash := strings.LastIndexByte(s, '/')
-	if i := strings.IndexByte(s[slash+1:], '.'); i >= 0 {
-		return s[:slash+1+i]
-	}
-	return s
+	return s.m[key]
 }
 
 // funcKey renders the store key for fn under analyzer a.
@@ -174,14 +66,10 @@ func funcKey(a *Analyzer, fn *types.Func) factKey {
 // every dependent package (and to later same-package queries). fn must
 // be declared in the package under analysis.
 func (p *Pass) ExportFunctionFact(fn *types.Func, fact Fact) {
-	if p.Facts == nil || fn == nil {
+	if fn == nil {
 		return
 	}
-	pkgPath := p.Path
-	if fn.Pkg() != nil {
-		pkgPath = fn.Pkg().Path()
-	}
-	p.Facts.put(pkgPath, funcKey(p.Analyzer, fn), fact)
+	p.Facts.put(funcKey(p.Analyzer, fn), fact)
 }
 
 // ImportFunctionFact copies the fact recorded for fn (by this
@@ -189,10 +77,10 @@ func (p *Pass) ExportFunctionFact(fn *types.Func, fact Fact) {
 // *fact and reports whether one existed. fact must be a pointer of the
 // same concrete type the fact was exported with.
 func (p *Pass) ImportFunctionFact(fn *types.Func, fact Fact) bool {
-	if p.Facts == nil || fn == nil || fn.Pkg() == nil {
+	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	got := p.Facts.get(fn.Pkg().Path(), funcKey(p.Analyzer, fn))
+	got := p.Facts.get(funcKey(p.Analyzer, fn))
 	if got == nil {
 		return false
 	}

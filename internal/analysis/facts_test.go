@@ -1,8 +1,8 @@
 package analysis
 
 import (
-	"encoding/gob"
-	"path/filepath"
+	"go/token"
+	"go/types"
 	"testing"
 )
 
@@ -14,56 +14,36 @@ type tFact struct {
 
 func (*tFact) AFact() {}
 
-// TestFactStoreRoundTrip: facts survive gob serialization to disk and
-// merge into a fresh store — the property the vettool vetx path needs.
+// otherFact is a second fact type, to check that an import asks for
+// the type the fact was exported with.
+type otherFact struct{}
+
+func (*otherFact) AFact() {}
+
+// TestFactStoreRoundTrip: a fact one package's pass exports is what a
+// dependent package's pass of the same analyzer imports, and only that
+// analyzer's, into a pointer of the exported type.
 func TestFactStoreRoundTrip(t *testing.T) {
-	gob.Register(&tFact{})
-	s := NewFactStore()
-	key := factKey{Analyzer: "determinism", Func: "example.com/m/util.Stamp"}
-	s.put("example.com/m/util", key, &tFact{Kinds: []string{"wallclock"}, Via: "time.Now"})
+	store := NewFactStore()
+	det, other := &Analyzer{Name: "determinism"}, &Analyzer{Name: "goroleak"}
+	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
+	stamp := types.NewFunc(token.NoPos, types.NewPackage("example.com/m/util", "util"), "Stamp", sig)
 
-	path := filepath.Join(t.TempDir(), "facts.vetx")
-	if err := s.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
+	util := &Pass{Analyzer: det, Path: "example.com/m/util", Facts: store}
+	util.ExportFunctionFact(stamp, &tFact{Kinds: []string{"wallclock"}, Via: "time.Now"})
 
-	fresh := NewFactStore()
-	if err := fresh.ReadFile(path); err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	got, ok := fresh.get("example.com/m/util", key).(*tFact)
-	if !ok {
-		t.Fatalf("fact missing after round trip")
+	consensus := &Pass{Analyzer: det, Path: "example.com/m/consensus", Facts: store}
+	var got tFact
+	if !consensus.ImportFunctionFact(stamp, &got) {
+		t.Fatal("fact missing in the dependent package's pass")
 	}
 	if got.Via != "time.Now" || len(got.Kinds) != 1 || got.Kinds[0] != "wallclock" {
 		t.Errorf("fact corrupted: %+v", got)
 	}
-}
-
-// TestFactStoreReadEmptyFile: an empty vetx (a unit that exported no
-// facts) reads as no facts, not an error.
-func TestFactStoreReadEmptyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.vetx")
-	if err := NewFactStore().WriteFile(path); err != nil {
-		t.Fatal(err)
+	if consensus.ImportFunctionFact(stamp, &otherFact{}) {
+		t.Error("imported a fact into a pointer of another type")
 	}
-	s := NewFactStore()
-	if err := s.ReadFile(path); err != nil {
-		t.Fatalf("reading empty vetx: %v", err)
-	}
-}
-
-// TestPkgOfFuncKey: fact records are bucketed by the package parsed
-// out of the function's full name, for both plain and method forms.
-func TestPkgOfFuncKey(t *testing.T) {
-	for full, want := range map[string]string{
-		"example.com/m/util.Stamp":        "example.com/m/util",
-		"(*example.com/m/p2p.Gossiper).X": "example.com/m/p2p",
-		"(example.com/m/p2p.Stats).Y":     "example.com/m/p2p",
-		"main.run":                        "main",
-	} {
-		if got := pkgOfFuncKey(full); got != want {
-			t.Errorf("pkgOfFuncKey(%q) = %q, want %q", full, got, want)
-		}
+	if (&Pass{Analyzer: other, Facts: store}).ImportFunctionFact(stamp, &tFact{}) {
+		t.Error("one analyzer's fact visible to another")
 	}
 }

@@ -41,8 +41,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flags goroutines in long-lived components (p2p, node, wal, nodestore, seglog) " +
 		"that loop with no provable stop path (context, closed done-channel, or " +
 		"Waited WaitGroup), including spawns laundered through helper calls",
-	Run:       run,
-	FactTypes: []analysis.Fact{&LeakFact{}},
+	Run: run,
 }
 
 // Fact kinds.

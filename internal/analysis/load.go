@@ -116,47 +116,11 @@ func (l *Listing) Load(r listPackage) (*Package, error) {
 		return nil, fmt.Errorf("loading %s: cgo packages are unsupported", r.ImportPath)
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", l.lookup)
-	pkg, err := checkPackage(fset, imp, r.ImportPath, r.Dir, r.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Imports = append([]string(nil), r.Imports...)
-	return pkg, nil
-}
-
-// LoadPackages loads, parses, and type-checks the packages matched by
-// the given `go list` patterns (e.g. "./..."), rooted at dir ("" means
-// the current directory). Dependencies are resolved from compiler
-// export data produced by `go list -export`, so loading is as fast as
-// an incremental build and needs no network access.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	l, err := List(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, r := range l.Roots {
-		if len(r.CgoFiles) > 0 {
-			// Skip rather than fail the whole run.
-			continue
-		}
-		pkg, err := l.Load(r)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// checkPackage parses and type-checks one package from explicit files.
-func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
-	for _, gf := range goFiles {
+	for _, gf := range r.GoFiles {
 		fn := gf
 		if !filepath.IsAbs(fn) {
-			fn = filepath.Join(dir, gf)
+			fn = filepath.Join(r.Dir, gf)
 		}
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
 		if err != nil {
@@ -164,44 +128,27 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", path, err)
-	}
-	return &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
+	return CheckFiles(fset, importer.ForCompiler(fset, "gc", l.lookup), r.ImportPath, files)
 }
 
 // CheckFiles type-checks an already-parsed file set as one package —
-// the entry point used by the vettool driver and the golden-test
-// harness, which supply their own importer.
-func CheckFiles(fset *token.FileSet, imp types.Importer, path, dir string, files []*ast.File) (*Package, error) {
-	info := NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", path, err)
-	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// NewInfo allocates a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
-	return &types.Info{
+// the step Load and the golden-test harness share; each supplies its
+// own importer.
+func CheckFiles(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*Package, error) {
+	// Every map the analyzers consult.
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // ExportImporter builds a types.Importer that resolves the given

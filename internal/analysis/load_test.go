@@ -55,8 +55,8 @@ func TestParseGoListRootsAndDeps(t *testing.T) {
 }
 
 // TestLookupMissingExportData: an import path without export data is a
-// descriptive error (the vettool and standalone drivers both rely on
-// this to distinguish "not compiled" from I/O failure).
+// descriptive error (the driver relies on this to distinguish "not
+// compiled" from I/O failure).
 func TestLookupMissingExportData(t *testing.T) {
 	l, err := parseGoList(strings.NewReader(`{"ImportPath": "m/a", "GoFiles": ["a.go"]}`))
 	if err != nil {
@@ -90,7 +90,7 @@ func TestLookupVendoredImportMap(t *testing.T) {
 }
 
 // TestLoadRejectsCgo: Listing.Load fails loudly on cgo packages (they
-// cannot be parsed as plain Go); LoadPackages skips them instead.
+// cannot be parsed as plain Go); dcslint skips them instead.
 func TestLoadRejectsCgo(t *testing.T) {
 	l, err := parseGoList(strings.NewReader(`{"ImportPath": "m/c", "Dir": "/m/c", "GoFiles": ["c.go"], "CgoFiles": ["cgo.go"]}`))
 	if err != nil {
