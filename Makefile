@@ -154,18 +154,19 @@ heap-gate:
 # about 126; the canonical encoding windowed, signatures and all: about
 # 106; the encoding before compact keys and signatures: about 138), a
 # journaled block's signatures are its record's raw tail and never enter
-# the window, a trie node
-# record costs the node store under 102 bytes on disk on the shape of the
-# disk-state workload — a genesis of 2 256 accounts, then sixteen flushes
-# of sixteen ~19-transfer blocks over 256 senders (each record stored
-# verbatim: about 144; every branch written full: about 121) — a flush of
-# it under 54 000 bytes (every branch written full: about 68 300) with no
-# delta chain deeper than three, and a record costs the node store's index
-# at most 32 bytes of heap.
+# the window, an account written costs the node store on disk, on the
+# shape of the disk-state workload — a genesis of 2 256 accounts, then
+# sixteen flushes of sixteen ~19-transfer blocks over 256 senders — under
+# 49 bytes at the genesis and under 160 bytes in a later flush (every
+# leaf a record of its own: about 94.8 and 206.5), with no leaf record
+# staged, a flush of it under 37 300 bytes (every leaf a record: about
+# 48 100; every branch written full too: about 68 300) with no delta
+# chain deeper than three, and a record costs the node store's index at
+# most 32 bytes of heap.
 disk-gate:
 	$(GO) test -count=1 ./internal/types -run TestEncodingCarriesEachFactOnce -v
 	$(GO) test -count=1 ./internal/wal -run 'TestJournalBytesPerTransfer|TestSignaturesStayOutOfTheWindow' -v
-	$(GO) test -count=1 ./internal/nodestore -run 'TestNodeStoreBytesPerRecord|TestNodeStoreBytesPerFlush|TestIndexBytesPerRecord' -v
+	$(GO) test -count=1 ./internal/nodestore -run 'TestNodeStoreBytesPerAccount|TestNodeStoreBytesPerFlush|TestIndexBytesPerRecord' -v
 
 # Native fuzzing smoke: 30s per target over every decoder that reads
 # attacker- or crash-controlled bytes — the WAL frame, the codec its

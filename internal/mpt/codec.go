@@ -2,9 +2,9 @@ package mpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/wire"
@@ -21,22 +21,34 @@ import (
 //	ext:    u8 kind=1 | nibbles path   | 32B child hash
 //	branch: u8 kind=0 | u16 child bitmap | 32B per set child (ascending)
 //	        | bool hasValue | uvarint len | value (if hasValue)
-//	delta:  u8 kind=3 | 32B base hash | u16 present | u16 differ
-//	        | 32B per differ child (ascending) | bool hasValue
+//	stored: u8 kind=4 | u16 present | u16 inline ⊆ present
+//	        | per present child, ascending: inline ? (nibbles keyEnd
+//	        | uvarint len | value) : 32B hash | bool hasValue
 //	        | uvarint len | value (if hasValue)
+//	delta:  u8 kind=3 | 32B base hash | u16 present | u16 differ
+//	        | u16 inline ⊆ differ | u16 sameKey ⊆ inline
+//	        | per differ child, ascending: sameKey ? (uvarint len | value)
+//	        : inline ? (nibbles keyEnd | uvarint len | value) : 32B hash
+//	        | bool hasValue | uvarint len | value (if hasValue)
 //	nibbles: uvarint count | ceil(count/2) bytes, high nibble first,
 //	        the low nibble of the last byte zero when count is odd
 //
-// A delta is a branch against its base, the branch it replaces: differ
-// marks the children whose hash is not the base's. Commit writes one when
-// shorter (two children kept), at most maxDeltaDepth deltas from a full
-// branch. A proof carries full nodes; decodeNode refuses kind 3.
+// A store holds a branch as kind 4 or 3, never 0, the proof form: a leaf
+// child is written inside its parent's record (inline), so only a trie
+// whose root is a leaf has a leaf record. A delta is a branch against its
+// base, the branch it replaces: differ marks the children whose hash is
+// not the base's, and sameKey the inline leaves under the key of the
+// base's inline leaf there, spelled by their value alone. Commit writes
+// one when shorter than the full record and it keeps two children, at
+// most maxDeltaDepth deltas from a full branch. A proof carries kinds
+// 0 to 2; decodeNode refuses 3 and 4.
 
 const (
 	kindBranch = 0
 	kindExt    = 1
 	kindLeaf   = 2
 	kindDelta  = 3
+	kindStored = 4
 	// maxDeltaDepth bounds a chain of deltas down to a full branch.
 	maxDeltaDepth = 3
 
@@ -72,7 +84,15 @@ func readNibbles(r *wire.Reader) (path []byte, ok bool) {
 	return path, true
 }
 
-// encodeNode renders a resolved node in storage form.
+// readValue reads a leaf's value: present, so never nil.
+func readValue(r *wire.Reader) []byte {
+	if v := r.VarBlob(maxBlob); v != nil {
+		return v
+	}
+	return []byte{}
+}
+
+// encodeNode renders a resolved node in proof form.
 func encodeNode(n node) []byte {
 	var b wire.Buffer
 	switch v := n.(type) {
@@ -87,25 +107,56 @@ func encodeNode(n node) []byte {
 		b.Raw(ch[:])
 	case *branchNode:
 		b.U8(kindBranch)
-		var bitmap uint16
-		for i, c := range v.children {
-			if c != nil {
-				bitmap |= 1 << uint(i)
-			}
-		}
-		b.U16(bitmap)
-		putBranch(&b, v, bitmap)
+		present, _ := masks(v)
+		b.U16(present)
+		putBranch(&b, v, present, 0, 0)
 	default:
 		panic(fmt.Sprintf("mpt: encode of %T", n))
 	}
 	return b.Bytes()
 }
 
-// putBranch appends the hashes of v's children in mask, ascending, then
-// v's value.
-func putBranch(b *wire.Buffer, v *branchNode, mask uint16) {
+// encodeStored renders a resolved node as a store holds it: a branch as
+// kind 4, its leaf children inline; any other node in proof form.
+func encodeStored(n node) []byte {
+	v, ok := n.(*branchNode)
+	if !ok {
+		return encodeNode(n)
+	}
+	var b wire.Buffer
+	b.U8(kindStored)
+	present, inline := masks(v)
+	b.U16(present)
+	b.U16(inline)
+	putBranch(&b, v, present, inline, 0)
+	return b.Bytes()
+}
+
+// masks returns the bitmaps of v's children and of those that are leaves.
+func masks(v *branchNode) (present, leaves uint16) {
 	for i, c := range v.children {
-		if mask&(1<<uint(i)) != 0 {
+		if c != nil {
+			present |= 1 << uint(i)
+		}
+		if _, ok := c.(*leafNode); ok {
+			leaves |= 1 << uint(i)
+		}
+	}
+	return present, leaves
+}
+
+// putBranch appends v's children in mask, ascending — a value alone if in
+// same, a leaf if in inline, else a hash — then v's value.
+func putBranch(b *wire.Buffer, v *branchNode, mask, inline, same uint16) {
+	for i, c := range v.children {
+		switch bit := uint16(1) << uint(i); {
+		case mask&bit == 0:
+		case same&bit != 0:
+			b.VarBlob(c.(*leafNode).value)
+		case inline&bit != 0:
+			putNibbles(b, c.(*leafNode).keyEnd)
+			b.VarBlob(c.(*leafNode).value)
+		default:
 			ch := c.hash()
 			b.Raw(ch[:])
 		}
@@ -117,14 +168,24 @@ func putBranch(b *wire.Buffer, v *branchNode, mask uint16) {
 }
 
 // encodeDelta renders v as a delta against base, stored under baseHash,
-// or returns nil when the full form is not longer.
+// or returns nil when it would keep fewer than two of base's children.
 func encodeDelta(v, base *branchNode, baseHash cryptoutil.Hash) []byte {
-	var present, differ uint16
+	var present, differ, inline, same uint16
 	for i, c := range v.children {
-		if c != nil {
-			present |= 1 << uint(i)
-			if base.children[i] == nil || base.children[i].hash() != c.hash() {
-				differ |= 1 << uint(i)
+		if c == nil {
+			continue
+		}
+		bit := uint16(1) << uint(i)
+		present |= bit
+		bc := base.children[i]
+		if bc != nil && bc.hash() == c.hash() {
+			continue
+		}
+		differ |= bit
+		if l, ok := c.(*leafNode); ok {
+			inline |= bit
+			if bl, ok := bc.(*leafNode); ok && bytes.Equal(bl.keyEnd, l.keyEnd) {
+				same |= bit
 			}
 		}
 	}
@@ -136,125 +197,176 @@ func encodeDelta(v, base *branchNode, baseHash cryptoutil.Hash) []byte {
 	b.Raw(baseHash[:])
 	b.U16(present)
 	b.U16(differ)
-	putBranch(&b, v, differ)
+	b.U16(inline)
+	b.U16(same)
+	putBranch(&b, v, differ, inline, same)
 	return b.Bytes()
 }
 
 // IsDelta reports whether enc, a node in storage form, is a delta.
 func IsDelta(enc []byte) bool { return len(enc) > 0 && enc[0] == kindDelta }
 
-// decodeNode parses a storage-form node, returning it and an estimate
-// of its retained in-memory footprint (for cache accounting). Child
-// references come back as hashNodes; structural canonicality (no empty
-// extension paths, no under-populated branches, no padded lengths or
-// paths) is enforced so a corrupted store cannot smuggle in a shape the
-// mutation paths never produce.
-func decodeNode(enc []byte) (node, int, error) {
+// InlineLeaves returns how many leaves enc, a node in storage form,
+// spells inside it.
+func InlineLeaves(enc []byte) int {
+	switch {
+	case len(enc) >= 5 && enc[0] == kindStored:
+		return bits.OnesCount16(binary.BigEndian.Uint16(enc[3:]))
+	case len(enc) >= 39 && enc[0] == kindDelta:
+		return bits.OnesCount16(binary.BigEndian.Uint16(enc[37:]))
+	}
+	return 0
+}
+
+// decodeNode parses a proof-form node. Child references come back as
+// hashNodes; structural canonicality (no empty extension paths, no
+// under-populated branches, no padded lengths or paths) is enforced so
+// a corrupted store cannot smuggle in a shape the mutation paths never
+// produce. The stored kinds 3 and 4 are refused.
+func decodeNode(enc []byte) (node, error) {
 	r := wire.NewReader(enc)
 	kind := r.U8()
 	switch kind {
 	case kindLeaf:
 		keyEnd, ok := readNibbles(r)
-		value := r.VarBlob(maxBlob)
+		value := readValue(r)
 		if err := r.Close(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if !ok {
-			return nil, 0, fmt.Errorf("mpt: leaf key with a non-zero pad nibble")
+			return nil, fmt.Errorf("mpt: leaf key with a non-zero pad nibble")
 		}
-		if value == nil {
-			value = []byte{} // present-but-empty, distinct from absent
-		}
-		return &leafNode{keyEnd: keyEnd, value: value},
-			96 + len(keyEnd) + len(value), nil
+		return &leafNode{keyEnd: keyEnd, value: value}, nil
 	case kindExt:
 		path, ok := readNibbles(r)
 		var ch cryptoutil.Hash
 		r.Raw(ch[:])
 		if err := r.Close(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if !ok || len(path) == 0 {
-			return nil, 0, fmt.Errorf("mpt: extension with an empty or padded path")
+			return nil, fmt.Errorf("mpt: extension with an empty or padded path")
 		}
-		return &extNode{path: path, child: hashNode(ch)}, 160 + len(path), nil
+		return &extNode{path: path, child: hashNode(ch)}, nil
 	case kindBranch:
-		bitmap := r.U16()
-		br := &branchNode{}
-		n := 0
-		for i := 0; i < 16; i++ {
-			if bitmap&(1<<uint(i)) == 0 {
-				continue
-			}
-			var ch cryptoutil.Hash
-			r.Raw(ch[:])
-			br.children[i] = hashNode(ch)
-			n++
-		}
-		if r.Bool() {
-			br.value = append([]byte{}, r.VarBlob(maxBlob)...)
-		}
-		if err := r.Close(); err != nil {
-			return nil, 0, err
-		}
-		if n < 2 && !(n == 1 && br.value != nil) {
-			return nil, 0, fmt.Errorf("mpt: branch with %d children", n)
-		}
-		return br, 904 + len(br.value), nil
+		return readBranch(r, r.U16(), 0)
 	default:
-		return nil, 0, fmt.Errorf("mpt: unknown node kind %d", kind)
+		return nil, fmt.Errorf("mpt: unknown node kind %d", kind)
 	}
 }
 
-// deltaNode is a delta record as a source caches it, and once built, its
-// branch and chain depth. Two racing builds build the same branch.
+// readBranch reads the rest of a full branch of these children, those in
+// inline spelled as leaves.
+func readBranch(r *wire.Reader, present, inline uint16) (*branchNode, error) {
+	if inline&^present != 0 {
+		return nil, fmt.Errorf("mpt: inline children not all present")
+	}
+	br := &branchNode{}
+	for i := range br.children {
+		if bit := uint16(1) << uint(i); present&bit != 0 {
+			c, err := readChild(r, inline&bit != 0, nil)
+			if err != nil {
+				return nil, err
+			}
+			br.children[i] = c
+		}
+	}
+	if r.Bool() {
+		br.value = append([]byte{}, r.VarBlob(maxBlob)...)
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	if n := bits.OnesCount16(present); n < 2 && !(n == 1 && br.value != nil) {
+		return nil, fmt.Errorf("mpt: branch with %d children", n)
+	}
+	return br, nil
+}
+
+// readChild reads one child of a branch record: the value of a leaf
+// under same's key, when same is not nil; an inline leaf; or a hash.
+func readChild(r *wire.Reader, inline bool, same *leafNode) (node, error) {
+	switch {
+	case same != nil:
+		return &leafNode{keyEnd: same.keyEnd, value: readValue(r)}, nil
+	case inline:
+		keyEnd, ok := readNibbles(r)
+		if !ok {
+			return nil, fmt.Errorf("mpt: inline leaf key with a non-zero pad nibble")
+		}
+		return &leafNode{keyEnd: keyEnd, value: readValue(r)}, nil
+	}
+	var ch cryptoutil.Hash
+	r.Raw(ch[:])
+	return hashNode(ch), nil
+}
+
+// deltaNode is a delta record as a source caches it: its base's hash, and
+// its branch, built against the base, at its chain depth.
 type deltaNode struct {
-	enc   []byte
-	built atomic.Pointer[branchNode]
-	depth atomic.Int32
+	base   cryptoutil.Hash
+	branch *branchNode
+	depth  int
 }
 
-// branch builds d's branch against its base, read through src, and
-// returns it with d's chain depth; budget is how many more deltas may lie
-// below. A chain too deep, a base not a branch, and a delta that is not
-// its branch's one spelling against the base are errors.
-func (d *deltaNode) branch(src NodeSource, budget int) (*branchNode, int, error) {
-	r := wire.NewReader(d.enc[1:])
-	var baseHash cryptoutil.Hash
-	r.Raw(baseHash[:])
-	present, differ := r.U16(), r.U16()
+// buildDelta builds the delta enc against its base, read through src;
+// budget is how many more deltas may lie below. A chain too deep, a base
+// not a branch, and a delta that is not its branch's one spelling against
+// the base are errors.
+func buildDelta(src NodeSource, enc []byte, budget int) (*deltaNode, error) {
+	r := wire.NewReader(enc[1:])
+	d := &deltaNode{depth: 1}
+	r.Raw(d.base[:])
+	present, differ, inline, same := r.U16(), r.U16(), r.U16(), r.U16()
 	if budget == 0 {
-		return nil, 0, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
+		return nil, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
 	}
-	bn, bd, err := resolveStored(src, baseHash, budget-1, decodeOnce)
+	bn, bd, err := resolveStored(src, d.base, budget-1, false)
 	if err != nil {
-		return nil, 0, fmt.Errorf("base %s: %w", baseHash.Short(), err)
+		return nil, fmt.Errorf("base %s: %w", d.base.Short(), err)
 	}
 	base, ok := bn.(*branchNode)
-	depth := 1
 	if bd != nil {
-		depth += int(bd.depth.Load())
+		d.depth += bd.depth
 	}
 	switch {
 	case !ok:
-		return nil, 0, fmt.Errorf("base %s is a %T, not a branch", baseHash.Short(), bn)
-	case depth > maxDeltaDepth:
-		return nil, 0, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
+		return nil, fmt.Errorf("base %s is a %T, not a branch", d.base.Short(), bn)
+	case d.depth > maxDeltaDepth:
+		return nil, fmt.Errorf("on a chain deeper than %d", maxDeltaDepth)
 	case differ&^present != 0:
-		return nil, 0, fmt.Errorf("differing children not all present")
+		return nil, fmt.Errorf("differing children not all present")
+	case inline&^differ != 0:
+		return nil, fmt.Errorf("inline children not all differing")
+	case same&^inline != 0:
+		return nil, fmt.Errorf("children spelled by value not all inline")
 	}
 	br, kept := &branchNode{}, 0
 	for i, bc := range base.children {
 		switch bit := uint16(1) << uint(i); {
 		case differ&bit != 0:
-			var ch cryptoutil.Hash
-			if r.Raw(ch[:]); bc != nil && bc.hash() == ch {
-				return nil, 0, fmt.Errorf("child %d repeats its base's", i)
+			bl, _ := bc.(*leafNode)
+			var under *leafNode
+			if same&bit != 0 {
+				if under = bl; under == nil {
+					return nil, fmt.Errorf("child %d is spelled by value, and its base's is not a leaf", i)
+				}
 			}
-			br.children[i] = hashNode(ch)
+			c, err := readChild(r, inline&bit != 0, under)
+			if err != nil {
+				return nil, err
+			}
+			l, _ := c.(*leafNode)
+			switch {
+			case bc != nil && bc.hash() == c.hash():
+				return nil, fmt.Errorf("child %d repeats its base's", i)
+			case same&bit == 0 && l != nil && bl != nil && bytes.Equal(l.keyEnd, bl.keyEnd):
+				return nil, fmt.Errorf("child %d spells its base's key", i)
+			}
+			br.children[i] = c
 		case present&bit == 0:
 		case bc == nil:
-			return nil, 0, fmt.Errorf("keeps child %d, which its base lacks", i)
+			return nil, fmt.Errorf("keeps child %d, which its base lacks", i)
 		default:
 			br.children[i] = bc
 			kept++
@@ -264,21 +376,30 @@ func (d *deltaNode) branch(src NodeSource, budget int) (*branchNode, int, error)
 		br.value = append([]byte{}, r.VarBlob(maxBlob)...)
 	}
 	if err := r.Close(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if kept < 2 {
-		return nil, 0, fmt.Errorf("keeps %d children of its base, not shorter than its branch", kept)
+		return nil, fmt.Errorf("keeps %d children of its base, not shorter than its branch", kept)
 	}
-	return br, depth, nil
+	d.branch = br
+	return d, nil
 }
 
-// resolveStored returns the node src holds under h, decoded by decode,
-// and its record d if a delta, built the first time, checked against h.
-func resolveStored(src NodeSource, h cryptoutil.Hash, budget int, decode func(cryptoutil.Hash, []byte) (any, int, error)) (nd node, d *deltaNode, err error) {
+// resolveStored returns the node src holds under h, checked against h,
+// and its record d if a delta, built against its base; budget is how many
+// deltas may lie below it, and cache whether src may keep what it decodes
+// (a base is read only for what is built from it).
+func resolveStored(src NodeSource, h cryptoutil.Hash, budget int, cache bool) (nd node, d *deltaNode, err error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("%w: %s (no source)", ErrMissingNode, h.Short())
 	}
-	v, err := src.Node(h, decode)
+	v, err := src.Node(h, func(h cryptoutil.Hash, enc []byte) (any, int, error) {
+		v, size, err := decodeStored(src, h, enc, budget)
+		if !cache {
+			size = -1
+		}
+		return v, size, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -286,54 +407,74 @@ func resolveStored(src NodeSource, h cryptoutil.Hash, budget int, decode func(cr
 	case node:
 		return v, nil, nil
 	case *deltaNode:
-		if br := v.built.Load(); br != nil {
-			return br, v, nil
-		}
-		br, depth, err := v.branch(src, budget)
-		if err == nil && br.hash() != h {
-			err = fmt.Errorf("fails hash verification")
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("mpt: delta %s: %w", h.Short(), err)
-		}
-		v.depth.Store(int32(depth))
-		v.built.Store(br)
-		return br, v, nil
+		return v.branch, v, nil
 	}
 	return nil, nil, fmt.Errorf("mpt: source returned %T for %s", v, h.Short())
 }
 
-// decodeForSource is the DecodeFunc handed to a NodeSource: decode,
-// then verify the node's recomputed commitment against the hash it was
-// stored under, so a corrupted or substituted record can never enter a
-// trie; a delta's is verified when resolveStored builds it.
-func decodeForSource(h cryptoutil.Hash, enc []byte) (any, int, error) {
-	if IsDelta(enc) {
-		return &deltaNode{enc: bytes.Clone(enc)}, 1000 + len(enc), nil
+// decodeStored decodes a record as a source holds it under h, a delta
+// built against its base read through src, then verifies the node's
+// recomputed commitment against h, so a corrupted or substituted record
+// can never enter a trie; one check covers a branch's inline leaves. It
+// returns the node, or a delta's record, and an estimate of what that
+// retains in memory, for cache accounting.
+func decodeStored(src NodeSource, h cryptoutil.Hash, enc []byte, budget int) (any, int, error) {
+	var n node
+	var d *deltaNode
+	var err error
+	switch {
+	case IsDelta(enc):
+		if d, err = buildDelta(src, enc, budget); err != nil {
+			return nil, 0, fmt.Errorf("mpt: delta %s: %w", h.Short(), err)
+		}
+		n = d.branch
+	case len(enc) > 0 && enc[0] == kindStored:
+		r := wire.NewReader(enc[1:])
+		n, err = readBranch(r, r.U16(), r.U16())
+	case len(enc) > 0 && enc[0] == kindBranch:
+		err = fmt.Errorf("mpt: a branch in proof form is not a stored record")
+	default:
+		n, err = decodeNode(enc)
 	}
-	n, size, err := decodeNode(enc)
 	if err != nil {
 		return nil, 0, err
 	}
 	if n.hash() != h {
 		return nil, 0, fmt.Errorf("mpt: node %s fails hash verification", h.Short())
 	}
-	return n, size, nil
+	if d != nil {
+		return d, 64 + footprint(n), nil
+	}
+	return n, footprint(n), nil
 }
 
-// decodeOnce is decodeForSource for a base, read only for what is built
-// from it: the source is asked not to cache it.
-func decodeOnce(h cryptoutil.Hash, enc []byte) (any, int, error) {
-	v, _, err := decodeForSource(h, enc)
-	return v, -1, err
+// footprint estimates what a decoded node retains in memory: a branch
+// counts the leaves it holds, its own or kept from a base.
+func footprint(n node) int {
+	switch v := n.(type) {
+	case *leafNode:
+		return 128 + len(v.keyEnd) + len(v.value)
+	case *extNode:
+		return 160 + len(v.path)
+	case *branchNode:
+		size := 904 + len(v.value)
+		for _, c := range v.children {
+			if l, ok := c.(*leafNode); ok {
+				size += footprint(l)
+			}
+		}
+		return size
+	}
+	return 0
 }
 
 // Commit writes every node reachable from the root that the sink does
 // not already hold, children before parents and a leaf's Aux before the
 // leaf, and returns the root hash. Committing an empty trie writes nothing and returns EmptyRoot.
-// A branch is a delta against the one at its path in the trie it was
-// loaded under. The trie itself is unchanged and stays fully usable; pair Commit
-// with Load to drop the in-memory node graph after persisting.
+// A leaf is written inside its parent branch's record, and a branch is a
+// delta against the one at its path in the trie it was loaded under when
+// that is shorter. The trie itself is unchanged and stays fully usable;
+// pair Commit with Load to drop the in-memory node graph after persisting.
 func (t *Trie) Commit(sink NodeSink) (cryptoutil.Hash, error) {
 	if t.root == nil {
 		return EmptyRoot, nil
@@ -355,9 +496,9 @@ func commitNode(src NodeSource, n, old node, sink NodeSink) (cryptoutil.Hash, er
 	if sink.Has(h) {
 		return h, nil
 	}
-	var enc []byte
+	enc := encodeStored(n)
 	switch v := n.(type) {
-	case *leafNode:
+	case *leafNode: // the root: any other leaf is its parent's
 		if v.aux != nil {
 			if err := v.aux.Commit(sink); err != nil {
 				return h, err
@@ -376,23 +517,19 @@ func commitNode(src NodeSource, n, old node, sink NodeSink) (cryptoutil.Hash, er
 		ob, depth := stored(src, old)
 		base, _ := ob.(*branchNode)
 		for i, c := range v.children {
-			if c == nil {
-				continue
-			}
 			var oc node
 			if base != nil {
 				oc = base.children[i]
 			}
-			if _, err := commitNode(src, c, oc, sink); err != nil {
+			if err := commitChild(src, c, oc, sink); err != nil {
 				return h, err
 			}
 		}
 		if base != nil && depth < maxDeltaDepth {
-			enc = encodeDelta(v, base, old.hash())
+			if d := encodeDelta(v, base, old.hash()); d != nil && len(d) < len(enc) {
+				enc = d
+			}
 		}
-	}
-	if enc == nil {
-		enc = encodeNode(n)
 	}
 	if err := sink.Put(h, enc); err != nil {
 		return h, err
@@ -400,26 +537,44 @@ func commitNode(src NodeSource, n, old node, sink NodeSink) (cryptoutil.Hash, er
 	return h, nil
 }
 
+// commitChild commits what a branch's child c needs ahead of the branch:
+// a leaf, written inside the branch, only its Aux.
+func commitChild(src NodeSource, c, old node, sink NodeSink) error {
+	switch v := c.(type) {
+	case nil:
+		return nil
+	case *leafNode:
+		if v.aux == nil {
+			return nil
+		}
+		return v.aux.Commit(sink)
+	}
+	_, err := commitNode(src, c, old, sink)
+	return err
+}
+
 // stored returns old, a persisted node or nil, resolved (nil when it does
 // not: then no base) and its record's chain depth.
 func stored(src NodeSource, old node) (nd node, depth int) {
 	if hn, ok := old.(hashNode); ok {
 		var d *deltaNode
-		if nd, d, _ = resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, decodeOnce); d != nil {
-			depth = int(d.depth.Load())
+		if nd, d, _ = resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, false); d != nil {
+			depth = d.depth
 		}
 	}
 	return nd, depth
 }
 
-// WalkNodes visits every node hash reachable from root, parents before
+// WalkNodes visits every record hash reachable from root, parents before
 // children, resolving through src. visit returning false prunes the
 // subtree below that hash — the pruning mark phase uses this to stop
 // at subtrees already marked via another root. base, when non-nil, is
 // handed the bases a visited node's delta chain reads through, top down,
 // their subtrees unwalked; false stops the chain. leaf, when non-nil, is
 // handed every value under a visited node, so the caller can follow
-// what the values name. An EmptyRoot walk visits nothing.
+// what the values name. A leaf inside its parent's record is no record:
+// its value goes to leaf, its hash to nobody. An EmptyRoot walk visits
+// nothing.
 func WalkNodes(src NodeSource, root cryptoutil.Hash, visit, base func(cryptoutil.Hash) bool, leaf func(value []byte) error) error {
 	if root == EmptyRoot || root == cryptoutil.ZeroHash {
 		return nil
@@ -427,9 +582,9 @@ func WalkNodes(src NodeSource, root cryptoutil.Hash, visit, base func(cryptoutil
 	if !visit(root) {
 		return nil
 	}
-	n, d, err := resolveStored(src, root, maxDeltaDepth, decodeForSource)
-	for err == nil && d != nil && base != nil && base(cryptoutil.Hash(d.enc[1:33])) {
-		_, d, err = resolveStored(src, cryptoutil.Hash(d.enc[1:33]), maxDeltaDepth, decodeOnce)
+	n, d, err := resolveStored(src, root, maxDeltaDepth, true)
+	for err == nil && d != nil && base != nil && base(d.base) {
+		_, d, err = resolveStored(src, d.base, maxDeltaDepth, false)
 	}
 	if err != nil {
 		return err
@@ -448,10 +603,17 @@ func WalkNodes(src NodeSource, root cryptoutil.Hash, visit, base func(cryptoutil
 			}
 		}
 		for _, c := range v.children {
-			if c == nil {
-				continue
+			var err error
+			switch c := c.(type) {
+			case nil:
+			case *leafNode:
+				if leaf != nil {
+					err = leaf(c.value)
+				}
+			default:
+				err = WalkNodes(src, c.hash(), visit, base, leaf)
 			}
-			if err := WalkNodes(src, c.hash(), visit, base, leaf); err != nil {
+			if err != nil {
 				return err
 			}
 		}
@@ -561,7 +723,7 @@ func VerifyProof(root cryptoutil.Hash, key []byte, proof [][]byte) ([]byte, bool
 	}
 	want := root
 	for i, enc := range proof {
-		n, _, err := decodeNode(enc)
+		n, err := decodeNode(enc)
 		if err != nil {
 			return nil, false, fmt.Errorf("mpt: proof node %d: %w", i, err)
 		}

@@ -270,7 +270,7 @@ func resolveNode(src NodeSource, n node) (node, error) {
 	if !ok {
 		return n, nil
 	}
-	nd, _, err := resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, decodeForSource)
+	nd, _, err := resolveStored(src, cryptoutil.Hash(hn), maxDeltaDepth, true)
 	return nd, err
 }
 

@@ -44,13 +44,14 @@ type diskState struct {
 	prunedHeight  uint64
 }
 
-// flushSink is a flush's batch, counting the deltas staged. With rewrite
-// it claims to hold nothing, so a trie committed to it is written out
-// whole; the batch under it still skips what the store has.
+// flushSink is a flush's batch, counting the deltas and the inline leaves
+// staged. With rewrite it claims to hold nothing, so a trie committed to
+// it is written out whole; the batch under it still skips what the store
+// has.
 type flushSink struct {
 	*nodestore.Batch
-	rewrite bool
-	deltas  int
+	rewrite        bool
+	deltas, inline int
 }
 
 func (s *flushSink) Has(h cryptoutil.Hash) bool { return !s.rewrite && s.Batch.Has(h) }
@@ -59,6 +60,7 @@ func (s *flushSink) Put(h cryptoutil.Hash, enc []byte) error {
 	if mpt.IsDelta(enc) {
 		s.deltas++
 	}
+	s.inline += mpt.InlineLeaves(enc)
 	return s.Batch.Put(h, enc)
 }
 
@@ -98,6 +100,7 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 	n.metrics.DiskFlushes++
 	n.metrics.DiskFlushRecords += uint64(written)
 	n.metrics.DiskFlushDeltas += uint64(sink.deltas)
+	n.metrics.DiskFlushInline += uint64(sink.inline)
 	n.obs.Observe(obs.StageDiskFlush, sw.Start(), sw.Elapsed(), obs.At{Height: height, N: uint64(written)})
 	return nil
 }

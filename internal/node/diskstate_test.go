@@ -494,8 +494,9 @@ func TestDiskSweepKeepsTheBasesOfLiveDeltas(t *testing.T) {
 	_, miners := diskAlloc()
 	chain := rotate(bd, genesis, 80, miners[:100]) // the sweep at 64, floor 52
 	handleAll(t, n, chain)
-	if m := n.Metrics(); m.DiskPrunes != 1 || m.DiskFlushDeltas == 0 || m.DiskFlushRecords <= m.DiskFlushDeltas || ns.Stats().Dropped == 0 {
-		t.Fatalf("%d sweeps, %d of %d records flushed as deltas, %d records dropped", m.DiskPrunes, m.DiskFlushDeltas, m.DiskFlushRecords, ns.Stats().Dropped)
+	if m := n.Metrics(); m.DiskPrunes != 1 || m.DiskFlushDeltas == 0 || m.DiskFlushRecords <= m.DiskFlushDeltas || m.DiskFlushInline == 0 || ns.Stats().Dropped == 0 {
+		t.Fatalf("%d sweeps, %d of %d records flushed as deltas, %d leaves inline, %d records dropped",
+			m.DiskPrunes, m.DiskFlushDeltas, m.DiskFlushRecords, m.DiskFlushInline, ns.Stats().Dropped)
 	}
 	nodes, bases := make(map[cryptoutil.Hash]bool), make(map[cryptoutil.Hash]bool)
 	for _, h := range []uint64{48, 56, 64, 72, 80} {
@@ -507,6 +508,15 @@ func TestDiskSweepKeepsTheBasesOfLiveDeltas(t *testing.T) {
 		}
 		if _, ok, err := mpt.Load(root, 0, ns).TryGet(miners[h%100][:]); !ok || err != nil {
 			t.Fatalf("retained root at height %d: ok %v, %v", h, ok, err)
+		}
+	}
+	// What the walk hands the sweep's Marker is records only: a leaf is
+	// inside its parent's.
+	for _, marked := range []map[cryptoutil.Hash]bool{nodes, bases} {
+		for h := range marked {
+			if !ns.Has(h) {
+				t.Fatalf("the walk marked %s, which has no record", h.Short())
+			}
 		}
 	}
 	only := 0

@@ -141,6 +141,7 @@ type Metrics struct {
 	DiskFlushes      uint64 // trie flushes: genesis, recovery seed, one per checkpoint
 	DiskFlushRecords uint64 // records the flushes staged
 	DiskFlushDeltas  uint64 // of them, branches written as deltas
+	DiskFlushInline  uint64 // leaves written inside their branches' records
 	DiskPrunes       uint64
 	DiskErrors       uint64
 
@@ -493,6 +494,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 			count("node_disk_flushes_total", m.DiskFlushes)
 			count("node_disk_flush_records_total", m.DiskFlushRecords)
 			count("node_disk_flush_delta_records_total", m.DiskFlushDeltas)
+			count("node_disk_flush_inline_leaves_total", m.DiskFlushInline)
 			count("node_disk_prunes_total", m.DiskPrunes)
 			count("node_disk_errors_total", m.DiskErrors)
 			count("node_disk_flushed_height", flushedHeight)

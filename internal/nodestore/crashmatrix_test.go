@@ -78,10 +78,10 @@ func TestCrashMatrixNodeStore(t *testing.T) {
 
 func crashMatrixCell(t *testing.T, mode seglog.FailMode, policy SyncPolicy, where string) {
 	dir := t.TempDir()
-	// 1 KiB segments, and so frames of at most 1 KiB: the store rotates
+	// 512 B segments, and so frames of at most 512 B: the store rotates
 	// several times, some cells crash in a segment the failed batch
 	// itself opened, and the doomed batch is a handful of frames.
-	opts := Options{Sync: policy, SegmentSize: 1 << 10, CacheBytes: -1}
+	opts := Options{Sync: policy, SegmentSize: 512, CacheBytes: -1}
 	if where == "only" {
 		opts.SegmentSize = 1 << 20
 	}

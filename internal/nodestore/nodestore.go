@@ -79,9 +79,10 @@ const (
 	// segMagic opens every segment file (8 bytes, versioned). Open
 	// refuses the segments of the formats it replaced (format.Replaced):
 	// DCSNS001, a record a frame; DCSNS002, whose accounts were those of
-	// the transaction encoding before compact keys; and DCSNS003, whose
-	// trie branches were never deltas.
-	segMagic = "DCSNS004"
+	// the transaction encoding before compact keys; DCSNS003, whose trie
+	// branches were never deltas; and DCSNS004, whose trie leaves were
+	// records of their own.
+	segMagic = "DCSNS005"
 	// MaxNodeLen bounds one encoded node so a garbled length field can
 	// never force a huge allocation during an index rebuild.
 	MaxNodeLen = 4 << 20
@@ -95,7 +96,7 @@ const (
 )
 
 // format is the node store's segment file format.
-var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: frameOverhead + recordLen(maxPayloadLen), Replaced: []string{"DCSNS001", "DCSNS002", "DCSNS003"}}
+var format = seglog.Format{Prefix: "ns-", Magic: segMagic, MaxBody: frameOverhead + recordLen(maxPayloadLen), Replaced: []string{"DCSNS001", "DCSNS002", "DCSNS003", "DCSNS004"}}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 8 << 20
