@@ -63,12 +63,12 @@ func (p peerList) Set(v string) error {
 
 // fsyncFlag is the -fsync flag, parsed once: the WAL and the disk state
 // store run under the same policy.
-type fsyncFlag struct{ policy wal.FsyncPolicy }
+type fsyncFlag struct{ policy seglog.SyncPolicy }
 
 func (f *fsyncFlag) String() string { return f.policy.String() }
 
 func (f *fsyncFlag) Set(v string) (err error) {
-	f.policy, err = wal.ParseFsyncPolicy(v)
+	f.policy, err = seglog.ParseSyncPolicy(v)
 	return err
 }
 
@@ -313,7 +313,7 @@ func run(args []string, stop <-chan os.Signal) error {
 // openDurable opens (or creates) the WAL-backed block store under dir.
 // The returned Recovery holds everything journaled by a previous run of
 // the same directory; feed it to node.Recover before starting the node.
-func openDurable(dir string, pol wal.FsyncPolicy, ckptEvery uint64) (*wal.DurableStore, *wal.Recovery, error) {
+func openDurable(dir string, pol seglog.SyncPolicy, ckptEvery uint64) (*wal.DurableStore, *wal.Recovery, error) {
 	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{
 		Fsync:           pol,
 		CheckpointEvery: ckptEvery,

@@ -317,7 +317,7 @@ func TestCrashMatrixBodies(t *testing.T) {
 			for k := uint64(1); k <= appends; k++ {
 				dir := t.TempDir()
 				n1, ds1, _, _ := durableNodeOpts(t, dir, opts)
-				ds1.WAL().SetFailpoint(mode, k)
+				ds1.SetFailpoint(mode, k)
 				for _, b := range blocks {
 					if err := n1.HandleBlock(b); err != nil {
 						t.Fatalf("append %d: HandleBlock h=%d: %v", k, b.Header.Height, err)
@@ -351,9 +351,8 @@ func TestCrashMatrixBodies(t *testing.T) {
 func TestReadBackFromUnsyncedActiveSegment(t *testing.T) {
 	frozen := time.Unix(1_700_000_000, 0)
 	n, ds, _, genesis := durableNodeOpts(t, t.TempDir(), wal.StoreOptions{
-		Fsync:      seglog.SyncInterval,
-		FsyncEvery: time.Hour,
-		Clock:      func() time.Time { return frozen }, // the interval never elapses
+		Fsync: seglog.SyncInterval,
+		Clock: func() time.Time { return frozen }, // the interval never elapses
 	})
 	bd := newChainBuilder(t, genesis)
 	blocks := bd.chain(genesis, trieRetention+8, cryptoutil.KeyFromSeed([]byte("unsynced")).Address())

@@ -721,7 +721,7 @@ func TestCrashMatrixLostStateDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if removed, err := ds.PruneBefore(ds.WAL().LastSeq()); err != nil || removed == 0 {
+		if removed, err := ds.PruneBefore(ds.Stats().WAL.LastSeq); err != nil || removed == 0 {
 			t.Fatalf("PruneBefore removed %d segments: %v", removed, err)
 		}
 		ds.Close()
@@ -815,7 +815,7 @@ func TestRecoverAppendsNothing(t *testing.T) {
 			if m := n1.Metrics(); m.Reorgs != 1 || n1.Chain().Height() != 22 {
 				t.Fatalf("reorgs %d, height %d; want one reorg to height 22", m.Reorgs, n1.Chain().Height())
 			}
-			lastSeq := ds1.WAL().LastSeq()
+			lastSeq := ds1.Stats().WAL.LastSeq
 			ds1.Close()
 			if ns1 != nil {
 				ns1.Close()
@@ -846,7 +846,7 @@ func TestRecoverAppendsNothing(t *testing.T) {
 				t.Fatalf("recovered head %s (want %s), %d blocks, %d of them executed; want 24 and the 8 past the checkpoint",
 					n2.Chain().Head().Short(), head.Short(), m.RecoveredBlocks, m.BlocksAccepted)
 			}
-			if got := ds2.WAL().LastSeq(); got != lastSeq {
+			if got := ds2.Stats().WAL.LastSeq; got != lastSeq {
 				t.Fatalf("the journal ends at seq %d after recovery, %d before: recovery appended to it", got, lastSeq)
 			}
 			if after := checkpoints(); !maps.Equal(before, after) {

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"dcsledger/internal/consensus/forkchoice"
@@ -17,7 +18,7 @@ import (
 // recovery from whatever the directory already holds. Small segments
 // and a short checkpoint cadence so a few dozen blocks exercise
 // rotation, checkpointing, and the structural-reconnect path.
-func durableNode(t *testing.T, dir string, fsync wal.FsyncPolicy) (*Node, *wal.DurableStore, *types.Block) {
+func durableNode(t *testing.T, dir string, fsync seglog.SyncPolicy) (*Node, *wal.DurableStore, *types.Block) {
 	t.Helper()
 	n, ds, _, genesis := durableNodeOpts(t, dir, wal.StoreOptions{
 		Fsync:           fsync,
@@ -73,7 +74,7 @@ func chainIndex(n *Node) map[uint64]cryptoutil.Hash {
 // chain, with the head state root re-proven from the recovered state.
 func TestCrashMatrix(t *testing.T) {
 	modes := []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble}
-	policies := []wal.FsyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever}
+	policies := []seglog.SyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever}
 	for _, mode := range modes {
 		for _, pol := range policies {
 			t.Run(mode.String()+"/"+pol.String(), func(t *testing.T) {
@@ -92,7 +93,7 @@ func TestCrashMatrix(t *testing.T) {
 						t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
 					}
 				}
-				ds1.WAL().SetFailpoint(mode, 5)
+				ds1.SetFailpoint(mode, 5)
 				crashed := false
 				for _, b := range blocks[20:] {
 					if err := n1.HandleBlock(b); err != nil {
@@ -106,8 +107,8 @@ func TestCrashMatrix(t *testing.T) {
 				if !crashed {
 					t.Fatal("failpoint never fired")
 				}
-				if !ds1.WAL().Crashed() {
-					t.Fatal("WAL not latched crashed")
+				if err := ds1.Failed(); !strings.Contains(err.Error(), seglog.ErrCrashed.Error()) {
+					t.Fatalf("the store latched %v, not the crash", err)
 				}
 				if n1.Metrics().WALAppendErrors == 0 {
 					t.Fatal("node did not count the WAL append error")
@@ -282,15 +283,7 @@ func TestCrashMatrixAggressivePrune(t *testing.T) {
 		}
 	}
 
-	floor, armed := ds1.WAL().PruneFloor()
-	if !armed {
-		t.Fatal("durable store never armed the prune floor")
-	}
-	last := ds1.WAL().LastSeq()
-	if floor >= last {
-		t.Fatalf("floor %d >= last seq %d: no replay suffix to protect", floor, last)
-	}
-	removed, err := ds1.PruneBefore(last)
+	removed, err := ds1.PruneBefore(ds1.Stats().WAL.LastSeq)
 	if err != nil {
 		t.Fatalf("PruneBefore: %v", err)
 	}

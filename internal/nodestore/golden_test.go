@@ -23,7 +23,6 @@ func goldenOpts() Options {
 	return Options{
 		SegmentSize: 512,
 		Sync:        SyncInterval,
-		SyncEvery:   time.Second,
 		CacheBytes:  -1,
 		Clock:       func() time.Time { return frozen },
 	}

@@ -104,9 +104,6 @@ const DefaultSegmentSize = 8 << 20
 // DefaultCacheBytes is the decoded-node cache budget.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultSyncEvery is the flush cadence of the interval sync policy.
-const DefaultSyncEvery = seglog.DefaultSyncEvery
-
 // Store errors, matchable with errors.Is.
 var (
 	// ErrClosed is returned by operations after Close.
@@ -121,9 +118,9 @@ var (
 )
 
 // SyncPolicy selects when appended batches are forced to stable
-// storage: at every batch commit, at most once per SyncEvery, or never.
-// It is the WAL's policy type (wal.FsyncPolicy), so one parsed -fsync
-// value configures both stores.
+// storage: at every batch commit, at most once per
+// seglog.DefaultSyncEvery, or never. It is the WAL's policy type
+// (seglog.SyncPolicy), so one parsed -fsync value configures both stores.
 type SyncPolicy = seglog.SyncPolicy
 
 // The sync policies.
@@ -144,8 +141,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the batch-commit flush policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the interval policy's cadence (0 = DefaultSyncEvery).
-	SyncEvery time.Duration
 	// CacheBytes is the decoded-node cache budget (0 = DefaultCacheBytes,
 	// negative = no cache).
 	CacheBytes int64
@@ -214,7 +209,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		SegmentSize:  opts.SegmentSize,
 		SealWhenFull: true,
 		Sync:         opts.Sync,
-		SyncEvery:    opts.SyncEvery,
 		Clock:        opts.Clock,
 	})
 	if err != nil {

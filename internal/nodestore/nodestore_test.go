@@ -14,6 +14,7 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/mpt"
+	"dcsledger/internal/seglog"
 )
 
 func testOpen(t *testing.T, dir string, opts Options) *Store {
@@ -405,13 +406,13 @@ func TestSyncPolicies(t *testing.T) {
 	}
 	// Interval policy syncs only once the injected clock advances.
 	now := time.Unix(1000, 0)
-	s := testOpen(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Second, Clock: func() time.Time { return now }})
+	s := testOpen(t, t.TempDir(), Options{Sync: SyncInterval, Clock: func() time.Time { return now }})
 	base := s.Stats().Syncs
 	putNodes(t, s, 1, []byte("a"))
 	if got := s.Stats().Syncs; got != base {
 		t.Fatalf("synced before interval elapsed: %d", got-base)
 	}
-	now = now.Add(2 * time.Second)
+	now = now.Add(seglog.DefaultSyncEvery)
 	putNodes(t, s, 1, []byte("b"))
 	if got := s.Stats().Syncs; got != base+1 {
 		t.Fatalf("syncs = %d, want %d", got, base+1)

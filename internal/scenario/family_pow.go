@@ -135,7 +135,7 @@ func (f *powFamily) apply(e *Engine, a Action) error {
 		if ds == nil {
 			return fmt.Errorf("node %d has no durable store", act.Node)
 		}
-		ds.WAL().SetFailpoint(mode, 1)
+		ds.SetFailpoint(mode, 1)
 		return nil
 	case Restart:
 		if !e.live[act.Node] {

@@ -52,8 +52,9 @@ const (
 	// SyncAlways syncs after every commit unit: nothing acknowledged is
 	// ever lost, at the cost of one fsync per record or batch.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval syncs at most once per SyncEvery: a crash loses at
-	// most the last interval's appends (still a clean log prefix).
+	// SyncInterval syncs at most once per DefaultSyncEvery, so a crash
+	// loses at most the last interval's appends (still a clean log
+	// prefix).
 	SyncInterval
 	// SyncNever leaves flushing to the OS: loses up to the whole page
 	// cache on power failure (still a clean prefix on process crash).
@@ -94,7 +95,6 @@ type Options struct {
 	// the side it has always had.
 	SealWhenFull bool
 	Sync         SyncPolicy       // applied by MaybeSync (default SyncAlways)
-	SyncEvery    time.Duration    // interval cadence (0 = DefaultSyncEvery)
 	Clock        func() time.Time // for the interval policy (nil = wall clock)
 }
 
@@ -138,9 +138,6 @@ type Log struct {
 // Open creates dir if needed and lists its segments. Nothing is read,
 // repaired or opened for writing: Scan, Repair and Activate follow.
 func Open(dir string, f Format, opts Options) (*Log, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = DefaultSyncEvery
-	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
@@ -362,7 +359,7 @@ func (l *Log) Lands(n int) uint64 {
 // MaybeSync applies the configured sync policy after a commit unit.
 func (l *Log) MaybeSync() error {
 	if l.opts.Sync == SyncAlways ||
-		l.opts.Sync == SyncInterval && l.opts.Clock().Sub(l.lastSync) >= l.opts.SyncEvery {
+		l.opts.Sync == SyncInterval && l.opts.Clock().Sub(l.lastSync) >= DefaultSyncEvery {
 		return l.Sync()
 	}
 	return nil

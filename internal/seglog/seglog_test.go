@@ -281,12 +281,12 @@ func TestSyncPolicyAndDirSyncs(t *testing.T) {
 	}
 
 	now := time.Unix(1000, 0)
-	l, _ = openLog(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Second, SegmentSize: 40, Clock: func() time.Time { return now }})
+	l, _ = openLog(t, t.TempDir(), Options{Sync: SyncInterval, SegmentSize: 40, Clock: func() time.Time { return now }})
 	appendBody(t, l, "0123456789")
 	if err := l.MaybeSync(); err != nil || l.Stats().Syncs != 0 {
 		t.Fatalf("interval not elapsed: syncs = %d, err %v", l.Stats().Syncs, err)
 	}
-	now = now.Add(time.Second)
+	now = now.Add(DefaultSyncEvery)
 	if err := l.MaybeSync(); err != nil || l.Stats().Syncs != 1 {
 		t.Fatalf("interval elapsed: syncs = %d, err %v", l.Stats().Syncs, err)
 	}

@@ -30,21 +30,26 @@ func BenchmarkReadBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkLogBlock is a block journaled: the same 64 blocks of 20
+// BenchmarkLogBlock is a block journaled under each fsync policy, the
+// cost a node pays per connected block: the same 64 blocks of 20
 // transfers over and over, each storage form compressed against the
 // block records of its window before it, its signatures behind it.
 func BenchmarkLogBlock(b *testing.B) {
-	s, _, err := OpenStore(b.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
 	blocks := transferBlocks(b, 64, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.LogBlock(blocks[i%len(blocks)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, pol := range []seglog.SyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever} {
+		b.Run(pol.String(), func(b *testing.B) {
+			s, _, err := OpenStore(b.TempDir(), StoreOptions{Fsync: pol})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.LogBlock(blocks[i%len(blocks)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -131,12 +131,16 @@ func TestSignaturesStayOutOfTheWindow(t *testing.T) {
 		s.mu.Lock()
 		at := s.blocks[b.Hash()]
 		locs := s.segBlocks[at.Seg]
+		f, err := s.log.Reader(uint64(at.Seg))
 		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := 0
 		for locs[k] != at {
 			k++
 		}
-		form, sigs, err := s.inflateAt(at, locs[max(0, k-lz.WindowRecords+1):k])
+		form, sigs, err := inflateAt(f, at, locs[max(0, k-lz.WindowRecords+1):k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +217,7 @@ func TestUninflatableRecordStopsCollection(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlock, payload); err != nil {
+			if _, _, err := appendRec(s, RecBlock, payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -242,7 +246,7 @@ func TestReadBlockOfUninflatableRecord(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			_, at, err := s.WAL().AppendAt(RecBlock, payload)
+			_, at, err := appendRec(s, RecBlock, payload)
 			if err != nil {
 				t.Fatal(err)
 			}

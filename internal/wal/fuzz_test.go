@@ -20,9 +20,9 @@ import (
 //     panics and never yields a record without a valid CRC;
 //  2. a successfully decoded frame re-encodes to exactly the bytes
 //     consumed (the framing is canonical);
-//  3. Open on a segment with an arbitrary record area never panics and
-//     always yields a log whose records are contiguous — the torn-tail
-//     repair turns ANY trailing garbage into a clean prefix.
+//  3. OpenStore on a segment with an arbitrary record area never panics
+//     and always yields a log whose records are contiguous — the
+//     torn-tail repair turns ANY trailing garbage into a clean prefix.
 func FuzzWALRecordDecode(f *testing.F) {
 	// Seed corpus: valid frames, a truncation, and a bit flip.
 	valid := encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
@@ -63,7 +63,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 			})
 
 		// Property 3: segment-level repair. Build a segment whose record
-		// area is the fuzz input and open the directory.
+		// area is the fuzz input and open the store over it.
 		dir := t.TempDir()
 		seg := make([]byte, 0, format.HeaderLen()+len(data))
 		seg = append(seg, segMagic...)
@@ -71,26 +71,22 @@ func FuzzWALRecordDecode(f *testing.F) {
 		binary.BigEndian.PutUint64(first[:], 1)
 		seg = append(seg, first[:]...)
 		seg = append(seg, data...)
-		if err := os.WriteFile(filepath.Join(dir, format.SegmentName(1)), seg, 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Open(dir, Options{})
+		if err := os.WriteFile(filepath.Join(dir, "wal", format.SegmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, _, err := OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
 		if err != nil {
 			return // I/O errors are acceptable; panics are not
 		}
-		defer w.Close()
-		want := uint64(1)
-		if err := w.Replay(func(r Record) error {
-			if r.Seq != want {
-				t.Fatalf("non-contiguous replay: seq %d, want %d", r.Seq, want)
-			}
-			want++
-			return nil
-		}); err != nil {
-			t.Fatalf("Replay after repair: %v", err)
-		}
+		defer s.Close()
+		recs := records(t, s)
+		contiguous(t, recs, 1)
+		want := uint64(len(recs)) + 1
 		// The repaired log must accept appends at the next seq.
-		if seq, err := w.Append(RecBlock, []byte("post-repair")); err != nil || seq != want {
+		if seq, _, err := appendRec(s, RecBlock, []byte("post-repair")); err != nil || seq != want {
 			t.Fatalf("append after repair: seq=%d err=%v, want %d", seq, err, want)
 		}
 	})

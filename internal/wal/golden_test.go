@@ -27,7 +27,6 @@ func goldenStoreOpts() StoreOptions {
 	frozen := time.Unix(1_700_000_000, 0)
 	return StoreOptions{
 		Fsync:           seglog.SyncInterval,
-		FsyncEvery:      time.Second,
 		SegmentSize:     512,
 		CheckpointEvery: 1 << 30,
 		Clock:           func() time.Time { return frozen },

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,10 +65,9 @@ var (
 
 // StoreOptions configures a DurableStore.
 type StoreOptions struct {
-	// Fsync is the WAL flush policy (default seglog.SyncAlways).
-	Fsync FsyncPolicy
-	// FsyncEvery is the interval policy cadence (0 = seglog.DefaultSyncEvery).
-	FsyncEvery time.Duration
+	// Fsync is the WAL flush policy (default seglog.SyncAlways; the
+	// interval policy's cadence is seglog.DefaultSyncEvery).
+	Fsync seglog.SyncPolicy
 	// SegmentSize rotates WAL segments (0 = DefaultSegmentSize).
 	SegmentSize int64
 	// CheckpointEvery is the block-height cadence between state
@@ -154,7 +154,13 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 func (r *Recovery) Replay(fn func(Journaled) error) error {
 	var z lz.Chain // one window buffer for every body of the replay
 	pos := 0       // block records so far: the scan admitted every one replayed
-	return r.store.wal.replay(func(rec Record, at Loc) error {
+	r.store.mu.Lock()
+	segs := r.store.log.Segments()
+	r.store.mu.Unlock()
+	// Opening already repaired the log; damage here means a file changed
+	// underneath us, and replay stops at the valid prefix. The lock is
+	// held only to list the segments, so fn may read the log back.
+	_, _, err := r.store.scan(segs, func(rec Record, at Loc) error {
 		if rec.Seq > r.lastSeq {
 			return nil
 		}
@@ -185,6 +191,7 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 		}
 		return nil
 	})
+	return err
 }
 
 // blockPayload splits a block record's payload into its back and the lz
@@ -243,10 +250,18 @@ func header(rec Record, buf *[]byte) (back int, h *types.BlockHeader, err error)
 // (ReadBlock): the store remembers where each block's record lies. One
 // DurableStore belongs to one node; it is safe for concurrent use.
 type DurableStore struct {
-	mu    sync.Mutex
-	ckpts seglog.SideFiles // <data dir>/ckpt-<seq>.ck
-	wal   *WAL
-	opts  StoreOptions
+	// The mutex serializes everything that touches the log: the WAL is
+	// the ledger's commit ordering, so there is exactly one writer at a
+	// time by design.
+	mu      sync.Mutex
+	ckpts   seglog.SideFiles // <data dir>/ckpt-<seq>.ck
+	log     *seglog.Log      // <data dir>/wal/
+	nextSeq uint64
+	// pruneFloor is the newest seq PruneBefore may reach: the newest
+	// checkpoint's covered seq, 0 while there is none. Records above it
+	// are the replay suffix recovery depends on.
+	pruneFloor uint64
+	opts       StoreOptions
 	// blocks locates every journaled block's record, and segBlocks lists
 	// each segment's block records in log order: what a chained record's
 	// window reaches back to. Both are memory only, rebuilt by the scan at
@@ -278,6 +293,9 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
+	if opts.SegmentSize <= 0 {
+		opts.SegmentSize = DefaultSegmentSize
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: data dir: %w", err)
 	}
@@ -292,12 +310,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		hdr   []byte // what each header inflates into
 		links lz.Chain
 	)
-	w, err := open(filepath.Join(dir, "wal"), Options{
-		SegmentSize: opts.SegmentSize,
-		Fsync:       opts.Fsync,
-		FsyncEvery:  opts.FsyncEvery,
-		Clock:       opts.Clock,
-	}, func(r Record, at Loc) error {
+	err := s.openLog(filepath.Join(dir, "wal"), func(r Record, at Loc) error {
 		if rec.Truncated > 0 {
 			rec.Truncated++
 			return nil
@@ -333,25 +346,19 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	s.wal = w
 	rec.Checkpoint, rec.SkippedCheckpoints = s.loadCheckpoints()
 	for ck := rec.Checkpoint; ck != nil; ck = ck.Older {
 		s.ckptRoots = append([]cryptoutil.Hash{ck.StateRoot}, s.ckptRoots...)
 	}
-	// Arm the prune floor: segments above the newest checkpoint's seq
-	// are the replay suffix and must never be pruned. With no usable
-	// checkpoint the floor is zero — nothing may be pruned at all.
+	// The prune floor: segments above the newest checkpoint's seq are
+	// the replay suffix and must never be pruned. With no usable
+	// checkpoint it stays zero — nothing may be pruned at all.
 	if rec.Checkpoint != nil {
 		s.lastCkptHeight = rec.Checkpoint.Height
-		w.SetPruneFloor(rec.Checkpoint.Seq)
-	} else {
-		w.SetPruneFloor(0)
+		s.pruneFloor = rec.Checkpoint.Seq
 	}
 	return s, rec, nil
 }
-
-// WAL exposes the underlying log (failpoint injection, stats, pruning).
-func (s *DurableStore) WAL() *WAL { return s.wal }
 
 // Dir returns the store's data directory.
 func (s *DurableStore) Dir() string { return s.ckpts.Dir }
@@ -376,9 +383,22 @@ type StoreStats struct {
 // Stats returns a snapshot of durability counters.
 func (s *DurableStore) Stats() StoreStats {
 	s.mu.Lock()
-	ck, raw, ckb := s.checkpoints, s.rawBytes, s.ckptBytes
-	s.mu.Unlock()
-	return StoreStats{WAL: s.wal.Stats(), Checkpoints: ck, BlockRawBytes: raw, CheckpointBytes: ckb}
+	defer s.mu.Unlock()
+	ls := s.log.Stats()
+	return StoreStats{
+		WAL: Stats{
+			Appends:       ls.Appends,
+			Fsyncs:        ls.Syncs,
+			Rotations:     ls.Rotations,
+			Segments:      ls.Segments,
+			Bytes:         ls.Bytes,
+			TornTruncated: ls.TornBytes,
+			LastSeq:       s.nextSeq - 1,
+		},
+		Checkpoints:     s.checkpoints,
+		BlockRawBytes:   s.rawBytes,
+		CheckpointBytes: s.ckptBytes,
+	}
 }
 
 // LogBlock journals one connected block, its storage form compressed
@@ -398,7 +418,7 @@ func (s *DurableStore) LogBlock(b *types.Block) error {
 	// first record after open, so nothing is reloaded — which is also the
 	// first after a failed append. The segment asked is the longest
 	// payload's: a record that lands in the one before restarts there.
-	seg := s.wal.lands(1 + lz.MaxEncodedLen(b.Size()))
+	seg := s.lands(1 + lz.MaxEncodedLen(b.Size()))
 	back := s.chain.Back(len(s.segBlocks[seg]), 0)
 	if back == 0 {
 		s.enc.Reset()
@@ -430,7 +450,7 @@ func (s *DurableStore) logLocked(typ byte, payload []byte) (Loc, error) {
 	if s.failed != nil {
 		return Loc{}, s.failed
 	}
-	_, at, err := s.wal.AppendAt(typ, payload)
+	_, at, err := s.appendLocked(typ, payload)
 	if err != nil {
 		s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, err)
 		return Loc{}, s.failed
@@ -452,40 +472,53 @@ func (s *DurableStore) HasBlock(h cryptoutil.Hash) bool {
 // chained record is inflated after the records of its window before it,
 // at most lz.WindowRecords in all, and any of them damaged makes it damaged
 // too. A block is readable from the moment LogBlock returned, fsynced or
-// not.
+// not. The lock is held once, for the index and the segment's read
+// handle (a window never crosses segments); a handle closed under the
+// read by a rotation is taken again once.
 func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
-	s.mu.Lock()
-	at, ok := s.blocks[h]
-	locs := s.segBlocks[at.Seg]
-	k := sort.Search(len(locs), func(i int) bool { return locs[i].Off >= at.Off })
 	var before [lz.WindowRecords - 1]Loc
-	prev := before[:copy(before[:], locs[max(0, k-len(before)):k])]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoBlock, h.Short())
-	}
-	form, sigs, err := s.inflateAt(at, prev)
-	var b *types.Block
-	if err == nil {
-		if b, err = types.DecodeStoredBlock(form, sigs); err != nil {
-			err = fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
+	for attempt := 0; ; attempt++ {
+		s.mu.Lock()
+		at, ok := s.blocks[h]
+		locs := s.segBlocks[at.Seg]
+		k := sort.Search(len(locs), func(i int) bool { return locs[i].Off >= at.Off })
+		prev := before[:copy(before[:], locs[max(0, k-len(before)):k])]
+		var f io.ReaderAt
+		err := seglog.ErrClosed
+		if ok && !s.log.Closed() {
+			f, err = s.log.Reader(uint64(at.Seg))
+		}
+		s.mu.Unlock()
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoBlock, h.Short())
+		}
+		var b *types.Block
+		if err == nil {
+			var form, sigs []byte
+			if form, sigs, err = inflateAt(f, at, prev); err == nil {
+				if b, err = types.DecodeStoredBlock(form, sigs); err != nil {
+					err = fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
+				}
+			}
+		}
+		if err == nil && b.Hash() != h {
+			err = fmt.Errorf("%w: the record holds block %s", seglog.ErrDamaged, b.Hash().Short())
+		}
+		if err == nil {
+			return b, nil
+		}
+		if errors.Is(err, seglog.ErrDamaged) || attempt > 0 {
+			return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: read block %s: %w", h.Short(), err)
-	}
-	if b.Hash() != h {
-		return nil, fmt.Errorf("wal: read block %s: %w: the record holds block %s", h.Short(), seglog.ErrDamaged, b.Hash().Short())
-	}
-	return b, nil
 }
 
 // inflateAt returns the storage form and the signatures the block record
-// at at carries, inflating first the storage forms its window reaches
-// back to, the last of prev: the block records before it in its segment,
-// in log order.
-func (s *DurableStore) inflateAt(at Loc, prev []Loc) (form, sigs []byte, err error) {
-	rec, err := s.wal.ReadAt(at)
+// at at carries, read through f, a read handle of its segment, inflating
+// first the storage forms its window reaches back to, the last of prev:
+// the block records before it in its segment, in log order.
+func inflateAt(f io.ReaderAt, at Loc, prev []Loc) (form, sigs []byte, err error) {
+	rec, err := readRecord(f, at)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -496,7 +529,7 @@ func (s *DurableStore) inflateAt(at Loc, prev []Loc) (form, sigs []byte, err err
 	prev = prev[max(0, len(prev)-back):] // a back past them does not inflate
 	var z lz.Chain
 	for i, l := range prev {
-		r, err := s.wal.ReadAt(l)
+		r, err := readRecord(f, l)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -505,28 +538,6 @@ func (s *DurableStore) inflateAt(at Loc, prev []Loc) (form, sigs []byte, err err
 		}
 	}
 	return inflate(&z, rec, len(prev))
-}
-
-// PruneBefore is WAL.PruneBefore that also forgets the blocks of the
-// removed segments: they can no longer be read back.
-func (s *DurableStore) PruneBefore(seq uint64) (removed int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed, err = s.wal.PruneBefore(seq)
-	if removed > 0 {
-		oldest := uint32(s.wal.firstSegment())
-		for h, at := range s.blocks {
-			if at.Seg < oldest {
-				delete(s.blocks, h)
-			}
-		}
-		for seg := range s.segBlocks {
-			if seg < oldest {
-				delete(s.segBlocks, seg)
-			}
-		}
-	}
-	return removed, err
 }
 
 // CheckpointDue reports whether a head at height has advanced at least
@@ -589,10 +600,10 @@ func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st
 	}
 	// The checkpoint covers every record appended so far; flush them
 	// first so the covered prefix really is durable.
-	if err := s.wal.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return err
 	}
-	seq := s.wal.LastSeq()
+	seq := s.nextSeq - 1
 
 	blk := b.Encode()
 	body := binary.BigEndian.AppendUint64(make([]byte, 0, 128+len(snap)+len(blk)), seq)
@@ -611,7 +622,7 @@ func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st
 	}
 	// The checkpoint now covers everything up to seq, so pruning may
 	// advance to it (and no further).
-	s.wal.SetPruneFloor(seq)
+	s.pruneFloor = seq
 	s.lastCkptHeight = height
 	s.checkpoints++
 	s.ckptBytes = len(file)
@@ -622,7 +633,9 @@ func (s *DurableStore) checkpointLocked(b *types.Block, root cryptoutil.Hash, st
 
 // Close flushes and closes the store.
 func (s *DurableStore) Close() error {
-	return s.wal.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.log.Close()
 }
 
 // loadCheckpoints scans dir for checkpoint files and returns the newest

@@ -114,7 +114,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 	if got := s.Stats().Checkpoints; got != 1 {
 		t.Fatalf("Checkpoints stat = %d, want 1", got)
 	}
-	wantSeq := s.WAL().LastSeq()
+	wantSeq := s.Stats().WAL.LastSeq
 	s.Close()
 
 	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
@@ -302,7 +302,7 @@ func TestStoreFailureLatches(t *testing.T) {
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	s.WAL().SetFailpoint(seglog.FailTorn, 1)
+	s.SetFailpoint(seglog.FailTorn, 1)
 	if err := s.LogBlock(blocks[1]); err == nil {
 		t.Fatal("LogBlock at failpoint succeeded")
 	}
@@ -338,7 +338,7 @@ func TestUndecodablePayloadStopsCollection(t *testing.T) {
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WAL().Append(RecBlock, []byte("not a block")); err != nil {
+	if _, _, err := appendRec(s, RecBlock, []byte("not a block")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogBlock(blocks[1]); err != nil {
@@ -368,7 +368,7 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	}
 	// A trailing byte: the header is fine, the block is not.
 	bad := blocks[1].AppendSigs(new(lz.Encoder).Encode([]byte{0}, append(blocks[1].AppendStored(nil), 0xff)))
-	if _, err := s.WAL().Append(RecBlock, bad); err != nil {
+	if _, _, err := appendRec(s, RecBlock, bad); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogBlock(blocks[2]); err != nil {
@@ -407,7 +407,7 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlock, uninflatable(t, blocks[1])[name]); err != nil {
+			if _, _, err := appendRec(s, RecBlock, uninflatable(t, blocks[1])[name]); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -452,7 +452,7 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 	}
 	// No checkpoint: the floor is zero and nothing may be pruned,
 	// however large the request.
-	if removed, err := s.PruneBefore(s.WAL().LastSeq()); err != nil || removed != 0 {
+	if removed, err := s.PruneBefore(s.Stats().WAL.LastSeq); err != nil || removed != 0 {
 		t.Fatalf("prune with no checkpoint removed %d (err %v), want 0", removed, err)
 	}
 
@@ -461,16 +461,19 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 	if err := s.Checkpoint(blocks[4], st.Commit(), st); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	ckptSeq := s.WAL().LastSeq()
-	if floor, armed := s.WAL().PruneFloor(); !armed || floor != ckptSeq {
-		t.Fatalf("floor = %d (armed %v), want %d", floor, armed, ckptSeq)
+	ckptSeq := s.Stats().WAL.LastSeq
+	s.mu.Lock()
+	floor := s.pruneFloor
+	s.mu.Unlock()
+	if floor != ckptSeq {
+		t.Fatalf("floor = %d, want %d", floor, ckptSeq)
 	}
 	for _, b := range blocks[5:] {
 		if err := s.LogBlock(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	removed, err := s.PruneBefore(s.WAL().LastSeq())
+	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
 	if err != nil {
 		t.Fatalf("PruneBefore: %v", err)
 	}
@@ -490,10 +493,14 @@ func TestPruneFloorProtectsReplaySuffix(t *testing.T) {
 	s.Close()
 
 	// The pruned store still recovers the checkpoint plus the complete
-	// replay suffix (every block journaled after the checkpoint).
-	_, rec := openStoreT(t, dir, opts)
+	// replay suffix (every block journaled after the checkpoint), and
+	// opens with the floor at the checkpoint.
+	s, rec := openStoreT(t, dir, opts)
 	if rec.Checkpoint == nil || rec.Checkpoint.Head != blocks[4].Hash() {
 		t.Fatalf("recovered checkpoint %+v, want head %s", rec.Checkpoint, blocks[4].Hash().Short())
+	}
+	if s.pruneFloor != rec.Checkpoint.Seq {
+		t.Fatalf("floor after reopen = %d, want the checkpoint's %d", s.pruneFloor, rec.Checkpoint.Seq)
 	}
 	var suffix []*types.Block
 	for _, rb := range journaledBlocks(t, rec) {

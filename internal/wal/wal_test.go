@@ -8,101 +8,135 @@ import (
 	"testing"
 	"time"
 
+	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/seglog"
+	"dcsledger/internal/state"
 )
 
-// openT opens a WAL in a fresh temp dir and registers cleanup.
-func openT(t *testing.T, dir string, opts Options) *WAL {
-	t.Helper()
-	w, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("Open(%s): %v", dir, err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w
+// The tests of the log itself: records in, records out, through the
+// store that owns it.
+
+// headHash is the deterministic payload of head record i.
+func headHash(i int) cryptoutil.Hash {
+	return cryptoutil.HashBytes([]byte(fmt.Sprintf("record-%04d", i)))
 }
 
-// appendN appends n records with deterministic payloads and returns the
-// payload of record seq for later comparison.
-func appendN(t *testing.T, w *WAL, n int) {
+// logHeads journals n head switches with deterministic payloads.
+func logHeads(t *testing.T, s *DurableStore, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		payload := []byte(fmt.Sprintf("record-%04d", i))
-		if _, err := w.Append(RecBlock, payload); err != nil {
-			t.Fatalf("Append #%d: %v", i, err)
+		if err := s.LogHead(headHash(i)); err != nil {
+			t.Fatalf("LogHead #%d: %v", i, err)
 		}
 	}
 }
 
-// replayAll collects every record in the log.
-func replayAll(t *testing.T, w *WAL) []Record {
+// appendRec appends one record of any type and payload, under the
+// store's lock but past its latch: what a test needs to write records no
+// writer produces, or to probe the log after the store failed.
+func appendRec(s *DurableStore, typ byte, payload []byte) (uint64, Loc, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(typ, payload)
+}
+
+// recordAt reads back the record at at.
+func recordAt(t *testing.T, s *DurableStore, at Loc) Record {
 	t.Helper()
+	s.mu.Lock()
+	f, err := s.log.Reader(uint64(at.Seg))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readRecord(f, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// records collects every record in the log, payloads copied.
+func records(t *testing.T, s *DurableStore) []Record {
+	t.Helper()
+	s.mu.Lock()
+	segs := s.log.Segments()
+	s.mu.Unlock()
 	var recs []Record
-	if err := w.Replay(func(r Record) error {
-		cp := r
-		cp.Payload = append([]byte(nil), r.Payload...)
-		recs = append(recs, cp)
+	if _, _, err := s.scan(segs, func(r Record, _ Loc) error {
+		r.Payload = append([]byte(nil), r.Payload...)
+		recs = append(recs, r)
 		return nil
 	}); err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("scan: %v", err)
 	}
 	return recs
 }
 
+// contiguous fails unless recs run from seq first up by one.
+func contiguous(t *testing.T, recs []Record, first uint64) {
+	t.Helper()
+	for i, r := range recs {
+		if r.Seq != first+uint64(i) {
+			t.Fatalf("discontinuity at %d: seq %d, want %d", i, r.Seq, first+uint64(i))
+		}
+	}
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-	appendN(t, w, 25)
-	recs := replayAll(t, w)
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	logHeads(t, s, 25)
+	recs := records(t, s)
 	if len(recs) != 25 {
 		t.Fatalf("replayed %d records, want 25", len(recs))
 	}
+	contiguous(t, recs, 1)
 	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d: seq %d, want %d", i, r.Seq, i+1)
-		}
-		if want := fmt.Sprintf("record-%04d", i); string(r.Payload) != want {
-			t.Fatalf("record %d: payload %q, want %q", i, r.Payload, want)
-		}
-		if r.Type != RecBlock {
-			t.Fatalf("record %d: type %d, want %d", i, r.Type, RecBlock)
+		if h := headHash(i); string(r.Payload) != string(h[:]) || r.Type != RecHead {
+			t.Fatalf("record %d: type %d payload %x, want %d %x", i, r.Type, r.Payload, RecHead, h)
 		}
 	}
-	if got := w.LastSeq(); got != 25 {
+	if got := s.Stats().WAL.LastSeq; got != 25 {
 		t.Fatalf("LastSeq = %d, want 25", got)
+	}
+	s.Close()
+	if _, rec := openStoreT(t, dir, StoreOptions{}); rec.Head != headHash(24) {
+		t.Fatalf("reopen: head %s, want the last one journaled", rec.Head.Short())
 	}
 }
 
 func TestReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-	appendN(t, w, 10)
-	if err := w.Close(); err != nil {
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	logHeads(t, s, 10)
+	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-	if got := w2.LastSeq(); got != 10 {
+	s2, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	if got := s2.Stats().WAL.LastSeq; got != 10 {
 		t.Fatalf("LastSeq after reopen = %d, want 10", got)
 	}
-	seq, err := w2.Append(RecHead, []byte("x"))
+	seq, _, err := appendRec(s2, RecHead, []byte("x"))
 	if err != nil {
-		t.Fatalf("Append after reopen: %v", err)
+		t.Fatalf("append after reopen: %v", err)
 	}
 	if seq != 11 {
 		t.Fatalf("next seq = %d, want 11", seq)
 	}
-	if recs := replayAll(t, w2); len(recs) != 11 {
+	if recs := records(t, s2); len(recs) != 11 {
 		t.Fatalf("replayed %d records, want 11", len(recs))
 	}
 }
 
 func TestSegmentRotationAndContinuity(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments: every record (~30 bytes framed) forces rotations.
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	appendN(t, w, 50)
-	st := w.Stats()
+	// Tiny segments: two head records (49 bytes framed) fill one.
+	opts := StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 128}
+	s, _ := openStoreT(t, dir, opts)
+	logHeads(t, s, 50)
+	st := s.Stats().WAL
 	if st.Rotations == 0 {
 		t.Fatalf("expected segment rotations, got 0 (stats %+v)", st)
 	}
@@ -110,20 +144,19 @@ func TestSegmentRotationAndContinuity(t *testing.T) {
 		t.Fatalf("expected >= 2 segments, got %d", st.Segments)
 	}
 	// Sequence numbers must be contiguous across all segment boundaries.
-	recs := replayAll(t, w)
+	recs := records(t, s)
 	if len(recs) != 50 {
 		t.Fatalf("replayed %d records, want 50", len(recs))
 	}
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("discontinuity at %d: seq %d", i, r.Seq)
-		}
-	}
-	// And survive a reopen.
-	w.Close()
-	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	if got := len(replayAll(t, w2)); got != 50 {
+	contiguous(t, recs, 1)
+	// And survive a reopen, which appends on at the next seq.
+	s.Close()
+	s2, _ := openStoreT(t, dir, opts)
+	if got := len(records(t, s2)); got != 50 {
 		t.Fatalf("after reopen: %d records, want 50", got)
+	}
+	if seq, _, err := appendRec(s2, RecHead, []byte("x")); err != nil || seq != 51 {
+		t.Fatalf("append after reopen = %d, %v; want 51", seq, err)
 	}
 }
 
@@ -134,38 +167,35 @@ func TestCrashModesTruncateToPrefix(t *testing.T) {
 	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-			appendN(t, w, 7)
-			w.SetFailpoint(mode, 1) // crash on the next append
-			if _, err := w.Append(RecBlock, []byte("doomed")); !errors.Is(err, seglog.ErrCrashed) {
-				t.Fatalf("append at failpoint: err = %v, want seglog.ErrCrashed", err)
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			logHeads(t, s, 7)
+			s.SetFailpoint(mode, 1) // crash on the next append
+			if err := s.LogHead(headHash(7)); !errors.Is(err, ErrStoreFailed) {
+				t.Fatalf("append at failpoint: err = %v, want ErrStoreFailed", err)
 			}
-			if !w.Crashed() {
-				t.Fatal("Crashed() = false after failpoint fired")
+			if s.Failed() == nil {
+				t.Fatal("Failed() = nil after the failpoint fired")
 			}
-			// The WAL is latched: every later write fails like a dead process.
-			if _, err := w.Append(RecBlock, []byte("more")); !errors.Is(err, seglog.ErrCrashed) {
+			// The log is latched under the store's latch too: every later
+			// write fails like a dead process.
+			if _, _, err := appendRec(s, RecHead, []byte("more")); !errors.Is(err, seglog.ErrCrashed) {
 				t.Fatalf("append after crash: err = %v, want seglog.ErrCrashed", err)
 			}
-			if err := w.Sync(); !errors.Is(err, seglog.ErrCrashed) {
-				t.Fatalf("sync after crash: err = %v, want seglog.ErrCrashed", err)
-			}
-			w.Close()
+			s.Close()
 
-			w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-			recs := replayAll(t, w2)
+			s2, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			recs := records(t, s2)
 			if len(recs) != 7 {
 				t.Fatalf("mode %s: recovered %d records, want 7", mode, len(recs))
 			}
-			if mode != seglog.FailCut && w2.Stats().TornTruncated == 0 {
+			if mode != seglog.FailCut && s2.Stats().WAL.TornTruncated == 0 {
 				t.Fatalf("mode %s: expected TornTruncated > 0", mode)
 			}
 			// The repaired log accepts new appends at the right seq.
-			seq, err := w2.Append(RecBlock, []byte("after repair"))
-			if err != nil {
+			if err := s2.LogHead(headHash(8)); err != nil {
 				t.Fatalf("append after repair: %v", err)
 			}
-			if seq != 8 {
+			if seq := s2.Stats().WAL.LastSeq; seq != 8 {
 				t.Fatalf("seq after repair = %d, want 8", seq)
 			}
 		})
@@ -175,32 +205,28 @@ func TestCrashModesTruncateToPrefix(t *testing.T) {
 // TestFailpointNthAppend verifies the trigger counts appends from
 // arming, 1-based.
 func TestFailpointNthAppend(t *testing.T) {
-	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways})
-	w.SetFailpoint(seglog.FailTorn, 3)
-	for i := 0; i < 2; i++ {
-		if _, err := w.Append(RecBlock, []byte("ok")); err != nil {
-			t.Fatalf("append %d before trigger: %v", i, err)
-		}
-	}
-	if _, err := w.Append(RecBlock, []byte("boom")); !errors.Is(err, seglog.ErrCrashed) {
-		t.Fatalf("3rd append: err = %v, want seglog.ErrCrashed", err)
+	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncAlways})
+	s.SetFailpoint(seglog.FailTorn, 3)
+	logHeads(t, s, 2)
+	if err := s.LogHead(headHash(2)); !errors.Is(err, ErrStoreFailed) || s.Failed() == nil {
+		t.Fatalf("3rd append: err = %v, want ErrStoreFailed", err)
 	}
 }
 
 // TestMidLogCorruptionDropsSuffix garbles a byte in an early segment and
-// verifies Open truncates there and deletes every later segment.
+// verifies opening truncates there and deletes every later segment.
 func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	appendN(t, w, 40)
-	if w.Stats().Segments < 3 {
-		t.Fatalf("need >= 3 segments for this test, got %d", w.Stats().Segments)
+	opts := StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 128}
+	s, _ := openStoreT(t, dir, opts)
+	logHeads(t, s, 40)
+	if s.Stats().WAL.Segments < 3 {
+		t.Fatalf("need >= 3 segments for this test, got %d", s.Stats().WAL.Segments)
 	}
-	w.Close()
+	s.Close()
 
 	// Flip one byte in the middle of the FIRST segment's record area.
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
 	if len(segs) < 3 {
 		t.Fatalf("found %d segment files, want >= 3", len(segs))
 	}
@@ -213,52 +239,51 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	recs := replayAll(t, w2)
-	if len(recs) != 0 {
-		t.Fatalf("recovered %d records after first-record corruption, want 0", len(recs))
+	s2, rec := openStoreT(t, dir, opts)
+	if recs := records(t, s2); len(recs) != 0 || rec.Head != (cryptoutil.Hash{}) {
+		t.Fatalf("recovered %d records, head %s after first-record corruption, want none", len(recs), rec.Head.Short())
 	}
-	if w2.Stats().Segments != 1 {
-		t.Fatalf("later segments not removed: %d live", w2.Stats().Segments)
+	st := s2.Stats().WAL
+	if st.Segments != 1 {
+		t.Fatalf("later segments not removed: %d live", st.Segments)
 	}
-	if w2.Stats().TornTruncated == 0 {
+	if st.TornTruncated == 0 {
 		t.Fatal("expected TornTruncated > 0")
 	}
 }
 
 func TestFsyncPolicies(t *testing.T) {
 	t.Run("always", func(t *testing.T) {
-		w := openT(t, t.TempDir(), Options{Fsync: seglog.SyncAlways})
-		appendN(t, w, 5)
-		if got := w.Stats().Fsyncs; got != 5 {
+		s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncAlways})
+		logHeads(t, s, 5)
+		if got := s.Stats().WAL.Fsyncs; got != 5 {
 			t.Fatalf("fsyncs = %d, want 5 (one per append)", got)
 		}
 	})
 	t.Run("never", func(t *testing.T) {
-		w := openT(t, t.TempDir(), Options{Fsync: seglog.SyncNever})
-		appendN(t, w, 5)
-		if got := w.Stats().Fsyncs; got != 0 {
+		s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
+		logHeads(t, s, 5)
+		if got := s.Stats().WAL.Fsyncs; got != 0 {
 			t.Fatalf("fsyncs = %d, want 0", got)
 		}
 	})
 	t.Run("interval", func(t *testing.T) {
 		now := time.Unix(1000, 0)
-		w := openT(t, t.TempDir(), Options{
-			Fsync:      seglog.SyncInterval,
-			FsyncEvery: time.Second,
-			Clock:      func() time.Time { return now },
+		s, _ := openStoreT(t, t.TempDir(), StoreOptions{
+			Fsync: seglog.SyncInterval,
+			Clock: func() time.Time { return now },
 		})
-		appendN(t, w, 5) // clock frozen: no interval elapsed
-		if got := w.Stats().Fsyncs; got != 0 {
+		logHeads(t, s, 5) // clock frozen: no interval elapsed
+		if got := s.Stats().WAL.Fsyncs; got != 0 {
 			t.Fatalf("fsyncs with frozen clock = %d, want 0", got)
 		}
-		now = now.Add(time.Second)
-		appendN(t, w, 1) // interval elapsed: this append syncs
-		if got := w.Stats().Fsyncs; got != 1 {
+		now = now.Add(seglog.DefaultSyncEvery)
+		logHeads(t, s, 1) // interval elapsed: this append syncs
+		if got := s.Stats().WAL.Fsyncs; got != 1 {
 			t.Fatalf("fsyncs after interval = %d, want 1", got)
 		}
-		appendN(t, w, 3) // clock frozen again
-		if got := w.Stats().Fsyncs; got != 1 {
+		logHeads(t, s, 3) // clock frozen again
+		if got := s.Stats().WAL.Fsyncs; got != 1 {
 			t.Fatalf("fsyncs = %d, want still 1", got)
 		}
 	})
@@ -282,72 +307,123 @@ func TestParseFsyncPolicy(t *testing.T) {
 }
 
 func TestAppendErrors(t *testing.T) {
-	w := openT(t, t.TempDir(), Options{})
-	if _, err := w.Append(RecBlock, make([]byte, MaxRecordLen)); !errors.Is(err, ErrTooLarge) {
+	s, _ := openStoreT(t, t.TempDir(), StoreOptions{})
+	if _, _, err := appendRec(s, RecBlock, make([]byte, MaxRecordLen)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized append: err = %v, want ErrTooLarge", err)
 	}
-	w.Close()
-	if _, err := w.Append(RecBlock, []byte("x")); !errors.Is(err, seglog.ErrClosed) {
+	if got := s.Stats().WAL.Appends; got != 0 {
+		t.Fatalf("an oversized record was written: %d appends", got)
+	}
+	s.Close()
+	if _, _, err := appendRec(s, RecHead, []byte("x")); !errors.Is(err, seglog.ErrClosed) {
 		t.Fatalf("append after close: err = %v, want seglog.ErrClosed", err)
 	}
-	if err := w.Sync(); !errors.Is(err, seglog.ErrClosed) {
-		t.Fatalf("sync after close: err = %v, want seglog.ErrClosed", err)
+	if err := s.LogHead(headHash(0)); !errors.Is(err, ErrStoreFailed) {
+		t.Fatalf("LogHead after close: err = %v, want ErrStoreFailed", err)
 	}
 }
 
 func TestPruneBefore(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	appendN(t, w, 40)
-	before := w.Stats().Segments
+	opts := StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 128}
+	s, _ := openStoreT(t, dir, opts)
+	logHeads(t, s, 40)
+	before := s.Stats().WAL.Segments
 	if before < 3 {
 		t.Fatalf("need >= 3 segments, got %d", before)
 	}
-	last := w.LastSeq()
-	removed, err := w.PruneBefore(last)
+	// A checkpoint covering every record raises the floor to the last.
+	st := state.New()
+	if err := s.Checkpoint(testBlocks(1)[0], st.Commit(), st); err != nil {
+		t.Fatal(err)
+	}
+	last := s.Stats().WAL.LastSeq
+	removed, err := s.PruneBefore(last)
 	if err != nil {
 		t.Fatalf("PruneBefore: %v", err)
 	}
 	if removed == 0 {
 		t.Fatal("PruneBefore removed nothing")
 	}
-	if got := w.Stats().Segments; got != before-removed {
+	if got := s.Stats().WAL.Segments; got != before-removed {
 		t.Fatalf("segments = %d, want %d", got, before-removed)
 	}
 	// The surviving suffix must still be a valid log ending at last.
-	recs := replayAll(t, w)
+	recs := records(t, s)
 	if len(recs) == 0 || recs[len(recs)-1].Seq != last {
 		t.Fatalf("pruned log ends at %v, want last seq %d", recs, last)
 	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Seq != recs[i-1].Seq+1 {
-			t.Fatalf("discontinuity after prune at %d", i)
-		}
-	}
+	contiguous(t, recs, recs[0].Seq)
 	// Reopen continues from the same sequence.
-	w.Close()
-	w2 := openT(t, dir, Options{Fsync: seglog.SyncAlways, SegmentSize: 128})
-	if got := w2.LastSeq(); got != last {
+	s.Close()
+	s2, _ := openStoreT(t, dir, opts)
+	if got := s2.Stats().WAL.LastSeq; got != last {
 		t.Fatalf("LastSeq after prune+reopen = %d, want %d", got, last)
+	}
+	if seq, _, err := appendRec(s2, RecHead, []byte("x")); err != nil || seq != last+1 {
+		t.Fatalf("append after prune+reopen = %d, %v; want %d", seq, err, last+1)
 	}
 }
 
 func TestEmptyLogOpenClose(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, Options{})
-	if got := w.LastSeq(); got != 0 {
+	s, rec := openStoreT(t, dir, StoreOptions{})
+	if got := s.Stats().WAL.LastSeq; got != 0 {
 		t.Fatalf("LastSeq of empty log = %d, want 0", got)
 	}
-	if recs := replayAll(t, w); len(recs) != 0 {
-		t.Fatalf("empty log replayed %d records", len(recs))
+	if recs := records(t, s); len(recs) != 0 || rec.Blocks != 0 {
+		t.Fatalf("empty log replayed %d records, %d blocks", len(recs), rec.Blocks)
 	}
-	w.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Reopen the (empty but header-bearing) log.
-	w2 := openT(t, dir, Options{})
-	if got := w2.LastSeq(); got != 0 {
+	s2, _ := openStoreT(t, dir, StoreOptions{})
+	if got := s2.Stats().WAL.LastSeq; got != 0 {
 		t.Fatalf("LastSeq after reopen = %d, want 0", got)
 	}
-	if seq, err := w2.Append(RecBlock, []byte("first")); err != nil || seq != 1 {
+	if seq, _, err := appendRec(s2, RecHead, []byte("first")); err != nil || seq != 1 {
 		t.Fatalf("first append = %d, %v; want 1, nil", seq, err)
+	}
+}
+
+// TestReadErrorAbortsOpen: a segment the disk will not read is not a
+// damaged segment. Here segment 2 is replaced by a directory of the
+// same name, so read(2) fails with EISDIR; opening must fail and leave
+// every file as it found it. (Treating the failed read as a bad header
+// used to delete this segment and every later one.)
+func TestReadErrorAbortsOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 128}
+	s, _ := openStoreT(t, dir, opts)
+	logHeads(t, s, 40)
+	if s.Stats().WAL.Segments < 3 {
+		t.Fatalf("need >= 3 segments, got %d", s.Stats().WAL.Segments)
+	}
+	s.Close()
+	unreadable := filepath.Join(dir, "wal", format.SegmentName(2))
+	if err := os.Remove(unreadable); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(unreadable, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := hashTree(t, dir)
+
+	if s2, _, err := OpenStore(dir, opts); err == nil {
+		s2.Close()
+		t.Fatal("OpenStore succeeded over an unreadable segment")
+	}
+	if st, err := os.Stat(unreadable); err != nil || !st.IsDir() {
+		t.Fatalf("OpenStore removed the unreadable segment: %v", err)
+	}
+	after := hashTree(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("OpenStore left %d files of %d", len(after), len(before))
+	}
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Fatalf("OpenStore modified %s", name)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dcsledger/internal/cryptoutil"
@@ -26,11 +27,7 @@ func backOf(t *testing.T, s *DurableStore, h cryptoutil.Hash) int {
 	if !ok {
 		t.Fatalf("block %s is not indexed", h.Short())
 	}
-	rec, err := s.WAL().ReadAt(at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, _, err := blockPayload(rec)
+	back, _, err := blockPayload(recordAt(t, s, at))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestWindowRestarts(t *testing.T) {
 		t.Fatalf("reopen: %d blocks, truncated %d", rec.Blocks, rec.Truncated)
 	}
 	logBlocks(t, s, blocks[20:])
-	if segs := s.WAL().Stats().Segments; segs != 1 {
+	if segs := s.Stats().WAL.Segments; segs != 1 {
 		t.Fatalf("%d segments, want the one", segs)
 	}
 	for i, b := range blocks {
@@ -104,13 +101,20 @@ func TestWindowRestarts(t *testing.T) {
 }
 
 // TestReadBlockWhileLogging: blocks read back by hash, chained records
-// among them, while the same store journals more and rotates segments.
+// among them, while the same store journals more and rotates segments,
+// a scraper takes its stats, and, after a checkpoint, a prune removes
+// segments under the readers. A read returns the block asked for or,
+// once the prune began, ErrNoBlock or the read of a handle the prune
+// closed — never another block.
 func TestReadBlockWhileLogging(t *testing.T) {
 	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 16 << 10})
 	blocks := transferBlocks(t, 48, 8)
 	logBlocks(t, s, blocks[:16])
+	var logged atomic.Int64 // blocks journaled so far
+	logged.Store(16)
+	var pruning atomic.Bool
 	done := make(chan struct{})
-	errs := make(chan error, 2)
+	errs := make(chan error, 3)
 	for r := 0; r < 2; r++ {
 		go func() {
 			for i := 0; ; i++ {
@@ -120,17 +124,56 @@ func TestReadBlockWhileLogging(t *testing.T) {
 					return
 				default:
 				}
-				b := blocks[i%16]
-				if got, err := s.ReadBlock(b.Hash()); err != nil || got.Hash() != b.Hash() {
+				b := blocks[i%int(logged.Load())]
+				got, err := s.ReadBlock(b.Hash())
+				if err == nil && got.Hash() != b.Hash() {
+					errs <- fmt.Errorf("ReadBlock h=%d returned block h=%d", b.Header.Height, got.Header.Height)
+					return
+				}
+				if err != nil && !(pruning.Load() && (errors.Is(err, ErrNoBlock) || errors.Is(err, os.ErrClosed))) {
 					errs <- fmt.Errorf("ReadBlock h=%d: %v", b.Header.Height, err)
 					return
 				}
 			}
 		}()
 	}
-	logBlocks(t, s, blocks[16:])
+	go func() {
+		var last uint64
+		for {
+			select {
+			case <-done:
+				errs <- nil
+				return
+			default:
+			}
+			st := s.Stats().WAL
+			if st.LastSeq < last || st.Segments < 1 {
+				errs <- fmt.Errorf("stats went back: last seq %d after %d, %d segments", st.LastSeq, last, st.Segments)
+				return
+			}
+			last = st.LastSeq
+		}
+	}()
+	for _, b := range blocks[16:40] {
+		logBlocks(t, s, []*types.Block{b})
+		logged.Add(1)
+	}
+	st := state.New()
+	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
+	if err := s.Checkpoint(blocks[39], st.Commit(), st); err != nil {
+		t.Fatal(err)
+	}
+	pruning.Store(true)
+	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
+	if err != nil || removed == 0 {
+		t.Fatalf("PruneBefore removed %d: %v", removed, err)
+	}
+	for _, b := range blocks[40:] {
+		logBlocks(t, s, []*types.Block{b})
+		logged.Add(1)
+	}
 	close(done)
-	for r := 0; r < 2; r++ {
+	for r := 0; r < 3; r++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +181,16 @@ func TestReadBlockWhileLogging(t *testing.T) {
 	if s.Stats().WAL.Rotations == 0 {
 		t.Fatal("no rotation while reading")
 	}
-	readsBack(t, s, blocks)
+	var kept []*types.Block
+	for _, b := range blocks {
+		if s.HasBlock(b.Hash()) {
+			kept = append(kept, b)
+		}
+	}
+	if len(kept) == len(blocks) || len(kept) < 8 {
+		t.Fatalf("%d of %d blocks kept", len(kept), len(blocks))
+	}
+	readsBack(t, s, kept)
 }
 
 // TestWindowNeverCrossesSegments: every segment's first block record
@@ -161,11 +213,7 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 	chained := 0
 	for seg, locs := range s.segBlocks {
 		for i, at := range locs {
-			rec, err := s.WAL().ReadAt(at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, _, _ := blockPayload(rec)
+			back, _, _ := blockPayload(recordAt(t, s, at))
 			if i == 0 && back != 0 || back > i {
 				t.Fatalf("segment %d, block record %d: back %d reaches out of the segment", seg, i, back)
 			}
@@ -178,7 +226,7 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 		t.Fatalf("%d segments, %d chained records: the case is not exercised", len(s.segBlocks), chained)
 	}
 
-	removed, err := s.PruneBefore(s.WAL().LastSeq())
+	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
 	if err != nil || removed == 0 {
 		t.Fatalf("PruneBefore removed %d: %v", removed, err)
 	}
@@ -194,7 +242,7 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 		t.Fatalf("%d of %d blocks kept", len(kept), len(blocks))
 	}
 	for seg := range s.segBlocks {
-		if seg < uint32(s.WAL().firstSegment()) {
+		if seg < uint32(s.log.Segments()[0]) {
 			t.Fatalf("segment %d was pruned and is still listed", seg)
 		}
 	}
@@ -227,11 +275,7 @@ func TestDamageInsideWindow(t *testing.T) {
 			s, _ := openStoreT(t, dir, opts)
 			logBlocks(t, s, blocks)
 			at := s.blocks[blocks[bad].Hash()]
-			rec, err := s.WAL().ReadAt(at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, body, _ := blockPayload(rec)
+			back, body, _ := blockPayload(recordAt(t, s, at))
 			if back != bad {
 				t.Fatalf("back %d, want %d", back, bad)
 			}
@@ -332,7 +376,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.WAL().Append(RecBlock, c.payload); err != nil {
+			if _, _, err := appendRec(s, RecBlock, c.payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -356,7 +400,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WAL().Append(RecBlock, chained(1, headerOf)); err != nil {
+	if _, _, err := appendRec(s, RecBlock, chained(1, headerOf)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
