@@ -178,19 +178,11 @@ func run(args []string, stop <-chan os.Signal) error {
 		tracer.SetSink(f)
 		log.Printf("tracing pipeline spans to %s", *traceFn)
 	}
-	fc := &forkchoice.Instrumented{
-		Inner: forkchoice.LongestChain{},
-		Obs:   obs.NewObserver(*id, tracer, obs.StageForkChoice),
-	}
-	fc.Obs.Register(reg)
-	reg.Collect(func(emit func(string, int64)) { emit("forkchoice_switches_total", int64(fc.Switches())) })
 	engine := pow.New(pow.Config{
 		TargetInterval:    *interval,
 		InitialDifficulty: 4096,
 		HashRate:          4096 / interval.Seconds(),
 	}, rand.New(rand.NewSource(time.Now().UnixNano())))
-	engine.Obs = obs.NewObserver(*id, tracer, obs.StagePowSeal)
-	engine.Obs.Register(reg)
 	// The heap beside the gauges of what fills it: live is what the last
 	// collection found reachable, inuse the spans holding objects, garbage
 	// included. One runtime/metrics read per scrape, which stops nothing.
@@ -233,7 +225,6 @@ func run(args []string, stop <-chan os.Signal) error {
 		ns, err = nodestore.Open(filepath.Join(*dataDir, "state"), nodestore.Options{
 			Sync:       fsync.policy,
 			CacheBytes: *cacheB,
-			Metrics:    reg,
 		})
 		if err != nil {
 			return fmt.Errorf("open state store: %w", err)
@@ -249,7 +240,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		ID:             p2p.NodeID(*id),
 		Key:            key,
 		Engine:         engine,
-		ForkChoice:     fc,
+		ForkChoice:     forkchoice.LongestChain{},
 		Genesis:        node.NewGenesis(*network),
 		Alloc:          alloc,
 		Executor:       executor,
@@ -274,10 +265,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		log.Printf("recovered chain: height %d, head %s", n.Chain().Height(), n.Chain().Head().Hex())
 	}
 
-	tr, err := p2p.NewTCPTransportConfig(p2p.NodeID(*id), *listen, n.Mux().Dispatch, p2p.TCPConfig{
-		Registry: reg,
-		Tracer:   tracer,
-	})
+	tr, err := p2p.NewTCPTransportConfig(p2p.NodeID(*id), *listen, n.Mux().Dispatch, p2p.TCPConfig{Tracer: tracer})
 	if err != nil {
 		return err
 	}
@@ -289,6 +277,7 @@ func run(args []string, stop <-chan os.Signal) error {
 	}
 	g := p2p.NewGossiper(tr, neighbors, len(neighbors),
 		rand.New(rand.NewSource(time.Now().UnixNano()+2)))
+	tr.RegisterMetrics(reg)
 	g.RegisterMetrics(reg)
 	n.RegisterMetrics(reg)
 	n.Attach(tr, g)

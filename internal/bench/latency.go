@@ -54,7 +54,8 @@ func StageLatency(scale float64, traceOut io.Writer) ([]*Table, error) {
 }
 
 // powStageRun drives a 4-miner PoW gossip network under transaction
-// load with the tracer attached to every node, engine, and fork choice.
+// load with the tracer attached to every node (and through it, engine and
+// fork choice).
 func powStageRun(scale float64) (*Table, *obs.Tracer, error) {
 	tracer := obs.NewTracer(stageRingCapacity)
 	tracer.SetRun("pow")
@@ -68,9 +69,7 @@ func powStageRun(scale float64) (*Table, *obs.Tracer, error) {
 				HashRate:          8,
 			}, rand.New(rand.NewSource(9100+int64(i))))
 		},
-		ForkChoice: func() consensus.ForkChoice {
-			return &forkchoice.Instrumented{Inner: forkchoice.LongestChain{}, Obs: obs.Observer{Tracer: tracer}}
-		},
+		ForkChoice:  func() consensus.ForkChoice { return forkchoice.LongestChain{} },
 		Alloc:       alloc,
 		Rewards:     incentive.Schedule{InitialReward: 50},
 		Seed:        9100,

@@ -26,6 +26,7 @@ import (
 
 	"dcsledger/internal/consensus"
 	"dcsledger/internal/cryptoutil"
+	"dcsledger/internal/metrics"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/types"
 )
@@ -164,11 +165,11 @@ type Engine struct {
 	cfg    Config
 	rng    *rand.Rand
 	reader HeaderReader
-	// Obs observes one pow_seal per Seal: the wall time of the real
+	// obs observes one pow_seal per Seal: the wall time of the real
 	// preimage search, N the hash attempts, Block the sealed block's short
-	// hash (zero value = off). ledgerd builds it with the pow_seal_seconds
-	// histogram; Node.SetTracer labels it and gives it the tracer.
-	Obs obs.Observer
+	// hash, into the pow_seal_seconds histogram (RegisterMetrics) and the
+	// tracer Node.SetTracer gives it, with the node's ID as label.
+	obs obs.Observer
 }
 
 var _ consensus.Engine = (*Engine)(nil)
@@ -187,7 +188,7 @@ func New(cfg Config, rng *rand.Rand) *Engine {
 	if cfg.HashRate <= 0 {
 		cfg.HashRate = 1000
 	}
-	return &Engine{cfg: cfg, rng: rng}
+	return &Engine{cfg: cfg, rng: rng, obs: obs.NewObserver("", nil, obs.StagePowSeal)}
 }
 
 // Name implements consensus.Engine.
@@ -198,9 +199,13 @@ func (e *Engine) Name() string { return "pow" }
 func (e *Engine) SetHeaderReader(r HeaderReader) { e.reader = r }
 
 // SetTracer wires the pipeline event tracer, and peer, the node's ID, as
-// the label of the pow_seal spans (see Obs). The node propagates both
-// here via Node.SetTracer; call before mining starts.
-func (e *Engine) SetTracer(peer string, tr *obs.Tracer) { e.Obs.Peer, e.Obs.Tracer = peer, tr }
+// the label of the pow_seal spans. The node propagates both here via
+// Node.SetTracer; call before mining starts.
+func (e *Engine) SetTracer(peer string, tr *obs.Tracer) { e.obs.Peer, e.obs.Tracer = peer, tr }
+
+// RegisterMetrics exports the engine's pow_seal_seconds histogram through
+// reg. The node calls it from its own RegisterMetrics.
+func (e *Engine) RegisterMetrics(reg *metrics.Registry) { e.obs.Register(reg) }
 
 // Prepare implements consensus.Engine: difficulty is constant within a
 // retarget window and adjusts at window boundaries from the average
@@ -254,7 +259,7 @@ func (e *Engine) Delay(parent *types.Block, self cryptoutil.Address) (time.Durat
 }
 
 // Seal implements consensus.Engine: performs the real preimage search,
-// observed as pow_seal (see Obs).
+// observed as pow_seal.
 func (e *Engine) Seal(b *types.Block, parent *types.Block) error {
 	if b.Header.Difficulty == 0 {
 		if err := e.Prepare(&b.Header, parent); err != nil {
@@ -266,7 +271,7 @@ func (e *Engine) Seal(b *types.Block, parent *types.Block) error {
 	if err != nil {
 		return err
 	}
-	e.Obs.Observe(obs.StagePowSeal, sw.Start(), sw.Elapsed(), obs.At{Height: b.Header.Height, N: attempts, Block: b.Hash().Short()})
+	e.obs.Observe(obs.StagePowSeal, sw.Start(), sw.Elapsed(), obs.At{Height: b.Header.Height, N: attempts, Block: b.Hash().Short()})
 	return nil
 }
 

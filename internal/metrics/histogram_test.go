@@ -111,13 +111,15 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 // TestRegistryGoldenRendering is the golden test for the text
-// exposition: a registry holding a counter, a gauge, a collected series,
-// and a histogram must render byte-for-byte in sorted family order with
+// exposition: a registry holding collected series and a histogram must
+// render byte-for-byte in sorted family order with
 // the histogram's bucket/sum/count series grouped.
 func TestRegistryGoldenRendering(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_total").Add(7)
-	r.Gauge("aa_gauge").Set(-3)
+	r.Collect(func(emit func(string, int64)) {
+		emit("zz_total", 7)
+		emit("aa_gauge", -3)
+	})
 	r.Collect(func(emit func(string, int64)) { emit("mm_func", 11) })
 	h := r.RegisterHistogram(NewHistogram("bb_lat_seconds", 0.5, 2))
 	h.Observe(0.25)

@@ -1,9 +1,10 @@
 // Package metrics is a dependency-free, allocation-light metrics
-// registry for the daemon and the network layer: atomic counters and
-// gauges, latency histograms, and one collector per component that owns
-// its numbers elsewhere, exposed in the Prometheus text format over HTTP
-// (untyped samples — `name value` lines — which every
-// Prometheus-compatible scraper accepts).
+// registry for the daemon and the network layer, exposed in the
+// Prometheus text format over HTTP (untyped samples — `name value` lines
+// — which every Prometheus-compatible scraper accepts). It holds two
+// kinds of series: one collector per component, reading the numbers the
+// component owns, and the latency histograms of its stages. A component
+// registers both through its one RegisterMetrics(*Registry) method.
 //
 // A collector is called once per scrape and reports all of its
 // component's series from one snapshot, so the series of a scrape that
@@ -23,81 +24,20 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increases the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value (may go up and down).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add shifts the gauge by delta (use negative deltas to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Registry holds named metrics. All methods are safe for concurrent
-// use; Counter/Gauge lookups are get-or-create, so hot paths can cache
-// the returned pointer and update it lock-free.
+// Registry holds the series of a daemon: the collectors and the
+// histograms its components registered, each through its
+// RegisterMetrics. All methods are safe for concurrent use.
 type Registry struct {
 	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	collectors []func(emit func(name string, value int64))
 	hists      map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{hists: make(map[string]*Histogram)}
 }
 
 // RegisterHistogram adds a histogram to the registry (a component creates
@@ -126,18 +66,13 @@ func (r *Registry) Collect(collect func(emit func(name string, value int64))) {
 	r.collectors = append(r.collectors, collect)
 }
 
-// Snapshot returns a consistent-enough view of every metric. Collectors
-// run outside the registry lock, so they may themselves take locks (and
-// may even touch this registry).
+// Snapshot returns every collected series. Collectors run outside the
+// registry lock, so they may themselves take locks, and may register
+// collectors or histograms in this registry (but not call Snapshot: a
+// collector that scrapes its own registry recurses).
 func (r *Registry) Snapshot() map[string]int64 {
+	out := make(map[string]int64)
 	r.mu.RLock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges))
-	for name, c := range r.counters {
-		out[name] = int64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
 	collectors := r.collectors // appended to, never rewritten: safe to range unlocked
 	r.mu.RUnlock()
 	for _, collect := range collectors {
@@ -147,8 +82,7 @@ func (r *Registry) Snapshot() map[string]int64 {
 }
 
 // WriteTo writes the metrics in the Prometheus text exposition format.
-// All families — counters, gauges, collected series, and histograms —
-// are merged and rendered in one pass sorted by family name, so scrapes
+// All families — collected series and histograms — are merged and rendered in one pass sorted by family name, so scrapes
 // are byte-stable for a given set of values (golden-testable) and
 // histogram `_bucket/_sum/_count` series stay grouped.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {

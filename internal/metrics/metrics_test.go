@@ -1,44 +1,24 @@
 package metrics
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterAndGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("sends_total")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("sends_total") != c {
-		t.Fatal("Counter must be get-or-create stable")
-	}
-	g := r.Gauge("conns")
-	g.Set(3)
-	g.Add(-1)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("gauge = %d, want 2", got)
-	}
-	if r.Gauge("conns") != g {
-		t.Fatal("Gauge must be get-or-create stable")
-	}
-}
-
-// TestCollectOncePerScrape: a collector's series land in the snapshot
-// beside the counters and gauges, and one WriteTo (one scrape) invokes
-// each registered collector exactly once, however many series it emits.
+// TestCollectOncePerScrape: the series of every collector land in the
+// snapshot, and one WriteTo (one scrape) invokes each registered collector
+// exactly once, however many series it emits.
 func TestCollectOncePerScrape(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a").Add(7)
-	r.Gauge("b").Set(-2)
 	var callsC, callsD int
 	r.Collect(func(emit func(string, int64)) {
 		callsC++
+		emit("a", 7)
+		emit("b", -2)
 		emit("c", 42)
 		emit("c2", 43)
 	})
@@ -64,23 +44,33 @@ func TestCollectOncePerScrape(t *testing.T) {
 }
 
 func TestFuncGaugeMayTouchRegistry(t *testing.T) {
-	// Collectors run outside the registry lock, so one may read other
-	// metrics — or register more — without deadlocking.
+	// Collectors run outside the registry lock, so one may register more
+	// collectors and histograms without deadlocking.
 	r := NewRegistry()
-	r.Counter("base").Add(10)
 	r.Collect(func(emit func(string, int64)) {
-		emit("derived", int64(r.Counter("base").Value())*2)
-		r.Gauge("made_in_collector").Set(1)
+		emit("derived", 20)
+		r.RegisterHistogram(NewHistogram("made_in_collector_seconds"))
+		r.Collect(func(emit func(string, int64)) { emit("made_in_collector", 1) })
 	})
 	if snap := r.Snapshot(); snap["derived"] != 20 {
 		t.Fatalf("derived = %d", snap["derived"])
+	}
+	// What the first scrape registered is in the second.
+	if snap := r.Snapshot(); snap["made_in_collector"] != 1 {
+		t.Fatalf("made_in_collector = %d", snap["made_in_collector"])
+	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil || !strings.Contains(sb.String(), "made_in_collector_seconds_count 0\n") {
+		t.Fatalf("rendered %q, %v", sb.String(), err)
 	}
 }
 
 func TestHandlerOutput(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("p2p_sent_total").Add(3)
-	r.Gauge("p2p_conns").Set(1)
+	r.Collect(func(emit func(string, int64)) {
+		emit("p2p_sent_total", 3)
+		emit("p2p_conns", 1)
+	})
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
@@ -96,22 +86,39 @@ func TestHandlerOutput(t *testing.T) {
 	}
 }
 
+// TestConcurrentUse registers collectors and histograms while other
+// goroutines scrape: every scrape sees the series registered before it
+// started, and the last sees them all.
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
+	var hot atomic.Int64
+	r.Collect(func(emit func(string, int64)) { emit("hot", hot.Load()) })
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				r.Counter("hot").Inc()
-				r.Gauge("g").Add(1)
-				_ = r.Snapshot()
+			name := fmt.Sprintf("g%d", i)
+			for j := 0; j < 100; j++ {
+				hot.Add(1)
+				if j == 0 {
+					r.Collect(func(emit func(string, int64)) { emit(name, 1) })
+					r.RegisterHistogram(NewHistogram(name + "_seconds"))
+				}
+				if snap := r.Snapshot(); snap[name] != 1 || snap["hot"] < int64(j+1) {
+					t.Errorf("scrape %d of %s: %s = %d, hot = %d", j, name, name, snap[name], snap["hot"])
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("hot").Value(); got != 8000 {
-		t.Fatalf("hot = %d, want 8000", got)
+	snap := r.Snapshot()
+	if len(snap) != 9 || snap["hot"] != 800 {
+		t.Fatalf("final scrape %v, want hot = 800 and g0..g7", snap)
+	}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil || strings.Count(sb.String(), "_seconds_count 0\n") != 8 {
+		t.Fatalf("rendered %q, %v", sb.String(), err)
 	}
 }

@@ -15,6 +15,9 @@ import (
 	"dcsledger/internal/wal"
 )
 
+// clusterNetwork tags the genesis block of every simulated cluster.
+const clusterNetwork = "dcsledger-sim"
+
 // ClusterConfig describes a simulated network of peers. It is the
 // shared harness for tests, examples, and every experiment in
 // EXPERIMENTS.md.
@@ -49,8 +52,6 @@ type ClusterConfig struct {
 	Degree, Fanout int
 	// MaxBlockTxs bounds block size in transactions.
 	MaxBlockTxs int
-	// NetworkName tags the genesis block.
-	NetworkName string
 	// Sim supplies an existing simulator; engines that need the shared
 	// clock (PoS slots) are built against it before the cluster exists.
 	// A nil Sim creates a fresh one.
@@ -115,9 +116,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Latency <= 0 {
 		cfg.Latency = 50 * time.Millisecond
 	}
-	if cfg.NetworkName == "" {
-		cfg.NetworkName = "dcsledger-sim"
-	}
 	sim := cfg.Sim
 	if sim == nil {
 		sim = simclock.NewSimulator()
@@ -144,7 +142,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		Sim:     sim,
 		Net:     net,
-		Genesis: NewGenesis(cfg.NetworkName),
+		Genesis: NewGenesis(clusterNetwork),
 		cfg:     cfg,
 		ids:     ids,
 		topo:    topo,

@@ -8,6 +8,7 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/metrics"
 	"dcsledger/internal/obs"
+	"dcsledger/internal/p2p"
 )
 
 // TestRegisterMetrics exports a mining node's counters through the
@@ -120,5 +121,53 @@ func TestSealSpanNamesNodeAndBlock(t *testing.T) {
 	}
 	if seals == 0 || seals != len(proposed) {
 		t.Fatalf("%d pow_seal spans, %d proposals", seals, len(proposed))
+	}
+}
+
+// TestForkChoiceObservedByNode: the node observes its own fork choice, a
+// bare LongestChain, as fork_choice spans that name the node, N = 1 when
+// the answer was not the head and 0 when it was. Per node the spans with
+// N = 1 are what Metrics().ForkChoiceSwitches and the scraped
+// forkchoice_switches_total count.
+func TestForkChoiceObservedByNode(t *testing.T) {
+	c := powCluster(t, 3, 7, nil)
+	tracer := obs.NewTracer(1 << 14)
+	regs := make(map[string]*metrics.Registry, len(c.Nodes))
+	for i, n := range c.Nodes {
+		n.SetTracer(tracer)
+		reg := metrics.NewRegistry()
+		n.RegisterMetrics(reg)
+		regs[string(p2p.NodeName(i))] = reg
+	}
+	c.Start()
+	c.Sim.RunFor(3 * time.Minute)
+	c.Stop()
+	c.Sim.RunFor(30 * time.Second)
+	if tracer.Evicted() != 0 {
+		t.Fatalf("the ring evicted %d spans: counts below would be short", tracer.Evicted())
+	}
+
+	switched := make(map[string]uint64, len(c.Nodes))
+	for _, s := range tracer.Snapshot() {
+		if s.Stage != obs.StageForkChoice {
+			continue
+		}
+		if _, ok := regs[s.Peer]; !ok || s.N > 1 {
+			t.Fatalf("fork_choice span %+v: want the peer of a node and N of 0 or 1", s)
+		}
+		switched[s.Peer] += s.N
+	}
+	for i, n := range c.Nodes {
+		id := string(p2p.NodeName(i))
+		m := n.Metrics()
+		if n.Chain().Height() == 0 || switched[id] == 0 {
+			t.Fatalf("%s: height %d, %d switches: the chain never grew", id, n.Chain().Height(), switched[id])
+		}
+		if m.ForkChoiceSwitches != switched[id] {
+			t.Errorf("%s: Metrics().ForkChoiceSwitches = %d, spans with N = 1: %d", id, m.ForkChoiceSwitches, switched[id])
+		}
+		if got := regs[id].Snapshot()["forkchoice_switches_total"]; got != int64(switched[id]) {
+			t.Errorf("%s: forkchoice_switches_total = %d, spans with N = 1: %d", id, got, switched[id])
+		}
 	}
 }

@@ -87,8 +87,6 @@ type Config struct {
 	Mine bool
 	// MaxBlockTxs bounds user transactions per block (default 256).
 	MaxBlockTxs int
-	// PoolCapacity bounds the mempool (default txpool.DefaultCapacity).
-	PoolCapacity int
 	// StateRetention is how many blocks below the head keep a
 	// materialized post-state (0 = DefaultStateRetention, negative =
 	// retain everything, i.e. an archive node).
@@ -131,6 +129,11 @@ type Metrics struct {
 	WALAppendErrors uint64
 	RecoveredBlocks uint64
 	RecoveryReroots uint64 // recoveries that re-rooted the tree at a checkpoint
+
+	// ForkChoiceSwitches counts fork-choice answers that were not the
+	// current head: the fork churn behind the paper's
+	// consistency-vs-scalability trade-off.
+	ForkChoiceSwitches uint64
 
 	// Block bodies read back from the journal (zero unless Config.Durable
 	// is set): old bodies are not kept in memory, see trieRetention.
@@ -261,7 +264,7 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:        cfg,
 		self:       cfg.Key.Address(),
-		pool:       txpool.New(cfg.PoolCapacity),
+		pool:       txpool.New(0),
 		mux:        p2p.NewMux(),
 		orphans:    make(map[cryptoutil.Hash][]cryptoutil.Hash),
 		orphanPool: make(map[cryptoutil.Hash]*types.Block),
@@ -271,6 +274,7 @@ func New(cfg Config) (*Node, error) {
 	stages := []string{
 		obs.StageBlockVerify, obs.StageBlockConnect, obs.StageStateApply, obs.StageStateCommit,
 		obs.StageStateRebuild, obs.StageBlockPropose, obs.StageTxInclusion, obs.StageWALAppend, obs.StageRecover,
+		obs.StageForkChoice,
 	}
 	if cfg.DiskState != nil {
 		stages = append(stages, obs.StageDiskFlush, obs.StageDiskSweep)
@@ -442,10 +446,11 @@ func (n *Node) metricsLocked() Metrics {
 }
 
 // RegisterMetrics exports the node through reg for the daemon's GET
-// /metrics endpoint: the stage histograms, one collector for the node and
-// one for its journal. A scrape takes the node lock once, and every node_*
-// series in it is read under that one hold (the counters from the Metrics
-// snapshot), so they agree with each other.
+// /metrics endpoint: the stage histograms and one collector for the node,
+// then what its Config gave it — the journal, the disk state and the
+// engine — each through its own RegisterMetrics. A scrape takes the node
+// lock once, and every node_* series in it is read under that one hold
+// (the counters from the Metrics snapshot), so they agree with each other.
 func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 	n.obs.Register(reg)
 	reg.Collect(func(emit func(string, int64)) {
@@ -490,6 +495,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		count("node_wal_append_errors_total", m.WALAppendErrors)
 		count("node_recovered_blocks_total", m.RecoveredBlocks)
 		count("node_recovery_reroots_total", m.RecoveryReroots)
+		count("forkchoice_switches_total", m.ForkChoiceSwitches)
 		if n.disk != nil {
 			count("node_disk_flushes_total", m.DiskFlushes)
 			count("node_disk_flush_records_total", m.DiskFlushRecords)
@@ -500,20 +506,14 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 			count("node_disk_flushed_height", flushedHeight)
 		}
 	})
-	if ds := n.cfg.Durable; ds != nil {
-		reg.Collect(func(emit func(string, int64)) {
-			st := ds.Stats()
-			emit("wal_appends_total", int64(st.WAL.Appends))
-			emit("wal_fsyncs_total", int64(st.WAL.Fsyncs))
-			emit("wal_rotations_total", int64(st.WAL.Rotations))
-			emit("wal_segments", int64(st.WAL.Segments))
-			emit("wal_bytes_written_total", int64(st.WAL.Bytes))
-			emit("wal_block_raw_bytes_total", int64(st.BlockRawBytes))
-			emit("wal_last_seq", int64(st.WAL.LastSeq))
-			emit("wal_torn_truncated_bytes_total", int64(st.WAL.TornTruncated))
-			emit("wal_checkpoints_total", int64(st.Checkpoints))
-			emit("wal_checkpoint_bytes", int64(st.CheckpointBytes))
-		})
+	if n.cfg.Durable != nil {
+		n.cfg.Durable.RegisterMetrics(reg)
+	}
+	if n.cfg.DiskState != nil {
+		n.cfg.DiskState.RegisterMetrics(reg)
+	}
+	if e, ok := n.cfg.Engine.(interface{ RegisterMetrics(*metrics.Registry) }); ok {
+		e.RegisterMetrics(reg)
 	}
 }
 
@@ -961,7 +961,7 @@ func (n *Node) countRejectLocked(err error) {
 // reschedules mining if the tip moved.
 func (n *Node) afterTreeChange() {
 	defer n.evictBodiesLocked() // once the head is where it will be
-	tip, err := n.cfg.ForkChoice.Choose(n.tree)
+	tip, err := n.chooseLocked()
 	if err != nil || tip == n.chain.Head() {
 		return
 	}
@@ -992,6 +992,24 @@ func (n *Node) afterTreeChange() {
 	if n.started && n.cfg.Mine {
 		n.scheduleMine()
 	}
+}
+
+// chooseLocked runs the fork choice over the tree, observed as
+// fork_choice, N = 1 when the answer is not the current head (counted in
+// Metrics.ForkChoiceSwitches). Caller holds n.mu.
+func (n *Node) chooseLocked() (cryptoutil.Hash, error) {
+	sw := obs.StartTimer()
+	tip, err := n.cfg.ForkChoice.Choose(n.tree)
+	if err != nil {
+		return tip, err
+	}
+	var switched uint64
+	if tip != n.chain.Head() {
+		n.metrics.ForkChoiceSwitches++
+		switched = 1
+	}
+	n.obs.Observe(obs.StageForkChoice, sw.Start(), sw.Elapsed(), obs.At{N: switched})
+	return tip, nil
 }
 
 // scheduleMine arms the proposal timer for the current tip.

@@ -106,7 +106,7 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	// fall back to fork choice when it did not survive.
 	head := rec.Head
 	if head.IsZero() || !n.tree.Has(head) {
-		tip, err := n.cfg.ForkChoice.Choose(n.tree)
+		tip, err := n.chooseLocked()
 		if err != nil {
 			return fmt.Errorf("node: recover fork choice: %w", err)
 		}

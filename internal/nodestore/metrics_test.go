@@ -12,7 +12,8 @@ import (
 func TestSegmentLogMetrics(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	s := testOpen(t, dir, Options{SegmentSize: 256, Metrics: reg})
+	s := testOpen(t, dir, Options{SegmentSize: 256})
+	s.RegisterMetrics(reg)
 	for h := uint64(1); h <= 4; h++ {
 		putNodes(t, s, h, bytes.Repeat([]byte{byte(h)}, 100), bytes.Repeat([]byte{byte(h)}, 101))
 	}

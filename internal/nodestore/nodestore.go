@@ -146,8 +146,6 @@ type Options struct {
 	CacheBytes int64
 	// Clock supplies time for the interval policy (nil = wall clock).
 	Clock func() time.Time
-	// Metrics optionally exports cache and store counters.
-	Metrics *metrics.Registry
 }
 
 // Stats is a snapshot of the store's counters.
@@ -254,27 +252,29 @@ func Open(dir string, opts Options) (*Store, error) {
 		_ = l.Close() // read handles only: nothing was opened for writing
 		return nil, err
 	}
-	if reg := opts.Metrics; reg != nil {
-		// One counter set, read once per scrape: the store's own counts
-		// and the segment log's, the latter under the names the WAL's have.
-		reg.Collect(func(emit func(string, int64)) {
-			st := s.Stats()
-			emit("nodestore_reads_total", int64(st.Reads))
-			emit("nodestore_appends_total", int64(st.Appends))
-			emit("nodestore_compactions_total", int64(st.Compactions))
-			emit("nodestore_records", int64(st.Records))
-			emit("nodestore_segments", int64(st.Segments))
-			emit("nodestore_cache_hits_total", int64(st.CacheHits))
-			emit("nodestore_cache_misses_total", int64(st.CacheMisses))
-			emit("nodestore_cache_evictions_total", int64(st.CacheEvicts))
-			emit("nodestore_cache_bytes", st.CacheBytes)
-			emit("nodestore_fsyncs_total", int64(st.Syncs))
-			emit("nodestore_bytes_written_total", int64(st.Bytes))
-			emit("nodestore_rotations_total", int64(st.Rotations))
-			emit("nodestore_torn_truncated_bytes_total", int64(st.TornBytes))
-		})
-	}
 	return s, nil
+}
+
+// RegisterMetrics exports the store through reg: one counter set, read
+// once per scrape, of the store's own counts and the segment log's, the
+// latter under the names the WAL's have.
+func (s *Store) RegisterMetrics(reg *metrics.Registry) {
+	reg.Collect(func(emit func(string, int64)) {
+		st := s.Stats()
+		emit("nodestore_reads_total", int64(st.Reads))
+		emit("nodestore_appends_total", int64(st.Appends))
+		emit("nodestore_compactions_total", int64(st.Compactions))
+		emit("nodestore_records", int64(st.Records))
+		emit("nodestore_segments", int64(st.Segments))
+		emit("nodestore_cache_hits_total", int64(st.CacheHits))
+		emit("nodestore_cache_misses_total", int64(st.CacheMisses))
+		emit("nodestore_cache_evictions_total", int64(st.CacheEvicts))
+		emit("nodestore_cache_bytes", st.CacheBytes)
+		emit("nodestore_fsyncs_total", int64(st.Syncs))
+		emit("nodestore_bytes_written_total", int64(st.Bytes))
+		emit("nodestore_rotations_total", int64(st.Rotations))
+		emit("nodestore_torn_truncated_bytes_total", int64(st.TornBytes))
+	})
 }
 
 // indexScannedLocked indexes a record the open-time scan found. The

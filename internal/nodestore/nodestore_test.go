@@ -211,7 +211,8 @@ func TestGarbledInteriorSegmentIsCorrupt(t *testing.T) {
 
 func TestNodeCacheAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := testOpen(t, t.TempDir(), Options{CacheBytes: 100, Metrics: reg})
+	s := testOpen(t, t.TempDir(), Options{CacheBytes: 100})
+	s.RegisterMetrics(reg)
 	decode := func(h cryptoutil.Hash, enc []byte) (any, int, error) {
 		return string(enc), 40, nil
 	}

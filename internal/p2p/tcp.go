@@ -10,6 +10,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsledger/internal/metrics"
@@ -72,9 +73,6 @@ type TCPConfig struct {
 	// ReadIdleTimeout bounds the gap between inbound frames (default
 	// DefaultReadIdleTimeout; negative disables the deadline).
 	ReadIdleTimeout time.Duration
-	// Registry receives transport counters (p2p_*). Nil creates a
-	// private registry, readable via Registry.
-	Registry *metrics.Registry
 	// Tracer receives per-message enqueue→flush spans
 	// (obs.StageP2PFlush). Nil disables tracing; the stage's histogram
 	// (p2p_enqueue_flush_seconds) is recorded either way.
@@ -106,9 +104,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.ReadIdleTimeout == 0 {
 		c.ReadIdleTimeout = DefaultReadIdleTimeout
 	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
-	}
 	return c
 }
 
@@ -137,17 +132,17 @@ type TCPTransport struct {
 	mu      sync.Mutex
 	peers   map[NodeID]string // address book
 	writers map[NodeID]*peerWriter
-	inbound map[net.Conn]struct{}
+	conns   map[net.Conn]struct{} // inbound connections
 	closed  bool
 
 	wg sync.WaitGroup
 
-	// Hot-path counters (registered in cfg.Registry).
-	cEnqueued, cSent, cDropped, cSendErrors *metrics.Counter
-	cDialFailures, cReconnects              *metrics.Counter
-	cRecv, cRecvErrors, cRecvOversize       *metrics.Counter
-	gOutbound, gInbound, gWriters           *metrics.Gauge
-	obs                                     obs.Observer
+	// Hot-path counts, exported by RegisterMetrics.
+	enqueued, sent, dropped, sendErrors atomic.Uint64
+	dialFailures, reconnects            atomic.Uint64
+	recv, recvErrors, recvOversize      atomic.Uint64
+	outbound, inbound, peerWriters      atomic.Int64
+	obs                                 obs.Observer
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -176,23 +171,9 @@ func NewTCPTransportConfig(self NodeID, bindAddr string, h Handler, cfg TCPConfi
 		cancel:  cancel,
 		peers:   make(map[NodeID]string),
 		writers: make(map[NodeID]*peerWriter),
-		inbound: make(map[net.Conn]struct{}),
-
-		cEnqueued:     cfg.Registry.Counter("p2p_enqueued_total"),
-		cSent:         cfg.Registry.Counter("p2p_sent_total"),
-		cDropped:      cfg.Registry.Counter("p2p_dropped_total"),
-		cSendErrors:   cfg.Registry.Counter("p2p_send_errors_total"),
-		cDialFailures: cfg.Registry.Counter("p2p_dial_failures_total"),
-		cReconnects:   cfg.Registry.Counter("p2p_reconnects_total"),
-		cRecv:         cfg.Registry.Counter("p2p_recv_total"),
-		cRecvErrors:   cfg.Registry.Counter("p2p_recv_errors_total"),
-		cRecvOversize: cfg.Registry.Counter("p2p_recv_oversize_total"),
-		gOutbound:     cfg.Registry.Gauge("p2p_conns_outbound"),
-		gInbound:      cfg.Registry.Gauge("p2p_conns_inbound"),
-		gWriters:      cfg.Registry.Gauge("p2p_peer_writers"),
-		obs:           obs.NewObserver("", cfg.Tracer, obs.StageP2PFlush),
+		conns:   make(map[net.Conn]struct{}),
+		obs:     obs.NewObserver("", cfg.Tracer, obs.StageP2PFlush),
 	}
-	t.obs.Register(cfg.Registry)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -204,8 +185,27 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 // Self implements Transport.
 func (t *TCPTransport) Self() NodeID { return t.self }
 
-// Registry returns the metrics registry the transport reports into.
-func (t *TCPTransport) Registry() *metrics.Registry { return t.cfg.Registry }
+// RegisterMetrics exports the transport through reg: one collector for
+// its p2p_* counts and gauges, and the p2p_enqueue_flush_seconds
+// histogram.
+func (t *TCPTransport) RegisterMetrics(reg *metrics.Registry) {
+	t.obs.Register(reg)
+	reg.Collect(func(emit func(string, int64)) {
+		count := func(name string, v *atomic.Uint64) { emit(name, int64(v.Load())) }
+		count("p2p_enqueued_total", &t.enqueued)
+		count("p2p_sent_total", &t.sent)
+		count("p2p_dropped_total", &t.dropped)
+		count("p2p_send_errors_total", &t.sendErrors)
+		count("p2p_dial_failures_total", &t.dialFailures)
+		count("p2p_reconnects_total", &t.reconnects)
+		count("p2p_recv_total", &t.recv)
+		count("p2p_recv_errors_total", &t.recvErrors)
+		count("p2p_recv_oversize_total", &t.recvOversize)
+		emit("p2p_conns_outbound", t.outbound.Load())
+		emit("p2p_conns_inbound", t.inbound.Load())
+		emit("p2p_peer_writers", t.peerWriters.Load())
+	})
+}
 
 // AddPeer records a peer's dialable address. Re-adding a peer updates
 // the address; an existing writer picks the new address up on its next
@@ -260,7 +260,7 @@ func (t *TCPTransport) Send(to NodeID, m Message) error {
 		}
 		//dcslint:ignore unbounded keyed by the operator-configured address book (Send rejects unknown peers above), so at most len(peers) writers
 		t.writers[to] = w
-		t.gWriters.Add(1)
+		t.peerWriters.Add(1)
 		t.wg.Add(1)
 		go w.run()
 	}
@@ -268,10 +268,10 @@ func (t *TCPTransport) Send(to NodeID, m Message) error {
 
 	select {
 	case w.queue <- queuedMsg{m: m, enqueued: time.Now()}:
-		t.cEnqueued.Inc()
+		t.enqueued.Add(1)
 		return nil
 	default:
-		t.cDropped.Inc()
+		t.dropped.Add(1)
 		return fmt.Errorf("%w: %s", ErrQueueFull, to)
 	}
 }
@@ -288,7 +288,7 @@ func (t *TCPTransport) Close() error {
 	for _, w := range t.writers {
 		w.closeConnLocked()
 	}
-	for c := range t.inbound {
+	for c := range t.conns {
 		c.Close() //dcslint:ignore lockhold teardown: TCP Close never blocks and must run under t.mu so no new conn is tracked concurrently
 	}
 	t.mu.Unlock()
@@ -317,8 +317,8 @@ func (t *TCPTransport) acceptLoop() {
 			conn.Close()
 			return
 		}
-		t.inbound[conn] = struct{}{}
-		t.gInbound.Add(1)
+		t.conns[conn] = struct{}{}
+		t.inbound.Add(1)
 		t.wg.Add(1)
 		t.mu.Unlock()
 		go t.readLoop(conn)
@@ -330,8 +330,8 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer func() {
 		conn.Close()
 		t.mu.Lock()
-		delete(t.inbound, conn)
-		t.gInbound.Add(-1)
+		delete(t.conns, conn)
+		t.inbound.Add(-1)
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
@@ -342,10 +342,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		body, err := wire.ReadFrame(br, t.cfg.MaxFrameSize)
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
-				t.cRecvOversize.Inc()
+				t.recvOversize.Add(1)
 			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !t.isClosed() {
-				t.cRecvErrors.Inc()
+				t.recvErrors.Add(1)
 			}
 			return
 		}
@@ -354,10 +354,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			// A malformed frame means the peer does not speak the
 			// protocol (or the stream desynced); drop the connection
 			// rather than guess at a resync point.
-			t.cRecvErrors.Inc()
+			t.recvErrors.Add(1)
 			return
 		}
-		t.cRecv.Inc()
+		t.recv.Add(1)
 		if t.handler != nil {
 			t.handler(m)
 		}
@@ -395,7 +395,7 @@ func (w *peerWriter) run() {
 	defer w.t.wg.Done()
 	defer func() {
 		w.closeConn()
-		w.t.gWriters.Add(-1)
+		w.t.peerWriters.Add(-1)
 	}()
 	for {
 		select {
@@ -432,15 +432,15 @@ func (w *peerWriter) write(q queuedMsg) {
 		frame[0], frame[1], frame[2], frame[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 		w.buf = frame[:0]
 		if _, err := w.conn.Write(frame); err != nil {
-			t.cSendErrors.Inc()
+			t.sendErrors.Add(1)
 			w.closeConn()
 			continue
 		}
-		t.cSent.Inc()
+		t.sent.Add(1)
 		t.obs.Observe(obs.StageP2PFlush, q.enqueued, time.Since(q.enqueued), obs.At{Peer: string(w.id)})
 		return
 	}
-	t.cDropped.Inc()
+	t.dropped.Add(1)
 }
 
 // connect performs one dial attempt; on failure it sleeps a jittered
@@ -455,7 +455,7 @@ func (w *peerWriter) connect() bool {
 	d := net.Dialer{Timeout: t.cfg.DialTimeout}
 	conn, err := d.DialContext(t.ctx, "tcp", addr)
 	if err != nil {
-		t.cDialFailures.Inc()
+		t.dialFailures.Add(1)
 		w.sleepBackoff()
 		return false
 	}
@@ -464,10 +464,10 @@ func (w *peerWriter) connect() bool {
 	w.connMu.Unlock()
 	w.backoff = 0
 	if w.everConnected {
-		t.cReconnects.Inc()
+		t.reconnects.Add(1)
 	}
 	w.everConnected = true
-	t.gOutbound.Add(1)
+	t.outbound.Add(1)
 	return true
 }
 
@@ -477,7 +477,7 @@ func (w *peerWriter) closeConn() {
 	if w.conn != nil {
 		w.conn.Close() //dcslint:ignore lockhold teardown: Close never blocks and must precede clearing w.conn under the same connMu hold
 		w.conn = nil
-		w.t.gOutbound.Add(-1)
+		w.t.outbound.Add(-1)
 	}
 }
 

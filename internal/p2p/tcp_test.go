@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dcsledger/internal/metrics"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -22,9 +24,16 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timeout: %s", msg)
 }
 
-// series reads one of the transport's counters the way /metrics and the
-// benchmark scrape it: by series name, from its registry.
-func series(tr *TCPTransport, name string) int64 { return tr.Registry().Snapshot()[name] }
+// scrape reads the transport's series the way /metrics and the benchmark
+// do: by name, from a registry the transport registered into.
+func scrape(tr *TCPTransport) map[string]int64 {
+	reg := metrics.NewRegistry()
+	tr.RegisterMetrics(reg)
+	return reg.Snapshot()
+}
+
+// series reads one of the transport's series (see scrape).
+func series(tr *TCPTransport, name string) int64 { return scrape(tr)[name] }
 
 // TestTCPConcurrentSendStress fans messages from many goroutines across
 // a 3-node full TCP mesh. The seed transport shared one json.Encoder
@@ -163,7 +172,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		return got2.Load() > 0
 	}, "delivery after restart")
 	if series(a, "p2p_reconnects_total") == 0 {
-		t.Fatalf("expected reconnects > 0, registry %v", a.Registry().Snapshot())
+		t.Fatalf("expected reconnects > 0, registry %v", scrape(a))
 	}
 }
 
@@ -201,7 +210,7 @@ func TestTCPSendNonBlockingAndQueueFull(t *testing.T) {
 		t.Fatal("expected ErrQueueFull with a 1-slot queue and a dead peer")
 	}
 	if series(a, "p2p_dropped_total") == 0 {
-		t.Fatalf("expected dropped > 0, registry %v", a.Registry().Snapshot())
+		t.Fatalf("expected dropped > 0, registry %v", scrape(a))
 	}
 }
 
@@ -225,7 +234,7 @@ func TestTCPRetriesExhaustedDropsMessage(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return series(a, "p2p_dropped_total") >= 1 }, "message dropped after retries")
 	if series(a, "p2p_dial_failures_total") < 2 {
-		t.Fatalf("expected >=2 dial failures, registry %v", a.Registry().Snapshot())
+		t.Fatalf("expected >=2 dial failures, registry %v", scrape(a))
 	}
 }
 
@@ -279,7 +288,7 @@ func TestTCPMetricsCounters(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return got.Load() == 5 }, "delivery")
 
-	snapA := a.Registry().Snapshot()
+	snapA := scrape(a)
 	if snapA["p2p_enqueued_total"] != 5 || snapA["p2p_sent_total"] != 5 {
 		t.Fatalf("sender snapshot %v", snapA)
 	}
@@ -287,9 +296,9 @@ func TestTCPMetricsCounters(t *testing.T) {
 		t.Fatalf("sender gauges %v", snapA)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return b.Registry().Snapshot()["p2p_recv_total"] == 5
+		return scrape(b)["p2p_recv_total"] == 5
 	}, "receiver counter")
-	if snapB := b.Registry().Snapshot(); snapB["p2p_conns_inbound"] != 1 {
+	if snapB := scrape(b); snapB["p2p_conns_inbound"] != 1 {
 		t.Fatalf("receiver gauges %v", snapB)
 	}
 
@@ -297,7 +306,90 @@ func TestTCPMetricsCounters(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if snap := a.Registry().Snapshot(); snap["p2p_conns_outbound"] != 0 || snap["p2p_peer_writers"] != 0 {
+	if snap := scrape(a); snap["p2p_conns_outbound"] != 0 || snap["p2p_peer_writers"] != 0 {
 		t.Fatalf("post-close gauges %v", snap)
+	}
+}
+
+// TestTCPScrapeWhileSending scrapes a registry the sender registered into
+// from several goroutines while it sends (run it under -race): within the
+// run p2p_sent_total never decreases and ends at the number of messages
+// sent, and once both ends are closed their connection and writer gauges
+// read 0.
+func TestTCPScrapeWhileSending(t *testing.T) {
+	const senders, perSender = 4, 100
+	cfg := TCPConfig{QueueSize: senders * perSender}
+	a, err := NewTCPTransportConfig("a", "127.0.0.1:0", nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var got atomic.Uint64
+	b, err := NewTCPTransportConfig("b", "127.0.0.1:0", func(Message) { got.Add(1) }, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.AddPeer("b", b.Addr())
+	reg := metrics.NewRegistry()
+	a.RegisterMetrics(reg)
+
+	done := make(chan struct{})
+	var scrapers sync.WaitGroup
+	for range 3 {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			var last int64
+			for {
+				sent := reg.Snapshot()["p2p_sent_total"]
+				if sent < last {
+					t.Errorf("p2p_sent_total went from %d to %d", last, sent)
+					return
+				}
+				last = sent
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perSender {
+				if err := a.Send("b", Message{Type: "ping"}); err != nil {
+					t.Errorf("Send: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A message is counted sent once its Write returns, which may be after
+	// the receiver has it: wait for the count, then check nothing else moved.
+	waitFor(t, 10*time.Second, func() bool { return reg.Snapshot()["p2p_sent_total"] == senders*perSender }, "sent count")
+	close(done)
+	scrapers.Wait()
+	waitFor(t, 10*time.Second, func() bool { return got.Load() == senders*perSender }, "delivery")
+	if snap := reg.Snapshot(); snap["p2p_sent_total"] != senders*perSender || snap["p2p_dropped_total"] != 0 {
+		t.Fatalf("after %d sends: %v", senders*perSender, snap)
+	}
+
+	for _, tr := range []*TCPTransport{a, b} {
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, snap := range map[string]map[string]int64{"sender": reg.Snapshot(), "receiver": scrape(b)} {
+		for _, gauge := range []string{"p2p_conns_outbound", "p2p_conns_inbound", "p2p_peer_writers"} {
+			if snap[gauge] != 0 {
+				t.Errorf("%s: %s = %d after Close", name, gauge, snap[gauge])
+			}
+		}
 	}
 }

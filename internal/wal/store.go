@@ -13,6 +13,7 @@ import (
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/lz"
+	"dcsledger/internal/metrics"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
@@ -399,6 +400,24 @@ func (s *DurableStore) Stats() StoreStats {
 		BlockRawBytes:   s.rawBytes,
 		CheckpointBytes: s.ckptBytes,
 	}
+}
+
+// RegisterMetrics exports the store through reg: one collector, reading
+// one Stats snapshot per scrape.
+func (s *DurableStore) RegisterMetrics(reg *metrics.Registry) {
+	reg.Collect(func(emit func(string, int64)) {
+		st := s.Stats()
+		emit("wal_appends_total", int64(st.WAL.Appends))
+		emit("wal_fsyncs_total", int64(st.WAL.Fsyncs))
+		emit("wal_rotations_total", int64(st.WAL.Rotations))
+		emit("wal_segments", int64(st.WAL.Segments))
+		emit("wal_bytes_written_total", int64(st.WAL.Bytes))
+		emit("wal_block_raw_bytes_total", int64(st.BlockRawBytes))
+		emit("wal_last_seq", int64(st.WAL.LastSeq))
+		emit("wal_torn_truncated_bytes_total", int64(st.WAL.TornTruncated))
+		emit("wal_checkpoints_total", int64(st.Checkpoints))
+		emit("wal_checkpoint_bytes", int64(st.CheckpointBytes))
+	})
 }
 
 // LogBlock journals one connected block, its storage form compressed
