@@ -149,11 +149,14 @@ heap-gate:
 
 # The disk gates, without -short: a signed transfer encodes its key and
 # signature in 33 + 64 bytes and carries no sender, a transfer costs the
-# journal under 98 bytes (the canonical encoding verbatim: about 168;
-# each block compressed on its own, not against the blocks before it:
-# about 126; the canonical encoding windowed, signatures and all: about
-# 106; the encoding before compact keys and signatures: about 138), a
-# journaled block's signatures are its record's raw tail and never enter
+# journal under 88 bytes in blocks of 80 and under 94 in blocks of 20,
+# each block and the head switch to it one record, in windows of up to
+# 128 records and 128 KiB (about 84.2 and 89.8; in windows of 16 records
+# with a head record a block: about 87.9 and 111.0; in blocks of 80, the
+# canonical encoding verbatim: about 168; each block compressed on its
+# own, not against the blocks before it: about 126; the canonical
+# encoding windowed, signatures and all: about 106; the encoding before
+# compact keys and signatures: about 138), a journaled block's signatures are its record's raw tail and never enter
 # the window, an account written costs the node store on disk, on the
 # shape of the disk-state workload — a genesis of 2 256 accounts, then
 # sixteen flushes of sixteen ~19-transfer blocks over 256 senders — under

@@ -50,20 +50,6 @@ func BenchmarkTxSign(b *testing.B) {
 	}
 }
 
-func BenchmarkTxVerify(b *testing.B) {
-	k := cryptoutil.KeyFromSeed([]byte("bench"))
-	tx := types.NewTransfer(k.Address(), cryptoutil.ZeroAddress, 1, 1, 0)
-	if err := tx.Sign(k); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := tx.Verify(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMerkleRoot1k(b *testing.B) {
 	leaves := make([]cryptoutil.Hash, 1024)
 	for i := range leaves {
@@ -88,16 +74,6 @@ func BenchmarkIAVLInsert(b *testing.B) {
 	tr := iavl.New()
 	for i := 0; i < b.N; i++ {
 		tr = tr.Set([]byte(fmt.Sprintf("key-%d", i)), []byte("value"))
-	}
-}
-
-func BenchmarkPoWSolve(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hdr := types.BlockHeader{Height: uint64(i), Difficulty: 1024}
-		if _, err := pow.Solve(&hdr, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -133,24 +109,6 @@ func BenchmarkStateCommit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = st.Commit()
-	}
-}
-
-func BenchmarkBlockEncodeDecode(b *testing.B) {
-	k := cryptoutil.KeyFromSeed([]byte("bench"))
-	txs := make([]*types.Transaction, 64)
-	for i := range txs {
-		txs[i] = types.NewTransfer(k.Address(), cryptoutil.ZeroAddress, 1, 1, uint64(i))
-		if err := txs[i].Sign(k); err != nil {
-			b.Fatal(err)
-		}
-	}
-	blk := types.NewBlock(cryptoutil.ZeroHash, 1, 0, k.Address(), txs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := types.DecodeBlock(blk.Encode()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 	"dcsledger/internal/wire"
 )
 
-// WindowRecords is how many records one window of a Chain holds at most,
-// and so how many records a read of one inflates.
+// WindowRecords is how many records one window of a Chain holds at most
+// unless the Chain says otherwise (Records), and so how many records a
+// read of one inflates.
 const WindowRecords = 16
 
 // Split splits a record's payload, uvarint back | encoding, into its back
@@ -37,15 +38,18 @@ func AppendBack(dst []byte, back int) []byte { return binary.AppendUvarint(dst, 
 // bounds it. The store gives each record a position, in a unit of its own
 // that grows from each record to the next; a record's back is 0 when it
 // restarts a window, else the distance from the window's first record to
-// it. A window holds at most WindowRecords records and, past its first,
-// at most Cap bytes. A record that breaks the rule or does not inflate
-// breaks the chain: the later records of its window fail too, up to the
-// next restart. The zero value has no window yet, no cap, and one buffer
-// that every window reuses.
+// it. A window holds at most Records records (WindowRecords while that is
+// 0) and, past its first, at most Cap bytes. A record that breaks the rule
+// or does not inflate breaks the chain: the later records of its window
+// fail too, up to the next restart. The zero value has no window yet, no
+// cap, WindowRecords records, and one buffer that every window reuses.
 type Chain struct {
 	// Cap, when above 0, bounds the bytes of a window of more than one
 	// record.
 	Cap int
+	// Records, when above 0, bounds the records of a window in place of
+	// WindowRecords.
+	Records int
 	// Keep gives every window a part of the buffer of its own, so that
 	// what a window inflated stays valid while later windows inflate.
 	Keep bool
@@ -59,10 +63,18 @@ type Chain struct {
 // the window's first record if the window has room for it, else 0. It
 // takes nothing in: Admit does.
 func (c *Chain) Back(pos, size int) int {
-	if c.n == 0 || c.n == WindowRecords || pos <= c.start || c.Cap > 0 && c.size+size > c.Cap {
+	if c.n == 0 || c.n == c.records() || pos <= c.start || c.Cap > 0 && c.size+size > c.Cap {
 		return 0
 	}
 	return pos - c.start
+}
+
+// records is how many records a window of c holds at most.
+func (c *Chain) records() int {
+	if c.Records > 0 {
+		return c.Records
+	}
+	return WindowRecords
 }
 
 // Admit takes in the record of size bytes at pos whose back this is, if

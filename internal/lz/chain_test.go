@@ -9,20 +9,24 @@ import (
 // window is a plain model of a Chain's rule: the positions and sizes of
 // the records of the current window, none once the chain is broken.
 type window struct {
-	cap       int
-	pos, size []int
+	cap, records int
+	pos, size    []int
 }
 
 // back is the back a writer gives a record of size bytes at pos: the
 // distance to the window's first record while the window holds fewer
-// than WindowRecords records, lies before pos, and with a cap keeps all of
-// its records and this one within it; else 0.
+// than its records (WindowRecords if 0), lies before pos, and with a cap
+// keeps all of its records and this one within it; else 0.
 func (w *window) back(pos, size int) int {
 	total := size
 	for _, s := range w.size {
 		total += s
 	}
-	if len(w.pos) == 0 || len(w.pos) == WindowRecords || pos <= w.pos[0] || w.cap > 0 && total > w.cap {
+	records := w.records
+	if records == 0 {
+		records = WindowRecords
+	}
+	if len(w.pos) == 0 || len(w.pos) == records || pos <= w.pos[0] || w.cap > 0 && total > w.cap {
 		return 0
 	}
 	return pos - w.pos[0]
@@ -44,7 +48,9 @@ func (w *window) admit(pos, back, size int) bool {
 // FuzzChain drives a Chain with random positions, backs and sizes against
 // window, a plain model of its rule. Each op is three bytes: how far the
 // position moves on (255: back to 0, as the journal's do at a new
-// segment), the size of the record's node, and the back claimed for it. Every back Back returns must agree with the model and be
+// segment), the size of the record's node, and the back claimed for it.
+// capacity is the window's cap in its low 11 bits and its record bound in
+// the rest (0: WindowRecords). Every back Back returns must agree with the model and be
 // admitted, by the writer's chain and by a scan's that sees only what the
 // writer wrote; every claimed back must be admitted exactly when the model
 // admits it. Then the records the writer chained are encoded, one of them
@@ -56,11 +62,16 @@ func FuzzChain(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 40, 0}, 40), uint16(0), uint8(17))
 	f.Add(bytes.Repeat([]byte{9, 200, 65}, 30), uint16(700), uint8(4))
 	f.Add([]byte{1, 10, 0, 1, 10, 0, 255, 10, 0, 1, 10, 0, 255, 10, 129}, uint16(0), uint8(3))
+	f.Add(bytes.Repeat([]byte{1, 4, 0}, 40), uint16(3<<11), uint8(5))            // three records a window
+	f.Add(bytes.Repeat([]byte{1, 30, 0}, 40), uint16(31<<11|400), uint8(9))      // thirty-one records, or 400 bytes
+	f.Add(bytes.Repeat([]byte{1, 4, 0}, 40), uint16(31<<11), uint8(2))           // thirty-one records, no cap
+	f.Add([]byte{1, 4, 0, 1, 4, 0, 1, 4, 0, 1, 4, 131}, uint16(2<<11), uint8(0)) // a back past two records
 	f.Fuzz(func(t *testing.T, ops []byte, capacity uint16, broken uint8) {
 		const keyLen, limit = 4, 1 << 12
-		capBytes := int(capacity % 2048)
-		writer, scan, claims := Chain{Cap: capBytes}, Chain{Cap: capBytes}, Chain{Cap: capBytes}
-		wm, cm := window{cap: capBytes}, window{cap: capBytes}
+		capBytes, records := int(capacity%2048), int(capacity>>11)
+		chain := func() Chain { return Chain{Cap: capBytes, Records: records} }
+		writer, scan, claims := chain(), chain(), chain()
+		wm, cm := window{cap: capBytes, records: records}, window{cap: capBytes, records: records}
 		var pos []int
 		var nodes [][]byte
 		var backs []int
@@ -111,7 +122,8 @@ func FuzzChain(f *testing.F) {
 		bad := int(broken) % len(pos)
 		_, k := binary.Uvarint(payloads[bad])
 		payloads[bad][k] ^= 1 // the declared length, which no encoding survives
-		keep, reuse := Chain{Cap: capBytes, Keep: true}, Chain{Cap: capBytes}
+		keep, reuse := chain(), chain()
+		keep.Keep = true
 		kept := make([][]byte, len(pos))
 		failing := false
 		for i, p := range payloads {

@@ -33,6 +33,9 @@
 // A Chain (chain.go) is the one record window both stores keep on such
 // streams, and its rule: the writer's backs, the scan's check of them, and
 // inflation in order, a damaged record failing the rest of its window.
+// Each store bounds its windows its own way, in records and in bytes: the
+// node store at WindowRecords records and a few KiB, the journal at 128
+// records and twice what a copy reaches.
 package lz
 
 import (

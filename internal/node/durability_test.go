@@ -72,6 +72,10 @@ func chainIndex(n *Node) map[uint64]cryptoutil.Hash {
 // every failure mode (clean cut, torn record, garbled CRC) under every
 // fsync policy must recover to a verified prefix of the pre-crash
 // chain, with the head state root re-proven from the recovered state.
+// The crash lands on the record of a block that became the head as it
+// was journaled, block and head switch in one: recovery must come back
+// at the head before it, without the block, and the recovered head must
+// be a block the journal holds.
 func TestCrashMatrix(t *testing.T) {
 	modes := []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble}
 	policies := []seglog.SyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever}
@@ -119,7 +123,15 @@ func TestCrashMatrix(t *testing.T) {
 
 				// Reopen the directory: a fresh node must recover a
 				// verified prefix of the pre-crash chain.
-				n2, _, _ := durableNode(t, dir, pol)
+				n2, ds2, rec, _ := durableNodeOpts(t, dir, wal.StoreOptions{Fsync: pol, SegmentSize: 4 << 10, CheckpointEvery: 8})
+				if !ds2.HasBlock(rec.Head) {
+					t.Fatalf("the journal's head %s is not a block it holds", rec.Head.Short())
+				}
+				// The fifth append was block 25's, and the head with it.
+				if cut := blocks[24].Hash(); ds2.HasBlock(cut) || rec.Head != blocks[23].Hash() || n2.Chain().Head() != rec.Head {
+					t.Fatalf("recovered head %s (journal's %s); want %s, without the block the crash cut",
+						n2.Chain().Head().Short(), rec.Head.Short(), blocks[23].Hash().Short())
+				}
 				recHeight := n2.Chain().Height()
 				if recHeight == 0 {
 					t.Fatal("recovered nothing")

@@ -213,6 +213,11 @@ type Node struct {
 	publishIntercept func(*types.Block) bool
 	withheld         []*types.Block
 
+	// unjournaled is the block the round connected last, until the fork
+	// choice answers and the journal stage writes it (journalRoundLocked);
+	// zero between rounds.
+	unjournaled unjournaled
+
 	// disk is the persistent backing of the account trie (nil unless
 	// Config.DiskState is set). See diskstate.go.
 	disk *diskState
@@ -957,19 +962,22 @@ func (n *Node) countRejectLocked(err error) {
 	}
 }
 
-// afterTreeChange re-runs the fork choice, updates the main chain, and
-// reschedules mining if the tip moved.
+// afterTreeChange re-runs the fork choice, updates the main chain,
+// journals the round (journalRoundLocked), and reschedules mining if the
+// tip moved.
 func (n *Node) afterTreeChange() {
 	defer n.evictBodiesLocked() // once the head is where it will be
 	tip, err := n.chooseLocked()
-	if err != nil || tip == n.chain.Head() {
+	moved := err == nil && tip != n.chain.Head()
+	var removed, added []cryptoutil.Hash
+	if moved {
+		removed, added, err = n.chain.SetHead(tip)
+		moved = err == nil
+	}
+	n.journalRoundLocked(tip, moved)
+	if !moved {
 		return
 	}
-	removed, added, err := n.chain.SetHead(tip)
-	if err != nil {
-		return
-	}
-	n.journalLocked(obs.At{}, func() error { return n.cfg.Durable.LogHead(tip) })
 	n.checkpointLocked(tip)
 	if len(removed) > 0 {
 		n.metrics.Reorgs++
@@ -1108,7 +1116,7 @@ func (n *Node) produceBlock() error {
 	if err := n.storeLocked(b, h, st); err != nil {
 		return err
 	}
-	n.journalBlockLocked(b, at)
+	n.journalBlockLocked(b, h, at)
 	n.afterTreeChange()
 	at.N = uint64(len(txs) - 1)
 	n.obs.Observe(obs.StageBlockPropose, swPropose.Start(), swPropose.Elapsed(), at)

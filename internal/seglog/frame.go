@@ -152,6 +152,16 @@ func ReadFrameAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
 	if _, err := r.ReadAt(frame, off); err != nil {
 		return nil, fmt.Errorf("seglog: read frame: %w", err)
 	}
+	return FrameBody(frame)
+}
+
+// FrameBody returns the verified body of frame, one whole frame read
+// from a segment, as a view of it. A frame whose length field or CRC
+// disagrees with what was appended is ErrDamaged.
+func FrameBody(frame []byte) ([]byte, error) {
+	if len(frame) < FrameHeaderLen {
+		return nil, fmt.Errorf("%w: %d-byte frame", ErrDamaged, len(frame))
+	}
 	body := frame[FrameHeaderLen:]
 	if int(binary.BigEndian.Uint32(frame)) != len(body) || Checksum(body) != binary.BigEndian.Uint32(frame[4:]) {
 		return nil, fmt.Errorf("%w: frame length or crc mismatch", ErrDamaged)

@@ -30,7 +30,11 @@ func FuzzWALRecordDecode(f *testing.F) {
 	var enc lz.Encoder
 	f.Add(encodeFrame(Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
 	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
-	f.Add(valid[:len(valid)/2]) // torn
+	f.Add(encodeFrame(Record{Seq: 1, Type: RecHeadBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
+	f.Add(windowSeed(windowRecords+1, 0))           // a back past the window's records
+	f.Add(windowSeed(2, windowCap/2+1))             // a back past its bytes
+	f.Add(windowSeed(windowRecords, windowCap/128)) // a full window, within both
+	f.Add(valid[:len(valid)/2])                     // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF
 	f.Add(garbled)
@@ -64,20 +68,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 
 		// Property 3: segment-level repair. Build a segment whose record
 		// area is the fuzz input and open the store over it.
-		dir := t.TempDir()
-		seg := make([]byte, 0, format.HeaderLen()+len(data))
-		seg = append(seg, segMagic...)
-		var first [8]byte
-		binary.BigEndian.PutUint64(first[:], 1)
-		seg = append(seg, first[:]...)
-		seg = append(seg, data...)
-		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "wal", format.SegmentName(1)), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, _, err := OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
+		s, _, err := openSegment(t, data)
 		if err != nil {
 			return // I/O errors are acceptable; panics are not
 		}
@@ -90,4 +81,66 @@ func FuzzWALRecordDecode(f *testing.F) {
 			t.Fatalf("append after repair: seq=%d err=%v, want %d", seq, err, want)
 		}
 	})
+}
+
+// windowSeed is n block records, seq 1 on, each of the n blocks of
+// testBlocks chained to the record before it as LogHeadBlock chains them
+// but for the window's bounds: the backs run 0, 1, … n-1. A size above 0
+// is what each encoding declares as its storage form's, in place of the
+// form's own: the scan inflates only the header, so it weighs a record by
+// that.
+func windowSeed(n, size int) []byte {
+	var e lz.Encoder
+	var out []byte
+	for i, b := range testBlocks(n) {
+		form := b.AppendStored(nil)
+		back := lz.AppendBack(nil, i)
+		p := e.Next(back, append(e.Window(), form...), 8+int(binary.BigEndian.Uint64(form)))
+		if size > 0 {
+			_, k := binary.Uvarint(p[len(back):])
+			p = append(binary.AppendUvarint(back, uint64(size)), p[len(back)+k:]...)
+		}
+		out = append(out, encodeFrame(Record{Seq: uint64(i + 1), Type: RecHeadBlock, Payload: b.AppendSigs(p)})...)
+	}
+	return out
+}
+
+// openSegment opens a store over a journal of one segment, seq 1 on,
+// whose record area is data.
+func openSegment(t *testing.T, data []byte) (*DurableStore, *Recovery, error) {
+	t.Helper()
+	dir := t.TempDir()
+	seg := append(append([]byte(segMagic), seqExt(1)...), data...)
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal", format.SegmentName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
+}
+
+// TestWindowSeeds: the fuzz seeds of the window's bounds are what they
+// say: a back past the window's records or past its bytes ends the
+// journal there, and a window full within both is collected whole.
+func TestWindowSeeds(t *testing.T) {
+	for name, c := range map[string]struct {
+		seed              []byte
+		blocks, truncated int
+	}{
+		"past the records": {windowSeed(windowRecords+1, 0), windowRecords, 1},
+		"past the bytes":   {windowSeed(2, windowCap/2+1), 1, 1},
+		"within both":      {windowSeed(windowRecords, windowCap/128), windowRecords, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, rec, err := openSegment(t, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if rec.Blocks != c.blocks || rec.Truncated != c.truncated {
+				t.Fatalf("%d blocks, truncated %d; want %d, %d", rec.Blocks, rec.Truncated, c.blocks, c.truncated)
+			}
+		})
+	}
 }

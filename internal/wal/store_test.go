@@ -93,6 +93,66 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHeadBlockRecord: blocks journaled with LogHeadBlock replay as
+// LogBlock then LogHead of each hash replay — the block, then the head
+// switch to it — and recover the same head, from one record a block: one
+// append and, under the always policy, one fsync where those take two.
+func TestHeadBlockRecord(t *testing.T) {
+	blocks := testBlocks(6)
+	journal := func(one bool) ([]Journaled, *Recovery, StoreStats) {
+		dir := t.TempDir()
+		s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+		for _, b := range blocks {
+			if one {
+				if err := s.LogHeadBlock(b); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := s.LogBlock(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LogHead(b.Hash()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.Stats()
+		s.Close()
+		_, rec := openStoreT(t, dir, StoreOptions{})
+		var out []Journaled
+		if err := rec.Replay(func(j Journaled) error {
+			out = append(out, j)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out, rec, st
+	}
+	one, rec1, st1 := journal(true)
+	two, rec2, st2 := journal(false)
+	if len(one) != 2*len(blocks) || len(two) != len(one) {
+		t.Fatalf("replayed %d and %d records, want %d each", len(one), len(two), 2*len(blocks))
+	}
+	for i := range one {
+		a, b := one[i], two[i]
+		if (a.Block == nil) != (b.Block == nil) || a.Block != nil && a.Block.Hash() != b.Block.Hash() || a.Head != b.Head {
+			t.Fatalf("delivery %d differs: %+v, %+v", i, a, b)
+		}
+		if a.Seq != uint64(i/2+1) || b.Seq != uint64(i+1) {
+			t.Fatalf("delivery %d: seqs %d and %d", i, a.Seq, b.Seq)
+		}
+	}
+	last := blocks[len(blocks)-1].Hash()
+	if rec1.Head != last || rec2.Head != last || rec1.Blocks != len(blocks) || rec2.Blocks != len(blocks) {
+		t.Fatalf("recovered heads %s, %s, blocks %d, %d", rec1.Head.Short(), rec2.Head.Short(), rec1.Blocks, rec2.Blocks)
+	}
+	n := uint64(len(blocks))
+	if st1.WAL.Appends != n || st1.WAL.Fsyncs != n || st2.WAL.Appends != 2*n || st2.WAL.Fsyncs != 2*n {
+		t.Fatalf("appends/fsyncs %d/%d in one record a block, %d/%d in two; want %d/%d, %d/%d",
+			st1.WAL.Appends, st1.WAL.Fsyncs, st2.WAL.Appends, st2.WAL.Fsyncs, n, n, 2*n, 2*n)
+	}
+}
+
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
@@ -586,7 +646,7 @@ func TestReadBlock(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if window < 2 || window > lz.WindowRecords {
+	if window < 2 || window > windowRecords {
 		t.Fatalf("the first window holds %d records", window)
 	}
 	for i, b := range blocks {

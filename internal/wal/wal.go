@@ -16,17 +16,22 @@
 // type + payload), sequence continuity as the test a scanned frame must
 // pass, the rule that damage anywhere truncates the log there and drops
 // everything after it, and the prune floor. The DurableStore journals
-// blocks compressed (RecBlock, through internal/lz), each block's storage
-// form against the block records before it in the same window and its
+// blocks compressed (RecBlock, or RecHeadBlock for a block that becomes
+// the head as it is journaled: one record where a block and its head
+// switch were two), each block's storage form, through internal/lz,
+// against the block records before it in the same window and its
 // signatures raw behind it, and inflates them wherever a block record is
-// read; its checkpoint files are compressed too. See docs/PERSISTENCE.md.
+// read. A window restarts at 128 block records, or before its storage
+// forms would pass 128 KiB: what one read inflates at most. The
+// checkpoint files are compressed too. See docs/PERSISTENCE.md.
 //
 // Concurrency: the DurableStore owns its segment log and serializes
 // everything that touches it on its one mutex by design — the log IS
 // the ordering of commits, so writers must queue. Helpers that run under
 // it are named *Locked, or say so. A block read takes the mutex once, for
 // its index lookup and its segment's read handle, and reads and inflates
-// outside it.
+// outside it: its record, then the records of its window before it in one
+// read of their bytes.
 package wal
 
 import (
@@ -42,9 +47,11 @@ import (
 const (
 	// segMagic opens every segment file (8 bytes, versioned). A
 	// directory of DCSWAL01 segments (the encoding before compact keys
-	// and signatures) or DCSWAL02 ones (block records compressing the
-	// canonical encoding, signatures and all) is refused.
-	segMagic = "DCSWAL03"
+	// and signatures), DCSWAL02 ones (block records compressing the
+	// canonical encoding, signatures and all) or DCSWAL03 ones (windows
+	// of 16 block records, every head switch a record of its own) is
+	// refused.
+	segMagic = "DCSWAL04"
 	// recordHeaderLen is u64 seq + u8 type inside the framed body.
 	recordHeaderLen = 9
 	// MaxRecordLen bounds one record body so a garbled length field
@@ -54,7 +61,7 @@ const (
 
 // format is the WAL's segment file format: wal-XXXXXXXX.seg, the header
 // extended by the sequence number of the segment's first record.
-var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen, Replaced: []string{"DCSWAL01", "DCSWAL02"}}
+var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen, Replaced: []string{"DCSWAL01", "DCSWAL02", "DCSWAL03"}}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 4 << 20
@@ -202,6 +209,21 @@ func (s *DurableStore) lands(payloadLen int) uint32 {
 // is written, synced or not.
 func readRecord(f io.ReaderAt, at Loc) (Record, error) {
 	body, err := seglog.ReadFrameAt(f, at.Off, int(at.Len))
+	return bodyRecord(body, err)
+}
+
+// frameRecord is readRecord of a frame already read: span holds the
+// bytes of its segment from offset from on, at among them.
+func frameRecord(span []byte, from int64, at Loc) (Record, error) {
+	off := at.Off - from
+	if off < 0 || off+int64(at.Len) > int64(len(span)) {
+		return Record{}, fmt.Errorf("%w: a record outside the bytes read", seglog.ErrDamaged)
+	}
+	return bodyRecord(seglog.FrameBody(span[off : off+int64(at.Len)]))
+}
+
+// bodyRecord decodes a verified frame body, or passes its error on.
+func bodyRecord(body []byte, err error) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}

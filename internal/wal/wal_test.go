@@ -41,7 +41,7 @@ func appendRec(s *DurableStore, typ byte, payload []byte) (uint64, Loc, error) {
 }
 
 // recordAt reads back the record at at.
-func recordAt(t *testing.T, s *DurableStore, at Loc) Record {
+func recordAt(t testing.TB, s *DurableStore, at Loc) Record {
 	t.Helper()
 	s.mu.Lock()
 	f, err := s.log.Reader(uint64(at.Seg))
@@ -162,8 +162,32 @@ func TestSegmentRotationAndContinuity(t *testing.T) {
 
 // TestCrashModesTruncateToPrefix drives each failpoint mode and asserts
 // that reopening the directory recovers exactly the records appended
-// before the crash — the log is always a valid prefix.
+// before the crash — the log is always a valid prefix. A crash on a
+// record that is a block and the head switch to it recovers the head
+// before it, without the block.
 func TestCrashModesTruncateToPrefix(t *testing.T) {
+	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
+		t.Run(mode.String()+"/head block", func(t *testing.T) {
+			dir := t.TempDir()
+			blocks := testBlocks(8)
+			s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			logBlocks(t, s, blocks[:7])
+			s.SetFailpoint(mode, 1)
+			if err := s.LogHeadBlock(blocks[7]); !errors.Is(err, ErrStoreFailed) {
+				t.Fatalf("append at failpoint: err = %v, want ErrStoreFailed", err)
+			}
+			s.Close()
+
+			s2, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			if rec.Blocks != 7 || rec.Head != blocks[6].Hash() || !s2.HasBlock(rec.Head) {
+				t.Fatalf("mode %s: recovered %d blocks, head %s; want 7, the block before the crash", mode, rec.Blocks, rec.Head.Short())
+			}
+			if s2.HasBlock(blocks[7].Hash()) {
+				t.Fatalf("mode %s: the block the crash cut is in the journal", mode)
+			}
+			readsBack(t, s2, blocks[:7])
+		})
+	}
 	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
