@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,19 +29,23 @@ import (
 // directory holds.
 func durableTestNode(t *testing.T, dir string) (*node.Node, *wal.DurableStore) {
 	t.Helper()
+	n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+	return n, ds
+}
+
+// recoveredNode is durableTestNode under the pow configuration cfg, and
+// returns the Recovery it recovered from as well.
+func recoveredNode(t *testing.T, dir string, cfg pow.Config) (*node.Node, *wal.DurableStore, *wal.Recovery) {
+	t.Helper()
 	ds, rec, err := openDurable(dir, seglog.SyncAlways, 8)
 	if err != nil {
 		t.Fatalf("openDurable: %v", err)
 	}
 	t.Cleanup(func() { ds.Close() })
 	n, err := node.New(node.Config{
-		ID:  "api-test",
-		Key: cryptoutil.KeyFromSeed([]byte("api-test")),
-		Engine: pow.New(pow.Config{
-			TargetInterval:    time.Second,
-			InitialDifficulty: 64,
-			HashRate:          64,
-		}, rand.New(rand.NewSource(1))),
+		ID:         "api-test",
+		Key:        cryptoutil.KeyFromSeed([]byte("api-test")),
+		Engine:     pow.New(cfg, rand.New(rand.NewSource(1))),
 		ForkChoice: forkchoice.LongestChain{},
 		Genesis:    node.NewGenesis("api-test"),
 		Rewards:    incentive.Schedule{InitialReward: 50},
@@ -53,7 +58,7 @@ func durableTestNode(t *testing.T, dir string) (*node.Node, *wal.DurableStore) {
 	if err := n.Recover(rec); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	return n, ds
+	return n, ds, rec
 }
 
 // TestDataDirRecovery exercises the -data-dir wiring end to end: a node
@@ -78,6 +83,49 @@ func TestDataDirRecovery(t *testing.T) {
 	if n2.Chain().Head() != wantHead || n2.Chain().Height() != wantHeight {
 		t.Fatalf("recovered head %s@%d, want %s@%d",
 			n2.Chain().Head().Short(), n2.Chain().Height(), wantHead.Short(), wantHeight)
+	}
+}
+
+// TestShortRecoveryIsLogged: a chain journaled under one -interval and
+// recovered under another, PoW's retarget target, comes back shorter, and
+// the daemon says so in one line naming both heights, the rejections and
+// the interval; a restart under the same interval logs no such line.
+func TestShortRecoveryIsLogged(t *testing.T) {
+	const blocks = 6
+	mined := pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64, RetargetWindow: 2}
+	dir := t.TempDir()
+	n, ds, _ := recoveredNode(t, dir, mined)
+	for i := 0; i < blocks; i++ {
+		if err := n.HandleBlock(mineNext(t, n)); err != nil {
+			t.Fatalf("HandleBlock: %v", err)
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restart := func(cfg pow.Config) (*node.Node, []string) {
+		t.Helper()
+		n, ds, rec := recoveredNode(t, dir, cfg)
+		defer ds.Close()
+		var lines []string
+		logShortRecovery(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, n, rec, cfg.TargetInterval)
+		return n, lines
+	}
+
+	if n, lines := restart(mined); n.Chain().Height() != blocks || len(lines) != 0 {
+		t.Fatalf("a clean restart recovered height %d and logged %q", n.Chain().Height(), lines)
+	}
+	other := mined
+	other.TargetInterval = 10 * time.Second
+	n, lines := restart(other)
+	m := n.Metrics()
+	if n.Chain().Height() >= blocks || m.BlocksRejected == 0 {
+		t.Fatalf("recovered height %d with %d rejected under another interval: the case is not exercised", n.Chain().Height(), m.BlocksRejected)
+	}
+	want := fmt.Sprintf("journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, -interval 10s",
+		blocks, n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots)
+	if len(lines) != 1 || !strings.Contains(lines[0], want) {
+		t.Fatalf("logged %q, want one line with %q", lines, want)
 	}
 }
 

@@ -263,6 +263,7 @@ func run(args []string, stop <-chan os.Signal) error {
 			return fmt.Errorf("recover from %s: %w", *dataDir, err)
 		}
 		log.Printf("recovered chain: height %d, head %s", n.Chain().Height(), n.Chain().Head().Hex())
+		logShortRecovery(log.Printf, n, rec, *interval)
 	}
 
 	tr, err := p2p.NewTCPTransportConfig(p2p.NodeID(*id), *listen, n.Mux().Dispatch, p2p.TCPConfig{Tracer: tracer})
@@ -296,6 +297,17 @@ func run(args []string, stop <-chan os.Signal) error {
 		return srv.Close()
 	case err := <-errCh:
 		return err
+	}
+}
+
+// logShortRecovery logs, through logf, one line when n's recovery from
+// rec refused journaled blocks or re-rooted at a checkpoint, naming the
+// -interval in force: PoW's retarget target, which the journal's seals
+// were mined against.
+func logShortRecovery(logf func(string, ...any), n *node.Node, rec *wal.Recovery, interval time.Duration) {
+	if m := n.Metrics(); m.BlocksRejected > 0 || m.RecoveryReroots > 0 {
+		logf("recovery did not take the whole journal: journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, -interval %s (PoW's retarget target: blocks mined under another interval fail their seals)",
+			rec.TipHeight(), n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots, interval)
 	}
 }
 

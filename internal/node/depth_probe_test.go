@@ -20,7 +20,7 @@ func readDepth(st *state.State) int {
 // under a state is a flat copy of the accounts.
 func TestHeadReadsOneTrie(t *testing.T) {
 	const W = 8
-	n, genesis := lifecycleNode(t, W, 0)
+	n, genesis := lifecycleNode(t, W)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("depth-probe")).Address()
 	for _, b := range bd.chain(genesis, 200, miner) {

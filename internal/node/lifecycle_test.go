@@ -97,7 +97,7 @@ func (bd *chainBuilder) chain(parent *types.Block, n int, miner cryptoutil.Addre
 	return out
 }
 
-func lifecycleNode(t *testing.T, retention, maxOrphans int) (*Node, *types.Block) {
+func lifecycleNode(t *testing.T, retention int) (*Node, *types.Block) {
 	t.Helper()
 	genesis := NewGenesis("lifecycle-test")
 	n, err := New(Config{
@@ -109,7 +109,6 @@ func lifecycleNode(t *testing.T, retention, maxOrphans int) (*Node, *types.Block
 		Rewards:        incentive.Schedule{InitialReward: 50},
 		Clock:          simclock.NewSimulator(),
 		StateRetention: retention,
-		MaxOrphans:     maxOrphans,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -119,7 +118,7 @@ func lifecycleNode(t *testing.T, retention, maxOrphans int) (*Node, *types.Block
 
 func TestStateRetentionAndRebuild(t *testing.T) {
 	const W = 8
-	n, genesis := lifecycleNode(t, W, 0)
+	n, genesis := lifecycleNode(t, W)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("retention-miner")).Address()
 
@@ -169,7 +168,7 @@ func TestStateRetentionAndRebuild(t *testing.T) {
 
 func TestReorgAcrossRetentionBoundary(t *testing.T) {
 	const W = 4
-	n, genesis := lifecycleNode(t, W, 0)
+	n, genesis := lifecycleNode(t, W)
 	bd := newChainBuilder(t, genesis)
 	minerA := cryptoutil.KeyFromSeed([]byte("miner-a")).Address()
 	minerB := cryptoutil.KeyFromSeed([]byte("miner-b")).Address()
@@ -209,18 +208,15 @@ func TestReorgAcrossRetentionBoundary(t *testing.T) {
 }
 
 func TestOrphanBufferBoundedAndDeduped(t *testing.T) {
-	const cap = 8
-	n, _ := lifecycleNode(t, 0, cap)
+	const cap, sent = DefaultMaxOrphans, DefaultMaxOrphans + 20
+	n, _ := lifecycleNode(t, 0)
 	addr := cryptoutil.KeyFromSeed([]byte("spammer")).Address()
 
-	// 20 blocks with 20 fabricated unknown parents: all buffer, none
-	// connect, and the buffer never exceeds its cap.
-	junk := make([]*types.Block, 20)
+	// sent blocks with as many fabricated unknown parents: all buffer,
+	// none connect, and the buffer never exceeds its cap.
+	junk := make([]*types.Block, sent)
 	for i := range junk {
-		parent := cryptoutil.AddressFromHash(cryptoutil.HashUint64("junk-parent", uint64(i)))
-		var ph cryptoutil.Hash
-		copy(ph[:], parent[:])
-		ph[31] = byte(i + 1) // distinct, certainly-unknown parent hashes
+		ph := cryptoutil.HashUint64("junk-parent", uint64(i)) // distinct, certainly-unknown parent hashes
 		junk[i] = types.NewBlock(ph, 1, int64(time.Second), addr, nil)
 		if err := n.HandleBlock(junk[i]); err != nil {
 			t.Fatalf("orphan %d: %v", i, err)
@@ -230,19 +226,19 @@ func TestOrphanBufferBoundedAndDeduped(t *testing.T) {
 		t.Fatalf("orphan buffer %d exceeds cap %d", got, cap)
 	}
 	m := n.Metrics()
-	if m.OrphansBuffered != 20 {
-		t.Fatalf("OrphansBuffered = %d, want 20", m.OrphansBuffered)
+	if m.OrphansBuffered != sent {
+		t.Fatalf("OrphansBuffered = %d, want %d", m.OrphansBuffered, sent)
 	}
-	if m.OrphansEvicted != 20-cap {
-		t.Fatalf("OrphansEvicted = %d, want %d", m.OrphansEvicted, 20-cap)
+	if m.OrphansEvicted != sent-cap {
+		t.Fatalf("OrphansEvicted = %d, want %d", m.OrphansEvicted, sent-cap)
 	}
 	// Redelivering a still-buffered orphan is deduplicated, not
 	// double-buffered.
 	if err := n.HandleBlock(junk[len(junk)-1]); err != nil {
 		t.Fatalf("redeliver: %v", err)
 	}
-	if got := n.Metrics().OrphansBuffered; got != 20 {
-		t.Fatalf("dedup failed: OrphansBuffered = %d, want 20", got)
+	if got := n.Metrics().OrphansBuffered; got != sent {
+		t.Fatalf("dedup failed: OrphansBuffered = %d, want %d", got, sent)
 	}
 	if got := len(n.orphanPool); got > cap {
 		t.Fatalf("orphan buffer %d exceeds cap %d after redelivery", got, cap)
@@ -253,7 +249,7 @@ func TestDeepOrphanChainAdoption(t *testing.T) {
 	// Deliver a 300-block chain tip-first: every block but the last
 	// buffers as an orphan, then the genesis child connects and the whole
 	// buffered chain must be adopted iteratively (no recursion limits).
-	n, genesis := lifecycleNode(t, -1, 512)
+	n, genesis := lifecycleNode(t, -1)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("deep-miner")).Address()
 	blocks := bd.chain(genesis, 300, miner)
@@ -362,7 +358,7 @@ func TestRequestedMapExpiryAndClearOnConnect(t *testing.T) {
 // memoized root, and extending one of them still works (it reads and
 // commits through the layers down to the base state's trie).
 func TestTrieRetentionBounded(t *testing.T) {
-	n, genesis := lifecycleNode(t, 0, 0) // DefaultStateRetention: all 60 states stay
+	n, genesis := lifecycleNode(t, 0) // DefaultStateRetention: all 60 states stay
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("trie-miner")).Address()
 	blocks := bd.chain(genesis, 60, miner)
@@ -405,7 +401,7 @@ func TestTrieRetentionBounded(t *testing.T) {
 // and commits to its block's root.
 func TestReadersWalkColdStatesWhileBlocksConnect(t *testing.T) {
 	const window = 64
-	n, genesis := lifecycleNode(t, window, 0)
+	n, genesis := lifecycleNode(t, window)
 	bd := newChainBuilder(t, genesis)
 	miners := make([]cryptoutil.Address, 5)
 	for i := range miners {
@@ -473,7 +469,7 @@ func TestReadersWalkColdStatesWhileBlocksConnect(t *testing.T) {
 // replay fails, HeadState and Balance say why and State returns nil —
 // the conditions under which the read handlers used to dereference nil.
 func TestHeadStateErrorInsteadOfPanic(t *testing.T) {
-	n, genesis := lifecycleNode(t, 0, 0)
+	n, genesis := lifecycleNode(t, 0)
 	bd := newChainBuilder(t, genesis)
 	miner := cryptoutil.KeyFromSeed([]byte("gone-miner")).Address()
 	for _, b := range bd.chain(genesis, 3, miner) {
@@ -505,7 +501,7 @@ func TestHeadStateErrorInsteadOfPanic(t *testing.T) {
 // lock, as a block connect does (TestSubmitTxReturnsWhileNodeLockHeld
 // requires the whole submit to).
 func TestSubmitTxVerifiesOutsideNodeLock(t *testing.T) {
-	n, _ := lifecycleNode(t, 0, 0)
+	n, _ := lifecycleNode(t, 0)
 	alice := cryptoutil.KeyFromSeed([]byte("alice"))
 	tx := types.NewTransfer(alice.Address(), cryptoutil.KeyFromSeed([]byte("bob")).Address(), 1, 1, 0)
 	if err := tx.Sign(alice); err != nil {

@@ -54,7 +54,7 @@ func TestRegisterMetrics(t *testing.T) {
 // describe one instant: the tree holds genesis plus exactly the accepted
 // blocks, and the chain is no taller than the tree.
 func TestScrapeIsOneSnapshot(t *testing.T) {
-	n, genesis := lifecycleNode(t, 0, 0)
+	n, genesis := lifecycleNode(t, 0)
 	reg := metrics.NewRegistry()
 	n.RegisterMetrics(reg)
 	blocks := newChainBuilder(t, genesis).chain(genesis, 400, cryptoutil.KeyFromSeed([]byte("m")).Address())

@@ -91,9 +91,6 @@ type Config struct {
 	// materialized post-state (0 = DefaultStateRetention, negative =
 	// retain everything, i.e. an archive node).
 	StateRetention int
-	// MaxOrphans bounds the unknown-parent block buffer
-	// (0 = DefaultMaxOrphans).
-	MaxOrphans int
 	// Durable, when non-nil, journals every connected block and head
 	// switch into a write-ahead log and periodically checkpoints the
 	// head state, so the ledger survives a process crash. Open it with
@@ -262,9 +259,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.StateRetention == 0 {
 		cfg.StateRetention = DefaultStateRetention
-	}
-	if cfg.MaxOrphans <= 0 {
-		cfg.MaxOrphans = DefaultMaxOrphans
 	}
 	n := &Node{
 		cfg:        cfg,
@@ -862,12 +856,12 @@ func (n *Node) bufferOrphanLocked(b *types.Block, h cryptoutil.Hash) {
 	if _, dup := n.orphanPool[h]; dup {
 		return
 	}
-	for len(n.orphanPool) >= n.cfg.MaxOrphans {
+	for len(n.orphanPool) >= DefaultMaxOrphans {
 		n.evictOldestOrphanLocked()
 	}
 	// Compact stale order entries (adopted orphans leave gaps) so the
 	// arrival-order list stays proportional to the pool.
-	if len(n.orphanOrder) > 4*n.cfg.MaxOrphans {
+	if len(n.orphanOrder) > 4*DefaultMaxOrphans {
 		live := n.orphanOrder[:0:0]
 		for _, oh := range n.orphanOrder {
 			if _, ok := n.orphanPool[oh]; ok {

@@ -221,7 +221,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		cache:     newNodeCache(opts.CacheBytes),
 	}
 	var recs []framed
-	damage, err := l.Scan(nil,
+	damage, err := l.ScanSegments(l.Segments(), nil,
 		func(seg uint64, off int64, body []byte) error {
 			height, parsed, ok := parseFrame(seg, off, body, recs)
 			if recs = parsed; !ok {

@@ -112,59 +112,58 @@ func (f Format) Scan(r io.Reader, header func(ext []byte) error, frame func(off 
 	if err != nil {
 		return 0, err
 	}
-	valid = int64(f.HeaderLen())
-	var hdr [FrameHeaderLen]byte
 	var buf []byte
+	return f.frames(int64(f.HeaderLen()), func(n int) ([]byte, error) {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		_, err := io.ReadFull(br, buf[:n])
+		return buf[:n], err
+	}, frame)
+}
+
+// Frames is Scan of b, the frames of a segment from offset off on, read
+// at once, each body a view of b: nil at b's end, ErrDamaged at a frame
+// that does not check or ends past it, or frame's error.
+func (f Format) Frames(b []byte, off int64, frame func(off int64, body []byte) error) error {
+	_, err := f.frames(off, func(n int) (p []byte, err error) {
+		switch {
+		case len(b) == 0 && n > 0:
+			return nil, io.EOF
+		case len(b) < n:
+			return nil, io.ErrUnexpectedEOF
+		}
+		p, b = b[:n:n], b[n:]
+		return p, nil
+	}, frame)
+	return err
+}
+
+// frames is the frame loop of Scan and Frames from offset valid on: next
+// returns the following n bytes, valid until its next call, or fails as
+// io.ReadFull does.
+func (f Format) frames(valid int64, next func(n int) ([]byte, error), frame func(off int64, body []byte) error) (int64, error) {
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
+		hdr, err := next(FrameHeaderLen)
+		if err == io.EOF {
 			return valid, nil
 		} else if err != nil {
 			return valid, readFailure(err, "frame header")
 		}
-		n := int(binary.BigEndian.Uint32(hdr[:4]))
+		n, crc := int(binary.BigEndian.Uint32(hdr)), binary.BigEndian.Uint32(hdr[4:])
 		if n > f.MaxBody {
 			return valid, fmt.Errorf("%w: frame length %d over limit", ErrDamaged, n)
 		}
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		if _, err := io.ReadFull(br, buf[:n]); err != nil {
+		body, err := next(n)
+		if err != nil {
 			return valid, readFailure(err, "frame body")
 		}
-		if Checksum(buf[:n]) != binary.BigEndian.Uint32(hdr[4:]) {
+		if Checksum(body) != crc {
 			return valid, fmt.Errorf("%w: crc mismatch", ErrDamaged)
 		}
-		if err := frame(valid, buf[:n]); err != nil {
+		if err := frame(valid, body); err != nil {
 			return valid, err
 		}
 		valid += int64(FrameHeaderLen + n)
 	}
-}
-
-// ReadFrameAt reads the n-byte frame at off and returns its verified
-// body (a fresh slice). A frame whose length field or CRC disagrees
-// with what was appended is ErrDamaged.
-func ReadFrameAt(r io.ReaderAt, off int64, n int) ([]byte, error) {
-	if n < FrameHeaderLen {
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrDamaged, n)
-	}
-	frame := make([]byte, n)
-	if _, err := r.ReadAt(frame, off); err != nil {
-		return nil, fmt.Errorf("seglog: read frame: %w", err)
-	}
-	return FrameBody(frame)
-}
-
-// FrameBody returns the verified body of frame, one whole frame read
-// from a segment, as a view of it. A frame whose length field or CRC
-// disagrees with what was appended is ErrDamaged.
-func FrameBody(frame []byte) ([]byte, error) {
-	if len(frame) < FrameHeaderLen {
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrDamaged, len(frame))
-	}
-	body := frame[FrameHeaderLen:]
-	if int(binary.BigEndian.Uint32(frame)) != len(body) || Checksum(body) != binary.BigEndian.Uint32(frame[4:]) {
-		return nil, fmt.Errorf("%w: frame length or crc mismatch", ErrDamaged)
-	}
-	return body, nil
 }

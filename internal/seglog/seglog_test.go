@@ -38,7 +38,7 @@ func openLog(t *testing.T, dir string, opts Options) (*Log, []string) {
 		t.Fatalf("Open: %v", err)
 	}
 	var bodies []string
-	d, err := l.Scan(nil,
+	d, err := l.ScanSegments(l.Segments(), nil,
 		func(_ uint64, _ int64, body []byte) error { bodies = append(bodies, string(body)); return nil })
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -154,6 +154,20 @@ func TestScanClassifiesDamage(t *testing.T) {
 			if valid != tc.wantValid {
 				t.Fatalf("valid = %d, want %d", valid, tc.wantValid)
 			}
+			if tc.wantValid < hdr {
+				return // no header checks: there are no frames to hand Frames
+			}
+			// Frames, handed the bytes behind the header at once, passes
+			// the same frames and finds the same damage.
+			err = testFormat.Frames(tc.data[hdr:], hdr, func(off int64, _ []byte) error {
+				if off >= tc.wantValid {
+					t.Fatalf("Frames passed the frame at %d, past the valid %d", off, tc.wantValid)
+				}
+				return nil
+			})
+			if got := errors.Is(err, ErrDamaged); got != tc.damaged || (!tc.damaged && err != nil) {
+				t.Fatalf("Frames: err = %v, want damaged=%v", err, tc.damaged)
+			}
 		})
 	}
 
@@ -197,19 +211,32 @@ func TestAppendScanReadAt(t *testing.T) {
 		t.Fatalf("stats %+v: want >= 3 rotations, 12 appends", st)
 	}
 	// Every frame, in sealed segments and the active one, reads back
-	// through a ReadAt handle.
+	// through a ReadAt handle and checks through Frames.
 	for i, lc := range locs {
 		r, err := l.Reader(lc.seg)
 		if err != nil {
 			t.Fatalf("Reader(%d): %v", lc.seg, err)
 		}
-		body, err := ReadFrameAt(r, lc.off, lc.n)
-		if err != nil || string(body) != want[i] {
-			t.Fatalf("ReadFrameAt #%d = %q, %v", i, body, err)
+		frame := make([]byte, lc.n)
+		if _, err := r.ReadAt(frame, lc.off); err != nil {
+			t.Fatalf("ReadAt #%d: %v", i, err)
+		}
+		var got []string
+		err = testFormat.Frames(frame, lc.off, func(off int64, body []byte) error {
+			if off != lc.off {
+				t.Fatalf("frame #%d at %d, appended at %d", i, off, lc.off)
+			}
+			got = append(got, string(body))
+			return nil
+		})
+		if err != nil || len(got) != 1 || got[0] != want[i] {
+			t.Fatalf("frame #%d reads back as %q, %v", i, got, err)
 		}
 	}
-	if _, err := ReadFrameAt(bytes.NewReader(segmentBytes("abc")), int64(testFormat.HeaderLen()), FrameHeaderLen+2); !errors.Is(err, ErrDamaged) {
-		t.Fatalf("wrong-length ReadFrameAt: %v, want ErrDamaged", err)
+	// Bytes that end inside a frame are damage.
+	frame := segmentBytes("abc")[testFormat.HeaderLen():]
+	if err := testFormat.Frames(frame[:len(frame)-1], 0, acceptFrame); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("Frames of a frame cut short: %v, want ErrDamaged", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -337,7 +364,7 @@ func TestRepairTruncatesAndDropsTheRest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := l2.Scan(nil, func(uint64, int64, []byte) error { return nil })
+	d, err := l2.ScanSegments(l2.Segments(), nil, func(uint64, int64, []byte) error { return nil })
 	if err != nil || d == nil || d.Seg != 2 || d.Off != int64(testFormat.HeaderLen()+17) {
 		t.Fatalf("Scan = %+v, %v; want damage in segment 2 at %d", d, err, testFormat.HeaderLen()+17)
 	}

@@ -139,17 +139,12 @@ func TestSignaturesStayOutOfTheWindow(t *testing.T) {
 	for _, b := range blocks {
 		s.mu.Lock()
 		at := s.blocks[b.Hash()]
-		locs := s.segBlocks[at.Seg]
 		f, err := s.log.Reader(uint64(at.Seg))
 		s.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := 0
-		for locs[k] != at {
-			k++
-		}
-		form, sigs, err := inflateAt(f, at, locs[max(0, k-windowRecords+1):k])
+		form, sigs, err := readBlock(f, at)
 		if err != nil {
 			t.Fatal(err)
 		}

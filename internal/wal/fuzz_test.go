@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/lz"
 	"dcsledger/internal/seglog"
 )
@@ -22,19 +23,23 @@ import (
 //     consumed (the framing is canonical);
 //  3. OpenStore on a segment with an arbitrary record area never panics
 //     and always yields a log whose records are contiguous — the
-//     torn-tail repair turns ANY trailing garbage into a clean prefix.
+//     torn-tail repair turns ANY trailing garbage into a clean prefix;
+//  4. every block that store indexes reads back through ReadBlock as the
+//     block its hash names, or as an error wrapping seglog.ErrDamaged,
+//     never another block.
 func FuzzWALRecordDecode(f *testing.F) {
 	// Seed corpus: valid frames, a truncation, and a bit flip.
-	valid := encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
+	valid := appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
 	f.Add(valid)
 	var enc lz.Encoder
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
-	f.Add(encodeFrame(Record{Seq: 1, Type: RecHeadBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
-	f.Add(windowSeed(windowRecords+1, 0))           // a back past the window's records
-	f.Add(windowSeed(2, windowCap/2+1))             // a back past its bytes
-	f.Add(windowSeed(windowRecords, windowCap/128)) // a full window, within both
-	f.Add(valid[:len(valid)/2])                     // torn
+	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
+	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
+	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHeadBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
+	f.Add(windowSeed(windowRecords+1, 0, 0))             // a back past the window's records
+	f.Add(windowSeed(2, windowCap/2+1, 0))               // a back past its bytes
+	f.Add(windowSeed(windowRecords, windowCap/128, 0))   // a full window, within both
+	f.Add(windowSeed(windowRecords, 0, windowRecords/2)) // a full window, a head record inside
+	f.Add(valid[:len(valid)/2])                          // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF
 	f.Add(garbled)
@@ -60,7 +65,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 				if n > len(data) {
 					t.Fatalf("decoded frame length %d out of range (input %d)", n, len(data))
 				}
-				if re := encodeFrame(rec); !bytes.Equal(re, data[:n]) {
+				if re := appendFrame(nil, rec); !bytes.Equal(re, data[:n]) {
 					t.Fatalf("re-encode mismatch: %x != %x", re, data[:n])
 				}
 				return errFirst
@@ -73,6 +78,19 @@ func FuzzWALRecordDecode(f *testing.F) {
 			return // I/O errors are acceptable; panics are not
 		}
 		defer s.Close()
+		// Property 4: the blocks indexed read back, or as damage.
+		s.mu.Lock()
+		var indexed []cryptoutil.Hash
+		for h := range s.blocks {
+			indexed = append(indexed, h)
+		}
+		s.mu.Unlock()
+		for _, h := range indexed {
+			b, err := s.ReadBlock(h)
+			if err == nil && b.Hash() != h || err != nil && !errors.Is(err, seglog.ErrDamaged) {
+				t.Fatalf("ReadBlock(%s) = %v, %v: want the block, or damage", h.Short(), b, err)
+			}
+		}
 		recs := records(t, s)
 		contiguous(t, recs, 1)
 		want := uint64(len(recs)) + 1
@@ -88,11 +106,18 @@ func FuzzWALRecordDecode(f *testing.F) {
 // but for the window's bounds: the backs run 0, 1, … n-1. A size above 0
 // is what each encoding declares as its storage form's, in place of the
 // form's own: the scan inflates only the header, so it weighs a record by
-// that.
-func windowSeed(n, size int) []byte {
+// that. A head above 0 puts a head record, a switch back to the block
+// before, in front of block record head.
+func windowSeed(n, size, head int) []byte {
 	var e lz.Encoder
 	var out []byte
-	for i, b := range testBlocks(n) {
+	seq := uint64(1)
+	blocks := testBlocks(n)
+	for i, b := range blocks {
+		if head > 0 && i == head {
+			out = appendFrame(out, Record{Seq: seq, Type: RecHead, Payload: blocks[i-1].Hash().Bytes()})
+			seq++
+		}
 		form := b.AppendStored(nil)
 		back := lz.AppendBack(nil, i)
 		p := e.Next(back, append(e.Window(), form...), 8+int(binary.BigEndian.Uint64(form)))
@@ -100,7 +125,8 @@ func windowSeed(n, size int) []byte {
 			_, k := binary.Uvarint(p[len(back):])
 			p = append(binary.AppendUvarint(back, uint64(size)), p[len(back)+k:]...)
 		}
-		out = append(out, encodeFrame(Record{Seq: uint64(i + 1), Type: RecHeadBlock, Payload: b.AppendSigs(p)})...)
+		out = appendFrame(out, Record{Seq: seq, Type: RecHeadBlock, Payload: b.AppendSigs(p)})
+		seq++
 	}
 	return out
 }
@@ -128,9 +154,10 @@ func TestWindowSeeds(t *testing.T) {
 		seed              []byte
 		blocks, truncated int
 	}{
-		"past the records": {windowSeed(windowRecords+1, 0), windowRecords, 1},
-		"past the bytes":   {windowSeed(2, windowCap/2+1), 1, 1},
-		"within both":      {windowSeed(windowRecords, windowCap/128), windowRecords, 0},
+		"past the records":                  {windowSeed(windowRecords+1, 0, 0), windowRecords, 1},
+		"past the bytes":                    {windowSeed(2, windowCap/2+1, 0), 1, 1},
+		"within both":                       {windowSeed(windowRecords, windowCap/128, 0), windowRecords, 0},
+		"within both, a head record inside": {windowSeed(windowRecords, 0, windowRecords/2), windowRecords, 0},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s, rec, err := openSegment(t, c.seed)

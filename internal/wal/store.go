@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,6 +51,36 @@ const (
 
 // newWindow is the rule of the journal's window, with no window yet.
 func newWindow() lz.Chain { return lz.Chain{Cap: windowCap, Records: windowRecords} }
+
+// cursor is where the journal's window stands, for the writer and the open
+// scan: the segment, its block records so far, the window's first offset.
+type cursor struct {
+	seg  uint32
+	n    int
+	from int64
+}
+
+// next is the position of a block record that lands in segment seg.
+func (c *cursor) next(seg uint32) int {
+	if seg != c.seg {
+		return 0
+	}
+	return c.n
+}
+
+// add counts in the block record of back whose frame lies at at, and
+// returns its index entry: the frames from its window's first record to
+// its own end.
+func (c *cursor) add(at Loc, back int) Loc {
+	if at.Seg != c.seg {
+		c.seg, c.n = at.Seg, 0
+	}
+	if back == 0 {
+		c.from = at.Off
+	}
+	c.n++
+	return Loc{Seg: at.Seg, Off: c.from, Len: uint32(at.Off + int64(at.Len) - c.from)}
+}
 
 // isBlock reports whether records of type typ carry a block.
 func isBlock(typ byte) bool { return typ == RecBlock || typ == RecHeadBlock }
@@ -291,18 +320,18 @@ type DurableStore struct {
 	// are the replay suffix recovery depends on.
 	pruneFloor uint64
 	opts       StoreOptions
-	// blocks locates every journaled block's record, and segBlocks lists
-	// each segment's block records in log order: what a chained record's
-	// window reaches back to. Both are memory only, rebuilt by the scan at
-	// open: the log is the one copy on disk.
-	blocks    map[cryptoutil.Hash]Loc
-	segBlocks map[uint32][]Loc
+	// blocks locates every journaled block: the frames from the first
+	// record of its window to the end of its own, all a read needs. Memory
+	// only, rebuilt by the scan at open: the log is the one copy on disk.
+	blocks map[cryptoutil.Hash]Loc
 	// enc and zbuf are what LogBlock compresses through: the window's
-	// tables and buffer, and one output buffer, for the store's lifetime;
-	// nothing allocated per block. chain is where the window stands.
+	// tables and buffer, and one output buffer, and frame what every
+	// record is framed in, for the store's lifetime; nothing allocated per
+	// block. chain and cur are where the window stands.
 	enc            lz.Encoder
-	zbuf           []byte
+	zbuf, frame    []byte
 	chain          lz.Chain
+	cur            cursor
 	ckptEnc        lz.Encoder // compresses checkpoints, apart from the window
 	ckptBytes      int        // size of the newest checkpoint file
 	rawBytes       uint64     // canonical-encoding bytes of the blocks journaled this session
@@ -325,15 +354,15 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
+	opts.SegmentSize = min(opts.SegmentSize, 1<<31) // a block's index entry spans at most a segment, in 32 bits
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: data dir: %w", err)
 	}
 	s := &DurableStore{
-		ckpts:     seglog.SideFiles{Dir: dir, Prefix: "ckpt-", Suffix: ".ck", Keep: keepCheckpoints},
-		opts:      opts,
-		blocks:    make(map[cryptoutil.Hash]Loc),
-		segBlocks: make(map[uint32][]Loc),
-		chain:     newWindow(),
+		ckpts:  seglog.SideFiles{Dir: dir, Prefix: "ckpt-", Suffix: ".ck", Keep: keepCheckpoints},
+		opts:   opts,
+		blocks: make(map[cryptoutil.Hash]Loc),
+		chain:  newWindow(),
 	}
 	rec := &Recovery{store: s}
 	var (
@@ -351,7 +380,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
 			back, size, h, derr := header(r, &hdr)
-			if derr != nil || !links.Admit(len(s.segBlocks[at.Seg]), back, size) {
+			if derr != nil || !links.Admit(s.cur.next(at.Seg), back, size) {
 				// CRC-valid but uninflatable, undecodable or out of its
 				// window: stop collecting here so the recovered chain
 				// stays a clean prefix.
@@ -359,8 +388,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 				return nil
 			}
 			hash := h.Hash()
-			s.blocks[hash] = at
-			s.segBlocks[at.Seg] = append(s.segBlocks[at.Seg], at)
+			s.blocks[hash] = s.cur.add(at, back)
 			rec.Blocks++
 			rec.tipHeight = max(rec.tipHeight, h.Height)
 			if r.Type == RecHeadBlock {
@@ -478,11 +506,11 @@ func (s *DurableStore) logBlock(typ byte, b *types.Block) error {
 	// reloaded — which is also the first after a failed append. The
 	// segment asked is the longest payload's: a record that lands in the
 	// one before restarts there.
-	seg := s.lands(1 + lz.MaxEncodedLen(b.Size()))
+	seg := uint32(s.log.Lands(seglog.FrameHeaderLen + recordHeaderLen + 1 + lz.MaxEncodedLen(b.Size())))
 	win := s.enc.Window()
 	in := b.AppendStored(win)
 	size := len(in) - len(win)
-	back := s.chain.Back(len(s.segBlocks[seg]), size)
+	back := s.chain.Back(s.cur.next(seg), size)
 	if back == 0 {
 		// The form moves to the front of the buffer it was appended to,
 		// which may have outgrown the window's: a copy that overlaps.
@@ -495,9 +523,8 @@ func (s *DurableStore) logBlock(typ byte, b *types.Block) error {
 	if err != nil {
 		return err
 	}
-	s.chain.Admit(len(s.segBlocks[at.Seg]), back, size)
-	s.blocks[b.Hash()] = at
-	s.segBlocks[at.Seg] = append(s.segBlocks[at.Seg], at)
+	s.chain.Admit(s.cur.next(at.Seg), back, size)
+	s.blocks[b.Hash()] = s.cur.add(at, back)
 	s.rawBytes += uint64(b.Size())
 	return nil
 }
@@ -530,25 +557,19 @@ func (s *DurableStore) HasBlock(h cryptoutil.Hash) bool {
 	return ok
 }
 
-// ReadBlock reads block h back from its journal record, CRC-checked,
-// inflated and decoded: ErrNoBlock if the journal does not hold it,
-// otherwise the block or the reason the record could not be read. A
-// chained record is inflated after the records of its window before it,
-// at most windowRecords in all, and any of them damaged makes it damaged
-// too. A block is readable from the moment LogBlock returned, fsynced or
-// not. The lock is held once, for the index and the segment's read
-// handle (a window never crosses segments); a handle closed under the
-// read by a rotation is taken again once.
+// ReadBlock reads block h back from its journal record, inflated and
+// decoded (readBlock): ErrNoBlock if the journal does not hold it,
+// otherwise the block or the reason the record could not be read; any
+// damaged frame of its window up to it makes it damaged too. A block is
+// readable from the moment LogBlock returned, fsynced or not. The lock is
+// held once, for the index and the segment's read handle (a window never
+// crosses segments); a handle closed under the read by a rotation is
+// taken again once.
 func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
-	var before [windowRecords - 1]Loc
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		at, ok := s.blocks[h]
-		locs := s.segBlocks[at.Seg]
-		k := sort.Search(len(locs), func(i int) bool { return locs[i].Off >= at.Off })
-		prev := before[:copy(before[:], locs[max(0, k-len(before)):k])]
-		var f io.ReaderAt
-		err := seglog.ErrClosed
+		f, err := io.ReaderAt(nil), seglog.ErrClosed
 		if ok && !s.log.Closed() {
 			f, err = s.log.Reader(uint64(at.Seg))
 		}
@@ -559,7 +580,7 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 		var b *types.Block
 		if err == nil {
 			var form, sigs []byte
-			if form, sigs, err = inflateAt(f, at, prev); err == nil {
+			if form, sigs, err = readBlock(f, at); err == nil {
 				if b, err = types.DecodeStoredBlock(form, sigs); err != nil {
 					err = fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
 				}
@@ -577,48 +598,39 @@ func (s *DurableStore) ReadBlock(h cryptoutil.Hash) (*types.Block, error) {
 	}
 }
 
-// inflateAt returns the storage form and the signatures the block record
-// at at carries, read through f, a read handle of its segment, inflating
-// first the storage forms its window reaches back to, the last of prev:
-// the block records before it in its segment, in log order. Those are
-// read at once, the bytes from the first to the record: a window never
-// crosses a segment, and only a rare head record lies between two of its
-// records.
-func inflateAt(f io.ReaderAt, at Loc, prev []Loc) (form, sigs []byte, err error) {
-	rec, err := readRecord(f, at)
-	if err != nil {
-		return nil, nil, err
+// readBlock returns the storage form and the signatures of the block
+// record that ends span at, read through f, a read handle of its segment,
+// in one read: the frames of its window up to it, checked as the open
+// scan checks them. Its block records are inflated in order, each at its
+// ordinal in the span, so the chain refuses one past the window's
+// records; head records are skipped. The last frame must be a block's.
+func readBlock(f io.ReaderAt, at Loc) (form, sigs []byte, err error) {
+	span := make([]byte, at.Len)
+	if _, err := f.ReadAt(span, at.Off); err != nil {
+		return nil, nil, fmt.Errorf("wal: read window: %w", err)
 	}
-	back, _, size, err := blockPayload(rec)
-	if err != nil {
-		return nil, nil, err
+	var held [windowRecords]Record
+	recs, size, last := held[:0], 0, byte(0)
+	err = format.Frames(span, at.Off, func(_ int64, body []byte) error {
+		rec, ok := decodeRecord(body)
+		if !ok {
+			return fmt.Errorf("%w: short record body", seglog.ErrDamaged)
+		}
+		if last = rec.Type; isBlock(last) {
+			_, _, n, _ := blockPayload(rec) // 0 for a payload that does not split
+			recs, size = append(recs, rec), size+n
+		}
+		return nil
+	})
+	if err == nil && !isBlock(last) {
+		err = fmt.Errorf("%w: the bytes read do not end in a block record", seglog.ErrDamaged)
 	}
-	prev = prev[max(0, len(prev)-back):] // a back past them does not inflate
-	var held [windowRecords - 1]Record
-	recs := held[:len(prev)]
 	z := newWindow()
-	if len(prev) > 0 {
-		from := prev[0].Off
-		span := make([]byte, at.Off-from)
-		if _, err := f.ReadAt(span, from); err != nil {
-			return nil, nil, fmt.Errorf("wal: read window: %w", err)
-		}
-		for i, l := range prev {
-			if recs[i], err = frameRecord(span, from, l); err != nil {
-				return nil, nil, err
-			}
-			if _, _, n, err := blockPayload(recs[i]); err == nil {
-				size += n
-			}
-		}
-		z.Grow(min(size, windowCap)) // the window's forms, in one buffer
+	z.Grow(min(size, windowCap)) // the window's forms, in one buffer
+	for i := 0; err == nil && i < len(recs); i++ {
+		form, sigs, err = inflate(&z, recs[i], i)
 	}
-	for i, r := range recs {
-		if _, _, err := inflate(&z, r, i); err != nil {
-			return nil, nil, err
-		}
-	}
-	return inflate(&z, rec, len(prev))
+	return form, sigs, err
 }
 
 // CheckpointDue reports whether a head at height has advanced at least

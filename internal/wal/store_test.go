@@ -153,6 +153,26 @@ func TestHeadBlockRecord(t *testing.T) {
 	}
 }
 
+// TestLogHeadBlockAllocs: journaling a block frames its record into a
+// buffer the store keeps, as it compresses into one: one allocation an
+// append, where a fresh frame for every record made it two.
+func TestLogHeadBlockAllocs(t *testing.T) {
+	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
+	defer s.Close()
+	blocks := transferBlocks(t, 64, 20)
+	logBlocks(t, s, blocks) // the buffers grow, the index holds every hash
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.LogHeadBlock(blocks[i%len(blocks)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations an append, want at most 1", allocs)
+	}
+}
+
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})

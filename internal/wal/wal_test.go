@@ -40,7 +40,8 @@ func appendRec(s *DurableStore, typ byte, payload []byte) (uint64, Loc, error) {
 	return s.appendLocked(typ, payload)
 }
 
-// recordAt reads back the record at at.
+// recordAt reads back the last record of the frames at at: a record's
+// own frame, or a block's index entry, which ends in its record.
 func recordAt(t testing.TB, s *DurableStore, at Loc) Record {
 	t.Helper()
 	s.mu.Lock()
@@ -49,8 +50,18 @@ func recordAt(t testing.TB, s *DurableStore, at Loc) Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := readRecord(f, at)
-	if err != nil {
+	span := make([]byte, at.Len)
+	if _, err := f.ReadAt(span, at.Off); err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := format.Frames(span, at.Off, func(_ int64, body []byte) error {
+		var ok bool
+		if rec, ok = decodeRecord(body); !ok {
+			return seglog.ErrDamaged
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return rec

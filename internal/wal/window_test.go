@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -244,19 +245,26 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 	logBlocks(t, s, blocks[24:])
 
 	chained := 0
-	for seg, locs := range s.segBlocks {
-		for i, at := range locs {
-			back, _, _, _ := blockPayload(recordAt(t, s, at))
-			if i == 0 && back != 0 || back > i {
-				t.Fatalf("segment %d, block record %d: back %d reaches out of the segment", seg, i, back)
-			}
-			if back > 0 {
-				chained++
-			}
+	perSeg := map[uint32]int{} // block records so far in each segment
+	if _, _, err := s.scan(s.log.Segments(), func(r Record, at Loc) error {
+		if !isBlock(r.Type) {
+			return nil
 		}
+		i := perSeg[at.Seg]
+		perSeg[at.Seg]++
+		back, _, _, _ := blockPayload(r)
+		if i == 0 && back != 0 || back > i {
+			t.Fatalf("segment %d, block record %d: back %d reaches out of the segment", at.Seg, i, back)
+		}
+		if back > 0 {
+			chained++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if len(s.segBlocks) < 4 || chained == 0 {
-		t.Fatalf("%d segments, %d chained records: the case is not exercised", len(s.segBlocks), chained)
+	if len(perSeg) < 4 || chained == 0 {
+		t.Fatalf("%d segments, %d chained records: the case is not exercised", len(perSeg), chained)
 	}
 
 	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
@@ -274,9 +282,9 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 	if len(kept) == len(blocks) || len(kept) < 16 {
 		t.Fatalf("%d of %d blocks kept", len(kept), len(blocks))
 	}
-	for seg := range s.segBlocks {
-		if seg < uint32(s.log.Segments()[0]) {
-			t.Fatalf("segment %d was pruned and is still listed", seg)
+	for h, at := range s.blocks {
+		if at.Seg < uint32(s.log.Segments()[0]) {
+			t.Fatalf("block %s of pruned segment %d is still indexed", h.Short(), at.Seg)
 		}
 	}
 	readsBack(t, s, kept)
@@ -312,7 +320,8 @@ func TestDamageInsideWindow(t *testing.T) {
 			s, _ := openStoreT(t, dir, opts)
 			logBlocks(t, s, blocks)
 			at := s.blocks[blocks[bad].Hash()]
-			back, body, _, _ := blockPayload(recordAt(t, s, at))
+			r := recordAt(t, s, at)
+			back, body, _, _ := blockPayload(r)
 			if back != bad {
 				t.Fatalf("back %d, want %d", back, bad)
 			}
@@ -323,7 +332,10 @@ func TestDamageInsideWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame := data[at.Off : at.Off+int64(at.Len)]
+			// The index entry spans the window up to the block; its frame
+			// is the last.
+			to := at.Off + int64(at.Len)
+			frame := data[to-int64(seglog.FrameHeaderLen+recordHeaderLen+len(r.Payload)) : to]
 			payload := frame[seglog.FrameHeaderLen+recordHeaderLen:]
 			if crcValid {
 				// The last element overruns the declared length; the CRC
@@ -359,6 +371,113 @@ func TestDamageInsideWindow(t *testing.T) {
 				t.Fatalf("Truncated = %d, want %d", recov.Truncated, wantTruncated)
 			}
 		})
+	}
+}
+
+// headInsideWindow journals blocks, a node's way, into a fresh store in
+// dir, with a head switch on its own, a reorg back to blocks[reorg-1],
+// after blocks[reorg-1]: a head record inside the first window. It
+// returns the store and where the head record lies.
+func headInsideWindow(t *testing.T, dir string, blocks []*types.Block, reorg int) (*DurableStore, Loc) {
+	t.Helper()
+	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
+	logBlocks(t, s, blocks[:reorg])
+	if err := s.LogHead(blocks[reorg-1].Hash()); err != nil {
+		t.Fatal(err)
+	}
+	logBlocks(t, s, blocks[reorg:])
+	var head []Loc
+	if _, _, err := s.scan(s.log.Segments(), func(r Record, at Loc) error {
+		if r.Type == RecHead {
+			head = append(head, at)
+		}
+		return nil
+	}); err != nil || len(head) != 1 {
+		t.Fatalf("%d head records: %v", len(head), err)
+	}
+	if b := backOf(t, s, blocks[reorg].Hash()); b != reorg {
+		t.Fatalf("the block after the head record has back %d, want %d: the window does not hold it", b, reorg)
+	}
+	return s, head[0]
+}
+
+// countingReader counts the reads made through it.
+type countingReader struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestReadBlockIsOneRead: what ReadBlock reads a block through makes one
+// positioned read of its segment, for the first, a middle and the last
+// record of a window, and for a record whose window holds a head record
+// before it.
+func TestReadBlockIsOneRead(t *testing.T) {
+	const reorg = 20
+	blocks := transferBlocks(t, 60, 20)
+	s, _ := headInsideWindow(t, t.TempDir(), blocks, reorg)
+	defer s.Close()
+	backs := wantBacks(blocks)
+	last := slices.Index(backs[1:], 0) // the last record of the first window
+	if last < 0 {
+		last = len(blocks) - 1
+	}
+	for name, i := range map[string]int{"first": 0, "middle": reorg / 2, "last": last, "after a head record": reorg + 1} {
+		h := blocks[i].Hash()
+		s.mu.Lock()
+		at := s.blocks[h]
+		f, err := s.log.Reader(uint64(at.Seg))
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &countingReader{r: f}
+		form, sigs, err := readBlock(c, at)
+		if err != nil {
+			t.Fatalf("%s of a window, block %d: %v", name, i, err)
+		}
+		if b, err := types.DecodeStoredBlock(form, sigs); err != nil || b.Hash() != h {
+			t.Fatalf("%s of a window, block %d: another block, or %v", name, i, err)
+		}
+		if c.reads != 1 {
+			t.Fatalf("%s of a window, block %d: %d reads, want 1", name, i, c.reads)
+		}
+	}
+}
+
+// TestDamagedHeadRecordInsideWindow: a head record that rots inside a
+// window makes the block records of the window after it unreadable, each
+// an ErrDamaged naming its block: a read checks every frame it reads.
+// Those before it, and the next window's, read as before.
+func TestDamagedHeadRecordInsideWindow(t *testing.T) {
+	const reorg = 20
+	blocks := transferBlocks(t, 120, 20)
+	end := slices.Index(wantBacks(blocks)[1:], 0) + 1 // where the first window ends
+	if end <= reorg+1 || end == len(blocks) {
+		t.Fatalf("the first window holds %d of %d records: the case is not exercised", end, len(blocks))
+	}
+	dir := t.TempDir()
+	s, head := headInsideWindow(t, dir, blocks, reorg)
+	defer s.Close()
+	path := filepath.Join(dir, "wal", format.SegmentName(uint64(head.Seg)))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[head.Off+int64(head.Len)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		_, err := s.ReadBlock(b.Hash())
+		damaged := i >= reorg && i < end
+		if damaged != (err != nil) || damaged && (!errors.Is(err, seglog.ErrDamaged) || !strings.Contains(err.Error(), b.Hash().Short())) {
+			t.Fatalf("ReadBlock of block %d: err = %v; want damaged %v, naming %s", i, err, damaged, b.Hash().Short())
+		}
 	}
 }
 
