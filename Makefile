@@ -120,7 +120,10 @@ trace-demo:
 # than the checkpoint cadence must keep what the checkpoints name, contract
 # storage and code included (TestCrashMatrixSweepKeepsCheckpointRoots); a
 # checkpoint that carries a snapshot must open on the disk backend
-# (TestCrashMatrixSnapshotCheckpointOnDisk); a block refused because the
+# (TestCrashMatrixSnapshotCheckpointOnDisk); a CRC-valid journal record
+# recovery cannot use must be cut at the next open, so the blocks
+# journaled after it survive the restart after that
+# (TestRecoverPastUnusableRecord); a block refused because the
 # state store could not be read must connect once it can
 # (TestStateReadErrorIsNotARejection); a state/ directory in the node
 # store's previous format is refused untouched and, removed as the refusal
@@ -131,7 +134,7 @@ trace-demo:
 # frame and leave every checkpointed root walkable (see
 # docs/PERSISTENCE.md).
 crash-matrix:
-	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestStateReadErrorIsNotARejection|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain' -v
+	$(GO) test -race -count=1 ./internal/node -run 'TestCrashMatrix|TestStateReadErrorIsNotARejection|TestCleanShutdownRecoversExactHead|TestRecoverThenContinue|TestRecoverReorgedChain|TestRecoverPastUnusableRecord' -v
 	$(GO) test -race -count=1 ./internal/nodestore -run TestCrashMatrixNodeStore -v
 
 # The heap gates, without -short: a running durable node's live heap does

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -241,5 +243,47 @@ func TestBlockEndpointReadsOldBodiesBack(t *testing.T) {
 	}
 	if n.Metrics().BodyReadErrors == 0 {
 		t.Fatal("the failed read-back was not counted")
+	}
+}
+
+// TestOpenCutIsLogged: a journal whose last segment ends in junk bytes is
+// cut back to its last whole record at the next open, and the daemon says
+// so in one line naming the store and the bytes; a clean reopen logs
+// nothing.
+func TestOpenCutIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+	if err := n.HandleBlock(mineNext(t, n)); err != nil {
+		t.Fatalf("HandleBlock: %v", err)
+	}
+	ds.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	reopen := func() []string {
+		t.Helper()
+		n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+		defer ds.Close()
+		if n.Chain().Height() != 1 {
+			t.Fatalf("recovered height %d, want 1", n.Chain().Height())
+		}
+		var lines []string
+		logOpenCut(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, "the journal", ds.Stats().WAL.TornTruncated)
+		return lines
+	}
+	if lines := reopen(); len(lines) != 1 || !strings.Contains(lines[0], "opening the journal cut 5 byte(s) off its log") {
+		t.Fatalf("logged %q, want one line naming the journal and the 5 bytes", lines)
+	}
+	if lines := reopen(); len(lines) != 0 {
+		t.Fatalf("a clean reopen logged %q", lines)
 	}
 }

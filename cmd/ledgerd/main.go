@@ -209,6 +209,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		defer ds.Close()
 		log.Printf("durable store at %s (fsync=%s, checkpoint-every=%d): %d block(s) journaled, tip height %d",
 			*dataDir, fsync.policy, *ckptN, rec.Blocks, rec.TipHeight())
+		logOpenCut(log.Printf, "the journal", ds.Stats().WAL.TornTruncated)
 	}
 
 	// Disk-backed authenticated state: the state lives in a node store
@@ -231,6 +232,7 @@ func run(args []string, stop <-chan os.Signal) error {
 		}
 		defer ns.Close()
 		log.Printf("disk state backend at %s (cache %d MiB)", ns.Dir(), *cacheB>>20)
+		logOpenCut(log.Printf, "the state store", ns.Stats().TornBytes)
 	default:
 		return fmt.Errorf("unknown -state-backend %q (want memory|disk)", *backend)
 	}
@@ -308,6 +310,14 @@ func logShortRecovery(logf func(string, ...any), n *node.Node, rec *wal.Recovery
 	if m := n.Metrics(); m.BlocksRejected > 0 || m.RecoveryReroots > 0 {
 		logf("recovery did not take the whole journal: journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, -interval %s (PoW's retarget target: blocks mined under another interval fail their seals)",
 			rec.TipHeight(), n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots, interval)
+	}
+}
+
+// logOpenCut logs, through logf, one line when opening store cut bytes
+// off its log: a torn tail, or a record recovery cannot use and the rest.
+func logOpenCut(logf func(string, ...any), store string, bytes uint64) {
+	if bytes > 0 {
+		logf("opening %s cut %d byte(s) off its log: a torn tail, or a record recovery cannot use, and everything behind it", store, bytes)
 	}
 }
 

@@ -32,20 +32,38 @@ import (
 	"dcsledger/internal/node"
 	"dcsledger/internal/nodestore"
 	"dcsledger/internal/obs"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
+	"dcsledger/internal/wal"
 	"dcsledger/internal/wallet"
 )
+
+// tempWAL opens a durable store in a directory of the test's own.
+func tempWAL(t *testing.T) *wal.DurableStore {
+	t.Helper()
+	ds, _, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: seglog.SyncNever})
+	if err != nil {
+		t.Fatalf("wal.OpenStore: %v", err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
 
 func testServer(t *testing.T, alloc map[cryptoutil.Address]uint64) (*httptest.Server, *node.Node) {
 	t.Helper()
 	return testServerOn(t, alloc, nil)
 }
 
-// testServerOn is testServer over the disk state backend when ns is set.
+// testServerOn is testServer over the disk state backend when ns is set,
+// with the WAL that backend requires.
 func testServerOn(t *testing.T, alloc map[cryptoutil.Address]uint64, ns *nodestore.Store) (*httptest.Server, *node.Node) {
 	t.Helper()
+	var ds *wal.DurableStore
+	if ns != nil {
+		ds = tempWAL(t)
+	}
 	executor := contract.NewExecutor(contract.NewRegistry())
 	n, err := node.New(node.Config{
 		ID:  "api-test",
@@ -61,6 +79,7 @@ func testServerOn(t *testing.T, alloc map[cryptoutil.Address]uint64, ns *nodesto
 		Executor:   executor,
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.Wall{},
+		Durable:    ds,
 		DiskState:  ns,
 	})
 	if err != nil {
@@ -749,6 +768,7 @@ func TestReadHandlersAnswer503OnStateReadError(t *testing.T) {
 		Executor:   executor,
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.Wall{},
+		Durable:    tempWAL(t),
 		DiskState:  ns,
 	})
 	if err != nil {

@@ -13,16 +13,19 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/nodestore"
+	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
 	"dcsledger/internal/state"
 	"dcsledger/internal/types"
+	"dcsledger/internal/wal"
 )
 
 // BenchmarkConnectBlock times HandleBlock of one block (a coinbase and 8
 // signed transfers between funded senders and idle accounts) on a node
 // whose state already holds 1 K or 100 K accounts — 1 M as well with
 // DCS_STATE_KEYS=1000000, the opt-in internal/mpt's large-state test
-// uses — on each state backend, and reports the live heap the node is
+// uses — on each state backend (the disk one journaling into a WAL, which
+// it requires), and reports the live heap the node is
 // left with (heap-MB: everything the benchmark itself built is dropped
 // first). ROADMAP item 4 asks for the sizes to cost the same: a block's
 // work is what it touches, not what exists. The chain is built and
@@ -93,7 +96,12 @@ func benchConnectBlock(b *testing.B, accounts int, disk bool) {
 		// Everything the store was handed, genesis flush and what sweeps
 		// copied forward included.
 		defer func() { b.ReportMetric(float64(ns.Stats().Bytes)/(1<<20), "store-MB") }()
-		cfg.DiskState = ns
+		ds, _, err := wal.OpenStore(b.TempDir(), wal.StoreOptions{Fsync: seglog.SyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ds.Close()
+		cfg.Durable, cfg.DiskState = ds, ns
 	}
 	n, err := New(cfg)
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"dcsledger/internal/nodestore"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/state"
-	"dcsledger/internal/wal"
 )
 
 // diskPruneEvery is how many blocks pass between mark-and-compact sweeps
@@ -108,36 +107,25 @@ func (n *Node) persistTrieLocked(height uint64, st *state.State, rewrite bool) e
 // checkpointLocked runs the durability cadence for the new head tip:
 // when a checkpoint is due, the head's trie is flushed to the disk
 // backend first and the WAL checkpoint is published only if that
-// succeeded. A disk backend without a WAL flushes on the WAL's default
-// cadence. Caller holds n.mu.
+// succeeded. Caller holds n.mu.
 func (n *Node) checkpointLocked(tip cryptoutil.Hash) {
 	ds := n.cfg.Durable
-	if ds == nil && n.disk == nil {
+	if ds == nil {
 		return
 	}
 	hb, ok := n.tree.Get(tip)
-	if !ok {
-		return
-	}
-	height := hb.Header.Height
-	if ds != nil {
-		if ds.Failed() != nil || !ds.CheckpointDue(height) {
-			return
-		}
-	} else if height < n.disk.flushedHeight+wal.DefaultCheckpointEvery {
+	if !ok || ds.Failed() != nil || !ds.CheckpointDue(hb.Header.Height) {
 		return
 	}
 	st, err := n.stateOfLocked(tip)
 	if err != nil {
 		return
 	}
-	if err := n.persistTrieLocked(height, st, false); err != nil {
+	if err := n.persistTrieLocked(hb.Header.Height, st, false); err != nil {
 		return
 	}
-	if ds != nil {
-		if err := ds.Checkpoint(hb, hb.Header.StateRoot, st); err != nil {
-			n.metrics.WALAppendErrors++
-		}
+	if err := ds.Checkpoint(hb, hb.Header.StateRoot, st); err != nil {
+		n.metrics.WALAppendErrors++
 	}
 	n.pruneDiskLocked()
 }
@@ -196,10 +184,8 @@ func (n *Node) pruneDiskLocked() {
 		}
 	}
 	keep(n.baseState.Commit())
-	if n.cfg.Durable != nil {
-		for _, root := range n.cfg.Durable.CheckpointRoots() {
-			keep(root)
-		}
+	for _, root := range n.cfg.Durable.CheckpointRoots() {
+		keep(root)
 	}
 	var under []cryptoutil.Hash
 	for _, st := range n.states {

@@ -55,6 +55,27 @@ type diskOpts struct {
 	memory    bool  // no node store: the memory backend over the same WAL
 }
 
+// TestDiskStateRequiresDurable: the disk backend flushes when the WAL
+// checkpoints, so New refuses one without a durable store.
+func TestDiskStateRequiresDurable(t *testing.T) {
+	ns, err := nodestore.Open(t.TempDir(), nodestore.Options{Sync: nodestore.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	n, err := New(Config{
+		ID:         "d0",
+		Key:        cryptoutil.KeyFromSeed([]byte("diskstate-node")),
+		Engine:     liteEngine(7),
+		ForkChoice: forkchoice.LongestChain{},
+		Genesis:    NewGenesis("diskstate-test"),
+		DiskState:  ns,
+	})
+	if n != nil || err == nil || !strings.Contains(err.Error(), "durable store") {
+		t.Fatalf("New = %v, %v; want a refusal naming the durable store", n, err)
+	}
+}
+
 // diskNode opens dir the way ledgerd does with -state-backend=disk —
 // WAL and checkpoints in dir, node store in dir/state — and recovers a
 // node from whatever is there. Tiny node-store segments, so compaction

@@ -1,7 +1,10 @@
 package node
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -344,5 +347,61 @@ func TestCrashMatrixAggressivePrune(t *testing.T) {
 	}
 	if got := n2.Chain().Height(); got != preHeight+4 {
 		t.Fatalf("post-recovery height %d, want %d", got, preHeight+4)
+	}
+}
+
+// TestRecoverPastUnusableRecord: a CRC-valid record the journal cannot
+// use — a RecBlock holding "not a block", as a writer bug would leave it
+// behind the last block — is cut by the next open with everything behind
+// it, so the blocks the recovered node journals take its place and
+// survive the restart after that, each reading back from the journal.
+// While such a record stayed on disk, every block journaled behind it was
+// dropped again at the next open.
+func TestRecoverPastUnusableRecord(t *testing.T) {
+	const n, m = 10, 6
+	dir := t.TempDir()
+	n1, ds1, genesis := durableNode(t, dir, seglog.SyncAlways)
+	bd := newChainBuilder(t, genesis)
+	blocks := bd.chain(genesis, n+m, cryptoutil.KeyFromSeed([]byte("unusable-miner")).Address())
+	for _, b := range blocks[:n] {
+		if err := n1.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock: %v", err)
+		}
+	}
+	hdr := binary.BigEndian.AppendUint64(nil, ds1.Stats().WAL.LastSeq+1)
+	frame := seglog.AppendFrame(nil, append(hdr, wal.RecBlock), []byte("not a block"))
+	ds1.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment: %v", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	n2, ds2, _ := durableNode(t, dir, seglog.SyncAlways)
+	if h, cut := n2.Chain().Height(), ds2.Stats().WAL.TornTruncated; h != n || cut != uint64(len(frame)) {
+		t.Fatalf("restart: height %d, %d bytes cut; want %d, the record's %d", h, cut, n, len(frame))
+	}
+	for _, b := range blocks[n:] {
+		if err := n2.HandleBlock(b); err != nil {
+			t.Fatalf("HandleBlock after the restart: %v", err)
+		}
+	}
+	ds2.Close()
+
+	n3, ds3, _ := durableNode(t, dir, seglog.SyncAlways)
+	if h := n3.Chain().Height(); h != n+m || n3.Chain().Head() != blocks[n+m-1].Hash() {
+		t.Fatalf("second restart: height %d, head %s; want %d, %s", h, n3.Chain().Head().Short(), n+m, blocks[n+m-1].Hash().Short())
+	}
+	for _, b := range blocks[n:] {
+		if got, err := ds3.ReadBlock(b.Hash()); err != nil || got.Hash() != b.Hash() {
+			t.Fatalf("block %d journaled after the restart: %v", b.Header.Height, err)
+		}
 	}
 }

@@ -100,8 +100,8 @@ type Config struct {
 	// DiskState, when non-nil, backs the state with a persistent node
 	// store: account and storage tries and contract code resolve from
 	// disk through the store's bounded cache, what was written since the
-	// last flush goes there at checkpoint cadence, and Merkle proofs are
-	// served for the head (see diskstate.go).
+	// last flush goes there when Durable checkpoints, and Merkle proofs
+	// are served for the head (see diskstate.go). It requires Durable.
 	DiskState *nodestore.Store
 	// ExecWorkers is the optimistic parallel-execution width for block
 	// connect (see internal/exec). 0 keeps the serial ApplyBlock path.
@@ -253,6 +253,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Engine == nil || cfg.ForkChoice == nil {
 		return nil, errors.New("node: engine and fork choice required")
+	}
+	if cfg.DiskState != nil && cfg.Durable == nil {
+		return nil, errors.New("node: a disk state backend requires a durable store")
 	}
 	if cfg.MaxBlockTxs <= 0 {
 		cfg.MaxBlockTxs = 256

@@ -258,15 +258,21 @@ func TestCrashMatrixSnapshotCheckpointOnDisk(t *testing.T) {
 	c.check(t, n3)
 }
 
-// heapTestNode returns a disk-backend node over ns whose genesis funds
-// the given number of accounts, 133 blocks in: blocks that touch accounts
-// all over the trie, past two flushes, a detach of the head state and the
-// release of older tries. Nothing it built along the way is returned.
+// heapTestNode returns a disk-backend node over ns, journaling into a WAL
+// of its own, whose genesis funds the given number of accounts, 133
+// blocks in: blocks that touch accounts all over the trie, past two
+// flushes, a detach of the head state and the release of older tries.
+// Nothing it built along the way is returned.
 func heapTestNode(t *testing.T, ns *nodestore.Store, accounts int) (*Node, cryptoutil.Address) {
 	alloc := make(map[cryptoutil.Address]uint64, accounts)
 	for i := 0; i < accounts; i++ {
 		alloc[cryptoutil.AddressFromHash(cryptoutil.HashUint64("heap-accounts", uint64(i)))] = 1000
 	}
+	ds, _, err := wal.OpenStore(t.TempDir(), wal.StoreOptions{Fsync: seglog.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
 	genesis := NewGenesis("heap-accounts")
 	n, err := New(Config{
 		ID:         "h0",
@@ -277,6 +283,7 @@ func heapTestNode(t *testing.T, ns *nodestore.Store, accounts int) (*Node, crypt
 		Alloc:      alloc,
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.NewSimulator(),
+		Durable:    ds,
 		DiskState:  ns,
 	})
 	if err != nil {

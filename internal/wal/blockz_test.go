@@ -120,8 +120,8 @@ func TestJournalBytesPerTransfer(t *testing.T) {
 			}
 			// What was saved is still there: every block reads back.
 			s2, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
-			if rec.Blocks != c.nBlocks || rec.Head != blocks[c.nBlocks-1].Hash() || rec.Truncated != 0 {
-				t.Fatalf("reopen: %d blocks, head %s, truncated %d", rec.Blocks, rec.Head.Short(), rec.Truncated)
+			if cut := s2.Stats().WAL.TornTruncated; rec.Blocks != c.nBlocks || rec.Head != blocks[c.nBlocks-1].Hash() || cut != 0 {
+				t.Fatalf("reopen: %d blocks, head %s, %d bytes cut", rec.Blocks, rec.Head.Short(), cut)
 			}
 			readsBack(t, s2, blocks)
 		})
@@ -205,9 +205,9 @@ func lastElement(t *testing.T, enc []byte) int {
 }
 
 // TestUninflatableRecordStopsCollection: a CRC-valid RecBlock whose
-// header prefix does not inflate ends the journal at the open-time scan,
-// counted in Truncated with everything behind it, like one that is not a
-// block.
+// header prefix does not inflate is damage to the open-time scan, which
+// cuts the journal there with everything behind it, as for one that is
+// not a block.
 func TestUninflatableRecordStopsCollection(t *testing.T) {
 	blocks := transferBlocks(t, 3, 4)
 	for name, payload := range map[string][]byte{
@@ -221,20 +221,16 @@ func TestUninflatableRecordStopsCollection(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := appendRec(s, RecBlock, payload); err != nil {
+			seq, at, err := appendRec(s, RecBlock, payload)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
 				t.Fatal(err)
 			}
-			s.Close()
-
-			_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			_, rec := reopenCut(t, s, dir, StoreOptions{Fsync: seglog.SyncAlways}, seq, at)
 			if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
 				t.Fatalf("recovered %d blocks, want the 1 before the bad record", len(got))
-			}
-			if rec.Truncated != 2 {
-				t.Fatalf("Truncated = %d, want 2 (bad record + dropped successor)", rec.Truncated)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/lz"
 	"dcsledger/internal/seglog"
+	"dcsledger/internal/types"
 )
 
 // FuzzWALRecordDecode throws arbitrary bytes at the frame decoder and
@@ -26,7 +27,12 @@ import (
 //     torn-tail repair turns ANY trailing garbage into a clean prefix;
 //  4. every block that store indexes reads back through ReadBlock as the
 //     block its hash names, or as an error wrapping seglog.ErrDamaged,
-//     never another block.
+//     never another block;
+//  5. a block the store acknowledged survives the next open: Replay of
+//     the opened segment either refuses a record, as damage, and leaves
+//     the store refusing appends, or delivers what the open kept, and
+//     then a block journaled behind it is indexed after the next open,
+//     delivered last by Replay and read back.
 func FuzzWALRecordDecode(f *testing.F) {
 	// Seed corpus: valid frames, a truncation, and a bit flip.
 	valid := appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
@@ -48,6 +54,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 	binary.BigEndian.PutUint32(huge[0:4], MaxRecordLen+1)
 	f.Add(huge) // oversized length field
 	f.Add([]byte{})
+	f.Add(appendFrame(windowSeed(1, 0, 0), Record{Seq: 2, Type: RecBlock, Payload: []byte("not a block")})) // cut behind a valid record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1+2: the first frame, read through the shared scanner
@@ -73,7 +80,7 @@ func FuzzWALRecordDecode(f *testing.F) {
 
 		// Property 3: segment-level repair. Build a segment whose record
 		// area is the fuzz input and open the store over it.
-		s, _, err := openSegment(t, data)
+		s, _, err := openSegment(t, t.TempDir(), data)
 		if err != nil {
 			return // I/O errors are acceptable; panics are not
 		}
@@ -98,7 +105,55 @@ func FuzzWALRecordDecode(f *testing.F) {
 		if seq, _, err := appendRec(s, RecBlock, []byte("post-repair")); err != nil || seq != want {
 			t.Fatalf("append after repair: seq=%d err=%v, want %d", seq, err, want)
 		}
+
+		// Property 5, on a store of its own: the record property 3 appends
+		// is not a block, and the next open cuts it.
+		survivesReopen(t, data)
 	})
+}
+
+// survivesReopen opens a store over a segment whose record area is data,
+// replays it and, unless the replay refuses a record, journals a block
+// and requires the next open to keep it: indexed, delivered last by
+// Replay, and read back.
+func survivesReopen(t *testing.T, data []byte) {
+	dir := t.TempDir()
+	s, rec, err := openSegment(t, dir, data)
+	if err != nil {
+		return
+	}
+	defer s.Close()
+	b := testBlocks(3)[2]
+	if err := rec.Replay(func(Journaled) error { return nil }); err != nil {
+		if !errors.Is(err, seglog.ErrDamaged) {
+			t.Fatalf("Replay = %v, want nil or damage", err)
+		}
+		if err := s.LogHeadBlock(b); !errors.Is(err, ErrStoreFailed) {
+			t.Fatalf("LogHeadBlock after a refused replay: err = %v, want ErrStoreFailed", err)
+		}
+		return
+	}
+	if err := s.LogHeadBlock(b); err != nil {
+		t.Fatalf("LogHeadBlock: %v", err)
+	}
+	s.Close()
+	s, rec, err = OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	var last *types.Block
+	if err := rec.Replay(func(j Journaled) error {
+		if j.Block != nil {
+			last = j.Block
+		}
+		return nil
+	}); err != nil || last == nil || last.Hash() != b.Hash() {
+		t.Fatalf("the replay after the reopen: err %v, last block %v; want the block journaled before it", err, last)
+	}
+	if got, err := s.ReadBlock(b.Hash()); err != nil || got.Hash() != b.Hash() {
+		t.Fatalf("ReadBlock of the block journaled before the reopen: %v, %v", got, err)
+	}
 }
 
 // windowSeed is n block records, seq 1 on, each of the n blocks of
@@ -131,11 +186,10 @@ func windowSeed(n, size, head int) []byte {
 	return out
 }
 
-// openSegment opens a store over a journal of one segment, seq 1 on,
-// whose record area is data.
-func openSegment(t *testing.T, data []byte) (*DurableStore, *Recovery, error) {
+// openSegment opens a store in dir over a journal of one segment, seq 1
+// on, whose record area is data.
+func openSegment(t *testing.T, dir string, data []byte) (*DurableStore, *Recovery, error) {
 	t.Helper()
-	dir := t.TempDir()
 	seg := append(append([]byte(segMagic), seqExt(1)...), data...)
 	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
 		t.Fatal(err)
@@ -146,27 +200,40 @@ func openSegment(t *testing.T, data []byte) (*DurableStore, *Recovery, error) {
 	return OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
 }
 
-// TestWindowSeeds: the fuzz seeds of the window's bounds are what they
-// say: a back past the window's records or past its bytes ends the
-// journal there, and a window full within both is collected whole.
+// TestWindowSeeds: the fuzz seeds of the window's bounds and of a record
+// that is not a block are what they say: a back past the window's records
+// or past its bytes, or a record that is not a block, is cut from the
+// journal, and what is before it kept; a window full within both is kept
+// whole.
 func TestWindowSeeds(t *testing.T) {
 	for name, c := range map[string]struct {
-		seed              []byte
-		blocks, truncated int
+		seed, kept []byte // the record area before the open, and after it
+		blocks     int
 	}{
-		"past the records":                  {windowSeed(windowRecords+1, 0, 0), windowRecords, 1},
-		"past the bytes":                    {windowSeed(2, windowCap/2+1, 0), 1, 1},
-		"within both":                       {windowSeed(windowRecords, windowCap/128, 0), windowRecords, 0},
-		"within both, a head record inside": {windowSeed(windowRecords, 0, windowRecords/2), windowRecords, 0},
+		"past the records":                  {windowSeed(windowRecords+1, 0, 0), windowSeed(windowRecords, 0, 0), windowRecords},
+		"past the bytes":                    {windowSeed(2, windowCap/2+1, 0), windowSeed(1, windowCap/2+1, 0), 1},
+		"within both":                       {windowSeed(windowRecords, windowCap/128, 0), windowSeed(windowRecords, windowCap/128, 0), windowRecords},
+		"within both, a head record inside": {windowSeed(windowRecords, 0, windowRecords/2), windowSeed(windowRecords, 0, windowRecords/2), windowRecords},
+		"not a block behind a block": {
+			appendFrame(windowSeed(1, 0, 0), Record{Seq: 2, Type: RecBlock, Payload: []byte("not a block")}), windowSeed(1, 0, 0), 1,
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, rec, err := openSegment(t, c.seed)
+			dir := t.TempDir()
+			s, rec, err := openSegment(t, dir, c.seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if rec.Blocks != c.blocks || rec.Truncated != c.truncated {
-				t.Fatalf("%d blocks, truncated %d; want %d, %d", rec.Blocks, rec.Truncated, c.blocks, c.truncated)
+			if cut := s.Stats().WAL.TornTruncated; rec.Blocks != c.blocks || cut != uint64(len(c.seed)-len(c.kept)) {
+				t.Fatalf("%d blocks, %d bytes cut; want %d, %d", rec.Blocks, cut, c.blocks, len(c.seed)-len(c.kept))
+			}
+			seg, err := os.ReadFile(filepath.Join(dir, "wal", format.SegmentName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(seg[format.HeaderLen():], c.kept) {
+				t.Fatal("the segment after the open is not the records kept")
 			}
 		})
 	}

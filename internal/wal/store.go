@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -167,18 +168,12 @@ type Checkpoint struct {
 // Recovery is what OpenStore found on disk: how many blocks the journal
 // holds, the last durable head switch, and the newest valid checkpoint
 // (nil if none usable). The blocks themselves are not held: Replay
-// streams them from the log.
+// streams them from the log. A record the open-time scan would not hand
+// to Replay was cut, with everything behind it, as a torn tail is.
 type Recovery struct {
 	Blocks     int             // block records in the journal (counted by their headers)
 	Head       cryptoutil.Hash // zero if no head record survived
 	Checkpoint *Checkpoint
-	// Truncated counts journal records dropped because a payload failed
-	// to decode (CRC-valid but semantically unusable — a version skew
-	// or software bug); everything after the first such record is
-	// discarded to preserve prefix semantics. A block whose header
-	// decodes and whose transactions do not is found, and counted, by
-	// Replay.
-	Truncated int
 	// SkippedCheckpoints are the checkpoint files loading read and
 	// refused, newest first: a torn or replaced file is not mistaken for
 	// no file.
@@ -200,10 +195,13 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 
 // Replay streams the journal in log order, one decoded record at a
 // time, so a caller rebuilding a chain from it holds no more blocks
-// than it chooses to keep. Records the open-time scan discarded
-// (Truncated) and records appended since are not delivered. The
-// callback may read blocks back from the store. Call before the store
-// takes new appends.
+// than it chooses to keep. Records appended since the open are not
+// delivered. The callback may read blocks back from the store. Call
+// before the store takes new appends.
+//
+// A block record whose body does not inflate or decode is refused: Replay
+// stops there with an error that wraps seglog.ErrDamaged and names its
+// seq, and latches the store failed, so nothing is appended behind it.
 func (r *Recovery) Replay(fn func(Journaled) error) error {
 	z := newWindow() // one window buffer for every body of the replay
 	pos := 0         // block records so far: the scan admitted every one replayed
@@ -213,40 +211,40 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 	// Opening already repaired the log; damage here means a file changed
 	// underneath us, and replay stops at the valid prefix. The lock is
 	// held only to list the segments, so fn may read the log back.
+	var refused error
 	_, _, err := r.store.scan(segs, func(rec Record, at Loc) error {
 		if rec.Seq > r.lastSeq {
 			return nil
 		}
-		switch rec.Type {
-		case RecBlock, RecHeadBlock:
-			form, sigs, err := inflate(&z, rec, pos)
-			pos++
-			var b *types.Block
-			if err == nil {
-				b, err = types.DecodeStoredBlock(form, sigs)
-			}
-			if err != nil {
-				// The header decoded when the store opened, the rest does
-				// not inflate or does not decode: the journal ends here, as
-				// for any undecodable record (prefix semantics), for this
-				// replay and the next.
-				r.Truncated += int(r.lastSeq - rec.Seq + 1)
-				r.lastSeq = rec.Seq - 1
-				return nil
-			}
-			if err := fn(Journaled{Seq: rec.Seq, Block: b}); err != nil || rec.Type == RecBlock {
-				return err
-			}
-			return fn(Journaled{Seq: rec.Seq, Head: b.Hash()})
-		case RecHead:
-			if len(rec.Payload) == cryptoutil.HashSize {
-				j := Journaled{Seq: rec.Seq}
-				copy(j.Head[:], rec.Payload)
-				return fn(j)
+		if rec.Type == RecHead {
+			j := Journaled{Seq: rec.Seq}
+			copy(j.Head[:], rec.Payload) // the open-time scan admitted hashes only
+			return fn(j)
+		}
+		form, sigs, err := inflate(&z, rec, pos)
+		pos++
+		var b *types.Block
+		if err == nil {
+			if b, err = types.DecodeStoredBlock(form, sigs); err != nil {
+				err = fmt.Errorf("%w: %v", seglog.ErrDamaged, err)
 			}
 		}
-		return nil
+		if err != nil {
+			// Damage ends the scan; the refusal is returned after it.
+			refused = fmt.Errorf("wal: replay: block record %d: %w", rec.Seq, err)
+			return refused
+		}
+		if err := fn(Journaled{Seq: rec.Seq, Block: b}); err != nil || rec.Type == RecBlock {
+			return err
+		}
+		return fn(Journaled{Seq: rec.Seq, Head: b.Hash()})
 	})
+	if refused != nil {
+		r.store.mu.Lock()
+		r.store.failed = cmp.Or(r.store.failed, fmt.Errorf("%w: %v", ErrStoreFailed, refused))
+		r.store.mu.Unlock()
+		return refused
+	}
 	return err
 }
 
@@ -369,23 +367,16 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 		hdr   []byte // what each header inflates into
 		links = newWindow()
 	)
+	// A record Replay would not take is damage: cut there, as a torn tail.
 	err := s.openLog(filepath.Join(dir, "wal"), func(r Record, at Loc) error {
-		if rec.Truncated > 0 {
-			rec.Truncated++
-			return nil
-		}
 		switch r.Type {
 		case RecBlock, RecHeadBlock:
 			// The header is all this pass needs; Replay inflates the body
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
-			back, size, h, derr := header(r, &hdr)
-			if derr != nil || !links.Admit(s.cur.next(at.Seg), back, size) {
-				// CRC-valid but uninflatable, undecodable or out of its
-				// window: stop collecting here so the recovered chain
-				// stays a clean prefix.
-				rec.Truncated++
-				return nil
+			back, size, h, err := header(r, &hdr)
+			if err != nil || !links.Admit(s.cur.next(at.Seg), back, size) {
+				return seglog.ErrDamaged // uninflatable, undecodable or out of its window
 			}
 			hash := h.Hash()
 			s.blocks[hash] = s.cur.add(at, back)
@@ -395,9 +386,12 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 				rec.Head = hash
 			}
 		case RecHead:
-			if len(r.Payload) == cryptoutil.HashSize {
-				copy(rec.Head[:], r.Payload)
+			if len(r.Payload) != cryptoutil.HashSize {
+				return seglog.ErrDamaged
 			}
+			copy(rec.Head[:], r.Payload)
+		default:
+			return seglog.ErrDamaged
 		}
 		rec.lastSeq = r.Seq
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -408,37 +409,134 @@ func TestStoreFailureLatches(t *testing.T) {
 	}
 }
 
+// reopenCut closes s and reopens dir, whose open must cut the journal at
+// the record of seq, whose frame lies at at, and everything behind it:
+// the bytes cut are those of at's segment from at on and of every later
+// segment, and appends resume at seq.
+func reopenCut(t *testing.T, s *DurableStore, dir string, opts StoreOptions, seq uint64, at Loc) (*DurableStore, *Recovery) {
+	t.Helper()
+	want := -at.Off
+	for _, seg := range s.log.Segments() {
+		if seg >= uint64(at.Seg) {
+			fi, err := os.Stat(filepath.Join(dir, "wal", format.SegmentName(seg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += fi.Size()
+		}
+	}
+	s.Close()
+	s, rec := openStoreT(t, dir, opts)
+	if st := s.Stats().WAL; st.TornTruncated != uint64(want) || st.LastSeq != seq-1 {
+		t.Fatalf("the open cut %d bytes and kept the records to seq %d; want %d bytes cut, the records to seq %d kept", st.TornTruncated, st.LastSeq, want, seq-1)
+	}
+	return s, rec
+}
+
+// refusedReplay replays rec, which must refuse block record seq — an
+// error wrapping seglog.ErrDamaged that names it — and leave its store s
+// latched failed, and returns the blocks delivered before the refusal.
+func refusedReplay(t *testing.T, s *DurableStore, rec *Recovery, seq uint64) []Journaled {
+	t.Helper()
+	var out []Journaled
+	err := rec.Replay(func(j Journaled) error {
+		if j.Block != nil {
+			out = append(out, j)
+		}
+		return nil
+	})
+	if !errors.Is(err, seglog.ErrDamaged) || !strings.Contains(err.Error(), fmt.Sprintf("block record %d:", seq)) {
+		t.Fatalf("Replay = %v; want damage naming block record %d", err, seq)
+	}
+	if err := s.LogHeadBlock(testBlocks(1)[0]); !errors.Is(err, ErrStoreFailed) {
+		t.Fatalf("LogHeadBlock after a refused replay: err = %v, want ErrStoreFailed", err)
+	}
+	return out
+}
+
 // TestUndecodablePayloadStopsCollection writes a CRC-valid RecBlock
-// whose payload is not a decodable block: recovery must stop collecting
-// there to preserve prefix semantics.
+// whose payload is not a decodable block: the open-time scan cuts the
+// journal there, that record and the block behind it, as at a torn
+// tail, and recovers the prefix before it.
 func TestUndecodablePayloadStopsCollection(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	opts := StoreOptions{Fsync: seglog.SyncAlways}
+	s, _ := openStoreT(t, dir, opts)
 	blocks := testBlocks(3)
 	if err := s.LogBlock(blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := appendRec(s, RecBlock, []byte("not a block")); err != nil {
+	seq, at, err := appendRec(s, RecBlock, []byte("not a block"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogBlock(blocks[1]); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-	if got := journaledBlocks(t, rec); len(got) != 1 {
+	s, rec := reopenCut(t, s, dir, opts, seq, at)
+	if got := journaledBlocks(t, rec); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
 		t.Fatalf("recovered %d blocks, want 1 (prefix before bad payload)", len(got))
 	}
-	if rec.Truncated != 2 {
-		t.Fatalf("Truncated = %d, want 2 (bad record + dropped successor)", rec.Truncated)
+	if s.HasBlock(blocks[1].Hash()) {
+		t.Fatal("the block behind the cut record is still indexed")
+	}
+}
+
+// TestAppendsResumeAtACutRecord: a block journaled after the open cut an
+// unusable record — one that is not a block, or a chained record out of
+// its window — takes that record's seq, and the next open recovers it:
+// it is indexed, reads back, and Replay delivers it last. Before the cut,
+// such a record stayed on disk and every block journaled behind it was
+// dropped again by the next open.
+func TestAppendsResumeAtACutRecord(t *testing.T) {
+	blocks := transferBlocks(t, 3, 4)
+	for name, payload := range map[string][]byte{
+		"not a block":       []byte("not a block"),
+		"out of its window": chained(blocks[0], blocks[1], 3, true), // a back that does not follow
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := StoreOptions{Fsync: seglog.SyncAlways}
+			s, _ := openStoreT(t, dir, opts)
+			if err := s.LogHeadBlock(blocks[0]); err != nil {
+				t.Fatal(err)
+			}
+			seq, at, err := appendRec(s, RecBlock, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, rec := reopenCut(t, s, dir, opts, seq, at)
+			if rec.Blocks != 1 || rec.Head != blocks[0].Hash() {
+				t.Fatalf("the open kept %d blocks, head %s; want the 1 before the cut", rec.Blocks, rec.Head.Short())
+			}
+			journaledBlocks(t, rec)
+			b := blocks[2]
+			if err := s.LogHeadBlock(b); err != nil {
+				t.Fatal(err)
+			}
+			if last := s.Stats().WAL.LastSeq; last != seq {
+				t.Fatalf("the block was journaled at seq %d, want the cut record's %d", last, seq)
+			}
+			s.Close()
+
+			s, rec = openStoreT(t, dir, opts)
+			if st := s.Stats().WAL; st.TornTruncated != 0 || rec.Blocks != 2 || rec.Head != b.Hash() || !s.HasBlock(b.Hash()) {
+				t.Fatalf("next open: %d bytes cut, %d blocks, head %s, block indexed %v; want 0, 2, %s, true",
+					st.TornTruncated, rec.Blocks, rec.Head.Short(), s.HasBlock(b.Hash()), b.Hash().Short())
+			}
+			if got := journaledBlocks(t, rec); got[len(got)-1].Block.Hash() != b.Hash() {
+				t.Fatal("Replay does not deliver the block journaled after the cut last")
+			}
+			readsBack(t, s, []*types.Block{blocks[0], b})
+		})
 	}
 }
 
 // TestUndecodableBodyStopsReplay: a record whose block header decodes
 // but whose transactions do not passes the open-time scan, which reads
-// headers only; Replay stops in front of it, with the same prefix
-// semantics, and says so in Truncated.
+// headers only; Replay refuses it — an error wrapping seglog.ErrDamaged
+// that names its seq, every time — after delivering the block before it,
+// and latches the store failed, so nothing is journaled behind it.
 func TestUndecodableBodyStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
@@ -448,7 +546,8 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	}
 	// A trailing byte: the header is fine, the block is not.
 	bad := blocks[1].AppendSigs(new(lz.Encoder).Encode([]byte{0}, append(blocks[1].AppendStored(nil), 0xff)))
-	if _, _, err := appendRec(s, RecBlock, bad); err != nil {
+	seq, _, err := appendRec(s, RecBlock, bad)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogBlock(blocks[2]); err != nil {
@@ -456,20 +555,13 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 	}
 	s.Close()
 
-	_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-	if rec.Truncated != 0 || rec.Blocks != 3 {
-		t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (headers all decode)", rec.Truncated, rec.Blocks)
+	s, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+	if cut := s.Stats().WAL.TornTruncated; cut != 0 || rec.Blocks != 3 {
+		t.Fatalf("open-time scan: %d bytes cut, Blocks %d; want 0, 3 (headers all decode)", cut, rec.Blocks)
 	}
 	for pass := 0; pass < 2; pass++ {
-		var got []Journaled
-		if err := rec.Replay(func(j Journaled) error { got = append(got, j); return nil }); err != nil {
-			t.Fatalf("Replay: %v", err)
-		}
-		if len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
-			t.Fatalf("pass %d: replayed %d records, want the 1 block before the bad one", pass, len(got))
-		}
-		if rec.Truncated != 2 {
-			t.Fatalf("pass %d: Truncated = %d, want 2 (bad record + dropped successor)", pass, rec.Truncated)
+		if got := refusedReplay(t, s, rec, seq); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+			t.Fatalf("pass %d: replayed %d blocks, want the 1 before the bad one", pass, len(got))
 		}
 	}
 }
@@ -477,7 +569,7 @@ func TestUndecodableBodyStopsReplay(t *testing.T) {
 // TestUninflatableRecordStopsReplay: the same for a compressed record
 // whose header prefix inflates and whose body does not — a bad element or
 // input past the declared length, behind a valid CRC. The open-time scan
-// inflates headers only; Replay ends the journal in front of the record.
+// inflates headers only; Replay refuses the record.
 func TestUninflatableRecordStopsReplay(t *testing.T) {
 	blocks := transferBlocks(t, 3, 4)
 	for _, name := range []string{"bad element", "wrong length"} {
@@ -487,7 +579,8 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := appendRec(s, RecBlock, uninflatable(t, blocks[1])[name]); err != nil {
+			seq, _, err := appendRec(s, RecBlock, uninflatable(t, blocks[1])[name])
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.LogBlock(blocks[2]); err != nil {
@@ -495,20 +588,13 @@ func TestUninflatableRecordStopsReplay(t *testing.T) {
 			}
 			s.Close()
 
-			_, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-			if rec.Truncated != 0 || rec.Blocks != 3 {
-				t.Fatalf("open-time scan: Truncated %d, Blocks %d; want 0, 3 (header prefixes all inflate)", rec.Truncated, rec.Blocks)
+			s, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
+			if cut := s.Stats().WAL.TornTruncated; cut != 0 || rec.Blocks != 3 {
+				t.Fatalf("open-time scan: %d bytes cut, Blocks %d; want 0, 3 (header prefixes all inflate)", cut, rec.Blocks)
 			}
 			for pass := 0; pass < 2; pass++ {
-				var got []Journaled
-				if err := rec.Replay(func(j Journaled) error { got = append(got, j); return nil }); err != nil {
-					t.Fatalf("Replay: %v", err)
-				}
-				if len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
-					t.Fatalf("pass %d: replayed %d records, want the 1 block before the bad one", pass, len(got))
-				}
-				if rec.Truncated != 2 {
-					t.Fatalf("pass %d: Truncated = %d, want 2 (bad record + dropped successor)", pass, rec.Truncated)
+				if got := refusedReplay(t, s, rec, seq); len(got) != 1 || got[0].Block.Hash() != blocks[0].Hash() {
+					t.Fatalf("pass %d: replayed %d blocks, want the 1 before the bad one", pass, len(got))
 				}
 			}
 		})

@@ -14,16 +14,18 @@
 // checkpoint files and the crash failpoint are internal/seglog's. This
 // package owns what is the WAL's alone: the record body (u64 seq + u8
 // type + payload), sequence continuity as the test a scanned frame must
-// pass, the rule that damage anywhere truncates the log there and drops
-// everything after it, and the prune floor. The DurableStore journals
-// blocks compressed (RecBlock, or RecHeadBlock for a block that becomes
-// the head as it is journaled: one record where a block and its head
-// switch were two), each block's storage form, through internal/lz,
-// against the block records before it in the same window and its
-// signatures raw behind it, and inflates them wherever a block record is
-// read. A window restarts at 128 block records, or before its storage
-// forms would pass 128 KiB: what one read inflates at most. The
-// checkpoint files are compressed too. See docs/PERSISTENCE.md.
+// pass, the rule that damage anywhere — a record out of sequence or one
+// recovery would not replay too — truncates the log there and drops
+// everything after it, and the prune floor.
+//
+// The DurableStore journals blocks compressed (RecBlock, or RecHeadBlock
+// for a block that becomes the head as it is journaled: one record where
+// a block and its head switch were two), each block's storage form,
+// through internal/lz, against the block records before it in the same
+// window and its signatures raw behind it, and inflates them wherever a
+// block record is read. A window restarts at 128 block records, or before
+// its storage forms would pass 128 KiB: what one read inflates at most.
+// The checkpoint files are compressed too. See docs/PERSISTENCE.md.
 //
 // Concurrency: the DurableStore owns its segment log and serializes
 // everything that touches it on its one mutex by design — the log IS
@@ -174,10 +176,11 @@ func seqExt(seq uint64) []byte { return binary.BigEndian.AppendUint64(nil, seq) 
 // scan walks segments segs enforcing sequence continuity — within a
 // segment, and from each segment's header to the record before it. A
 // record or header out of sequence is damage at that point, like a
-// failed CRC. fn receives every accepted record and where it lies; the
-// Payload is the scanner's buffer, valid only during the call. next is
-// the seq the scan expected when it stopped (0 for a log without
-// segments). Nothing here reads the log's state: no lock needed.
+// failed CRC, and so is a record fn rejects with seglog.ErrDamaged. fn
+// receives every record in sequence and where it lies; the Payload is
+// the scanner's buffer, valid only during the call. next is the seq the
+// scan expected when it stopped, a rejected record's own (0 for a log
+// without segments). Nothing here reads the log's state: no lock needed.
 func (s *DurableStore) scan(segs []uint64, fn func(Record, Loc) error) (next uint64, damage *seglog.Damage, err error) {
 	damage, err = s.log.ScanSegments(segs,
 		func(ext []byte) error {
@@ -193,8 +196,11 @@ func (s *DurableStore) scan(segs []uint64, fn func(Record, Loc) error) (next uin
 			if !ok || rec.Seq != next {
 				return seglog.ErrDamaged
 			}
-			next++
-			return fn(rec, Loc{Seg: uint32(seg), Len: uint32(seglog.FrameHeaderLen + len(body)), Off: off})
+			err := fn(rec, Loc{Seg: uint32(seg), Len: uint32(seglog.FrameHeaderLen + len(body)), Off: off})
+			if err == nil {
+				next++
+			}
+			return err
 		})
 	return next, damage, err
 }

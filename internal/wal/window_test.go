@@ -108,8 +108,8 @@ func TestWindowRestarts(t *testing.T) {
 			s.Close()
 
 			s, rec := openStoreT(t, dir, opts)
-			if rec.Blocks != c.reopenAt || rec.Truncated != 0 || rec.Head != blocks[c.reopenAt-1].Hash() {
-				t.Fatalf("reopen: %d blocks, truncated %d, head %s", rec.Blocks, rec.Truncated, rec.Head.Short())
+			if cut := s.Stats().WAL.TornTruncated; rec.Blocks != c.reopenAt || cut != 0 || rec.Head != blocks[c.reopenAt-1].Hash() {
+				t.Fatalf("reopen: %d blocks, %d bytes cut, head %s", rec.Blocks, cut, rec.Head.Short())
 			}
 			logBlocks(t, s, blocks[c.reopenAt:])
 			if segs := s.Stats().WAL.Segments; segs != 1 {
@@ -291,8 +291,8 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 	s.Close()
 
 	s, rec := openStoreT(t, dir, opts)
-	if rec.Blocks != len(kept) || rec.Truncated != 0 {
-		t.Fatalf("reopen after pruning: %d blocks, truncated %d; want %d, 0", rec.Blocks, rec.Truncated, len(kept))
+	if cut := s.Stats().WAL.TornTruncated; rec.Blocks != len(kept) || cut != 0 {
+		t.Fatalf("reopen after pruning: %d blocks, %d bytes cut; want %d, 0", rec.Blocks, cut, len(kept))
 	}
 	readsBack(t, s, kept)
 	journaledBlocks(t, rec)
@@ -302,9 +302,9 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 // its CRC failing, or CRC-valid and not inflating — makes it and the
 // later records of its window unreadable, each an ErrDamaged naming its
 // block, never a block; the records before it and those from the next
-// restart on read as before. Recovery sees what it always saw: a failed
-// CRC cuts the log there, a record that does not inflate ends the
-// replay in front of it.
+// restart on read as before. Recovery: a failed CRC cuts the log there;
+// a record whose header inflates and whose body does not passes the
+// open-time scan, and Replay refuses it, after the blocks before it.
 func TestDamageInsideWindow(t *testing.T) {
 	const bad = 5 // of the first of two windows
 	blocks := transferBlocks(t, 40, 80)
@@ -358,17 +358,22 @@ func TestDamageInsideWindow(t *testing.T) {
 			}
 			s.Close()
 
-			_, recov := openStoreT(t, dir, opts)
-			got := journaledPrefix(t, recov)
+			s, recov := openStoreT(t, dir, opts)
+			var got []Journaled
+			if crcValid {
+				if cut := s.Stats().WAL.TornTruncated; cut != 0 || recov.Blocks != len(blocks) {
+					t.Fatalf("open-time scan: %d bytes cut, %d blocks; want 0, %d (the header inflates)", cut, recov.Blocks, len(blocks))
+				}
+				got = refusedReplay(t, s, recov, r.Seq)
+			} else {
+				want := uint64(len(data)) - uint64(to) + uint64(len(frame)) // from the damaged frame on
+				if cut := s.Stats().WAL.TornTruncated; cut != want {
+					t.Fatalf("the open cut %d bytes, want %d", cut, want)
+				}
+				got = journaledBlocks(t, recov)
+			}
 			if len(got) != bad {
 				t.Fatalf("recovered %d blocks, want the %d before the damaged one", len(got), bad)
-			}
-			wantTruncated := 0
-			if crcValid {
-				wantTruncated = len(blocks) - bad // its record, and every record after it
-			}
-			if recov.Truncated != wantTruncated {
-				t.Fatalf("Truncated = %d, want %d", recov.Truncated, wantTruncated)
 			}
 		})
 	}
@@ -481,29 +486,27 @@ func TestDamagedHeadRecordInsideWindow(t *testing.T) {
 	}
 }
 
-// journaledPrefix is journaledBlocks for a replay that may end short of
-// what the open-time scan counted.
-func journaledPrefix(t *testing.T, rec *Recovery) []Journaled {
-	t.Helper()
-	var out []Journaled
-	if err := rec.Replay(func(j Journaled) error {
-		if j.Block != nil {
-			out = append(out, j)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
+// chained is b's record with back, its header guarded as LogBlock guards
+// it when guard is set, copying from the storage form of the block before
+// it.
+func chained(before, b *types.Block, back int, guard bool) []byte {
+	var e lz.Encoder
+	e.Next(nil, append(e.Window(), before.AppendStored(nil)...), 0)
+	form := b.AppendStored(nil)
+	header := 0
+	if guard {
+		header = 8 + int(binary.BigEndian.Uint64(form))
 	}
-	return out
+	return b.AppendSigs(e.Next(lz.AppendBack(nil, back), append(e.Window(), form...), header))
 }
 
 // TestOutOfWindowRecordStopsCollection: a CRC-valid RecBlock or
 // RecHeadBlock that no writer produces — a back that does not follow the
 // record before it, a back past the window's records or past its bytes,
 // a chained record first in its segment, a header that copies from the
-// window — ends the journal at the open-time scan, counted in Truncated
-// with everything behind it, like any record that does not inflate. The
-// head switch of a refused RecHeadBlock is refused with it.
+// window — is damage to the open-time scan, which cuts the journal there
+// with everything behind it, as for any record whose header does not
+// inflate. The head switch of a cut RecHeadBlock is cut with it.
 func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	blocks := transferBlocks(t, 3, 20)
 	small := transferBlocks(t, windowRecords+1, 1) // a window full by records, then one more
@@ -511,18 +514,6 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	full := slices.Index(wantBacks(big)[1:], 0) + 1 // a window full by bytes, then one more
 	if full >= windowRecords {
 		t.Fatalf("the first window of 80-transfer blocks holds %d records: the case is not exercised", full)
-	}
-	// chained is b's record with back, its header guarded as LogBlock
-	// guards it, copying from the storage form of the block before it.
-	chained := func(before, b *types.Block, back int, guard bool) []byte {
-		var e lz.Encoder
-		e.Next(nil, append(e.Window(), before.AppendStored(nil)...), 0)
-		form := b.AppendStored(nil)
-		header := 0
-		if guard {
-			header = 8 + int(binary.BigEndian.Uint64(form))
-		}
-		return b.AppendSigs(e.Next(lz.AppendBack(nil, back), append(e.Window(), form...), header))
 	}
 	for name, c := range map[string]struct {
 		before      []*types.Block // journaled before the bad record, and recovered
@@ -544,21 +535,20 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 					opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: c.segmentSize}
 					s, _ := openStoreT(t, dir, opts)
 					logBlocks(t, s, c.before)
-					if _, _, err := appendRec(s, typ, c.payload); err != nil {
+					seq, at, err := appendRec(s, typ, c.payload)
+					if err != nil {
 						t.Fatal(err)
 					}
 					if err := s.LogHeadBlock(blocks[2]); err != nil {
 						t.Fatal(err)
 					}
-					s.Close()
-
-					_, rec := openStoreT(t, dir, opts)
+					_, rec := reopenCut(t, s, dir, opts, seq, at)
 					last := c.before[len(c.before)-1].Hash()
 					if got := journaledBlocks(t, rec); len(got) != len(c.before) || got[len(got)-1].Block.Hash() != last {
 						t.Fatalf("recovered %d blocks, want the %d before the bad record", len(got), len(c.before))
 					}
-					if rec.Truncated != 2 || rec.Head != last {
-						t.Fatalf("Truncated = %d, head %s; want 2 (bad record + dropped successor), the head before them", rec.Truncated, rec.Head.Short())
+					if rec.Head != last {
+						t.Fatalf("head %s, want the head before the cut record", rec.Head.Short())
 					}
 				})
 			}
@@ -576,8 +566,8 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	}
 	s.Close()
 	s, rec := openStoreT(t, dir, StoreOptions{})
-	if rec.Blocks != 2 || rec.Truncated != 0 || rec.Head != blocks[1].Hash() {
-		t.Fatalf("a well-formed chained record: %d blocks, truncated %d, head %s", rec.Blocks, rec.Truncated, rec.Head.Short())
+	if cut := s.Stats().WAL.TornTruncated; rec.Blocks != 2 || cut != 0 || rec.Head != blocks[1].Hash() {
+		t.Fatalf("a well-formed chained record: %d blocks, %d bytes cut, head %s", rec.Blocks, cut, rec.Head.Short())
 	}
 	readsBack(t, s, blocks[:2])
 }
