@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	dcslint [-json] [-baseline file [-write-baseline]] package...
+//	dcslint package...
 //	dcslint -suppressions package...
 //
 // The packages are loaded with `go list -export` and analyzed
@@ -29,7 +29,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/parser"
@@ -61,16 +60,11 @@ var all = []*analysis.Analyzer{
 	jsoncreep.Analyzer,
 }
 
-var (
-	jsonFlag     = flag.Bool("json", false, "emit diagnostics as JSON instead of text")
-	suppressFlag = flag.Bool("suppressions", false, "inventory every //dcslint:ignore directive instead of analyzing")
-	baselineFlag = flag.String("baseline", "", "compare per-analyzer finding counts against this JSON baseline; exit 1 if any rises")
-	writeBase    = flag.Bool("write-baseline", false, "with -baseline, rewrite the baseline file from this run instead of comparing")
-)
+var suppressFlag = flag.Bool("suppressions", false, "inventory every //dcslint:ignore directive instead of analyzing")
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcslint [-json] [-suppressions] [-baseline file] package...\n\n")
+		fmt.Fprintf(os.Stderr, "usage: dcslint [-suppressions] package...\n\n")
 		fmt.Fprintf(os.Stderr, "analyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -98,7 +92,7 @@ func run(args []string) int {
 // as soon as every root it imports has finished, so its imported facts
 // are already in the shared store. Output is ordered by import path
 // regardless of completion order. Diagnostics go to stdout; exit is 1
-// when any were found (or the baseline is exceeded).
+// when any were found.
 func runAnalysis(patterns []string) int {
 	l, err := analysis.List("", patterns...)
 	if err != nil {
@@ -177,99 +171,18 @@ func runAnalysis(patterns []string) int {
 	wg.Wait()
 
 	total := 0
-	perAnalyzer := map[string]int{}
-	byPkg := map[string]map[string][]jsonDiag{}
 	for i := range l.Roots {
 		if err := errsByIdx[i]; err != nil {
 			fmt.Fprintf(os.Stderr, "dcslint: %s: %v\n", l.Roots[i].ImportPath, err)
 			return 2
 		}
-		diags := diagsByIdx[i]
-		total += len(diags)
-		for _, d := range diags {
-			perAnalyzer[d.Analyzer]++
-		}
-		if *jsonFlag {
-			if len(diags) > 0 {
-				byPkg[l.Roots[i].ImportPath] = groupDiags(diags)
-			}
-			continue
-		}
-		for _, d := range diags {
+		total += len(diagsByIdx[i])
+		for _, d := range diagsByIdx[i] {
 			fmt.Printf("%s: %s [%s]\n", d.Pos, d.Message, d.Analyzer)
 		}
 	}
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(byPkg); err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-			return 2
-		}
-	}
-	if *baselineFlag != "" {
-		// Baseline mode gates on regressions, not on the (already
-		// baselined) standing findings.
-		return applyBaseline(*baselineFlag, perAnalyzer)
-	}
 	if total > 0 {
 		fmt.Fprintf(os.Stderr, "dcslint: %d finding(s)\n", total)
-		return 1
-	}
-	return 0
-}
-
-// baselineFile is the committed finding budget: per-analyzer counts a
-// run may not exceed.
-type baselineFile struct {
-	Findings map[string]int `json:"findings"`
-}
-
-// applyBaseline compares this run's per-analyzer counts against the
-// committed baseline (or rewrites it under -write-baseline). A count
-// above the baseline fails; a count below it prompts tightening.
-func applyBaseline(path string, got map[string]int) int {
-	if *writeBase {
-		data, err := json.MarshalIndent(baselineFile{Findings: got}, "", "\t")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dcslint: writing baseline: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: reading baseline: %v (run with -write-baseline to create it)\n", err)
-		return 2
-	}
-	var base baselineFile
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "dcslint: parsing baseline %s: %v\n", path, err)
-		return 2
-	}
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	failed := false
-	for _, name := range names {
-		if allowed := base.Findings[name]; got[name] > allowed {
-			fmt.Fprintf(os.Stderr, "dcslint: %s findings rose to %d (baseline %d): fix them or suppress each with a //dcslint:ignore reason — do not raise the baseline\n",
-				name, got[name], allowed)
-			failed = true
-		}
-	}
-	for name, allowed := range base.Findings {
-		if got[name] < allowed {
-			fmt.Fprintf(os.Stderr, "dcslint: note: %s findings fell to %d (baseline %d) — tighten the baseline\n", name, got[name], allowed)
-		}
-	}
-	if failed {
 		return 1
 	}
 	return 0
@@ -323,19 +236,4 @@ func runSuppressions(patterns []string) int {
 		return 1
 	}
 	return 0
-}
-
-// jsonDiag is one diagnostic in go vet's JSON schema.
-type jsonDiag struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// groupDiags buckets diagnostics by analyzer for JSON output.
-func groupDiags(diags []analysis.Diagnostic) map[string][]jsonDiag {
-	m := map[string][]jsonDiag{}
-	for _, d := range diags {
-		m[d.Analyzer] = append(m[d.Analyzer], jsonDiag{Posn: d.Pos.String(), Message: d.Message})
-	}
-	return m
 }

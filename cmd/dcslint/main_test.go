@@ -2,7 +2,6 @@ package main_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -63,6 +62,35 @@ func TestStandaloneFindsViolation(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "time.Now") || !strings.Contains(stdout.String(), "[determinism]") {
 		t.Errorf("missing determinism finding in output:\n%s", &stdout)
+	}
+}
+
+// TestStandaloneMalformedDirectiveFails: a //dcslint:ignore without a
+// reason is itself a finding, so a module whose only problem is one
+// fails the gate and the output names the directive.
+func TestStandaloneMalformedDirectiveFails(t *testing.T) {
+	bin := buildTool(t)
+	dir := t.TempDir()
+	mustWrite(t, filepath.Join(dir, "go.mod"), "module lintbad\n\ngo 1.22\n")
+	mustWrite(t, filepath.Join(dir, "internal", "node", "ok.go"), `package node
+
+// Height is deterministic; the directive above its body has no reason.
+func Height(parent uint64) uint64 {
+	//dcslint:ignore determinism
+	return parent + 1
+}
+`)
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("want exit 1 on a reason-less directive, got %v\nstdout: %s\nstderr: %s", err, &stdout, &stderr)
+	}
+	if !strings.Contains(stdout.String(), "ok.go:5:") || !strings.Contains(stdout.String(), "dcslint:ignore") {
+		t.Errorf("output does not name the directive:\n%s", &stdout)
 	}
 }
 
@@ -153,67 +181,5 @@ func Stamp() int64 {
 	}
 	if !strings.Contains(s, "1 suppression(s), 0 malformed") {
 		t.Errorf("inventory missing summary:\n%s", s)
-	}
-}
-
-// TestBaselineGate writes a baseline, passes while counts hold, and
-// fails when a new finding appears — with the text report and with the
-// -json report CI keeps, which must still parse when the gate fails.
-func TestBaselineGate(t *testing.T) {
-	bin := buildTool(t)
-	for _, tc := range []struct {
-		name  string
-		flags []string
-	}{
-		{"text", nil},
-		{"json", []string{"-json"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := writeViolatingModule(t)
-			base := filepath.Join(dir, ".dcslint-baseline.json")
-			lint := func(extra ...string) *exec.Cmd {
-				args := append([]string{"-baseline", base}, tc.flags...)
-				args = append(args, extra...)
-				cmd := exec.Command(bin, append(args, "./...")...)
-				cmd.Dir = dir
-				return cmd
-			}
-
-			if out, err := lint("-write-baseline").CombinedOutput(); err != nil {
-				t.Fatalf("-write-baseline: %v\n%s", err, out)
-			}
-			if out, err := lint().CombinedOutput(); err != nil {
-				t.Fatalf("baseline check should pass at recorded counts: %v\n%s", err, out)
-			}
-
-			mustWrite(t, filepath.Join(dir, "internal", "node", "worse.go"), `package node
-
-import "time"
-
-// Since adds a second determinism finding above the baseline.
-func Since(s time.Time) time.Duration { return time.Since(s) }
-`)
-			regress := lint()
-			var stdout, stderr bytes.Buffer
-			regress.Stdout, regress.Stderr = &stdout, &stderr
-			err := regress.Run()
-			var exitErr *exec.ExitError
-			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-				t.Fatalf("baseline regression should exit 1, got %v\nstdout: %s\nstderr: %s", err, &stdout, &stderr)
-			}
-			if !strings.Contains(stderr.String(), "findings rose") {
-				t.Errorf("missing regression message:\n%s", &stderr)
-			}
-			if tc.name != "json" {
-				return
-			}
-			var report map[string]map[string][]struct{ Posn, Message string }
-			if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
-				t.Fatalf("-json stdout is not the per-package report: %v\n%s", err, &stdout)
-			}
-			if got := report["vetsmoke/internal/node"]["determinism"]; len(got) != 2 {
-				t.Errorf("report has %d determinism findings in vetsmoke/internal/node, want 2:\n%s", len(got), &stdout)
-			}
-		})
 	}
 }

@@ -31,13 +31,17 @@ import (
 // directory holds.
 func durableTestNode(t *testing.T, dir string) (*node.Node, *wal.DurableStore) {
 	t.Helper()
-	n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+	n, ds, _ := recoveredNode(t, dir, testNetwork, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
 	return n, ds
 }
 
-// recoveredNode is durableTestNode under the pow configuration cfg, and
-// returns the Recovery it recovered from as well.
-func recoveredNode(t *testing.T, dir string, cfg pow.Config) (*node.Node, *wal.DurableStore, *wal.Recovery) {
+// testNetwork is the genesis tag of the nodes these tests build.
+const testNetwork = "api-test"
+
+// recoveredNode is durableTestNode on the genesis tagged network, under
+// the pow configuration cfg, and returns the Recovery it recovered from
+// as well.
+func recoveredNode(t *testing.T, dir, network string, cfg pow.Config) (*node.Node, *wal.DurableStore, *wal.Recovery) {
 	t.Helper()
 	ds, rec, err := openDurable(dir, seglog.SyncAlways, 8)
 	if err != nil {
@@ -49,7 +53,7 @@ func recoveredNode(t *testing.T, dir string, cfg pow.Config) (*node.Node, *wal.D
 		Key:        cryptoutil.KeyFromSeed([]byte("api-test")),
 		Engine:     pow.New(cfg, rand.New(rand.NewSource(1))),
 		ForkChoice: forkchoice.LongestChain{},
-		Genesis:    node.NewGenesis("api-test"),
+		Genesis:    node.NewGenesis(network),
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.Wall{},
 		Durable:    ds,
@@ -88,15 +92,16 @@ func TestDataDirRecovery(t *testing.T) {
 	}
 }
 
-// TestShortRecoveryIsLogged: a chain journaled under one -interval and
-// recovered under another, PoW's retarget target, comes back shorter, and
-// the daemon says so in one line naming both heights, the rejections and
-// the interval; a restart under the same interval logs no such line.
+// TestShortRecoveryIsLogged: a chain journaled under one -interval, PoW's
+// retarget target, or one -network, the genesis tag, and recovered under
+// another comes back shorter, and the daemon says so in one line naming
+// both heights, the rejections and the -network and -interval in force; a
+// restart under the same flags logs no such line.
 func TestShortRecoveryIsLogged(t *testing.T) {
 	const blocks = 6
 	mined := pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64, RetargetWindow: 2}
 	dir := t.TempDir()
-	n, ds, _ := recoveredNode(t, dir, mined)
+	n, ds, _ := recoveredNode(t, dir, testNetwork, mined)
 	for i := 0; i < blocks; i++ {
 		if err := n.HandleBlock(mineNext(t, n)); err != nil {
 			t.Fatalf("HandleBlock: %v", err)
@@ -105,29 +110,38 @@ func TestShortRecoveryIsLogged(t *testing.T) {
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restart := func(cfg pow.Config) (*node.Node, []string) {
+	restart := func(network string, cfg pow.Config) (*node.Node, []string) {
 		t.Helper()
-		n, ds, rec := recoveredNode(t, dir, cfg)
+		n, ds, rec := recoveredNode(t, dir, network, cfg)
 		defer ds.Close()
 		var lines []string
-		logShortRecovery(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, n, rec, cfg.TargetInterval)
+		logShortRecovery(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }, n, rec, network, cfg.TargetInterval)
 		return n, lines
 	}
 
-	if n, lines := restart(mined); n.Chain().Height() != blocks || len(lines) != 0 {
+	if n, lines := restart(testNetwork, mined); n.Chain().Height() != blocks || len(lines) != 0 {
 		t.Fatalf("a clean restart recovered height %d and logged %q", n.Chain().Height(), lines)
 	}
 	other := mined
 	other.TargetInterval = 10 * time.Second
-	n, lines := restart(other)
-	m := n.Metrics()
-	if n.Chain().Height() >= blocks || m.BlocksRejected == 0 {
-		t.Fatalf("recovered height %d with %d rejected under another interval: the case is not exercised", n.Chain().Height(), m.BlocksRejected)
-	}
-	want := fmt.Sprintf("journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, -interval 10s",
-		blocks, n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots)
-	if len(lines) != 1 || !strings.Contains(lines[0], want) {
-		t.Fatalf("logged %q, want one line with %q", lines, want)
+	for _, c := range []struct {
+		network string
+		cfg     pow.Config
+		flags   string
+	}{
+		{testNetwork, other, "-network api-test -interval 10s"},
+		{"other-net", mined, "-network other-net -interval 1s"},
+	} {
+		n, lines := restart(c.network, c.cfg)
+		m := n.Metrics()
+		if n.Chain().Height() >= blocks || m.BlocksRejected == 0 {
+			t.Fatalf("under %s: recovered height %d with %d rejected: the case is not exercised", c.flags, n.Chain().Height(), m.BlocksRejected)
+		}
+		want := fmt.Sprintf("journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, under %s",
+			blocks, n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots, c.flags)
+		if len(lines) != 1 || !strings.Contains(lines[0], want) {
+			t.Fatalf("logged %q, want one line with %q", lines, want)
+		}
 	}
 }
 
@@ -252,7 +266,7 @@ func TestBlockEndpointReadsOldBodiesBack(t *testing.T) {
 // nothing.
 func TestOpenCutIsLogged(t *testing.T) {
 	dir := t.TempDir()
-	n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+	n, ds, _ := recoveredNode(t, dir, testNetwork, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
 	if err := n.HandleBlock(mineNext(t, n)); err != nil {
 		t.Fatalf("HandleBlock: %v", err)
 	}
@@ -271,7 +285,7 @@ func TestOpenCutIsLogged(t *testing.T) {
 	f.Close()
 	reopen := func() []string {
 		t.Helper()
-		n, ds, _ := recoveredNode(t, dir, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
+		n, ds, _ := recoveredNode(t, dir, testNetwork, pow.Config{TargetInterval: time.Second, InitialDifficulty: 64, HashRate: 64})
 		defer ds.Close()
 		if n.Chain().Height() != 1 {
 			t.Fatalf("recovered height %d, want 1", n.Chain().Height())

@@ -75,7 +75,7 @@ var ErrTooLarge = errors.New("wal: record too large")
 // had before internal/seglog owned the fsync policies, the failpoint modes
 // and their errors. Everything in this module names seglog directly; these
 // two stay because benchmark/replay.go calls them, and go with it
-// (ROADMAP item 1).
+// (ROADMAP item 1(b)).
 type FsyncPolicy = seglog.SyncPolicy
 
 // ParseFsyncPolicy parses "always", "interval", or "never".
