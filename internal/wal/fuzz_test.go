@@ -34,16 +34,21 @@ import (
 //     then a block journaled behind it is indexed after the next open,
 //     delivered last by Replay and read back.
 func FuzzWALRecordDecode(f *testing.F) {
-	// Seed corpus: valid frames, a truncation, and a bit flip. The seeds
-	// of the window's bounds, up to 129 block records each, are checked
-	// by TestWindowSeeds instead: as fuzz seeds they stall the mutator.
+	// Seed corpus: valid frames, records the open cuts, a truncation, and
+	// a bit flip. The seeds of the window's bounds, up to 129 block
+	// records each, are checked by TestWindowSeeds instead: as fuzz seeds
+	// they stall the mutator.
 	valid := appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: []byte("hello wal")})
 	f.Add(valid)
 	var enc lz.Encoder
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHeadBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
-	f.Add(valid[:len(valid)/2]) // torn
+	f.Add(windowSeed(1, 0, 0))                                                   // a block record as the journal writes it
+	f.Add(windowSeed(1, windowCap+1, 0))                                         // a lone form past the window's bytes, kept
+	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHead, Payload: []byte("x")})) // a head record of no hash
+	f.Add(appendFrame(nil, Record{Seq: 1, Type: 9, Payload: []byte("x")}))       // a type the store never writes
+	f.Add(valid[:len(valid)/2])                                                  // torn
 	garbled := append([]byte(nil), valid...)
 	garbled[len(garbled)-1] ^= 0xFF
 	f.Add(garbled)
