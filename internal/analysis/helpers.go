@@ -39,18 +39,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// CalleePkgPath returns the import path of the package a called
-// function belongs to ("" for dynamic calls, builtins, and
-// conversions). For methods it is the package declaring the receiver
-// type's method.
-func CalleePkgPath(info *types.Info, call *ast.CallExpr) string {
-	fn := Callee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
 // IsDynamicCall reports whether the call invokes a func-typed value
 // (variable, struct field, or parameter) rather than a declared
 // function, method, builtin, or conversion. Interface method calls are
@@ -124,21 +112,6 @@ func NamedPkgPath(t types.Type) string {
 func isNamed(t types.Type) bool {
 	_, ok := t.(*types.Named)
 	return ok
-}
-
-// NamedTypeName returns the bare name of t's named type ("" if t is
-// not a named type), following one level of pointer.
-func NamedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok && !isNamed(t) {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // HasMethods reports whether type t (or *t) has methods with every
