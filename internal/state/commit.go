@@ -194,7 +194,7 @@ func (s *State) commit() (*mpt.Trie, error) {
 				dirty[a] = nil
 			}
 		})
-		w.eachSlot(func(k SlotKey, _ slotWrite) { dirty[k.Addr] = append(dirty[k.Addr], k.Key) })
+		w.eachSlot(func(k SlotKey, _ []byte) { dirty[k.Addr] = append(dirty[k.Addr], k.Key) })
 		if cur.parent == nil {
 			base = cur.base
 			break
@@ -226,13 +226,8 @@ func (s *State) commit() (*mpt.Trie, error) {
 			c.storage = mpt.New()
 		}
 		for _, k := range keys {
-			v, ok, _ := s.slot(SlotKey{addr, k}) // a written slot is answered by a layer
-			if ok {
-				c.storage, err = c.storage.TrySet([]byte(k), v)
-			} else {
-				c.storage, _, err = c.storage.TryDelete([]byte(k))
-			}
-			if err != nil {
+			v, _ := s.slot(SlotKey{addr, k}) // a written slot is answered by a layer
+			if c.storage, err = c.storage.TrySet([]byte(k), v); err != nil {
 				return nil, err
 			}
 		}

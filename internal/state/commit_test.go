@@ -200,7 +200,7 @@ func (p *layerPool) write(l *State, m *model) string {
 	a := p.addr()
 	slot := []byte{byte(p.rng.Intn(6))}
 	acc, exists := m.acc[a]
-	switch p.rng.Intn(7) {
+	switch p.rng.Intn(6) {
 	case 0, 1:
 		n := uint64(p.rng.Intn(50))
 		l.Credit(a, n)
@@ -232,10 +232,6 @@ func (p *layerPool) write(l *State, m *model) string {
 		}
 		m.slot[a][string(slot)] = v
 		return "set-slot"
-	case 5:
-		l.DeleteStorage(a, slot)
-		delete(m.slot[a], string(slot))
-		return "delete-slot"
 	default:
 		code := []byte{byte(p.rng.Intn(3))}
 		l.SetCode(a, code)
@@ -253,8 +249,8 @@ func (p *layerPool) write(l *State, m *model) string {
 // step, every read of the layer to equal a plain-map model and the
 // incremental Commit to equal the model's trie. While the store is lost a
 // read may fail, but only loudly: never a wrong answer without Err. The
-// writes include slot tombstones and contract code, so a compacted layer
-// is read, walked by a child's commit and absorbed with all three.
+// writes include slots and contract code, so a compacted layer is read,
+// walked by a child's commit and absorbed with all three.
 func TestPropertyCommitEqualsFullWalk(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {

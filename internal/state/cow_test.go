@@ -45,44 +45,11 @@ func TestCopyIsDiffLayer(t *testing.T) {
 	}
 }
 
-func TestStorageTombstones(t *testing.T) {
-	base := New()
-	a := addrN(3)
-	base.SetStorage(a, []byte("k1"), []byte("v1"))
-	base.SetStorage(a, []byte("k2"), []byte("v2"))
-
-	layer := base.Copy()
-	layer.DeleteStorage(a, []byte("k1"))
-	if layer.Storage(a, []byte("k1")) != nil {
-		t.Fatal("deleted slot must not resurrect from parent")
-	}
-	if base.Storage(a, []byte("k1")) == nil {
-		t.Fatal("delete leaked into base")
-	}
-	// Re-set after delete clears the tombstone.
-	layer.SetStorage(a, []byte("k1"), []byte("v1b"))
-	if string(layer.Storage(a, []byte("k1"))) != "v1b" {
-		t.Fatal("set-after-delete lost")
-	}
-
-	// A layered state with a delete must commit identically to a flat
-	// state that never had the slot.
-	layer2 := base.Copy()
-	layer2.DeleteStorage(a, []byte("k2"))
-	flat := New()
-	flat.SetStorage(a, []byte("k1"), []byte("v1"))
-	// (account record: SetStorage doesn't create accounts, so roots
-	// compare over storage tries only via Commit of identical accounts)
-	if layer2.Commit() != flat.Commit() {
-		t.Fatal("tombstoned layer commit != equivalent flat commit")
-	}
-}
-
 // mirrorOp applies the same mutation to a layered and a flat state.
 func applyRandomOps(rng *rand.Rand, dst *State, n int) {
 	for i := 0; i < n; i++ {
 		a := addrN(rng.Intn(12))
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0:
 			dst.Credit(a, uint64(rng.Intn(50)+1))
 		case 1:
@@ -92,8 +59,6 @@ func applyRandomOps(rng *rand.Rand, dst *State, n int) {
 		case 2:
 			dst.SetStorage(a, []byte(fmt.Sprintf("k%d", rng.Intn(6))), []byte(fmt.Sprintf("v%d", rng.Int())))
 		case 3:
-			dst.DeleteStorage(a, []byte(fmt.Sprintf("k%d", rng.Intn(6))))
-		case 4:
 			dst.SetCode(a, []byte(fmt.Sprintf("code-%d", rng.Intn(4))))
 		}
 	}

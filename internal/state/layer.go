@@ -15,7 +15,7 @@ import (
 // The code map is the same in both.
 type writes struct {
 	accounts map[cryptoutil.Address]Account
-	slots    map[SlotKey]slotWrite
+	slots    map[SlotKey][]byte
 	code     map[cryptoutil.Hash][]byte
 	cold     *cold // non-nil once compacted
 }
@@ -24,7 +24,7 @@ func newWrites() *writes {
 	return &writes{
 		accounts: make(map[cryptoutil.Address]Account),
 		code:     make(map[cryptoutil.Hash][]byte),
-		slots:    make(map[SlotKey]slotWrite),
+		slots:    make(map[SlotKey][]byte),
 	}
 }
 
@@ -33,7 +33,7 @@ func newWrites() *writes {
 type cold struct {
 	accounts []coldAccount     // by address
 	codes    []cryptoutil.Hash // the code hashes of the accounts that have one
-	slots    []coldSlot        // by address, then key; tombstones included
+	slots    []coldSlot        // by address, then key
 }
 
 // coldAccount is an account record in 40 bytes, where a Go map entry of
@@ -46,8 +46,8 @@ type coldAccount struct {
 }
 
 type coldSlot struct {
-	key SlotKey
-	w   slotWrite
+	key   SlotKey
+	value []byte
 }
 
 func cmpAddr(a, b *cryptoutil.Address) int { return bytes.Compare(a[:], b[:]) }
@@ -82,8 +82,8 @@ func (s *State) Compact() {
 		}
 		c.accounts = append(c.accounts, e)
 	}
-	for k, sw := range w.slots {
-		c.slots = append(c.slots, coldSlot{key: k, w: sw})
+	for k, v := range w.slots {
+		c.slots = append(c.slots, coldSlot{key: k, value: v})
 	}
 	slices.SortFunc(c.accounts, func(x, y coldAccount) int { return cmpAddr(&x.addr, &y.addr) })
 	slices.SortFunc(c.slots, func(x, y coldSlot) int { return cmpSlot(&x.key, &y.key) })
@@ -122,16 +122,16 @@ func (c *cold) record(e *coldAccount) Account {
 }
 
 // slot returns what the layer wrote to slot k, if it wrote it.
-func (w *writes) slot(k SlotKey) (slotWrite, bool) {
+func (w *writes) slot(k SlotKey) ([]byte, bool) {
 	if w.cold == nil {
-		sw, ok := w.slots[k]
-		return sw, ok
+		v, ok := w.slots[k]
+		return v, ok
 	}
 	i, ok := slices.BinarySearchFunc(w.cold.slots, k, func(e coldSlot, k SlotKey) int { return cmpSlot(&e.key, &k) })
 	if !ok {
-		return slotWrite{}, false
+		return nil, false
 	}
-	return w.cold.slots[i].w, true
+	return w.cold.slots[i].value, true
 }
 
 // eachAccount calls fn with every account record the layer wrote, in no
@@ -149,16 +149,16 @@ func (w *writes) eachAccount(fn func(cryptoutil.Address, Account)) {
 	}
 }
 
-// eachSlot calls fn with every slot the layer wrote, tombstones
-// included, in no particular order (see eachAccount).
-func (w *writes) eachSlot(fn func(SlotKey, slotWrite)) {
+// eachSlot calls fn with every slot the layer wrote, in no particular
+// order (see eachAccount).
+func (w *writes) eachSlot(fn func(SlotKey, []byte)) {
 	if w.cold == nil {
-		for k, sw := range w.slots {
-			fn(k, sw) //dcslint:ignore determinism every caller fills a map or a set: commit's dirty set, DirtyAddresses (sorted after), Absorb
+		for k, v := range w.slots {
+			fn(k, v) //dcslint:ignore determinism every caller fills a map or a set: commit's dirty set, DirtyAddresses (sorted after), Absorb
 		}
 		return
 	}
 	for _, e := range w.cold.slots {
-		fn(e.key, e.w)
+		fn(e.key, e.value)
 	}
 }

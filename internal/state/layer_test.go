@@ -22,7 +22,6 @@ func TestColdAccountIs40Bytes(t *testing.T) {
 // compacted layer, and what it held reads as before.
 func TestWriteToCompactedLayerPanics(t *testing.T) {
 	s, c := contractState()
-	s.DeleteStorage(c, []byte("doc/gone"))
 	a := cryptoutil.KeyFromSeed([]byte{1, 'g'}).Address()
 	root := s.Commit()
 	s.ReleaseTrie()
@@ -35,12 +34,11 @@ func TestWriteToCompactedLayerPanics(t *testing.T) {
 	child := s.Copy()
 	child.Credit(a, 1)
 	for name, write := range map[string]func(){
-		"Credit":        func() { s.Credit(a, 1) },
-		"Debit":         func() { _ = s.Debit(a, 1) },
-		"SetCode":       func() { s.SetCode(a, []byte("code")) },
-		"SetStorage":    func() { s.SetStorage(c, []byte("k"), []byte("v")) },
-		"DeleteStorage": func() { s.DeleteStorage(c, []byte("doc/a")) },
-		"Absorb":        func() { s.Absorb(child) },
+		"Credit":     func() { s.Credit(a, 1) },
+		"Debit":      func() { _ = s.Debit(a, 1) },
+		"SetCode":    func() { s.SetCode(a, []byte("code")) },
+		"SetStorage": func() { s.SetStorage(c, []byte("k"), []byte("v")) },
+		"Absorb":     func() { s.Absorb(child) },
 	} {
 		func() {
 			defer func() {
@@ -57,7 +55,7 @@ func TestWriteToCompactedLayerPanics(t *testing.T) {
 }
 
 // TestReadersWhileLayersCompact: goroutines read a chain of released
-// layers — accounts, contract code, slots and tombstones — and commit a
+// layers — accounts, contract code and slots — and commit a
 // child over them while the chain is compacted under them, top to bottom
 // and bottom to top at once (run under -race). Every read and every
 // child's root is what it was before.
@@ -81,7 +79,6 @@ func TestReadersWhileLayersCompact(t *testing.T) {
 			l.SetCode(c, []byte(fmt.Sprint("code-", d)))
 		}
 		l.SetStorage(c, []byte{byte(d % 5)}, []byte{byte(d)})
-		l.DeleteStorage(c, []byte{byte((d + 2) % 5)})
 		l.Commit()
 		layers = append(layers, l)
 	}

@@ -183,7 +183,7 @@ func DecodeSnapshot(data []byte) (*State, error) {
 				return nil, fmt.Errorf("state: snapshot slots not strictly sorted")
 			}
 			prevKey = k
-			w.slots[SlotKey{a, k}] = slotWrite{value: v}
+			w.slots[SlotKey{a, k}] = v
 		}
 	}
 

@@ -162,13 +162,6 @@ type State struct {
 	readErrs *atomic.Uint64
 }
 
-// slotWrite is one written slot: its value, or a tombstone that shadows
-// whatever the layers below hold.
-type slotWrite struct {
-	value   []byte
-	deleted bool
-}
-
 // New returns an empty state.
 func New() *State {
 	s := &State{}
@@ -407,22 +400,13 @@ func (s *State) IsContract(addr cryptoutil.Address) bool {
 // the time the layer is committed (every executor path creates it
 // first); slots of an address that never gets one are not kept.
 func (s *State) SetStorage(addr cryptoutil.Address, key, value []byte) {
-	s.writeSlot(SlotKey{addr, string(key)}, slotWrite{value: append([]byte(nil), value...)})
-}
-
-// DeleteStorage clears one slot.
-func (s *State) DeleteStorage(addr cryptoutil.Address, key []byte) {
-	s.writeSlot(SlotKey{addr, string(key)}, slotWrite{deleted: true})
-}
-
-// writeSlot is the single funnel for slot writes.
-func (s *State) writeSlot(k SlotKey, sw slotWrite) {
+	k := SlotKey{addr, string(key)}
 	if s.track != nil {
 		s.track.WriteSlots[k] = struct{}{}
 	}
 	w := s.hot()
 	s.memo.Store(nil)
-	w.slots[k] = sw
+	w.slots[k] = append([]byte(nil), value...)
 }
 
 // Storage reads a contract storage slot. Every slot read of execution
@@ -432,26 +416,26 @@ func (s *State) Storage(addr cryptoutil.Address, key []byte) []byte {
 	if s.track != nil {
 		s.track.ReadSlots[k] = struct{}{}
 	}
-	v, _, err := s.slot(k)
+	v, err := s.slot(k)
 	s.fail(err)
 	return v
 }
 
-// slot returns the live value of one storage slot and whether the slot
-// exists (a slot may hold an empty value), without recording a read or
-// latching an error.
-func (s *State) slot(k SlotKey) ([]byte, bool, error) {
+// slot returns the live value of one storage slot, without recording a
+// read or latching an error.
+func (s *State) slot(k SlotKey) ([]byte, error) {
 	for cur := s; ; cur = cur.parent {
-		if sw, ok := cur.w.Load().slot(k); ok {
-			return sw.value, !sw.deleted, nil
+		if v, ok := cur.w.Load().slot(k); ok {
+			return v, nil
 		}
 		if tr, done := cur.under(); done {
 			lf, _, err := readLeaf(tr, k.Addr)
 			st := lf.storage(tr)
 			if st == nil {
-				return nil, false, err
+				return nil, err
 			}
-			return st.TryGet([]byte(k.Key))
+			v, _, err := st.TryGet([]byte(k.Key))
+			return v, err
 		}
 	}
 }
@@ -479,7 +463,7 @@ func (s *State) Absorb(child *State) {
 	for h, c := range cw.code {
 		w.code[h] = c
 	}
-	cw.eachSlot(func(k SlotKey, sw slotWrite) { w.slots[k] = sw })
+	cw.eachSlot(func(k SlotKey, v []byte) { w.slots[k] = v })
 }
 
 // ApplyTx applies one transaction, paying fees to proposer. Returns a
@@ -653,7 +637,7 @@ func (s *State) DirtyAddresses() []cryptoutil.Address {
 	w := s.w.Load()
 	seen := make(map[cryptoutil.Address]struct{})
 	w.eachAccount(func(a cryptoutil.Address, _ Account) { seen[a] = struct{}{} })
-	w.eachSlot(func(k SlotKey, _ slotWrite) { seen[k.Addr] = struct{}{} })
+	w.eachSlot(func(k SlotKey, _ []byte) { seen[k.Addr] = struct{}{} })
 	out := make([]cryptoutil.Address, 0, len(seen))
 	for a := range seen {
 		out = append(out, a)

@@ -355,8 +355,4 @@ func TestCommitReflectsStorage(t *testing.T) {
 	if r1 == r2 {
 		t.Fatal("storage writes must change the state root")
 	}
-	s.DeleteStorage(a, []byte("k"))
-	if s.Commit() != r1 {
-		t.Fatal("deleting the slot must restore the root")
-	}
 }
