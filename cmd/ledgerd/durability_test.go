@@ -137,8 +137,8 @@ func TestShortRecoveryIsLogged(t *testing.T) {
 		if n.Chain().Height() >= blocks || m.BlocksRejected == 0 {
 			t.Fatalf("under %s: recovered height %d with %d rejected: the case is not exercised", c.flags, n.Chain().Height(), m.BlocksRejected)
 		}
-		want := fmt.Sprintf("journal tip height %d, recovered height %d, %d block(s) rejected, %d re-root(s) at a checkpoint, under %s",
-			blocks, n.Chain().Height(), m.BlocksRejected, m.RecoveryReroots, c.flags)
+		want := fmt.Sprintf("journal tip height %d, recovered height %d, %d block(s) rejected, under %s",
+			blocks, n.Chain().Height(), m.BlocksRejected, c.flags)
 		if len(lines) != 1 || !strings.Contains(lines[0], want) {
 			t.Fatalf("logged %q, want one line with %q", lines, want)
 		}

@@ -13,6 +13,7 @@ import (
 	"dcsledger/internal/incentive"
 	"dcsledger/internal/seglog"
 	"dcsledger/internal/simclock"
+	"dcsledger/internal/state"
 	"dcsledger/internal/types"
 	"dcsledger/internal/wal"
 )
@@ -277,76 +278,95 @@ func TestRecoverReorgedChain(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixAggressivePrune proves the checkpoint-seq prune floor
-// end to end: an operator pruning the WAL as hard as the API allows
-// (PruneBefore of the newest seq) must lose only history the newest
-// retained checkpoint covers — recovery re-roots the block tree at the
-// checkpoint block, reaches the exact durable head, and the node keeps
-// accepting and checkpointing blocks afterwards.
-func TestCrashMatrixAggressivePrune(t *testing.T) {
+// TestCrashMatrixCutBelowCheckpoint: a byte flipped in a sealed journal
+// segment cuts the log below both retained checkpoints. The next open
+// removes them, as they cover records the journal no longer holds, and
+// recovers the journal's verified prefix; the blocks connected after that
+// restart, and the checkpoint written among them, survive the restart
+// after it: the blocks reuse the removed checkpoints' seqs, so a stale
+// checkpoint left behind would be newer, by name, than theirs.
+func TestCrashMatrixCutBelowCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	// Small segments so the aggressive prune has many whole segments
-	// below the checkpoint floor to actually drop.
 	opts := wal.StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 1 << 10, CheckpointEvery: 8}
 	n1, ds1, _, genesis := durableNodeOpts(t, dir, opts)
 	bd := newChainBuilder(t, genesis)
-	miner := cryptoutil.KeyFromSeed([]byte("prune-miner")).Address()
-	blocks := bd.chain(genesis, 30, miner)
-	for _, b := range blocks {
-		if err := n1.HandleBlock(b); err != nil {
-			t.Fatalf("HandleBlock h=%d: %v", b.Header.Height, err)
-		}
-	}
-
-	removed, err := ds1.PruneBefore(ds1.Stats().WAL.LastSeq)
-	if err != nil {
-		t.Fatalf("PruneBefore: %v", err)
-	}
-	if removed == 0 {
-		t.Fatal("aggressive prune removed no segments")
-	}
-	preIdx := chainIndex(n1)
-	preHeight := n1.Chain().Height()
+	miner := cryptoutil.KeyFromSeed([]byte("cut-miner")).Address()
+	handleAll(t, n1, bd.chain(genesis, 30, miner))
 	ds1.Close()
 
-	// Reopen: the journal no longer reaches genesis, so recovery must
-	// re-root at the checkpoint and still reach the exact durable head.
-	n2, _, rec, _ := durableNodeOpts(t, dir, opts)
-	ck := rec.Checkpoint
-	if ck == nil {
-		t.Fatal("no checkpoint recovered from the pruned store")
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.seg"))
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("journal segments %v (%v), want several", segs, err)
 	}
-	if n2.Metrics().RecoveryReroots != 1 {
-		t.Fatalf("RecoveryReroots = %d, want 1", n2.Metrics().RecoveryReroots)
+	data, err := os.ReadFile(segs[1]) // Glob sorts: the second segment
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n2.Tree().Genesis() != ck.Head {
-		t.Fatalf("tree root %s, want checkpoint head %s",
-			n2.Tree().Genesis().Short(), ck.Head.Short())
-	}
-	if got := n2.Chain().Height(); got != preHeight {
-		t.Fatalf("recovered height %d, want exact durable head %d", got, preHeight)
-	}
-	for h := ck.Height; h <= preHeight; h++ {
-		got, ok := n2.Chain().AtHeight(h)
-		if !ok || got != preIdx[h] {
-			t.Fatalf("height %d: recovered %s, pre-prune %s", h, got.Short(), preIdx[h].Short())
-		}
-	}
-	head, _ := n2.Tree().Get(n2.Chain().Head())
-	if root := n2.State().Commit(); root != head.Header.StateRoot {
-		t.Fatalf("recovered head state root %s != header %s",
-			root.Short(), head.Header.StateRoot.Short())
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// The re-rooted node keeps working: it extends the chain (crossing
-	// the next checkpoint cadence at height 32) like any other node.
-	for _, b := range bd.chain(blocks[len(blocks)-1], 4, miner) {
-		if err := n2.HandleBlock(b); err != nil {
-			t.Fatalf("post-recovery HandleBlock h=%d: %v", b.Header.Height, err)
-		}
+	n2, ds2, rec2, _ := durableNodeOpts(t, dir, opts)
+	cutAt := n2.Chain().Height()
+	if cutAt == 0 || cutAt >= 16 || cutAt != rec2.TipHeight() || rec2.Checkpoint != nil {
+		t.Fatalf("second open: height %d, journal tip %d, checkpoint %+v; want the journal's prefix below both checkpoints and no checkpoint", cutAt, rec2.TipHeight(), rec2.Checkpoint)
 	}
-	if got := n2.Chain().Height(); got != preHeight+4 {
-		t.Fatalf("post-recovery height %d, want %d", got, preHeight+4)
+	if got := rec2.SkippedCheckpoints; len(got) != 2 || !strings.Contains(got[0].Reason.Error(), "past the journal's last record") {
+		t.Fatalf("skipped %v, want both checkpoints removed as past the journal's end", got)
+	}
+	head2, _ := n2.Tree().Get(n2.Chain().Head())
+	handleAll(t, n2, bd.chain(head2, 12, miner))
+	want := n2.Chain().Head()
+	wantHeight := n2.Chain().Height()
+	if wantHeight != cutAt+12 || ds2.Stats().Checkpoints == 0 {
+		t.Fatalf("second session reached %d with %d checkpoints, want %d and one at least", wantHeight, ds2.Stats().Checkpoints, cutAt+12)
+	}
+	ckHeight := wantHeight - wantHeight%8
+	ds2.Close()
+
+	n3, _, rec3, _ := durableNodeOpts(t, dir, opts)
+	if n3.Chain().Head() != want || n3.Chain().Height() != wantHeight {
+		t.Fatalf("third open recovered %s@%d, want the second session's head %s@%d",
+			n3.Chain().Head().Short(), n3.Chain().Height(), want.Short(), wantHeight)
+	}
+	if ck := rec3.Checkpoint; ck == nil || ck.Height != ckHeight || len(rec3.SkippedCheckpoints) != 0 {
+		t.Fatalf("third open loaded checkpoint %+v (skipped %v), want the second session's at height %d", ck, rec3.SkippedCheckpoints, ckHeight)
+	}
+	if m := n3.Metrics(); m.BlocksRejected != 0 || m.RecoveredBlocks != wantHeight {
+		t.Fatalf("third open: %d recovered, %d rejected; want %d, 0", m.RecoveredBlocks, m.BlocksRejected, wantHeight)
+	}
+}
+
+// TestCheckpointOffItsHeadSeedsNothing: a checkpoint whose state root is
+// not the one its head's header carries is not seeded at its head; the
+// blocks after it rebuild their parent state from the journal, and the
+// recovery reaches the exact head.
+func TestCheckpointOffItsHeadSeedsNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := wal.StoreOptions{Fsync: seglog.SyncAlways, CheckpointEvery: 1000}
+	n1, ds1, _, genesis := durableNodeOpts(t, dir, opts)
+	bd := newChainBuilder(t, genesis)
+	blocks := bd.chain(genesis, 10, cryptoutil.KeyFromSeed([]byte("off-miner")).Address())
+	handleAll(t, n1, blocks[:8])
+	other := state.New()
+	other.Credit(cryptoutil.KeyFromSeed([]byte("nobody")).Address(), 1)
+	if err := ds1.Checkpoint(blocks[7], other.Commit(), other); err != nil {
+		t.Fatal(err)
+	}
+	handleAll(t, n1, blocks[8:])
+	ds1.Close()
+
+	n2, _, rec, _ := durableNodeOpts(t, dir, opts)
+	if rec.Checkpoint == nil || rec.Checkpoint.Head != blocks[7].Hash() {
+		t.Fatalf("checkpoint %+v not loaded", rec.Checkpoint)
+	}
+	if n2.Chain().Head() != blocks[9].Hash() || n2.Metrics().BlocksRejected != 0 {
+		t.Fatalf("recovered %s@%d with %d rejected, want the head at 10 and none",
+			n2.Chain().Head().Short(), n2.Chain().Height(), n2.Metrics().BlocksRejected)
+	}
+	if root := n2.State().Commit(); root != blocks[9].Header.StateRoot {
+		t.Fatalf("head state root %s, header %s", root.Short(), blocks[9].Header.StateRoot.Short())
 	}
 }
 

@@ -125,7 +125,6 @@ type Metrics struct {
 	StateRebuilds   uint64
 	WALAppendErrors uint64
 	RecoveredBlocks uint64
-	RecoveryReroots uint64 // recoveries that re-rooted the tree at a checkpoint
 
 	// ForkChoiceSwitches counts fork-choice answers that were not the
 	// current head: the fork churn behind the paper's
@@ -173,8 +172,8 @@ type Node struct {
 
 	// State lifecycle: post-states are kept only for blocks within
 	// StateRetention of the head; baseState (the trie of the genesis
-	// post-state, or of the checkpoint recovery re-rooted at) is pinned
-	// forever as the replay root for rebuilding pruned states.
+	// post-state) is pinned forever as the replay root for rebuilding
+	// pruned states.
 	// anchorHeight is the monotonic lower edge of the retention window;
 	// detachedAt is the head height at which the head state was last cut
 	// loose from the layers under it.
@@ -326,9 +325,9 @@ func (n *Node) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// rootTreeLocked starts a block tree and main chain at root: genesis, or
-// the checkpoint block recovery re-roots at. With a durable store the
-// tree reads old bodies back from the journal instead of keeping them.
+// rootTreeLocked starts a block tree and main chain at root, the genesis.
+// With a durable store the tree reads old bodies back from the journal
+// instead of keeping them.
 func (n *Node) rootTreeLocked(root *types.Block) {
 	n.tree = store.NewBlockTree(root)
 	if n.cfg.Durable != nil {
@@ -496,7 +495,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		}
 		count("node_wal_append_errors_total", m.WALAppendErrors)
 		count("node_recovered_blocks_total", m.RecoveredBlocks)
-		count("node_recovery_reroots_total", m.RecoveryReroots)
 		count("forkchoice_switches_total", m.ForkChoiceSwitches)
 		if n.disk != nil {
 			count("node_disk_flushes_total", m.DiskFlushes)

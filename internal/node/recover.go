@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/obs"
 	"dcsledger/internal/state"
 	"dcsledger/internal/wal"
@@ -31,11 +30,9 @@ import (
 // against the head block header — recovery fails loudly rather than
 // resurrect a corrupt ledger.
 //
-// If the journal no longer reaches the checkpoint head — its covered
-// prefix was pruned (PruneBefore) or lost — the block tree is re-rooted
-// at the checkpoint's embedded block and replay continues from there;
-// history below the checkpoint is gone, but the durable head is still
-// recovered exactly.
+// What is recovered is the journal's verified prefix: the store removed
+// every checkpoint that covers more than the journal kept, and one whose
+// head the replay did not store seeds nothing (crossCheckpointLocked).
 func (n *Node) Recover(rec *wal.Recovery) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -134,22 +131,20 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 }
 
 // crossCheckpointLocked ends the covered part of a recovery, once the
-// replay has passed the last record checkpoint ck covers. Normally the
-// checkpoint head is in the tree by now, and its verified state is
-// seeded there so the first post-checkpoint block finds its parent
-// state without replaying history.
+// replay has passed the last record checkpoint ck covers. When the replay
+// stored the checkpoint's head, and that head's header carries the
+// checkpoint's height and state root, the checkpoint's state is seeded
+// there, so the first post-checkpoint block finds its parent state
+// without replaying history.
 //
-// If the head is not there, the journal no longer reaches back to
-// genesis (PruneBefore dropped the covered prefix, or the log was
-// damaged below the checkpoint; a head record alone surviving in a
-// partially-pruned boundary segment does not help). The checkpoint's own
-// block — embedded in the checkpoint file and verified against its
-// recorded head hash and state root at load — then becomes the root of
-// a fresh block tree and its state the replay base, and whatever the
-// covered part stored is dropped with the old tree, its counts with it.
-// Everything the checkpoint does not cover is replayed on top exactly as
-// in a full-history recovery.
+// Otherwise nothing is seeded: the head was refused (a block journaled
+// under another genesis or retarget interval fails its checks) or the
+// file names another chain. The blocks the replay stored rebuild their
+// states from the base state, as a pruned state does.
 func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint) {
+	if hdr, ok := n.tree.Header(ck.Head); !ok || hdr.Height != ck.Height || hdr.StateRoot != ck.StateRoot {
+		return
+	}
 	st := ck.State
 	if st == nil {
 		// No snapshot: the state is the trie the store holds under the
@@ -163,13 +158,5 @@ func (n *Node) crossCheckpointLocked(ck *wal.Checkpoint) {
 	// there. A failed write is counted (DiskErrors); the in-memory trie
 	// serves.
 	st, _ = n.seedTrieLocked(ck.Height, st, ck.State != nil)
-	if n.tree.Has(ck.Head) {
-		n.states[ck.Head] = st
-	} else {
-		n.rootTreeLocked(ck.Block)
-		n.baseState = st
-		n.states = map[cryptoutil.Hash]*state.State{ck.Head: st}
-		n.metrics.RecoveredBlocks, n.metrics.BlocksRejected = 0, 0 // a fresh node's, until this replay
-		n.metrics.RecoveryReroots++
-	}
+	n.states[ck.Head] = st
 }

@@ -396,17 +396,6 @@ func (l *Log) Reader(seg uint64) (io.ReaderAt, error) {
 	return f, nil
 }
 
-// ReadHeader returns the header extension of segment seg without
-// reading any frame.
-func (l *Log) ReadHeader(seg uint64) ([]byte, error) {
-	f, err := os.Open(l.path(seg))
-	if err != nil {
-		return nil, fmt.Errorf("seglog: open segment: %w", err)
-	}
-	defer f.Close()
-	return l.f.readHeader(f)
-}
-
 // Remove deletes sealed segment seg and makes the removal durable.
 func (l *Log) Remove(seg uint64) error {
 	i := sort.Search(len(l.segments), func(i int) bool { return l.segments[i] >= seg })

@@ -41,6 +41,14 @@ func (s SideFiles) List() ([]uint64, error) {
 	return ids, nil
 }
 
+// Remove deletes the file for id and makes the removal durable.
+func (s SideFiles) Remove(id uint64) error {
+	if err := os.Remove(s.Path(id)); err != nil {
+		return fmt.Errorf("seglog: side file: %w", err)
+	}
+	return syncDir(s.Dir)
+}
+
 // Write atomically publishes data as the file for id: temp file, fsync,
 // rename, directory fsync. Any error up to and including the directory
 // fsync is returned and means the new file must not be relied on; the

@@ -14,9 +14,9 @@
 // checkpoint files and the crash failpoint are internal/seglog's. This
 // package owns what is the WAL's alone: the record body (u64 seq + u8
 // type + payload), sequence continuity as the test a scanned frame must
-// pass, the rule that damage anywhere — a record out of sequence or one
-// recovery would not replay too — truncates the log there and drops
-// everything after it, and the prune floor.
+// pass, and the rule that damage anywhere — a record out of sequence or
+// one recovery would not replay too — truncates the log there and drops
+// everything after it, with every checkpoint that covers what it dropped.
 //
 // The DurableStore journals blocks compressed (RecBlock, or RecHeadBlock
 // for a block that becomes the head as it is journaled: one record where
@@ -154,8 +154,7 @@ func (s *DurableStore) openLog(dir string, fn func(Record, Loc) error) error {
 		return err
 	}
 	s.log = l
-	// Appends resume at the seq the scan expected next (for a pruned log
-	// whose one segment holds no record yet, its header's first seq).
+	// Appends resume at the seq the scan expected next.
 	next, damage, err := s.scan(l.Segments(), fn)
 	if err != nil {
 		return err
@@ -225,44 +224,6 @@ func (s *DurableStore) appendLocked(typ byte, payload []byte) (uint64, Loc, erro
 		return 0, Loc{}, err
 	}
 	return seq, Loc{Seg: uint32(seg), Len: uint32(len(s.frame)), Off: off}, nil
-}
-
-// PruneBefore removes whole segments all of whose records have sequence
-// numbers <= seq, and forgets the blocks they held: those can no longer
-// be read back. The active segment is never removed, and seq is clamped
-// to the prune floor, the newest retained checkpoint's covered seq (0
-// while there is none) — segments the checkpoint does not cover are
-// refused, however aggressive the request, so recovery can always
-// replay the post-checkpoint suffix. Pruning forfeits the ability to
-// rebuild history older than the checkpoint; recovery then re-roots the
-// block tree at the checkpoint block (see docs/PERSISTENCE.md — the node
-// does not prune automatically).
-func (s *DurableStore) PruneBefore(seq uint64) (removed int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq = min(seq, s.pruneFloor)
-	for segs := s.log.Segments(); len(segs) > 1; segs = segs[1:] {
-		// A segment is removable when the NEXT segment starts at or
-		// before seq+1: every record in it is then <= seq. The next
-		// segment's header says where it starts.
-		var ext []byte
-		if ext, err = s.log.ReadHeader(segs[1]); err != nil || binary.BigEndian.Uint64(ext) > seq+1 {
-			break
-		}
-		if err = s.log.Remove(segs[0]); err != nil {
-			break
-		}
-		removed++
-	}
-	if removed > 0 {
-		oldest := uint32(s.log.Segments()[0])
-		for h, at := range s.blocks {
-			if at.Seg < oldest {
-				delete(s.blocks, h)
-			}
-		}
-	}
-	return removed, err
 }
 
 // SetFailpoint arms a deterministic crash on the nth append after this

@@ -10,7 +10,6 @@ import (
 
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/seglog"
-	"dcsledger/internal/state"
 )
 
 // The tests of the log itself: records in, records out, through the
@@ -355,48 +354,6 @@ func TestAppendErrors(t *testing.T) {
 	}
 	if err := s.LogHead(headHash(0)); !errors.Is(err, ErrStoreFailed) {
 		t.Fatalf("LogHead after close: err = %v, want ErrStoreFailed", err)
-	}
-}
-
-func TestPruneBefore(t *testing.T) {
-	dir := t.TempDir()
-	opts := StoreOptions{Fsync: seglog.SyncAlways, SegmentSize: 128}
-	s, _ := openStoreT(t, dir, opts)
-	logHeads(t, s, 40)
-	before := s.Stats().WAL.Segments
-	if before < 3 {
-		t.Fatalf("need >= 3 segments, got %d", before)
-	}
-	// A checkpoint covering every record raises the floor to the last.
-	st := state.New()
-	if err := s.Checkpoint(testBlocks(1)[0], st.Commit(), st); err != nil {
-		t.Fatal(err)
-	}
-	last := s.Stats().WAL.LastSeq
-	removed, err := s.PruneBefore(last)
-	if err != nil {
-		t.Fatalf("PruneBefore: %v", err)
-	}
-	if removed == 0 {
-		t.Fatal("PruneBefore removed nothing")
-	}
-	if got := s.Stats().WAL.Segments; got != before-removed {
-		t.Fatalf("segments = %d, want %d", got, before-removed)
-	}
-	// The surviving suffix must still be a valid log ending at last.
-	recs := records(t, s)
-	if len(recs) == 0 || recs[len(recs)-1].Seq != last {
-		t.Fatalf("pruned log ends at %v, want last seq %d", recs, last)
-	}
-	contiguous(t, recs, recs[0].Seq)
-	// Reopen continues from the same sequence.
-	s.Close()
-	s2, _ := openStoreT(t, dir, opts)
-	if got := s2.Stats().WAL.LastSeq; got != last {
-		t.Fatalf("LastSeq after prune+reopen = %d, want %d", got, last)
-	}
-	if seq, _, err := appendRec(s2, RecHead, []byte("x")); err != nil || seq != last+1 {
-		t.Fatalf("append after prune+reopen = %d, %v; want %d", seq, err, last+1)
 	}
 }
 

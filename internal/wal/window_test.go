@@ -135,18 +135,15 @@ func TestWindowRestarts(t *testing.T) {
 }
 
 // TestReadBlockWhileLogging: blocks read back by hash, chained records
-// among them, while the same store journals more and rotates segments,
-// a scraper takes its stats, and, after a checkpoint, a prune removes
-// segments under the readers. A read returns the block asked for or,
-// once the prune began, ErrNoBlock or the read of a handle the prune
-// closed — never another block.
+// among them, while the same store journals more, checkpoints and rotates
+// segments, and a scraper takes its stats. A read returns the block asked
+// for, never another block or an error.
 func TestReadBlockWhileLogging(t *testing.T) {
 	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 16 << 10})
 	blocks := transferBlocks(t, 48, 8)
 	logBlocks(t, s, blocks[:16])
 	var logged atomic.Int64 // blocks journaled so far
 	logged.Store(16)
-	var pruning atomic.Bool
 	done := make(chan struct{})
 	errs := make(chan error, 3)
 	for r := 0; r < 2; r++ {
@@ -164,7 +161,7 @@ func TestReadBlockWhileLogging(t *testing.T) {
 					errs <- fmt.Errorf("ReadBlock h=%d returned block h=%d", b.Header.Height, got.Header.Height)
 					return
 				}
-				if err != nil && !(pruning.Load() && (errors.Is(err, ErrNoBlock) || errors.Is(err, os.ErrClosed))) {
+				if err != nil {
 					errs <- fmt.Errorf("ReadBlock h=%d: %v", b.Header.Height, err)
 					return
 				}
@@ -197,11 +194,6 @@ func TestReadBlockWhileLogging(t *testing.T) {
 	if err := s.Checkpoint(blocks[39], st.Commit(), st); err != nil {
 		t.Fatal(err)
 	}
-	pruning.Store(true)
-	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
-	if err != nil || removed == 0 {
-		t.Fatalf("PruneBefore removed %d: %v", removed, err)
-	}
 	for _, b := range blocks[40:] {
 		logBlocks(t, s, []*types.Block{b})
 		logged.Add(1)
@@ -215,34 +207,18 @@ func TestReadBlockWhileLogging(t *testing.T) {
 	if s.Stats().WAL.Rotations == 0 {
 		t.Fatal("no rotation while reading")
 	}
-	var kept []*types.Block
-	for _, b := range blocks {
-		if s.HasBlock(b.Hash()) {
-			kept = append(kept, b)
-		}
-	}
-	if len(kept) == len(blocks) || len(kept) < 8 {
-		t.Fatalf("%d of %d blocks kept", len(kept), len(blocks))
-	}
-	readsBack(t, s, kept)
+	readsBack(t, s, blocks)
 }
 
 // TestWindowNeverCrossesSegments: every segment's first block record
-// restarts the window, so no record reads across a segment boundary;
-// pruning the segments a checkpoint covers leaves every remaining block
-// readable, before and after a reopen.
+// restarts the window, so no record reads across a segment boundary, and
+// every block reads back, before and after a reopen.
 func TestWindowNeverCrossesSegments(t *testing.T) {
 	dir := t.TempDir()
 	opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: 16 << 10}
 	blocks := transferBlocks(t, 40, 20)
 	s, _ := openStoreT(t, dir, opts)
-	logBlocks(t, s, blocks[:24])
-	st := state.New()
-	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("a"))), 1)
-	if err := s.Checkpoint(blocks[23], st.Commit(), st); err != nil {
-		t.Fatal(err)
-	}
-	logBlocks(t, s, blocks[24:])
+	logBlocks(t, s, blocks)
 
 	chained := 0
 	perSeg := map[uint32]int{} // block records so far in each segment
@@ -267,34 +243,14 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 		t.Fatalf("%d segments, %d chained records: the case is not exercised", len(perSeg), chained)
 	}
 
-	removed, err := s.PruneBefore(s.Stats().WAL.LastSeq)
-	if err != nil || removed == 0 {
-		t.Fatalf("PruneBefore removed %d: %v", removed, err)
-	}
-	var kept []*types.Block
-	for _, b := range blocks {
-		if s.HasBlock(b.Hash()) {
-			kept = append(kept, b)
-		} else if _, err := s.ReadBlock(b.Hash()); !errors.Is(err, ErrNoBlock) {
-			t.Fatalf("a pruned block reads as %v", err)
-		}
-	}
-	if len(kept) == len(blocks) || len(kept) < 16 {
-		t.Fatalf("%d of %d blocks kept", len(kept), len(blocks))
-	}
-	for h, at := range s.blocks {
-		if at.Seg < uint32(s.log.Segments()[0]) {
-			t.Fatalf("block %s of pruned segment %d is still indexed", h.Short(), at.Seg)
-		}
-	}
-	readsBack(t, s, kept)
+	readsBack(t, s, blocks)
 	s.Close()
 
 	s, rec := openStoreT(t, dir, opts)
-	if cut := s.Stats().WAL.TornTruncated; rec.Blocks != len(kept) || cut != 0 {
-		t.Fatalf("reopen after pruning: %d blocks, %d bytes cut; want %d, 0", rec.Blocks, cut, len(kept))
+	if cut := s.Stats().WAL.TornTruncated; rec.Blocks != len(blocks) || cut != 0 {
+		t.Fatalf("reopen: %d blocks, %d bytes cut; want %d, 0", rec.Blocks, cut, len(blocks))
 	}
-	readsBack(t, s, kept)
+	readsBack(t, s, blocks)
 	journaledBlocks(t, rec)
 }
 
