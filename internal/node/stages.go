@@ -35,7 +35,7 @@ func (n *Node) verifyLocked(b *types.Block, at obs.At, sigs bool) error {
 	parent, ok := n.tree.Get(b.Header.ParentHash)
 	if !ok {
 		// handleBlockFrom buffers orphans, but recovery replays the journal
-		// directly and a damaged or pruned log can orphan a record.
+		// directly and a damaged log can orphan a record.
 		return fmt.Errorf("node: %w", store.ErrUnknownParent)
 	}
 	if !b.VerifyTxRoot() {

@@ -84,8 +84,8 @@ func (t *BlockTree) Genesis() cryptoutil.Hash {
 }
 
 // SetBodySource makes src the place evicted bodies are read back from.
-// Call before the first Add. The root's body always stays resident: a
-// tree re-rooted at a checkpoint has it from nowhere else.
+// Call before the first Add. The root's body always stays resident, so
+// a source need not hold it.
 func (t *BlockTree) SetBodySource(src BodySource) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -14,14 +14,11 @@ import (
 // the "block age" question the paper ties trust to (Section 2.2) via
 // Confirmations.
 //
-// Heights are absolute block-header heights. They coincide with slice
-// positions only when the tree is rooted at a height-0 genesis; a tree
-// re-rooted at a checkpoint (recovery from a pruned journal) starts at
-// the checkpoint's height, and everything below it is simply absent.
+// The tree is rooted at a height-0 genesis, so a block's header height
+// is its position in byHeight.
 type Chain struct {
 	mu       sync.RWMutex
 	tree     *BlockTree
-	base     uint64 // header height of the tree root (byHeight[0])
 	byHeight []cryptoutil.Hash
 	// txIndex locates every main-chain transaction once a FindTx has asked
 	// for one; until then it is nil and nothing is kept per transaction.
@@ -36,8 +33,7 @@ type txLocation struct {
 
 // NewChain creates a main-chain view with the tree's root block as head.
 func NewChain(tree *BlockTree) *Chain {
-	root, _ := tree.Header(tree.Genesis())
-	return &Chain{tree: tree, base: root.Height, byHeight: []cryptoutil.Hash{tree.Genesis()}}
+	return &Chain{tree: tree, byHeight: []cryptoutil.Hash{tree.Genesis()}}
 }
 
 // Tree returns the underlying block tree.
@@ -68,7 +64,7 @@ func (c *Chain) SetHead(tip cryptoutil.Hash) (removed, added []cryptoutil.Hash, 
 		cur = hdr.ParentHash
 	}
 	slices.Reverse(added)
-	keep := int(forkHeight-c.base) + 1
+	keep := int(forkHeight) + 1
 	removed = append(removed, c.byHeight[keep:]...)
 	c.byHeight = append(c.byHeight[:keep], added...)
 	// The index is a cache of the bodies: when one of them cannot be read
@@ -100,7 +96,7 @@ func (c *Chain) indexLocked(index map[cryptoutil.Hash]txLocation, removed, added
 
 // onMainLocked reports whether h is the main-chain block at height.
 func (c *Chain) onMainLocked(height uint64, h cryptoutil.Hash) bool {
-	return height >= c.base && height-c.base < uint64(len(c.byHeight)) && c.byHeight[height-c.base] == h
+	return height < uint64(len(c.byHeight)) && c.byHeight[height] == h
 }
 
 // TxIndexEntries returns how many transactions the transaction index
@@ -124,23 +120,23 @@ func (c *Chain) HeadBlock() *types.Block {
 	return b
 }
 
-// Height returns the head's absolute header height (a height-0 genesis
-// root makes this the main-chain length minus one).
+// Height returns the head's header height: the main-chain length minus
+// one.
 func (c *Chain) Height() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.base + uint64(len(c.byHeight)-1)
+	return uint64(len(c.byHeight) - 1)
 }
 
-// AtHeight returns the main-chain block hash at the given absolute
-// height (false below a re-rooted tree's base).
+// AtHeight returns the main-chain block hash at the given height (false
+// above the head).
 func (c *Chain) AtHeight(h uint64) (cryptoutil.Hash, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if h < c.base || h-c.base >= uint64(len(c.byHeight)) {
+	if h >= uint64(len(c.byHeight)) {
 		return cryptoutil.ZeroHash, false
 	}
-	return c.byHeight[h-c.base], true
+	return c.byHeight[h], true
 }
 
 // Contains reports whether block h is on the main chain.
@@ -161,7 +157,7 @@ func (c *Chain) Confirmations(h cryptoutil.Hash) uint64 {
 	if err != nil || !c.onMainLocked(ht, h) {
 		return 0
 	}
-	return uint64(len(c.byHeight)) - (ht - c.base)
+	return uint64(len(c.byHeight)) - ht
 }
 
 // FindTx locates a transaction on the main chain, returning its block
@@ -183,7 +179,7 @@ func (c *Chain) FindTx(txID cryptoutil.Hash) (blockHash cryptoutil.Hash, index i
 	if !ok {
 		return cryptoutil.ZeroHash, 0, false, nil
 	}
-	return c.byHeight[uint64(loc.height)-c.base], int(loc.index), true, nil
+	return c.byHeight[loc.height], int(loc.index), true, nil
 }
 
 // Headers returns the main-chain headers from height `from` (inclusive),
@@ -192,11 +188,8 @@ func (c *Chain) Headers(from uint64, limit int) []types.BlockHeader {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.BlockHeader
-	if from < c.base {
-		from = c.base
-	}
-	for h := from; h-c.base < uint64(len(c.byHeight)) && len(out) < limit; h++ {
-		hdr, _ := c.tree.Header(c.byHeight[h-c.base])
+	for h := from; h < uint64(len(c.byHeight)) && len(out) < limit; h++ {
+		hdr, _ := c.tree.Header(c.byHeight[h])
 		out = append(out, *hdr)
 	}
 	return out
