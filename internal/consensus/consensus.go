@@ -54,7 +54,11 @@ type ForkChoice interface {
 	// Name identifies the rule ("longest", "ghost").
 	Name() string
 	// Choose returns the tip of the branch all correct peers should
-	// adopt.
+	// adopt. It is a function of the tree's blocks alone, not of the
+	// order they were added in: ties are broken totally (by hash), so
+	// peers that hold the same blocks agree. Recovery relies on it: the
+	// journal holds no head, and a restarted node's head is Choose over
+	// the blocks it recovered.
 	Choose(tree *store.BlockTree) (cryptoutil.Hash, error)
 }
 

@@ -113,12 +113,15 @@ func TestLongestChainUsesDifficulty(t *testing.T) {
 
 func TestDeterministicTieBreak(t *testing.T) {
 	// Two equal branches: both rules must pick the same tip on every
-	// call (consistency requires all peers agree).
+	// call (consistency requires all peers agree), and from the same
+	// blocks added in the reverse order (a recovering node rebuilds its
+	// tree in journal order, which need not be the order a peer saw).
 	g := types.NewBlock(cryptoutil.ZeroHash, 0, 0, cryptoutil.ZeroAddress, nil)
-	tree := store.NewBlockTree(g)
 	x := mkBlock(g, "x", 1)
 	y := mkBlock(g, "y", 1)
+	tree, reversed := store.NewBlockTree(g), store.NewBlockTree(g)
 	mustAdd(t, tree, x, y)
+	mustAdd(t, reversed, y, x)
 	for _, fc := range []interface {
 		Name() string
 		Choose(*store.BlockTree) (cryptoutil.Hash, error)
@@ -132,6 +135,9 @@ func TestDeterministicTieBreak(t *testing.T) {
 			if err != nil || again != first {
 				t.Fatalf("%s: tie break unstable", fc.Name())
 			}
+		}
+		if other, err := fc.Choose(reversed); err != nil || other != first {
+			t.Fatalf("%s: %s from the blocks in reverse order, %s in order (%v)", fc.Name(), other.Short(), first.Short(), err)
 		}
 	}
 }

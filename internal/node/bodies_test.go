@@ -239,9 +239,8 @@ func TestDeepReorgAndRebuildFromJournal(t *testing.T) {
 	if tracer.Summary()[obs.StageBodyRead].Count == 0 {
 		t.Fatal("no body_read span recorded")
 	}
-	// A body read back and a block record journaled name their block. Every
-	// head switch here is to a block as it connects, journaled in its
-	// record: no append is a head switch alone, which would name none.
+	// A body read back and a block record journaled name their block. Head
+	// switches are not journaled: no append names no block.
 	names := map[string]bool{}
 	for _, b := range slices.Concat(main, side) {
 		names[b.Hash().Short()] = true

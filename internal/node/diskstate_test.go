@@ -852,7 +852,7 @@ func TestCrashMatrixTornFlush(t *testing.T) {
 // durable, so it leaves the journal as it found it — the same last
 // sequence number, the same checkpoint files byte for byte — on either
 // backend, whatever it replays: blocks the newest checkpoint covers,
-// blocks past it, and the head switches of a reorg.
+// blocks past it, and the branch of a reorg.
 func TestRecoverAppendsNothing(t *testing.T) {
 	for name, memory := range map[string]bool{"memory": true, "disk": false} {
 		t.Run(name, func(t *testing.T) {

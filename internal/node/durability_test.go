@@ -1,13 +1,17 @@
 package node
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"dcsledger/internal/consensus"
 	"dcsledger/internal/consensus/forkchoice"
 	"dcsledger/internal/cryptoutil"
 	"dcsledger/internal/incentive"
@@ -77,9 +81,8 @@ func chainIndex(n *Node) map[uint64]cryptoutil.Hash {
 // fsync policy must recover to a verified prefix of the pre-crash
 // chain, with the head state root re-proven from the recovered state.
 // The crash lands on the record of a block that became the head as it
-// was journaled, block and head switch in one: recovery must come back
-// at the head before it, without the block, and the recovered head must
-// be a block the journal holds.
+// was journaled: recovery must come back at the head before it, without
+// the block, and the recovered head must be a block the journal holds.
 func TestCrashMatrix(t *testing.T) {
 	modes := []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble}
 	policies := []seglog.SyncPolicy{seglog.SyncAlways, seglog.SyncInterval, seglog.SyncNever}
@@ -127,14 +130,14 @@ func TestCrashMatrix(t *testing.T) {
 
 				// Reopen the directory: a fresh node must recover a
 				// verified prefix of the pre-crash chain.
-				n2, ds2, rec, _ := durableNodeOpts(t, dir, wal.StoreOptions{Fsync: pol, SegmentSize: 4 << 10, CheckpointEvery: 8})
-				if !ds2.HasBlock(rec.Head) {
-					t.Fatalf("the journal's head %s is not a block it holds", rec.Head.Short())
+				n2, ds2, _ := durableNode(t, dir, pol)
+				if head := n2.Chain().Head(); !ds2.HasBlock(head) {
+					t.Fatalf("the recovered head %s is not a block the journal holds", head.Short())
 				}
-				// The fifth append was block 25's, and the head with it.
-				if cut := blocks[24].Hash(); ds2.HasBlock(cut) || rec.Head != blocks[23].Hash() || n2.Chain().Head() != rec.Head {
-					t.Fatalf("recovered head %s (journal's %s); want %s, without the block the crash cut",
-						n2.Chain().Head().Short(), rec.Head.Short(), blocks[23].Hash().Short())
+				// The fifth append was block 25's.
+				if cut := blocks[24].Hash(); ds2.HasBlock(cut) || n2.Chain().Head() != blocks[23].Hash() {
+					t.Fatalf("recovered head %s; want %s, without the block the crash cut",
+						n2.Chain().Head().Short(), blocks[23].Hash().Short())
 				}
 				recHeight := n2.Chain().Height()
 				if recHeight == 0 {
@@ -276,6 +279,108 @@ func TestRecoverReorgedChain(t *testing.T) {
 			t.Fatalf("abandoned-branch block h=%d lost in recovery", b.Header.Height)
 		}
 	}
+}
+
+// TestRecoveredHeadIsTheForkChoice: the journal holds blocks only, and
+// the head a node recovers is the fork choice's answer over the blocks it
+// recovers, under either rule, for any order the blocks were journaled
+// in: after a reorg to a tip connected before the last block of its
+// round, after a tie of equal-work tips (the lowest hash wins), and after
+// a round that adopts several orphans. Each case restarts after a clean
+// close, where the recovered head must be the live one, and after a cut
+// at each append; a recovery counts no reorg and no fork-choice switch.
+func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
+	genesis := NewGenesis("durability-test")
+	bd := newChainBuilder(t, genesis)
+	key := func(s string) cryptoutil.Address { return cryptoutil.KeyFromSeed([]byte(s)).Address() }
+	less := func(x, y *types.Block) bool { return bytes.Compare(x.Hash().Bytes(), y.Hash().Bytes()) < 0 }
+	main := bd.chain(genesis, 2, key("fc-a"))
+	side := bd.chain(genesis, 2, key("fc-b"))
+	low, high := bd.extend(side[1], key("fc-c")), bd.extend(side[1], key("fc-d"))
+	if less(high, low) {
+		low, high = high, low
+	}
+	// Two branches of equal work whose first blocks (GHOST's tie) and tips
+	// (LongestChain's) order alike, delivered the winner second.
+	tieA, tieB := bd.chain(genesis, 3, key("fc-e")), bd.chain(genesis, 3, key("fc-f0"))
+	for i := 1; less(tieA[0], tieB[0]) != less(tieA[2], tieB[2]); i++ {
+		tieB = bd.chain(genesis, 3, key(fmt.Sprint("fc-f", i)))
+	}
+	if less(tieA[2], tieB[2]) {
+		tieA, tieB = tieB, tieA
+	}
+	long := bd.chain(genesis, 5, key("fc-g"))
+	cases := []struct {
+		name string
+		feed []*types.Block // in order; a block whose parent is not yet here waits as an orphan
+		want cryptoutil.Hash
+	}{
+		// The round of side[0] adopts side[1], low, then high: the head
+		// moves to low, connected before the round's last block.
+		{"reorg to a tip connected earlier", []*types.Block{main[0], main[1], side[1], low, high, side[0]}, low.Hash()},
+		{"equal-work tips", slices.Concat(tieA, tieB), tieB[2].Hash()},
+		{"a round adopting orphans", []*types.Block{long[4], long[3], long[2], long[1], long[0]}, long[4].Hash()},
+	}
+	for _, rule := range []consensus.ForkChoice{forkchoice.LongestChain{}, forkchoice.GHOST{}} {
+		for _, c := range cases {
+			// cut 0 is a clean close; cut k a crash at the kth append.
+			for cut := 0; cut <= len(c.feed); cut++ {
+				dir := t.TempDir()
+				n1, ds1 := ruleNode(t, dir, genesis, rule)
+				if cut > 0 {
+					ds1.SetFailpoint(seglog.FailCut, uint64(cut))
+				}
+				for _, b := range c.feed {
+					if err := n1.HandleBlock(b); err != nil {
+						t.Fatalf("%s/%s: HandleBlock h=%d: %v", rule.Name(), c.name, b.Header.Height, err)
+					}
+				}
+				live := n1.Chain().Head()
+				if tip, _ := rule.Choose(n1.Tree()); live != tip || live != c.want {
+					t.Fatalf("%s/%s: live head %s, fork choice %s, want %s", rule.Name(), c.name, live.Short(), tip.Short(), c.want.Short())
+				}
+				ds1.Close()
+
+				n2, _ := ruleNode(t, dir, genesis, rule)
+				got := n2.Chain().Head()
+				if tip, _ := rule.Choose(n2.Tree()); got != tip || cut == 0 && got != live {
+					t.Fatalf("%s/%s, cut at append %d: recovered head %s, fork choice over the recovered tree %s, live head %s",
+						rule.Name(), c.name, cut, got.Short(), tip.Short(), live.Short())
+				}
+				if m := n2.Metrics(); m.Reorgs != 0 || m.ForkChoiceSwitches != 0 {
+					t.Fatalf("%s/%s: recovery counted %d reorgs, %d fork-choice switches", rule.Name(), c.name, m.Reorgs, m.ForkChoiceSwitches)
+				}
+			}
+		}
+	}
+}
+
+// ruleNode is a node over the durable store in dir under fork choice
+// rule, recovered from whatever the directory holds.
+func ruleNode(t *testing.T, dir string, genesis *types.Block, rule consensus.ForkChoice) (*Node, *wal.DurableStore) {
+	t.Helper()
+	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	n, err := New(Config{
+		ID:         "d0",
+		Key:        cryptoutil.KeyFromSeed([]byte("durability-node")),
+		Engine:     liteEngine(2),
+		ForkChoice: rule,
+		Genesis:    genesis,
+		Rewards:    incentive.Schedule{InitialReward: 50},
+		Clock:      simclock.NewSimulator(),
+		Durable:    ds,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := n.Recover(rec); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return n, ds
 }
 
 // TestCrashMatrixCutBelowCheckpoint: a byte flipped in a sealed journal

@@ -209,11 +209,6 @@ type Node struct {
 	publishIntercept func(*types.Block) bool
 	withheld         []*types.Block
 
-	// unjournaled is the block the round connected last, until the fork
-	// choice answers and the journal stage writes it (journalRoundLocked);
-	// zero between rounds.
-	unjournaled unjournaled
-
 	// disk is the persistent backing of the account trie (nil unless
 	// Config.DiskState is set). See diskstate.go.
 	disk *diskState
@@ -957,20 +952,16 @@ func (n *Node) countRejectLocked(err error) {
 	}
 }
 
-// afterTreeChange re-runs the fork choice, updates the main chain,
-// journals the round (journalRoundLocked), and reschedules mining if the
-// tip moved.
+// afterTreeChange re-runs the fork choice, updates the main chain, and
+// reschedules mining if the tip moved.
 func (n *Node) afterTreeChange() {
 	defer n.evictBodiesLocked() // once the head is where it will be
 	tip, err := n.chooseLocked()
-	moved := err == nil && tip != n.chain.Head()
-	var removed, added []cryptoutil.Hash
-	if moved {
-		removed, added, err = n.chain.SetHead(tip)
-		moved = err == nil
+	if err != nil || tip == n.chain.Head() {
+		return
 	}
-	n.journalRoundLocked(tip, moved)
-	if !moved {
+	removed, added, err := n.chain.SetHead(tip)
+	if err != nil {
 		return
 	}
 	n.checkpointLocked(tip)
@@ -1111,7 +1102,7 @@ func (n *Node) produceBlock() error {
 	if err := n.storeLocked(b, h, st); err != nil {
 		return err
 	}
-	n.journalBlockLocked(b, h, at)
+	n.journalLocked(b, at)
 	n.afterTreeChange()
 	at.N = uint64(len(txs) - 1)
 	n.obs.Observe(obs.StageBlockPropose, swPropose.Start(), swPropose.Elapsed(), at)

@@ -23,12 +23,16 @@ import (
 // checkpoint's verified state root). Blocks past the checkpoint run
 // verify, execute and store as a block from a peer does. Nothing runs the
 // journal stage: every record is durable already, so a recovery appends
-// nothing to the log and writes no checkpoint. Journaled head switches are
-// replayed as they come, which moves the body and state windows along.
-// The recovered head is the last durable head switch when present
-// (falling back to fork choice), and its state root is always re-verified
-// against the head block header — recovery fails loudly rather than
-// resurrect a corrupt ledger.
+// nothing to the log and writes no checkpoint. The journal holds no head:
+// after each block it stores, recovery asks the fork choice rule for the
+// tip and moves the head there, as a live node does, which moves the body
+// and state windows along. The rule is called directly, not through
+// chooseLocked, so a restart counts no reorgs and no fork-choice
+// switches; it is a function of the tree alone, so the recovered head is
+// Choose over the recovered tree, whatever order the blocks were
+// journaled in. Its state root is always re-verified against the head
+// block header — recovery fails loudly rather than resurrect a corrupt
+// ledger.
 //
 // What is recovered is the journal's verified prefix: the store removed
 // every checkpoint that covers more than the journal kept, and one whose
@@ -57,14 +61,6 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 			n.crossCheckpointLocked(ck)
 		}
 		b := j.Block
-		if b == nil {
-			// SetHead refuses a head whose block the replay did not store.
-			if _, _, err := n.chain.SetHead(j.Head); err == nil {
-				n.pruneStatesLocked()
-				n.evictBodiesLocked()
-			}
-			return nil
-		}
 		h := b.Hash()
 		if n.tree.Has(h) {
 			return nil
@@ -81,10 +77,10 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 			return err // the store is failing: no prefix can be trusted to be complete
 		case err != nil:
 			n.metrics.BlocksRejected++
-		default:
-			n.metrics.RecoveredBlocks++
+			return nil
 		}
-		return nil
+		n.metrics.RecoveredBlocks++
+		return n.followChoiceLocked()
 	})
 	if err != nil {
 		return fmt.Errorf("node: recover: %w", err)
@@ -99,22 +95,8 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 			newest.Height, newest.StateRoot.Hex(), newest.Head.Short())
 	}
 
-	// Re-point the main chain: prefer the last durable head switch;
-	// fall back to fork choice when it did not survive.
-	head := rec.Head
-	if head.IsZero() || !n.tree.Has(head) {
-		tip, err := n.chooseLocked()
-		if err != nil {
-			return fmt.Errorf("node: recover fork choice: %w", err)
-		}
-		head = tip
-	}
-	if _, _, err := n.chain.SetHead(head); err != nil {
-		return fmt.Errorf("node: recover set head: %w", err)
-	}
-
 	// Re-verify the recovered head's state root end to end.
-	if head != n.tree.Genesis() {
+	if head := n.chain.Head(); head != n.tree.Genesis() {
 		st, err := n.stateOfLocked(head)
 		if err != nil {
 			return fmt.Errorf("node: recover head state: %w", err)
@@ -127,6 +109,24 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	n.pruneStatesLocked()
 
 	n.obs.Observe(obs.StageRecover, sw.Start(), sw.Elapsed(), obs.At{Height: n.chain.Height(), N: n.metrics.RecoveredBlocks})
+	return nil
+}
+
+// followChoiceLocked moves the head of a recovering node to the fork
+// choice's answer over the tree, and the state and body windows with it.
+func (n *Node) followChoiceLocked() error {
+	tip, err := n.cfg.ForkChoice.Choose(n.tree)
+	if err != nil {
+		return fmt.Errorf("node: recover fork choice: %w", err)
+	}
+	if tip == n.chain.Head() {
+		return nil
+	}
+	if _, _, err := n.chain.SetHead(tip); err != nil {
+		return fmt.Errorf("node: recover set head: %w", err)
+	}
+	n.pruneStatesLocked()
+	n.evictBodiesLocked()
 	return nil
 }
 

@@ -1,7 +1,5 @@
 // The stages a block passes on its way into the ledger — verify, execute,
-// store, journal — one function each, and connect, which runs all four
-// (the journal's append at the end of the round, once the fork choice has
-// answered).
+// store, journal — one function each, and connect, which runs all four.
 // Which stages a block runs is the caller's choice, written where it calls
 // (produceBlock, Recover and stateOfLocked run fewer: the table is in
 // docs/ARCHITECTURE.md). Every stage observes itself; callers hold n.mu.
@@ -123,63 +121,25 @@ func (n *Node) storeLocked(b *types.Block, h cryptoutil.Hash, st *state.State) e
 	return nil
 }
 
-// journalLocked is the journal stage: one append to the durable store — a
-// freshly stored block, a block and the head switch to it, or a head
-// switch alone — observed as wal_append. The
-// append is the commit point of what it records, so it is ordered under
-// the node lock with the tree/state mutation it makes durable. A failed
-// append is counted (the store latches failed and refuses further
-// writes); the node keeps serving from memory — the operator sees
-// node_wal_append_errors_total and restarts to recover the durable
-// prefix, exactly what a crashed process would do.
-func (n *Node) journalLocked(at obs.At, appendRecord func() error) {
+// journalLocked is the journal stage: b, which the store stage just took,
+// appended to the durable store, observed as wal_append. The append is the
+// block's commit point, so it is ordered under the node lock with the
+// tree/state mutation it makes durable. Head switches are not journaled:
+// the head is the fork choice's answer over the blocks, and recovery
+// recomputes it. A failed append is counted (the store latches failed and
+// refuses further writes); the node keeps serving from memory — the
+// operator sees node_wal_append_errors_total and restarts to recover the
+// durable prefix, exactly what a crashed process would do.
+func (n *Node) journalLocked(b *types.Block, at obs.At) {
 	if n.cfg.Durable == nil {
 		return
 	}
 	sw := obs.StartTimer()
-	if err := appendRecord(); err != nil {
+	if err := n.cfg.Durable.LogBlock(b); err != nil {
 		n.metrics.WALAppendErrors++
 		return
 	}
 	n.obs.Observe(obs.StageWALAppend, sw.Start(), sw.Elapsed(), at)
-}
-
-// unjournaled is a block the store stage took whose journal stage waits
-// for the fork choice: the last block a round connects.
-type unjournaled struct {
-	b  *types.Block
-	h  cryptoutil.Hash
-	at obs.At
-}
-
-// journalBlockLocked hands the journal stage b, whose hash is h, a block
-// the store stage just took. The block its round connected before it, if
-// any, is journaled now, a record of its own; b waits for the fork choice
-// (journalRoundLocked), so that it and the head switch to it can be one
-// record.
-func (n *Node) journalBlockLocked(b *types.Block, h cryptoutil.Hash, at obs.At) {
-	n.journalRoundLocked(cryptoutil.ZeroHash, false)
-	n.unjournaled = unjournaled{b, h, at}
-}
-
-// journalRoundLocked ends a round of connects once the fork choice has
-// answered tip, moved being whether the head moved to it: the block the
-// round connected last is journaled with the head switch when it is the
-// new tip, else on its own, then the head switch, if any, to a block
-// journaled before.
-func (n *Node) journalRoundLocked(tip cryptoutil.Hash, moved bool) {
-	u := n.unjournaled
-	n.unjournaled = unjournaled{}
-	switch {
-	case u.b != nil && moved && u.h == tip:
-		n.journalLocked(u.at, func() error { return n.cfg.Durable.LogHeadBlock(u.b) })
-		return
-	case u.b != nil:
-		n.journalLocked(u.at, func() error { return n.cfg.Durable.LogBlock(u.b) })
-	}
-	if moved {
-		n.journalLocked(obs.At{}, func() error { return n.cfg.Durable.LogHead(tip) })
-	}
 }
 
 // admitLocked runs verify, execute and store on a block built elsewhere;
@@ -200,17 +160,16 @@ func (n *Node) admitLocked(b *types.Block, h cryptoutil.Hash, at obs.At) error {
 }
 
 // connect runs verify, execute and store on a gossiped, fetched or
-// adopted block, hands it to the journal stage, and observes the whole as
-// block_connect: the gossip-receipt→connected leg of the pipeline, for a
-// block that made it. The append itself is not in the span when the block
-// is the round's last: it waits for the fork choice (journalBlockLocked).
+// adopted block, observes them as block_connect — the
+// gossip-receipt→connected leg of the pipeline, for a block that made it —
+// and then runs the journal stage, its own wal_append span.
 func (n *Node) connect(b *types.Block, h cryptoutil.Hash) error {
 	sw := obs.StartTimer()
 	at := blockAt(b, h)
 	if err := n.admitLocked(b, h, at); err != nil {
 		return err
 	}
-	n.journalBlockLocked(b, h, at)
 	n.obs.Observe(obs.StageBlockConnect, sw.Start(), sw.Elapsed(), at)
+	n.journalLocked(b, at)
 	return nil
 }

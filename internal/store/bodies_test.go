@@ -58,7 +58,7 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 			findTx(t, evChain, cryptoutil.ZeroHash)
 
 			blocks := []*types.Block{g}
-			var unjournaled []*types.Block
+			var pending []*types.Block
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(10); {
 				case op < 6: // extend a recent block, or fork off an old one
@@ -74,12 +74,12 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 						}
 					}
 					blocks = append(blocks, b)
-					unjournaled = append(unjournaled, b)
+					pending = append(pending, b)
 				case op < 7: // the journal catches up, not always fully
 					keep := rng.Intn(3)
-					for len(unjournaled) > keep {
-						journal.log(unjournaled[0])
-						unjournaled = unjournaled[1:]
+					for len(pending) > keep {
+						journal.log(pending[0])
+						pending = pending[1:]
 					}
 				case op < 8:
 					evicting.EvictBodies(uint64(rng.Intn(int(ramChain.Height()) + 2)))
@@ -103,9 +103,9 @@ func TestEvictedBodiesEqualResident(t *testing.T) {
 				t.Fatalf("nothing was evicted and read back: %d of %d resident, %d reads",
 					evicting.BodiesResident(), ram.BodiesResident(), journal.reads)
 			}
-			for _, b := range unjournaled {
+			for _, b := range pending {
 				if _, err := evicting.Block(b.Hash()); err != nil {
-					t.Fatalf("unjournaled block %s lost: %v", b.Hash().Short(), err)
+					t.Fatalf("block %s, not yet journaled, lost: %v", b.Hash().Short(), err)
 				}
 			}
 			if ramChain.Head() != evChain.Head() {

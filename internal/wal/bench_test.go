@@ -54,8 +54,7 @@ func BenchmarkReadBlock(b *testing.B) {
 }
 
 // BenchmarkLogBlock is what a node pays per block under each fsync
-// policy: the block and the head switch to it, journaled in one record,
-// its storage form compressed against the block records of its window
+// policy: the block journaled in one record, its storage form compressed against the block records of its window
 // before it, its signatures behind it; the same 64 blocks of 20 transfers
 // over and over. fsyncs/op is what the policy syncs a block.
 func BenchmarkLogBlock(b *testing.B) {
@@ -70,7 +69,7 @@ func BenchmarkLogBlock(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.LogHeadBlock(blocks[i%len(blocks)]); err != nil {
+				if err := s.LogBlock(blocks[i%len(blocks)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,7 +43,8 @@ func FuzzWALRecordDecode(f *testing.F) {
 	var enc lz.Encoder
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
-	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHeadBlock, Payload: testBlocks(1)[0].AppendSigs(enc.Encode([]byte{0}, testBlocks(1)[0].AppendStored(nil)))}))
+	// A block record, then a head record to it, which Replay skips.
+	f.Add(appendFrame(windowSeed(1, 0, 0), Record{Seq: 2, Type: RecHead, Payload: testBlocks(1)[0].Hash().Bytes()}))
 	f.Add(windowSeed(1, 0, 0))                                                   // a block record as the journal writes it
 	f.Add(windowSeed(1, windowCap+1, 0))                                         // a lone form past the window's bytes, kept
 	f.Add(appendFrame(nil, Record{Seq: 1, Type: RecHead, Payload: []byte("x")})) // a head record of no hash
@@ -135,13 +136,13 @@ func survivesReopen(t *testing.T, data []byte) {
 		if !errors.Is(err, seglog.ErrDamaged) {
 			t.Fatalf("Replay = %v, want nil or damage", err)
 		}
-		if err := s.LogHeadBlock(b); !errors.Is(err, ErrStoreFailed) {
-			t.Fatalf("LogHeadBlock after a refused replay: err = %v, want ErrStoreFailed", err)
+		if err := s.LogBlock(b); !errors.Is(err, ErrStoreFailed) {
+			t.Fatalf("LogBlock after a refused replay: err = %v, want ErrStoreFailed", err)
 		}
 		return
 	}
-	if err := s.LogHeadBlock(b); err != nil {
-		t.Fatalf("LogHeadBlock: %v", err)
+	if err := s.LogBlock(b); err != nil {
+		t.Fatalf("LogBlock: %v", err)
 	}
 	s.Close()
 	s, rec, err = OpenStore(dir, StoreOptions{Fsync: seglog.SyncNever})
@@ -151,9 +152,7 @@ func survivesReopen(t *testing.T, data []byte) {
 	defer s.Close()
 	var last *types.Block
 	if err := rec.Replay(func(j Journaled) error {
-		if j.Block != nil {
-			last = j.Block
-		}
+		last = j.Block
 		return nil
 	}); err != nil || last == nil || last.Hash() != b.Hash() {
 		t.Fatalf("the replay after the reopen: err %v, last block %v; want the block journaled before it", err, last)
@@ -164,7 +163,7 @@ func survivesReopen(t *testing.T, data []byte) {
 }
 
 // windowSeed is n block records, seq 1 on, each of the n blocks of
-// testBlocks chained to the record before it as LogHeadBlock chains them
+// testBlocks chained to the record before it as LogBlock chains them
 // but for the window's bounds: the backs run 0, 1, … n-1. A size above 0
 // is what each encoding declares as its storage form's, in place of the
 // form's own: the scan inflates only the header, so it weighs a record by
@@ -187,7 +186,7 @@ func windowSeed(n, size, head int) []byte {
 			_, k := binary.Uvarint(p[len(back):])
 			p = append(binary.AppendUvarint(back, uint64(size)), p[len(back)+k:]...)
 		}
-		out = appendFrame(out, Record{Seq: seq, Type: RecHeadBlock, Payload: b.AppendSigs(p)})
+		out = appendFrame(out, Record{Seq: seq, Type: RecBlock, Payload: b.AppendSigs(p)})
 		seq++
 	}
 	return out

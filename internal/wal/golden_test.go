@@ -33,9 +33,9 @@ func goldenStoreOpts() StoreOptions {
 	}
 }
 
-// writeGoldenStore is the scripted run: twelve journaled blocks, each the
-// new head in one record but every fourth, which is journaled as a block
-// and then a head switch, two records; one checkpoint after the eighth.
+// writeGoldenStore is the scripted run: twelve journaled blocks, every
+// fourth followed by a head record (which the open still admits and
+// Replay skips); one checkpoint after the eighth.
 func writeGoldenStore(t *testing.T, dir string) {
 	t.Helper()
 	s, _, err := OpenStore(dir, goldenStoreOpts())
@@ -47,14 +47,13 @@ func writeGoldenStore(t *testing.T, dir string) {
 	st.Credit(cryptoutil.AddressFromHash(cryptoutil.HashBytes([]byte("bob"))), 7)
 	root := st.Commit()
 	for i, b := range testBlocks(12) {
-		if i%4 != 3 {
-			if err := s.LogHeadBlock(b); err != nil {
-				t.Fatalf("LogHeadBlock %d: %v", i, err)
-			}
-		} else if err := s.LogBlock(b); err != nil {
+		if err := s.LogBlock(b); err != nil {
 			t.Fatalf("LogBlock %d: %v", i, err)
-		} else if err := s.LogHead(b.Hash()); err != nil {
-			t.Fatalf("LogHead %d: %v", i, err)
+		}
+		if i%4 == 3 {
+			if err := s.LogHead(b.Hash()); err != nil {
+				t.Fatalf("LogHead %d: %v", i, err)
+			}
 		}
 		if i == 7 {
 			if err := s.Checkpoint(b, root, st); err != nil {
@@ -121,12 +120,13 @@ func TestOnDiskGolden(t *testing.T) {
 
 // TestRefusesReplacedFormat: a data directory whose journal segments
 // are of a replaced format — DCSWAL01, before compact transactions,
-// DCSWAL02, before the storage form, or DCSWAL03, before windows bounded
-// by bytes and the block record that is a head switch too — is refused
+// DCSWAL02, before the storage form, DCSWAL03, before windows bounded
+// by bytes, or DCSWAL04, whose block records of type 3 are head switches
+// too — is refused
 // with an error naming the segment, its magic, this format's and the
 // remedy, and nothing in it is touched.
 func TestRefusesReplacedFormat(t *testing.T) {
-	for _, magic := range []string{"DCSWAL01", "DCSWAL02", "DCSWAL03"} {
+	for _, magic := range []string{"DCSWAL01", "DCSWAL02", "DCSWAL03", "DCSWAL04"} {
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()
 			name := format.SegmentName(1)

@@ -30,14 +30,12 @@ const (
 	// holds). The header prefix of a chained record copies from nothing
 	// before it, so the open-time scan needs no window.
 	RecBlock byte = 1
-	// RecHead journals one head switch (payload: 32-byte block hash): a
-	// switch to a block journaled before, a reorg to an older tip.
+	// RecHead journals one head switch (payload: 32-byte block hash). The
+	// node writes none: its head is the fork choice's answer over the
+	// blocks, which recovery recomputes. The open scan admits one and
+	// Replay skips it. It stays because benchmark/replay.go writes it
+	// (LogHead), and goes with that replay (ROADMAP item 1(b)).
 	RecHead byte = 2
-	// RecHeadBlock journals a connected block that is the new head: it
-	// means exactly RecBlock of the block followed by RecHead of its hash,
-	// in one record. The payload is RecBlock's, and it is a block record
-	// of its window like one.
-	RecHeadBlock byte = 3
 )
 
 // The journal's window: a block record's storage form is compressed
@@ -82,9 +80,6 @@ func (c *cursor) add(at Loc, back int) Loc {
 	c.n++
 	return Loc{Seg: at.Seg, Off: c.from, Len: uint32(at.Off + int64(at.Len) - c.from)}
 }
-
-// isBlock reports whether records of type typ carry a block.
-func isBlock(typ byte) bool { return typ == RecBlock || typ == RecHeadBlock }
 
 // DefaultCheckpointEvery is the default block cadence between state
 // checkpoints.
@@ -135,14 +130,11 @@ type StoreOptions struct {
 	Clock func() time.Time
 }
 
-// Journaled is one record of the journal as Recovery.Replay delivers
-// it: a connected block (Block non-nil) or a head switch (Block nil,
-// Head the new head). A RecHeadBlock is delivered as both, the block
-// first, under the one Seq.
+// Journaled is one block record of the journal as Recovery.Replay
+// delivers it: the block and the record's seq.
 type Journaled struct {
 	Seq   uint64
 	Block *types.Block
-	Head  cryptoutil.Hash
 }
 
 // Checkpoint is one decoded, validated state checkpoint.
@@ -167,14 +159,12 @@ type Checkpoint struct {
 }
 
 // Recovery is what OpenStore found on disk: how many blocks the journal
-// holds, the last durable head switch, and the newest valid checkpoint
-// (nil if none usable). The blocks themselves are not held: Replay
+// holds and the newest valid checkpoint (nil if none usable). The blocks themselves are not held: Replay
 // streams them from the log. A record the open-time scan would not hand
 // to Replay was cut, with everything behind it, as a torn tail is, and
 // so was every checkpoint that covered more than the journal kept.
 type Recovery struct {
-	Blocks     int             // block records in the journal (counted by their headers)
-	Head       cryptoutil.Hash // zero if no head record survived
+	Blocks     int // block records in the journal (counted by their headers)
 	Checkpoint *Checkpoint
 	// SkippedCheckpoints are the checkpoint files opening did not use,
 	// newest first: those it removed, as they cover records past the
@@ -196,9 +186,9 @@ type SkippedCheckpoint struct {
 // TipHeight is the height of the journal's highest block (0 when empty).
 func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 
-// Replay streams the journal in log order, one decoded record at a
-// time, so a caller rebuilding a chain from it holds no more blocks
-// than it chooses to keep. Records appended since the open are not
+// Replay streams the journal's blocks in log order, one decoded block at
+// a time, so a caller rebuilding a chain from it holds no more blocks
+// than it chooses to keep; head records are skipped. Records appended since the open are not
 // delivered. The callback may read blocks back from the store. Call
 // before the store takes new appends.
 //
@@ -216,13 +206,8 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 	// held only to list the segments, so fn may read the log back.
 	var refused error
 	_, _, err := r.store.scan(segs, func(rec Record, at Loc) error {
-		if rec.Seq > r.lastSeq {
+		if rec.Seq > r.lastSeq || rec.Type == RecHead {
 			return nil
-		}
-		if rec.Type == RecHead {
-			j := Journaled{Seq: rec.Seq}
-			copy(j.Head[:], rec.Payload) // the open-time scan admitted hashes only
-			return fn(j)
 		}
 		form, sigs, err := inflate(&z, rec, pos)
 		pos++
@@ -237,10 +222,7 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 			refused = fmt.Errorf("wal: replay: block record %d: %w", rec.Seq, err)
 			return refused
 		}
-		if err := fn(Journaled{Seq: rec.Seq, Block: b}); err != nil || rec.Type == RecBlock {
-			return err
-		}
-		return fn(Journaled{Seq: rec.Seq, Head: b.Hash()})
+		return fn(Journaled{Seq: rec.Seq, Block: b})
 	})
 	if refused != nil {
 		r.store.mu.Lock()
@@ -255,7 +237,7 @@ func (r *Recovery) Replay(fn func(Journaled) error) error {
 // encoding that follows it, and returns the size of the storage form
 // that encoding declares: what the record weighs in its window.
 func blockPayload(rec Record) (back int, enc []byte, size int, err error) {
-	if back, enc, size, ok := lz.Split(rec.Payload, MaxRecordLen); ok && isBlock(rec.Type) {
+	if back, enc, size, ok := lz.Split(rec.Payload, MaxRecordLen); ok && rec.Type == RecBlock {
 		return back, enc, size, nil
 	}
 	return 0, nil, 0, fmt.Errorf("%w: not a block record, or one whose back does not split", seglog.ErrDamaged)
@@ -303,7 +285,7 @@ func header(rec Record, buf *[]byte) (back, size int, h *types.BlockHeader, err 
 }
 
 // DurableStore is the persistent block-store backend: it journals
-// connected blocks and head switches into a segmented WAL under
+// connected blocks into a segmented WAL under
 // dir/wal/ and writes periodic state checkpoints as dir/ckpt-*.ck
 // files. The journal is also where block bodies are read back from
 // (ReadBlock): the store remembers where each block's record lies. One
@@ -370,7 +352,7 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 	// A record Replay would not take is damage: cut there, as a torn tail.
 	err := s.openLog(filepath.Join(dir, "wal"), func(r Record, at Loc) error {
 		switch r.Type {
-		case RecBlock, RecHeadBlock:
+		case RecBlock:
 			// The header is all this pass needs; Replay inflates the body
 			// and decodes the transactions, once, when the block is
 			// actually wanted.
@@ -378,18 +360,13 @@ func OpenStore(dir string, opts StoreOptions) (*DurableStore, *Recovery, error) 
 			if err != nil || !links.Admit(s.cur.next(at.Seg), back, size) {
 				return seglog.ErrDamaged // uninflatable, undecodable or out of its window
 			}
-			hash := h.Hash()
-			s.blocks[hash] = s.cur.add(at, back)
+			s.blocks[h.Hash()] = s.cur.add(at, back)
 			rec.Blocks++
 			rec.tipHeight = max(rec.tipHeight, h.Height)
-			if r.Type == RecHeadBlock {
-				rec.Head = hash
-			}
 		case RecHead:
 			if len(r.Payload) != cryptoutil.HashSize {
 				return seglog.ErrDamaged
 			}
-			copy(rec.Head[:], r.Payload)
 		default:
 			return seglog.ErrDamaged
 		}
@@ -477,14 +454,7 @@ func (s *DurableStore) RegisterMetrics(reg *metrics.Registry) {
 // commit point: an error means durability was NOT achieved and latches
 // the store into the failed state. On success the block can be read back
 // (ReadBlock).
-func (s *DurableStore) LogBlock(b *types.Block) error { return s.logBlock(RecBlock, b) }
-
-// LogHeadBlock is LogBlock of b, then LogHead of its hash, in one record
-// (RecHeadBlock): one write, and under the always policy one fsync, where
-// the two took two each.
-func (s *DurableStore) LogHeadBlock(b *types.Block) error { return s.logBlock(RecHeadBlock, b) }
-
-func (s *DurableStore) logBlock(typ byte, b *types.Block) error {
+func (s *DurableStore) LogBlock(b *types.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
@@ -508,7 +478,7 @@ func (s *DurableStore) logBlock(typ byte, b *types.Block) error {
 	}
 	header := 8 + int(binary.BigEndian.Uint64(in[len(in)-size:])) // the length field and the header
 	s.zbuf = b.AppendSigs(s.enc.Next(lz.AppendBack(s.zbuf[:0], back), in, header))
-	at, err := s.logLocked(typ, s.zbuf)
+	at, err := s.logLocked(RecBlock, s.zbuf)
 	if err != nil {
 		return err
 	}
@@ -519,7 +489,8 @@ func (s *DurableStore) logBlock(typ byte, b *types.Block) error {
 	return nil
 }
 
-// LogHead journals one head switch.
+// LogHead journals one head switch (RecHead), which no reader uses: its
+// one caller is benchmark/replay.go, and it goes with that replay.
 func (s *DurableStore) LogHead(h cryptoutil.Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -606,13 +577,13 @@ func readBlock(f io.ReaderAt, at Loc) (form, sigs []byte, err error) {
 		if !ok {
 			return fmt.Errorf("%w: short record body", seglog.ErrDamaged)
 		}
-		if last = rec.Type; isBlock(last) {
+		if last = rec.Type; last == RecBlock {
 			_, _, n, _ := blockPayload(rec) // 0 for a payload that does not split
 			recs, size = append(recs, rec), size+n
 		}
 		return nil
 	})
-	if err == nil && !isBlock(last) {
+	if err == nil && last != RecBlock {
 		err = fmt.Errorf("%w: the bytes read do not end in a block record", seglog.ErrDamaged)
 	}
 	z := newWindow()

@@ -47,9 +47,7 @@ func journaledBlocks(t *testing.T, rec *Recovery) []Journaled {
 	t.Helper()
 	var out []Journaled
 	if err := rec.Replay(func(j Journaled) error {
-		if j.Block != nil {
-			out = append(out, j)
-		}
+		out = append(out, j)
 		return nil
 	}); err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -63,7 +61,7 @@ func journaledBlocks(t *testing.T, rec *Recovery) []Journaled {
 func TestStoreJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-	if rec.Blocks != 0 || !rec.Head.IsZero() || rec.Checkpoint != nil {
+	if rec.Blocks != 0 || rec.Checkpoint != nil {
 		t.Fatalf("fresh store recovery not empty: %+v", rec)
 	}
 	blocks := testBlocks(5)
@@ -81,90 +79,29 @@ func TestStoreJournalRoundTrip(t *testing.T) {
 	if rec2.Blocks != 5 {
 		t.Fatalf("recovered %d blocks, want 5", rec2.Blocks)
 	}
+	// Replay delivers the blocks, each under its record's seq, and skips
+	// the head records between them.
 	for i, rb := range journaledBlocks(t, rec2) {
-		if rb.Block.Hash() != blocks[i].Hash() {
-			t.Fatalf("block %d hash mismatch after journal round trip", i)
+		if rb.Block.Hash() != blocks[i].Hash() || rb.Seq != uint64(2*i+1) {
+			t.Fatalf("delivery %d: block %s at seq %d, want %s at %d", i, rb.Block.Hash().Short(), rb.Seq, blocks[i].Hash().Short(), 2*i+1)
 		}
-	}
-	if rec2.Head != blocks[4].Hash() {
-		t.Fatalf("recovered head %s, want %s", rec2.Head.Short(), blocks[4].Hash().Short())
 	}
 	if got := rec2.TipHeight(); got != 5 {
 		t.Fatalf("TipHeight = %d, want 5", got)
 	}
 }
 
-// TestHeadBlockRecord: blocks journaled with LogHeadBlock replay as
-// LogBlock then LogHead of each hash replay — the block, then the head
-// switch to it — and recover the same head, from one record a block: one
-// append and, under the always policy, one fsync where those take two.
-func TestHeadBlockRecord(t *testing.T) {
-	blocks := testBlocks(6)
-	journal := func(one bool) ([]Journaled, *Recovery, StoreStats) {
-		dir := t.TempDir()
-		s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-		for _, b := range blocks {
-			if one {
-				if err := s.LogHeadBlock(b); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			if err := s.LogBlock(b); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.LogHead(b.Hash()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := s.Stats()
-		s.Close()
-		_, rec := openStoreT(t, dir, StoreOptions{})
-		var out []Journaled
-		if err := rec.Replay(func(j Journaled) error {
-			out = append(out, j)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out, rec, st
-	}
-	one, rec1, st1 := journal(true)
-	two, rec2, st2 := journal(false)
-	if len(one) != 2*len(blocks) || len(two) != len(one) {
-		t.Fatalf("replayed %d and %d records, want %d each", len(one), len(two), 2*len(blocks))
-	}
-	for i := range one {
-		a, b := one[i], two[i]
-		if (a.Block == nil) != (b.Block == nil) || a.Block != nil && a.Block.Hash() != b.Block.Hash() || a.Head != b.Head {
-			t.Fatalf("delivery %d differs: %+v, %+v", i, a, b)
-		}
-		if a.Seq != uint64(i/2+1) || b.Seq != uint64(i+1) {
-			t.Fatalf("delivery %d: seqs %d and %d", i, a.Seq, b.Seq)
-		}
-	}
-	last := blocks[len(blocks)-1].Hash()
-	if rec1.Head != last || rec2.Head != last || rec1.Blocks != len(blocks) || rec2.Blocks != len(blocks) {
-		t.Fatalf("recovered heads %s, %s, blocks %d, %d", rec1.Head.Short(), rec2.Head.Short(), rec1.Blocks, rec2.Blocks)
-	}
-	n := uint64(len(blocks))
-	if st1.WAL.Appends != n || st1.WAL.Fsyncs != n || st2.WAL.Appends != 2*n || st2.WAL.Fsyncs != 2*n {
-		t.Fatalf("appends/fsyncs %d/%d in one record a block, %d/%d in two; want %d/%d, %d/%d",
-			st1.WAL.Appends, st1.WAL.Fsyncs, st2.WAL.Appends, st2.WAL.Fsyncs, n, n, 2*n, 2*n)
-	}
-}
-
-// TestLogHeadBlockAllocs: journaling a block frames its record into a
+// TestLogBlockAllocs: journaling a block frames its record into a
 // buffer the store keeps, as it compresses into one: one allocation an
 // append, where a fresh frame for every record made it two.
-func TestLogHeadBlockAllocs(t *testing.T) {
+func TestLogBlockAllocs(t *testing.T) {
 	s, _ := openStoreT(t, t.TempDir(), StoreOptions{Fsync: seglog.SyncNever})
 	defer s.Close()
 	blocks := transferBlocks(t, 64, 20)
 	logBlocks(t, s, blocks) // the buffers grow, the index holds every hash
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.LogHeadBlock(blocks[i%len(blocks)]); err != nil {
+		if err := s.LogBlock(blocks[i%len(blocks)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -538,16 +475,14 @@ func refusedReplay(t *testing.T, s *DurableStore, rec *Recovery, seq uint64) []J
 	t.Helper()
 	var out []Journaled
 	err := rec.Replay(func(j Journaled) error {
-		if j.Block != nil {
-			out = append(out, j)
-		}
+		out = append(out, j)
 		return nil
 	})
 	if !errors.Is(err, seglog.ErrDamaged) || !strings.Contains(err.Error(), fmt.Sprintf("block record %d:", seq)) {
 		t.Fatalf("Replay = %v; want damage naming block record %d", err, seq)
 	}
-	if err := s.LogHeadBlock(testBlocks(1)[0]); !errors.Is(err, ErrStoreFailed) {
-		t.Fatalf("LogHeadBlock after a refused replay: err = %v, want ErrStoreFailed", err)
+	if err := s.LogBlock(testBlocks(1)[0]); !errors.Is(err, ErrStoreFailed) {
+		t.Fatalf("LogBlock after a refused replay: err = %v, want ErrStoreFailed", err)
 	}
 	return out
 }
@@ -596,7 +531,7 @@ func TestAppendsResumeAtACutRecord(t *testing.T) {
 			dir := t.TempDir()
 			opts := StoreOptions{Fsync: seglog.SyncAlways}
 			s, _ := openStoreT(t, dir, opts)
-			if err := s.LogHeadBlock(blocks[0]); err != nil {
+			if err := s.LogBlock(blocks[0]); err != nil {
 				t.Fatal(err)
 			}
 			seq, at, err := appendRec(s, RecBlock, payload)
@@ -604,12 +539,12 @@ func TestAppendsResumeAtACutRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, rec := reopenCut(t, s, dir, opts, seq, at)
-			if rec.Blocks != 1 || rec.Head != blocks[0].Hash() {
-				t.Fatalf("the open kept %d blocks, head %s; want the 1 before the cut", rec.Blocks, rec.Head.Short())
+			if rec.Blocks != 1 {
+				t.Fatalf("the open kept %d blocks; want the 1 before the cut", rec.Blocks)
 			}
 			journaledBlocks(t, rec)
 			b := blocks[2]
-			if err := s.LogHeadBlock(b); err != nil {
+			if err := s.LogBlock(b); err != nil {
 				t.Fatal(err)
 			}
 			if last := s.Stats().WAL.LastSeq; last != seq {
@@ -618,9 +553,9 @@ func TestAppendsResumeAtACutRecord(t *testing.T) {
 			s.Close()
 
 			s, rec = openStoreT(t, dir, opts)
-			if st := s.Stats().WAL; st.TornTruncated != 0 || rec.Blocks != 2 || rec.Head != b.Hash() || !s.HasBlock(b.Hash()) {
-				t.Fatalf("next open: %d bytes cut, %d blocks, head %s, block indexed %v; want 0, 2, %s, true",
-					st.TornTruncated, rec.Blocks, rec.Head.Short(), s.HasBlock(b.Hash()), b.Hash().Short())
+			if st := s.Stats().WAL; st.TornTruncated != 0 || rec.Blocks != 2 || !s.HasBlock(b.Hash()) {
+				t.Fatalf("next open: %d bytes cut, %d blocks, block indexed %v; want 0, 2, true",
+					st.TornTruncated, rec.Blocks, s.HasBlock(b.Hash()))
 			}
 			if got := journaledBlocks(t, rec); got[len(got)-1].Block.Hash() != b.Hash() {
 				t.Fatal("Replay does not deliver the block journaled after the cut last")

@@ -1,7 +1,9 @@
 // Package wal implements the durability layer of a peer: an append-only
 // write-ahead log of sequence-numbered records plus a persistent
 // block-store backend (DurableStore) that journals connected blocks and
-// head switches and periodically checkpoints the head state.
+// periodically checkpoints the head state. Head switches are not
+// journaled: the head is the fork choice's answer over the blocks, and
+// recovery recomputes it.
 //
 // The log is the commit point of the ledger: a block is durable once
 // its record hits the WAL (subject to the configured fsync policy), and
@@ -18,10 +20,8 @@
 // one recovery would not replay too — truncates the log there and drops
 // everything after it, with every checkpoint that covers what it dropped.
 //
-// The DurableStore journals blocks compressed (RecBlock, or RecHeadBlock
-// for a block that becomes the head as it is journaled: one record where
-// a block and its head switch were two), each block's storage form,
-// through internal/lz, against the block records before it in the same
+// The DurableStore journals blocks compressed (RecBlock), each block's
+// storage form, through internal/lz, against the block records before it in the same
 // window and its signatures raw behind it, and inflates them wherever a
 // block record is read. A window restarts at 128 block records, or before
 // its storage forms would pass 128 KiB: what one read inflates at most.
@@ -50,10 +50,12 @@ const (
 	// segMagic opens every segment file (8 bytes, versioned). A
 	// directory of DCSWAL01 segments (the encoding before compact keys
 	// and signatures), DCSWAL02 ones (block records compressing the
-	// canonical encoding, signatures and all) or DCSWAL03 ones (windows
-	// of 16 block records, every head switch a record of its own) is
+	// canonical encoding, signatures and all), DCSWAL03 ones (windows
+	// of 16 block records, every head switch a record of its own) or
+	// DCSWAL04 ones (a block and the head switch to it in one record of
+	// type 3, which this scan would cut as a type it never writes) is
 	// refused.
-	segMagic = "DCSWAL04"
+	segMagic = "DCSWAL05"
 	// recordHeaderLen is u64 seq + u8 type inside the framed body.
 	recordHeaderLen = 9
 	// MaxRecordLen bounds one record body so a garbled length field
@@ -63,7 +65,7 @@ const (
 
 // format is the WAL's segment file format: wal-XXXXXXXX.seg, the header
 // extended by the sequence number of the segment's first record.
-var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen, Replaced: []string{"DCSWAL01", "DCSWAL02", "DCSWAL03"}}
+var format = seglog.Format{Prefix: "wal-", Magic: segMagic, ExtLen: 8, MaxBody: MaxRecordLen, Replaced: []string{"DCSWAL01", "DCSWAL02", "DCSWAL03", "DCSWAL04"}}
 
 // DefaultSegmentSize is the rotation threshold for segment files.
 const DefaultSegmentSize = 4 << 20

@@ -111,8 +111,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("LastSeq = %d, want 25", got)
 	}
 	s.Close()
-	if _, rec := openStoreT(t, dir, StoreOptions{}); rec.Head != headHash(24) {
-		t.Fatalf("reopen: head %s, want the last one journaled", rec.Head.Short())
+	if s, rec := openStoreT(t, dir, StoreOptions{}); rec.Blocks != 0 || len(records(t, s)) != 25 {
+		t.Fatalf("reopen: %d blocks, %d records; want the 25 head records and no block", rec.Blocks, len(records(t, s)))
 	}
 }
 
@@ -172,8 +172,8 @@ func TestSegmentRotationAndContinuity(t *testing.T) {
 
 // TestCrashModesTruncateToPrefix drives each failpoint mode and asserts
 // that reopening the directory recovers exactly the records appended
-// before the crash — the log is always a valid prefix. A crash on a
-// record that is a block and the head switch to it recovers the head
+// before the crash — the log is always a valid prefix. A crash on the
+// record of the block that would be the new head recovers the blocks
 // before it, without the block.
 func TestCrashModesTruncateToPrefix(t *testing.T) {
 	for _, mode := range []seglog.FailMode{seglog.FailCut, seglog.FailTorn, seglog.FailGarble} {
@@ -183,14 +183,14 @@ func TestCrashModesTruncateToPrefix(t *testing.T) {
 			s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
 			logBlocks(t, s, blocks[:7])
 			s.SetFailpoint(mode, 1)
-			if err := s.LogHeadBlock(blocks[7]); !errors.Is(err, ErrStoreFailed) {
+			if err := s.LogBlock(blocks[7]); !errors.Is(err, ErrStoreFailed) {
 				t.Fatalf("append at failpoint: err = %v, want ErrStoreFailed", err)
 			}
 			s.Close()
 
 			s2, rec := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncAlways})
-			if rec.Blocks != 7 || rec.Head != blocks[6].Hash() || !s2.HasBlock(rec.Head) {
-				t.Fatalf("mode %s: recovered %d blocks, head %s; want 7, the block before the crash", mode, rec.Blocks, rec.Head.Short())
+			if rec.Blocks != 7 || rec.TipHeight() != blocks[6].Header.Height {
+				t.Fatalf("mode %s: recovered %d blocks to height %d; want 7, to the block before the crash", mode, rec.Blocks, rec.TipHeight())
 			}
 			if s2.HasBlock(blocks[7].Hash()) {
 				t.Fatalf("mode %s: the block the crash cut is in the journal", mode)
@@ -274,8 +274,8 @@ func TestMidLogCorruptionDropsSuffix(t *testing.T) {
 	}
 
 	s2, rec := openStoreT(t, dir, opts)
-	if recs := records(t, s2); len(recs) != 0 || rec.Head != (cryptoutil.Hash{}) {
-		t.Fatalf("recovered %d records, head %s after first-record corruption, want none", len(recs), rec.Head.Short())
+	if recs := records(t, s2); len(recs) != 0 || rec.Blocks != 0 {
+		t.Fatalf("recovered %d records, %d blocks after first-record corruption, want none", len(recs), rec.Blocks)
 	}
 	st := s2.Stats().WAL
 	if st.Segments != 1 {

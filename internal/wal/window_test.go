@@ -36,12 +36,11 @@ func backOf(t testing.TB, s *DurableStore, h cryptoutil.Hash) int {
 	return back
 }
 
-// logBlocks journals blocks as a node does: each the new head, in one
-// record.
+// logBlocks journals blocks as a node does: one record each.
 func logBlocks(t testing.TB, s *DurableStore, blocks []*types.Block) {
 	t.Helper()
 	for _, b := range blocks {
-		if err := s.LogHeadBlock(b); err != nil {
+		if err := s.LogBlock(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,8 +107,8 @@ func TestWindowRestarts(t *testing.T) {
 			s.Close()
 
 			s, rec := openStoreT(t, dir, opts)
-			if cut := s.Stats().WAL.TornTruncated; rec.Blocks != c.reopenAt || cut != 0 || rec.Head != blocks[c.reopenAt-1].Hash() {
-				t.Fatalf("reopen: %d blocks, %d bytes cut, head %s", rec.Blocks, cut, rec.Head.Short())
+			if cut := s.Stats().WAL.TornTruncated; rec.Blocks != c.reopenAt || cut != 0 || rec.TipHeight() != blocks[c.reopenAt-1].Header.Height {
+				t.Fatalf("reopen: %d blocks, %d bytes cut, tip height %d", rec.Blocks, cut, rec.TipHeight())
 			}
 			logBlocks(t, s, blocks[c.reopenAt:])
 			if segs := s.Stats().WAL.Segments; segs != 1 {
@@ -223,7 +222,7 @@ func TestWindowNeverCrossesSegments(t *testing.T) {
 	chained := 0
 	perSeg := map[uint32]int{} // block records so far in each segment
 	if _, _, err := s.scan(s.log.Segments(), func(r Record, at Loc) error {
-		if !isBlock(r.Type) {
+		if r.Type != RecBlock {
 			return nil
 		}
 		i := perSeg[at.Seg]
@@ -336,9 +335,10 @@ func TestDamageInsideWindow(t *testing.T) {
 }
 
 // headInsideWindow journals blocks, a node's way, into a fresh store in
-// dir, with a head switch on its own, a reorg back to blocks[reorg-1],
-// after blocks[reorg-1]: a head record inside the first window. It
-// returns the store and where the head record lies.
+// dir, with a head record, a switch back to blocks[reorg-1], after
+// blocks[reorg-1]: a head record inside the first window, as a journal
+// written by benchmark/replay.go holds them. It returns the store and
+// where the head record lies.
 func headInsideWindow(t *testing.T, dir string, blocks []*types.Block, reorg int) (*DurableStore, Loc) {
 	t.Helper()
 	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
@@ -456,13 +456,15 @@ func chained(before, b *types.Block, back int, guard bool) []byte {
 	return b.AppendSigs(e.Next(lz.AppendBack(nil, back), append(e.Window(), form...), header))
 }
 
-// TestOutOfWindowRecordStopsCollection: a CRC-valid RecBlock or
-// RecHeadBlock that no writer produces — a back that does not follow the
-// record before it, a back past the window's records or past its bytes,
-// a chained record first in its segment, a header that copies from the
-// window — is damage to the open-time scan, which cuts the journal there
-// with everything behind it, as for any record whose header does not
-// inflate. The head switch of a cut RecHeadBlock is cut with it.
+// TestOutOfWindowRecordStopsCollection: a CRC-valid RecBlock that no
+// writer produces — a back that does not follow the record before it, a
+// back past the window's records or past its bytes, a chained record
+// first in its segment, a header that copies from the window — is damage
+// to the open-time scan, which cuts the journal there with everything
+// behind it, as for any record whose header does not inflate. So is the
+// same payload under type 3, the type DCSWAL04 gave a block that became
+// the head as it was journaled: no writer of this format produces it, and
+// the open cuts it whatever it carries, a well-formed block included.
 func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 	blocks := transferBlocks(t, 3, 20)
 	small := transferBlocks(t, windowRecords+1, 1) // a window full by records, then one more
@@ -485,7 +487,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 		"back of ten bytes, garbled": {blocks[:1], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, 0},
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, typ := range []byte{RecBlock, RecHeadBlock} {
+			for _, typ := range []byte{RecBlock, 3} {
 				t.Run(fmt.Sprintf("type %d", typ), func(t *testing.T) {
 					dir := t.TempDir()
 					opts := StoreOptions{Fsync: seglog.SyncNever, SegmentSize: c.segmentSize}
@@ -495,7 +497,7 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := s.LogHeadBlock(blocks[2]); err != nil {
+					if err := s.LogBlock(blocks[2]); err != nil {
 						t.Fatal(err)
 					}
 					_, rec := reopenCut(t, s, dir, opts, seq, at)
@@ -503,27 +505,34 @@ func TestOutOfWindowRecordStopsCollection(t *testing.T) {
 					if got := journaledBlocks(t, rec); len(got) != len(c.before) || got[len(got)-1].Block.Hash() != last {
 						t.Fatalf("recovered %d blocks, want the %d before the bad record", len(got), len(c.before))
 					}
-					if rec.Head != last {
-						t.Fatalf("head %s, want the head before the cut record", rec.Head.Short())
-					}
 				})
 			}
 		})
 	}
 	// The same record with a back that follows and a guarded header is
-	// what LogBlock writes: it is collected.
-	dir := t.TempDir()
-	s, _ := openStoreT(t, dir, StoreOptions{Fsync: seglog.SyncNever})
-	if err := s.LogBlock(blocks[0]); err != nil {
-		t.Fatal(err)
+	// what LogBlock writes: it is collected as type 1, and cut as type 3.
+	for _, typ := range []byte{RecBlock, 3} {
+		dir := t.TempDir()
+		opts := StoreOptions{Fsync: seglog.SyncNever}
+		s, _ := openStoreT(t, dir, opts)
+		if err := s.LogBlock(blocks[0]); err != nil {
+			t.Fatal(err)
+		}
+		seq, at, err := appendRec(s, typ, chained(blocks[0], blocks[1], 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == 3 {
+			if _, rec := reopenCut(t, s, dir, opts, seq, at); rec.Blocks != 1 {
+				t.Fatalf("a well-formed chained record of type 3: %d blocks kept, want the 1 before it", rec.Blocks)
+			}
+			continue
+		}
+		s.Close()
+		s, rec := openStoreT(t, dir, opts)
+		if cut := s.Stats().WAL.TornTruncated; rec.Blocks != 2 || cut != 0 {
+			t.Fatalf("a well-formed chained record: %d blocks, %d bytes cut", rec.Blocks, cut)
+		}
+		readsBack(t, s, blocks[:2])
 	}
-	if _, _, err := appendRec(s, RecHeadBlock, chained(blocks[0], blocks[1], 1, true)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s, rec := openStoreT(t, dir, StoreOptions{})
-	if cut := s.Stats().WAL.TornTruncated; rec.Blocks != 2 || cut != 0 || rec.Head != blocks[1].Hash() {
-		t.Fatalf("a well-formed chained record: %d blocks, %d bytes cut, head %s", rec.Blocks, cut, rec.Head.Short())
-	}
-	readsBack(t, s, blocks[:2])
 }
