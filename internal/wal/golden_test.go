@@ -98,10 +98,10 @@ func hashTree(t *testing.T, dir string) map[string]string {
 // is deterministic), and the checkpoint.
 var goldenStoreFiles = map[string]string{
 	"ckpt-0000000000000010.ck": "62a72c7671792f494a9e284a9f21841d4ba4d6fdc1259054823e6a57057aacb4",
-	"wal/wal-00000001.seg":     "e414a30938a31a3c04f803447176fa1250dacc5f1d0f3df0dc284e7e22385798",
-	"wal/wal-00000002.seg":     "791cf6ddd00f4a1bec509d0657ebf9df37b0b2151671f82398fa2d5a03d00de7",
-	"wal/wal-00000003.seg":     "898fe0149bede7e13fc59f76fb827a78da3a892b47af96d386abbfe0767d9b66",
-	"wal/wal-00000004.seg":     "53dc045f16d92c0ef09236efa13e5c23fca8737aa8816f4743d8d89908802eb0",
+	"wal/wal-00000001.seg":     "1eba221d665c73aca0040466c610f3914744491413f30a46911d9b944280b9c0",
+	"wal/wal-00000002.seg":     "5a2b5ea9dbe9cc5d270432a33c9f202314de83927559a808b26aa5fbfe68a3b5",
+	"wal/wal-00000003.seg":     "a1f401147a60ad65f295bcb801fedf4900de8259482e740de21f1ab7b7a17505",
+	"wal/wal-00000004.seg":     "354ccc802b66f4e0fad49ce1f99cea8e1c74e003001d8088cef9d109037fca7b",
 }
 
 func TestOnDiskGolden(t *testing.T) {
