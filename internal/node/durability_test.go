@@ -40,6 +40,12 @@ func durableNode(t *testing.T, dir string, fsync seglog.SyncPolicy) (*Node, *wal
 // returning the raw recovery for tests that inspect the checkpoint.
 func durableNodeOpts(t *testing.T, dir string, opts wal.StoreOptions) (*Node, *wal.DurableStore, *wal.Recovery, *types.Block) {
 	t.Helper()
+	return durableNodeRule(t, dir, opts, forkchoice.LongestChain{})
+}
+
+// durableNodeRule is durableNodeOpts under fork choice rule.
+func durableNodeRule(t *testing.T, dir string, opts wal.StoreOptions, rule consensus.ForkChoice) (*Node, *wal.DurableStore, *wal.Recovery, *types.Block) {
+	t.Helper()
 	ds, rec, err := wal.OpenStore(dir, opts)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
@@ -50,7 +56,7 @@ func durableNodeOpts(t *testing.T, dir string, opts wal.StoreOptions) (*Node, *w
 		ID:         "d0",
 		Key:        cryptoutil.KeyFromSeed([]byte("durability-node")),
 		Engine:     liteEngine(2),
-		ForkChoice: forkchoice.LongestChain{},
+		ForkChoice: rule,
 		Genesis:    genesis,
 		Rewards:    incentive.Schedule{InitialReward: 50},
 		Clock:      simclock.NewSimulator(),
@@ -290,7 +296,8 @@ func TestRecoverReorgedChain(t *testing.T) {
 // close, where the recovered head must be the live one, and after a cut
 // at each append; a recovery counts no reorg and no fork-choice switch.
 func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
-	genesis := NewGenesis("durability-test")
+	genesis := NewGenesis("durability-test") // durableNodeRule's
+	opts := wal.StoreOptions{Fsync: seglog.SyncNever}
 	bd := newChainBuilder(t, genesis)
 	key := func(s string) cryptoutil.Address { return cryptoutil.KeyFromSeed([]byte(s)).Address() }
 	less := func(x, y *types.Block) bool { return bytes.Compare(x.Hash().Bytes(), y.Hash().Bytes()) < 0 }
@@ -326,7 +333,7 @@ func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
 			// cut 0 is a clean close; cut k a crash at the kth append.
 			for cut := 0; cut <= len(c.feed); cut++ {
 				dir := t.TempDir()
-				n1, ds1 := ruleNode(t, dir, genesis, rule)
+				n1, ds1, _, _ := durableNodeRule(t, dir, opts, rule)
 				if cut > 0 {
 					ds1.SetFailpoint(seglog.FailCut, uint64(cut))
 				}
@@ -341,7 +348,7 @@ func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
 				}
 				ds1.Close()
 
-				n2, _ := ruleNode(t, dir, genesis, rule)
+				n2, _, _, _ := durableNodeRule(t, dir, opts, rule)
 				got := n2.Chain().Head()
 				if tip, _ := rule.Choose(n2.Tree()); got != tip || cut == 0 && got != live {
 					t.Fatalf("%s/%s, cut at append %d: recovered head %s, fork choice over the recovered tree %s, live head %s",
@@ -353,34 +360,6 @@ func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
 			}
 		}
 	}
-}
-
-// ruleNode is a node over the durable store in dir under fork choice
-// rule, recovered from whatever the directory holds.
-func ruleNode(t *testing.T, dir string, genesis *types.Block, rule consensus.ForkChoice) (*Node, *wal.DurableStore) {
-	t.Helper()
-	ds, rec, err := wal.OpenStore(dir, wal.StoreOptions{Fsync: seglog.SyncNever})
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	t.Cleanup(func() { ds.Close() })
-	n, err := New(Config{
-		ID:         "d0",
-		Key:        cryptoutil.KeyFromSeed([]byte("durability-node")),
-		Engine:     liteEngine(2),
-		ForkChoice: rule,
-		Genesis:    genesis,
-		Rewards:    incentive.Schedule{InitialReward: 50},
-		Clock:      simclock.NewSimulator(),
-		Durable:    ds,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := n.Recover(rec); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	return n, ds
 }
 
 // TestCrashMatrixCutBelowCheckpoint: a byte flipped in a sealed journal

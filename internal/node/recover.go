@@ -80,7 +80,16 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 			return nil
 		}
 		n.metrics.RecoveredBlocks++
-		return n.followChoiceLocked()
+		tip, err := n.cfg.ForkChoice.Choose(n.tree)
+		if err != nil || tip == n.chain.Head() {
+			return err
+		}
+		if _, _, err := n.chain.SetHead(tip); err != nil {
+			return err
+		}
+		n.pruneStatesLocked()
+		n.evictBodiesLocked()
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("node: recover: %w", err)
@@ -109,24 +118,6 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 	n.pruneStatesLocked()
 
 	n.obs.Observe(obs.StageRecover, sw.Start(), sw.Elapsed(), obs.At{Height: n.chain.Height(), N: n.metrics.RecoveredBlocks})
-	return nil
-}
-
-// followChoiceLocked moves the head of a recovering node to the fork
-// choice's answer over the tree, and the state and body windows with it.
-func (n *Node) followChoiceLocked() error {
-	tip, err := n.cfg.ForkChoice.Choose(n.tree)
-	if err != nil {
-		return fmt.Errorf("node: recover fork choice: %w", err)
-	}
-	if tip == n.chain.Head() {
-		return nil
-	}
-	if _, _, err := n.chain.SetHead(tip); err != nil {
-		return fmt.Errorf("node: recover set head: %w", err)
-	}
-	n.pruneStatesLocked()
-	n.evictBodiesLocked()
 	return nil
 }
 

@@ -159,10 +159,11 @@ type Checkpoint struct {
 }
 
 // Recovery is what OpenStore found on disk: how many blocks the journal
-// holds and the newest valid checkpoint (nil if none usable). The blocks themselves are not held: Replay
-// streams them from the log. A record the open-time scan would not hand
-// to Replay was cut, with everything behind it, as a torn tail is, and
-// so was every checkpoint that covered more than the journal kept.
+// holds and the newest valid checkpoint (nil if none usable). The blocks
+// themselves are not held: Replay streams them from the log. A record the
+// open-time scan would not hand to Replay was cut, with everything behind
+// it, as a torn tail is, and so was every checkpoint that covered more
+// than the journal kept.
 type Recovery struct {
 	Blocks     int // block records in the journal (counted by their headers)
 	Checkpoint *Checkpoint
@@ -188,9 +189,9 @@ func (r *Recovery) TipHeight() uint64 { return r.tipHeight }
 
 // Replay streams the journal's blocks in log order, one decoded block at
 // a time, so a caller rebuilding a chain from it holds no more blocks
-// than it chooses to keep; head records are skipped. Records appended since the open are not
-// delivered. The callback may read blocks back from the store. Call
-// before the store takes new appends.
+// than it chooses to keep; head records are skipped. Records appended
+// since the open are not delivered. The callback may read blocks back
+// from the store. Call before the store takes new appends.
 //
 // A block record whose body does not inflate or decode is refused: Replay
 // stops there with an error that wraps seglog.ErrDamaged and names its
