@@ -296,7 +296,7 @@ func TestRecoverReorgedChain(t *testing.T) {
 // close, where the recovered head must be the live one, and after a cut
 // at each append; a recovery counts no reorg and no fork-choice switch.
 func TestRecoveredHeadIsTheForkChoice(t *testing.T) {
-	genesis := NewGenesis("durability-test") // durableNodeRule's
+	genesis := NewGenesis("durability-test") // the genesis durableNodeRule builds on
 	opts := wal.StoreOptions{Fsync: seglog.SyncNever}
 	bd := newChainBuilder(t, genesis)
 	key := func(s string) cryptoutil.Address { return cryptoutil.KeyFromSeed([]byte(s)).Address() }
