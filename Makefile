@@ -190,11 +190,10 @@ disk-gate:
 # exploration and nothing a cache kept from an earlier one. One line a
 # target prints that count, from the engine's last `fuzz: elapsed: Ns,
 # execs: N` line, and the target fails when its execs per second fall
-# under FUZZFLOOR. The floor is half the slowest target's rate in the run
+# under 320. The floor is half the slowest target's rate in the run
 # it was set from: wal.FuzzWALRecordDecode, 19 202 execs in 30 s on 2
 # CPUs, about 640 a second.
 FUZZTIME ?= 30s
-FUZZFLOOR ?= 320
 fuzz-smoke:
 	@set -e; cache=$$(mktemp -d); trap 'rm -rf "$$cache"' EXIT; \
 	for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' --exclude-dir=testdata internal cmd examples | sort); do \
@@ -202,7 +201,7 @@ fuzz-smoke:
 			pkg=./$$(dirname "$$f"); \
 			out=$$($(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s \
 				-args -test.fuzzcachedir="$$cache/$$target" 2>&1) || { echo "$$out"; echo "fuzz-smoke: $$pkg $$target failed"; exit 1; }; \
-			echo "$$out" | awk -v t="$$pkg $$target" -v floor=$(FUZZFLOOR) ' \
+			echo "$$out" | awk -v t="$$pkg $$target" -v floor=320 ' \
 				/^fuzz: elapsed: .*, execs: / { e = $$3; n = $$5 } \
 				END { sub(/,$$/, "", e); s = 0; if (split(e, p, "m") == 2) { s = 60 * p[1]; e = p[2] } sub(/s$$/, "", e); s += e; \
 					if (n == "" || s <= 0) { print "fuzz-smoke: " t ": no exec count"; exit 1 } \

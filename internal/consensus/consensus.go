@@ -58,7 +58,10 @@ type ForkChoice interface {
 	// order they were added in: ties are broken totally (by hash), so
 	// peers that hold the same blocks agree. Recovery relies on it: the
 	// journal holds no head, and a restarted node's head is Choose over
-	// the blocks it recovered.
+	// the blocks it recovered. A block added as a child of the tip Choose
+	// returned is its next answer (it adds to that branch's work, height
+	// and every subtree on its path), so recovery asks only when a block
+	// does not extend the head.
 	Choose(tree *store.BlockTree) (cryptoutil.Hash, error)
 }
 

@@ -26,8 +26,9 @@ import (
 // nothing to the log and writes no checkpoint. The journal holds no head:
 // after each block it stores, recovery asks the fork choice rule for the
 // tip and moves the head there, as a live node does, which moves the body
-// and state windows along. The rule is called directly, not through
-// chooseLocked, so a restart counts no reorgs and no fork-choice
+// and state windows along; a block that extends the head is the answer
+// without asking, so a chain journaled in order costs no tree walk. The
+// rule is called directly, not through chooseLocked, so a restart counts no reorgs and no fork-choice
 // switches; it is a function of the tree alone, so the recovered head is
 // Choose over the recovered tree, whatever order the blocks were
 // journaled in. Its state root is always re-verified against the head
@@ -80,9 +81,13 @@ func (n *Node) Recover(rec *wal.Recovery) error {
 			return nil
 		}
 		n.metrics.RecoveredBlocks++
-		tip, err := n.cfg.ForkChoice.Choose(n.tree)
-		if err != nil || tip == n.chain.Head() {
-			return err
+		// A block that extends the head is the rule's next answer (see
+		// consensus.ForkChoice): only a block off the head walks the tree.
+		tip := h
+		if b.Header.ParentHash != n.chain.Head() {
+			if tip, err = n.cfg.ForkChoice.Choose(n.tree); err != nil || tip == n.chain.Head() {
+				return err
+			}
 		}
 		if _, _, err := n.chain.SetHead(tip); err != nil {
 			return err
