@@ -140,13 +140,16 @@ crash-matrix:
 # chain length by a header a block, a retained post-state below the trie
 # window costs under 72 B per account its block wrote, the gossip
 # seen-cache costs what its comment says and stops at its cap, a PoW
-# seal allocates as much at difficulty 4096 as at 64, and a transaction's
-# id is a memo and its encoding, like a block's, one allocation.
+# seal allocates as much at difficulty 4096 as at 64, a transaction's
+# id is a memo and its encoding, like a block's, one allocation, and a
+# contract execution allocates as much at 2,000 loop iterations as at
+# 200, and at most 8 objects.
 heap-gate:
 	$(GO) test -count=1 ./internal/node -run 'TestHeapIndependentOfTxsPerBlock|TestRecoveryHeapIndependentOfChainLength|TestRetainedStateHeapPerAccountWritten' -v
 	$(GO) test -count=1 ./internal/p2p -run TestSeenCacheBytesPerEntry -v
 	$(GO) test -count=1 ./internal/consensus/pow -run TestSolveAllocs -v
 	$(GO) test -count=1 ./internal/types -run TestTxCodecAllocs -v
+	$(GO) test -count=1 ./internal/vm -run TestExecuteAllocs -v
 
 # The disk gates, without -short: a signed transfer encodes its key and
 # signature in 33 + 64 bytes and carries no sender, a transfer costs the

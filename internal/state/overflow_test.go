@@ -53,3 +53,24 @@ func TestApplyBlockRejectsFeeSumOverflow(t *testing.T) {
 		t.Fatalf("ApplyBlock = %v, want ErrBadCoinbase", err)
 	}
 }
+
+// TestApplyBlockRejectsGasLimitOverCap: the gas cap is a validity rule,
+// so a block that carries a transaction over it is refused whole, as a
+// pool refuses the transaction.
+func TestApplyBlockRejectsGasLimitOverCap(t *testing.T) {
+	s := New()
+	k, from := keyAddr("gas-sender")
+	_, proposer := keyAddr("gas-proposer")
+	s.Credit(from, 100)
+	tx := &types.Transaction{Kind: types.TxInvoke, From: from, Fee: 1, GasLimit: types.MaxGasLimit + 1}
+	if err := tx.Sign(k); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	b := &types.Block{
+		Header: types.BlockHeader{Proposer: proposer},
+		Txs:    []*types.Transaction{types.NewCoinbase(proposer, 1, 0), tx},
+	}
+	if _, err := s.ApplyBlock(b, 0); !errors.Is(err, types.ErrGasLimit) {
+		t.Fatalf("ApplyBlock = %v, want ErrGasLimit", err)
+	}
+}

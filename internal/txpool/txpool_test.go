@@ -19,6 +19,18 @@ func tx(t *testing.T, seed string, nonce, fee uint64) *types.Transaction {
 	return tr
 }
 
+// invoke signs a contract call offering gasLimit gas.
+func invoke(t *testing.T, seed string, gasLimit uint64) *types.Transaction {
+	t.Helper()
+	k := cryptoutil.KeyFromSeed([]byte(seed))
+	to := cryptoutil.KeyFromSeed([]byte("contract")).Address()
+	tr := &types.Transaction{Kind: types.TxInvoke, From: k.Address(), To: to, Fee: 1, GasLimit: gasLimit}
+	if err := tr.Sign(k); err != nil {
+		t.Fatalf("Sign: %v", err)
+	}
+	return tr
+}
+
 func TestAddHasLen(t *testing.T) {
 	p := New(0)
 	tr := tx(t, "a", 0, 1)
@@ -42,6 +54,18 @@ func TestAddRejects(t *testing.T) {
 		bad := types.NewTransfer(cryptoutil.ZeroAddress, cryptoutil.ZeroAddress, 1, 1, 0)
 		if err := p.Add(bad); !errors.Is(err, types.ErrNoSignature) {
 			t.Fatalf("want ErrNoSignature, got %v", err)
+		}
+	})
+	t.Run("gas limit over the cap", func(t *testing.T) {
+		// An invoke of `loop: PUSH @loop JUMP` under this limit would
+		// hold the proposer's block for as long as it runs.
+		if err := p.Add(invoke(t, "gas", types.MaxGasLimit+1)); !errors.Is(err, types.ErrGasLimit) {
+			t.Fatalf("want ErrGasLimit, got %v", err)
+		}
+	})
+	t.Run("gas limit at the cap", func(t *testing.T) {
+		if err := p.Add(invoke(t, "gas", types.MaxGasLimit)); err != nil {
+			t.Fatalf("Add: %v", err)
 		}
 	})
 	t.Run("duplicate", func(t *testing.T) {

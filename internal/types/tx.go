@@ -55,7 +55,14 @@ var (
 	ErrFromMismatch = errors.New("types: sender does not match public key")
 	ErrTooLarge     = errors.New("types: encoded field too large")
 	ErrCostOverflow = errors.New("types: transaction cost overflows uint64")
+	ErrGasLimit     = errors.New("types: gas limit over the cap")
 )
+
+// MaxGasLimit caps a transaction's gas limit: a transaction that offers
+// more is invalid. The fee is flat, so nothing else bounds how long one
+// invoke may run a block's execution; at the VM's few nanoseconds a gas
+// unit this is milliseconds. It is also the budget of a constant call.
+const MaxGasLimit = 1 << 20
 
 // maxFieldLen bounds variable-length fields during decoding so a hostile
 // peer cannot force huge allocations.
@@ -193,10 +200,11 @@ func (tx *Transaction) sign(k *cryptoutil.KeyPair, sign func(cryptoutil.Hash) ([
 	return nil
 }
 
-// Verify checks the structural validity and signature of the transaction.
-// Coinbase transactions are unsigned by design and always pass signature
-// checks; their contextual validity (reward amount, position) is enforced
-// at block validation.
+// Verify checks the structural validity and signature of the transaction:
+// its kind, that its cost does not overflow, that its gas limit is at
+// most MaxGasLimit, and its signature. Coinbase transactions are
+// unsigned by design and always pass; their contextual validity (reward
+// amount, position) is enforced at block validation.
 //
 // A successful verification is memoized, so re-verifying the same
 // (immutable) transaction — e.g. sequentially applying a block whose
@@ -213,6 +221,9 @@ func (tx *Transaction) Verify() error {
 	}
 	if _, err := tx.Cost(); err != nil {
 		return err
+	}
+	if tx.GasLimit > MaxGasLimit {
+		return fmt.Errorf("%w: %d, cap %d", ErrGasLimit, tx.GasLimit, MaxGasLimit)
 	}
 	if atomic.LoadUint32(&tx.sigOK) == 1 {
 		return nil

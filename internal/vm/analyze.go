@@ -54,32 +54,6 @@ type Report struct {
 // OK reports whether no issues were found.
 func (r *Report) OK() bool { return len(r.Issues) == 0 }
 
-// stackEffect returns (pops, pushes) for an opcode.
-func stackEffect(op Op) (pops, pushes int) {
-	switch op {
-	case PUSH, PUSHW, CALLER, ADDRESS, CALLVALUE, TIMESTAMP, ARGLEN:
-		return 0, 1
-	case POP, JUMP:
-		return 1, 0
-	case DUP:
-		return 1, 2
-	case SWAP:
-		return 2, 2
-	case ADD, SUB, MUL, DIV, MOD, LT, GT, EQ, AND, OR, XOR:
-		return 2, 1
-	case ISZERO, NOT, SLOAD, BALANCE, ARG:
-		return 1, 1
-	case JUMPI, SSTORE, TRANSFER, LOG:
-		return 2, 0
-	case RETURN:
-		return 1, 0
-	case STOP, REVERT:
-		return 0, 0
-	default:
-		return 0, 0
-	}
-}
-
 // instruction is one decoded operation.
 type instruction struct {
 	op     Op
@@ -110,35 +84,29 @@ func Analyze(code []byte) *Report {
 	order := []int{}
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
-		if _, known := gasCost[op]; !known {
+		in := &opTable[op]
+		if in.name == "" {
 			r.Issues = append(r.Issues, Issue{Kind: IssueUnknownOp, Offset: pc,
 				Detail: fmt.Sprintf("opcode %d", code[pc])})
 			return r
 		}
-		ins := &instruction{op: op, offset: pc}
-		size := 1
+		size := 1 + in.imm
+		if pc+size > len(code) {
+			r.Issues = append(r.Issues, Issue{Kind: IssueTruncated, Offset: pc,
+				Detail: fmt.Sprintf("%s needs %d bytes", op, in.imm)})
+			return r
+		}
+		ins := &instruction{op: op, offset: pc, next: pc + size}
 		switch op {
 		case PUSH:
-			if pc+9 > len(code) {
-				r.Issues = append(r.Issues, Issue{Kind: IssueTruncated, Offset: pc, Detail: "PUSH needs 8 bytes"})
-				return r
-			}
-			w := WordFromUint64(binary.BigEndian.Uint64(code[pc+1 : pc+9]))
+			w := WordFromUint64(binary.BigEndian.Uint64(code[pc+1:]))
 			ins.imm = &w
-			size = 9
 		case PUSHW:
-			if pc+33 > len(code) {
-				r.Issues = append(r.Issues, Issue{Kind: IssueTruncated, Offset: pc, Detail: "PUSHW needs 32 bytes"})
-				return r
-			}
-			var w Word
-			copy(w[:], code[pc+1:pc+33])
+			w := Word(code[pc+1 : pc+size])
 			ins.imm = &w
-			size = 33
 		case SSTORE, TRANSFER, LOG:
 			r.Writes = true
 		}
-		ins.next = pc + size
 		instrs[pc] = ins
 		order = append(order, pc)
 		pc += size
@@ -185,17 +153,14 @@ func Analyze(code []byte) *Report {
 		onPath[st.pc]++
 		defer func() { onPath[st.pc]-- }()
 
-		pops, pushes := stackEffect(ins.op)
-		if st.depth < pops {
+		in := &opTable[ins.op]
+		g := in.gas
+		if st.depth < in.pops {
 			r.Issues = append(r.Issues, Issue{Kind: IssueUnderflow, Offset: st.pc,
-				Detail: fmt.Sprintf("%s needs %d operands, stack has %d", ins.op, pops, st.depth)})
-			return gasCost[ins.op]
+				Detail: fmt.Sprintf("%s needs %d operands, stack has %d", ins.op, in.pops, st.depth)})
+			return g
 		}
-		depth := st.depth - pops + pushes
-		if depth > depthCap {
-			depth = depthCap
-		}
-		g := gasCost[ins.op]
+		depth := min(st.depth-in.pops+in.pushes, depthCap)
 
 		switch ins.op {
 		case STOP, RETURN, REVERT:

@@ -98,11 +98,14 @@ func Assemble(src string) ([]byte, error) {
 	return code, nil
 }
 
-// opsByName inverts opNames, whose names are unique, for the assembler.
+// opsByName inverts opTable's names, which are unique, for the
+// assembler.
 var opsByName = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, name := range opNames {
-		m[name] = op
+	m := make(map[string]Op)
+	for op, in := range opTable {
+		if in.name != "" {
+			m[in.name] = Op(op)
+		}
 	}
 	return m
 }()

@@ -89,7 +89,7 @@ func (e *Executor) ConstantCall(st *state.State, self cryptoutil.Address, caller
 		Caller:   caller,
 		Time:     e.Now,
 		Args:     args,
-		GasLimit: 1 << 32, // bounded only to terminate loops
+		GasLimit: types.MaxGasLimit, // bounded only to terminate loops
 		ReadOnly: true,
 	}
 	res, err := Execute(code, env)

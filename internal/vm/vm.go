@@ -5,13 +5,20 @@
 // transaction costs gas paid to the block producer, while constant
 // (read-only) calls — like the paper's say() — are free and run without
 // a transaction.
+//
+// A Word is 32 big-endian bytes. ADD, SUB, MUL, DIV and MOD compute mod
+// 2²⁵⁶ on four 64-bit limbs with math/bits (word.go), AND, OR and XOR
+// work limb-wise, comparisons and NOT on the bytes, and one table indexed
+// by opcode (opTable) gives every opcode's name, gas price, immediate
+// size and stack effect to Execute, Analyze and the assembler. Execute
+// allocates a fixed few objects a call, however many instructions run.
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"dcsledger/internal/cryptoutil"
 )
@@ -59,17 +66,6 @@ func (w Word) Address() cryptoutil.Address {
 // IsZero reports whether all bits are clear.
 func (w Word) IsZero() bool { return w == Word{} }
 
-func (w Word) big() *big.Int { return new(big.Int).SetBytes(w[:]) }
-
-func wordFromBig(v *big.Int) Word {
-	var w Word
-	v.Mod(v, two256)
-	v.FillBytes(w[:])
-	return w
-}
-
-var two256 = new(big.Int).Lsh(big.NewInt(1), 256)
-
 // Op is a bytecode opcode.
 type Op byte
 
@@ -111,40 +107,68 @@ const (
 	REVERT
 )
 
-var opNames = map[Op]string{
-	STOP: "STOP", PUSH: "PUSH", PUSHW: "PUSHW", POP: "POP", DUP: "DUP",
-	SWAP: "SWAP", ADD: "ADD", SUB: "SUB", MUL: "MUL", DIV: "DIV",
-	MOD: "MOD", LT: "LT", GT: "GT", EQ: "EQ", ISZERO: "ISZERO",
-	AND: "AND", OR: "OR", XOR: "XOR", NOT: "NOT", JUMP: "JUMP",
-	JUMPI: "JUMPI", SLOAD: "SLOAD", SSTORE: "SSTORE", CALLER: "CALLER",
-	ADDRESS: "ADDRESS", CALLVALUE: "CALLVALUE", BALANCE: "BALANCE",
-	TIMESTAMP: "TIMESTAMP", ARG: "ARG", ARGLEN: "ARGLEN",
-	TRANSFER: "TRANSFER", LOG: "LOG", RETURN: "RETURN", REVERT: "REVERT",
+// opInfo is one opcode's row in opTable: its mnemonic, its gas price,
+// the bytes of immediate operand that follow it in the code, and the
+// stack words it pops and then pushes.
+type opInfo struct {
+	name              string
+	gas               uint64
+	imm, pops, pushes int
+}
+
+// opTable is the instruction set, indexed by opcode: Execute, Analyze
+// and the assembler all read it. A row without a name is an unknown
+// opcode.
+var opTable = [256]opInfo{
+	//          name         gas imm pops pushes
+	STOP:      {"STOP", 0, 0, 0, 0},
+	PUSH:      {"PUSH", 3, 8, 0, 1},
+	PUSHW:     {"PUSHW", 3, 32, 0, 1},
+	POP:       {"POP", 2, 0, 1, 0},
+	DUP:       {"DUP", 3, 0, 1, 2},
+	SWAP:      {"SWAP", 3, 0, 2, 2},
+	ADD:       {"ADD", 3, 0, 2, 1},
+	SUB:       {"SUB", 3, 0, 2, 1},
+	MUL:       {"MUL", 5, 0, 2, 1},
+	DIV:       {"DIV", 5, 0, 2, 1},
+	MOD:       {"MOD", 5, 0, 2, 1},
+	LT:        {"LT", 3, 0, 2, 1},
+	GT:        {"GT", 3, 0, 2, 1},
+	EQ:        {"EQ", 3, 0, 2, 1},
+	ISZERO:    {"ISZERO", 3, 0, 1, 1},
+	AND:       {"AND", 3, 0, 2, 1},
+	OR:        {"OR", 3, 0, 2, 1},
+	XOR:       {"XOR", 3, 0, 2, 1},
+	NOT:       {"NOT", 3, 0, 1, 1},
+	JUMP:      {"JUMP", 8, 0, 1, 0},
+	JUMPI:     {"JUMPI", 10, 0, 2, 0},
+	SLOAD:     {"SLOAD", 50, 0, 1, 1},
+	SSTORE:    {"SSTORE", 200, 0, 2, 0},
+	CALLER:    {"CALLER", 2, 0, 0, 1},
+	ADDRESS:   {"ADDRESS", 2, 0, 0, 1},
+	CALLVALUE: {"CALLVALUE", 2, 0, 0, 1},
+	BALANCE:   {"BALANCE", 20, 0, 1, 1},
+	TIMESTAMP: {"TIMESTAMP", 2, 0, 0, 1},
+	ARG:       {"ARG", 3, 0, 1, 1},
+	ARGLEN:    {"ARGLEN", 2, 0, 0, 1},
+	TRANSFER:  {"TRANSFER", 100, 0, 2, 0},
+	LOG:       {"LOG", 30, 0, 2, 0},
+	RETURN:    {"RETURN", 0, 0, 1, 0},
+	REVERT:    {"REVERT", 0, 0, 0, 0},
 }
 
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
+	if s := opTable[o].name; s != "" {
 		return s
 	}
 	return fmt.Sprintf("Op(%d)", byte(o))
 }
 
-// gasCost is the per-opcode gas schedule.
-var gasCost = map[Op]uint64{
-	STOP: 0, PUSH: 3, PUSHW: 3, POP: 2, DUP: 3, SWAP: 3,
-	ADD: 3, SUB: 3, MUL: 5, DIV: 5, MOD: 5,
-	LT: 3, GT: 3, EQ: 3, ISZERO: 3, AND: 3, OR: 3, XOR: 3, NOT: 3,
-	JUMP: 8, JUMPI: 10,
-	SLOAD: 50, SSTORE: 200,
-	CALLER: 2, ADDRESS: 2, CALLVALUE: 2, BALANCE: 20, TIMESTAMP: 2,
-	ARG: 3, ARGLEN: 2,
-	TRANSFER: 100, LOG: 30,
-	RETURN: 0, REVERT: 0,
-}
-
 // StateAccess is the slice of world state the VM touches. The state
-// package's State satisfies it.
+// package's State satisfies it. The key and value slices passed to
+// Storage and SetStorage are the VM's scratch, reused after the call
+// returns: an implementation copies what it keeps.
 type StateAccess interface {
 	Storage(addr cryptoutil.Address, key []byte) []byte
 	SetStorage(addr cryptoutil.Address, key, value []byte)
@@ -183,284 +207,139 @@ type Result struct {
 
 const maxStack = 1024
 
-// Execute runs bytecode in the given environment.
+// Execute runs bytecode in the given environment. It allocates the
+// Result, a scratch key and value for the storage opcodes, and the
+// stack's growth past its first 16 words: nothing per instruction but
+// LOG's event.
 func Execute(code []byte, env *Env) (*Result, error) {
 	res := &Result{}
-	var stack []Word
+	stack := make([]Word, 0, 16)
+	// kv holds SLOAD's key and SSTORE's key and value: a slice passed to
+	// StateAccess escapes, so it is taken from here, not from the stack.
+	var kv [2]Word
 	pc := 0
-
-	pop := func() (Word, error) {
-		if len(stack) == 0 {
-			return Word{}, fmt.Errorf("%w at pc %d", ErrStackUnderflow, pc)
-		}
-		w := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return w, nil
-	}
-	pop2 := func() (Word, Word, error) {
-		b, err := pop()
-		if err != nil {
-			return Word{}, Word{}, err
-		}
-		a, err := pop()
-		if err != nil {
-			return Word{}, Word{}, err
-		}
-		return a, b, nil
-	}
-	push := func(w Word) error {
-		if len(stack) >= maxStack {
-			return fmt.Errorf("%w at pc %d", ErrStackOverflow, pc)
-		}
-		stack = append(stack, w)
-		return nil
-	}
 
 	for pc < len(code) {
 		op := Op(code[pc])
-		cost, known := gasCost[op]
-		if !known {
+		in := &opTable[op]
+		if in.name == "" {
 			return res, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, code[pc], pc)
 		}
-		if res.GasUsed+cost > env.GasLimit {
+		if res.GasUsed+in.gas > env.GasLimit {
 			res.GasUsed = env.GasLimit
-			return res, fmt.Errorf("%w: need %d at pc %d (%s)", ErrOutOfGas, res.GasUsed+cost, pc, op)
+			return res, fmt.Errorf("%w: need %d at pc %d (%s)", ErrOutOfGas, res.GasUsed+in.gas, pc, op)
 		}
-		res.GasUsed += cost
+		res.GasUsed += in.gas
 		pc++
-
+		if pc+in.imm > len(code) {
+			return res, ErrTruncatedCode
+		}
+		n := len(stack)
+		if n < in.pops {
+			return res, fmt.Errorf("%w at pc %d", ErrStackUnderflow, pc)
+		}
+		if n-in.pops+in.pushes > maxStack {
+			return res, fmt.Errorf("%w at pc %d", ErrStackOverflow, pc)
+		}
+		// The operands are checked: an opcode pops stack[n-pops:] and
+		// pushes its results in their place.
 		switch op {
 		case STOP:
 			return res, nil
 		case PUSH:
-			if pc+8 > len(code) {
-				return res, ErrTruncatedCode
-			}
-			if err := push(WordFromUint64(binary.BigEndian.Uint64(code[pc : pc+8]))); err != nil {
-				return res, err
-			}
-			pc += 8
+			stack = append(stack, WordFromUint64(binary.BigEndian.Uint64(code[pc:])))
 		case PUSHW:
-			if pc+32 > len(code) {
-				return res, ErrTruncatedCode
-			}
-			var w Word
-			copy(w[:], code[pc:pc+32])
-			if err := push(w); err != nil {
-				return res, err
-			}
-			pc += 32
+			stack = append(stack, Word(code[pc:pc+32]))
 		case POP:
-			if _, err := pop(); err != nil {
-				return res, err
-			}
+			stack = stack[:n-1]
 		case DUP:
-			w, err := pop()
-			if err != nil {
-				return res, err
-			}
-			if err := push(w); err != nil {
-				return res, err
-			}
-			if err := push(w); err != nil {
-				return res, err
-			}
+			stack = append(stack, stack[n-1])
 		case SWAP:
-			a, b, err := pop2()
-			if err != nil {
-				return res, err
-			}
-			if err := push(b); err != nil {
-				return res, err
-			}
-			if err := push(a); err != nil {
-				return res, err
-			}
+			stack[n-2], stack[n-1] = stack[n-1], stack[n-2]
 		case ADD, SUB, MUL, DIV, MOD, AND, OR, XOR:
-			a, b, err := pop2()
-			if err != nil {
-				return res, err
-			}
-			w, err := arith(op, a, b)
+			w, err := arith(op, &stack[n-2], &stack[n-1])
 			if err != nil {
 				return res, fmt.Errorf("%w at pc %d", err, pc-1)
 			}
-			if err := push(w); err != nil {
-				return res, err
-			}
+			stack[n-2] = w
+			stack = stack[:n-1]
 		case LT, GT, EQ:
-			a, b, err := pop2()
-			if err != nil {
-				return res, err
-			}
-			cmp := a.big().Cmp(b.big())
-			truth := (op == LT && cmp < 0) || (op == GT && cmp > 0) || (op == EQ && cmp == 0)
-			if err := push(boolWord(truth)); err != nil {
-				return res, err
-			}
+			// A Word is big-endian: its byte order is its numeric order.
+			cmp := bytes.Compare(stack[n-2][:], stack[n-1][:])
+			stack[n-2] = boolWord(op == LT && cmp < 0 || op == GT && cmp > 0 || op == EQ && cmp == 0)
+			stack = stack[:n-1]
 		case ISZERO:
-			a, err := pop()
-			if err != nil {
-				return res, err
-			}
-			if err := push(boolWord(a.IsZero())); err != nil {
-				return res, err
-			}
+			stack[n-1] = boolWord(stack[n-1].IsZero())
 		case NOT:
-			a, err := pop()
-			if err != nil {
-				return res, err
-			}
-			for i := range a {
-				a[i] = ^a[i]
-			}
-			if err := push(a); err != nil {
-				return res, err
+			w := &stack[n-1]
+			for i := range w {
+				w[i] = ^w[i]
 			}
 		case JUMP, JUMPI:
-			dest, err := pop()
-			if err != nil {
-				return res, err
-			}
-			taken := true
-			if op == JUMPI {
-				cond, err := pop()
-				if err != nil {
-					return res, err
-				}
-				taken = !cond.IsZero()
-			}
+			dest := stack[n-1].Uint64()
+			taken := op == JUMP || !stack[n-2].IsZero()
+			stack = stack[:n-in.pops]
 			if taken {
-				d := dest.Uint64()
-				if d >= uint64(len(code)) {
-					return res, fmt.Errorf("%w: %d", ErrBadJump, d)
+				if dest >= uint64(len(code)) {
+					return res, fmt.Errorf("%w: %d", ErrBadJump, dest)
 				}
-				pc = int(d)
+				pc = int(dest)
 			}
 		case SLOAD:
-			k, err := pop()
-			if err != nil {
-				return res, err
-			}
-			var w Word
-			copy(w[:], env.State.Storage(env.Self, k[:]))
-			if err := push(w); err != nil {
-				return res, err
-			}
+			kv[0] = stack[n-1]
+			stack[n-1] = Word{}
+			copy(stack[n-1][:], env.State.Storage(env.Self, kv[0][:]))
 		case SSTORE:
-			k, v, err := pop2()
-			if err != nil {
-				return res, err
-			}
 			if env.ReadOnly {
 				return res, ErrWriteProtected
 			}
-			env.State.SetStorage(env.Self, k[:], v[:])
+			kv[0], kv[1] = stack[n-2], stack[n-1]
+			stack = stack[:n-2]
+			env.State.SetStorage(env.Self, kv[0][:], kv[1][:])
 		case CALLER:
-			if err := push(WordFromAddress(env.Caller)); err != nil {
-				return res, err
-			}
+			stack = append(stack, WordFromAddress(env.Caller))
 		case ADDRESS:
-			if err := push(WordFromAddress(env.Self)); err != nil {
-				return res, err
-			}
+			stack = append(stack, WordFromAddress(env.Self))
 		case CALLVALUE:
-			if err := push(WordFromUint64(env.Value)); err != nil {
-				return res, err
-			}
+			stack = append(stack, WordFromUint64(env.Value))
 		case BALANCE:
-			a, err := pop()
-			if err != nil {
-				return res, err
-			}
-			if err := push(WordFromUint64(env.State.Balance(a.Address()))); err != nil {
-				return res, err
-			}
+			stack[n-1] = WordFromUint64(env.State.Balance(stack[n-1].Address()))
 		case TIMESTAMP:
-			if err := push(WordFromUint64(uint64(env.Time))); err != nil {
-				return res, err
-			}
+			stack = append(stack, WordFromUint64(uint64(env.Time)))
 		case ARG:
-			i, err := pop()
-			if err != nil {
-				return res, err
-			}
-			var w Word
-			if idx := i.Uint64(); idx < uint64(len(env.Args)) {
-				w = env.Args[idx]
-			}
-			if err := push(w); err != nil {
-				return res, err
+			idx := stack[n-1].Uint64()
+			stack[n-1] = Word{}
+			if idx < uint64(len(env.Args)) {
+				stack[n-1] = env.Args[idx]
 			}
 		case ARGLEN:
-			if err := push(WordFromUint64(uint64(len(env.Args)))); err != nil {
-				return res, err
-			}
+			stack = append(stack, WordFromUint64(uint64(len(env.Args))))
 		case TRANSFER:
-			to, amount, err := pop2()
-			if err != nil {
-				return res, err
-			}
 			if env.ReadOnly {
 				return res, ErrWriteProtected
 			}
-			amt := amount.Uint64()
+			to, amt := stack[n-2].Address(), stack[n-1].Uint64()
+			stack = stack[:n-2]
 			if err := env.State.Debit(env.Self, amt); err != nil {
 				return res, fmt.Errorf("vm: transfer: %w", err)
 			}
-			env.State.Credit(to.Address(), amt)
+			env.State.Credit(to, amt)
 		case LOG:
-			topic, value, err := pop2()
-			if err != nil {
-				return res, err
-			}
 			if env.ReadOnly {
 				return res, ErrWriteProtected
 			}
-			res.Events = append(res.Events, Event{Contract: env.Self, Topic: topic, Value: value})
+			res.Events = append(res.Events, Event{Contract: env.Self, Topic: stack[n-2], Value: stack[n-1]})
+			stack = stack[:n-2]
 		case RETURN:
-			w, err := pop()
-			if err != nil {
-				return res, err
-			}
-			res.Return = w
+			res.Return = stack[n-1]
 			res.HasRet = true
 			return res, nil
 		case REVERT:
 			return res, ErrReverted
 		}
+		pc += in.imm
 	}
 	return res, nil
-}
-
-func arith(op Op, a, b Word) (Word, error) {
-	x, y := a.big(), b.big()
-	switch op {
-	case ADD:
-		return wordFromBig(x.Add(x, y)), nil
-	case SUB:
-		return wordFromBig(x.Sub(x, y)), nil
-	case MUL:
-		return wordFromBig(x.Mul(x, y)), nil
-	case DIV:
-		if y.Sign() == 0 {
-			return Word{}, ErrDivByZero
-		}
-		return wordFromBig(x.Div(x, y)), nil
-	case MOD:
-		if y.Sign() == 0 {
-			return Word{}, ErrDivByZero
-		}
-		return wordFromBig(x.Mod(x, y)), nil
-	case AND:
-		return wordFromBig(x.And(x, y)), nil
-	case OR:
-		return wordFromBig(x.Or(x, y)), nil
-	case XOR:
-		return wordFromBig(x.Xor(x, y)), nil
-	default:
-		return Word{}, fmt.Errorf("%w: %s", ErrBadOpcode, op)
-	}
 }
 
 func boolWord(b bool) Word {

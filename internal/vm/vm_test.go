@@ -63,7 +63,7 @@ func TestArithmetic(t *testing.T) {
 func TestSwapOrder(t *testing.T) {
 	// Stack [10, 3] → SWAP → [3, 10] → SUB computes 3-10 (wrapping).
 	res := run(t, "PUSH 10\nPUSH 3\nSWAP\nSUB\nRETURN", env(state.New()))
-	got := res.Return.big()
+	got := bigOf(res.Return)
 	if got.BitLen() < 250 {
 		t.Fatalf("expected wrapped value, got %v", got)
 	}
@@ -192,6 +192,36 @@ func TestOutOfGas(t *testing.T) {
 	}
 }
 
+// gasCost is the gas schedule, written out: a price that moves changes
+// every receipt's gas figure, so opTable is held to it.
+var gasCost = map[Op]uint64{
+	STOP: 0, PUSH: 3, PUSHW: 3, POP: 2, DUP: 3, SWAP: 3,
+	ADD: 3, SUB: 3, MUL: 5, DIV: 5, MOD: 5,
+	LT: 3, GT: 3, EQ: 3, ISZERO: 3, AND: 3, OR: 3, XOR: 3, NOT: 3,
+	JUMP: 8, JUMPI: 10,
+	SLOAD: 50, SSTORE: 200,
+	CALLER: 2, ADDRESS: 2, CALLVALUE: 2, BALANCE: 20, TIMESTAMP: 2,
+	ARG: 3, ARGLEN: 2,
+	TRANSFER: 100, LOG: 30,
+	RETURN: 0, REVERT: 0,
+}
+
+func TestOpTableIsTheGasSchedule(t *testing.T) {
+	for i, in := range opTable {
+		op := Op(i)
+		want, known := gasCost[op]
+		if known != (in.name != "") {
+			t.Fatalf("opcode %d: in the table %v, in the schedule %v", i, in.name != "", known)
+		}
+		if known && in.gas != want {
+			t.Fatalf("%s costs %d gas, want %d", op, in.gas, want)
+		}
+		if known && opsByName[in.name] != op {
+			t.Fatalf("%s assembles to %d", in.name, opsByName[in.name])
+		}
+	}
+}
+
 func TestGasAccounting(t *testing.T) {
 	res := run(t, "PUSH 1\nPUSH 2\nADD\nSTOP", env(state.New()))
 	want := gasCost[PUSH]*2 + gasCost[ADD] + gasCost[STOP]
@@ -299,5 +329,56 @@ func TestWordHelpers(t *testing.T) {
 	}
 	if UnpackArgs(nil) != nil {
 		t.Fatal("empty args should unpack to nil")
+	}
+}
+
+// TestErrorTextAndGas pins each failure's text and the gas it charges:
+// receipts carry both, so they are consensus data.
+func TestErrorTextAndGas(t *testing.T) {
+	full := make([]byte, 0, maxStack*9+2) // a full stack, then one more operand
+	for i := 0; i < maxStack; i++ {
+		full = append(full, MustAssemble("PUSH 1")...)
+	}
+	tests := []struct {
+		name     string
+		code     []byte
+		readOnly bool
+		gasLimit uint64
+		want     string
+		gas      uint64
+	}{
+		{name: "underflow", code: MustAssemble("ADD"), want: "vm: stack underflow at pc 1", gas: 3},
+		{name: "underflow second operand", code: MustAssemble("PUSH 1\nADD"), want: "vm: stack underflow at pc 10", gas: 6},
+		{name: "jumpi without condition", code: MustAssemble("x:\nPUSH @x\nJUMPI"), want: "vm: stack underflow at pc 10", gas: 13},
+		{name: "overflow", code: append(full[:len(full):len(full)], MustAssemble("PUSH 1")...), want: "vm: stack overflow at pc 9217", gas: 3075},
+		{name: "dup overflows", code: append(full[:len(full):len(full)], byte(DUP)), want: "vm: stack overflow at pc 9217", gas: 3075},
+		{name: "truncated beats overflow", code: append(full[:len(full):len(full)], byte(PUSH), 0), want: "vm: truncated immediate operand", gas: 3075},
+		{name: "truncated pushw", code: []byte{byte(PUSHW), 1}, want: "vm: truncated immediate operand", gas: 3},
+		{name: "unknown opcode", code: []byte{byte(PUSH), 0, 0, 0, 0, 0, 0, 0, 1, 0}, want: "vm: unknown opcode: 0 at pc 9", gas: 3},
+		{name: "out of gas", code: MustAssemble("PUSH 1\nPUSH 2\nADD\nSTOP"), gasLimit: 5, want: "vm: out of gas: need 8 at pc 9 (PUSH)", gas: 5},
+		{name: "bad jump", code: MustAssemble("PUSH 9999\nJUMP"), want: "vm: jump to invalid destination: 9999", gas: 11},
+		{name: "bad jumpi", code: MustAssemble("PUSH 1\nPUSH 9999\nJUMPI"), want: "vm: jump to invalid destination: 9999", gas: 16},
+		{name: "div by zero", code: MustAssemble("PUSH 1\nPUSH 0\nDIV"), want: "vm: division by zero at pc 18", gas: 11},
+		{name: "mod by zero", code: MustAssemble("PUSH 1\nPUSH 0\nMOD"), want: "vm: division by zero at pc 18", gas: 11},
+		{name: "sstore read-only", code: MustAssemble("PUSH 1\nPUSH 2\nSSTORE"), readOnly: true, want: "vm: state write in constant call", gas: 206},
+		{name: "sstore underflow read-only", code: MustAssemble("PUSH 1\nSSTORE"), readOnly: true, want: "vm: stack underflow at pc 10", gas: 203},
+		{name: "overdraft", code: MustAssemble("CALLER\nPUSH 1000\nTRANSFER"), want: "vm: transfer: state: insufficient balance: 6fa280f8 has 0, needs 1000", gas: 105},
+		{name: "revert", code: MustAssemble("PUSH 1\nREVERT"), want: "vm: execution reverted", gas: 3},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := env(state.New())
+			e.ReadOnly = tt.readOnly
+			if tt.gasLimit != 0 {
+				e.GasLimit = tt.gasLimit
+			}
+			res, err := Execute(tt.code, e)
+			if err == nil {
+				t.Fatal("Execute succeeded")
+			}
+			if err.Error() != tt.want || res.GasUsed != tt.gas {
+				t.Fatalf("error %q, gas %d; want %q, gas %d", err, res.GasUsed, tt.want, tt.gas)
+			}
+		})
 	}
 }
